@@ -1,8 +1,9 @@
-//! Spatial-index query strategies: full scan vs intervals vs BIGMIN.
+//! Spatial-index query strategies: full scan vs intervals vs BIGMIN, and
+//! the interval decomposition itself (hierarchical vs exhaustive).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
-use sfc_core::{Grid, HilbertCurve, Point, ZCurve};
+use sfc_core::{Grid, HilbertCurve, Point, SpaceFillingCurve, ZCurve};
 use sfc_index::{BoxRegion, SfcIndex};
 use std::hint::black_box;
 
@@ -90,9 +91,94 @@ fn bench_knn(c: &mut Criterion) {
     });
 }
 
+/// 16 boxes of `side^D` cells at random positions of the grid.
+fn boxes_of_side<const D: usize>(grid: Grid<D>, side: u32) -> Vec<BoxRegion<D>> {
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11 + u64::from(side));
+    let max = grid.side() as u32 - side;
+    (0..16)
+        .map(|_| {
+            let lo: [u32; D] = std::array::from_fn(|_| rng.gen_range(0..=max));
+            BoxRegion::new(Point::new(lo), Point::new(lo.map(|c| c + side - 1)))
+        })
+        .collect()
+}
+
+/// Times `curve_intervals` against `curve_intervals_exhaustive` over the
+/// same boxes, after checking the two agree on every one of them.
+fn bench_decompose_pair<const D: usize, C: SpaceFillingCurve<D>>(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    curve: &C,
+    name: &str,
+    side: u32,
+) {
+    let boxes = boxes_of_side(curve.grid(), side);
+    for b in &boxes {
+        assert_eq!(
+            b.curve_intervals(curve),
+            b.curve_intervals_exhaustive(curve)
+        );
+    }
+    group.bench_function(format!("{name}_d{D}_side{side}_hierarchical"), |b| {
+        b.iter(|| {
+            boxes
+                .iter()
+                .map(|q| black_box(q.curve_intervals(curve)).len())
+                .sum::<usize>()
+        })
+    });
+    group.bench_function(format!("{name}_d{D}_side{side}_exhaustive"), |b| {
+        b.iter(|| {
+            boxes
+                .iter()
+                .map(|q| black_box(q.curve_intervals_exhaustive(curve)).len())
+                .sum::<usize>()
+        })
+    });
+}
+
+fn bench_decompose(c: &mut Criterion) {
+    let mut group = c.benchmark_group("decompose");
+    for side in [8, 32, 128] {
+        bench_decompose_pair(&mut group, &ZCurve::<2>::new(11).unwrap(), "z", side);
+        bench_decompose_pair(
+            &mut group,
+            &HilbertCurve::<2>::new(11).unwrap(),
+            "hilbert",
+            side,
+        );
+    }
+    for side in [8, 16] {
+        bench_decompose_pair(&mut group, &ZCurve::<3>::new(7).unwrap(), "z", side);
+        bench_decompose_pair(
+            &mut group,
+            &HilbertCurve::<3>::new(7).unwrap(),
+            "hilbert",
+            side,
+        );
+    }
+    group.finish();
+    // The gate: on the store's own box sizes the hierarchical cover must
+    // beat enumerate-and-sort by a wide margin (fastest samples, so a noisy
+    // neighbour cannot fail it).
+    let records = criterion::take_records();
+    let min_ns = |name: &str| {
+        records
+            .iter()
+            .find(|r| r.name == format!("decompose/{name}"))
+            .unwrap_or_else(|| panic!("{name} recorded"))
+            .min_ns
+    };
+    let ratio = min_ns("hilbert_d2_side32_exhaustive") / min_ns("hilbert_d2_side32_hierarchical");
+    println!("decompose hilbert d=2 side 32: hierarchical {ratio:.1}x exhaustive");
+    assert!(
+        ratio >= 5.0,
+        "hierarchical decomposition only {ratio:.2}x exhaustive at Hilbert d=2 side 32"
+    );
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_box_queries, bench_knn
+    targets = bench_box_queries, bench_knn, bench_decompose
 }
 criterion_main!(benches);

@@ -21,6 +21,7 @@ use sfc_core::{CurveIndex, Grid, HilbertCurve, Point, SpaceFillingCurve, ZCurve}
 use sfc_index::{BoxRegion, QueryStats, SfcIndex};
 use sfc_obs::MetricsRegistry;
 use sfc_store::memtable::bptree::BPlusTreeMap;
+use sfc_store::memtable::SfcMemtable;
 use sfc_store::{BatchOp, EngineMetrics, SfcStore, ShardedSfcStore, WalConfig};
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -366,7 +367,8 @@ fn bench_concurrent_throughput(c: &mut Criterion) {
 ///
 /// The `engine_local_writers_{1,4}` variants run the same curve-local
 /// order through the full sharded engine (seq protocol, epoch publish,
-/// real flushes) with one and four writer threads.
+/// real flushes) with one and four writer threads; `capture_*` time what
+/// a query capture does to a full table.
 fn bench_memtable_ingest(c: &mut Criterion) {
     let grid = Grid::<2>::new(GRID_K).unwrap();
     let universe = grid.n();
@@ -422,6 +424,20 @@ fn bench_memtable_ingest(c: &mut Criterion) {
             })
         });
     }
+
+    // What a query capture costs at a full table: the copy-on-write
+    // snapshot (leaf pointers + inner nodes) against the entry-by-entry
+    // range clone it replaced.
+    let full = SfcMemtable::from_sorted((0..MEMTABLE_CAP as u64).map(|i| (u128::from(i) * 7, i)));
+    group.bench_function("capture_snapshot", |bencher| {
+        bencher.iter(|| black_box(full.snapshot()).len())
+    });
+    group.bench_function("capture_range_clone", |bencher| {
+        bencher.iter(|| {
+            let entries = full.range_iter(0, CurveIndex::MAX).map(|(k, &v)| (k, v));
+            black_box(SfcMemtable::from_sorted(entries)).len()
+        })
+    });
 
     // Engine-level curve-local ingest: a random live set streamed in
     // curve order (the most hint-friendly upsert order a router can

@@ -75,6 +75,20 @@ pub trait SpaceFillingCurve<const D: usize> {
         None
     }
 
+    /// `true` iff the curve is *block recursive*: every aligned cube of
+    /// side `2^j` (corner coordinates multiples of `2^j`) maps onto one
+    /// contiguous index range aligned to `2^(jD)`. The Z, Hilbert and
+    /// Gray-code curves have the property; snake, spiral, diagonal and
+    /// row-major orders do not, and an arbitrary bijection need not.
+    ///
+    /// Generic code uses this to cover a box with `O(perimeter)` whole
+    /// cubes, each costing one [`Self::index_of`], instead of encoding
+    /// every cell. Answering `true` is a promise the caller relies on for
+    /// correctness; the default `false` is always safe.
+    fn is_block_recursive(&self) -> bool {
+        false
+    }
+
     /// The paper's `Δπ(α, β) = |π(α) − π(β)|`: the distance between two
     /// cells *along the curve*.
     #[inline]
@@ -217,6 +231,9 @@ macro_rules! impl_curve_for_smart_pointer {
             fn as_morton(&self) -> Option<&crate::morton::ZCurve<D>> {
                 (**self).as_morton()
             }
+            fn is_block_recursive(&self) -> bool {
+                (**self).is_block_recursive()
+            }
         }
     )*};
 }
@@ -248,6 +265,9 @@ impl<const D: usize> SpaceFillingCurve<D> for BoxedCurve<D> {
     fn as_morton(&self) -> Option<&crate::morton::ZCurve<D>> {
         (**self).as_morton()
     }
+    fn is_block_recursive(&self) -> bool {
+        (**self).is_block_recursive()
+    }
 }
 
 impl<const D: usize, C: SpaceFillingCurve<D> + ?Sized> SpaceFillingCurve<D> for &C {
@@ -271,6 +291,9 @@ impl<const D: usize, C: SpaceFillingCurve<D> + ?Sized> SpaceFillingCurve<D> for 
     }
     fn as_morton(&self) -> Option<&crate::morton::ZCurve<D>> {
         (**self).as_morton()
+    }
+    fn is_block_recursive(&self) -> bool {
+        (**self).is_block_recursive()
     }
 }
 

@@ -82,6 +82,10 @@ impl<const D: usize> SpaceFillingCurve<D> for GrayCurve<D> {
     fn name(&self) -> String {
         "gray".to_string()
     }
+
+    fn is_block_recursive(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -241,6 +241,10 @@ impl<const D: usize> SpaceFillingCurve<D> for HilbertCurve<D> {
     fn name(&self) -> String {
         "hilbert".to_string()
     }
+
+    fn is_block_recursive(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -184,6 +184,10 @@ impl<const D: usize> SpaceFillingCurve<D> for ZCurve<D> {
     fn as_morton(&self) -> Option<&ZCurve<D>> {
         Some(self)
     }
+
+    fn is_block_recursive(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -83,6 +83,11 @@ impl<const D: usize, C: SpaceFillingCurve<D>> SpaceFillingCurve<D> for AxisPermu
     fn name(&self) -> String {
         format!("{}∘σ{:?}", self.inner.name(), self.perm)
     }
+
+    /// An axis permutation maps aligned cubes to aligned cubes.
+    fn is_block_recursive(&self) -> bool {
+        self.inner.is_block_recursive()
+    }
 }
 
 /// A curve composed with reflections of selected axes:
@@ -132,6 +137,11 @@ impl<const D: usize, C: SpaceFillingCurve<D>> SpaceFillingCurve<D> for Reflected
     fn name(&self) -> String {
         format!("{}·refl", self.inner.name())
     }
+
+    /// Mirroring an axis maps aligned cubes to aligned cubes.
+    fn is_block_recursive(&self) -> bool {
+        self.inner.is_block_recursive()
+    }
 }
 
 /// A curve traversed backwards: `π'(x) = n − 1 − π(x)`.
@@ -170,6 +180,11 @@ impl<const D: usize, C: SpaceFillingCurve<D>> SpaceFillingCurve<D> for Reversed<
 
     fn name(&self) -> String {
         format!("{}·rev", self.inner.name())
+    }
+
+    /// `n − 1 − i` maps aligned index ranges to aligned index ranges.
+    fn is_block_recursive(&self) -> bool {
+        self.inner.is_block_recursive()
     }
 }
 

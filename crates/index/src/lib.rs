@@ -70,7 +70,9 @@
 //! ## Choosing a box-query strategy
 //!
 //! * `query_box_intervals` — exact interval decomposition; zero overscan,
-//!   but `O(volume · log volume)` preprocessing per query. Best for small
+//!   one seek per interval. Preprocessing is `O(perimeter)` on Z, Hilbert
+//!   and Gray (a cover by aligned cubes) and `O(volume · log volume)` on
+//!   any other curve — see [`BoxRegion::curve_intervals`]. Best for small
 //!   boxes on any curve.
 //! * `query_box_bigmin` (Z curve only) — no preprocessing; **wins when the
 //!   box is large or the table is dense**, because each BIGMIN jump skips

@@ -94,8 +94,120 @@ impl<const D: usize> BoxRegion<D> {
     /// sorted ascending. The number of intervals is exactly the clustering
     /// metric of the curve for this query (`sfc-metrics::clustering`).
     ///
-    /// Cost: `O(volume · log volume)` — exact for any curve.
+    /// Cost: on a [block-recursive](SpaceFillingCurve::is_block_recursive)
+    /// curve (Z, Hilbert, Gray) the box is covered top-down by maximal
+    /// aligned cubes, each one index range from one encoded corner —
+    /// `O(perimeter · k)` cube tests, `O(perimeter)` encodes (one batch)
+    /// and a sort of that many ranges. Any other curve goes through
+    /// [`curve_intervals_exhaustive`](Self::curve_intervals_exhaustive);
+    /// the two return identical intervals wherever both apply.
     pub fn curve_intervals<C: SpaceFillingCurve<D>>(
+        &self,
+        curve: &C,
+    ) -> Vec<(CurveIndex, CurveIndex)> {
+        if !curve.is_block_recursive() {
+            return self.curve_intervals_exhaustive(curve);
+        }
+        // Start at the smallest aligned cube holding the whole box: its
+        // level is the highest bit in which `lo` and `hi` differ on any
+        // axis.
+        let level = (0..D)
+            .map(|axis| 32 - (self.lo.coord(axis) ^ self.hi.coord(axis)).leading_zeros())
+            .max()
+            .unwrap_or(0);
+        let mut origin = self.lo.coords();
+        for c in &mut origin {
+            *c = ((u64::from(*c) >> level) << level) as u32;
+        }
+        // The cover has about one cube per cell of the box's boundary.
+        let boundary: usize = (0..D)
+            .map(|axis| (self.hi.coord(axis) - self.lo.coord(axis)) as usize + 1)
+            .sum();
+        let room = (2 * boundary).min(1 << 16);
+        let (mut corners, mut levels) = (Vec::with_capacity(room), Vec::with_capacity(room));
+        self.cover(origin, level, &mut corners, &mut levels);
+        let mut indices = Vec::new();
+        curve.index_of_batch(&corners, &mut indices);
+        // An aligned cube of side `2^level` is the aligned index range of
+        // `2^(level · D)` positions around any of its cells;
+        // `level · D <= k · D <= 127`, so the shift cannot overflow.
+        let mut intervals: Vec<(CurveIndex, CurveIndex)> = indices
+            .iter()
+            .zip(&levels)
+            .map(|(&idx, &level)| {
+                let mask = (1u128 << (level as usize * D)) - 1;
+                (idx & !mask, idx | mask)
+            })
+            .collect();
+        intervals.sort_unstable_by_key(|&(lo, _)| lo);
+        // Neighbouring cubes are often consecutive on the curve.
+        intervals.dedup_by(|next, prev| {
+            let adjacent = prev.1 + 1 == next.0;
+            if adjacent {
+                prev.1 = next.1;
+            }
+            adjacent
+        });
+        intervals
+    }
+
+    /// Collects the corner and level of every maximal aligned cube inside
+    /// the box, descending from the cube of side `2^level` at `origin`,
+    /// which must intersect the box. Side arithmetic is `u64`: `2^32` does
+    /// not fit a coordinate.
+    fn cover(
+        &self,
+        origin: [u32; D],
+        level: u32,
+        corners: &mut Vec<Point<D>>,
+        levels: &mut Vec<u32>,
+    ) {
+        let last = (1u64 << level) - 1;
+        let inside = (0..D).all(|axis| {
+            let o = u64::from(origin[axis]);
+            u64::from(self.lo.coord(axis)) <= o && o + last <= u64::from(self.hi.coord(axis))
+        });
+        if inside {
+            corners.push(Point::new(origin));
+            levels.push(level);
+            return;
+        }
+        // A single cell that intersects the box is inside it, so
+        // `level >= 1` here. Visit only the children the box reaches: per
+        // axis the upper half, the lower half, or (`free`) both — at most
+        // one child per cell of the box, however large `D` is.
+        let half = 1u32 << (level - 1);
+        let (mut upper, mut free) = (0u128, 0u128);
+        for (axis, &o) in origin.iter().enumerate() {
+            let mid = o + half;
+            match (self.lo.coord(axis) < mid, self.hi.coord(axis) >= mid) {
+                (true, true) => free |= 1 << axis,
+                (false, _) => upper |= 1 << axis,
+                (true, false) => {}
+            }
+        }
+        let mut sub = free;
+        loop {
+            let child = upper | sub;
+            let mut corner = origin;
+            for (axis, c) in corner.iter_mut().enumerate() {
+                if child >> axis & 1 == 1 {
+                    *c += half;
+                }
+            }
+            self.cover(corner, level - 1, corners, levels);
+            if sub == 0 {
+                break;
+            }
+            sub = (sub - 1) & free;
+        }
+    }
+
+    /// [`curve_intervals`](Self::curve_intervals) by encoding and sorting
+    /// every cell of the box: `O(volume · log volume)`, exact for any
+    /// bijection. The only strategy for curves that are not block
+    /// recursive, and the oracle the hierarchical path is tested against.
+    pub fn curve_intervals_exhaustive<C: SpaceFillingCurve<D>>(
         &self,
         curve: &C,
     ) -> Vec<(CurveIndex, CurveIndex)> {

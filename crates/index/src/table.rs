@@ -458,8 +458,9 @@ impl<const D: usize, T, C: SpaceFillingCurve<D>> SfcIndex<D, T, C> {
 
     /// Box query via exact interval decomposition
     /// ([`BoxRegion::curve_intervals`]): one galloped seek per interval,
-    /// zero overscan. Works for **any** curve; preprocessing costs
-    /// `O(volume · log volume)`.
+    /// zero overscan. Works for **any** curve; preprocessing is
+    /// `O(perimeter)` on block-recursive curves, `O(volume · log volume)`
+    /// otherwise.
     pub fn query_box_intervals(&self, b: &BoxRegion<D>) -> (Vec<EntryRef<'_, D, T>>, QueryStats) {
         let intervals = b.curve_intervals(&self.curve);
         let mut out = Vec::new();

@@ -7,9 +7,10 @@
 //!
 //! * **Mutable tail** — the seq-numbered memtable plus the shard's live
 //!   count, behind the shard's [`Mutex`] (`mem`). Writers hold it for one
-//!   map operation; readers hold it just long enough to clone the key
-//!   range a query needs. Writers to *different* shards touch disjoint
-//!   locks and never contend.
+//!   map operation; readers hold it just long enough to take a
+//!   copy-on-write snapshot of the table (two refcount bumps, nothing
+//!   copied). Writers to *different* shards touch disjoint locks and
+//!   never contend.
 //! * **Frozen run stack** — published through an atomically swapped
 //!   [`Arc`] (an [`EpochCell`], a hand-rolled arc-swap over
 //!   `Mutex<Arc<_>>` whose critical section is a single refcount bump).
@@ -81,7 +82,7 @@ use sfc_index::SfcIndex;
 use crate::merge::{merge_runs, restore_size_tiers};
 use crate::obs::ShardMetrics;
 use crate::snapshot::StoreSnapshot;
-use crate::view::{Memtable, Run};
+use crate::view::Run;
 use crate::wal::{DurabilityHook, WalError, WalRecord};
 
 /// One published generation of a shard's frozen state: the immutable run
@@ -166,6 +167,20 @@ type SeqSlot<const D: usize, T> = (Point<D>, Option<T>, u64);
 /// store's, with the sequence number folded into the value.
 type SeqTable<const D: usize, T> = crate::memtable::SfcMemtable<SeqSlot<D, T>>;
 
+/// Whether a cell was live before the write whose insert returned
+/// `replaced`: the replaced memtable entry decides (one tree walk serves
+/// the lookup and the write); a cell the memtable did not hold is as live
+/// as the runs say.
+fn replaced_live<const D: usize, T>(
+    replaced: Option<SeqSlot<D, T>>,
+    live_in_runs: impl FnOnce() -> bool,
+) -> bool {
+    match replaced {
+        Some((_, slot, _)) => slot.is_some(),
+        None => live_in_runs(),
+    }
+}
+
 /// The mutable tail of one shard, guarded by the shard's `mem` lock.
 #[derive(Debug)]
 struct MemState<const D: usize, T> {
@@ -180,25 +195,30 @@ struct MemState<const D: usize, T> {
     cap: usize,
 }
 
-/// A point-in-time capture of one shard for a single query: the memtable
-/// image (cloned under the `mem` lock, restricted to the key span the
-/// query can touch) plus the pinned epoch. All the heavy scanning runs
-/// against the capture with no shard lock held.
+/// A point-in-time capture of one shard for a single query: a
+/// copy-on-write snapshot of the whole memtable plus the pinned epoch,
+/// taken together under the `mem` lock. All the scanning runs against the
+/// capture with no shard lock held; a writer that meets a live capture
+/// copies the leaf-pointer slab and the one leaf it lands in, and leaves
+/// the capture's view untouched.
 #[derive(Debug)]
 pub(crate) struct ShardCapture<const D: usize, T, C: SpaceFillingCurve<D> + Clone> {
-    /// `None` when the captured span of the memtable was empty — the
-    /// capture then behaves exactly like a snapshot level-wise (and
-    /// charges no phantom memtable seeks to the query stats).
-    mem: Option<Memtable<D, T>>,
+    mem: SeqTable<D, T>,
     epoch: Arc<RunsEpoch<D, T, C>>,
 }
 
 impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardCapture<D, T, C> {
-    /// The borrowed multi-level view the query engine runs against.
-    pub(crate) fn view<'a>(&'a self, curve: &'a C) -> crate::view::LevelsView<'a, D, T, C> {
+    /// The borrowed multi-level view the query engine runs against. An
+    /// empty memtable is no level at all — the capture then behaves
+    /// exactly like a snapshot (and charges no phantom memtable seeks to
+    /// the query stats).
+    pub(crate) fn view<'a>(
+        &'a self,
+        curve: &'a C,
+    ) -> crate::view::LevelsView<'a, D, T, C, SeqSlot<D, T>> {
         crate::view::LevelsView {
             curve,
-            memtable: self.mem.as_ref(),
+            memtable: (!self.mem.is_empty()).then_some(&self.mem),
             runs: &self.epoch.runs,
         }
     }
@@ -255,7 +275,10 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         epoch_live: usize,
         high_water: u64,
         records: Vec<WalRecord<D, T>>,
-    ) -> Self {
+    ) -> Self
+    where
+        T: Clone,
+    {
         let shard = Self::new(cap);
         let epoch = Arc::new(RunsEpoch {
             runs,
@@ -268,12 +291,9 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
             for rec in records {
                 debug_assert!(rec.seq >= high_water, "replay below the floor");
                 let key = curve.index_of(rec.point);
-                let was_live = match mem.table.get(&key) {
-                    Some((_, slot, _)) => slot.is_some(),
-                    None => epoch.is_live(key),
-                };
                 let now_live = rec.slot.is_some();
-                mem.table.insert(key, (rec.point, rec.slot, rec.seq));
+                let replaced = mem.table.insert(key, (rec.point, rec.slot, rec.seq));
+                let was_live = replaced_live(replaced, || epoch.is_live(key));
                 match (was_live, now_live) {
                     (false, true) => mem.live += 1,
                     (true, false) => mem.live -= 1,
@@ -359,35 +379,18 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         self.epoch.load().runs.iter().map(|r| r.len()).collect()
     }
 
-    /// Captures the shard for one query: the memtable image clipped to
-    /// `span` (inclusive; `None` captures the whole memtable) plus the
+    /// Captures the shard for one query: the memtable snapshot plus the
     /// pinned epoch, both under one brief `mem` lock so they are mutually
     /// consistent. See the module docs for why a concurrent flush cannot
     /// open a gap between the two.
-    pub(crate) fn capture(&self, span: Option<(CurveIndex, CurveIndex)>) -> ShardCapture<D, T, C>
+    pub(crate) fn capture(&self) -> ShardCapture<D, T, C>
     where
         T: Clone,
     {
         let mem = self.mem.lock().expect("shard mem poisoned");
-        // A cursor-bounded extract: the ordered range walk emits the
-        // span's entries already sorted, so the image is assembled by
-        // bulk load (leaves fill left-to-right, no comparisons) instead
-        // of per-entry map insertion.
-        let image: Memtable<D, T> = match span {
-            Some((lo, hi)) if lo <= hi => Memtable::from_sorted(
-                mem.table
-                    .range_iter(lo, hi)
-                    .map(|(k, (p, s, _))| (k, (*p, s.clone()))),
-            ),
-            Some(_) => Memtable::new(),
-            None => {
-                Memtable::from_sorted(mem.table.iter().map(|(k, (p, s, _))| (k, (*p, s.clone()))))
-            }
-        };
-        let epoch = self.epoch.load();
         ShardCapture {
-            mem: (!image.is_empty()).then_some(image),
-            epoch,
+            mem: mem.table.snapshot(),
+            epoch: self.epoch.load(),
         }
     }
 
@@ -452,13 +455,10 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         let (mem_len, mem_bytes, live);
         {
             let mut mem = self.mem.lock().expect("shard mem poisoned");
-            was_live = match mem.table.get(&key) {
-                Some((_, slot, _)) => slot.is_some(),
-                None => self.epoch.load().is_live(key),
-            };
             seq = mem.next_seq;
             mem.next_seq += 1;
-            mem.table.insert(key, (p, Some(payload), seq));
+            let replaced = mem.table.insert(key, (p, Some(payload), seq));
+            was_live = replaced_live(replaced, || self.epoch.load().is_live(key));
             if !was_live {
                 mem.live += 1;
             }
@@ -515,13 +515,10 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         let (mem_len, mem_bytes, live);
         {
             let mut mem = self.mem.lock().expect("shard mem poisoned");
-            was_live = match mem.table.get(&key) {
-                Some((_, slot, _)) => slot.is_some(),
-                None => self.epoch.load().is_live(key),
-            };
             seq = mem.next_seq;
             mem.next_seq += 1;
-            mem.table.insert(key, (p, None, seq));
+            let replaced = mem.table.insert(key, (p, None, seq));
+            was_live = replaced_live(replaced, || self.epoch.load().is_live(key));
             if was_live {
                 mem.live -= 1;
             }
@@ -603,12 +600,11 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
             // in every epoch publishable meanwhile.
             let mut pinned: Option<Arc<RunsEpoch<D, T, C>>> = None;
             for (key, p, slot) in ops {
-                let was_live = match mem.table.get(&key) {
-                    Some((_, s, _)) => s.is_some(),
-                    None => pinned.get_or_insert_with(|| self.epoch.load()).is_live(key),
-                };
                 let now_live = slot.is_some();
-                mem.table.insert(key, (p, slot, seq));
+                let replaced = mem.table.insert(key, (p, slot, seq));
+                let was_live = replaced_live(replaced, || {
+                    pinned.get_or_insert_with(|| self.epoch.load()).is_live(key)
+                });
                 seq += 1;
                 match (was_live, now_live) {
                     (false, true) => mem.live += 1,

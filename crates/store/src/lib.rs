@@ -74,9 +74,13 @@
 //!   [`retain`](memtable::SfcMemtable::retain), one linked-leaf walk
 //!   that compacts survivors in place and rebuilds the inner levels
 //!   bulk-load-style — restores density wholesale. The concurrent
-//!   shard drains exactly `seq < high_water` with it, and the capture
-//!   path extracts a query's key span with a bounded range walk
-//!   bulk-loaded via [`from_sorted`](memtable::SfcMemtable::from_sorted).
+//!   shard drains exactly `seq < high_water` with it.
+//! * **Copy-on-write snapshots.** The node slabs and every leaf sit
+//!   behind `Arc`, so [`snapshot`](memtable::SfcMemtable::snapshot) is
+//!   two refcount bumps — no entry, no node copied. This is what a query
+//!   captures under the shard lock. A writer that finds a snapshot still
+//!   alive copies the leaf-pointer slab and the one leaf it lands in;
+//!   with none alive, writes stay in place.
 //!
 //! The old `BTreeMap` backing survives behind the `memtable-btreemap`
 //! feature as a differential reference: the full engine test suite run
@@ -105,11 +109,15 @@
 //!   planner.
 //! * **The planner.** [`SfcStore::query_box`] picks intervals-vs-BIGMIN
 //!   **per level** from run statistics instead of forcing one strategy
-//!   store-wide: non-Morton curves always decompose; Morton boxes larger
-//!   than [`INTERVAL_VOLUME_CUTOFF`] cells skip decomposition and jump;
-//!   otherwise a run holding fewer slots inside the box's key span than
-//!   there are intervals is jump-scanned while bigger runs gallop the
-//!   interval list. [`SfcStore::plan_box_query`] exposes the chosen
+//!   store-wide: non-Morton curves always decompose (hierarchically on
+//!   Hilbert and Gray: `O(perimeter)` aligned cubes, one encode each —
+//!   see [`sfc_index::BoxRegion::curve_intervals`]); Morton boxes larger
+//!   than [`INTERVAL_VOLUME_CUTOFF`] cells skip decomposition and jump —
+//!   what that cutoff weighs is the interval *walk* (one seek per
+//!   interval per level) against BIGMIN's overscan, the decomposition
+//!   itself being cheap on either side of it; otherwise a run holding
+//!   fewer slots inside the box's key span than there are intervals is
+//!   jump-scanned while bigger runs gallop the interval list. [`SfcStore::plan_box_query`] exposes the chosen
 //!   [`QueryPlan`]; `examples/query_planner.rs` prints it live. The
 //!   sharded router makes the decompose decision once, clips intervals
 //!   per shard, and lets every shard plan its own levels.
@@ -148,7 +156,7 @@
 //! **Epoch publication** — each shard's frozen run stack is published
 //! through an atomically swapped `Arc` (a hand-rolled arc-swap; see the
 //! `epoch` module). Queries *capture* a shard — one microscopic lock to
-//! clone the memtable range the query spans and pin the current epoch —
+//! snapshot the memtable copy-on-write and pin the current epoch —
 //! and then scan entirely lock-free; flushes and compactions build the
 //! next run stack off to the side and swap it in whole, so **readers
 //! never block maintenance and maintenance never blocks readers**. A
@@ -295,7 +303,7 @@ pub mod wal;
 
 pub use maintenance::{MaintenanceConfig, RateLimit};
 pub use obs::{EngineMetrics, QueryTrace};
-pub use shard::{ShardedSfcStore, ShardedSnapshot};
+pub use shard::{ShardedIter, ShardedSfcStore, ShardedSnapshot};
 pub use snapshot::StoreSnapshot;
 pub use store::{BatchOp, SfcStore, StoreEntry, StoreEntryRef, DEFAULT_MEMTABLE_CAPACITY};
 pub use view::{

@@ -26,10 +26,10 @@
 //!   [`Cursor::next`]/[`Cursor::prev`] keep walking from the key's
 //!   position, exactly the semantics the exemplar documents.
 //!
-//! Nodes live in index-addressed slabs (`Vec<Leaf>` / `Vec<Inner>`) with
-//! free lists, which keeps the whole structure in safe Rust (the crate
-//! forbids `unsafe`): node references are `u32` ids, not pointers, so
-//! there is no aliasing to argue about. Leaves are doubly linked for
+//! Nodes live in index-addressed slabs (`Vec<Arc<Leaf>>` / `Vec<Inner>`,
+//! each behind an `Arc` of its own) with free lists, which keeps the whole structure in safe Rust (the
+//! crate forbids `unsafe`): node references are `u32` ids, not pointers,
+//! so there is no aliasing to argue about. Leaves are doubly linked for
 //! ordered iteration in both directions; inner nodes store the minimum
 //! key of each child subtree. Removal frees empty nodes but does not
 //! rebalance underfull ones — a memtable is drained wholesale every few
@@ -37,8 +37,21 @@
 //! walk that compacts survivors in place and rebuilds the inner levels
 //! bulk-load-style) restores density far more often than gradual
 //! deletion could degrade it.
+//!
+//! **Copy-on-write snapshots.** Both slabs sit behind an [`Arc`], and so
+//! does every leaf; each write reaches a leaf through one `leaf_mut(id)`
+//! and an inner node through one `inners_mut()`, both [`Arc::make_mut`].
+//! [`snapshot`](BPlusTreeMap::snapshot) therefore copies no entry and no
+//! node: it bumps the two slab refcounts and is an independent tree from
+//! then on. The copying is deferred to a writer that finds a snapshot
+//! still alive: its first write copies the leaf-pointer slab (one
+//! refcount bump per leaf — `O(leaves)`) and the one leaf it lands in (at
+//! most `leaf_cap` entries), plus the few inner nodes if it has to touch
+//! one. With no snapshot alive `make_mut` is a uniqueness check and
+//! writes stay in place.
 
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 use sfc_core::CurveIndex;
 
@@ -56,7 +69,7 @@ const INNER_CAP: usize = 32;
 const NIL: u32 = u32::MAX;
 
 /// One leaf: parallel sorted key/value arrays plus sibling links.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Leaf<V> {
     keys: Vec<CurveIndex>,
     vals: Vec<V>,
@@ -75,9 +88,24 @@ impl<V> Leaf<V> {
     }
 }
 
+/// The copy a writer makes of a leaf it shares with a snapshot. Keeps the
+/// full-capacity allocations (a derived clone would shrink them to the
+/// current length): `heap_bytes` counts on them, and the copy is about to
+/// be written to.
+impl<V: Clone> Clone for Leaf<V> {
+    fn clone(&self) -> Self {
+        let mut copy = Self::with_capacity(self.keys.capacity());
+        copy.keys.extend_from_slice(&self.keys);
+        copy.vals.extend_from_slice(&self.vals);
+        copy.prev = self.prev;
+        copy.next = self.next;
+        copy
+    }
+}
+
 /// One inner node: `mins[i]` is the smallest key in subtree
 /// `children[i]`; both arrays are parallel and sorted by `mins`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Inner {
     mins: Vec<CurveIndex>,
     children: Vec<u32>,
@@ -89,6 +117,16 @@ impl Inner {
             mins: Vec::with_capacity(cap + 1),
             children: Vec::with_capacity(cap + 1),
         }
+    }
+}
+
+/// Like [`Leaf`]'s, the copy keeps the full-capacity allocations.
+impl Clone for Inner {
+    fn clone(&self) -> Self {
+        let mut copy = Self::with_capacity(INNER_CAP);
+        copy.mins.extend_from_slice(&self.mins);
+        copy.children.extend_from_slice(&self.children);
+        copy
     }
 }
 
@@ -142,8 +180,11 @@ impl DescentPath {
 /// unless stated otherwise.
 #[derive(Debug)]
 pub struct BPlusTreeMap<V> {
-    leaves: Vec<Leaf<V>>,
-    inners: Vec<Inner>,
+    /// Shared with snapshots slab-wise and leaf by leaf; written only via
+    /// `leaves_mut` / `leaf_mut`.
+    leaves: Arc<Vec<Arc<Leaf<V>>>>,
+    /// Shared with snapshots; written only via `inners_mut`.
+    inners: Arc<Vec<Inner>>,
     free_leaves: Vec<u32>,
     free_inners: Vec<u32>,
     /// Root node id: a leaf id when `height == 0`, else an inner id.
@@ -166,20 +207,9 @@ impl<V> Default for BPlusTreeMap<V> {
     }
 }
 
-impl<V: Clone> Clone for BPlusTreeMap<V> {
+impl<V> Clone for BPlusTreeMap<V> {
     fn clone(&self) -> Self {
-        Self {
-            leaves: self.leaves.clone(),
-            inners: self.inners.clone(),
-            free_leaves: self.free_leaves.clone(),
-            free_inners: self.free_inners.clone(),
-            root: self.root,
-            height: self.height,
-            head: self.head,
-            len: self.len,
-            leaf_cap: self.leaf_cap,
-            hint: AtomicU32::new(NIL),
-        }
+        self.snapshot()
     }
 }
 
@@ -193,8 +223,8 @@ impl<V> BPlusTreeMap<V> {
     /// (clamped to at least 4).
     pub fn with_leaf_capacity(leaf_cap: usize) -> Self {
         Self {
-            leaves: Vec::new(),
-            inners: Vec::new(),
+            leaves: Arc::default(),
+            inners: Arc::default(),
             free_leaves: Vec::new(),
             free_inners: Vec::new(),
             root: NIL,
@@ -220,8 +250,11 @@ impl<V> BPlusTreeMap<V> {
         iter: impl IntoIterator<Item = (CurveIndex, V)>,
     ) -> Self {
         let mut tree = Self::with_leaf_capacity(leaf_cap);
+        // Leaves are filled as plain values and only then put behind
+        // their `Arc`; leaf `i` of the chain gets slab id `i`.
+        let mut leaves: Vec<Arc<Leaf<V>>> = Vec::new();
         let mut level: Vec<(CurveIndex, u32)> = Vec::new();
-        let mut cur: u32 = NIL;
+        let mut cur: Option<Leaf<V>> = None;
         let mut last_key: Option<CurveIndex> = None;
         for (key, val) in iter {
             debug_assert!(
@@ -229,23 +262,45 @@ impl<V> BPlusTreeMap<V> {
                 "from_sorted keys must be strictly increasing"
             );
             last_key = Some(key);
-            if cur == NIL || tree.leaves[cur as usize].keys.len() == tree.leaf_cap {
-                let id = tree.alloc_leaf();
-                if cur != NIL {
-                    tree.leaves[cur as usize].next = id;
-                    tree.leaves[id as usize].prev = cur;
+            if cur.as_ref().is_none_or(|l| l.keys.len() == tree.leaf_cap) {
+                if let Some(mut full) = cur.take() {
+                    full.next = leaves.len() as u32 + 1;
+                    leaves.push(Arc::new(full));
                 }
-                cur = id;
-                level.push((key, id));
+                let mut leaf = Leaf::with_capacity(tree.leaf_cap);
+                leaf.prev = (leaves.len() as u32).checked_sub(1).unwrap_or(NIL);
+                level.push((key, leaves.len() as u32));
+                cur = Some(leaf);
             }
-            let leaf = &mut tree.leaves[cur as usize];
+            let leaf = cur.as_mut().expect("opened above");
             leaf.keys.push(key);
             leaf.vals.push(val);
             tree.len += 1;
         }
+        leaves.extend(cur.map(Arc::new));
+        tree.leaves = Arc::new(leaves);
         tree.head = level.first().map_or(NIL, |&(_, id)| id);
         tree.rebuild_inners(level);
         tree
+    }
+
+    /// A point-in-time copy in `O(1)`: two refcount bumps, no entry and no
+    /// node copied. The copy is a full tree of its own; later writes to
+    /// either side leave the other untouched, paying for the copy they
+    /// need then (see the module docs).
+    pub fn snapshot(&self) -> Self {
+        Self {
+            leaves: Arc::clone(&self.leaves),
+            inners: Arc::clone(&self.inners),
+            free_leaves: self.free_leaves.clone(),
+            free_inners: self.free_inners.clone(),
+            root: self.root,
+            height: self.height,
+            head: self.head,
+            len: self.len,
+            leaf_cap: self.leaf_cap,
+            hint: AtomicU32::new(NIL),
+        }
     }
 
     /// Number of entries (live keys, tombstone values included — the
@@ -281,8 +336,8 @@ impl<V> BPlusTreeMap<V> {
 
     /// Removes every entry, keeping no allocations.
     pub fn clear(&mut self) {
-        self.leaves.clear();
-        self.inners.clear();
+        self.leaves = Arc::default();
+        self.inners = Arc::default();
         self.free_leaves.clear();
         self.free_inners.clear();
         self.root = NIL;
@@ -296,7 +351,8 @@ impl<V> BPlusTreeMap<V> {
         match self.free_leaves.pop() {
             Some(id) => id,
             None => {
-                self.leaves.push(Leaf::with_capacity(self.leaf_cap));
+                let leaf = Arc::new(Leaf::with_capacity(self.leaf_cap));
+                self.leaves_mut().push(leaf);
                 (self.leaves.len() - 1) as u32
             }
         }
@@ -306,11 +362,18 @@ impl<V> BPlusTreeMap<V> {
     /// keeps stale cursors and hints honest: revalidation against a
     /// freed leaf finds no key and falls back to a fresh seek.
     fn free_leaf(&mut self, id: u32) {
-        let leaf = &mut self.leaves[id as usize];
-        leaf.keys.clear();
-        leaf.vals.clear();
-        leaf.prev = NIL;
-        leaf.next = NIL;
+        let cap = self.leaf_cap;
+        let slot = &mut self.leaves_mut()[id as usize];
+        match Arc::get_mut(slot) {
+            Some(leaf) => {
+                leaf.keys.clear();
+                leaf.vals.clear();
+                leaf.prev = NIL;
+                leaf.next = NIL;
+            }
+            // A snapshot still reads the old contents: leave them to it.
+            None => *slot = Arc::new(Leaf::with_capacity(cap)),
+        }
         self.free_leaves.push(id);
         if self.hint.load(Ordering::Relaxed) == id {
             self.hint.store(NIL, Ordering::Relaxed);
@@ -321,39 +384,66 @@ impl<V> BPlusTreeMap<V> {
         match self.free_inners.pop() {
             Some(id) => id,
             None => {
-                self.inners.push(Inner::with_capacity(INNER_CAP));
+                self.inners_mut().push(Inner::with_capacity(INNER_CAP));
                 (self.inners.len() - 1) as u32
             }
         }
     }
 
     fn free_inner(&mut self, id: u32) {
-        let inner = &mut self.inners[id as usize];
+        let inner = &mut self.inners_mut()[id as usize];
         inner.mins.clear();
         inner.children.clear();
         self.free_inners.push(id);
     }
 
-    fn two_leaves(&mut self, a: u32, b: u32) -> (&mut Leaf<V>, &mut Leaf<V>) {
+    /// The leaf-pointer slab for writing: in place while no snapshot
+    /// shares it, else a private copy (pointers only — the leaves stay
+    /// shared until written).
+    fn leaves_mut(&mut self) -> &mut Vec<Arc<Leaf<V>>> {
+        Arc::make_mut(&mut self.leaves)
+    }
+
+    /// The inner-node slab for writing, copied first if a snapshot shares
+    /// it.
+    fn inners_mut(&mut self) -> &mut Vec<Inner> {
+        Arc::make_mut(&mut self.inners)
+    }
+
+    /// The one door every leaf write goes through: in place while no
+    /// snapshot shares the leaf, on a private copy of it otherwise.
+    fn leaf_mut(&mut self, id: u32) -> &mut Leaf<V>
+    where
+        V: Clone,
+    {
+        Arc::make_mut(&mut self.leaves_mut()[id as usize])
+    }
+
+    fn two_leaves(&mut self, a: u32, b: u32) -> (&mut Leaf<V>, &mut Leaf<V>)
+    where
+        V: Clone,
+    {
         debug_assert_ne!(a, b);
         let (a, b) = (a as usize, b as usize);
+        let leaves = self.leaves_mut();
         if a < b {
-            let (lo, hi) = self.leaves.split_at_mut(b);
-            (&mut lo[a], &mut hi[0])
+            let (lo, hi) = leaves.split_at_mut(b);
+            (Arc::make_mut(&mut lo[a]), Arc::make_mut(&mut hi[0]))
         } else {
-            let (lo, hi) = self.leaves.split_at_mut(a);
-            (&mut hi[0], &mut lo[b])
+            let (lo, hi) = leaves.split_at_mut(a);
+            (Arc::make_mut(&mut hi[0]), Arc::make_mut(&mut lo[b]))
         }
     }
 
     fn two_inners(&mut self, a: u32, b: u32) -> (&mut Inner, &mut Inner) {
         debug_assert_ne!(a, b);
         let (a, b) = (a as usize, b as usize);
+        let inners = self.inners_mut();
         if a < b {
-            let (lo, hi) = self.inners.split_at_mut(b);
+            let (lo, hi) = inners.split_at_mut(b);
             (&mut lo[a], &mut hi[0])
         } else {
-            let (lo, hi) = self.inners.split_at_mut(a);
+            let (lo, hi) = inners.split_at_mut(a);
             (&mut hi[0], &mut lo[b])
         }
     }
@@ -414,10 +504,15 @@ impl<V> BPlusTreeMap<V> {
     /// Inserts or replaces the value at `key`, returning the previous
     /// value if one existed. Curve-local streams resolve through the
     /// leaf hint without touching the root.
-    pub fn insert(&mut self, key: CurveIndex, val: V) -> Option<V> {
+    pub fn insert(&mut self, key: CurveIndex, val: V) -> Option<V>
+    where
+        V: Clone,
+    {
         if let Some(h) = self.hint_leaf(key) {
             let cap = self.leaf_cap;
-            let leaf = &mut self.leaves[h as usize];
+            // Taken for writing up front: the key belongs to this leaf, so
+            // even the descent below ends up writing to it.
+            let leaf = self.leaf_mut(h);
             match leaf.keys.binary_search(&key) {
                 Ok(i) => return Some(std::mem::replace(&mut leaf.vals[i], val)),
                 // `i > 0` keeps the leaf minimum (and so every ancestor
@@ -438,10 +533,13 @@ impl<V> BPlusTreeMap<V> {
 
     /// Insert via root descent: records the path for min-key updates and
     /// split propagation.
-    fn insert_descend(&mut self, key: CurveIndex, val: V) -> Option<V> {
+    fn insert_descend(&mut self, key: CurveIndex, val: V) -> Option<V>
+    where
+        V: Clone,
+    {
         if self.root == NIL {
             let id = self.alloc_leaf();
-            let leaf = &mut self.leaves[id as usize];
+            let leaf = self.leaf_mut(id);
             leaf.keys.push(key);
             leaf.vals.push(val);
             self.root = id;
@@ -463,16 +561,13 @@ impl<V> BPlusTreeMap<V> {
         let i = match self.leaves[leaf_id as usize].keys.binary_search(&key) {
             Ok(i) => {
                 self.hint.store(leaf_id, Ordering::Relaxed);
-                return Some(std::mem::replace(
-                    &mut self.leaves[leaf_id as usize].vals[i],
-                    val,
-                ));
+                return Some(std::mem::replace(&mut self.leaf_mut(leaf_id).vals[i], val));
             }
             Err(i) => i,
         };
         self.len += 1;
         if self.leaves[leaf_id as usize].keys.len() < self.leaf_cap {
-            let leaf = &mut self.leaves[leaf_id as usize];
+            let leaf = self.leaf_mut(leaf_id);
             leaf.keys.insert(i, key);
             leaf.vals.insert(i, val);
             if i == 0 {
@@ -495,11 +590,11 @@ impl<V> BPlusTreeMap<V> {
         }
         let after = self.leaves[right_id as usize].next;
         if after != NIL {
-            self.leaves[after as usize].prev = right_id;
+            self.leaf_mut(after).prev = right_id;
         }
         let right_first = self.leaves[right_id as usize].keys[0];
         let target = if key < right_first {
-            let leaf = &mut self.leaves[leaf_id as usize];
+            let leaf = self.leaf_mut(leaf_id);
             leaf.keys.insert(i, key);
             leaf.vals.insert(i, val);
             if i == 0 {
@@ -507,7 +602,7 @@ impl<V> BPlusTreeMap<V> {
             }
             leaf_id
         } else {
-            let leaf = &mut self.leaves[right_id as usize];
+            let leaf = self.leaf_mut(right_id);
             leaf.keys.insert(i - mid, key);
             leaf.vals.insert(i - mid, val);
             right_id
@@ -523,7 +618,7 @@ impl<V> BPlusTreeMap<V> {
     /// own minimum is unaffected.
     fn propagate_min(&mut self, path: &[(u32, usize)], new_min: CurveIndex) {
         for &(inner_id, ci) in path.iter().rev() {
-            self.inners[inner_id as usize].mins[ci] = new_min;
+            self.inners_mut()[inner_id as usize].mins[ci] = new_min;
             if ci != 0 {
                 break;
             }
@@ -547,14 +642,14 @@ impl<V> BPlusTreeMap<V> {
                     self.inners[old_root as usize].mins[0]
                 };
                 let id = self.alloc_inner();
-                let root = &mut self.inners[id as usize];
+                let root = &mut self.inners_mut()[id as usize];
                 root.mins.extend([old_min, new_min]);
                 root.children.extend([old_root, new_child]);
                 self.root = id;
                 self.height += 1;
                 return;
             };
-            let inner = &mut self.inners[inner_id as usize];
+            let inner = &mut self.inners_mut()[inner_id as usize];
             inner.mins.insert(ci + 1, new_min);
             inner.children.insert(ci + 1, new_child);
             if inner.children.len() <= INNER_CAP {
@@ -574,7 +669,10 @@ impl<V> BPlusTreeMap<V> {
     /// unlinked and freed (cascading up through emptied inner nodes);
     /// underfull survivors are left alone — `retain` and the drain paths
     /// restore density wholesale.
-    pub fn remove(&mut self, key: &CurveIndex) -> Option<V> {
+    pub fn remove(&mut self, key: &CurveIndex) -> Option<V>
+    where
+        V: Clone,
+    {
         if self.root == NIL {
             return None;
         }
@@ -587,8 +685,8 @@ impl<V> BPlusTreeMap<V> {
             node = inner.children[ci];
         }
         let leaf_id = node;
-        let leaf = &mut self.leaves[leaf_id as usize];
-        let i = leaf.keys.binary_search(key).ok()?;
+        let i = self.leaves[leaf_id as usize].keys.binary_search(key).ok()?;
+        let leaf = self.leaf_mut(leaf_id);
         leaf.keys.remove(i);
         let val = leaf.vals.remove(i);
         self.len -= 1;
@@ -604,16 +702,19 @@ impl<V> BPlusTreeMap<V> {
     /// Detaches a just-emptied leaf from the sibling chain and from its
     /// ancestors, freeing inner nodes that empty out along the way and
     /// collapsing a single-child root chain.
-    fn unlink_empty_leaf(&mut self, leaf_id: u32, path: &[(u32, usize)]) {
+    fn unlink_empty_leaf(&mut self, leaf_id: u32, path: &[(u32, usize)])
+    where
+        V: Clone,
+    {
         let (prev, next) = {
             let leaf = &self.leaves[leaf_id as usize];
             (leaf.prev, leaf.next)
         };
         if prev != NIL {
-            self.leaves[prev as usize].next = next;
+            self.leaf_mut(prev).next = next;
         }
         if next != NIL {
-            self.leaves[next as usize].prev = prev;
+            self.leaf_mut(next).prev = prev;
         }
         if self.head == leaf_id {
             self.head = next;
@@ -624,7 +725,7 @@ impl<V> BPlusTreeMap<V> {
             if !gone {
                 break;
             }
-            let inner = &mut self.inners[inner_id as usize];
+            let inner = &mut self.inners_mut()[inner_id as usize];
             inner.mins.remove(ci);
             inner.children.remove(ci);
             if inner.children.is_empty() {
@@ -662,7 +763,10 @@ impl<V> BPlusTreeMap<V> {
     /// and the inner levels are rebuilt bottom-up from the surviving
     /// leaves exactly like a bulk load. This is the memtable drain
     /// primitive: `O(n)` with one predicate call per entry.
-    pub fn retain(&mut self, mut f: impl FnMut(CurveIndex, &V) -> bool) {
+    pub fn retain(&mut self, mut f: impl FnMut(CurveIndex, &V) -> bool)
+    where
+        V: Clone,
+    {
         let mut level: Vec<(CurveIndex, u32)> = Vec::new();
         let mut emptied: Vec<u32> = Vec::new();
         let mut prev_kept: u32 = NIL;
@@ -670,7 +774,7 @@ impl<V> BPlusTreeMap<V> {
         let mut cur = self.head;
         while cur != NIL {
             let next = self.leaves[cur as usize].next;
-            let leaf = &mut self.leaves[cur as usize];
+            let leaf = self.leaf_mut(cur);
             let mut w = 0usize;
             for r in 0..leaf.keys.len() {
                 if f(leaf.keys[r], &leaf.vals[r]) {
@@ -687,7 +791,7 @@ impl<V> BPlusTreeMap<V> {
                 leaf.prev = prev_kept;
                 leaf.next = NIL;
                 if prev_kept != NIL {
-                    self.leaves[prev_kept as usize].next = cur;
+                    self.leaf_mut(prev_kept).next = cur;
                 }
                 prev_kept = cur;
                 level.push((self.leaves[cur as usize].keys[0], cur));
@@ -730,7 +834,7 @@ impl<V> BPlusTreeMap<V> {
             let mut next = Vec::with_capacity(level.len().div_ceil(INNER_CAP));
             for chunk in level.chunks(INNER_CAP) {
                 let id = self.alloc_inner();
-                let inner = &mut self.inners[id as usize];
+                let inner = &mut self.inners_mut()[id as usize];
                 inner.mins.extend(chunk.iter().map(|&(m, _)| m));
                 inner.children.extend(chunk.iter().map(|&(_, c)| c));
                 next.push((chunk[0].0, id));
@@ -974,13 +1078,14 @@ impl<'a, V> Iterator for RevIter<'a, V> {
 /// consumed in chain order, each one's columns moved out wholesale.
 #[derive(Debug)]
 pub struct IntoIter<V> {
-    leaves: Vec<Leaf<V>>,
+    /// `None` once a leaf has been consumed.
+    leaves: Vec<Option<Arc<Leaf<V>>>>,
     next_leaf: u32,
     keys: std::vec::IntoIter<CurveIndex>,
     vals: std::vec::IntoIter<V>,
 }
 
-impl<V> Iterator for IntoIter<V> {
+impl<V: Clone> Iterator for IntoIter<V> {
     type Item = (CurveIndex, V);
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -993,15 +1098,12 @@ impl<V> Iterator for IntoIter<V> {
             if id == NIL {
                 return None;
             }
-            let leaf = std::mem::replace(
-                &mut self.leaves[id as usize],
-                Leaf {
-                    keys: Vec::new(),
-                    vals: Vec::new(),
-                    prev: NIL,
-                    next: NIL,
-                },
-            );
+            // Moved out when this tree is the leaf's only owner, copied
+            // when a snapshot still reads it.
+            let leaf = self.leaves[id as usize]
+                .take()
+                .expect("chain visits a leaf once");
+            let leaf = Arc::try_unwrap(leaf).unwrap_or_else(|shared| (*shared).clone());
             self.next_leaf = leaf.next;
             self.keys = leaf.keys.into_iter();
             self.vals = leaf.vals.into_iter();
@@ -1009,14 +1111,15 @@ impl<V> Iterator for IntoIter<V> {
     }
 }
 
-impl<V> IntoIterator for BPlusTreeMap<V> {
+impl<V: Clone> IntoIterator for BPlusTreeMap<V> {
     type Item = (CurveIndex, V);
     type IntoIter = IntoIter<V>;
 
     fn into_iter(self) -> Self::IntoIter {
+        let leaves = Arc::try_unwrap(self.leaves).unwrap_or_else(|shared| (*shared).clone());
         IntoIter {
             next_leaf: self.head,
-            leaves: self.leaves,
+            leaves: leaves.into_iter().map(Some).collect(),
             keys: Vec::new().into_iter(),
             vals: Vec::new().into_iter(),
         }

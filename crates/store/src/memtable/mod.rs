@@ -18,6 +18,10 @@
 //! old `Memtable` alias in `view.rs` exposed `BTreeMap` crate-wide), so
 //! the backing can change without touching the seq protocol, the
 //! capture path, or the query engines.
+//!
+//! Values must be `Clone` to be written: [`snapshot`](SfcMemtable::snapshot)
+//! shares the B+tree's nodes with the copy it hands out, and a later
+//! write copies the one leaf it lands in if a snapshot still holds it.
 
 pub mod bptree;
 pub mod reference;
@@ -37,8 +41,9 @@ use reference::{
 
 /// The engine's memtable: an ordered map from curve index to `V`, with
 /// ordered/range/reverse iteration, an `O(n)` predicate drain
-/// ([`retain`](Self::retain)), sorted bulk load, owned cursors, and
-/// `O(1)` heap accounting. See the module docs for backing selection.
+/// ([`retain`](Self::retain)), sorted bulk load, owned cursors,
+/// copy-on-write [`snapshot`](Self::snapshot)s, and `O(1)` heap
+/// accounting. See the module docs for backing selection.
 #[derive(Debug, Clone)]
 pub struct SfcMemtable<V> {
     inner: Backing<V>,
@@ -67,7 +72,7 @@ impl<V> SfcMemtable<V> {
     }
 
     /// Bulk-loads from strictly-increasing `(key, value)` pairs — the
-    /// fastest build path, used by the shard capture extract.
+    /// fastest build path.
     pub fn from_sorted(iter: impl IntoIterator<Item = (CurveIndex, V)>) -> Self {
         Self {
             inner: Backing::from_sorted(iter),
@@ -93,24 +98,6 @@ impl<V> SfcMemtable<V> {
     /// `true` iff `key` is present.
     pub fn contains_key(&self, key: &CurveIndex) -> bool {
         self.inner.contains_key(key)
-    }
-
-    /// Inserts or replaces the value at `key`, returning the previous
-    /// value if one existed.
-    pub fn insert(&mut self, key: CurveIndex, val: V) -> Option<V> {
-        self.inner.insert(key, val)
-    }
-
-    /// Removes the entry at `key`, returning its value.
-    pub fn remove(&mut self, key: &CurveIndex) -> Option<V> {
-        self.inner.remove(key)
-    }
-
-    /// Keeps only the entries `f` approves — one ordered walk with a
-    /// predicate call per entry. This is the flush drain primitive: the
-    /// epoch layer drains exactly `seq < high_water` with it.
-    pub fn retain(&mut self, f: impl FnMut(CurveIndex, &V) -> bool) {
-        self.inner.retain(f);
     }
 
     /// Removes every entry.
@@ -173,7 +160,39 @@ impl<V> SfcMemtable<V> {
     }
 }
 
-impl<V> IntoIterator for SfcMemtable<V> {
+/// Writes and copies (see the module docs for the `Clone` bound).
+impl<V: Clone> SfcMemtable<V> {
+    /// A point-in-time copy that later writes to either side never
+    /// disturb. `O(1)` on the B+tree backing — two refcount bumps, the
+    /// copying left to whichever side writes first while the other is
+    /// alive (see [`bptree`]); a full clone on the reference backing.
+    /// This is what a query captures under the shard lock.
+    pub fn snapshot(&self) -> Self {
+        Self {
+            inner: self.inner.snapshot(),
+        }
+    }
+
+    /// Inserts or replaces the value at `key`, returning the previous
+    /// value if one existed.
+    pub fn insert(&mut self, key: CurveIndex, val: V) -> Option<V> {
+        self.inner.insert(key, val)
+    }
+
+    /// Removes the entry at `key`, returning its value.
+    pub fn remove(&mut self, key: &CurveIndex) -> Option<V> {
+        self.inner.remove(key)
+    }
+
+    /// Keeps only the entries `f` approves — one ordered walk with a
+    /// predicate call per entry. This is the flush drain primitive: the
+    /// epoch layer drains exactly `seq < high_water` with it.
+    pub fn retain(&mut self, f: impl FnMut(CurveIndex, &V) -> bool) {
+        self.inner.retain(f);
+    }
+}
+
+impl<V: Clone> IntoIterator for SfcMemtable<V> {
     type Item = (CurveIndex, V);
     type IntoIter = IntoIter<V>;
 
@@ -213,7 +232,7 @@ impl<'a, V> Iterator for RevIter<'a, V> {
 #[derive(Debug)]
 pub struct IntoIter<V>(BackingIntoIter<V>);
 
-impl<V> Iterator for IntoIter<V> {
+impl<V: Clone> Iterator for IntoIter<V> {
     type Item = (CurveIndex, V);
 
     fn next(&mut self) -> Option<Self::Item> {

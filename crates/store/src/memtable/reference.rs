@@ -45,6 +45,15 @@ impl<V> BTreeBacking<V> {
         }
     }
 
+    /// A point-in-time copy — a full clone here; the B+tree shares its
+    /// leaves instead.
+    pub fn snapshot(&self) -> Self
+    where
+        V: Clone,
+    {
+        self.clone()
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.map.len()

@@ -24,10 +24,14 @@
 //! [`SlowLog`]; queries at or above the threshold (default
 //! [`DEFAULT_SLOW_QUERY_NS`]) retain a [`QueryTrace`] — the operation,
 //! the chosen plan's per-level strategies, the work counters, and the
-//! wall time. Below the threshold the trace is never even built. Sharded
-//! box-query traces re-derive the per-shard plans advisorily at
-//! admission time (the executed plans live on worker stacks); the
-//! single-store path traces the exact executed plan.
+//! wall time. Below the threshold the trace is never even built. The
+//! single-store path traces the exact executed plan. A sharded trace
+//! carries what the router itself executed — the interval count it
+//! decomposed the box into, and the two phases that run before any level
+//! is scanned: `decompose_ns` (box or kNN-ball interval decomposition) and
+//! `capture_ns` (snapshotting every shard's memtable and pinning its
+//! epoch). Both clocks are read only when metrics are attached; nothing
+//! is decomposed or captured a second time to build a trace.
 
 use std::fmt;
 use std::sync::Arc;
@@ -329,6 +333,13 @@ pub struct QueryTrace {
     pub stats: QueryStats,
     /// Wall time in nanoseconds.
     pub wall_ns: u64,
+    /// Time spent decomposing the box (or the kNN verification ball) into
+    /// curve intervals — sharded `query_box` / `knn` and their `_par`
+    /// twins; `None` where it is not measured.
+    pub decompose_ns: Option<u64>,
+    /// Time spent capturing all shards (memtable snapshots + epoch pins)
+    /// before the scan — sharded queries only.
+    pub capture_ns: Option<u64>,
 }
 
 impl QueryTrace {
@@ -343,35 +354,29 @@ impl QueryTrace {
             runs: plan.runs.clone(),
             stats,
             wall_ns,
+            decompose_ns: None,
+            capture_ns: None,
         }
     }
 
-    /// A trace over per-shard plans (the sharded router's view): run
-    /// strategies concatenate in shard order, interval counts sum.
-    pub fn from_shard_plans(
+    /// A sharded fan-out's trace: [`bare`](Self::bare) plus the shard count
+    /// and the capture time; callers fill in what else they know.
+    pub(crate) fn sharded(
         op: &'static str,
-        volume: u128,
-        plans: &[QueryPlan],
+        shards: usize,
+        capture_ns: Option<u64>,
         stats: QueryStats,
         wall_ns: u64,
     ) -> Self {
-        let intervals = plans
-            .iter()
-            .filter_map(QueryPlan::interval_count)
-            .reduce(|a, b| a + b);
         QueryTrace {
-            op,
-            volume: Some(volume),
-            shards: Some(plans.len()),
-            intervals,
-            memtable: None,
-            runs: plans.iter().flat_map(|p| p.runs.iter().copied()).collect(),
-            stats,
-            wall_ns,
+            shards: Some(shards),
+            capture_ns,
+            ..Self::bare(op, stats, wall_ns)
         }
     }
 
-    /// A plan-less trace (kNN, raw interval queries).
+    /// A plan-less trace (kNN, raw interval queries); callers fill in what
+    /// they know.
     pub fn bare(op: &'static str, stats: QueryStats, wall_ns: u64) -> Self {
         QueryTrace {
             op,
@@ -382,6 +387,8 @@ impl QueryTrace {
             runs: Vec::new(),
             stats,
             wall_ns,
+            decompose_ns: None,
+            capture_ns: None,
         }
     }
 }
@@ -411,6 +418,12 @@ impl fmt::Display for QueryTrace {
                 write!(f, "{s}")?;
             }
             write!(f, "]")?;
+        }
+        if let Some(ns) = self.decompose_ns {
+            write!(f, " decompose={}", sfc_obs::fmt_ns(ns))?;
+        }
+        if let Some(ns) = self.capture_ns {
+            write!(f, " capture={}", sfc_obs::fmt_ns(ns))?;
         }
         write!(
             f,
@@ -492,10 +505,14 @@ mod tests {
             runs: vec![LevelStrategy::Bigmin, LevelStrategy::Pruned],
             stats: QueryStats::default(),
             wall_ns: 1_500,
+            decompose_ns: Some(700),
+            capture_ns: None,
         };
         let s = plan_trace.to_string();
         assert!(s.contains("query_box 1.5µs"));
         assert!(s.contains("runs=[bigmin,pruned]"));
         assert!(s.contains("shards=2"));
+        assert!(s.contains("decompose=700ns"));
+        assert!(!s.contains("capture="));
     }
 }

@@ -19,10 +19,11 @@
 //!   per-shard write weight through striped atomic counters —
 //!   [`ConcurrentTraffic`]),
 //! * answers queries by **capturing** each shard — a microscopic lock to
-//!   clone the relevant memtable range and pin the current epoch — and
-//!   then scanning the captures entirely lock-free; the per-shard
-//!   clip/route/concatenate algorithms ([`ShardsView`]) are shared with
-//!   [`ShardedSnapshot`] and unchanged from the single-writer design,
+//!   snapshot the memtable copy-on-write (nothing copied) and pin the
+//!   current epoch — and then scanning the captures entirely lock-free;
+//!   the per-shard clip/route/concatenate algorithms ([`ShardsView`])
+//!   are shared with [`ShardedSnapshot`] and unchanged from the
+//!   single-writer design,
 //! * fans the per-shard scans out across [`std::thread::scope`] worker
 //!   threads in the `*_par` variants (results are concatenated in shard
 //!   order, so parallel results are byte-identical to sequential ones),
@@ -63,8 +64,8 @@ use crate::store::{
     sorted_unique_columns, BatchOp, StoreEntry, StoreEntryRef, DEFAULT_MEMTABLE_CAPACITY,
 };
 use crate::view::{
-    distance_key_order, interval_hull, offer, radius_from_heap, rank_by_distance, should_decompose,
-    with_knn_heap, LevelsView, QueryPlan,
+    distance_key_order, offer, plan_knn_ball, radius_from_heap, rank_by_distance, should_decompose,
+    with_knn_heap, KnnBallPlan, LevelsView, MemSlot, QueryPlan, Slot,
 };
 use crate::wal::{self, RecoveryStats, WalConfig, WalEngine, WalError, WalPayload, WalShard};
 
@@ -86,15 +87,24 @@ fn owned<const D: usize, T: Clone>(hits: Vec<StoreEntryRef<'_, D, T>>) -> Vec<St
     hits.into_iter().map(|e| e.to_owned()).collect()
 }
 
+/// Nanoseconds since `start`, saturating.
+fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// The one capture-and-query sequence every sharded query runs: capture
-/// all shards for `span` (microscopic per-shard locks, guard released
-/// before scanning), assemble the borrowed [`ShardsView`] over the
-/// captures, run `$body` against it, and clone the reported hits into
-/// owned entries. A macro rather than a closure-taking method because the
-/// view borrows locals whose lifetime a closure signature cannot name.
+/// all shards (microscopic per-shard locks, guard released before
+/// scanning), assemble the borrowed [`ShardsView`] over the captures, run
+/// `$body` against it, and clone the reported hits into owned entries.
+/// Yields `(hits, stats, capture_ns)`; the capture is timed only when
+/// metrics are attached. A macro rather than a closure-taking method
+/// because the view borrows locals whose lifetime a closure signature
+/// cannot name.
 macro_rules! with_shards_view {
-    ($store:expr, $span:expr, |$sv:ident| $body:expr) => {{
-        let (partition, caps) = $store.capture_all($span);
+    ($store:expr, |$sv:ident| $body:expr) => {{
+        let capturing = $store.metrics.as_deref().map(|_| Instant::now());
+        let (partition, caps) = $store.capture_all();
+        let capture_ns = capturing.map(elapsed_ns);
         let views: Vec<_> = caps.iter().map(|c| c.view(&$store.curve)).collect();
         let $sv = ShardsView {
             curve: &$store.curve,
@@ -102,7 +112,7 @@ macro_rules! with_shards_view {
             shards: views,
         };
         let (hits, stats) = $body;
-        (owned(hits), stats)
+        (owned(hits), stats, capture_ns)
     }};
 }
 
@@ -113,13 +123,13 @@ macro_rules! with_shards_view {
 /// and snapshot, this holds the clip/route/concatenate algorithms once
 /// for their sharded counterparts — including the scoped-thread parallel
 /// dispatch of the `*_par` entry points.
-struct ShardsView<'a, const D: usize, T, C: SpaceFillingCurve<D>> {
+struct ShardsView<'a, const D: usize, T, C: SpaceFillingCurve<D>, S = Slot<D, T>> {
     curve: &'a C,
     partition: &'a Partition,
-    shards: Vec<LevelsView<'a, D, T, C>>,
+    shards: Vec<LevelsView<'a, D, T, C, S>>,
 }
 
-impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> ShardsView<'a, D, T, C> {
+impl<'a, const D: usize, T, C: SpaceFillingCurve<D>, S: MemSlot<D, T>> ShardsView<'a, D, T, C, S> {
     /// Interval query fanned out to only the shards whose range
     /// intersects the (sorted, inclusive) intervals, each handed the list
     /// clipped to its own range. Shard-order concatenation = curve order.
@@ -206,12 +216,15 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> ShardsView<'a, D, T, C> {
     /// Exact kNN: live candidates gathered per shard into the shared
     /// top-k distance heap (zone-map live counts and AABB distance bounds
     /// sharpen each shard's walk), the k-th best bounds the verification
-    /// radius, and the Chebyshev ball fans out through the planner.
+    /// radius, and the Chebyshev ball fans out by the rule every engine
+    /// shares ([`plan_knn_ball`]). `decompose_ns`, when given, receives
+    /// the time the ball's decomposition took.
     fn knn(
         &self,
         q: Point<D>,
         k: usize,
         window: usize,
+        decompose_ns: Option<&mut u64>,
     ) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
         let key = self.curve.index_of(q);
         let mut stats = QueryStats::default();
@@ -222,11 +235,29 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> ShardsView<'a, D, T, C> {
             radius_from_heap(self.curve.grid(), heap, k)
         });
         let ball = BoxRegion::chebyshev_ball(self.curve.grid(), q, radius);
-        let (all, ball_stats) = self.query_box(&ball);
+        let (all, ball_stats) = match self.plan_knn_ball_timed(&ball, decompose_ns) {
+            KnnBallPlan::Exact(intervals) => self.query_intervals(&intervals),
+            KnnBallPlan::Planned(intervals) => self.query_box_with(&ball, intervals),
+        };
         stats.add(&ball_stats);
         let all = rank_by_distance(all, q, k);
         stats.reported = all.len() as u64;
         (all, stats)
+    }
+
+    /// [`plan_knn_ball`], reporting how long it took into `decompose_ns`
+    /// when the caller asked.
+    fn plan_knn_ball_timed(
+        &self,
+        ball: &BoxRegion<D>,
+        decompose_ns: Option<&mut u64>,
+    ) -> KnnBallPlan {
+        let start = decompose_ns.is_some().then(Instant::now);
+        let plan = plan_knn_ball(self.curve, ball);
+        if let (Some(out), Some(start)) = (decompose_ns, start) {
+            *out = elapsed_ns(start);
+        }
+        plan
     }
 }
 
@@ -234,8 +265,11 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> ShardsView<'a, D, T, C> {
 /// own worker thread; joining in shard order makes the concatenation —
 /// and therefore the full result — byte-identical to the sequential
 /// fan-out.
-impl<'a, const D: usize, T: Send + Sync, C: SpaceFillingCurve<D> + Send + Sync>
-    ShardsView<'a, D, T, C>
+impl<'a, const D: usize, T, C, S> ShardsView<'a, D, T, C, S>
+where
+    T: Send + Sync,
+    C: SpaceFillingCurve<D> + Send + Sync,
+    S: MemSlot<D, T> + Send + Sync,
 {
     /// Runs `work(j, shard_view)` for every shard passing `keep`, on one
     /// scoped thread per participating shard, and returns the per-shard
@@ -243,7 +277,7 @@ impl<'a, const D: usize, T: Send + Sync, C: SpaceFillingCurve<D> + Send + Sync>
     fn dispatch<R: Send>(
         &self,
         keep: impl Fn(usize, &std::ops::Range<CurveIndex>) -> bool,
-        work: impl Fn(usize, &LevelsView<'a, D, T, C>) -> R + Sync,
+        work: impl Fn(usize, &LevelsView<'a, D, T, C, S>) -> R + Sync,
     ) -> Vec<R> {
         std::thread::scope(|scope| {
             let work = &work;
@@ -346,6 +380,7 @@ impl<'a, const D: usize, T: Send + Sync, C: SpaceFillingCurve<D> + Send + Sync>
         q: Point<D>,
         k: usize,
         window: usize,
+        decompose_ns: Option<&mut u64>,
     ) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
         let key = self.curve.index_of(q);
         let per_shard: Vec<(Vec<u64>, QueryStats)> = self.dispatch(
@@ -368,9 +403,10 @@ impl<'a, const D: usize, T: Send + Sync, C: SpaceFillingCurve<D> + Send + Sync>
             radius_from_heap(self.curve.grid(), heap, k)
         });
         let ball = BoxRegion::chebyshev_ball(self.curve.grid(), q, radius);
-        let intervals =
-            should_decompose(self.curve, ball.volume()).then(|| ball.curve_intervals(self.curve));
-        let (all, ball_stats) = self.query_box_with_par(&ball, intervals);
+        let (all, ball_stats) = match self.plan_knn_ball_timed(&ball, decompose_ns) {
+            KnnBallPlan::Exact(intervals) => self.query_intervals_par(&intervals),
+            KnnBallPlan::Planned(intervals) => self.query_box_with_par(&ball, intervals),
+        };
         stats.add(&ball_stats);
         let all = rank_by_distance(all, q, k);
         stats.reported = all.len() as u64;
@@ -392,7 +428,7 @@ impl<'a, const D: usize, T: Send + Sync, C: SpaceFillingCurve<D> + Send + Sync>
     }
 }
 
-impl<'a, const D: usize, T> ShardsView<'a, D, T, ZCurve<D>> {
+impl<'a, const D: usize, T, S: MemSlot<D, T>> ShardsView<'a, D, T, ZCurve<D>, S> {
     /// BIGMIN box query fanned out to only the shards whose range
     /// intersects the box's Morton key range `[Z(lo), Z(hi)]`.
     fn query_box_bigmin(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
@@ -414,7 +450,9 @@ impl<'a, const D: usize, T> ShardsView<'a, D, T, ZCurve<D>> {
     }
 }
 
-impl<'a, const D: usize, T: Send + Sync> ShardsView<'a, D, T, ZCurve<D>> {
+impl<'a, const D: usize, T: Send + Sync, S: MemSlot<D, T> + Send + Sync>
+    ShardsView<'a, D, T, ZCurve<D>, S>
+{
     /// Parallel [`query_box_bigmin`](Self::query_box_bigmin):
     /// byte-identical results, per-shard scans on worker threads.
     fn query_box_bigmin_par(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
@@ -425,6 +463,41 @@ impl<'a, const D: usize, T: Send + Sync> ShardsView<'a, D, T, ZCurve<D>> {
             |_, shard| shard.query_box_bigmin(b),
         );
         Self::concat(per_shard)
+    }
+}
+
+/// The records of a [`ShardedSfcStore`] as of [`iter`](ShardedSfcStore::iter)'s
+/// call, in curve order: the shard captures taken then, drained one
+/// shard's worth of owned entries at a time. Borrows nothing from the
+/// store.
+pub struct ShardedIter<const D: usize, T, C: SpaceFillingCurve<D> + Clone> {
+    curve: C,
+    /// Captures of the shards not yet reached.
+    caps: std::vec::IntoIter<ShardCapture<D, T, C>>,
+    /// The current shard's entries.
+    shard: std::vec::IntoIter<StoreEntry<D, T>>,
+}
+
+impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> fmt::Debug for ShardedIter<D, T, C> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ShardedIter")
+            .field("shards_left", &self.caps.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Iterator for ShardedIter<D, T, C> {
+    type Item = StoreEntry<D, T>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(entry) = self.shard.next() {
+                return Some(entry);
+            }
+            let cap = self.caps.next()?;
+            let entries: Vec<_> = cap.view(&self.curve).iter().map(|e| e.to_owned()).collect();
+            self.shard = entries.into_iter();
+        }
     }
 }
 
@@ -690,42 +763,46 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
 
     /// All live records in curve order, as owned entries: shard ranges
     /// are ascending and disjoint, so per-shard concatenation *is* the
-    /// global curve order. Each shard's contribution is a consistent
-    /// point-in-time capture, but shards are captured in sequence — a
-    /// writer racing this call may land in an earlier-captured shard
-    /// after its capture and a later-captured shard before its capture.
-    /// Quiesce writers (or use [`snapshot`](Self::snapshot), which has
-    /// the same per-shard granularity but yields a reusable frozen view)
-    /// when cross-shard atomicity matters.
-    pub fn iter(&self) -> std::vec::IntoIter<StoreEntry<D, T>> {
-        let (_, caps) = self.capture_all(None);
-        let mut out = Vec::new();
-        for cap in &caps {
-            out.extend(cap.view(&self.curve).iter().map(|e| e.to_owned()));
+    /// global curve order. Every shard is captured when the iterator is
+    /// created — the captures are copy-on-write, so holding them costs
+    /// nothing until a writer touches a shared leaf — and writes, flushes
+    /// and compactions that happen while it is drained never show in it;
+    /// entries are materialised one shard at a time. Each shard's
+    /// contribution is a consistent point-in-time capture, but shards
+    /// are captured in sequence — a writer racing this call may land in
+    /// an earlier-captured shard after its capture and a later-captured
+    /// shard before its capture. Quiesce writers (or use
+    /// [`snapshot`](Self::snapshot), which has the same per-shard
+    /// granularity but yields a reusable frozen view) when cross-shard
+    /// atomicity matters.
+    pub fn iter(&self) -> ShardedIter<D, T, C> {
+        let (_, caps) = self.capture_all();
+        ShardedIter {
+            curve: self.curve.clone(),
+            caps: caps.into_iter(),
+            shard: Vec::new().into_iter(),
         }
-        out.into_iter()
     }
 
     /// Captures every shard under the partition's read guard: the
-    /// memtable image clipped to `span` plus the pinned epoch, per shard.
-    /// The guard is released before any scanning happens.
-    fn capture_all(&self, span: Option<Interval>) -> (Partition, Vec<ShardCapture<D, T, C>>) {
+    /// memtable snapshot plus the pinned epoch, per shard. The guard is
+    /// released before any scanning happens.
+    fn capture_all(&self) -> (Partition, Vec<ShardCapture<D, T, C>>) {
         let part = self.partition.read().expect("partition poisoned");
-        let caps = self.shards.iter().map(|s| s.capture(span)).collect();
+        let caps = self.shards.iter().map(Shard::capture).collect();
         (part.clone(), caps)
     }
 
-    /// The curve span a box query can touch: the Morton key range when
-    /// the curve is Morton-ordered, else the hull of the decomposed
-    /// intervals. Used to clip the memtable captures; runs are pruned by
-    /// the planner regardless.
-    fn box_span(&self, b: &BoxRegion<D>, intervals: Option<&[Interval]>) -> Option<Interval> {
-        match self.curve.as_morton() {
-            Some(z) => Some((z.encode(b.lo()), z.encode(b.hi()))),
-            // Non-Morton curves always decompose; an empty hull captures
-            // nothing (lo > hi sentinel).
-            None => Some(intervals.and_then(interval_hull).unwrap_or((1, 0))),
-        }
+    /// Decomposes `b` if the planner wants intervals for it, timing the
+    /// decomposition when metrics are attached (`start` is then `Some`).
+    fn decompose_box(
+        &self,
+        b: &BoxRegion<D>,
+        start: Option<Instant>,
+    ) -> (Option<Vec<Interval>>, Option<u64>) {
+        let intervals =
+            should_decompose(&self.curve, b.volume()).then(|| b.curve_intervals(&self.curve));
+        (intervals, start.map(elapsed_ns))
     }
 
     /// Box query through the adaptive planner, fanned out to intersecting
@@ -734,17 +811,18 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     /// levels — see [`SfcStore::query_box`](crate::SfcStore::query_box).
     pub fn query_box(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
         let start = self.metrics.as_deref().map(|_| Instant::now());
-        let intervals =
-            should_decompose(&self.curve, b.volume()).then(|| b.curve_intervals(&self.curve));
-        let span = self.box_span(b, intervals.as_deref());
-        let (hits, stats) = with_shards_view!(self, span, |sv| sv.query_box_with(b, intervals));
+        let (intervals, decompose_ns) = self.decompose_box(b, start);
+        let interval_count = intervals.as_ref().map(Vec::len);
+        let (hits, stats, capture_ns) =
+            with_shards_view!(self, |sv| sv.query_box_with(b, intervals));
         if let (Some(m), Some(start)) = (self.metrics.as_deref(), start) {
+            let shards = self.shards.len();
             m.note_query(QueryOp::Box, start, &stats, |wall| {
-                // The executed per-shard plans lived on the fan-out's
-                // stack; re-derive them advisorily for the trace (only
-                // paid for queries slow enough to be admitted).
-                let plans = self.plan_box_query(b);
-                QueryTrace::from_shard_plans("query_box", b.volume(), &plans, stats, wall)
+                let mut t = QueryTrace::sharded("query_box", shards, capture_ns, stats, wall);
+                t.volume = Some(b.volume());
+                t.intervals = interval_count;
+                t.decompose_ns = decompose_ns;
+                t
             });
         }
         (hits, stats)
@@ -756,10 +834,8 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     /// [`QueryPlan`] per shard in shard order. For observability and
     /// tuning; executing the query later plans afresh.
     pub fn plan_box_query(&self, b: &BoxRegion<D>) -> Vec<QueryPlan> {
-        let intervals =
-            should_decompose(&self.curve, b.volume()).then(|| b.curve_intervals(&self.curve));
-        let span = self.box_span(b, intervals.as_deref());
-        let (partition, caps) = self.capture_all(span);
+        let (intervals, _) = self.decompose_box(b, None);
+        let (partition, caps) = self.capture_all();
         caps.iter()
             .enumerate()
             .map(|(j, cap)| {
@@ -791,14 +867,12 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
         op: &'static str,
     ) -> (Vec<StoreEntry<D, T>>, QueryStats) {
         let start = self.metrics.as_deref().map(|_| Instant::now());
-        let span = interval_hull(intervals).unwrap_or((1, 0));
-        let (hits, stats) = with_shards_view!(self, Some(span), |sv| sv.query_intervals(intervals));
+        let (hits, stats, capture_ns) = with_shards_view!(self, |sv| sv.query_intervals(intervals));
         if let (Some(m), Some(start)) = (self.metrics.as_deref(), start) {
             let shards = self.shards.len();
             m.note_query(QueryOp::Intervals, start, &stats, |wall| {
-                let mut t = QueryTrace::bare(op, stats, wall);
+                let mut t = QueryTrace::sharded(op, shards, capture_ns, stats, wall);
                 t.intervals = Some(intervals.len());
-                t.shards = Some(shards);
                 t
             });
         }
@@ -816,12 +890,14 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
             return (Vec::new(), QueryStats::default());
         }
         let start = self.metrics.as_deref().map(|_| Instant::now());
-        let (hits, stats) = with_shards_view!(self, None, |sv| sv.knn(q, k, window));
+        let mut decompose_ns = start.map(|_| 0);
+        let (hits, stats, capture_ns) =
+            with_shards_view!(self, |sv| sv.knn(q, k, window, decompose_ns.as_mut()));
         if let (Some(m), Some(start)) = (self.metrics.as_deref(), start) {
             let shards = self.shards.len();
             m.note_query(QueryOp::Knn, start, &stats, |wall| {
-                let mut t = QueryTrace::bare("knn", stats, wall);
-                t.shards = Some(shards);
+                let mut t = QueryTrace::sharded("knn", shards, capture_ns, stats, wall);
+                t.decompose_ns = decompose_ns;
                 t
             });
         }
@@ -1136,7 +1212,7 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
             if !changed[j] {
                 continue;
             }
-            let cap = shard.capture(None);
+            let cap = shard.capture();
             for e in cap.view(&self.curve).iter() {
                 moved.push((e.key, e.point, Some(e.payload.clone())));
             }
@@ -1453,14 +1529,18 @@ where
     /// Parallel [`query_box`](Self::query_box).
     pub fn query_box_par(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
         let start = self.metrics.as_deref().map(|_| Instant::now());
-        let intervals =
-            should_decompose(&self.curve, b.volume()).then(|| b.curve_intervals(&self.curve));
-        let span = self.box_span(b, intervals.as_deref());
-        let (hits, stats) = with_shards_view!(self, span, |sv| sv.query_box_with_par(b, intervals));
+        let (intervals, decompose_ns) = self.decompose_box(b, start);
+        let interval_count = intervals.as_ref().map(Vec::len);
+        let (hits, stats, capture_ns) =
+            with_shards_view!(self, |sv| sv.query_box_with_par(b, intervals));
         if let (Some(m), Some(start)) = (self.metrics.as_deref(), start) {
+            let shards = self.shards.len();
             m.note_query(QueryOp::Box, start, &stats, |wall| {
-                let plans = self.plan_box_query(b);
-                QueryTrace::from_shard_plans("query_box_par", b.volume(), &plans, stats, wall)
+                let mut t = QueryTrace::sharded("query_box_par", shards, capture_ns, stats, wall);
+                t.volume = Some(b.volume());
+                t.intervals = interval_count;
+                t.decompose_ns = decompose_ns;
+                t
             });
         }
         (hits, stats)
@@ -1470,16 +1550,15 @@ where
     pub fn query_box_intervals_par(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
         let start = self.metrics.as_deref().map(|_| Instant::now());
         let intervals = b.curve_intervals(&self.curve);
-        let span = interval_hull(&intervals).unwrap_or((1, 0));
-        let (hits, stats) =
-            with_shards_view!(self, Some(span), |sv| sv.query_intervals_par(&intervals));
+        let (hits, stats, capture_ns) =
+            with_shards_view!(self, |sv| sv.query_intervals_par(&intervals));
         if let (Some(m), Some(start)) = (self.metrics.as_deref(), start) {
             let shards = self.shards.len();
             m.note_query(QueryOp::Intervals, start, &stats, |wall| {
-                let mut t = QueryTrace::bare("query_box_intervals_par", stats, wall);
+                let mut t =
+                    QueryTrace::sharded("query_box_intervals_par", shards, capture_ns, stats, wall);
                 t.volume = Some(b.volume());
                 t.intervals = Some(intervals.len());
-                t.shards = Some(shards);
                 t
             });
         }
@@ -1499,12 +1578,14 @@ where
             return (Vec::new(), QueryStats::default());
         }
         let start = self.metrics.as_deref().map(|_| Instant::now());
-        let (hits, stats) = with_shards_view!(self, None, |sv| sv.knn_par(q, k, window));
+        let mut decompose_ns = start.map(|_| 0);
+        let (hits, stats, capture_ns) =
+            with_shards_view!(self, |sv| sv.knn_par(q, k, window, decompose_ns.as_mut()));
         if let (Some(m), Some(start)) = (self.metrics.as_deref(), start) {
             let shards = self.shards.len();
             m.note_query(QueryOp::Knn, start, &stats, |wall| {
-                let mut t = QueryTrace::bare("knn_par", stats, wall);
-                t.shards = Some(shards);
+                let mut t = QueryTrace::sharded("knn_par", shards, capture_ns, stats, wall);
+                t.decompose_ns = decompose_ns;
                 t
             });
         }
@@ -1518,14 +1599,13 @@ impl<const D: usize, T: Clone> ShardedSfcStore<D, T, ZCurve<D>> {
     /// `[Z(lo), Z(hi)]`. Z curve only.
     pub fn query_box_bigmin(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
         let start = self.metrics.as_deref().map(|_| Instant::now());
-        let span = (self.curve.encode(b.lo()), self.curve.encode(b.hi()));
-        let (hits, stats) = with_shards_view!(self, Some(span), |sv| sv.query_box_bigmin(b));
+        let (hits, stats, capture_ns) = with_shards_view!(self, |sv| sv.query_box_bigmin(b));
         if let (Some(m), Some(start)) = (self.metrics.as_deref(), start) {
             let shards = self.shards.len();
             m.note_query(QueryOp::Bigmin, start, &stats, |wall| {
-                let mut t = QueryTrace::bare("query_box_bigmin", stats, wall);
+                let mut t =
+                    QueryTrace::sharded("query_box_bigmin", shards, capture_ns, stats, wall);
                 t.volume = Some(b.volume());
-                t.shards = Some(shards);
                 t
             });
         }
@@ -1537,14 +1617,13 @@ impl<const D: usize, T: Clone + Send + Sync> ShardedSfcStore<D, T, ZCurve<D>> {
     /// Parallel [`query_box_bigmin`](Self::query_box_bigmin).
     pub fn query_box_bigmin_par(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
         let start = self.metrics.as_deref().map(|_| Instant::now());
-        let span = (self.curve.encode(b.lo()), self.curve.encode(b.hi()));
-        let (hits, stats) = with_shards_view!(self, Some(span), |sv| sv.query_box_bigmin_par(b));
+        let (hits, stats, capture_ns) = with_shards_view!(self, |sv| sv.query_box_bigmin_par(b));
         if let (Some(m), Some(start)) = (self.metrics.as_deref(), start) {
             let shards = self.shards.len();
             m.note_query(QueryOp::Bigmin, start, &stats, |wall| {
-                let mut t = QueryTrace::bare("query_box_bigmin_par", stats, wall);
+                let mut t =
+                    QueryTrace::sharded("query_box_bigmin_par", shards, capture_ns, stats, wall);
                 t.volume = Some(b.volume());
-                t.shards = Some(shards);
                 t
             });
         }
@@ -1641,7 +1720,7 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
         if self.is_empty() {
             return (Vec::new(), QueryStats::default());
         }
-        self.shards_view().knn(q, k, window)
+        self.shards_view().knn(q, k, window, None)
     }
 }
 
@@ -1679,7 +1758,7 @@ impl<const D: usize, T: Send + Sync, C: SpaceFillingCurve<D> + Clone + Send + Sy
         if self.is_empty() {
             return (Vec::new(), QueryStats::default());
         }
-        self.shards_view().knn_par(q, k, window)
+        self.shards_view().knn_par(q, k, window, None)
     }
 }
 
@@ -2348,12 +2427,30 @@ mod tests {
             1,
             "query wall time lands in the box histogram"
         );
-        // Zero threshold: the query must be traced, with per-shard plans.
+        // Zero threshold: the query must be traced, from what the router
+        // itself executed (a 256-cell Morton box is not decomposed).
         let slow = metrics.slow_queries();
         assert_eq!(slow.len(), 1);
         assert_eq!(slow[0].detail.op, "query_box");
         assert_eq!(slow[0].detail.shards, Some(2));
+        assert_eq!(slow[0].detail.intervals, None);
         assert_eq!(slow[0].detail.stats, stats);
+        assert!(slow[0].detail.decompose_ns.is_some());
+        assert!(slow[0].detail.capture_ns.is_some());
+        // A small box is decomposed once, and the trace counts exactly
+        // the intervals that ran; kNN reports both phases too.
+        let small = BoxRegion::new(Point::new([3, 3]), Point::new([6, 7]));
+        store.query_box(&small);
+        store.knn(Point::new([9, 9]), 3, 4);
+        let slow = metrics.slow_queries();
+        assert_eq!(
+            slow[1].detail.intervals,
+            Some(small.curve_intervals(store.curve()).len())
+        );
+        assert_eq!(slow[2].detail.op, "knn");
+        assert!(slow[2].detail.decompose_ns.is_some());
+        assert!(slow[2].detail.capture_ns.is_some());
+        assert!(slow[2].detail.to_string().contains(" capture="));
         // Gauges reflect the compacted state: one run per non-empty shard,
         // empty memtables, live records summing to the store's len.
         let live: i64 = (0..2)

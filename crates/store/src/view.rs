@@ -12,10 +12,12 @@
 //!
 //! A box query has two exact execution strategies per level — walking the
 //! box's precomputed curve intervals, or BIGMIN key-range jumping (Morton
-//! order only) — and their costs scale differently: intervals pay
-//! `O(volume · log volume)` preprocessing once plus one galloped seek per
+//! order only) — and their costs scale differently: intervals pay one
+//! decomposition per query (`O(perimeter)` aligned cubes on Z, Hilbert and
+//! Gray; every cell of the box on other curves) plus one galloped seek per
 //! interval per level, BIGMIN pays nothing up front but re-derives the
-//! box structure per level through jump computations. Forcing one
+//! box structure per level through jump computations and scans the
+//! out-of-box keys between its jumps. Forcing one
 //! strategy store-wide (the old `query_box_intervals` / `query_box_bigmin`
 //! dichotomy, both still available) leaves work on the table: a store
 //! usually holds one huge bottom run *and* several small recent runs, and
@@ -26,7 +28,8 @@
 //! 1. **Decompose or not.** Non-Morton curves always decompose (intervals
 //!    are their only exact strategy). The Z curve decomposes only when the
 //!    box volume is at most [`INTERVAL_VOLUME_CUTOFF`] cells — beyond
-//!    that, enumerating the box costs more than BIGMIN-scanning every
+//!    that the interval count grows with the box perimeter, and one seek
+//!    per interval per level is weighed against BIGMIN-scanning every
 //!    level.
 //! 2. **Prune.** A run whose key range misses the box's curve span, or
 //!    whose block-summary AABB misses the box outright, is skipped wholesale
@@ -55,6 +58,7 @@ use sfc_index::{
     BlockStore, BoxRegion, DecodedBlock, QueryStats, SfcIndex, BLOCK_SLOTS,
 };
 
+use crate::memtable::SfcMemtable;
 use crate::store::StoreEntryRef;
 
 /// Boxes with at most this many cells are decomposed into exact curve
@@ -62,35 +66,71 @@ use crate::store::StoreEntryRef;
 /// BIGMIN jumps alone. Non-Morton curves always decompose (it is their
 /// only exact strategy).
 ///
-/// The threshold is deliberately low: decomposition costs one encode plus
-/// an `O(volume log volume)` sort *per query*, while the zone-accelerated
-/// BIGMIN scan re-derives the same structure lazily per level at a few
-/// jumps per key-range island — measured on a multi-run million-record
-/// store, jumping overtakes decomposition well before a hundred cells.
-/// Tiny boxes (point-ish lookups) still profit from the zero-overscan
-/// interval walk, which is where the per-level choice below kicks in.
+/// The value was measured when decomposition still enumerated and sorted
+/// every cell of the box; on a multi-run million-record store the
+/// zone-accelerated BIGMIN scan then overtook it well before a hundred
+/// cells. Decomposition is now hierarchical (`O(perimeter)` cubes), so
+/// what the cutoff still weighs is one seek per interval per level
+/// against BIGMIN's key-island overscan — the value is kept, and wants
+/// re-measuring against that cheaper cost (see ROADMAP). Tiny boxes
+/// (point-ish lookups) profit from the zero-overscan interval walk
+/// either way, which is where the per-level choice below kicks in.
 pub const INTERVAL_VOLUME_CUTOFF: u128 = 64;
 
 /// kNN verification balls up to this many cells are decomposed into exact
-/// curve intervals instead of going through the adaptive box planner.
+/// curve intervals instead of going through the adaptive box planner —
+/// on every engine, through [`plan_knn_ball`].
 ///
 /// The ball's side is twice the k-th candidate distance, so a tight
 /// candidate walk produces a box of one-to-a-few hundred cells — the
 /// regime where BIGMIN's key-island overscan costs more extra slot
-/// examinations than decomposition costs to set up (the general-purpose
+/// examinations than walking the exact intervals (the general-purpose
 /// [`INTERVAL_VOLUME_CUTOFF`] is tuned for broad boxes, not for the
-/// point-ish balls kNN verification emits). The cutoff stays small
-/// because decomposition pays one curve encode per cell of volume:
-/// beyond a few hundred cells that setup alone outweighs the overscan it
-/// avoids, and the adaptive planner takes over.
+/// point-ish balls kNN verification emits). Like that constant, the value
+/// dates from when decomposition paid one curve encode per cell of the
+/// ball; it is kept, and wants re-measuring now that the setup is
+/// `O(perimeter)` (see ROADMAP).
 pub const KNN_BALL_INTERVALS_CUTOFF: u128 = 256;
+
+/// The single-writer store's memtable entry: cell and
+/// payload-or-tombstone.
+pub(crate) type Slot<const D: usize, T> = (Point<D>, Option<T>);
 
 /// The newest-level table: key → (cell, payload-or-tombstone). An opaque
 /// [`SfcMemtable`](crate::memtable::SfcMemtable) — the concrete map
 /// behind it (locality-aware B+tree by default, `BTreeMap` under the
 /// `memtable-btreemap` differential feature) is invisible to every layer
 /// compiled against this alias.
-pub(crate) type Memtable<const D: usize, T> = crate::memtable::SfcMemtable<(Point<D>, Option<T>)>;
+pub(crate) type Memtable<const D: usize, T> = crate::memtable::SfcMemtable<Slot<D, T>>;
+
+/// What the query engine reads of a memtable entry. Two tables feed it:
+/// the single-writer store's [`Slot`]s and the shards' seq-stamped
+/// `(cell, payload, seq)` slots, so a shard capture is scanned as it was
+/// written, never converted.
+pub(crate) trait MemSlot<const D: usize, T> {
+    /// The cell the entry belongs to.
+    fn point(&self) -> Point<D>;
+    /// The payload, or `None` for a tombstone.
+    fn payload(&self) -> Option<&T>;
+}
+
+impl<const D: usize, T> MemSlot<D, T> for Slot<D, T> {
+    fn point(&self) -> Point<D> {
+        self.0
+    }
+    fn payload(&self) -> Option<&T> {
+        self.1.as_ref()
+    }
+}
+
+impl<const D: usize, T> MemSlot<D, T> for (Point<D>, Option<T>, u64) {
+    fn point(&self) -> Point<D> {
+        self.0
+    }
+    fn payload(&self) -> Option<&T> {
+        self.1.as_ref()
+    }
+}
 
 /// One immutable sorted run, shareable with snapshots. Tombstones live in
 /// the run's block bitmap; payloads are the dense live-only column.
@@ -164,6 +204,31 @@ pub(crate) fn should_decompose<const D: usize, C: SpaceFillingCurve<D>>(
     curve.as_morton().is_none() || volume <= INTERVAL_VOLUME_CUTOFF
 }
 
+/// How a kNN verification ball is executed.
+pub(crate) enum KnnBallPlan {
+    /// Walk exactly these intervals on every level (zero overscan).
+    Exact(Vec<Interval>),
+    /// Hand the ball to the adaptive box planner with this decomposition
+    /// (`None` = BIGMIN jumps only).
+    Planned(Option<Vec<Interval>>),
+}
+
+/// The one rule every kNN path — single store, sharded, parallel,
+/// snapshot — decomposes its verification ball by: balls up to
+/// [`KNN_BALL_INTERVALS_CUTOFF`] cells walk their exact intervals, larger
+/// ones go through the box planner's own decompose decision.
+pub(crate) fn plan_knn_ball<const D: usize, C: SpaceFillingCurve<D>>(
+    curve: &C,
+    ball: &BoxRegion<D>,
+) -> KnnBallPlan {
+    let volume = ball.volume();
+    if volume <= KNN_BALL_INTERVALS_CUTOFF {
+        KnnBallPlan::Exact(ball.curve_intervals(curve))
+    } else {
+        KnnBallPlan::Planned(should_decompose(curve, volume).then(|| ball.curve_intervals(curve)))
+    }
+}
+
 thread_local! {
     /// Reusable kNN candidate scratch: a max-heap of the best `k` squared
     /// candidate distances seen so far, shared across all levels (and all
@@ -200,23 +265,24 @@ pub(crate) fn radius_from_heap<const D: usize>(
 }
 
 /// A borrowed view of the levels of a store or snapshot: the newest level
-/// (an optional memtable) over a stack of immutable runs, oldest first.
-pub(crate) struct LevelsView<'a, const D: usize, T, C: SpaceFillingCurve<D>> {
+/// (an optional memtable of `S` slots) over a stack of immutable runs,
+/// oldest first.
+pub(crate) struct LevelsView<'a, const D: usize, T, C: SpaceFillingCurve<D>, S = Slot<D, T>> {
     pub curve: &'a C,
     /// `None` for snapshots (whose memtable was flushed at creation).
-    pub memtable: Option<&'a Memtable<D, T>>,
+    pub memtable: Option<&'a SfcMemtable<S>>,
     /// Oldest → newest, like the store's run stack.
     pub runs: &'a [Run<D, T, C>],
 }
 
-impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
+impl<'a, const D: usize, T, C: SpaceFillingCurve<D>, S: MemSlot<D, T>> LevelsView<'a, D, T, C, S> {
     /// The newest version of `key` across all levels, or `None` if no
     /// level mentions it. `Some(None)` means the newest version is a
     /// tombstone.
     pub(crate) fn version(&self, key: CurveIndex) -> Option<Version<'a, D, T>> {
         if let Some(mem) = self.memtable {
-            if let Some((point, slot)) = mem.get(&key) {
-                return Some(slot.as_ref().map(|t| (*point, t)));
+            if let Some(slot) = mem.get(&key) {
+                return Some(slot.payload().map(|t| (slot.point(), t)));
             }
         }
         for run in self.runs.iter().rev() {
@@ -469,16 +535,16 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
     /// Scans the memtable for keys inside the intervals, surfacing each
     /// version to `sink` in ascending key order.
     fn mem_interval_scan(
-        mem: &'a Memtable<D, T>,
+        mem: &'a SfcMemtable<S>,
         intervals: &[Interval],
         stats: &mut QueryStats,
         mut sink: impl FnMut(CurveIndex, Version<'a, D, T>),
     ) {
         for &(lo, hi) in intervals {
             stats.seeks += 1;
-            for (key, (point, slot)) in mem.range_iter(lo, hi) {
+            for (key, slot) in mem.range_iter(lo, hi) {
                 stats.scanned += 1;
-                sink(key, slot.as_ref().map(|t| (*point, t)));
+                sink(key, slot.payload().map(|t| (slot.point(), t)));
             }
         }
     }
@@ -486,7 +552,7 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
     /// Sequential memtable range walk with BIGMIN jumps (Morton order),
     /// surfacing each version to `sink` in ascending key order.
     fn mem_bigmin_scan(
-        mem: &'a Memtable<D, T>,
+        mem: &'a SfcMemtable<S>,
         z: &ZCurve<D>,
         b: &BoxRegion<D>,
         stats: &mut QueryStats,
@@ -499,12 +565,13 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
         'memtable: loop {
             let mut range = mem.range_iter(cur, zmax);
             loop {
-                let Some((key, (point, slot))) = range.next() else {
+                let Some((key, slot)) = range.next() else {
                     break 'memtable;
                 };
                 stats.scanned += 1;
-                if b.contains(point) {
-                    sink(key, slot.as_ref().map(|t| (*point, t)));
+                let point = slot.point();
+                if b.contains(&point) {
+                    sink(key, slot.payload().map(|t| (point, t)));
                 } else {
                     match bigmin(z, key, zmin, zmax) {
                         Some(next) => {
@@ -651,11 +718,11 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
         stats.seeks += 1;
         let mut live = 0usize;
         let mut slots = 0usize;
-        for (_ck, (point, slot)) in mem.iter_rev_below(key) {
+        for (_ck, slot) in mem.iter_rev_below(key) {
             slots += 1;
             stats.scanned += 1;
-            if slot.is_some() {
-                offer(heap, k, q.euclidean_sq(point));
+            if slot.payload().is_some() {
+                offer(heap, k, q.euclidean_sq(&slot.point()));
                 live += 1;
             }
             if live >= k && slots >= window {
@@ -664,11 +731,11 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
         }
         live = 0;
         slots = 0;
-        for (_ck, (point, slot)) in mem.iter_from(key) {
+        for (_ck, slot) in mem.iter_from(key) {
             slots += 1;
             stats.scanned += 1;
-            if slot.is_some() {
-                offer(heap, k, q.euclidean_sq(point));
+            if slot.payload().is_some() {
+                offer(heap, k, q.euclidean_sq(&slot.point()));
                 live += 1;
             }
             if live >= k && slots >= window {
@@ -826,15 +893,12 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
             radius_from_heap(self.curve.grid(), heap, k)
         });
         let ball = BoxRegion::chebyshev_ball(self.curve.grid(), q, radius);
-        // The verification ball is tiny whenever the candidate walk found a
-        // tight radius, and BIGMIN's key-island overscan is proportionally
-        // worst on tiny boxes — so decompose the ball exactly (zero
-        // overscan) and reserve the adaptive planner for degenerate balls
-        // whose decomposition cost would dominate.
-        let (all, ball_stats) = if ball.volume() <= KNN_BALL_INTERVALS_CUTOFF {
-            self.query_box_intervals(&ball)
-        } else {
-            self.query_box(&ball)
+        let (all, ball_stats) = match plan_knn_ball(self.curve, &ball) {
+            KnnBallPlan::Exact(intervals) => self.query_intervals(&intervals),
+            KnnBallPlan::Planned(intervals) => {
+                let plan = self.plan_box_with(&ball, intervals);
+                self.execute_plan(&ball, &plan)
+            }
         };
         stats.add(&ball_stats);
         let all = rank_by_distance(all, q, k);
@@ -859,11 +923,11 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
             stats.seeks += 1;
             let mut live = 0usize;
             let mut slots = 0usize;
-            for (ck, (point, slot)) in mem.iter_rev_below(key) {
+            for (ck, slot) in mem.iter_rev_below(key) {
                 slots += 1;
                 stats.scanned += 1;
-                if slot.is_some() {
-                    candidates.push((q.euclidean_sq(point), ck));
+                if slot.payload().is_some() {
+                    candidates.push((q.euclidean_sq(&slot.point()), ck));
                     live += 1;
                 }
                 if live >= k && slots >= window {
@@ -872,11 +936,11 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
             }
             live = 0;
             slots = 0;
-            for (ck, (point, slot)) in mem.iter_from(key) {
+            for (ck, slot) in mem.iter_from(key) {
                 slots += 1;
                 stats.scanned += 1;
-                if slot.is_some() {
-                    candidates.push((q.euclidean_sq(point), ck));
+                if slot.payload().is_some() {
+                    candidates.push((q.euclidean_sq(&slot.point()), ck));
                     live += 1;
                 }
                 if live >= k && slots >= window {
@@ -946,7 +1010,7 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
 
     /// A lazy k-way merge of all levels in curve order, newest-wins, with
     /// tombstones suppressed.
-    pub(crate) fn iter(&self) -> SnapshotIter<'a, D, T> {
+    pub(crate) fn iter(&self) -> SnapshotIter<'a, D, T, S> {
         SnapshotIter {
             mem: self.memtable.map(|mem| mem.iter().peekable()),
             runs: self
@@ -964,7 +1028,7 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
     }
 }
 
-impl<'a, const D: usize, T> LevelsView<'a, D, T, ZCurve<D>> {
+impl<'a, const D: usize, T, S: MemSlot<D, T>> LevelsView<'a, D, T, ZCurve<D>, S> {
     /// Box query by BIGMIN-jumping key-range scans (Tropf & Herzog):
     /// zone-accelerated [`bigmin_scan`] per run (runs pruned by key range
     /// and AABB) plus an equivalent jumping scan over the memtable's key
@@ -1131,20 +1195,19 @@ impl<'a, const D: usize, T> RunCursor<'a, D, T> {
 }
 
 /// A peekable walk of the memtable level.
-type MemIter<'a, const D: usize, T> =
-    std::iter::Peekable<crate::memtable::Iter<'a, (Point<D>, Option<T>)>>;
+type MemIter<'a, S> = std::iter::Peekable<crate::memtable::Iter<'a, S>>;
 
 /// Snapshot iterator over the live records of a store or snapshot in curve
 /// order (see [`SfcStore::iter`](crate::SfcStore::iter) and
 /// [`StoreSnapshot::iter`](crate::StoreSnapshot::iter)).
-pub struct SnapshotIter<'a, const D: usize, T> {
+pub struct SnapshotIter<'a, const D: usize, T, S = Slot<D, T>> {
     /// `None` when iterating a snapshot (no memtable level).
-    mem: Option<MemIter<'a, D, T>>,
+    mem: Option<MemIter<'a, S>>,
     /// Oldest → newest, like the store's run stack.
     runs: Vec<RunCursor<'a, D, T>>,
 }
 
-impl<const D: usize, T> fmt::Debug for SnapshotIter<'_, D, T> {
+impl<const D: usize, T, S> fmt::Debug for SnapshotIter<'_, D, T, S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SnapshotIter")
             .field(
@@ -1155,7 +1218,7 @@ impl<const D: usize, T> fmt::Debug for SnapshotIter<'_, D, T> {
     }
 }
 
-impl<'a, const D: usize, T> Iterator for SnapshotIter<'a, D, T> {
+impl<'a, const D: usize, T, S: MemSlot<D, T>> Iterator for SnapshotIter<'a, D, T, S> {
     type Item = StoreEntryRef<'a, D, T>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -1180,8 +1243,8 @@ impl<'a, const D: usize, T> Iterator for SnapshotIter<'a, D, T> {
             }
             if let Some(mem) = self.mem.as_mut() {
                 if mem.peek().map(|&(key, _)| key) == Some(min) {
-                    let (_, (point, slot)) = mem.next().expect("peeked");
-                    winner = Some((*point, slot.as_ref()));
+                    let (_, slot) = mem.next().expect("peeked");
+                    winner = Some((slot.point(), slot.payload()));
                 }
             }
             let (point, slot) = winner.expect("min key came from some level");

@@ -1,7 +1,8 @@
 //! Concurrency stress tests for the `&self` sharded store engine:
 //! parallel writers on disjoint curve ranges, snapshot readers sampling
-//! mid-flight state, live readers racing the flush protocol, and a
-//! stop-the-world rebalance under fire. Every snapshot must be internally
+//! mid-flight state, live readers racing the flush protocol, iterators
+//! and kNN calls over copy-on-write captures while writers mutate the
+//! captured memtables, and a stop-the-world rebalance under fire. Every snapshot must be internally
 //! consistent, no reader may ever observe a flush gap or time travel, and
 //! the final state must equal a sequential replay of the same per-thread
 //! op streams.
@@ -10,12 +11,13 @@
 //! `--release`, where the tighter timings shake out races the debug
 //! interleavings miss.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use rand::Rng;
-use sfc_core::{CurveIndex, Grid, Point, SpaceFillingCurve, ZCurve};
+use sfc_core::{CurveIndex, Grid, HilbertCurve, Point, SpaceFillingCurve, ZCurve};
 use sfc_index::BoxRegion;
 use sfc_integration::test_rng;
 use sfc_store::{
@@ -409,4 +411,161 @@ fn writers_never_stall_behind_maintenance_merges() {
         .map(|e| (e.key, e.point, *e.payload))
         .collect();
     assert_eq!(flat(store.iter()), want, "maintenance lost writes");
+}
+
+/// `iter()` captures every shard when it is created; writers that insert,
+/// delete and overwrite afterwards — and the flushes and compactions they
+/// trigger — must not show in it. The iterator is created on a quiesced
+/// store and read a little, then drained while four writers and an
+/// explicit flush + compaction run (a barrier starts them only once the
+/// iterator exists): it yields exactly the model as of its creation, and
+/// a fresh `iter()` afterwards sees every write.
+#[test]
+fn iter_yields_the_state_as_of_its_creation() {
+    let grid = Grid::<2>::new(5).unwrap();
+    let z = ZCurve::over(grid);
+    // Capacity 48: every shard holds a non-empty memtable *and* runs.
+    let store = ShardedSfcStore::with_memtable_capacity(z, WRITER_THREADS, 48);
+    let mut model: BTreeMap<CurveIndex, (Point<2>, u32)> = BTreeMap::new();
+    let mut rng = test_rng(0x17E8);
+    for i in 0..700u32 {
+        let p = grid.random_cell(&mut rng);
+        if i % 5 == 4 {
+            store.delete(p);
+            model.remove(&z.index_of(p));
+        } else {
+            store.insert(p, i);
+            model.insert(z.index_of(p), (p, i));
+        }
+    }
+    assert!(
+        store.shard_memtable_lens().iter().all(|&n| n > 0),
+        "every capture must hold a live memtable for the writers to disturb"
+    );
+    let expected: Vec<_> = model.iter().map(|(&k, &(p, v))| (k, p, v)).collect();
+
+    let mut it = store.iter();
+    let mut seen: Vec<StoreEntry<2, u32>> = it.by_ref().take(10).collect();
+    let start = Barrier::new(WRITER_THREADS + 1);
+    std::thread::scope(|scope| {
+        for writer in 0..WRITER_THREADS as u32 {
+            let (store, start) = (&store, &start);
+            let ops = writer_ops(grid, writer);
+            scope.spawn(move || {
+                start.wait();
+                for (p, op) in ops {
+                    match op {
+                        Some(v) => {
+                            store.insert(p, v);
+                        }
+                        None => {
+                            store.delete(p);
+                        }
+                    }
+                }
+            });
+        }
+        start.wait();
+        // Drain part of it while the writers run ...
+        seen.extend(it.by_ref().take(expected.len() / 2));
+        store.flush();
+        store.compact();
+    });
+    // ... and the rest after everything has been written and merged.
+    seen.extend(it);
+    assert_eq!(flat(seen), expected, "iter() drifted from its creation");
+
+    for writer in 0..WRITER_THREADS as u32 {
+        for (p, op) in writer_ops(grid, writer) {
+            match op {
+                Some(v) => model.insert(z.index_of(p), (p, v)),
+                None => model.remove(&z.index_of(p)),
+            };
+        }
+    }
+    let now: Vec<_> = model.iter().map(|(&k, &(p, v))| (k, p, v)).collect();
+    assert_eq!(flat(store.iter()), now, "a fresh iter() sees every write");
+}
+
+/// kNN calls racing writers, flushes and compactions on a Hilbert store
+/// (every verification ball is interval-decomposed): no call may return a
+/// key twice, a key deleted before the call began, or fewer than `k` rows
+/// — at least `k` records stay live throughout.
+#[test]
+fn knn_racing_writers_is_exact_about_what_it_may_return() {
+    const K: usize = 8;
+    let grid = Grid::<2>::new(5).unwrap();
+    let h = HilbertCurve::over(grid);
+    let store = ShardedSfcStore::with_memtable_capacity(h, WRITER_THREADS, 24);
+    // Three disjoint cell classes by x mod 3: stable cells are written
+    // once and never touched again, doomed cells are deleted before any
+    // reader starts, churn cells belong to the writers.
+    let mut doomed = BTreeSet::new();
+    let mut stable = 0usize;
+    for p in grid.cells() {
+        match p.coord(0) % 3 {
+            0 if p.coord(1) % 4 == 0 => {
+                store.insert(p, 1u32);
+                stable += 1;
+            }
+            1 => {
+                store.insert(p, 2);
+                doomed.insert(h.index_of(p));
+            }
+            _ => {}
+        }
+    }
+    assert!(stable >= K);
+    for &key in &doomed {
+        store.delete(h.point_of(key));
+    }
+
+    let done = AtomicBool::new(false);
+    let start = Barrier::new(WRITER_THREADS + 1);
+    std::thread::scope(|scope| {
+        for writer in 0..WRITER_THREADS as u32 {
+            let (store, start, done) = (&store, &start, &done);
+            scope.spawn(move || {
+                let mut rng = test_rng(0xA11 + u64::from(writer));
+                start.wait();
+                let mut i = 0u32;
+                while !done.load(Ordering::Relaxed) {
+                    let y = rng.gen_range(0..grid.side() as u32);
+                    let x = 3 * rng.gen_range(0..grid.side() as u32 / 3) + 2;
+                    let p = Point::new([x, y]);
+                    if i % 3 == 2 {
+                        store.delete(p);
+                    } else {
+                        store.insert(p, 1_000 + i);
+                    }
+                    if i % 400 == 399 && writer == 0 {
+                        store.compact();
+                    }
+                    i += 1;
+                }
+            });
+        }
+        let mut rng = test_rng(0xB22);
+        start.wait();
+        for call in 0..400 {
+            let q = grid.random_cell(&mut rng);
+            let (hits, _) = if call % 2 == 0 {
+                store.knn(q, K, 4)
+            } else {
+                store.knn_par(q, K, 4)
+            };
+            assert_eq!(
+                hits.len(),
+                K,
+                "call {call}: {K} records were live throughout"
+            );
+            let keys: BTreeSet<CurveIndex> = hits.iter().map(|e| e.key).collect();
+            assert_eq!(keys.len(), K, "call {call}: a key came back twice");
+            assert!(
+                keys.is_disjoint(&doomed),
+                "call {call}: a key deleted before the call came back"
+            );
+        }
+        done.store(true, Ordering::Relaxed);
+    });
 }

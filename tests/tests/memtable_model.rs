@@ -3,9 +3,9 @@
 //! Every property drives the B+tree and a plain
 //! `BTreeMap<CurveIndex, V>` through the same operation interleavings —
 //! insert/update/delete, range and reverse iteration, owned cursors,
-//! seq-windowed `retain` drains (the shard flush protocol), and
-//! `from_sorted` bulk loads — and requires identical observable state at
-//! every checkpoint. Key streams come in two flavours, curve-local
+//! seq-windowed `retain` drains (the shard flush protocol), copy-on-write
+//! `snapshot`s, and `from_sorted` bulk loads — and requires identical
+//! observable state at every checkpoint. Key streams come in two flavours, curve-local
 //! random walks (the hint-cache fast path) and uniform-random keys (the
 //! root-descent slow path), so both code paths face every interleaving.
 //!
@@ -182,6 +182,87 @@ proptest! {
                 cursors.remove(0);
             }
         }
+    }
+
+    /// Snapshot isolation: a `snapshot()` equals the model as of its
+    /// creation after any later insert, remove, `retain`, `clear` or leaf
+    /// split on the live table — and the other way round, since a
+    /// snapshot is a full table of its own that can be written to.
+    #[test]
+    fn snapshots_are_isolated_from_later_writes(
+        seed in any::<u64>(),
+        leaf_cap in 4usize..48,
+        local in any::<bool>(),
+    ) {
+        type Model = BTreeMap<CurveIndex, u64>;
+        fn contents(table: &SfcMemtable<u64>) -> Vec<(CurveIndex, u64)> {
+            table.iter().map(|(k, &v)| (k, v)).collect()
+        }
+        fn expected(model: &Model) -> Vec<(CurveIndex, u64)> {
+            model.iter().map(|(&k, &v)| (k, v)).collect()
+        }
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let universe = 500u128;
+        let mut live: SfcMemtable<u64> = SfcMemtable::with_leaf_capacity(leaf_cap);
+        let mut model = Model::new();
+        let mut snapshots: Vec<(SfcMemtable<u64>, Model)> = Vec::new();
+        let mut cur = universe / 2;
+        for step in 0..900u64 {
+            let k = next_key(&mut rng, &mut cur, local, universe);
+            match rng.gen_range(0..20u32) {
+                0..=10 => prop_assert_eq!(live.insert(k, step), model.insert(k, step)),
+                11..=13 => prop_assert_eq!(live.remove(&k), model.remove(&k)),
+                14 => {
+                    let cutoff = rng.gen_range(0..universe);
+                    live.retain(|key, _| key >= cutoff);
+                    model.retain(|&key, _| key >= cutoff);
+                }
+                15 => {
+                    if rng.gen_range(0..4u32) == 0 {
+                        live.clear();
+                        model.clear();
+                    }
+                }
+                16..=17 => {
+                    snapshots.push((live.snapshot(), model.clone()));
+                    if snapshots.len() > 4 {
+                        snapshots.remove(0);
+                    }
+                }
+                _ => {
+                    // Write to a snapshot: the live table must not notice.
+                    if let Some((snap, snap_model)) = snapshots.last_mut() {
+                        prop_assert_eq!(snap.insert(k, step), snap_model.insert(k, step));
+                        let gone = (k + 1) % universe;
+                        prop_assert_eq!(snap.remove(&gone), snap_model.remove(&gone));
+                    }
+                }
+            }
+            prop_assert_eq!(live.len(), model.len());
+            prop_assert_eq!(live.get(&k), model.get(&k));
+            for (snap, snap_model) in &snapshots {
+                prop_assert_eq!(snap.len(), snap_model.len());
+                prop_assert_eq!(snap.get(&k), snap_model.get(&k));
+            }
+            if step % 16 == 0 {
+                prop_assert_eq!(contents(&live), expected(&model));
+                for (snap, snap_model) in &snapshots {
+                    prop_assert_eq!(contents(snap), expected(snap_model));
+                    let hi = k + 40;
+                    let got: Vec<_> = snap.range_iter(k, hi).map(|(k, &v)| (k, v)).collect();
+                    let want: Vec<_> = snap_model.range(k..=hi).map(|(&k, &v)| (k, v)).collect();
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
+        prop_assert_eq!(contents(&live), expected(&model));
+        for (snap, snap_model) in snapshots {
+            prop_assert_eq!(contents(&snap), expected(&snap_model));
+            // The owned drain copies out of leaves another table still shares.
+            let drained: Vec<_> = snap.into_iter().collect();
+            prop_assert_eq!(drained, expected(&snap_model));
+        }
+        prop_assert_eq!(contents(&live), expected(&model));
     }
 
     /// `from_sorted` bulk load produces the same tree as one-by-one
