@@ -1,5 +1,5 @@
-//! Streaming ingest through `SfcStore` vs repeated `SfcIndex::build`
-//! rebuilds — the dynamic-workload scenario the store exists for.
+//! Streaming ingest through a one-shard `ShardedSfcStore` vs repeated
+//! `SfcIndex::build` rebuilds — the dynamic-workload scenario the store exists for.
 //!
 //! Scenario (per curve family): a 1M-record base set on a 2048×2048 grid
 //! absorbs 100k upserts in 10 rounds of 10k, with a batch of box queries
@@ -22,7 +22,7 @@ use sfc_index::{BoxRegion, QueryStats, SfcIndex};
 use sfc_obs::MetricsRegistry;
 use sfc_store::memtable::bptree::BPlusTreeMap;
 use sfc_store::memtable::SfcMemtable;
-use sfc_store::{BatchOp, EngineMetrics, SfcStore, ShardedSfcStore, WalConfig};
+use sfc_store::{BatchOp, EngineMetrics, ShardedSfcStore, WalConfig};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::io::Write as _;
@@ -107,7 +107,7 @@ fn assert_equivalence(sc: &Scenario) {
 
     // Z: BIGMIN both sides, plus kNN.
     let z = ZCurve::over(sc.grid);
-    let mut store = SfcStore::bulk_load(z, sc.base.iter().copied());
+    let store = ShardedSfcStore::bulk_load(z, 1, sc.base.iter().copied());
     let mut authority = authority_of(&z, &sc.base);
     for updates in &sc.rounds {
         apply_round(&z, &mut authority, updates);
@@ -117,6 +117,7 @@ fn assert_equivalence(sc: &Scenario) {
     }
     let index = SfcIndex::build(z, authority.values().copied());
     assert_eq!(store.len(), index.len(), "live set size");
+    let store = store.snapshot();
     for b in &sc.boxes {
         let (got, _) = store.query_box_bigmin(b);
         let (want, _) = index.query_box_bigmin(b);
@@ -145,7 +146,7 @@ fn assert_equivalence(sc: &Scenario) {
 
     // Hilbert: interval strategy both sides.
     let h = HilbertCurve::over(sc.grid);
-    let mut store = SfcStore::bulk_load(h, sc.base.iter().copied());
+    let store = ShardedSfcStore::bulk_load(h, 1, sc.base.iter().copied());
     let mut authority = authority_of(&h, &sc.base);
     for updates in &sc.rounds {
         apply_round(&h, &mut authority, updates);
@@ -154,6 +155,7 @@ fn assert_equivalence(sc: &Scenario) {
         }
     }
     let index = SfcIndex::build(h, authority.values().copied());
+    let store = store.snapshot();
     for b in &sc.boxes {
         let (got, _) = store.query_box_intervals(b);
         let (want, _) = index.query_box_intervals(b);
@@ -170,17 +172,16 @@ fn assert_equivalence(sc: &Scenario) {
     println!("equivalence: store query results byte-identical to static index (Z + Hilbert)");
 }
 
-/// Asserts the sharded store's query results are byte-identical to the
-/// single store's (router + fan-out must be invisible to readers) — for
-/// the sequential fan-out AND the scoped-thread parallel one, which now
-/// really distributes the per-shard scans — and reports per-shard shape
-/// and query work.
+/// Asserts the `parts`-shard store's query results are byte-identical to
+/// the one-shard store's (router + fan-out must be invisible to readers)
+/// — for the sequential fan-out AND the scoped-thread parallel one, which
+/// really distributes the per-shard scans — and reports per-shard shape.
 fn assert_sharded_equivalence(
     sc: &Scenario,
     parts: usize,
 ) -> (
     ShardedSfcStore<2, u64, ZCurve<2>>,
-    SfcStore<2, u64, ZCurve<2>>,
+    ShardedSfcStore<2, u64, ZCurve<2>>,
 ) {
     let z = ZCurve::over(sc.grid);
     let sharded = ShardedSfcStore::bulk_load(z, parts, sc.base.iter().copied());
@@ -188,7 +189,7 @@ fn assert_sharded_equivalence(
     // unbiased for rebalancing, and the accumulator's bookkeeping stays
     // off the per-upsert hot path.
     sharded.set_traffic_sampling(64);
-    let mut single = SfcStore::bulk_load(z, sc.base.iter().copied());
+    let single = ShardedSfcStore::bulk_load(z, 1, sc.base.iter().copied());
     for updates in &sc.rounds {
         for &(p, v) in updates {
             sharded.insert(p, v);
@@ -197,8 +198,6 @@ fn assert_sharded_equivalence(
     }
     assert_eq!(sharded.len(), single.len(), "live set size");
     let triple = |key: CurveIndex, point: Point<2>, payload: u64| (key, point, payload);
-    let mut per_shard_work = vec![QueryStats::default(); parts];
-    let frozen = sharded.snapshot();
     for b in &sc.boxes {
         let (got, _) = sharded.query_box_bigmin(b);
         let (par, _) = sharded.query_box_bigmin_par(b);
@@ -213,7 +212,7 @@ fn assert_sharded_equivalence(
             .collect();
         let want: Vec<_> = want
             .iter()
-            .map(|e| triple(e.key, e.point, *e.payload))
+            .map(|e| triple(e.key, e.point, e.payload))
             .collect();
         assert_eq!(got, want, "sharded bigmin mismatch on {b:?}");
         assert_eq!(par, want, "par fan-out bigmin mismatch on {b:?}");
@@ -231,28 +230,21 @@ fn assert_sharded_equivalence(
             .collect();
         let wk: Vec<_> = wk
             .iter()
-            .map(|e| triple(e.key, e.point, *e.payload))
+            .map(|e| triple(e.key, e.point, e.payload))
             .collect();
         assert_eq!(gk, wk, "sharded knn mismatch at {q}");
         assert_eq!(gkp, wk, "par knn mismatch at {q}");
-        for (j, shard) in frozen.shards().iter().enumerate() {
-            let (_, s) = shard.query_box_bigmin(b);
-            per_shard_work[j].seeks += s.seeks;
-            per_shard_work[j].scanned += s.scanned;
-            per_shard_work[j].reported += s.reported;
-        }
     }
     println!(
-        "sharded equivalence: {parts}-shard results byte-identical to single store (seq + par)"
+        "sharded equivalence: {parts}-shard results byte-identical to the one-shard store (seq + par)"
     );
-    for (j, (len, work)) in sharded.shard_lens().iter().zip(&per_shard_work).enumerate() {
-        println!(
-            "  shard {j}: {len} live | runs {:?} | box-query work: seeks {} scanned {} reported {}",
-            sharded.shard_run_lens()[j],
-            work.seeks,
-            work.scanned,
-            work.reported
-        );
+    for (j, (len, runs)) in sharded
+        .shard_lens()
+        .iter()
+        .zip(sharded.shard_run_lens())
+        .enumerate()
+    {
+        println!("  shard {j}: {len} live | runs {runs:?}");
     }
     (sharded, single)
 }
@@ -260,10 +252,10 @@ fn assert_sharded_equivalence(
 fn bench_sharded_ingest(c: &mut Criterion) {
     const PARTS: usize = 4;
     let sc = scenario();
-    let (sharded, mut single) = assert_sharded_equivalence(&sc, PARTS);
+    let (sharded, single) = assert_sharded_equivalence(&sc, PARTS);
 
     let mut group = c.benchmark_group("sharded_ingest_100k_into_1m");
-    group.bench_function("z_single_store", |bencher| {
+    group.bench_function("z_one_shard", |bencher| {
         bencher.iter(|| {
             let mut total = 0usize;
             for updates in &sc.rounds {
@@ -831,7 +823,7 @@ fn bench_ingest(c: &mut Criterion) {
             });
             // Streaming path: updates land in the memtable, flushes and
             // size-tiered merges amortise the sort.
-            let mut store = SfcStore::bulk_load(curve, sc.base.iter().copied());
+            let store = ShardedSfcStore::bulk_load(curve, 1, sc.base.iter().copied());
             group.bench_function(concat!($name, "_store_streaming"), |bencher| {
                 bencher.iter(|| {
                     let mut total = 0usize;
@@ -904,9 +896,9 @@ const KNN_WINDOW: usize = 16;
 /// Builds the benchmark store: 1M bulk-loaded records plus 100k streamed
 /// updates (1 in 10 a delete), left un-compacted so queries span a big
 /// bottom run, several mid-size runs, and a warm memtable.
-fn query_store(sc: &Scenario) -> SfcStore<2, u64, ZCurve<2>> {
+fn query_store(sc: &Scenario) -> ShardedSfcStore<2, u64, ZCurve<2>> {
     let z = ZCurve::over(sc.grid);
-    let mut store = SfcStore::bulk_load(z, sc.base.iter().copied());
+    let store = ShardedSfcStore::bulk_load(z, 1, sc.base.iter().copied());
     for updates in &sc.rounds {
         for (i, &(p, v)) in updates.iter().enumerate() {
             if i % 10 == 9 {
@@ -944,13 +936,18 @@ fn selective_boxes(sc: &Scenario) -> (Vec<BoxRegion<2>>, Vec<Point<2>>) {
 }
 
 fn bench_query_paths(c: &mut Criterion, sc: &Scenario) -> QueryBench {
-    let store = query_store(sc);
+    // Every path below reads a snapshot: the same levels a live query
+    // captures, with borrowed hits, so the timings compare scan paths and
+    // not payload clones.
+    let live = query_store(sc);
+    let store = live.snapshot();
+    let shard = &store.shards()[0];
     let (boxes, knn_queries) = selective_boxes(sc);
     println!(
         "query benchmark store: {} live, runs {:?}, memtable {}",
         store.len(),
-        store.run_lens(),
-        store.memtable_len()
+        shard.run_lens(),
+        shard.memtable_len()
     );
 
     // Byte-identical results across every path, asserted before timing.
@@ -1034,10 +1031,10 @@ fn bench_query_paths(c: &mut Criterion, sc: &Scenario) -> QueryBench {
     );
 
     // Memory footprint of the compressed store vs the naive layout.
-    let slots: usize = store.run_lens().iter().sum::<usize>() + store.memtable_len();
+    let slots: usize = shard.run_lens().iter().sum::<usize>() + shard.memtable_len();
     let footprint = Footprint {
         heap_bytes: store.heap_bytes(),
-        memtable_heap_bytes: store.memtable_heap_bytes(),
+        memtable_heap_bytes: live.shard_memtable_heap_bytes()[0],
         slots,
         naive_slot_bytes: std::mem::size_of::<CurveIndex>()
             + std::mem::size_of::<Point<2>>()
@@ -1051,7 +1048,7 @@ fn bench_query_paths(c: &mut Criterion, sc: &Scenario) -> QueryBench {
         footprint.compression_ratio(),
         footprint.naive_slot_bytes,
         footprint.memtable_heap_bytes,
-        store.memtable_len()
+        shard.memtable_len()
     );
     assert!(
         footprint.compression_ratio() >= 2.0,
@@ -1171,12 +1168,12 @@ fn bench_metrics_overhead(c: &mut Criterion, sc: &Scenario) -> Arc<EngineMetrics
         .map(|i| (sc.grid.random_cell(&mut rng), i as u64))
         .collect();
     let registry = Arc::new(MetricsRegistry::new());
-    let metrics = EngineMetrics::for_store(registry);
+    let metrics = EngineMetrics::for_shards(registry, 1);
 
     let mut group = c.benchmark_group("metrics_overhead");
     group.bench_function("ingest_uninstrumented", |bencher| {
         bencher.iter(|| {
-            let mut store = SfcStore::with_memtable_capacity(z, 4096);
+            let store = ShardedSfcStore::with_memtable_capacity(z, 1, 4096);
             for &(p, v) in &ops {
                 store.insert(p, v);
             }
@@ -1185,7 +1182,7 @@ fn bench_metrics_overhead(c: &mut Criterion, sc: &Scenario) -> Arc<EngineMetrics
     });
     group.bench_function("ingest_instrumented", |bencher| {
         bencher.iter(|| {
-            let mut store = SfcStore::with_memtable_capacity(z, 4096);
+            let mut store = ShardedSfcStore::with_memtable_capacity(z, 1, 4096);
             store.attach_metrics(metrics.clone());
             for &(p, v) in &ops {
                 store.insert(p, v);
@@ -1198,7 +1195,7 @@ fn bench_metrics_overhead(c: &mut Criterion, sc: &Scenario) -> Arc<EngineMetrics
     // Run the query paths once through an instrumented store so the
     // registry snapshot in the report carries real query metrics (and a
     // slow-query trace or two) alongside the ingest counters.
-    let mut store = SfcStore::bulk_load(z, ops.iter().copied());
+    let mut store = ShardedSfcStore::bulk_load(z, 1, ops.iter().copied());
     store.attach_metrics(metrics.clone());
     metrics.set_slow_query_threshold(std::time::Duration::from_micros(100));
     let (boxes, knn_queries) = selective_boxes(sc);

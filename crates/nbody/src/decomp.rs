@@ -10,7 +10,7 @@
 
 use crate::body::{body_keys, quantize, Body};
 use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
-use sfc_store::SfcStore;
+use sfc_store::ShardedSfcStore;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -62,11 +62,12 @@ fn chunks_of<const D: usize>(sorted: &[Body<D>], p: usize) -> Vec<Chunk> {
 ///
 /// * [`Orderer::rebuild`] — the static path: every call batch-encodes all
 ///   bodies and re-sorts from scratch (exactly what the experiments do).
-/// * [`Orderer::incremental`] — bodies are registered in an [`SfcStore`]
-///   keyed by their quantised grid cell (payload: the body slots in that
-///   cell); each call re-ingests **only the bodies whose cell changed**
-///   since the previous call, then reads the order back from the store's
-///   snapshot iterator. With a small time step, most bodies stay in their
+/// * [`Orderer::incremental`] — bodies are registered in a one-shard
+///   [`ShardedSfcStore`] keyed by their quantised grid cell (payload: the
+///   body slots in that cell); each call re-ingests **only the bodies
+///   whose cell changed** since the previous call, then reads the order
+///   back from the store's snapshot iterator (borrowed — no slot list is
+///   cloned). With a small time step, most bodies stay in their
 ///   cell, so the per-step cost is driven by cell crossings instead of
 ///   `n log n`.
 ///
@@ -85,7 +86,7 @@ enum Mode<const D: usize, C: SpaceFillingCurve<D> + Clone> {
     Rebuild,
     Incremental {
         /// Cell → slots of the bodies currently in it.
-        store: SfcStore<D, Vec<u32>, C>,
+        store: ShardedSfcStore<D, Vec<u32>, C>,
         /// Last known cell per body slot.
         cells: Vec<Point<D>>,
     },
@@ -113,10 +114,11 @@ impl<const D: usize, C: SpaceFillingCurve<D> + Clone> Orderer<D, C> {
         }
     }
 
-    /// An orderer that keeps bodies registered in an [`SfcStore`] and
-    /// re-ingests only bodies whose grid cell changed.
+    /// An orderer that keeps bodies registered in a one-shard
+    /// [`ShardedSfcStore`] and re-ingests only bodies whose grid cell
+    /// changed.
     pub fn incremental(curve: C) -> Self {
-        let store = SfcStore::new(curve.clone());
+        let store = ShardedSfcStore::new(curve.clone(), 1);
         Self {
             curve,
             mode: Mode::Incremental {
@@ -161,7 +163,7 @@ impl<const D: usize, C: SpaceFillingCurve<D> + Clone> Orderer<D, C> {
                     for (slot, &cell) in cells.iter().enumerate() {
                         groups.entry(cell).or_default().push(slot as u32);
                     }
-                    *store = SfcStore::bulk_load(self.curve.clone(), groups);
+                    *store = ShardedSfcStore::bulk_load(self.curve.clone(), 1, groups);
                 } else {
                     for (slot, body) in bodies.iter().enumerate() {
                         let cell = quantize(grid, &body.pos);
@@ -173,7 +175,7 @@ impl<const D: usize, C: SpaceFillingCurve<D> + Clone> Orderer<D, C> {
                 }
                 let mut perm = Vec::with_capacity(bodies.len());
                 let mut keys = Vec::with_capacity(bodies.len());
-                for entry in store.iter() {
+                for entry in store.snapshot().iter() {
                     for &slot in entry.payload {
                         perm.push(slot);
                         keys.push(entry.key);
@@ -197,19 +199,19 @@ impl<const D: usize, C: SpaceFillingCurve<D> + Clone> Orderer<D, C> {
 
 /// Moves body `slot` from cell `from` to cell `to` in the registry.
 fn move_slot<const D: usize, C: SpaceFillingCurve<D> + Clone>(
-    store: &mut SfcStore<D, Vec<u32>, C>,
+    store: &ShardedSfcStore<D, Vec<u32>, C>,
     from: Point<D>,
     to: Point<D>,
     slot: u32,
 ) {
-    let mut old = store.get(from).cloned().unwrap_or_default();
+    let mut old = store.get(from).unwrap_or_default();
     old.retain(|&s| s != slot);
     if old.is_empty() {
         store.delete(from);
     } else {
         store.insert(from, old);
     }
-    let mut new = store.get(to).cloned().unwrap_or_default();
+    let mut new = store.get(to).unwrap_or_default();
     new.push(slot);
     store.insert(to, new);
 }

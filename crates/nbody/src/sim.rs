@@ -13,8 +13,8 @@ pub enum OrderingMode {
     /// Re-sort all bodies from scratch every step (the static path used by
     /// the experiments).
     Rebuild,
-    /// Maintain the order incrementally through an
-    /// [`SfcStore`](sfc_store::SfcStore)-backed [`Orderer`]: only bodies
+    /// Maintain the order incrementally through a
+    /// [`ShardedSfcStore`](sfc_store::ShardedSfcStore)-backed [`Orderer`]: only bodies
     /// that crossed a grid-cell boundary are re-ingested.
     Incremental,
 }

@@ -59,8 +59,7 @@ pub mod prelude {
     pub use sfc_metrics::nn_stretch::NnStretchSummary;
     pub use sfc_partition::{ConcurrentTraffic, Partition, TrafficWeights, WeightedGrid, Workload};
     pub use sfc_store::{
-        LevelStrategy, QueryPlan, SfcStore, ShardedSfcStore, ShardedSnapshot, StoreEntry,
-        StoreSnapshot,
+        LevelStrategy, QueryPlan, ShardedSfcStore, ShardedSnapshot, StoreEntry, StoreSnapshot,
     };
 }
 

@@ -91,8 +91,8 @@ use crate::wal::{DurabilityHook, WalError, WalRecord};
 /// clone and scan it at leisure.
 #[derive(Debug)]
 pub(crate) struct RunsEpoch<const D: usize, T, C: SpaceFillingCurve<D> + Clone> {
-    /// Immutable sorted runs, oldest first (the same stack shape as
-    /// [`SfcStore`](crate::SfcStore)'s).
+    /// Immutable sorted runs, oldest first; each run has unique keys and
+    /// the bottom run (`runs[0]`) is always tombstone-free.
     pub(crate) runs: Vec<Run<D, T, C>>,
     /// Live (visible, non-tombstoned) records in `runs` alone.
     pub(crate) live: usize,
@@ -160,12 +160,12 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> EpochCell<D, T, C> {
 
 /// The memtable entry: cell, payload-or-tombstone, and the write sequence
 /// number that makes the flush drain race-free.
-type SeqSlot<const D: usize, T> = (Point<D>, Option<T>, u64);
+pub(crate) type SeqSlot<const D: usize, T> = (Point<D>, Option<T>, u64);
 
-/// The shard's seq-stamped memtable — the same opaque
-/// [`SfcMemtable`](crate::memtable::SfcMemtable) as the single-writer
-/// store's, with the sequence number folded into the value.
-type SeqTable<const D: usize, T> = crate::memtable::SfcMemtable<SeqSlot<D, T>>;
+/// The shard's seq-stamped memtable: an opaque
+/// [`SfcMemtable`](crate::memtable::SfcMemtable) with the sequence number
+/// folded into the value.
+pub(crate) type SeqTable<const D: usize, T> = crate::memtable::SfcMemtable<SeqSlot<D, T>>;
 
 /// Whether a cell was live before the write whose insert returned
 /// `replaced`: the replaced memtable entry decides (one tree walk serves
@@ -193,35 +193,6 @@ struct MemState<const D: usize, T> {
     live: usize,
     /// Entries buffered before an automatic flush.
     cap: usize,
-}
-
-/// A point-in-time capture of one shard for a single query: a
-/// copy-on-write snapshot of the whole memtable plus the pinned epoch,
-/// taken together under the `mem` lock. All the scanning runs against the
-/// capture with no shard lock held; a writer that meets a live capture
-/// copies the leaf-pointer slab and the one leaf it lands in, and leaves
-/// the capture's view untouched.
-#[derive(Debug)]
-pub(crate) struct ShardCapture<const D: usize, T, C: SpaceFillingCurve<D> + Clone> {
-    mem: SeqTable<D, T>,
-    epoch: Arc<RunsEpoch<D, T, C>>,
-}
-
-impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardCapture<D, T, C> {
-    /// The borrowed multi-level view the query engine runs against. An
-    /// empty memtable is no level at all — the capture then behaves
-    /// exactly like a snapshot (and charges no phantom memtable seeks to
-    /// the query stats).
-    pub(crate) fn view<'a>(
-        &'a self,
-        curve: &'a C,
-    ) -> crate::view::LevelsView<'a, D, T, C, SeqSlot<D, T>> {
-        crate::view::LevelsView {
-            curve,
-            memtable: (!self.mem.is_empty()).then_some(&self.mem),
-            runs: &self.epoch.runs,
-        }
-    }
 }
 
 /// One concurrently writable shard: see the module docs for the locking
@@ -379,19 +350,18 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         self.epoch.load().runs.iter().map(|r| r.len()).collect()
     }
 
-    /// Captures the shard for one query: the memtable snapshot plus the
-    /// pinned epoch, both under one brief `mem` lock so they are mutually
-    /// consistent. See the module docs for why a concurrent flush cannot
-    /// open a gap between the two.
-    pub(crate) fn capture(&self) -> ShardCapture<D, T, C>
+    /// Captures the shard: the copy-on-write memtable image, the pinned
+    /// epoch and the live count, all under one brief `mem` lock so they
+    /// are mutually consistent — every write applied before the lock was
+    /// taken is in the capture, none after. Flushes nothing. See the
+    /// module docs for why a concurrent flush cannot open a gap between
+    /// the image and the epoch.
+    pub(crate) fn capture(&self) -> StoreSnapshot<D, T, C>
     where
         T: Clone,
     {
         let mem = self.mem.lock().expect("shard mem poisoned");
-        ShardCapture {
-            mem: mem.table.snapshot(),
-            epoch: self.epoch.load(),
-        }
+        StoreSnapshot::new(mem.table.snapshot(), self.epoch.load(), mem.live)
     }
 
     /// The live payload at `key`, if any (memtable first, then the
@@ -423,32 +393,43 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
 }
 
 impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
-    /// Upserts the record at `key`; returns `true` if a live record was
-    /// replaced. Flushes the memtable when it reaches capacity (unless
-    /// background maintenance owns flushing).
+    /// Writes the newest version of `key` — an upsert for `Some(payload)`,
+    /// a tombstone for `None` — and returns `true` if a live record was
+    /// replaced or removed. Flushes the memtable when it reaches capacity
+    /// (unless background maintenance owns flushing).
+    ///
+    /// A delete always writes a tombstone: with concurrent flushes in
+    /// flight, an already-cloned-but-not-yet-published run may hold an
+    /// older live version the delete must shadow. Tombstones that turn
+    /// out to shadow nothing are dropped when a flush builds the bottom
+    /// run.
     ///
     /// On a durable shard the write is logged under its memtable
     /// sequence number after the lock drops; with `wait` the call blocks
     /// until the group commit makes it durable. An `Err` means the write
     /// is *applied but not acked* — readers may already see it, and it
     /// can be lost on crash.
-    pub(crate) fn insert(
+    pub(crate) fn write(
         &self,
         curve: &C,
         key: CurveIndex,
         p: Point<D>,
-        payload: T,
+        payload: Option<T>,
         wait: bool,
     ) -> Result<bool, WalError> {
+        let now_live = payload.is_some();
         let m = self.metrics.as_deref();
         let timer = m.and_then(|m| {
-            m.inserts.inc();
+            if now_live { &m.inserts } else { &m.deletes }.inc();
             m.sampler.sampled_start()
         });
         // Encode before the lock: the payload moves into the table
         // inside it, and byte-encoding under `mem` would serialise all
         // writers behind it.
-        let payload_bytes = self.wal.as_deref().map(|w| w.encode_payload(&payload));
+        let payload_bytes = match (self.wal.as_deref(), &payload) {
+            (Some(w), Some(t)) => Some(w.encode_payload(t)),
+            _ => None,
+        };
         let needs_flush;
         let was_live;
         let seq;
@@ -457,10 +438,12 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
             let mut mem = self.mem.lock().expect("shard mem poisoned");
             seq = mem.next_seq;
             mem.next_seq += 1;
-            let replaced = mem.table.insert(key, (p, Some(payload), seq));
+            let replaced = mem.table.insert(key, (p, payload, seq));
             was_live = replaced_live(replaced, || self.epoch.load().is_live(key));
-            if !was_live {
-                mem.live += 1;
+            match (was_live, now_live) {
+                (false, true) => mem.live += 1,
+                (true, false) => mem.live -= 1,
+                _ => {}
             }
             needs_flush = mem.table.len() >= mem.cap && self.inline_flush.load(Ordering::Relaxed);
             mem_len = mem.table.len();
@@ -475,68 +458,10 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         }
         if let Some(m) = m {
             if let Some(start) = timer {
-                m.insert_ns.record_since(start);
+                if now_live { &m.insert_ns } else { &m.delete_ns }.record_since(start);
             }
             // A flush just refreshed the gauges from post-drain state;
             // don't overwrite them with the pre-flush capture.
-            if !needs_flush {
-                m.memtable_len.set(mem_len as i64);
-                m.memtable_bytes.set(mem_bytes as i64);
-                m.live.set(live as i64);
-            }
-        }
-        Ok(was_live)
-    }
-
-    /// Deletes the record at `key`; returns `true` if a live record was
-    /// removed. Always writes a tombstone — with concurrent flushes in
-    /// flight, an already-cloned-but-not-yet-published run may hold an
-    /// older live version this delete must shadow, so the "no runs below,
-    /// just remove the entry" shortcut of the single-writer store is not
-    /// sound here. Tombstones that turn out to shadow nothing are dropped
-    /// when a flush builds the bottom run.
-    ///
-    /// Durability semantics match [`Self::insert`].
-    pub(crate) fn delete(
-        &self,
-        curve: &C,
-        key: CurveIndex,
-        p: Point<D>,
-        wait: bool,
-    ) -> Result<bool, WalError> {
-        let m = self.metrics.as_deref();
-        let timer = m.and_then(|m| {
-            m.deletes.inc();
-            m.sampler.sampled_start()
-        });
-        let needs_flush;
-        let was_live;
-        let seq;
-        let (mem_len, mem_bytes, live);
-        {
-            let mut mem = self.mem.lock().expect("shard mem poisoned");
-            seq = mem.next_seq;
-            mem.next_seq += 1;
-            let replaced = mem.table.insert(key, (p, None, seq));
-            was_live = replaced_live(replaced, || self.epoch.load().is_live(key));
-            if was_live {
-                mem.live -= 1;
-            }
-            needs_flush = mem.table.len() >= mem.cap && self.inline_flush.load(Ordering::Relaxed);
-            mem_len = mem.table.len();
-            mem_bytes = mem.table.heap_bytes();
-            live = mem.live;
-        }
-        if let Some(w) = self.wal.as_deref() {
-            w.log_write(seq, &p, None, wait)?;
-        }
-        if needs_flush {
-            self.flush(curve)?;
-        }
-        if let Some(m) = m {
-            if let Some(start) = timer {
-                m.delete_ns.record_since(start);
-            }
             if !needs_flush {
                 m.memtable_len.set(mem_len as i64);
                 m.memtable_bytes.set(mem_bytes as i64);
@@ -557,7 +482,7 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
     /// multi-record WAL frames after the lock drops — one commit-queue
     /// ticket and one checksum per frame. With `wait`, blocks until the
     /// group commit covers the slice. Error semantics match
-    /// [`Self::insert`]: an `Err` means applied but not acked.
+    /// [`Self::write`]: an `Err` means applied but not acked.
     pub(crate) fn apply_batch(
         &self,
         curve: &C,
@@ -578,7 +503,7 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
             m.deletes.add(ops.len() as u64 - inserts);
             m.sampler.sampled_start()
         });
-        // Encode payloads before the lock, exactly as `insert` does; the
+        // Encode payloads before the lock, exactly as `write` does; the
         // sequence numbers are filled in once the lock assigns them.
         let mut log: Vec<(u64, Point<D>, Option<Vec<u8>>)> = match self.wal.as_deref() {
             Some(w) => ops
@@ -767,20 +692,6 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
             }
         }
         Ok(())
-    }
-
-    /// Freezes the shard into an owned [`StoreSnapshot`]: flush, then pin
-    /// the published epoch. The snapshot is complete with respect to
-    /// every write that happened before this call; after creation it
-    /// never touches a shard lock again.
-    pub(crate) fn snapshot(&self, curve: &C) -> Result<StoreSnapshot<D, T, C>, WalError> {
-        self.flush(curve)?;
-        let epoch = self.epoch.load();
-        Ok(StoreSnapshot::new(
-            curve.clone(),
-            epoch.runs.clone(),
-            epoch.live,
-        ))
     }
 }
 

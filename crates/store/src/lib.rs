@@ -2,45 +2,148 @@
 //!
 //! Every static workload in this workspace rebuilds its [`SfcIndex`] from
 //! scratch when the data changes. This crate lifts that restriction: a
-//! [`SfcStore`] is a *mutable* spatial map keyed by curve index (one live
-//! record per grid cell) that absorbs inserts, updates, and deletes while
-//! staying queryable through the same key-range machinery — BIGMIN scans,
-//! exact interval decomposition, verified kNN — applied per level and
-//! merged.
+//! [`ShardedSfcStore`] is a *mutable* spatial map keyed by curve index
+//! (one live record per grid cell) that absorbs inserts, updates, and
+//! deletes — from any number of threads, through `&self` — while staying
+//! queryable through the same key-range machinery: BIGMIN scans, exact
+//! interval decomposition, verified kNN, applied per level and merged.
+//!
+//! There is **one engine**. The paper cuts a curve's linear order into
+//! `p` contiguous segments and studies how compact each stays; a shard of
+//! the store *is* such a segment, and the unsharded store is the case
+//! `p = 1` of the same code (`ShardedSfcStore::new(curve, 1)`), not a
+//! second implementation. There is likewise **one read type**: every
+//! read — a live query, [`iter`](ShardedSfcStore::iter), a
+//! [`ShardedSnapshot`] the caller keeps — runs on *captures* of the
+//! shards (see [Snapshots are captures](#snapshots-are-captures)).
 //!
 //! ## Lifecycle of a write
 //!
-//! The store is organised like a log-structured merge tree whose sorted
+//! Each shard is organised like a log-structured merge tree whose sorted
 //! runs are exactly the SoA column triples of `sfc-index`:
 //!
-//! 1. **Memtable.** Every `insert`/`delete` lands in a sorted in-memory
-//!    table — an [`SfcMemtable`](memtable::SfcMemtable), the
-//!    locality-aware B+tree described below. A delete writes a
+//! 1. **Route.** The keyspace `0..n` is cut into contiguous curve-index
+//!    ranges by a [`Partition`](sfc_partition::Partition) — the paper's
+//!    SFC domain-decomposition structure, reused verbatim as a shard
+//!    router. Boundary semantics are **half-open**: shard `j` owns
+//!    `boundaries[j] .. boundaries[j+1]`, so every curve key routes to
+//!    exactly one shard, under a shared read guard on the partition.
+//! 2. **Memtable.** The write lands in the shard's sorted in-memory table
+//!    — an [`SfcMemtable`](memtable::SfcMemtable), the locality-aware
+//!    B+tree described below — stamped with the shard's next sequence
+//!    number, under the shard's **own mutex**: concurrent writers to
+//!    different shards never contend — the paper's locality argument,
+//!    turned into a lock-partitioning argument. A delete writes a
 //!    *tombstone* — a versioned "this cell is now empty" marker — because
 //!    older levels may still hold a record for the cell.
-//! 2. **Flush.** When the memtable reaches its capacity (or [`SfcStore::flush`]
-//!    is called) it is drained, in key order, into a new immutable **run**:
-//!    an [`SfcIndex`] with `Option<T>` payloads adopted via
-//!    [`SfcIndex::from_sorted`] — no re-sorting, no re-encoding. Runs are
-//!    stacked oldest → newest; within a run every key is unique.
-//! 3. **Compaction.** After each flush, size-tiered merging restores the
+//! 3. **Flush.** When the memtable reaches its capacity (or
+//!    [`ShardedSfcStore::flush`] is called) its image is built, in key
+//!    order, into a new immutable **run**: an [`SfcIndex`] with
+//!    `Option<T>` payloads adopted sorted — no re-sorting, no
+//!    re-encoding. Runs are stacked oldest → newest; within a run every
+//!    key is unique. The new stack is **published before the memtable is
+//!    drained** (per-entry sequence numbers make the drain race-free), so
+//!    no reader can ever observe a write in neither place.
+//! 4. **Compaction.** After each flush, size-tiered merging restores the
 //!    invariant that each run is at least twice the size of the run above
-//!    it: adjacent runs violating the ratio are k-way merged
-//!    (newest version of each key wins, superseded versions are dropped).
+//!    it: adjacent runs violating the ratio are k-way merged (newest
+//!    version of each key wins, superseded versions are dropped).
 //!    Tombstones are dropped only when a merge produces the *bottom* run —
-//!    below it there is nothing left to shadow. [`SfcStore::compact`]
-//!    forces a full merge into a single tombstone-free run.
-//! 4. **Queries** span all levels: each level is scanned with the shared
-//!    primitives from `sfc-index` ([`interval_scan`](sfc_index::interval_scan),
-//!    [`bigmin_scan`](sfc_index::bigmin_scan)), per-level work is summed
-//!    into one [`QueryStats`](sfc_index::QueryStats), and results are
-//!    merged newest-wins with tombstones suppressing older versions.
-//!    [`SfcStore::iter`] exposes the same merged view as a snapshot
-//!    iterator in curve order.
+//!    below it there is nothing left to shadow.
+//!    [`ShardedSfcStore::compact`] forces a full merge of every shard
+//!    into a single tombstone-free run.
+//!
+//! **Epoch publication** — each shard's frozen run stack is published
+//! through an atomically swapped `Arc` (a hand-rolled arc-swap; see the
+//! `epoch` module). Flushes and compactions build the next run stack off
+//! to the side and swap it in whole, so **readers never block maintenance
+//! and maintenance never blocks readers**.
+//!
+//! **Batched writes** — [`ShardedSfcStore::apply_batch`] accepts a whole
+//! batch of upserts/deletes ([`BatchOp`] values) in one call. The router
+//! keys every op, takes the partition read guard **once**, routes the
+//! batch into per-shard slices, stably sorts each slice by curve index
+//! (duplicate cells keep submission order — the last write wins, exactly
+//! as one-by-one), and applies each slice under a **single**
+//! memtable-lock hold, where the ascending keys ride the B+tree's
+//! last-leaf insertion hint instead of paying a root descent per record.
+//! The per-record costs that remain — lock acquires, WAL frames,
+//! commit-queue tickets — are amortised over the batch.
+//!
+//! **Traffic and rebalancing** — per-cell write weights accumulate in a
+//! striped [`ConcurrentTraffic`](sfc_partition::ConcurrentTraffic)
+//! (one stripe per shard, per-stripe atomic sampling counters — a hot
+//! shard's sample rate cannot be skewed by other shards' writes).
+//! [`ShardedSfcStore::rebalance`] is the engine's one **stop-the-world**
+//! operation: it holds the partition's write guard for its whole
+//! duration (excluding all writers and router-level readers), flushes
+//! every shard, recomputes min-bottleneck boundaries from the drained
+//! traffic, and migrates records as pre-sorted bottom runs.
+//!
+//! **Lock order** — `partition RwLock → shard maint → shard mem →
+//! { epoch cell / traffic stripe | shard persist → manifest → commit
+//! queue }`; the durable chain appears only on stores opened with
+//! [`ShardedSfcStore::open_durable`], the commit-queue mutex is the last
+//! lock on every path, and multiple shards are only locked together (in
+//! ascending index order) under the partition's write guard.
+//!
+//! Amortised write cost is `O(log² n)` comparisons per update (memtable
+//! insert plus a geometric cascade of sequential merges); the run count is
+//! bounded by `O(log n)`, which bounds per-query overhead. Streaming 100k
+//! updates into a million-record store this way is orders of magnitude
+//! cheaper than 100k-record-batched full rebuilds — see
+//! `crates/bench/benches/store.rs`.
+//!
+//! ## Snapshots are captures
+//!
+//! A read never looks at a shard in place. It **captures** it: under one
+//! hold of the shard's `mem` lock it takes the copy-on-write memtable
+//! image (two refcount bumps — no entry, no node copied), pins the
+//! published run stack (one `Arc` clone) and notes the live count — a
+//! [`StoreSnapshot`]. Nothing is flushed, nothing is written, nothing can
+//! fail. All scanning then runs against the captures with no lock held:
+//! each level is scanned with the shared primitives from `sfc-index`
+//! ([`interval_scan`](sfc_index::interval_scan),
+//! [`bigmin_scan`](sfc_index::bigmin_scan)), per-level work is summed
+//! into one [`QueryStats`](sfc_index::QueryStats), and results merge
+//! newest-wins with tombstones suppressing older versions.
+//!
+//! * A **live query** (`query_box`, `knn`, …) captures every shard, runs,
+//!   and drops the captures — so it returns owned [`StoreEntry`] values
+//!   (payloads cloned per reported hit; the write path already requires
+//!   `T: Clone`).
+//! * [`ShardedSfcStore::snapshot`] hands the same captures out as a
+//!   [`ShardedSnapshot`]: an owned `Send + Sync` value with the same query
+//!   methods, returning borrowed [`StoreEntryRef`]s, that never touches a
+//!   lock after creation. Readers on any thread keep querying the frozen
+//!   state while writers, flushes, compactions and rebalances continue: a
+//!   writer that meets a live capture copies the leaf-pointer slab and the
+//!   one leaf it lands in, a compaction that wants to consume a pinned run
+//!   copies it out of its `Arc` instead (the reason the write path
+//!   requires `T: Clone`), and the snapshot stays as it was.
+//!
+//! **Isolation level of a multi-shard capture.** Per shard a capture is
+//! atomic and complete: every write applied to the shard before it was
+//! captured is visible (newest version wins), none applied after is, and
+//! a flush racing the capture cannot hide a write (publish-before-drain).
+//! Across shards it is *not* one instant: shards are captured in
+//! ascending order under the partition's read guard, which excludes
+//! rebalances but not writers, so of two racing writes the one to a
+//! later-captured shard may be in and the one to an earlier-captured
+//! shard out, whichever was applied first — and a cross-shard batch can
+//! be seen in part. Against any quiesced state, every read is
+//! byte-identical at every shard count.
+//!
+//! **Parallel fan-out** — the query paths have `*_par` twins
+//! (`query_box_par`, `query_box_intervals_par`, `query_box_bigmin_par`,
+//! `knn_par`, on both the store and its snapshots) that distribute the
+//! per-shard scans across `std::thread::scope` worker threads; per-shard
+//! results join in shard order, so parallel results are byte-identical to
+//! sequential ones.
 //!
 //! ## The memtable: a locality-aware B+tree
 //!
-//! Every layer above holds its in-memory tail in an
+//! Every shard holds its in-memory tail in an
 //! [`SfcMemtable`](memtable::SfcMemtable) — an opaque wrapper (no
 //! engine layer can name the backing map) over the B+tree in
 //! [`memtable::bptree`]:
@@ -51,7 +154,7 @@
 //!   a whole curve neighborhood contiguously; leaves are doubly linked
 //!   for ordered iteration both ways, and heap accounting
 //!   ([`heap_bytes`](memtable::SfcMemtable::heap_bytes), surfaced as the
-//!   `memtable.bytes` gauge and the store's `heap_bytes()`) is `O(1)`
+//!   `memtable.bytes` gauge and the snapshot's `heap_bytes()`) is `O(1)`
 //!   because every leaf allocation is capacity-fixed.
 //! * **A last-accessed-leaf hint.** Each seek records the leaf it landed
 //!   in (a relaxed atomic, so shared readers refresh it too); the next
@@ -89,8 +192,8 @@
 //!
 //! ## Zone maps and the adaptive query planner
 //!
-//! Every run carries the block summaries of
-//! [`sfc_index::ZoneMap`] — per 64-slot block, a fence key, the point
+//! Every run carries the block summaries of `sfc-index`'s zone map —
+//! per 64-slot block, a fence key, the point
 //! AABB, and a live (non-tombstone) count — built once at flush/merge
 //! time. The query paths lean on them end-to-end:
 //!
@@ -107,9 +210,9 @@
 //!   k-th best (a thread-local top-k distance heap replaces per-query
 //!   candidate vectors), and the verification ball runs through the box
 //!   planner.
-//! * **The planner.** [`SfcStore::query_box`] picks intervals-vs-BIGMIN
-//!   **per level** from run statistics instead of forcing one strategy
-//!   store-wide: non-Morton curves always decompose (hierarchically on
+//! * **The planner.** [`ShardedSfcStore::query_box`] picks
+//!   intervals-vs-BIGMIN **per level** from run statistics instead of
+//!   forcing one strategy store-wide: non-Morton curves always decompose (hierarchically on
 //!   Hilbert and Gray: `O(perimeter)` aligned cubes, one encode each —
 //!   see [`sfc_index::BoxRegion::curve_intervals`]); Morton boxes larger
 //!   than [`INTERVAL_VOLUME_CUTOFF`] cells skip decomposition and jump —
@@ -117,107 +220,22 @@
 //!   interval per level) against BIGMIN's overscan, the decomposition
 //!   itself being cheap on either side of it; otherwise a run holding
 //!   fewer slots inside the box's key span than there are intervals is
-//!   jump-scanned while bigger runs gallop the interval list. [`SfcStore::plan_box_query`] exposes the chosen
-//!   [`QueryPlan`]; `examples/query_planner.rs` prints it live. The
-//!   sharded router makes the decompose decision once, clips intervals
-//!   per shard, and lets every shard plan its own levels.
+//!   jump-scanned while bigger runs gallop the interval list. The router
+//!   makes the decompose decision once, clips intervals per shard, and
+//!   lets every shard plan its own levels;
+//!   [`ShardedSfcStore::plan_box_query`] exposes the chosen
+//!   [`QueryPlan`]s and `examples/query_planner.rs` prints them live.
 //!
 //! The fixed-strategy entry points (`query_box_intervals`,
 //! `query_box_bigmin`) remain for callers that know their workload; the
 //! pre-zone-map implementations survive as hidden `*_plain` methods used
-//! by the differential tests and as the benchmark baseline.
-//!
-//! Amortised write cost is `O(log² n)` comparisons per update (memtable
-//! insert plus a geometric cascade of sequential merges); the run count is
-//! bounded by `O(log n)`, which bounds per-query overhead. Streaming 100k
-//! updates into a million-record store this way is orders of magnitude
-//! cheaper than 100k-record-batched full rebuilds — see
-//! `crates/bench/benches/store.rs`.
-//!
-//! ## Scaling out: the concurrent sharded engine
-//!
-//! A single [`SfcStore`] is **single-writer** (`&mut self` writes, no
-//! internal synchronisation) — the simple building block. The
-//! [`ShardedSfcStore`] on top of it is a genuinely **concurrent engine**:
-//! every operation, including `insert`/`delete`/`flush`/`compact`/
-//! `snapshot`/`rebalance`, takes `&self`, and the store is `Send + Sync`.
-//!
-//! **Sharding** — the keyspace `0..n` is cut into contiguous curve-index
-//! ranges by a [`Partition`](sfc_partition::Partition) — the paper's SFC
-//! domain-decomposition structure, reused verbatim as a shard router.
-//! Boundary semantics are **half-open**: shard `j` owns
-//! `boundaries[j] .. boundaries[j+1]`, so every curve key routes to
-//! exactly one shard. Curve contiguity is what makes the concurrency
-//! design work: each shard's mutable tail (a seq-numbered memtable plus
-//! its live count) sits behind its **own mutex**, so concurrent writers
-//! to different shards never contend — the paper's locality argument,
-//! turned into a lock-partitioning argument.
-//!
-//! **Epoch publication** — each shard's frozen run stack is published
-//! through an atomically swapped `Arc` (a hand-rolled arc-swap; see the
-//! `epoch` module). Queries *capture* a shard — one microscopic lock to
-//! snapshot the memtable copy-on-write and pin the current epoch —
-//! and then scan entirely lock-free; flushes and compactions build the
-//! next run stack off to the side and swap it in whole, so **readers
-//! never block maintenance and maintenance never blocks readers**. A
-//! flush publishes the new run *before* draining the memtable
-//! (per-entry sequence numbers make the drain race-free), so no reader
-//! can ever observe a write in neither place. Because query results can
-//! no longer borrow from behind a lock, sharded queries return owned
-//! [`StoreEntry`] values (payloads cloned per reported hit).
-//!
-//! **Lock order** — `partition RwLock → shard maint → shard mem →
-//! { epoch cell / traffic stripe | shard persist → manifest → commit
-//! queue }`; the durable chain appears only on stores opened with
-//! [`ShardedSfcStore::open_durable`], the commit-queue mutex is the last
-//! lock on every path, and multiple shards are only locked together (in
-//! ascending index order) under the partition's write guard.
-//!
-//! **Traffic and rebalancing** — per-cell write weights accumulate in a
-//! striped [`ConcurrentTraffic`](sfc_partition::ConcurrentTraffic)
-//! (one stripe per shard, per-stripe atomic sampling counters — a hot
-//! shard's sample rate cannot be skewed by other shards' writes).
-//! [`ShardedSfcStore::rebalance`] is the engine's one **stop-the-world**
-//! operation: it holds the partition's write guard for its whole
-//! duration (excluding all writers and router-level readers), flushes
-//! every shard, recomputes min-bottleneck boundaries from the drained
-//! traffic, and migrates records as pre-sorted bottom runs.
-//!
-//! **Batched writes** — both store flavours accept a whole batch of
-//! upserts/deletes in one call ([`SfcStore::apply_batch`] /
-//! [`ShardedSfcStore::apply_batch`], ops as [`BatchOp`] values). The
-//! router keys every op, takes the partition read guard **once**,
-//! routes the batch into per-shard slices, stably sorts each slice by
-//! curve index (duplicate cells keep submission order — the last write
-//! wins, exactly as one-by-one), and applies each slice under a
-//! **single** memtable-lock hold, where the ascending keys ride the
-//! B+tree's last-leaf insertion hint instead of paying a root descent
-//! per record. The per-record costs that remain — lock acquires, WAL
-//! frames, commit-queue tickets — are amortised over the batch.
-//!
-//! **Snapshots** ([`StoreSnapshot`] / [`ShardedSnapshot`]) — runs are
-//! held behind `Arc`, so a snapshot pins the published epochs by cloning
-//! pointers (each shard is flushed first so the snapshot is complete).
-//! The snapshot is an owned `Send + Sync` value that never touches a
-//! lock after creation: readers on any thread keep querying the frozen
-//! state while writers continue. A compaction that wants to consume a
-//! pinned run copies it out of its `Arc` instead (copy-on-write; the
-//! reason the write path requires `T: Clone`), leaving every
-//! outstanding snapshot — and every published epoch — intact.
-//!
-//! **Parallel fan-out** — the sharded query paths have
-//! `*_par` twins (`query_box_par`, `query_box_intervals_par`,
-//! `query_box_bigmin_par`, `knn_par`, on both the store and its
-//! snapshots) that distribute the per-shard scans across
-//! `std::thread::scope` worker threads; per-shard results join in shard
-//! order, so parallel results are byte-identical to sequential ones.
-//! The vendored rayon stand-in spawns real threads too, so
-//! `par_iter()`-style fan-outs over snapshot shards distribute as well.
+//! on the snapshot, used by the differential tests and as the benchmark
+//! baseline.
 //!
 //! ## Durability: write-ahead log, group commit, crash recovery
 //!
 //! Everything above is volatile; [`ShardedSfcStore::open_durable`] makes
-//! the sharded engine crash-safe (see the [`wal`] module for the full
+//! the engine crash-safe (see the [`wal`] module for the full
 //! contract). The design rides the structure the engine already has
 //! rather than adding a second ordering domain:
 //!
@@ -267,19 +285,22 @@
 //! * **Background maintenance.** [`ShardedSfcStore::start_maintenance`]
 //!   moves size-triggered flushes and tiered-compaction scheduling onto
 //!   a per-store thread with an optional token-bucket [`RateLimit`], so
-//!   writers never stall behind a major merge ([`MaintenanceConfig`]).
+//!   writers never stall behind a major merge ([`MaintenanceConfig`]); a
+//!   flush or compaction that fails there is counted
+//!   (`engine.maintenance.errors`), not lost.
 //!
 //! ## Observability
 //!
-//! Both store flavours can report into a shared
+//! The store can report into a shared
 //! [`MetricsRegistry`](sfc_obs::MetricsRegistry): attach an
 //! [`EngineMetrics`] (see the [`obs`] module) and every
 //! insert/delete/get/flush/compact/rebalance feeds per-shard counters,
 //! sampled latency histograms, and level gauges, while every query folds
 //! its [`QueryStats`] into engine-wide counters and its wall time into a
 //! per-operation histogram. Queries crossing a configurable threshold
-//! leave a [`QueryTrace`] — the chosen plan's per-level strategies plus
-//! the work counters — in a bounded slow-query ring. Attachment is
+//! leave a [`QueryTrace`] — what the router executed (capture and
+//! decomposition times, interval count, per-level strategies) plus the
+//! work counters — in a bounded slow-query ring. Attachment is
 //! opt-in; an unattached store pays one `Option` check per operation.
 //!
 //! [`QueryStats`]: sfc_index::QueryStats
@@ -305,8 +326,6 @@ pub use maintenance::{MaintenanceConfig, RateLimit};
 pub use obs::{EngineMetrics, QueryTrace};
 pub use shard::{ShardedIter, ShardedSfcStore, ShardedSnapshot};
 pub use snapshot::StoreSnapshot;
-pub use store::{BatchOp, SfcStore, StoreEntry, StoreEntryRef, DEFAULT_MEMTABLE_CAPACITY};
-pub use view::{
-    LevelStrategy, QueryPlan, SnapshotIter, INTERVAL_VOLUME_CUTOFF, KNN_BALL_INTERVALS_CUTOFF,
-};
+pub use store::{BatchOp, StoreEntry, StoreEntryRef, DEFAULT_MEMTABLE_CAPACITY};
+pub use view::{LevelStrategy, QueryPlan, INTERVAL_VOLUME_CUTOFF, KNN_BALL_INTERVALS_CUTOFF};
 pub use wal::{RecoveryStats, ShardRecoveryStats, WalConfig, WalError, WalPayload};

@@ -109,9 +109,9 @@ pub(crate) fn merge_runs<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clo
 /// Restores the size-tier invariant on a run stack: while an older run is
 /// less than twice the size of the run stacked on it, the pair is merged
 /// (newest wins; tombstones drop only when the merge produces the bottom
-/// run). Shared by the single-writer [`SfcStore`](crate::SfcStore) and
-/// the concurrent shard engine, which applies it to a *copy* of the
-/// published run stack before swapping the next epoch in.
+/// run). Keeps the run count at `O(log n)` and total merge work amortised
+/// `O(log n)` moves per write. A shard's flush applies it to a *copy* of
+/// the published run stack before swapping the next epoch in.
 pub(crate) fn restore_size_tiers<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone>(
     curve: &C,
     runs: &mut Vec<Run<D, T, C>>,

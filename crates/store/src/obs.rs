@@ -7,8 +7,8 @@
 //! counters, latency histograms, level gauges) plus engine-wide query
 //! metrics (per-operation latency histograms and the [`QueryStats`]
 //! work counters folded into registry counters). Attach one with
-//! [`SfcStore::attach_metrics`](crate::SfcStore::attach_metrics) or
-//! [`ShardedSfcStore::enable_metrics`](crate::ShardedSfcStore::enable_metrics);
+//! [`ShardedSfcStore::attach_metrics`](crate::ShardedSfcStore::attach_metrics)
+//! or [`ShardedSfcStore::enable_metrics`](crate::ShardedSfcStore::enable_metrics);
 //! an unattached store pays nothing (one `Option` check per operation).
 //!
 //! **Hot-path cost discipline.** Writes increment striped counters and
@@ -24,14 +24,19 @@
 //! [`SlowLog`]; queries at or above the threshold (default
 //! [`DEFAULT_SLOW_QUERY_NS`]) retain a [`QueryTrace`] — the operation,
 //! the chosen plan's per-level strategies, the work counters, and the
-//! wall time. Below the threshold the trace is never even built. The
-//! single-store path traces the exact executed plan. A sharded trace
+//! wall time. Below the threshold the trace is never even built. A trace
 //! carries what the router itself executed — the interval count it
-//! decomposed the box into, and the two phases that run before any level
-//! is scanned: `decompose_ns` (box or kNN-ball interval decomposition) and
-//! `capture_ns` (snapshotting every shard's memtable and pinning its
-//! epoch). Both clocks are read only when metrics are attached; nothing
-//! is decomposed or captured a second time to build a trace.
+//! decomposed the box into, the strategies the consulted shards' levels
+//! ran (sequential `query_box`), and the two phases that run before any
+//! level is scanned: `capture_ns` (snapshotting every shard's memtable
+//! and pinning its epoch) and `decompose_ns` (box or kNN-ball interval
+//! decomposition). Both clocks are read only when metrics are attached;
+//! nothing is decomposed or captured a second time to build a trace.
+//!
+//! **Background maintenance** reports under `engine.maintenance.*`:
+//! `ticks`, `flushes`, `compactions`, `throttle.ns`, and `errors` — a
+//! flush or compaction that failed on the maintenance thread (a durable
+//! store whose disk did), which has no caller to return its error to.
 
 use std::fmt;
 use std::sync::Arc;
@@ -40,7 +45,7 @@ use std::time::{Duration, Instant};
 use sfc_index::QueryStats;
 use sfc_obs::{Counter, Gauge, Histogram, MetricsRegistry, Sampler, SlowEntry, SlowLog};
 
-use crate::view::{LevelStrategy, QueryPlan};
+use crate::view::LevelStrategy;
 
 /// Default write/get timing decimation: one operation in this many gets
 /// the `Instant` pair around it.
@@ -52,10 +57,9 @@ pub const DEFAULT_SLOW_QUERY_NS: u64 = 1_000_000;
 /// Retained slow-query entries before the ring evicts the oldest.
 pub const SLOW_QUERY_LOG_CAPACITY: usize = 64;
 
-/// Cached metric handles for one shard (or for a whole single-writer
-/// store, prefix `store`): write/maintenance counters, latency
-/// histograms, and level gauges, all named `<prefix>.<metric>` in the
-/// owning registry.
+/// Cached metric handles for one shard: write/maintenance counters,
+/// latency histograms, and level gauges, all named `shard<j>.<metric>` in
+/// the owning registry.
 #[derive(Debug)]
 pub struct ShardMetrics {
     pub(crate) inserts: Counter,
@@ -174,6 +178,7 @@ pub struct EngineMetrics {
     pub(crate) maintenance_ticks: Counter,
     pub(crate) maintenance_flushes: Counter,
     pub(crate) maintenance_compactions: Counter,
+    maintenance_errors: Counter,
     pub(crate) maintenance_throttle_ns: Histogram,
     slow: SlowLog<QueryTrace>,
 }
@@ -203,6 +208,7 @@ impl EngineMetrics {
             maintenance_ticks: registry.counter("engine.maintenance.ticks"),
             maintenance_flushes: registry.counter("engine.maintenance.flushes"),
             maintenance_compactions: registry.counter("engine.maintenance.compactions"),
+            maintenance_errors: registry.counter("engine.maintenance.errors"),
             maintenance_throttle_ns: registry.histogram("engine.maintenance.throttle.ns"),
             slow: SlowLog::new(
                 SLOW_QUERY_LOG_CAPACITY,
@@ -212,12 +218,6 @@ impl EngineMetrics {
             registry,
         };
         Arc::new(em)
-    }
-
-    /// Metrics for a single-writer [`SfcStore`](crate::SfcStore): one
-    /// shard bundle under the prefix `store`.
-    pub fn for_store(registry: Arc<MetricsRegistry>) -> Arc<Self> {
-        Self::new(registry, &["store".to_string()])
     }
 
     /// Metrics for a [`ShardedSfcStore`](crate::ShardedSfcStore) with
@@ -233,7 +233,7 @@ impl EngineMetrics {
         &self.registry
     }
 
-    /// Number of per-shard bundles (1 for a single-writer store).
+    /// Number of per-shard bundles.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -301,6 +301,12 @@ impl EngineMetrics {
         }
     }
 
+    /// Folds one background flush or compaction into the registry: `done`
+    /// counts it if it succeeded, `engine.maintenance.errors` if not.
+    pub(crate) fn note_maintenance(&self, done: &Counter, ok: bool) {
+        if ok { done } else { &self.maintenance_errors }.inc();
+    }
+
     /// Folds one rebalance into the registry.
     pub(crate) fn note_rebalance(&self, start: Instant) {
         self.rebalances.inc();
@@ -318,15 +324,16 @@ pub struct QueryTrace {
     pub op: &'static str,
     /// Cells in the query box, when the operation had one.
     pub volume: Option<u128>,
-    /// Shards the trace spans (`None` for a single-writer store).
+    /// Shards the trace spans.
     pub shards: Option<usize>,
     /// Curve intervals the box decomposed into (summed across shards),
     /// or `None` if the planner skipped decomposition.
     pub intervals: Option<usize>,
-    /// The memtable level's strategy, when the plan had one.
+    /// The memtable level's strategy — of the first consulted shard whose
+    /// captured memtable held anything.
     pub memtable: Option<LevelStrategy>,
-    /// Per-run strategies, oldest run first (sharded traces concatenate
-    /// the shards' runs in shard order).
+    /// Per-run strategies, oldest run first, the consulted shards' runs
+    /// concatenated in shard order (sequential `query_box` only).
     pub runs: Vec<LevelStrategy>,
     /// The query's work counters (seeks, overscan, blocks pruned and
     /// decoded — [`QueryStats::overscan`] gives the ratio directly).
@@ -334,63 +341,12 @@ pub struct QueryTrace {
     /// Wall time in nanoseconds.
     pub wall_ns: u64,
     /// Time spent decomposing the box (or the kNN verification ball) into
-    /// curve intervals — sharded `query_box` / `knn` and their `_par`
-    /// twins; `None` where it is not measured.
+    /// curve intervals — `query_box`, `query_box_intervals`, `knn` and
+    /// their `_par` twins; `None` where nothing is decomposed.
     pub decompose_ns: Option<u64>,
     /// Time spent capturing all shards (memtable snapshots + epoch pins)
-    /// before the scan — sharded queries only.
+    /// before the scan.
     pub capture_ns: Option<u64>,
-}
-
-impl QueryTrace {
-    /// A trace carrying a single store's executed plan.
-    pub fn from_plan(op: &'static str, plan: &QueryPlan, stats: QueryStats, wall_ns: u64) -> Self {
-        QueryTrace {
-            op,
-            volume: Some(plan.volume),
-            shards: None,
-            intervals: plan.interval_count(),
-            memtable: plan.memtable,
-            runs: plan.runs.clone(),
-            stats,
-            wall_ns,
-            decompose_ns: None,
-            capture_ns: None,
-        }
-    }
-
-    /// A sharded fan-out's trace: [`bare`](Self::bare) plus the shard count
-    /// and the capture time; callers fill in what else they know.
-    pub(crate) fn sharded(
-        op: &'static str,
-        shards: usize,
-        capture_ns: Option<u64>,
-        stats: QueryStats,
-        wall_ns: u64,
-    ) -> Self {
-        QueryTrace {
-            shards: Some(shards),
-            capture_ns,
-            ..Self::bare(op, stats, wall_ns)
-        }
-    }
-
-    /// A plan-less trace (kNN, raw interval queries); callers fill in what
-    /// they know.
-    pub fn bare(op: &'static str, stats: QueryStats, wall_ns: u64) -> Self {
-        QueryTrace {
-            op,
-            volume: None,
-            shards: None,
-            intervals: None,
-            memtable: None,
-            runs: Vec::new(),
-            stats,
-            wall_ns,
-            decompose_ns: None,
-            capture_ns: None,
-        }
-    }
 }
 
 impl fmt::Display for QueryTrace {
@@ -441,6 +397,21 @@ impl fmt::Display for QueryTrace {
 mod tests {
     use super::*;
 
+    fn knn_trace(stats: QueryStats, wall_ns: u64) -> QueryTrace {
+        QueryTrace {
+            op: "knn",
+            volume: None,
+            shards: Some(1),
+            intervals: None,
+            memtable: None,
+            runs: Vec::new(),
+            stats,
+            wall_ns,
+            decompose_ns: None,
+            capture_ns: None,
+        }
+    }
+
     #[test]
     fn engine_metrics_register_expected_names() {
         let em = EngineMetrics::for_shards(Arc::new(MetricsRegistry::new()), 2);
@@ -456,7 +427,7 @@ mod tests {
 
     #[test]
     fn note_query_folds_stats_and_feeds_slow_log() {
-        let em = EngineMetrics::for_store(Arc::new(MetricsRegistry::new()));
+        let em = EngineMetrics::for_shards(Arc::new(MetricsRegistry::new()), 1);
         em.set_slow_query_threshold(Duration::ZERO); // everything is slow
         let stats = QueryStats {
             seeks: 2,
@@ -467,7 +438,7 @@ mod tests {
             blocks_decoded: 1,
         };
         em.note_query(QueryOp::Knn, Instant::now(), &stats, |wall| {
-            QueryTrace::bare("knn", stats, wall)
+            knn_trace(stats, wall)
         });
         let snap = em.registry().snapshot();
         assert_eq!(snap.counter("engine.query.count"), Some(1));
@@ -482,7 +453,7 @@ mod tests {
 
     #[test]
     fn fast_queries_never_build_a_trace() {
-        let em = EngineMetrics::for_store(Arc::new(MetricsRegistry::new()));
+        let em = EngineMetrics::for_shards(Arc::new(MetricsRegistry::new()), 1);
         em.set_slow_query_threshold(Duration::from_secs(3600));
         em.note_query(QueryOp::Box, Instant::now(), &QueryStats::default(), |_| {
             unreachable!("fast query must not build its trace")

@@ -12,18 +12,20 @@
 //! **half-open** curve-index range (`boundaries[j] .. boundaries[j+1]`)
 //! and consists of a mutex-guarded memtable plus an atomically swapped
 //! frozen run stack (see the [`epoch`](crate::epoch) module for the
-//! publication protocol). The router above them
+//! publication protocol). One shard is the whole engine at `p = 1`. The
+//! router above them
 //!
 //! * sends every upsert/delete to the shard owning the record's curve key
 //!   under a shared [`RwLock`] read guard on the partition (recording
 //!   per-shard write weight through striped atomic counters —
 //!   [`ConcurrentTraffic`]),
-//! * answers queries by **capturing** each shard — a microscopic lock to
-//!   snapshot the memtable copy-on-write (nothing copied) and pin the
-//!   current epoch — and then scanning the captures entirely lock-free;
-//!   the per-shard clip/route/concatenate algorithms ([`ShardsView`])
-//!   are shared with [`ShardedSnapshot`] and unchanged from the
-//!   single-writer design,
+//! * answers every read from a **capture** of each shard — a microscopic
+//!   lock to snapshot the memtable copy-on-write (nothing copied, nothing
+//!   flushed) and pin the current epoch — scanned entirely lock-free by
+//!   the clip/route/concatenate algorithms of [`ShardsView`]; a live
+//!   query drops its captures when it returns, and
+//!   [`snapshot`](ShardedSfcStore::snapshot) hands the same captures out
+//!   as a [`ShardedSnapshot`],
 //! * fans the per-shard scans out across [`std::thread::scope`] worker
 //!   threads in the `*_par` variants (results are concatenated in shard
 //!   order, so parallel results are byte-identical to sequential ones),
@@ -41,9 +43,9 @@
 //! ever locked in ascending index order when more than one is held
 //! (migration), and only under the partition write guard.
 //!
-//! Because query results can no longer borrow from state behind a lock,
-//! the concurrent store returns **owned** [`StoreEntry`] values (payloads
-//! cloned per reported hit); snapshots still hand out borrowed
+//! Because a live query's results cannot borrow from captures it drops,
+//! the store returns **owned** [`StoreEntry`] values (payloads cloned per
+//! reported hit); a [`ShardedSnapshot`] hands out borrowed
 //! [`StoreEntryRef`]s.
 
 use std::collections::BinaryHeap;
@@ -52,11 +54,11 @@ use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
 use std::time::Instant;
 
 use sfc_core::{CurveIndex, Point, SpaceFillingCurve, ZCurve};
-use sfc_index::{BoxRegion, QueryStats};
+use sfc_index::{BoxRegion, QueryStats, SfcIndex};
 use sfc_obs::MetricsRegistry;
 use sfc_partition::{ConcurrentTraffic, Partition, TrafficWeights};
 
-use crate::epoch::{Shard, ShardCapture};
+use crate::epoch::Shard;
 use crate::maintenance::{wait_tick, MaintenanceConfig, MaintenanceHandle, TokenBucket};
 use crate::obs::{EngineMetrics, QueryOp, QueryTrace};
 use crate::snapshot::StoreSnapshot;
@@ -65,12 +67,16 @@ use crate::store::{
 };
 use crate::view::{
     distance_key_order, offer, plan_knn_ball, radius_from_heap, rank_by_distance, should_decompose,
-    with_knn_heap, KnnBallPlan, LevelsView, MemSlot, QueryPlan, Slot,
+    verification_radius, with_knn_heap, KnnBallPlan, LevelStrategy, LevelsView, QueryPlan,
 };
 use crate::wal::{self, RecoveryStats, WalConfig, WalEngine, WalError, WalPayload, WalShard};
 
 /// An inclusive curve-index interval.
 type Interval = (CurveIndex, CurveIndex);
+
+/// One query's hits, borrowed from the captures it ran against, and the
+/// work it did.
+type Hits<'a, const D: usize, T> = (Vec<StoreEntryRef<'a, D, T>>, QueryStats);
 
 /// Clips sorted inclusive intervals to the half-open range `start..end`,
 /// keeping only the non-empty intersections.
@@ -82,150 +88,214 @@ fn clip_intervals(intervals: &[Interval], range: &std::ops::Range<CurveIndex>) -
         .collect()
 }
 
-/// Converts borrowed hits into owned entries (payloads cloned).
-fn owned<const D: usize, T: Clone>(hits: Vec<StoreEntryRef<'_, D, T>>) -> Vec<StoreEntry<D, T>> {
-    hits.into_iter().map(|e| e.to_owned()).collect()
-}
-
 /// Nanoseconds since `start`, saturating.
 fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The one capture-and-query sequence every sharded query runs: capture
-/// all shards (microscopic per-shard locks, guard released before
-/// scanning), assemble the borrowed [`ShardsView`] over the captures, run
-/// `$body` against it, and clone the reported hits into owned entries.
-/// Yields `(hits, stats, capture_ns)`; the capture is timed only when
-/// metrics are attached. A macro rather than a closure-taking method
-/// because the view borrows locals whose lifetime a closure signature
-/// cannot name.
-macro_rules! with_shards_view {
-    ($store:expr, |$sv:ident| $body:expr) => {{
-        let capturing = $store.metrics.as_deref().map(|_| Instant::now());
-        let (partition, caps) = $store.capture_all();
-        let capture_ns = capturing.map(elapsed_ns);
-        let views: Vec<_> = caps.iter().map(|c| c.view(&$store.curve)).collect();
-        let $sv = ShardsView {
-            curve: &$store.curve,
-            partition: &partition,
-            shards: views,
-        };
-        let (hits, stats) = $body;
-        (owned(hits), stats, capture_ns)
-    }};
+/// What a fan-out did before it scanned any level, and the per-level
+/// strategies it then ran — noted only for a live query with metrics
+/// attached, which builds its [`QueryTrace`] from it.
+#[derive(Default)]
+struct Routed {
+    intervals: Option<usize>,
+    decompose_ns: Option<u64>,
+    memtable: Option<LevelStrategy>,
+    runs: Vec<LevelStrategy>,
 }
 
-/// The borrowed fan-out engine shared by [`ShardedSfcStore`] (over
-/// per-query shard captures) and [`ShardedSnapshot`] (over pinned
-/// snapshots): a partition plus one [`LevelsView`] per shard. Exactly as
-/// [`LevelsView`] holds the merged multi-level algorithms once for store
-/// and snapshot, this holds the clip/route/concatenate algorithms once
-/// for their sharded counterparts — including the scoped-thread parallel
-/// dispatch of the `*_par` entry points.
-struct ShardsView<'a, const D: usize, T, C: SpaceFillingCurve<D>, S = Slot<D, T>> {
+/// Runs `plan` (a box or kNN-ball decomposition), timing it into `routed`
+/// when the caller asked.
+fn timed<R>(routed: &mut Option<&mut Routed>, plan: impl FnOnce() -> R) -> R {
+    let Some(routed) = routed else { return plan() };
+    let start = Instant::now();
+    let out = plan();
+    routed.decompose_ns = Some(elapsed_ns(start));
+    out
+}
+
+/// The borrowed fan-out engine every multi-shard read runs on: a
+/// partition plus one [`LevelsView`] per captured shard. Exactly as
+/// [`LevelsView`] holds the merged multi-level algorithms once, this
+/// holds the clip/route/concatenate algorithms once — including the
+/// scoped-thread parallel dispatch of the `*_par` entry points.
+struct ShardsView<'a, const D: usize, T, C: SpaceFillingCurve<D>> {
     curve: &'a C,
     partition: &'a Partition,
-    shards: Vec<LevelsView<'a, D, T, C, S>>,
+    shards: Vec<LevelsView<'a, D, T, C>>,
 }
 
-impl<'a, const D: usize, T, C: SpaceFillingCurve<D>, S: MemSlot<D, T>> ShardsView<'a, D, T, C, S> {
-    /// Interval query fanned out to only the shards whose range
-    /// intersects the (sorted, inclusive) intervals, each handed the list
-    /// clipped to its own range. Shard-order concatenation = curve order.
-    fn query_intervals(
+impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T, C> {
+    /// The view over `shards` captured under `partition`.
+    fn over(curve: &'a C, partition: &'a Partition, shards: &'a [StoreSnapshot<D, T, C>]) -> Self {
+        Self {
+            curve,
+            partition,
+            shards: shards.iter().map(|s| s.view(curve)).collect(),
+        }
+    }
+
+    /// `true` iff shard `j` owns a key inside the inclusive span.
+    fn owns_keys_in(&self, j: usize, (lo, hi): Interval) -> bool {
+        let range = self.partition.range(j);
+        !range.is_empty() && range.start <= hi && range.end > lo
+    }
+
+    /// The curve span a box query over `b` can touch, as far as the router
+    /// can tell without decomposing: `[Z(lo), Z(hi)]` under Morton order,
+    /// else everything.
+    fn box_span(&self, b: &BoxRegion<D>) -> Interval {
+        match self.curve.as_morton() {
+            Some(z) => (z.encode(b.lo()), z.encode(b.hi())),
+            None => (0, CurveIndex::MAX),
+        }
+    }
+
+    /// Shard `j`'s clipped interval list (`None` = no decomposition) when
+    /// it takes part in a box query over `span`, else `None`: an empty
+    /// range, a range outside the span and a clip that comes out empty
+    /// all skip the shard.
+    fn box_share(
+        &self,
+        j: usize,
+        span: Interval,
+        intervals: Option<&[Interval]>,
+    ) -> Option<Option<Vec<Interval>>> {
+        if !self.owns_keys_in(j, span) {
+            return None;
+        }
+        match intervals {
+            None => Some(None),
+            Some(iv) => {
+                let clipped = clip_intervals(iv, &self.partition.range(j));
+                (!clipped.is_empty()).then_some(Some(clipped))
+            }
+        }
+    }
+
+    /// Shard `j`'s share of a sorted inclusive interval list (empty = the
+    /// shard is not consulted).
+    fn interval_share(&self, j: usize, intervals: &[Interval]) -> Vec<Interval> {
+        let range = self.partition.range(j);
+        if range.is_empty() {
+            Vec::new()
+        } else {
+            clip_intervals(intervals, &range)
+        }
+    }
+
+    /// `scan` fanned out to only the shards whose range intersects the
+    /// (sorted, inclusive) intervals, each handed the list clipped to its
+    /// own range. Shard-order concatenation = curve order.
+    fn fan_out_intervals(
         &self,
         intervals: &[Interval],
-    ) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::default();
-        for (j, shard) in self.shards.iter().enumerate() {
-            let range = self.partition.range(j);
-            if range.is_empty() {
-                continue;
-            }
-            let clipped = clip_intervals(intervals, &range);
-            if clipped.is_empty() {
-                continue;
-            }
-            let (hits, shard_stats) = shard.query_intervals(&clipped);
-            out.extend(hits);
-            stats.add(&shard_stats);
-        }
-        stats.reported = out.len() as u64;
-        (out, stats)
+        scan: impl Fn(&LevelsView<'a, D, T, C>, &[Interval]) -> Hits<'a, D, T>,
+    ) -> Hits<'a, D, T> {
+        let per_shard = self.shards.iter().enumerate().filter_map(|(j, shard)| {
+            let clipped = self.interval_share(j, intervals);
+            (!clipped.is_empty()).then(|| scan(shard, &clipped))
+        });
+        concat(per_shard)
+    }
+
+    /// Interval query over every level of every intersecting shard.
+    fn query_intervals(&self, intervals: &[Interval]) -> Hits<'a, D, T> {
+        self.fan_out_intervals(intervals, LevelsView::query_intervals)
     }
 
     /// Box query via exact interval decomposition (intervals computed
     /// once for the whole fan-out).
-    fn query_box_intervals(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
-        self.query_intervals(&b.curve_intervals(self.curve))
+    fn query_box_intervals(&self, b: &BoxRegion<D>, routed: Option<&mut Routed>) -> Hits<'a, D, T> {
+        self.query_intervals(&self.decompose_all(b, routed))
+    }
+
+    /// The box's exact intervals, noting the decomposition in `routed`.
+    fn decompose_all(&self, b: &BoxRegion<D>, mut routed: Option<&mut Routed>) -> Vec<Interval> {
+        let intervals = timed(&mut routed, || b.curve_intervals(self.curve));
+        if let Some(r) = routed {
+            r.intervals = Some(intervals.len());
+        }
+        intervals
+    }
+
+    /// The planner's decompose decision for `b`, made once for the whole
+    /// fan-out (`None` = jump-scan only) and noted in `routed`.
+    fn decompose_box(
+        &self,
+        b: &BoxRegion<D>,
+        mut routed: Option<&mut Routed>,
+    ) -> Option<Vec<Interval>> {
+        let intervals = timed(&mut routed, || {
+            should_decompose(self.curve, b.volume()).then(|| b.curve_intervals(self.curve))
+        });
+        if let Some(r) = routed {
+            r.intervals = intervals.as_ref().map(Vec::len);
+        }
+        intervals
     }
 
     /// Box query through the adaptive planner, adopting an
     /// already-decomposed interval list (`None` = the planner decided
-    /// against decomposition): the decompose decision happens **once**
-    /// upstream, each intersecting shard receives the interval list
-    /// clipped to its range and plans its own levels from its own run
-    /// statistics — the bottom-heavy shard may gallop intervals while a
-    /// freshly rebalanced neighbor BIGMIN-scans its small runs.
+    /// against decomposition): each intersecting shard receives the
+    /// interval list clipped to its range and plans its own levels from
+    /// its own run statistics — the bottom-heavy shard may gallop
+    /// intervals while a freshly rebalanced neighbor BIGMIN-scans its
+    /// small runs. The executed strategies are noted in `routed`.
     fn query_box_with(
         &self,
         b: &BoxRegion<D>,
         intervals: Option<Vec<Interval>>,
-    ) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
-        let zrange = self
-            .curve
-            .as_morton()
-            .map(|z| (z.encode(b.lo()), z.encode(b.hi())));
-        let mut out = Vec::new();
-        let mut stats = QueryStats::default();
-        for (j, shard) in self.shards.iter().enumerate() {
-            let range = self.partition.range(j);
-            if range.is_empty() {
-                continue;
-            }
-            if let Some((zmin, zmax)) = zrange {
-                if range.start > zmax || range.end <= zmin {
-                    continue;
-                }
-            }
-            let clipped = intervals.as_ref().map(|iv| clip_intervals(iv, &range));
-            if let Some(civ) = &clipped {
-                if civ.is_empty() {
-                    continue;
-                }
-            }
+        mut routed: Option<&mut Routed>,
+    ) -> Hits<'a, D, T> {
+        let span = self.box_span(b);
+        let per_shard = self.shards.iter().enumerate().filter_map(|(j, shard)| {
+            let clipped = self.box_share(j, span, intervals.as_deref())?;
             let plan = shard.plan_box_with(b, clipped);
-            let (hits, shard_stats) = shard.execute_plan(b, &plan);
-            out.extend(hits);
-            stats.add(&shard_stats);
-        }
-        stats.reported = out.len() as u64;
-        (out, stats)
+            if let Some(r) = routed.as_deref_mut() {
+                r.memtable = r.memtable.or(plan.memtable);
+                r.runs.extend_from_slice(&plan.runs);
+            }
+            Some(shard.execute_plan(b, &plan))
+        });
+        concat(per_shard)
     }
 
     /// Box query through the adaptive planner (decompose decision made
     /// here) — see [`query_box_with`](Self::query_box_with).
-    fn query_box(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
-        let intervals =
-            should_decompose(self.curve, b.volume()).then(|| b.curve_intervals(self.curve));
-        self.query_box_with(b, intervals)
+    fn query_box(&self, b: &BoxRegion<D>, mut routed: Option<&mut Routed>) -> Hits<'a, D, T> {
+        let intervals = self.decompose_box(b, routed.as_deref_mut());
+        self.query_box_with(b, intervals, routed)
+    }
+
+    /// The per-level plan each shard would choose for this box, in shard
+    /// order (a shard the query would skip plans over an empty clip).
+    fn plan_box_query(&self, b: &BoxRegion<D>) -> Vec<QueryPlan> {
+        let intervals = self.decompose_box(b, None);
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(j, shard)| {
+                let range = self.partition.range(j);
+                let clipped = intervals.as_ref().map(|iv| clip_intervals(iv, &range));
+                shard.plan_box_with(b, clipped)
+            })
+            .collect()
     }
 
     /// Exact kNN: live candidates gathered per shard into the shared
     /// top-k distance heap (zone-map live counts and AABB distance bounds
     /// sharpen each shard's walk), the k-th best bounds the verification
     /// radius, and the Chebyshev ball fans out by the rule every engine
-    /// shares ([`plan_knn_ball`]). `decompose_ns`, when given, receives
-    /// the time the ball's decomposition took.
+    /// shares ([`plan_knn_ball`]; its decomposition is timed into
+    /// `routed`).
     fn knn(
         &self,
         q: Point<D>,
         k: usize,
         window: usize,
-        decompose_ns: Option<&mut u64>,
-    ) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
+        mut routed: Option<&mut Routed>,
+    ) -> Hits<'a, D, T> {
         let key = self.curve.index_of(q);
         let mut stats = QueryStats::default();
         let radius = with_knn_heap(|heap| {
@@ -235,49 +305,87 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>, S: MemSlot<D, T>> ShardsVie
             radius_from_heap(self.curve.grid(), heap, k)
         });
         let ball = BoxRegion::chebyshev_ball(self.curve.grid(), q, radius);
-        let (all, ball_stats) = match self.plan_knn_ball_timed(&ball, decompose_ns) {
+        let ball_hits = match timed(&mut routed, || plan_knn_ball(self.curve, &ball)) {
             KnnBallPlan::Exact(intervals) => self.query_intervals(&intervals),
-            KnnBallPlan::Planned(intervals) => self.query_box_with(&ball, intervals),
+            KnnBallPlan::Planned(intervals) => self.query_box_with(&ball, intervals, None),
         };
-        stats.add(&ball_stats);
+        rank_ball(ball_hits, stats, q, k)
+    }
+
+    /// The pre-zone-map interval query, fanned out like
+    /// [`query_intervals`](Self::query_intervals) — a test oracle and
+    /// bench baseline.
+    fn query_intervals_plain(&self, intervals: &[Interval]) -> Hits<'a, D, T> {
+        self.fan_out_intervals(intervals, LevelsView::query_intervals_plain)
+    }
+
+    /// The pre-zone-map kNN: plain candidate windows from every shard,
+    /// interval-decomposed verification ball with whole-column seeks — a
+    /// test oracle and bench baseline.
+    fn knn_plain(&self, q: Point<D>, k: usize, window: usize) -> Hits<'a, D, T> {
+        let key = self.curve.index_of(q);
+        let mut stats = QueryStats::default();
+        let mut candidates: Vec<(u64, CurveIndex)> = Vec::new();
+        for shard in &self.shards {
+            candidates.extend(shard.knn_candidates_plain(q, key, k, window, &mut stats));
+        }
+        candidates.sort_unstable();
+        candidates.truncate(k);
+        let radius = verification_radius(self.curve.grid(), &candidates, k);
+        let ball = BoxRegion::chebyshev_ball(self.curve.grid(), q, radius);
+        let (all, ball_stats) = self.query_intervals_plain(&ball.curve_intervals(self.curve));
+        stats.seeks += ball_stats.seeks;
+        stats.scanned += ball_stats.scanned;
         let all = rank_by_distance(all, q, k);
         stats.reported = all.len() as u64;
         (all, stats)
     }
+}
 
-    /// [`plan_knn_ball`], reporting how long it took into `decompose_ns`
-    /// when the caller asked.
-    fn plan_knn_ball_timed(
-        &self,
-        ball: &BoxRegion<D>,
-        decompose_ns: Option<&mut u64>,
-    ) -> KnnBallPlan {
-        let start = decompose_ns.is_some().then(Instant::now);
-        let plan = plan_knn_ball(self.curve, ball);
-        if let (Some(out), Some(start)) = (decompose_ns, start) {
-            *out = elapsed_ns(start);
-        }
-        plan
+/// Concatenates per-shard results in shard order and sums the stats.
+fn concat<'a, const D: usize, T>(
+    per_shard: impl IntoIterator<Item = Hits<'a, D, T>>,
+) -> Hits<'a, D, T> {
+    let mut out = Vec::new();
+    let mut stats = QueryStats::default();
+    for (hits, shard_stats) in per_shard {
+        out.extend(hits);
+        stats.add(&shard_stats);
     }
+    stats.reported = out.len() as u64;
+    (out, stats)
+}
+
+/// Finishes a kNN: folds the verification ball's work into the candidate
+/// walk's `stats` and keeps the `k` nearest of the ball's hits.
+fn rank_ball<'a, const D: usize, T>(
+    (all, ball_stats): Hits<'a, D, T>,
+    mut stats: QueryStats,
+    q: Point<D>,
+    k: usize,
+) -> Hits<'a, D, T> {
+    stats.add(&ball_stats);
+    let all = rank_by_distance(all, q, k);
+    stats.reported = all.len() as u64;
+    (all, stats)
 }
 
 /// The scoped-thread parallel dispatch: each per-shard scan runs on its
 /// own worker thread; joining in shard order makes the concatenation —
 /// and therefore the full result — byte-identical to the sequential
 /// fan-out.
-impl<'a, const D: usize, T, C, S> ShardsView<'a, D, T, C, S>
+impl<'a, const D: usize, T, C> ShardsView<'a, D, T, C>
 where
     T: Send + Sync,
-    C: SpaceFillingCurve<D> + Send + Sync,
-    S: MemSlot<D, T> + Send + Sync,
+    C: SpaceFillingCurve<D> + Clone + Send + Sync,
 {
-    /// Runs `work(j, shard_view)` for every shard passing `keep`, on one
+    /// Runs `work(j, shard_view)` for every shard `keep` admits, on one
     /// scoped thread per participating shard, and returns the per-shard
     /// results in shard order.
     fn dispatch<R: Send>(
         &self,
-        keep: impl Fn(usize, &std::ops::Range<CurveIndex>) -> bool,
-        work: impl Fn(usize, &LevelsView<'a, D, T, C, S>) -> R + Sync,
+        keep: impl Fn(usize) -> bool,
+        work: impl Fn(usize, &LevelsView<'a, D, T, C>) -> R + Sync,
     ) -> Vec<R> {
         std::thread::scope(|scope| {
             let work = &work;
@@ -285,11 +393,7 @@ where
                 .shards
                 .iter()
                 .enumerate()
-                .map(|(j, shard)| {
-                    let range = self.partition.range(j);
-                    (!range.is_empty() && keep(j, &range))
-                        .then(|| scope.spawn(move || work(j, shard)))
-                })
+                .map(|(j, shard)| keep(j).then(|| scope.spawn(move || work(j, shard))))
                 .collect();
             handles
                 .into_iter()
@@ -301,25 +405,14 @@ where
 
     /// Parallel [`query_intervals`](Self::query_intervals): byte-identical
     /// results, per-shard scans on worker threads.
-    fn query_intervals_par(
-        &self,
-        intervals: &[Interval],
-    ) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
-        let clipped: Vec<Vec<Interval>> = (0..self.shards.len())
-            .map(|j| {
-                let range = self.partition.range(j);
-                if range.is_empty() {
-                    Vec::new()
-                } else {
-                    clip_intervals(intervals, &range)
-                }
-            })
+    fn query_intervals_par(&self, intervals: &[Interval]) -> Hits<'a, D, T> {
+        let clipped: Vec<_> = (0..self.shards.len())
+            .map(|j| self.interval_share(j, intervals))
             .collect();
-        let per_shard = self.dispatch(
-            |j, _| !clipped[j].is_empty(),
+        concat(self.dispatch(
+            |j| !clipped[j].is_empty(),
             |j, shard| shard.query_intervals(&clipped[j]),
-        );
-        Self::concat(per_shard)
+        ))
     }
 
     /// Parallel [`query_box_with`](Self::query_box_with): byte-identical
@@ -328,44 +421,33 @@ where
         &self,
         b: &BoxRegion<D>,
         intervals: Option<Vec<Interval>>,
-    ) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
-        let zrange = self
-            .curve
-            .as_morton()
-            .map(|z| (z.encode(b.lo()), z.encode(b.hi())));
-        // Participation and the interval clip are both decided once per
-        // shard, before dispatch: `None` = skipped, `Some(None)` =
-        // participates without decomposition, `Some(Some(civ))` =
-        // participates with its clipped interval list.
-        let prepared: Vec<Option<Option<Vec<Interval>>>> = (0..self.shards.len())
-            .map(|j| {
-                let range = self.partition.range(j);
-                if range.is_empty() {
-                    return None;
-                }
-                if let Some((zmin, zmax)) = zrange {
-                    if range.start > zmax || range.end <= zmin {
-                        return None;
-                    }
-                }
-                match &intervals {
-                    None => Some(None),
-                    Some(iv) => {
-                        let clipped = clip_intervals(iv, &range);
-                        (!clipped.is_empty()).then_some(Some(clipped))
-                    }
-                }
-            })
+    ) -> Hits<'a, D, T> {
+        let span = self.box_span(b);
+        let prepared: Vec<_> = (0..self.shards.len())
+            .map(|j| self.box_share(j, span, intervals.as_deref()))
             .collect();
-        let per_shard = self.dispatch(
-            |j, _| prepared[j].is_some(),
+        concat(self.dispatch(
+            |j| prepared[j].is_some(),
             |j, shard| {
                 let clipped = prepared[j].clone().expect("kept shards are prepared");
                 let plan = shard.plan_box_with(b, clipped);
                 shard.execute_plan(b, &plan)
             },
-        );
-        Self::concat(per_shard)
+        ))
+    }
+
+    /// Parallel [`query_box`](Self::query_box).
+    fn query_box_par(&self, b: &BoxRegion<D>, routed: Option<&mut Routed>) -> Hits<'a, D, T> {
+        self.query_box_with_par(b, self.decompose_box(b, routed))
+    }
+
+    /// Parallel [`query_box_intervals`](Self::query_box_intervals).
+    fn query_box_intervals_par(
+        &self,
+        b: &BoxRegion<D>,
+        routed: Option<&mut Routed>,
+    ) -> Hits<'a, D, T> {
+        self.query_intervals_par(&self.decompose_all(b, routed))
     }
 
     /// Parallel kNN: per-shard candidate collection on worker threads
@@ -380,11 +462,11 @@ where
         q: Point<D>,
         k: usize,
         window: usize,
-        decompose_ns: Option<&mut u64>,
-    ) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
+        mut routed: Option<&mut Routed>,
+    ) -> Hits<'a, D, T> {
         let key = self.curve.index_of(q);
         let per_shard: Vec<(Vec<u64>, QueryStats)> = self.dispatch(
-            |_, _| true,
+            |j| !self.partition.range(j).is_empty(),
             |_, shard| {
                 let mut heap = BinaryHeap::new();
                 let mut stats = QueryStats::default();
@@ -403,66 +485,59 @@ where
             radius_from_heap(self.curve.grid(), heap, k)
         });
         let ball = BoxRegion::chebyshev_ball(self.curve.grid(), q, radius);
-        let (all, ball_stats) = match self.plan_knn_ball_timed(&ball, decompose_ns) {
+        let ball_hits = match timed(&mut routed, || plan_knn_ball(self.curve, &ball)) {
             KnnBallPlan::Exact(intervals) => self.query_intervals_par(&intervals),
             KnnBallPlan::Planned(intervals) => self.query_box_with_par(&ball, intervals),
         };
-        stats.add(&ball_stats);
-        let all = rank_by_distance(all, q, k);
-        stats.reported = all.len() as u64;
-        (all, stats)
-    }
-
-    /// Concatenates per-shard results in shard order and sums the stats.
-    fn concat(
-        per_shard: Vec<(Vec<StoreEntryRef<'a, D, T>>, QueryStats)>,
-    ) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::default();
-        for (hits, shard_stats) in per_shard {
-            out.extend(hits);
-            stats.add(&shard_stats);
-        }
-        stats.reported = out.len() as u64;
-        (out, stats)
+        rank_ball(ball_hits, stats, q, k)
     }
 }
 
-impl<'a, const D: usize, T, S: MemSlot<D, T>> ShardsView<'a, D, T, ZCurve<D>, S> {
-    /// BIGMIN box query fanned out to only the shards whose range
-    /// intersects the box's Morton key range `[Z(lo), Z(hi)]`.
-    fn query_box_bigmin(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
-        let zmin = self.curve.encode(b.lo());
-        let zmax = self.curve.encode(b.hi());
-        let mut out = Vec::new();
-        let mut stats = QueryStats::default();
-        for (j, shard) in self.shards.iter().enumerate() {
-            let range = self.partition.range(j);
-            if range.is_empty() || range.start > zmax || range.end <= zmin {
-                continue;
-            }
-            let (hits, shard_stats) = shard.query_box_bigmin(b);
-            out.extend(hits);
-            stats.add(&shard_stats);
-        }
-        stats.reported = out.len() as u64;
-        (out, stats)
+impl<'a, const D: usize, T> ShardsView<'a, D, T, ZCurve<D>> {
+    /// The box's Morton key span `[Z(lo), Z(hi)]`.
+    fn morton_span(&self, b: &BoxRegion<D>) -> Interval {
+        (self.curve.encode(b.lo()), self.curve.encode(b.hi()))
+    }
+
+    /// `scan` fanned out to only the shards whose range intersects the
+    /// box's Morton key span.
+    fn fan_out_morton(
+        &self,
+        b: &BoxRegion<D>,
+        scan: impl Fn(&LevelsView<'a, D, T, ZCurve<D>>, &BoxRegion<D>) -> Hits<'a, D, T>,
+    ) -> Hits<'a, D, T> {
+        let span = self.morton_span(b);
+        let per_shard = self
+            .shards
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| self.owns_keys_in(j, span))
+            .map(|(_, shard)| scan(shard, b));
+        concat(per_shard)
+    }
+
+    /// BIGMIN box query over every intersecting shard.
+    fn query_box_bigmin(&self, b: &BoxRegion<D>) -> Hits<'a, D, T> {
+        self.fan_out_morton(b, LevelsView::query_box_bigmin)
+    }
+
+    /// The pre-zone-map BIGMIN query, fanned out like
+    /// [`query_box_bigmin`](Self::query_box_bigmin) — a test oracle and
+    /// bench baseline.
+    fn query_box_bigmin_plain(&self, b: &BoxRegion<D>) -> Hits<'a, D, T> {
+        self.fan_out_morton(b, LevelsView::query_box_bigmin_plain)
     }
 }
 
-impl<'a, const D: usize, T: Send + Sync, S: MemSlot<D, T> + Send + Sync>
-    ShardsView<'a, D, T, ZCurve<D>, S>
-{
+impl<'a, const D: usize, T: Send + Sync> ShardsView<'a, D, T, ZCurve<D>> {
     /// Parallel [`query_box_bigmin`](Self::query_box_bigmin):
     /// byte-identical results, per-shard scans on worker threads.
-    fn query_box_bigmin_par(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
-        let zmin = self.curve.encode(b.lo());
-        let zmax = self.curve.encode(b.hi());
-        let per_shard = self.dispatch(
-            |_, range| range.start <= zmax && range.end > zmin,
+    fn query_box_bigmin_par(&self, b: &BoxRegion<D>) -> Hits<'a, D, T> {
+        let span = self.morton_span(b);
+        concat(self.dispatch(
+            |j| self.owns_keys_in(j, span),
             |_, shard| shard.query_box_bigmin(b),
-        );
-        Self::concat(per_shard)
+        ))
     }
 }
 
@@ -473,7 +548,7 @@ impl<'a, const D: usize, T: Send + Sync, S: MemSlot<D, T> + Send + Sync>
 pub struct ShardedIter<const D: usize, T, C: SpaceFillingCurve<D> + Clone> {
     curve: C,
     /// Captures of the shards not yet reached.
-    caps: std::vec::IntoIter<ShardCapture<D, T, C>>,
+    caps: std::vec::IntoIter<StoreSnapshot<D, T, C>>,
     /// The current shard's entries.
     shard: std::vec::IntoIter<StoreEntry<D, T>>,
 }
@@ -501,21 +576,25 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Iterator for Sha
     }
 }
 
-/// A concurrently writable spatial store sharded by curve-index range.
+/// A concurrently writable spatial store sharded by curve-index range —
+/// the crate's one engine; `parts = 1` is the unsharded store.
 ///
-/// All mutating operations take `&self`: writes route through the
-/// partition's read guard to the one shard owning the record's curve key
-/// and contend only with same-shard writers; queries capture each shard
-/// (a microscopic lock) and scan lock-free; `rebalance` is stop-the-world
-/// under the partition's write guard. Against any quiesced state, reads
-/// and queries return results byte-identical to a single
-/// [`SfcStore`](crate::SfcStore) holding the same records — as owned
-/// [`StoreEntry`] values, since borrowed results cannot escape the shard
-/// locks. While writers are in flight, multi-shard queries carry the
-/// same per-shard-consistency caveat as [`iter`](Self::iter): shards are
-/// captured in sequence, so a racing writer's effects may appear in a
-/// later-captured shard and not an earlier one. See the module docs for
-/// the architecture and lock order.
+/// The store maps each grid cell (equivalently, each curve key — the curve
+/// is a bijection) to at most one live payload. All mutating operations
+/// take `&self`: writes route through the partition's read guard to the
+/// one shard owning the record's curve key and contend only with
+/// same-shard writers; every read captures each shard (a microscopic
+/// lock) and scans lock-free; `rebalance` is stop-the-world under the
+/// partition's write guard. Against any quiesced state, results do not
+/// depend on the shard count: an `N`-shard store answers byte-identically
+/// to a 1-shard store holding the same records — as owned [`StoreEntry`]
+/// values, since a live query drops the captures its hits would borrow
+/// from. While writers are in flight, multi-shard reads carry the
+/// per-shard-consistency caveat spelled out on
+/// [`snapshot`](Self::snapshot): shards are captured in sequence, so a
+/// racing writer's effects may appear in a later-captured shard and not
+/// an earlier one. See the module docs for the architecture and lock
+/// order.
 pub struct ShardedSfcStore<const D: usize, T, C: SpaceFillingCurve<D> + Clone> {
     curve: C,
     /// Shard `j` owns the half-open curve range `partition.range(j)`.
@@ -589,31 +668,28 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
             n,
             "partition must cover the curve's keyspace 0..{n}"
         );
-        let parts = partition.parts();
-        let shards = (0..parts).map(|_| Shard::new(capacity)).collect();
-        Self {
-            curve,
-            partition: RwLock::new(partition),
-            shards,
-            traffic: ConcurrentTraffic::new(n, parts),
-            metrics: None,
-            wal: None,
-            recovery: None,
-            maintenance: Mutex::new(None),
-        }
+        let shards = (0..partition.parts())
+            .map(|_| Shard::new(capacity))
+            .collect();
+        Self::assemble(curve, partition, shards, None, None)
     }
 
-    /// Builds a sharded store from a batch of records (uniform partition,
-    /// one bulk-loaded bottom run per shard). Records sharing a cell
-    /// collapse newest-wins, exactly like
-    /// [`SfcStore::bulk_load`](crate::SfcStore::bulk_load).
+    /// Builds a store from a batch of records (uniform partition, one
+    /// bulk-loaded bottom run per shard, built by the same sorted-column
+    /// construction as [`SfcIndex::build`]). Records sharing a cell
+    /// collapse newest-wins (later in the iterator = newer), matching the
+    /// store's update semantics.
+    ///
+    /// # Panics
+    /// Panics if `parts == 0` ([`Partition::uniform`] needs `p ≥ 1`, so
+    /// the buckets below and the partition always agree on the count).
     pub fn bulk_load(
         curve: C,
         parts: usize,
         records: impl IntoIterator<Item = (Point<D>, T)>,
     ) -> Self {
         let partition = Partition::uniform(curve.grid().n(), parts);
-        let mut buckets: Vec<Vec<(Point<D>, T)>> = (0..parts.max(1)).map(|_| Vec::new()).collect();
+        let mut buckets: Vec<Vec<(Point<D>, T)>> = (0..parts).map(|_| Vec::new()).collect();
         for (p, v) in records {
             let key = curve.index_of(p);
             buckets[partition.part_of(key)].push((p, v));
@@ -625,17 +701,7 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
                 Shard::from_bottom_run(&curve, keys, points, payloads, DEFAULT_MEMTABLE_CAPACITY)
             })
             .collect();
-        let n = curve.grid().n();
-        Self {
-            curve,
-            partition: RwLock::new(partition),
-            shards,
-            traffic: ConcurrentTraffic::new(n, parts),
-            metrics: None,
-            wal: None,
-            recovery: None,
-            maintenance: Mutex::new(None),
-        }
+        Self::assemble(curve, partition, shards, None, None)
     }
 
     /// Attaches observability: every shard gets its bundle from
@@ -700,9 +766,8 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
         self.shards.iter().map(Shard::live).collect()
     }
 
-    /// Sizes of each shard's published immutable runs, oldest first —
-    /// the per-shard observability `shards()` used to provide before the
-    /// shards moved behind their locks.
+    /// Sizes of each shard's published immutable runs, oldest first
+    /// (tombstones included).
     pub fn shard_run_lens(&self) -> Vec<Vec<usize>> {
         self.shards.iter().map(Shard::run_lens).collect()
     }
@@ -750,8 +815,9 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     }
 
     /// The live payload at cell `p`, if any — routed to the one shard
-    /// owning the cell's curve key. Returns an owned clone (the record
-    /// itself lives behind the shard's lock).
+    /// owning the cell's curve key (newest version wins; one memtable
+    /// probe plus at most one binary search per run). Returns an owned
+    /// clone (the record itself lives behind the shard's lock).
     pub fn get(&self, p: Point<D>) -> Option<T> {
         if !self.curve.grid().contains(&p) {
             return None;
@@ -761,20 +827,16 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
         self.shards[part.part_of(key)].get(key)
     }
 
-    /// All live records in curve order, as owned entries: shard ranges
-    /// are ascending and disjoint, so per-shard concatenation *is* the
-    /// global curve order. Every shard is captured when the iterator is
-    /// created — the captures are copy-on-write, so holding them costs
-    /// nothing until a writer touches a shared leaf — and writes, flushes
-    /// and compactions that happen while it is drained never show in it;
-    /// entries are materialised one shard at a time. Each shard's
-    /// contribution is a consistent point-in-time capture, but shards
-    /// are captured in sequence — a writer racing this call may land in
-    /// an earlier-captured shard after its capture and a later-captured
-    /// shard before its capture. Quiesce writers (or use
-    /// [`snapshot`](Self::snapshot), which has the same per-shard
-    /// granularity but yields a reusable frozen view) when cross-shard
-    /// atomicity matters.
+    /// All live records in curve order, as owned entries: a lazy k-way
+    /// merge of each shard's memtable and runs, newest-wins, tombstones
+    /// suppressed. Every shard is captured when the iterator is created —
+    /// the captures are copy-on-write, so holding them costs nothing
+    /// until a writer touches a shared leaf — and writes, flushes and
+    /// compactions that happen while it is drained never show in it;
+    /// entries are materialised one shard at a time. What a multi-shard
+    /// capture may see of racing writers is spelled out on
+    /// [`snapshot`](Self::snapshot), which hands the same captures out
+    /// as a reusable borrowed view.
     pub fn iter(&self) -> ShardedIter<D, T, C> {
         let (_, caps) = self.capture_all();
         ShardedIter {
@@ -784,124 +846,157 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
         }
     }
 
-    /// Captures every shard under the partition's read guard: the
-    /// memtable snapshot plus the pinned epoch, per shard. The guard is
-    /// released before any scanning happens.
-    fn capture_all(&self) -> (Partition, Vec<ShardCapture<D, T, C>>) {
+    /// Captures every shard under the partition's read guard — one `mem`
+    /// lock hold per shard, nothing flushed. The guard is released before
+    /// any scanning happens.
+    fn capture_all(&self) -> (Partition, Vec<StoreSnapshot<D, T, C>>) {
         let part = self.partition.read().expect("partition poisoned");
         let caps = self.shards.iter().map(Shard::capture).collect();
         (part.clone(), caps)
     }
 
-    /// Decomposes `b` if the planner wants intervals for it, timing the
-    /// decomposition when metrics are attached (`start` is then `Some`).
-    fn decompose_box(
-        &self,
-        b: &BoxRegion<D>,
-        start: Option<Instant>,
-    ) -> (Option<Vec<Interval>>, Option<u64>) {
-        let intervals =
-            should_decompose(&self.curve, b.volume()).then(|| b.curve_intervals(&self.curve));
-        (intervals, start.map(elapsed_ns))
+    /// Freezes the store into an owned [`ShardedSnapshot`]: every shard is
+    /// captured — its copy-on-write memtable image, its published run
+    /// stack and its live count, under one hold of its `mem` lock — and
+    /// nothing else happens: no flush, no run or checkpoint written, no
+    /// way to fail. After creation the snapshot never touches a lock
+    /// again — readers keep querying the frozen state from any thread
+    /// while writes, flushes, compactions and rebalances continue.
+    ///
+    /// **What a multi-shard capture sees.** Per shard it is atomic and
+    /// complete: every write applied to a shard before that shard was
+    /// captured is visible, none applied after is. Across shards it is
+    /// not one instant: shards are captured in ascending order under the
+    /// partition's read guard (which excludes rebalances, not writers),
+    /// so of two writes racing this call, the one to a later-captured
+    /// shard may be in and the one to an earlier-captured shard out, even
+    /// if it was applied first — per-shard atomic batches can be seen in
+    /// part the same way. Quiesce writers around the call when a single
+    /// global linearization point is required. Every live read of this
+    /// store ([`iter`](Self::iter), the queries) runs on such a capture.
+    pub fn snapshot(&self) -> ShardedSnapshot<D, T, C> {
+        let (partition, shards) = self.capture_all();
+        ShardedSnapshot {
+            curve: self.curve.clone(),
+            partition,
+            shards,
+        }
     }
 
-    /// Box query through the adaptive planner, fanned out to intersecting
-    /// shards only: the decompose decision happens once at the router,
-    /// each shard receives its clipped interval list and plans its own
-    /// levels — see [`SfcStore::query_box`](crate::SfcStore::query_box).
-    pub fn query_box(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
-        let start = self.metrics.as_deref().map(|_| Instant::now());
-        let (intervals, decompose_ns) = self.decompose_box(b, start);
-        let interval_count = intervals.as_ref().map(Vec::len);
-        let (hits, stats, capture_ns) =
-            with_shards_view!(self, |sv| sv.query_box_with(b, intervals));
-        if let (Some(m), Some(start)) = (self.metrics.as_deref(), start) {
-            let shards = self.shards.len();
-            m.note_query(QueryOp::Box, start, &stats, |wall| {
-                let mut t = QueryTrace::sharded("query_box", shards, capture_ns, stats, wall);
-                t.volume = Some(b.volume());
-                t.intervals = interval_count;
-                t.decompose_ns = decompose_ns;
-                t
+    /// The one live read path: capture every shard, run `query` against
+    /// the borrowed fan-out view over the captures — the same
+    /// [`ShardsView`] method a [`ShardedSnapshot`] runs — clone the hits
+    /// into owned entries, and fold the query into the attached metrics
+    /// (capture and decomposition are timed only then).
+    fn read(
+        &self,
+        op: QueryOp,
+        name: &'static str,
+        volume: Option<u128>,
+        query: impl for<'s> FnOnce(&ShardsView<'s, D, T, C>, Option<&mut Routed>) -> Hits<'s, D, T>,
+    ) -> (Vec<StoreEntry<D, T>>, QueryStats) {
+        let start = self.metrics.as_deref().map(|m| (m, Instant::now()));
+        let (partition, caps) = self.capture_all();
+        let capture_ns = start.map(|(_, start)| elapsed_ns(start));
+        let view = ShardsView::over(&self.curve, &partition, &caps);
+        let mut routed = Routed::default();
+        let (hits, stats) = query(&view, start.is_some().then_some(&mut routed));
+        let hits = hits.iter().map(StoreEntryRef::to_owned).collect();
+        if let Some((m, start)) = start {
+            m.note_query(op, start, &stats, |wall_ns| QueryTrace {
+                op: name,
+                volume,
+                shards: Some(self.shards.len()),
+                intervals: routed.intervals,
+                memtable: routed.memtable,
+                runs: routed.runs,
+                stats,
+                wall_ns,
+                decompose_ns: routed.decompose_ns,
+                capture_ns,
             });
         }
         (hits, stats)
     }
 
-    /// The per-level plan each shard would choose for this box right now
-    /// — the sharded analogue of
-    /// [`SfcStore::plan_box_query`](crate::SfcStore::plan_box_query), one
-    /// [`QueryPlan`] per shard in shard order. For observability and
+    /// Box query through the **adaptive planner**, fanned out to
+    /// intersecting shards only: the decompose decision happens once at
+    /// the router, each shard receives its clipped interval list, and per
+    /// level the planner picks between walking the box's exact curve
+    /// intervals and BIGMIN key-range jumping (Morton order only) from
+    /// the level's statistics — size within the box's key span, interval
+    /// count, curve — pruning levels whose key range or zone-map AABB
+    /// cannot intersect the box. Results are byte-identical to either
+    /// fixed strategy; see the [`view` module docs](crate::QueryPlan) for
+    /// the heuristics and [`plan_box_query`](Self::plan_box_query) to
+    /// inspect the choices.
+    pub fn query_box(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
+        self.read(
+            QueryOp::Box,
+            "query_box",
+            Some(b.volume()),
+            |view, routed| view.query_box(b, routed),
+        )
+    }
+
+    /// The per-level plan each shard would choose for this box right now,
+    /// one [`QueryPlan`] per shard in shard order. For observability and
     /// tuning; executing the query later plans afresh.
     pub fn plan_box_query(&self, b: &BoxRegion<D>) -> Vec<QueryPlan> {
-        let (intervals, _) = self.decompose_box(b, None);
         let (partition, caps) = self.capture_all();
-        caps.iter()
-            .enumerate()
-            .map(|(j, cap)| {
-                let range = partition.range(j);
-                let clipped = intervals.as_ref().map(|iv| clip_intervals(iv, &range));
-                cap.view(&self.curve).plan_box_with(b, clipped)
-            })
-            .collect()
+        ShardsView::over(&self.curve, &partition, &caps).plan_box_query(b)
     }
 
     /// Box query via exact interval decomposition: the intervals are
     /// computed **once**, clipped to each shard's range, and only shards
-    /// whose range intersects them are consulted. Results concatenate in
-    /// shard order (= curve order); per-shard work is summed.
+    /// whose range intersects them are consulted; each scans them against
+    /// its memtable and every run
+    /// ([`interval_scan`](sfc_index::interval_scan)), merging versions
+    /// newest-wins. Results concatenate in shard order (= curve order);
+    /// per-level work is summed. Works for any curve.
     pub fn query_box_intervals(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
-        self.query_intervals_named(&b.curve_intervals(&self.curve), "query_box_intervals")
+        self.read(
+            QueryOp::Intervals,
+            "query_box_intervals",
+            Some(b.volume()),
+            |view, routed| view.query_box_intervals(b, routed),
+        )
     }
 
     /// Queries the shards for keys inside the given inclusive curve-index
     /// intervals (sorted ascending), fanning out only to intersecting
     /// shards.
     pub fn query_intervals(&self, intervals: &[Interval]) -> (Vec<StoreEntry<D, T>>, QueryStats) {
-        self.query_intervals_named(intervals, "query_intervals")
+        self.read(
+            QueryOp::Intervals,
+            "query_intervals",
+            None,
+            |view, routed| {
+                if let Some(r) = routed {
+                    r.intervals = Some(intervals.len());
+                }
+                view.query_intervals(intervals)
+            },
+        )
     }
 
-    fn query_intervals_named(
-        &self,
-        intervals: &[Interval],
-        op: &'static str,
-    ) -> (Vec<StoreEntry<D, T>>, QueryStats) {
-        let start = self.metrics.as_deref().map(|_| Instant::now());
-        let (hits, stats, capture_ns) = with_shards_view!(self, |sv| sv.query_intervals(intervals));
-        if let (Some(m), Some(start)) = (self.metrics.as_deref(), start) {
-            let shards = self.shards.len();
-            m.note_query(QueryOp::Intervals, start, &stats, |wall| {
-                let mut t = QueryTrace::sharded(op, shards, capture_ns, stats, wall);
-                t.intervals = Some(intervals.len());
-                t
-            });
-        }
-        (hits, stats)
-    }
-
-    /// Exact k-nearest-neighbor query over all shards: live candidates
-    /// are gathered per shard with the same widened per-level windows as
-    /// [`SfcStore::knn`](crate::SfcStore::knn), the k-th best bounds the
+    /// Exact k-nearest-neighbor query (Euclidean) over all shards. Live
+    /// candidates are gathered per shard and per level around the query's
+    /// key: per level and direction, the window covers at least `window`
+    /// slots and **widens past tombstoned/shadowed slots** until `k` live
+    /// candidates are bracketed (or the level is exhausted), so heavy
+    /// deletes near `q` cannot collapse the candidate set and blow the
+    /// verification ball up to the whole grid. The k-th best bounds the
     /// verification radius, and the Chebyshev ball is fanned out through
-    /// the planner.
+    /// the planner and re-ranked.
     pub fn knn(&self, q: Point<D>, k: usize, window: usize) -> (Vec<StoreEntry<D, T>>, QueryStats) {
         assert!(k >= 1, "k must be at least 1");
         if self.is_empty() {
             return (Vec::new(), QueryStats::default());
         }
-        let start = self.metrics.as_deref().map(|_| Instant::now());
-        let mut decompose_ns = start.map(|_| 0);
-        let (hits, stats, capture_ns) =
-            with_shards_view!(self, |sv| sv.knn(q, k, window, decompose_ns.as_mut()));
-        if let (Some(m), Some(start)) = (self.metrics.as_deref(), start) {
-            let shards = self.shards.len();
-            m.note_query(QueryOp::Knn, start, &stats, |wall| {
-                let mut t = QueryTrace::sharded("knn", shards, capture_ns, stats, wall);
-                t.decompose_ns = decompose_ns;
-                t
-            });
-        }
-        (hits, stats)
+        self.read(QueryOp::Knn, "knn", None, |view, routed| {
+            view.knn(q, k, window, routed)
+        })
     }
 
     /// Reference k-nearest-neighbor by linear scan of the merged view
@@ -913,10 +1008,11 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
         all
     }
 
-    /// Inserts or updates the record at cell `p` (`&self`: concurrent
-    /// writers to different shards never contend), routed to the owning
-    /// shard; records one unit of write weight on the shard's traffic
-    /// stripe. Returns `true` if a live record was replaced.
+    /// Inserts or updates the record at cell `p` (an *upsert*: the store
+    /// holds one live record per cell; `&self`: concurrent writers to
+    /// different shards never contend), routed to the owning shard;
+    /// records one unit of write weight on the shard's traffic stripe.
+    /// Returns `true` if a live record was replaced.
     ///
     /// On a durable store this blocks for the group-commit ack — the
     /// write is both *applied* and *durable* when it returns (see
@@ -929,8 +1025,10 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     }
 
     /// Deletes the record at cell `p` (`&self`), routed to the owning
-    /// shard; records one unit of write weight on the shard's traffic
-    /// stripe. Returns `true` if a live record was removed.
+    /// shard, by writing a tombstone (an older run may still hold a
+    /// version of the cell); records one unit of write weight on the
+    /// shard's traffic stripe. Returns `true` if a live record was
+    /// removed.
     ///
     /// On a durable store this blocks for the group-commit ack and
     /// panics if the log has failed; use
@@ -950,14 +1048,14 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     /// remains visible in this process and may be lost by a crash. On an
     /// in-memory store there is no ack and this never fails.
     pub fn try_insert(&self, p: Point<D>, payload: T) -> Result<bool, WalError> {
-        self.insert_at(p, payload, true)
+        self.write_at(p, Some(payload), true)
     }
 
     /// [`delete`](Self::delete) with the durability failure surfaced —
     /// same acked-vs-applied contract as [`try_insert`](Self::try_insert)
     /// (an `Err` tombstone is applied but not acknowledged).
     pub fn try_delete(&self, p: Point<D>) -> Result<bool, WalError> {
-        self.delete_at(p, true)
+        self.write_at(p, None, true)
     }
 
     /// [`insert`](Self::insert) without waiting for the durable ack: the
@@ -967,33 +1065,25 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     /// returns `Ok`. Panics if the log has already failed (the sticky
     /// committer error).
     pub fn insert_nosync(&self, p: Point<D>, payload: T) -> bool {
-        self.insert_at(p, payload, false)
+        self.write_at(p, Some(payload), false)
             .unwrap_or_else(|e| panic!("durable insert failed: {e}"))
     }
 
     /// [`delete`](Self::delete) without waiting for the durable ack; see
     /// [`insert_nosync`](Self::insert_nosync).
     pub fn delete_nosync(&self, p: Point<D>) -> bool {
-        self.delete_at(p, false)
+        self.write_at(p, None, false)
             .unwrap_or_else(|e| panic!("durable delete failed: {e}"))
     }
 
-    fn insert_at(&self, p: Point<D>, payload: T, wait: bool) -> Result<bool, WalError> {
+    /// Routes one write (`None` = delete) to the shard owning `p`.
+    fn write_at(&self, p: Point<D>, payload: Option<T>, wait: bool) -> Result<bool, WalError> {
         assert!(self.curve.grid().contains(&p), "record out of bounds: {p}");
         let key = self.curve.index_of(p);
         let part = self.partition.read().expect("partition poisoned");
         let j = part.part_of(key);
         self.traffic.record_write(j, key);
-        self.shards[j].insert(&self.curve, key, p, payload, wait)
-    }
-
-    fn delete_at(&self, p: Point<D>, wait: bool) -> Result<bool, WalError> {
-        assert!(self.curve.grid().contains(&p), "record out of bounds: {p}");
-        let key = self.curve.index_of(p);
-        let part = self.partition.read().expect("partition poisoned");
-        let j = part.part_of(key);
-        self.traffic.record_write(j, key);
-        self.shards[j].delete(&self.curve, key, p, wait)
+        self.shards[j].write(&self.curve, key, p, payload, wait)
     }
 
     /// Applies a batch of upserts and deletes across shards, equivalent
@@ -1139,34 +1229,6 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
         Ok(())
     }
 
-    /// Freezes the sharded store into an owned [`ShardedSnapshot`]: each
-    /// shard is flushed and its published epoch pinned, and after
-    /// creation the snapshot never touches a lock again — readers keep
-    /// querying the frozen state from any thread while writes continue.
-    ///
-    /// Consistency is **per shard**: shards are pinned in sequence under
-    /// the partition's read guard (which excludes rebalances, not
-    /// writers), so each shard's view is complete for every write that
-    /// reached that shard before it was pinned, but a writer racing this
-    /// call across *multiple* shards may be captured in a later shard
-    /// and not an earlier one. Quiesce writers around `snapshot()` when
-    /// a single global linearization point is required.
-    pub fn snapshot(&self) -> ShardedSnapshot<D, T, C> {
-        let part = self.partition.read().expect("partition poisoned");
-        ShardedSnapshot {
-            curve: self.curve.clone(),
-            partition: part.clone(),
-            shards: self
-                .shards
-                .iter()
-                .map(|s| {
-                    s.snapshot(&self.curve)
-                        .unwrap_or_else(|e| panic!("durable flush failed: {e}"))
-                })
-                .collect(),
-        }
-    }
-
     /// Recomputes the shard boundaries with the sparse min-bottleneck
     /// partitioner over the write weights observed since the last
     /// rebalance, and migrates records to their new shards. Returns
@@ -1296,6 +1358,29 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
 }
 
 impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<D, T, C> {
+    /// The one place a store is put together: `shards` routed by
+    /// `partition`, a fresh traffic stripe per shard, no metrics, no
+    /// maintenance thread — in memory unless `wal` says otherwise.
+    fn assemble(
+        curve: C,
+        partition: Partition,
+        shards: Box<[Shard<D, T, C>]>,
+        wal: Option<Arc<WalEngine>>,
+        recovery: Option<RecoveryStats>,
+    ) -> Self {
+        let traffic = ConcurrentTraffic::new(curve.grid().n(), shards.len());
+        Self {
+            curve,
+            partition: RwLock::new(partition),
+            shards,
+            traffic,
+            metrics: None,
+            wal,
+            recovery,
+            maintenance: Mutex::new(None),
+        }
+    }
+
     /// Stops the background maintenance thread (no-op if none is
     /// running) and restores inline capacity flushes on the writer
     /// paths. Called automatically on drop.
@@ -1375,7 +1460,6 @@ where
             committer,
             recovered.manifest,
         ));
-        let n = curve.grid().n();
         let mut shards = Vec::with_capacity(parts);
         for (j, rs) in recovered.shards.into_iter().enumerate() {
             let runs = rs.runs.iter().map(|(r, _)| Arc::clone(r)).collect();
@@ -1397,16 +1481,13 @@ where
             )));
             shards.push(shard);
         }
-        Ok(Self {
+        Ok(Self::assemble(
             curve,
-            partition: RwLock::new(partition),
-            shards: shards.into_boxed_slice(),
-            traffic: ConcurrentTraffic::new(n, parts),
-            metrics: None,
-            wal: Some(engine),
-            recovery: Some(recovered.stats),
-            maintenance: Mutex::new(None),
-        })
+            partition,
+            shards.into_boxed_slice(),
+            Some(engine),
+            Some(recovered.stats),
+        ))
     }
 }
 
@@ -1426,7 +1507,9 @@ where
     /// compacts shards whose run stack reached
     /// [`MaintenanceConfig::compact_at_runs`], optionally throttled by
     /// the token-bucket [`RateLimit`](crate::RateLimit). Works on
-    /// durable and in-memory stores alike.
+    /// durable and in-memory stores alike. A flush or compaction that
+    /// fails on the thread (a durable store whose disk does) is counted
+    /// in `engine.maintenance.errors` and retried on a later tick.
     ///
     /// # Panics
     /// Panics if maintenance is already running.
@@ -1476,6 +1559,15 @@ where
         if let Some(m) = m {
             m.maintenance_ticks.inc();
         }
+        // Waits for `cost` bytes of maintenance budget, when throttled.
+        let mut throttle = |cost: u64| {
+            if let Some(b) = bucket.as_mut() {
+                let waited = b.acquire(cost, stop);
+                if let Some(m) = m {
+                    m.maintenance_throttle_ns.record(waited.as_nanos() as u64);
+                }
+            }
+        };
         // The read guard excludes rebalances (which flush for
         // themselves), never writers.
         let _part = self.partition.read().expect("partition poisoned");
@@ -1484,34 +1576,21 @@ where
                 return;
             }
             if shard.over_capacity() {
-                if let Some(b) = bucket.as_mut() {
-                    let waited = b.acquire(shard.memtable_heap_bytes() as u64, stop);
-                    if let Some(m) = m {
-                        m.maintenance_throttle_ns.record(waited.as_nanos() as u64);
-                    }
-                }
-                if shard.flush(&self.curve).is_ok() {
-                    if let Some(m) = m {
-                        m.maintenance_flushes.inc();
-                    }
+                throttle(shard.memtable_heap_bytes() as u64);
+                let flushed = shard.flush(&self.curve);
+                if let Some(m) = m {
+                    m.note_maintenance(&m.maintenance_flushes, flushed.is_ok());
                 }
             }
             let run_lens = shard.run_lens();
             if run_lens.len() >= config.compact_at_runs.max(2) {
-                if let Some(b) = bucket.as_mut() {
-                    // Merge cost scales with the records rewritten; the
-                    // exact byte volume is unknowable up front, so
-                    // charge a flat per-entry estimate.
-                    let est = run_lens.iter().sum::<usize>() as u64 * 64;
-                    let waited = b.acquire(est, stop);
-                    if let Some(m) = m {
-                        m.maintenance_throttle_ns.record(waited.as_nanos() as u64);
-                    }
-                }
-                if shard.compact(&self.curve).is_ok() {
-                    if let Some(m) = m {
-                        m.maintenance_compactions.inc();
-                    }
+                // Merge cost scales with the records rewritten; the exact
+                // byte volume is unknowable up front, so charge a flat
+                // per-entry estimate.
+                throttle(run_lens.iter().sum::<usize>() as u64 * 64);
+                let compacted = shard.compact(&self.curve);
+                if let Some(m) = m {
+                    m.note_maintenance(&m.maintenance_compactions, compacted.is_ok());
                 }
             }
         }
@@ -1528,41 +1607,22 @@ where
 {
     /// Parallel [`query_box`](Self::query_box).
     pub fn query_box_par(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
-        let start = self.metrics.as_deref().map(|_| Instant::now());
-        let (intervals, decompose_ns) = self.decompose_box(b, start);
-        let interval_count = intervals.as_ref().map(Vec::len);
-        let (hits, stats, capture_ns) =
-            with_shards_view!(self, |sv| sv.query_box_with_par(b, intervals));
-        if let (Some(m), Some(start)) = (self.metrics.as_deref(), start) {
-            let shards = self.shards.len();
-            m.note_query(QueryOp::Box, start, &stats, |wall| {
-                let mut t = QueryTrace::sharded("query_box_par", shards, capture_ns, stats, wall);
-                t.volume = Some(b.volume());
-                t.intervals = interval_count;
-                t.decompose_ns = decompose_ns;
-                t
-            });
-        }
-        (hits, stats)
+        self.read(
+            QueryOp::Box,
+            "query_box_par",
+            Some(b.volume()),
+            |view, routed| view.query_box_par(b, routed),
+        )
     }
 
     /// Parallel [`query_box_intervals`](Self::query_box_intervals).
     pub fn query_box_intervals_par(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
-        let start = self.metrics.as_deref().map(|_| Instant::now());
-        let intervals = b.curve_intervals(&self.curve);
-        let (hits, stats, capture_ns) =
-            with_shards_view!(self, |sv| sv.query_intervals_par(&intervals));
-        if let (Some(m), Some(start)) = (self.metrics.as_deref(), start) {
-            let shards = self.shards.len();
-            m.note_query(QueryOp::Intervals, start, &stats, |wall| {
-                let mut t =
-                    QueryTrace::sharded("query_box_intervals_par", shards, capture_ns, stats, wall);
-                t.volume = Some(b.volume());
-                t.intervals = Some(intervals.len());
-                t
-            });
-        }
-        (hits, stats)
+        self.read(
+            QueryOp::Intervals,
+            "query_box_intervals_par",
+            Some(b.volume()),
+            |view, routed| view.query_box_intervals_par(b, routed),
+        )
     }
 
     /// Parallel [`knn`](Self::knn): candidate collection and the
@@ -1577,65 +1637,56 @@ where
         if self.is_empty() {
             return (Vec::new(), QueryStats::default());
         }
-        let start = self.metrics.as_deref().map(|_| Instant::now());
-        let mut decompose_ns = start.map(|_| 0);
-        let (hits, stats, capture_ns) =
-            with_shards_view!(self, |sv| sv.knn_par(q, k, window, decompose_ns.as_mut()));
-        if let (Some(m), Some(start)) = (self.metrics.as_deref(), start) {
-            let shards = self.shards.len();
-            m.note_query(QueryOp::Knn, start, &stats, |wall| {
-                let mut t = QueryTrace::sharded("knn_par", shards, capture_ns, stats, wall);
-                t.decompose_ns = decompose_ns;
-                t
-            });
-        }
-        (hits, stats)
+        self.read(QueryOp::Knn, "knn_par", None, |view, routed| {
+            view.knn_par(q, k, window, routed)
+        })
     }
 }
 
 impl<const D: usize, T: Clone> ShardedSfcStore<D, T, ZCurve<D>> {
-    /// Box query by BIGMIN-jumping key-range scans, fanned out to only
-    /// the shards whose range intersects the box's Morton key range
-    /// `[Z(lo), Z(hi)]`. Z curve only.
+    /// Box query by BIGMIN-jumping key-range scans (Tropf & Herzog),
+    /// fanned out to only the shards whose range intersects the box's
+    /// Morton key range `[Z(lo), Z(hi)]`:
+    /// [`bigmin_scan`](sfc_index::bigmin_scan) per run plus an equivalent
+    /// jumping scan over the memtable's key range, with per-level work
+    /// summed and versions merged newest-wins. Z curve only; needs no
+    /// per-query `O(volume)` preprocessing.
+    ///
+    /// The jumps are exact at the edges of the keyspace: a box containing
+    /// the grid's all-max corner terminates through
+    /// [`bigmin`](sfc_index::bigmin()) returning `None`, never by wrapping
+    /// past the last curve index.
     pub fn query_box_bigmin(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
-        let start = self.metrics.as_deref().map(|_| Instant::now());
-        let (hits, stats, capture_ns) = with_shards_view!(self, |sv| sv.query_box_bigmin(b));
-        if let (Some(m), Some(start)) = (self.metrics.as_deref(), start) {
-            let shards = self.shards.len();
-            m.note_query(QueryOp::Bigmin, start, &stats, |wall| {
-                let mut t =
-                    QueryTrace::sharded("query_box_bigmin", shards, capture_ns, stats, wall);
-                t.volume = Some(b.volume());
-                t
-            });
-        }
-        (hits, stats)
+        self.read(
+            QueryOp::Bigmin,
+            "query_box_bigmin",
+            Some(b.volume()),
+            |view, _| view.query_box_bigmin(b),
+        )
     }
 }
 
 impl<const D: usize, T: Clone + Send + Sync> ShardedSfcStore<D, T, ZCurve<D>> {
     /// Parallel [`query_box_bigmin`](Self::query_box_bigmin).
     pub fn query_box_bigmin_par(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
-        let start = self.metrics.as_deref().map(|_| Instant::now());
-        let (hits, stats, capture_ns) = with_shards_view!(self, |sv| sv.query_box_bigmin_par(b));
-        if let (Some(m), Some(start)) = (self.metrics.as_deref(), start) {
-            let shards = self.shards.len();
-            m.note_query(QueryOp::Bigmin, start, &stats, |wall| {
-                let mut t =
-                    QueryTrace::sharded("query_box_bigmin_par", shards, capture_ns, stats, wall);
-                t.volume = Some(b.volume());
-                t
-            });
-        }
-        (hits, stats)
+        self.read(
+            QueryOp::Bigmin,
+            "query_box_bigmin_par",
+            Some(b.volume()),
+            |view, _| view.query_box_bigmin_par(b),
+        )
     }
 }
 
-/// A frozen, queryable view of a whole [`ShardedSfcStore`] at snapshot
-/// time: one pinned [`StoreSnapshot`] per shard plus the partition that
-/// routed them. `Send + Sync` whenever the payload and curve are; after
-/// creation it never touches a lock, so snapshot reads are wait-free with
-/// respect to every writer.
+/// A frozen, queryable view of a whole [`ShardedSfcStore`] as of
+/// [`snapshot`](ShardedSfcStore::snapshot): one [`StoreSnapshot`] per
+/// shard plus the partition that routed them — the crate's one read type
+/// (a live query runs the same methods on captures it then drops, and
+/// clones its hits). `Send + Sync` whenever the payload and curve are;
+/// after creation it never touches a lock, so snapshot reads are
+/// wait-free with respect to every writer. See
+/// [`snapshot`](ShardedSfcStore::snapshot) for what a multi-shard capture
+/// may see of racing writers.
 #[derive(Debug, Clone)]
 pub struct ShardedSnapshot<const D: usize, T, C: SpaceFillingCurve<D> + Clone> {
     curve: C,
@@ -1654,7 +1705,7 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
         &self.partition
     }
 
-    /// The per-shard snapshots, in curve order.
+    /// The per-shard captures, in curve order.
     pub fn shards(&self) -> &[StoreSnapshot<D, T, C>] {
         &self.shards
     }
@@ -1669,33 +1720,67 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
         self.shards.iter().all(StoreSnapshot::is_empty)
     }
 
+    /// Bytes of heap memory behind the snapshot — see
+    /// [`StoreSnapshot::heap_bytes`].
+    pub fn heap_bytes(&self) -> usize {
+        self.shards.iter().map(StoreSnapshot::heap_bytes).sum()
+    }
+
     /// The live payload at cell `p` as of snapshot time, if any.
     pub fn get(&self, p: Point<D>) -> Option<&T> {
         if !self.curve.grid().contains(&p) {
             return None;
         }
         let key = self.curve.index_of(p);
-        self.shards[self.partition.part_of(key)].get(p)
+        self.shards[self.partition.part_of(key)]
+            .view(&self.curve)
+            .version(key)
+            .and_then(|v| v.map(|(_, t)| t))
     }
 
-    /// All live records in curve order.
+    /// All live records in curve order: per shard a lazy k-way merge of
+    /// the memtable image and every run, newest-wins, tombstones
+    /// suppressed; shard ranges are ascending and disjoint, so per-shard
+    /// concatenation *is* the global curve order.
     pub fn iter(&self) -> impl Iterator<Item = StoreEntryRef<'_, D, T>> {
-        self.shards.iter().flat_map(StoreSnapshot::iter)
+        self.shards
+            .iter()
+            .flat_map(|shard| shard.view(&self.curve).iter())
     }
 
-    /// The borrowed fan-out view all sharded queries run against.
-    fn shards_view(&self) -> ShardsView<'_, D, T, C> {
-        ShardsView {
-            curve: &self.curve,
-            partition: &self.partition,
-            shards: self.shards.iter().map(StoreSnapshot::view).collect(),
+    /// Materialises the snapshot's live set into a static [`SfcIndex`]
+    /// (columns built directly in key order — no re-sort). The result
+    /// answers queries byte-identically to the snapshot itself.
+    pub fn to_index(&self) -> SfcIndex<D, T, C>
+    where
+        T: Clone,
+    {
+        let mut keys = Vec::with_capacity(self.len());
+        let mut points = Vec::with_capacity(self.len());
+        let mut payloads = Vec::with_capacity(self.len());
+        for entry in self.iter() {
+            keys.push(entry.key);
+            points.push(entry.point);
+            payloads.push(entry.payload.clone());
         }
+        SfcIndex::from_sorted(self.curve.clone(), keys, points, payloads)
+    }
+
+    /// The borrowed fan-out view all queries run against.
+    fn shards_view(&self) -> ShardsView<'_, D, T, C> {
+        ShardsView::over(&self.curve, &self.partition, &self.shards)
     }
 
     /// Box query through the adaptive planner, fanned out to intersecting
     /// shards only — see [`ShardedSfcStore::query_box`].
     pub fn query_box(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.shards_view().query_box(b)
+        self.shards_view().query_box(b, None)
+    }
+
+    /// The per-level plan each shard's [`query_box`](Self::query_box)
+    /// would execute — see [`ShardedSfcStore::plan_box_query`].
+    pub fn plan_box_query(&self, b: &BoxRegion<D>) -> Vec<QueryPlan> {
+        self.shards_view().plan_box_query(b)
     }
 
     /// Box query via exact interval decomposition, fanned out to
@@ -1705,7 +1790,17 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
         &self,
         b: &BoxRegion<D>,
     ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.shards_view().query_box_intervals(b)
+        self.shards_view().query_box_intervals(b, None)
+    }
+
+    /// Queries the frozen shards for keys inside the given inclusive
+    /// curve-index intervals (sorted ascending) — see
+    /// [`ShardedSfcStore::query_intervals`].
+    pub fn query_intervals(
+        &self,
+        intervals: &[Interval],
+    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
+        self.shards_view().query_intervals(intervals)
     }
 
     /// Exact k-nearest-neighbor query over the frozen shards — see
@@ -1722,6 +1817,43 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
         }
         self.shards_view().knn(q, k, window, None)
     }
+
+    /// Reference k-nearest-neighbor by linear scan (ground truth for
+    /// tests).
+    pub fn knn_linear(&self, q: Point<D>, k: usize) -> Vec<StoreEntryRef<'_, D, T>> {
+        rank_by_distance(self.iter().collect(), q, k)
+    }
+
+    /// Pre-zone-map interval query (whole-column seeks per interval, no
+    /// run pruning). Kept as the reference the zone-mapped paths are
+    /// differential-tested against and the baseline the benches measure;
+    /// not part of the supported API.
+    #[doc(hidden)]
+    pub fn query_box_intervals_plain(
+        &self,
+        b: &BoxRegion<D>,
+    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
+        self.shards_view()
+            .query_intervals_plain(&b.curve_intervals(&self.curve))
+    }
+
+    /// Pre-zone-map kNN (fixed candidate windows, interval-decomposed
+    /// verification ball). Kept as the reference the zone-mapped kNN is
+    /// differential-tested against and the baseline the benches measure;
+    /// not part of the supported API.
+    #[doc(hidden)]
+    pub fn knn_plain(
+        &self,
+        q: Point<D>,
+        k: usize,
+        window: usize,
+    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
+        assert!(k >= 1, "k must be at least 1");
+        if self.is_empty() {
+            return (Vec::new(), QueryStats::default());
+        }
+        self.shards_view().knn_plain(q, k, window)
+    }
 }
 
 impl<const D: usize, T: Send + Sync, C: SpaceFillingCurve<D> + Clone + Send + Sync>
@@ -1730,12 +1862,7 @@ impl<const D: usize, T: Send + Sync, C: SpaceFillingCurve<D> + Clone + Send + Sy
     /// Parallel [`query_box`](Self::query_box): per-shard scans on
     /// scoped worker threads, byte-identical results.
     pub fn query_box_par(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        let sv = self.shards_view();
-        let intervals =
-            should_decompose(&self.curve, b.volume()).then(|| b.curve_intervals(&self.curve));
-        // The view borrows from `self`, which outlives this call frame.
-        let (hits, stats) = sv.query_box_with_par(b, intervals);
-        (hits, stats)
+        self.shards_view().query_box_par(b, None)
     }
 
     /// Parallel [`query_box_intervals`](Self::query_box_intervals).
@@ -1743,8 +1870,7 @@ impl<const D: usize, T: Send + Sync, C: SpaceFillingCurve<D> + Clone + Send + Sy
         &self,
         b: &BoxRegion<D>,
     ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        let intervals = b.curve_intervals(&self.curve);
-        self.shards_view().query_intervals_par(&intervals)
+        self.shards_view().query_box_intervals_par(b, None)
     }
 
     /// Parallel [`knn`](Self::knn).
@@ -1764,9 +1890,21 @@ impl<const D: usize, T: Send + Sync, C: SpaceFillingCurve<D> + Clone + Send + Sy
 
 impl<const D: usize, T> ShardedSnapshot<D, T, ZCurve<D>> {
     /// Box query by BIGMIN-jumping key-range scans over the frozen
-    /// shards. Z curve only.
+    /// shards — see [`ShardedSfcStore::query_box_bigmin`]. Z curve only.
     pub fn query_box_bigmin(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
         self.shards_view().query_box_bigmin(b)
+    }
+
+    /// Pre-zone-map BIGMIN query (no run pruning, whole-tail jump
+    /// searches). Kept as the reference the zone-mapped paths are
+    /// differential-tested against and the baseline the benches measure;
+    /// not part of the supported API.
+    #[doc(hidden)]
+    pub fn query_box_bigmin_plain(
+        &self,
+        b: &BoxRegion<D>,
+    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
+        self.shards_view().query_box_bigmin_plain(b)
     }
 }
 
@@ -1783,7 +1921,6 @@ impl<const D: usize, T: Send + Sync> ShardedSnapshot<D, T, ZCurve<D>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SfcStore;
     use rand::{Rng, SeedableRng};
     use sfc_core::{Grid, HilbertCurve};
 
@@ -1805,20 +1942,20 @@ mod tests {
             .collect()
     }
 
-    /// Drives the same random workload into a sharded store and a single
-    /// store, returning both.
+    /// Drives the same random workload into an `parts`-shard store and a
+    /// 1-shard store, returning both.
     fn paired_stores(
         parts: usize,
         ops: usize,
         seed: u64,
     ) -> (
         ShardedSfcStore<2, u32, ZCurve<2>>,
-        SfcStore<2, u32, ZCurve<2>>,
+        ShardedSfcStore<2, u32, ZCurve<2>>,
     ) {
         let grid = Grid::<2>::new(5).unwrap();
         let mut rng = rng(seed);
         let sharded = ShardedSfcStore::with_memtable_capacity(ZCurve::over(grid), parts, 16);
-        let mut single = SfcStore::with_memtable_capacity(ZCurve::over(grid), 16);
+        let single = ShardedSfcStore::with_memtable_capacity(ZCurve::over(grid), 1, 16);
         for i in 0..ops as u32 {
             let p = grid.random_cell(&mut rng);
             match i % 10 {
@@ -1881,7 +2018,7 @@ mod tests {
         for parts in [1usize, 2, 3, 4, 7] {
             let (sharded, single) = paired_stores(parts, 800, 42 + parts as u64);
             assert_eq!(sharded.len(), single.len());
-            assert_eq!(flat(sharded.iter()), flat_ref(single.iter()), "iter");
+            assert_eq!(flat(sharded.iter()), flat(single.iter()), "iter");
             let grid = *sharded.curve();
             let mut rng = rng(99);
             for _ in 0..25 {
@@ -1892,23 +2029,23 @@ mod tests {
                 let b = BoxRegion::new(lo, hi);
                 assert_eq!(
                     flat(sharded.query_box_intervals(&b).0),
-                    flat_ref(single.query_box_intervals(&b).0),
+                    flat(single.query_box_intervals(&b).0),
                     "intervals, parts={parts}"
                 );
                 assert_eq!(
                     flat(sharded.query_box_bigmin(&b).0),
-                    flat_ref(single.query_box_bigmin(&b).0),
+                    flat(single.query_box_bigmin(&b).0),
                     "bigmin, parts={parts}"
                 );
                 let q = grid.grid().random_cell(&mut rng);
                 for k in [1usize, 4] {
                     assert_eq!(
                         flat(sharded.knn(q, k, 3).0),
-                        flat_ref(single.knn(q, k, 3).0),
+                        flat(single.knn(q, k, 3).0),
                         "knn k={k}, parts={parts}"
                     );
                 }
-                assert_eq!(sharded.get(q), single.get(q).copied());
+                assert_eq!(sharded.get(q), single.get(q));
             }
         }
     }
@@ -1932,7 +2069,7 @@ mod tests {
                 let lo = Point::new([a.coord(0).min(c.coord(0)), a.coord(1).min(c.coord(1))]);
                 let hi = Point::new([a.coord(0).max(c.coord(0)), a.coord(1).max(c.coord(1))]);
                 let b = BoxRegion::new(lo, hi);
-                let want = flat_ref(single.query_box_intervals(&b).0);
+                let want = flat(single.query_box_intervals(&b).0);
                 assert_eq!(
                     flat(sharded.query_box_par(&b).0),
                     want,
@@ -1990,7 +2127,7 @@ mod tests {
         let grid = Grid::<2>::new(4).unwrap();
         let z = ZCurve::over(grid);
         let store = ShardedSfcStore::with_memtable_capacity(z, 4, 8);
-        let mut replay = SfcStore::with_memtable_capacity(z, 8);
+        let replay = ShardedSfcStore::with_memtable_capacity(z, 1, 8);
         let ops_of = |quadrant: u32| -> Vec<(Point<2>, Option<u32>)> {
             let mut rng = rng(1000 + u64::from(quadrant));
             // Quadrant origin in Z order: [0,8)² tiles shifted.
@@ -2037,7 +2174,7 @@ mod tests {
             }
         }
         assert_eq!(store.len(), replay.len());
-        assert_eq!(flat(store.iter()), flat_ref(replay.iter()));
+        assert_eq!(flat(store.iter()), flat(replay.iter()));
     }
 
     #[test]
@@ -2050,15 +2187,15 @@ mod tests {
         }
         // The first Z quadrant [0,8)² is exactly the first quarter of the
         // keyspace: a box inside it must not touch the other shards. The
-        // snapshot exposes the per-shard readers the router fans out to.
+        // snapshot exposes the per-shard captures the router fans out to.
         let snap = store.snapshot();
         let b = BoxRegion::new(Point::new([0, 0]), Point::new([7, 7]));
         let (hits, stats) = snap.query_box_bigmin(&b);
-        let (single_hits, single_stats) = snap.shards()[0].query_box_bigmin(&b);
+        let (single_hits, single_stats) = snap.shards()[0].view(snap.curve()).query_box_bigmin(&b);
         assert_eq!(flat_ref(hits), flat_ref(single_hits));
         assert_eq!(stats.seeks, single_stats.seeks, "only shard 0 consulted");
-        // The live store agrees with its own snapshot (memtables are
-        // empty right after snapshot() flushed them).
+        // The live store agrees with its own snapshot (a live query runs
+        // on a capture of the same levels).
         let (live_hits, live_stats) = store.query_box_bigmin(&b);
         assert_eq!(flat(live_hits), flat_ref(snap.query_box_bigmin(&b).0));
         assert_eq!(live_stats.seeks, stats.seeks);
@@ -2194,7 +2331,7 @@ mod tests {
         let grid = Grid::<2>::new(4).unwrap();
         let mut rng = rng(31);
         let store = ShardedSfcStore::with_memtable_capacity(HilbertCurve::over(grid), 3, 8);
-        let mut single = SfcStore::with_memtable_capacity(HilbertCurve::over(grid), 8);
+        let single = ShardedSfcStore::with_memtable_capacity(HilbertCurve::over(grid), 1, 8);
         for i in 0..400u32 {
             let p = grid.random_cell(&mut rng);
             if i % 5 == 4 {
@@ -2208,18 +2345,15 @@ mod tests {
         let b = BoxRegion::new(Point::new([3, 1]), Point::new([11, 13]));
         assert_eq!(
             flat(store.query_box_intervals(&b).0),
-            flat_ref(single.query_box_intervals(&b).0)
+            flat(single.query_box_intervals(&b).0)
         );
         assert_eq!(
             flat(store.query_box_intervals_par(&b).0),
-            flat_ref(single.query_box_intervals(&b).0)
+            flat(single.query_box_intervals(&b).0)
         );
         let q = Point::new([9, 2]);
-        assert_eq!(flat(store.knn(q, 5, 3).0), flat_ref(single.knn(q, 5, 3).0));
-        assert_eq!(
-            flat(store.knn_par(q, 5, 3).0),
-            flat_ref(single.knn(q, 5, 3).0)
-        );
+        assert_eq!(flat(store.knn(q, 5, 3).0), flat(single.knn(q, 5, 3).0));
+        assert_eq!(flat(store.knn_par(q, 5, 3).0), flat(single.knn(q, 5, 3).0));
     }
 
     #[test]
@@ -2256,8 +2390,8 @@ mod tests {
     /// Satellite audit: the router's reported [`QueryStats`] must be the
     /// exact sum of the per-shard stats it fanned out to — seeks, scanned,
     /// reported, and the zone-map block counters — for every query path.
-    /// Audited on a snapshot, whose per-shard readers execute the same
-    /// `ShardsView` fan-out as the live store's captures.
+    /// Audited on a snapshot, whose per-shard captures are what the live
+    /// store's queries fan out over too.
     #[test]
     fn router_stats_are_the_sum_of_per_shard_stats() {
         let (sharded_live, _) = paired_stores(4, 900, 77);
@@ -2282,7 +2416,7 @@ mod tests {
                 if range.is_empty() || range.start > zmax || range.end <= zmin {
                     continue;
                 }
-                let (_, s) = shard.query_box_bigmin(&b);
+                let (_, s) = shard.view(z).query_box_bigmin(&b);
                 manual.add(&s);
             }
             // The router recomputes `reported` from the concatenated hits;
@@ -2307,7 +2441,7 @@ mod tests {
                 if clipped.is_empty() {
                     continue;
                 }
-                let (hits, s) = shard.query_intervals(&clipped);
+                let (hits, s) = shard.view(z).query_intervals(&clipped);
                 manual_reported += hits.len() as u64;
                 manual.add(&s);
             }
@@ -2336,7 +2470,7 @@ mod tests {
                         continue;
                     }
                 }
-                let view = shard.view();
+                let view = shard.view(z);
                 let plan = view.plan_box_with(&b, clipped);
                 let (_, s) = view.execute_plan(&b, &plan);
                 manual.add(&s);
@@ -2362,12 +2496,12 @@ mod tests {
                 let b = BoxRegion::new(lo, hi);
                 assert_eq!(
                     flat(sharded.query_box(&b).0),
-                    flat_ref(single.query_box(&b).0),
+                    flat(single.query_box(&b).0),
                     "planner, parts={parts}"
                 );
                 assert_eq!(
                     flat(sharded.query_box(&b).0),
-                    flat_ref(single.query_box_intervals(&b).0),
+                    flat(single.query_box_intervals(&b).0),
                     "planner vs fixed intervals, parts={parts}"
                 );
             }

@@ -1,174 +1,101 @@
-//! Owned, immutable snapshots of a store's contents.
+//! One shard's captured levels.
 //!
-//! A [`StoreSnapshot`] pins the run stack an [`SfcStore`](crate::SfcStore)
-//! had at [`snapshot()`](crate::SfcStore::snapshot) time by cloning its
-//! `Arc`s — `O(runs)` pointer copies, no record is moved. Because runs are
-//! immutable and the curve itself is shared, the snapshot keeps answering
-//! queries against exactly that state while the writer continues to absorb
-//! inserts and deletes into fresh memtables and runs.
-//!
-//! Unlike the store (which hands out views borrowing `&self`), a snapshot
-//! is a free-standing **owned** value: it can be moved to another thread
-//! and queried there — it is `Send + Sync` whenever the payload and curve
-//! are. In the concurrent sharded engine this is the fully lock-free read
-//! path: [`ShardedSfcStore::snapshot`](crate::ShardedSfcStore::snapshot)
-//! pins each shard's published epoch (see the `epoch` module), and the
-//! resulting snapshot never touches a lock again, no matter how many
-//! writers keep pounding the store.
+//! A [`StoreSnapshot`] is what [`Shard::capture`](crate::epoch::Shard)
+//! takes under one hold of the shard's `mem` lock: the copy-on-write
+//! memtable image (two refcount bumps, nothing copied), the pinned run
+//! stack and the live count as of that instant. It is the only per-shard
+//! read state in the crate — a live query captures every shard, scans the
+//! captures and drops them; [`ShardedSfcStore::snapshot`](crate::ShardedSfcStore::snapshot)
+//! packages the same captures as a [`ShardedSnapshot`](crate::ShardedSnapshot)
+//! the caller keeps. Nothing is flushed to take one, and once taken it
+//! never touches a lock again: a writer that meets a live capture copies
+//! the leaf-pointer slab and the one leaf it lands in, a compaction that
+//! wants to consume a pinned run copies it out of its `Arc`, and the
+//! capture's view stays as it was.
 
-use sfc_core::{CurveIndex, Point, SpaceFillingCurve, ZCurve};
-use sfc_index::{BoxRegion, QueryStats, SfcIndex};
+use std::sync::Arc;
 
-use crate::store::StoreEntryRef;
-use crate::view::{LevelsView, QueryPlan, Run, SnapshotIter};
+use sfc_core::SpaceFillingCurve;
 
-/// A frozen, queryable view of one store's contents at snapshot time.
-///
-/// Obtained from [`SfcStore::snapshot`](crate::SfcStore::snapshot); all
-/// query methods mirror the store's and return byte-identical results for
-/// the state the snapshot pinned.
+use crate::epoch::{RunsEpoch, SeqTable};
+use crate::view::LevelsView;
+
+/// One shard's frozen levels — memtable image, run stack, live count —
+/// as of the instant the shard was captured. All querying goes through
+/// the [`ShardedSnapshot`](crate::ShardedSnapshot) that owns it (which
+/// knows the curve and the shard's key range); this type exposes the
+/// shard's shape.
 #[derive(Debug, Clone)]
 pub struct StoreSnapshot<const D: usize, T, C: SpaceFillingCurve<D> + Clone> {
-    curve: C,
-    /// Pinned immutable runs, oldest first (tombstones included — the
-    /// snapshot merges them away exactly like the store does).
-    runs: Vec<Run<D, T, C>>,
-    /// Live records visible in this snapshot.
+    /// Newest level: the memtable as it stood at capture.
+    mem: SeqTable<D, T>,
+    /// The run stack published at capture (tombstones included — reads
+    /// merge them away).
+    epoch: Arc<RunsEpoch<D, T, C>>,
+    /// Live records visible across both.
     live: usize,
 }
 
 impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> StoreSnapshot<D, T, C> {
-    pub(crate) fn new(curve: C, runs: Vec<Run<D, T, C>>, live: usize) -> Self {
-        Self { curve, runs, live }
+    pub(crate) fn new(mem: SeqTable<D, T>, epoch: Arc<RunsEpoch<D, T, C>>, live: usize) -> Self {
+        Self { mem, epoch, live }
     }
 
-    pub(crate) fn view(&self) -> LevelsView<'_, D, T, C> {
+    /// The borrowed multi-level view the query engine runs against. An
+    /// empty memtable is no level at all (and charges no phantom memtable
+    /// seeks to the query stats).
+    pub(crate) fn view<'a>(&'a self, curve: &'a C) -> LevelsView<'a, D, T, C> {
         LevelsView {
-            curve: &self.curve,
-            memtable: None,
-            runs: &self.runs,
+            curve,
+            memtable: (!self.mem.is_empty()).then_some(&self.mem),
+            runs: &self.epoch.runs,
         }
     }
 
-    /// The curve backing this snapshot.
-    pub fn curve(&self) -> &C {
-        &self.curve
-    }
-
-    /// Number of live records visible in the snapshot.
+    /// Number of live records visible in the capture.
     pub fn len(&self) -> usize {
         self.live
     }
 
-    /// `true` iff the snapshot holds no live records.
+    /// `true` iff the capture holds no live records.
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
 
+    /// Entries in the captured memtable image (live and tombstone).
+    pub fn memtable_len(&self) -> usize {
+        self.mem.len()
+    }
+
     /// Sizes of the pinned runs, oldest first (tombstones included).
     pub fn run_lens(&self) -> Vec<usize> {
-        self.runs.iter().map(|run| run.len()).collect()
+        self.epoch.runs.iter().map(|run| run.len()).collect()
     }
 
-    /// The live payload at cell `p` as of snapshot time, if any.
-    pub fn get(&self, p: Point<D>) -> Option<&T> {
-        if !self.curve.grid().contains(&p) {
-            return None;
-        }
-        self.view()
-            .version(self.curve.index_of(p))
-            .and_then(|v| v.map(|(_, t)| t))
+    /// Compressed heap bytes per pinned run, oldest first — parallel to
+    /// [`run_lens`](Self::run_lens), so dividing pairwise gives each
+    /// level's bytes-per-slot figure.
+    pub fn run_heap_bytes(&self) -> Vec<usize> {
+        self.epoch.runs.iter().map(|run| run.heap_bytes()).collect()
     }
 
-    /// Box query through the adaptive planner — see
-    /// [`SfcStore::query_box`](crate::SfcStore::query_box).
-    pub fn query_box(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.view().query_box(b)
-    }
-
-    /// The per-level plan [`query_box`](Self::query_box) would execute —
-    /// see [`SfcStore::plan_box_query`](crate::SfcStore::plan_box_query).
-    pub fn plan_box_query(&self, b: &BoxRegion<D>) -> QueryPlan {
-        self.view().plan_box(b)
-    }
-
-    /// Box query via exact interval decomposition — see
-    /// [`SfcStore::query_box_intervals`](crate::SfcStore::query_box_intervals).
-    pub fn query_box_intervals(
-        &self,
-        b: &BoxRegion<D>,
-    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.view().query_box_intervals(b)
-    }
-
-    /// Queries the pinned runs for keys inside the given inclusive
-    /// curve-index intervals (sorted ascending), merging newest-wins.
-    pub fn query_intervals(
-        &self,
-        intervals: &[(CurveIndex, CurveIndex)],
-    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.view().query_intervals(intervals)
-    }
-
-    /// Exact k-nearest-neighbor query — see
-    /// [`SfcStore::knn`](crate::SfcStore::knn).
-    pub fn knn(
-        &self,
-        q: Point<D>,
-        k: usize,
-        window: usize,
-    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        assert!(k >= 1, "k must be at least 1");
-        if self.is_empty() {
-            return (Vec::new(), QueryStats::default());
-        }
-        self.view().knn(q, k, window)
-    }
-
-    /// Reference k-nearest-neighbor by linear scan (ground truth for
-    /// tests).
-    pub fn knn_linear(&self, q: Point<D>, k: usize) -> Vec<StoreEntryRef<'_, D, T>> {
-        crate::view::rank_by_distance(self.iter().collect(), q, k)
-    }
-
-    /// All live records in curve order, newest-wins, tombstones
-    /// suppressed.
-    pub fn iter(&self) -> SnapshotIter<'_, D, T> {
-        self.view().iter()
-    }
-
-    /// Materialises the snapshot's live set into a static [`SfcIndex`].
-    pub fn to_index(&self) -> SfcIndex<D, T, C>
-    where
-        T: Clone,
-    {
-        let mut keys = Vec::with_capacity(self.live);
-        let mut points = Vec::with_capacity(self.live);
-        let mut payloads = Vec::with_capacity(self.live);
-        for entry in self.iter() {
-            keys.push(entry.key);
-            points.push(entry.point);
-            payloads.push(entry.payload.clone());
-        }
-        SfcIndex::from_sorted(self.curve.clone(), keys, points, payloads)
-    }
-}
-
-impl<const D: usize, T> StoreSnapshot<D, T, ZCurve<D>> {
-    /// Box query by BIGMIN-jumping key-range scans — see
-    /// [`SfcStore::query_box_bigmin`](crate::SfcStore::query_box_bigmin).
-    /// Z curve only.
-    pub fn query_box_bigmin(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.view().query_box_bigmin(b)
+    /// Bytes of heap memory behind the capture: the runs' compressed
+    /// blocks and dense payload columns plus the memtable's node slabs
+    /// (exact `O(1)` accounting). The per-record quotient is the
+    /// `bytes_per_record` figure the benches track against the committed
+    /// budget.
+    pub fn heap_bytes(&self) -> usize {
+        let runs: usize = self.epoch.runs.iter().map(|run| run.heap_bytes()).sum();
+        runs + self.mem.heap_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::SfcStore;
+    use crate::{ShardedSfcStore, ShardedSnapshot, StoreEntryRef};
     use rand::SeedableRng;
-    use sfc_core::Grid;
+    use sfc_core::{CurveIndex, Grid, Point, SpaceFillingCurve, ZCurve};
+    use sfc_index::BoxRegion;
 
     fn rng(seed: u64) -> rand_chacha::ChaCha8Rng {
         rand_chacha::ChaCha8Rng::seed_from_u64(seed)
@@ -177,13 +104,13 @@ mod tests {
     #[test]
     fn snapshot_is_send_and_sync() {
         fn assert_send_sync<X: Send + Sync>() {}
-        assert_send_sync::<StoreSnapshot<2, u32, ZCurve<2>>>();
+        assert_send_sync::<super::StoreSnapshot<2, u32, ZCurve<2>>>();
     }
 
     #[test]
     fn snapshot_freezes_state_while_writer_continues() {
         let grid = Grid::<2>::new(4).unwrap();
-        let mut store = SfcStore::with_memtable_capacity(ZCurve::over(grid), 8);
+        let store = ShardedSfcStore::with_memtable_capacity(ZCurve::over(grid), 1, 8);
         let mut rng = rng(5);
         for i in 0..120u32 {
             store.insert(grid.random_cell(&mut rng), i);
@@ -216,7 +143,7 @@ mod tests {
     #[test]
     fn snapshot_queries_match_store_at_snapshot_time() {
         let grid = Grid::<2>::new(4).unwrap();
-        let mut store = SfcStore::with_memtable_capacity(ZCurve::over(grid), 8);
+        let store = ShardedSfcStore::with_memtable_capacity(ZCurve::over(grid), 1, 8);
         let mut rng = rng(9);
         for i in 0..250u32 {
             let p = grid.random_cell(&mut rng);
@@ -232,6 +159,11 @@ mod tests {
                 .map(|e| (e.key, e.point, *e.payload))
                 .collect::<Vec<_>>()
         };
+        let owned = |v: Vec<crate::StoreEntry<2, u32>>| {
+            v.into_iter()
+                .map(|e| (e.key, e.point, e.payload))
+                .collect::<Vec<_>>()
+        };
         for _ in 0..20 {
             let a = grid.random_cell(&mut rng);
             let c = grid.random_cell(&mut rng);
@@ -240,11 +172,11 @@ mod tests {
             let b = BoxRegion::new(lo, hi);
             assert_eq!(
                 flat(frozen.query_box_intervals(&b).0),
-                flat(store.query_box_intervals(&b).0)
+                owned(store.query_box_intervals(&b).0)
             );
             assert_eq!(
                 flat(frozen.query_box_bigmin(&b).0),
-                flat(store.query_box_bigmin(&b).0)
+                owned(store.query_box_bigmin(&b).0)
             );
             let q = grid.random_cell(&mut rng);
             let gd: Vec<u64> = frozen
@@ -266,11 +198,11 @@ mod tests {
     #[test]
     fn empty_snapshot() {
         let grid = Grid::<2>::new(3).unwrap();
-        let mut store: SfcStore<2, u32, _> = SfcStore::new(ZCurve::over(grid));
-        let frozen = store.snapshot();
+        let store: ShardedSfcStore<2, u32, _> = ShardedSfcStore::new(ZCurve::over(grid), 1);
+        let frozen: ShardedSnapshot<2, u32, _> = store.snapshot();
         assert!(frozen.is_empty());
         assert_eq!(frozen.iter().count(), 0);
-        assert!(frozen.run_lens().is_empty());
+        assert!(frozen.shards()[0].run_lens().is_empty());
         let b = BoxRegion::new(Point::new([0, 0]), Point::new([7, 7]));
         assert!(frozen.query_box_intervals(&b).0.is_empty());
         assert!(frozen.knn(Point::new([1, 1]), 2, 2).0.is_empty());

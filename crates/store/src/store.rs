@@ -1,24 +1,18 @@
-//! The mutable store: memtable, run stack, compaction, merged queries.
+//! The engine's value types — live records as queries report them, write
+//! batch operations — and the sorted-column bulk-load primitive.
 
-use std::fmt;
-use std::sync::Arc;
-use std::time::Instant;
+use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
+use sfc_index::sort_columns;
 
-use sfc_core::{CurveIndex, Point, SpaceFillingCurve, ZCurve};
-use sfc_index::{sort_columns, BoxRegion, QueryStats, SfcIndex};
-
-use crate::merge::merge_runs;
-use crate::obs::{EngineMetrics, QueryOp, QueryTrace};
-use crate::snapshot::StoreSnapshot;
-use crate::view::{LevelsView, Memtable, QueryPlan, Run, SnapshotIter};
-
-/// Memtable entries buffered before an automatic flush, unless overridden
-/// with [`SfcStore::with_memtable_capacity`].
+/// Memtable entries a shard buffers before an automatic flush, unless
+/// overridden with
+/// [`ShardedSfcStore::with_memtable_capacity`](crate::ShardedSfcStore::with_memtable_capacity).
 pub const DEFAULT_MEMTABLE_CAPACITY: usize = 4096;
 
-/// A borrowed view of one live record of the store — the multi-level
-/// analogue of [`sfc_index::EntryRef`]. Tombstoned and superseded versions
-/// are never surfaced.
+/// A borrowed view of one live record — the multi-level analogue of
+/// [`sfc_index::EntryRef`], handed out by
+/// [`ShardedSnapshot`](crate::ShardedSnapshot) queries. Tombstoned and
+/// superseded versions are never surfaced.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoreEntryRef<'a, const D: usize, T> {
     /// Curve key of the record's cell.
@@ -29,9 +23,9 @@ pub struct StoreEntryRef<'a, const D: usize, T> {
     pub payload: &'a T,
 }
 
-/// An owned live record — what the concurrent sharded store's queries
-/// return. The borrowed [`StoreEntryRef`] cannot outlive a lock-guarded
-/// view, so the `&self` query paths of
+/// An owned live record — what the live store's queries return. A
+/// borrowed [`StoreEntryRef`] cannot outlive the per-call capture it
+/// points into, so the `&self` query paths of
 /// [`ShardedSfcStore`](crate::ShardedSfcStore) clone the payload of every
 /// reported hit into one of these instead (the write path already
 /// requires `T: Clone`).
@@ -56,7 +50,7 @@ impl<const D: usize, T: Clone> StoreEntryRef<'_, D, T> {
     }
 }
 
-/// One operation of a write batch — see [`SfcStore::apply_batch`] and
+/// One operation of a write batch — see
 /// [`ShardedSfcStore::apply_batch`](crate::ShardedSfcStore::apply_batch).
 /// Within a batch, ops on the same cell apply in submission order (the
 /// last one wins), exactly as if issued one-by-one.
@@ -64,7 +58,7 @@ impl<const D: usize, T: Clone> StoreEntryRef<'_, D, T> {
 pub enum BatchOp<const D: usize, T> {
     /// Upsert the payload at the cell.
     Insert(Point<D>, T),
-    /// Delete the record at the cell (tombstoning it if an older run may
+    /// Delete the record at the cell (tombstoning it: an older run may
     /// still hold a version).
     Delete(Point<D>),
 }
@@ -78,46 +72,10 @@ impl<const D: usize, T> BatchOp<D, T> {
     }
 }
 
-/// A mutable spatial store over SFC-sorted runs (see the crate docs for
-/// the memtable / run / compaction lifecycle).
-///
-/// The store maps each grid cell (equivalently, each curve key — the curve
-/// is a bijection) to at most one live payload. All reads see the merged,
-/// newest-wins view across the memtable and every run.
-///
-/// Runs are held behind [`Arc`] so a [`StoreSnapshot`] can pin the current
-/// run stack at zero copy cost ([`SfcStore::snapshot`]); because
-/// compaction may then need to copy a pinned run out of its `Arc`, the
-/// write path requires `T: Clone`.
-pub struct SfcStore<const D: usize, T, C: SpaceFillingCurve<D> + Clone> {
-    curve: C,
-    /// Newest level: key → (cell, payload-or-tombstone), sorted by key.
-    memtable: Memtable<D, T>,
-    /// Immutable sorted runs, oldest first; each run has unique keys and
-    /// the bottom run (`runs[0]`) is always tombstone-free.
-    runs: Vec<Run<D, T, C>>,
-    memtable_cap: usize,
-    /// Exact number of live (visible, non-tombstoned) records.
-    live: usize,
-    /// Cached metric handles, when observability is attached
-    /// ([`SfcStore::attach_metrics`]); `None` costs one check per op.
-    metrics: Option<Arc<EngineMetrics>>,
-}
-
-impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> fmt::Debug for SfcStore<D, T, C> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SfcStore")
-            .field("curve", &self.curve.name())
-            .field("live", &self.live)
-            .field("memtable_len", &self.memtable.len())
-            .field("run_lens", &self.run_lens())
-            .finish()
-    }
-}
-
 /// Sorts a record batch into unique-key bottom-run columns, collapsing
-/// records that share a cell newest-wins (later in the iterator = newer).
-/// The shared bulk-load primitive of [`SfcStore`] and the sharded store.
+/// records that share a cell newest-wins (later in the iterator = newer)
+/// — the bulk-load primitive, using the same sorted-column construction
+/// as [`SfcIndex::build`](sfc_index::SfcIndex::build).
 pub(crate) fn sorted_unique_columns<const D: usize, T, C: SpaceFillingCurve<D>>(
     curve: &C,
     records: impl IntoIterator<Item = (Point<D>, T)>,
@@ -142,613 +100,26 @@ pub(crate) fn sorted_unique_columns<const D: usize, T, C: SpaceFillingCurve<D>>(
     (run_keys, run_points, run_payloads)
 }
 
-impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> SfcStore<D, T, C> {
-    /// An empty store with the default memtable capacity.
-    pub fn new(curve: C) -> Self {
-        Self::with_memtable_capacity(curve, DEFAULT_MEMTABLE_CAPACITY)
-    }
-
-    /// An empty store flushing its memtable at `capacity` entries.
-    pub fn with_memtable_capacity(curve: C, capacity: usize) -> Self {
-        Self {
-            curve,
-            memtable: Memtable::new(),
-            runs: Vec::new(),
-            memtable_cap: capacity.max(1),
-            live: 0,
-            metrics: None,
-        }
-    }
-
-    /// Builds a store from a batch of records in one bottom run, using the
-    /// same sorted-column construction as [`SfcIndex::build`]
-    /// ([`sort_columns`]). Records sharing a cell collapse newest-wins
-    /// (later in the iterator = newer), matching the store's update
-    /// semantics.
-    pub fn bulk_load(curve: C, records: impl IntoIterator<Item = (Point<D>, T)>) -> Self {
-        let (keys, points, payloads) = sorted_unique_columns(&curve, records);
-        Self::from_sorted_run(curve, keys, points, payloads)
-    }
-
-    /// Adopts pre-sorted columns (unique keys, all slots `Some`) as the
-    /// store's single bottom run. This is the zero-copy rebuild primitive
-    /// the sharded store's rebalance migration uses.
-    pub(crate) fn from_sorted_run(
-        curve: C,
-        keys: Vec<CurveIndex>,
-        points: Vec<Point<D>>,
-        payloads: Vec<Option<T>>,
-    ) -> Self {
-        debug_assert!(
-            keys.windows(2).all(|w| w[0] < w[1]),
-            "bottom run keys must be strictly increasing"
-        );
-        debug_assert!(
-            payloads.iter().all(Option::is_some),
-            "bottom run must be tombstone-free"
-        );
-        let live = keys.len();
-        let runs = if live == 0 {
-            Vec::new()
-        } else {
-            vec![Arc::new(SfcIndex::from_sorted_versions(
-                curve.clone(),
-                keys,
-                points,
-                payloads,
-            ))]
-        };
-        Self {
-            curve,
-            memtable: Memtable::new(),
-            runs,
-            memtable_cap: DEFAULT_MEMTABLE_CAPACITY,
-            live,
-            metrics: None,
-        }
-    }
-
-    /// Attaches observability: subsequent operations feed counters,
-    /// sampled latency histograms, and gauges into `metrics`'s registry
-    /// (see the [`obs`](crate::obs) module docs). Expects a single-shard
-    /// bundle from [`EngineMetrics::for_store`]; the level gauges are
-    /// primed from the store's current state.
-    pub fn attach_metrics(&mut self, metrics: Arc<EngineMetrics>) {
-        assert_eq!(
-            metrics.shard_count(),
-            1,
-            "SfcStore takes a single-shard bundle (EngineMetrics::for_store)"
-        );
-        let s = metrics.shard(0);
-        s.live.set(self.live as i64);
-        s.run_count.set(self.runs.len() as i64);
-        s.memtable_len.set(self.memtable.len() as i64);
-        s.memtable_bytes.set(self.memtable.heap_bytes() as i64);
-        self.metrics = Some(metrics);
-    }
-
-    /// The attached metrics bundle, if any.
-    pub fn metrics(&self) -> Option<&Arc<EngineMetrics>> {
-        self.metrics.as_ref()
-    }
-
-    /// The borrowed multi-level view all queries run against.
-    pub(crate) fn view(&self) -> LevelsView<'_, D, T, C> {
-        LevelsView {
-            curve: &self.curve,
-            memtable: Some(&self.memtable),
-            runs: &self.runs,
-        }
-    }
-
-    /// The curve backing this store.
-    pub fn curve(&self) -> &C {
-        &self.curve
-    }
-
-    /// Number of live records.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// `true` iff the store holds no live records.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Current number of buffered memtable entries (live and tombstone).
-    pub fn memtable_len(&self) -> usize {
-        self.memtable.len()
-    }
-
-    /// Sizes of the immutable runs, oldest first (tombstones included).
-    pub fn run_lens(&self) -> Vec<usize> {
-        self.runs.iter().map(|run| run.len()).collect()
-    }
-
-    /// Compressed heap bytes per immutable run, oldest first — parallel
-    /// to [`run_lens`](Self::run_lens), so dividing pairwise gives each
-    /// level's bytes-per-slot figure.
-    pub fn run_heap_bytes(&self) -> Vec<usize> {
-        self.runs.iter().map(|run| run.heap_bytes()).collect()
-    }
-
-    /// Bytes of heap memory held by the immutable run stack's compressed
-    /// blocks and dense payload columns, plus the memtable's node slabs
-    /// (exact `O(1)` accounting — see
-    /// [`memtable_heap_bytes`](Self::memtable_heap_bytes)). The
-    /// per-record quotient is the `bytes_per_record` figure the benches
-    /// track against the committed budget.
-    pub fn heap_bytes(&self) -> usize {
-        let runs: usize = self.runs.iter().map(|run| run.heap_bytes()).sum();
-        runs + self.memtable.heap_bytes()
-    }
-
-    /// Bytes of heap memory held by the memtable structure alone (node
-    /// slabs of the B+tree backing, including recycled free nodes), in
-    /// `O(1)`. Also exported through the `store.memtable.bytes` gauge
-    /// when metrics are attached.
-    pub fn memtable_heap_bytes(&self) -> usize {
-        self.memtable.heap_bytes()
-    }
-
-    /// The live payload at cell `p`, if any (newest version wins; one
-    /// memtable probe plus at most one binary search per run).
-    pub fn get(&self, p: Point<D>) -> Option<&T> {
-        let m = self.metrics.as_deref();
-        let timer = m.and_then(|m| {
-            let s = m.shard(0);
-            s.gets.inc();
-            s.sampler.sampled_start()
-        });
-        let hit = if self.curve.grid().contains(&p) {
-            self.view()
-                .version(self.curve.index_of(p))
-                .and_then(|v| v.map(|(_, t)| t))
-        } else {
-            None
-        };
-        if let (Some(m), Some(start)) = (m, timer) {
-            m.shard(0).get_ns.record_since(start);
-        }
-        hit
-    }
-
-    /// Box query through the **adaptive planner**: per level, the planner
-    /// picks between walking the box's exact curve intervals and BIGMIN
-    /// key-range jumping (Morton order only) from the level's statistics —
-    /// size within the box's key span, interval count, curve — and prunes
-    /// levels whose key range or zone-map AABB cannot intersect the box.
-    /// Results are byte-identical to either fixed strategy; see the
-    /// [`view` module docs](crate::QueryPlan) for the heuristics and
-    /// [`plan_box_query`](Self::plan_box_query) to inspect the choices.
-    pub fn query_box(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        let Some(m) = self.metrics.as_deref() else {
-            return self.view().query_box(b);
-        };
-        let start = Instant::now();
-        let view = self.view();
-        let plan = view.plan_box(b);
-        let (hits, stats) = view.execute_plan(b, &plan);
-        m.note_query(QueryOp::Box, start, &stats, |wall| {
-            QueryTrace::from_plan("query_box", &plan, stats, wall)
-        });
-        (hits, stats)
-    }
-
-    /// The per-level plan [`query_box`](Self::query_box) would execute for
-    /// this box right now — for observability and tuning; executing the
-    /// query later plans afresh.
-    pub fn plan_box_query(&self, b: &BoxRegion<D>) -> QueryPlan {
-        self.view().plan_box(b)
-    }
-
-    /// Box query via exact interval decomposition, spanning all levels:
-    /// the intervals are computed **once** and scanned against the
-    /// memtable and every run
-    /// ([`interval_scan`](sfc_index::interval_scan)); per-level work is
-    /// summed and versions merge newest-wins. Works for any curve.
-    pub fn query_box_intervals(
-        &self,
-        b: &BoxRegion<D>,
-    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        let Some(m) = self.metrics.as_deref() else {
-            return self.view().query_box_intervals(b);
-        };
-        let start = Instant::now();
-        let (hits, stats) = self.view().query_box_intervals(b);
-        m.note_query(QueryOp::Intervals, start, &stats, |wall| {
-            let mut t = QueryTrace::bare("query_box_intervals", stats, wall);
-            t.volume = Some(b.volume());
-            t
-        });
-        (hits, stats)
-    }
-
-    /// Pre-zone-map interval query (whole-column seeks per interval, no
-    /// run pruning). Kept as the reference the zone-mapped paths are
-    /// differential-tested against and the baseline the benches measure;
-    /// not part of the supported API.
-    #[doc(hidden)]
-    pub fn query_box_intervals_plain(
-        &self,
-        b: &BoxRegion<D>,
-    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.view()
-            .query_intervals_plain(&b.curve_intervals(&self.curve))
-    }
-
-    /// Pre-zone-map kNN (fixed candidate windows, interval-decomposed
-    /// verification ball). Kept as the reference the zone-mapped kNN is
-    /// differential-tested against and the baseline the benches measure;
-    /// not part of the supported API.
-    #[doc(hidden)]
-    pub fn knn_plain(
-        &self,
-        q: Point<D>,
-        k: usize,
-        window: usize,
-    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        assert!(k >= 1, "k must be at least 1");
-        if self.is_empty() {
-            return (Vec::new(), QueryStats::default());
-        }
-        self.view().knn_plain(q, k, window)
-    }
-
-    /// Queries all levels for keys inside the given inclusive curve-index
-    /// intervals (sorted ascending), merging versions newest-wins. This is
-    /// the primitive a shard router uses to hand each shard only the
-    /// intervals clipped to its keyspace range.
-    pub fn query_intervals(
-        &self,
-        intervals: &[(CurveIndex, CurveIndex)],
-    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        let Some(m) = self.metrics.as_deref() else {
-            return self.view().query_intervals(intervals);
-        };
-        let start = Instant::now();
-        let (hits, stats) = self.view().query_intervals(intervals);
-        m.note_query(QueryOp::Intervals, start, &stats, |wall| {
-            let mut t = QueryTrace::bare("query_intervals", stats, wall);
-            t.intervals = Some(intervals.len());
-            t
-        });
-        (hits, stats)
-    }
-
-    /// Exact k-nearest-neighbor query (Euclidean) over the merged view,
-    /// mirroring [`SfcIndex::knn`]: candidate windows around the query's
-    /// key **per level** bound the verification radius, then the Chebyshev
-    /// ball is interval-queried across all levels and re-ranked.
-    ///
-    /// Per level and direction, the window covers at least `window` slots
-    /// and **widens past tombstoned/shadowed slots** until `k` live
-    /// candidates are bracketed (or the level is exhausted), so heavy
-    /// deletes near `q` cannot collapse the candidate set and blow the
-    /// verification ball up to the whole grid.
-    pub fn knn(
-        &self,
-        q: Point<D>,
-        k: usize,
-        window: usize,
-    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        assert!(k >= 1, "k must be at least 1");
-        if self.is_empty() {
-            return (Vec::new(), QueryStats::default());
-        }
-        let Some(m) = self.metrics.as_deref() else {
-            return self.view().knn(q, k, window);
-        };
-        let start = Instant::now();
-        let (hits, stats) = self.view().knn(q, k, window);
-        m.note_query(QueryOp::Knn, start, &stats, |wall| {
-            QueryTrace::bare("knn", stats, wall)
-        });
-        (hits, stats)
-    }
-
-    /// Reference k-nearest-neighbor by linear scan of the merged view
-    /// (ground truth for tests).
-    pub fn knn_linear(&self, q: Point<D>, k: usize) -> Vec<StoreEntryRef<'_, D, T>> {
-        crate::view::rank_by_distance(self.iter().collect(), q, k)
-    }
-
-    /// A snapshot iterator over all live records in curve order: a lazy
-    /// k-way merge of the memtable and every run, newest-wins, with
-    /// tombstones suppressed.
-    pub fn iter(&self) -> SnapshotIter<'_, D, T> {
-        self.view().iter()
-    }
-
-    /// Materialises the live set into a static [`SfcIndex`] (columns built
-    /// directly in key order — no re-sort). The result answers queries
-    /// byte-identically to the store itself.
-    pub fn to_index(&self) -> SfcIndex<D, T, C>
-    where
-        T: Clone,
-    {
-        let mut keys = Vec::with_capacity(self.live);
-        let mut points = Vec::with_capacity(self.live);
-        let mut payloads = Vec::with_capacity(self.live);
-        for entry in self.iter() {
-            keys.push(entry.key);
-            points.push(entry.point);
-            payloads.push(entry.payload.clone());
-        }
-        SfcIndex::from_sorted(self.curve.clone(), keys, points, payloads)
-    }
-}
-
-impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> SfcStore<D, T, C> {
-    /// Inserts or updates the record at cell `p` (an *upsert*: the store
-    /// holds one live record per cell). Returns `true` if a live record
-    /// was replaced.
-    pub fn insert(&mut self, p: Point<D>, payload: T) -> bool {
-        assert!(self.curve.grid().contains(&p), "record out of bounds: {p}");
-        let timer = self.metrics.as_deref().and_then(|m| {
-            let s = m.shard(0);
-            s.inserts.inc();
-            s.sampler.sampled_start()
-        });
-        let key = self.curve.index_of(p);
-        let was_live = self.view().is_live(key);
-        self.memtable.insert(key, (p, Some(payload)));
-        if !was_live {
-            self.live += 1;
-        }
-        self.maybe_flush();
-        if let Some(m) = self.metrics.as_deref() {
-            let s = m.shard(0);
-            if let Some(start) = timer {
-                s.insert_ns.record_since(start);
-            }
-            s.memtable_len.set(self.memtable.len() as i64);
-            s.memtable_bytes.set(self.memtable.heap_bytes() as i64);
-            s.live.set(self.live as i64);
-        }
-        was_live
-    }
-
-    /// Deletes the record at cell `p`, writing a tombstone if an older run
-    /// may still hold a version of the cell. Returns `true` if a live
-    /// record was removed.
-    pub fn delete(&mut self, p: Point<D>) -> bool {
-        assert!(self.curve.grid().contains(&p), "record out of bounds: {p}");
-        let timer = self.metrics.as_deref().and_then(|m| {
-            let s = m.shard(0);
-            s.deletes.inc();
-            s.sampler.sampled_start()
-        });
-        let key = self.curve.index_of(p);
-        let was_live = self.view().is_live(key);
-        if self.runs.is_empty() {
-            // Nothing below the memtable: no tombstone needed.
-            self.memtable.remove(&key);
-        } else {
-            self.memtable.insert(key, (p, None));
-        }
-        if was_live {
-            self.live -= 1;
-        }
-        self.maybe_flush();
-        if let Some(m) = self.metrics.as_deref() {
-            let s = m.shard(0);
-            if let Some(start) = timer {
-                s.delete_ns.record_since(start);
-            }
-            s.memtable_len.set(self.memtable.len() as i64);
-            s.memtable_bytes.set(self.memtable.heap_bytes() as i64);
-            s.live.set(self.live as i64);
-        }
-        was_live
-    }
-
-    /// Applies a batch of upserts and deletes as one operation,
-    /// equivalent to issuing the ops one-by-one in slice order (for a
-    /// cell written twice, the later op wins) but cheaper: the batch is
-    /// keyed once, stably sorted by curve index so the sorted keys ride
-    /// the memtable's last-leaf insertion hint instead of paying a root
-    /// descent each, and the flush-capacity check runs once at the end
-    /// (the memtable may briefly overshoot its capacity mid-batch).
-    pub fn apply_batch(&mut self, ops: &[BatchOp<D, T>]) {
-        if ops.is_empty() {
-            return;
-        }
-        let timer = self.metrics.as_deref().and_then(|m| {
-            let s = m.shard(0);
-            let inserts = ops
-                .iter()
-                .filter(|op| matches!(op, BatchOp::Insert(..)))
-                .count() as u64;
-            s.inserts.add(inserts);
-            s.deletes.add(ops.len() as u64 - inserts);
-            s.sampler.sampled_start()
-        });
-        let mut keyed: Vec<(CurveIndex, &BatchOp<D, T>)> = ops
-            .iter()
-            .map(|op| {
-                let p = op.point();
-                assert!(self.curve.grid().contains(p), "record out of bounds: {p}");
-                (self.curve.index_of(*p), op)
-            })
-            .collect();
-        // Stable sort: duplicate keys keep submission order, so the last
-        // write to a cell lands last and wins.
-        keyed.sort_by_key(|&(k, _)| k);
-        for (key, op) in keyed {
-            let was_live = self.view().is_live(key);
-            match op {
-                BatchOp::Insert(p, payload) => {
-                    self.memtable.insert(key, (*p, Some(payload.clone())));
-                    if !was_live {
-                        self.live += 1;
-                    }
-                }
-                BatchOp::Delete(p) => {
-                    if self.runs.is_empty() {
-                        // Nothing below the memtable: no tombstone needed
-                        // (and no flush runs mid-batch to change that).
-                        self.memtable.remove(&key);
-                    } else {
-                        self.memtable.insert(key, (*p, None));
-                    }
-                    if was_live {
-                        self.live -= 1;
-                    }
-                }
-            }
-        }
-        self.maybe_flush();
-        if let Some(m) = self.metrics.as_deref() {
-            let s = m.shard(0);
-            if let Some(start) = timer {
-                s.insert_ns.record_since(start);
-            }
-            s.memtable_len.set(self.memtable.len() as i64);
-            s.memtable_bytes.set(self.memtable.heap_bytes() as i64);
-            s.live.set(self.live as i64);
-        }
-    }
-
-    fn maybe_flush(&mut self) {
-        if self.memtable.len() >= self.memtable_cap {
-            self.flush();
-        }
-    }
-
-    /// Drains the memtable into a new immutable run (adopted sorted via
-    /// [`SfcIndex::from_sorted`] — the memtable is already in key order),
-    /// then restores the size-tier invariant by merging runs. A no-op on
-    /// an empty memtable.
-    pub fn flush(&mut self) {
-        if self.memtable.is_empty() {
-            return;
-        }
-        let start = Instant::now();
-        let drop_tombstones = self.runs.is_empty();
-        let mut keys = Vec::with_capacity(self.memtable.len());
-        let mut points = Vec::with_capacity(self.memtable.len());
-        let mut payloads = Vec::with_capacity(self.memtable.len());
-        for (key, (point, slot)) in std::mem::take(&mut self.memtable) {
-            if slot.is_none() && drop_tombstones {
-                continue;
-            }
-            keys.push(key);
-            points.push(point);
-            payloads.push(slot);
-        }
-        if !keys.is_empty() {
-            self.runs.push(Arc::new(SfcIndex::from_sorted_versions(
-                self.curve.clone(),
-                keys,
-                points,
-                payloads,
-            )));
-            self.maybe_merge();
-        }
-        if let Some(m) = self.metrics.as_deref() {
-            let s = m.shard(0);
-            s.flushes.inc();
-            s.flush_ns.record_since(start);
-            s.memtable_len.set(0);
-            s.memtable_bytes.set(self.memtable.heap_bytes() as i64);
-            s.run_count.set(self.runs.len() as i64);
-        }
-    }
-
-    /// Size-tiered compaction: while an older run is less than twice the
-    /// size of the run stacked on it, merge the pair (sequential k-way
-    /// merge, newest wins). Keeps the run count at `O(log n)` and total
-    /// merge work amortised `O(log n)` moves per write.
-    fn maybe_merge(&mut self) {
-        crate::merge::restore_size_tiers(&self.curve, &mut self.runs);
-    }
-
-    /// Major compaction: flushes the memtable and merges **all** runs into
-    /// a single tombstone-free run. Afterwards queries touch exactly one
-    /// level.
-    pub fn compact(&mut self) {
-        let start = Instant::now();
-        self.flush();
-        if self.runs.len() > 1 {
-            let runs = std::mem::take(&mut self.runs);
-            let merged = merge_runs(&self.curve, runs, true);
-            if !merged.is_empty() {
-                self.runs.push(Arc::new(merged));
-            }
-        }
-        debug_assert_eq!(
-            self.runs.iter().map(|run| run.len()).sum::<usize>(),
-            self.live,
-            "after compaction every stored record is live"
-        );
-        if let Some(m) = self.metrics.as_deref() {
-            let s = m.shard(0);
-            s.compactions.inc();
-            s.compact_ns.record_since(start);
-            s.run_count.set(self.runs.len() as i64);
-        }
-    }
-
-    /// Freezes the store's current contents into an owned, immutable
-    /// [`StoreSnapshot`]: the memtable is flushed (so the snapshot sees
-    /// every write so far) and the resulting run stack is pinned by
-    /// cloning its `Arc`s — `O(runs)` work, no record is copied.
-    ///
-    /// The snapshot keeps answering queries against exactly this state
-    /// while the store absorbs further writes. Compactions that want to
-    /// consume a pinned run copy it out of its `Arc` instead (the reason
-    /// the write path requires `T: Clone`), leaving the snapshot intact.
-    pub fn snapshot(&mut self) -> StoreSnapshot<D, T, C> {
-        self.flush();
-        StoreSnapshot::new(self.curve.clone(), self.runs.clone(), self.live)
-    }
-}
-
-impl<const D: usize, T> SfcStore<D, T, ZCurve<D>> {
-    /// Box query by BIGMIN-jumping key-range scans (Tropf & Herzog),
-    /// spanning all levels: [`bigmin_scan`](sfc_index::bigmin_scan) per
-    /// run plus an equivalent jumping scan over the memtable's key range,
-    /// with per-level work summed and versions merged newest-wins. Z curve
-    /// only; needs no per-query `O(volume)` preprocessing.
-    ///
-    /// The jumps are exact at the edges of the keyspace: a box containing
-    /// the grid's all-max corner terminates through
-    /// [`bigmin`](sfc_index::bigmin()) returning `None`, never by wrapping
-    /// past the last curve index.
-    pub fn query_box_bigmin(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        let Some(m) = self.metrics.as_deref() else {
-            return self.view().query_box_bigmin(b);
-        };
-        let start = Instant::now();
-        let (hits, stats) = self.view().query_box_bigmin(b);
-        m.note_query(QueryOp::Bigmin, start, &stats, |wall| {
-            let mut t = QueryTrace::bare("query_box_bigmin", stats, wall);
-            t.volume = Some(b.volume());
-            t
-        });
-        (hits, stats)
-    }
-
-    /// Pre-zone-map BIGMIN query (no run pruning, whole-tail jump
-    /// searches). Kept as the reference the zone-mapped paths are
-    /// differential-tested against and the baseline the benches measure;
-    /// not part of the supported API.
-    #[doc(hidden)]
-    pub fn query_box_bigmin_plain(
-        &self,
-        b: &BoxRegion<D>,
-    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.view().query_box_bigmin_plain(b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedSfcStore;
     use rand::{Rng, SeedableRng};
-    use sfc_core::{Grid, HilbertCurve};
+    use sfc_core::{Grid, HilbertCurve, ZCurve};
+    use sfc_index::BoxRegion;
+
+    /// The engine at `p = 1`: every test below drives one shard through
+    /// the public store, reading borrowed results off `snapshot()`.
+    fn one_shard<C: SpaceFillingCurve<2> + Clone>(
+        curve: C,
+        cap: usize,
+    ) -> ShardedSfcStore<2, u32, C> {
+        ShardedSfcStore::with_memtable_capacity(curve, 1, cap)
+    }
+
+    fn run_lens<C: SpaceFillingCurve<2> + Clone>(store: &ShardedSfcStore<2, u32, C>) -> Vec<usize> {
+        store.shard_run_lens().remove(0)
+    }
 
     fn rng(seed: u64) -> rand_chacha::ChaCha8Rng {
         rand_chacha::ChaCha8Rng::seed_from_u64(seed)
@@ -757,13 +128,13 @@ mod tests {
     #[test]
     fn insert_get_delete_roundtrip() {
         let grid = Grid::<2>::new(4).unwrap();
-        let mut store = SfcStore::with_memtable_capacity(ZCurve::over(grid), 4);
+        let store = one_shard(ZCurve::over(grid), 4);
         let p = Point::new([3, 7]);
         assert_eq!(store.get(p), None);
         assert!(!store.insert(p, 10u32));
-        assert_eq!(store.get(p), Some(&10));
+        assert_eq!(store.get(p), Some(10));
         assert!(store.insert(p, 20)); // update replaces
-        assert_eq!(store.get(p), Some(&20));
+        assert_eq!(store.get(p), Some(20));
         assert_eq!(store.len(), 1);
         assert!(store.delete(p));
         assert_eq!(store.get(p), None);
@@ -774,7 +145,7 @@ mod tests {
     #[test]
     fn tombstone_shadows_older_run_until_bottom_merge() {
         let grid = Grid::<2>::new(4).unwrap();
-        let mut store = SfcStore::with_memtable_capacity(ZCurve::over(grid), 1024);
+        let store = one_shard(ZCurve::over(grid), 1024);
         let p = Point::new([5, 5]);
         store.insert(p, 1u32);
         for i in 0..40u32 {
@@ -785,9 +156,9 @@ mod tests {
         store.flush(); // newer run holds the tombstone
         assert_eq!(store.get(p), None, "tombstone shadows the bottom run");
         assert!(store.iter().all(|e| e.point != p));
-        let total_before: usize = store.run_lens().iter().sum();
+        let total_before: usize = run_lens(&store).iter().sum();
         store.compact();
-        let total_after: usize = store.run_lens().iter().sum();
+        let total_after: usize = run_lens(&store).iter().sum();
         assert!(total_after < total_before, "compaction reclaims the pair");
         assert_eq!(total_after, store.len());
         assert_eq!(store.get(p), None);
@@ -797,20 +168,21 @@ mod tests {
     fn bulk_load_is_newest_wins() {
         let grid = Grid::<2>::new(3).unwrap();
         let p = Point::new([2, 2]);
-        let store = SfcStore::bulk_load(
+        let store = ShardedSfcStore::bulk_load(
             ZCurve::over(grid),
+            1,
             vec![(p, 1u32), (Point::new([0, 1]), 2), (p, 3)],
         );
         assert_eq!(store.len(), 2);
-        assert_eq!(store.get(p), Some(&3));
+        assert_eq!(store.get(p), Some(3));
     }
 
     #[test]
     fn queries_match_static_index_on_live_set() {
         let grid = Grid::<2>::new(5).unwrap();
         let mut rng = rng(3);
-        let mut store = SfcStore::with_memtable_capacity(ZCurve::over(grid), 16);
-        for i in 0..600u32 {
+        let store = one_shard(ZCurve::over(grid), 16);
+        for i in 0..620u32 {
             let p = grid.random_cell(&mut rng);
             if i % 5 == 4 {
                 store.delete(p);
@@ -818,8 +190,9 @@ mod tests {
                 store.insert(p, i);
             }
         }
-        assert!(store.run_lens().len() >= 2, "want a multi-run store");
-        let static_index = store.to_index();
+        assert!(run_lens(&store).len() >= 2, "want a multi-run store");
+        let snap = store.snapshot();
+        let static_index = snap.to_index();
         assert_eq!(static_index.len(), store.len());
         for _ in 0..30 {
             let a = grid.random_cell(&mut rng);
@@ -837,8 +210,8 @@ mod tests {
                     .map(|e| (e.key, e.point, *e.payload))
                     .collect::<Vec<_>>()
             };
-            let (bm, _) = store.query_box_bigmin(&b);
-            let (iv, iv_stats) = store.query_box_intervals(&b);
+            let (bm, _) = snap.query_box_bigmin(&b);
+            let (iv, iv_stats) = snap.query_box_intervals(&b);
             let (expected, _) = static_index.query_box_bigmin(&b);
             assert_eq!(flat(bm), flat_idx(expected.clone()));
             assert_eq!(flat(iv), flat_idx(expected));
@@ -850,7 +223,7 @@ mod tests {
     fn knn_matches_linear_over_merged_view() {
         let grid = Grid::<2>::new(4).unwrap();
         let mut rng = rng(7);
-        let mut store = SfcStore::with_memtable_capacity(HilbertCurve::over(grid), 8);
+        let store = one_shard(HilbertCurve::over(grid), 8);
         for i in 0..200u32 {
             let p = grid.random_cell(&mut rng);
             if i % 7 == 6 {
@@ -881,7 +254,7 @@ mod tests {
         // verification ball small — without the fix the radius fell back
         // to the whole grid, scanning every live record.
         let grid = Grid::<2>::new(6).unwrap(); // 64×64
-        let mut store = SfcStore::with_memtable_capacity(ZCurve::over(grid), 32);
+        let store = one_shard(ZCurve::over(grid), 32);
         for x in 0..64u32 {
             for y in 0..64u32 {
                 store.insert(Point::new([x, y]), x * 64 + y);
@@ -932,9 +305,9 @@ mod tests {
         let b = BoxRegion::new(Point::new([max - 2, max - 2]), Point::new([max, max]));
         assert_eq!(z.encode(b.hi()), grid.n() - 1, "all-max corner is last key");
         // Memtable-only store: the jumping memtable scan path.
-        let mut mem_store = SfcStore::with_memtable_capacity(z, 1 << 20);
+        let mem_store = one_shard(z, 1 << 20);
         // Run-backed store: the bigmin_scan path.
-        let mut run_store = SfcStore::with_memtable_capacity(z, 4);
+        let run_store = one_shard(z, 4);
         for dx in 0..6u32 {
             for dy in 0..6u32 {
                 let p = Point::new([max - dx, max - dy]);
@@ -942,8 +315,8 @@ mod tests {
                 run_store.insert(p, dx * 10 + dy);
             }
         }
-        assert!(mem_store.run_lens().is_empty());
-        assert!(!run_store.run_lens().is_empty());
+        assert!(run_lens(&mem_store).is_empty());
+        assert!(!run_lens(&run_store).is_empty());
         for store in [&mem_store, &run_store] {
             let (hits, _) = store.query_box_bigmin(&b);
             assert_eq!(hits.len(), 9, "3×3 corner cells");
@@ -960,7 +333,7 @@ mod tests {
     fn snapshot_iter_is_sorted_unique_and_live() {
         let grid = Grid::<2>::new(4).unwrap();
         let mut rng = rng(11);
-        let mut store = SfcStore::with_memtable_capacity(ZCurve::over(grid), 8);
+        let store = one_shard(ZCurve::over(grid), 8);
         for i in 0..300u32 {
             let p = grid.random_cell(&mut rng);
             if rng.gen_range(0..4u32) == 0 {
@@ -969,14 +342,16 @@ mod tests {
                 store.insert(p, i);
             }
         }
-        let entries: Vec<(CurveIndex, u32)> = store.iter().map(|e| (e.key, *e.payload)).collect();
+        let snap = store.snapshot();
+        let entries: Vec<(CurveIndex, u32)> = snap.iter().map(|e| (e.key, *e.payload)).collect();
         assert_eq!(entries.len(), store.len());
         for w in entries.windows(2) {
             assert!(w[0].0 < w[1].0, "strictly increasing keys");
         }
         for (key, payload) in &entries {
             let p = store.curve().point_of(*key);
-            assert_eq!(store.get(p), Some(payload));
+            assert_eq!(snap.get(p), Some(payload));
+            assert_eq!(store.get(p), Some(*payload));
         }
     }
 
@@ -984,11 +359,11 @@ mod tests {
     fn run_sizes_keep_the_tier_invariant() {
         let grid = Grid::<2>::new(6).unwrap();
         let mut rng = rng(13);
-        let mut store = SfcStore::with_memtable_capacity(ZCurve::over(grid), 32);
+        let store = one_shard(ZCurve::over(grid), 32);
         for i in 0..3_000u32 {
             store.insert(grid.random_cell(&mut rng), i);
         }
-        let lens = store.run_lens();
+        let lens = run_lens(&store);
         for w in lens.windows(2) {
             assert!(w[0] >= 2 * w[1], "size tiers violated: {lens:?}");
         }
@@ -999,7 +374,7 @@ mod tests {
     fn planner_matches_both_fixed_strategies_and_plain_paths() {
         let grid = Grid::<2>::new(6).unwrap(); // 64×64
         let mut rng = rng(21);
-        let mut store = SfcStore::with_memtable_capacity(ZCurve::over(grid), 32);
+        let store = one_shard(ZCurve::over(grid), 32);
         for i in 0..2_500u32 {
             let p = grid.random_cell(&mut rng);
             if i % 6 == 5 {
@@ -1008,12 +383,13 @@ mod tests {
                 store.insert(p, i);
             }
         }
-        assert!(store.run_lens().len() >= 2, "want a multi-run store");
+        assert!(run_lens(&store).len() >= 2, "want a multi-run store");
         let flat = |v: Vec<StoreEntryRef<'_, 2, u32>>| {
             v.into_iter()
                 .map(|e| (e.key, e.point, *e.payload))
                 .collect::<Vec<_>>()
         };
+        let store = store.snapshot();
         for _ in 0..40 {
             let a = grid.random_cell(&mut rng);
             let c = grid.random_cell(&mut rng);
@@ -1050,22 +426,22 @@ mod tests {
     fn planner_adapts_decomposition_to_volume_and_levels_to_run_size() {
         let grid = Grid::<2>::new(10).unwrap(); // 1024×1024
         let mut rng = rng(33);
-        let mut store = SfcStore::with_memtable_capacity(ZCurve::over(grid), 256);
+        let store = one_shard(ZCurve::over(grid), 256);
         for i in 0..20_000u32 {
             store.insert(grid.random_cell(&mut rng), i);
         }
         store.flush();
-        assert!(store.run_lens().len() >= 2, "want a multi-run store");
+        assert!(run_lens(&store).len() >= 2, "want a multi-run store");
         // A tiny box decomposes; every non-pruned run picks a strategy.
         let small = BoxRegion::new(Point::new([100, 100]), Point::new([107, 107]));
-        let plan = store.plan_box_query(&small);
+        let plan = store.plan_box_query(&small).remove(0);
         assert_eq!(plan.volume, 64);
         let count = plan.interval_count().expect("tiny Z boxes decompose");
         assert!(count >= 1);
-        assert_eq!(plan.runs.len(), store.run_lens().len());
+        assert_eq!(plan.runs.len(), run_lens(&store).len());
         // A bigger box skips decomposition outright: all levels jump.
         let huge = BoxRegion::new(Point::new([0, 0]), Point::new([767, 767]));
-        let plan = store.plan_box_query(&huge);
+        let plan = store.plan_box_query(&huge).remove(0);
         assert!(plan.interval_count().is_none(), "oversized box decomposed");
         assert!(plan
             .runs
@@ -1074,13 +450,13 @@ mod tests {
         // A box outside every run's AABB prunes everything (records only
         // populate random cells; an empty corner may not exist — so build
         // one deliberately).
-        let mut corner_store = SfcStore::with_memtable_capacity(ZCurve::over(grid), 8);
+        let corner_store = one_shard(ZCurve::over(grid), 8);
         for i in 0..64u32 {
             corner_store.insert(Point::new([i % 8, i / 8]), i);
         }
         corner_store.flush();
         let far = BoxRegion::new(Point::new([900, 900]), Point::new([905, 905]));
-        let plan = corner_store.plan_box_query(&far);
+        let plan = corner_store.plan_box_query(&far).remove(0);
         assert!(
             plan.runs.iter().all(|s| *s == crate::LevelStrategy::Pruned),
             "far box must prune every run: {plan:?}"
@@ -1094,7 +470,7 @@ mod tests {
     #[test]
     fn empty_store_behaviour() {
         let grid = Grid::<2>::new(3).unwrap();
-        let mut store: SfcStore<2, u32, _> = SfcStore::new(ZCurve::over(grid));
+        let store: ShardedSfcStore<2, u32, _> = ShardedSfcStore::new(ZCurve::over(grid), 1);
         assert!(store.is_empty());
         assert_eq!(store.iter().count(), 0);
         let b = BoxRegion::new(Point::new([0, 0]), Point::new([7, 7]));

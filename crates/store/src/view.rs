@@ -1,12 +1,11 @@
 //! The shared multi-level query engine and the adaptive query planner.
 //!
-//! An [`SfcStore`](crate::SfcStore) reads merge a mutable memtable with a
-//! stack of immutable runs; a [`StoreSnapshot`](crate::StoreSnapshot)
-//! reads merge a frozen run stack only. Both are the *same* algorithm —
-//! newest level wins, tombstones suppress older versions, per-level work
-//! summed into one [`QueryStats`] — so it lives here once, expressed over
-//! a [`LevelsView`]: an optional borrowed memtable plus a slice of
-//! `Arc`-shared runs.
+//! Every read merges one shard's levels: the captured memtable image over
+//! a stack of immutable runs. Newest level wins, tombstones suppress
+//! older versions, per-level work sums into one [`QueryStats`] — the
+//! algorithm lives here once, expressed over a [`LevelsView`]: an
+//! optional borrowed memtable plus a slice of `Arc`-shared runs, borrowed
+//! from a [`StoreSnapshot`](crate::StoreSnapshot).
 //!
 //! ## The adaptive box-query planner
 //!
@@ -23,7 +22,9 @@
 //! usually holds one huge bottom run *and* several small recent runs, and
 //! the right answer differs per run.
 //!
-//! [`LevelsView::plan_box`] picks per level, from run statistics:
+//! The planner picks per level, from run statistics — step 1 once per
+//! query at the router ([`should_decompose`]), steps 2 and 3 per shard in
+//! [`LevelsView::plan_box_with`]:
 //!
 //! 1. **Decompose or not.** Non-Morton curves always decompose (intervals
 //!    are their only exact strategy). The Z curve decomposes only when the
@@ -42,8 +43,8 @@
 //!    memtable makes the same choice against its total size.
 //!
 //! The resulting [`QueryPlan`] is observable through
-//! [`SfcStore::plan_box_query`](crate::SfcStore::plan_box_query) (see
-//! `examples/query_planner.rs`), and every executed strategy records
+//! [`ShardedSfcStore::plan_box_query`](crate::ShardedSfcStore::plan_box_query)
+//! (see `examples/query_planner.rs`), and every executed strategy records
 //! per-block work in `blocks_scanned` / `blocks_pruned` /
 //! `blocks_decoded`.
 
@@ -58,7 +59,7 @@ use sfc_index::{
     BlockStore, BoxRegion, DecodedBlock, QueryStats, SfcIndex, BLOCK_SLOTS,
 };
 
-use crate::memtable::SfcMemtable;
+use crate::epoch::{SeqSlot, SeqTable};
 use crate::store::StoreEntryRef;
 
 /// Boxes with at most this many cells are decomposed into exact curve
@@ -91,46 +92,6 @@ pub const INTERVAL_VOLUME_CUTOFF: u128 = 64;
 /// ball; it is kept, and wants re-measuring now that the setup is
 /// `O(perimeter)` (see ROADMAP).
 pub const KNN_BALL_INTERVALS_CUTOFF: u128 = 256;
-
-/// The single-writer store's memtable entry: cell and
-/// payload-or-tombstone.
-pub(crate) type Slot<const D: usize, T> = (Point<D>, Option<T>);
-
-/// The newest-level table: key → (cell, payload-or-tombstone). An opaque
-/// [`SfcMemtable`](crate::memtable::SfcMemtable) — the concrete map
-/// behind it (locality-aware B+tree by default, `BTreeMap` under the
-/// `memtable-btreemap` differential feature) is invisible to every layer
-/// compiled against this alias.
-pub(crate) type Memtable<const D: usize, T> = crate::memtable::SfcMemtable<Slot<D, T>>;
-
-/// What the query engine reads of a memtable entry. Two tables feed it:
-/// the single-writer store's [`Slot`]s and the shards' seq-stamped
-/// `(cell, payload, seq)` slots, so a shard capture is scanned as it was
-/// written, never converted.
-pub(crate) trait MemSlot<const D: usize, T> {
-    /// The cell the entry belongs to.
-    fn point(&self) -> Point<D>;
-    /// The payload, or `None` for a tombstone.
-    fn payload(&self) -> Option<&T>;
-}
-
-impl<const D: usize, T> MemSlot<D, T> for Slot<D, T> {
-    fn point(&self) -> Point<D> {
-        self.0
-    }
-    fn payload(&self) -> Option<&T> {
-        self.1.as_ref()
-    }
-}
-
-impl<const D: usize, T> MemSlot<D, T> for (Point<D>, Option<T>, u64) {
-    fn point(&self) -> Point<D> {
-        self.0
-    }
-    fn payload(&self) -> Option<&T> {
-        self.1.as_ref()
-    }
-}
 
 /// One immutable sorted run, shareable with snapshots. Tombstones live in
 /// the run's block bitmap; payloads are the dense live-only column.
@@ -171,14 +132,14 @@ impl fmt::Display for LevelStrategy {
 
 /// The per-level execution plan for one box query — see the module docs
 /// for how it is chosen and
-/// [`SfcStore::plan_box_query`](crate::SfcStore::plan_box_query) for
-/// inspecting it.
+/// [`ShardedSfcStore::plan_box_query`](crate::ShardedSfcStore::plan_box_query)
+/// for inspecting it.
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
     /// Cells in the query box.
     pub volume: u128,
-    /// Strategy for the memtable level (`None` when the view has no
-    /// memtable, e.g. snapshots).
+    /// Strategy for the memtable level (`None` when the captured
+    /// memtable was empty).
     pub memtable: Option<LevelStrategy>,
     /// Strategy per immutable run, oldest first.
     pub runs: Vec<LevelStrategy>,
@@ -213,8 +174,8 @@ pub(crate) enum KnnBallPlan {
     Planned(Option<Vec<Interval>>),
 }
 
-/// The one rule every kNN path — single store, sharded, parallel,
-/// snapshot — decomposes its verification ball by: balls up to
+/// The one rule every kNN path — one shard's levels, the fan-out, its
+/// parallel twin — decomposes its verification ball by: balls up to
 /// [`KNN_BALL_INTERVALS_CUTOFF`] cells walk their exact intervals, larger
 /// ones go through the box planner's own decompose decision.
 pub(crate) fn plan_knn_ball<const D: usize, C: SpaceFillingCurve<D>>(
@@ -264,25 +225,32 @@ pub(crate) fn radius_from_heap<const D: usize>(
     }
 }
 
-/// A borrowed view of the levels of a store or snapshot: the newest level
-/// (an optional memtable of `S` slots) over a stack of immutable runs,
-/// oldest first.
-pub(crate) struct LevelsView<'a, const D: usize, T, C: SpaceFillingCurve<D>, S = Slot<D, T>> {
+/// A borrowed view of one captured shard's levels: the newest level (the
+/// memtable image, when it holds anything) over a stack of immutable
+/// runs, oldest first.
+pub(crate) struct LevelsView<'a, const D: usize, T, C: SpaceFillingCurve<D>> {
     pub curve: &'a C,
-    /// `None` for snapshots (whose memtable was flushed at creation).
-    pub memtable: Option<&'a SfcMemtable<S>>,
-    /// Oldest → newest, like the store's run stack.
+    /// `None` when the captured memtable was empty.
+    pub memtable: Option<&'a SeqTable<D, T>>,
+    /// Oldest → newest, like the shard's run stack.
     pub runs: &'a [Run<D, T, C>],
 }
 
-impl<'a, const D: usize, T, C: SpaceFillingCurve<D>, S: MemSlot<D, T>> LevelsView<'a, D, T, C, S> {
+/// What the query engine reads of a memtable entry: the cell and the
+/// payload (`None` for a tombstone); the sequence number is the flush
+/// drain's business.
+fn mem_version<const D: usize, T>(slot: &SeqSlot<D, T>) -> Version<'_, D, T> {
+    slot.1.as_ref().map(|t| (slot.0, t))
+}
+
+impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
     /// The newest version of `key` across all levels, or `None` if no
     /// level mentions it. `Some(None)` means the newest version is a
     /// tombstone.
     pub(crate) fn version(&self, key: CurveIndex) -> Option<Version<'a, D, T>> {
         if let Some(mem) = self.memtable {
             if let Some(slot) = mem.get(&key) {
-                return Some(slot.payload().map(|t| (slot.point(), t)));
+                return Some(mem_version(slot));
             }
         }
         for run in self.runs.iter().rev() {
@@ -291,11 +259,6 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>, S: MemSlot<D, T>> LevelsVie
             }
         }
         None
-    }
-
-    /// `true` iff the newest version of `key` is live.
-    pub(crate) fn is_live(&self, key: CurveIndex) -> bool {
-        matches!(self.version(key), Some(Some(_)))
     }
 
     /// `true` iff some level strictly newer than run `run_idx` holds a
@@ -459,14 +422,6 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>, S: MemSlot<D, T>> LevelsVie
         }
     }
 
-    /// Builds the per-level execution plan for a box query — see the
-    /// module docs for the heuristics.
-    pub(crate) fn plan_box(&self, b: &BoxRegion<D>) -> QueryPlan {
-        let intervals =
-            should_decompose(self.curve, b.volume()).then(|| b.curve_intervals(self.curve));
-        self.plan_box_with(b, intervals)
-    }
-
     /// Executes a box-query plan: every level is scanned with its chosen
     /// strategy into its own ascending hit list, pruned levels charge
     /// their zone-map blocks to `blocks_pruned`, and the lists k-way merge
@@ -526,16 +481,10 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>, S: MemSlot<D, T>> LevelsVie
         Self::merge_level_hits(levels, stats)
     }
 
-    /// Box query through the adaptive planner: plan, then execute.
-    pub(crate) fn query_box(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
-        let plan = self.plan_box(b);
-        self.execute_plan(b, &plan)
-    }
-
     /// Scans the memtable for keys inside the intervals, surfacing each
     /// version to `sink` in ascending key order.
     fn mem_interval_scan(
-        mem: &'a SfcMemtable<S>,
+        mem: &'a SeqTable<D, T>,
         intervals: &[Interval],
         stats: &mut QueryStats,
         mut sink: impl FnMut(CurveIndex, Version<'a, D, T>),
@@ -544,7 +493,7 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>, S: MemSlot<D, T>> LevelsVie
             stats.seeks += 1;
             for (key, slot) in mem.range_iter(lo, hi) {
                 stats.scanned += 1;
-                sink(key, slot.payload().map(|t| (slot.point(), t)));
+                sink(key, mem_version(slot));
             }
         }
     }
@@ -552,7 +501,7 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>, S: MemSlot<D, T>> LevelsVie
     /// Sequential memtable range walk with BIGMIN jumps (Morton order),
     /// surfacing each version to `sink` in ascending key order.
     fn mem_bigmin_scan(
-        mem: &'a SfcMemtable<S>,
+        mem: &'a SeqTable<D, T>,
         z: &ZCurve<D>,
         b: &BoxRegion<D>,
         stats: &mut QueryStats,
@@ -569,9 +518,8 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>, S: MemSlot<D, T>> LevelsVie
                     break 'memtable;
                 };
                 stats.scanned += 1;
-                let point = slot.point();
-                if b.contains(&point) {
-                    sink(key, slot.payload().map(|t| (point, t)));
+                if b.contains(&slot.0) {
+                    sink(key, mem_version(slot));
                 } else {
                     match bigmin(z, key, zmin, zmax) {
                         Some(next) => {
@@ -618,15 +566,6 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>, S: MemSlot<D, T>> LevelsVie
             levels.push(hits);
         }
         Self::merge_level_hits(levels, stats)
-    }
-
-    /// Box query via exact interval decomposition (computed once, scanned
-    /// against every level). Works for any curve.
-    pub(crate) fn query_box_intervals(
-        &self,
-        b: &BoxRegion<D>,
-    ) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
-        self.query_intervals(&b.curve_intervals(self.curve))
     }
 
     /// The pre-zone-map interval query (whole-column seeks, no run
@@ -721,8 +660,8 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>, S: MemSlot<D, T>> LevelsVie
         for (_ck, slot) in mem.iter_rev_below(key) {
             slots += 1;
             stats.scanned += 1;
-            if slot.payload().is_some() {
-                offer(heap, k, q.euclidean_sq(&slot.point()));
+            if slot.1.is_some() {
+                offer(heap, k, q.euclidean_sq(&slot.0));
                 live += 1;
             }
             if live >= k && slots >= window {
@@ -734,8 +673,8 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>, S: MemSlot<D, T>> LevelsVie
         for (_ck, slot) in mem.iter_from(key) {
             slots += 1;
             stats.scanned += 1;
-            if slot.payload().is_some() {
-                offer(heap, k, q.euclidean_sq(&slot.point()));
+            if slot.1.is_some() {
+                offer(heap, k, q.euclidean_sq(&slot.0));
                 live += 1;
             }
             if live >= k && slots >= window {
@@ -875,37 +814,6 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>, S: MemSlot<D, T>> LevelsVie
         true
     }
 
-    /// Exact k-nearest-neighbor query over the merged view: zone-sharpened
-    /// candidate collection bounds the verification radius through the
-    /// top-k distance heap, then the Chebyshev ball runs through the
-    /// adaptive box planner and the survivors are re-ranked.
-    pub(crate) fn knn(
-        &self,
-        q: Point<D>,
-        k: usize,
-        window: usize,
-    ) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
-        assert!(k >= 1, "k must be at least 1");
-        let key = self.curve.index_of(q);
-        let mut stats = QueryStats::default();
-        let radius = with_knn_heap(|heap| {
-            self.knn_collect(q, key, k, window, heap, &mut stats);
-            radius_from_heap(self.curve.grid(), heap, k)
-        });
-        let ball = BoxRegion::chebyshev_ball(self.curve.grid(), q, radius);
-        let (all, ball_stats) = match plan_knn_ball(self.curve, &ball) {
-            KnnBallPlan::Exact(intervals) => self.query_intervals(&intervals),
-            KnnBallPlan::Planned(intervals) => {
-                let plan = self.plan_box_with(&ball, intervals);
-                self.execute_plan(&ball, &plan)
-            }
-        };
-        stats.add(&ball_stats);
-        let all = rank_by_distance(all, q, k);
-        stats.reported = all.len() as u64;
-        (all, stats)
-    }
-
     /// The pre-zone-map kNN candidate collection: fixed slot windows
     /// widened past dead slots, no block skipping, candidates gathered
     /// into a vector. Reference for differential tests and baseline
@@ -926,8 +834,8 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>, S: MemSlot<D, T>> LevelsVie
             for (ck, slot) in mem.iter_rev_below(key) {
                 slots += 1;
                 stats.scanned += 1;
-                if slot.payload().is_some() {
-                    candidates.push((q.euclidean_sq(&slot.point()), ck));
+                if slot.1.is_some() {
+                    candidates.push((q.euclidean_sq(&slot.0), ck));
                     live += 1;
                 }
                 if live >= k && slots >= window {
@@ -939,8 +847,8 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>, S: MemSlot<D, T>> LevelsVie
             for (ck, slot) in mem.iter_from(key) {
                 slots += 1;
                 stats.scanned += 1;
-                if slot.payload().is_some() {
-                    candidates.push((q.euclidean_sq(&slot.point()), ck));
+                if slot.1.is_some() {
+                    candidates.push((q.euclidean_sq(&slot.0), ck));
                     live += 1;
                 }
                 if live >= k && slots >= window {
@@ -983,34 +891,9 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>, S: MemSlot<D, T>> LevelsVie
         candidates
     }
 
-    /// The pre-zone-map kNN: plain candidate windows, interval-decomposed
-    /// verification ball with whole-column seeks. Reference for
-    /// differential tests and baseline benches.
-    pub(crate) fn knn_plain(
-        &self,
-        q: Point<D>,
-        k: usize,
-        window: usize,
-    ) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
-        assert!(k >= 1, "k must be at least 1");
-        let key = self.curve.index_of(q);
-        let mut stats = QueryStats::default();
-        let mut candidates = self.knn_candidates_plain(q, key, k, window, &mut stats);
-        candidates.sort_unstable();
-        candidates.truncate(k);
-        let radius = verification_radius(self.curve.grid(), &candidates, k);
-        let ball = BoxRegion::chebyshev_ball(self.curve.grid(), q, radius);
-        let (all, ball_stats) = self.query_intervals_plain(&ball.curve_intervals(self.curve));
-        stats.seeks += ball_stats.seeks;
-        stats.scanned += ball_stats.scanned;
-        let all = rank_by_distance(all, q, k);
-        stats.reported = all.len() as u64;
-        (all, stats)
-    }
-
     /// A lazy k-way merge of all levels in curve order, newest-wins, with
     /// tombstones suppressed.
-    pub(crate) fn iter(&self) -> SnapshotIter<'a, D, T, S> {
+    pub(crate) fn iter(&self) -> SnapshotIter<'a, D, T> {
         SnapshotIter {
             mem: self.memtable.map(|mem| mem.iter().peekable()),
             runs: self
@@ -1028,7 +911,7 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>, S: MemSlot<D, T>> LevelsVie
     }
 }
 
-impl<'a, const D: usize, T, S: MemSlot<D, T>> LevelsView<'a, D, T, ZCurve<D>, S> {
+impl<'a, const D: usize, T> LevelsView<'a, D, T, ZCurve<D>> {
     /// Box query by BIGMIN-jumping key-range scans (Tropf & Herzog):
     /// zone-accelerated [`bigmin_scan`] per run (runs pruned by key range
     /// and AABB) plus an equivalent jumping scan over the memtable's key
@@ -1195,19 +1078,19 @@ impl<'a, const D: usize, T> RunCursor<'a, D, T> {
 }
 
 /// A peekable walk of the memtable level.
-type MemIter<'a, S> = std::iter::Peekable<crate::memtable::Iter<'a, S>>;
+type MemIter<'a, const D: usize, T> = std::iter::Peekable<crate::memtable::Iter<'a, SeqSlot<D, T>>>;
 
-/// Snapshot iterator over the live records of a store or snapshot in curve
-/// order (see [`SfcStore::iter`](crate::SfcStore::iter) and
-/// [`StoreSnapshot::iter`](crate::StoreSnapshot::iter)).
-pub struct SnapshotIter<'a, const D: usize, T, S = Slot<D, T>> {
-    /// `None` when iterating a snapshot (no memtable level).
-    mem: Option<MemIter<'a, S>>,
-    /// Oldest → newest, like the store's run stack.
+/// Iterator over the live records of one captured shard in curve order —
+/// what [`ShardedSnapshot::iter`](crate::ShardedSnapshot::iter) chains
+/// shard after shard.
+pub(crate) struct SnapshotIter<'a, const D: usize, T> {
+    /// `None` when the captured memtable was empty.
+    mem: Option<MemIter<'a, D, T>>,
+    /// Oldest → newest, like the shard's run stack.
     runs: Vec<RunCursor<'a, D, T>>,
 }
 
-impl<const D: usize, T, S> fmt::Debug for SnapshotIter<'_, D, T, S> {
+impl<const D: usize, T> fmt::Debug for SnapshotIter<'_, D, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SnapshotIter")
             .field(
@@ -1218,7 +1101,7 @@ impl<const D: usize, T, S> fmt::Debug for SnapshotIter<'_, D, T, S> {
     }
 }
 
-impl<'a, const D: usize, T, S: MemSlot<D, T>> Iterator for SnapshotIter<'a, D, T, S> {
+impl<'a, const D: usize, T> Iterator for SnapshotIter<'a, D, T> {
     type Item = StoreEntryRef<'a, D, T>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -1244,7 +1127,7 @@ impl<'a, const D: usize, T, S: MemSlot<D, T>> Iterator for SnapshotIter<'a, D, T
             if let Some(mem) = self.mem.as_mut() {
                 if mem.peek().map(|&(key, _)| key) == Some(min) {
                     let (_, slot) = mem.next().expect("peeked");
-                    winner = Some((slot.point(), slot.payload()));
+                    winner = Some((slot.0, slot.1.as_ref()));
                 }
             }
             let (point, slot) = winner.expect("min key came from some level");

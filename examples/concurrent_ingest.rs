@@ -14,7 +14,6 @@ use std::time::Instant;
 
 use rand::{Rng, SeedableRng};
 use sfc::prelude::*;
-use sfc::store::SfcStore;
 
 const WRITERS: usize = 4;
 const OPS_PER_WRITER: usize = 100_000;
@@ -71,8 +70,8 @@ fn main() {
                 })
             })
             .collect();
-        // Live snapshot readers: freeze, verify, repeat — entirely
-        // lock-free after each snapshot() returns.
+        // Live snapshot readers: capture, verify, repeat — a snapshot
+        // flushes nothing and is entirely lock-free once it returns.
         for _ in 0..2 {
             let store = &store;
             let done = &done;
@@ -143,7 +142,7 @@ fn main() {
     // Final verification: the concurrent run must equal a sequential
     // replay (writers own disjoint strips, so the result is
     // interleaving-free).
-    let mut replay = SfcStore::with_memtable_capacity(z, MEMTABLE_CAP);
+    let replay = ShardedSfcStore::with_memtable_capacity(z, 1, MEMTABLE_CAP);
     for w in 0..WRITERS {
         for (p, v) in ops_of(grid, w) {
             replay.insert(p, v);
@@ -151,7 +150,7 @@ fn main() {
     }
     assert_eq!(store.len(), replay.len(), "live count vs replay");
     let got: Vec<(u128, u32)> = store.iter().map(|e| (e.key, e.payload)).collect();
-    let want: Vec<(u128, u32)> = replay.iter().map(|e| (e.key, *e.payload)).collect();
+    let want: Vec<(u128, u32)> = replay.iter().map(|e| (e.key, e.payload)).collect();
     assert_eq!(got, want, "concurrent result vs sequential replay");
     println!(
         "verified: {} live records byte-identical to the sequential replay",

@@ -1,6 +1,6 @@
 //! The adaptive box-query planner, live on a skewed dataset.
 //!
-//! Builds a multi-run `SfcStore` whose records cluster heavily in one
+//! Builds a multi-run one-shard `ShardedSfcStore` whose records cluster heavily in one
 //! corner of a 1024×1024 grid (plus a uniform background), then runs box
 //! queries of very different shapes and prints, for each:
 //!
@@ -16,7 +16,6 @@
 use rand::{Rng, SeedableRng};
 use sfc::index::{BoxRegion, QueryStats};
 use sfc::prelude::*;
-use sfc::store::SfcStore;
 
 fn fmt_stats(s: &QueryStats) -> String {
     format!(
@@ -41,25 +40,30 @@ fn main() {
             (p, i)
         })
         .collect();
-    let mut store = SfcStore::bulk_load(z, records);
+    let live = ShardedSfcStore::bulk_load(z, 1, records);
     // Streamed churn leaves a stack of smaller runs over the bottom one.
     for i in 0..30_000u32 {
         let p = grid.random_cell(&mut rng);
         if i % 8 == 7 {
-            store.delete(p);
+            live.delete(p);
         } else {
-            store.insert(p, 1_000_000 + i);
+            live.insert(p, 1_000_000 + i);
         }
     }
+    // Everything below reads one snapshot: the levels as they stand
+    // (nothing is flushed to take it), with borrowed hits and the
+    // pre-zone-map plain scans alongside.
+    let store = live.snapshot();
+    let shard = &store.shards()[0];
     println!(
         "store: {} live records, runs {:?}, memtable {}",
         store.len(),
-        store.run_lens(),
-        store.memtable_len()
+        shard.run_lens(),
+        shard.memtable_len()
     );
     // Per-level compressed footprint: bytes each run's packed blocks and
     // dense payload column occupy, and what that costs per stored slot.
-    for ((len, bytes), level) in store.run_lens().iter().zip(store.run_heap_bytes()).zip(0..) {
+    for ((len, bytes), level) in shard.run_lens().iter().zip(shard.run_heap_bytes()).zip(0..) {
         println!(
             "  level {level}: {len:>7} slots in {bytes:>8} bytes ({:.2} B/slot)",
             bytes as f64 / *len as f64
@@ -96,7 +100,7 @@ fn main() {
             b.hi(),
             b.volume()
         );
-        let plan = store.plan_box_query(b);
+        let plan = store.plan_box_query(b).remove(0);
         match plan.interval_count() {
             Some(n) => println!("plan: decomposed into {n} curve intervals"),
             None => println!("plan: no decomposition (BIGMIN jumps only)"),
@@ -104,7 +108,7 @@ fn main() {
         if let Some(mem) = plan.memtable {
             println!("  memtable          -> {mem}");
         }
-        for (strategy, len) in plan.runs.iter().zip(store.run_lens()) {
+        for (strategy, len) in plan.runs.iter().zip(shard.run_lens()) {
             println!("  run of {len:>7} slots -> {strategy}");
         }
         let (hits, stats) = store.query_box(b);

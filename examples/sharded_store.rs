@@ -4,13 +4,12 @@
 //! snapshot keeps serving the pre-rebalance state while the writer moves
 //! on.
 //!
-//! Every printed query result is cross-checked against a single
-//! (unsharded) `SfcStore` fed the identical workload — the router and
-//! fan-out must be invisible to readers.
+//! Every printed query result is cross-checked against a one-shard store
+//! fed the identical workload — the router and fan-out must be invisible
+//! to readers.
 
 use rand::{Rng, SeedableRng};
 use sfc::prelude::*;
-use sfc::store::{SfcStore, ShardedSfcStore};
 
 fn shard_report(label: &str, store: &ShardedSfcStore<2, u32, ZCurve<2>>) {
     let lens = store.shard_lens();
@@ -30,7 +29,7 @@ fn main() {
     let z = ZCurve::over(grid);
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
     let sharded = ShardedSfcStore::with_memtable_capacity(z, 4, 512);
-    let mut single = SfcStore::with_memtable_capacity(z, 512);
+    let single = ShardedSfcStore::with_memtable_capacity(z, 1, 512);
 
     // Phase 1: heavily skewed traffic — 85% of writes land in the first
     // Z quadrant (the first quarter of the keyspace).
@@ -54,9 +53,9 @@ fn main() {
         assert!(hits
             .iter()
             .zip(&want)
-            .all(|(a, b)| (a.key, a.payload) == (b.key, *b.payload)));
+            .all(|(a, b)| (a.key, a.payload) == (b.key, b.payload)));
         println!(
-            "   box query: {} hits | seeks {} | scanned {} (identical to single store)",
+            "   box query: {} hits | seeks {} | scanned {} (identical to one shard)",
             hits.len(),
             stats.seeks,
             stats.scanned
@@ -101,9 +100,9 @@ fn main() {
     assert!(sk
         .iter()
         .zip(&uk)
-        .all(|(a, b)| (a.key, a.payload) == (b.key, *b.payload)));
+        .all(|(a, b)| (a.key, a.payload) == (b.key, b.payload)));
     println!(
-        "== kNN at {q}: {} neighbors, identical to single store",
+        "== kNN at {q}: {} neighbors, identical to one shard",
         sk.len()
     );
 }

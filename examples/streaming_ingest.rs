@@ -1,4 +1,4 @@
-//! Streaming ingest into the mutable `SfcStore`: ingest → query → churn →
+//! Streaming ingest into a one-shard `ShardedSfcStore`: ingest → query → churn →
 //! query → compact → query, printing the store shape and `QueryStats`
 //! overscan after each phase.
 //!
@@ -8,22 +8,25 @@
 
 use rand::SeedableRng;
 use sfc::prelude::*;
-use sfc::store::SfcStore;
 
-fn report(phase: &str, store: &SfcStore<2, u32, ZCurve<2>>, b: &BoxRegion<2>) {
-    let (hits, stats) = store.query_box_bigmin(b);
+fn report(phase: &str, store: &ShardedSfcStore<2, u32, ZCurve<2>>, b: &BoxRegion<2>) {
+    // A snapshot is a capture of the levels as they stand — it flushes
+    // nothing, so the shape printed below is the store's own.
+    let snap = store.snapshot();
+    let shard = &snap.shards()[0];
+    let (hits, stats) = snap.query_box_bigmin(b);
     println!("== {phase}");
     println!(
         "   live {} | memtable {} | runs {:?}",
-        store.len(),
-        store.memtable_len(),
-        store.run_lens()
+        snap.len(),
+        shard.memtable_len(),
+        shard.run_lens()
     );
-    let slots: usize = store.run_lens().iter().sum();
-    let run_bytes: usize = store.run_heap_bytes().iter().sum();
+    let slots: usize = shard.run_lens().iter().sum();
+    let run_bytes: usize = shard.run_heap_bytes().iter().sum();
     println!(
         "   footprint: per-level {:?} bytes = {run_bytes} total ({:.2} B/slot compressed)",
-        store.run_heap_bytes(),
+        shard.run_heap_bytes(),
         if slots == 0 {
             0.0
         } else {
@@ -44,7 +47,7 @@ fn main() {
     let grid = Grid::<2>::new(8).unwrap(); // 256×256
     let z = ZCurve::over(grid);
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-    let mut store = SfcStore::with_memtable_capacity(z, 1_024);
+    let store = ShardedSfcStore::with_memtable_capacity(z, 1, 1_024);
     let b = BoxRegion::new(Point::new([40, 40]), Point::new([90, 110]));
 
     // Phase 1: stream an initial load through the memtable.
@@ -69,7 +72,7 @@ fn main() {
     report("after compact()", &store, &b);
 
     // The merged view is a first-class static index too.
-    let index = store.to_index();
+    let index = store.snapshot().to_index();
     let (hits, _) = index.query_box_bigmin(&b);
     println!("== static index materialised from the store");
     println!("   {} records, box query {} hits", index.len(), hits.len());

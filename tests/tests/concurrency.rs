@@ -20,9 +20,7 @@ use rand::Rng;
 use sfc_core::{CurveIndex, Grid, HilbertCurve, Point, SpaceFillingCurve, ZCurve};
 use sfc_index::BoxRegion;
 use sfc_integration::test_rng;
-use sfc_store::{
-    MaintenanceConfig, RateLimit, SfcStore, ShardedSfcStore, ShardedSnapshot, StoreEntry,
-};
+use sfc_store::{MaintenanceConfig, RateLimit, ShardedSfcStore, ShardedSnapshot, StoreEntry};
 
 const WRITER_THREADS: usize = 4;
 const OPS_PER_WRITER: usize = 2_500;
@@ -187,9 +185,9 @@ fn concurrent_writers_with_snapshot_readers() {
         done.store(true, Ordering::Relaxed);
     });
 
-    // Sequential replay: same op streams, one single-threaded store and
-    // one model map. Disjoint ranges make the result interleaving-free.
-    let mut replay = SfcStore::with_memtable_capacity(z, 32);
+    // Sequential replay: same op streams, one single-threaded 1-shard
+    // store and one model map. Disjoint ranges make the result interleaving-free.
+    let replay = ShardedSfcStore::with_memtable_capacity(z, 1, 32);
     let mut model = std::collections::BTreeMap::new();
     for writer in 0..WRITER_THREADS as u32 {
         for (p, op) in writer_ops(grid, writer) {
@@ -208,10 +206,7 @@ fn concurrent_writers_with_snapshot_readers() {
     }
     assert_eq!(store.len(), replay.len(), "live count vs sequential replay");
     let got = flat(store.iter());
-    let want: Vec<_> = replay
-        .iter()
-        .map(|e| (e.key, e.point, *e.payload))
-        .collect();
+    let want = flat(replay.iter());
     assert_eq!(got, want, "final state vs sequential replay");
     let model_flat: Vec<_> = model.iter().map(|(&k, &(p, v))| (k, p, v)).collect();
     assert_eq!(got, model_flat, "final state vs model");
@@ -305,7 +300,7 @@ fn rebalance_under_concurrent_write_load() {
             }
         });
     });
-    let mut replay = SfcStore::with_memtable_capacity(z, 16);
+    let replay = ShardedSfcStore::with_memtable_capacity(z, 1, 16);
     for writer in 0..4u32 {
         for (p, op) in writer_ops(grid, writer) {
             match op {
@@ -318,10 +313,7 @@ fn rebalance_under_concurrent_write_load() {
             }
         }
     }
-    let want: Vec<_> = replay
-        .iter()
-        .map(|e| (e.key, e.point, *e.payload))
-        .collect();
+    let want = flat(replay.iter());
     assert_eq!(flat(store.iter()), want, "rebalance under load lost writes");
 }
 
@@ -393,7 +385,7 @@ fn writers_never_stall_behind_maintenance_merges() {
     );
 
     // Maintenance must not have lost or duplicated anything.
-    let mut replay = SfcStore::with_memtable_capacity(z, 64);
+    let replay = ShardedSfcStore::with_memtable_capacity(z, 1, 64);
     for writer in 0..WRITER_THREADS as u32 {
         for (p, op) in writer_ops(grid, writer) {
             match op {
@@ -406,10 +398,7 @@ fn writers_never_stall_behind_maintenance_merges() {
             }
         }
     }
-    let want: Vec<_> = replay
-        .iter()
-        .map(|e| (e.key, e.point, *e.payload))
-        .collect();
+    let want = flat(replay.iter());
     assert_eq!(flat(store.iter()), want, "maintenance lost writes");
 }
 
@@ -490,7 +479,9 @@ fn iter_yields_the_state_as_of_its_creation() {
 /// kNN calls racing writers, flushes and compactions on a Hilbert store
 /// (every verification ball is interval-decomposed): no call may return a
 /// key twice, a key deleted before the call began, or fewer than `k` rows
-/// — at least `k` records stay live throughout.
+/// — at least `k` records stay live throughout. The same holds for a
+/// `snapshot()` taken in the same loop — a capture, not a flush: no key
+/// twice, no key deleted before the call, every cell written before it.
 #[test]
 fn knn_racing_writers_is_exact_about_what_it_may_return() {
     const K: usize = 8;
@@ -565,6 +556,27 @@ fn knn_racing_writers_is_exact_about_what_it_may_return() {
                 keys.is_disjoint(&doomed),
                 "call {call}: a key deleted before the call came back"
             );
+            if call % 16 == 0 {
+                let snap = store.snapshot();
+                let keys: Vec<CurveIndex> = snap.iter().map(|e| e.key).collect();
+                assert_eq!(keys.len(), snap.len(), "call {call}: len vs iterated count");
+                assert!(
+                    keys.windows(2).all(|w| w[0] < w[1]),
+                    "call {call}: a snapshot key came back twice"
+                );
+                assert!(
+                    keys.iter().all(|key| !doomed.contains(key)),
+                    "call {call}: the snapshot holds a key deleted before it"
+                );
+                let written_once = keys
+                    .iter()
+                    .filter(|&&key| h.point_of(key).coord(0) % 3 == 0)
+                    .count();
+                assert_eq!(
+                    written_once, stable,
+                    "call {call}: the snapshot misses a write applied before it"
+                );
+            }
         }
         done.store(true, Ordering::Relaxed);
     });

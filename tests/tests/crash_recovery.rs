@@ -21,8 +21,9 @@ use std::time::Duration;
 use proptest::prelude::*;
 use rand::Rng;
 use sfc_core::{CurveIndex, Grid, Point, SpaceFillingCurve, ZCurve};
+use sfc_index::BoxRegion;
 use sfc_integration::test_rng;
-use sfc_store::{BatchOp, ShardedSfcStore, WalConfig, WalError};
+use sfc_store::{BatchOp, MaintenanceConfig, ShardedSfcStore, WalConfig, WalError};
 
 type Store = ShardedSfcStore<2, u32, ZCurve<2>>;
 type Model = BTreeMap<CurveIndex, (Point<2>, u32)>;
@@ -796,6 +797,181 @@ fn flushes_prune_obsolete_segments() {
     );
     let store = Store::open_durable(curve(), 1, 256, config).unwrap();
     assert_matches_model(&store, &model);
+}
+
+/// Every file under `dir` with its size, sorted.
+fn listing(dir: &Path) -> Vec<(PathBuf, u64)> {
+    let mut out = Vec::new();
+    for entry in fs::read_dir(dir).unwrap() {
+        let entry = entry.unwrap();
+        if entry.file_type().unwrap().is_dir() {
+            out.extend(listing(&entry.path()));
+        } else {
+            out.push((entry.path(), entry.metadata().unwrap().len()));
+        }
+    }
+    out.sort();
+    out
+}
+
+/// Everything a snapshot shows, flattened: live count, iteration, one
+/// box query, one kNN and a stride of point gets.
+fn snapshot_reads(
+    snap: &sfc_store::ShardedSnapshot<2, u32, ZCurve<2>>,
+    model: &Model,
+) -> Vec<Vec<(CurveIndex, Point<2>, u32)>> {
+    let flat = |v: Vec<sfc_store::StoreEntryRef<'_, 2, u32>>| {
+        v.into_iter()
+            .map(|e| (e.key, e.point, *e.payload))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(snap.len(), model.len(), "snapshot live count");
+    for &(p, v) in model.values().step_by(5) {
+        assert_eq!(snap.get(p), Some(&v), "snapshot get({p})");
+    }
+    let b = BoxRegion::new(Point::new([5, 9]), Point::new([40, 50]));
+    vec![
+        flat(snap.iter().collect()),
+        flat(snap.query_box(&b).0),
+        flat(snap.knn(Point::new([31, 33]), 7, 4).0),
+    ]
+}
+
+/// What [`snapshot_reads`] must return for a store equal to `model`.
+fn model_reads(model: &Model) -> Vec<Vec<(CurveIndex, Point<2>, u32)>> {
+    let all = model_state(model);
+    let b = BoxRegion::new(Point::new([5, 9]), Point::new([40, 50]));
+    let boxed = all
+        .iter()
+        .filter(|(_, p, _)| b.contains(p))
+        .copied()
+        .collect();
+    let q = Point::new([31, 33]);
+    let mut nearest = all.clone();
+    nearest.sort_by_key(|&(key, p, _)| (q.euclidean_sq(&p), key));
+    nearest.truncate(7);
+    vec![all, boxed, nearest]
+}
+
+/// A snapshot is a capture: with a non-empty memtable on every shard of
+/// a durable store it flushes nothing (memtables, run stacks and flush
+/// counters unchanged), writes nothing (no run file, no checkpoint: the
+/// directory listing is the same before and after), sees every write
+/// applied before it, and keeps seeing exactly that while writers insert
+/// and delete and a flush, a compaction and a rebalance run.
+#[test]
+fn snapshot_is_a_capture_not_a_flush() {
+    let tmp = TempDir::new("capture");
+    let mut store = reopen(tmp.path(), 4, 16).unwrap();
+    let metrics = store.enable_metrics();
+    let mut model = Model::new();
+    let mut rng = test_rng(0xCA97);
+    // Skewed to the low quarter so the final rebalance moves boundaries.
+    for i in 0..907u32 {
+        let side = if i % 2 == 0 { 64 } else { 32 };
+        let p = Point::new([rng.gen_range(0..side), rng.gen_range(0..side)]);
+        let slot = if i % 7 == 6 { None } else { Some(i) };
+        apply_acked(&store, &mut model, p, slot);
+    }
+    let flushes = |j: usize| {
+        metrics
+            .registry()
+            .snapshot()
+            .counter(&format!("shard{j}.flush.count"))
+            .unwrap()
+    };
+    let before = (
+        store.shard_memtable_lens(),
+        store.shard_run_lens(),
+        (0..4).map(flushes).collect::<Vec<_>>(),
+    );
+    assert!(
+        before.0.iter().all(|&n| n > 0) && before.1.iter().all(|r| !r.is_empty()),
+        "want memtable entries and runs on every shard: {before:?}"
+    );
+    store.sync().unwrap();
+    let files = listing(tmp.path());
+
+    let snap = store.snapshot();
+
+    assert_eq!(listing(tmp.path()), files, "snapshot() wrote to disk");
+    let after = (
+        store.shard_memtable_lens(),
+        store.shard_run_lens(),
+        (0..4).map(flushes).collect::<Vec<_>>(),
+    );
+    assert_eq!(after, before, "snapshot() flushed");
+    for (shard, len) in snap.shards().iter().zip(&before.0) {
+        assert_eq!(shard.memtable_len(), *len, "captured memtable image");
+    }
+    let frozen = model_reads(&model);
+    assert_eq!(snapshot_reads(&snap, &model), frozen);
+
+    // Writers, a flush, a compaction and a rebalance: the store moves on,
+    // the snapshot does not.
+    std::thread::scope(|scope| {
+        for writer in 0..2u64 {
+            let store = &store;
+            scope.spawn(move || {
+                let mut rng = test_rng(0xD00D + writer);
+                for i in 0..600u32 {
+                    let p = Point::new([rng.gen_range(0..64), rng.gen_range(0..64)]);
+                    if i % 3 == 2 {
+                        store.delete_nosync(p);
+                    } else {
+                        store.insert_nosync(p, 100_000 + i);
+                    }
+                }
+            });
+        }
+        store.flush();
+        assert_eq!(snapshot_reads(&snap, &model), frozen, "after a flush");
+        store.compact();
+        assert_eq!(snapshot_reads(&snap, &model), frozen, "after a compaction");
+    });
+    assert!(store.rebalance(1e-9), "skewed writes must move boundaries");
+    assert_eq!(snapshot_reads(&snap, &model), frozen, "after a rebalance");
+    assert_ne!(state_of(&store), frozen[0], "the store itself moved on");
+}
+
+/// A durable flush that fails on the maintenance thread has no caller to
+/// return its error to: it must be counted, and must not wedge shutdown.
+/// There is no I/O fault hook and the suite runs as root, so the failure
+/// is made by removing the store's directory from under it.
+#[test]
+fn background_flush_failure_is_counted_and_does_not_hang_shutdown() {
+    let tmp = TempDir::new("maintenance-error");
+    let mut store = reopen(tmp.path(), 2, 8).unwrap();
+    let metrics = store.enable_metrics();
+    let store = Arc::new(store);
+    store.start_maintenance(MaintenanceConfig {
+        interval: Duration::from_millis(1),
+        ..MaintenanceConfig::default()
+    });
+    fs::remove_dir_all(tmp.path()).unwrap();
+    // Shard 0 owns the low half of the Z keyspace: push it past capacity.
+    for x in 0..16u32 {
+        store.insert_nosync(Point::new([x % 8, x / 8]), x);
+    }
+    let errors = || {
+        metrics
+            .registry()
+            .snapshot()
+            .counter("engine.maintenance.errors")
+            .unwrap()
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while errors() == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the failed background flush was never counted"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // Both must return: the failed flush left no lock held, no thread
+    // parked.
+    store.stop_maintenance();
+    drop(store);
 }
 
 #[test]

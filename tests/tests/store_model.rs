@@ -1,18 +1,48 @@
-//! Model-based testing of `SfcStore`: random interleavings of
-//! insert / update / delete / flush / compact are replayed against a plain
-//! `BTreeMap<CurveIndex, payload>` model, and every observable view of the
-//! store — point gets, live count, the snapshot iterator, box queries
-//! (both strategies), and kNN — must agree with the model at every
-//! checkpoint. Tiny memtable capacities force many flushes and merges, so
-//! tombstones routinely end up in *newer runs shadowing older ones*, the
-//! case single-level tests can't reach.
+//! Model-based testing of the store engine: random interleavings of
+//! insert / update / delete / flush / compact / rebalance are replayed
+//! against a plain `BTreeMap<CurveIndex, payload>` model at every shard
+//! count from 1 to 4, and every observable view of the store — point
+//! gets, live count, iteration, box queries (every strategy, the planner,
+//! the `*_par` twins and the pre-zone-map `*_plain` oracles), and kNN —
+//! must agree with the model at every checkpoint, live and through a
+//! snapshot, and byte-for-byte across shard counts. Tiny memtable
+//! capacities force many flushes and merges, so tombstones routinely end
+//! up in *newer runs shadowing older ones*, the case single-level tests
+//! can't reach.
 
 use proptest::prelude::*;
 use sfc_core::{CurveIndex, Grid, HilbertCurve, Point, SpaceFillingCurve, ZCurve};
 use sfc_index::BoxRegion;
 use sfc_integration::test_rng;
-use sfc_store::{BatchOp, SfcStore, ShardedSfcStore};
+use sfc_store::{BatchOp, ShardedSfcStore, StoreEntry, StoreEntryRef};
 use std::collections::BTreeMap;
+
+type Model = BTreeMap<CurveIndex, (Point<2>, u32)>;
+type Store<C> = ShardedSfcStore<2, u32, C>;
+type Triple = (CurveIndex, Point<2>, u32);
+
+/// The shard counts every interleaving runs at; the first is the 1-shard
+/// store the others must equal byte for byte.
+const PARTS: [usize; 4] = [1, 2, 3, 4];
+
+fn stores_at<C: SpaceFillingCurve<2> + Clone>(
+    curve: &C,
+    parts: &[usize],
+    cap: usize,
+) -> Vec<Store<C>> {
+    parts
+        .iter()
+        .map(|&p| ShardedSfcStore::with_memtable_capacity(curve.clone(), p, cap))
+        .collect()
+}
+
+fn owned(v: &[StoreEntry<2, u32>]) -> Vec<Triple> {
+    v.iter().map(|e| (e.key, e.point, e.payload)).collect()
+}
+
+fn borrowed(v: &[StoreEntryRef<'_, 2, u32>]) -> Vec<Triple> {
+    v.iter().map(|e| (e.key, e.point, *e.payload)).collect()
+}
 
 /// One random operation of the interleaving.
 #[derive(Debug, Clone, Copy)]
@@ -21,6 +51,7 @@ enum Op {
     Delete(u32, u32),
     Flush,
     Compact,
+    Rebalance,
 }
 
 fn random_ops(len: usize, side: u32, seed: u64) -> Vec<Op> {
@@ -30,80 +61,110 @@ fn random_ops(len: usize, side: u32, seed: u64) -> Vec<Op> {
         .map(|i| {
             let x = rng.gen_range(0..side);
             let y = rng.gen_range(0..side);
-            match rng.gen_range(0..10u32) {
+            match rng.gen_range(0..12u32) {
                 // Deletes are frequent enough to seed plenty of tombstones.
-                0..=5 => Op::Insert(x, y, i as u32),
-                6..=8 => Op::Delete(x, y),
-                9 => {
+                0..=6 => Op::Insert(x, y, i as u32),
+                7..=9 => Op::Delete(x, y),
+                10 => {
                     if rng.gen_range(0..4u32) == 0 {
                         Op::Compact
                     } else {
                         Op::Flush
                     }
                 }
+                // Rebalances are frequent enough that records routinely
+                // migrate between shards mid-interleaving (a no-op at one
+                // shard).
+                11 => Op::Rebalance,
                 _ => unreachable!(),
             }
         })
         .collect()
 }
 
-/// Applies one op to both the store and the model.
-fn apply<C: SpaceFillingCurve<2> + Clone>(
-    store: &mut SfcStore<2, u32, C>,
-    model: &mut BTreeMap<CurveIndex, (Point<2>, u32)>,
-    op: Op,
-) {
+/// Applies one op to the model and to every store, which must all report
+/// the visibility the model does.
+fn apply<C: SpaceFillingCurve<2> + Clone>(stores: &[Store<C>], model: &mut Model, op: Op) {
     match op {
         Op::Insert(x, y, v) => {
             let p = Point::new([x, y]);
-            let key = store.curve().index_of(p);
-            let was_live_store = store.insert(p, v);
-            let was_live_model = model.insert(key, (p, v)).is_some();
-            assert_eq!(was_live_store, was_live_model, "insert visibility");
+            let was_live = model
+                .insert(stores[0].curve().index_of(p), (p, v))
+                .is_some();
+            for store in stores {
+                assert_eq!(store.insert(p, v), was_live, "insert visibility");
+            }
         }
         Op::Delete(x, y) => {
             let p = Point::new([x, y]);
-            let key = store.curve().index_of(p);
-            let was_live_store = store.delete(p);
-            let was_live_model = model.remove(&key).is_some();
-            assert_eq!(was_live_store, was_live_model, "delete visibility");
+            let was_live = model.remove(&stores[0].curve().index_of(p)).is_some();
+            for store in stores {
+                assert_eq!(store.delete(p), was_live, "delete visibility");
+            }
         }
-        Op::Flush => store.flush(),
-        Op::Compact => store.compact(),
+        Op::Flush => stores.iter().for_each(|s| s.flush()),
+        Op::Compact => stores.iter().for_each(|s| s.compact()),
+        Op::Rebalance => stores.iter().for_each(|s| {
+            s.rebalance(1e-9);
+        }),
     }
 }
 
-/// Full observable-state comparison between store and model.
-fn check_against_model<C: SpaceFillingCurve<2> + Clone>(
-    store: &SfcStore<2, u32, C>,
-    model: &BTreeMap<CurveIndex, (Point<2>, u32)>,
+/// The BIGMIN family of one box query, Z curve only: the live fan-out and
+/// its `_par` twin, the snapshot's, and the pre-zone-map oracle.
+fn bigmin_paths(store: &Store<ZCurve<2>>, region: &BoxRegion<2>) -> Vec<Vec<Triple>> {
+    let snap = store.snapshot();
+    vec![
+        owned(&store.query_box_bigmin(region).0),
+        owned(&store.query_box_bigmin_par(region).0),
+        borrowed(&snap.query_box_bigmin(region).0),
+        borrowed(&snap.query_box_bigmin_par(region).0),
+        borrowed(&snap.query_box_bigmin_plain(region).0),
+    ]
+}
+
+/// What a curve without a BIGMIN strategy contributes.
+fn no_bigmin<C: SpaceFillingCurve<2> + Clone>(_: &Store<C>, _: &BoxRegion<2>) -> Vec<Vec<Triple>> {
+    Vec::new()
+}
+
+/// The one checker: every observable view of `store` against the model —
+/// live (owned results) and through a snapshot (borrowed results, the
+/// `*_plain` oracles). Returns everything it read, in a fixed order, so
+/// stores at different shard counts can be compared byte for byte.
+fn check_against_model<C: SpaceFillingCurve<2> + Clone + Send + Sync>(
+    store: &Store<C>,
+    model: &Model,
     seed: u64,
-) {
+    bigmin: fn(&Store<C>, &BoxRegion<2>) -> Vec<Vec<Triple>>,
+) -> Vec<Vec<Triple>> {
     use rand::Rng;
     let grid = store.curve().grid();
+    let snap = store.snapshot();
+    let mut read: Vec<Vec<Triple>> = Vec::new();
     assert_eq!(store.len(), model.len(), "live count");
+    assert_eq!(snap.len(), model.len(), "snapshot live count");
 
-    // Snapshot iterator reproduces the model exactly, in key order.
-    let snapshot: Vec<(CurveIndex, Point<2>, u32)> =
-        store.iter().map(|e| (e.key, e.point, *e.payload)).collect();
-    let expected: Vec<(CurveIndex, Point<2>, u32)> =
-        model.iter().map(|(&k, &(p, v))| (k, p, v)).collect();
-    assert_eq!(snapshot, expected, "snapshot");
+    // Iteration reproduces the model exactly, in key order.
+    let expected: Vec<Triple> = model.iter().map(|(&k, &(p, v))| (k, p, v)).collect();
+    assert_eq!(owned(&store.iter().collect::<Vec<_>>()), expected, "iter");
+    assert_eq!(
+        borrowed(&snap.iter().collect::<Vec<_>>()),
+        expected,
+        "snapshot iter"
+    );
 
     // Point gets agree on hits, shadowed cells, and misses.
     let mut rng = test_rng(seed ^ 0x5eed);
     for _ in 0..40 {
         let p = grid.random_cell(&mut rng);
-        let key = store.curve().index_of(p);
-        assert_eq!(
-            store.get(p).copied(),
-            model.get(&key).map(|&(_, v)| v),
-            "get({p})"
-        );
+        let want = model.get(&store.curve().index_of(p)).map(|&(_, v)| v);
+        assert_eq!(store.get(p), want, "get({p})");
+        assert_eq!(snap.get(p).copied(), want, "snapshot get({p})");
     }
 
-    // Box queries match the filtered model — and the zone-mapped paths
-    // (galloped intervals, planner) are byte-identical to the pre-change
+    // Box queries match the filtered model on every path — the planner,
+    // the fixed strategies, their scoped-thread twins, and the pre-zone-map
     // plain scans.
     for _ in 0..8 {
         let a = grid.random_cell(&mut rng);
@@ -111,78 +172,92 @@ fn check_against_model<C: SpaceFillingCurve<2> + Clone>(
         let lo = Point::new([a.coord(0).min(b.coord(0)), a.coord(1).min(b.coord(1))]);
         let hi = Point::new([a.coord(0).max(b.coord(0)), a.coord(1).max(b.coord(1))]);
         let region = BoxRegion::new(lo, hi);
-        let (hits, stats) = store.query_box_intervals(&region);
-        let got: Vec<(CurveIndex, u32)> = hits.iter().map(|e| (e.key, *e.payload)).collect();
-        let want: Vec<(CurveIndex, u32)> = model
+        let want: Vec<Triple> = expected
             .iter()
-            .filter(|(_, &(p, _))| region.contains(&p))
-            .map(|(&k, &(_, v))| (k, v))
+            .filter(|(_, p, _)| region.contains(p))
+            .copied()
             .collect();
-        assert_eq!(got, want, "box {region:?}");
-        assert_eq!(stats.reported as usize, got.len());
-        let flat = |v: &[sfc_store::StoreEntryRef<'_, 2, u32>]| {
-            v.iter()
-                .map(|e| (e.key, e.point, *e.payload))
-                .collect::<Vec<_>>()
-        };
-        let zone = flat(&hits);
-        let (plain, _) = store.query_box_intervals_plain(&region);
-        assert_eq!(zone, flat(&plain), "zone-mapped vs plain intervals");
-        let (planned, _) = store.query_box(&region);
-        assert_eq!(zone, flat(&planned), "planner vs intervals");
+        let (hits, stats) = store.query_box_intervals(&region);
+        assert_eq!(stats.reported as usize, hits.len());
+        let mut paths = vec![
+            owned(&hits),
+            owned(&store.query_box(&region).0),
+            owned(&store.query_box_par(&region).0),
+            owned(&store.query_box_intervals_par(&region).0),
+            borrowed(&snap.query_box(&region).0),
+            borrowed(&snap.query_box_intervals(&region).0),
+            borrowed(&snap.query_box_par(&region).0),
+            borrowed(&snap.query_box_intervals_plain(&region).0),
+        ];
+        paths.extend(bigmin(store, &region));
+        for (i, got) in paths.iter().enumerate() {
+            assert_eq!(got, &want, "box path {i} on {region:?}");
+        }
+        read.push(want);
     }
 
     // kNN over the merged view is exact — and byte-identical to the
-    // pre-change plain kNN.
+    // pre-zone-map plain kNN.
     for _ in 0..5 {
         let q = grid.random_cell(&mut rng);
         let k = rng.gen_range(1..6usize);
         let (got, stats) = store.knn(q, k, 3);
-        let want = store.knn_linear(q, k);
-        let gd: Vec<u64> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
-        let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.point)).collect();
-        assert_eq!(gd, wd, "knn k={k} q={q}");
+        let want = owned(&store.knn_linear(q, k));
+        let dist = |v: &[Triple]| -> Vec<u64> { v.iter().map(|e| q.euclidean_sq(&e.1)).collect() };
+        assert_eq!(dist(&owned(&got)), dist(&want), "knn k={k} q={q}");
         assert_eq!(stats.reported as usize, k.min(store.len()));
-        let flat = |v: &[sfc_store::StoreEntryRef<'_, 2, u32>]| {
-            v.iter()
-                .map(|e| (e.key, e.point, *e.payload))
-                .collect::<Vec<_>>()
-        };
-        let (plain, _) = store.knn_plain(q, k, 3);
-        assert_eq!(flat(&got), flat(&plain), "knn vs knn_plain k={k} q={q}");
+        assert_eq!(
+            borrowed(&snap.knn_linear(q, k)),
+            want,
+            "snapshot knn_linear"
+        );
+        for (i, path) in [
+            owned(&store.knn_par(q, k, 3).0),
+            borrowed(&snap.knn(q, k, 3).0),
+            borrowed(&snap.knn_par(q, k, 3).0),
+            borrowed(&snap.knn_plain(q, k, 3).0),
+        ]
+        .iter()
+        .enumerate()
+        {
+            assert_eq!(path, &owned(&got), "knn path {i} k={k} q={q}");
+        }
+        read.push(owned(&got));
+    }
+    read
+}
+
+/// Runs the checker on every store; all must have read the same bytes as
+/// the first (the 1-shard store).
+fn check_all<C: SpaceFillingCurve<2> + Clone + Send + Sync>(
+    stores: &[Store<C>],
+    model: &Model,
+    seed: u64,
+    bigmin: fn(&Store<C>, &BoxRegion<2>) -> Vec<Vec<Triple>>,
+) {
+    let one = check_against_model(&stores[0], model, seed, bigmin);
+    for store in &stores[1..] {
+        let many = check_against_model(store, model, seed, bigmin);
+        assert_eq!(many, one, "{} shards vs 1 shard", store.parts());
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Z-curve store vs model, with the BIGMIN strategy additionally
+    /// Z-curve store vs model at 1–4 shards, the BIGMIN strategy
     /// cross-checked against the interval strategy on every checkpoint.
     #[test]
     fn z_store_matches_btreemap_model(seed in any::<u64>(), cap in 1usize..32) {
         let grid = Grid::<2>::new(4).unwrap();
-        let curve = ZCurve::over(grid);
-        let mut store = SfcStore::with_memtable_capacity(curve, cap);
-        let mut model: BTreeMap<CurveIndex, (Point<2>, u32)> = BTreeMap::new();
+        let stores = stores_at(&ZCurve::over(grid), &PARTS, cap);
+        let mut model = Model::new();
         let ops = random_ops(300, 16, seed);
         for (i, chunk) in ops.chunks(60).enumerate() {
             for &op in chunk {
-                apply(&mut store, &mut model, op);
+                apply(&stores, &mut model, op);
             }
-            check_against_model(&store, &model, seed.wrapping_add(i as u64));
-            // BIGMIN spans levels identically to the interval strategy —
-            // zone-mapped, plain, and planner alike.
-            let region = BoxRegion::new(Point::new([2, 3]), Point::new([11, 9]));
-            let (bm, _) = store.query_box_bigmin(&region);
-            let (iv, _) = store.query_box_intervals(&region);
-            let flat = |v: &[sfc_store::StoreEntryRef<'_, 2, u32>]| {
-                v.iter().map(|e| (e.key, e.point, *e.payload)).collect::<Vec<_>>()
-            };
-            prop_assert_eq!(flat(&bm), flat(&iv));
-            let (bm_plain, _) = store.query_box_bigmin_plain(&region);
-            prop_assert_eq!(flat(&bm), flat(&bm_plain));
-            let (planned, _) = store.query_box(&region);
-            prop_assert_eq!(flat(&bm), flat(&planned));
+            check_all(&stores, &model, seed.wrapping_add(i as u64), bigmin_paths);
         }
     }
 
@@ -191,149 +266,31 @@ proptest! {
     #[test]
     fn hilbert_store_matches_btreemap_model(seed in any::<u64>(), cap in 1usize..24) {
         let grid = Grid::<2>::new(4).unwrap();
-        let curve = HilbertCurve::over(grid);
-        let mut store = SfcStore::with_memtable_capacity(curve, cap);
-        let mut model: BTreeMap<CurveIndex, (Point<2>, u32)> = BTreeMap::new();
+        let stores = stores_at(&HilbertCurve::over(grid), &PARTS, cap);
+        let mut model = Model::new();
         for &op in &random_ops(250, 16, seed) {
-            apply(&mut store, &mut model, op);
+            apply(&stores, &mut model, op);
         }
-        check_against_model(&store, &model, seed);
-        // After a major compaction the store is a single tombstone-free
-        // run and still equals the model.
-        store.compact();
-        prop_assert!(store.run_lens().len() <= 1);
-        prop_assert_eq!(store.run_lens().iter().sum::<usize>(), model.len());
-        check_against_model(&store, &model, seed ^ 1);
-    }
-}
-
-/// One random operation of the sharded interleaving; `Rebalance` has no
-/// single-store analogue and is applied to the sharded side only.
-#[derive(Debug, Clone, Copy)]
-enum ShardedOp {
-    Insert(u32, u32, u32),
-    Delete(u32, u32),
-    Flush,
-    Compact,
-    Rebalance,
-}
-
-fn random_sharded_ops(len: usize, side: u32, seed: u64) -> Vec<ShardedOp> {
-    use rand::Rng;
-    let mut rng = test_rng(seed);
-    (0..len)
-        .map(|i| {
-            let x = rng.gen_range(0..side);
-            let y = rng.gen_range(0..side);
-            match rng.gen_range(0..12u32) {
-                0..=6 => ShardedOp::Insert(x, y, i as u32),
-                7..=9 => ShardedOp::Delete(x, y),
-                10 => {
-                    if rng.gen_range(0..4u32) == 0 {
-                        ShardedOp::Compact
-                    } else {
-                        ShardedOp::Flush
-                    }
-                }
-                // Rebalances are frequent enough that records routinely
-                // migrate between shards mid-interleaving.
-                11 => ShardedOp::Rebalance,
-                _ => unreachable!(),
-            }
-        })
-        .collect()
-}
-
-/// Byte-level comparison of every observable view of the sharded store
-/// against the single store and the model. The concurrent sharded store
-/// returns owned [`sfc_store::StoreEntry`] values and `&self` everywhere;
-/// the single store keeps its borrowed API — both flatten to the same
-/// triples.
-fn check_sharded_against_single_and_model(
-    sharded: &ShardedSfcStore<2, u32, ZCurve<2>>,
-    single: &SfcStore<2, u32, ZCurve<2>>,
-    model: &BTreeMap<CurveIndex, (Point<2>, u32)>,
-    seed: u64,
-) {
-    use rand::Rng;
-    let grid = single.curve().grid();
-    assert_eq!(sharded.len(), model.len(), "live count vs model");
-    assert_eq!(sharded.len(), single.len(), "live count vs single");
-
-    let flat_owned = |v: &[sfc_store::StoreEntry<2, u32>]| {
-        v.iter()
-            .map(|e| (e.key, e.point, e.payload))
-            .collect::<Vec<_>>()
-    };
-    let flat_ref = |v: &[sfc_store::StoreEntryRef<'_, 2, u32>]| {
-        v.iter()
-            .map(|e| (e.key, e.point, *e.payload))
-            .collect::<Vec<_>>()
-    };
-    let flat_sharded: Vec<(CurveIndex, Point<2>, u32)> = sharded
-        .iter()
-        .map(|e| (e.key, e.point, e.payload))
-        .collect();
-    let flat_single: Vec<(CurveIndex, Point<2>, u32)> = single
-        .iter()
-        .map(|e| (e.key, e.point, *e.payload))
-        .collect();
-    assert_eq!(&flat_sharded, &flat_single, "merged iteration");
-    let flat_model: Vec<(CurveIndex, Point<2>, u32)> =
-        model.iter().map(|(&k, &(p, v))| (k, p, v)).collect();
-    assert_eq!(&flat_sharded, &flat_model, "iteration vs model");
-
-    let mut rng = test_rng(seed ^ 0x51a4d);
-    for _ in 0..20 {
-        let p = grid.random_cell(&mut rng);
-        assert_eq!(sharded.get(p), single.get(p).copied(), "get({p})");
-    }
-    for _ in 0..6 {
-        let a = grid.random_cell(&mut rng);
-        let b = grid.random_cell(&mut rng);
-        let lo = Point::new([a.coord(0).min(b.coord(0)), a.coord(1).min(b.coord(1))]);
-        let hi = Point::new([a.coord(0).max(b.coord(0)), a.coord(1).max(b.coord(1))]);
-        let region = BoxRegion::new(lo, hi);
-        let (siv, _) = sharded.query_box_intervals(&region);
-        let (uiv, _) = single.query_box_intervals(&region);
-        assert_eq!(flat_owned(&siv), flat_ref(&uiv), "intervals on {region:?}");
-        let (sbm, _) = sharded.query_box_bigmin(&region);
-        let (ubm, _) = single.query_box_bigmin(&region);
-        assert_eq!(flat_owned(&sbm), flat_ref(&ubm), "bigmin on {region:?}");
-        // The scoped-thread parallel fan-outs are byte-identical to the
-        // sequential ones (satellite: no longer a tautology — the
-        // per-shard scans really run on worker threads).
-        let (spar, _) = sharded.query_box_par(&region);
-        assert_eq!(
-            flat_owned(&spar),
-            flat_ref(&uiv),
-            "par planner on {region:?}"
-        );
-        let (sbpar, _) = sharded.query_box_bigmin_par(&region);
-        assert_eq!(
-            flat_owned(&sbpar),
-            flat_ref(&ubm),
-            "par bigmin on {region:?}"
-        );
-    }
-    for _ in 0..4 {
-        let q = grid.random_cell(&mut rng);
-        let k = rng.gen_range(1..6usize);
-        let (sk, _) = sharded.knn(q, k, 3);
-        let (uk, _) = single.knn(q, k, 3);
-        assert_eq!(flat_owned(&sk), flat_ref(&uk), "knn k={k} q={q}");
-        let (skp, _) = sharded.knn_par(q, k, 3);
-        assert_eq!(flat_owned(&skp), flat_ref(&uk), "par knn k={k} q={q}");
+        check_all(&stores, &model, seed, no_bigmin);
+        // After a major compaction every shard is a single tombstone-free
+        // run and the store still equals the model.
+        for store in &stores {
+            store.compact();
+            let runs = store.shard_run_lens();
+            prop_assert!(runs.iter().all(|r| r.len() <= 1));
+            prop_assert_eq!(runs.iter().flatten().sum::<usize>(), model.len());
+        }
+        check_all(&stores, &model, seed ^ 1, no_bigmin);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Sharded store vs single store vs BTreeMap model under random
-    /// insert / update / delete / flush / compact / **rebalance**
-    /// interleavings across 1–4 shards: every observable view must be
-    /// byte-identical to the single store's (and therefore to the model).
+    /// A store at a random shard count vs the 1-shard store vs the model
+    /// under random insert / update / delete / flush / compact /
+    /// **rebalance** interleavings: every observable view must be
+    /// byte-identical to the 1-shard store's (and therefore to the model).
     #[test]
     fn sharded_store_matches_single_store_and_model(
         seed in any::<u64>(),
@@ -341,57 +298,19 @@ proptest! {
         parts in 1usize..5,
     ) {
         let grid = Grid::<2>::new(4).unwrap();
-        let curve = ZCurve::over(grid);
-        // `&self` writes: no `mut` binding needed for the sharded side.
-        let sharded = ShardedSfcStore::with_memtable_capacity(curve, parts, cap);
-        let mut single = SfcStore::with_memtable_capacity(curve, cap);
-        let mut model: BTreeMap<CurveIndex, (Point<2>, u32)> = BTreeMap::new();
-        let ops = random_sharded_ops(300, 16, seed);
+        let stores = stores_at(&ZCurve::over(grid), &[1, parts], cap);
+        let mut model = Model::new();
+        let ops = random_ops(300, 16, seed);
         for (i, chunk) in ops.chunks(75).enumerate() {
             for &op in chunk {
-                match op {
-                    ShardedOp::Insert(x, y, v) => {
-                        let p = Point::new([x, y]);
-                        let key = curve.index_of(p);
-                        let a = sharded.insert(p, v);
-                        let b = single.insert(p, v);
-                        let c = model.insert(key, (p, v)).is_some();
-                        prop_assert_eq!(a, b, "insert visibility vs single");
-                        prop_assert_eq!(a, c, "insert visibility vs model");
-                    }
-                    ShardedOp::Delete(x, y) => {
-                        let p = Point::new([x, y]);
-                        let key = curve.index_of(p);
-                        let a = sharded.delete(p);
-                        let b = single.delete(p);
-                        let c = model.remove(&key).is_some();
-                        prop_assert_eq!(a, b, "delete visibility vs single");
-                        prop_assert_eq!(a, c, "delete visibility vs model");
-                    }
-                    ShardedOp::Flush => {
-                        sharded.flush();
-                        single.flush();
-                    }
-                    ShardedOp::Compact => {
-                        sharded.compact();
-                        single.compact();
-                    }
-                    ShardedOp::Rebalance => {
-                        sharded.rebalance(1e-9);
-                    }
-                }
+                apply(&stores, &mut model, op);
             }
-            check_sharded_against_single_and_model(
-                &sharded,
-                &single,
-                &model,
-                seed.wrapping_add(i as u64),
-            );
+            check_all(&stores, &model, seed.wrapping_add(i as u64), bigmin_paths);
         }
         // A final rebalance + compaction sweep leaves everything intact.
-        sharded.rebalance(1e-9);
-        sharded.compact();
-        check_sharded_against_single_and_model(&sharded, &single, &model, seed ^ 0xfe);
+        apply(&stores, &mut model, Op::Rebalance);
+        apply(&stores, &mut model, Op::Compact);
+        check_all(&stores, &model, seed ^ 0xfe, bigmin_paths);
     }
 }
 
@@ -446,10 +365,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Differential: `apply_batch` is observably equivalent to applying
-    /// the same ops one-by-one in slice order — on both the single and
-    /// the sharded store, interleaved with flushes, compactions, and
-    /// rebalances, and including batches that write the same cell twice
-    /// (the later op must win despite the internal key sort).
+    /// the same ops one-by-one in slice order — at one shard and at
+    /// several, interleaved with flushes, compactions, and rebalances,
+    /// and including batches that write the same cell twice (the later op
+    /// must win despite the internal key sort).
     #[test]
     fn batched_writes_match_per_record_application(
         seed in any::<u64>(),
@@ -458,12 +377,10 @@ proptest! {
     ) {
         let grid = Grid::<2>::new(4).unwrap();
         let curve = ZCurve::over(grid);
-        let sharded = ShardedSfcStore::with_memtable_capacity(curve, parts, cap);
-        let mut single = SfcStore::with_memtable_capacity(curve, cap);
+        let batched = stores_at(&curve, &[1, parts], cap);
         // The per-record twins replay every batch op individually.
-        let sharded_ref = ShardedSfcStore::with_memtable_capacity(curve, parts, cap);
-        let mut single_ref = SfcStore::with_memtable_capacity(curve, cap);
-        let mut model: BTreeMap<CurveIndex, (Point<2>, u32)> = BTreeMap::new();
+        let per_record = stores_at(&curve, &[1, parts], cap);
+        let mut model = Model::new();
         let actions = random_batch_actions(80, 16, seed);
         for (i, chunk) in actions.chunks(20).enumerate() {
             for action in chunk {
@@ -479,65 +396,39 @@ proptest! {
                                 }
                             })
                             .collect();
-                        sharded.apply_batch(&ops);
-                        single.apply_batch(&ops);
+                        batched.iter().for_each(|s| s.apply_batch(&ops));
                         for &(x, y, v) in recs {
-                            let p = Point::new([x, y]);
-                            let key = curve.index_of(p);
-                            match v {
-                                Some(v) => {
-                                    sharded_ref.insert(p, v);
-                                    single_ref.insert(p, v);
-                                    model.insert(key, (p, v));
-                                }
-                                None => {
-                                    sharded_ref.delete(p);
-                                    single_ref.delete(p);
-                                    model.remove(&key);
-                                }
-                            }
+                            let op = match v {
+                                Some(v) => Op::Insert(x, y, v),
+                                None => Op::Delete(x, y),
+                            };
+                            apply(&per_record, &mut model, op);
                         }
                     }
                     BatchAction::Flush => {
-                        sharded.flush();
-                        single.flush();
-                        sharded_ref.flush();
-                        single_ref.flush();
+                        batched.iter().chain(&per_record).for_each(|s| s.flush());
                     }
                     BatchAction::Compact => {
-                        sharded.compact();
-                        single.compact();
-                        sharded_ref.compact();
-                        single_ref.compact();
+                        batched.iter().chain(&per_record).for_each(|s| s.compact());
                     }
                     BatchAction::Rebalance => {
-                        sharded.rebalance(1e-9);
-                        sharded_ref.rebalance(1e-9);
+                        batched.iter().chain(&per_record).for_each(|s| {
+                            s.rebalance(1e-9);
+                        });
                     }
                 }
             }
-            // Full query coverage for the batched pair (vs the model)…
-            check_sharded_against_single_and_model(
-                &sharded,
-                &single,
-                &model,
-                seed.wrapping_add(i as u64),
-            );
+            // Full query coverage for the batched stores (vs the model)…
+            check_all(&batched, &model, seed.wrapping_add(i as u64), bigmin_paths);
             // …and byte-identical iteration against the per-record twins.
-            let batched: Vec<(CurveIndex, Point<2>, u32)> =
-                sharded.iter().map(|e| (e.key, e.point, e.payload)).collect();
-            let recorded: Vec<(CurveIndex, Point<2>, u32)> = sharded_ref
-                .iter()
-                .map(|e| (e.key, e.point, e.payload))
-                .collect();
-            prop_assert_eq!(batched, recorded, "sharded: batch vs per-record");
-            let batched: Vec<(CurveIndex, Point<2>, u32)> =
-                single.iter().map(|e| (e.key, e.point, *e.payload)).collect();
-            let recorded: Vec<(CurveIndex, Point<2>, u32)> = single_ref
-                .iter()
-                .map(|e| (e.key, e.point, *e.payload))
-                .collect();
-            prop_assert_eq!(batched, recorded, "single: batch vs per-record");
+            for (b, r) in batched.iter().zip(&per_record) {
+                prop_assert_eq!(
+                    owned(&b.iter().collect::<Vec<_>>()),
+                    owned(&r.iter().collect::<Vec<_>>()),
+                    "{} shards: batch vs per-record",
+                    b.parts()
+                );
+            }
         }
     }
 }
@@ -575,15 +466,14 @@ proptest! {
         cap in 1usize..16,
     ) {
         let grid = Grid::<2>::new(4).unwrap();
-        let curve = ZCurve::over(grid);
-        let mut store = SfcStore::with_memtable_capacity(curve, cap);
-        let mut model: BTreeMap<CurveIndex, (Point<2>, u32)> = BTreeMap::new();
+        let stores = stores_at(&ZCurve::over(grid), &PARTS, cap);
+        let mut model = Model::new();
         let ops = random_tombstone_heavy_ops(400, 16, seed);
         for (i, chunk) in ops.chunks(100).enumerate() {
             for &op in chunk {
-                apply(&mut store, &mut model, op);
+                apply(&stores, &mut model, op);
             }
-            check_against_model(&store, &model, seed.wrapping_add(i as u64));
+            check_all(&stores, &model, seed.wrapping_add(i as u64), bigmin_paths);
         }
     }
 }
@@ -598,7 +488,7 @@ proptest! {
 fn all_dead_blocks_shadow_correctly_and_are_skipped_by_knn() {
     let grid = Grid::<2>::new(5).unwrap(); // 32×32
     let z = ZCurve::over(grid);
-    let mut store = SfcStore::with_memtable_capacity(z, 4096);
+    let store = ShardedSfcStore::with_memtable_capacity(z, 1, 4096);
     // The Z quadrant [0,16)² is exactly the contiguous key range 0..256.
     let quadrant = BoxRegion::new(Point::new([0, 0]), Point::new([15, 15]));
     for (i, cell) in quadrant.cells().enumerate() {
@@ -619,23 +509,20 @@ fn all_dead_blocks_shadow_correctly_and_are_skipped_by_knn() {
     // The newest run now holds 256 contiguous tombstones — at block size
     // 64 that is at least 4 entirely dead blocks.
     assert_eq!(
-        store.run_lens(),
-        vec![768, 256],
+        store.shard_run_lens(),
+        vec![vec![768, 256]],
         "tombstone run must survive"
     );
     assert_eq!(store.len(), 512);
 
-    let flat = |v: &[sfc_store::StoreEntryRef<'_, 2, u32>]| {
-        v.iter()
-            .map(|e| (e.key, e.point, *e.payload))
-            .collect::<Vec<_>>()
-    };
+    let flat = borrowed;
     // Box queries over the dead region: every strategy agrees on "empty".
-    let (iv, _) = store.query_box_intervals(&quadrant);
-    let (bm, _) = store.query_box_bigmin(&quadrant);
-    let (pl, _) = store.query_box(&quadrant);
-    let (iv_plain, _) = store.query_box_intervals_plain(&quadrant);
-    let (bm_plain, _) = store.query_box_bigmin_plain(&quadrant);
+    let snap = store.snapshot();
+    let (iv, _) = snap.query_box_intervals(&quadrant);
+    let (bm, _) = snap.query_box_bigmin(&quadrant);
+    let (pl, _) = snap.query_box(&quadrant);
+    let (iv_plain, _) = snap.query_box_intervals_plain(&quadrant);
+    let (bm_plain, _) = snap.query_box_bigmin_plain(&quadrant);
     assert!(iv.is_empty(), "tombstoned region resurrected: {:?}", iv[0]);
     assert_eq!(flat(&iv), flat(&bm));
     assert_eq!(flat(&iv), flat(&pl));
@@ -649,12 +536,12 @@ fn all_dead_blocks_shadow_correctly_and_are_skipped_by_knn() {
     // dead blocks are observably skipped.
     let q = Point::new([5, 5]);
     for k in [1usize, 4, 10] {
-        let (got, stats) = store.knn(q, k, 3);
-        let want = store.knn_linear(q, k);
+        let (got, stats) = snap.knn(q, k, 3);
+        let want = snap.knn_linear(q, k);
         let gd: Vec<u64> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
         let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.point)).collect();
         assert_eq!(gd, wd, "knn k={k}");
-        let (plain, _) = store.knn_plain(q, k, 3);
+        let (plain, _) = snap.knn_plain(q, k, 3);
         assert_eq!(flat(&got), flat(&plain), "knn vs plain k={k}");
         assert!(
             stats.blocks_pruned > 0,
@@ -669,7 +556,7 @@ fn all_dead_blocks_shadow_correctly_and_are_skipped_by_knn() {
 #[test]
 fn tombstone_across_runs_lifecycle() {
     let grid = Grid::<2>::new(4).unwrap();
-    let mut store = SfcStore::with_memtable_capacity(ZCurve::over(grid), 64);
+    let store = ShardedSfcStore::with_memtable_capacity(ZCurve::over(grid), 1, 64);
     let p = Point::new([9, 4]);
     // Bottom run holds p …
     store.insert(p, 1u32);
@@ -677,18 +564,19 @@ fn tombstone_across_runs_lifecycle() {
         store.insert(Point::new([i % 8, i / 8]), 100 + i);
     }
     store.flush();
-    assert_eq!(store.get(p), Some(&1));
+    assert_eq!(store.get(p), Some(1));
     // … a newer run holds only its tombstone …
     store.delete(p);
     store.flush();
-    assert!(store.run_lens().len() >= 2, "runs: {:?}", store.run_lens());
+    let runs = store.shard_run_lens().remove(0);
+    assert!(runs.len() >= 2, "runs: {runs:?}");
     assert_eq!(store.get(p), None);
     assert!(store.iter().all(|e| e.point != p));
     // … the memtable resurrects it over the tombstone …
     store.insert(p, 3u32);
-    assert_eq!(store.get(p), Some(&3));
+    assert_eq!(store.get(p), Some(3));
     // … and compaction folds all three versions into one live record.
     store.compact();
-    assert_eq!(store.get(p), Some(&3));
-    assert_eq!(store.run_lens().iter().sum::<usize>(), store.len());
+    assert_eq!(store.get(p), Some(3));
+    assert_eq!(store.shard_run_lens()[0].iter().sum::<usize>(), store.len());
 }
