@@ -1,9 +1,66 @@
-//! Exact NN-stretch computation: scaling in `n` and sequential vs Rayon.
+//! Exact NN-stretch computation: the plane-window drivers against the
+//! per-cell loop they replaced, per curve, and sequential vs Rayon.
+//!
+//! Writes its part of `BENCH_metrics.json` (ns per cell and the
+//! window-vs-naive ratio per curve at `d=2 k=8` and `d=3 k=5`) and asserts
+//! the committed gate: the window is at least [`WINDOW_VS_NAIVE_GATE`]×
+//! the naive loop on the 2-D Hilbert curve.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sfc_core::{CurveKind, ZCurve};
+use criterion::{criterion_group, BenchmarkId, Criterion};
+use sfc_bench::{median_ns, BenchReport};
+use sfc_core::{CurveKind, SpaceFillingCurve, ZCurve};
 use sfc_metrics::nn_stretch::{summarize, summarize_par};
 use std::hint::black_box;
+
+/// The committed floor of `naive / window` on Hilbert `d=2 k=8` (measured
+/// ≈ 13×: a scalar Hilbert encode per neighbour against a table read).
+const WINDOW_VS_NAIVE_GATE: f64 = 4.0;
+
+/// The reference: what `summarize` did before the window — one curve
+/// evaluation for the cell and one per neighbour. Returns
+/// `(Σ δ^max, edge sum, max δ^max)`.
+fn naive_summary<const D: usize, C: SpaceFillingCurve<D>>(curve: &C) -> (u128, u128, u128) {
+    let grid = curve.grid();
+    let (mut dmax_sum, mut double_edge_sum, mut max_delta) = (0, 0, 0);
+    for cell in grid.cells() {
+        let idx = curve.index_of(cell);
+        let (mut sum, mut max) = (0, 0);
+        for nb in grid.neighbors(cell) {
+            let dist = idx.abs_diff(curve.index_of(nb));
+            sum += dist;
+            max = max.max(dist);
+        }
+        dmax_sum += max;
+        double_edge_sum += sum;
+        max_delta = max_delta.max(max);
+    }
+    (dmax_sum, double_edge_sum / 2, max_delta)
+}
+
+fn bench_window_vs_naive<const D: usize>(c: &mut Criterion, k: u32) {
+    let mut group = c.benchmark_group(format!("nn_stretch_d{D}_k{k}"));
+    for kind in CurveKind::ALL {
+        let curve = kind.build::<D>(k).unwrap();
+        let s = summarize(&curve);
+        assert_eq!(
+            naive_summary(&curve),
+            (s.dmax_sum, s.edge_sum, s.max_delta),
+            "{kind} d={D}: the window disagrees with the naive loop"
+        );
+        group.bench_with_input(BenchmarkId::new("window", kind.name()), &curve, |b, c| {
+            b.iter(|| black_box(summarize(c)))
+        });
+        group.bench_with_input(BenchmarkId::new("naive", kind.name()), &curve, |b, c| {
+            b.iter(|| black_box(naive_summary(c)))
+        });
+    }
+    group.finish();
+}
+
+fn bench_by_curve(c: &mut Criterion) {
+    bench_window_vs_naive::<2>(c, 8);
+    bench_window_vs_naive::<3>(c, 5);
+}
 
 fn bench_summarize_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("nn_stretch_summarize_z_d2");
@@ -19,22 +76,55 @@ fn bench_summarize_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_summarize_by_curve(c: &mut Criterion) {
-    let mut group = c.benchmark_group("nn_stretch_by_curve_k6");
-    for kind in CurveKind::ALL {
-        let curve = kind.build::<2>(6).unwrap();
-        group.bench_with_input(
-            BenchmarkId::from_parameter(kind.name()),
-            &curve,
-            |b, curve| b.iter(|| black_box(summarize(curve))),
-        );
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_summarize_scaling, bench_summarize_by_curve
+    targets = bench_by_curve, bench_summarize_scaling
 }
-criterion_main!(benches);
+
+fn main() {
+    benches();
+    let records = criterion::take_records();
+    let median = |name: String| median_ns(&records, &name);
+    let mut ns_per_cell = Vec::new();
+    let mut speedups = Vec::new();
+    for (group, cells) in [
+        ("nn_stretch_d2_k8", 1u64 << 16),
+        ("nn_stretch_d3_k5", 1 << 15),
+    ] {
+        for kind in CurveKind::ALL {
+            let window = median(format!("{group}/window/{}", kind.name()));
+            let naive = median(format!("{group}/naive/{}", kind.name()));
+            for (path, ns) in [("window", window), ("naive", naive)] {
+                ns_per_cell.push((format!("{group}/{path}/{}", kind.name()), ns / cells as f64));
+            }
+            speedups.push((
+                format!("{group}/window_vs_naive/{}", kind.name()),
+                naive / window,
+            ));
+        }
+    }
+    let mut report = BenchReport::extending("metrics");
+    report.section(
+        "nn_stretch_config",
+        "{\"grids\": [\"d=2 k=8\", \"d=3 k=5\"], \"curves\": \"CurveKind::ALL through BoxedCurve\", \"naive\": \"one scalar encode per cell and per neighbour\"}",
+    );
+    report.results("nn_stretch_results", &records);
+    let pair = |(name, value): &(String, f64)| (name.clone(), *value);
+    report.numbers("nn_stretch_ns_per_cell", 2, ns_per_cell.iter().map(pair));
+    report.numbers("nn_stretch_speedups", 2, speedups.iter().map(pair));
+    report.write();
+    for (name, ratio) in &speedups {
+        println!("speedup {name}: {ratio:.2}x");
+    }
+    let gated = "nn_stretch_d2_k8/window_vs_naive/hilbert";
+    let ratio = speedups
+        .iter()
+        .find(|(n, _)| n == gated)
+        .expect("gated ratio")
+        .1;
+    assert!(
+        ratio >= WINDOW_VS_NAIVE_GATE,
+        "{gated} = {ratio:.2}x, below the committed {WINDOW_VS_NAIVE_GATE}x"
+    );
+}

@@ -17,6 +17,7 @@
 
 use criterion::{criterion_group, Criterion};
 use rand::{Rng, SeedableRng};
+use sfc_bench::BenchReport;
 use sfc_core::{CurveIndex, Grid, HilbertCurve, Point, SpaceFillingCurve, ZCurve};
 use sfc_index::{BoxRegion, QueryStats, SfcIndex};
 use sfc_obs::MetricsRegistry;
@@ -25,7 +26,6 @@ use sfc_store::memtable::SfcMemtable;
 use sfc_store::{BatchOp, EngineMetrics, ShardedSfcStore, WalConfig};
 use std::collections::BTreeMap;
 use std::hint::black_box;
-use std::io::Write as _;
 use std::sync::Arc;
 
 const BASE: usize = 1_000_000;
@@ -1235,10 +1235,6 @@ criterion_group! {
     targets = bench_ingest, bench_sharded_ingest, bench_concurrent_throughput, bench_memtable_ingest, bench_wal_ingest, bench_batch_ingest, bench_recovery_replay
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn stats_json(s: &QueryStats) -> String {
     format!(
         "{{\"seeks\": {}, \"scanned\": {}, \"reported\": {}, \"blocks_scanned\": {}, \"blocks_pruned\": {}, \"blocks_decoded\": {}, \"overscan\": {:.4}}}",
@@ -1246,12 +1242,6 @@ fn stats_json(s: &QueryStats) -> String {
     )
 }
 
-/// Writes `BENCH_store.json` at the workspace root: every benchmark's
-/// median/min/max **and p50/p95/p99** nanoseconds, the summed per-path
-/// `QueryStats` counters, a metrics-registry snapshot from the
-/// instrumented run, the instrumentation-overhead ratio, and the headline
-/// plain-vs-zone speedups. CI uploads the file so the perf trajectory is
-/// tracked per commit.
 /// The durable-pipeline ratios `main` threads into the report: WAL
 /// overhead, batched-vs-per-record ingest (durable + in-memory), and
 /// the parallel-recovery speedup.
@@ -1262,6 +1252,12 @@ struct PipelineRatios {
     recovery: f64,
 }
 
+/// Writes `BENCH_store.json` at the workspace root: every benchmark's
+/// median/min/max **and p50/p95/p99** nanoseconds, the summed per-path
+/// `QueryStats` counters, a metrics-registry snapshot from the
+/// instrumented run, the instrumentation-overhead ratio, and the headline
+/// plain-vs-zone speedups. CI uploads the file so the perf trajectory is
+/// tracked per commit.
 fn write_report(
     all_records: &[criterion::BenchRecord],
     qb: &QueryBench,
@@ -1277,45 +1273,34 @@ fn write_report(
             .map(|r| r.median_ns)
     };
     let speedup = |plain: &str, new: &str| -> Option<f64> { Some(median(plain)? / median(new)?) };
-    let mut out = String::from("{\n  \"schema\": 1,\n  \"bench\": \"store\",\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"base_records\": {BASE}, \"updates\": {}, \"grid_k\": {GRID_K}, \"query_boxes\": {QUERY_BOXES}, \"knn_queries\": {KNN_QUERIES}, \"knn_k\": {KNN_K}}},\n",
-        ROUNDS * UPDATES_PER_ROUND
-    ));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in all_records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}, \"p50_ns\": {:.1}, \"p95_ns\": {:.1}, \"p99_ns\": {:.1}}}{}\n",
-            json_escape(&r.name),
-            r.median_ns,
-            r.min_ns,
-            r.max_ns,
-            r.p50_ns,
-            r.p95_ns,
-            r.p99_ns,
-            if i + 1 == all_records.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"query_stats\": {\n");
-    for (i, (name, s)) in qb.stats.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {}{}\n",
-            name,
-            stats_json(s),
-            if i + 1 == qb.stats.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  },\n");
+    let mut report = BenchReport::new("store");
+    report.section(
+        "config",
+        format!(
+            "{{\"base_records\": {BASE}, \"updates\": {}, \"grid_k\": {GRID_K}, \"query_boxes\": {QUERY_BOXES}, \"knn_queries\": {KNN_QUERIES}, \"knn_k\": {KNN_K}}}",
+            ROUNDS * UPDATES_PER_ROUND
+        ),
+    );
+    report.results("results", all_records);
+    report.object(
+        "query_stats",
+        qb.stats
+            .iter()
+            .map(|(name, s)| (name.to_string(), stats_json(s))),
+    );
     let fp = &qb.footprint;
-    out.push_str(&format!(
-        "  \"bytes_per_record\": {{\"heap_bytes\": {}, \"memtable_heap_bytes\": {}, \"slots\": {}, \"compressed\": {:.3}, \"uncompressed\": {}, \"compression_ratio\": {:.3}, \"budget\": {BYTES_PER_RECORD_BUDGET}}},\n",
-        fp.heap_bytes,
-        fp.memtable_heap_bytes,
-        fp.slots,
-        fp.bytes_per_record(),
-        fp.naive_slot_bytes,
-        fp.compression_ratio()
-    ));
+    report.section(
+        "bytes_per_record",
+        format!(
+            "{{\"heap_bytes\": {}, \"memtable_heap_bytes\": {}, \"slots\": {}, \"compressed\": {:.3}, \"uncompressed\": {}, \"compression_ratio\": {:.3}, \"budget\": {BYTES_PER_RECORD_BUDGET}}}",
+            fp.heap_bytes,
+            fp.memtable_heap_bytes,
+            fp.slots,
+            fp.bytes_per_record(),
+            fp.naive_slot_bytes,
+            fp.compression_ratio()
+        ),
+    );
     // Registry snapshot from the instrumented overhead run: op counters,
     // latency percentiles, gauges — plus the engine-level overscan the
     // accumulated scanned/reported counters imply.
@@ -1324,28 +1309,21 @@ fn write_report(
         snap.counter("engine.query.scanned").unwrap_or(0),
         snap.counter("engine.query.reported").unwrap_or(0),
     );
-    out.push_str(&format!(
-        "  \"instrumentation\": {{\"overhead_ratio\": {overhead_ratio:.4}, \"budget\": {INSTRUMENTATION_OVERHEAD_BUDGET}, \"engine_overscan\": {engine_overscan:.4}, \"slow_queries\": {}}},\n",
-        metrics.slow_queries_admitted()
-    ));
-    let registry_json = snap.to_json();
-    out.push_str("  \"metrics\": ");
-    out.push_str(registry_json.trim_end());
-    out.push_str(",\n");
-    out.push_str("  \"scan_throughput_gbps\": {\n");
-    let thrpt: Vec<&criterion::BenchRecord> = all_records
-        .iter()
-        .filter(|r| r.gb_per_sec().is_some())
-        .collect();
-    for (i, r) in thrpt.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {:.4}{}\n",
-            json_escape(&r.name),
-            r.gb_per_sec().expect("filtered on Some"),
-            if i + 1 == thrpt.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  },\n  \"speedups\": {\n");
+    report.section(
+        "instrumentation",
+        format!(
+            "{{\"overhead_ratio\": {overhead_ratio:.4}, \"budget\": {INSTRUMENTATION_OVERHEAD_BUDGET}, \"engine_overscan\": {engine_overscan:.4}, \"slow_queries\": {}}}",
+            metrics.slow_queries_admitted()
+        ),
+    );
+    report.section("metrics", snap.to_json());
+    report.numbers(
+        "scan_throughput_gbps",
+        4,
+        all_records
+            .iter()
+            .filter_map(|r| Some((r.name.as_str(), Some(r.gb_per_sec()?)))),
+    );
     let pairs = [
         (
             "selective_box_planner_vs_plain_intervals",
@@ -1423,19 +1401,8 @@ fn write_report(
         // min_ns-based, recorded but not gated (machine-dependent).
         ("recovery_parallel_vs_serial", Some(pipeline.recovery)),
     ];
-    for (i, (name, ratio)) in pairs.iter().enumerate() {
-        match ratio {
-            Some(r) => out.push_str(&format!("    \"{name}\": {r:.3}")),
-            None => out.push_str(&format!("    \"{name}\": null")),
-        }
-        out.push_str(if i + 1 == pairs.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  }\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");
-    let mut file = std::fs::File::create(path).expect("create BENCH_store.json");
-    file.write_all(out.as_bytes())
-        .expect("write BENCH_store.json");
-    println!("wrote {path}");
+    report.numbers("speedups", 3, pairs);
+    report.write();
     for (name, ratio) in pairs {
         if let Some(r) = ratio {
             println!("speedup {name}: {r:.2}x");

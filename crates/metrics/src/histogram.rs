@@ -7,6 +7,7 @@
 //! concrete, explain the naive-sampling failure documented in
 //! [`crate::sampling`], and quantify tail mass for application modelling.
 
+use crate::nn_stretch::{for_each_cell, neighbor_distances};
 use sfc_core::{CurveIndex, SpaceFillingCurve};
 
 /// A histogram over log₂ buckets: bucket `b` counts values `v` with
@@ -91,23 +92,27 @@ impl Log2Histogram {
     }
 }
 
-/// Histogram of `Δπ` over **all nearest-neighbor edges** of the grid.
+/// Histogram of `Δπ` over **all nearest-neighbor edges** of the grid
+/// (each edge once, from its lower endpoint), on the window of
+/// [`crate::nn_stretch`].
 pub fn edge_distance_histogram<const D: usize, C: SpaceFillingCurve<D>>(
     curve: &C,
 ) -> Log2Histogram {
     let mut h = Log2Histogram::default();
-    for (a, b, _) in curve.grid().nn_edges() {
-        h.push(curve.curve_distance(a, b));
-    }
+    for_each_cell(curve, |own, _, up| {
+        for &nb in up {
+            h.push(own.abs_diff(nb));
+        }
+    });
     h
 }
 
-/// Histogram of `δ^max_π(α)` over all cells.
+/// Histogram of `δ^max_π(α)` over all cells, on the same window.
 pub fn delta_max_histogram<const D: usize, C: SpaceFillingCurve<D>>(curve: &C) -> Log2Histogram {
     let mut h = Log2Histogram::default();
-    for cell in curve.grid().cells() {
-        h.push(crate::nn_stretch::delta_max(curve, cell));
-    }
+    for_each_cell(curve, |own, down, up| {
+        h.push(neighbor_distances(own, down, up).1);
+    });
     h
 }
 

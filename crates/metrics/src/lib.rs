@@ -8,10 +8,11 @@
 //!   `δ^avg_π(α)`, `δ^max_π(α)`, `D^avg(π)`, `D^max(π)`
 //!   (Definitions 1–4), computed **exactly** (integer arithmetic, no
 //!   floating-point accumulation error) with sequential and Rayon-parallel
-//!   drivers.
+//!   drivers over one rolling window of row-major hyperplanes, so every
+//!   cell is encoded once.
 //! * [`all_pairs`] — the all-pairs stretch `str^{avg,M}` and `str^{avg,E}`
-//!   (Section V.B), plus the universal pair-distance sum `S_{A'}(π)`
-//!   (Lemma 2).
+//!   (Section V.B), grouped by offset vector over one index table, plus the
+//!   universal pair-distance sum `S_{A'}(π)` (Lemma 2) in `O(n log n)`.
 //! * [`lambda`] — the `Λ_i(Z)` / `G_{i,j}` decomposition driving the exact
 //!   analysis of the Z curve (Lemma 5).
 //! * [`decomposition`] — the nearest-neighbor decomposition `p(α, β)` and
@@ -33,9 +34,21 @@
 //! `D^avg(π) = (1/n) Σ_α δ^avg_π(α)` is a sum of rationals whose
 //! denominators `|N(α)|` all divide `L = lcm(d, …, 2d)`. The exact drivers
 //! accumulate `Σ_α (L / |N(α)|) · Σ_β Δπ(α, β)` in `u128`, so
-//! `D^avg = total / (L·n)` is exact, parallel and sequential runs agree
-//! bit-for-bit, and the paper's hand-worked values (e.g. Figure 1's
-//! `D^avg(π₁) = 1.5`) are reproduced without tolerance fudging.
+//! `D^avg = total / (L·n)` is exact, and the paper's hand-worked values
+//! (e.g. Figure 1's `D^avg(π₁) = 1.5`) are reproduced without tolerance
+//! fudging. The parallel driver folds the same integers over contiguous
+//! ranges of hyperplanes, each range re-encoding the plane on either side
+//! of it, so parallel and sequential runs agree bit-for-bit however the
+//! grid is cut.
+//!
+//! The all-pairs stretch is exact where it is an integer — `S_{A'}`, and
+//! per offset vector `δ` the sum and maximum of `Δπ` over all pairs `δ`
+//! apart — and rounds once per offset, not once per pair: the two
+//! per-pair maxima are bit-identical to a per-pair loop's, the two
+//! averages equal it to within last-place rounding of the sums.
+//!
+//! A one-cell grid (`k = 0`) has no neighbours and no pairs: every sum,
+//! both stretches and both averages are `0`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -10,11 +10,133 @@
 //! [`summarize`] / [`summarize_par`] compute all of these **exactly** in one
 //! pass: the rational sum `Σ_α δ^avg_π(α)` is accumulated as the integer
 //! `Σ_α (L/|N(α)|)·Σ_β Δπ(α,β)` with `L = lcm(d,…,2d)`, so the result is a
-//! ratio of two `u128`s. Sequential and parallel drivers agree bit-for-bit
-//! (integer addition is associative), which the tests assert.
+//! ratio of two `u128`s.
+//!
+//! # The window
+//!
+//! Every exact per-cell driver of this crate (the two summaries,
+//! [`per_cell_delta_avg`], and the histograms of [`crate::histogram`])
+//! walks the grid through one rolling window over **row-major
+//! hyperplanes**: the cells sharing a coordinate along the slowest axis
+//! `d−1`, `side^{d−1}` of them, contiguous in row-major rank. Each plane is
+//! encoded exactly once, by one [`SpaceFillingCurve::index_of_batch`] call,
+//! into one of three reused buffers (`prev`/`cur`/`next`); a cell's
+//! neighbours are then array reads — `cur[r ± side^a]` along the in-plane
+//! axes `a < d−1`, `prev[r]` and `next[r]` along the slowest axis.
+//!
+//! * **Cost:** `n` batched encodes plus at most `2dn` array reads, where
+//!   the per-cell drivers this replaces paid `(2d+1)·n` scalar (and, through
+//!   a `BoxedCurve`, virtual) encodes.
+//! * **Memory:** `3·side^{d−1}` curve indices and one plane of points,
+//!   whatever `n` is. (In `d = 1` a plane is a single cell.)
+//! * **Parallel driver:** [`summarize_par`] cuts the `side` planes into
+//!   contiguous ranges and gives each range a window of its own, which
+//!   re-encodes the one plane on either side of the range as its halo. Every
+//!   cell is visited exactly once with exactly the neighbours the sequential
+//!   pass sees, and all accumulators are integers (addition is associative,
+//!   `max` too), so the result is bit-identical to [`summarize`] however the
+//!   planes are cut — the tests assert it for every cut.
+//!
+//! The single-cell helpers [`delta_sum`], [`delta_avg`] and [`delta_max`]
+//! evaluate the curve directly; the samplers use them, and the differential
+//! tests use them as the reference the window is checked against.
 
 use rayon::prelude::*;
 use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
+use std::ops::Range;
+
+/// Calls `visit(π(α), down, up)` for every cell `α` of the grid in
+/// row-major order, where `down` / `up` hold the curve indices of the
+/// neighbours `α − e_a` / `α + e_a` that exist (axes ascending).
+pub(crate) fn for_each_cell<const D: usize, C: SpaceFillingCurve<D>>(
+    curve: &C,
+    visit: impl FnMut(CurveIndex, &[CurveIndex], &[CurveIndex]),
+) {
+    for_each_cell_in_planes(curve, 0..curve.grid().side(), visit);
+}
+
+/// [`for_each_cell`] restricted to the hyperplanes whose coordinate along
+/// the slowest axis lies in `planes` (see the module docs).
+fn for_each_cell_in_planes<const D: usize, C: SpaceFillingCurve<D>>(
+    curve: &C,
+    planes: Range<u64>,
+    mut visit: impl FnMut(CurveIndex, &[CurveIndex], &[CurveIndex]),
+) {
+    if planes.is_empty() {
+        return;
+    }
+    let grid = curve.grid();
+    let (k, side) = (grid.k(), grid.side());
+    let plane_len =
+        usize::try_from(grid.n() / u128::from(side)).expect("grid too large for exact enumeration");
+    let mask = side as usize - 1;
+    // The cells of one plane; planes differ in the slowest coordinate only.
+    let mut cells: Vec<Point<D>> = grid.cells().take(plane_len).collect();
+    let (mut prev, mut cur, mut next) = (Vec::new(), Vec::new(), Vec::new());
+    let mut encode = |z: u64, out: &mut Vec<CurveIndex>| {
+        for cell in &mut cells {
+            *cell = cell.with_coord(D - 1, z as u32);
+        }
+        curve.index_of_batch(&cells, out);
+    };
+    // Ahead of the first roll: the plane below the range (its lower halo)
+    // sits in `cur`, the first plane of the range in `next`.
+    if planes.start > 0 {
+        encode(planes.start - 1, &mut cur);
+    }
+    encode(planes.start, &mut next);
+    for z in planes {
+        // Roll: the plane encoded ahead becomes current, and the oldest
+        // buffer is free to take the plane after it (the upper halo, at
+        // the end of the range).
+        std::mem::swap(&mut prev, &mut cur);
+        std::mem::swap(&mut cur, &mut next);
+        let (has_prev, has_next) = (z > 0, z + 1 < side);
+        if has_next {
+            encode(z + 1, &mut next);
+        }
+        for (r, &own) in cur.iter().enumerate() {
+            let (mut down, mut up) = ([0; D], [0; D]);
+            let (mut downs, mut ups) = (0, 0);
+            for axis in 0..D - 1 {
+                let shift = k as usize * axis;
+                let coord = (r >> shift) & mask;
+                if coord > 0 {
+                    down[downs] = cur[r - (1 << shift)];
+                    downs += 1;
+                }
+                if coord < mask {
+                    up[ups] = cur[r + (1 << shift)];
+                    ups += 1;
+                }
+            }
+            if has_prev {
+                down[downs] = prev[r];
+                downs += 1;
+            }
+            if has_next {
+                up[ups] = next[r];
+                ups += 1;
+            }
+            visit(own, &down[..downs], &up[..ups]);
+        }
+    }
+}
+
+/// `(Σ_β Δπ(α,β), max_β Δπ(α,β), |N(α)|)` of one visited cell.
+pub(crate) fn neighbor_distances(
+    own: CurveIndex,
+    down: &[CurveIndex],
+    up: &[CurveIndex],
+) -> (u128, CurveIndex, usize) {
+    let (mut sum, mut max) = (0, 0);
+    for &nb in down.iter().chain(up) {
+        let dist = own.abs_diff(nb);
+        sum += dist;
+        max = max.max(dist);
+    }
+    (sum, max, down.len() + up.len())
+}
 
 /// Greatest common divisor (Euclid).
 fn gcd(a: u128, b: u128) -> u128 {
@@ -124,7 +246,7 @@ impl NnStretchSummary {
     }
 }
 
-/// Per-cell contribution, accumulated exactly.
+/// The exact sums of a set of cells.
 #[derive(Debug, Clone, Copy, Default)]
 struct Accum {
     davg_scaled: u128,
@@ -144,40 +266,37 @@ impl Accum {
     }
 }
 
-fn cell_accum<const D: usize, C: SpaceFillingCurve<D>>(
+/// Folds [`Accum`] over the cells of a range of hyperplanes.
+fn accumulate_planes<const D: usize, C: SpaceFillingCurve<D>>(
     curve: &C,
-    lcm: u128,
-    cell: Point<D>,
+    planes: Range<u64>,
 ) -> Accum {
-    let grid = curve.grid();
-    let idx = curve.index_of(cell);
-    let mut sum = 0u128;
-    let mut max = 0u128;
-    let mut count = 0u128;
-    for nb in grid.neighbors(cell) {
-        let dist = idx.abs_diff(curve.index_of(nb));
-        sum += dist;
-        max = max.max(dist);
-        count += 1;
-    }
-    Accum {
-        davg_scaled: sum * (lcm / count),
-        dmax_sum: max,
-        double_edge_sum: sum,
-        max_delta: max,
-    }
+    // `L/|N(α)|` per neighbour count; a one-cell grid has `|N(α)| = 0` and
+    // an empty sum, which weighs nothing.
+    let lcm = neighbor_count_lcm(D);
+    let weights: Vec<u128> = (0..=2 * D as u128)
+        .map(|count| lcm.checked_div(count).unwrap_or(0))
+        .collect();
+    let mut acc = Accum::default();
+    for_each_cell_in_planes(curve, planes, |own, down, up| {
+        let (sum, max, count) = neighbor_distances(own, down, up);
+        acc.davg_scaled += sum * weights[count];
+        acc.dmax_sum += max;
+        acc.double_edge_sum += sum;
+        acc.max_delta = acc.max_delta.max(max);
+    });
+    acc
 }
 
 fn finish<const D: usize, C: SpaceFillingCurve<D>>(curve: &C, acc: Accum) -> NnStretchSummary {
     let grid = curve.grid();
-    let lcm = neighbor_count_lcm(D);
     NnStretchSummary {
         curve: curve.name(),
         d: D,
         k: grid.k(),
         n: grid.n(),
         davg_numerator: acc.davg_scaled,
-        davg_denominator: lcm * grid.n(),
+        davg_denominator: neighbor_count_lcm(D) * grid.n(),
         dmax_sum: acc.dmax_sum,
         // Each unordered NN edge was visited from both endpoints.
         edge_sum: acc.double_edge_sum / 2,
@@ -187,33 +306,30 @@ fn finish<const D: usize, C: SpaceFillingCurve<D>>(curve: &C, acc: Accum) -> NnS
 
 /// Computes all NN-stretch metrics exactly, sequentially.
 ///
-/// Cost: `O(n·d)` curve evaluations.
+/// Cost: `n` batched curve evaluations and `O(n·d)` array reads (see the
+/// module docs). A one-cell grid has no neighbour pairs: every sum is `0`.
 pub fn summarize<const D: usize, C: SpaceFillingCurve<D>>(curve: &C) -> NnStretchSummary {
-    let lcm = neighbor_count_lcm(D);
-    let acc = curve
-        .grid()
-        .cells()
-        .map(|cell| cell_accum(curve, lcm, cell))
-        .fold(Accum::default(), Accum::merge);
-    finish(curve, acc)
+    finish(curve, accumulate_planes(curve, 0..curve.grid().side()))
 }
 
-/// Computes all NN-stretch metrics exactly, in parallel with Rayon.
+/// How many contiguous plane ranges [`summarize_par`] cuts the grid into
+/// (at most; never more than there are planes). Each range re-encodes two
+/// halo planes, so more ranges buy load balance with redundant encodes.
+const PLANE_RANGES: u64 = 32;
+
+/// Computes all NN-stretch metrics exactly, in parallel with Rayon over
+/// contiguous ranges of hyperplanes.
 ///
 /// Returns bit-identical results to [`summarize`] (integer accumulation is
 /// order-independent).
 pub fn summarize_par<const D: usize, C: SpaceFillingCurve<D> + Sync>(
     curve: &C,
 ) -> NnStretchSummary {
-    let grid = curve.grid();
-    let lcm = neighbor_count_lcm(D);
-    let n = u64::try_from(grid.n()).expect("grid too large for exact enumeration");
-    let acc = (0..n)
+    let side = curve.grid().side();
+    let ranges = PLANE_RANGES.min(side);
+    let acc = (0..ranges)
         .into_par_iter()
-        .map(|rank| {
-            let cell = grid.point_from_row_major(u128::from(rank));
-            cell_accum(curve, lcm, cell)
-        })
+        .map(|i| accumulate_planes(curve, side * i / ranges..side * (i + 1) / ranges))
         .reduce(Accum::default, Accum::merge);
     finish(curve, acc)
 }
@@ -221,11 +337,12 @@ pub fn summarize_par<const D: usize, C: SpaceFillingCurve<D> + Sync>(
 /// The per-cell `δ^avg` values in row-major cell order (for distribution
 /// plots and the Figure 1 worked example).
 pub fn per_cell_delta_avg<const D: usize, C: SpaceFillingCurve<D>>(curve: &C) -> Vec<f64> {
-    curve
-        .grid()
-        .cells()
-        .map(|cell| delta_avg(curve, cell))
-        .collect()
+    let mut out = Vec::new();
+    for_each_cell(curve, |own, down, up| {
+        let (sum, _, count) = neighbor_distances(own, down, up);
+        out.push(sum as f64 / count as f64);
+    });
+    out
 }
 
 /// A measured value paired with a reference (bound or asymptote), as
@@ -295,6 +412,78 @@ mod tests {
                 s.d_avg()
             );
         }
+    }
+
+    #[test]
+    fn one_cell_grid_has_all_zero_sums() {
+        fn check<const D: usize>() {
+            for kind in CurveKind::ALL {
+                let c = kind.build::<D>(0).unwrap();
+                let s = summarize(&c);
+                assert_eq!(s, summarize_par(&c), "{kind} d={D}");
+                assert_eq!((s.n, s.davg_numerator, s.dmax_sum), (1, 0, 0));
+                assert_eq!((s.edge_sum, s.max_delta), (0, 0));
+                assert_eq!(s.davg_denominator, neighbor_count_lcm(D));
+                assert_eq!((s.d_avg(), s.d_max()), (0.0, 0.0), "{kind} d={D}");
+            }
+        }
+        check::<1>();
+        check::<2>();
+        check::<3>();
+    }
+
+    /// The summary of a curve folded over the plane ranges `cuts` delimit.
+    fn summarize_cut<const D: usize>(kind: CurveKind, k: u32, cuts: &[u64]) -> NnStretchSummary {
+        let curve = kind.build::<D>(k).unwrap();
+        let side = curve.grid().side();
+        let mut bounds: Vec<u64> = cuts.iter().map(|c| c % (side + 1)).collect();
+        bounds.extend([0, side]);
+        bounds.sort_unstable();
+        let acc = bounds
+            .windows(2)
+            .map(|w| accumulate_planes(&curve, w[0]..w[1]))
+            .fold(Accum::default(), Accum::merge);
+        let cut = finish(&curve, acc);
+        assert_eq!(cut, summarize(&curve), "{kind} d={D} k={k} cuts {bounds:?}");
+        cut
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// What makes `summarize_par` bit-identical to `summarize`: any cut
+        /// of the planes into contiguous ranges (empty ones included), each
+        /// with its own window and halo, merges to the same summary.
+        #[test]
+        fn any_cut_into_plane_ranges_merges_to_the_sequential_summary(
+            kind in 0usize..CurveKind::ALL.len(),
+            d in 1usize..=3,
+            k in 0u32..=3,
+            cuts in proptest::collection::vec(0u64..64, 0..6),
+        ) {
+            let kind = CurveKind::ALL[kind];
+            match d {
+                1 => summarize_cut::<1>(kind, k + 2, &cuts),
+                2 => summarize_cut::<2>(kind, k, &cuts),
+                _ => summarize_cut::<3>(kind, k.min(2), &cuts),
+            };
+        }
+    }
+
+    #[test]
+    fn window_drivers_match_the_single_cell_helpers() {
+        let h = CurveKind::Hilbert.build::<3>(2).unwrap();
+        let cells: Vec<_> = h.grid().cells().collect();
+        let per_cell: Vec<f64> = cells.iter().map(|&c| delta_avg(&h, c)).collect();
+        assert_eq!(per_cell_delta_avg(&h), per_cell);
+        let mut maxima = crate::histogram::Log2Histogram::default();
+        cells.iter().for_each(|&c| maxima.push(delta_max(&h, c)));
+        assert_eq!(crate::histogram::delta_max_histogram(&h), maxima);
+        let mut edges = crate::histogram::Log2Histogram::default();
+        for (a, b, _) in h.grid().nn_edges() {
+            edges.push(h.curve_distance(a, b));
+        }
+        assert_eq!(crate::histogram::edge_distance_histogram(&h), edges);
     }
 
     #[test]

@@ -66,7 +66,13 @@ impl TorusStretchSummary {
     }
 }
 
-/// Computes the exact torus stretch metrics of a curve (`O(n·d)`).
+/// Computes the exact torus stretch metrics of a curve (`O(n·d)` scalar
+/// curve evaluations).
+///
+/// This driver deliberately stays per-cell: the plane window of
+/// [`crate::nn_stretch`] has no wrap-around mode (the neighbours of the
+/// first plane live in the last one), and no measured workload asks for
+/// one.
 pub fn summarize_torus<const D: usize, C: SpaceFillingCurve<D>>(curve: &C) -> TorusStretchSummary {
     let grid = curve.grid();
     let mut double_edge_sum = 0u128;
