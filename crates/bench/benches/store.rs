@@ -19,10 +19,11 @@ use criterion::{criterion_group, Criterion};
 use rand::{Rng, SeedableRng};
 use sfc_bench::BenchReport;
 use sfc_core::{CurveIndex, Grid, HilbertCurve, Point, SpaceFillingCurve, ZCurve};
-use sfc_index::{BoxRegion, QueryStats, SfcIndex};
+use sfc_index::{sort_columns, BoxRegion, QueryStats, SfcIndex};
 use sfc_obs::MetricsRegistry;
 use sfc_store::memtable::bptree::BPlusTreeMap;
 use sfc_store::memtable::SfcMemtable;
+use sfc_store::wal::bench_hooks;
 use sfc_store::{BatchOp, EngineMetrics, ShardedSfcStore, WalConfig};
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -481,8 +482,11 @@ const WAL_SHARDS: usize = 4;
 /// The committed durability budget: group-committed WAL ingest
 /// (`insert_nosync` + one closing `sync()` barrier, `fsync_every` 512)
 /// must stay within this factor of the identical in-memory workload on
-/// tmpfs. `min_ns`-based like the other gates.
-const DURABLE_INGEST_RATIO_GATE: f64 = 2.0;
+/// tmpfs. `min_ns`-based like the other gates. The committed
+/// `BENCH_store.json` records 1.62 (1.91 before frames were encoded into
+/// one buffer and checksummed by the sliced kernel); the gate is that
+/// plus 15 % for this box's noise.
+const DURABLE_INGEST_RATIO_GATE: f64 = 1.86;
 
 /// Scratch directory for the WAL benches: `/dev/shm` (tmpfs) when the
 /// host has it, so the gates measure the logging machinery — framing,
@@ -542,7 +546,7 @@ fn bench_wal_ingest(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The ≤2x durability gate CI runs on every release bench.
+/// The durability gate CI runs on every release bench.
 fn assert_wal_gate(all_records: &[criterion::BenchRecord]) -> f64 {
     let min = |name: &str| {
         all_records
@@ -680,6 +684,102 @@ fn assert_batch_gate(all_records: &[criterion::BenchRecord]) -> (f64, f64) {
          in-memory {in_memory:.3}x"
     );
     (durable, in_memory)
+}
+
+/// Bytes the checksum bench covers per iteration.
+const CRC_BENCH_BYTES: usize = 1 << 20;
+
+/// The committed checksum floor: the slice-by-8 CRC32C must move at
+/// least this many GB/s (`min_ns`-based). The one-table loop it replaced
+/// measures ≈ 0.4 here; every durable byte is checksummed once on the
+/// way out and once on the way in, so this is the ceiling of both.
+const CRC32C_GBPS_GATE: f64 = 1.0;
+
+/// The durable-bytes kernels, as a run of an ingesting store sees them:
+/// one curve-local run (40 % of the cells of a 512×512 window, every
+/// tenth slot a tombstone) dumped to its run-file bytes and loaded back,
+/// plus the checksum over 1 MiB. Returns the run's record count and file
+/// size for the report.
+fn bench_durable_bytes(c: &mut Criterion) -> (usize, usize) {
+    let grid = Grid::<2>::new(GRID_K).unwrap();
+    let z = ZCurve::over(grid);
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1515);
+    let points: Vec<Point<2>> = (0..512u32 * 512)
+        .filter(|_| rng.gen_range(0u32..10) < 4)
+        .map(|i| Point::new([700 + i % 512, 300 + i / 512]))
+        .collect();
+    let payloads: Vec<u64> = (0..points.len() as u64).collect();
+    let (keys, points, payloads) = sort_columns(&z, points, payloads);
+    let slots: Vec<Option<u64>> = payloads
+        .into_iter()
+        .enumerate()
+        .map(|(i, v)| (i % 10 != 0).then_some(v))
+        .collect();
+    let run = SfcIndex::from_sorted_versions(z, keys, points, slots);
+    let file = bench_hooks::encode_run(&run);
+    let loaded = bench_hooks::decode_run::<2, u64, _>(&file, &z).expect("own file loads");
+    assert_eq!(loaded.blocks(), run.blocks(), "load is the identity");
+    assert_eq!(loaded.payloads(), run.payloads());
+    let noise: Vec<u8> = (0..CRC_BENCH_BYTES).map(|_| rng.gen()).collect();
+
+    let mut group = c.benchmark_group("durable_bytes");
+    group.bench_function("crc32c_1mib", |bencher| {
+        bencher.iter(|| black_box(bench_hooks::crc32c(black_box(&noise))))
+    });
+    group.bench_function("run_encode", |bencher| {
+        bencher.iter(|| black_box(bench_hooks::encode_run(black_box(&run)).len()))
+    });
+    group.bench_function("run_load", |bencher| {
+        bencher.iter(|| {
+            let run = bench_hooks::decode_run::<2, u64, _>(black_box(&file), &z);
+            black_box(run.expect("own file loads").len())
+        })
+    });
+    group.finish();
+    (run.len(), file.len())
+}
+
+/// The durable-bytes numbers for the report (`min_ns`-based), with the
+/// checksum floor asserted.
+struct DurableBytes {
+    crc32c_gbps: f64,
+    run_encode_ns_per_record: f64,
+    run_load_ns_per_record: f64,
+    run_file_bytes_per_record: f64,
+}
+
+fn assert_durable_bytes_gate(
+    all_records: &[criterion::BenchRecord],
+    (records, file_bytes): (usize, usize),
+) -> DurableBytes {
+    let min = |name: &str| {
+        all_records
+            .iter()
+            .find(|r| r.name == name)
+            .map(|r| r.min_ns)
+            .expect("durable_bytes bench recorded")
+    };
+    let d = DurableBytes {
+        crc32c_gbps: CRC_BENCH_BYTES as f64 / min("durable_bytes/crc32c_1mib"),
+        run_encode_ns_per_record: min("durable_bytes/run_encode") / records as f64,
+        run_load_ns_per_record: min("durable_bytes/run_load") / records as f64,
+        run_file_bytes_per_record: file_bytes as f64 / records as f64,
+    };
+    assert!(
+        d.crc32c_gbps >= CRC32C_GBPS_GATE,
+        "crc32c moves {:.3} GB/s — below the {CRC32C_GBPS_GATE} GB/s floor; \
+         the sliced kernel has fallen back to bytewise speed",
+        d.crc32c_gbps
+    );
+    println!(
+        "durable bytes: crc32c {:.2} GB/s (floor {CRC32C_GBPS_GATE}), run file {:.2} B/record, \
+         encode {:.1} ns/record, load {:.1} ns/record",
+        d.crc32c_gbps,
+        d.run_file_bytes_per_record,
+        d.run_encode_ns_per_record,
+        d.run_load_ns_per_record
+    );
+    d
 }
 
 const RECOVERY_OPS: usize = 200_000;
@@ -1242,14 +1342,15 @@ fn stats_json(s: &QueryStats) -> String {
     )
 }
 
-/// The durable-pipeline ratios `main` threads into the report: WAL
-/// overhead, batched-vs-per-record ingest (durable + in-memory), and
-/// the parallel-recovery speedup.
+/// The durable-pipeline numbers `main` threads into the report: WAL
+/// overhead, batched-vs-per-record ingest (durable + in-memory), the
+/// parallel-recovery speedup, and the durable-bytes kernels.
 struct PipelineRatios {
     wal: f64,
     batch_durable: f64,
     batch_in_memory: f64,
     recovery: f64,
+    durable_bytes: DurableBytes,
 }
 
 /// Writes `BENCH_store.json` at the workspace root: every benchmark's
@@ -1390,7 +1491,7 @@ fn write_report(
                 "memtable_ingest/engine_local_writers_4",
             ),
         ),
-        // min_ns-based, same as the ≤2x CI gate.
+        // min_ns-based, same as the CI gate.
         ("durable_vs_in_memory_ingest_ratio", Some(pipeline.wal)),
         // min_ns-based, same as the ≥1.5x CI gate.
         ("batch_vs_record_ingest_ratio", Some(pipeline.batch_durable)),
@@ -1402,6 +1503,18 @@ fn write_report(
         ("recovery_parallel_vs_serial", Some(pipeline.recovery)),
     ];
     report.numbers("speedups", 3, pairs);
+    let d = &pipeline.durable_bytes;
+    report.numbers(
+        "durable_bytes",
+        3,
+        [
+            ("crc32c_gbps", d.crc32c_gbps),
+            ("crc32c_gbps_gate", CRC32C_GBPS_GATE),
+            ("run_encode_ns_per_record", d.run_encode_ns_per_record),
+            ("run_load_ns_per_record", d.run_load_ns_per_record),
+            ("run_file_bytes_per_record", d.run_file_bytes_per_record),
+        ],
+    );
     report.write();
     for (name, ratio) in pairs {
         if let Some(r) = ratio {
@@ -1416,6 +1529,7 @@ fn main() {
     let qb = bench_query_paths(&mut criterion, &sc);
     let metrics = bench_metrics_overhead(&mut criterion, &sc);
     ingest_benches();
+    let durable_run = bench_durable_bytes(&mut criterion);
     let mut all_records = qb.records.clone();
     all_records.extend(criterion::take_records());
     let overhead_ratio = assert_overhead_gate(&all_records);
@@ -1423,11 +1537,13 @@ fn main() {
     let wal = assert_wal_gate(&all_records);
     let (batch_durable, batch_in_memory) = assert_batch_gate(&all_records);
     let recovery = recovery_replay_ratio(&all_records);
+    let durable_bytes = assert_durable_bytes_gate(&all_records, durable_run);
     let pipeline = PipelineRatios {
         wal,
         batch_durable,
         batch_in_memory,
         recovery,
+        durable_bytes,
     };
     write_report(
         &all_records,

@@ -25,6 +25,33 @@
 //! offsets are plain prefix sums. Padding costs at most one block's worth
 //! of bits per run and keeps every decode kernel branch-free.
 //!
+//! ## Byte image
+//!
+//! [`BlockStore::write_to`] dumps the packed columns as they sit in
+//! memory and [`BlockStore::read_from`] loads them back without
+//! re-packing — the form a run takes on disk. All integers little-endian:
+//!
+//! ```text
+//! [ len: u64 ][ blocks: u64 ][ key word count: u64 ][ coord word count: u64 ]
+//! blocks × [ fence: u128 ][ lo: D × u32 ][ hi: D × u32 ][ live word: u64 ]
+//!          [ key width: u8 ][ coord widths: D × u8 ]
+//! [ key words: u64 … ][ coord words: u64 … ]      (pad words included)
+//! ```
+//!
+//! The contract: `read_from(write_to(b)) == b` for every store `pack`
+//! can build, and `read_from` of **any** bytes is a store on which no
+//! accessor or decode kernel can panic, or an error — never a panic, and
+//! never an allocation sized by a count the bytes do not back. It
+//! trusts nothing it can recompute (rank prefix sums, word offsets and
+//! the run AABB are rebuilt, not stored) and checks the rest: block
+//! count against `len`, widths in range, word counts against the widths'
+//! prefix sums, no live bit past `len`, `lo ≤ hi`, and — one unpack pass
+//! over the raw fields — slot 0 at the fence, keys non-decreasing within
+//! and across blocks, no key past `u128::MAX`, every coordinate offset
+//! inside its block's AABB. It carries no checksum and knows no curve:
+//! whoever stores the image guards it against bit rot and checks the
+//! keys against the points (see `sfc-store`'s run files).
+//!
 //! Everything scans need *before* touching a block — fences, AABBs, live
 //! counts — lives in the uncompressed per-block metadata, so pruning
 //! decisions never decode. Decoding happens lazily, one block at a time,
@@ -43,6 +70,97 @@ pub const BLOCK_SLOTS: usize = 64;
 
 // The bitmap and mask kernels assume one u64 word per block.
 const _: () = assert!(BLOCK_SLOTS == 64);
+
+/// Why [`BlockStore::read_from`] rejected a byte image.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockImageError {
+    /// Byte offset into the image where the problem was found.
+    pub offset: usize,
+    /// What failed to parse or verify.
+    pub detail: String,
+}
+
+impl std::fmt::Display for BlockImageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "block image byte {}: {}", self.offset, self.detail)
+    }
+}
+
+impl std::error::Error for BlockImageError {}
+
+/// A bounds-checked little-endian cursor over a byte image.
+struct ImageReader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> ImageReader<'a> {
+    fn err(&self, detail: impl Into<String>) -> BlockImageError {
+        BlockImageError {
+            offset: self.pos,
+            detail: detail.into(),
+        }
+    }
+
+    fn take<const N: usize>(&mut self, what: &str) -> Result<[u8; N], BlockImageError> {
+        let bytes = self
+            .buf
+            .get(self.pos..)
+            .and_then(|rest| rest.get(..N))
+            .ok_or_else(|| self.err(format!("image ends inside {what}")))?;
+        self.pos += N;
+        Ok(bytes.try_into().expect("sliced to N bytes"))
+    }
+
+    fn u8(&mut self, what: &str) -> Result<u8, BlockImageError> {
+        Ok(self.take::<1>(what)?[0])
+    }
+
+    fn u32(&mut self, what: &str) -> Result<u32, BlockImageError> {
+        Ok(u32::from_le_bytes(self.take(what)?))
+    }
+
+    fn u64(&mut self, what: &str) -> Result<u64, BlockImageError> {
+        Ok(u64::from_le_bytes(self.take(what)?))
+    }
+
+    fn u128(&mut self, what: &str) -> Result<u128, BlockImageError> {
+        Ok(u128::from_le_bytes(self.take(what)?))
+    }
+
+    fn point<const D: usize>(&mut self, what: &str) -> Result<Point<D>, BlockImageError> {
+        let mut coords = [0u32; D];
+        for c in &mut coords {
+            *c = self.u32(what)?;
+        }
+        Ok(Point::new(coords))
+    }
+
+    /// A column of `count` words; the caller has already bounded `count`
+    /// by the bytes that remain.
+    fn words(&mut self, count: usize, what: &str) -> Result<Vec<u64>, BlockImageError> {
+        let bytes = self
+            .buf
+            .get(self.pos..)
+            .and_then(|rest| rest.get(..count * 8))
+            .ok_or_else(|| self.err(format!("image ends inside {what}")))?;
+        self.pos += count * 8;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+            .collect())
+    }
+}
+
+/// Words a block's keys occupy at `width`, or `None` for a width no
+/// block can have.
+fn key_block_words(width: u8) -> Option<usize> {
+    match width {
+        kernels::WIDTH_RAW => Some(2 * BLOCK_SLOTS),
+        w if w <= 64 => Some(w as usize),
+        _ => None,
+    }
+}
 
 /// One decoded block's columns, the scratch target of the unpack kernels.
 /// Slots past the block's length hold the fence key / AABB minimum (the
@@ -75,8 +193,9 @@ impl<const D: usize> DecodedBlock<D> {
 
 /// The compressed physical format of one sorted run: per-block metadata
 /// (fences, AABBs, tombstone bitmap) plus bit-packed key and coordinate
-/// words. Built once by [`BlockStore::pack`]; immutable afterwards.
-#[derive(Debug, Clone)]
+/// words. Built once by [`BlockStore::pack`] (or reloaded from its byte
+/// image by [`BlockStore::read_from`]); immutable afterwards.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockStore<const D: usize> {
     /// Total slots stored (the run length, including tombstones).
     len: usize,
@@ -237,6 +356,234 @@ impl<const D: usize> BlockStore<D> {
             store.all_hi = Point::new(all_hi);
         }
         store
+    }
+
+    /// Bytes of image header: the four counts.
+    const IMAGE_HEADER: usize = 4 * 8;
+    /// Bytes of image per block: fence, AABB corners, live word, widths.
+    const IMAGE_BLOCK: usize = 16 + 2 * 4 * D + 8 + 1 + D;
+
+    /// Appends this store's byte image to `out` (layout and contract in
+    /// the module docs). A straight dump of the packed columns: nothing
+    /// is decoded or re-packed.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        out.reserve(
+            Self::IMAGE_HEADER
+                + self.blocks() * Self::IMAGE_BLOCK
+                + (self.key_words.len() + self.coord_words.len()) * 8,
+        );
+        for count in [
+            self.len,
+            self.blocks(),
+            self.key_words.len(),
+            self.coord_words.len(),
+        ] {
+            out.extend_from_slice(&(count as u64).to_le_bytes());
+        }
+        for block in 0..self.blocks() {
+            out.extend_from_slice(&self.fences[block].to_le_bytes());
+            for corner in [&self.lo[block], &self.hi[block]] {
+                for axis in 0..D {
+                    out.extend_from_slice(&corner.coord(axis).to_le_bytes());
+                }
+            }
+            out.extend_from_slice(&self.live_bits[block].to_le_bytes());
+            out.push(self.key_widths[block]);
+            out.extend_from_slice(&self.coord_widths[block]);
+        }
+        for column in [&self.key_words, &self.coord_words] {
+            for word in column {
+                out.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+    }
+
+    /// Loads a store from exactly the bytes [`write_to`](Self::write_to)
+    /// produced — or rejects them: see the module docs for everything
+    /// that is checked. Never panics, whatever the bytes; never
+    /// allocates more than the image's own length backs.
+    pub fn read_from(bytes: &[u8]) -> Result<Self, BlockImageError> {
+        let mut r = ImageReader { buf: bytes, pos: 0 };
+        let len = r.u64("slot count")?;
+        let blocks = r.u64("block count")?;
+        let key_word_count = r.u64("key word count")?;
+        let coord_word_count = r.u64("coord word count")?;
+        if blocks != len.div_ceil(BLOCK_SLOTS as u64) {
+            return Err(r.err(format!("{blocks} blocks for {len} slots")));
+        }
+        // One equation bounds every count by the bytes actually present,
+        // before anything is allocated from them.
+        let expected = blocks
+            .checked_mul(Self::IMAGE_BLOCK as u64)
+            .zip(key_word_count.checked_add(coord_word_count))
+            .and_then(|(meta, words)| meta.checked_add(words.checked_mul(8)?));
+        if expected != Some((bytes.len() - r.pos) as u64) {
+            return Err(r.err(format!(
+                "counts ({len} slots, {blocks} blocks, {key_word_count} + {coord_word_count} \
+                 words) disagree with the {} bytes that follow",
+                bytes.len() - r.pos
+            )));
+        }
+        // The counts are now at most a small multiple of `bytes.len()`.
+        let [len, blocks, key_word_count, coord_word_count] =
+            [len, blocks, key_word_count, coord_word_count].map(usize::try_from);
+        let (Ok(len), Ok(blocks), Ok(key_word_count), Ok(coord_word_count)) =
+            (len, blocks, key_word_count, coord_word_count)
+        else {
+            return Err(r.err("a count exceeds the address space"));
+        };
+
+        let mut store = Self {
+            len,
+            fences: Vec::with_capacity(blocks),
+            lo: Vec::with_capacity(blocks),
+            hi: Vec::with_capacity(blocks),
+            live_bits: Vec::with_capacity(blocks),
+            live_prefix: Vec::with_capacity(blocks),
+            key_widths: Vec::with_capacity(blocks),
+            coord_widths: Vec::with_capacity(blocks),
+            key_offsets: Vec::with_capacity(blocks),
+            coord_offsets: Vec::with_capacity(blocks),
+            key_words: Vec::new(),
+            coord_words: Vec::new(),
+            all_lo: Point::new([u32::MAX; D]),
+            all_hi: Point::new([0; D]),
+        };
+        let mut all_lo = [u32::MAX; D];
+        let mut all_hi = [0u32; D];
+        // Running totals behind the derived columns: live rank, key
+        // words, coord words (one pad word ends each word column).
+        let (mut live_total, mut key_total, mut coord_total) = (0u32, 0usize, 0usize);
+        for block in 0..blocks {
+            store.fences.push(r.u128("fence key")?);
+            let lo: Point<D> = r.point("block AABB")?;
+            let hi: Point<D> = r.point("block AABB")?;
+            for axis in 0..D {
+                if lo.coord(axis) > hi.coord(axis) {
+                    return Err(r.err(format!("block {block} AABB is inverted on axis {axis}")));
+                }
+                all_lo[axis] = all_lo[axis].min(lo.coord(axis));
+                all_hi[axis] = all_hi[axis].max(hi.coord(axis));
+            }
+            store.lo.push(lo);
+            store.hi.push(hi);
+            let live = r.u64("live word")?;
+            let slots = (len - block * BLOCK_SLOTS).min(BLOCK_SLOTS);
+            if live & !kernels::len_mask(slots) != 0 {
+                return Err(r.err(format!("block {block} has a live bit past slot {len}")));
+            }
+            store.live_bits.push(live);
+            store.live_prefix.push(live_total);
+            live_total = live_total
+                .checked_add(live.count_ones())
+                .ok_or_else(|| r.err("more than u32::MAX live slots"))?;
+            let key_width = r.u8("key width")?;
+            let key_words = key_block_words(key_width)
+                .ok_or_else(|| r.err(format!("block {block} key width {key_width}")))?;
+            store.key_widths.push(key_width);
+            let mut coord_widths = [0u8; D];
+            for (axis, w) in coord_widths.iter_mut().enumerate() {
+                *w = r.u8("coord width")?;
+                if *w > 32 {
+                    return Err(r.err(format!("block {block} axis {axis} coord width {w}")));
+                }
+            }
+            store.coord_widths.push(coord_widths);
+            // Offsets are `u32` in memory; an image whose columns
+            // outgrow that is rejected, not truncated.
+            for (offsets, total) in [
+                (&mut store.key_offsets, key_total),
+                (&mut store.coord_offsets, coord_total),
+            ] {
+                offsets
+                    .push(u32::try_from(total).map_err(|_| r.err("word offset exceeds u32::MAX"))?);
+            }
+            key_total = key_total.saturating_add(key_words);
+            coord_total =
+                coord_total.saturating_add(coord_widths.iter().map(|&w| w as usize).sum());
+        }
+        for (what, total, count) in [
+            ("key", key_total, key_word_count),
+            ("coord", coord_total, coord_word_count),
+        ] {
+            if total.checked_add(1) != Some(count) {
+                return Err(r.err(format!(
+                    "{what} widths need {total} words + 1 pad, the column holds {count}"
+                )));
+            }
+        }
+        store.key_words = r.words(key_word_count, "key words")?;
+        store.coord_words = r.words(coord_word_count, "coord words")?;
+        if len > 0 {
+            store.all_lo = Point::new(all_lo);
+            store.all_hi = Point::new(all_hi);
+        }
+        store.check_fields()?;
+        Ok(store)
+    }
+
+    /// The unpack pass of [`read_from`](Self::read_from), over the raw
+    /// bit fields (no base added, so nothing can overflow on the way):
+    /// slot 0 of a block sits at its fence, keys never decrease within
+    /// or across blocks, `fence + delta` fits `u128` for all 64 slots
+    /// (pads included — the decode kernels add them too), and every
+    /// coordinate offset stays inside the block's AABB.
+    fn check_fields(&self) -> Result<(), BlockImageError> {
+        let err = |block: usize, detail: &str| BlockImageError {
+            offset: Self::IMAGE_HEADER + block * Self::IMAGE_BLOCK,
+            detail: format!("block {block}: {detail}"),
+        };
+        let mut fields = [0u64; BLOCK_SLOTS];
+        let mut deltas = [0u128; BLOCK_SLOTS];
+        let mut prev_last: CurveIndex = 0;
+        for block in 0..self.blocks() {
+            let slots = self.block_range(block).len();
+            let words = &self.key_words[self.key_offsets[block] as usize..];
+            match self.key_widths[block] {
+                0 => deltas.fill(0),
+                kernels::WIDTH_RAW => {
+                    for (j, d) in deltas.iter_mut().enumerate() {
+                        *d = u128::from(words[2 * j]) | (u128::from(words[2 * j + 1]) << 64);
+                    }
+                }
+                w => {
+                    kernels::unpack_fields(words, w, &mut fields);
+                    for (d, &f) in deltas.iter_mut().zip(fields.iter()) {
+                        *d = u128::from(f);
+                    }
+                }
+            }
+            let fence = self.fences[block];
+            let max_delta = deltas.iter().copied().max().expect("64 slots");
+            if fence.checked_add(max_delta).is_none() {
+                return Err(err(block, "a key overflows u128"));
+            }
+            if deltas[0] != 0 {
+                return Err(err(block, "fence is not the first key"));
+            }
+            if block > 0 && fence < prev_last {
+                return Err(err(block, "fence below the previous block's last key"));
+            }
+            if deltas[..slots].windows(2).any(|w| w[0] > w[1]) {
+                return Err(err(block, "keys decrease inside the block"));
+            }
+            prev_last = fence + deltas[slots - 1];
+
+            let mut off = self.coord_offsets[block] as usize;
+            for axis in 0..D {
+                let w = self.coord_widths[block][axis];
+                if w == 0 {
+                    continue;
+                }
+                kernels::unpack_fields(&self.coord_words[off..], w, &mut fields);
+                let extent = self.hi[block].coord(axis) - self.lo[block].coord(axis);
+                if fields.iter().any(|&f| f > u64::from(extent)) {
+                    return Err(err(block, "a coordinate leaves the block's AABB"));
+                }
+                off += w as usize;
+            }
+        }
+        Ok(())
     }
 
     /// Total slots stored (including tombstones).
@@ -749,6 +1096,55 @@ mod tests {
         let b = BoxRegion::new(Point::new([0, 0]), Point::new([3, 3]));
         assert!(!bs.run_disjoint(&b));
         assert_eq!(bs.lower_bound(5), 0);
+    }
+
+    #[test]
+    fn byte_image_round_trips_and_rejects_structural_lies() {
+        let (keys, points, _) = sorted_columns(130);
+        let bs = BlockStore::pack(&keys, &points, |slot| slot % 5 != 0);
+        let mut image = Vec::new();
+        bs.write_to(&mut image);
+        assert_eq!(BlockStore::<2>::read_from(&image).as_ref(), Ok(&bs));
+
+        // Offsets of block `b`'s fields in a `D = 2` image.
+        let meta = |b: usize| BlockStore::<2>::IMAGE_HEADER + b * BlockStore::<2>::IMAGE_BLOCK;
+        let (lo_at, hi_at) = (16, 24);
+        let rejects = |what: &str, edit: &dyn Fn(&mut Vec<u8>), expect: &str| {
+            let mut bad = image.clone();
+            edit(&mut bad);
+            let err = BlockStore::<2>::read_from(&bad).expect_err(what);
+            assert!(err.detail.contains(expect), "{what}: {err}");
+        };
+        rejects(
+            "inverted AABB",
+            // Block 1's lo.x above any coordinate of the 32×32 grid.
+            &|i| i[meta(1) + lo_at..][..4].copy_from_slice(&100u32.to_le_bytes()),
+            "inverted",
+        );
+        rejects(
+            "a point outside its AABB",
+            &|i| {
+                // Shrink block 0's hi corner onto its lo corner.
+                let (lo, hi) = (meta(0) + lo_at, meta(0) + hi_at);
+                i.copy_within(lo..lo + 8, hi);
+            },
+            "leaves the block's AABB",
+        );
+        rejects(
+            "a key past u128::MAX",
+            &|i| i[meta(1)..meta(1) + 16].copy_from_slice(&u128::MAX.to_le_bytes()),
+            "overflows u128",
+        );
+        rejects(
+            "a fence below the previous block",
+            &|i| i[meta(1)..meta(1) + 16].copy_from_slice(&0u128.to_le_bytes()),
+            "previous block's last key",
+        );
+        rejects(
+            "a live bit past len",
+            &|i| i[meta(2) + 32 + 7] |= 0x80,
+            "live bit past slot 130",
+        );
     }
 
     #[test]

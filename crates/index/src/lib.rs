@@ -112,7 +112,7 @@ pub mod scan;
 pub mod table;
 
 pub use bigmin::{bigmin, litmax};
-pub use block::{BlockCursor, BlockStore, DecodedBlock, BLOCK_SLOTS};
+pub use block::{BlockCursor, BlockImageError, BlockStore, DecodedBlock, BLOCK_SLOTS};
 pub use query::QueryStats;
 pub use region::BoxRegion;
 pub use scan::{bigmin_scan, bigmin_scan_plain, interval_scan, interval_scan_plain};

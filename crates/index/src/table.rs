@@ -294,6 +294,27 @@ impl<const D: usize, T, C: SpaceFillingCurve<D>> SfcIndex<D, T, C> {
         }
     }
 
+    /// Reassembles an index from the parts [`into_parts`](Self::into_parts)
+    /// yields — or from a [`BlockStore`] reloaded by
+    /// [`BlockStore::read_from`] plus its dense payload column. Nothing is
+    /// re-packed. The caller vouches that `blocks` holds the curve's keys
+    /// for its points (a loader checks that before it gets here).
+    ///
+    /// # Panics
+    /// Panics unless there is exactly one payload per live slot.
+    pub fn from_parts(curve: C, blocks: BlockStore<D>, payloads: Vec<T>) -> Self {
+        assert_eq!(
+            payloads.len(),
+            blocks.live_len(),
+            "one payload per live slot"
+        );
+        Self {
+            curve,
+            blocks,
+            payloads,
+        }
+    }
+
     /// The curve backing this index.
     pub fn curve(&self) -> &C {
         &self.curve

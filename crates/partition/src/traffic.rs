@@ -208,6 +208,33 @@ impl ConcurrentTraffic {
         }
     }
 
+    /// A run of writes, all absorbed by the shard behind `stripe`, in one
+    /// go: one counter bump for the whole run and at most one hold of the
+    /// stripe's mutex (none when no sampled tick falls inside the run).
+    /// Write `i` of the run takes tick `first + i` of the stripe's
+    /// counter, so the stripe's sampling stride is exactly what
+    /// `keys.len()` calls of [`record_write`](Self::record_write) would
+    /// have walked.
+    ///
+    /// # Panics
+    /// Panics if `stripe` is out of range or a sampled key is `≥ n`.
+    pub fn record_writes(&self, stripe: usize, keys: impl ExactSizeIterator<Item = CurveIndex>) {
+        let s = &self.stripes[stripe];
+        let run = keys.len() as u64;
+        let first = s.writes.fetch_add(run, Ordering::Relaxed);
+        let every = self.sample_every.load(Ordering::Relaxed);
+        // Writes of the run before its first sampled tick.
+        let skip = (every - first % every) % every;
+        if skip >= run {
+            return;
+        }
+        let mut weights = s.weights.lock().expect("traffic stripe poisoned");
+        for key in keys.skip(skip as usize).step_by(every as usize) {
+            assert!(key < self.n, "curve index {key} outside 0..{}", self.n);
+            *weights.entry(key).or_insert(0.0) += every as f64;
+        }
+    }
+
     /// Adds explicit (unsampled) `weight` for `key` to the given stripe —
     /// e.g. to make read-heavy cells count toward the next rebalance.
     ///
@@ -428,6 +455,61 @@ mod tests {
         assert!((merged.total() - 20_000.0).abs() < 1e-9);
         assert_eq!(merged.observed(), 20_000);
         assert_eq!(t.stripe_writes(0) + t.stripe_writes(1), 20_000);
+    }
+
+    #[test]
+    fn batched_recording_matches_single_writes() {
+        // Runs of uneven length dealt round-robin to three stripes.
+        let runs: Vec<Vec<CurveIndex>> = (0..40u128)
+            .map(|r| {
+                (0..(r * 7) % 23)
+                    .map(|i| (r * 131 + i * 17) % 4096)
+                    .collect()
+            })
+            .collect();
+        // Unsampled: the merged weights are exactly those of one
+        // `record_write` per key.
+        let (batched, single) = (
+            ConcurrentTraffic::new(1 << 12, 3),
+            ConcurrentTraffic::new(1 << 12, 3),
+        );
+        for (r, run) in runs.iter().enumerate() {
+            batched.record_writes(r % 3, run.iter().copied());
+            for &key in run {
+                single.record_write(r % 3, key);
+            }
+        }
+        assert_eq!(
+            batched.merged().entries().collect::<Vec<_>>(),
+            single.merged().entries().collect::<Vec<_>>()
+        );
+        // Sampled: each stripe keeps its own stride across run
+        // boundaries, so its recorded weight is its write count rounded
+        // up to the stride — never more than one stride off.
+        for every in [4u64, 8] {
+            let t = ConcurrentTraffic::new((1 << 12) + 3, 3);
+            t.set_sample_every(every);
+            for (r, run) in runs.iter().enumerate() {
+                // Stripe j only sees keys of residue class j, so its
+                // weight can be read back out of the merged map.
+                let stripe = r % 3;
+                t.record_writes(stripe, run.iter().map(|k| k - k % 3 + stripe as u128));
+            }
+            let merged = t.merged();
+            for stripe in 0..3 {
+                let weight: f64 = merged
+                    .entries()
+                    .filter(|&(k, _)| k % 3 == stripe as u128)
+                    .map(|(_, w)| w)
+                    .sum();
+                let writes = t.stripe_writes(stripe);
+                assert_eq!(
+                    weight,
+                    (writes.div_ceil(every) * every) as f64,
+                    "stripe {stripe} at stride {every}: {writes} writes"
+                );
+            }
+        }
     }
 
     #[test]

@@ -51,10 +51,12 @@
 //! DurabilityHook>>` (see [`crate::wal`]). The hook is consulted at
 //! exactly three points — none of them on the reader path:
 //!
-//! * **Per write**, *after* the `mem` lock is released: the record goes
-//!   to the group-commit queue under the same sequence number the
-//!   memtable just stamped (the payload is byte-encoded *before* the
-//!   lock, since the value moves into the table inside it). A write is
+//! * **Per write**, around the `mem` lock: the frame bytes — payloads
+//!   included, straight into one buffer — are laid out *before* the
+//!   lock (the values move into the table inside it) with the sequence
+//!   fields zero; *after* the lock drops the hook stamps the seqs the
+//!   memtable just assigned, checksums the frame and hands it to the
+//!   group-commit queue. A write is
 //!   *applied* (visible to readers) the moment the lock drops and
 //!   *acked* (durable) when its group is fsynced; synchronous writes
 //!   block between the two.
@@ -326,6 +328,27 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         shard
     }
 
+    /// Persists a just-published epoch through the durability hook (a
+    /// no-op without one), timing the call and counting the bytes it
+    /// wrote — the `persist.*` share of a flush, compaction or install.
+    fn persist(
+        &self,
+        epoch: &RunsEpoch<D, T, C>,
+        high_water: Option<u64>,
+        defer_manifest: bool,
+    ) -> Result<(), WalError> {
+        let Some(w) = self.wal.as_deref() else {
+            return Ok(());
+        };
+        let start = Instant::now();
+        let bytes = w.persist_epoch(&epoch.runs, epoch.live, high_water, defer_manifest)?;
+        if let Some(m) = self.metrics.as_deref() {
+            m.persist_ns.record_since(start);
+            m.persist_bytes.add(bytes);
+        }
+        Ok(())
+    }
+
     /// Live records in the shard (memtable and runs merged).
     pub(crate) fn live(&self) -> usize {
         self.mem.lock().expect("shard mem poisoned").live
@@ -425,11 +448,11 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         });
         // Encode before the lock: the payload moves into the table
         // inside it, and byte-encoding under `mem` would serialise all
-        // writers behind it.
-        let payload_bytes = match (self.wal.as_deref(), &payload) {
-            (Some(w), Some(t)) => Some(w.encode_payload(t)),
-            _ => None,
-        };
+        // writers behind it. The seq is stamped in once it is known.
+        let frame = self
+            .wal
+            .as_deref()
+            .map(|w| (w, w.encode_write(&p, payload.as_ref())));
         let needs_flush;
         let was_live;
         let seq;
@@ -450,8 +473,8 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
             mem_bytes = mem.table.heap_bytes();
             live = mem.live;
         }
-        if let Some(w) = self.wal.as_deref() {
-            w.log_write(seq, &p, payload_bytes, wait)?;
+        if let Some((w, frame)) = frame {
+            w.log_frames(frame, seq, wait)?;
         }
         if needs_flush {
             self.flush(curve)?;
@@ -503,15 +526,10 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
             m.deletes.add(ops.len() as u64 - inserts);
             m.sampler.sampled_start()
         });
-        // Encode payloads before the lock, exactly as `write` does; the
-        // sequence numbers are filled in once the lock assigns them.
-        let mut log: Vec<(u64, Point<D>, Option<Vec<u8>>)> = match self.wal.as_deref() {
-            Some(w) => ops
-                .iter()
-                .map(|(_, p, s)| (0, *p, s.as_ref().map(|t| w.encode_payload(t))))
-                .collect(),
-            None => Vec::new(),
-        };
+        // Encode the slice's frames before the lock, exactly as `write`
+        // does; the sequence numbers are stamped in once the lock has
+        // assigned them.
+        let frames = self.wal.as_deref().map(|w| (w, w.encode_batch(&ops)));
         let needs_flush;
         let first_seq;
         let (mem_len, mem_bytes, live);
@@ -543,11 +561,8 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
             mem_bytes = mem.table.heap_bytes();
             live = mem.live;
         }
-        if let Some(w) = self.wal.as_deref() {
-            for (i, entry) in log.iter_mut().enumerate() {
-                entry.0 = first_seq + i as u64;
-            }
-            w.log_batch(&log, wait)?;
+        if let Some((w, frames)) = frames {
+            w.log_frames(frames, first_seq, wait)?;
         }
         if needs_flush {
             self.flush(curve)?;
@@ -635,9 +650,7 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         };
         // Persist the publish and advance the WAL replay floor: every
         // record with seq < high_water is now covered by the run files.
-        if let Some(w) = self.wal.as_deref() {
-            w.persist_epoch(&published.runs, published.live, Some(high_water), false)?;
-        }
+        self.persist(&published, Some(high_water), false)?;
         if let Some(m) = self.metrics.as_deref() {
             m.flushes.inc();
             m.epoch_publishes.inc();
@@ -679,9 +692,7 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
             // Compaction republishes existing data under a merged run:
             // the replay floor is unchanged (`None` keeps the stored
             // high-water — the memtable may hold live records above it).
-            if let Some(w) = self.wal.as_deref() {
-                w.persist_epoch(&epoch.runs, epoch.live, None, false)?;
-            }
+            self.persist(&epoch, None, false)?;
         }
         if let Some(m) = self.metrics.as_deref() {
             m.compactions.inc();
@@ -740,9 +751,7 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         };
         let epoch = Arc::new(RunsEpoch { runs, live });
         self.epoch.publish(Arc::clone(&epoch));
-        if let Some(w) = self.wal.as_deref() {
-            w.persist_epoch(&epoch.runs, live, Some(high_water), defer_manifest)?;
-        }
+        self.persist(&epoch, Some(high_water), defer_manifest)?;
         if let Some(m) = self.metrics.as_deref() {
             m.epoch_publishes.inc();
             m.memtable_len.set(0);

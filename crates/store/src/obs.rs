@@ -73,6 +73,16 @@ pub struct ShardMetrics {
     pub(crate) get_ns: Histogram,
     pub(crate) flush_ns: Histogram,
     pub(crate) compact_ns: Histogram,
+    /// `shardN.persist.ns` — time inside the durability hook's epoch
+    /// persist (run files + checkpoint written and synced, manifest
+    /// flipped), once per flush, compaction publish or bottom-run
+    /// install of a durable shard: the part of `flush.ns` / `compact.ns`
+    /// that is bytes to disk rather than building runs. Empty on an
+    /// in-memory store.
+    pub(crate) persist_ns: Histogram,
+    /// `shardN.persist.bytes` — bytes of run and checkpoint files those
+    /// persists wrote (unchanged runs keep their file and cost nothing).
+    pub(crate) persist_bytes: Counter,
     pub(crate) memtable_len: Gauge,
     pub(crate) memtable_bytes: Gauge,
     pub(crate) run_count: Gauge,
@@ -95,6 +105,8 @@ impl ShardMetrics {
             get_ns: registry.histogram(&name("get.ns")),
             flush_ns: registry.histogram(&name("flush.ns")),
             compact_ns: registry.histogram(&name("compact.ns")),
+            persist_ns: registry.histogram(&name("persist.ns")),
+            persist_bytes: registry.counter(&name("persist.bytes")),
             memtable_len: registry.gauge(&name("memtable.len")),
             memtable_bytes: registry.gauge(&name("memtable.bytes")),
             run_count: registry.gauge(&name("runs")),

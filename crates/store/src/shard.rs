@@ -1151,9 +1151,7 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
         let mut buckets: Vec<Vec<(CurveIndex, Point<D>, Option<T>)>> =
             (0..parts).map(|_| Vec::new()).collect();
         for (key, op) in keyed {
-            let j = part.part_of(key);
-            self.traffic.record_write(j, key);
-            buckets[j].push(match op {
+            buckets[part.part_of(key)].push(match op {
                 BatchOp::Insert(p, payload) => (key, *p, Some(payload.clone())),
                 BatchOp::Delete(p) => (key, *p, None),
             });
@@ -1165,6 +1163,9 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
             // Stable sort: duplicate keys keep submission order, so the
             // last write to a cell lands last and wins.
             bucket.sort_by_key(|&(k, _, _)| k);
+            // One counter bump and one stripe-lock hold for the slice.
+            self.traffic
+                .record_writes(j, bucket.iter().map(|&(k, _, _)| k));
             self.shards[j].apply_batch(&self.curve, bucket, false)?;
         }
         Ok(())

@@ -721,7 +721,7 @@ fn sync_group(
 
 #[cfg(test)]
 mod tests {
-    use super::super::record::encode_frame;
+    use super::super::record::{encode_unsealed_record, seal_frames};
     use super::*;
     use sfc_core::Point;
 
@@ -749,7 +749,8 @@ mod tests {
     fn frame(seq: u64, payload_len: usize) -> Vec<u8> {
         let mut buf = Vec::new();
         let payload = vec![0xabu8; payload_len];
-        encode_frame(&mut buf, seq, &Point::new([1u32, 2]), Some(&payload));
+        encode_unsealed_record(&mut buf, &Point::new([1u32, 2]), Some(&payload));
+        seal_frames::<2>(&mut buf, seq);
         buf
     }
 

@@ -11,6 +11,7 @@
 
 use std::fmt;
 use std::fs;
+use std::mem::size_of;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -18,8 +19,11 @@ use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
 
 use super::committer::Committer;
 use super::manifest::{ckpt_path, run_path, sync_dir, write_file, Checkpoint, Manifest};
-use super::record::{batch_entry_len, WalPayload, BATCH_HEADER, MAX_BODY};
-use super::{encode_batch_frame, encode_frame, WalConfig, WalError};
+use super::record::{
+    batch_entry_len, encode_unsealed_batch, encode_unsealed_record, seal_frames, WalPayload,
+    BATCH_HEADER, FRAME_HEADER,
+};
+use super::{WalConfig, WalError};
 use crate::view::Run;
 
 /// Engine-wide durability state: the committer plus the in-memory image
@@ -81,49 +85,47 @@ impl WalEngine {
 /// The three durability points of a concurrent shard, object-safe so
 /// [`Shard`](crate::epoch) stores `Option<Arc<dyn DurabilityHook>>`
 /// without a payload-codec bound.
+///
+/// Logging a write is split around the shard's `mem` lock, which is
+/// where sequence numbers are assigned and where nothing slow belongs:
+/// `encode_*` lays the frame bytes out *before* the lock (the payloads
+/// move into the memtable inside it) with the seq fields zero, and
+/// [`log_frames`](Self::log_frames) stamps the seqs, checksums and
+/// enqueues *after* it drops. One buffer per call, no per-record
+/// allocation.
 pub(crate) trait DurabilityHook<const D: usize, T, C>: Send + Sync + fmt::Debug
 where
     C: SpaceFillingCurve<D> + Clone,
 {
-    /// Encodes a payload for the log. Called *before* the shard's `mem`
-    /// lock (the payload moves into the memtable inside it).
-    fn encode_payload(&self, payload: &T) -> Vec<u8>;
+    /// Encodes one write (`payload: None` = tombstone) as an unsealed
+    /// single-record frame.
+    fn encode_write(&self, point: &Point<D>, payload: Option<&T>) -> Vec<u8>;
 
-    /// Logs one write (`payload: None` = tombstone) under the sequence
-    /// number the memtable assigned. With `wait`, blocks for the group
-    /// fsync — the durable ack.
-    fn log_write(
-        &self,
-        seq: u64,
-        point: &Point<D>,
-        payload: Option<Vec<u8>>,
-        wait: bool,
-    ) -> Result<(), WalError>;
+    /// Encodes a shard's slice of a batch as unsealed coalesced
+    /// multi-record frames — one frame (one checksum) for the whole
+    /// slice, cut only where it would overflow a frame's maximum body.
+    fn encode_batch(&self, ops: &[(CurveIndex, Point<D>, Option<T>)]) -> Vec<u8>;
 
-    /// Logs a shard's slice of an applied batch as coalesced
-    /// multi-record frames — one frame (one ticket, one checksum) for
-    /// the whole slice, chunked only if it would overflow a frame's
-    /// maximum body. With `wait`, blocks for the *last* chunk's group
-    /// fsync, which covers every earlier chunk (groups are ordered).
-    fn log_batch(
-        &self,
-        records: &[(u64, Point<D>, Option<Vec<u8>>)],
-        wait: bool,
-    ) -> Result<(), WalError>;
+    /// Seals `frames` (as one of the `encode_*` methods returned them)
+    /// with the consecutive sequence numbers the memtable assigned from
+    /// `first_seq` on, and enqueues them under one commit-queue ticket.
+    /// With `wait`, blocks for the group fsync — the durable ack.
+    fn log_frames(&self, frames: Vec<u8>, first_seq: u64, wait: bool) -> Result<(), WalError>;
 
     /// Persists a freshly published epoch: new run files, a new
     /// checkpoint generation, the manifest flip, and a prune request at
     /// the new high-water. `high_water: None` keeps the previous floor
     /// (compaction publishes no new memtable data); `defer_manifest`
     /// parks the flip, cleanup, and prune until
-    /// [`finish_commit`](Self::finish_commit).
+    /// [`finish_commit`](Self::finish_commit). Returns the bytes of run
+    /// and checkpoint files written.
     fn persist_epoch(
         &self,
         runs: &[Run<D, T, C>],
         live: usize,
         high_water: Option<u64>,
         defer_manifest: bool,
-    ) -> Result<(), WalError>;
+    ) -> Result<u64, WalError>;
 
     /// Completes a deferred persist after the engine-level manifest
     /// commit: deletes superseded files and requests the parked prune.
@@ -202,54 +204,27 @@ where
     T: WalPayload + Send + Sync,
     C: SpaceFillingCurve<D> + Clone + Send + Sync,
 {
-    fn encode_payload(&self, payload: &T) -> Vec<u8> {
-        let mut out = Vec::new();
-        payload.encode_payload(&mut out);
-        out
+    fn encode_write(&self, point: &Point<D>, payload: Option<&T>) -> Vec<u8> {
+        let mut frame = Vec::with_capacity(FRAME_HEADER + batch_entry_len::<D>(size_of::<T>()));
+        encode_unsealed_record(&mut frame, point, payload);
+        frame
     }
 
-    fn log_write(
-        &self,
-        seq: u64,
-        point: &Point<D>,
-        payload: Option<Vec<u8>>,
-        wait: bool,
-    ) -> Result<(), WalError> {
-        let mut frame = Vec::new();
-        encode_frame(&mut frame, seq, point, payload.as_deref());
-        self.engine.committer.append(self.j, seq, 1, frame, wait)
+    fn encode_batch(&self, ops: &[(CurveIndex, Point<D>, Option<T>)]) -> Vec<u8> {
+        // Exact for fixed-size payloads, a first guess for the rest.
+        let mut frames = Vec::with_capacity(
+            FRAME_HEADER + BATCH_HEADER + ops.len() * batch_entry_len::<D>(size_of::<T>()),
+        );
+        encode_unsealed_batch(&mut frames, ops.iter().map(|(_, p, s)| (p, s.as_ref())));
+        frames
     }
 
-    fn log_batch(
-        &self,
-        records: &[(u64, Point<D>, Option<Vec<u8>>)],
-        wait: bool,
-    ) -> Result<(), WalError> {
-        // Greedy chunking at the frame body limit; every chunk takes at
-        // least one record, so even a record near MAX_BODY still frames.
-        let mut start = 0;
-        while start < records.len() {
-            let mut body = BATCH_HEADER;
-            let mut end = start;
-            while end < records.len() {
-                let len = batch_entry_len::<D>(records[end].2.as_ref().map_or(0, Vec::len));
-                if end > start && body + len > MAX_BODY {
-                    break;
-                }
-                body += len;
-                end += 1;
-            }
-            let chunk = &records[start..end];
-            let mut frame = Vec::new();
-            encode_batch_frame(&mut frame, chunk);
-            let max_seq = chunk.iter().map(|&(seq, _, _)| seq).max().expect(">= 1");
-            let last = end == records.len();
-            self.engine
-                .committer
-                .append(self.j, max_seq, chunk.len(), frame, wait && last)?;
-            start = end;
-        }
-        Ok(())
+    fn log_frames(&self, mut frames: Vec<u8>, first_seq: u64, wait: bool) -> Result<(), WalError> {
+        let records = seal_frames::<D>(&mut frames, first_seq);
+        let max_seq = first_seq + records as u64 - 1;
+        self.engine
+            .committer
+            .append(self.j, max_seq, records, frames, wait)
     }
 
     fn persist_epoch(
@@ -258,8 +233,9 @@ where
         live: usize,
         high_water: Option<u64>,
         defer_manifest: bool,
-    ) -> Result<(), WalError> {
+    ) -> Result<u64, WalError> {
         let mut st = self.persist.lock().expect("persist state poisoned");
+        let mut written = 0u64;
         let hw = high_water.unwrap_or(st.high_water);
         // Write files for runs this shard has not persisted yet;
         // unchanged runs keep their file (identity match — runs are
@@ -272,10 +248,9 @@ where
                 None => {
                     let id = st.next_run_id;
                     st.next_run_id += 1;
-                    write_file(
-                        &run_path(&self.dir, id),
-                        &super::manifest::encode_run(run.as_ref()),
-                    )?;
+                    let bytes = super::manifest::encode_run(run.as_ref());
+                    write_file(&run_path(&self.dir, id), &bytes)?;
+                    written += bytes.len() as u64;
                     id
                 }
             };
@@ -283,15 +258,14 @@ where
             ids.push(id);
         }
         let gen = st.gen + 1;
-        write_file(
-            &ckpt_path(&self.dir, gen),
-            &Checkpoint {
-                high_water: hw,
-                live: live as u64,
-                run_ids: ids,
-            }
-            .encode(self.dims),
-        )?;
+        let ckpt = Checkpoint {
+            high_water: hw,
+            live: live as u64,
+            run_ids: ids,
+        }
+        .encode(self.dims);
+        write_file(&ckpt_path(&self.dir, gen), &ckpt)?;
+        written += ckpt.len() as u64;
         sync_dir(&self.dir)?;
         // Everything the old generation referenced and the new one does
         // not becomes garbage — but only after the manifest flip below
@@ -319,7 +293,7 @@ where
             }
             self.engine.committer.request_prune(self.j, hw);
         }
-        Ok(())
+        Ok(written)
     }
 
     fn finish_commit(&self) -> Result<(), WalError> {

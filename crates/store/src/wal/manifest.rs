@@ -13,32 +13,72 @@
 //! <dir>/shard3/ckpt-000042  magic "SFCK" | high_water | live
 //!                           | run-file ids (stack order) | crc
 //! <dir>/shard3/run-000007.run
-//!                           magic "SFRN" | record count | per record:
-//!                           tag, coords, payload bytes | crc
+//!                           magic "SFRN" (version 2) | block image
+//!                           | payload column | crc
 //! <dir>/shard3/wal-000011.log
 //!                           see `record` for the frame format
 //! ```
 //!
-//! Run files store points, not curve keys: the curve maps cells to keys
-//! bijectively, so a load recomputes `curve.index_of(point)` and saves
-//! 16 bytes per record on disk.
+//! # Run files (version 2): the blocks, as they are
+//!
+//! A run in memory is already ≈ 3 B of bit-packed keys and coordinates
+//! per record — the curve keeps a run's neighbours close, so the deltas
+//! are tiny. The file is that memory, not a re-expansion of it:
+//!
+//! ```text
+//! [ "SFRN" | 2 | dims | 0 0 ]
+//! [ image_len: u64 ][ BlockStore byte image, image_len bytes ]
+//! [ payload count: u64 ] then per live slot, in key order:
+//!   [ payload_len: u32 ][ WalPayload bytes ]
+//! [ crc32c of everything after the 8-byte header: u32 ]
+//! ```
+//!
+//! (all little-endian; the image layout is in `sfc_index::block`).
+//! Writing is a dump — no slot is decoded. Loading re-packs nothing and
+//! re-encodes no key it can avoid, but it trusts nothing either: a run
+//! file that passes its checksum can still have been written by a
+//! broken build, and it is about to be indexed into. [`decode_run`]
+//! checks, in order, each failure a [`WalError::Corrupt`] with the path
+//! and the offset, never a panic, never an allocation the file's own
+//! length does not back:
+//!
+//! 1. header — magic, **version** (a version-1 file, the retired
+//!    per-record layout, is refused by name), dims, reserved bytes —
+//!    and the trailing checksum;
+//! 2. `image_len` fits the file;
+//! 3. everything [`BlockStore::read_from`] checks: block count =
+//!    `ceil(len / 64)`, counts backed by the image's length, key widths
+//!    ≤ 64 or raw, coord widths ≤ 32, word columns exactly their widths'
+//!    prefix sums plus the pad word, no live bit past `len`, AABBs not
+//!    inverted, fence = first key, keys non-decreasing, no key past
+//!    `u128::MAX`, every point inside its block's AABB (rank prefix
+//!    sums, word offsets and the run AABB are recomputed, never read);
+//! 4. one decode pass, a block at a time: every point inside the
+//!    curve's grid, every stored key equal to the curve's key for its
+//!    point (`index_of_batch`, 64 at a time), keys **strictly**
+//!    increasing across the run;
+//! 5. payload count = the bitmap's popcount and backed by the bytes
+//!    that remain; every payload decodes; nothing trails the column.
 
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
-use sfc_index::SfcIndex;
+use sfc_core::{CurveIndex, SpaceFillingCurve};
+use sfc_index::{BlockStore, DecodedBlock, SfcIndex, BLOCK_SLOTS};
 
-use super::record::{crc32c, WalPayload};
+use super::record::{crc32c, put_sized_payload, WalPayload};
 use super::WalError;
 use crate::view::Run;
 
 const MANIFEST_MAGIC: &[u8; 4] = b"SFMF";
 const CKPT_MAGIC: &[u8; 4] = b"SFCK";
 const RUN_MAGIC: &[u8; 4] = b"SFRN";
+/// Version of the manifest and checkpoint layouts.
 const FORMAT_VERSION: u8 = 1;
+/// Version of the run-file layout (1 was the per-record layout).
+const RUN_VERSION: u8 = 2;
 
 /// `<dir>/MANIFEST`.
 pub(crate) fn manifest_path(dir: &Path) -> PathBuf {
@@ -114,21 +154,22 @@ impl<'a> ByteReader<'a> {
         self.pos as u64
     }
 
+    /// Bytes left before the end of the (fenced) body.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn corrupt(&self, detail: impl Into<String>) -> WalError {
         WalError::corrupt(self.path, self.pos as u64, detail)
     }
 
     pub(crate) fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], WalError> {
-        if self.buf.len() - self.pos < n {
+        if self.remaining() < n {
             return Err(self.corrupt(format!("file ends inside {what}")));
         }
         let out = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(out)
-    }
-
-    pub(crate) fn u8(&mut self, what: &str) -> Result<u8, WalError> {
-        Ok(self.take(1, what)?[0])
     }
 
     pub(crate) fn u32(&mut self, what: &str) -> Result<u32, WalError> {
@@ -149,16 +190,25 @@ impl<'a> ByteReader<'a> {
         ))
     }
 
-    /// Checks an 8-byte header (magic, version, dims) and a trailing
+    /// Checks an 8-byte header (magic, `version`, dims) and a trailing
     /// CRC32C over everything between header and trailer; leaves the
     /// cursor after the header and fences the body before the trailer.
-    pub(crate) fn open_checked(&mut self, magic: &[u8; 4], dims: u8) -> Result<(), WalError> {
+    pub(crate) fn open_checked(
+        &mut self,
+        magic: &[u8; 4],
+        version: u8,
+        dims: u8,
+    ) -> Result<(), WalError> {
         let head = self.take(8, "file header")?;
         if &head[..4] != magic {
             return Err(self.corrupt("bad file magic"));
         }
-        if head[4] != FORMAT_VERSION {
-            return Err(self.corrupt(format!("unsupported format version {}", head[4])));
+        if head[4] != version {
+            return Err(self.corrupt(format!(
+                "unsupported {} version {} (this build reads version {version})",
+                String::from_utf8_lossy(magic),
+                head[4]
+            )));
         }
         if head[5] != dims {
             return Err(self.corrupt(format!("file dims {} != store dims {dims}", head[5])));
@@ -179,10 +229,10 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-fn header(magic: &[u8; 4], dims: u8) -> [u8; 8] {
+fn header(magic: &[u8; 4], version: u8, dims: u8) -> [u8; 8] {
     let mut h = [0u8; 8];
     h[..4].copy_from_slice(magic);
-    h[4] = FORMAT_VERSION;
+    h[4] = version;
     h[5] = dims;
     h
 }
@@ -213,7 +263,7 @@ pub(crate) struct Manifest {
 impl Manifest {
     pub(crate) fn encode(&self, dims: u8) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + 8 + self.gens.len() * 8 + self.boundaries.len() * 16);
-        out.extend_from_slice(&header(MANIFEST_MAGIC, dims));
+        out.extend_from_slice(&header(MANIFEST_MAGIC, FORMAT_VERSION, dims));
         out.extend_from_slice(&(self.gens.len() as u32).to_le_bytes());
         for g in &self.gens {
             out.extend_from_slice(&g.to_le_bytes());
@@ -228,7 +278,7 @@ impl Manifest {
 
     pub(crate) fn decode(buf: &[u8], path: &Path, dims: u8) -> Result<Self, WalError> {
         let mut r = ByteReader::new(buf, path);
-        r.open_checked(MANIFEST_MAGIC, dims)?;
+        r.open_checked(MANIFEST_MAGIC, FORMAT_VERSION, dims)?;
         let parts = r.u32("shard count")? as usize;
         if parts == 0 || parts > 1 << 20 {
             return Err(WalError::corrupt(
@@ -279,7 +329,7 @@ pub(crate) struct Checkpoint {
 impl Checkpoint {
     pub(crate) fn encode(&self, dims: u8) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + 20 + self.run_ids.len() * 8);
-        out.extend_from_slice(&header(CKPT_MAGIC, dims));
+        out.extend_from_slice(&header(CKPT_MAGIC, FORMAT_VERSION, dims));
         out.extend_from_slice(&self.high_water.to_le_bytes());
         out.extend_from_slice(&self.live.to_le_bytes());
         out.extend_from_slice(&(self.run_ids.len() as u32).to_le_bytes());
@@ -292,7 +342,7 @@ impl Checkpoint {
 
     pub(crate) fn decode(buf: &[u8], path: &Path, dims: u8) -> Result<Self, WalError> {
         let mut r = ByteReader::new(buf, path);
-        r.open_checked(CKPT_MAGIC, dims)?;
+        r.open_checked(CKPT_MAGIC, FORMAT_VERSION, dims)?;
         let high_water = r.u64("high water")?;
         let live = r.u64("live count")?;
         let n = r.u32("run count")? as usize;
@@ -315,44 +365,33 @@ impl Checkpoint {
 // Run files
 // ---------------------------------------------------------------------
 
-/// Serialises one immutable run. Tombstone slots write the tag only;
-/// live slots append a length-prefixed payload.
+/// Serialises one immutable run (layout in the module docs): the packed
+/// blocks dumped as they sit in memory, then the dense payload column.
 pub(crate) fn encode_run<const D: usize, T, C>(run: &SfcIndex<D, T, C>) -> Vec<u8>
 where
     T: WalPayload,
     C: SpaceFillingCurve<D> + Clone,
 {
-    let mut out = Vec::with_capacity(8 + 8 + run.len() * (1 + 4 * D + 8));
-    out.extend_from_slice(&header(RUN_MAGIC, D as u8));
-    out.extend_from_slice(&(run.len() as u64).to_le_bytes());
-    let mut scratch = Vec::new();
-    for i in 0..run.len() {
-        let p = run.point_at(i);
-        match run.payload_at(i) {
-            Some(v) => {
-                out.push(1);
-                for a in 0..D {
-                    out.extend_from_slice(&p.coord(a).to_le_bytes());
-                }
-                scratch.clear();
-                v.encode_payload(&mut scratch);
-                out.extend_from_slice(&(scratch.len() as u32).to_le_bytes());
-                out.extend_from_slice(&scratch);
-            }
-            None => {
-                out.push(0);
-                for a in 0..D {
-                    out.extend_from_slice(&p.coord(a).to_le_bytes());
-                }
-            }
-        }
+    let payloads = run.payloads();
+    let mut out = Vec::with_capacity(
+        8 + 8 + run.blocks().heap_bytes() + 8 + payloads.len() * (4 + std::mem::size_of::<T>()) + 4,
+    );
+    out.extend_from_slice(&header(RUN_MAGIC, RUN_VERSION, D as u8));
+    let len_at = out.len();
+    out.extend_from_slice(&[0u8; 8]);
+    run.blocks().write_to(&mut out);
+    let image_len = (out.len() - len_at - 8) as u64;
+    out[len_at..len_at + 8].copy_from_slice(&image_len.to_le_bytes());
+    out.extend_from_slice(&(payloads.len() as u64).to_le_bytes());
+    for payload in payloads {
+        put_sized_payload(&mut out, Some(payload));
     }
     seal(&mut out);
     out
 }
 
-/// Loads a run file back into an immutable index, recomputing each key
-/// from its point via the curve.
+/// Loads a run file back into an immutable index without re-packing it,
+/// after the five groups of checks listed in the module docs.
 pub(crate) fn decode_run<const D: usize, T, C>(
     buf: &[u8],
     path: &Path,
@@ -363,58 +402,108 @@ where
     C: SpaceFillingCurve<D> + Clone,
 {
     let mut r = ByteReader::new(buf, path);
-    r.open_checked(RUN_MAGIC, D as u8)?;
-    let count = r.u64("record count")? as usize;
-    let mut keys = Vec::with_capacity(count);
-    let mut points = Vec::with_capacity(count);
-    let mut payloads: Vec<Option<T>> = Vec::with_capacity(count);
-    for _ in 0..count {
-        let tag = r.u8("record tag")?;
-        let mut coords = [0u32; D];
-        for c in coords.iter_mut() {
-            *c = r.u32("coordinate")?;
-        }
-        let p = Point::new(coords);
-        let slot = match tag {
-            0 => None,
-            1 => {
-                let len = r.u32("payload length")? as usize;
-                let bytes = r.take(len, "payload")?;
-                Some(T::decode_payload(bytes).ok_or_else(|| {
-                    WalError::corrupt(path, r.offset(), "payload failed to decode")
-                })?)
-            }
-            other => {
-                return Err(WalError::corrupt(
-                    path,
-                    r.offset(),
-                    format!("unknown run record tag {other}"),
-                ))
-            }
-        };
-        keys.push(curve.index_of(p));
-        points.push(p);
-        payloads.push(slot);
-    }
-    if !keys.windows(2).all(|w| w[0] < w[1]) {
+    r.open_checked(RUN_MAGIC, RUN_VERSION, D as u8)?;
+    let image_len = r.u64("block image length")?;
+    let image_at = r.offset();
+    // An absurd length fails `take`'s bounds check; nothing is allocated.
+    let image = r.take(
+        usize::try_from(image_len).unwrap_or(usize::MAX),
+        "block image",
+    )?;
+    let blocks = BlockStore::<D>::read_from(image)
+        .map_err(|e| WalError::corrupt(path, image_at + e.offset as u64, e.detail))?;
+    check_keys_against_curve(&blocks, curve)
+        .map_err(|detail| WalError::corrupt(path, image_at, detail))?;
+
+    let count = r.u64("payload count")?;
+    if count != blocks.live_len() as u64 {
         return Err(WalError::corrupt(
             path,
-            0,
-            "run keys not strictly increasing",
+            r.offset(),
+            format!("{count} payloads for {} live slots", blocks.live_len()),
         ));
     }
-    Ok(Arc::new(SfcIndex::from_sorted_versions(
+    // Each payload takes at least its length prefix.
+    if count > (r.remaining() / 4) as u64 {
+        return Err(WalError::corrupt(
+            path,
+            r.offset(),
+            format!("file too short for {count} payloads"),
+        ));
+    }
+    let mut payloads = Vec::with_capacity(count as usize);
+    for _ in 0..count {
+        let len = r.u32("payload length")? as usize;
+        let bytes = r.take(len, "payload")?;
+        payloads.push(
+            T::decode_payload(bytes)
+                .ok_or_else(|| WalError::corrupt(path, r.offset(), "payload failed to decode"))?,
+        );
+    }
+    if r.remaining() != 0 {
+        return Err(WalError::corrupt(
+            path,
+            r.offset(),
+            format!("{} bytes trail the payload column", r.remaining()),
+        ));
+    }
+    Ok(Arc::new(SfcIndex::from_parts(
         curve.clone(),
-        keys,
-        points,
+        blocks,
         payloads,
     )))
+}
+
+/// The decode pass of [`decode_run`]: every point lies in the curve's
+/// grid, every stored key is the curve's key for its point, and keys
+/// strictly increase across the run. `blocks` has passed
+/// [`BlockStore::read_from`], so decoding cannot panic.
+fn check_keys_against_curve<const D: usize, C: SpaceFillingCurve<D>>(
+    blocks: &BlockStore<D>,
+    curve: &C,
+) -> Result<(), String> {
+    let grid = curve.grid();
+    let mut decoded = Box::<DecodedBlock<D>>::default();
+    let mut points = Vec::with_capacity(BLOCK_SLOTS);
+    let mut keys: Vec<CurveIndex> = Vec::with_capacity(BLOCK_SLOTS);
+    let mut prev: Option<CurveIndex> = None;
+    for block in 0..blocks.blocks() {
+        blocks.decode_into(block, &mut decoded);
+        let range = blocks.block_range(block);
+        points.clear();
+        points.extend((0..range.len()).map(|j| decoded.point(j)));
+        if let Some(j) = points.iter().position(|p| !grid.contains(p)) {
+            return Err(format!(
+                "slot {}: point {} outside the grid",
+                range.start + j,
+                points[j]
+            ));
+        }
+        curve.index_of_batch(&points, &mut keys);
+        let stored = &decoded.keys[..range.len()];
+        if let Some(j) = (0..range.len()).find(|&j| keys[j] != stored[j]) {
+            return Err(format!(
+                "slot {}: stored key {} is not the curve's key {} for point {}",
+                range.start + j,
+                stored[j],
+                keys[j],
+                points[j]
+            ));
+        }
+        let strictly_increasing =
+            prev.is_none_or(|p| p < stored[0]) && stored.windows(2).all(|w| w[0] < w[1]);
+        if !strictly_increasing {
+            return Err(format!("block {block}: run keys not strictly increasing"));
+        }
+        prev = stored.last().copied();
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfc_core::{Grid, ZCurve};
+    use sfc_core::{Grid, Point, ZCurve};
 
     #[test]
     fn manifest_roundtrip_and_tamper_detection() {

@@ -15,7 +15,13 @@
 //! 2. **A published run** — once a flush publishes an epoch at sequence
 //!    high-water `H`, every record with `seq < H` lives in a run file
 //!    (`run-*.run`) referenced by the shard's checkpoint (`ckpt-*`), and
-//!    the frames below `H` become garbage.
+//!    the frames below `H` become garbage. A run file *is* the run: the
+//!    bit-packed blocks dumped as they sit in memory (≈ 3 B of keys and
+//!    coordinates a record on a curve-local run — the curve's locality
+//!    is what the delta packing feeds on) followed by the dense payload
+//!    column. Persisting decodes nothing; a reopen re-packs nothing, but
+//!    re-derives every key from its point and checks every structural
+//!    claim of the file before trusting it (see [`manifest`]).
 //!
 //! Recovery therefore replays exactly the frames with `seq >=` the
 //!    checkpointed high-water into a fresh memtable — it never touches
@@ -26,8 +32,8 @@
 //!
 //! # Group commit
 //!
-//! Writers never touch a file. [`log_write`](DurabilityHook::log_write)
-//! pushes an encoded frame onto an in-memory commit queue and takes a
+//! Writers never touch a file. [`log_frames`](DurabilityHook::log_frames)
+//! pushes the sealed frames onto an in-memory commit queue and takes a
 //! *ticket*; a dedicated committer thread drains the queue, appends each
 //! shard's frames to its open segment, and issues **one fsync per shard
 //! per group**. While no writer is blocked on an ack, the committer does
@@ -46,8 +52,9 @@
 //!
 //! A batched write ([`apply_batch`](crate::ShardedSfcStore::apply_batch))
 //! logs each shard's slice as **one multi-record frame** (frame format
-//! v2, see [`record`]): one length/CRC header, one commit-queue ticket,
-//! one `memcpy` into the segment — instead of per-record frames. Because
+//! v2, see [`record`]): one buffer the slice is encoded straight into
+//! (no per-record allocation), one length/CRC header, one commit-queue
+//! ticket, one `memcpy` into the segment — instead of per-record frames. Because
 //! the whole batch body sits under a single checksum, a torn batch frame
 //! is discarded *atomically* on recovery: a shard never replays half a
 //! batch slice.
@@ -70,6 +77,16 @@
 //! its per-shard manifest updates and commits all shard generations plus
 //! the new partition boundaries in a single manifest write, so a
 //! mid-rebalance crash rolls back to the consistent pre-rebalance cut.
+//!
+//! # What is checksummed by what
+//!
+//! One function, [`record`]'s slice-by-8 CRC32C, guards every durable
+//! byte: each WAL frame carries the checksum of its body in its header
+//! (verified frame by frame by the recovery scan); each run file,
+//! checkpoint and `MANIFEST` ends in the checksum of everything after
+//! its 8-byte header (verified whole before a field is parsed). Segment
+//! headers and file names carry no checksum — they are validated by
+//! value.
 //!
 //! # Torn tails vs corruption
 //!
@@ -103,10 +120,49 @@ mod recovery;
 pub(crate) use committer::Committer;
 pub(crate) use engine::{DurabilityHook, WalEngine, WalShard};
 pub(crate) use manifest::shard_dir;
-pub(crate) use record::{encode_batch_frame, encode_frame, WalRecord};
+pub(crate) use record::WalRecord;
 pub(crate) use recovery::recover;
 
 pub use record::WalPayload;
+
+/// The durable-bytes kernels — the checksum and the run-file codec, both
+/// private — for the `durable_bytes` group of
+/// `crates/bench/benches/store.rs`, which gates them, and for the
+/// hostile-run-file sweep of `tests/tests/crash_recovery.rs`, which
+/// re-seals the files it lies in. Not part of the API.
+#[doc(hidden)]
+pub mod bench_hooks {
+    use std::path::Path;
+    use std::sync::Arc;
+
+    use sfc_core::SpaceFillingCurve;
+    use sfc_index::SfcIndex;
+
+    use super::{manifest, record, WalError, WalPayload};
+
+    pub fn crc32c(bytes: &[u8]) -> u32 {
+        record::crc32c(bytes)
+    }
+
+    pub fn encode_run<const D: usize, T, C>(run: &SfcIndex<D, T, C>) -> Vec<u8>
+    where
+        T: WalPayload,
+        C: SpaceFillingCurve<D> + Clone,
+    {
+        manifest::encode_run(run)
+    }
+
+    pub fn decode_run<const D: usize, T, C>(
+        file: &[u8],
+        curve: &C,
+    ) -> Result<Arc<SfcIndex<D, T, C>>, WalError>
+    where
+        T: WalPayload,
+        C: SpaceFillingCurve<D> + Clone,
+    {
+        manifest::decode_run(file, Path::new("bench.run"), curve)
+    }
+}
 
 use std::io;
 use std::path::PathBuf;

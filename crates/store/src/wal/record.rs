@@ -42,6 +42,25 @@
 //! tears the *whole* frame, so recovery is all-or-nothing per shard
 //! slice — exactly the atomicity the batched write path promises.
 //!
+//! ## Encoding: unsealed, then sealed
+//!
+//! A writer learns its sequence numbers only inside the shard's `mem`
+//! lock, and nothing as slow as byte-encoding belongs in there. So a
+//! frame is written in two steps around the lock: before it,
+//! [`encode_unsealed_record`] / [`encode_unsealed_batch`] lay the whole
+//! frame out in one buffer — payloads encoded in place, no per-record
+//! allocation — with the seq and checksum fields zero; after it,
+//! [`seal_frames`] stamps the assigned seqs in place and checksums each
+//! frame. The bytes that reach the log are exactly the layouts above.
+//!
+//! ## The checksum
+//!
+//! [`crc32c`] is the only checksum in the crate and every durable byte
+//! passes through it once on the way out and once on the way in. It is
+//! slice-by-8 (eight compile-time tables, eight independent lookups per
+//! 8-byte chunk, safe Rust): ≳ 1 GB/s where the classic one-table loop,
+//! whose every lookup waits on the previous one, reaches ≈ 0.4 GB/s.
+//!
 //! ## Classifying damage
 //!
 //! [`parse_frame`] distinguishes the two ways a frame can be unreadable,
@@ -64,7 +83,7 @@ pub(crate) const TAG_TOMBSTONE: u8 = 0;
 pub(crate) const TAG_INSERT: u8 = 1;
 /// Tag byte of a multi-record batch body (frame format v2): a whole
 /// shard slice of a cross-shard batch packed under one length prefix and
-/// one CRC32C. See [`encode_batch_frame`].
+/// one CRC32C. See [`encode_unsealed_batch`].
 pub(crate) const TAG_BATCH: u8 = 2;
 
 /// Bytes of a batch body's own header: the batch tag plus the record
@@ -120,15 +139,19 @@ pub(crate) fn check_segment_header(h: &[u8], dims: u8) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
-// CRC32C (Castagnoli), table-driven, table built at compile time.
+// CRC32C (Castagnoli), slice-by-8, tables built at compile time.
 // ---------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = crc32c_table();
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
+/// is the checksum state after byte `b` followed by `k` zero bytes, which
+/// is what lets eight input bytes be folded with eight independent
+/// lookups instead of eight dependent ones.
+const CRC_TABLES: [[u32; 256]; 8] = crc32c_tables();
 
-const fn crc32c_table() -> [u32; 256] {
+const fn crc32c_tables() -> [[u32; 256]; 8] {
     // Reflected Castagnoli polynomial.
     const POLY: u32 = 0x82F6_3B78;
-    let mut table = [0u32; 256];
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -141,18 +164,50 @@ const fn crc32c_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// CRC32C of `bytes` (Castagnoli polynomial, reflected, init/final XOR
 /// `!0` — the same function hardware `crc32c` instructions compute).
+///
+/// The only checksum in the crate: WAL frames, run files, checkpoints,
+/// the manifest and the recovery scan all call it. Slice-by-8: each
+/// 8-byte chunk costs eight table lookups that do not depend on one
+/// another (the bytewise loop chains every lookup on the previous one),
+/// with the bytewise loop left for the ≤ 7-byte tail. Same function,
+/// same values — the test module keeps the bytewise loop as the
+/// reference and checks every length and alignment against it.
 pub(crate) fn crc32c(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -242,82 +297,153 @@ pub(crate) struct WalRecord<const D: usize, T> {
     pub(crate) slot: Option<T>,
 }
 
-/// Appends one framed record to `out` and returns the frame's size in
-/// bytes. `payload_bytes` is the already-encoded payload (empty for a
-/// tombstone, which also flips the tag).
-pub(crate) fn encode_frame<const D: usize>(
-    out: &mut Vec<u8>,
-    seq: u64,
-    point: &Point<D>,
-    slot: Option<&[u8]>,
-) -> usize {
-    let body_len = 1 + 8 + 4 * D + slot.map_or(0, <[u8]>::len);
-    out.reserve(FRAME_HEADER + body_len);
-    let start = out.len();
-    out.extend_from_slice(&(body_len as u32).to_le_bytes());
-    out.extend_from_slice(&[0u8; 4]); // crc placeholder
-    let body_start = out.len();
-    out.push(if slot.is_some() {
-        TAG_INSERT
-    } else {
-        TAG_TOMBSTONE
-    });
-    out.extend_from_slice(&seq.to_le_bytes());
+/// Appends a record's fixed head — tag, a zeroed seq field, coords — to
+/// `out`.
+fn put_record_head<const D: usize>(out: &mut Vec<u8>, point: &Point<D>, live: bool) {
+    out.push(if live { TAG_INSERT } else { TAG_TOMBSTONE });
+    out.extend_from_slice(&[0u8; 8]); // seq, stamped by `seal_frames`
     for i in 0..D {
         out.extend_from_slice(&point.coord(i).to_le_bytes());
     }
-    if let Some(bytes) = slot {
-        out.extend_from_slice(bytes);
-    }
-    let crc = crc32c(&out[body_start..]);
-    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-    out.len() - start
 }
 
-/// Appends one multi-record batch frame (format v2, see the module docs)
-/// to `out` and returns the frame's size in bytes. `records` is a shard
-/// slice as `(seq, point, encoded payload | tombstone)` — already
-/// key-sorted by the router, though this encoder does not care. A
-/// single-record batch degenerates to the equivalent v1 frame (same
-/// bytes on disk as [`encode_frame`], no batch overhead).
-pub(crate) fn encode_batch_frame<const D: usize>(
+/// Appends a `u32` length and then the payload's encoding (nothing, at
+/// length 0, for `None`), encoded in place: the length is patched in
+/// once the codec has run. Batch entries and run files both store
+/// payloads this way.
+pub(crate) fn put_sized_payload<T: WalPayload>(out: &mut Vec<u8>, payload: Option<&T>) {
+    let len_at = out.len();
+    out.extend_from_slice(&[0u8; 4]);
+    if let Some(payload) = payload {
+        payload.encode_payload(out);
+    }
+    let len = (out.len() - len_at - 4) as u32;
+    out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Writes the body length of the frame whose header sits at `frame_at`
+/// and whose body runs to the end of `out`.
+fn put_body_len(out: &mut [u8], frame_at: usize) {
+    let body_len = out.len() - frame_at - FRAME_HEADER;
+    out[frame_at..frame_at + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
+}
+
+/// Appends one **unsealed** single-record (v1) frame to `out`: the frame
+/// is complete except for its sequence number and checksum, both zero
+/// until [`seal_frames`] stamps them. The payload (`None` = tombstone)
+/// is encoded straight into `out` — no intermediate buffer.
+pub(crate) fn encode_unsealed_record<const D: usize, T: WalPayload>(
     out: &mut Vec<u8>,
-    records: &[(u64, Point<D>, Option<Vec<u8>>)],
-) -> usize {
-    debug_assert!(!records.is_empty(), "a batch frame carries >= 1 record");
-    if let [(seq, point, payload)] = records {
-        return encode_frame(out, *seq, point, payload.as_deref());
+    point: &Point<D>,
+    slot: Option<&T>,
+) {
+    let frame_at = out.len();
+    out.extend_from_slice(&[0u8; FRAME_HEADER]);
+    put_record_head(out, point, slot.is_some());
+    if let Some(payload) = slot {
+        payload.encode_payload(out);
     }
-    let body_len = BATCH_HEADER
-        + records
-            .iter()
-            .map(|(_, _, payload)| batch_entry_len::<D>(payload.as_ref().map_or(0, Vec::len)))
-            .sum::<usize>();
-    debug_assert!(body_len <= MAX_BODY, "caller chunks batches at MAX_BODY");
-    out.reserve(FRAME_HEADER + body_len);
-    let start = out.len();
-    out.extend_from_slice(&(body_len as u32).to_le_bytes());
-    out.extend_from_slice(&[0u8; 4]); // crc placeholder
-    let body_start = out.len();
-    out.push(TAG_BATCH);
-    out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-    for (seq, point, payload) in records {
-        out.push(if payload.is_some() {
-            TAG_INSERT
-        } else {
-            TAG_TOMBSTONE
-        });
-        out.extend_from_slice(&seq.to_le_bytes());
-        for i in 0..D {
-            out.extend_from_slice(&point.coord(i).to_le_bytes());
+    put_body_len(out, frame_at);
+}
+
+/// Appends a shard slice as **unsealed** multi-record batch frames
+/// (format v2, see the module docs): every byte in place except the
+/// sequence numbers and the checksums, which [`seal_frames`] stamps once
+/// the shard's `mem` lock has assigned the seqs. Payloads are encoded
+/// straight into `out`. A slice is one frame unless its body would pass
+/// [`MAX_BODY`], where it is cut greedily (every frame takes at least
+/// one record); a frame left with a single record degenerates to the
+/// equivalent v1 frame — the same bytes [`encode_unsealed_record`]
+/// writes, no batch overhead.
+pub(crate) fn encode_unsealed_batch<'a, const D: usize, T: WalPayload + 'a>(
+    out: &mut Vec<u8>,
+    records: impl ExactSizeIterator<Item = (&'a Point<D>, Option<&'a T>)>,
+) {
+    debug_assert!(records.len() > 0, "a batch frame carries >= 1 record");
+    let mut frame_at = open_batch(out);
+    let mut count = 0u32;
+    for (point, slot) in records {
+        let entry_at = out.len();
+        put_record_head(out, point, slot.is_some());
+        put_sized_payload(out, slot);
+        count += 1;
+        if count > 1 && out.len() - frame_at - FRAME_HEADER > MAX_BODY {
+            // This record overflows the frame: it opens the next one.
+            let entry = out.split_off(entry_at);
+            close_batch::<D>(out, frame_at, count - 1);
+            frame_at = open_batch(out);
+            out.extend_from_slice(&entry);
+            count = 1;
         }
-        let bytes = payload.as_deref().unwrap_or(&[]);
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(bytes);
     }
-    let crc = crc32c(&out[body_start..]);
-    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-    out.len() - start
+    close_batch::<D>(out, frame_at, count);
+}
+
+/// Starts a batch frame: header and count placeholders. Returns the
+/// frame's offset.
+fn open_batch(out: &mut Vec<u8>) -> usize {
+    let frame_at = out.len();
+    out.extend_from_slice(&[0u8; FRAME_HEADER]);
+    out.push(TAG_BATCH);
+    out.extend_from_slice(&[0u8; 4]);
+    frame_at
+}
+
+/// Finishes the batch frame at `frame_at`, which runs to the end of
+/// `out` and holds `count` records.
+fn close_batch<const D: usize>(out: &mut Vec<u8>, frame_at: usize, count: u32) {
+    let body_at = frame_at + FRAME_HEADER;
+    if count == 1 {
+        // v1 degeneration: drop the explicit payload length, then the
+        // batch header (back to front, so the first offset stays valid).
+        let len_at = body_at + BATCH_HEADER + batch_entry_len::<D>(0) - 4;
+        out.drain(len_at..len_at + 4);
+        out.drain(body_at..body_at + BATCH_HEADER);
+    } else {
+        out[body_at + 1..body_at + BATCH_HEADER].copy_from_slice(&count.to_le_bytes());
+    }
+    put_body_len(out, frame_at);
+}
+
+/// Seals the unsealed frames in `buf` (whole frames, back to back, as
+/// the two encoders above wrote them): stamps consecutive sequence
+/// numbers from `first_seq` into the records in encoded order, then
+/// checksums each frame. Returns how many records were stamped, so the
+/// highest seq in `buf` is `first_seq + records - 1`.
+pub(crate) fn seal_frames<const D: usize>(buf: &mut [u8], first_seq: u64) -> usize {
+    let mut seq = first_seq;
+    let mut frame_at = 0;
+    while frame_at < buf.len() {
+        let body_len = u32::from_le_bytes(
+            buf[frame_at..frame_at + 4]
+                .try_into()
+                .expect("4-byte length prefix"),
+        ) as usize;
+        let body_at = frame_at + FRAME_HEADER;
+        let body = &mut buf[body_at..body_at + body_len];
+        if body[0] == TAG_BATCH {
+            let count = u32::from_le_bytes(body[1..BATCH_HEADER].try_into().expect("4-byte count"));
+            let mut at = BATCH_HEADER;
+            for _ in 0..count {
+                body[at + 1..at + 9].copy_from_slice(&seq.to_le_bytes());
+                seq += 1;
+                let len_at = at + batch_entry_len::<D>(0) - 4;
+                let payload_len = u32::from_le_bytes(
+                    body[len_at..len_at + 4]
+                        .try_into()
+                        .expect("4-byte payload length"),
+                ) as usize;
+                at = len_at + 4 + payload_len;
+            }
+        } else {
+            body[1..9].copy_from_slice(&seq.to_le_bytes());
+            seq += 1;
+        }
+        let crc = crc32c(body);
+        buf[frame_at + 4..body_at].copy_from_slice(&crc.to_le_bytes());
+        frame_at = body_at + body_len;
+    }
+    (seq - first_seq) as usize
 }
 
 /// The result of parsing one frame at some offset of a segment buffer.
@@ -471,24 +597,122 @@ pub(crate) fn decode_body_records<const D: usize, T: WalPayload>(
 mod tests {
     use super::*;
 
+    /// The byte-at-a-time table loop: the reference the slice-by-8
+    /// kernel is checked against, and the only single-table loop left.
+    fn crc32c_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// xorshift64* — seeded bytes without a dev-dependency.
+    fn seeded_bytes(mut state: u64, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn crc32c_matches_known_vectors() {
-        // RFC 3720 test vectors for CRC32C.
+        // RFC 3720 appendix B.4.
         assert_eq!(crc32c(b""), 0);
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
         assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
         assert_eq!(crc32c(&[0xFFu8; 32]), 0x62A8_AB43);
+        let ascending: Vec<u8> = (0x00..=0x1F).collect();
+        assert_eq!(crc32c(&ascending), 0x46DD_794E);
+        let descending: Vec<u8> = (0x00..=0x1F).rev().collect();
+        assert_eq!(crc32c(&descending), 0x113F_DB5C);
+        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
+    }
+
+    #[test]
+    fn crc32c_kernel_equals_the_bytewise_reference() {
+        // Every length 0..=130 at every start offset 0..8 of one buffer:
+        // all chunk/tail splits at all alignments.
+        let buf = seeded_bytes(0x5EED, 8 + 130);
+        for start in 0..8 {
+            for len in 0..=130 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32c(bytes),
+                    crc32c_bytewise(bytes),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        let big = seeded_bytes(0xB16, 1 << 20);
+        assert_eq!(crc32c(&big), crc32c_bytewise(&big));
+    }
+
+    /// One sealed v1 frame.
+    fn record_frame<T: WalPayload>(seq: u64, p: Point<2>, slot: Option<T>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_unsealed_record(&mut buf, &p, slot.as_ref());
+        assert_eq!(seal_frames::<2>(&mut buf, seq), 1);
+        buf
+    }
+
+    /// The sealed frame(s) of a batch slice, seqs from `first_seq`.
+    fn batch_frames(first_seq: u64, records: &[(Point<2>, Option<u64>)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_unsealed_batch(&mut buf, records.iter().map(|(p, s)| (p, s.as_ref())));
+        assert_eq!(seal_frames::<2>(&mut buf, first_seq), records.len());
+        buf
+    }
+
+    /// A three-record batch for the v2 tests (seqs 10..=12): two inserts
+    /// flanking a tombstone.
+    fn sample_batch() -> Vec<(Point<2>, Option<u64>)> {
+        vec![
+            (Point::new([1u32, 2]), Some(111)),
+            (Point::new([3u32, 4]), None),
+            (Point::new([5u32, 6]), Some(222)),
+        ]
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn frames_are_byte_for_byte_the_released_format() {
+        // Golden bytes printed by the encoder this one replaced (the
+        // `encode_batch_frame` of the commit before the unsealed/sealed
+        // split): the WAL format did not move.
+        assert_eq!(
+            hex(&batch_frames(10, &sample_batch())),
+            "540000006adb26de0203000000\
+             010a00000000000000010000000200000008000000\
+             6f00000000000000\
+             000b00000000000000030000000400000000000000\
+             010c00000000000000050000000600000008000000\
+             de00000000000000"
+        );
+    }
+
+    #[test]
+    fn single_record_batch_degenerates_to_v1_frame() {
+        // Golden bytes again: what the replaced encoder wrote for a
+        // one-record batch, which was its v1 frame.
+        let golden = "190000007955bdfc01070000000000000003000000110000002a00000000000000";
+        let p = Point::new([3u32, 17]);
+        assert_eq!(hex(&batch_frames(7, &[(p, Some(42))])), golden);
+        assert_eq!(hex(&record_frame(7, p, Some(42u64))), golden);
     }
 
     #[test]
     fn frame_roundtrip_insert_and_tombstone() {
-        let mut buf = Vec::new();
         let p = Point::new([3u32, 17]);
-        let mut payload = Vec::new();
-        42u64.encode_payload(&mut payload);
-        let n1 = encode_frame(&mut buf, 7, &p, Some(&payload));
-        let n2 = encode_frame(&mut buf, 8, &p, None);
-        assert_eq!(buf.len(), n1 + n2);
+        let mut buf = record_frame(7, p, Some(42u64));
+        let n1 = buf.len();
+        buf.extend(record_frame::<u64>(8, p, None));
 
         let FrameOutcome::Ok { body, end } = parse_frame(&buf, 0) else {
             panic!("first frame must parse");
@@ -515,11 +739,7 @@ mod tests {
 
     #[test]
     fn every_truncation_of_a_frame_is_truncated() {
-        let mut buf = Vec::new();
-        let p = Point::new([1u32, 2]);
-        let mut payload = Vec::new();
-        9u32.encode_payload(&mut payload);
-        encode_frame(&mut buf, 0, &p, Some(&payload));
+        let buf = record_frame(0, Point::new([1u32, 2]), Some(9u32));
         for cut in 0..buf.len() {
             assert!(
                 matches!(parse_frame(&buf[..cut], 0), FrameOutcome::Truncated),
@@ -530,11 +750,7 @@ mod tests {
 
     #[test]
     fn bit_flips_fail_the_checksum_or_read_as_truncated() {
-        let mut clean = Vec::new();
-        let p = Point::new([5u32, 6]);
-        let mut payload = Vec::new();
-        1234u64.encode_payload(&mut payload);
-        encode_frame(&mut clean, 3, &p, Some(&payload));
+        let clean = record_frame(3, Point::new([5u32, 6]), Some(1234u64));
         for byte in 0..clean.len() {
             for bit in 0..8 {
                 let mut buf = clean.clone();
@@ -579,27 +795,9 @@ mod tests {
         assert_eq!(<()>::decode_payload(&[1]), None);
     }
 
-    /// A three-record batch for the v2 tests: two inserts flanking a
-    /// tombstone.
-    fn sample_batch() -> Vec<(u64, Point<2>, Option<Vec<u8>>)> {
-        let enc = |v: u64| {
-            let mut b = Vec::new();
-            v.encode_payload(&mut b);
-            b
-        };
-        vec![
-            (10, Point::new([1u32, 2]), Some(enc(111))),
-            (11, Point::new([3u32, 4]), None),
-            (12, Point::new([5u32, 6]), Some(enc(222))),
-        ]
-    }
-
     #[test]
     fn batch_frame_roundtrip() {
-        let records = sample_batch();
-        let mut buf = Vec::new();
-        let n = encode_batch_frame(&mut buf, &records);
-        assert_eq!(n, buf.len());
+        let buf = batch_frames(10, &sample_batch());
         let FrameOutcome::Ok { body, end } = parse_frame(&buf, 0) else {
             panic!("batch frame must parse");
         };
@@ -629,23 +827,40 @@ mod tests {
     }
 
     #[test]
-    fn single_record_batch_degenerates_to_v1_frame() {
-        let mut payload = Vec::new();
-        42u64.encode_payload(&mut payload);
-        let records = vec![(7u64, Point::new([3u32, 17]), Some(payload.clone()))];
-        let mut batch = Vec::new();
-        encode_batch_frame(&mut batch, &records);
-        let mut single = Vec::new();
-        encode_frame(&mut single, 7, &Point::new([3u32, 17]), Some(&payload));
-        assert_eq!(batch, single, "one-record batch must be byte-identical");
+    fn an_overflowing_slice_is_cut_into_whole_frames() {
+        // Three 7 MiB payloads: the second still fits a 16 MiB body, the
+        // third does not and opens its own (v1-degenerate) frame.
+        let p = Point::new([1u32, 2]);
+        let blob = vec![0xABu8; 7 << 20];
+        let records = [
+            (p, Some(blob.clone())),
+            (p, None),
+            (p, Some(blob.clone())),
+            (p, Some(blob)),
+        ];
+        let mut buf = Vec::new();
+        encode_unsealed_batch(&mut buf, records.iter().map(|(p, s)| (p, s.as_ref())));
+        assert_eq!(seal_frames::<2>(&mut buf, 100), 4);
+        let mut out: Vec<WalRecord<2, Vec<u8>>> = Vec::new();
+        let mut off = 0;
+        let mut per_frame = Vec::new();
+        while off < buf.len() {
+            let FrameOutcome::Ok { body, end } = parse_frame(&buf, off) else {
+                panic!("frame at {off} must parse");
+            };
+            per_frame.push(decode_body_records(body, &mut out).unwrap());
+            off = end;
+        }
+        assert_eq!(per_frame, vec![3, 1]);
+        let seqs: Vec<u64> = out.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![100, 101, 102, 103]);
+        assert_eq!(out[1].slot, None);
+        assert_eq!(out[3].slot.as_ref().map(Vec::len), Some(7 << 20));
     }
 
     #[test]
     fn decode_body_records_handles_v1_bodies_too() {
-        let mut buf = Vec::new();
-        let mut payload = Vec::new();
-        9u64.encode_payload(&mut payload);
-        encode_frame(&mut buf, 3, &Point::new([5u32, 6]), Some(&payload));
+        let buf = record_frame(3, Point::new([5u32, 6]), Some(9u64));
         let FrameOutcome::Ok { body, .. } = parse_frame(&buf, 0) else {
             panic!("frame must parse");
         };
@@ -656,8 +871,7 @@ mod tests {
 
     #[test]
     fn every_truncation_of_a_batch_frame_is_truncated() {
-        let mut buf = Vec::new();
-        encode_batch_frame(&mut buf, &sample_batch());
+        let buf = batch_frames(10, &sample_batch());
         for cut in 0..buf.len() {
             assert!(
                 matches!(parse_frame(&buf[..cut], 0), FrameOutcome::Truncated),
@@ -668,8 +882,7 @@ mod tests {
 
     #[test]
     fn batch_bit_flips_fail_the_checksum_or_read_as_truncated() {
-        let mut clean = Vec::new();
-        encode_batch_frame(&mut clean, &sample_batch());
+        let clean = batch_frames(10, &sample_batch());
         for byte in 0..clean.len() {
             for bit in 0..8 {
                 let mut buf = clean.clone();
@@ -686,8 +899,7 @@ mod tests {
 
     #[test]
     fn malformed_batch_bodies_are_format_errors() {
-        let mut buf = Vec::new();
-        encode_batch_frame(&mut buf, &sample_batch());
+        let buf = batch_frames(10, &sample_batch());
         let FrameOutcome::Ok { body, .. } = parse_frame(&buf, 0) else {
             panic!("frame must parse");
         };

@@ -5,7 +5,9 @@
 //! bulk `decode_into` kernel, and the cursor — reproduces the input
 //! byte-for-byte. The generators deliberately steer into the format's
 //! corner cases: all-equal keys (width 0), deltas past 64 bits (the raw
-//! fallback), ragged tail blocks, and all-tombstone blocks.
+//! fallback), ragged tail blocks, and all-tombstone blocks. The byte
+//! image (`write_to` / `read_from`) must reproduce every such store
+//! exactly, and reject every strict prefix of itself.
 
 use proptest::prelude::*;
 use sfc_core::{CurveIndex, Point};
@@ -19,6 +21,15 @@ fn assert_round_trip(keys: &[CurveIndex], points: &[Point<2>], live: &[bool]) {
         store.live_len(),
         live.iter().filter(|&&l| l).count(),
         "live bitmap must count exactly the live slots"
+    );
+
+    // The byte image reloads to the very same store, nothing re-packed.
+    let mut image = Vec::new();
+    store.write_to(&mut image);
+    assert_eq!(
+        BlockStore::<2>::read_from(&image).as_ref(),
+        Ok(&store),
+        "read_from(write_to(b)) == b"
     );
 
     // Slot accessors (decode one field at a time).
@@ -99,6 +110,20 @@ proptest! {
     fn pack_unpack_round_trips(seed in any::<u64>(), len in 0usize..200) {
         let (keys, points, live) = columns(seed, len);
         assert_round_trip(&keys, &points, &live);
+    }
+
+    /// A truncated or padded image is an error, never a panic and never
+    /// a shorter store: the counts must match the bytes exactly.
+    #[test]
+    fn image_of_the_wrong_length_is_rejected(seed in any::<u64>(), len in 0usize..200) {
+        let (keys, points, live) = columns(seed, len);
+        let mut image = Vec::new();
+        BlockStore::pack(&keys, &points, |i| live[i]).write_to(&mut image);
+        for cut in 0..image.len() {
+            prop_assert!(BlockStore::<2>::read_from(&image[..cut]).is_err(), "cut at {cut}");
+        }
+        image.push(0);
+        prop_assert!(BlockStore::<2>::read_from(&image).is_err(), "one byte too many");
     }
 
     /// Per-block metadata used for pruning must stay conservative: the
@@ -187,4 +212,5 @@ fn empty_store_has_no_blocks() {
     assert_eq!(store.blocks(), 0);
     assert_eq!(store.lower_bound(0), 0);
     assert!(store.bounds().is_none());
+    assert_round_trip(&[], &[], &[]);
 }

@@ -667,34 +667,182 @@ fn torn_batch_frame_is_atomic_per_shard() {
     }
 }
 
+/// Recomputes a run file's trailing checksum (over everything between
+/// the 8-byte header and the trailer), so that only the loader's own
+/// checks stand between the lie and the index.
+fn reseal(file: &mut [u8]) {
+    let body_end = file.len() - 4;
+    let crc = sfc_store::wal::bench_hooks::crc32c(&file[8..body_end]);
+    file[body_end..].copy_from_slice(&crc.to_le_bytes());
+}
+
+fn read_u64(file: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(file[at..at + 8].try_into().unwrap())
+}
+
+fn write_u64(file: &mut [u8], at: usize, v: u64) {
+    file[at..at + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+// Byte offsets into a version-2 run file of a `D = 2` store with one
+// block (see `sfc-store`'s `wal/manifest.rs` and `sfc-index`'s `block.rs`).
+const RUN_VERSION_AT: usize = 4;
+const RUN_IMAGE_LEN_AT: usize = 8;
+const RUN_LEN_AT: usize = 16;
+const RUN_BLOCKS_AT: usize = 24;
+const RUN_KEY_WORD_COUNT_AT: usize = 32;
+const RUN_FENCE_AT: usize = 48;
+const RUN_LIVE_WORD_AT: usize = 80;
+const RUN_KEY_WIDTH_AT: usize = 88;
+const RUN_COORD_WIDTH_AT: usize = 89;
+const RUN_KEY_WORDS_AT: usize = 91;
+
 #[test]
 fn corrupt_run_file_is_a_typed_error() {
     let tmp = TempDir::new("run-rot");
     {
-        let store = reopen(tmp.path(), 1, 8).unwrap();
-        for i in 0..40u32 {
-            store.try_insert(Point::new([i % 64, i / 8]), i).unwrap();
+        // 20 records, one flush: one referenced run file of one block.
+        let store = reopen(tmp.path(), 1, 64).unwrap();
+        for i in 0..20u32 {
+            store.try_insert(Point::new([(i * 3) % 64, i]), i).unwrap();
         }
         store.flush();
     }
-    // Flip one payload byte inside the (now referenced) run file.
     let shard_dir = tmp.path().join("shard0");
     let run = fs::read_dir(&shard_dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .find(|p| p.extension().is_some_and(|e| e == "run"))
         .expect("a persisted run file");
-    let mut bytes = fs::read(&run).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x10;
-    fs::write(&run, &bytes).unwrap();
-    match reopen(tmp.path(), 1, 8) {
-        Err(WalError::Corrupt { .. }) => {}
-        other => panic!("corrupt run must fail typed, got {other:?}"),
+    let clean = fs::read(&run).unwrap();
+    assert_eq!(read_u64(&clean, RUN_LEN_AT), 20);
+    assert_eq!(read_u64(&clean, RUN_BLOCKS_AT), 1);
+
+    // Reopens with `bytes` in place of the run file; the open must fail
+    // as `Corrupt` (it never panics and never succeeds), and the detail
+    // is returned for the caller to match on.
+    let corrupt_detail = |bytes: &[u8], what: &str| -> String {
+        fs::write(&run, bytes).unwrap();
+        match reopen(tmp.path(), 1, 64) {
+            Err(WalError::Corrupt { path, detail, .. }) => {
+                assert_eq!(path, run, "{what}: the error names the run file");
+                detail
+            }
+            other => panic!("{what} must fail typed, got {other:?}"),
+        }
+    };
+
+    // Bit rot: every truncation length and every single-bit flip.
+    for cut in 0..clean.len() {
+        corrupt_detail(&clean[..cut], &format!("truncation at {cut}"));
     }
+    for byte in 0..clean.len() {
+        for bit in 0..8 {
+            let mut bad = clean.clone();
+            bad[byte] ^= 1 << bit;
+            corrupt_detail(&bad, &format!("flip of byte {byte} bit {bit}"));
+        }
+    }
+
+    // Structural lies under a *valid* checksum: the file is edited, then
+    // re-sealed, so each one is caught by the check the detail names.
+    let lie = |what: &str, edit: &dyn Fn(&mut Vec<u8>), expect: &str| {
+        let mut bad = clean.clone();
+        edit(&mut bad);
+        reseal(&mut bad);
+        let detail = corrupt_detail(&bad, what);
+        assert!(
+            detail.contains(expect),
+            "{what}: expected a detail mentioning {expect:?}, got {detail:?}"
+        );
+    };
+    lie(
+        "key width 65",
+        &|f| f[RUN_KEY_WIDTH_AT] = 65,
+        "key width 65",
+    );
+    lie(
+        "coord width 33",
+        &|f| f[RUN_COORD_WIDTH_AT] = 33,
+        "coord width 33",
+    );
+    lie(
+        "word column one short",
+        &|f| {
+            // Drop one key word and say so in both counts, so that only
+            // the widths' prefix sum disagrees.
+            f.drain(RUN_KEY_WORDS_AT..RUN_KEY_WORDS_AT + 8);
+            let words = read_u64(f, RUN_KEY_WORD_COUNT_AT);
+            write_u64(f, RUN_KEY_WORD_COUNT_AT, words - 1);
+            let image = read_u64(f, RUN_IMAGE_LEN_AT);
+            write_u64(f, RUN_IMAGE_LEN_AT, image - 8);
+        },
+        "+ 1 pad",
+    );
+    lie(
+        "block count != ceil(len / 64)",
+        &|f| write_u64(f, RUN_BLOCKS_AT, 2),
+        "2 blocks for 20 slots",
+    );
+    lie(
+        "payload count != popcount",
+        &|f| f[RUN_LIVE_WORD_AT] &= !1,
+        "20 payloads for 19 live slots",
+    );
+    lie(
+        "live bit past len",
+        &|f| f[RUN_LIVE_WORD_AT + 7] |= 0x80,
+        "live bit past slot 20",
+    );
+    lie(
+        "swapped adjacent keys",
+        &|f| {
+            // Exchange the packed delta fields of slots 1 and 2.
+            let w = u32::from(f[RUN_KEY_WIDTH_AT]);
+            assert!((1..=21).contains(&w), "three fields in the first word");
+            let word = read_u64(f, RUN_KEY_WORDS_AT);
+            let mask = (1u64 << w) - 1;
+            let (f1, f2) = ((word >> w) & mask, (word >> (2 * w)) & mask);
+            assert_ne!(f1, f2);
+            let cleared = word & !(mask << w) & !(mask << (2 * w));
+            write_u64(f, RUN_KEY_WORDS_AT, cleared | f2 << w | f1 << (2 * w));
+        },
+        "keys decrease",
+    );
+    lie(
+        "a key that is not index_of(point)",
+        &|f| f[RUN_FENCE_AT] ^= 1,
+        "not the curve's key",
+    );
+    for len in [1u64 << 40, u64::MAX] {
+        lie(
+            "a len larger than the file",
+            &|f| {
+                write_u64(f, RUN_LEN_AT, len);
+                write_u64(f, RUN_BLOCKS_AT, len.div_ceil(64));
+            },
+            "disagree with the",
+        );
+    }
+    lie(
+        "an image length larger than the file",
+        &|f| write_u64(f, RUN_IMAGE_LEN_AT, u64::MAX),
+        "file ends inside block image",
+    );
+    // The retired per-record layout is refused by name, not parsed.
+    lie(
+        "a version-1 run file",
+        &|f| f[RUN_VERSION_AT] = 1,
+        "SFRN version 1",
+    );
+
+    // The clean bytes still open: everything above failed on its merits.
+    fs::write(&run, &clean).unwrap();
+    assert_eq!(reopen(tmp.path(), 1, 64).unwrap().len(), 20);
+
     // A missing referenced run is equally fatal and equally typed.
     fs::remove_file(&run).unwrap();
-    match reopen(tmp.path(), 1, 8) {
+    match reopen(tmp.path(), 1, 64) {
         Err(WalError::Corrupt { .. }) => {}
         other => panic!("missing run must fail typed, got {other:?}"),
     }

@@ -1,6 +1,6 @@
 //! Observability-layer integration tests.
 //!
-//! Three angles on the `sfc-obs` + store instrumentation stack:
+//! Four angles on the `sfc-obs` + store instrumentation stack:
 //!
 //! * **Quantile accuracy** — proptests replay adversarial latency
 //!   distributions (all-equal, bimodal, power-law) through the
@@ -16,6 +16,9 @@
 //!   against an instrumented `ShardedSfcStore` whose per-shard op
 //!   counters must sum to the driver's ground-truth totals, with the
 //!   registry's JSON export validated structurally and numerically.
+//! * **Persist accounting** — a durable store's flushes and compactions
+//!   report the time and bytes of their persist step (`shardN.persist.*`);
+//!   an in-memory store reports none.
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -23,7 +26,7 @@ use sfc_core::{Grid, Point, ZCurve};
 use sfc_index::BoxRegion;
 use sfc_integration::test_rng;
 use sfc_obs::{Histogram, SUB_BITS};
-use sfc_store::ShardedSfcStore;
+use sfc_store::{ShardedSfcStore, WalConfig};
 
 /// Exact nearest-rank quantile of a sorted sample set — the reference
 /// the histogram is judged against (same rank convention as
@@ -293,4 +296,50 @@ fn shard_counters_sum_to_driver_totals_under_concurrency() {
         QUERIES,
         "JSON export disagrees with snapshot accessor"
     );
+}
+
+/// "Where did the flush go": on a durable store every flush, compaction
+/// publish and bottom-run install reports the time and the bytes of its
+/// persist step; an in-memory store reports none.
+#[test]
+fn persist_metrics_account_for_durable_flushes() {
+    let dir = std::env::temp_dir().join(format!("sfc-obs-persist-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let z = ZCurve::over(Grid::<2>::new(6).unwrap());
+    let mut store =
+        ShardedSfcStore::<2, u64, _>::open_durable(z, 1, 1 << 10, WalConfig::new(&dir)).unwrap();
+    let metrics = store.enable_metrics();
+    for round in 0..3u32 {
+        for i in 0..100u32 {
+            store.insert(Point::new([i % 64, (i / 64) + 2 * round]), u64::from(i));
+        }
+        store.flush();
+    }
+    let snap = metrics.registry().snapshot();
+    let persists = snap.histogram("shard0.persist.ns").unwrap();
+    assert_eq!(snap.counter("shard0.flush.count"), Some(3));
+    assert_eq!(persists.count(), 3, "one persist per flush");
+    assert!(persists.max() > 0);
+    // Each flush wrote at least its own 100 payloads (12 B apiece).
+    let flushed = snap.counter("shard0.persist.bytes").unwrap();
+    assert!(flushed >= 3 * 100 * 12, "persist.bytes = {flushed}");
+    assert!(
+        persists.max() <= snap.histogram("shard0.flush.ns").unwrap().max(),
+        "a persist is part of its flush"
+    );
+    store.compact();
+    let snap = metrics.registry().snapshot();
+    assert_eq!(snap.histogram("shard0.persist.ns").unwrap().count(), 4);
+    assert!(snap.counter("shard0.persist.bytes").unwrap() > flushed);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut mem = ShardedSfcStore::<2, u64, _>::with_memtable_capacity(z, 1, 1 << 10);
+    let metrics = mem.enable_metrics();
+    mem.insert(Point::new([1, 1]), 1);
+    mem.flush();
+    let snap = metrics.registry().snapshot();
+    assert_eq!(snap.counter("shard0.flush.count"), Some(1));
+    assert_eq!(snap.histogram("shard0.persist.ns").unwrap().count(), 0);
+    assert_eq!(snap.counter("shard0.persist.bytes"), Some(0));
 }
