@@ -162,6 +162,25 @@ fn key_block_words(width: u8) -> Option<usize> {
     }
 }
 
+/// Squared Euclidean distance from `q` to the inclusive box `[lo, hi]`
+/// (0 if `q` is inside it).
+#[inline]
+fn aabb_dist_sq<const D: usize>(lo: &Point<D>, hi: &Point<D>, q: &Point<D>) -> u64 {
+    let mut acc = 0u64;
+    for axis in 0..D {
+        let c = q.coord(axis);
+        let d = if c < lo.coord(axis) {
+            lo.coord(axis) - c
+        } else if c > hi.coord(axis) {
+            c - hi.coord(axis)
+        } else {
+            0
+        };
+        acc += u64::from(d) * u64::from(d);
+    }
+    acc
+}
+
 /// One decoded block's columns, the scratch target of the unpack kernels.
 /// Slots past the block's length hold the fence key / AABB minimum (the
 /// zero-delta padding); callers mask them off with the block's range.
@@ -707,20 +726,14 @@ impl<const D: usize> BlockStore<D> {
     /// of the block (distance to the block's AABB; 0 if `q` is inside it).
     #[inline]
     pub fn min_dist_sq(&self, block: usize, q: &Point<D>) -> u64 {
-        let (lo, hi) = (&self.lo[block], &self.hi[block]);
-        let mut acc = 0u64;
-        for axis in 0..D {
-            let c = q.coord(axis);
-            let d = if c < lo.coord(axis) {
-                lo.coord(axis) - c
-            } else if c > hi.coord(axis) {
-                c - hi.coord(axis)
-            } else {
-                0
-            };
-            acc += u64::from(d) * u64::from(d);
-        }
-        acc
+        aabb_dist_sq(&self.lo[block], &self.hi[block], q)
+    }
+
+    /// Lower bound on the squared Euclidean distance from `q` to any point
+    /// of the run (distance to the run's AABB), or `None` for an empty
+    /// run.
+    pub fn run_min_dist_sq(&self, q: &Point<D>) -> Option<u64> {
+        (self.len > 0).then(|| aabb_dist_sq(&self.all_lo, &self.all_hi, q))
     }
 
     /// The whole run's point AABB, or `None` for an empty run.
@@ -783,24 +796,51 @@ impl<const D: usize> BlockStore<D> {
     /// the branch-free unpack kernels. Pad slots past the block's length
     /// hold the fence / AABB minimum.
     pub fn decode_into(&self, block: usize, out: &mut DecodedBlock<D>) {
-        let off = self.key_offsets[block] as usize;
-        kernels::unpack_keys(
-            &self.key_words[off..],
-            self.key_widths[block],
-            self.fences[block],
-            &mut out.keys,
-        );
-        let mut coff = self.coord_offsets[block] as usize;
-        for axis in 0..D {
+        self.decode_coords_into(block, &mut out.coords);
+        self.decode_keys_into(block, &mut out.keys);
+    }
+
+    /// The coordinate half of [`decode_into`](Self::decode_into): what a
+    /// box filter needs before it knows whether the block has a hit.
+    pub fn decode_coords_into(&self, block: usize, out: &mut [[u32; BLOCK_SLOTS]; D]) {
+        let mut off = self.coord_offsets[block] as usize;
+        for (axis, lane) in out.iter_mut().enumerate() {
             let w = self.coord_widths[block][axis];
             kernels::unpack_axis(
-                &self.coord_words[coff..],
+                &self.coord_words[off..],
                 w,
                 self.lo[block].coord(axis),
-                &mut out.coords[axis],
+                lane,
             );
-            coff += w as usize;
+            off += w as usize;
         }
+    }
+
+    /// The key half of [`decode_into`](Self::decode_into).
+    pub fn decode_keys_into(&self, block: usize, out: &mut [CurveIndex; BLOCK_SLOTS]) {
+        kernels::unpack_keys(
+            &self.key_words[self.key_offsets[block] as usize..],
+            self.key_widths[block],
+            self.fences[block],
+            out,
+        );
+    }
+
+    /// The first block at or after `from` that can hold a key ≥ `key`:
+    /// the block before the first fence ≥ `key` (its tail may reach
+    /// `key`), found by galloping over the uncompressed fence array from
+    /// `from` — `O(log distance)`, no packed field touched. `from` must
+    /// be a block of the store.
+    pub fn seek_block(&self, from: usize, key: CurveIndex) -> usize {
+        let tail = &self.fences[from..];
+        // Invariant: tail[step / 2] < key, or step == 1.
+        let mut step = 1usize;
+        while step < tail.len() && tail[step] < key {
+            step <<= 1;
+        }
+        let (lo, hi) = (step / 2, (step + 1).min(tail.len()));
+        let first_at_or_past = lo + tail[lo..hi].partition_point(|&f| f < key);
+        from + first_at_or_past.saturating_sub(1)
     }
 
     /// First slot whose key is ≥ `key`: a binary search over the
@@ -846,7 +886,7 @@ impl<const D: usize> BlockStore<D> {
 #[derive(Debug)]
 pub struct BlockCursor<'a, const D: usize> {
     store: &'a BlockStore<D>,
-    buf: Box<DecodedBlock<D>>,
+    buf: DecodedBlock<D>,
     current: usize,
     /// Blocks decoded through this cursor so far.
     pub decodes: u64,
@@ -857,7 +897,7 @@ impl<'a, const D: usize> BlockCursor<'a, D> {
     pub fn new(store: &'a BlockStore<D>) -> Self {
         Self {
             store,
-            buf: Box::default(),
+            buf: DecodedBlock::default(),
             current: usize::MAX,
             decodes: 0,
         }

@@ -48,9 +48,10 @@
 //! Scans consult only the uncompressed metadata (fences, AABBs, bitmap)
 //! to *decide* — skip, bulk-accept, jump, bound a kNN distance — and run
 //! the unpack kernels only on blocks whose slots must be examined or
-//! reported, at most once per block per scan via a caching
-//! [`BlockCursor`] ([`QueryStats::blocks_decoded`](QueryStats) counts
-//! exactly these kernel invocations). The kernels themselves are
+//! reported, at most once per block per scan — coordinates first, keys
+//! only if the block turns out to hold a hit
+//! ([`QueryStats::blocks_decoded`](QueryStats) counts exactly these
+//! blocks). The kernels themselves are
 //! straight-line 64-slot loops (`#![forbid(unsafe_code)]` holds; see
 //! [`kernels`] for the paired-word read's bounds argument) producing
 //! stack buffers and hit bitmasks — shapes the autovectorizer lowers to
@@ -74,10 +75,11 @@
 //!   and Gray (a cover by aligned cubes) and `O(volume · log volume)` on
 //!   any other curve — see [`BoxRegion::curve_intervals`]. Best for small
 //!   boxes on any curve.
-//! * `query_box_bigmin` (Z curve only) — no preprocessing; **wins when the
-//!   box is large or the table is dense**, because each BIGMIN jump skips
-//!   a whole key gap with one binary search, and the number of jumps is
-//!   bounded by the box's key-range "islands" rather than its volume.
+//! * `query_box_bigmin` (Z curve only) — no preprocessing; the
+//!   block-at-a-time kernel ([`box_scan`]) masks every block the box's
+//!   key span reaches and computes a BIGMIN jump only to leave an
+//!   excursion of two or more disjoint blocks, so its cost is the blocks
+//!   the box touches plus one fence search per excursion.
 //! * `query_box_full_scan` — the `O(n)` baseline.
 //!
 //! ## Building blocks for multi-run structures
@@ -89,11 +91,16 @@
 //!
 //! * [`sort_columns`] — batch-encode + stable radix sort: sorted-column
 //!   construction from unsorted records;
-//! * [`interval_scan`] / [`bigmin_scan`] — the two range-scan shapes with
-//!   per-level [`QueryStats`] accounting (galloping seeks, block pruning,
-//!   mask-kernel filtering; the pre-zone-map reference versions survive
-//!   as [`interval_scan_plain`] / [`bigmin_scan_plain`] for differential
-//!   tests and baseline benches);
+//! * [`box_scan`] — the block-at-a-time box kernel, for any curve: each
+//!   block of the box's key span is pruned, bulk-visited or decoded once
+//!   and masked, and a [`BoxSkipper`] ([`MortonSkipper`]: BIGMIN;
+//!   [`IntervalSkipper`]: the box's decomposition) is asked only to leave
+//!   an excursion ([`bigmin_scan`] is the kernel with the former) — and
+//!   [`interval_scan`], the galloping
+//!   walk of a raw interval list; both with per-level [`QueryStats`]
+//!   accounting. The pre-zone-map reference versions survive as
+//!   [`interval_scan_plain`] / [`bigmin_scan_plain`] for differential
+//!   tests and baseline benches;
 //! * [`SfcIndex::from_sorted_versions`] / [`SfcIndex::into_parts`] —
 //!   adopt and release run storage without re-sorting;
 //! * [`SfcIndex::lower_bound`] / [`SfcIndex::find_key`] — fence-array
@@ -115,5 +122,8 @@ pub use bigmin::{bigmin, litmax};
 pub use block::{BlockCursor, BlockImageError, BlockStore, DecodedBlock, BLOCK_SLOTS};
 pub use query::QueryStats;
 pub use region::BoxRegion;
-pub use scan::{bigmin_scan, bigmin_scan_plain, interval_scan, interval_scan_plain};
+pub use scan::{
+    bigmin_scan, bigmin_scan_plain, box_scan, interval_scan, interval_scan_plain, BoxSkipper,
+    IntervalSkipper, MortonSkipper,
+};
 pub use table::{sort_columns, EntryRef, SfcIndex};

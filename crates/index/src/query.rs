@@ -5,7 +5,12 @@
 //!
 //! * `seeks` — binary searches / scan restarts (disk seeks in the classic
 //!   secondary-memory model of the paper's reference [9]);
-//! * `scanned` — entries touched by the scan;
+//! * `scanned` — slots put through a filter: every slot of a block the
+//!   box kernel masked or bulk-visited (64 per block, so a selective box
+//!   that touches a dozen partial blocks "scans" several hundred slots in
+//!   a dozen straight-line mask passes), every slot a per-slot walk
+//!   tested. It measures filter lanes, not time — `blocks_decoded` and
+//!   `seeks` are the units that cost time;
 //! * `reported` — entries actually inside the query region;
 //! * `blocks_scanned` / `blocks_pruned` — blocks a scan examined versus
 //!   rejected wholesale from their uncompressed summaries (fence key,
@@ -16,15 +21,18 @@
 //!   much decode work the lazy per-block contract avoided (contained
 //!   blocks decode once for reporting; pruned blocks never decode).
 //!
-//! `scanned / reported` is the **overscan ratio**: 1.0 means the curve laid
-//! the region out perfectly contiguously.
+//! `scanned / reported` is the **overscan ratio**: 1.0 means every slot
+//! filtered was a hit (always, on an exact interval walk); a box scan's
+//! ratio says what share of the blocks it masked lay inside the box.
 
 /// Work counters for one query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueryStats {
     /// Binary searches / scan restarts performed.
     pub seeks: u64,
-    /// Entries examined.
+    /// Slots put through a filter — all of a block the box kernel masked
+    /// or bulk-visited, each slot a per-slot walk tested (see the module
+    /// docs: a count of filter lanes, not of time).
     pub scanned: u64,
     /// Entries matching the query.
     pub reported: u64,
@@ -33,8 +41,10 @@ pub struct QueryStats {
     /// Blocks rejected from their summaries alone — their entries were
     /// never touched.
     pub blocks_pruned: u64,
-    /// Blocks run through the unpack kernels (each cached decode counted
-    /// once, however many slots were then read from the buffer).
+    /// Blocks run through the unpack kernels (each decode counted once,
+    /// however many slots were then read from the buffer — including a
+    /// partial block whose coordinate mask came out empty and whose keys
+    /// were therefore never unpacked).
     pub blocks_decoded: u64,
 }
 

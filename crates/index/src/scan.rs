@@ -20,28 +20,39 @@
 //!
 //! ## Block-mapped fast paths
 //!
-//! * [`interval_scan`] **gallops** forward from the previous interval's
-//!   resting position instead of binary-searching the whole column per
-//!   interval, then filters each decoded block with the branch-free
+//! * [`interval_scan`] serves **raw interval lists**: it gallops forward
+//!   from the previous interval's resting position instead of
+//!   binary-searching the whole column per interval, then filters each
+//!   decoded block with the branch-free
 //!   [`key_range_mask`](crate::kernels::key_range_mask) kernel and visits
 //!   the hit bits.
-//! * [`bigmin_scan`] makes whole-block decisions before touching keys:
-//!   blocks whose point AABB misses the box are **skipped** without a
-//!   single per-key test (`blocks_pruned`), blocks whose AABB lies inside
-//!   the box are **bulk-visited** without per-point filtering, and BIGMIN
-//!   jump landings resolve through the fence array (one small search, one
-//!   in-block search) instead of a whole-tail binary search. Partial
-//!   blocks are filtered with one per-axis
-//!   [`axis_range_mask`](crate::kernels::axis_range_mask) pass.
+//! * [`box_scan`] serves **boxes**, on every curve, one block at a time.
+//!   It walks the blocks of the box's key span and decides each from its
+//!   uncompressed summary: a block whose point AABB misses the box is
+//!   **pruned** (`blocks_pruned`), a block whose AABB lies inside the box
+//!   is **bulk-visited**, and a partial block is decoded once, filtered
+//!   with one [`axis_range_mask`](crate::kernels::axis_range_mask) pass
+//!   per axis over its *coordinates*, and its hit bits visited. There is
+//!   no per-slot test, no hop inside a block and no landing probe: a
+//!   block the walk has reached is cheaper to mask whole than to navigate.
+//!   The curve is consulted only to **leave an excursion** — after two
+//!   disjoint blocks in a row the walk asks its [`BoxSkipper`] for the
+//!   next key that can lie inside the box and lands on it through the
+//!   fence array. That skipper is the kernel's one parameter:
+//!   [`MortonSkipper`] computes BIGMIN (Tropf & Herzog) and needs no
+//!   preprocessing; [`IntervalSkipper`] binary-searches the box's sorted
+//!   decomposition and works for every curve ([`bigmin_scan`] is the
+//!   kernel with the former).
 //!
 //! The pre-zone-map variants are kept as [`interval_scan_plain`] and
 //! [`bigmin_scan_plain`]: they are the reference the block-mapped scans
-//! are differential-tested against, and the baseline the benches measure
-//! the speedup over. They binary-search whole columns and test per slot,
-//! but read through the same single-slot decode accessors.
+//! are differential-tested against (`tests/tests/box_kernel.rs`), and the
+//! baseline the benches measure the speedup over. They binary-search
+//! whole columns and test per slot, but read through the same single-slot
+//! decode accessors.
 
 use crate::bigmin::bigmin;
-use crate::block::{BlockCursor, BlockStore};
+use crate::block::{BlockCursor, BlockStore, DecodedBlock};
 use crate::kernels;
 use crate::query::QueryStats;
 use crate::region::BoxRegion;
@@ -185,120 +196,173 @@ pub fn interval_scan_plain<const D: usize>(
     stats.blocks_decoded += cur.decodes;
 }
 
-/// BIGMIN jumping scan of a sorted Morton-key run (Tropf & Herzog),
-/// accelerated by the block metadata: scan from `Z(lo)`; at each block
-/// boundary decide the whole block at once (skip if its AABB misses the
-/// box, bulk-visit if contained); whenever the per-slot scan meets an
-/// entry outside the box, compute BIGMIN and land the jump through the
-/// fence array. Partial blocks decode once and are filtered through the
-/// per-axis mask kernel. Calls `visit` with the position, key, and point
-/// of every entry whose point lies in the box — the exact same set
-/// [`bigmin_scan_plain`] visits.
-pub fn bigmin_scan<const D: usize>(
-    z: &ZCurve<D>,
+/// Where a box's cells sit on the curve — the one parameter of
+/// [`box_scan`]. The kernel filters by coordinates, so a skipper never
+/// decides a match; it only says how far an excursion out of the box can
+/// be skipped.
+pub trait BoxSkipper {
+    /// An inclusive key range holding the key of every cell of the box.
+    fn span(&self) -> (CurveIndex, CurveIndex);
+
+    /// The smallest key ≥ `from` whose cell lies in the box, or `None` if
+    /// there is none.
+    fn next_inside(&self, from: CurveIndex) -> Option<CurveIndex>;
+}
+
+/// The Morton-order skipper: BIGMIN (Tropf & Herzog) on the box's corner
+/// codes. Nothing is precomputed beyond the two corner encodes.
+#[derive(Debug, Clone, Copy)]
+pub struct MortonSkipper<'a, const D: usize> {
+    z: &'a ZCurve<D>,
+    zmin: CurveIndex,
+    zmax: CurveIndex,
+}
+
+impl<'a, const D: usize> MortonSkipper<'a, D> {
+    /// The skipper for box `b` under Morton order `z`.
+    pub fn new(z: &'a ZCurve<D>, b: &BoxRegion<D>) -> Self {
+        Self {
+            z,
+            zmin: z.encode(b.lo()),
+            zmax: z.encode(b.hi()),
+        }
+    }
+}
+
+impl<const D: usize> BoxSkipper for MortonSkipper<'_, D> {
+    fn span(&self) -> (CurveIndex, CurveIndex) {
+        (self.zmin, self.zmax)
+    }
+
+    fn next_inside(&self, from: CurveIndex) -> Option<CurveIndex> {
+        if from <= self.zmin {
+            Some(self.zmin)
+        } else if from > self.zmax {
+            None
+        } else {
+            // The smallest code strictly above `from − 1`, `from > zmin ≥ 0`.
+            bigmin(self.z, from - 1, self.zmin, self.zmax)
+        }
+    }
+}
+
+/// The any-curve skipper: the box's exact decomposition (sorted,
+/// disjoint, as [`BoxRegion::curve_intervals`] produces it — or any
+/// contiguous part of it), binary-searched. With it, [`box_scan`] visits
+/// exactly what [`interval_scan_plain`] visits for those intervals.
+#[derive(Debug, Clone, Copy)]
+pub struct IntervalSkipper<'a>(pub &'a [(CurveIndex, CurveIndex)]);
+
+impl BoxSkipper for IntervalSkipper<'_> {
+    fn span(&self) -> (CurveIndex, CurveIndex) {
+        match (self.0.first(), self.0.last()) {
+            (Some(&(lo, _)), Some(&(_, hi))) => (lo, hi),
+            // Nothing can be inside: an empty span.
+            _ => (1, 0),
+        }
+    }
+
+    fn next_inside(&self, from: CurveIndex) -> Option<CurveIndex> {
+        let i = self.0.partition_point(|&(_, hi)| hi < from);
+        self.0.get(i).map(|&(lo, _)| lo.max(from))
+    }
+}
+
+/// The box-scan kernel: calls `visit` with the position, key and point of
+/// every slot of the run whose point lies in `b`, in ascending position
+/// order — block at a time, as the module docs describe. `skip` must
+/// describe `b` on the curve the run is sorted by.
+///
+/// Work accounting: one seek for the initial landing and one per skipped
+/// excursion; `scanned` counts the slots put through a filter (every slot
+/// of a masked or bulk-visited block); a partial block whose mask comes
+/// out empty never has its keys unpacked.
+pub fn box_scan<const D: usize>(
     blocks: &BlockStore<D>,
     b: &BoxRegion<D>,
+    skip: &impl BoxSkipper,
     stats: &mut QueryStats,
     mut visit: impl FnMut(usize, CurveIndex, Point<D>),
 ) {
-    let zmin = z.encode(b.lo());
-    let zmax = z.encode(b.hi());
+    let (lo, hi) = skip.span();
+    if blocks.is_empty() || lo > hi {
+        return;
+    }
     stats.seeks += 1;
-    let mut cur = BlockCursor::new(blocks);
-    let mut i = blocks.lower_bound(zmin);
-    // The partial-block box mask, rebuilt once per entered block.
-    let mut mask_block = usize::MAX;
-    let mut box_mask = 0u64;
-    while i < blocks.len() {
-        let block = blocks.block_of(i);
-        let range = blocks.block_range(block);
-        if i == range.start {
-            // Block boundary: decide the whole block at once on the
-            // uncompressed metadata. The fence is the block's smallest
-            // key, so fence > zmax ends the scan.
-            if blocks.fence(block) > zmax {
+    let mut dec = DecodedBlock::default();
+    let last = blocks.blocks() - 1;
+    // The key the walk last landed for, and whether it has met nothing
+    // but disjoint blocks since (true at the start and after every skip,
+    // and after one disjoint block in the middle of the walk).
+    let mut landing = lo;
+    let mut in_excursion = true;
+    let mut block = blocks.seek_block(0, landing);
+    // The fence is the block's smallest key: past `hi`, nothing is left.
+    while blocks.fence(block) <= hi {
+        if blocks.disjoint(block, b) {
+            stats.blocks_pruned += 1;
+            if block == last {
                 break;
             }
-            if blocks.disjoint(block, b) {
-                stats.blocks_pruned += 1;
-                i = range.end;
-                continue;
+            let next_fence = blocks.fence(block + 1);
+            // A second disjoint block in a row whose successor starts
+            // past the landing key: the excursion goes on, leave it.
+            // Everything below the next fence is behind the walk.
+            if in_excursion && next_fence > landing {
+                let Some(key) = skip.next_inside(next_fence) else {
+                    break;
+                };
+                stats.seeks += 1;
+                landing = key;
+                block = blocks.seek_block(block + 1, key);
+            } else {
+                in_excursion = true;
+                block += 1;
             }
-            stats.blocks_scanned += 1;
-            if blocks.contained(block, b) {
-                // Componentwise Morton monotonicity: AABB ⊆ box ⇒ every
-                // key of the block lies in [Z(lo), Z(hi)] — visit all
-                // slots without per-point tests (decode only to report).
-                stats.scanned += range.len() as u64;
-                let dec = cur.decoded(block);
-                for j in 0..range.len() {
-                    visit(range.start + j, dec.keys[j], dec.point(j));
-                }
-                i = range.end;
-                continue;
-            }
+            continue;
         }
-        if mask_block != block {
-            // First touch of a partial block: probe the single landing
-            // slot through the packed-field accessors before paying for a
-            // block decode — most BIGMIN landings bounce straight back
-            // out, and a probe costs a handful of field extractions.
-            let key = blocks.key_at(i);
-            if key > zmax {
-                break;
-            }
-            stats.scanned += 1;
-            let p = blocks.point_at(i);
-            if !b.contains(&p) {
-                match bigmin(z, key, zmin, zmax) {
-                    Some(next) => {
-                        stats.seeks += 1;
-                        i = blocks.lower_bound(next).max(i + 1);
-                        continue;
-                    }
-                    None => break,
-                }
-            }
-            // The landing slot matched — the block has real work in it,
-            // so decode once and mask the rest of it.
-            let dec = cur.decoded(block);
-            let mut m = kernels::len_mask(range.len());
+        in_excursion = false;
+        stats.blocks_scanned += 1;
+        stats.blocks_decoded += 1;
+        let range = blocks.block_range(block);
+        stats.scanned += range.len() as u64;
+        blocks.decode_coords_into(block, &mut dec.coords);
+        let mut hits = kernels::len_mask(range.len());
+        // AABB ⊆ box ⇒ every slot matches: no filter pass at all.
+        if !blocks.contained(block, b) {
             for axis in 0..D {
-                m &= kernels::axis_range_mask(
+                hits &= kernels::axis_range_mask(
                     &dec.coords[axis],
                     b.lo().coord(axis),
                     b.hi().coord(axis),
                 );
             }
-            box_mask = m;
-            mask_block = block;
-            visit(i, key, p);
-            i += 1;
-            continue;
         }
-        let dec = cur.decoded(block);
-        let j = i - range.start;
-        let key = dec.keys[j];
-        if key > zmax {
-            break;
-        }
-        stats.scanned += 1;
-        if box_mask >> j & 1 == 1 {
-            visit(i, key, dec.point(j));
-            i += 1;
-        } else {
-            match bigmin(z, key, zmin, zmax) {
-                Some(next) => {
-                    stats.seeks += 1;
-                    // `next > key`, so the fence-accelerated lower bound
-                    // finds the same position as a whole-tail search.
-                    i = blocks.lower_bound(next).max(i + 1);
-                }
-                None => break,
+        if hits != 0 {
+            blocks.decode_keys_into(block, &mut dec.keys);
+            while hits != 0 {
+                let j = hits.trailing_zeros() as usize;
+                hits &= hits - 1;
+                visit(range.start + j, dec.keys[j], dec.point(j));
             }
         }
+        if block == last {
+            break;
+        }
+        block += 1;
     }
-    stats.blocks_decoded += cur.decodes;
+}
+
+/// [`box_scan`] over a sorted Morton-key run, skipping by BIGMIN (Tropf &
+/// Herzog). Visits exactly what [`bigmin_scan_plain`] visits.
+pub fn bigmin_scan<const D: usize>(
+    z: &ZCurve<D>,
+    blocks: &BlockStore<D>,
+    b: &BoxRegion<D>,
+    stats: &mut QueryStats,
+    visit: impl FnMut(usize, CurveIndex, Point<D>),
+) {
+    box_scan(blocks, b, &MortonSkipper::new(z, b), stats, visit);
 }
 
 /// The pre-zone-map BIGMIN scan: per-slot box tests throughout and
@@ -453,7 +517,17 @@ mod tests {
                 let mut plain_hits = Vec::new();
                 bigmin_scan_plain(&z, &bs, &b, &mut ps, |i, _, _| plain_hits.push(i));
                 assert_eq!(zone_hits, plain_hits, "stride={stride} box={b:?}");
-                assert!(zs.scanned <= ps.scanned, "zone scan must not scan more");
+                // The kernel masks whole blocks, so it puts more slots
+                // through a filter than the per-slot hop does; what it
+                // must not do more of is what costs time.
+                assert!(
+                    zs.blocks_decoded <= ps.blocks_decoded,
+                    "zone scan must not decode more: {zs:?} vs {ps:?}"
+                );
+                assert!(
+                    zs.seeks <= ps.seeks,
+                    "zone scan must not seek more: {zs:?} vs {ps:?}"
+                );
             }
         }
     }

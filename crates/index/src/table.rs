@@ -463,7 +463,6 @@ impl<const D: usize, T, C: SpaceFillingCurve<D>> SfcIndex<D, T, C> {
             }
         }
         let decodes = cur.decodes;
-        drop(cur);
         for i in matches {
             out.push(self.entry(i));
         }
@@ -564,7 +563,6 @@ impl<const D: usize, T, C: SpaceFillingCurve<D>> SfcIndex<D, T, C> {
             blocks_decoded: cur.decodes,
             ..Default::default()
         };
-        drop(cur);
         // (knn keeps the simple fixed-window candidate strategy at the
         // single-run level; the multi-level store's kNN is the one that
         // exploits the block metadata's live counts and distance bounds.)
@@ -762,16 +760,13 @@ mod tests {
         let grid = Grid::<2>::new(4).unwrap(); // 16×16
         let idx = SfcIndex::build(ZCurve::over(grid), random_records(grid, 1_000, 4));
         let bx = BoxRegion::new(Point::new([3, 3]), Point::new([6, 6]));
-        let (_, full) = idx.query_box_full_scan(&bx);
-        let (_, bm) = idx.query_box_bigmin(&bx);
+        let (full_hits, full) = idx.query_box_full_scan(&bx);
+        let (bm_hits, bm) = idx.query_box_bigmin(&bx);
+        assert_eq!(bm_hits, full_hits);
+        // Work in the unit that costs time — blocks through the unpack
+        // kernels — is at most a quarter of the full scan's.
         assert!(
-            bm.scanned < full.scanned / 4,
-            "bigmin scanned {} vs full {}",
-            bm.scanned,
-            full.scanned
-        );
-        assert!(
-            bm.blocks_decoded <= full.blocks_decoded,
+            bm.blocks_decoded * 4 <= full.blocks_decoded,
             "bigmin decoded {} blocks vs full scan's {}",
             bm.blocks_decoded,
             full.blocks_decoded

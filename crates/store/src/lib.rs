@@ -103,8 +103,8 @@
 //! [`StoreSnapshot`]. Nothing is flushed, nothing is written, nothing can
 //! fail. All scanning then runs against the captures with no lock held:
 //! each level is scanned with the shared primitives from `sfc-index`
-//! ([`interval_scan`](sfc_index::interval_scan),
-//! [`bigmin_scan`](sfc_index::bigmin_scan)), per-level work is summed
+//! ([`box_scan`](sfc_index::box_scan),
+//! [`interval_scan`](sfc_index::interval_scan)), per-level work is summed
 //! into one [`QueryStats`](sfc_index::QueryStats), and results merge
 //! newest-wins with tombstones suppressing older versions.
 //!
@@ -200,36 +200,43 @@
 //! * **Run pruning.** A run whose key range misses the query's curve span,
 //!   or whose AABB misses the box, is skipped without a single seek
 //!   (`QueryStats::blocks_pruned` counts what was skipped).
-//! * **Block pruning.** Inside a BIGMIN scan, blocks whose AABB misses
-//!   the box are stepped over and blocks contained in the box are
-//!   bulk-accepted — no per-key decode or filter either way; interval
-//!   seeks gallop forward from the previous interval's position instead
-//!   of re-searching the whole column.
-//! * **kNN.** Candidate collection skips all-dead blocks, stops a walk at
-//!   blocks whose AABB distance lower bound cannot tighten the current
-//!   k-th best (a thread-local top-k distance heap replaces per-query
-//!   candidate vectors), and the verification ball runs through the box
-//!   planner.
-//! * **The planner.** [`ShardedSfcStore::query_box`] picks
-//!   intervals-vs-BIGMIN **per level** from run statistics instead of
-//!   forcing one strategy store-wide: non-Morton curves always decompose (hierarchically on
-//!   Hilbert and Gray: `O(perimeter)` aligned cubes, one encode each —
-//!   see [`sfc_index::BoxRegion::curve_intervals`]); Morton boxes larger
-//!   than [`INTERVAL_VOLUME_CUTOFF`] cells skip decomposition and jump —
-//!   what that cutoff weighs is the interval *walk* (one seek per
-//!   interval per level) against BIGMIN's overscan, the decomposition
-//!   itself being cheap on either side of it; otherwise a run holding
-//!   fewer slots inside the box's key span than there are intervals is
-//!   jump-scanned while bigger runs gallop the interval list. The router
-//!   makes the decompose decision once, clips intervals per shard, and
-//!   lets every shard plan its own levels;
-//!   [`ShardedSfcStore::plan_box_query`] exposes the chosen
-//!   [`QueryPlan`]s and `examples/query_planner.rs` prints them live.
+//! * **Block pruning.** A box scan decides a whole block at a time:
+//!   blocks whose AABB misses the box are stepped over, blocks contained
+//!   in the box are bulk-accepted, and a partial block is decoded once
+//!   and masked on its coordinates — no per-key test or in-block hop
+//!   anywhere ([`box_scan`](sfc_index::box_scan)); a raw interval walk
+//!   gallops forward from the previous interval's position instead of
+//!   re-searching the whole column.
+//! * **kNN.** Candidate collection starts in the shard owning the query's
+//!   key, visits a further run only while its AABB is nearer than the
+//!   k-th best, skips all-dead blocks and blocks whose AABB distance
+//!   lower bound cannot tighten the k-th best (a thread-local top-k
+//!   distance heap replaces per-query candidate vectors), and the
+//!   verification ball is an ordinary box query.
+//! * **The planner.** [`ShardedSfcStore::query_box`] runs that one kernel
+//!   on every level; what it plans is how the kernel leaves an excursion
+//!   out of the box. Morton order skips by BIGMIN and precomputes
+//!   nothing; every other curve decomposes the box once at the router
+//!   (hierarchically on Hilbert and Gray: `O(perimeter)` aligned cubes,
+//!   one encode each — see [`sfc_index::BoxRegion::curve_intervals`]),
+//!   hands each shard the intervals meeting its range, and skips by a
+//!   binary search of them. Levels whose key range or AABB misses the
+//!   box are pruned. The volume cutoffs and the per-run
+//!   intervals-vs-BIGMIN estimate of earlier versions lost their A/B
+//!   against the kernel and are gone (see the `view` module docs);
+//!   [`ShardedSfcStore::plan_box_query`] exposes the [`QueryPlan`]s and
+//!   `examples/query_planner.rs` prints them live.
+//! * **Streaming.** A shard scans its small upper levels into a reused
+//!   scratch and streams its bottom run through the newest-wins merge
+//!   straight into the result — owned entries for a live query, borrowed
+//!   ones for a snapshot — so no hit is copied twice and shard results
+//!   append in curve order.
 //!
-//! The fixed-strategy entry points (`query_box_intervals`,
-//! `query_box_bigmin`) remain for callers that know their workload; the
-//! pre-zone-map implementations survive as hidden `*_plain` methods used
-//! on the snapshot, used by the differential tests and as the benchmark
+//! The fixed-strategy entry points remain for callers that know their
+//! workload — `query_box_intervals` walks the raw interval list on every
+//! level, `query_box_bigmin` is `query_box` on Morton order — and the
+//! pre-zone-map implementations survive as hidden `*_plain` methods on
+//! the snapshot, used by the differential tests and as the benchmark
 //! baseline.
 //!
 //! ## Durability: write-ahead log, group commit, crash recovery
@@ -327,5 +334,5 @@ pub use obs::{EngineMetrics, QueryTrace};
 pub use shard::{ShardedIter, ShardedSfcStore, ShardedSnapshot};
 pub use snapshot::StoreSnapshot;
 pub use store::{BatchOp, StoreEntry, StoreEntryRef, DEFAULT_MEMTABLE_CAPACITY};
-pub use view::{LevelStrategy, QueryPlan, INTERVAL_VOLUME_CUTOFF, KNN_BALL_INTERVALS_CUTOFF};
+pub use view::{LevelStrategy, QueryPlan};
 pub use wal::{RecoveryStats, ShardRecoveryStats, WalConfig, WalError, WalPayload};

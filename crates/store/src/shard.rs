@@ -22,12 +22,13 @@
 //! * answers every read from a **capture** of each shard — a microscopic
 //!   lock to snapshot the memtable copy-on-write (nothing copied, nothing
 //!   flushed) and pin the current epoch — scanned entirely lock-free by
-//!   the clip/route/concatenate algorithms of [`ShardsView`]; a live
+//!   the route-and-append algorithms of [`ShardsView`], each shard
+//!   streaming its hits into the result in shard order; a live
 //!   query drops its captures when it returns, and
 //!   [`snapshot`](ShardedSfcStore::snapshot) hands the same captures out
 //!   as a [`ShardedSnapshot`],
 //! * fans the per-shard scans out across [`std::thread::scope`] worker
-//!   threads in the `*_par` variants (results are concatenated in shard
+//!   threads in the `*_par` variants (results are appended in shard
 //!   order, so parallel results are byte-identical to sequential ones),
 //! * treats [`rebalance`](ShardedSfcStore::rebalance) as **stop the
 //!   world**: it takes the partition's write guard (excluding every
@@ -45,8 +46,8 @@
 //!
 //! Because a live query's results cannot borrow from captures it drops,
 //! the store returns **owned** [`StoreEntry`] values (payloads cloned per
-//! reported hit); a [`ShardedSnapshot`] hands out borrowed
-//! [`StoreEntryRef`]s.
+//! reported hit, as the hit is found); a [`ShardedSnapshot`] hands out
+//! borrowed [`StoreEntryRef`]s.
 
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -66,8 +67,8 @@ use crate::store::{
     sorted_unique_columns, BatchOp, StoreEntry, StoreEntryRef, DEFAULT_MEMTABLE_CAPACITY,
 };
 use crate::view::{
-    distance_key_order, offer, plan_knn_ball, radius_from_heap, rank_by_distance, should_decompose,
-    verification_radius, with_knn_heap, KnnBallPlan, LevelStrategy, LevelsView, QueryPlan,
+    distance_key_order, kth_best, offer, rank_by_distance, verification_radius, with_knn_heap,
+    HitSink, LevelStrategy, LevelsView, Overlay, Probe, QueryPlan,
 };
 use crate::wal::{self, RecoveryStats, WalConfig, WalEngine, WalError, WalPayload, WalShard};
 
@@ -78,14 +79,20 @@ type Interval = (CurveIndex, CurveIndex);
 /// work it did.
 type Hits<'a, const D: usize, T> = (Vec<StoreEntryRef<'a, D, T>>, QueryStats);
 
-/// Clips sorted inclusive intervals to the half-open range `start..end`,
-/// keeping only the non-empty intersections.
-fn clip_intervals(intervals: &[Interval], range: &std::ops::Range<CurveIndex>) -> Vec<Interval> {
-    intervals
-        .iter()
-        .filter(|&&(lo, hi)| hi >= range.start && lo < range.end)
-        .map(|&(lo, hi)| (lo.max(range.start), hi.min(range.end - 1)))
-        .collect()
+/// The part of a sorted, disjoint interval list that meets the half-open
+/// key range `start..end` — a sub-slice, no endpoint clipped: a shard
+/// holds no key outside its range, so an interval reaching past it finds
+/// nothing there.
+fn intervals_meeting<'i>(
+    intervals: &'i [Interval],
+    range: &std::ops::Range<CurveIndex>,
+) -> &'i [Interval] {
+    if range.is_empty() {
+        return &[];
+    }
+    let from = intervals.partition_point(|&(_, hi)| hi < range.start);
+    let to = intervals.partition_point(|&(lo, _)| lo < range.end);
+    &intervals[from..to]
 }
 
 /// Nanoseconds since `start`, saturating.
@@ -104,21 +111,13 @@ struct Routed {
     runs: Vec<LevelStrategy>,
 }
 
-/// Runs `plan` (a box or kNN-ball decomposition), timing it into `routed`
-/// when the caller asked.
-fn timed<R>(routed: &mut Option<&mut Routed>, plan: impl FnOnce() -> R) -> R {
-    let Some(routed) = routed else { return plan() };
-    let start = Instant::now();
-    let out = plan();
-    routed.decompose_ns = Some(elapsed_ns(start));
-    out
-}
-
 /// The borrowed fan-out engine every multi-shard read runs on: a
 /// partition plus one [`LevelsView`] per captured shard. Exactly as
-/// [`LevelsView`] holds the merged multi-level algorithms once, this
-/// holds the clip/route/concatenate algorithms once — including the
-/// scoped-thread parallel dispatch of the `*_par` entry points.
+/// [`LevelsView`] holds the streamed multi-level merge once, this holds
+/// the route-and-append algorithms once — every participating shard
+/// streams its hits into the caller's [`HitSink`] in shard order, which
+/// is curve order — including the scoped-thread parallel dispatch of the
+/// `*_par` entry points.
 struct ShardsView<'a, const D: usize, T, C: SpaceFillingCurve<D>> {
     curve: &'a C,
     partition: &'a Partition,
@@ -135,188 +134,222 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
         }
     }
 
-    /// `true` iff shard `j` owns a key inside the inclusive span.
-    fn owns_keys_in(&self, j: usize, (lo, hi): Interval) -> bool {
-        let range = self.partition.range(j);
-        !range.is_empty() && range.start <= hi && range.end > lo
-    }
-
-    /// The curve span a box query over `b` can touch, as far as the router
-    /// can tell without decomposing: `[Z(lo), Z(hi)]` under Morton order,
-    /// else everything.
-    fn box_span(&self, b: &BoxRegion<D>) -> Interval {
-        match self.curve.as_morton() {
-            Some(z) => (z.encode(b.lo()), z.encode(b.hi())),
-            None => (0, CurveIndex::MAX),
+    /// The box's Morton key span `[Z(lo), Z(hi)]` when the probe skips by
+    /// BIGMIN — what routes such a probe, there being no interval list to
+    /// route by.
+    fn morton_span(&self, probe: &Probe<'_, D>) -> Option<Interval> {
+        match *probe {
+            Probe::Box(b, None) => {
+                let z = self.curve.as_morton().expect("undecomposed: Morton order");
+                Some((z.encode(b.lo()), z.encode(b.hi())))
+            }
+            _ => None,
         }
     }
 
-    /// Shard `j`'s clipped interval list (`None` = no decomposition) when
-    /// it takes part in a box query over `span`, else `None`: an empty
-    /// range, a range outside the span and a clip that comes out empty
-    /// all skip the shard.
-    fn box_share(
+    /// What shard `j` is asked when the whole store is asked `probe`
+    /// (whose [`morton_span`](Self::morton_span) is `span`), or `None`
+    /// when the shard is not consulted: its range is empty, misses the
+    /// span, or meets none of the intervals.
+    fn share<'q>(
         &self,
         j: usize,
-        span: Interval,
-        intervals: Option<&[Interval]>,
-    ) -> Option<Option<Vec<Interval>>> {
-        if !self.owns_keys_in(j, span) {
-            return None;
-        }
-        match intervals {
-            None => Some(None),
-            Some(iv) => {
-                let clipped = clip_intervals(iv, &self.partition.range(j));
-                (!clipped.is_empty()).then_some(Some(clipped))
+        probe: &Probe<'q, D>,
+        span: Option<Interval>,
+    ) -> Option<Probe<'q, D>> {
+        let range = self.partition.range(j);
+        let met = |intervals: &'q [Interval]| {
+            let met = intervals_meeting(intervals, &range);
+            (!met.is_empty()).then_some(met)
+        };
+        match *probe {
+            Probe::Keys(intervals) => met(intervals).map(Probe::Keys),
+            Probe::Box(b, Some(intervals)) => met(intervals).map(|iv| Probe::Box(b, Some(iv))),
+            Probe::Box(_, None) => {
+                let (lo, hi) = span.expect("a BIGMIN probe is routed by its span");
+                (!range.is_empty() && range.start <= hi && range.end > lo).then_some(*probe)
             }
         }
     }
 
-    /// Shard `j`'s share of a sorted inclusive interval list (empty = the
-    /// shard is not consulted).
-    fn interval_share(&self, j: usize, intervals: &[Interval]) -> Vec<Interval> {
-        let range = self.partition.range(j);
-        if range.is_empty() {
-            Vec::new()
-        } else {
-            clip_intervals(intervals, &range)
-        }
+    /// The shards `probe` reaches with what each is asked, in shard order.
+    fn shares<'q, 'p>(
+        &'p self,
+        probe: &'p Probe<'q, D>,
+    ) -> impl Iterator<Item = (&'p LevelsView<'a, D, T, C>, Probe<'q, D>)> + 'p {
+        let span = self.morton_span(probe);
+        self.shards
+            .iter()
+            .enumerate()
+            .filter_map(move |(j, shard)| Some((shard, self.share(j, probe, span)?)))
     }
 
-    /// `scan` fanned out to only the shards whose range intersects the
-    /// (sorted, inclusive) intervals, each handed the list clipped to its
-    /// own range. Shard-order concatenation = curve order.
-    fn fan_out_intervals(
-        &self,
-        intervals: &[Interval],
-        scan: impl Fn(&LevelsView<'a, D, T, C>, &[Interval]) -> Hits<'a, D, T>,
-    ) -> Hits<'a, D, T> {
-        let per_shard = self.shards.iter().enumerate().filter_map(|(j, shard)| {
-            let clipped = self.interval_share(j, intervals);
-            (!clipped.is_empty()).then(|| scan(shard, &clipped))
-        });
-        concat(per_shard)
+    /// The sequential fan-out: every shard the probe reaches scans its
+    /// share and streams into `sink`, one after the other, through one
+    /// merge scratch.
+    fn fan_out<S: HitSink<'a, D, T>>(&self, probe: &Probe<'_, D>, sink: &mut S) -> QueryStats {
+        let mut overlay = Overlay::default();
+        let mut stats = QueryStats::default();
+        for (shard, share) in self.shares(probe) {
+            stats.add(&shard.scan(&share, &mut overlay, sink));
+        }
+        stats
     }
 
     /// Interval query over every level of every intersecting shard.
-    fn query_intervals(&self, intervals: &[Interval]) -> Hits<'a, D, T> {
-        self.fan_out_intervals(intervals, LevelsView::query_intervals)
+    fn query_intervals<S: HitSink<'a, D, T>>(
+        &self,
+        intervals: &[Interval],
+        sink: &mut S,
+    ) -> QueryStats {
+        self.fan_out(&Probe::Keys(intervals), sink)
     }
 
-    /// Box query via exact interval decomposition (intervals computed
-    /// once for the whole fan-out).
-    fn query_box_intervals(&self, b: &BoxRegion<D>, routed: Option<&mut Routed>) -> Hits<'a, D, T> {
-        self.query_intervals(&self.decompose_all(b, routed))
-    }
-
-    /// The box's exact intervals, noting the decomposition in `routed`.
-    fn decompose_all(&self, b: &BoxRegion<D>, mut routed: Option<&mut Routed>) -> Vec<Interval> {
-        let intervals = timed(&mut routed, || b.curve_intervals(self.curve));
-        if let Some(r) = routed {
-            r.intervals = Some(intervals.len());
-        }
+    /// `b`'s exact curve intervals, timed and counted into `routed` when
+    /// the caller asked.
+    fn decompose_all(&self, b: &BoxRegion<D>, routed: Option<&mut Routed>) -> Vec<Interval> {
+        let Some(routed) = routed else {
+            return b.curve_intervals(self.curve);
+        };
+        let start = Instant::now();
+        let intervals = b.curve_intervals(self.curve);
+        routed.decompose_ns = Some(elapsed_ns(start));
+        routed.intervals = Some(intervals.len());
         intervals
     }
 
-    /// The planner's decompose decision for `b`, made once for the whole
-    /// fan-out (`None` = jump-scan only) and noted in `routed`.
+    /// The decomposition a box query skips by: none under Morton order
+    /// (BIGMIN needs no preprocessing), the exact intervals on every
+    /// other curve.
     fn decompose_box(
         &self,
         b: &BoxRegion<D>,
-        mut routed: Option<&mut Routed>,
+        routed: Option<&mut Routed>,
     ) -> Option<Vec<Interval>> {
-        let intervals = timed(&mut routed, || {
-            should_decompose(self.curve, b.volume()).then(|| b.curve_intervals(self.curve))
-        });
-        if let Some(r) = routed {
-            r.intervals = intervals.as_ref().map(Vec::len);
+        match self.curve.as_morton() {
+            Some(_) => None,
+            None => Some(self.decompose_all(b, routed)),
         }
-        intervals
     }
 
-    /// Box query through the adaptive planner, adopting an
-    /// already-decomposed interval list (`None` = the planner decided
-    /// against decomposition): each intersecting shard receives the
-    /// interval list clipped to its range and plans its own levels from
-    /// its own run statistics — the bottom-heavy shard may gallop
-    /// intervals while a freshly rebalanced neighbor BIGMIN-scans its
-    /// small runs. The executed strategies are noted in `routed`.
-    fn query_box_with(
+    /// Box query via exact interval decomposition (intervals computed
+    /// once for the whole fan-out), every level walking the raw list.
+    fn query_box_intervals<S: HitSink<'a, D, T>>(
         &self,
         b: &BoxRegion<D>,
-        intervals: Option<Vec<Interval>>,
-        mut routed: Option<&mut Routed>,
-    ) -> Hits<'a, D, T> {
-        let span = self.box_span(b);
-        let per_shard = self.shards.iter().enumerate().filter_map(|(j, shard)| {
-            let clipped = self.box_share(j, span, intervals.as_deref())?;
-            let plan = shard.plan_box_with(b, clipped);
-            if let Some(r) = routed.as_deref_mut() {
-                r.memtable = r.memtable.or(plan.memtable);
-                r.runs.extend_from_slice(&plan.runs);
+        routed: Option<&mut Routed>,
+        sink: &mut S,
+    ) -> QueryStats {
+        self.query_intervals(&self.decompose_all(b, routed), sink)
+    }
+
+    /// Box query through the block-at-a-time kernel, skipping by the
+    /// given decomposition (`None` = BIGMIN, Morton order only). The
+    /// strategies each consulted shard ran are noted in `routed`.
+    fn query_box_with<S: HitSink<'a, D, T>>(
+        &self,
+        b: &BoxRegion<D>,
+        intervals: Option<&[Interval]>,
+        routed: Option<&mut Routed>,
+        sink: &mut S,
+    ) -> QueryStats {
+        let probe = Probe::Box(b, intervals);
+        if let Some(routed) = routed {
+            for plan in self.plans(&probe) {
+                routed.memtable = routed.memtable.or(plan.memtable);
+                routed.runs.extend(plan.runs);
             }
-            Some(shard.execute_plan(b, &plan))
-        });
-        concat(per_shard)
+        }
+        self.fan_out(&probe, sink)
     }
 
-    /// Box query through the adaptive planner (decompose decision made
-    /// here) — see [`query_box_with`](Self::query_box_with).
-    fn query_box(&self, b: &BoxRegion<D>, mut routed: Option<&mut Routed>) -> Hits<'a, D, T> {
+    /// Box query as the planner runs it — see
+    /// [`query_box_with`](Self::query_box_with).
+    fn query_box<S: HitSink<'a, D, T>>(
+        &self,
+        b: &BoxRegion<D>,
+        mut routed: Option<&mut Routed>,
+        sink: &mut S,
+    ) -> QueryStats {
         let intervals = self.decompose_box(b, routed.as_deref_mut());
-        self.query_box_with(b, intervals, routed)
+        self.query_box_with(b, intervals.as_deref(), routed, sink)
     }
 
-    /// The per-level plan each shard would choose for this box, in shard
-    /// order (a shard the query would skip plans over an empty clip).
+    /// The per-level plan of every shard a box probe reaches, in shard
+    /// order.
+    fn plans<'p>(&'p self, probe: &'p Probe<'_, D>) -> impl Iterator<Item = QueryPlan> + 'p {
+        self.shares(probe).filter_map(|(shard, share)| match share {
+            Probe::Box(b, intervals) => Some(shard.plan_box(b, intervals)),
+            Probe::Keys(_) => None,
+        })
+    }
+
+    /// The per-level plan each shard would run for this box, in shard
+    /// order (a shard the query would skip plans over an empty share).
     fn plan_box_query(&self, b: &BoxRegion<D>) -> Vec<QueryPlan> {
         let intervals = self.decompose_box(b, None);
         self.shards
             .iter()
             .enumerate()
             .map(|(j, shard)| {
-                let range = self.partition.range(j);
-                let clipped = intervals.as_ref().map(|iv| clip_intervals(iv, &range));
-                shard.plan_box_with(b, clipped)
+                let met = intervals
+                    .as_deref()
+                    .map(|iv| intervals_meeting(iv, &self.partition.range(j)));
+                shard.plan_box(b, met)
             })
             .collect()
     }
 
-    /// Exact kNN: live candidates gathered per shard into the shared
-    /// top-k distance heap (zone-map live counts and AABB distance bounds
-    /// sharpen each shard's walk), the k-th best bounds the verification
-    /// radius, and the Chebyshev ball fans out by the rule every engine
-    /// shares ([`plan_knn_ball`]; its decomposition is timed into
-    /// `routed`).
-    fn knn(
+    /// Exact kNN. Live candidates are gathered into the shared top-k
+    /// distance heap from the shard owning the query's key first — its
+    /// levels hold the query's curve neighbours, so the k-th best is
+    /// tight before any other shard is asked, and most of their levels
+    /// then answer from their run AABBs alone (see
+    /// [`LevelsView::knn_collect`]). The k-th best bounds the
+    /// verification radius, and the Chebyshev ball is a box query like
+    /// any other (its decomposition, off Morton order, is timed into
+    /// `routed`); the `k` nearest of its hits go to `sink`.
+    fn knn<S: HitSink<'a, D, T>>(
         &self,
         q: Point<D>,
         k: usize,
         window: usize,
-        mut routed: Option<&mut Routed>,
-    ) -> Hits<'a, D, T> {
+        routed: Option<&mut Routed>,
+        sink: &mut S,
+    ) -> QueryStats {
         let key = self.curve.index_of(q);
+        let home = self.partition.part_of(key);
         let mut stats = QueryStats::default();
         let radius = with_knn_heap(|heap| {
-            for shard in &self.shards {
-                shard.knn_collect(q, key, k, window, heap, &mut stats);
+            let others = (0..self.shards.len()).filter(|&j| j != home);
+            for j in std::iter::once(home).chain(others) {
+                self.shards[j].knn_collect(q, key, k, window, heap, &mut stats);
             }
-            radius_from_heap(self.curve.grid(), heap, k)
+            verification_radius(self.curve.grid(), kth_best(heap, k))
         });
         let ball = BoxRegion::chebyshev_ball(self.curve.grid(), q, radius);
-        let ball_hits = match timed(&mut routed, || plan_knn_ball(self.curve, &ball)) {
-            KnnBallPlan::Exact(intervals) => self.query_intervals(&intervals),
-            KnnBallPlan::Planned(intervals) => self.query_box_with(&ball, intervals, None),
-        };
-        rank_ball(ball_hits, stats, q, k)
+        let intervals = self.decompose_box(&ball, routed);
+        let mut hits = Vec::new();
+        let ball_stats = self.query_box_with(&ball, intervals.as_deref(), None, &mut hits);
+        rank_ball((hits, ball_stats), stats, q, k, sink)
     }
 
     /// The pre-zone-map interval query, fanned out like
     /// [`query_intervals`](Self::query_intervals) — a test oracle and
     /// bench baseline.
-    fn query_intervals_plain(&self, intervals: &[Interval]) -> Hits<'a, D, T> {
-        self.fan_out_intervals(intervals, LevelsView::query_intervals_plain)
+    fn query_intervals_plain<S: HitSink<'a, D, T>>(
+        &self,
+        intervals: &[Interval],
+        sink: &mut S,
+    ) -> QueryStats {
+        let mut stats = QueryStats::default();
+        for (j, shard) in self.shards.iter().enumerate() {
+            let met = intervals_meeting(intervals, &self.partition.range(j));
+            if !met.is_empty() {
+                stats.add(&shard.query_intervals_plain(met, sink));
+            }
+        }
+        stats
     }
 
     /// The pre-zone-map kNN: plain candidate windows from every shard,
@@ -331,9 +364,11 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
         }
         candidates.sort_unstable();
         candidates.truncate(k);
-        let radius = verification_radius(self.curve.grid(), &candidates, k);
+        let kth = candidates.get(k - 1).map(|&(dist_sq, _)| dist_sq);
+        let radius = verification_radius(self.curve.grid(), kth);
         let ball = BoxRegion::chebyshev_ball(self.curve.grid(), q, radius);
-        let (all, ball_stats) = self.query_intervals_plain(&ball.curve_intervals(self.curve));
+        let mut all = Vec::new();
+        let ball_stats = self.query_intervals_plain(&ball.curve_intervals(self.curve), &mut all);
         stats.seeks += ball_stats.seeks;
         stats.scanned += ball_stats.scanned;
         let all = rank_by_distance(all, q, k);
@@ -342,44 +377,32 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
     }
 }
 
-/// Concatenates per-shard results in shard order and sums the stats.
-fn concat<'a, const D: usize, T>(
-    per_shard: impl IntoIterator<Item = Hits<'a, D, T>>,
-) -> Hits<'a, D, T> {
-    let mut out = Vec::new();
-    let mut stats = QueryStats::default();
-    for (hits, shard_stats) in per_shard {
-        out.extend(hits);
-        stats.add(&shard_stats);
-    }
-    stats.reported = out.len() as u64;
-    (out, stats)
-}
-
 /// Finishes a kNN: folds the verification ball's work into the candidate
-/// walk's `stats` and keeps the `k` nearest of the ball's hits.
-fn rank_ball<'a, const D: usize, T>(
+/// walk's `stats` and hands the `k` nearest of the ball's hits to `sink`.
+fn rank_ball<'a, const D: usize, T, S: HitSink<'a, D, T>>(
     (all, ball_stats): Hits<'a, D, T>,
     mut stats: QueryStats,
     q: Point<D>,
     k: usize,
-) -> Hits<'a, D, T> {
+    sink: &mut S,
+) -> QueryStats {
     stats.add(&ball_stats);
-    let all = rank_by_distance(all, q, k);
-    stats.reported = all.len() as u64;
-    (all, stats)
+    let nearest = rank_by_distance(all, q, k);
+    stats.reported = nearest.len() as u64;
+    nearest.into_iter().for_each(|entry| sink.hit(entry));
+    stats
 }
 
 /// The scoped-thread parallel dispatch: each per-shard scan runs on its
-/// own worker thread; joining in shard order makes the concatenation —
-/// and therefore the full result — byte-identical to the sequential
+/// own worker thread into its own hit list; the lists reach the sink in
+/// shard order, so the full result is byte-identical to the sequential
 /// fan-out.
 impl<'a, const D: usize, T, C> ShardsView<'a, D, T, C>
 where
     T: Send + Sync,
     C: SpaceFillingCurve<D> + Clone + Send + Sync,
 {
-    /// Runs `work(j, shard_view)` for every shard `keep` admits, on one
+    /// Runs `work(shard_view)` for every shard `keep` admits, on one
     /// scoped thread per participating shard, and returns the per-shard
     /// results in shard order.
     fn dispatch<R: Send>(
@@ -403,51 +426,49 @@ where
         })
     }
 
-    /// Parallel [`query_intervals`](Self::query_intervals): byte-identical
-    /// results, per-shard scans on worker threads.
-    fn query_intervals_par(&self, intervals: &[Interval]) -> Hits<'a, D, T> {
-        let clipped: Vec<_> = (0..self.shards.len())
-            .map(|j| self.interval_share(j, intervals))
+    /// The parallel [`fan_out`](Self::fan_out): byte-identical results,
+    /// per-shard scans on worker threads.
+    fn fan_out_par<S: HitSink<'a, D, T>>(&self, probe: &Probe<'_, D>, sink: &mut S) -> QueryStats {
+        let span = self.morton_span(probe);
+        let shares: Vec<_> = (0..self.shards.len())
+            .map(|j| self.share(j, probe, span))
             .collect();
-        concat(self.dispatch(
-            |j| !clipped[j].is_empty(),
-            |j, shard| shard.query_intervals(&clipped[j]),
-        ))
-    }
-
-    /// Parallel [`query_box_with`](Self::query_box_with): byte-identical
-    /// results, per-shard plan+execute on worker threads.
-    fn query_box_with_par(
-        &self,
-        b: &BoxRegion<D>,
-        intervals: Option<Vec<Interval>>,
-    ) -> Hits<'a, D, T> {
-        let span = self.box_span(b);
-        let prepared: Vec<_> = (0..self.shards.len())
-            .map(|j| self.box_share(j, span, intervals.as_deref()))
-            .collect();
-        concat(self.dispatch(
-            |j| prepared[j].is_some(),
+        let per_shard: Vec<Hits<'a, D, T>> = self.dispatch(
+            |j| shares[j].is_some(),
             |j, shard| {
-                let clipped = prepared[j].clone().expect("kept shards are prepared");
-                let plan = shard.plan_box_with(b, clipped);
-                shard.execute_plan(b, &plan)
+                let share = shares[j].as_ref().expect("kept shards have a share");
+                let mut hits = Vec::new();
+                let stats = shard.scan(share, &mut Overlay::default(), &mut hits);
+                (hits, stats)
             },
-        ))
+        );
+        let mut stats = QueryStats::default();
+        for (hits, shard_stats) in per_shard {
+            stats.add(&shard_stats);
+            hits.into_iter().for_each(|entry| sink.hit(entry));
+        }
+        stats
     }
 
     /// Parallel [`query_box`](Self::query_box).
-    fn query_box_par(&self, b: &BoxRegion<D>, routed: Option<&mut Routed>) -> Hits<'a, D, T> {
-        self.query_box_with_par(b, self.decompose_box(b, routed))
-    }
-
-    /// Parallel [`query_box_intervals`](Self::query_box_intervals).
-    fn query_box_intervals_par(
+    fn query_box_par<S: HitSink<'a, D, T>>(
         &self,
         b: &BoxRegion<D>,
         routed: Option<&mut Routed>,
-    ) -> Hits<'a, D, T> {
-        self.query_intervals_par(&self.decompose_all(b, routed))
+        sink: &mut S,
+    ) -> QueryStats {
+        let intervals = self.decompose_box(b, routed);
+        self.fan_out_par(&Probe::Box(b, intervals.as_deref()), sink)
+    }
+
+    /// Parallel [`query_box_intervals`](Self::query_box_intervals).
+    fn query_box_intervals_par<S: HitSink<'a, D, T>>(
+        &self,
+        b: &BoxRegion<D>,
+        routed: Option<&mut Routed>,
+        sink: &mut S,
+    ) -> QueryStats {
+        self.fan_out_par(&Probe::Keys(&self.decompose_all(b, routed)), sink)
     }
 
     /// Parallel kNN: per-shard candidate collection on worker threads
@@ -457,13 +478,14 @@ where
     /// radius derived from k genuine live candidates yields a ball
     /// containing the true k nearest, and `rank_by_distance` breaks ties
     /// deterministically by curve key.
-    fn knn_par(
+    fn knn_par<S: HitSink<'a, D, T>>(
         &self,
         q: Point<D>,
         k: usize,
         window: usize,
-        mut routed: Option<&mut Routed>,
-    ) -> Hits<'a, D, T> {
+        routed: Option<&mut Routed>,
+        sink: &mut S,
+    ) -> QueryStats {
         let key = self.curve.index_of(q);
         let per_shard: Vec<(Vec<u64>, QueryStats)> = self.dispatch(
             |j| !self.partition.range(j).is_empty(),
@@ -482,62 +504,30 @@ where
                     offer(heap, k, d);
                 }
             }
-            radius_from_heap(self.curve.grid(), heap, k)
+            verification_radius(self.curve.grid(), kth_best(heap, k))
         });
         let ball = BoxRegion::chebyshev_ball(self.curve.grid(), q, radius);
-        let ball_hits = match timed(&mut routed, || plan_knn_ball(self.curve, &ball)) {
-            KnnBallPlan::Exact(intervals) => self.query_intervals_par(&intervals),
-            KnnBallPlan::Planned(intervals) => self.query_box_with_par(&ball, intervals),
-        };
-        rank_ball(ball_hits, stats, q, k)
+        let intervals = self.decompose_box(&ball, routed);
+        let mut hits = Vec::new();
+        let ball_stats = self.fan_out_par(&Probe::Box(&ball, intervals.as_deref()), &mut hits);
+        rank_ball((hits, ball_stats), stats, q, k, sink)
     }
 }
 
 impl<'a, const D: usize, T> ShardsView<'a, D, T, ZCurve<D>> {
-    /// The box's Morton key span `[Z(lo), Z(hi)]`.
-    fn morton_span(&self, b: &BoxRegion<D>) -> Interval {
-        (self.curve.encode(b.lo()), self.curve.encode(b.hi()))
-    }
-
-    /// `scan` fanned out to only the shards whose range intersects the
-    /// box's Morton key span.
-    fn fan_out_morton(
+    /// The pre-zone-map BIGMIN query, fanned out to the shards whose
+    /// range meets the box's Morton key span — a test oracle and bench
+    /// baseline.
+    fn query_box_bigmin_plain<S: HitSink<'a, D, T>>(
         &self,
         b: &BoxRegion<D>,
-        scan: impl Fn(&LevelsView<'a, D, T, ZCurve<D>>, &BoxRegion<D>) -> Hits<'a, D, T>,
-    ) -> Hits<'a, D, T> {
-        let span = self.morton_span(b);
-        let per_shard = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| self.owns_keys_in(j, span))
-            .map(|(_, shard)| scan(shard, b));
-        concat(per_shard)
-    }
-
-    /// BIGMIN box query over every intersecting shard.
-    fn query_box_bigmin(&self, b: &BoxRegion<D>) -> Hits<'a, D, T> {
-        self.fan_out_morton(b, LevelsView::query_box_bigmin)
-    }
-
-    /// The pre-zone-map BIGMIN query, fanned out like
-    /// [`query_box_bigmin`](Self::query_box_bigmin) — a test oracle and
-    /// bench baseline.
-    fn query_box_bigmin_plain(&self, b: &BoxRegion<D>) -> Hits<'a, D, T> {
-        self.fan_out_morton(b, LevelsView::query_box_bigmin_plain)
-    }
-}
-
-impl<'a, const D: usize, T: Send + Sync> ShardsView<'a, D, T, ZCurve<D>> {
-    /// Parallel [`query_box_bigmin`](Self::query_box_bigmin):
-    /// byte-identical results, per-shard scans on worker threads.
-    fn query_box_bigmin_par(&self, b: &BoxRegion<D>) -> Hits<'a, D, T> {
-        let span = self.morton_span(b);
-        concat(self.dispatch(
-            |j| self.owns_keys_in(j, span),
-            |_, shard| shard.query_box_bigmin(b),
-        ))
+        sink: &mut S,
+    ) -> QueryStats {
+        let mut stats = QueryStats::default();
+        for (shard, _) in self.shares(&Probe::Box(b, None)) {
+            stats.add(&shard.query_box_bigmin_plain(b, sink));
+        }
+        stats
     }
 }
 
@@ -885,23 +875,28 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
 
     /// The one live read path: capture every shard, run `query` against
     /// the borrowed fan-out view over the captures — the same
-    /// [`ShardsView`] method a [`ShardedSnapshot`] runs — clone the hits
-    /// into owned entries, and fold the query into the attached metrics
-    /// (capture and decomposition are timed only then).
+    /// [`ShardsView`] method a [`ShardedSnapshot`] runs — with a sink
+    /// that clones each hit into an owned entry as it is found, and fold
+    /// the query into the attached metrics (capture and decomposition
+    /// are timed only then).
     fn read(
         &self,
         op: QueryOp,
         name: &'static str,
         volume: Option<u128>,
-        query: impl for<'s> FnOnce(&ShardsView<'s, D, T, C>, Option<&mut Routed>) -> Hits<'s, D, T>,
+        query: impl for<'s> FnOnce(
+            &ShardsView<'s, D, T, C>,
+            Option<&mut Routed>,
+            &mut Vec<StoreEntry<D, T>>,
+        ) -> QueryStats,
     ) -> (Vec<StoreEntry<D, T>>, QueryStats) {
         let start = self.metrics.as_deref().map(|m| (m, Instant::now()));
         let (partition, caps) = self.capture_all();
         let capture_ns = start.map(|(_, start)| elapsed_ns(start));
         let view = ShardsView::over(&self.curve, &partition, &caps);
         let mut routed = Routed::default();
-        let (hits, stats) = query(&view, start.is_some().then_some(&mut routed));
-        let hits = hits.iter().map(StoreEntryRef::to_owned).collect();
+        let mut hits = Vec::new();
+        let stats = query(&view, start.is_some().then_some(&mut routed), &mut hits);
         if let Some((m, start)) = start {
             m.note_query(op, start, &stats, |wall_ns| QueryTrace {
                 op: name,
@@ -919,23 +914,25 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
         (hits, stats)
     }
 
-    /// Box query through the **adaptive planner**, fanned out to
-    /// intersecting shards only: the decompose decision happens once at
-    /// the router, each shard receives its clipped interval list, and per
-    /// level the planner picks between walking the box's exact curve
-    /// intervals and BIGMIN key-range jumping (Morton order only) from
-    /// the level's statistics — size within the box's key span, interval
-    /// count, curve — pruning levels whose key range or zone-map AABB
-    /// cannot intersect the box. Results are byte-identical to either
-    /// fixed strategy; see the [`view` module docs](crate::QueryPlan) for
-    /// the heuristics and [`plan_box_query`](Self::plan_box_query) to
-    /// inspect the choices.
+    /// Box query through the **planner**, fanned out to intersecting
+    /// shards only. Every level runs the block-at-a-time kernel
+    /// ([`box_scan`](sfc_index::box_scan)); the planner picks how it
+    /// leaves an excursion out of the box — BIGMIN on Morton order
+    /// (nothing precomputed), a binary search of the box's exact curve
+    /// intervals on every other curve (decomposed once at the router,
+    /// each shard handed the part meeting its range) — and prunes levels
+    /// whose key range or zone-map AABB cannot intersect the box. Each
+    /// shard streams its newest-wins result straight into the returned
+    /// vector. Results are byte-identical to either fixed strategy; see
+    /// the [`view` module docs](crate::QueryPlan) for the evidence behind
+    /// the rules and [`plan_box_query`](Self::plan_box_query) to inspect
+    /// the choices.
     pub fn query_box(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
         self.read(
             QueryOp::Box,
             "query_box",
             Some(b.volume()),
-            |view, routed| view.query_box(b, routed),
+            |view, routed, out| view.query_box(b, routed, out),
         )
     }
 
@@ -947,19 +944,20 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
         ShardsView::over(&self.curve, &partition, &caps).plan_box_query(b)
     }
 
-    /// Box query via exact interval decomposition: the intervals are
-    /// computed **once**, clipped to each shard's range, and only shards
-    /// whose range intersects them are consulted; each scans them against
-    /// its memtable and every run
+    /// Box query via exact interval decomposition, every level walking
+    /// the raw interval list: the intervals are computed **once**, only
+    /// shards whose range meets them are consulted, and each scans the
+    /// ones meeting its range against its memtable and every run
     /// ([`interval_scan`](sfc_index::interval_scan)), merging versions
-    /// newest-wins. Results concatenate in shard order (= curve order);
-    /// per-level work is summed. Works for any curve.
+    /// newest-wins. Results append in shard order (= curve order);
+    /// per-level work is summed. Works for any curve; zero overscan, one
+    /// seek per interval per level.
     pub fn query_box_intervals(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
         self.read(
             QueryOp::Intervals,
             "query_box_intervals",
             Some(b.volume()),
-            |view, routed| view.query_box_intervals(b, routed),
+            |view, routed, out| view.query_box_intervals(b, routed, out),
         )
     }
 
@@ -971,11 +969,11 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
             QueryOp::Intervals,
             "query_intervals",
             None,
-            |view, routed| {
+            |view, routed, out| {
                 if let Some(r) = routed {
                     r.intervals = Some(intervals.len());
                 }
-                view.query_intervals(intervals)
+                view.query_intervals(intervals, out)
             },
         )
     }
@@ -987,15 +985,18 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     /// candidates are bracketed (or the level is exhausted), so heavy
     /// deletes near `q` cannot collapse the candidate set and blow the
     /// verification ball up to the whole grid. The k-th best bounds the
-    /// verification radius, and the Chebyshev ball is fanned out through
-    /// the planner and re-ranked.
+    /// verification radius, and the Chebyshev ball is an ordinary
+    /// [`query_box`](Self::query_box) whose hits are re-ranked. The shard
+    /// owning `q`'s key is asked for candidates first; once `k` live ones
+    /// are held, a further level is visited only if its AABB is nearer
+    /// than the k-th best.
     pub fn knn(&self, q: Point<D>, k: usize, window: usize) -> (Vec<StoreEntry<D, T>>, QueryStats) {
         assert!(k >= 1, "k must be at least 1");
         if self.is_empty() {
             return (Vec::new(), QueryStats::default());
         }
-        self.read(QueryOp::Knn, "knn", None, |view, routed| {
-            view.knn(q, k, window, routed)
+        self.read(QueryOp::Knn, "knn", None, |view, routed, out| {
+            view.knn(q, k, window, routed, out)
         })
     }
 
@@ -1612,7 +1613,7 @@ where
             QueryOp::Box,
             "query_box_par",
             Some(b.volume()),
-            |view, routed| view.query_box_par(b, routed),
+            |view, routed, out| view.query_box_par(b, routed, out),
         )
     }
 
@@ -1622,7 +1623,7 @@ where
             QueryOp::Intervals,
             "query_box_intervals_par",
             Some(b.volume()),
-            |view, routed| view.query_box_intervals_par(b, routed),
+            |view, routed, out| view.query_box_intervals_par(b, routed, out),
         )
     }
 
@@ -1638,20 +1639,20 @@ where
         if self.is_empty() {
             return (Vec::new(), QueryStats::default());
         }
-        self.read(QueryOp::Knn, "knn_par", None, |view, routed| {
-            view.knn_par(q, k, window, routed)
+        self.read(QueryOp::Knn, "knn_par", None, |view, routed, out| {
+            view.knn_par(q, k, window, routed, out)
         })
     }
 }
 
 impl<const D: usize, T: Clone> ShardedSfcStore<D, T, ZCurve<D>> {
-    /// Box query by BIGMIN-jumping key-range scans (Tropf & Herzog),
-    /// fanned out to only the shards whose range intersects the box's
-    /// Morton key range `[Z(lo), Z(hi)]`:
-    /// [`bigmin_scan`](sfc_index::bigmin_scan) per run plus an equivalent
-    /// jumping scan over the memtable's key range, with per-level work
-    /// summed and versions merged newest-wins. Z curve only; needs no
-    /// per-query `O(volume)` preprocessing.
+    /// Box query skipping by BIGMIN (Tropf & Herzog), fanned out to only
+    /// the shards whose range intersects the box's Morton key range
+    /// `[Z(lo), Z(hi)]`: [`bigmin_scan`](sfc_index::bigmin_scan) per run
+    /// plus an equivalent walk of the memtable's key range, with
+    /// per-level work summed and versions merged newest-wins. Z curve
+    /// only; needs no per-query preprocessing — and is what
+    /// [`query_box`](Self::query_box) runs on this curve.
     ///
     /// The jumps are exact at the edges of the keyspace: a box containing
     /// the grid's all-max corner terminates through
@@ -1662,7 +1663,7 @@ impl<const D: usize, T: Clone> ShardedSfcStore<D, T, ZCurve<D>> {
             QueryOp::Bigmin,
             "query_box_bigmin",
             Some(b.volume()),
-            |view, _| view.query_box_bigmin(b),
+            |view, routed, out| view.query_box_with(b, None, routed, out),
         )
     }
 }
@@ -1674,7 +1675,7 @@ impl<const D: usize, T: Clone + Send + Sync> ShardedSfcStore<D, T, ZCurve<D>> {
             QueryOp::Bigmin,
             "query_box_bigmin_par",
             Some(b.volume()),
-            |view, _| view.query_box_bigmin_par(b),
+            |view, _, out| view.fan_out_par(&Probe::Box(b, None), out),
         )
     }
 }
@@ -1772,10 +1773,21 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
         ShardsView::over(&self.curve, &self.partition, &self.shards)
     }
 
-    /// Box query through the adaptive planner, fanned out to intersecting
-    /// shards only — see [`ShardedSfcStore::query_box`].
+    /// Runs `query` against the fan-out view with a sink that keeps each
+    /// hit as the borrowed entry it is found as.
+    fn collect<'s>(
+        &'s self,
+        query: impl FnOnce(&ShardsView<'s, D, T, C>, &mut Vec<StoreEntryRef<'s, D, T>>) -> QueryStats,
+    ) -> Hits<'s, D, T> {
+        let mut hits = Vec::new();
+        let stats = query(&self.shards_view(), &mut hits);
+        (hits, stats)
+    }
+
+    /// Box query through the planner, fanned out to intersecting shards
+    /// only — see [`ShardedSfcStore::query_box`].
     pub fn query_box(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.shards_view().query_box(b, None)
+        self.collect(|view, out| view.query_box(b, None, out))
     }
 
     /// The per-level plan each shard's [`query_box`](Self::query_box)
@@ -1791,7 +1803,7 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
         &self,
         b: &BoxRegion<D>,
     ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.shards_view().query_box_intervals(b, None)
+        self.collect(|view, out| view.query_box_intervals(b, None, out))
     }
 
     /// Queries the frozen shards for keys inside the given inclusive
@@ -1801,7 +1813,7 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
         &self,
         intervals: &[Interval],
     ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.shards_view().query_intervals(intervals)
+        self.collect(|view, out| view.query_intervals(intervals, out))
     }
 
     /// Exact k-nearest-neighbor query over the frozen shards — see
@@ -1816,7 +1828,7 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
         if self.is_empty() {
             return (Vec::new(), QueryStats::default());
         }
-        self.shards_view().knn(q, k, window, None)
+        self.collect(|view, out| view.knn(q, k, window, None, out))
     }
 
     /// Reference k-nearest-neighbor by linear scan (ground truth for
@@ -1834,8 +1846,7 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
         &self,
         b: &BoxRegion<D>,
     ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.shards_view()
-            .query_intervals_plain(&b.curve_intervals(&self.curve))
+        self.collect(|view, out| view.query_intervals_plain(&b.curve_intervals(&self.curve), out))
     }
 
     /// Pre-zone-map kNN (fixed candidate windows, interval-decomposed
@@ -1863,7 +1874,7 @@ impl<const D: usize, T: Send + Sync, C: SpaceFillingCurve<D> + Clone + Send + Sy
     /// Parallel [`query_box`](Self::query_box): per-shard scans on
     /// scoped worker threads, byte-identical results.
     pub fn query_box_par(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.shards_view().query_box_par(b, None)
+        self.collect(|view, out| view.query_box_par(b, None, out))
     }
 
     /// Parallel [`query_box_intervals`](Self::query_box_intervals).
@@ -1871,7 +1882,7 @@ impl<const D: usize, T: Send + Sync, C: SpaceFillingCurve<D> + Clone + Send + Sy
         &self,
         b: &BoxRegion<D>,
     ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.shards_view().query_box_intervals_par(b, None)
+        self.collect(|view, out| view.query_box_intervals_par(b, None, out))
     }
 
     /// Parallel [`knn`](Self::knn).
@@ -1885,15 +1896,15 @@ impl<const D: usize, T: Send + Sync, C: SpaceFillingCurve<D> + Clone + Send + Sy
         if self.is_empty() {
             return (Vec::new(), QueryStats::default());
         }
-        self.shards_view().knn_par(q, k, window, None)
+        self.collect(|view, out| view.knn_par(q, k, window, None, out))
     }
 }
 
 impl<const D: usize, T> ShardedSnapshot<D, T, ZCurve<D>> {
-    /// Box query by BIGMIN-jumping key-range scans over the frozen
-    /// shards — see [`ShardedSfcStore::query_box_bigmin`]. Z curve only.
+    /// Box query skipping by BIGMIN over the frozen shards — see
+    /// [`ShardedSfcStore::query_box_bigmin`]. Z curve only.
     pub fn query_box_bigmin(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.shards_view().query_box_bigmin(b)
+        self.collect(|view, out| view.query_box_with(b, None, None, out))
     }
 
     /// Pre-zone-map BIGMIN query (no run pruning, whole-tail jump
@@ -1905,7 +1916,7 @@ impl<const D: usize, T> ShardedSnapshot<D, T, ZCurve<D>> {
         &self,
         b: &BoxRegion<D>,
     ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.shards_view().query_box_bigmin_plain(b)
+        self.collect(|view, out| view.query_box_bigmin_plain(b, out))
     }
 }
 
@@ -1915,7 +1926,7 @@ impl<const D: usize, T: Send + Sync> ShardedSnapshot<D, T, ZCurve<D>> {
         &self,
         b: &BoxRegion<D>,
     ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.shards_view().query_box_bigmin_par(b)
+        self.collect(|view, out| view.fan_out_par(&Probe::Box(b, None), out))
     }
 }
 
@@ -1941,6 +1952,20 @@ mod tests {
         v.into_iter()
             .map(|e| (e.key, e.point, *e.payload))
             .collect()
+    }
+
+    /// One captured shard's own answer to `probe`, as the router would
+    /// get it from that shard.
+    fn shard_scan<'a>(
+        shard: &'a StoreSnapshot<2, u32, ZCurve<2>>,
+        z: &'a ZCurve<2>,
+        probe: &Probe<'_, 2>,
+    ) -> Hits<'a, 2, u32> {
+        let mut hits = Vec::new();
+        let stats = shard
+            .view(z)
+            .scan(probe, &mut Overlay::default(), &mut hits);
+        (hits, stats)
     }
 
     /// Drives the same random workload into an `parts`-shard store and a
@@ -2192,7 +2217,8 @@ mod tests {
         let snap = store.snapshot();
         let b = BoxRegion::new(Point::new([0, 0]), Point::new([7, 7]));
         let (hits, stats) = snap.query_box_bigmin(&b);
-        let (single_hits, single_stats) = snap.shards()[0].view(snap.curve()).query_box_bigmin(&b);
+        let (single_hits, single_stats) =
+            shard_scan(&snap.shards()[0], snap.curve(), &Probe::Box(&b, None));
         assert_eq!(flat_ref(hits), flat_ref(single_hits));
         assert_eq!(stats.seeks, single_stats.seeks, "only shard 0 consulted");
         // The live store agrees with its own snapshot (a live query runs
@@ -2417,7 +2443,7 @@ mod tests {
                 if range.is_empty() || range.start > zmax || range.end <= zmin {
                     continue;
                 }
-                let (_, s) = shard.view(z).query_box_bigmin(&b);
+                let (_, s) = shard_scan(shard, z, &Probe::Box(&b, None));
                 manual.add(&s);
             }
             // The router recomputes `reported` from the concatenated hits;
@@ -2428,21 +2454,18 @@ mod tests {
             let (_, par) = sharded.query_box_bigmin_par(&b);
             assert_eq!(par, router, "par bigmin stats drifted on {b:?}");
 
-            // Interval path: the router hands each shard its clipped list.
+            // Interval path: the router hands each shard the intervals
+            // meeting its range.
             let intervals = b.curve_intervals(z);
             let (_, router) = sharded.query_box_intervals(&b);
             let mut manual = QueryStats::default();
             let mut manual_reported = 0u64;
             for (j, shard) in sharded.shards().iter().enumerate() {
-                let range = sharded.partition().range(j);
-                if range.is_empty() {
+                let met = intervals_meeting(&intervals, &sharded.partition().range(j));
+                if met.is_empty() {
                     continue;
                 }
-                let clipped = clip_intervals(&intervals, &range);
-                if clipped.is_empty() {
-                    continue;
-                }
-                let (hits, s) = shard.view(z).query_intervals(&clipped);
+                let (hits, s) = shard_scan(shard, z, &Probe::Keys(met));
                 manual_reported += hits.len() as u64;
                 manual.add(&s);
             }
@@ -2455,25 +2478,20 @@ mod tests {
             // Overscan is consistent with the summed counters.
             assert_eq!(router.overscan(), manual.overscan());
 
-            // Planner path: replicate the router's per-shard plan+execute.
+            // Planner path: on Morton order the planner never decomposes,
+            // so every shard in the span runs the BIGMIN-skipping kernel —
+            // and its plan says so.
             let (_, router) = sharded.query_box(&b);
-            let decomposed =
-                crate::view::should_decompose(z, b.volume()).then(|| b.curve_intervals(z));
             let mut manual = QueryStats::default();
             for (j, shard) in sharded.shards().iter().enumerate() {
                 let range = sharded.partition().range(j);
                 if range.is_empty() || range.start > zmax || range.end <= zmin {
                     continue;
                 }
-                let clipped = decomposed.as_ref().map(|iv| clip_intervals(iv, &range));
-                if let Some(civ) = &clipped {
-                    if civ.is_empty() {
-                        continue;
-                    }
-                }
-                let view = shard.view(z);
-                let plan = view.plan_box_with(&b, clipped);
-                let (_, s) = view.execute_plan(&b, &plan);
+                let plan = shard.view(z).plan_box(&b, None);
+                assert!(plan.interval_count().is_none());
+                assert!(plan.runs.iter().all(|s| *s != LevelStrategy::Intervals));
+                let (_, s) = shard_scan(shard, z, &Probe::Box(&b, None));
                 manual.add(&s);
             }
             assert_eq!(router.reported, manual.reported, "reported sum, planner");
@@ -2563,29 +2581,41 @@ mod tests {
             "query wall time lands in the box histogram"
         );
         // Zero threshold: the query must be traced, from what the router
-        // itself executed (a 256-cell Morton box is not decomposed).
+        // itself executed (a Morton box is never decomposed, so there is
+        // no decomposition to count or time).
         let slow = metrics.slow_queries();
         assert_eq!(slow.len(), 1);
         assert_eq!(slow[0].detail.op, "query_box");
         assert_eq!(slow[0].detail.shards, Some(2));
         assert_eq!(slow[0].detail.intervals, None);
         assert_eq!(slow[0].detail.stats, stats);
-        assert!(slow[0].detail.decompose_ns.is_some());
+        assert!(slow[0].detail.decompose_ns.is_none());
         assert!(slow[0].detail.capture_ns.is_some());
-        // A small box is decomposed once, and the trace counts exactly
-        // the intervals that ran; kNN reports both phases too.
+        assert!(slow[0].detail.runs.contains(&LevelStrategy::Bigmin));
+        // Off Morton order a box is decomposed once, and the trace counts
+        // exactly the intervals that ran and times the decomposition; kNN
+        // reports both phases too.
+        let mut hilbert: ShardedSfcStore<2, u32, _> =
+            ShardedSfcStore::with_memtable_capacity(HilbertCurve::over(grid), 2, 8);
+        let metrics = hilbert.enable_metrics();
+        metrics.set_slow_query_threshold(std::time::Duration::ZERO);
+        for i in 0..200u32 {
+            hilbert.insert(grid.random_cell(&mut rng), i);
+        }
         let small = BoxRegion::new(Point::new([3, 3]), Point::new([6, 7]));
-        store.query_box(&small);
-        store.knn(Point::new([9, 9]), 3, 4);
+        hilbert.query_box(&small);
+        hilbert.knn(Point::new([9, 9]), 3, 4);
         let slow = metrics.slow_queries();
         assert_eq!(
-            slow[1].detail.intervals,
-            Some(small.curve_intervals(store.curve()).len())
+            slow[0].detail.intervals,
+            Some(small.curve_intervals(hilbert.curve()).len())
         );
-        assert_eq!(slow[2].detail.op, "knn");
-        assert!(slow[2].detail.decompose_ns.is_some());
-        assert!(slow[2].detail.capture_ns.is_some());
-        assert!(slow[2].detail.to_string().contains(" capture="));
+        assert!(slow[0].detail.decompose_ns.is_some());
+        assert!(slow[0].detail.runs.contains(&LevelStrategy::Intervals));
+        assert_eq!(slow[1].detail.op, "knn");
+        assert!(slow[1].detail.decompose_ns.is_some());
+        assert!(slow[1].detail.capture_ns.is_some());
+        assert!(slow[1].detail.to_string().contains(" capture="));
         // Gauges reflect the compacted state: one run per non-empty shard,
         // empty memtables, live records summing to the store's len.
         let live: i64 = (0..2)

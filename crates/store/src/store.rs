@@ -423,30 +423,46 @@ mod tests {
     }
 
     #[test]
-    fn planner_adapts_decomposition_to_volume_and_levels_to_run_size() {
+    fn planner_decomposes_by_curve_and_prunes_by_run_summary() {
         let grid = Grid::<2>::new(10).unwrap(); // 1024×1024
+        let small = BoxRegion::new(Point::new([100, 100]), Point::new([107, 107]));
+        let huge = BoxRegion::new(Point::new([0, 0]), Point::new([767, 767]));
         let mut rng = rng(33);
         let store = one_shard(ZCurve::over(grid), 256);
+        let hilbert = one_shard(HilbertCurve::over(grid), 256);
         for i in 0..20_000u32 {
-            store.insert(grid.random_cell(&mut rng), i);
+            let p = grid.random_cell(&mut rng);
+            store.insert(p, i);
+            hilbert.insert(p, i);
         }
         store.flush();
+        hilbert.flush();
         assert!(run_lens(&store).len() >= 2, "want a multi-run store");
-        // A tiny box decomposes; every non-pruned run picks a strategy.
-        let small = BoxRegion::new(Point::new([100, 100]), Point::new([107, 107]));
-        let plan = store.plan_box_query(&small).remove(0);
-        assert_eq!(plan.volume, 64);
-        let count = plan.interval_count().expect("tiny Z boxes decompose");
-        assert!(count >= 1);
-        assert_eq!(plan.runs.len(), run_lens(&store).len());
-        // A bigger box skips decomposition outright: all levels jump.
-        let huge = BoxRegion::new(Point::new([0, 0]), Point::new([767, 767]));
-        let plan = store.plan_box_query(&huge).remove(0);
-        assert!(plan.interval_count().is_none(), "oversized box decomposed");
-        assert!(plan
-            .runs
-            .iter()
-            .all(|s| *s == crate::LevelStrategy::Bigmin || *s == crate::LevelStrategy::Pruned));
+        // Morton order never decomposes, whatever the volume: BIGMIN finds
+        // the way out of an excursion with nothing precomputed, and every
+        // non-pruned level says it ran that way.
+        for b in [&small, &huge] {
+            let plan = store.plan_box_query(b).remove(0);
+            assert_eq!(plan.volume, b.volume());
+            assert!(plan.interval_count().is_none(), "Morton box decomposed");
+            assert_eq!(plan.runs.len(), run_lens(&store).len());
+            assert!(plan
+                .runs
+                .iter()
+                .all(|s| *s == crate::LevelStrategy::Bigmin || *s == crate::LevelStrategy::Pruned));
+        }
+        // Every other curve decomposes, whatever the volume, and skips by
+        // the intervals.
+        for b in [&small, &huge] {
+            let plan = hilbert.plan_box_query(b).remove(0);
+            let count = plan.interval_count().expect("non-Morton boxes decompose");
+            assert_eq!(count, b.curve_intervals(hilbert.curve()).len());
+            assert_eq!(plan.runs.len(), run_lens(&hilbert).len());
+            assert!(plan.runs.iter().all(
+                |s| *s == crate::LevelStrategy::Intervals || *s == crate::LevelStrategy::Pruned
+            ));
+            assert!(plan.runs.contains(&crate::LevelStrategy::Intervals));
+        }
         // A box outside every run's AABB prunes everything (records only
         // populate random cells; an empty corner may not exist — so build
         // one deliberately).

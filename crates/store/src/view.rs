@@ -1,50 +1,64 @@
-//! The shared multi-level query engine and the adaptive query planner.
+//! The shared multi-level query engine and the box-query planner.
 //!
 //! Every read merges one shard's levels: the captured memtable image over
 //! a stack of immutable runs. Newest level wins, tombstones suppress
 //! older versions, per-level work sums into one [`QueryStats`] — the
-//! algorithm lives here once, expressed over a [`LevelsView`]: an
-//! optional borrowed memtable plus a slice of `Arc`-shared runs, borrowed
-//! from a [`StoreSnapshot`](crate::StoreSnapshot).
+//! algorithm lives here once, in [`LevelsView::scan`], expressed over a
+//! [`LevelsView`]: an optional borrowed memtable plus a slice of
+//! `Arc`-shared runs, borrowed from a
+//! [`StoreSnapshot`](crate::StoreSnapshot).
 //!
-//! ## The adaptive box-query planner
+//! ## The streamed read path
 //!
-//! A box query has two exact execution strategies per level — walking the
-//! box's precomputed curve intervals, or BIGMIN key-range jumping (Morton
-//! order only) — and their costs scale differently: intervals pay one
-//! decomposition per query (`O(perimeter)` aligned cubes on Z, Hilbert and
-//! Gray; every cell of the box on other curves) plus one galloped seek per
-//! interval per level, BIGMIN pays nothing up front but re-derives the
-//! box structure per level through jump computations and scans the
-//! out-of-box keys between its jumps. Forcing one
-//! strategy store-wide (the old `query_box_intervals` / `query_box_bigmin`
-//! dichotomy, both still available) leaves work on the table: a store
-//! usually holds one huge bottom run *and* several small recent runs, and
-//! the right answer differs per run.
+//! A store usually holds one huge bottom run and a few small recent
+//! levels, and nearly every hit of a query lives in the bottom run. So a
+//! read materialises only the small part: the memtable and the upper runs
+//! are scanned newest to oldest into a reused scratch (the [`Overlay`]),
+//! each merged newest-wins against the levels above it *while its scan
+//! visits it*; the oldest run then streams through that same merge
+//! straight into the caller's [`HitSink`] — a live query's sink clones
+//! each hit into an owned entry, a snapshot's keeps the borrowed one, kNN
+//! ranks the few a verification ball holds. No level's hits are collected
+//! twice, the bottom run's are never collected at all, and shard results
+//! append in curve order because the sink is handed from shard to shard.
 //!
-//! The planner picks per level, from run statistics — step 1 once per
-//! query at the router ([`should_decompose`]), steps 2 and 3 per shard in
-//! [`LevelsView::plan_box_with`]:
+//! ## The box-query planner
 //!
-//! 1. **Decompose or not.** Non-Morton curves always decompose (intervals
-//!    are their only exact strategy). The Z curve decomposes only when the
-//!    box volume is at most [`INTERVAL_VOLUME_CUTOFF`] cells — beyond
-//!    that the interval count grows with the box perimeter, and one seek
-//!    per interval per level is weighed against BIGMIN-scanning every
-//!    level.
+//! Every level of a box query runs the same block-at-a-time kernel
+//! ([`box_scan`] — prune, bulk-visit or mask one whole block from its
+//! summary; see `sfc_index::scan`). What the planner decides is the
+//! kernel's one parameter, the *skipper* that leaves an excursion out of
+//! the box, and which levels to skip outright:
+//!
+//! 1. **Skipper, from the curve.** Morton order skips by BIGMIN: nothing
+//!    is precomputed, a box costs two corner encodes
+//!    ([`LevelStrategy::Bigmin`]). Every other curve decomposes the box
+//!    once at the router (`O(perimeter)` aligned cubes on Hilbert and
+//!    Gray; every cell of the box on the non-recursive curves) and skips
+//!    by a binary search of that sorted list
+//!    ([`LevelStrategy::Intervals`]); each shard is handed the part of
+//!    the list that meets its range. The memtable is walked with the same
+//!    skipper.
 //! 2. **Prune.** A run whose key range misses the box's curve span, or
-//!    whose block-summary AABB misses the box outright, is skipped wholesale
-//!    ([`LevelStrategy::Pruned`], counted in
+//!    whose block-summary AABB misses the box outright, is skipped
+//!    wholesale ([`LevelStrategy::Pruned`], counted in
 //!    [`QueryStats::blocks_pruned`]).
-//! 3. **Per-run choice.** With intervals in hand, a run estimated (via two
-//!    fence-array searches) to hold fewer slots inside the box's key span
-//!    than there are intervals is BIGMIN-scanned — a short jumping scan
-//!    beats issuing one seek per interval against a table that small. The
-//!    memtable makes the same choice against its total size.
+//!
+//! That is all of it, on evidence. Earlier planners also decomposed small
+//! Morton boxes (≤ 64 cells; kNN balls ≤ 256 cells) and chose per run
+//! between walking the intervals and BIGMIN-scanning from a
+//! slots-in-span estimate. Those rules were tuned when a level paid one
+//! galloped seek per interval and a decomposition enumerated every cell;
+//! A/B-ed against the one kernel (CHANGES.md, PR 16) the BIGMIN skipper
+//! won at every volume on Morton order, and on Hilbert the kernel with
+//! the interval skipper beat the raw interval walk for boxes and kNN
+//! balls alike — so the cutoffs and the per-run estimate are gone. The
+//! raw walk ([`interval_scan`]) remains what a caller-supplied interval
+//! list runs, including the fixed-strategy `query_box_intervals`.
 //!
 //! The resulting [`QueryPlan`] is observable through
 //! [`ShardedSfcStore::plan_box_query`](crate::ShardedSfcStore::plan_box_query)
-//! (see `examples/query_planner.rs`), and every executed strategy records
+//! (see `examples/query_planner.rs`), and every executed level records
 //! per-block work in `blocks_scanned` / `blocks_pruned` /
 //! `blocks_decoded`.
 
@@ -55,43 +69,13 @@ use std::sync::Arc;
 
 use sfc_core::{CurveIndex, Point, SpaceFillingCurve, ZCurve};
 use sfc_index::{
-    bigmin, bigmin_scan, bigmin_scan_plain, interval_scan, interval_scan_plain, BlockCursor,
-    BlockStore, BoxRegion, DecodedBlock, QueryStats, SfcIndex, BLOCK_SLOTS,
+    bigmin_scan_plain, box_scan, interval_scan, interval_scan_plain, BlockCursor, BlockStore,
+    BoxRegion, BoxSkipper, DecodedBlock, IntervalSkipper, MortonSkipper, QueryStats, SfcIndex,
+    BLOCK_SLOTS,
 };
 
 use crate::epoch::{SeqSlot, SeqTable};
-use crate::store::StoreEntryRef;
-
-/// Boxes with at most this many cells are decomposed into exact curve
-/// intervals when planning a Morton-order box query; larger boxes run on
-/// BIGMIN jumps alone. Non-Morton curves always decompose (it is their
-/// only exact strategy).
-///
-/// The value was measured when decomposition still enumerated and sorted
-/// every cell of the box; on a multi-run million-record store the
-/// zone-accelerated BIGMIN scan then overtook it well before a hundred
-/// cells. Decomposition is now hierarchical (`O(perimeter)` cubes), so
-/// what the cutoff still weighs is one seek per interval per level
-/// against BIGMIN's key-island overscan — the value is kept, and wants
-/// re-measuring against that cheaper cost (see ROADMAP). Tiny boxes
-/// (point-ish lookups) profit from the zero-overscan interval walk
-/// either way, which is where the per-level choice below kicks in.
-pub const INTERVAL_VOLUME_CUTOFF: u128 = 64;
-
-/// kNN verification balls up to this many cells are decomposed into exact
-/// curve intervals instead of going through the adaptive box planner —
-/// on every engine, through [`plan_knn_ball`].
-///
-/// The ball's side is twice the k-th candidate distance, so a tight
-/// candidate walk produces a box of one-to-a-few hundred cells — the
-/// regime where BIGMIN's key-island overscan costs more extra slot
-/// examinations than walking the exact intervals (the general-purpose
-/// [`INTERVAL_VOLUME_CUTOFF`] is tuned for broad boxes, not for the
-/// point-ish balls kNN verification emits). Like that constant, the value
-/// dates from when decomposition paid one curve encode per cell of the
-/// ball; it is kept, and wants re-measuring now that the setup is
-/// `O(perimeter)` (see ROADMAP).
-pub const KNN_BALL_INTERVALS_CUTOFF: u128 = 256;
+use crate::store::{StoreEntry, StoreEntryRef};
 
 /// One immutable sorted run, shareable with snapshots. Tombstones live in
 /// the run's block bitmap; payloads are the dense live-only column.
@@ -104,16 +88,17 @@ pub(crate) type Version<'a, const D: usize, T> = Option<(Point<D>, &'a T)>;
 /// [`BoxRegion::curve_intervals`].
 type Interval = (CurveIndex, CurveIndex);
 
-/// One level's query hits, in ascending key order (the order every scan
-/// visits them in).
-type LevelHits<'a, const D: usize, T> = Vec<(CurveIndex, Version<'a, D, T>)>;
+/// One level's hit: the key and the version the level holds of it.
+type LevelHit<'a, const D: usize, T> = (CurveIndex, Version<'a, D, T>);
 
-/// How the planner executes (or skips) one level of a box query.
+/// How one level of a box query was executed (or skipped).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LevelStrategy {
-    /// Walk the box's precomputed curve intervals with galloped seeks.
+    /// The block-at-a-time box scan, leaving excursions by a binary search
+    /// of the box's precomputed curve intervals (every non-Morton curve).
     Intervals,
-    /// BIGMIN key-range jumping scan (Morton order only).
+    /// The block-at-a-time box scan, leaving excursions by BIGMIN (Morton
+    /// order; nothing precomputed).
     Bigmin,
     /// Skipped wholesale: the level's key range or point AABB cannot
     /// intersect the box.
@@ -130,8 +115,8 @@ impl fmt::Display for LevelStrategy {
     }
 }
 
-/// The per-level execution plan for one box query — see the module docs
-/// for how it is chosen and
+/// What one shard does, level by level, for one box query — see the
+/// module docs for how it is chosen and
 /// [`ShardedSfcStore::plan_box_query`](crate::ShardedSfcStore::plan_box_query)
 /// for inspecting it.
 #[derive(Debug, Clone)]
@@ -143,50 +128,109 @@ pub struct QueryPlan {
     pub memtable: Option<LevelStrategy>,
     /// Strategy per immutable run, oldest first.
     pub runs: Vec<LevelStrategy>,
-    /// The box's exact curve intervals, when the planner decided to
-    /// decompose.
-    intervals: Option<Vec<Interval>>,
+    /// How many of the box's curve intervals reach this shard, when the
+    /// box was decomposed.
+    intervals: Option<usize>,
 }
 
 impl QueryPlan {
-    /// Number of curve intervals the box decomposed into, or `None` if the
-    /// planner skipped decomposition (large Morton-order boxes).
+    /// Number of curve intervals the box decomposed into (those meeting
+    /// this shard's range), or `None` if it was not decomposed (Morton
+    /// order).
     pub fn interval_count(&self) -> Option<usize> {
-        self.intervals.as_ref().map(Vec::len)
+        self.intervals
     }
 }
 
-/// `true` iff the planner should decompose a box of this volume into exact
-/// curve intervals for this curve.
-pub(crate) fn should_decompose<const D: usize, C: SpaceFillingCurve<D>>(
-    curve: &C,
-    volume: u128,
-) -> bool {
-    curve.as_morton().is_none() || volume <= INTERVAL_VOLUME_CUTOFF
+/// Where a read's hits go as they are found: per shard in ascending key
+/// order, shard after shard — so what a sink has seen when the read
+/// returns is the result in curve order. A live query pushes owned
+/// entries, a snapshot query borrowed ones; neither copies a hit twice.
+pub(crate) trait HitSink<'a, const D: usize, T> {
+    /// Takes the next hit.
+    fn hit(&mut self, entry: StoreEntryRef<'a, D, T>);
 }
 
-/// How a kNN verification ball is executed.
-pub(crate) enum KnnBallPlan {
-    /// Walk exactly these intervals on every level (zero overscan).
-    Exact(Vec<Interval>),
-    /// Hand the ball to the adaptive box planner with this decomposition
-    /// (`None` = BIGMIN jumps only).
-    Planned(Option<Vec<Interval>>),
+impl<'a, const D: usize, T> HitSink<'a, D, T> for Vec<StoreEntryRef<'a, D, T>> {
+    #[inline]
+    fn hit(&mut self, entry: StoreEntryRef<'a, D, T>) {
+        self.push(entry);
+    }
 }
 
-/// The one rule every kNN path — one shard's levels, the fan-out, its
-/// parallel twin — decomposes its verification ball by: balls up to
-/// [`KNN_BALL_INTERVALS_CUTOFF`] cells walk their exact intervals, larger
-/// ones go through the box planner's own decompose decision.
-pub(crate) fn plan_knn_ball<const D: usize, C: SpaceFillingCurve<D>>(
-    curve: &C,
-    ball: &BoxRegion<D>,
-) -> KnnBallPlan {
-    let volume = ball.volume();
-    if volume <= KNN_BALL_INTERVALS_CUTOFF {
-        KnnBallPlan::Exact(ball.curve_intervals(curve))
-    } else {
-        KnnBallPlan::Planned(should_decompose(curve, volume).then(|| ball.curve_intervals(curve)))
+impl<'a, const D: usize, T: Clone> HitSink<'a, D, T> for Vec<StoreEntry<D, T>> {
+    #[inline]
+    fn hit(&mut self, entry: StoreEntryRef<'a, D, T>) {
+        self.push(entry.to_owned());
+    }
+}
+
+/// What a multi-level read looks for in each level.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Probe<'q, const D: usize> {
+    /// Every key inside these sorted, disjoint intervals — a raw interval
+    /// query, answered by [`interval_scan`] per run.
+    Keys(&'q [Interval]),
+    /// Every point inside the box, answered by [`box_scan`] per run. The
+    /// intervals are the box's decomposition (or the part of it that
+    /// meets the shard) and serve as the skipper; `None` skips by BIGMIN
+    /// and is for Morton order only.
+    Box(&'q BoxRegion<D>, Option<&'q [Interval]>),
+}
+
+/// The scratch of one query's streamed merge: the hits of the levels
+/// above the one being scanned, already merged newest-wins, and the
+/// buffer the next merge writes. Cleared and reused for every level of
+/// every shard the query visits.
+pub(crate) struct Overlay<'a, const D: usize, T> {
+    newer: Vec<LevelHit<'a, D, T>>,
+    next: Vec<LevelHit<'a, D, T>>,
+}
+
+impl<const D: usize, T> Default for Overlay<'_, D, T> {
+    fn default() -> Self {
+        Self {
+            newer: Vec::new(),
+            next: Vec::new(),
+        }
+    }
+}
+
+/// The newest-wins merge of one level, **as its scan visits it**, against
+/// everything newer: every slot the scan surfaces (ascending keys) first
+/// lets the newer hits below it through, then passes itself on unless a
+/// newer level holds its key. Nothing of the scanned level is
+/// materialised; the common case — no newer hit at or below the slot —
+/// is one comparison.
+struct Merge<'o, 'a, const D: usize, T, E: FnMut(CurveIndex, Version<'a, D, T>)> {
+    /// Newer hits not yet passed on, ascending.
+    newer: &'o [LevelHit<'a, D, T>],
+    emit: E,
+}
+
+impl<'a, const D: usize, T, E: FnMut(CurveIndex, Version<'a, D, T>)> Merge<'_, 'a, D, T, E> {
+    /// The scan surfaced `key`; `version` reads what the level holds of
+    /// it, and is only called if no newer level shadows it.
+    #[inline]
+    fn older(&mut self, key: CurveIndex, version: impl FnOnce() -> Version<'a, D, T>) {
+        while let Some((&(newer_key, newer), rest)) = self.newer.split_first() {
+            if newer_key > key {
+                break;
+            }
+            self.newer = rest;
+            (self.emit)(newer_key, newer);
+            if newer_key == key {
+                return;
+            }
+        }
+        (self.emit)(key, version());
+    }
+
+    /// The scan is over: what is left of the newer hits follows.
+    fn finish(mut self) {
+        for &(key, version) in self.newer {
+            (self.emit)(key, version);
+        }
     }
 }
 
@@ -209,20 +253,61 @@ pub(crate) fn offer(heap: &mut BinaryHeap<u64>, k: usize, dist_sq: u64) {
     }
 }
 
-/// The verification radius bounded by the heap's k-th best candidate
-/// distance, or the whole grid if fewer than `k` live candidates exist —
-/// possible only when the queried structure holds fewer than `k` live
-/// records.
-pub(crate) fn radius_from_heap<const D: usize>(
+/// The verification radius a k-th best squared candidate distance
+/// bounds, or the whole grid when fewer than `k` live candidates were
+/// found (`None`) — possible only when the queried structure holds fewer
+/// than `k` live records, thanks to the widened candidate windows.
+pub(crate) fn verification_radius<const D: usize>(
     grid: sfc_core::Grid<D>,
-    heap: &BinaryHeap<u64>,
-    k: usize,
+    kth: Option<u64>,
 ) -> u32 {
-    if heap.len() >= k {
-        (*heap.peek().expect("k >= 1") as f64).sqrt().ceil() as u32
-    } else {
-        (grid.side() - 1) as u32
+    match kth {
+        Some(dist_sq) => (dist_sq as f64).sqrt().ceil() as u32,
+        None => (grid.side() - 1) as u32,
     }
+}
+
+/// The k-th best squared distance a top-k heap holds, once it holds `k`.
+pub(crate) fn kth_best(heap: &BinaryHeap<u64>, k: usize) -> Option<u64> {
+    (heap.len() >= k).then(|| *heap.peek().expect("k >= 1"))
+}
+
+/// `true` iff a run can be expected to hold a record nearer to `q` than
+/// the squared distance `kth`: its AABB reaches inside that distance, and
+/// — were its slots spread evenly over its AABB — at least one of them
+/// would fall in the ball around `q`. (A run that fails this may still
+/// hold such a record; the verification ball finds it either way.)
+fn may_tighten<const D: usize>(blocks: &BlockStore<D>, q: &Point<D>, kth: u64) -> bool {
+    let Some((lo, hi)) = blocks.bounds() else {
+        return false;
+    };
+    if blocks.run_min_dist_sq(q).is_none_or(|d| d >= kth) {
+        return false;
+    }
+    let radius = (kth as f64).sqrt().ceil() as u32;
+    let mut expected = blocks.len() as f64;
+    for axis in 0..D {
+        let (lo, hi, c) = (lo.coord(axis), hi.coord(axis), q.coord(axis));
+        // The ball's extent along this axis, inside the AABB (non-empty:
+        // the AABB is nearer than the radius).
+        let inside = c.saturating_add(radius).min(hi) - c.saturating_sub(radius).max(lo) + 1;
+        expected *= f64::from(inside) / (f64::from(hi - lo) + 1.0);
+    }
+    expected >= 1.0
+}
+
+/// One side of a run's kNN candidate walk: where it stands and what it
+/// has bracketed so far.
+struct SideWalk {
+    /// Ascending keys (`at` is the next slot) or descending (`at` is one
+    /// past the next slot).
+    forward: bool,
+    at: usize,
+    /// Live candidates bracketed (counted, whether or not they entered
+    /// the heap).
+    live: usize,
+    /// Slots covered, dead ones included.
+    slots: usize,
 }
 
 /// A borrowed view of one captured shard's levels: the newest level (the
@@ -241,6 +326,88 @@ pub(crate) struct LevelsView<'a, const D: usize, T, C: SpaceFillingCurve<D>> {
 /// drain's business.
 fn mem_version<const D: usize, T>(slot: &SeqSlot<D, T>) -> Version<'_, D, T> {
     slot.1.as_ref().map(|t| (slot.0, t))
+}
+
+/// Scans the memtable for keys inside the intervals, surfacing each
+/// version to `sink` in ascending key order.
+fn mem_interval_scan<'a, const D: usize, T>(
+    mem: &'a SeqTable<D, T>,
+    intervals: &[Interval],
+    stats: &mut QueryStats,
+    mut sink: impl FnMut(CurveIndex, Version<'a, D, T>),
+) {
+    for &(lo, hi) in intervals {
+        stats.seeks += 1;
+        for (key, slot) in mem.range_iter(lo, hi) {
+            stats.scanned += 1;
+            sink(key, mem_version(slot));
+        }
+    }
+}
+
+/// The memtable's box scan: a sequential walk of the box's key span that
+/// re-seeks past every excursion through the same skipper the run kernel
+/// uses, surfacing each in-box version to `sink` in ascending key order.
+fn mem_box_scan<'a, const D: usize, T>(
+    mem: &'a SeqTable<D, T>,
+    b: &BoxRegion<D>,
+    skip: &impl BoxSkipper,
+    stats: &mut QueryStats,
+    mut sink: impl FnMut(CurveIndex, Version<'a, D, T>),
+) {
+    let (mut from, hi) = skip.span();
+    stats.seeks += 1;
+    'memtable: while from <= hi {
+        for (key, slot) in mem.range_iter(from, hi) {
+            stats.scanned += 1;
+            if b.contains(&slot.0) {
+                sink(key, mem_version(slot));
+            } else {
+                // `key <= hi < n`, so `key + 1` cannot overflow.
+                match skip.next_inside(key + 1) {
+                    Some(next) => {
+                        stats.seeks += 1;
+                        from = next;
+                        continue 'memtable;
+                    }
+                    None => break 'memtable,
+                }
+            }
+        }
+        break;
+    }
+}
+
+/// The memtable's kNN candidate walk: both directions from the query key,
+/// each until it has bracketed `k` live entries over at least `window`
+/// slots, handing every live entry's squared distance and key to
+/// `candidate` (nothing is newer than the memtable, so each is genuine).
+fn mem_knn_walk<const D: usize, T>(
+    mem: &SeqTable<D, T>,
+    q: Point<D>,
+    key: CurveIndex,
+    k: usize,
+    window: usize,
+    stats: &mut QueryStats,
+    mut candidate: impl FnMut(u64, CurveIndex),
+) {
+    stats.seeks += 1;
+    let mut walk = |side: &mut dyn Iterator<Item = (CurveIndex, &SeqSlot<D, T>)>| {
+        let (mut live, mut slots) = (0usize, 0usize);
+        for (ck, slot) in side {
+            slots += 1;
+            stats.scanned += 1;
+            if slot.1.is_some() {
+                candidate(q.euclidean_sq(&slot.0), ck);
+                live += 1;
+            }
+            if live >= k && slots >= window {
+                break;
+            }
+        }
+    };
+    walk(&mut mem.iter_rev_below(key));
+    walk(&mut mem.iter_from(key));
 }
 
 impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
@@ -270,315 +437,204 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
                 .any(|run| run.find_key(key).is_some())
     }
 
-    /// Collects the merged per-level versions into the final result.
-    fn collect_merged(
-        merged: BTreeMap<CurveIndex, Version<'a, D, T>>,
-        mut stats: QueryStats,
-    ) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
-        let out: Vec<StoreEntryRef<'a, D, T>> = merged
-            .into_iter()
-            .filter_map(|(key, version)| {
-                version.map(|(point, payload)| StoreEntryRef {
-                    key,
-                    point,
-                    payload,
-                })
-            })
-            .collect();
-        stats.reported = out.len() as u64;
-        (out, stats)
+    /// The curve as Morton order, for the probes that skip by BIGMIN.
+    fn morton(&self) -> &'a ZCurve<D> {
+        self.curve
+            .as_morton()
+            .expect("only a Morton-order box goes undecomposed")
     }
 
-    /// Merges per-level hit lists (each ascending in key, ordered newest
-    /// level first) into the final newest-wins result. A k-way merge over
-    /// a handful of already-sorted vectors — `O(levels)` per output row
-    /// with zero per-row allocation, replacing the old per-hit `BTreeMap`
-    /// insertion that dominated query time on large result sets.
-    fn merge_level_hits(
-        levels: Vec<LevelHits<'a, D, T>>,
+    /// The inclusive key span the probe can touch.
+    fn span(&self, probe: &Probe<'_, D>) -> Interval {
+        match *probe {
+            Probe::Keys(intervals) | Probe::Box(_, Some(intervals)) => {
+                IntervalSkipper(intervals).span()
+            }
+            Probe::Box(b, None) => MortonSkipper::new(self.morton(), b).span(),
+        }
+    }
+
+    /// `true` iff the run cannot hold a hit: its key range misses the
+    /// probe's span, or (for a box) its point AABB misses the box.
+    fn prunes(run: &Run<D, T, C>, (lo, hi): Interval, probe: &Probe<'_, D>) -> bool {
+        run.is_empty()
+            || run.key_at(run.len() - 1) < lo
+            || run.blocks().fence(0) > hi
+            || matches!(probe, Probe::Box(b, _) if run.blocks().run_disjoint(b))
+    }
+
+    /// Scans one run for the probe, calling `visit` with the position,
+    /// key and point of every match in ascending order.
+    fn scan_run(
+        &self,
+        run: &Run<D, T, C>,
+        probe: &Probe<'_, D>,
+        stats: &mut QueryStats,
+        visit: impl FnMut(usize, CurveIndex, Point<D>),
+    ) {
+        match *probe {
+            Probe::Keys(intervals) => interval_scan(run.blocks(), intervals, stats, visit),
+            Probe::Box(b, Some(intervals)) => {
+                box_scan(run.blocks(), b, &IntervalSkipper(intervals), stats, visit)
+            }
+            Probe::Box(b, None) => {
+                let skip = MortonSkipper::new(self.morton(), b);
+                box_scan(run.blocks(), b, &skip, stats, visit)
+            }
+        }
+    }
+
+    /// Scans the memtable for the probe, surfacing each matching version
+    /// to `sink` in ascending key order.
+    fn scan_memtable(
+        &self,
+        mem: &'a SeqTable<D, T>,
+        probe: &Probe<'_, D>,
+        stats: &mut QueryStats,
+        sink: impl FnMut(CurveIndex, Version<'a, D, T>),
+    ) {
+        match *probe {
+            Probe::Keys(intervals) => mem_interval_scan(mem, intervals, stats, sink),
+            Probe::Box(b, Some(intervals)) => {
+                mem_box_scan(mem, b, &IntervalSkipper(intervals), stats, sink)
+            }
+            Probe::Box(b, None) => {
+                let skip = MortonSkipper::new(self.morton(), b);
+                mem_box_scan(mem, b, &skip, stats, sink)
+            }
+        }
+    }
+
+    /// The one multi-level read: every hit of `probe` across the levels,
+    /// newest version wins, tombstones suppressed, streamed to `sink` in
+    /// ascending key order.
+    ///
+    /// The memtable and every run but the oldest taking part — the small,
+    /// recent levels — are scanned newest to oldest into `overlay`, each
+    /// merged against the ones above it as its scan visits it. The oldest
+    /// run, where nearly all hits live, then streams through the same
+    /// merge straight into the sink: its hits are never collected. Runs
+    /// whose key range or AABB misses the probe charge their blocks to
+    /// `blocks_pruned` and are not scanned.
+    pub(crate) fn scan<S: HitSink<'a, D, T>>(
+        &self,
+        probe: &Probe<'_, D>,
+        overlay: &mut Overlay<'a, D, T>,
+        sink: &mut S,
+    ) -> QueryStats {
+        let mut stats = QueryStats::default();
+        let span = self.span(probe);
+        let Overlay { newer, next } = overlay;
+        newer.clear();
+        if let Some(mem) = self.memtable {
+            self.scan_memtable(mem, probe, &mut stats, |key, version| {
+                newer.push((key, version))
+            });
+        }
+        let pruned_blocks = |run: &Run<D, T, C>| run.blocks().blocks() as u64;
+        let base = self
+            .runs
+            .iter()
+            .position(|run| !Self::prunes(run, span, probe))
+            .unwrap_or(self.runs.len());
+        stats.blocks_pruned += self.runs[..base].iter().map(pruned_blocks).sum::<u64>();
+        for run in self.runs.iter().skip(base + 1).rev() {
+            if Self::prunes(run, span, probe) {
+                stats.blocks_pruned += pruned_blocks(run);
+                continue;
+            }
+            next.clear();
+            let mut merge = Merge {
+                newer: newer.as_slice(),
+                emit: |key, version| next.push((key, version)),
+            };
+            self.scan_run(run, probe, &mut stats, |i, key, point| {
+                merge.older(key, || run.payload_at(i).map(|t| (point, t)))
+            });
+            merge.finish();
+            std::mem::swap(newer, next);
+        }
+        let mut reported = 0u64;
+        let mut merge = Merge {
+            newer: newer.as_slice(),
+            emit: |key, version: Version<'a, D, T>| {
+                if let Some((point, payload)) = version {
+                    reported += 1;
+                    sink.hit(StoreEntryRef {
+                        key,
+                        point,
+                        payload,
+                    });
+                }
+            },
+        };
+        if let Some(run) = self.runs.get(base) {
+            self.scan_run(run, probe, &mut stats, |i, key, point| {
+                merge.older(key, || run.payload_at(i).map(|t| (point, t)))
+            });
+        }
+        merge.finish();
+        stats.reported = reported;
+        stats
+    }
+
+    /// What [`scan`](Self::scan) does level by level for box `b`, whose
+    /// decomposition (the part meeting this shard) is `intervals` — `None`
+    /// on Morton order, which is never decomposed.
+    pub(crate) fn plan_box(&self, b: &BoxRegion<D>, intervals: Option<&[Interval]>) -> QueryPlan {
+        let probe = Probe::Box(b, intervals);
+        let span = self.span(&probe);
+        let ran = match intervals {
+            Some(_) => LevelStrategy::Intervals,
+            None => LevelStrategy::Bigmin,
+        };
+        QueryPlan {
+            volume: b.volume(),
+            memtable: self.memtable.map(|_| ran),
+            runs: self
+                .runs
+                .iter()
+                .map(|run| match Self::prunes(run, span, &probe) {
+                    true => LevelStrategy::Pruned,
+                    false => ran,
+                })
+                .collect(),
+            intervals: intervals.map(<[Interval]>::len),
+        }
+    }
+
+    /// Hands the merged per-level versions of a `*_plain` oracle to the
+    /// sink.
+    fn collect_merged<S: HitSink<'a, D, T>>(
+        merged: BTreeMap<CurveIndex, Version<'a, D, T>>,
         mut stats: QueryStats,
-    ) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
-        let mut pos = vec![0usize; levels.len()];
-        let upper: usize = levels.iter().map(Vec::len).sum();
-        let mut out: Vec<StoreEntryRef<'a, D, T>> = Vec::with_capacity(upper);
-        loop {
-            let mut min: Option<CurveIndex> = None;
-            for (level, &p) in levels.iter().zip(&pos) {
-                if let Some(&(key, _)) = level.get(p) {
-                    min = Some(min.map_or(key, |m| m.min(key)));
-                }
-            }
-            let Some(min) = min else { break };
-            // The first (newest) level holding the min key wins; every
-            // level holding it advances.
-            let mut winner: Option<Version<'a, D, T>> = None;
-            for (level, p) in levels.iter().zip(pos.iter_mut()) {
-                if let Some(&(key, version)) = level.get(*p) {
-                    if key == min {
-                        winner.get_or_insert(version);
-                        *p += 1;
-                    }
-                }
-            }
-            if let Some(Some((point, payload))) = winner {
-                out.push(StoreEntryRef {
-                    key: min,
+        sink: &mut S,
+    ) -> QueryStats {
+        for (key, version) in merged {
+            if let Some((point, payload)) = version {
+                stats.reported += 1;
+                sink.hit(StoreEntryRef {
+                    key,
                     point,
                     payload,
                 });
             }
         }
-        stats.reported = out.len() as u64;
-        (out, stats)
-    }
-
-    /// `true` iff the run cannot contribute to keys within `[lo, hi]`.
-    fn run_outside_span(run: &Run<D, T, C>, lo: CurveIndex, hi: CurveIndex) -> bool {
-        if run.is_empty() {
-            return true;
-        }
-        run.key_at(run.len() - 1) < lo || run.blocks().fence(0) > hi
-    }
-
-    /// Picks the planner strategy for one run, given the curve span the
-    /// query covers, the query box (for AABB pruning, when known), and the
-    /// decomposed interval count (when available). `morton_adaptive` is
-    /// set when both strategies are on the table for this run.
-    fn run_strategy(
-        run: &Run<D, T, C>,
-        span: (CurveIndex, CurveIndex),
-        b: Option<&BoxRegion<D>>,
-        interval_count: Option<usize>,
-        morton_adaptive: bool,
-    ) -> LevelStrategy {
-        if Self::run_outside_span(run, span.0, span.1) {
-            return LevelStrategy::Pruned;
-        }
-        if let Some(b) = b {
-            if run.blocks().run_disjoint(b) {
-                return LevelStrategy::Pruned;
-            }
-        }
-        match interval_count {
-            None => LevelStrategy::Bigmin,
-            Some(count) if morton_adaptive => {
-                // Slots the run holds inside the span, at fence-array
-                // search cost. A run smaller than the interval list is
-                // cheaper to jump-scan than to seek once per interval.
-                let lo_pos = run.lower_bound(span.0);
-                let hi_pos = run.lower_bound(span.1 + 1);
-                let span_slots = hi_pos - lo_pos;
-                if span_slots == 0 {
-                    LevelStrategy::Pruned
-                } else if span_slots < count {
-                    LevelStrategy::Bigmin
-                } else {
-                    LevelStrategy::Intervals
-                }
-            }
-            Some(_) => LevelStrategy::Intervals,
-        }
-    }
-
-    /// Builds the per-level execution plan for a box query, adopting
-    /// already-decomposed (possibly shard-clipped) intervals instead of
-    /// recomputing them. `intervals == None` means the planner decided
-    /// against decomposition (Morton order, large box).
-    pub(crate) fn plan_box_with(
-        &self,
-        b: &BoxRegion<D>,
-        intervals: Option<Vec<Interval>>,
-    ) -> QueryPlan {
-        let volume = b.volume();
-        let z = self.curve.as_morton();
-        let interval_count = intervals.as_ref().map(Vec::len);
-        // The curve span the query covers: Z(lo)..Z(hi) under Morton
-        // order, else the hull of the interval list.
-        let span = match z {
-            Some(z) => (z.encode(b.lo()), z.encode(b.hi())),
-            None => {
-                let iv = intervals.as_ref().expect("non-Morton curves decompose");
-                interval_hull(iv).unwrap_or((1, 0))
-            }
-        };
-        let morton_adaptive = z.is_some();
-        let runs = self
-            .runs
-            .iter()
-            .map(|run| Self::run_strategy(run, span, Some(b), interval_count, morton_adaptive))
-            .collect();
-        let memtable = self.memtable.map(|mem| match interval_count {
-            None => LevelStrategy::Bigmin,
-            // The same size-vs-interval-count tradeoff as for runs, with
-            // the memtable's total size standing in for its span slots.
-            Some(count) if morton_adaptive && mem.len() < count => LevelStrategy::Bigmin,
-            Some(_) => LevelStrategy::Intervals,
-        });
-        QueryPlan {
-            volume,
-            memtable,
-            runs,
-            intervals,
-        }
-    }
-
-    /// Executes a box-query plan: every level is scanned with its chosen
-    /// strategy into its own ascending hit list, pruned levels charge
-    /// their zone-map blocks to `blocks_pruned`, and the lists k-way merge
-    /// newest-wins.
-    pub(crate) fn execute_plan(
-        &self,
-        b: &BoxRegion<D>,
-        plan: &QueryPlan,
-    ) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
-        let mut stats = QueryStats::default();
-        let mut levels: Vec<LevelHits<'a, D, T>> =
-            Vec::with_capacity(self.runs.len() + usize::from(self.memtable.is_some()));
-        if let (Some(mem), Some(strategy)) = (self.memtable, plan.memtable) {
-            let mut hits: LevelHits<'a, D, T> = Vec::new();
-            match strategy {
-                LevelStrategy::Intervals => Self::mem_interval_scan(
-                    mem,
-                    plan.intervals.as_deref().expect("planned intervals"),
-                    &mut stats,
-                    |key, version| hits.push((key, version)),
-                ),
-                LevelStrategy::Bigmin => {
-                    let z = self
-                        .curve
-                        .as_morton()
-                        .expect("bigmin plans are Morton-only");
-                    Self::mem_bigmin_scan(mem, z, b, &mut stats, |key, version| {
-                        hits.push((key, version))
-                    });
-                }
-                LevelStrategy::Pruned => {}
-            }
-            levels.push(hits);
-        }
-        for (run, &strategy) in self.runs.iter().zip(&plan.runs).rev() {
-            let mut hits: LevelHits<'a, D, T> = Vec::new();
-            match strategy {
-                LevelStrategy::Pruned => stats.blocks_pruned += run.blocks().blocks() as u64,
-                LevelStrategy::Intervals => {
-                    let intervals = plan.intervals.as_deref().expect("planned intervals");
-                    interval_scan(run.blocks(), intervals, &mut stats, |i, key, point| {
-                        hits.push((key, run.payload_at(i).map(|t| (point, t))));
-                    });
-                }
-                LevelStrategy::Bigmin => {
-                    let z = self
-                        .curve
-                        .as_morton()
-                        .expect("bigmin plans are Morton-only");
-                    bigmin_scan(z, run.blocks(), b, &mut stats, |i, key, point| {
-                        hits.push((key, run.payload_at(i).map(|t| (point, t))));
-                    });
-                }
-            }
-            levels.push(hits);
-        }
-        Self::merge_level_hits(levels, stats)
-    }
-
-    /// Scans the memtable for keys inside the intervals, surfacing each
-    /// version to `sink` in ascending key order.
-    fn mem_interval_scan(
-        mem: &'a SeqTable<D, T>,
-        intervals: &[Interval],
-        stats: &mut QueryStats,
-        mut sink: impl FnMut(CurveIndex, Version<'a, D, T>),
-    ) {
-        for &(lo, hi) in intervals {
-            stats.seeks += 1;
-            for (key, slot) in mem.range_iter(lo, hi) {
-                stats.scanned += 1;
-                sink(key, mem_version(slot));
-            }
-        }
-    }
-
-    /// Sequential memtable range walk with BIGMIN jumps (Morton order),
-    /// surfacing each version to `sink` in ascending key order.
-    fn mem_bigmin_scan(
-        mem: &'a SeqTable<D, T>,
-        z: &ZCurve<D>,
-        b: &BoxRegion<D>,
-        stats: &mut QueryStats,
-        mut sink: impl FnMut(CurveIndex, Version<'a, D, T>),
-    ) {
-        let zmin = z.encode(b.lo());
-        let zmax = z.encode(b.hi());
-        stats.seeks += 1;
-        let mut cur = zmin;
-        'memtable: loop {
-            let mut range = mem.range_iter(cur, zmax);
-            loop {
-                let Some((key, slot)) = range.next() else {
-                    break 'memtable;
-                };
-                stats.scanned += 1;
-                if b.contains(&slot.0) {
-                    sink(key, mem_version(slot));
-                } else {
-                    match bigmin(z, key, zmin, zmax) {
-                        Some(next) => {
-                            stats.seeks += 1;
-                            cur = next;
-                            break;
-                        }
-                        None => break 'memtable,
-                    }
-                }
-            }
-        }
-    }
-
-    /// Scans every level for keys inside the given inclusive curve-index
-    /// intervals (sorted ascending, as produced by
-    /// [`BoxRegion::curve_intervals`]), merging versions newest-wins. Runs
-    /// whose key range misses the interval hull are pruned wholesale.
-    pub(crate) fn query_intervals(
-        &self,
-        intervals: &[Interval],
-    ) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
-        let mut stats = QueryStats::default();
-        let mut levels: Vec<LevelHits<'a, D, T>> =
-            Vec::with_capacity(self.runs.len() + usize::from(self.memtable.is_some()));
-        let span = interval_hull(intervals).unwrap_or((1, 0));
-        // Newest level first: the merge keeps the first version seen.
-        if let Some(mem) = self.memtable {
-            let mut hits: LevelHits<'a, D, T> = Vec::new();
-            Self::mem_interval_scan(mem, intervals, &mut stats, |key, version| {
-                hits.push((key, version))
-            });
-            levels.push(hits);
-        }
-        for run in self.runs.iter().rev() {
-            if Self::run_outside_span(run, span.0, span.1) {
-                stats.blocks_pruned += run.blocks().blocks() as u64;
-                continue;
-            }
-            let mut hits: LevelHits<'a, D, T> = Vec::new();
-            interval_scan(run.blocks(), intervals, &mut stats, |i, key, point| {
-                hits.push((key, run.payload_at(i).map(|t| (point, t))));
-            });
-            levels.push(hits);
-        }
-        Self::merge_level_hits(levels, stats)
+        stats
     }
 
     /// The pre-zone-map interval query (whole-column seeks, no run
     /// pruning): reference implementation for differential tests and the
     /// baseline the benches compare against.
-    pub(crate) fn query_intervals_plain(
+    pub(crate) fn query_intervals_plain<S: HitSink<'a, D, T>>(
         &self,
         intervals: &[Interval],
-    ) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
+        sink: &mut S,
+    ) -> QueryStats {
         let mut stats = QueryStats::default();
         let mut merged: BTreeMap<CurveIndex, Version<'a, D, T>> = BTreeMap::new();
         if let Some(mem) = self.memtable {
-            Self::mem_interval_scan(mem, intervals, &mut stats, |key, version| {
+            mem_interval_scan(mem, intervals, &mut stats, |key, version| {
                 merged.entry(key).or_insert(version);
             });
         }
@@ -589,7 +645,7 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
                     .or_insert_with(|| run.payload_at(i).map(|t| (point, t)));
             });
         }
-        Self::collect_merged(merged, stats)
+        Self::collect_merged(merged, stats, sink)
     }
 
     /// Collects live kNN candidates from every level into the top-k
@@ -599,20 +655,30 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
     /// the level is exhausted), covering at least `window` slots per side
     /// unless the block summaries certify further slots useless.
     ///
-    /// The block summaries sharpen the walk three ways:
+    /// The heap only ever takes genuine live records (a slot shadowed by
+    /// a newer level is not offered, so a cell live in two levels counts
+    /// once), and any `k` of them bound a correct verification radius —
+    /// so everything below is about spending less to get a tight one. The
+    /// router calls this for the shard owning the query's key first; the
+    /// summaries then sharpen the walk four ways:
     ///
     /// * **levels are visited biggest first** — the densest level almost
     ///   always holds the true nearest neighbors, so the heap's k-th best
     ///   is tight before the small levels are even looked at;
+    /// * once the heap holds `k` candidates, **a run is visited only if
+    ///   it may tighten them** ([`may_tighten`]): its AABB is nearer than
+    ///   the k-th best, and it is dense enough to be expected to hold a
+    ///   record inside that distance. That is how most levels of the
+    ///   shards that do not own the query's key, and the sparsest levels
+    ///   of the one that does, cost one distance computation each (their
+    ///   blocks charged to `blocks_pruned`);
     /// * **all-dead blocks are skipped** without touching a slot — a
     ///   tombstone-heavy neighborhood costs one summary check per 64
     ///   slots instead of 64 payload probes;
-    /// * once the heap holds `k` candidates, a side walk **skips any
-    ///   block whose AABB distance lower bound exceeds the current k-th
-    ///   best** — no slot of it can tighten the verification radius, so
-    ///   the block costs one summary check instead of up to 64 decoded
-    ///   slots. The walk *continues* past such a block (curve order is
-    ///   not distance order, so nearer blocks may still lie further out),
+    /// * a side walk **skips any block whose AABB distance lower bound
+    ///   exceeds the current k-th best**, for the same reason as a whole
+    ///   run. The walk *continues* past such a block (curve order is not
+    ///   distance order, so nearer blocks may still lie further out),
     ///   crediting the block's live slots to the stop condition exactly
     ///   as scanning them would have.
     pub(crate) fn knn_collect(
@@ -637,54 +703,30 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
         order.sort_by_key(|&(len, _)| std::cmp::Reverse(len));
         for (_, level) in order {
             match level {
-                None => self.knn_collect_memtable(q, key, k, window, heap, stats),
-                Some(run_idx) => self.knn_collect_run(q, key, k, window, run_idx, heap, stats),
+                None => {
+                    let mem = self.memtable.expect("ordered above");
+                    mem_knn_walk(mem, q, key, k, window, stats, |d, _| offer(heap, k, d));
+                }
+                Some(run_idx) => {
+                    let blocks = self.runs[run_idx].blocks();
+                    let futile = heap.len() >= k
+                        && !may_tighten(blocks, &q, *heap.peek().expect("len >= k"));
+                    if futile {
+                        stats.blocks_pruned += blocks.blocks() as u64;
+                    } else {
+                        self.knn_collect_run(q, key, k, window, run_idx, heap, stats);
+                    }
+                }
             }
         }
     }
 
-    /// The memtable side of [`knn_collect`](Self::knn_collect).
-    fn knn_collect_memtable(
-        &self,
-        q: Point<D>,
-        key: CurveIndex,
-        k: usize,
-        window: usize,
-        heap: &mut BinaryHeap<u64>,
-        stats: &mut QueryStats,
-    ) {
-        let mem = self.memtable.expect("caller checked");
-        stats.seeks += 1;
-        let mut live = 0usize;
-        let mut slots = 0usize;
-        for (_ck, slot) in mem.iter_rev_below(key) {
-            slots += 1;
-            stats.scanned += 1;
-            if slot.1.is_some() {
-                offer(heap, k, q.euclidean_sq(&slot.0));
-                live += 1;
-            }
-            if live >= k && slots >= window {
-                break;
-            }
-        }
-        live = 0;
-        slots = 0;
-        for (_ck, slot) in mem.iter_from(key) {
-            slots += 1;
-            stats.scanned += 1;
-            if slot.1.is_some() {
-                offer(heap, k, q.euclidean_sq(&slot.0));
-                live += 1;
-            }
-            if live >= k && slots >= window {
-                break;
-            }
-        }
-    }
-
-    /// One run's side walks of [`knn_collect`](Self::knn_collect),
-    /// block at a time.
+    /// One run's side walks of [`knn_collect`](Self::knn_collect), block
+    /// at a time and **nearest in curve order first**: both sides finish
+    /// the block around the query key's position before either spills into
+    /// a neighbouring block — by then the heap has seen the 64 slots
+    /// nearest the key, and the spill block usually fails the distance
+    /// bound and is never decoded.
     #[allow(clippy::too_many_arguments)]
     fn knn_collect_run(
         &self,
@@ -696,22 +738,71 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
         heap: &mut BinaryHeap<u64>,
         stats: &mut QueryStats,
     ) {
-        let run = &self.runs[run_idx];
-        let blocks = run.blocks();
+        let blocks = self.runs[run_idx].blocks();
         let mut cur = BlockCursor::new(blocks);
         stats.seeks += 1;
-        let pos = run.lower_bound(key);
-        // Walk left (descending keys), block at a time.
-        let mut live = 0usize;
-        let mut slots = 0usize;
-        let mut i = pos;
-        while i > 0 && !(live >= k && slots >= window) {
-            let block = blocks.block_of(i - 1);
-            let range = blocks.block_range(block);
+        let pos = blocks.lower_bound(key);
+        let mut walk = |side: &mut SideWalk, max_blocks: usize| {
+            self.knn_walk_side(
+                q, k, window, run_idx, &mut cur, side, max_blocks, heap, stats,
+            )
+        };
+        let side = |forward| SideWalk {
+            forward,
+            at: pos,
+            live: 0,
+            slots: 0,
+        };
+        let (mut left, mut right) = (side(false), side(true));
+        walk(&mut left, 1);
+        walk(&mut right, 1);
+        walk(&mut left, usize::MAX);
+        walk(&mut right, usize::MAX);
+        stats.blocks_decoded += cur.decodes;
+    }
+
+    /// Continues one side's walk for at most `max_blocks` more blocks, or
+    /// until it has bracketed `k` live candidates over at least `window`
+    /// slots, or the run ends.
+    #[allow(clippy::too_many_arguments)]
+    fn knn_walk_side(
+        &self,
+        q: Point<D>,
+        k: usize,
+        window: usize,
+        run_idx: usize,
+        cur: &mut BlockCursor<'_, D>,
+        side: &mut SideWalk,
+        max_blocks: usize,
+        heap: &mut BinaryHeap<u64>,
+        stats: &mut QueryStats,
+    ) {
+        let blocks = self.runs[run_idx].blocks();
+        let done = |side: &SideWalk| side.live >= k && side.slots >= window;
+        for _ in 0..max_blocks {
+            if done(side) {
+                return;
+            }
+            // The slots of the next block on this side, `at` excluded
+            // going down, included going up.
+            let (block, span) = if side.forward {
+                if side.at >= blocks.len() {
+                    return;
+                }
+                let block = blocks.block_of(side.at);
+                (block, side.at..blocks.block_range(block).end)
+            } else {
+                if side.at == 0 {
+                    return;
+                }
+                let block = blocks.block_of(side.at - 1);
+                (block, blocks.block_range(block).start..side.at)
+            };
+            let past = if side.forward { span.end } else { span.start };
             if blocks.is_all_dead(block) {
                 stats.blocks_pruned += 1;
-                slots += i - range.start;
-                i = range.start;
+                side.slots += span.len();
+                side.at = past;
                 continue;
             }
             if heap.len() >= k && blocks.min_dist_sq(block, &q) > *heap.peek().expect("len >= k") {
@@ -719,70 +810,34 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
                 // the k-th best, so scanning would count each live slot
                 // without changing the heap — credit them and move on.
                 stats.blocks_pruned += 1;
-                live += blocks.live_in(block, range.start..i) as usize;
-                slots += i - range.start;
-                i = range.start;
+                side.live += blocks.live_in(block, span.clone()) as usize;
+                side.slots += span.len();
+                side.at = past;
                 continue;
             }
             stats.blocks_scanned += 1;
+            let first = blocks.block_range(block).start;
             let dec = cur.decoded(block);
-            while i > range.start && !(live >= k && slots >= window) {
-                i -= 1;
-                slots += 1;
+            for step in 0..span.len() {
+                if done(side) {
+                    return;
+                }
+                let i = if side.forward {
+                    span.start + step
+                } else {
+                    span.end - 1 - step
+                };
+                side.at = if side.forward { i + 1 } else { i };
+                side.slots += 1;
                 stats.scanned += 1;
                 if blocks.is_live_slot(i) {
-                    let j = i - range.start;
-                    live += usize::from(self.knn_offer_slot(
-                        q,
-                        dec.keys[j],
-                        dec.point(j),
-                        run_idx,
-                        k,
-                        heap,
-                    ));
+                    let j = i - first;
+                    let counts =
+                        self.knn_offer_slot(q, dec.keys[j], dec.point(j), run_idx, k, heap);
+                    side.live += usize::from(counts);
                 }
             }
         }
-        // Walk right (ascending keys), block at a time.
-        live = 0;
-        slots = 0;
-        let mut i = pos;
-        while i < run.len() && !(live >= k && slots >= window) {
-            let block = blocks.block_of(i);
-            let range = blocks.block_range(block);
-            if blocks.is_all_dead(block) {
-                stats.blocks_pruned += 1;
-                slots += range.end - i;
-                i = range.end;
-                continue;
-            }
-            if heap.len() >= k && blocks.min_dist_sq(block, &q) > *heap.peek().expect("len >= k") {
-                stats.blocks_pruned += 1;
-                live += blocks.live_in(block, i..range.end) as usize;
-                slots += range.end - i;
-                i = range.end;
-                continue;
-            }
-            stats.blocks_scanned += 1;
-            let dec = cur.decoded(block);
-            while i < range.end && !(live >= k && slots >= window) {
-                slots += 1;
-                stats.scanned += 1;
-                if blocks.is_live_slot(i) {
-                    let j = i - range.start;
-                    live += usize::from(self.knn_offer_slot(
-                        q,
-                        dec.keys[j],
-                        dec.point(j),
-                        run_idx,
-                        k,
-                        heap,
-                    ));
-                }
-                i += 1;
-            }
-        }
-        stats.blocks_decoded += cur.decodes;
     }
 
     /// Offers one non-tombstone run slot as a kNN candidate, returning
@@ -828,33 +883,9 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
     ) -> Vec<(u64, CurveIndex)> {
         let mut candidates: Vec<(u64, CurveIndex)> = Vec::new();
         if let Some(mem) = self.memtable {
-            stats.seeks += 1;
-            let mut live = 0usize;
-            let mut slots = 0usize;
-            for (ck, slot) in mem.iter_rev_below(key) {
-                slots += 1;
-                stats.scanned += 1;
-                if slot.1.is_some() {
-                    candidates.push((q.euclidean_sq(&slot.0), ck));
-                    live += 1;
-                }
-                if live >= k && slots >= window {
-                    break;
-                }
-            }
-            live = 0;
-            slots = 0;
-            for (ck, slot) in mem.iter_from(key) {
-                slots += 1;
-                stats.scanned += 1;
-                if slot.1.is_some() {
-                    candidates.push((q.euclidean_sq(&slot.0), ck));
-                    live += 1;
-                }
-                if live >= k && slots >= window {
-                    break;
-                }
-            }
+            mem_knn_walk(mem, q, key, k, window, stats, |d, ck| {
+                candidates.push((d, ck))
+            });
         }
         for (run_idx, run) in self.runs.iter().enumerate().rev() {
             stats.seeks += 1;
@@ -912,51 +943,19 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
 }
 
 impl<'a, const D: usize, T> LevelsView<'a, D, T, ZCurve<D>> {
-    /// Box query by BIGMIN-jumping key-range scans (Tropf & Herzog):
-    /// zone-accelerated [`bigmin_scan`] per run (runs pruned by key range
-    /// and AABB) plus an equivalent jumping scan over the memtable's key
-    /// range. Z curve only; needs no per-query `O(volume)` preprocessing.
-    pub(crate) fn query_box_bigmin(
+    /// The pre-zone-map BIGMIN query (no run pruning, per-slot tests,
+    /// whole-tail jump searches): reference implementation for
+    /// differential tests and the baseline the benches compare against.
+    pub(crate) fn query_box_bigmin_plain<S: HitSink<'a, D, T>>(
         &self,
         b: &BoxRegion<D>,
-    ) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
-        let zmin = self.curve.encode(b.lo());
-        let zmax = self.curve.encode(b.hi());
-        let mut stats = QueryStats::default();
-        let mut levels: Vec<LevelHits<'a, D, T>> =
-            Vec::with_capacity(self.runs.len() + usize::from(self.memtable.is_some()));
-        if let Some(mem) = self.memtable {
-            let mut hits: LevelHits<'a, D, T> = Vec::new();
-            Self::mem_bigmin_scan(mem, self.curve, b, &mut stats, |key, version| {
-                hits.push((key, version))
-            });
-            levels.push(hits);
-        }
-        for run in self.runs.iter().rev() {
-            if Self::run_outside_span(run, zmin, zmax) || run.blocks().run_disjoint(b) {
-                stats.blocks_pruned += run.blocks().blocks() as u64;
-                continue;
-            }
-            let mut hits: LevelHits<'a, D, T> = Vec::new();
-            bigmin_scan(self.curve, run.blocks(), b, &mut stats, |i, key, point| {
-                hits.push((key, run.payload_at(i).map(|t| (point, t))));
-            });
-            levels.push(hits);
-        }
-        Self::merge_level_hits(levels, stats)
-    }
-
-    /// The pre-zone-map BIGMIN query (no run pruning, whole-tail jump
-    /// searches): reference implementation for differential tests and the
-    /// baseline the benches compare against.
-    pub(crate) fn query_box_bigmin_plain(
-        &self,
-        b: &BoxRegion<D>,
-    ) -> (Vec<StoreEntryRef<'a, D, T>>, QueryStats) {
+        sink: &mut S,
+    ) -> QueryStats {
         let mut stats = QueryStats::default();
         let mut merged: BTreeMap<CurveIndex, Version<'a, D, T>> = BTreeMap::new();
         if let Some(mem) = self.memtable {
-            Self::mem_bigmin_scan(mem, self.curve, b, &mut stats, |key, version| {
+            let skip = MortonSkipper::new(self.curve, b);
+            mem_box_scan(mem, b, &skip, &mut stats, |key, version| {
                 merged.entry(key).or_insert(version);
             });
         }
@@ -967,7 +966,7 @@ impl<'a, const D: usize, T> LevelsView<'a, D, T, ZCurve<D>> {
                     .or_insert_with(|| run.payload_at(i).map(|t| (point, t)));
             });
         }
-        Self::collect_merged(merged, stats)
+        Self::collect_merged(merged, stats, sink)
     }
 }
 
@@ -993,34 +992,6 @@ pub(crate) fn rank_by_distance<const D: usize, T>(
     all.sort_by(|a, b| distance_key_order(&q, (&a.point, a.key), (&b.point, b.key)));
     all.truncate(k);
     all
-}
-
-/// The hull `[first.lo, last.hi]` of a sorted inclusive interval list —
-/// the curve span a query over those intervals can touch. `None` for an
-/// empty list; callers that need a span either way use the canonical
-/// empty sentinel `(1, 0)` (lo > hi prunes everything).
-pub(crate) fn interval_hull(intervals: &[Interval]) -> Option<Interval> {
-    match (intervals.first(), intervals.last()) {
-        (Some(&(lo, _)), Some(&(_, hi))) => Some((lo, hi)),
-        _ => None,
-    }
-}
-
-/// The verification radius for a kNN query: the k-th best candidate
-/// distance (squared distances sorted ascending, truncated to `k`), or
-/// the whole grid if fewer than `k` live candidates were found — possible
-/// only when the queried structure holds fewer than `k` live records,
-/// thanks to the widened candidate windows.
-pub(crate) fn verification_radius<const D: usize>(
-    grid: sfc_core::Grid<D>,
-    candidates: &[(u64, CurveIndex)],
-    k: usize,
-) -> u32 {
-    if candidates.len() >= k {
-        (candidates[k - 1].0 as f64).sqrt().ceil() as u32
-    } else {
-        (grid.side() - 1) as u32
-    }
 }
 
 /// The kNN machinery shared with the shard router: the scratch heap, the
@@ -1140,5 +1111,209 @@ impl<'a, const D: usize, T> Iterator for SnapshotIter<'a, D, T> {
             }
             // Tombstone: the cell is dead in the snapshot; keep going.
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sfc_core::Grid;
+
+    /// The materialising k-way merge the streamed one replaced, kept as
+    /// its reference: per-level hit lists (each ascending in key, newest
+    /// level first) into the newest-wins result.
+    fn merge_level_hits<'a>(
+        levels: Vec<Vec<LevelHit<'a, 2, u32>>>,
+    ) -> Vec<StoreEntryRef<'a, 2, u32>> {
+        let mut pos = vec![0usize; levels.len()];
+        let mut out = Vec::new();
+        loop {
+            let mut min: Option<CurveIndex> = None;
+            for (level, &p) in levels.iter().zip(&pos) {
+                if let Some(&(key, _)) = level.get(p) {
+                    min = Some(min.map_or(key, |m| m.min(key)));
+                }
+            }
+            let Some(min) = min else { break };
+            // The first (newest) level holding the min key wins; every
+            // level holding it advances.
+            let mut winner: Option<Version<'a, 2, u32>> = None;
+            for (level, p) in levels.iter().zip(pos.iter_mut()) {
+                if let Some(&(key, version)) = level.get(*p) {
+                    if key == min {
+                        winner.get_or_insert(version);
+                        *p += 1;
+                    }
+                }
+            }
+            if let Some(Some((point, payload))) = winner {
+                out.push(StoreEntryRef {
+                    key: min,
+                    point,
+                    payload,
+                });
+            }
+        }
+        out
+    }
+
+    /// What one level holds of one key.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Held {
+        Absent,
+        Tombstone,
+        Live,
+    }
+
+    /// Level `level`'s state for key `i` of the column: digit `level` of
+    /// `i` in base 3, so a column of `3^levels` keys runs through every
+    /// assignment of {absent, tombstone, live} to the levels once.
+    fn held(i: usize, level: usize) -> Held {
+        [Held::Absent, Held::Tombstone, Held::Live][i / 3usize.pow(level as u32) % 3]
+    }
+
+    /// Every interleaving of {live, tombstone, absent} per level, for one
+    /// to four levels over one key column — the newest level once a
+    /// memtable and once a run — through every probe kind: the streamed
+    /// merge must hand the sink exactly what the materialising merge
+    /// returns, and count it.
+    #[test]
+    fn streamed_merge_equals_materialised_merge_on_every_interleaving() {
+        let z = ZCurve::over(Grid::<2>::new(4).unwrap());
+        let whole = BoxRegion::new(Point::new([0, 0]), Point::new([15, 15]));
+        for levels in 1..=4usize {
+            let column = 3usize.pow(levels as u32);
+            // Level 0 is the newest. Payloads name their level and key.
+            let slots_of = |level: usize| -> Vec<(CurveIndex, Point<2>, Option<u32>)> {
+                (0..column)
+                    .filter(|&i| held(i, level) != Held::Absent)
+                    .map(|i| {
+                        let live = held(i, level) == Held::Live;
+                        let key = 2 * i as CurveIndex;
+                        (
+                            key,
+                            z.point_of(key),
+                            live.then_some((100 * level + i) as u32),
+                        )
+                    })
+                    .collect()
+            };
+            let run_of = |level: usize| -> Run<2, u32, ZCurve<2>> {
+                let (keys, rest): (Vec<_>, Vec<_>) = slots_of(level)
+                    .into_iter()
+                    .map(|(key, point, slot)| (key, (point, slot)))
+                    .unzip();
+                let (points, slots) = rest.into_iter().unzip();
+                Arc::new(SfcIndex::from_sorted_versions(z, keys, points, slots))
+            };
+            for memtable_on_top in [false, true] {
+                let mut mem = SeqTable::<2, u32>::new();
+                if memtable_on_top {
+                    for (seq, (key, point, slot)) in slots_of(0).into_iter().enumerate() {
+                        mem.insert(key, (point, slot, seq as u64));
+                    }
+                }
+                // Oldest first, like a shard's run stack.
+                let runs: Vec<Run<2, u32, ZCurve<2>>> = (usize::from(memtable_on_top)..levels)
+                    .rev()
+                    .map(run_of)
+                    .collect();
+                let view = LevelsView {
+                    curve: &z,
+                    memtable: (!mem.is_empty()).then_some(&mem),
+                    runs: &runs,
+                };
+                // The reference input: what each level holds, newest first.
+                let mut per_level: Vec<Vec<LevelHit<'_, 2, u32>>> = Vec::new();
+                if let Some(mem) = view.memtable {
+                    per_level.push(mem.iter().map(|(k, slot)| (k, mem_version(slot))).collect());
+                }
+                for run in runs.iter().rev() {
+                    per_level.push(
+                        (0..run.len())
+                            .map(|i| {
+                                let version = run.payload_at(i).map(|t| (run.point_at(i), t));
+                                (run.key_at(i), version)
+                            })
+                            .collect(),
+                    );
+                }
+                let want = merge_level_hits(per_level);
+                // Newest-wins, spelled out: a key is reported iff the
+                // newest level holding it holds it live.
+                let newest_wins: Vec<CurveIndex> = (0..column)
+                    .filter(|&i| {
+                        (0..levels)
+                            .map(|level| held(i, level))
+                            .find(|&h| h != Held::Absent)
+                            == Some(Held::Live)
+                    })
+                    .map(|i| 2 * i as CurveIndex)
+                    .collect();
+                assert_eq!(
+                    want.iter().map(|e| e.key).collect::<Vec<_>>(),
+                    newest_wins,
+                    "reference merge, {levels} levels"
+                );
+                let everything = [(0, z.grid().n() - 1)];
+                let odd_intervals: Vec<Interval> = (0..column as CurveIndex)
+                    .map(|i| (2 * i, 2 * i + 1))
+                    .collect();
+                for (probe, what) in [
+                    (Probe::Keys(&everything), "one interval"),
+                    (Probe::Keys(&odd_intervals), "an interval per key"),
+                    (Probe::Box(&whole, None), "box by BIGMIN"),
+                    (Probe::Box(&whole, Some(&everything)), "box by intervals"),
+                ] {
+                    let mut overlay = Overlay::default();
+                    // A dirty scratch must not leak into the result.
+                    overlay.newer.push((1, None));
+                    overlay.next.push((3, None));
+                    let mut got: Vec<StoreEntryRef<'_, 2, u32>> = Vec::new();
+                    let stats = view.scan(&probe, &mut overlay, &mut got);
+                    assert_eq!(
+                        got, want,
+                        "{what}: {levels} levels, memtable on top: {memtable_on_top}"
+                    );
+                    assert_eq!(stats.reported as usize, want.len());
+                }
+            }
+        }
+    }
+
+    /// A sub-box prunes the runs it cannot meet and still merges the rest
+    /// in order: the overlay levels sit on both sides of the base run's
+    /// hits, and past its last one.
+    #[test]
+    fn overlay_hits_before_between_and_after_the_base_run() {
+        let z = ZCurve::over(Grid::<2>::new(4).unwrap());
+        let run_at = |keys: &[CurveIndex], payload: u32| -> Run<2, u32, ZCurve<2>> {
+            let points = keys.iter().map(|&k| z.point_of(k)).collect();
+            let slots = keys.iter().map(|_| Some(payload)).collect();
+            Arc::new(SfcIndex::from_sorted_versions(
+                z,
+                keys.to_vec(),
+                points,
+                slots,
+            ))
+        };
+        // Base holds the middle of the key space; the newer run brackets
+        // it on both sides and shares key 100; a far run is pruned.
+        let runs = vec![
+            run_at(&[90, 100, 110], 0),
+            run_at(&[250, 251], 1),
+            run_at(&[10, 100, 200], 2),
+        ];
+        let view = LevelsView {
+            curve: &z,
+            memtable: None,
+            runs: &runs,
+        };
+        let mut got: Vec<StoreEntryRef<'_, 2, u32>> = Vec::new();
+        let stats = view.scan(&Probe::Keys(&[(0, 220)]), &mut Overlay::default(), &mut got);
+        let flat: Vec<(CurveIndex, u32)> = got.iter().map(|e| (e.key, *e.payload)).collect();
+        assert_eq!(flat, [(10, 2), (90, 0), (100, 2), (110, 0), (200, 2)]);
+        assert_eq!(stats.reported, 5);
+        assert_eq!(stats.blocks_pruned, 1, "the far run is pruned whole");
     }
 }

@@ -1,11 +1,14 @@
-//! The adaptive box-query planner, live on a skewed dataset.
+//! The box-query planner, live on a skewed dataset.
 //!
-//! Builds a multi-run one-shard `ShardedSfcStore` whose records cluster heavily in one
-//! corner of a 1024×1024 grid (plus a uniform background), then runs box
+//! Builds a multi-run one-shard `ShardedSfcStore` whose records cluster
+//! heavily in one corner of a 1024×1024 grid (plus a uniform background)
+//! — once on the Z curve, once on the Hilbert curve — then runs box
 //! queries of very different shapes and prints, for each:
 //!
-//! * the plan — decomposed interval count (or "none": BIGMIN everywhere)
-//!   and the per-level intervals / bigmin / pruned choices;
+//! * the plan — how the block-at-a-time kernel leaves an excursion out of
+//!   the box (Morton order: BIGMIN, nothing decomposed; any other curve: a
+//!   binary search of the box's curve intervals) and which levels are
+//!   pruned outright;
 //! * the executed [`QueryStats`], including how many zone-map blocks were
 //!   pruned from their summaries versus actually scanned;
 //! * the same query through the pre-zone-map plain scan, so the saved
@@ -26,7 +29,14 @@ fn fmt_stats(s: &QueryStats) -> String {
 
 fn main() {
     let grid = Grid::<2>::new(10).unwrap(); // 1024×1024
-    let z = ZCurve::over(grid);
+    println!("##### Z curve: BIGMIN skips, nothing is decomposed #####");
+    show(ZCurve::over(grid));
+    println!("\n##### Hilbert curve: the box's intervals skip #####");
+    show(HilbertCurve::over(grid));
+}
+
+fn show<C: SpaceFillingCurve<2> + Clone>(curve: C) {
+    let grid = curve.grid();
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
 
     // Skewed workload: 70% of records live in the [0,256)² corner.
@@ -40,7 +50,7 @@ fn main() {
             (p, i)
         })
         .collect();
-    let live = ShardedSfcStore::bulk_load(z, 1, records);
+    let live = ShardedSfcStore::bulk_load(curve, 1, records);
     // Streamed churn leaves a stack of smaller runs over the bottom one.
     for i in 0..30_000u32 {
         let p = grid.random_cell(&mut rng);
@@ -72,7 +82,7 @@ fn main() {
 
     let queries = [
         (
-            "tiny box in the dense corner (decomposes)",
+            "tiny box in the dense corner",
             BoxRegion::new(Point::new([40, 40]), Point::new([47, 47])),
         ),
         (
@@ -84,7 +94,7 @@ fn main() {
             BoxRegion::new(Point::new([700, 700]), Point::new([731, 731])),
         ),
         (
-            "large box (over the decomposition cutoff)",
+            "large box",
             BoxRegion::new(Point::new([100, 100]), Point::new([611, 611])),
         ),
         (
@@ -103,7 +113,7 @@ fn main() {
         let plan = store.plan_box_query(b).remove(0);
         match plan.interval_count() {
             Some(n) => println!("plan: decomposed into {n} curve intervals"),
-            None => println!("plan: no decomposition (BIGMIN jumps only)"),
+            None => println!("plan: no decomposition (BIGMIN skips)"),
         }
         if let Some(mem) = plan.memtable {
             println!("  memtable          -> {mem}");

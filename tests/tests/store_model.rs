@@ -201,30 +201,42 @@ fn check_against_model<C: SpaceFillingCurve<2> + Clone + Send + Sync>(
     for _ in 0..5 {
         let q = grid.random_cell(&mut rng);
         let k = rng.gen_range(1..6usize);
-        let (got, stats) = store.knn(q, k, 3);
-        let want = owned(&store.knn_linear(q, k));
-        let dist = |v: &[Triple]| -> Vec<u64> { v.iter().map(|e| q.euclidean_sq(&e.1)).collect() };
-        assert_eq!(dist(&owned(&got)), dist(&want), "knn k={k} q={q}");
-        assert_eq!(stats.reported as usize, k.min(store.len()));
-        assert_eq!(
-            borrowed(&snap.knn_linear(q, k)),
-            want,
-            "snapshot knn_linear"
-        );
-        for (i, path) in [
-            owned(&store.knn_par(q, k, 3).0),
-            borrowed(&snap.knn(q, k, 3).0),
-            borrowed(&snap.knn_par(q, k, 3).0),
-            borrowed(&snap.knn_plain(q, k, 3).0),
-        ]
-        .iter()
-        .enumerate()
-        {
-            assert_eq!(path, &owned(&got), "knn path {i} k={k} q={q}");
-        }
-        read.push(owned(&got));
+        read.push(check_knn(store, q, k));
     }
     read
+}
+
+/// The kNN part of the checker: `store.knn(q, k)` against the linear
+/// scan, live and through a snapshot, and every other kNN path against
+/// it byte for byte. Returns what it read.
+fn check_knn<C: SpaceFillingCurve<2> + Clone + Send + Sync>(
+    store: &Store<C>,
+    q: Point<2>,
+    k: usize,
+) -> Vec<Triple> {
+    let snap = store.snapshot();
+    let (got, stats) = store.knn(q, k, 3);
+    let want = owned(&store.knn_linear(q, k));
+    let dist = |v: &[Triple]| -> Vec<u64> { v.iter().map(|e| q.euclidean_sq(&e.1)).collect() };
+    assert_eq!(dist(&owned(&got)), dist(&want), "knn k={k} q={q}");
+    assert_eq!(stats.reported as usize, k.min(store.len()));
+    assert_eq!(
+        borrowed(&snap.knn_linear(q, k)),
+        want,
+        "snapshot knn_linear"
+    );
+    for (i, path) in [
+        owned(&store.knn_par(q, k, 3).0),
+        borrowed(&snap.knn(q, k, 3).0),
+        borrowed(&snap.knn_par(q, k, 3).0),
+        borrowed(&snap.knn_plain(q, k, 3).0),
+    ]
+    .iter()
+    .enumerate()
+    {
+        assert_eq!(path, &owned(&got), "knn path {i} k={k} q={q}");
+    }
+    owned(&got)
 }
 
 /// Runs the checker on every store; all must have read the same bytes as
@@ -548,6 +560,152 @@ fn all_dead_blocks_shadow_correctly_and_are_skipped_by_knn() {
             "kNN near all-dead blocks must skip some: {stats:?}"
         );
     }
+}
+
+/// The kNN shapes a candidate walk gets wrong first, each built by hand
+/// and put through the checker's kNN part at every shard count (a
+/// 16×16 Z grid cut uniformly: two shards are the lower and upper half of
+/// the key space, four are the quadrants). A wrong candidate set shows as
+/// a verification radius that is too small, hence as a result that is
+/// short or not the nearest — which `knn_linear` catches.
+#[test]
+fn knn_must_fail_cases() {
+    let grid = Grid::<2>::new(4).unwrap();
+    let z = ZCurve::over(grid);
+    // Far filler in every quadrant, so no shard is empty and every store
+    // holds well over `k` records.
+    let filler = |stores: &[Store<ZCurve<2>>], model: &mut Model| {
+        for (i, (x, y)) in [
+            (0, 0),
+            (1, 0),
+            (15, 0),
+            (14, 1),
+            (0, 15),
+            (1, 14),
+            (15, 15),
+            (14, 14),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            apply(stores, model, Op::Insert(x, y, 900 + i as u32));
+        }
+    };
+    let check = |stores: &[Store<ZCurve<2>>], model: &Model, q: Point<2>, k: usize, what: &str| {
+        let want: Vec<Triple> = {
+            let mut all: Vec<Triple> = model.iter().map(|(&key, &(p, v))| (key, p, v)).collect();
+            all.sort_by_key(|&(key, p, _)| (q.euclidean_sq(&p), key));
+            all.truncate(k);
+            all
+        };
+        for store in stores {
+            let got = check_knn(store, q, k);
+            assert_eq!(got, want, "{what}: {} shards, k={k}", store.parts());
+        }
+    };
+
+    // q on a shard boundary, its true neighbours all across it: (7, 7) is
+    // the last cell of the first quadrant; the three cells around the
+    // grid's centre belong to the other three.
+    let stores = stores_at(&z, &PARTS, 4);
+    let mut model = Model::new();
+    filler(&stores, &mut model);
+    for (i, (x, y)) in [(8, 7), (7, 8), (8, 8)].into_iter().enumerate() {
+        apply(&stores, &mut model, Op::Insert(x, y, i as u32));
+    }
+    apply(&stores, &mut model, Op::Flush);
+    check(
+        &stores,
+        &model,
+        Point::new([7, 7]),
+        3,
+        "neighbours across the boundary",
+    );
+
+    // A home shard with fewer live records than k: the first quadrant
+    // holds one live record among tombstones, so collection has to widen
+    // to the other shards to find k genuine candidates.
+    let stores = stores_at(&z, &PARTS, 4);
+    let mut model = Model::new();
+    filler(&stores, &mut model);
+    for (x, y) in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 4)] {
+        apply(&stores, &mut model, Op::Insert(x, y, 10 * x + y));
+    }
+    apply(&stores, &mut model, Op::Flush);
+    for (x, y) in [(0, 0), (1, 0), (2, 2), (3, 2), (2, 3), (3, 3)] {
+        apply(&stores, &mut model, Op::Delete(x, y));
+    }
+    check(
+        &stores,
+        &model,
+        Point::new([3, 3]),
+        4,
+        "home shard short of k",
+    );
+
+    // The same cell live in two runs and the memtable: counted three
+    // times it would fill a k = 3 heap by itself and shrink the ball onto
+    // that one cell.
+    let stores = stores_at(&z, &PARTS, 64);
+    let mut model = Model::new();
+    filler(&stores, &mut model);
+    for (x, y) in [(5, 5), (6, 5), (5, 7), (9, 5), (5, 10)] {
+        apply(&stores, &mut model, Op::Insert(x, y, 10 * x + y));
+    }
+    apply(&stores, &mut model, Op::Flush);
+    apply(&stores, &mut model, Op::Insert(5, 5, 1));
+    apply(&stores, &mut model, Op::Flush);
+    apply(&stores, &mut model, Op::Insert(5, 5, 2));
+    assert!(
+        stores[0].shard_run_lens()[0].len() >= 2 && stores[0].shard_memtable_lens()[0] == 1,
+        "want the cell in two runs and the memtable: {:?}",
+        stores[0].shard_run_lens()
+    );
+    for k in [2, 3] {
+        check(
+            &stores,
+            &model,
+            Point::new([5, 6]),
+            k,
+            "one cell live in three levels",
+        );
+    }
+
+    // The nearest slot of the bottom run shadowed by a tombstone, once in
+    // a newer run and once in the memtable: offered as a candidate it
+    // would bound the ball below the true nearest.
+    let stores = stores_at(&z, &PARTS, 64);
+    let mut model = Model::new();
+    filler(&stores, &mut model);
+    for (x, y) in [(10, 10), (10, 11), (13, 10), (10, 14)] {
+        apply(&stores, &mut model, Op::Insert(x, y, 10 * x + y));
+    }
+    apply(&stores, &mut model, Op::Flush);
+    apply(&stores, &mut model, Op::Delete(10, 10));
+    apply(&stores, &mut model, Op::Flush);
+    apply(&stores, &mut model, Op::Delete(10, 11));
+    for k in [1, 2] {
+        check(
+            &stores,
+            &model,
+            Point::new([10, 10]),
+            k,
+            "tombstoned nearest",
+        );
+    }
+
+    // k larger than the store: everything, ranked.
+    check(
+        &stores,
+        &model,
+        Point::new([10, 10]),
+        50,
+        "k past the store",
+    );
+    assert_eq!(
+        check_knn(&stores[0], Point::new([10, 10]), 50).len(),
+        model.len()
+    );
 }
 
 /// Deterministic regression for the canonical tombstone-across-runs shape:
