@@ -62,7 +62,7 @@
 //!   block between the two.
 //! * **Per epoch publish** (flush / compact / migration): the new run
 //!   stack is persisted and the WAL replay floor advances to the
-//!   publish's sequence high-water, which also lets the committer prune
+//!   publish's sequence high-water, which also lets the log prune its
 //!   dead segments.
 //! * **Per rebalance**, via the deferred-manifest variant — all shards'
 //!   persisted states flip in a single manifest commit.

@@ -248,15 +248,17 @@
 //!
 //! * **Logging.** Every write appends one length-prefixed, CRC32C-checked
 //!   frame to its shard's append-only segment log, carrying the *same
-//!   sequence number* the memtable stamped on the entry. Writers never
-//!   touch a file: frames land on an in-memory commit queue and a
-//!   dedicated committer thread batches them — one fsync per shard per
-//!   **group**, where a group accumulates across drains up to
-//!   [`WalConfig::fsync_every`] records while no writer waits on an ack
-//!   (a waiter, a barrier, or shutdown fsyncs immediately;
-//!   [`WalConfig::max_batch_delay`] optionally lingers for fuller
-//!   groups) — before acking. [`WalConfig::fsync_bytes`] adds a byte
-//!   bound so bursts of large frames close groups early.
+//!   sequence number* the memtable stamped on the entry. Frames land on
+//!   an in-memory commit queue and reach the files a **group** at a
+//!   time, one fsync per shard per group, before anyone is acked. A
+//!   writer waiting for its ack (or a barrier) commits the group itself,
+//!   in its own thread — everything queued rides along, and writers that
+//!   arrive meanwhile form the next group — so an acked write costs a
+//!   `write` and an `fdatasync`, not a thread hand-off. What nobody
+//!   waits for accumulates up to [`WalConfig::fsync_every`] records (or
+//!   [`WalConfig::fsync_bytes`] frame bytes, so bursts of large frames
+//!   close groups early; or [`WalConfig::max_batch_delay`], a staleness
+//!   bound) and is committed by a background thread.
 //!   [`ShardedSfcStore::sync`] is the explicit durability barrier for
 //!   the `*_nosync` write variants.
 //! * **Frame coalescing (format v2).** A batched write logs each
@@ -285,7 +287,7 @@
 //!   (write-temp → fsync → rename → fsync-dir — the single commit
 //!   point). Reopening loads the checkpointed runs and replays exactly
 //!   the frames with `seq >= H`; segments wholly below `H` are pruned by
-//!   the committer after the next group commit, off the writer path.
+//!   the log's background thread, off the writer path.
 //!   A torn frame at the newest segment's tail (only ever an unacked
 //!   write) is discarded; damage anywhere else is a typed
 //!   [`WalError::Corrupt`] — never a panic, never a silent skip.

@@ -14,8 +14,8 @@
 //!
 //! # Rate limiting
 //!
-//! Maintenance I/O competes with the committer's group fsyncs for the
-//! same device. An optional token-bucket [`RateLimit`] throttles the
+//! Maintenance I/O competes with the log's group fsyncs for the same
+//! device. An optional token-bucket [`RateLimit`] throttles the
 //! maintenance thread — each flush/compaction first acquires tokens for
 //! its estimated byte cost, sleeping in [`RateLimit::quantum`] slices
 //! until the bucket refills. Writers never wait on the bucket (they

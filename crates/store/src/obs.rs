@@ -116,7 +116,7 @@ impl ShardMetrics {
     }
 }
 
-/// Cached handles for the write-ahead log's committer (see
+/// Cached handles for the write-ahead log's group commit (see
 /// [`crate::wal`]): registered by every [`EngineMetrics`] under the
 /// `wal.` prefix, driven only when the store is durable.
 #[derive(Debug)]
@@ -127,14 +127,20 @@ pub struct WalMetrics {
     pub(crate) bytes: Counter,
     /// `wal.groups` — group commits (one fsync per touched shard each).
     pub(crate) groups: Counter,
+    /// `wal.groups.led` — the group commits among them that a waiting
+    /// writer (an acked write or a `sync` barrier) ran in its own thread;
+    /// the rest are the background thread's.
+    pub(crate) groups_led: Counter,
     /// `wal.segments.pruned` — segment files reclaimed by truncation.
     pub(crate) prunes: Counter,
     /// `wal.segments` — live segment files across all shards.
     pub(crate) segments: Gauge,
-    /// `wal.append.ns` — writer-side append latency (queue push, plus
-    /// the durability wait for synchronous writes).
+    /// `wal.append.ns` — writer-side append latency: the queue push,
+    /// plus for a synchronous write the durability wait — the file
+    /// write and fsync themselves when the writer leads its group.
     pub(crate) append_ns: Histogram,
-    /// `wal.fsync.ns` — committer-side write+fsync latency per group.
+    /// `wal.fsync.ns` — fsync latency per group (the fsync of every
+    /// touched segment; the `write` before it is not in it).
     pub(crate) fsync_ns: Histogram,
     /// `wal.group_size` — records amortised per group commit.
     pub(crate) group_size: Histogram,
@@ -146,6 +152,7 @@ impl WalMetrics {
             records: registry.counter("wal.records"),
             bytes: registry.counter("wal.bytes"),
             groups: registry.counter("wal.groups"),
+            groups_led: registry.counter("wal.groups.led"),
             prunes: registry.counter("wal.segments.pruned"),
             segments: registry.gauge("wal.segments"),
             append_ns: registry.histogram("wal.append.ns"),

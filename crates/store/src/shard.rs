@@ -599,7 +599,7 @@ pub struct ShardedSfcStore<const D: usize, T, C: SpaceFillingCurve<D> + Clone> {
     /// ([`ShardedSfcStore::attach_metrics`]); the per-shard bundles live
     /// inside the shards themselves.
     metrics: Option<Arc<EngineMetrics>>,
-    /// Durability engine (committer thread + manifest state) when the
+    /// Durability engine (commit queue + manifest state) when the
     /// store was opened with [`open_durable`](Self::open_durable).
     wal: Option<Arc<WalEngine>>,
     /// What the most recent [`open_durable`](Self::open_durable) did.
@@ -1043,8 +1043,9 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     ///
     /// **Acked vs applied.** The write is *applied* — visible to queries
     /// and to subsequent writes — the moment the shard's memtable lock
-    /// drops, and *acknowledged* (durable) only when the committer's
-    /// group fsync covering it completes; this call returns `Ok` after
+    /// drops, and *acknowledged* (durable) only when the group fsync
+    /// covering it completes — issued by this very call unless another
+    /// writer's commit round is in flight; this call returns `Ok` after
     /// both. On `Err` the write **is applied but not acknowledged**: it
     /// remains visible in this process and may be lost by a crash. On an
     /// in-memory store there is no ack and this never fails.
@@ -1060,11 +1061,11 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     }
 
     /// [`insert`](Self::insert) without waiting for the durable ack: the
-    /// frame is handed to the group committer and the call returns as
-    /// soon as the write is applied. Pair with [`sync`](Self::sync) —
-    /// the write is durable only once a later `sync` (or awaited write)
-    /// returns `Ok`. Panics if the log has already failed (the sticky
-    /// committer error).
+    /// frame is left on the commit queue and the call returns as soon as
+    /// the write is applied. Pair with [`sync`](Self::sync) — the write
+    /// is durable only once a later `sync` (or awaited write) returns
+    /// `Ok`. Panics if the log has already failed (the sticky log
+    /// error).
     pub fn insert_nosync(&self, p: Point<D>, payload: T) -> bool {
         self.write_at(p, Some(payload), false)
             .unwrap_or_else(|e| panic!("durable insert failed: {e}"))
@@ -1123,7 +1124,7 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     }
 
     /// [`apply_batch`](Self::apply_batch) without waiting for the
-    /// durable ack — the batch rides the group committer and is durable
+    /// durable ack — the batch waits on the commit queue and is durable
     /// only once a later [`sync`](Self::sync) (or awaited write) returns
     /// `Ok`. Panics if the log has already failed.
     pub fn apply_batch_nosync(&self, ops: &[BatchOp<D, T>]) {
@@ -1173,8 +1174,8 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     }
 
     /// The durability barrier: returns once every write accepted before
-    /// this call is fsynced (skipping the group linger for the final
-    /// batch). The barrier for [`insert_nosync`](Self::insert_nosync) /
+    /// this call is fsynced (by this call, for whatever is not yet —
+    /// no group linger). The barrier for [`insert_nosync`](Self::insert_nosync) /
     /// [`delete_nosync`](Self::delete_nosync) streams; an immediate
     /// `Ok(())` on an in-memory store.
     pub fn sync(&self) -> Result<(), WalError> {
@@ -1344,8 +1345,8 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     }
 
     /// Consumes the store as a power cut would: the maintenance thread
-    /// is stopped, then the committer is killed **without** draining its
-    /// queue or issuing a final fsync — in-flight unacknowledged writes
+    /// is stopped, then the commit queue is cut **without** draining it
+    /// or issuing a final fsync — in-flight unacknowledged writes
     /// are abandoned exactly as a real crash abandons them. The
     /// directory can be reopened with [`open_durable`](Self::open_durable)
     /// afterwards; only acknowledged writes are guaranteed back. For the
@@ -1415,7 +1416,7 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<D, T, C
 
 impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> Drop for ShardedSfcStore<D, T, C> {
     /// Clean shutdown: stop maintenance, then drain every accepted
-    /// append to disk before the committer thread exits (writes that
+    /// append to disk before the log's thread exits (writes that
     /// were applied but not yet fsynced become durable — only
     /// [`simulate_crash`](Self::simulate_crash) abandons them).
     fn drop(&mut self) {

@@ -1,34 +1,45 @@
-//! The group-commit engine: an in-memory ticketed commit queue drained
-//! by one dedicated committer thread that owns every WAL file handle.
+//! The group-commit engine: an in-memory ticketed commit queue, and one
+//! *commit round* that moves it into the WAL files — run by whichever
+//! thread needs durability now, or by a background thread when none does.
 //!
-//! Writers call [`Committer::append`] — push the encoded frame, take a
-//! ticket, optionally wait until the durable ticket passes theirs. The
-//! committer takes *everything* pending in one swap, appends each
-//! shard's frames to its open segment, fsyncs each touched segment once,
-//! then advances the durable ticket and wakes all waiters: one fsync
-//! amortised over the whole group. Prune requests ride the same queue
-//! but are processed *after* acks (the commit/prune split — reclaiming
-//! space never sits on a writer's latency path).
+//! Writers call [`Committer::append`]: push the encoded frame, take a
+//! ticket. A writer that wants the durable ack (or a [`Committer::sync`]
+//! barrier) then *leads* a round in its own thread: it takes the log
+//! files — the baton, an `Option` in the queue state — and *everything*
+//! pending in one swap, releases the queue, appends each shard's frames
+//! to its open segment, fsyncs each touched segment once and publishes
+//! the durable ticket. An acked write never changes threads. A writer
+//! that finds the baton gone parks until the round in flight publishes;
+//! the frames pushed meanwhile are the next leader's group — one fsync
+//! amortised over all of them. The baton serialises rounds, so ticket
+//! order is file order.
 //!
-//! Failure model: the first I/O error is stored and the committer parks.
-//! Every waiting and future append observes the same sticky error; the
-//! durable ticket never moves past a failed group, so no writer is ever
-//! acked for bytes that might not be on disk.
+//! The `wal-committer` thread is the *background* caller of the same
+//! round and never wakes for a waiter. Its duties: full groups of
+//! un-waited frames (`fsync_every` / `fsync_bytes`), the
+//! `max_batch_delay` staleness clock, the shutdown drain, and prune
+//! requests — which ride the same queue but are processed *after* acks
+//! (the commit/prune split: reclaiming space never sits on a writer's
+//! latency path).
+//!
+//! Failure model: the first I/O error is stored and nothing is written
+//! again. Every waiting and future append observes the same sticky
+//! error; the durable ticket never moves past a failed group, so no
+//! writer is ever acked for bytes that might not be on disk.
 //!
 //! Shutdown comes in two flavours: [`Committer::shutdown`] drains the
 //! queue (every accepted append is made durable, then the thread exits)
-//! and is what `Drop` uses; [`Committer::abort`] kills the thread
+//! and is what `Drop` uses; [`Committer::abort`] stops every caller
 //! mid-flight without a final fsync — the crash lever the recovery
 //! harness pulls.
 
-use std::collections::BTreeSet;
 use std::fs::{self, File};
 use std::io::Write;
 use std::mem;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use super::manifest::{segment_path, sync_dir};
 use super::record::{segment_header, SEGMENT_HEADER};
@@ -36,13 +47,11 @@ use super::{WalConfig, WalError};
 use crate::obs::WalMetrics;
 
 /// One queued append: target shard, the highest record sequence number
-/// in the frame (for segment pruning metadata), how many records the
-/// frame carries (one for a v1 frame, the batch count for a coalesced
-/// v2 frame), and the fully framed bytes.
+/// in the frame (for segment pruning metadata), and the fully framed
+/// bytes.
 struct Pending {
     shard: usize,
     seq: u64,
-    records: usize,
     frame: Vec<u8>,
 }
 
@@ -59,15 +68,15 @@ struct QueueState {
     next_ticket: u64,
     /// Highest ticket whose group has been fsynced.
     durable: u64,
-    /// A `sync()` barrier is waiting: skip the batching linger.
-    hurry: bool,
-    /// Writers currently blocked waiting for a durable ack. While zero,
-    /// the committer may defer the fsync across drains until
-    /// `fsync_every` records have accumulated (nobody is owed an ack).
+    /// The baton: whoever takes it out (under this lock) runs the one
+    /// commit round in flight and puts it back when that round has
+    /// published. `None` = a round is running.
+    log: Option<Log>,
+    /// Threads parked on `done`; a publish with none skips the signal.
     waiters: usize,
-    /// The committer is parked on the work condvar. Writers skip the
-    /// wake syscall while it is awake — it re-checks the queue before
-    /// ever sleeping.
+    /// The background thread is parked on `work`. Nobody pays the wake
+    /// syscall while it is awake — it re-checks the queue before ever
+    /// sleeping.
     idle: bool,
     shutdown: bool,
     abort: bool,
@@ -76,12 +85,31 @@ struct QueueState {
     metrics: Option<Arc<WalMetrics>>,
 }
 
+/// Every shard's log files and the account of what they hold that is
+/// not fsynced yet. With nobody owed an ack the fsync is deferred across
+/// rounds until `fsync_every` records or `fsync_bytes` bytes have
+/// accumulated — the group-commit amortisation, with a byte bound so
+/// huge coalesced frames don't balloon a group.
+struct Log {
+    files: Vec<ShardFiles>,
+    /// The group being written; empty, capacity kept, between rounds.
+    batch: Vec<Pending>,
+    unsynced_records: usize,
+    unsynced_bytes: u64,
+    /// The highest ticket the writes so far cover.
+    written_ticket: u64,
+}
+
 struct Shared {
     state: Mutex<QueueState>,
-    /// Signals the committer: work arrived / mode changed.
+    /// Signals the background thread: its kind of work arrived.
     work: Condvar,
-    /// Signals writers: the durable ticket advanced (or the log died).
+    /// Signals parked writers: a round published (the durable ticket
+    /// advanced, the log died, or just the baton came home).
     done: Condvar,
+    /// `fsync_every` floored at 1.
+    cfg: WalConfig,
+    dims: u8,
 }
 
 /// What recovery found on disk for one shard, handed to the committer so
@@ -104,7 +132,7 @@ struct SealedSeg {
     max_seq: Option<u64>,
 }
 
-/// The committer thread's exclusive view of one shard's log files.
+/// One shard's log files, reached only through the baton.
 struct ShardFiles {
     dir: PathBuf,
     open: Option<OpenSeg>,
@@ -226,24 +254,16 @@ impl ShardFiles {
     }
 }
 
-/// Handle to the committer thread; see the module docs.
+/// Handle to the commit queue and its background thread; see the module
+/// docs.
 pub(crate) struct Committer {
     shared: Arc<Shared>,
     handle: Mutex<Option<JoinHandle<()>>>,
-    /// Mirrors the thread's group bound: writers wake the committer
-    /// only when a group is full (or they wait on an ack).
-    fsync_every: usize,
-    /// Byte-bound companion to `fsync_every`: a group also closes once
-    /// this many frame bytes are queued/unsynced. Zero disables it.
-    fsync_bytes: u64,
-    /// `max_batch_delay > 0`: queued records have a staleness bound, so
-    /// the committer must wake on the first queued record to arm it.
-    timed: bool,
 }
 
 impl std::fmt::Debug for Committer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.shared.state.lock().expect("commit queue poisoned");
+        let st = self.shared.lock();
         f.debug_struct("Committer")
             .field("next_ticket", &st.next_ticket)
             .field("durable", &st.durable)
@@ -254,28 +274,9 @@ impl std::fmt::Debug for Committer {
 }
 
 impl Committer {
-    /// Spawns the committer thread over the per-shard log states
-    /// recovery (or a fresh open) produced.
+    /// Opens the commit queue over the per-shard log states recovery (or
+    /// a fresh open) produced and spawns its background thread.
     pub(crate) fn spawn(config: &WalConfig, dims: u8, shards: Vec<ShardLogState>) -> Self {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(QueueState {
-                pending: Vec::new(),
-                pending_records: 0,
-                pending_bytes: 0,
-                prunes: Vec::new(),
-                next_ticket: 1,
-                durable: 0,
-                hurry: false,
-                waiters: 0,
-                idle: false,
-                shutdown: false,
-                abort: false,
-                error: None,
-                metrics: None,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        });
         let files: Vec<ShardFiles> = shards
             .into_iter()
             .map(|s| ShardFiles {
@@ -296,48 +297,58 @@ impl Committer {
                 dirty: false,
             })
             .collect();
+        let shared = Arc::new(Shared {
+            state: Mutex::new(QueueState {
+                pending: Vec::new(),
+                pending_records: 0,
+                pending_bytes: 0,
+                prunes: Vec::new(),
+                next_ticket: 1,
+                durable: 0,
+                log: Some(Log {
+                    files,
+                    batch: Vec::new(),
+                    unsynced_records: 0,
+                    unsynced_bytes: 0,
+                    written_ticket: 0,
+                }),
+                waiters: 0,
+                idle: false,
+                shutdown: false,
+                abort: false,
+                error: None,
+                metrics: None,
+            }),
+            work: Condvar::new(),
+            done: Condvar::new(),
+            cfg: WalConfig {
+                fsync_every: config.fsync_every.max(1),
+                ..config.clone()
+            },
+            dims,
+        });
         let thread_shared = Arc::clone(&shared);
-        let fsync_every = config.fsync_every.max(1);
-        let fsync_bytes = config.fsync_bytes;
-        let max_batch_delay = config.max_batch_delay;
-        let segment_bytes = config.segment_bytes;
         let handle = std::thread::Builder::new()
             .name("wal-committer".into())
-            .spawn(move || {
-                run_committer(
-                    &thread_shared,
-                    files,
-                    dims,
-                    fsync_every,
-                    fsync_bytes,
-                    max_batch_delay,
-                    segment_bytes,
-                );
-            })
+            .spawn(move || thread_shared.run_background())
             .expect("spawn wal committer thread");
         Committer {
             shared,
             handle: Mutex::new(Some(handle)),
-            fsync_every,
-            fsync_bytes,
-            timed: max_batch_delay > Duration::ZERO,
         }
     }
 
-    /// Installs the metric handles (committer-side counters are recorded
-    /// by the thread from the next group on).
+    /// Installs the metric handles (round-side counters are recorded
+    /// from the next group on).
     pub(crate) fn set_metrics(&self, metrics: Arc<WalMetrics>) {
-        self.shared
-            .state
-            .lock()
-            .expect("commit queue poisoned")
-            .metrics = Some(metrics);
+        self.shared.lock().metrics = Some(metrics);
     }
 
     /// Enqueues one framed entry for `shard` carrying `records` records
     /// (one for a plain frame, the batch count for a coalesced frame).
-    /// With `wait`, blocks until the frame's group is fsynced (the
-    /// durable ack) or the log dies.
+    /// With `wait`, returns once the frame's group is fsynced (the
+    /// durable ack) — by this thread, if no round is in flight — or the
+    /// log dies.
     pub(crate) fn append(
         &self,
         shard: usize,
@@ -346,8 +357,9 @@ impl Committer {
         frame: Vec<u8>,
         wait: bool,
     ) -> Result<(), WalError> {
+        debug_assert!(records > 0, "an fsync is owed per record, not per frame");
         let start = Instant::now();
-        let mut st = self.shared.state.lock().expect("commit queue poisoned");
+        let mut st = self.shared.lock();
         if let Some(e) = &st.error {
             return Err(e.clone());
         }
@@ -356,48 +368,16 @@ impl Committer {
         }
         st.pending_records += records;
         st.pending_bytes += frame.len() as u64;
-        st.pending.push(Pending {
-            shard,
-            seq,
-            records,
-            frame,
-        });
+        st.pending.push(Pending { shard, seq, frame });
         let ticket = st.next_ticket;
         st.next_ticket += 1;
-        // Wake the committer only when there is a reason for it to run
-        // *now*: this append wants an ack, the group is full (by record
-        // count or bytes), or a staleness clock must be armed for the
-        // first queued frame. Un-waited frames below the group bounds
-        // just accumulate — the next full group, barrier, or shutdown
-        // picks them up. (And the wake syscall only matters when the
-        // committer is actually parked; while awake it re-checks the
-        // queue — and the waiter count, registered below under this same
-        // lock hold — before ever sleeping.)
-        if st.idle
-            && (wait
-                || st.pending_records >= self.fsync_every
-                || (self.fsync_bytes > 0 && st.pending_bytes >= self.fsync_bytes)
-                || (self.timed && st.pending.len() == 1))
-        {
-            self.shared.work.notify_one();
-        }
         if wait {
-            st.waiters += 1;
-            while st.durable < ticket {
-                let died = if st.error.is_some() {
-                    st.error.clone()
-                } else if st.abort {
-                    Some(WalError::Shutdown)
-                } else {
-                    None
-                };
-                if let Some(e) = died {
-                    st.waiters -= 1;
-                    return Err(e);
-                }
-                st = self.shared.done.wait(st).expect("commit queue poisoned");
-            }
-            st.waiters -= 1;
+            st = self.shared.wait_durable(st, ticket)?;
+        } else {
+            // Un-waited frames below the group bounds just accumulate —
+            // the next leader, full group, barrier or shutdown picks
+            // them up; a staleness clock needs arming for the first.
+            self.shared.wake_background(&st, st.durable + 1 == ticket);
         }
         let metrics = st.metrics.clone();
         drop(st);
@@ -408,322 +388,311 @@ impl Committer {
     }
 
     /// The durability barrier: returns once every append accepted before
-    /// this call is fsynced. Skips the batching linger for the final
-    /// group.
+    /// this call is fsynced, leading the round for whatever is not.
     pub(crate) fn sync(&self) -> Result<(), WalError> {
-        let mut st = self.shared.state.lock().expect("commit queue poisoned");
+        let st = self.shared.lock();
         let target = st.next_ticket - 1;
-        while st.durable < target {
-            if let Some(e) = &st.error {
-                return Err(e.clone());
-            }
-            if st.abort {
-                return Err(WalError::Shutdown);
-            }
-            st.hurry = true;
-            self.shared.work.notify_one();
-            st = self.shared.done.wait(st).expect("commit queue poisoned");
-        }
-        match &st.error {
-            Some(e) => Err(e.clone()),
-            None => Ok(()),
-        }
+        self.shared.wait_durable(st, target).map(drop)
     }
 
     /// Requests deletion of `shard`'s segments wholly below
-    /// `high_water`. Returns immediately; the committer prunes after the
-    /// next group commit.
+    /// `high_water`. Returns immediately; the background thread prunes
+    /// after its next round's acks.
     pub(crate) fn request_prune(&self, shard: usize, high_water: u64) {
-        let mut st = self.shared.state.lock().expect("commit queue poisoned");
+        let mut st = self.shared.lock();
         if st.shutdown || st.abort {
             return;
         }
         st.prunes.push((shard, high_water));
-        if st.idle {
-            self.shared.work.notify_one();
-        }
+        self.shared.wake_background(&st, false);
     }
 
     /// Clean shutdown: drain every accepted append to disk, then join
     /// the thread. Idempotent.
     pub(crate) fn shutdown(&self) {
-        {
-            let mut st = self.shared.state.lock().expect("commit queue poisoned");
-            st.shutdown = true;
-            self.shared.work.notify_all();
-        }
-        if let Some(h) = self
-            .handle
-            .lock()
-            .expect("committer handle poisoned")
-            .take()
-        {
-            let _ = h.join();
-        }
+        self.shared.lock().shutdown = true;
+        self.shared.work.notify_all();
+        self.join();
     }
 
     /// The highest fsynced ticket — test-only visibility into group
     /// formation.
     #[cfg(test)]
     fn durable_ticket(&self) -> u64 {
-        self.shared
-            .state
-            .lock()
-            .expect("commit queue poisoned")
-            .durable
+        self.shared.lock().durable
     }
 
-    /// Simulated crash: stop the committer *without* draining or a final
+    /// Simulated crash: stop every caller *without* draining or a final
     /// fsync. Pending unacked appends are abandoned exactly as a power
     /// cut would abandon them. Idempotent.
     pub(crate) fn abort(&self) {
-        {
-            let mut st = self.shared.state.lock().expect("commit queue poisoned");
-            st.abort = true;
-            self.shared.work.notify_all();
-            self.shared.done.notify_all();
+        let mut st = self.shared.lock();
+        st.abort = true;
+        self.shared.work.notify_all();
+        self.shared.done.notify_all();
+        // Nobody leads past the flag, but a round in flight still owns
+        // the files: no byte may reach a segment after this returns.
+        while st.log.is_none() {
+            st = self.shared.park(st);
         }
-        if let Some(h) = self
+        drop(st);
+        self.join();
+    }
+
+    fn join(&self) {
+        let handle = self
             .handle
             .lock()
             .expect("committer handle poisoned")
-            .take()
-        {
+            .take();
+        if let Some(h) = handle {
             let _ = h.join();
         }
     }
 }
 
-/// The committer thread body.
-fn run_committer(
-    shared: &Shared,
-    mut files: Vec<ShardFiles>,
-    dims: u8,
-    fsync_every: usize,
-    fsync_bytes: u64,
-    max_batch_delay: Duration,
-    segment_bytes: u64,
-) {
-    // Records/bytes written to the OS since the last fsync round, and
-    // the highest ticket those writes cover. With no writer waiting on
-    // an ack, the fsync is deferred across drains until `fsync_every`
-    // records or `fsync_bytes` bytes have accumulated (or a
-    // barrier/shutdown forces it) — the group-commit amortisation, with
-    // a byte bound so huge coalesced frames don't balloon a group.
-    let mut unsynced_records: usize = 0;
-    let mut unsynced_bytes: u64 = 0;
-    let mut written_ticket: u64 = 0;
-    loop {
-        let (batch, prunes, high_ticket, metrics, mut want_sync);
-        {
-            let mut st = shared.state.lock().expect("commit queue poisoned");
-            // Staleness clock for a backlog below the group bound
-            // (armed only when `max_batch_delay` is non-zero).
-            let mut deadline: Option<Instant> = None;
-            let mut timed_flush = false;
-            loop {
-                if st.abort {
-                    return;
-                }
-                if st.error.is_some() {
-                    // Parked: nothing will ever become durable again.
-                    // Keep waking waiters so none sleeps through the
-                    // sticky error, and wait for shutdown.
-                    if st.shutdown {
-                        return;
-                    }
-                    shared.done.notify_all();
-                    st.idle = true;
-                    st = shared.work.wait(st).expect("commit queue poisoned");
-                    st.idle = false;
-                    continue;
-                }
-                let backlog = st.pending_records;
-                let forced = st.hurry || st.shutdown || st.waiters > 0 || !st.prunes.is_empty();
-                let timed = backlog > 0 && deadline.is_some_and(|d| Instant::now() >= d);
-                let byte_full = fsync_bytes > 0 && st.pending_bytes >= fsync_bytes;
-                if forced || backlog >= fsync_every || byte_full || timed {
-                    if backlog == 0 && st.prunes.is_empty() {
-                        // A barrier, ack-waiter, or clean shutdown with
-                        // nothing queued: flush deferred writes with an
-                        // empty batch before resting.
-                        if unsynced_records > 0 {
-                            break;
-                        }
-                        if st.shutdown {
-                            return;
-                        }
-                        if st.hurry {
-                            // Nothing unsynced: the barrier is met.
-                            st.hurry = false;
-                            shared.done.notify_all();
-                        }
-                        // An ack-waiter with no backlog and nothing
-                        // unsynced is already durable; fall through to
-                        // the wait.
-                    } else {
-                        timed_flush = timed;
-                        break;
-                    }
-                }
-                if backlog > 0 && max_batch_delay > Duration::ZERO && deadline.is_none() {
-                    deadline = Some(Instant::now() + max_batch_delay);
-                }
-                st.idle = true;
-                st = match deadline {
-                    Some(d) => {
-                        let now = Instant::now();
-                        if now >= d {
-                            st.idle = false;
-                            continue;
-                        }
-                        shared
-                            .work
-                            .wait_timeout(st, d - now)
-                            .expect("commit queue poisoned")
-                            .0
-                    }
-                    None => shared.work.wait(st).expect("commit queue poisoned"),
-                };
-                st.idle = false;
-            }
-            batch = mem::take(&mut st.pending);
-            st.pending_records = 0;
-            st.pending_bytes = 0;
-            prunes = mem::take(&mut st.prunes);
-            // Every ticket issued so far is either already durable,
-            // covered by an earlier (possibly unsynced) write, or in
-            // `batch` (tickets are only issued with a push).
-            high_ticket = st.next_ticket - 1;
-            // The staleness bound makes the whole backlog durable, not
-            // just written: a timed flush syncs too.
-            want_sync = st.hurry || st.shutdown || st.waiters > 0 || timed_flush;
-            st.hurry = false;
-            metrics = st.metrics.clone();
-        }
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().expect("commit queue poisoned")
+    }
 
-        let mut result = write_group(&mut files, &batch, dims, segment_bytes, metrics.as_deref());
-        let mut synced_to = None;
+    /// Sleeps until the next publish.
+    fn park<'a>(&self, mut st: MutexGuard<'a, QueueState>) -> MutexGuard<'a, QueueState> {
+        st.waiters += 1;
+        st = self.done.wait(st).expect("commit queue poisoned");
+        st.waiters -= 1;
+        st
+    }
+
+    /// Returns once `ticket` is durable: leads a commit round when none
+    /// is in flight, otherwise sleeps until the one in flight publishes
+    /// and looks again.
+    fn wait_durable<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, QueueState>,
+        ticket: u64,
+    ) -> Result<MutexGuard<'a, QueueState>, WalError> {
+        while st.durable < ticket {
+            if let Some(e) = &st.error {
+                return Err(e.clone());
+            }
+            if st.abort {
+                return Err(WalError::Shutdown);
+            }
+            st = if st.log.is_some() {
+                self.commit_round(st, true, true)
+            } else {
+                self.park(st)
+            };
+        }
+        Ok(st)
+    }
+
+    /// Wakes the background thread when it is parked, its kind of work
+    /// is due — shutdown, a prune, a full group of un-waited frames, or
+    /// (`stale`) the oldest ticket not yet durable changed under a
+    /// staleness bound — and the baton is home: whoever holds it asks
+    /// again when it publishes.
+    fn wake_background(&self, st: &QueueState, stale: bool) {
+        let due = st.background_due(&self.cfg) || (stale && !self.cfg.max_batch_delay.is_zero());
+        if st.idle && st.log.is_some() && due {
+            self.work.notify_one();
+        }
+    }
+
+    /// One commit round, the only code that writes the log: takes the
+    /// baton and everything pending, then — queue released — appends the
+    /// group, fsyncs if `sync` or a group bound says so, publishes the
+    /// durable ticket or the sticky error, prunes (the background thread
+    /// only; `led` marks a writer's round) and puts the baton back.
+    fn commit_round<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, QueueState>,
+        mut sync: bool,
+        led: bool,
+    ) -> MutexGuard<'a, QueueState> {
+        let mut log = st.log.take().expect("callers check the baton is home");
+        mem::swap(&mut st.pending, &mut log.batch);
+        let records = mem::take(&mut st.pending_records);
+        let bytes = mem::take(&mut st.pending_bytes);
+        let prunes = if led {
+            Vec::new()
+        } else {
+            mem::take(&mut st.prunes)
+        };
+        // Every ticket issued so far is either already durable, covered
+        // by an earlier (possibly unsynced) write, or in the batch
+        // (tickets are only issued with a push).
+        let high_ticket = st.next_ticket - 1;
+        let metrics = st.metrics.clone();
+        drop(st);
+
+        let metrics = metrics.as_deref();
+        let mut result = log.write_group(self.dims, self.cfg.segment_bytes);
+        let mut synced = false;
         if result.is_ok() {
-            if !batch.is_empty() {
-                unsynced_records += batch.iter().map(|p| p.records).sum::<usize>();
-                unsynced_bytes += batch.iter().map(|p| p.frame.len() as u64).sum::<u64>();
-                written_ticket = high_ticket;
-            }
-            if unsynced_records >= fsync_every || (fsync_bytes > 0 && unsynced_bytes >= fsync_bytes)
-            {
-                want_sync = true;
-            }
-            if want_sync && unsynced_records > 0 {
-                match sync_group(&mut files, unsynced_records, metrics.as_deref()) {
-                    Ok(()) => {
-                        synced_to = Some(written_ticket);
-                        unsynced_records = 0;
-                        unsynced_bytes = 0;
-                    }
-                    Err(e) => result = Err(e),
+            if !log.batch.is_empty() {
+                log.unsynced_records += records;
+                log.unsynced_bytes += bytes;
+                log.written_ticket = high_ticket;
+                if let Some(m) = metrics {
+                    m.records.add(records as u64);
+                    m.bytes.add(bytes);
+                    m.segments.set(log.segment_count());
                 }
+            }
+            sync |= log.unsynced_records >= self.cfg.fsync_every
+                || (self.cfg.fsync_bytes > 0 && log.unsynced_bytes >= self.cfg.fsync_bytes);
+            if sync && log.unsynced_records > 0 {
+                result = log.sync_group(metrics, led);
+                synced = result.is_ok();
             }
         }
-        {
-            let mut st = shared.state.lock().expect("commit queue poisoned");
-            match result {
-                Ok(()) => {
-                    if let Some(t) = synced_to {
-                        st.durable = t;
-                    }
-                }
-                Err(e) => {
-                    if st.error.is_none() {
-                        st.error = Some(e);
-                    }
-                }
+        log.batch.clear();
+
+        let mut st = self.lock();
+        match result {
+            Ok(()) if synced => st.durable = log.written_ticket,
+            Ok(()) => {}
+            Err(e) => {
+                st.error.get_or_insert(e);
             }
-            shared.done.notify_all();
-            if st.error.is_some() {
+        }
+        if !prunes.is_empty() && st.error.is_none() {
+            // The prune side of the commit/prune split: space
+            // reclamation happens only after acks went out.
+            if st.waiters > 0 {
+                self.done.notify_all();
+            }
+            drop(st);
+            let removed: usize = prunes.iter().map(|&(j, hw)| log.files[j].prune(hw)).sum();
+            if let Some(m) = metrics {
+                m.prunes.add(removed as u64);
+                m.segments.set(log.segment_count());
+            }
+            st = self.lock();
+        }
+        st.log = Some(log);
+        if st.waiters > 0 {
+            self.done.notify_all();
+        }
+        self.wake_background(&st, st.durable + 1 < st.next_ticket);
+        st
+    }
+
+    /// The background thread: runs the rounds nobody waits for (see the
+    /// module docs) until shutdown has drained the queue or an abort.
+    fn run_background(&self) {
+        // Staleness clock for records nobody waits for (armed only when
+        // `max_batch_delay` is non-zero): the oldest ticket not yet
+        // durable when it was armed, and when that becomes too old.
+        let mut clock: Option<(u64, Instant)> = None;
+        let mut st = self.lock();
+        loop {
+            // After the first error nothing becomes durable again.
+            let dead = st.error.is_some();
+            let oldest = st.durable + 1;
+            let behind = !dead && oldest < st.next_ticket;
+            if st.abort || (st.shutdown && (dead || !behind && st.prunes.is_empty())) {
+                return;
+            }
+            if !behind || self.cfg.max_batch_delay.is_zero() {
+                clock = None;
+            } else if clock.is_none_or(|(armed_for, _)| armed_for < oldest) {
+                clock = Some((oldest, Instant::now() + self.cfg.max_batch_delay));
+            }
+            let expired = clock.is_some_and(|(_, at)| Instant::now() >= at);
+            if !dead && st.log.is_some() && (expired || st.background_due(&self.cfg)) {
+                // The staleness bound and the drain make the whole
+                // backlog durable, not just written.
+                let sync = expired || st.shutdown;
+                st = self.commit_round(st, sync, false);
                 continue;
             }
-        }
-
-        // The prune side of the commit/prune split: space reclamation
-        // happens only after acks went out.
-        if !prunes.is_empty() {
-            let mut removed = 0;
-            for (j, hw) in prunes {
-                removed += files[j].prune(hw);
-            }
-            if let Some(m) = metrics.as_deref() {
-                if removed > 0 {
-                    m.prunes.add(removed as u64);
+            st.idle = true;
+            st = match clock {
+                Some((_, at)) if st.log.is_some() => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    self.work
+                        .wait_timeout(st, left)
+                        .expect("commit queue poisoned")
+                        .0
                 }
-                m.segments
-                    .set(files.iter().map(ShardFiles::segment_count).sum::<usize>() as i64);
-            }
+                _ => self.work.wait(st).expect("commit queue poisoned"),
+            };
+            st.idle = false;
         }
     }
 }
 
-/// Appends one drain's frames: all frames sorted into per-shard
-/// buffers, one `write_all` per touched shard. No fsync — that is
-/// [`sync_group`]'s job, possibly several drains later.
-fn write_group(
-    files: &mut [ShardFiles],
-    batch: &[Pending],
-    dims: u8,
-    segment_bytes: u64,
-    metrics: Option<&WalMetrics>,
-) -> Result<(), WalError> {
-    if batch.is_empty() {
-        return Ok(());
+impl QueueState {
+    /// Work that is the background thread's: the shutdown drain, a prune,
+    /// a full group (by records or bytes) of frames nobody waits for.
+    fn background_due(&self, cfg: &WalConfig) -> bool {
+        self.shutdown
+            || !self.prunes.is_empty()
+            || self.pending_records >= cfg.fsync_every
+            || (cfg.fsync_bytes > 0 && self.pending_bytes >= cfg.fsync_bytes)
     }
-    let mut touched = BTreeSet::new();
-    let mut group_bytes = 0u64;
-    let mut group_records = 0u64;
-    for p in batch {
-        let f = &mut files[p.shard];
-        f.buf.extend_from_slice(&p.frame);
-        f.buf_max_seq = f.buf_max_seq.max(p.seq);
-        f.buf_any = true;
-        group_bytes += p.frame.len() as u64;
-        group_records += p.records as u64;
-        touched.insert(p.shard);
-    }
-    for &j in &touched {
-        files[j].write(dims, segment_bytes)?;
-    }
-    if let Some(m) = metrics {
-        m.records.add(group_records);
-        m.bytes.add(group_bytes);
-        m.segments
-            .set(files.iter().map(ShardFiles::segment_count).sum::<usize>() as i64);
-    }
-    Ok(())
 }
 
-/// Fsyncs every shard with unsynced bytes — one group commit covering
-/// `group_records` accumulated records.
-fn sync_group(
-    files: &mut [ShardFiles],
-    group_records: usize,
-    metrics: Option<&WalMetrics>,
-) -> Result<(), WalError> {
-    let fsync_start = Instant::now();
-    for f in files.iter_mut() {
-        f.sync()?;
+impl Log {
+    fn segment_count(&self) -> i64 {
+        self.files
+            .iter()
+            .map(ShardFiles::segment_count)
+            .sum::<usize>() as i64
     }
-    if let Some(m) = metrics {
-        m.fsync_ns.record_since(fsync_start);
-        m.groups.inc();
-        m.group_size.record(group_records as u64);
+
+    /// Appends the batch: all frames sorted into per-shard buffers, one
+    /// `write_all` per touched shard. No fsync — that is
+    /// [`sync_group`](Self::sync_group)'s job, possibly several rounds
+    /// later.
+    fn write_group(&mut self, dims: u8, segment_bytes: u64) -> Result<(), WalError> {
+        for p in &self.batch {
+            let f = &mut self.files[p.shard];
+            f.buf.extend_from_slice(&p.frame);
+            f.buf_max_seq = f.buf_max_seq.max(p.seq);
+            f.buf_any = true;
+        }
+        for f in self.files.iter_mut().filter(|f| f.buf_any) {
+            f.write(dims, segment_bytes)?;
+        }
+        Ok(())
     }
-    Ok(())
+
+    /// Fsyncs every shard with unsynced bytes — one group commit
+    /// covering every record written since the last one.
+    fn sync_group(&mut self, metrics: Option<&WalMetrics>, led: bool) -> Result<(), WalError> {
+        let fsync_start = Instant::now();
+        for f in self.files.iter_mut() {
+            f.sync()?;
+        }
+        if let Some(m) = metrics {
+            m.fsync_ns.record_since(fsync_start);
+            m.groups.inc();
+            if led {
+                m.groups_led.inc();
+            }
+            m.group_size.record(self.unsynced_records as u64);
+        }
+        self.unsynced_records = 0;
+        self.unsynced_bytes = 0;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::record::{encode_unsealed_record, seal_frames};
+    use super::super::record::{encode_unsealed_record, parse_frame, seal_frames, FrameOutcome};
     use super::*;
+    use crate::obs::EngineMetrics;
     use sfc_core::Point;
+    use sfc_obs::MetricsRegistry;
+    use std::path::Path;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     struct TestDir(PathBuf);
 
@@ -754,16 +723,52 @@ mod tests {
         buf
     }
 
-    fn spawn_one_shard(config: &WalConfig, dir: &std::path::Path) -> Committer {
-        Committer::spawn(
-            config,
-            2,
-            vec![ShardLogState {
-                dir: dir.to_path_buf(),
-                segments: Vec::new(),
-                next_segment_id: 0,
-            }],
-        )
+    /// A committer over one fresh log per directory in `dirs`.
+    fn spawn_shards(config: &WalConfig, dirs: &[&Path]) -> Committer {
+        let logs = dirs.iter().map(|dir| ShardLogState {
+            dir: dir.to_path_buf(),
+            segments: Vec::new(),
+            next_segment_id: 0,
+        });
+        Committer::spawn(config, 2, logs.collect())
+    }
+
+    fn spawn_one_shard(config: &WalConfig, dir: &Path) -> Committer {
+        spawn_shards(config, &[dir])
+    }
+
+    /// The seq of every frame in `dir`'s segments, in file order. Reads
+    /// what the OS holds — no barrier, no help from the committer.
+    fn seqs_on_file(dir: &Path) -> Vec<u64> {
+        let mut segments: Vec<PathBuf> = fs::read_dir(dir)
+            .expect("list segments")
+            .map(|entry| entry.expect("dir entry").path())
+            .collect();
+        segments.sort();
+        let mut seqs = Vec::new();
+        for path in segments {
+            let buf = fs::read(&path).expect("read segment");
+            let mut off = SEGMENT_HEADER;
+            while off < buf.len() {
+                match parse_frame(&buf, off) {
+                    FrameOutcome::Ok { body, end } => {
+                        seqs.push(u64::from_le_bytes(body[1..9].try_into().expect("8 bytes")));
+                        off = end;
+                    }
+                    bad => panic!("{} is damaged at byte {off}: {bad:?}", path.display()),
+                }
+            }
+        }
+        seqs
+    }
+
+    /// Polls `met` until it holds; panics with `what` after 10 s.
+    fn wait_until(what: &str, mut met: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !met() {
+            assert!(Instant::now() < deadline, "timed out: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     /// ROADMAP follow-on (c): crossing `fsync_bytes` must close a group
@@ -794,14 +799,9 @@ mod tests {
         // the committer must sync without any waiter or barrier.
         let big = frame(2, 2048);
         committer.append(0, 2, 64, big, false).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while committer.durable_ticket() < 2 {
-            assert!(
-                Instant::now() < deadline,
-                "byte-bound group never became durable"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        wait_until("byte-bound group never became durable", || {
+            committer.durable_ticket() == 2
+        });
         committer.shutdown();
     }
 
@@ -817,6 +817,225 @@ mod tests {
         assert_eq!(committer.durable_ticket(), 0, "no bound, no group");
         committer.sync().unwrap();
         assert_eq!(committer.durable_ticket(), 1, "the barrier drains it");
+        committer.shutdown();
+    }
+
+    /// Protocol (a): an ack means the frame is in the file *now*, and a
+    /// shard's file holds its frames in ticket order, whoever led the
+    /// rounds. Seqs are drawn under a per-shard lock held across the
+    /// acked append, so seq order is ticket order; the two shards'
+    /// writers meet in the commit queue as leader and follower, and the
+    /// 4 KiB segments rotate under them.
+    #[test]
+    fn ack_means_on_file_and_files_keep_ticket_order() {
+        let dir = TestDir::new("acked");
+        let dirs = [dir.0.join("s0"), dir.0.join("s1")];
+        for d in &dirs {
+            fs::create_dir_all(d).unwrap();
+        }
+        let config = WalConfig::new(&dir.0).segment_bytes(4 << 10);
+        let committer = spawn_shards(&config, &[&dirs[0], &dirs[1]]);
+        let next_seq = [Mutex::new(1u64), Mutex::new(1u64)];
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let (committer, dirs, next_seq) = (&committer, &dirs, &next_seq);
+                s.spawn(move || {
+                    let shard = t % 2;
+                    for _ in 0..500 {
+                        let mut next = next_seq[shard].lock().unwrap();
+                        let seq = *next;
+                        *next += 1;
+                        committer
+                            .append(shard, seq, 1, frame(seq, 16), true)
+                            .unwrap();
+                        let on_file = seqs_on_file(&dirs[shard]);
+                        assert!(
+                            on_file.iter().copied().eq(1..=seq),
+                            "shard {shard}: acked seq {seq}, file ends {:?}",
+                            &on_file[on_file.len().saturating_sub(4)..]
+                        );
+                    }
+                });
+            }
+        });
+        assert_eq!(committer.durable_ticket(), 2000);
+        for d in &dirs {
+            assert!(fs::read_dir(d).unwrap().count() > 1, "segments rotated");
+        }
+        committer.shutdown();
+    }
+
+    /// Protocol (b): a full group of frames nobody waits for never sits
+    /// in the queue with the background thread asleep — in particular
+    /// not when it filled up while a writer's round had the baton, where
+    /// only that writer's publish can wake the thread. No barrier is
+    /// ever issued; after each burst fewer than one group may stay
+    /// behind.
+    #[test]
+    fn full_unwaited_groups_commit_while_a_writer_leads() {
+        const EVERY: usize = 8;
+        let dir = TestDir::new("liveness");
+        let config = WalConfig::new(&dir.0).fsync_every(EVERY).fsync_bytes(0);
+        let committer = spawn_one_shard(&config, &dir.0);
+        let seq = AtomicU64::new(1);
+        let next_frame = || {
+            let seq = seq.fetch_add(1, Ordering::Relaxed);
+            (seq, frame(seq, 16))
+        };
+        // Channels, not a barrier: a failed assertion below hangs up and
+        // the leader thread ends instead of waiting for ever.
+        let (go, started) = mpsc::channel::<()>();
+        let (acked_tx, acked) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Owned, so that a leader that dies hangs up too.
+                let acked_tx = acked_tx;
+                for () in started {
+                    let (seq, frame) = next_frame();
+                    committer.append(0, seq, 1, frame, true).unwrap();
+                    let _ = acked_tx.send(());
+                }
+            });
+            for _ in 0..200 {
+                go.send(()).unwrap();
+                // Aim the burst at the window in which the leader is out
+                // with the baton (it may already be back: bounded).
+                for _ in 0..1000 {
+                    if committer.shared.lock().log.is_none() {
+                        break;
+                    }
+                    std::hint::spin_loop();
+                }
+                for _ in 0..3 * EVERY {
+                    let (seq, frame) = next_frame();
+                    committer.append(0, seq, 1, frame, false).unwrap();
+                }
+                acked.recv().unwrap();
+                wait_until("a full un-waited group was left in the queue", || {
+                    let st = committer.shared.lock();
+                    st.next_ticket - 1 - st.durable < EVERY as u64
+                });
+            }
+            drop(go);
+        });
+        committer.shutdown();
+    }
+
+    /// Protocol (c): the first I/O error is everyone's error. Two writers
+    /// park behind a held baton over a log whose directory is gone; when
+    /// it comes home one of them leads the failing round and the other,
+    /// parked behind it, gets the same error — as do a later append and
+    /// barrier — and shutdown still returns.
+    #[test]
+    fn first_error_reaches_leader_follower_and_every_later_call() {
+        let dir = TestDir::new("sticky");
+        let shard_dir = dir.0.join("gone");
+        fs::create_dir_all(&shard_dir).unwrap();
+        let committer = &spawn_one_shard(&WalConfig::new(&dir.0), &shard_dir);
+        fs::remove_dir_all(&shard_dir).unwrap();
+        let held = committer.shared.lock().log.take();
+        let errors: Vec<WalError> = std::thread::scope(|s| {
+            let writers: Vec<_> = (1..=2u64)
+                .map(|seq| s.spawn(move || committer.append(0, seq, 1, frame(seq, 16), true)))
+                .collect();
+            wait_until("both writers park", || committer.shared.lock().waiters == 2);
+            // What a round does when it publishes.
+            let mut st = committer.shared.lock();
+            st.log = held;
+            committer.shared.done.notify_all();
+            drop(st);
+            let join = |w: std::thread::ScopedJoinHandle<'_, Result<(), WalError>>| {
+                w.join().unwrap().expect_err("the log's directory is gone")
+            };
+            writers.into_iter().map(join).collect()
+        });
+        assert!(matches!(errors[0], WalError::Io { .. }), "{:?}", errors[0]);
+        assert_eq!(errors[0], errors[1], "leader and follower disagree");
+        let later = committer.append(0, 3, 1, frame(3, 16), false);
+        assert_eq!(later, Err(errors[0].clone()));
+        assert_eq!(committer.sync(), Err(errors[0].clone()));
+        assert_eq!(committer.durable_ticket(), 0);
+        committer.shutdown();
+    }
+
+    fn timed_config(dir: &Path, delay: Duration) -> WalConfig {
+        WalConfig::new(dir)
+            .fsync_every(1_000_000)
+            .fsync_bytes(0)
+            .max_batch_delay(delay)
+    }
+
+    /// `max_batch_delay` is a staleness bound: a lone un-waited frame
+    /// becomes durable by the clock alone — no barrier, no waiter, no
+    /// full group — and not before the delay.
+    #[test]
+    fn batch_delay_makes_a_lone_unwaited_frame_durable() {
+        let dir = TestDir::new("delay");
+        let delay = Duration::from_millis(20);
+        let committer = spawn_one_shard(&timed_config(&dir.0, delay), &dir.0);
+        let queued = Instant::now();
+        committer.append(0, 1, 1, frame(1, 16), false).unwrap();
+        wait_until("the staleness clock never fired", || {
+            committer.durable_ticket() == 1
+        });
+        assert!(queued.elapsed() >= delay, "the clock is armed at the push");
+        assert_eq!(seqs_on_file(&dir.0), [1]);
+        committer.shutdown();
+    }
+
+    /// The clock also covers a frame that a prune's round wrote to the OS
+    /// without an fsync: written is not durable.
+    #[test]
+    fn batch_delay_covers_a_frame_written_by_a_prune_round() {
+        let dir = TestDir::new("delay-prune");
+        let config = timed_config(&dir.0, Duration::from_millis(20));
+        let committer = spawn_one_shard(&config, &dir.0);
+        committer.append(0, 1, 1, frame(1, 16), false).unwrap();
+        committer.request_prune(0, 0);
+        wait_until("a written, unsynced frame outlived the clock", || {
+            committer.durable_ticket() == 1
+        });
+        committer.shutdown();
+    }
+
+    /// Without a delay the same lone frame waits for a barrier.
+    #[test]
+    fn zero_batch_delay_means_no_clock() {
+        let dir = TestDir::new("nodelay");
+        let committer = spawn_one_shard(&timed_config(&dir.0, Duration::ZERO), &dir.0);
+        committer.append(0, 1, 1, frame(1, 16), false).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(committer.durable_ticket(), 0, "no clock, no group");
+        committer.shutdown();
+        assert_eq!(committer.durable_ticket(), 1, "shutdown drains it");
+    }
+
+    /// An acked write that arrives before the deadline takes the waiting
+    /// frame along in its own group, and the clock armed for that frame
+    /// must not fire a second, empty group afterwards.
+    #[test]
+    fn an_acked_write_disarms_the_batch_delay_clock() {
+        let dir = TestDir::new("disarm");
+        let delay = Duration::from_millis(100);
+        let committer = spawn_one_shard(&timed_config(&dir.0, delay), &dir.0);
+        let metrics = EngineMetrics::for_shards(Arc::new(MetricsRegistry::new()), 1);
+        committer.set_metrics(metrics.wal().clone());
+        let counter = |name: &str| metrics.registry().snapshot().counter(name).unwrap();
+
+        let queued = Instant::now();
+        committer.append(0, 1, 1, frame(1, 16), false).unwrap();
+        committer.append(0, 2, 1, frame(2, 16), true).unwrap();
+        let groups = counter("wal.groups");
+        if queued.elapsed() < delay {
+            // The clock cannot have fired yet: one group of two, led.
+            assert_eq!((groups, counter("wal.groups.led")), (1, 1));
+            let sizes = metrics.registry().snapshot();
+            assert_eq!(sizes.histogram("wal.group_size").unwrap().max(), 2);
+        }
+        assert_eq!(committer.durable_ticket(), 2);
+        std::thread::sleep(delay + Duration::from_millis(50));
+        assert_eq!(counter("wal.groups"), groups, "the clock fired for nobody");
+        assert_eq!(seqs_on_file(&dir.0), [1, 2]);
         committer.shutdown();
     }
 }

@@ -1,5 +1,5 @@
 //! The store-facing side of the WAL: the engine-wide handle
-//! ([`WalEngine`]: committer + manifest state) and the per-shard
+//! ([`WalEngine`]: commit queue + manifest state) and the per-shard
 //! [`DurabilityHook`] the concurrent shard calls at its three durability
 //! points — logging a write, persisting a published epoch, and
 //! finishing a deferred (rebalance) commit.
@@ -26,7 +26,7 @@ use super::record::{
 use super::{WalConfig, WalError};
 use crate::view::Run;
 
-/// Engine-wide durability state: the committer plus the in-memory image
+/// Engine-wide durability state: the commit queue plus the in-memory image
 /// of the manifest (flipped to disk at every commit point).
 pub(crate) struct WalEngine {
     dir: PathBuf,
@@ -109,7 +109,8 @@ where
     /// Seals `frames` (as one of the `encode_*` methods returned them)
     /// with the consecutive sequence numbers the memtable assigned from
     /// `first_seq` on, and enqueues them under one commit-queue ticket.
-    /// With `wait`, blocks for the group fsync — the durable ack.
+    /// With `wait`, returns after the group fsync — the durable ack —
+    /// which the caller issues itself unless a round is in flight.
     fn log_frames(&self, frames: Vec<u8>, first_seq: u64, wait: bool) -> Result<(), WalError>;
 
     /// Persists a freshly published epoch: new run files, a new

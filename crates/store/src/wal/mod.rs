@@ -32,21 +32,26 @@
 //!
 //! # Group commit
 //!
-//! Writers never touch a file. [`log_frames`](DurabilityHook::log_frames)
-//! pushes the sealed frames onto an in-memory commit queue and takes a
-//! *ticket*; a dedicated committer thread drains the queue, appends each
-//! shard's frames to its open segment, and issues **one fsync per shard
-//! per group**. While no writer is blocked on an ack, the committer does
-//! not even wake: un-waited records accumulate in the queue until
-//! [`WalConfig::fsync_every`] of them — or, since batched appends can
-//! carry kilobytes per frame, [`WalConfig::fsync_bytes`] frame bytes —
-//! are pending (or [`WalConfig::max_batch_delay`] expires), then are
-//! written and synced as one group — a waiting writer, a `sync()`
-//! barrier, or shutdown forces the group immediately. Only after the
-//! fsync does the durable ticket advance and
-//! wake waiting writers. An fsync failure is *sticky*: the committer
-//! parks with the error and every subsequent or waiting append returns
-//! it — the log never silently drops a group.
+//! [`log_frames`](DurabilityHook::log_frames) pushes the sealed frames
+//! onto an in-memory commit queue and takes a *ticket*. Frames reach the
+//! files in *commit rounds*: take everything queued, append each shard's
+//! frames to its open segment, issue **one fsync per shard per group**,
+//! advance the durable ticket. Whoever needs durability *now* runs the
+//! round in their own thread — a writer waiting for its ack, a `sync()`
+//! barrier: an acked write never changes threads, and what it waits for
+//! is a `write` and an `fdatasync`. Rounds are strictly one at a time;
+//! a writer that arrives while one is in flight sleeps until it has
+//! published, and the frames queued meanwhile form the next round's
+//! group, so concurrent writers still share fsyncs. A background thread
+//! runs the same round for what nobody waits for: un-waited records
+//! accumulate in the queue until [`WalConfig::fsync_every`] of them —
+//! or, since batched appends can carry kilobytes per frame,
+//! [`WalConfig::fsync_bytes`] frame bytes — are pending (or
+//! [`WalConfig::max_batch_delay`] expires), then are written and synced
+//! as one group; it also drains the queue at shutdown. Only after the
+//! fsync does the durable ticket advance. An I/O failure is *sticky*:
+//! the first error stops the log, and every subsequent or waiting append
+//! returns it — the log never silently drops a group.
 //!
 //! # Frame coalescing
 //!
@@ -63,8 +68,8 @@
 //!
 //! Truncation is decoupled from the commit path (the aptosdb writer
 //! shape): a flush *requests* pruning at its high-water and returns; the
-//! committer deletes wholly-obsolete segments (`max seq < H`) after the
-//! next group commit, off every writer's latency path.
+//! background thread deletes wholly-obsolete segments (`max seq < H`)
+//! after its next round's acks, never in a writer's round.
 //!
 //! # Crash atomicity
 //!
@@ -99,17 +104,22 @@
 //!
 //! # Lock order
 //!
-//! The committer machinery extends the engine's lock order; the full
-//! chain is
+//! The commit machinery extends the engine's lock order; the full chain
+//! is
 //!
 //! ```text
 //! partition (RwLock) → shard maint → shard mem
-//!     → { epoch cell | shard persist → manifest → commit queue }
+//!     → { epoch cell | shard persist → manifest → commit queue ⇢ log files }
 //! ```
 //!
 //! The commit-queue mutex is the last lock on every path: writers take
-//! it with no other lock held, and the committer thread holds it only to
-//! swap buffers (all file I/O happens outside it).
+//! it with no other lock held, and nobody holds it across file I/O. The
+//! log files are not behind a lock but a *baton* — an `Option` in the
+//! queue state that a round takes out under the mutex and puts back
+//! when it has published — so they come after the queue and are only
+//! ever used with the queue released. A writer leading a round still
+//! holds the partition read guard its wait always held; a round takes
+//! no engine lock.
 
 mod committer;
 mod engine;
@@ -175,10 +185,10 @@ pub struct WalConfig {
     /// one `shardN/` subdirectory per shard). Created if absent.
     pub dir: PathBuf,
     /// Group-commit batching bound: with no writer waiting on an ack,
-    /// the committer defers the fsync until this many records have
-    /// accumulated since the last one (a waiting writer, a [`sync`]
-    /// barrier, or shutdown forces the fsync immediately). Also caps
-    /// the in-queue linger: a group this full skips `max_batch_delay`.
+    /// the fsync is deferred until this many records have accumulated
+    /// since the last one (a waiting writer, a [`sync`] barrier, or
+    /// shutdown forces the fsync immediately). Also caps the in-queue
+    /// linger: a group this full skips `max_batch_delay`.
     ///
     /// [`sync`]: crate::ShardedSfcStore::sync
     pub fsync_every: usize,
@@ -191,8 +201,8 @@ pub struct WalConfig {
     ///
     /// [`sync`]: crate::ShardedSfcStore::sync
     pub max_batch_delay: Duration,
-    /// Byte-bound companion to `fsync_every`: the committer also closes
-    /// a group once this many frame bytes have accumulated since the
+    /// Byte-bound companion to `fsync_every`: a group is also closed
+    /// once this many frame bytes have accumulated since the
     /// last fsync, so a burst of large coalesced batch frames does not
     /// balloon a group (and its worst-case replay) while staying far
     /// under the record-count bound. `0` disables the byte bound.
@@ -261,7 +271,7 @@ impl WalConfig {
     }
 }
 
-/// A typed durability failure. `Clone` because a committer-side failure
+/// A typed durability failure. `Clone` because a commit-round failure
 /// is sticky: the original error is handed to every writer that was (or
 /// later comes) waiting on the failed group.
 #[derive(Debug, Clone, PartialEq, Eq)]

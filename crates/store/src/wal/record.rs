@@ -23,7 +23,7 @@
 //! ## Frame format v2: multi-record batch bodies
 //!
 //! A batched write coalesces a whole shard slice into **one** frame so
-//! the group committer handles one ticket and one CRC instead of N. The
+//! a commit round handles one ticket and one CRC instead of N. The
 //! outer framing is unchanged (same length prefix, same checksum — v1
 //! readers of the *framing* still walk the log); only the body grows a
 //! new shape, introduced by [`TAG_BATCH`]:

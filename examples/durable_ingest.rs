@@ -1,7 +1,7 @@
 //! The durability loop end to end: open a write-ahead-logged store,
 //! ingest a spatial stream with group commit (periodically flushing
 //! part of it into immutable runs), then *simulate a crash* — the
-//! committer is killed in place, exactly as if the process died — and
+//! commit queue is cut in place, exactly as if the process died — and
 //! reopen the directory. Recovery loads the published runs, replays the
 //! WAL tail, and the example verifies every acknowledged write came
 //! back by checking the recovered store against an in-memory model.
@@ -32,11 +32,15 @@ fn main() {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
     let mut model: BTreeMap<CurveIndex, (Point<2>, u32)> = BTreeMap::new();
 
-    // Phase 1: durable ingest. Writes ride the group-commit queue
-    // without waiting; each `sync()` is a durability barrier after which
-    // everything before it is guaranteed on disk. Two mid-stream flushes
-    // move the prefix into immutable run files and prune the log behind
-    // them, so recovery has both forms to reassemble.
+    // Phase 1: durable ingest. Writes are left on the group-commit
+    // queue without waiting — a background thread commits them a full
+    // group (`fsync_every`) at a time; each `sync()` is a durability
+    // barrier that commits the rest in the calling thread, after which
+    // everything before it is guaranteed on disk. (An acked `try_insert`
+    // commits its own group the same way: one `write`, one fsync, no
+    // other thread.) Two mid-stream flushes move the prefix into
+    // immutable run files and prune the log behind them, so recovery has
+    // both forms to reassemble.
     {
         let store =
             ShardedSfcStore::open_durable(z, SHARDS, 1024, WalConfig::new(&dir).fsync_every(256))
@@ -107,10 +111,10 @@ fn main() {
         );
 
         // Phase 2: die. No clean shutdown, no final flush — the commit
-        // queue is torn down with whatever the group committer had
-        // already made durable (which, after sync(), is everything).
+        // queue is torn down with whatever earlier groups had already
+        // made durable (which, after sync(), is everything).
         store.simulate_crash();
-        println!("simulated crash (committer killed in place)");
+        println!("simulated crash (commit queue cut in place)");
     }
 
     // Phase 3: reopen and recover.

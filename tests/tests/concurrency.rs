@@ -12,7 +12,7 @@
 //! interleavings miss.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -20,7 +20,9 @@ use rand::Rng;
 use sfc_core::{CurveIndex, Grid, HilbertCurve, Point, SpaceFillingCurve, ZCurve};
 use sfc_index::BoxRegion;
 use sfc_integration::test_rng;
-use sfc_store::{MaintenanceConfig, RateLimit, ShardedSfcStore, ShardedSnapshot, StoreEntry};
+use sfc_store::{
+    MaintenanceConfig, RateLimit, ShardedSfcStore, ShardedSnapshot, StoreEntry, WalConfig,
+};
 
 const WRITER_THREADS: usize = 4;
 const OPS_PER_WRITER: usize = 2_500;
@@ -315,6 +317,86 @@ fn rebalance_under_concurrent_write_load() {
     }
     let want = flat(replay.iter());
     assert_eq!(flat(store.iter()), want, "rebalance under load lost writes");
+}
+
+/// The durable twin of the test above, for the one place a writer does
+/// file I/O under a lock: an acked write leads its group commit — a
+/// `write` and an fsync — while holding the partition read guard, which
+/// a stop-the-world rebalance wants for writing while it persists runs
+/// and requests prunes of the same log; a third party calls the `sync()`
+/// barrier throughout and competes for the same commit rounds. Whatever
+/// the interleaving, nobody may wait for somebody who waits for them: a
+/// watchdog bounds the run, and no acked write may be lost.
+#[test]
+fn acked_writers_barriers_and_rebalance_never_hang() {
+    const OPS: usize = 1_500;
+    let grid = Grid::<2>::new(5).unwrap();
+    let z = ZCurve::over(grid);
+    // On tmpfs where there is one: an fsync there is a system call, so
+    // the run is about the interleavings and not about the disk.
+    let shm = std::path::Path::new("/dev/shm");
+    let base = if shm.is_dir() {
+        shm.to_path_buf()
+    } else {
+        std::env::temp_dir()
+    };
+    let dir = base.join(format!("sfc-concurrency-acked-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ShardedSfcStore::open_durable(z, 4, 32, WalConfig::new(&dir)).unwrap();
+    let store = Arc::new(store);
+    let (finished_tx, finished) = std::sync::mpsc::channel();
+    let stress = std::thread::spawn({
+        let store = Arc::clone(&store);
+        move || {
+            let writing = AtomicUsize::new(4);
+            std::thread::scope(|scope| {
+                for writer in 0..4u32 {
+                    let (store, writing) = (&store, &writing);
+                    scope.spawn(move || {
+                        for (p, op) in writer_ops(grid, writer).into_iter().take(OPS) {
+                            match op {
+                                Some(v) => store.try_insert(p, v).expect("acked insert"),
+                                None => store.try_delete(p).expect("acked delete"),
+                            };
+                        }
+                        writing.fetch_sub(1, Ordering::SeqCst);
+                    });
+                }
+                // Both pause between calls: the point is the
+                // interleaving, not starving the writers of the queue
+                // mutex or of the partition guard.
+                scope.spawn(|| {
+                    while writing.load(Ordering::SeqCst) > 0 {
+                        store.sync().expect("barrier");
+                        std::thread::sleep(Duration::from_micros(50));
+                    }
+                });
+                scope.spawn(|| {
+                    while writing.load(Ordering::SeqCst) > 0 {
+                        store.rebalance(1e-9);
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                });
+            });
+            let _ = finished_tx.send(());
+        }
+    });
+    finished
+        .recv_timeout(Duration::from_secs(120))
+        .expect("acked writers, a barrier caller and rebalance deadlocked");
+    stress.join().unwrap();
+    let replay = ShardedSfcStore::with_memtable_capacity(z, 1, 32);
+    for writer in 0..4u32 {
+        for (p, op) in writer_ops(grid, writer).into_iter().take(OPS) {
+            match op {
+                Some(v) => replay.insert(p, v),
+                None => replay.delete(p),
+            };
+        }
+    }
+    assert_eq!(flat(store.iter()), flat(replay.iter()), "lost a write");
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// With the background maintenance thread owning flushes and compactions

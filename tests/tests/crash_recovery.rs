@@ -1143,48 +1143,80 @@ fn multi_shard_crash_recovery_with_flushes() {
     assert_matches_model(&store, &model);
 }
 
+/// Four acked writers, one un-waited stream and a flusher share one
+/// commit queue: acked writes lead their own group commits and sweep the
+/// un-waited frames along, the flushes persist runs and request prunes
+/// in between. After a crash every acked write is back; of the un-waited
+/// stream whatever came back was really written.
 #[test]
 fn durable_multi_writer_crash_consistency() {
     let tmp = TempDir::new("writers");
     let grid: Grid<2> = Grid::from_side(64).unwrap();
+    let half = (grid.side() / 2) as u32;
+    // The acked writers leave the top four rows of their quadrants
+    // alone; the un-waited stream owns rows `free_row..`.
+    let rows = half - 4;
+    let free_row = half + rows;
+    let acked_stream = |w: u32| {
+        let mut rng = test_rng(0xD00D + u64::from(w));
+        let (ox, oy) = [(0, 0), (half, 0), (0, half), (half, half)][w as usize];
+        (0..400u32).map(move |i| {
+            let p = Point::new([ox + rng.gen_range(0..half), oy + rng.gen_range(0..rows)]);
+            (p, (i % 7 != 6).then_some(w * 1_000_000 + i))
+        })
+    };
+    let unwaited_stream = || {
+        let mut rng = test_rng(0xD00D + 4);
+        (0..2000u32).map(move |i| {
+            let p = Point::new([
+                rng.gen_range(0..2 * half),
+                free_row + rng.gen_range(0..4u32),
+            ]);
+            (p, 5_000_000 + i)
+        })
+    };
     let mut model = Model::new();
     {
         let store = Arc::new(reopen(tmp.path(), 4, 64).unwrap());
+        let writing = std::sync::atomic::AtomicUsize::new(5);
+        let done = || {
+            writing.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+        };
         // Four writers on disjoint quadrants: every write acked, so the
         // final state is interleaving-independent.
         std::thread::scope(|s| {
             for w in 0..4u32 {
-                let store = Arc::clone(&store);
+                let (store, done) = (Arc::clone(&store), &done);
                 s.spawn(move || {
-                    let mut rng = test_rng(0xD00D + u64::from(w));
-                    let half = (grid.side() / 2) as u32;
-                    let (ox, oy) = [(0, 0), (half, 0), (0, half), (half, half)][w as usize];
-                    for i in 0..400u32 {
-                        let p =
-                            Point::new([ox + rng.gen_range(0..half), oy + rng.gen_range(0..half)]);
-                        if i % 7 == 6 {
-                            store.try_delete(p).unwrap();
-                        } else {
-                            store.try_insert(p, w * 1_000_000 + i).unwrap();
-                        }
+                    for (p, slot) in acked_stream(w) {
+                        match slot {
+                            Some(v) => store.try_insert(p, v).unwrap(),
+                            None => store.try_delete(p).unwrap(),
+                        };
                     }
+                    done();
                 });
             }
+            s.spawn(|| {
+                for (p, v) in unwaited_stream() {
+                    store.insert_nosync(p, v);
+                }
+                done();
+            });
+            s.spawn(|| {
+                while writing.load(std::sync::atomic::Ordering::SeqCst) > 0 {
+                    store.flush();
+                }
+            });
         });
         // Sequential replay of the same per-writer streams.
         let c = curve();
         for w in 0..4u32 {
-            let mut rng = test_rng(0xD00D + u64::from(w));
-            let half = (grid.side() / 2) as u32;
-            let (ox, oy) = [(0, 0), (half, 0), (0, half), (half, half)][w as usize];
-            for i in 0..400u32 {
-                let p = Point::new([ox + rng.gen_range(0..half), oy + rng.gen_range(0..half)]);
-                let key = c.index_of(p);
-                if i % 7 == 6 {
-                    model.remove(&key);
-                } else {
-                    model.insert(key, (p, w * 1_000_000 + i));
-                }
+            for (p, slot) in acked_stream(w) {
+                match slot {
+                    Some(v) => model.insert(c.index_of(p), (p, v)),
+                    None => model.remove(&c.index_of(p)),
+                };
             }
         }
         Arc::try_unwrap(store)
@@ -1192,7 +1224,23 @@ fn durable_multi_writer_crash_consistency() {
             .simulate_crash();
     }
     let store = reopen(tmp.path(), 4, 64).unwrap();
-    assert_matches_model(&store, &model);
+    let (unwaited, acked): (Vec<_>, Vec<_>) = state_of(&store)
+        .into_iter()
+        .partition(|(_, p, _)| p.coord(1) >= free_row);
+    assert_eq!(acked, model_state(&model), "recovered acked state");
+    assert_eq!(store.len(), model.len() + unwaited.len(), "live count");
+    for (&key, &(p, v)) in model.iter().step_by(7) {
+        assert_eq!(store.get(p), Some(v), "get({p}) at key {key}");
+    }
+    // Nothing is owed for the un-waited stream, but nothing may be
+    // invented either: each cell holds a value that was written to it.
+    let issued: Vec<(Point<2>, u32)> = unwaited_stream().collect();
+    for (key, p, v) in unwaited {
+        assert!(
+            issued.contains(&(p, v)),
+            "cell {p} (key {key}) recovered {v}, which nobody wrote there"
+        );
+    }
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Observability-layer integration tests.
 //!
-//! Four angles on the `sfc-obs` + store instrumentation stack:
+//! Five angles on the `sfc-obs` + store instrumentation stack:
 //!
 //! * **Quantile accuracy** — proptests replay adversarial latency
 //!   distributions (all-equal, bimodal, power-law) through the
@@ -19,6 +19,9 @@
 //! * **Persist accounting** — a durable store's flushes and compactions
 //!   report the time and bytes of their persist step (`shardN.persist.*`);
 //!   an in-memory store reports none.
+//! * **Who committed** — `wal.groups.led` counts the group commits a
+//!   waiting writer ran in its own thread: all of them for a stream of
+//!   acked writes, none for a stream nobody waits for.
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -342,4 +345,64 @@ fn persist_metrics_account_for_durable_flushes() {
     assert_eq!(snap.counter("shard0.flush.count"), Some(1));
     assert_eq!(snap.histogram("shard0.persist.ns").unwrap().count(), 0);
     assert_eq!(snap.counter("shard0.persist.bytes"), Some(0));
+}
+
+/// "Who fsynced my write": an acked write commits its own group, so a
+/// single writer's acked stream is one led group per write; a stream
+/// nobody waits for is committed `fsync_every` records at a time by the
+/// log's background thread, and no caller leads anything.
+#[test]
+fn wal_groups_led_says_who_committed() {
+    const EVERY: u32 = 64;
+    let open = |tag: &str| {
+        let dir = std::env::temp_dir().join(format!("sfc-obs-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let z = ZCurve::over(Grid::<2>::new(6).unwrap());
+        let config = WalConfig::new(&dir).fsync_every(EVERY as usize);
+        // Capacity beyond the test: no flush, so no prune, so every
+        // round is a group commit.
+        let mut store = ShardedSfcStore::<2, u64, _>::open_durable(z, 2, 1 << 12, config).unwrap();
+        let metrics = store.enable_metrics();
+        (dir, store, metrics)
+    };
+    let cell = |i: u32| Point::new([i % 64, i / 64]);
+
+    let (dir, store, metrics) = open("led");
+    for i in 0..200u32 {
+        store.try_insert(cell(i), u64::from(i)).unwrap();
+    }
+    let snap = metrics.registry().snapshot();
+    assert_eq!(snap.counter("wal.groups"), Some(200), "one group per ack");
+    assert_eq!(
+        snap.counter("wal.groups.led"),
+        Some(200),
+        "all by the writer"
+    );
+    assert_eq!(snap.histogram("wal.group_size").unwrap().max(), 1);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (dir, store, metrics) = open("unled");
+    let groups = || metrics.registry().snapshot().counter("wal.groups").unwrap();
+    for burst in 0..3u32 {
+        // Exactly one full group, then wait for it — no barrier — so the
+        // next burst cannot ride along.
+        for i in burst * EVERY..(burst + 1) * EVERY {
+            store.insert_nosync(cell(i), u64::from(i));
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while groups() <= u64::from(burst) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "a full un-waited group was never committed"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+    let snap = metrics.registry().snapshot();
+    assert_eq!(snap.counter("wal.groups"), Some(3));
+    assert_eq!(snap.counter("wal.groups.led"), Some(0), "nobody waited");
+    assert_eq!(snap.counter("wal.records"), Some(u64::from(3 * EVERY)));
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
