@@ -12,8 +12,8 @@
 //!
 //! Before timing anything, the harness asserts that the store's query
 //! results are **byte-identical** (key, point, payload) to a fresh static
-//! index built over the same live set — for BIGMIN on Z, intervals on
-//! Hilbert, and kNN.
+//! index built over the same live set — `query_box` against the index's
+//! BIGMIN scan on Z and its interval scan on Hilbert, and kNN.
 
 use criterion::{criterion_group, Criterion};
 use rand::{Rng, SeedableRng};
@@ -106,7 +106,7 @@ fn apply_round<C: SpaceFillingCurve<2>>(
 fn assert_equivalence(sc: &Scenario) {
     let triple = |key: CurveIndex, point: Point<2>, payload: u64| (key, point, payload);
 
-    // Z: BIGMIN both sides, plus kNN.
+    // Z: the planner against the index's BIGMIN scan, plus kNN.
     let z = ZCurve::over(sc.grid);
     let store = ShardedSfcStore::bulk_load(z, 1, sc.base.iter().copied());
     let mut authority = authority_of(&z, &sc.base);
@@ -120,7 +120,7 @@ fn assert_equivalence(sc: &Scenario) {
     assert_eq!(store.len(), index.len(), "live set size");
     let store = store.snapshot();
     for b in &sc.boxes {
-        let (got, _) = store.query_box_bigmin(b);
+        let (got, _) = store.query_box(b);
         let (want, _) = index.query_box_bigmin(b);
         let got: Vec<_> = got
             .iter()
@@ -145,7 +145,7 @@ fn assert_equivalence(sc: &Scenario) {
         assert_eq!(gk, wk, "Z knn mismatch at {q}");
     }
 
-    // Hilbert: interval strategy both sides.
+    // Hilbert: the planner against the index's interval scan.
     let h = HilbertCurve::over(sc.grid);
     let store = ShardedSfcStore::bulk_load(h, 1, sc.base.iter().copied());
     let mut authority = authority_of(&h, &sc.base);
@@ -158,7 +158,7 @@ fn assert_equivalence(sc: &Scenario) {
     let index = SfcIndex::build(h, authority.values().copied());
     let store = store.snapshot();
     for b in &sc.boxes {
-        let (got, _) = store.query_box_intervals(b);
+        let (got, _) = store.query_box(b);
         let (want, _) = index.query_box_intervals(b);
         let got: Vec<_> = got
             .iter()
@@ -174,9 +174,8 @@ fn assert_equivalence(sc: &Scenario) {
 }
 
 /// Asserts the `parts`-shard store's query results are byte-identical to
-/// the one-shard store's (router + fan-out must be invisible to readers)
-/// — for the sequential fan-out AND the scoped-thread parallel one, which
-/// really distributes the per-shard scans — and reports per-shard shape.
+/// the one-shard store's (router + fan-out must be invisible to readers),
+/// and reports per-shard shape.
 fn assert_sharded_equivalence(
     sc: &Scenario,
     parts: usize,
@@ -200,14 +199,9 @@ fn assert_sharded_equivalence(
     assert_eq!(sharded.len(), single.len(), "live set size");
     let triple = |key: CurveIndex, point: Point<2>, payload: u64| (key, point, payload);
     for b in &sc.boxes {
-        let (got, _) = sharded.query_box_bigmin(b);
-        let (par, _) = sharded.query_box_bigmin_par(b);
-        let (want, _) = single.query_box_bigmin(b);
+        let (got, _) = sharded.query_box(b);
+        let (want, _) = single.query_box(b);
         let got: Vec<_> = got
-            .iter()
-            .map(|e| triple(e.key, e.point, e.payload))
-            .collect();
-        let par: Vec<_> = par
             .iter()
             .map(|e| triple(e.key, e.point, e.payload))
             .collect();
@@ -215,17 +209,11 @@ fn assert_sharded_equivalence(
             .iter()
             .map(|e| triple(e.key, e.point, e.payload))
             .collect();
-        assert_eq!(got, want, "sharded bigmin mismatch on {b:?}");
-        assert_eq!(par, want, "par fan-out bigmin mismatch on {b:?}");
+        assert_eq!(got, want, "sharded box mismatch on {b:?}");
         let q = b.lo();
         let (gk, _) = sharded.knn(q, 10, 16);
-        let (gkp, _) = sharded.knn_par(q, 10, 16);
         let (wk, _) = single.knn(q, 10, 16);
         let gk: Vec<_> = gk
-            .iter()
-            .map(|e| triple(e.key, e.point, e.payload))
-            .collect();
-        let gkp: Vec<_> = gkp
             .iter()
             .map(|e| triple(e.key, e.point, e.payload))
             .collect();
@@ -234,11 +222,8 @@ fn assert_sharded_equivalence(
             .map(|e| triple(e.key, e.point, e.payload))
             .collect();
         assert_eq!(gk, wk, "sharded knn mismatch at {q}");
-        assert_eq!(gkp, wk, "par knn mismatch at {q}");
     }
-    println!(
-        "sharded equivalence: {parts}-shard results byte-identical to the one-shard store (seq + par)"
-    );
+    println!("sharded equivalence: {parts}-shard results byte-identical to the one-shard store");
     for (j, (len, runs)) in sharded
         .shard_lens()
         .iter()
@@ -264,7 +249,7 @@ fn bench_sharded_ingest(c: &mut Criterion) {
                     single.insert(p, v);
                 }
                 for b in &sc.boxes {
-                    total += black_box(single.query_box_bigmin(b).0.len());
+                    total += black_box(single.query_box(b).0.len());
                 }
             }
             total
@@ -278,21 +263,7 @@ fn bench_sharded_ingest(c: &mut Criterion) {
                     sharded.insert(p, v);
                 }
                 for b in &sc.boxes {
-                    total += black_box(sharded.query_box_bigmin(b).0.len());
-                }
-            }
-            total
-        })
-    });
-    group.bench_function("z_sharded_store_query_par", |bencher| {
-        bencher.iter(|| {
-            let mut total = 0usize;
-            for updates in &sc.rounds {
-                for &(p, v) in updates {
-                    sharded.insert(p, v);
-                }
-                for b in &sc.boxes {
-                    total += black_box(sharded.query_box_bigmin_par(b).0.len());
+                    total += black_box(sharded.query_box(b).0.len());
                 }
             }
             total
@@ -1100,7 +1071,7 @@ fn bench_ingest(c: &mut Criterion) {
                             store.insert(p, v);
                         }
                         for b in &sc.boxes {
-                            total += black_box(store.$query(b).0.len());
+                            total += black_box(store.query_box(b).0.len());
                         }
                     }
                     total
@@ -1115,8 +1086,8 @@ fn bench_ingest(c: &mut Criterion) {
 }
 
 /// The zone-map / planner headline: query latency against a *multi-run*
-/// million-record store, pre-change plain scans vs the zone-mapped paths
-/// and the planner. Byte-identical results are asserted for
+/// million-record store, the planner beside the raw interval walk, and
+/// kNN. Byte-identical results are asserted for
 /// every query before anything is timed, and the per-path [`QueryStats`]
 /// are collected for the JSON report.
 struct QueryBench {
@@ -1163,16 +1134,19 @@ const KNN_WINDOW: usize = 16;
 /// Blocks `knn_zone` decodes over the fixture's 24 queries — the count is
 /// exact (the fixture is seeded), so this is a ratchet: a change that
 /// decodes more fails, one that decodes fewer lowers it. 192 before the
-/// block-at-a-time kernel (`knn_plain`: 107); the candidate walk now
-/// decodes ≈ 2 blocks fewer per query and the verification ball, which
-/// masks every block whose AABB meets it instead of probing slots, ≈ 2
-/// more — at half the time (`knn_zone_vs_plain` in `BENCH_store.json`).
+/// block-at-a-time kernel (107 for the pre-zone-map kNN deleted in PR 23);
+/// the candidate walk now decodes ≈ 2 blocks fewer per query and the
+/// verification ball, which masks every block whose AABB meets it instead
+/// of probing slots, ≈ 2 more — at half the time.
 const KNN_ZONE_BLOCKS_DECODED_MAX: u64 = 194;
-/// Likewise for `box_zone_bigmin` / `box_planner`: 275 (what holds a hit)
-/// before the kernel, + 21 blocks whose AABB meets a box without holding
-/// a hit — the price of never hopping inside a block, paid back 7× in
-/// seeks (168 against `box_plain_bigmin`'s 1 191).
+/// Likewise for `box_planner`: 275 (what holds a hit) before the kernel,
+/// plus 21 blocks whose AABB meets a box without holding a hit — the
+/// price of never hopping inside a block, paid back 7× in seeks.
 const BOX_BLOCKS_DECODED_MAX: u64 = 296;
+/// Seeks `box_planner` makes over the fixture's 24 boxes, exact like the
+/// block counts: 1 191 before the kernel (the per-slot BIGMIN hop, deleted
+/// with the other pre-zone-map scans in PR 23), 168 since.
+const BOX_SEEKS_MAX: u64 = 168;
 
 /// Builds the benchmark store: 1M bulk-loaded records plus 100k streamed
 /// updates (1 in 10 a delete), left un-compacted so queries span a big
@@ -1248,30 +1222,9 @@ fn bench_query_paths(c: &mut Criterion, sc: &Scenario) -> QueryBench {
             }
         };
     for b in &boxes {
-        let (want, s) = store.query_box_intervals_plain(b);
+        let (want, s) = store.query_intervals(&b.curve_intervals(store.curve()));
         let want: Vec<_> = want.iter().map(triple).collect();
-        record(&mut stats, "box_plain_intervals", &s);
-        let (got, s) = store.query_box_bigmin_plain(b);
-        assert_eq!(
-            want,
-            got.iter().map(triple).collect::<Vec<_>>(),
-            "plain bigmin {b:?}"
-        );
-        record(&mut stats, "box_plain_bigmin", &s);
-        let (got, s) = store.query_box_intervals(b);
-        assert_eq!(
-            want,
-            got.iter().map(triple).collect::<Vec<_>>(),
-            "zone intervals {b:?}"
-        );
         record(&mut stats, "box_zone_intervals", &s);
-        let (got, s) = store.query_box_bigmin(b);
-        assert_eq!(
-            want,
-            got.iter().map(triple).collect::<Vec<_>>(),
-            "zone bigmin {b:?}"
-        );
-        record(&mut stats, "box_zone_bigmin", &s);
         let (got, s) = store.query_box(b);
         assert_eq!(
             want,
@@ -1280,10 +1233,10 @@ fn bench_query_paths(c: &mut Criterion, sc: &Scenario) -> QueryBench {
         );
         record(&mut stats, "box_planner", &s);
     }
+    let index = store.to_index();
     for &q in &knn_queries {
-        let (want, s) = store.knn_plain(q, KNN_K, KNN_WINDOW);
-        let want: Vec<_> = want.iter().map(triple).collect();
-        record(&mut stats, "knn_plain", &s);
+        let (want, _) = index.knn(q, KNN_K, KNN_WINDOW);
+        let want: Vec<_> = want.iter().map(|e| (e.key, e.point, *e.payload)).collect();
         let (got, s) = store.knn(q, KNN_K, KNN_WINDOW);
         assert_eq!(
             want,
@@ -1292,7 +1245,7 @@ fn bench_query_paths(c: &mut Criterion, sc: &Scenario) -> QueryBench {
         );
         record(&mut stats, "knn_zone", &s);
     }
-    println!("equivalence: all box paths and kNN byte-identical across {QUERY_BOXES} boxes / {KNN_QUERIES} queries");
+    println!("equivalence: planner = raw interval walk, kNN = static index, byte-identical across {QUERY_BOXES} boxes / {KNN_QUERIES} queries");
 
     // The work comparison, in the units that cost time: `scanned` counts
     // filter lanes (64 per masked block), so it is printed, not gated.
@@ -1312,7 +1265,6 @@ fn bench_query_paths(c: &mut Criterion, sc: &Scenario) -> QueryBench {
     // Ratchets on decoded blocks (byte-identity is asserted above).
     for (name, ceiling) in [
         ("knn_zone", KNN_ZONE_BLOCKS_DECODED_MAX),
-        ("box_zone_bigmin", BOX_BLOCKS_DECODED_MAX),
         ("box_planner", BOX_BLOCKS_DECODED_MAX),
     ] {
         assert!(
@@ -1324,10 +1276,9 @@ fn bench_query_paths(c: &mut Criterion, sc: &Scenario) -> QueryBench {
     // And the kernel's reason to exist: far fewer seeks than the per-slot
     // hop it replaced.
     assert!(
-        of("box_zone_bigmin").seeks * 2 <= of("box_plain_bigmin").seeks,
-        "box_zone_bigmin made {} seeks, box_plain_bigmin {}",
-        of("box_zone_bigmin").seeks,
-        of("box_plain_bigmin").seeks
+        of("box_planner").seeks <= BOX_SEEKS_MAX,
+        "box_planner made {} seeks, the committed ceiling is {BOX_SEEKS_MAX}",
+        of("box_planner").seeks
     );
 
     // Memory footprint of the compressed store vs the naive layout.
@@ -1362,35 +1313,14 @@ fn bench_query_paths(c: &mut Criterion, sc: &Scenario) -> QueryBench {
     );
 
     let mut group = c.benchmark_group("box_query_1m_selective");
-    group.bench_function("plain_intervals", |bencher| {
-        bencher.iter(|| {
-            boxes
-                .iter()
-                .map(|b| black_box(store.query_box_intervals_plain(b).0.len()))
-                .sum::<usize>()
-        })
-    });
-    group.bench_function("plain_bigmin", |bencher| {
-        bencher.iter(|| {
-            boxes
-                .iter()
-                .map(|b| black_box(store.query_box_bigmin_plain(b).0.len()))
-                .sum::<usize>()
-        })
-    });
     group.bench_function("zone_intervals", |bencher| {
         bencher.iter(|| {
             boxes
                 .iter()
-                .map(|b| black_box(store.query_box_intervals(b).0.len()))
-                .sum::<usize>()
-        })
-    });
-    group.bench_function("zone_bigmin", |bencher| {
-        bencher.iter(|| {
-            boxes
-                .iter()
-                .map(|b| black_box(store.query_box_bigmin(b).0.len()))
+                .map(|b| {
+                    let intervals = b.curve_intervals(store.curve());
+                    black_box(store.query_intervals(&intervals).0.len())
+                })
                 .sum::<usize>()
         })
     });
@@ -1405,14 +1335,6 @@ fn bench_query_paths(c: &mut Criterion, sc: &Scenario) -> QueryBench {
     group.finish();
 
     let mut group = c.benchmark_group("knn_1m");
-    group.bench_function("plain", |bencher| {
-        bencher.iter(|| {
-            knn_queries
-                .iter()
-                .map(|&q| black_box(store.knn_plain(q, KNN_K, KNN_WINDOW).0.len()))
-                .sum::<usize>()
-        })
-    });
     group.bench_function("zone", |bencher| {
         bencher.iter(|| {
             knn_queries
@@ -1558,7 +1480,7 @@ struct PipelineRatios {
 /// median/min/max **and p50/p95/p99** nanoseconds, the summed per-path
 /// `QueryStats` counters, a metrics-registry snapshot from the
 /// instrumented run, the instrumentation-overhead ratio, and the headline
-/// plain-vs-zone speedups. CI uploads the file so the perf trajectory is
+/// ratios. CI uploads the file so the perf trajectory is
 /// tracked per commit.
 fn write_report(
     all_records: &[criterion::BenchRecord],
@@ -1627,35 +1549,6 @@ fn write_report(
             .filter_map(|r| Some((r.name.as_str(), Some(r.gb_per_sec()?)))),
     );
     let pairs = [
-        (
-            "selective_box_planner_vs_plain_intervals",
-            speedup(
-                "box_query_1m_selective/plain_intervals",
-                "box_query_1m_selective/planner",
-            ),
-        ),
-        (
-            "selective_box_planner_vs_plain_bigmin",
-            speedup(
-                "box_query_1m_selective/plain_bigmin",
-                "box_query_1m_selective/planner",
-            ),
-        ),
-        (
-            "selective_box_zone_intervals_vs_plain",
-            speedup(
-                "box_query_1m_selective/plain_intervals",
-                "box_query_1m_selective/zone_intervals",
-            ),
-        ),
-        (
-            "selective_box_zone_bigmin_vs_plain",
-            speedup(
-                "box_query_1m_selective/plain_bigmin",
-                "box_query_1m_selective/zone_bigmin",
-            ),
-        ),
-        ("knn_zone_vs_plain", speedup("knn_1m/plain", "knn_1m/zone")),
         (
             "multi_writer_scaling_2_vs_1",
             speedup(

@@ -134,18 +134,24 @@
 //! be seen in part. Against any quiesced state, every read is
 //! byte-identical at every shard count.
 //!
-//! **Parallel fan-out** — the query paths have `*_par` twins
-//! (`query_box_par`, `query_box_intervals_par`, `query_box_bigmin_par`,
-//! `knn_par`, on both the store and its snapshots) that distribute the
-//! per-shard scans across `std::thread::scope` worker threads; per-shard
-//! results join in shard order, so parallel results are byte-identical to
-//! sequential ones.
+//! **One method per question**, the same five on the store (owned
+//! entries) and on a snapshot (borrowed ones). A read runs in the calling
+//! thread; concurrent callers are the parallelism (a `thread::scope`
+//! spawn per shard per call lost to the sequential fan-out at every box
+//! size and for kNN — `docs/perf/PR-23.md`).
+//!
+//! | question | method |
+//! |---|---|
+//! | what is at this cell? | [`get`](ShardedSfcStore::get) |
+//! | everything, in curve order | [`iter`](ShardedSfcStore::iter) |
+//! | what lies in this box? | [`query_box`](ShardedSfcStore::query_box) (the planner; [`plan_box_query`](ShardedSfcStore::plan_box_query) shows its choices) |
+//! | what lies in these curve-key ranges? | [`query_intervals`](ShardedSfcStore::query_intervals) (the raw interval walk) |
+//! | the `k` records nearest this point | [`knn`](ShardedSfcStore::knn) |
 //!
 //! ## The memtable: a locality-aware B+tree
 //!
 //! Every shard holds its in-memory tail in an
-//! [`SfcMemtable`](memtable::SfcMemtable) — an opaque wrapper (no
-//! engine layer can name the backing map) over the B+tree in
+//! [`SfcMemtable`](memtable::SfcMemtable) — the B+tree in
 //! [`memtable::bptree`]:
 //!
 //! * **Large leaves.** Leaves hold
@@ -184,11 +190,6 @@
 //!   captures under the shard lock. A writer that finds a snapshot still
 //!   alive copies the leaf-pointer slab and the one leaf it lands in;
 //!   with none alive, writes stay in place.
-//!
-//! The old `BTreeMap` backing survives behind the `memtable-btreemap`
-//! feature as a differential reference: the full engine test suite run
-//! with `--features sfc-store/memtable-btreemap` must behave
-//! identically, and CI runs exactly that.
 //!
 //! ## Zone maps and the adaptive query planner
 //!
@@ -232,12 +233,11 @@
 //!   ones for a snapshot — so no hit is copied twice and shard results
 //!   append in curve order.
 //!
-//! The fixed-strategy entry points remain for callers that know their
-//! workload — `query_box_intervals` walks the raw interval list on every
-//! level, `query_box_bigmin` is `query_box` on Morton order — and the
-//! pre-zone-map implementations survive as hidden `*_plain` methods on
-//! the snapshot, used by the differential tests and as the benchmark
-//! baseline.
+//! [`ShardedSfcStore::query_intervals`] walks a caller's raw interval list
+//! on every level — with `b.curve_intervals(store.curve())` it answers a
+//! box by a different algorithm, which is what the differential tests
+//! compare the planner with (beside a `BTreeMap` model that shares no
+//! code with the engine).
 //!
 //! ## Durability: write-ahead log, group commit, crash recovery
 //!

@@ -49,6 +49,11 @@
 //! most `leaf_cap` entries), plus the few inner nodes if it has to touch
 //! one. With no snapshot alive `make_mut` is a uniqueness check and
 //! writes stay in place.
+//!
+//! Values must be `Clone` to be written: a snapshot shares the tree's
+//! nodes with the copy it hands out, and a later write copies the one
+//! leaf it lands in if a snapshot still holds it. Reads, iteration and
+//! [`snapshot`](BPlusTreeMap::snapshot) itself need no bound.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;

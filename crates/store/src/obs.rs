@@ -27,7 +27,7 @@
 //! wall time. Below the threshold the trace is never even built. A trace
 //! carries what the router itself executed — the interval count it
 //! decomposed the box into, the strategies the consulted shards' levels
-//! ran (sequential `query_box`), and the two phases that run before any
+//! ran (`query_box`), and the two phases that run before any
 //! level is scanned: `capture_ns` (snapshotting every shard's memtable
 //! and pinning its epoch) and `decompose_ns` (box or kNN-ball interval
 //! decomposition). Both clocks are read only when metrics are attached;
@@ -168,7 +168,6 @@ impl WalMetrics {
 pub(crate) enum QueryOp {
     Box,
     Intervals,
-    Bigmin,
     Knn,
 }
 
@@ -183,7 +182,6 @@ pub struct EngineMetrics {
     slow_count: Counter,
     box_ns: Histogram,
     intervals_ns: Histogram,
-    bigmin_ns: Histogram,
     knn_ns: Histogram,
     q_seeks: Counter,
     q_scanned: Counter,
@@ -213,7 +211,6 @@ impl EngineMetrics {
             slow_count: registry.counter("engine.slow_query.count"),
             box_ns: registry.histogram("engine.query_box.ns"),
             intervals_ns: registry.histogram("engine.query_intervals.ns"),
-            bigmin_ns: registry.histogram("engine.query_bigmin.ns"),
             knn_ns: registry.histogram("engine.knn.ns"),
             q_seeks: registry.counter("engine.query.seeks"),
             q_scanned: registry.counter("engine.query.scanned"),
@@ -305,7 +302,6 @@ impl EngineMetrics {
         match op {
             QueryOp::Box => &self.box_ns,
             QueryOp::Intervals => &self.intervals_ns,
-            QueryOp::Bigmin => &self.bigmin_ns,
             QueryOp::Knn => &self.knn_ns,
         }
         .record(wall_ns);
@@ -352,7 +348,7 @@ pub struct QueryTrace {
     /// captured memtable held anything.
     pub memtable: Option<LevelStrategy>,
     /// Per-run strategies, oldest run first, the consulted shards' runs
-    /// concatenated in shard order (sequential `query_box` only).
+    /// concatenated in shard order (`query_box` only).
     pub runs: Vec<LevelStrategy>,
     /// The query's work counters (seeks, overscan, blocks pruned and
     /// decoded — [`QueryStats::overscan`] gives the ratio directly).
@@ -360,8 +356,8 @@ pub struct QueryTrace {
     /// Wall time in nanoseconds.
     pub wall_ns: u64,
     /// Time spent decomposing the box (or the kNN verification ball) into
-    /// curve intervals — `query_box`, `query_box_intervals`, `knn` and
-    /// their `_par` twins; `None` where nothing is decomposed.
+    /// curve intervals — `query_box` and `knn` off Morton order; `None`
+    /// where nothing is decomposed.
     pub decompose_ns: Option<u64>,
     /// Time spent capturing all shards (memtable snapshots + epoch pins)
     /// before the scan.

@@ -1,7 +1,6 @@
 //! The concurrent sharded store: a `Partition` over curve-index ranges
 //! routing `&self` writes to independently locked [`Shard`]s, with
-//! epoch-published frozen state for lock-free readers and
-//! `std::thread::scope`-based parallel query fan-out.
+//! epoch-published frozen state for lock-free readers.
 //!
 //! This is the bridge from the paper's partitioner to the serving layer:
 //! the same curve-range [`Partition`] that balances work across processors
@@ -27,9 +26,6 @@
 //!   query drops its captures when it returns, and
 //!   [`snapshot`](ShardedSfcStore::snapshot) hands the same captures out
 //!   as a [`ShardedSnapshot`],
-//! * fans the per-shard scans out across [`std::thread::scope`] worker
-//!   threads in the `*_par` variants (results are appended in shard
-//!   order, so parallel results are byte-identical to sequential ones),
 //! * treats [`rebalance`](ShardedSfcStore::rebalance) as **stop the
 //!   world**: it takes the partition's write guard (excluding every
 //!   writer and router-level reader), flushes all shards, recomputes
@@ -49,12 +45,11 @@
 //! reported hit, as the hit is found); a [`ShardedSnapshot`] hands out
 //! borrowed [`StoreEntryRef`]s.
 
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
 use std::time::Instant;
 
-use sfc_core::{CurveIndex, Point, SpaceFillingCurve, ZCurve};
+use sfc_core::{CurveIndex, Grid, Point, SpaceFillingCurve};
 use sfc_index::{BoxRegion, QueryStats, SfcIndex};
 use sfc_obs::MetricsRegistry;
 use sfc_partition::{ConcurrentTraffic, Partition, TrafficWeights};
@@ -67,8 +62,8 @@ use crate::store::{
     sorted_unique_columns, BatchOp, StoreEntry, StoreEntryRef, DEFAULT_MEMTABLE_CAPACITY,
 };
 use crate::view::{
-    distance_key_order, kth_best, offer, rank_by_distance, verification_radius, with_knn_heap,
-    HitSink, LevelStrategy, LevelsView, Overlay, Probe, QueryPlan,
+    kth_best, rank_by_distance, verification_radius, with_knn_heap, HitSink, LevelStrategy,
+    LevelsView, Overlay, Probe, QueryPlan,
 };
 use crate::wal::{self, RecoveryStats, WalConfig, WalEngine, WalError, WalPayload, WalShard};
 
@@ -95,6 +90,31 @@ fn intervals_meeting<'i>(
     &intervals[from..to]
 }
 
+/// What every raw-range read assumes of a caller's interval list, checked
+/// once at the public entry: each `lo <= hi`, ascending, disjoint.
+fn assert_sorted_disjoint(intervals: &[Interval]) {
+    let mut prev: Option<Interval> = None;
+    for &(lo, hi) in intervals {
+        assert!(lo <= hi, "inverted interval: ({lo}, {hi})");
+        if let Some((prev_lo, prev_hi)) = prev {
+            assert!(
+                prev_hi < lo,
+                "intervals must be sorted and disjoint: ({prev_lo}, {prev_hi}) then ({lo}, {hi})"
+            );
+        }
+        prev = Some((lo, hi));
+    }
+}
+
+/// `b` cut down to the grid, or `None` if it lies wholly outside: BIGMIN
+/// and the decomposition both take in-grid corners for granted (a corner
+/// code wider than the keyspace makes BIGMIN jump past live cells).
+fn clip_to_grid<const D: usize>(b: &BoxRegion<D>, grid: Grid<D>) -> Option<BoxRegion<D>> {
+    let max = (grid.side() - 1) as u32;
+    let inside = (0..D).all(|axis| b.lo().coord(axis) <= max);
+    inside.then(|| BoxRegion::new(b.lo(), Point::new(b.hi().coords().map(|c| c.min(max)))))
+}
+
 /// Nanoseconds since `start`, saturating.
 fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -116,8 +136,7 @@ struct Routed {
 /// [`LevelsView`] holds the streamed multi-level merge once, this holds
 /// the route-and-append algorithms once — every participating shard
 /// streams its hits into the caller's [`HitSink`] in shard order, which
-/// is curve order — including the scoped-thread parallel dispatch of the
-/// `*_par` entry points.
+/// is curve order.
 struct ShardsView<'a, const D: usize, T, C: SpaceFillingCurve<D>> {
     curve: &'a C,
     partition: &'a Partition,
@@ -184,9 +203,9 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
             .filter_map(move |(j, shard)| Some((shard, self.share(j, probe, span)?)))
     }
 
-    /// The sequential fan-out: every shard the probe reaches scans its
-    /// share and streams into `sink`, one after the other, through one
-    /// merge scratch.
+    /// The fan-out: every shard the probe reaches scans its share and
+    /// streams into `sink`, one after the other, through one merge
+    /// scratch.
     fn fan_out<S: HitSink<'a, D, T>>(&self, probe: &Probe<'_, D>, sink: &mut S) -> QueryStats {
         let mut overlay = Overlay::default();
         let mut stats = QueryStats::default();
@@ -205,42 +224,25 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
         self.fan_out(&Probe::Keys(intervals), sink)
     }
 
-    /// `b`'s exact curve intervals, timed and counted into `routed` when
-    /// the caller asked.
-    fn decompose_all(&self, b: &BoxRegion<D>, routed: Option<&mut Routed>) -> Vec<Interval> {
-        let Some(routed) = routed else {
-            return b.curve_intervals(self.curve);
-        };
-        let start = Instant::now();
-        let intervals = b.curve_intervals(self.curve);
-        routed.decompose_ns = Some(elapsed_ns(start));
-        routed.intervals = Some(intervals.len());
-        intervals
-    }
-
     /// The decomposition a box query skips by: none under Morton order
     /// (BIGMIN needs no preprocessing), the exact intervals on every
-    /// other curve.
+    /// other curve — timed and counted into `routed` when the caller
+    /// asked.
     fn decompose_box(
         &self,
         b: &BoxRegion<D>,
         routed: Option<&mut Routed>,
     ) -> Option<Vec<Interval>> {
-        match self.curve.as_morton() {
-            Some(_) => None,
-            None => Some(self.decompose_all(b, routed)),
+        if self.curve.as_morton().is_some() {
+            return None;
         }
-    }
-
-    /// Box query via exact interval decomposition (intervals computed
-    /// once for the whole fan-out), every level walking the raw list.
-    fn query_box_intervals<S: HitSink<'a, D, T>>(
-        &self,
-        b: &BoxRegion<D>,
-        routed: Option<&mut Routed>,
-        sink: &mut S,
-    ) -> QueryStats {
-        self.query_intervals(&self.decompose_all(b, routed), sink)
+        let start = routed.is_some().then(Instant::now);
+        let intervals = b.curve_intervals(self.curve);
+        if let (Some(routed), Some(start)) = (routed, start) {
+            routed.decompose_ns = Some(elapsed_ns(start));
+            routed.intervals = Some(intervals.len());
+        }
+        Some(intervals)
     }
 
     /// Box query through the block-at-a-time kernel, skipping by the
@@ -271,8 +273,11 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
         mut routed: Option<&mut Routed>,
         sink: &mut S,
     ) -> QueryStats {
-        let intervals = self.decompose_box(b, routed.as_deref_mut());
-        self.query_box_with(b, intervals.as_deref(), routed, sink)
+        let Some(b) = clip_to_grid(b, self.curve.grid()) else {
+            return QueryStats::default();
+        };
+        let intervals = self.decompose_box(&b, routed.as_deref_mut());
+        self.query_box_with(&b, intervals.as_deref(), routed, sink)
     }
 
     /// The per-level plan of every shard a box probe reaches, in shard
@@ -285,8 +290,12 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
     }
 
     /// The per-level plan each shard would run for this box, in shard
-    /// order (a shard the query would skip plans over an empty share).
+    /// order (a shard the query would skip plans over an empty share;
+    /// a box wholly outside the grid is planned by nobody).
     fn plan_box_query(&self, b: &BoxRegion<D>) -> Vec<QueryPlan> {
+        let Some(b) = &clip_to_grid(b, self.curve.grid()) else {
+            return Vec::new();
+        };
         let intervals = self.decompose_box(b, None);
         self.shards
             .iter()
@@ -333,48 +342,6 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
         let ball_stats = self.query_box_with(&ball, intervals.as_deref(), None, &mut hits);
         rank_ball((hits, ball_stats), stats, q, k, sink)
     }
-
-    /// The pre-zone-map interval query, fanned out like
-    /// [`query_intervals`](Self::query_intervals) — a test oracle and
-    /// bench baseline.
-    fn query_intervals_plain<S: HitSink<'a, D, T>>(
-        &self,
-        intervals: &[Interval],
-        sink: &mut S,
-    ) -> QueryStats {
-        let mut stats = QueryStats::default();
-        for (j, shard) in self.shards.iter().enumerate() {
-            let met = intervals_meeting(intervals, &self.partition.range(j));
-            if !met.is_empty() {
-                stats.add(&shard.query_intervals_plain(met, sink));
-            }
-        }
-        stats
-    }
-
-    /// The pre-zone-map kNN: plain candidate windows from every shard,
-    /// interval-decomposed verification ball with whole-column seeks — a
-    /// test oracle and bench baseline.
-    fn knn_plain(&self, q: Point<D>, k: usize, window: usize) -> Hits<'a, D, T> {
-        let key = self.curve.index_of(q);
-        let mut stats = QueryStats::default();
-        let mut candidates: Vec<(u64, CurveIndex)> = Vec::new();
-        for shard in &self.shards {
-            candidates.extend(shard.knn_candidates_plain(q, key, k, window, &mut stats));
-        }
-        candidates.sort_unstable();
-        candidates.truncate(k);
-        let kth = candidates.get(k - 1).map(|&(dist_sq, _)| dist_sq);
-        let radius = verification_radius(self.curve.grid(), kth);
-        let ball = BoxRegion::chebyshev_ball(self.curve.grid(), q, radius);
-        let mut all = Vec::new();
-        let ball_stats = self.query_intervals_plain(&ball.curve_intervals(self.curve), &mut all);
-        stats.seeks += ball_stats.seeks;
-        stats.scanned += ball_stats.scanned;
-        let all = rank_by_distance(all, q, k);
-        stats.reported = all.len() as u64;
-        (all, stats)
-    }
 }
 
 /// Finishes a kNN: folds the verification ball's work into the candidate
@@ -391,144 +358,6 @@ fn rank_ball<'a, const D: usize, T, S: HitSink<'a, D, T>>(
     stats.reported = nearest.len() as u64;
     nearest.into_iter().for_each(|entry| sink.hit(entry));
     stats
-}
-
-/// The scoped-thread parallel dispatch: each per-shard scan runs on its
-/// own worker thread into its own hit list; the lists reach the sink in
-/// shard order, so the full result is byte-identical to the sequential
-/// fan-out.
-impl<'a, const D: usize, T, C> ShardsView<'a, D, T, C>
-where
-    T: Send + Sync,
-    C: SpaceFillingCurve<D> + Clone + Send + Sync,
-{
-    /// Runs `work(shard_view)` for every shard `keep` admits, on one
-    /// scoped thread per participating shard, and returns the per-shard
-    /// results in shard order.
-    fn dispatch<R: Send>(
-        &self,
-        keep: impl Fn(usize) -> bool,
-        work: impl Fn(usize, &LevelsView<'a, D, T, C>) -> R + Sync,
-    ) -> Vec<R> {
-        std::thread::scope(|scope| {
-            let work = &work;
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(j, shard)| keep(j).then(|| scope.spawn(move || work(j, shard))))
-                .collect();
-            handles
-                .into_iter()
-                .flatten()
-                .map(|h| h.join().expect("shard query worker panicked"))
-                .collect()
-        })
-    }
-
-    /// The parallel [`fan_out`](Self::fan_out): byte-identical results,
-    /// per-shard scans on worker threads.
-    fn fan_out_par<S: HitSink<'a, D, T>>(&self, probe: &Probe<'_, D>, sink: &mut S) -> QueryStats {
-        let span = self.morton_span(probe);
-        let shares: Vec<_> = (0..self.shards.len())
-            .map(|j| self.share(j, probe, span))
-            .collect();
-        let per_shard: Vec<Hits<'a, D, T>> = self.dispatch(
-            |j| shares[j].is_some(),
-            |j, shard| {
-                let share = shares[j].as_ref().expect("kept shards have a share");
-                let mut hits = Vec::new();
-                let stats = shard.scan(share, &mut Overlay::default(), &mut hits);
-                (hits, stats)
-            },
-        );
-        let mut stats = QueryStats::default();
-        for (hits, shard_stats) in per_shard {
-            stats.add(&shard_stats);
-            hits.into_iter().for_each(|entry| sink.hit(entry));
-        }
-        stats
-    }
-
-    /// Parallel [`query_box`](Self::query_box).
-    fn query_box_par<S: HitSink<'a, D, T>>(
-        &self,
-        b: &BoxRegion<D>,
-        routed: Option<&mut Routed>,
-        sink: &mut S,
-    ) -> QueryStats {
-        let intervals = self.decompose_box(b, routed);
-        self.fan_out_par(&Probe::Box(b, intervals.as_deref()), sink)
-    }
-
-    /// Parallel [`query_box_intervals`](Self::query_box_intervals).
-    fn query_box_intervals_par<S: HitSink<'a, D, T>>(
-        &self,
-        b: &BoxRegion<D>,
-        routed: Option<&mut Routed>,
-        sink: &mut S,
-    ) -> QueryStats {
-        self.fan_out_par(&Probe::Keys(&self.decompose_all(b, routed)), sink)
-    }
-
-    /// Parallel kNN: per-shard candidate collection on worker threads
-    /// (each into its own local heap — merged afterwards, the k-th best
-    /// of the union bounds the radius), then a parallel ball query. The
-    /// final ranked result is byte-identical to the sequential kNN: any
-    /// radius derived from k genuine live candidates yields a ball
-    /// containing the true k nearest, and `rank_by_distance` breaks ties
-    /// deterministically by curve key.
-    fn knn_par<S: HitSink<'a, D, T>>(
-        &self,
-        q: Point<D>,
-        k: usize,
-        window: usize,
-        routed: Option<&mut Routed>,
-        sink: &mut S,
-    ) -> QueryStats {
-        let key = self.curve.index_of(q);
-        let per_shard: Vec<(Vec<u64>, QueryStats)> = self.dispatch(
-            |j| !self.partition.range(j).is_empty(),
-            |_, shard| {
-                let mut heap = BinaryHeap::new();
-                let mut stats = QueryStats::default();
-                shard.knn_collect(q, key, k, window, &mut heap, &mut stats);
-                (heap.into_sorted_vec(), stats)
-            },
-        );
-        let mut stats = QueryStats::default();
-        let radius = with_knn_heap(|heap| {
-            for (dists, shard_stats) in &per_shard {
-                stats.add(shard_stats);
-                for &d in dists {
-                    offer(heap, k, d);
-                }
-            }
-            verification_radius(self.curve.grid(), kth_best(heap, k))
-        });
-        let ball = BoxRegion::chebyshev_ball(self.curve.grid(), q, radius);
-        let intervals = self.decompose_box(&ball, routed);
-        let mut hits = Vec::new();
-        let ball_stats = self.fan_out_par(&Probe::Box(&ball, intervals.as_deref()), &mut hits);
-        rank_ball((hits, ball_stats), stats, q, k, sink)
-    }
-}
-
-impl<'a, const D: usize, T> ShardsView<'a, D, T, ZCurve<D>> {
-    /// The pre-zone-map BIGMIN query, fanned out to the shards whose
-    /// range meets the box's Morton key span — a test oracle and bench
-    /// baseline.
-    fn query_box_bigmin_plain<S: HitSink<'a, D, T>>(
-        &self,
-        b: &BoxRegion<D>,
-        sink: &mut S,
-    ) -> QueryStats {
-        let mut stats = QueryStats::default();
-        for (shard, _) in self.shares(&Probe::Box(b, None)) {
-            stats.add(&shard.query_box_bigmin_plain(b, sink));
-        }
-        stats
-    }
 }
 
 /// The records of a [`ShardedSfcStore`] as of [`iter`](ShardedSfcStore::iter)'s
@@ -923,10 +752,10 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     /// each shard handed the part meeting its range) — and prunes levels
     /// whose key range or zone-map AABB cannot intersect the box. Each
     /// shard streams its newest-wins result straight into the returned
-    /// vector. Results are byte-identical to either fixed strategy; see
-    /// the [`view` module docs](crate::QueryPlan) for the evidence behind
-    /// the rules and [`plan_box_query`](Self::plan_box_query) to inspect
-    /// the choices.
+    /// vector. A box reaching past the grid is clipped to it. See the
+    /// [`view` module docs](crate::QueryPlan) for the evidence behind the
+    /// rules and [`plan_box_query`](Self::plan_box_query) to inspect the
+    /// choices.
     pub fn query_box(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
         self.read(
             QueryOp::Box,
@@ -944,27 +773,22 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
         ShardsView::over(&self.curve, &partition, &caps).plan_box_query(b)
     }
 
-    /// Box query via exact interval decomposition, every level walking
-    /// the raw interval list: the intervals are computed **once**, only
-    /// shards whose range meets them are consulted, and each scans the
-    /// ones meeting its range against its memtable and every run
-    /// ([`interval_scan`](sfc_index::interval_scan)), merging versions
-    /// newest-wins. Results append in shard order (= curve order);
-    /// per-level work is summed. Works for any curve; zero overscan, one
-    /// seek per interval per level.
-    pub fn query_box_intervals(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
-        self.read(
-            QueryOp::Intervals,
-            "query_box_intervals",
-            Some(b.volume()),
-            |view, routed, out| view.query_box_intervals(b, routed, out),
-        )
-    }
-
-    /// Queries the shards for keys inside the given inclusive curve-index
-    /// intervals (sorted ascending), fanning out only to intersecting
-    /// shards.
+    /// Every record whose curve key lies inside the given inclusive
+    /// curve-index intervals, fanned out to the shards whose range meets
+    /// them: each walks the ones meeting its range against its memtable
+    /// and every run ([`interval_scan`](sfc_index::interval_scan) — one
+    /// seek per interval per level, zero overscan), merging versions
+    /// newest-wins; results append in shard order (= curve order). An
+    /// empty list finds nothing and a range past the last key is clipped.
+    /// `query_intervals(&b.curve_intervals(store.curve()))` answers box
+    /// `b` by the raw walk — the differential twin of
+    /// [`query_box`](Self::query_box).
+    ///
+    /// # Panics
+    /// Panics unless the intervals are sorted ascending, disjoint and
+    /// each `lo <= hi` ([`BoxRegion::curve_intervals`] guarantees it).
     pub fn query_intervals(&self, intervals: &[Interval]) -> (Vec<StoreEntry<D, T>>, QueryStats) {
+        assert_sorted_disjoint(intervals);
         self.read(
             QueryOp::Intervals,
             "query_intervals",
@@ -990,23 +814,21 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     /// owning `q`'s key is asked for candidates first; once `k` live ones
     /// are held, a further level is visited only if its AABB is nearer
     /// than the k-th best.
+    ///
+    /// # Panics
+    /// Panics if `k == 0` or `q` lies outside the curve's grid.
     pub fn knn(&self, q: Point<D>, k: usize, window: usize) -> (Vec<StoreEntry<D, T>>, QueryStats) {
         assert!(k >= 1, "k must be at least 1");
+        assert!(
+            self.curve.grid().contains(&q),
+            "query point out of bounds: {q}"
+        );
         if self.is_empty() {
             return (Vec::new(), QueryStats::default());
         }
         self.read(QueryOp::Knn, "knn", None, |view, routed, out| {
             view.knn(q, k, window, routed, out)
         })
-    }
-
-    /// Reference k-nearest-neighbor by linear scan of the merged view
-    /// (ground truth for tests).
-    pub fn knn_linear(&self, q: Point<D>, k: usize) -> Vec<StoreEntry<D, T>> {
-        let mut all: Vec<StoreEntry<D, T>> = self.iter().collect();
-        all.sort_by(|a, b| distance_key_order(&q, (&a.point, a.key), (&b.point, b.key)));
-        all.truncate(k);
-        all
     }
 
     /// Inserts or updates the record at cell `p` (an *upsert*: the store
@@ -1600,87 +1422,6 @@ where
     }
 }
 
-/// The thread-parallel query fan-out: per-shard scans distributed across
-/// [`std::thread::scope`] workers, results byte-identical to the
-/// sequential entry points (per-shard results join in shard order).
-impl<const D: usize, T, C> ShardedSfcStore<D, T, C>
-where
-    T: Clone + Send + Sync,
-    C: SpaceFillingCurve<D> + Clone + Send + Sync,
-{
-    /// Parallel [`query_box`](Self::query_box).
-    pub fn query_box_par(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
-        self.read(
-            QueryOp::Box,
-            "query_box_par",
-            Some(b.volume()),
-            |view, routed, out| view.query_box_par(b, routed, out),
-        )
-    }
-
-    /// Parallel [`query_box_intervals`](Self::query_box_intervals).
-    pub fn query_box_intervals_par(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
-        self.read(
-            QueryOp::Intervals,
-            "query_box_intervals_par",
-            Some(b.volume()),
-            |view, routed, out| view.query_box_intervals_par(b, routed, out),
-        )
-    }
-
-    /// Parallel [`knn`](Self::knn): candidate collection and the
-    /// verification ball both fan out across worker threads.
-    pub fn knn_par(
-        &self,
-        q: Point<D>,
-        k: usize,
-        window: usize,
-    ) -> (Vec<StoreEntry<D, T>>, QueryStats) {
-        assert!(k >= 1, "k must be at least 1");
-        if self.is_empty() {
-            return (Vec::new(), QueryStats::default());
-        }
-        self.read(QueryOp::Knn, "knn_par", None, |view, routed, out| {
-            view.knn_par(q, k, window, routed, out)
-        })
-    }
-}
-
-impl<const D: usize, T: Clone> ShardedSfcStore<D, T, ZCurve<D>> {
-    /// Box query skipping by BIGMIN (Tropf & Herzog), fanned out to only
-    /// the shards whose range intersects the box's Morton key range
-    /// `[Z(lo), Z(hi)]`: [`bigmin_scan`](sfc_index::bigmin_scan) per run
-    /// plus an equivalent walk of the memtable's key range, with
-    /// per-level work summed and versions merged newest-wins. Z curve
-    /// only; needs no per-query preprocessing — and is what
-    /// [`query_box`](Self::query_box) runs on this curve.
-    ///
-    /// The jumps are exact at the edges of the keyspace: a box containing
-    /// the grid's all-max corner terminates through
-    /// [`bigmin`](sfc_index::bigmin()) returning `None`, never by wrapping
-    /// past the last curve index.
-    pub fn query_box_bigmin(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
-        self.read(
-            QueryOp::Bigmin,
-            "query_box_bigmin",
-            Some(b.volume()),
-            |view, routed, out| view.query_box_with(b, None, routed, out),
-        )
-    }
-}
-
-impl<const D: usize, T: Clone + Send + Sync> ShardedSfcStore<D, T, ZCurve<D>> {
-    /// Parallel [`query_box_bigmin`](Self::query_box_bigmin).
-    pub fn query_box_bigmin_par(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
-        self.read(
-            QueryOp::Bigmin,
-            "query_box_bigmin_par",
-            Some(b.volume()),
-            |view, _, out| view.fan_out_par(&Probe::Box(b, None), out),
-        )
-    }
-}
-
 /// A frozen, queryable view of a whole [`ShardedSfcStore`] as of
 /// [`snapshot`](ShardedSfcStore::snapshot): one [`StoreSnapshot`] per
 /// shard plus the partition that routed them — the crate's one read type
@@ -1797,28 +1538,26 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
         self.shards_view().plan_box_query(b)
     }
 
-    /// Box query via exact interval decomposition, fanned out to
-    /// intersecting shards only — see
-    /// [`ShardedSfcStore::query_box_intervals`].
-    pub fn query_box_intervals(
-        &self,
-        b: &BoxRegion<D>,
-    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.collect(|view, out| view.query_box_intervals(b, None, out))
-    }
-
-    /// Queries the frozen shards for keys inside the given inclusive
-    /// curve-index intervals (sorted ascending) — see
+    /// Every record of the frozen shards whose curve key lies inside the
+    /// given inclusive curve-index intervals — see
     /// [`ShardedSfcStore::query_intervals`].
+    ///
+    /// # Panics
+    /// Panics unless the intervals are sorted ascending, disjoint and
+    /// each `lo <= hi`.
     pub fn query_intervals(
         &self,
         intervals: &[Interval],
     ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
+        assert_sorted_disjoint(intervals);
         self.collect(|view, out| view.query_intervals(intervals, out))
     }
 
     /// Exact k-nearest-neighbor query over the frozen shards — see
     /// [`ShardedSfcStore::knn`].
+    ///
+    /// # Panics
+    /// Panics if `k == 0` or `q` lies outside the curve's grid.
     pub fn knn(
         &self,
         q: Point<D>,
@@ -1826,108 +1565,14 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
         window: usize,
     ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
         assert!(k >= 1, "k must be at least 1");
+        assert!(
+            self.curve.grid().contains(&q),
+            "query point out of bounds: {q}"
+        );
         if self.is_empty() {
             return (Vec::new(), QueryStats::default());
         }
         self.collect(|view, out| view.knn(q, k, window, None, out))
-    }
-
-    /// Reference k-nearest-neighbor by linear scan (ground truth for
-    /// tests).
-    pub fn knn_linear(&self, q: Point<D>, k: usize) -> Vec<StoreEntryRef<'_, D, T>> {
-        rank_by_distance(self.iter().collect(), q, k)
-    }
-
-    /// Pre-zone-map interval query (whole-column seeks per interval, no
-    /// run pruning). Kept as the reference the zone-mapped paths are
-    /// differential-tested against and the baseline the benches measure;
-    /// not part of the supported API.
-    #[doc(hidden)]
-    pub fn query_box_intervals_plain(
-        &self,
-        b: &BoxRegion<D>,
-    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.collect(|view, out| view.query_intervals_plain(&b.curve_intervals(&self.curve), out))
-    }
-
-    /// Pre-zone-map kNN (fixed candidate windows, interval-decomposed
-    /// verification ball). Kept as the reference the zone-mapped kNN is
-    /// differential-tested against and the baseline the benches measure;
-    /// not part of the supported API.
-    #[doc(hidden)]
-    pub fn knn_plain(
-        &self,
-        q: Point<D>,
-        k: usize,
-        window: usize,
-    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        assert!(k >= 1, "k must be at least 1");
-        if self.is_empty() {
-            return (Vec::new(), QueryStats::default());
-        }
-        self.shards_view().knn_plain(q, k, window)
-    }
-}
-
-impl<const D: usize, T: Send + Sync, C: SpaceFillingCurve<D> + Clone + Send + Sync>
-    ShardedSnapshot<D, T, C>
-{
-    /// Parallel [`query_box`](Self::query_box): per-shard scans on
-    /// scoped worker threads, byte-identical results.
-    pub fn query_box_par(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.collect(|view, out| view.query_box_par(b, None, out))
-    }
-
-    /// Parallel [`query_box_intervals`](Self::query_box_intervals).
-    pub fn query_box_intervals_par(
-        &self,
-        b: &BoxRegion<D>,
-    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.collect(|view, out| view.query_box_intervals_par(b, None, out))
-    }
-
-    /// Parallel [`knn`](Self::knn).
-    pub fn knn_par(
-        &self,
-        q: Point<D>,
-        k: usize,
-        window: usize,
-    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        assert!(k >= 1, "k must be at least 1");
-        if self.is_empty() {
-            return (Vec::new(), QueryStats::default());
-        }
-        self.collect(|view, out| view.knn_par(q, k, window, None, out))
-    }
-}
-
-impl<const D: usize, T> ShardedSnapshot<D, T, ZCurve<D>> {
-    /// Box query skipping by BIGMIN over the frozen shards — see
-    /// [`ShardedSfcStore::query_box_bigmin`]. Z curve only.
-    pub fn query_box_bigmin(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.collect(|view, out| view.query_box_with(b, None, None, out))
-    }
-
-    /// Pre-zone-map BIGMIN query (no run pruning, whole-tail jump
-    /// searches). Kept as the reference the zone-mapped paths are
-    /// differential-tested against and the baseline the benches measure;
-    /// not part of the supported API.
-    #[doc(hidden)]
-    pub fn query_box_bigmin_plain(
-        &self,
-        b: &BoxRegion<D>,
-    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.collect(|view, out| view.query_box_bigmin_plain(b, out))
-    }
-}
-
-impl<const D: usize, T: Send + Sync> ShardedSnapshot<D, T, ZCurve<D>> {
-    /// Parallel [`query_box_bigmin`](Self::query_box_bigmin).
-    pub fn query_box_bigmin_par(
-        &self,
-        b: &BoxRegion<D>,
-    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        self.collect(|view, out| view.fan_out_par(&Probe::Box(b, None), out))
     }
 }
 
@@ -1935,7 +1580,7 @@ impl<const D: usize, T: Send + Sync> ShardedSnapshot<D, T, ZCurve<D>> {
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
-    use sfc_core::{Grid, HilbertCurve};
+    use sfc_core::{HilbertCurve, ZCurve};
 
     fn rng(seed: u64) -> rand_chacha::ChaCha8Rng {
         rand_chacha::ChaCha8Rng::seed_from_u64(seed)
@@ -1953,6 +1598,23 @@ mod tests {
         v.into_iter()
             .map(|e| (e.key, e.point, *e.payload))
             .collect()
+    }
+
+    /// Box `b` by the raw interval walk — the differential twin of the
+    /// planner's `query_box`.
+    fn walk<const D: usize, C: SpaceFillingCurve<D> + Clone>(
+        store: &ShardedSfcStore<D, u32, C>,
+        b: &BoxRegion<D>,
+    ) -> Vec<(CurveIndex, Point<D>, u32)> {
+        flat(store.query_intervals(&b.curve_intervals(store.curve())).0)
+    }
+
+    /// [`walk`] on a snapshot.
+    fn walk_ref<const D: usize, C: SpaceFillingCurve<D> + Clone>(
+        snap: &ShardedSnapshot<D, u32, C>,
+        b: &BoxRegion<D>,
+    ) -> Vec<(CurveIndex, Point<D>, u32)> {
+        flat_ref(snap.query_intervals(&b.curve_intervals(snap.curve())).0)
     }
 
     /// One captured shard's own answer to `probe`, as the router would
@@ -2055,14 +1717,14 @@ mod tests {
                 let hi = Point::new([a.coord(0).max(c.coord(0)), a.coord(1).max(c.coord(1))]);
                 let b = BoxRegion::new(lo, hi);
                 assert_eq!(
-                    flat(sharded.query_box_intervals(&b).0),
-                    flat(single.query_box_intervals(&b).0),
+                    walk(&sharded, &b),
+                    walk(&single, &b),
                     "intervals, parts={parts}"
                 );
                 assert_eq!(
-                    flat(sharded.query_box_bigmin(&b).0),
-                    flat(single.query_box_bigmin(&b).0),
-                    "bigmin, parts={parts}"
+                    flat(sharded.query_box(&b).0),
+                    flat(single.query_box(&b).0),
+                    "box, parts={parts}"
                 );
                 let q = grid.grid().random_cell(&mut rng);
                 for k in [1usize, 4] {
@@ -2073,74 +1735,6 @@ mod tests {
                     );
                 }
                 assert_eq!(sharded.get(q), single.get(q));
-            }
-        }
-    }
-
-    /// Satellite: the `*_par` fan-outs must be byte-identical to the
-    /// sequential fan-outs — across shard counts, multi-level shards, and
-    /// every parallel entry point. With the thread-spawning rayon
-    /// stand-in and the scoped-thread dispatch these really do cross
-    /// thread boundaries (this test used to be impossible to state
-    /// non-tautologically: the old `*_par` hook ran the sequential code).
-    #[test]
-    fn par_queries_are_byte_identical_to_sequential() {
-        for parts in [1usize, 3, 5] {
-            let (sharded, single) = paired_stores(parts, 900, 7 + parts as u64);
-            let snap = sharded.snapshot();
-            let grid = sharded.curve().grid();
-            let mut rng = rng(17);
-            for _ in 0..15 {
-                let a = grid.random_cell(&mut rng);
-                let c = grid.random_cell(&mut rng);
-                let lo = Point::new([a.coord(0).min(c.coord(0)), a.coord(1).min(c.coord(1))]);
-                let hi = Point::new([a.coord(0).max(c.coord(0)), a.coord(1).max(c.coord(1))]);
-                let b = BoxRegion::new(lo, hi);
-                let want = flat(single.query_box_intervals(&b).0);
-                assert_eq!(
-                    flat(sharded.query_box_par(&b).0),
-                    want,
-                    "store planner par, parts={parts}"
-                );
-                assert_eq!(
-                    flat(sharded.query_box_intervals_par(&b).0),
-                    want,
-                    "store intervals par, parts={parts}"
-                );
-                assert_eq!(
-                    flat(sharded.query_box_bigmin_par(&b).0),
-                    want,
-                    "store bigmin par, parts={parts}"
-                );
-                assert_eq!(
-                    flat_ref(snap.query_box_par(&b).0),
-                    want,
-                    "snapshot planner par, parts={parts}"
-                );
-                assert_eq!(
-                    flat_ref(snap.query_box_intervals_par(&b).0),
-                    want,
-                    "snapshot intervals par, parts={parts}"
-                );
-                assert_eq!(
-                    flat_ref(snap.query_box_bigmin_par(&b).0),
-                    want,
-                    "snapshot bigmin par, parts={parts}"
-                );
-                let q = grid.random_cell(&mut rng);
-                for k in [1usize, 5] {
-                    let want = flat(sharded.knn(q, k, 3).0);
-                    assert_eq!(
-                        flat(sharded.knn_par(q, k, 3).0),
-                        want,
-                        "store knn par k={k}, parts={parts}"
-                    );
-                    assert_eq!(
-                        flat_ref(snap.knn_par(q, k, 3).0),
-                        want,
-                        "snapshot knn par k={k}, parts={parts}"
-                    );
-                }
             }
         }
     }
@@ -2217,15 +1811,15 @@ mod tests {
         // snapshot exposes the per-shard captures the router fans out to.
         let snap = store.snapshot();
         let b = BoxRegion::new(Point::new([0, 0]), Point::new([7, 7]));
-        let (hits, stats) = snap.query_box_bigmin(&b);
+        let (hits, stats) = snap.query_box(&b);
         let (single_hits, single_stats) =
             shard_scan(&snap.shards()[0], snap.curve(), &Probe::Box(&b, None));
         assert_eq!(flat_ref(hits), flat_ref(single_hits));
         assert_eq!(stats.seeks, single_stats.seeks, "only shard 0 consulted");
         // The live store agrees with its own snapshot (a live query runs
         // on a capture of the same levels).
-        let (live_hits, live_stats) = store.query_box_bigmin(&b);
-        assert_eq!(flat(live_hits), flat_ref(snap.query_box_bigmin(&b).0));
+        let (live_hits, live_stats) = store.query_box(&b);
+        assert_eq!(flat(live_hits), flat_ref(snap.query_box(&b).0));
         assert_eq!(live_stats.seeks, stats.seeks);
     }
 
@@ -2343,8 +1937,8 @@ mod tests {
             .filter(|&&(_, p, _)| b.contains(&p))
             .copied()
             .collect();
-        assert_eq!(flat_ref(frozen.query_box_intervals(&b).0), want);
-        assert_eq!(flat_ref(frozen.query_box_bigmin(&b).0), want);
+        assert_eq!(walk_ref(&frozen, &b), want);
+        assert_eq!(flat_ref(frozen.query_box(&b).0), want);
         let q = Point::new([5, 5]);
         assert_eq!(flat_ref(frozen.knn(q, 3, 2).0), {
             let mut all = frozen_entries.clone();
@@ -2371,17 +1965,12 @@ mod tests {
             }
         }
         let b = BoxRegion::new(Point::new([3, 1]), Point::new([11, 13]));
-        assert_eq!(
-            flat(store.query_box_intervals(&b).0),
-            flat(single.query_box_intervals(&b).0)
-        );
-        assert_eq!(
-            flat(store.query_box_intervals_par(&b).0),
-            flat(single.query_box_intervals(&b).0)
-        );
+        assert_eq!(walk(&store, &b), walk(&single, &b));
+        assert_eq!(flat(store.query_box(&b).0), walk(&single, &b));
         let q = Point::new([9, 2]);
         assert_eq!(flat(store.knn(q, 5, 3).0), flat(single.knn(q, 5, 3).0));
-        assert_eq!(flat(store.knn_par(q, 5, 3).0), flat(single.knn(q, 5, 3).0));
+        let snap = store.snapshot();
+        assert_eq!(flat_ref(snap.knn(q, 5, 3).0), flat(single.knn(q, 5, 3).0));
     }
 
     #[test]
@@ -2405,14 +1994,15 @@ mod tests {
         assert!(store.is_empty());
         assert_eq!(store.iter().count(), 0);
         let b = BoxRegion::new(Point::new([0, 0]), Point::new([7, 7]));
-        assert!(store.query_box_intervals(&b).0.is_empty());
-        assert!(store.query_box_bigmin(&b).0.is_empty());
+        assert!(walk(&store, &b).is_empty());
+        assert!(store.query_box(&b).0.is_empty());
         assert!(store.knn(Point::new([1, 1]), 3, 2).0.is_empty());
         store.flush();
         store.compact();
         let frozen = store.snapshot();
         assert!(frozen.is_empty());
-        assert!(frozen.query_box_intervals(&b).0.is_empty());
+        assert!(walk_ref(&frozen, &b).is_empty());
+        assert!(frozen.query_box(&b).0.is_empty());
     }
 
     /// Satellite audit: the router's reported [`QueryStats`] must be the
@@ -2433,32 +2023,12 @@ mod tests {
             let hi = Point::new([a.coord(0).max(c.coord(0)), a.coord(1).max(c.coord(1))]);
             let b = BoxRegion::new(lo, hi);
 
-            // BIGMIN path: the router consults exactly the shards whose
-            // range intersects [Z(lo), Z(hi)].
-            let z = sharded.curve();
-            let (zmin, zmax) = (z.encode(b.lo()), z.encode(b.hi()));
-            let (_, router) = sharded.query_box_bigmin(&b);
-            let mut manual = QueryStats::default();
-            for (j, shard) in sharded.shards().iter().enumerate() {
-                let range = sharded.partition().range(j);
-                if range.is_empty() || range.start > zmax || range.end <= zmin {
-                    continue;
-                }
-                let (_, s) = shard_scan(shard, z, &Probe::Box(&b, None));
-                manual.add(&s);
-            }
-            // The router recomputes `reported` from the concatenated hits;
-            // the per-shard reported counts must sum to the same number.
-            assert_eq!(router.reported, manual.reported, "reported sum, bigmin");
-            assert_eq!(router, manual, "bigmin stats drifted on {b:?}");
-            // The parallel fan-out sums the same per-shard stats.
-            let (_, par) = sharded.query_box_bigmin_par(&b);
-            assert_eq!(par, router, "par bigmin stats drifted on {b:?}");
-
             // Interval path: the router hands each shard the intervals
             // meeting its range.
+            let z = sharded.curve();
+            let (zmin, zmax) = (z.encode(b.lo()), z.encode(b.hi()));
             let intervals = b.curve_intervals(z);
-            let (_, router) = sharded.query_box_intervals(&b);
+            let (_, router) = sharded.query_intervals(&intervals);
             let mut manual = QueryStats::default();
             let mut manual_reported = 0u64;
             for (j, shard) in sharded.shards().iter().enumerate() {
@@ -2479,8 +2049,9 @@ mod tests {
             // Overscan is consistent with the summed counters.
             assert_eq!(router.overscan(), manual.overscan());
 
-            // Planner path: on Morton order the planner never decomposes,
-            // so every shard in the span runs the BIGMIN-skipping kernel —
+            // Box path: on Morton order the planner never decomposes, so
+            // the router consults exactly the shards whose range meets
+            // `[Z(lo), Z(hi)]` and each runs the BIGMIN-skipping kernel —
             // and its plan says so.
             let (_, router) = sharded.query_box(&b);
             let mut manual = QueryStats::default();
@@ -2497,8 +2068,6 @@ mod tests {
             }
             assert_eq!(router.reported, manual.reported, "reported sum, planner");
             assert_eq!(router, manual, "planner stats drifted on {b:?}");
-            let (_, par) = sharded.query_box_par(&b);
-            assert_eq!(par, router, "par planner stats drifted on {b:?}");
         }
     }
 
@@ -2521,11 +2090,145 @@ mod tests {
                 );
                 assert_eq!(
                     flat(sharded.query_box(&b).0),
-                    flat(single.query_box_intervals(&b).0),
-                    "planner vs fixed intervals, parts={parts}"
+                    walk(&single, &b),
+                    "planner vs raw interval walk, parts={parts}"
                 );
             }
         }
+    }
+
+    /// A 16×16 store holding every cell (payload = the cell's key), part
+    /// flushed and part in the memtables, and its snapshot.
+    fn full_grid<C: SpaceFillingCurve<2> + Clone>(
+        curve_over: fn(Grid<2>) -> C,
+    ) -> (ShardedSfcStore<2, u32, C>, ShardedSnapshot<2, u32, C>) {
+        let curve = curve_over(Grid::new(4).unwrap());
+        let store = ShardedSfcStore::with_memtable_capacity(curve, 3, 40);
+        for key in 0..256 {
+            store.insert(store.curve().point_of(key), key as u32);
+        }
+        let snap = store.snapshot();
+        (store, snap)
+    }
+
+    /// The raw-range entry point on well-formed lists: sorted disjoint
+    /// ranges report each key once, an empty list nothing, and a range
+    /// past the last key is clipped — on the store and on its snapshot.
+    #[test]
+    fn query_intervals_accepts_sorted_disjoint_lists() {
+        let (store, snap) = full_grid(ZCurve::over);
+        let payloads = |intervals: &[Interval]| {
+            let got: Vec<u32> = store
+                .query_intervals(intervals)
+                .0
+                .iter()
+                .map(|e| e.payload)
+                .collect();
+            let frozen: Vec<u32> = snap
+                .query_intervals(intervals)
+                .0
+                .iter()
+                .map(|e| *e.payload)
+                .collect();
+            assert_eq!(got, frozen, "{intervals:?}");
+            got
+        };
+        let want: Vec<u32> = (0..=3).chain(100..=103).chain(200..=203).collect();
+        assert_eq!(payloads(&[(0, 3), (100, 103), (200, 203)]), want);
+        assert_eq!(payloads(&[(0, 3), (4, 4)]), [0, 1, 2, 3, 4], "adjacent");
+        assert!(payloads(&[]).is_empty());
+        assert_eq!(payloads(&[(250, 10_000)]), [250, 251, 252, 253, 254, 255]);
+        assert!(payloads(&[(256, 300)]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted and disjoint: (100, 103) then (0, 3)")]
+    fn query_intervals_rejects_an_unsorted_list() {
+        let (store, _) = full_grid(ZCurve::over);
+        store.query_intervals(&[(100, 103), (0, 3), (200, 203)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted and disjoint: (0, 10) then (5, 12)")]
+    fn query_intervals_rejects_an_overlapping_list() {
+        let (store, _) = full_grid(ZCurve::over);
+        store.query_intervals(&[(0, 10), (5, 12)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "inverted interval: (9, 3)")]
+    fn query_intervals_rejects_an_inverted_interval() {
+        let (store, _) = full_grid(ZCurve::over);
+        store.query_intervals(&[(9, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted and disjoint: (100, 103) then (0, 3)")]
+    fn snapshot_query_intervals_rejects_an_unsorted_list() {
+        let (_, snap) = full_grid(ZCurve::over);
+        snap.query_intervals(&[(100, 103), (0, 3), (200, 203)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted and disjoint: (0, 10) then (10, 12)")]
+    fn snapshot_query_intervals_rejects_an_overlapping_list() {
+        let (_, snap) = full_grid(ZCurve::over);
+        snap.query_intervals(&[(0, 10), (10, 12)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "inverted interval: (9, 3)")]
+    fn snapshot_query_intervals_rejects_an_inverted_interval() {
+        let (_, snap) = full_grid(ZCurve::over);
+        snap.query_intervals(&[(0, 1), (9, 3)]);
+    }
+
+    /// A box reaching past the grid is clipped and correct on both
+    /// curves; only a kNN *query point* outside the grid is a caller
+    /// error (the four tests below).
+    #[test]
+    fn a_box_reaching_past_the_grid_is_clipped() {
+        let b = BoxRegion::new(Point::new([3, 3]), Point::new([40, 40]));
+        let (z, z_snap) = full_grid(ZCurve::over);
+        let (h, h_snap) = full_grid(HilbertCurve::over);
+        assert_eq!(z.query_box(&b).0.len(), 13 * 13);
+        assert_eq!(z_snap.query_box(&b).0.len(), 13 * 13);
+        assert_eq!(h.query_box(&b).0.len(), 13 * 13);
+        assert_eq!(h_snap.query_box(&b).0.len(), 13 * 13);
+        assert!(z.query_box(&b).0.iter().all(|e| b.contains(&e.point)));
+        let outside = BoxRegion::new(Point::new([3, 16]), Point::new([40, 40]));
+        assert!(z.query_box(&outside).0.is_empty());
+        assert!(h_snap.query_box(&outside).0.is_empty());
+        assert!(h.plan_box_query(&outside).is_empty());
+        assert_eq!(z.knn(Point::new([15, 15]), 3, 2).0.len(), 3, "the corner");
+    }
+
+    #[test]
+    #[should_panic(expected = "query point out of bounds: (40, 40)")]
+    fn knn_rejects_a_query_point_outside_the_grid_z() {
+        let (store, _) = full_grid(ZCurve::over);
+        store.knn(Point::new([40, 40]), 3, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "query point out of bounds: (40, 40)")]
+    fn knn_rejects_a_query_point_outside_the_grid_hilbert() {
+        let (store, _) = full_grid(HilbertCurve::over);
+        store.knn(Point::new([40, 40]), 3, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "query point out of bounds: (3, 16)")]
+    fn snapshot_knn_rejects_a_query_point_outside_the_grid_z() {
+        let (_, snap) = full_grid(ZCurve::over);
+        snap.knn(Point::new([3, 16]), 3, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "query point out of bounds: (3, 16)")]
+    fn snapshot_knn_rejects_a_query_point_outside_the_grid_hilbert() {
+        let (_, snap) = full_grid(HilbertCurve::over);
+        snap.knn(Point::new([3, 16]), 3, 2);
     }
 
     #[test]

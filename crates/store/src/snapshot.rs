@@ -170,14 +170,12 @@ mod tests {
             let lo = Point::new([a.coord(0).min(c.coord(0)), a.coord(1).min(c.coord(1))]);
             let hi = Point::new([a.coord(0).max(c.coord(0)), a.coord(1).max(c.coord(1))]);
             let b = BoxRegion::new(lo, hi);
+            let intervals = b.curve_intervals(frozen.curve());
             assert_eq!(
-                flat(frozen.query_box_intervals(&b).0),
-                owned(store.query_box_intervals(&b).0)
+                flat(frozen.query_intervals(&intervals).0),
+                owned(store.query_intervals(&intervals).0)
             );
-            assert_eq!(
-                flat(frozen.query_box_bigmin(&b).0),
-                owned(store.query_box_bigmin(&b).0)
-            );
+            assert_eq!(flat(frozen.query_box(&b).0), owned(store.query_box(&b).0));
             let q = grid.random_cell(&mut rng);
             let gd: Vec<u64> = frozen
                 .knn(q, 4, 3)
@@ -185,11 +183,9 @@ mod tests {
                 .iter()
                 .map(|e| q.euclidean_sq(&e.point))
                 .collect();
-            let wd: Vec<u64> = frozen
-                .knn_linear(q, 4)
-                .iter()
-                .map(|e| q.euclidean_sq(&e.point))
-                .collect();
+            let mut wd: Vec<u64> = frozen.iter().map(|e| q.euclidean_sq(&e.point)).collect();
+            wd.sort_unstable();
+            wd.truncate(4);
             assert_eq!(gd, wd);
         }
         assert_eq!(frozen.to_index().len(), frozen.len());
@@ -204,7 +200,8 @@ mod tests {
         assert_eq!(frozen.iter().count(), 0);
         assert!(frozen.shards()[0].run_lens().is_empty());
         let b = BoxRegion::new(Point::new([0, 0]), Point::new([7, 7]));
-        assert!(frozen.query_box_intervals(&b).0.is_empty());
+        assert!(frozen.query_intervals(&[(0, 63)]).0.is_empty());
+        assert!(frozen.query_box(&b).0.is_empty());
         assert!(frozen.knn(Point::new([1, 1]), 2, 2).0.is_empty());
     }
 }

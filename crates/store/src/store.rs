@@ -125,6 +125,18 @@ mod tests {
         rand_chacha::ChaCha8Rng::seed_from_u64(seed)
     }
 
+    /// kNN ground truth: every live record by (distance, key), cut at `k`.
+    fn knn_truth<C: SpaceFillingCurve<2> + Clone>(
+        store: &ShardedSfcStore<2, u32, C>,
+        q: Point<2>,
+        k: usize,
+    ) -> Vec<StoreEntry<2, u32>> {
+        let mut all: Vec<_> = store.iter().collect();
+        all.sort_by_key(|e| (q.euclidean_sq(&e.point), e.key));
+        all.truncate(k);
+        all
+    }
+
     #[test]
     fn insert_get_delete_roundtrip() {
         let grid = Grid::<2>::new(4).unwrap();
@@ -210,9 +222,9 @@ mod tests {
                     .map(|e| (e.key, e.point, *e.payload))
                     .collect::<Vec<_>>()
             };
-            let (bm, _) = snap.query_box_bigmin(&b);
-            let (iv, iv_stats) = snap.query_box_intervals(&b);
-            let (expected, _) = static_index.query_box_bigmin(&b);
+            let (bm, _) = snap.query_box(&b);
+            let (iv, iv_stats) = snap.query_intervals(&b.curve_intervals(snap.curve()));
+            let (expected, _) = static_index.query_box_full_scan(&b);
             assert_eq!(flat(bm), flat_idx(expected.clone()));
             assert_eq!(flat(iv), flat_idx(expected));
             assert_eq!(iv_stats.reported, iv_stats.reported.min(iv_stats.scanned));
@@ -236,7 +248,7 @@ mod tests {
             let q = grid.random_cell(&mut rng);
             for k in [1usize, 4, 9] {
                 let (got, stats) = store.knn(q, k, 3);
-                let want = store.knn_linear(q, k);
+                let want = knn_truth(&store, q, k);
                 let gd: Vec<u64> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
                 let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.point)).collect();
                 assert_eq!(gd, wd, "k={k} q={q}");
@@ -276,7 +288,7 @@ mod tests {
         for k in [1usize, 3, 8] {
             for window in [1usize, 2, 4] {
                 let (got, stats) = store.knn(q, k, window);
-                let want = store.knn_linear(q, k);
+                let want = knn_truth(&store, q, k);
                 let gd: Vec<u64> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
                 let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.point)).collect();
                 assert_eq!(gd, wd, "true neighbor dropped: k={k} window={window}");
@@ -293,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn query_box_bigmin_at_end_of_keyspace_full_resolution() {
+    fn query_box_at_end_of_keyspace_full_resolution() {
         // Regression: a box containing the all-max corner of a
         // full-resolution grid (2^32 × 2^32 — curve keys occupy all 64
         // bits) must terminate cleanly, not wrap past the last curve
@@ -318,9 +330,9 @@ mod tests {
         assert!(run_lens(&mem_store).is_empty());
         assert!(!run_lens(&run_store).is_empty());
         for store in [&mem_store, &run_store] {
-            let (hits, _) = store.query_box_bigmin(&b);
+            let (hits, _) = store.query_box(&b);
             assert_eq!(hits.len(), 9, "3×3 corner cells");
-            let (iv, _) = store.query_box_intervals(&b);
+            let (iv, _) = store.query_intervals(&b.curve_intervals(&z));
             assert_eq!(
                 hits.iter().map(|e| e.key).collect::<Vec<_>>(),
                 iv.iter().map(|e| e.key).collect::<Vec<_>>(),
@@ -371,54 +383,52 @@ mod tests {
     }
 
     #[test]
-    fn planner_matches_both_fixed_strategies_and_plain_paths() {
+    fn planner_matches_raw_interval_walk_and_model() {
         let grid = Grid::<2>::new(6).unwrap(); // 64×64
         let mut rng = rng(21);
-        let store = one_shard(ZCurve::over(grid), 32);
+        let live = one_shard(ZCurve::over(grid), 32);
+        let mut model = std::collections::BTreeMap::new();
         for i in 0..2_500u32 {
             let p = grid.random_cell(&mut rng);
+            let key = live.curve().encode(p);
             if i % 6 == 5 {
-                store.delete(p);
+                live.delete(p);
+                model.remove(&key);
             } else {
-                store.insert(p, i);
+                live.insert(p, i);
+                model.insert(key, (p, i));
             }
         }
-        assert!(run_lens(&store).len() >= 2, "want a multi-run store");
+        assert!(run_lens(&live).len() >= 2, "want a multi-run store");
         let flat = |v: Vec<StoreEntryRef<'_, 2, u32>>| {
             v.into_iter()
                 .map(|e| (e.key, e.point, *e.payload))
                 .collect::<Vec<_>>()
         };
-        let store = store.snapshot();
+        let store = live.snapshot();
         for _ in 0..40 {
             let a = grid.random_cell(&mut rng);
             let c = grid.random_cell(&mut rng);
             let lo = Point::new([a.coord(0).min(c.coord(0)), a.coord(1).min(c.coord(1))]);
             let hi = Point::new([a.coord(0).max(c.coord(0)), a.coord(1).max(c.coord(1))]);
             let b = BoxRegion::new(lo, hi);
-            let want = flat(store.query_box_intervals(&b).0);
-            assert_eq!(flat(store.query_box(&b).0), want, "planner vs intervals");
+            let want: Vec<_> = model
+                .iter()
+                .filter(|(_, (p, _))| b.contains(p))
+                .map(|(&key, &(p, v))| (key, p, v))
+                .collect();
+            assert_eq!(flat(store.query_box(&b).0), want, "planner vs model");
             assert_eq!(
-                flat(store.query_box_bigmin(&b).0),
+                flat(store.query_intervals(&b.curve_intervals(store.curve())).0),
                 want,
-                "bigmin vs intervals"
-            );
-            assert_eq!(
-                flat(store.query_box_intervals_plain(&b).0),
-                want,
-                "plain intervals drifted"
-            );
-            assert_eq!(
-                flat(store.query_box_bigmin_plain(&b).0),
-                want,
-                "plain bigmin drifted"
+                "raw interval walk vs model"
             );
             let q = grid.random_cell(&mut rng);
-            assert_eq!(
-                flat(store.knn(q, 5, 3).0),
-                flat(store.knn_plain(q, 5, 3).0),
-                "knn vs knn_plain at {q}"
-            );
+            let truth: Vec<_> = knn_truth(&live, q, 5)
+                .into_iter()
+                .map(|e| (e.key, e.point, e.payload))
+                .collect();
+            assert_eq!(flat(store.knn(q, 5, 3).0), truth, "knn vs linear at {q}");
         }
     }
 
@@ -490,8 +500,8 @@ mod tests {
         assert!(store.is_empty());
         assert_eq!(store.iter().count(), 0);
         let b = BoxRegion::new(Point::new([0, 0]), Point::new([7, 7]));
-        assert!(store.query_box_intervals(&b).0.is_empty());
-        assert!(store.query_box_bigmin(&b).0.is_empty());
+        assert!(store.query_intervals(&[(0, 63)]).0.is_empty());
+        assert!(store.query_box(&b).0.is_empty());
         assert!(store.knn(Point::new([1, 1]), 3, 2).0.is_empty());
         store.flush();
         store.compact();

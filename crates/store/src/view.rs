@@ -54,7 +54,7 @@
 //! the interval skipper beat the raw interval walk for boxes and kNN
 //! balls alike — so the cutoffs and the per-run estimate are gone. The
 //! raw walk ([`interval_scan`]) remains what a caller-supplied interval
-//! list runs, including the fixed-strategy `query_box_intervals`.
+//! list runs ([`ShardedSfcStore::query_intervals`](crate::ShardedSfcStore::query_intervals)).
 //!
 //! The resulting [`QueryPlan`] is observable through
 //! [`ShardedSfcStore::plan_box_query`](crate::ShardedSfcStore::plan_box_query)
@@ -63,15 +63,14 @@
 //! `blocks_decoded`.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
 use sfc_core::{CurveIndex, Point, SpaceFillingCurve, ZCurve};
 use sfc_index::{
-    bigmin_scan_plain, box_scan, interval_scan, interval_scan_plain, BlockCursor, BlockStore,
-    BoxRegion, BoxSkipper, DecodedBlock, IntervalSkipper, MortonSkipper, QueryStats, SfcIndex,
-    BLOCK_SLOTS,
+    box_scan, interval_scan, BlockCursor, BlockStore, BoxRegion, BoxSkipper, DecodedBlock,
+    IntervalSkipper, MortonSkipper, QueryStats, SfcIndex, BLOCK_SLOTS,
 };
 
 use crate::epoch::{SeqSlot, SeqTable};
@@ -244,7 +243,7 @@ thread_local! {
 
 /// Offers a squared distance to the top-k max-heap.
 #[inline]
-pub(crate) fn offer(heap: &mut BinaryHeap<u64>, k: usize, dist_sq: u64) {
+fn offer(heap: &mut BinaryHeap<u64>, k: usize, dist_sq: u64) {
     if heap.len() < k {
         heap.push(dist_sq);
     } else if dist_sq < *heap.peek().expect("non-empty: len >= k >= 1") {
@@ -603,51 +602,6 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
         }
     }
 
-    /// Hands the merged per-level versions of a `*_plain` oracle to the
-    /// sink.
-    fn collect_merged<S: HitSink<'a, D, T>>(
-        merged: BTreeMap<CurveIndex, Version<'a, D, T>>,
-        mut stats: QueryStats,
-        sink: &mut S,
-    ) -> QueryStats {
-        for (key, version) in merged {
-            if let Some((point, payload)) = version {
-                stats.reported += 1;
-                sink.hit(StoreEntryRef {
-                    key,
-                    point,
-                    payload,
-                });
-            }
-        }
-        stats
-    }
-
-    /// The pre-zone-map interval query (whole-column seeks, no run
-    /// pruning): reference implementation for differential tests and the
-    /// baseline the benches compare against.
-    pub(crate) fn query_intervals_plain<S: HitSink<'a, D, T>>(
-        &self,
-        intervals: &[Interval],
-        sink: &mut S,
-    ) -> QueryStats {
-        let mut stats = QueryStats::default();
-        let mut merged: BTreeMap<CurveIndex, Version<'a, D, T>> = BTreeMap::new();
-        if let Some(mem) = self.memtable {
-            mem_interval_scan(mem, intervals, &mut stats, |key, version| {
-                merged.entry(key).or_insert(version);
-            });
-        }
-        for run in self.runs.iter().rev() {
-            interval_scan_plain(run.blocks(), intervals, &mut stats, |i, key, point| {
-                merged
-                    .entry(key)
-                    .or_insert_with(|| run.payload_at(i).map(|t| (point, t)));
-            });
-        }
-        Self::collect_merged(merged, stats, sink)
-    }
-
     /// Collects live kNN candidates from every level into the top-k
     /// distance heap: per level, walk outward from the query key's
     /// position on both sides, **widening past tombstoned and shadowed
@@ -869,59 +823,6 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
         true
     }
 
-    /// The pre-zone-map kNN candidate collection: fixed slot windows
-    /// widened past dead slots, no block skipping, candidates gathered
-    /// into a vector. Reference for differential tests and baseline
-    /// benches.
-    pub(crate) fn knn_candidates_plain(
-        &self,
-        q: Point<D>,
-        key: CurveIndex,
-        k: usize,
-        window: usize,
-        stats: &mut QueryStats,
-    ) -> Vec<(u64, CurveIndex)> {
-        let mut candidates: Vec<(u64, CurveIndex)> = Vec::new();
-        if let Some(mem) = self.memtable {
-            mem_knn_walk(mem, q, key, k, window, stats, |d, ck| {
-                candidates.push((d, ck))
-            });
-        }
-        for (run_idx, run) in self.runs.iter().enumerate().rev() {
-            stats.seeks += 1;
-            let pos = run.lower_bound(key);
-            let mut cur = BlockCursor::new(run.blocks());
-            let mut live = 0usize;
-            let mut slots = 0usize;
-            let mut i = pos;
-            while i > 0 && !(live >= k && slots >= window) {
-                i -= 1;
-                slots += 1;
-                stats.scanned += 1;
-                let ck = cur.key(i);
-                if run.is_live_slot(i) && !self.shadowed_above(ck, run_idx) {
-                    candidates.push((q.euclidean_sq(&cur.point(i)), ck));
-                    live += 1;
-                }
-            }
-            live = 0;
-            slots = 0;
-            let mut i = pos;
-            while i < run.len() && !(live >= k && slots >= window) {
-                slots += 1;
-                stats.scanned += 1;
-                let ck = cur.key(i);
-                if run.is_live_slot(i) && !self.shadowed_above(ck, run_idx) {
-                    candidates.push((q.euclidean_sq(&cur.point(i)), ck));
-                    live += 1;
-                }
-                i += 1;
-            }
-            stats.blocks_decoded += cur.decodes;
-        }
-        candidates
-    }
-
     /// A lazy k-way merge of all levels in curve order, newest-wins, with
     /// tombstones suppressed.
     pub(crate) fn iter(&self) -> SnapshotIter<'a, D, T> {
@@ -942,60 +843,19 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
     }
 }
 
-impl<'a, const D: usize, T> LevelsView<'a, D, T, ZCurve<D>> {
-    /// The pre-zone-map BIGMIN query (no run pruning, per-slot tests,
-    /// whole-tail jump searches): reference implementation for
-    /// differential tests and the baseline the benches compare against.
-    pub(crate) fn query_box_bigmin_plain<S: HitSink<'a, D, T>>(
-        &self,
-        b: &BoxRegion<D>,
-        sink: &mut S,
-    ) -> QueryStats {
-        let mut stats = QueryStats::default();
-        let mut merged: BTreeMap<CurveIndex, Version<'a, D, T>> = BTreeMap::new();
-        if let Some(mem) = self.memtable {
-            let skip = MortonSkipper::new(self.curve, b);
-            mem_box_scan(mem, b, &skip, &mut stats, |key, version| {
-                merged.entry(key).or_insert(version);
-            });
-        }
-        for run in self.runs.iter().rev() {
-            bigmin_scan_plain(self.curve, run.blocks(), b, &mut stats, |i, key, point| {
-                merged
-                    .entry(key)
-                    .or_insert_with(|| run.payload_at(i).map(|t| (point, t)));
-            });
-        }
-        Self::collect_merged(merged, stats, sink)
-    }
-}
-
-/// The canonical kNN result order: Euclidean distance to `q`, ties
-/// broken by curve key. Every kNN path — and every `knn_linear` ground
-/// truth, borrowed or owned — must rank with exactly this comparator.
-pub(crate) fn distance_key_order<const D: usize>(
-    q: &Point<D>,
-    a: (&Point<D>, CurveIndex),
-    b: (&Point<D>, CurveIndex),
-) -> std::cmp::Ordering {
-    q.euclidean_sq(a.0)
-        .cmp(&q.euclidean_sq(b.0))
-        .then(a.1.cmp(&b.1))
-}
-
-/// Ranks entries by [`distance_key_order`] and keeps the `k` nearest.
+/// Ranks entries in the canonical kNN result order — Euclidean distance
+/// to `q`, ties broken by curve key — and keeps the `k` nearest.
 pub(crate) fn rank_by_distance<const D: usize, T>(
     mut all: Vec<StoreEntryRef<'_, D, T>>,
     q: Point<D>,
     k: usize,
 ) -> Vec<StoreEntryRef<'_, D, T>> {
-    all.sort_by(|a, b| distance_key_order(&q, (&a.point, a.key), (&b.point, b.key)));
+    all.sort_by_key(|e| (q.euclidean_sq(&e.point), e.key));
     all.truncate(k);
     all
 }
 
-/// The kNN machinery shared with the shard router: the scratch heap, the
-/// offer primitive, and the radius bound.
+/// Runs `f` with the thread's cleared kNN scratch heap.
 pub(crate) fn with_knn_heap<R>(f: impl FnOnce(&mut BinaryHeap<u64>) -> R) -> R {
     KNN_HEAP.with(|cell| {
         let mut heap = cell.borrow_mut();

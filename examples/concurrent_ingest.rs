@@ -94,7 +94,7 @@ fn main() {
                         .map(|&(k, p, v)| (k, p, v))
                         .collect();
                     let got: Vec<_> = snap
-                        .query_box_par(&b)
+                        .query_box(&b)
                         .0
                         .iter()
                         .map(|e| (e.key, e.point, *e.payload))

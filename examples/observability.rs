@@ -1,6 +1,7 @@
 //! Engine observability end to end: attach a metrics registry to a
 //! *durable* sharded store, drive a mixed workload (skewed writes,
-//! deletes, point gets, box queries, kNN, compaction, one rebalance)
+//! deletes, point gets, box queries, kNN, one raw key-range read,
+//! compaction, one rebalance)
 //! with group-committed WAL appends and a background maintenance
 //! thread, then read the engine back out three ways — the rendered text
 //! report, the slow-query log with its recorded query plans, and the
@@ -77,6 +78,9 @@ fn main() {
         std::hint::black_box(store.query_box(&b).0.len());
         std::hint::black_box(store.knn(corner, 5, 8).0.len());
     }
+    // A raw key-range read — on Morton order the first 1 024 keys are the
+    // 32×32 tile at the origin — lands in `engine.query_intervals.ns`.
+    std::hint::black_box(store.query_intervals(&[(0, 1023)]).0.len());
     store.compact();
     store.rebalance(1e-9);
     store.stop_maintenance();

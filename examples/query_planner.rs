@@ -11,8 +11,9 @@
 //!   pruned outright;
 //! * the executed [`QueryStats`], including how many zone-map blocks were
 //!   pruned from their summaries versus actually scanned;
-//! * the same query through the pre-zone-map plain scan, so the saved
-//!   work is visible side by side.
+//! * the same query through the raw interval walk (`query_intervals`
+//!   over the box's curve intervals: one seek per interval per level), so
+//!   the kernel's work is visible side by side.
 //!
 //! Run with: `cargo run --release -p sfc --example query_planner`
 
@@ -61,8 +62,7 @@ fn show<C: SpaceFillingCurve<2> + Clone>(curve: C) {
         }
     }
     // Everything below reads one snapshot: the levels as they stand
-    // (nothing is flushed to take it), with borrowed hits and the
-    // pre-zone-map plain scans alongside.
+    // (nothing is flushed to take it), with borrowed hits.
     let store = live.snapshot();
     let shard = &store.shards()[0];
     println!(
@@ -122,14 +122,10 @@ fn show<C: SpaceFillingCurve<2> + Clone>(curve: C) {
             println!("  run of {len:>7} slots -> {strategy}");
         }
         let (hits, stats) = store.query_box(b);
-        let (plain_hits, plain) = store.query_box_intervals_plain(b);
-        assert_eq!(
-            hits.len(),
-            plain_hits.len(),
-            "planner must match plain scan"
-        );
-        println!("planner: {}", fmt_stats(&stats));
-        println!("plain:   {}", fmt_stats(&plain));
+        let (walk_hits, walk) = store.query_intervals(&b.curve_intervals(store.curve()));
+        assert_eq!(hits, walk_hits, "planner must match the raw interval walk");
+        println!("planner:  {}", fmt_stats(&stats));
+        println!("raw walk: {}", fmt_stats(&walk));
     }
 
     // kNN: the dead-block skips and AABB distance bounds show up in the
@@ -137,10 +133,7 @@ fn show<C: SpaceFillingCurve<2> + Clone>(curve: C) {
     println!("\n=== kNN (k = 10) ===");
     for q in [Point::new([128, 128]), Point::new([900, 500])] {
         let (hits, stats) = store.knn(q, 10, 16);
-        let (plain_hits, plain) = store.knn_plain(q, 10, 16);
-        assert_eq!(hits.len(), plain_hits.len());
-        println!("q = {q}:");
-        println!("  zone:  {}", fmt_stats(&stats));
-        println!("  plain: {}", fmt_stats(&plain));
+        assert_eq!(hits.len(), 10);
+        println!("q = {q}: {}", fmt_stats(&stats));
     }
 }

@@ -47,8 +47,8 @@ fn main() {
     // Readers see one store, not four: results are byte-identical.
     let b = BoxRegion::new(Point::new([40, 40]), Point::new([150, 110]));
     let hit_count = {
-        let (hits, stats) = sharded.query_box_bigmin(&b);
-        let (want, _) = single.query_box_bigmin(&b);
+        let (hits, stats) = sharded.query_box(&b);
+        let (want, _) = single.query_box(&b);
         assert_eq!(hits.len(), want.len());
         assert!(hits
             .iter()
@@ -85,12 +85,12 @@ fn main() {
         frozen.len(),
         sharded.len()
     );
-    let (frozen_hits, _) = frozen.query_box_bigmin(&b);
+    let (frozen_hits, _) = frozen.query_box(&b);
     assert_eq!(frozen_hits.len(), hit_count, "snapshot drifted");
     println!(
         "   frozen box query still returns {} hits; live store now returns {}",
         frozen_hits.len(),
-        sharded.query_box_bigmin(&b).0.len()
+        sharded.query_box(&b).0.len()
     );
 
     // Final cross-check on the live stores.

@@ -14,7 +14,7 @@ fn report(phase: &str, store: &ShardedSfcStore<2, u32, ZCurve<2>>, b: &BoxRegion
     // nothing, so the shape printed below is the store's own.
     let snap = store.snapshot();
     let shard = &snap.shards()[0];
-    let (hits, stats) = snap.query_box_bigmin(b);
+    let (hits, stats) = snap.query_box(b);
     println!("== {phase}");
     println!(
         "   live {} | memtable {} | runs {:?}",

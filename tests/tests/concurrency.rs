@@ -52,8 +52,10 @@ fn flat(v: impl IntoIterator<Item = StoreEntry<2, u32>>) -> Vec<(CurveIndex, Poi
 
 /// Asserts one frozen snapshot is internally consistent: strictly
 /// increasing unique keys, `len()` equal to the iterated count, point
-/// gets agreeing with iteration, and box queries (both strategies, both
-/// sequential and parallel) equal to the filtered iteration.
+/// gets agreeing with iteration, and box queries (the planner and the raw
+/// interval walk) equal to the filtered iteration. Called from several
+/// reader threads at once — concurrent queries are the engine's read
+/// parallelism.
 fn assert_snapshot_consistent(snap: &ShardedSnapshot<2, u32, ZCurve<2>>, grid: Grid<2>) {
     let entries: Vec<(CurveIndex, Point<2>, u32)> =
         snap.iter().map(|e| (e.key, e.point, *e.payload)).collect();
@@ -73,29 +75,19 @@ fn assert_snapshot_consistent(snap: &ShardedSnapshot<2, u32, ZCurve<2>>, grid: G
             .copied()
             .collect();
         let got: Vec<_> = snap
-            .query_box_intervals(&b)
+            .query_intervals(&b.curve_intervals(snap.curve()))
             .0
             .iter()
             .map(|e| (e.key, e.point, *e.payload))
             .collect();
         assert_eq!(got, want, "snapshot box query vs filtered iteration");
-        let got_bigmin: Vec<_> = snap
-            .query_box_bigmin(&b)
+        let got_planned: Vec<_> = snap
+            .query_box(&b)
             .0
             .iter()
             .map(|e| (e.key, e.point, *e.payload))
             .collect();
-        assert_eq!(got_bigmin, want, "snapshot bigmin vs filtered iteration");
-        let got_par: Vec<_> = snap
-            .query_box_par(&b)
-            .0
-            .iter()
-            .map(|e| (e.key, e.point, *e.payload))
-            .collect();
-        assert_eq!(
-            got_par, want,
-            "snapshot parallel query vs filtered iteration"
-        );
+        assert_eq!(got_planned, want, "snapshot planner vs filtered iteration");
     }
 }
 
@@ -152,18 +144,19 @@ fn concurrent_writers_with_snapshot_readers() {
         }
         // A live reader: lock-free query results must always be
         // well-formed (sorted unique keys inside the box) even while the
-        // state is in motion. Sequential and parallel dispatch are each
-        // checked for well-formedness only — the two calls take separate
-        // captures, so with writers active their *contents* may
-        // legitimately differ by in-flight writes (byte-equality of par
-        // vs seq is asserted on quiesced stores and snapshots elsewhere).
+        // state is in motion. The planner and the raw interval walk are
+        // each checked for well-formedness only — the two calls take
+        // separate captures, so with writers active their *contents* may
+        // legitimately differ by in-flight writes (their byte-equality is
+        // asserted on quiesced stores and snapshots elsewhere).
         {
             let store = &store;
             let done = &done;
             scope.spawn(move || {
                 let b = BoxRegion::new(Point::new([4, 4]), Point::new([27, 23]));
+                let intervals = b.curve_intervals(store.curve());
                 while !done.load(Ordering::Relaxed) {
-                    for hits in [store.query_box(&b).0, store.query_box_par(&b).0] {
+                    for hits in [store.query_box(&b).0, store.query_intervals(&intervals).0] {
                         for w in hits.windows(2) {
                             assert!(w[0].key < w[1].key, "live query keys out of order");
                         }
@@ -622,17 +615,19 @@ fn knn_racing_writers_is_exact_about_what_it_may_return() {
         start.wait();
         for call in 0..400 {
             let q = grid.random_cell(&mut rng);
-            let (hits, _) = if call % 2 == 0 {
-                store.knn(q, K, 4)
+            // Live and through a capture taken now, alternately.
+            let hits: Vec<CurveIndex> = if call % 2 == 0 {
+                store.knn(q, K, 4).0.iter().map(|e| e.key).collect()
             } else {
-                store.knn_par(q, K, 4)
+                let snap = store.snapshot();
+                snap.knn(q, K, 4).0.iter().map(|e| e.key).collect()
             };
             assert_eq!(
                 hits.len(),
                 K,
                 "call {call}: {K} records were live throughout"
             );
-            let keys: BTreeSet<CurveIndex> = hits.iter().map(|e| e.key).collect();
+            let keys: BTreeSet<CurveIndex> = hits.into_iter().collect();
             assert_eq!(keys.len(), K, "call {call}: a key came back twice");
             assert!(
                 keys.is_disjoint(&doomed),

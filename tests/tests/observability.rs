@@ -1,6 +1,6 @@
 //! Observability-layer integration tests.
 //!
-//! Five angles on the `sfc-obs` + store instrumentation stack:
+//! Six angles on the `sfc-obs` + store instrumentation stack:
 //!
 //! * **Quantile accuracy** — proptests replay adversarial latency
 //!   distributions (all-equal, bimodal, power-law) through the
@@ -16,6 +16,8 @@
 //!   against an instrumented `ShardedSfcStore` whose per-shard op
 //!   counters must sum to the driver's ground-truth totals, with the
 //!   registry's JSON export validated structurally and numerically.
+//! * **One histogram per read entry point** — `query_intervals` reports
+//!   into `engine.query_intervals.ns`; no histogram outlives its method.
 //! * **Persist accounting** — a durable store's flushes and compactions
 //!   report the time and bytes of their persist step (`shardN.persist.*`);
 //!   an in-memory store reports none.
@@ -299,6 +301,42 @@ fn shard_counters_sum_to_driver_totals_under_concurrency() {
         QUERIES,
         "JSON export disagrees with snapshot accessor"
     );
+}
+
+/// One latency histogram per surviving read entry point, none for a
+/// deleted one: a fresh registry has no `engine.query_bigmin.ns`, and a
+/// `query_intervals` call lands in `engine.query_intervals.ns` and is
+/// traced under its own name.
+#[test]
+fn query_intervals_reports_into_its_own_histogram() {
+    let grid = Grid::<2>::new(5).unwrap();
+    let mut store = ShardedSfcStore::with_memtable_capacity(ZCurve::over(grid), 2, 32);
+    let metrics = store.enable_metrics();
+    metrics.set_slow_query_threshold(std::time::Duration::ZERO);
+    let fresh = metrics.registry().snapshot();
+    assert!(fresh.histogram("engine.query_bigmin.ns").is_none());
+    for name in ["query_box", "query_intervals", "knn"] {
+        let h = fresh.histogram(&format!("engine.{name}.ns"));
+        assert_eq!(h.map(|h| h.count()), Some(0), "engine.{name}.ns");
+    }
+    let mut rng = test_rng(0x0b5);
+    for i in 0..300u32 {
+        store.insert(grid.random_cell(&mut rng), i);
+    }
+    let (hits, stats) = store.query_intervals(&[(10, 99), (400, 450)]);
+    assert_eq!(stats.reported as usize, hits.len());
+    let snap = metrics.registry().snapshot();
+    assert_eq!(
+        snap.histogram("engine.query_intervals.ns").unwrap().count(),
+        1
+    );
+    assert_eq!(snap.histogram("engine.query_box.ns").unwrap().count(), 0);
+    assert_eq!(snap.counter("engine.query.count"), Some(1));
+    let slow = metrics.slow_queries();
+    assert_eq!(slow.len(), 1);
+    assert_eq!(slow[0].detail.op, "query_intervals");
+    assert_eq!(slow[0].detail.intervals, Some(2));
+    assert_eq!(slow[0].detail.stats, stats);
 }
 
 /// "Where did the flush go": on a durable store every flush, compaction

@@ -2,10 +2,10 @@
 //! insert / update / delete / flush / compact / rebalance are replayed
 //! against a plain `BTreeMap<CurveIndex, payload>` model at every shard
 //! count from 1 to 4, and every observable view of the store — point
-//! gets, live count, iteration, box queries (every strategy, the planner,
-//! the `*_par` twins and the pre-zone-map `*_plain` oracles), and kNN —
-//! must agree with the model at every checkpoint, live and through a
-//! snapshot, and byte-for-byte across shard counts. Tiny memtable
+//! gets, live count, iteration, box queries (the planner and the raw
+//! interval walk), and kNN (against a linear scan that shares no code with
+//! the engine) — must agree with the model at every checkpoint, live and
+//! through a snapshot, and byte-for-byte across shard counts. Tiny memtable
 //! capacities force many flushes and merges, so tombstones routinely end
 //! up in *newer runs shadowing older ones*, the case single-level tests
 //! can't reach.
@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use sfc_core::{CurveIndex, Grid, HilbertCurve, Point, SpaceFillingCurve, ZCurve};
 use sfc_index::BoxRegion;
-use sfc_integration::test_rng;
+use sfc_integration::{oracle, test_rng};
 use sfc_store::{BatchOp, ShardedSfcStore, StoreEntry, StoreEntryRef};
 use std::collections::BTreeMap;
 
@@ -110,33 +110,14 @@ fn apply<C: SpaceFillingCurve<2> + Clone>(stores: &[Store<C>], model: &mut Model
     }
 }
 
-/// The BIGMIN family of one box query, Z curve only: the live fan-out and
-/// its `_par` twin, the snapshot's, and the pre-zone-map oracle.
-fn bigmin_paths(store: &Store<ZCurve<2>>, region: &BoxRegion<2>) -> Vec<Vec<Triple>> {
-    let snap = store.snapshot();
-    vec![
-        owned(&store.query_box_bigmin(region).0),
-        owned(&store.query_box_bigmin_par(region).0),
-        borrowed(&snap.query_box_bigmin(region).0),
-        borrowed(&snap.query_box_bigmin_par(region).0),
-        borrowed(&snap.query_box_bigmin_plain(region).0),
-    ]
-}
-
-/// What a curve without a BIGMIN strategy contributes.
-fn no_bigmin<C: SpaceFillingCurve<2> + Clone>(_: &Store<C>, _: &BoxRegion<2>) -> Vec<Vec<Triple>> {
-    Vec::new()
-}
-
 /// The one checker: every observable view of `store` against the model —
-/// live (owned results) and through a snapshot (borrowed results, the
-/// `*_plain` oracles). Returns everything it read, in a fixed order, so
-/// stores at different shard counts can be compared byte for byte.
-fn check_against_model<C: SpaceFillingCurve<2> + Clone + Send + Sync>(
+/// live (owned results) and through a snapshot (borrowed results), on any
+/// curve. Returns everything it read, in a fixed order, so stores at
+/// different shard counts can be compared byte for byte.
+fn check_against_model<C: SpaceFillingCurve<2> + Clone>(
     store: &Store<C>,
     model: &Model,
     seed: u64,
-    bigmin: fn(&Store<C>, &BoxRegion<2>) -> Vec<Vec<Triple>>,
 ) -> Vec<Vec<Triple>> {
     use rand::Rng;
     let grid = store.curve().grid();
@@ -163,9 +144,8 @@ fn check_against_model<C: SpaceFillingCurve<2> + Clone + Send + Sync>(
         assert_eq!(snap.get(p).copied(), want, "snapshot get({p})");
     }
 
-    // Box queries match the filtered model on every path — the planner,
-    // the fixed strategies, their scoped-thread twins, and the pre-zone-map
-    // plain scans.
+    // Box queries match the filtered model on every path — the planner
+    // and the raw walk of the box's curve intervals, live and frozen.
     for _ in 0..8 {
         let a = grid.random_cell(&mut rng);
         let b = grid.random_cell(&mut rng);
@@ -177,27 +157,24 @@ fn check_against_model<C: SpaceFillingCurve<2> + Clone + Send + Sync>(
             .filter(|(_, p, _)| region.contains(p))
             .copied()
             .collect();
-        let (hits, stats) = store.query_box_intervals(&region);
+        let intervals = region.curve_intervals(store.curve());
+        let (hits, stats) = store.query_intervals(&intervals);
         assert_eq!(stats.reported as usize, hits.len());
-        let mut paths = vec![
+        let (planned, stats) = store.query_box(&region);
+        assert_eq!(stats.reported as usize, planned.len());
+        let paths = [
             owned(&hits),
-            owned(&store.query_box(&region).0),
-            owned(&store.query_box_par(&region).0),
-            owned(&store.query_box_intervals_par(&region).0),
+            owned(&planned),
             borrowed(&snap.query_box(&region).0),
-            borrowed(&snap.query_box_intervals(&region).0),
-            borrowed(&snap.query_box_par(&region).0),
-            borrowed(&snap.query_box_intervals_plain(&region).0),
+            borrowed(&snap.query_intervals(&intervals).0),
         ];
-        paths.extend(bigmin(store, &region));
         for (i, got) in paths.iter().enumerate() {
             assert_eq!(got, &want, "box path {i} on {region:?}");
         }
         read.push(want);
     }
 
-    // kNN over the merged view is exact — and byte-identical to the
-    // pre-zone-map plain kNN.
+    // kNN over the merged view is exact.
     for _ in 0..5 {
         let q = grid.random_cell(&mut rng);
         let k = rng.gen_range(1..6usize);
@@ -206,50 +183,38 @@ fn check_against_model<C: SpaceFillingCurve<2> + Clone + Send + Sync>(
     read
 }
 
-/// The kNN part of the checker: `store.knn(q, k)` against the linear
-/// scan, live and through a snapshot, and every other kNN path against
-/// it byte for byte. Returns what it read.
-fn check_knn<C: SpaceFillingCurve<2> + Clone + Send + Sync>(
+/// The kNN part of the checker: `store.knn(q, k)` and `snap.knn(q, k)`
+/// against the linear scan of the store's and the snapshot's `iter()`,
+/// byte for byte. Returns what it read.
+fn check_knn<C: SpaceFillingCurve<2> + Clone>(
     store: &Store<C>,
     q: Point<2>,
     k: usize,
 ) -> Vec<Triple> {
     let snap = store.snapshot();
     let (got, stats) = store.knn(q, k, 3);
-    let want = owned(&store.knn_linear(q, k));
-    let dist = |v: &[Triple]| -> Vec<u64> { v.iter().map(|e| q.euclidean_sq(&e.1)).collect() };
-    assert_eq!(dist(&owned(&got)), dist(&want), "knn k={k} q={q}");
+    let want = oracle::knn_linear(owned(&store.iter().collect::<Vec<_>>()), q, k);
+    assert_eq!(owned(&got), want, "knn k={k} q={q}");
     assert_eq!(stats.reported as usize, k.min(store.len()));
     assert_eq!(
-        borrowed(&snap.knn_linear(q, k)),
+        oracle::knn_linear(borrowed(&snap.iter().collect::<Vec<_>>()), q, k),
         want,
-        "snapshot knn_linear"
+        "snapshot iter, ranked"
     );
-    for (i, path) in [
-        owned(&store.knn_par(q, k, 3).0),
+    assert_eq!(
         borrowed(&snap.knn(q, k, 3).0),
-        borrowed(&snap.knn_par(q, k, 3).0),
-        borrowed(&snap.knn_plain(q, k, 3).0),
-    ]
-    .iter()
-    .enumerate()
-    {
-        assert_eq!(path, &owned(&got), "knn path {i} k={k} q={q}");
-    }
-    owned(&got)
+        want,
+        "snapshot knn k={k} q={q}"
+    );
+    want
 }
 
 /// Runs the checker on every store; all must have read the same bytes as
 /// the first (the 1-shard store).
-fn check_all<C: SpaceFillingCurve<2> + Clone + Send + Sync>(
-    stores: &[Store<C>],
-    model: &Model,
-    seed: u64,
-    bigmin: fn(&Store<C>, &BoxRegion<2>) -> Vec<Vec<Triple>>,
-) {
-    let one = check_against_model(&stores[0], model, seed, bigmin);
+fn check_all<C: SpaceFillingCurve<2> + Clone>(stores: &[Store<C>], model: &Model, seed: u64) {
+    let one = check_against_model(&stores[0], model, seed);
     for store in &stores[1..] {
-        let many = check_against_model(store, model, seed, bigmin);
+        let many = check_against_model(store, model, seed);
         assert_eq!(many, one, "{} shards vs 1 shard", store.parts());
     }
 }
@@ -257,8 +222,8 @@ fn check_all<C: SpaceFillingCurve<2> + Clone + Send + Sync>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Z-curve store vs model at 1–4 shards, the BIGMIN strategy
-    /// cross-checked against the interval strategy on every checkpoint.
+    /// Z-curve store vs model at 1–4 shards, the planner (BIGMIN skips)
+    /// cross-checked against the raw interval walk on every checkpoint.
     #[test]
     fn z_store_matches_btreemap_model(seed in any::<u64>(), cap in 1usize..32) {
         let grid = Grid::<2>::new(4).unwrap();
@@ -269,12 +234,12 @@ proptest! {
             for &op in chunk {
                 apply(&stores, &mut model, op);
             }
-            check_all(&stores, &model, seed.wrapping_add(i as u64), bigmin_paths);
+            check_all(&stores, &model, seed.wrapping_add(i as u64));
         }
     }
 
     /// The same interleavings hold for a non-Morton curve (Hilbert), where
-    /// only the interval strategy exists.
+    /// the planner skips by the box's intervals.
     #[test]
     fn hilbert_store_matches_btreemap_model(seed in any::<u64>(), cap in 1usize..24) {
         let grid = Grid::<2>::new(4).unwrap();
@@ -283,7 +248,7 @@ proptest! {
         for &op in &random_ops(250, 16, seed) {
             apply(&stores, &mut model, op);
         }
-        check_all(&stores, &model, seed, no_bigmin);
+        check_all(&stores, &model, seed);
         // After a major compaction every shard is a single tombstone-free
         // run and the store still equals the model.
         for store in &stores {
@@ -292,7 +257,7 @@ proptest! {
             prop_assert!(runs.iter().all(|r| r.len() <= 1));
             prop_assert_eq!(runs.iter().flatten().sum::<usize>(), model.len());
         }
-        check_all(&stores, &model, seed ^ 1, no_bigmin);
+        check_all(&stores, &model, seed ^ 1);
     }
 }
 
@@ -317,12 +282,12 @@ proptest! {
             for &op in chunk {
                 apply(&stores, &mut model, op);
             }
-            check_all(&stores, &model, seed.wrapping_add(i as u64), bigmin_paths);
+            check_all(&stores, &model, seed.wrapping_add(i as u64));
         }
         // A final rebalance + compaction sweep leaves everything intact.
         apply(&stores, &mut model, Op::Rebalance);
         apply(&stores, &mut model, Op::Compact);
-        check_all(&stores, &model, seed ^ 0xfe, bigmin_paths);
+        check_all(&stores, &model, seed ^ 0xfe);
     }
 }
 
@@ -431,7 +396,7 @@ proptest! {
                 }
             }
             // Full query coverage for the batched stores (vs the model)…
-            check_all(&batched, &model, seed.wrapping_add(i as u64), bigmin_paths);
+            check_all(&batched, &model, seed.wrapping_add(i as u64));
             // …and byte-identical iteration against the per-record twins.
             for (b, r) in batched.iter().zip(&per_record) {
                 prop_assert_eq!(
@@ -447,9 +412,8 @@ proptest! {
 
 /// Tombstone-heavy interleavings: deletes dominate, so runs end up mostly
 /// (sometimes entirely) tombstones and zone-map blocks routinely go
-/// all-dead. Every observable view — box (both strategies and the
-/// planner), kNN, iter — must stay byte-identical to the model and to the
-/// pre-change plain scans.
+/// all-dead. Every observable view — box (the planner and the raw
+/// interval walk), kNN, iter — must stay byte-identical to the model.
 fn random_tombstone_heavy_ops(len: usize, side: u32, seed: u64) -> Vec<Op> {
     use rand::Rng;
     let mut rng = test_rng(seed);
@@ -473,7 +437,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn tombstone_heavy_store_matches_model_and_plain_scans(
+    fn tombstone_heavy_store_matches_model(
         seed in any::<u64>(),
         cap in 1usize..16,
     ) {
@@ -485,7 +449,7 @@ proptest! {
             for &op in chunk {
                 apply(&stores, &mut model, op);
             }
-            check_all(&stores, &model, seed.wrapping_add(i as u64), bigmin_paths);
+            check_all(&stores, &model, seed.wrapping_add(i as u64));
         }
     }
 }
@@ -495,7 +459,7 @@ proptest! {
 /// again — the tombstone run consists of several *entirely dead* zone-map
 /// blocks shadowing the bottom run. Box queries must still honor the
 /// tombstones (no resurrection), kNN candidate collection must skip the
-/// dead blocks, and everything stays byte-identical to the plain scans.
+/// dead blocks.
 #[test]
 fn all_dead_blocks_shadow_correctly_and_are_skipped_by_knn() {
     let grid = Grid::<2>::new(5).unwrap(); // 32×32
@@ -530,31 +494,21 @@ fn all_dead_blocks_shadow_correctly_and_are_skipped_by_knn() {
     let flat = borrowed;
     // Box queries over the dead region: every strategy agrees on "empty".
     let snap = store.snapshot();
-    let (iv, _) = snap.query_box_intervals(&quadrant);
-    let (bm, _) = snap.query_box_bigmin(&quadrant);
+    let (iv, _) = snap.query_intervals(&quadrant.curve_intervals(snap.curve()));
     let (pl, _) = snap.query_box(&quadrant);
-    let (iv_plain, _) = snap.query_box_intervals_plain(&quadrant);
-    let (bm_plain, _) = snap.query_box_bigmin_plain(&quadrant);
     assert!(iv.is_empty(), "tombstoned region resurrected: {:?}", iv[0]);
-    assert_eq!(flat(&iv), flat(&bm));
-    assert_eq!(flat(&iv), flat(&pl));
-    assert_eq!(flat(&iv), flat(&iv_plain));
-    assert_eq!(flat(&iv), flat(&bm_plain));
+    assert!(pl.is_empty(), "tombstoned region resurrected: {:?}", pl[0]);
     // Iteration sees only the live half.
     assert_eq!(store.iter().count(), 512);
     assert!(store.iter().all(|e| e.point.coord(0) >= 16));
 
-    // kNN from inside the dead region: exact, identical to plain, and the
-    // dead blocks are observably skipped.
+    // kNN from inside the dead region: exact, and the dead blocks are
+    // observably skipped.
     let q = Point::new([5, 5]);
     for k in [1usize, 4, 10] {
         let (got, stats) = snap.knn(q, k, 3);
-        let want = snap.knn_linear(q, k);
-        let gd: Vec<u64> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
-        let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.point)).collect();
-        assert_eq!(gd, wd, "knn k={k}");
-        let (plain, _) = snap.knn_plain(q, k, 3);
-        assert_eq!(flat(&got), flat(&plain), "knn vs plain k={k}");
+        let want = oracle::knn_linear(flat(&snap.iter().collect::<Vec<_>>()), q, k);
+        assert_eq!(flat(&got), want, "knn k={k}");
         assert!(
             stats.blocks_pruned > 0,
             "kNN near all-dead blocks must skip some: {stats:?}"
@@ -567,7 +521,7 @@ fn all_dead_blocks_shadow_correctly_and_are_skipped_by_knn() {
 /// 16×16 Z grid cut uniformly: two shards are the lower and upper half of
 /// the key space, four are the quadrants). A wrong candidate set shows as
 /// a verification radius that is too small, hence as a result that is
-/// short or not the nearest — which `knn_linear` catches.
+/// short or not the nearest — which `oracle::knn_linear` catches.
 #[test]
 fn knn_must_fail_cases() {
     let grid = Grid::<2>::new(4).unwrap();
