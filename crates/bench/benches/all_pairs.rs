@@ -9,7 +9,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use sfc_bench::{median_ns, BenchReport};
 use sfc_core::{CurveKind, SpaceFillingCurve, ZCurve};
-use sfc_metrics::all_pairs::{all_pairs_exact, all_pairs_exact_par};
+use sfc_metrics::all_pairs::all_pairs_exact;
 use sfc_metrics::sampling::estimate_all_pairs_manhattan;
 use std::hint::black_box;
 
@@ -71,9 +71,6 @@ fn bench_exact(c: &mut Criterion) {
         let z = ZCurve::<2>::new(k).unwrap();
         group.bench_with_input(BenchmarkId::new("seq", format!("k{k}")), &z, |b, z| {
             b.iter(|| black_box(all_pairs_exact(z)))
-        });
-        group.bench_with_input(BenchmarkId::new("par", format!("k{k}")), &z, |b, z| {
-            b.iter(|| black_box(all_pairs_exact_par(z)))
         });
     }
     group.finish();

@@ -1,9 +1,9 @@
-//! N-body: tree build, Barnes–Hut vs direct, sequential vs parallel.
+//! N-body: tree build, Barnes–Hut vs direct.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use sfc_nbody::body::{sample_bodies, Distribution};
-use sfc_nbody::gravity::{barnes_hut_forces, barnes_hut_forces_par, direct_forces};
+use sfc_nbody::gravity::{barnes_hut_forces, direct_forces};
 use sfc_nbody::{Body, Tree};
 use std::hint::black_box;
 
@@ -33,9 +33,6 @@ fn bench_forces(c: &mut Criterion) {
     });
     group.bench_function("barnes_hut_theta0.5", |b| {
         b.iter(|| black_box(barnes_hut_forces(&tree, 0.5, 1e-3)))
-    });
-    group.bench_function("barnes_hut_theta0.5_par", |b| {
-        b.iter(|| black_box(barnes_hut_forces_par(&tree, 0.5, 1e-3)))
     });
     group.finish();
 }

@@ -2,9 +2,12 @@
 //! per-cell loop they replaced, per curve, and sequential vs Rayon.
 //!
 //! Writes its part of `BENCH_metrics.json` (ns per cell and the
-//! window-vs-naive ratio per curve at `d=2 k=8` and `d=3 k=5`) and asserts
-//! the committed gate: the window is at least [`WINDOW_VS_NAIVE_GATE`]×
-//! the naive loop on the 2-D Hilbert curve.
+//! window-vs-naive ratio per curve at `d=2 k=8` and `d=3 k=5`, and
+//! `summarize_par` against `summarize` on Z at `d=2 k=4..10`) and asserts
+//! the committed gates: the window is at least [`WINDOW_VS_NAIVE_GATE`]×
+//! the naive loop on the 2-D Hilbert curve, and on a box with two or more
+//! CPUs `summarize_par` is at least [`PAR_VS_SEQ_GATE`]× `summarize` at
+//! `d=2 k=10` (on one CPU the ratio is `"unmeasured"`).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use sfc_bench::{median_ns, BenchReport};
@@ -15,6 +18,15 @@ use std::hint::black_box;
 /// The committed floor of `naive / window` on Hilbert `d=2 k=8` (measured
 /// ≈ 13×: a scalar Hilbert encode per neighbour against a table read).
 const WINDOW_VS_NAIVE_GATE: f64 = 4.0;
+
+/// The committed floor of `summarize / summarize_par` on Z `d=2 k=10`
+/// with two or more CPUs (measured 1.73–1.83× on two; below `k≈8` the
+/// sequential driver wins — the doc comment of `summarize_par`).
+const PAR_VS_SEQ_GATE: f64 = 1.3;
+
+/// Grid orders of the `summarize` / `summarize_par` comparison; the last
+/// one is gated.
+const PAR_KS: [u32; 4] = [4, 6, 8, 10];
 
 /// The reference: what `summarize` did before the window — one curve
 /// evaluation for the cell and one per neighbour. Returns
@@ -64,7 +76,7 @@ fn bench_by_curve(c: &mut Criterion) {
 
 fn bench_summarize_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("nn_stretch_summarize_z_d2");
-    for k in [4u32, 6, 8] {
+    for k in PAR_KS {
         let z = ZCurve::<2>::new(k).unwrap();
         group.bench_with_input(BenchmarkId::new("seq", format!("k{k}")), &z, |b, z| {
             b.iter(|| black_box(summarize(z)))
@@ -113,9 +125,35 @@ fn main() {
     let pair = |(name, value): &(String, f64)| (name.clone(), *value);
     report.numbers("nn_stretch_ns_per_cell", 2, ns_per_cell.iter().map(pair));
     report.numbers("nn_stretch_speedups", 2, speedups.iter().map(pair));
+    // A two-thread ratio on one CPU measures the scheduler: "unmeasured".
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let par: Vec<(String, Option<f64>)> = PAR_KS
+        .iter()
+        .map(|k| {
+            let group = "nn_stretch_summarize_z_d2";
+            let ratio = median(format!("{group}/seq/k{k}")) / median(format!("{group}/par/k{k}"));
+            (
+                format!("par_vs_seq_k{k}"),
+                Some(ratio).filter(|_| nproc >= 2),
+            )
+        })
+        .collect();
+    report.numbers("nn_stretch_par", 2, par.iter().map(|(n, r)| (n, *r)));
     report.write();
     for (name, ratio) in &speedups {
         println!("speedup {name}: {ratio:.2}x");
+    }
+    for (name, ratio) in &par {
+        match ratio {
+            Some(r) => println!("summarize {name}: {r:.2}x"),
+            None => println!("summarize {name}: unmeasured ({nproc} CPU)"),
+        }
+    }
+    if let Some((name, Some(ratio))) = par.last() {
+        assert!(
+            *ratio >= PAR_VS_SEQ_GATE,
+            "summarize {name} = {ratio:.2}x, below the committed {PAR_VS_SEQ_GATE}x"
+        );
     }
     let gated = "nn_stretch_d2_k8/window_vs_naive/hilbert";
     let ratio = speedups

@@ -32,11 +32,8 @@ fn bench_partition(c: &mut Criterion) {
 
     let part = partition_greedy(&z, &weights, 32);
     let mut group = c.benchmark_group("partition_quality_128x128");
-    group.bench_function("evaluate_seq", |b| {
+    group.bench_function("evaluate", |b| {
         b.iter(|| black_box(quality::evaluate(&z, &weights, &part)))
-    });
-    group.bench_function("evaluate_par", |b| {
-        b.iter(|| black_box(quality::evaluate_par(&z, &weights, &part)))
     });
     group.finish();
 }

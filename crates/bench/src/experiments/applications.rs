@@ -35,7 +35,7 @@ pub fn app_partition() -> Vec<Table> {
             let curve = kind.build::<2>(4).unwrap();
             for p in [4usize, 16] {
                 let part = partition_greedy(&curve, &weights, p);
-                let q = quality::evaluate_par(&curve, &weights, &part);
+                let q = quality::evaluate(&curve, &weights, &part);
                 table.push_row(vec![
                     kind.name().to_string(),
                     p.to_string(),
@@ -182,7 +182,7 @@ pub fn app_nbody() -> Vec<Table> {
         ],
     );
     for theta in [0.3f64, 0.5, 0.8, 1.2] {
-        let (forces, stats) = sfc_nbody::gravity::barnes_hut_forces_par(&tree, theta, 1e-3);
+        let (forces, stats) = sfc_nbody::gravity::barnes_hut_forces(&tree, theta, 1e-3);
         let err = sfc_nbody::gravity::mean_relative_error(&forces, &direct);
         bh_table.push_row(vec![
             fmt_f64(theta, 1),

@@ -2,7 +2,7 @@
 
 use rand::SeedableRng;
 use sfc_core::{CurveKind, Grid, PermutationCurve, SimpleCurve, SpaceFillingCurve, ZCurve};
-use sfc_metrics::all_pairs::all_pairs_exact_par;
+use sfc_metrics::all_pairs::all_pairs_exact;
 use sfc_metrics::bounds;
 use sfc_metrics::nn_stretch::{summarize_par, NnStretchSummary};
 use sfc_metrics::report::{fmt_f64, fmt_ratio, fmt_u128, Table};
@@ -333,7 +333,7 @@ pub fn prop34() -> Vec<Table> {
         let lower_e = bounds::prop3_all_pairs_lower_euclidean(k, 2);
         for kind in CurveKind::ALL {
             let c = kind.build::<2>(k).unwrap();
-            let s = all_pairs_exact_par(&c);
+            let s = all_pairs_exact(&c);
             assert!(s.manhattan >= lower_m - 1e-9, "{kind} k={k}");
             assert!(s.euclidean >= lower_e - 1e-9, "{kind} k={k}");
             table.push_row(vec![
@@ -351,7 +351,7 @@ pub fn prop34() -> Vec<Table> {
         &["k", "str M", "upper M", "str E", "upper E"],
     );
     for k in [2u32, 3, 4, 5] {
-        let s = all_pairs_exact_par(&SimpleCurve::<2>::new(k).unwrap());
+        let s = all_pairs_exact(&SimpleCurve::<2>::new(k).unwrap());
         let um = bounds::prop4_all_pairs_upper_manhattan(k, 2);
         let ue = bounds::prop4_all_pairs_upper_euclidean(k, 2);
         assert!(s.manhattan <= um + 1e-9);

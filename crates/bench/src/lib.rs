@@ -48,8 +48,10 @@ pub fn render_tables(tables: &[Table], markdown: bool) -> String {
 /// A `BENCH_<bench>.json` report at the workspace root — the committed,
 /// CI-uploaded trajectory of one group of micro-benchmarks.
 ///
-/// The file is one JSON object: `schema`, `bench`, then the sections in
-/// the order they were set, each starting on a line of its own at a
+/// The file is one JSON object: `schema`, `bench`, `nproc` (the CPUs the
+/// writing process could run on — `available_parallelism` honours the
+/// affinity mask, so a pinned run says so), then the sections in the
+/// order they were set, each starting on a line of its own at a
 /// two-space indent. That layout is what lets [`extending`](Self::extending)
 /// read a report back without a JSON parser.
 #[derive(Debug)]
@@ -103,7 +105,8 @@ impl BenchReport {
     }
 
     /// Sets the section `key` to an object of numbers printed with
-    /// `decimals` places; `None` prints as `null`.
+    /// `decimals` places; `None` prints as `"unmeasured"` (a figure this
+    /// box cannot produce, such as an N-thread ratio on fewer CPUs).
     pub fn numbers<N: AsRef<str>, V: Into<Option<f64>>>(
         &mut self,
         key: &str,
@@ -115,7 +118,7 @@ impl BenchReport {
             members.into_iter().map(|(name, value)| {
                 let value = value
                     .into()
-                    .map_or("null".to_string(), |v| format!("{v:.decimals$}"));
+                    .map_or("\"unmeasured\"".to_string(), |v| format!("{v:.decimals$}"));
                 (name.as_ref().to_string(), value)
             }),
         );
@@ -144,7 +147,11 @@ impl BenchReport {
 
     /// The report as it is written.
     fn render(&self) -> String {
-        let mut out = format!("{{\n  \"schema\": 1,\n  \"bench\": \"{}\"", self.bench);
+        let mut out = format!(
+            "{{\n  \"schema\": 1,\n  \"bench\": \"{}\",\n  \"nproc\": {}",
+            self.bench,
+            nproc()
+        );
         for (key, value) in &self.sections {
             out.push_str(&format!(",\n  \"{key}\": {value}"));
         }
@@ -183,8 +190,13 @@ fn parse_sections(text: &str) -> Vec<(String, String)> {
             value.pop();
         }
     }
-    sections.retain(|(key, _)| key != "schema" && key != "bench");
+    sections.retain(|(key, _)| !["schema", "bench", "nproc"].contains(&key.as_str()));
     sections
+}
+
+/// The CPUs this process may run on.
+fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// The median nanoseconds per iteration of the benchmark `name`.
@@ -215,8 +227,13 @@ mod tests {
         report.numbers("speedups", 2, [("a_vs_b", Some(4.0)), ("c", None)]);
         report.section("metrics", "{\n  \"engine.x\": 1,\n  \"engine.y\": 2\n}\n");
         let text = report.render();
-        assert!(text.starts_with("{\n  \"schema\": 1,\n  \"bench\": \"selftest_never_written\",\n"));
-        assert!(text.contains("  \"speedups\": {\n    \"a_vs_b\": 4.00,\n    \"c\": null\n  },\n"));
+        assert!(text.starts_with(&format!(
+            "{{\n  \"schema\": 1,\n  \"bench\": \"selftest_never_written\",\n  \"nproc\": {},\n",
+            nproc()
+        )));
+        assert!(text.contains(
+            "  \"speedups\": {\n    \"a_vs_b\": 4.00,\n    \"c\": \"unmeasured\"\n  },\n"
+        ));
         assert!(text.contains("\n    \"engine.y\": 2\n  }\n}\n"), "{text}");
 
         // What `extending` starts from: the same sections; one set again

@@ -31,10 +31,12 @@
 //!   of an offset gives its largest ratio.
 //! * `S_{A'} = 2·Σ_δ S_δ` is an integer sum, exact.
 //!
-//! [`all_pairs_exact_par`] deals the offsets out to Rayon workers. For
-//! larger grids use the Monte-Carlo estimators in [`crate::sampling`].
+//! There is no parallel driver: measured on two cores (Z, `d=2`), a
+//! Rayon fan-out over the offsets ran at 0.04× / 0.23–0.30× / 0.87–1.09×
+//! of this kernel at `k = 3 / 4 / 5` — every size a caller runs — and
+//! 1.03–1.76× at `k = 6` (`docs/perf/PR-25.md`). For larger grids use the
+//! Monte-Carlo estimators in [`crate::sampling`].
 
-use rayon::prelude::*;
 use sfc_core::{Point, SpaceFillingCurve};
 
 /// Exact all-pairs stretch values of a curve.
@@ -168,16 +170,6 @@ impl PairAccum {
         self.curve_dist_sum += u128::from(sum);
         self
     }
-
-    fn merge(self, o: Self) -> Self {
-        PairAccum {
-            manhattan_sum: self.manhattan_sum + o.manhattan_sum,
-            euclidean_sum: self.euclidean_sum + o.euclidean_sum,
-            max_ratio_m: self.max_ratio_m.max(o.max_ratio_m),
-            max_ratio_e: self.max_ratio_e.max(o.max_ratio_e),
-            curve_dist_sum: self.curve_dist_sum + o.curve_dist_sum,
-        }
-    }
 }
 
 fn finish<const D: usize, C: SpaceFillingCurve<D>>(curve: &C, acc: PairAccum) -> AllPairsStretch {
@@ -196,49 +188,14 @@ fn finish<const D: usize, C: SpaceFillingCurve<D>>(curve: &C, acc: PairAccum) ->
     }
 }
 
-/// Folds [`PairAccum`] over the offsets numbered `numbers`.
-fn accumulate_offsets<const D: usize>(
-    table: &[u32],
-    k: u32,
-    numbers: impl Iterator<Item = u64>,
-) -> PairAccum {
-    numbers.fold(PairAccum::default(), |acc, number| {
-        acc.add_offset(table, k, offset_numbered::<D>(1 << k, number))
-    })
-}
-
-/// Exact all-pairs stretch, sequential. Cost `O(n²)` integer operations
-/// and `O(side^d)` floating-point ones (see the module docs).
+/// Exact all-pairs stretch. Cost `O(n²)` integer operations and
+/// `O(side^d)` floating-point ones (see the module docs).
 pub fn all_pairs_exact<const D: usize, C: SpaceFillingCurve<D>>(curve: &C) -> AllPairsStretch {
     let table = index_table(curve);
     let (k, zero) = (curve.grid().k(), zero_offset::<D>(curve.grid().side()));
-    finish(
-        curve,
-        accumulate_offsets::<D>(&table, k, zero + 1..=2 * zero),
-    )
-}
-
-/// How many interleaved shares [`all_pairs_exact_par`] deals the offsets
-/// into (offsets near zero have the largest boxes, so contiguous shares
-/// would be lopsided).
-const OFFSET_SHARES: u64 = 32;
-
-/// Exact all-pairs stretch, Rayon-parallel over the offsets.
-///
-/// `sa_prime` and the two maxima match [`all_pairs_exact`] exactly; the
-/// floating-point averages agree up to summation-order rounding.
-pub fn all_pairs_exact_par<const D: usize, C: SpaceFillingCurve<D> + Sync>(
-    curve: &C,
-) -> AllPairsStretch {
-    let table = index_table(curve);
-    let (k, zero) = (curve.grid().k(), zero_offset::<D>(curve.grid().side()));
-    let acc = (1..=OFFSET_SHARES)
-        .into_par_iter()
-        .map(|first| {
-            let share = (zero + first..=2 * zero).step_by(OFFSET_SHARES as usize);
-            accumulate_offsets::<D>(&table, k, share)
-        })
-        .reduce(PairAccum::default, PairAccum::merge);
+    let acc = (zero + 1..=2 * zero).fold(PairAccum::default(), |acc, number| {
+        acc.add_offset(&table, k, offset_numbered::<D>(1 << k, number))
+    });
     finish(curve, acc)
 }
 
@@ -331,11 +288,10 @@ mod tests {
     fn one_cell_grid_has_no_pairs_and_zero_averages() {
         fn check<const D: usize>() {
             let c = CurveKind::Hilbert.build::<D>(0).unwrap();
-            for s in [all_pairs_exact(&c), all_pairs_exact_par(&c)] {
-                assert_eq!((s.n, s.sa_prime), (1, 0));
-                assert_eq!((s.manhattan, s.euclidean), (0.0, 0.0), "d={D}");
-                assert_eq!((s.max_ratio_manhattan, s.max_ratio_euclidean), (0.0, 0.0));
-            }
+            let s = all_pairs_exact(&c);
+            assert_eq!((s.n, s.sa_prime), (1, 0));
+            assert_eq!((s.manhattan, s.euclidean), (0.0, 0.0), "d={D}");
+            assert_eq!((s.max_ratio_manhattan, s.max_ratio_euclidean), (0.0, 0.0));
             assert_eq!(sa_prime_sum(&c), 0);
         }
         check::<1>();
@@ -404,18 +360,6 @@ mod tests {
                 "k={k}"
             );
         }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let c = CurveKind::Z.build::<2>(3).unwrap();
-        let seq = all_pairs_exact(&c);
-        let par = all_pairs_exact_par(&c);
-        assert_eq!(seq.sa_prime, par.sa_prime);
-        assert!((seq.manhattan - par.manhattan).abs() < 1e-9);
-        assert!((seq.euclidean - par.euclidean).abs() < 1e-9);
-        assert_eq!(seq.max_ratio_manhattan, par.max_ratio_manhattan);
-        assert_eq!(seq.max_ratio_euclidean, par.max_ratio_euclidean);
     }
 
     #[test]

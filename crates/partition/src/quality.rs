@@ -8,7 +8,6 @@
 //! communication is cheaper. The `app-partition` experiment quantifies this
 //! correlation across curve families.
 
-use rayon::prelude::*;
 use sfc_core::SpaceFillingCurve;
 
 use crate::partitioner::Partition;
@@ -32,7 +31,10 @@ pub struct PartitionQuality {
     pub mean_part_weight: f64,
 }
 
-/// Evaluates a partition's quality sequentially.
+/// Evaluates a partition's quality. There is no parallel twin: on two
+/// cores a Rayon scan of the cells ran at 0.38–0.55× of this loop at
+/// `k = 4` (the experiments) and 1.26–1.60× at `k = 6` (one example),
+/// with no gate or workload behind it (`docs/perf/PR-25.md`).
 pub fn evaluate<const D: usize, C: SpaceFillingCurve<D>>(
     curve: &C,
     weights: &WeightedGrid<D>,
@@ -58,46 +60,6 @@ pub fn evaluate<const D: usize, C: SpaceFillingCurve<D>>(
             comm_volume += 1;
         }
     }
-    finish(partition, part_weights, edge_cut, comm_volume)
-}
-
-/// Evaluates a partition's quality with Rayon-parallel edge/cell scans.
-/// Produces identical results to [`evaluate`].
-pub fn evaluate_par<const D: usize, C: SpaceFillingCurve<D> + Sync>(
-    curve: &C,
-    weights: &WeightedGrid<D>,
-    partition: &Partition,
-) -> PartitionQuality {
-    let grid = curve.grid();
-    let order = weights.in_curve_order(curve);
-    let part_weights = partition.part_weights(&order);
-    let n = u64::try_from(grid.n()).expect("grid too large");
-
-    let (edge_cut, comm_volume) = (0..n)
-        .into_par_iter()
-        .map(|rank| {
-            let cell = grid.point_from_row_major(u128::from(rank));
-            let own = partition.part_of(curve.index_of(cell));
-            let mut cut = 0u64;
-            let mut boundary = false;
-            // Count each edge once from its lower endpoint (step_up only).
-            for axis in 0..D {
-                if let Some(up) = cell.step_up(axis) {
-                    if grid.contains(&up) && partition.part_of(curve.index_of(up)) != own {
-                        cut += 1;
-                    }
-                }
-            }
-            if grid
-                .neighbors(cell)
-                .any(|nb| partition.part_of(curve.index_of(nb)) != own)
-            {
-                boundary = true;
-            }
-            (cut, u64::from(boundary))
-        })
-        .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
-
     finish(partition, part_weights, edge_cut, comm_volume)
 }
 
@@ -158,29 +120,6 @@ mod tests {
         assert_eq!(q.edge_cut, 4);
         assert_eq!(q.comm_volume, 8);
         assert_eq!(q.imbalance, 1.0);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let grid = Grid::<2>::new(3).unwrap();
-        let mut r = rng();
-        let w = WeightedGrid::generate(
-            grid,
-            Workload::GaussianClusters {
-                count: 3,
-                sigma: 2.0,
-            },
-            &mut r,
-        );
-        for kind in CurveKind::ALL {
-            let c = kind.build::<2>(3).unwrap();
-            let part = partition_greedy(&c, &w, 5);
-            assert_eq!(
-                evaluate(&c, &w, &part),
-                evaluate_par(&c, &w, &part),
-                "{kind}"
-            );
-        }
     }
 
     #[test]

@@ -51,15 +51,16 @@
 //! DurabilityHook>>` (see [`crate::wal`]). The hook is consulted at
 //! exactly three points — none of them on the reader path:
 //!
-//! * **Per write**, around the `mem` lock: the frame bytes — payloads
-//!   included, straight into one buffer — are laid out *before* the
-//!   lock (the values move into the table inside it) with the sequence
-//!   fields zero; *after* the lock drops the hook stamps the seqs the
-//!   memtable just assigned, checksums the frame and hands it to the
-//!   group-commit queue. A write is
-//!   *applied* (visible to readers) the moment the lock drops and
-//!   *acked* (durable) when its group is fsynced; synchronous writes
-//!   block between the two.
+//! * **Per write**, around the `mem` lock. Every write method ends in
+//!   one [`Shard::apply`] of a key-sorted op list — a single record is a
+//!   list of one, a batch's shard slice a list of many. The list's frame
+//!   bytes — payloads included, straight into one buffer — are laid out
+//!   *before* the lock (the values move into the table inside it) with
+//!   the sequence fields zero; *after* the lock drops the hook stamps
+//!   the seqs the memtable just assigned, checksums the frame and hands
+//!   it to the group-commit queue. A write is *applied* (visible to
+//!   readers) the moment the lock drops and *acked* (durable) when its
+//!   group is fsynced; synchronous writes block between the two.
 //! * **Per epoch publish** (flush / compact / migration): the new run
 //!   stack is persisted and the WAL replay floor advances to the
 //!   publish's sequence high-water, which also lets the log prune its
@@ -169,19 +170,9 @@ pub(crate) type SeqSlot<const D: usize, T> = (Point<D>, Option<T>, u64);
 /// folded into the value.
 pub(crate) type SeqTable<const D: usize, T> = crate::memtable::SfcMemtable<SeqSlot<D, T>>;
 
-/// Whether a cell was live before the write whose insert returned
-/// `replaced`: the replaced memtable entry decides (one tree walk serves
-/// the lookup and the write); a cell the memtable did not hold is as live
-/// as the runs say.
-fn replaced_live<const D: usize, T>(
-    replaced: Option<SeqSlot<D, T>>,
-    live_in_runs: impl FnOnce() -> bool,
-) -> bool {
-    match replaced {
-        Some((_, slot, _)) => slot.is_some(),
-        None => live_in_runs(),
-    }
-}
+/// One write as the shard applies it: the cell's curve key, the cell, and
+/// the payload (`None` = tombstone).
+pub(crate) type WriteOp<const D: usize, T> = (CurveIndex, Point<D>, Option<T>);
 
 /// The mutable tail of one shard, guarded by the shard's `mem` lock.
 #[derive(Debug)]
@@ -195,6 +186,33 @@ struct MemState<const D: usize, T> {
     live: usize,
     /// Entries buffered before an automatic flush.
     cap: usize,
+}
+
+impl<const D: usize, T: Clone> MemState<D, T> {
+    /// Writes `op` into the table under `seq`, keeps `live` exact and
+    /// moves `next_seq` past `seq`. Returns whether the cell was live
+    /// before: the replaced memtable entry decides (one tree walk serves
+    /// the lookup and the write); a cell the table did not hold is as
+    /// live as `live_in_runs` says.
+    fn put(
+        &mut self,
+        (key, p, slot): WriteOp<D, T>,
+        seq: u64,
+        live_in_runs: impl FnOnce(CurveIndex) -> bool,
+    ) -> bool {
+        let now_live = slot.is_some();
+        let was_live = match self.table.insert(key, (p, slot, seq)) {
+            Some((_, old, _)) => old.is_some(),
+            None => live_in_runs(key),
+        };
+        match (was_live, now_live) {
+            (false, true) => self.live += 1,
+            (true, false) => self.live -= 1,
+            _ => {}
+        }
+        self.next_seq = self.next_seq.max(seq + 1);
+        was_live
+    }
 }
 
 /// One concurrently writable shard: see the module docs for the locking
@@ -263,16 +281,8 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
             mem.next_seq = high_water;
             for rec in records {
                 debug_assert!(rec.seq >= high_water, "replay below the floor");
-                let key = curve.index_of(rec.point);
-                let now_live = rec.slot.is_some();
-                let replaced = mem.table.insert(key, (rec.point, rec.slot, rec.seq));
-                let was_live = replaced_live(replaced, || epoch.is_live(key));
-                match (was_live, now_live) {
-                    (false, true) => mem.live += 1,
-                    (true, false) => mem.live -= 1,
-                    _ => {}
-                }
-                mem.next_seq = mem.next_seq.max(rec.seq + 1);
+                let op = (curve.index_of(rec.point), rec.point, rec.slot);
+                mem.put(op, rec.seq, |key| epoch.is_live(key));
             }
         }
         shard.epoch.publish(epoch);
@@ -416,10 +426,14 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
 }
 
 impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
-    /// Writes the newest version of `key` — an upsert for `Some(payload)`,
-    /// a tombstone for `None` — and returns `true` if a live record was
-    /// replaced or removed. Flushes the memtable when it reaches capacity
-    /// (unless background maintenance owns flushing).
+    /// Applies a key-sorted op list (`Some` payload = upsert, `None` =
+    /// tombstone) — one routed write is a list of one, a batch slice a
+    /// list of many — under **one** mem-lock hold, and returns how many
+    /// ops replaced or removed a live record. Ops take a contiguous block
+    /// of sequence numbers in list order, so a later duplicate key wins
+    /// exactly as it would one-by-one, and the sorted keys ride the
+    /// memtable's last-leaf insertion hint. Flushes the memtable when it
+    /// reaches capacity (unless background maintenance owns flushing).
     ///
     /// A delete always writes a tombstone: with concurrent flushes in
     /// flight, an already-cloned-but-not-yet-published run may hold an
@@ -427,135 +441,55 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
     /// out to shadow nothing are dropped when a flush builds the bottom
     /// run.
     ///
-    /// On a durable shard the write is logged under its memtable
-    /// sequence number after the lock drops; with `wait` the call blocks
-    /// until the group commit makes it durable. An `Err` means the write
-    /// is *applied but not acked* — readers may already see it, and it
-    /// can be lost on crash.
-    pub(crate) fn write(
-        &self,
-        curve: &C,
-        key: CurveIndex,
-        p: Point<D>,
-        payload: Option<T>,
-        wait: bool,
-    ) -> Result<bool, WalError> {
-        let now_live = payload.is_some();
-        let m = self.metrics.as_deref();
-        let timer = m.and_then(|m| {
-            if now_live { &m.inserts } else { &m.deletes }.inc();
-            m.sampler.sampled_start()
-        });
-        // Encode before the lock: the payload moves into the table
-        // inside it, and byte-encoding under `mem` would serialise all
-        // writers behind it. The seq is stamped in once it is known.
-        let frame = self
-            .wal
-            .as_deref()
-            .map(|w| (w, w.encode_write(&p, payload.as_ref())));
-        let needs_flush;
-        let was_live;
-        let seq;
-        let (mem_len, mem_bytes, live);
-        {
-            let mut mem = self.mem.lock().expect("shard mem poisoned");
-            seq = mem.next_seq;
-            mem.next_seq += 1;
-            let replaced = mem.table.insert(key, (p, payload, seq));
-            was_live = replaced_live(replaced, || self.epoch.load().is_live(key));
-            match (was_live, now_live) {
-                (false, true) => mem.live += 1,
-                (true, false) => mem.live -= 1,
-                _ => {}
-            }
-            needs_flush = mem.table.len() >= mem.cap && self.inline_flush.load(Ordering::Relaxed);
-            mem_len = mem.table.len();
-            mem_bytes = mem.table.heap_bytes();
-            live = mem.live;
-        }
-        if let Some((w, frame)) = frame {
-            w.log_frames(frame, seq, wait)?;
-        }
-        if needs_flush {
-            self.flush(curve)?;
-        }
-        if let Some(m) = m {
-            if let Some(start) = timer {
-                if now_live { &m.insert_ns } else { &m.delete_ns }.record_since(start);
-            }
-            // A flush just refreshed the gauges from post-drain state;
-            // don't overwrite them with the pre-flush capture.
-            if !needs_flush {
-                m.memtable_len.set(mem_len as i64);
-                m.memtable_bytes.set(mem_bytes as i64);
-                m.live.set(live as i64);
-            }
-        }
-        Ok(was_live)
-    }
-
-    /// Applies a pre-routed, key-sorted batch slice (`Some` payload =
-    /// upsert, `None` = tombstone) under **one** mem-lock hold: one lock
-    /// acquire instead of N, and the sorted keys ride the memtable's
-    /// last-leaf insertion hint instead of paying N root descents. Ops
-    /// take a contiguous block of sequence numbers in slice order, so a
-    /// later duplicate key wins exactly as it would one-by-one.
-    ///
-    /// On a durable shard the whole slice is logged as coalesced
-    /// multi-record WAL frames after the lock drops — one commit-queue
-    /// ticket and one checksum per frame. With `wait`, blocks until the
-    /// group commit covers the slice. Error semantics match
-    /// [`Self::write`]: an `Err` means applied but not acked.
-    pub(crate) fn apply_batch(
-        &self,
-        curve: &C,
-        ops: Vec<(CurveIndex, Point<D>, Option<T>)>,
-        wait: bool,
-    ) -> Result<(), WalError> {
-        if ops.is_empty() {
-            return Ok(());
-        }
+    /// On a durable shard the list is logged after the lock drops, under
+    /// its memtable sequence numbers, as one coalesced frame (one
+    /// commit-queue ticket, one checksum); with `wait` the call blocks
+    /// until the group commit makes it durable. An `Err` means the ops
+    /// are *applied but not acked* — readers may already see them, and
+    /// they can be lost on crash.
+    pub(crate) fn apply<O>(&self, curve: &C, ops: O, wait: bool) -> Result<usize, WalError>
+    where
+        O: AsRef<[WriteOp<D, T>]> + IntoIterator<Item = WriteOp<D, T>>,
+    {
+        let slice = ops.as_ref();
         debug_assert!(
-            ops.windows(2).all(|w| w[0].0 <= w[1].0),
-            "batch slices arrive key-sorted"
+            !slice.is_empty() && slice.windows(2).all(|w| w[0].0 <= w[1].0),
+            "op lists arrive non-empty and key-sorted"
         );
+        let inserts = slice.iter().filter(|(_, _, s)| s.is_some()).count();
         let m = self.metrics.as_deref();
         let timer = m.and_then(|m| {
-            let inserts = ops.iter().filter(|(_, _, s)| s.is_some()).count() as u64;
-            m.inserts.add(inserts);
-            m.deletes.add(ops.len() as u64 - inserts);
+            // A single write touches one counter.
+            for (counter, n) in [(&m.inserts, inserts), (&m.deletes, slice.len() - inserts)] {
+                if n > 0 {
+                    counter.add(n as u64);
+                }
+            }
             m.sampler.sampled_start()
         });
-        // Encode the slice's frames before the lock, exactly as `write`
-        // does; the sequence numbers are stamped in once the lock has
-        // assigned them.
-        let frames = self.wal.as_deref().map(|w| (w, w.encode_batch(&ops)));
+        // Encode before the lock: the payloads move into the table inside
+        // it, and byte-encoding under `mem` would serialise all writers
+        // behind it. The seqs are stamped in once the lock assigned them.
+        let frames = self.wal.as_deref().map(|w| (w, w.encode(slice)));
         let needs_flush;
         let first_seq;
+        let mut replaced = 0;
         let (mem_len, mem_bytes, live);
         {
             let mut mem = self.mem.lock().expect("shard mem poisoned");
             first_seq = mem.next_seq;
-            let mut seq = first_seq;
             // The epoch is pinned lazily and at most once: the mem lock
-            // is held for the whole slice, so no flush can drain between
+            // is held for the whole list, so no flush can drain between
             // ops, and a key absent from the table has the same liveness
             // in every epoch publishable meanwhile.
             let mut pinned: Option<Arc<RunsEpoch<D, T, C>>> = None;
-            for (key, p, slot) in ops {
-                let now_live = slot.is_some();
-                let replaced = mem.table.insert(key, (p, slot, seq));
-                let was_live = replaced_live(replaced, || {
+            for op in ops {
+                let seq = mem.next_seq;
+                let was_live = mem.put(op, seq, |key| {
                     pinned.get_or_insert_with(|| self.epoch.load()).is_live(key)
                 });
-                seq += 1;
-                match (was_live, now_live) {
-                    (false, true) => mem.live += 1,
-                    (true, false) => mem.live -= 1,
-                    _ => {}
-                }
+                replaced += usize::from(was_live);
             }
-            mem.next_seq = seq;
             needs_flush = mem.table.len() >= mem.cap && self.inline_flush.load(Ordering::Relaxed);
             mem_len = mem.table.len();
             mem_bytes = mem.table.heap_bytes();
@@ -569,15 +503,22 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         }
         if let Some(m) = m {
             if let Some(start) = timer {
-                m.insert_ns.record_since(start);
+                if inserts > 0 {
+                    &m.insert_ns
+                } else {
+                    &m.delete_ns
+                }
+                .record_since(start);
             }
+            // A flush just refreshed the gauges from post-drain state;
+            // don't overwrite them with the pre-flush capture.
             if !needs_flush {
                 m.memtable_len.set(mem_len as i64);
                 m.memtable_bytes.set(mem_bytes as i64);
                 m.live.set(live as i64);
             }
         }
-        Ok(())
+        Ok(replaced)
     }
 
     /// Drains the memtable into a new published run (see the module docs

@@ -266,16 +266,16 @@
 //!   count, and the packed records under a **single** CRC32C and a
 //!   single commit-queue ticket. Because the checksum covers the whole
 //!   body, recovery replays a batch frame all-or-nothing: a torn batch
-//!   tail never resurrects half a slice. A one-record batch emits the
-//!   v1 frame byte-for-byte, so batched and unbatched logs intermix
-//!   freely in one segment.
+//!   tail never resurrects half a slice. Below the router every write is
+//!   such a slice — a single write is a slice of one, which the one
+//!   encoder emits as the v1 frame byte-for-byte, so the log format is
+//!   what it always was.
 //! * **Parallel recovery.** Shards recover from disjoint directories
-//!   and share nothing, so reopening fans the per-shard segment scans
-//!   and replays across threads (serial with
-//!   [`WalConfig::recovery_threads`]`(1)`); [`RecoveryStats::shards`]
-//!   reports each shard's replay breakdown and
+//!   and share nothing, so reopening a multi-shard store fans the
+//!   per-shard segment scans and replays across threads;
+//!   [`RecoveryStats::shards`] reports each shard's replay breakdown and
 //!   [`RecoveryStats::replay_threads`] the fan-out used. The recovered
-//!   store is identical either way.
+//!   store is what a serial replay would build.
 //! * **Acked vs applied.** A write is *applied* (visible to queries and
 //!   to later writes) the moment its memtable lock drops, and *acked*
 //!   (durable) only when its group's fsync completes. The synchronous

@@ -54,7 +54,7 @@ use sfc_index::{BoxRegion, QueryStats, SfcIndex};
 use sfc_obs::MetricsRegistry;
 use sfc_partition::{ConcurrentTraffic, Partition, TrafficWeights};
 
-use crate::epoch::Shard;
+use crate::epoch::{Shard, WriteOp};
 use crate::maintenance::{wait_tick, MaintenanceConfig, MaintenanceHandle, TokenBucket};
 use crate::obs::{EngineMetrics, QueryOp, QueryTrace};
 use crate::snapshot::StoreSnapshot;
@@ -907,7 +907,7 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
         let part = self.partition.read().expect("partition poisoned");
         let j = part.part_of(key);
         self.traffic.record_write(j, key);
-        self.shards[j].write(&self.curve, key, p, payload, wait)
+        Ok(self.shards[j].apply(&self.curve, [(key, p, payload)], wait)? > 0)
     }
 
     /// Applies a batch of upserts and deletes across shards, equivalent
@@ -972,8 +972,7 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
         // of the batch mid-way.
         let part = self.partition.read().expect("partition poisoned");
         let parts = part.parts();
-        let mut buckets: Vec<Vec<(CurveIndex, Point<D>, Option<T>)>> =
-            (0..parts).map(|_| Vec::new()).collect();
+        let mut buckets: Vec<Vec<WriteOp<D, T>>> = (0..parts).map(|_| Vec::new()).collect();
         for (key, op) in keyed {
             buckets[part.part_of(key)].push(match op {
                 BatchOp::Insert(p, payload) => (key, *p, Some(payload.clone())),
@@ -990,7 +989,7 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
             // One counter bump and one stripe-lock hold for the slice.
             self.traffic
                 .record_writes(j, bucket.iter().map(|&(k, _, _)| k));
-            self.shards[j].apply_batch(&self.curve, bucket, false)?;
+            self.shards[j].apply(&self.curve, bucket, false)?;
         }
         Ok(())
     }

@@ -684,7 +684,7 @@ impl Log {
 
 #[cfg(test)]
 mod tests {
-    use super::super::record::{encode_unsealed_record, parse_frame, seal_frames, FrameOutcome};
+    use super::super::record::{encode_unsealed_batch, parse_frame, seal_frames, FrameOutcome};
     use super::*;
     use crate::obs::EngineMetrics;
     use sfc_core::Point;
@@ -718,7 +718,8 @@ mod tests {
     fn frame(seq: u64, payload_len: usize) -> Vec<u8> {
         let mut buf = Vec::new();
         let payload = vec![0xabu8; payload_len];
-        encode_unsealed_record(&mut buf, &Point::new([1u32, 2]), Some(&payload));
+        let record = (&Point::new([1u32, 2]), Some(&payload));
+        encode_unsealed_batch(&mut buf, std::iter::once(record));
         seal_frames::<2>(&mut buf, seq);
         buf
     }

@@ -15,15 +15,15 @@ use std::mem::size_of;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
+use sfc_core::{CurveIndex, SpaceFillingCurve};
 
 use super::committer::Committer;
 use super::manifest::{ckpt_path, run_path, sync_dir, write_file, Checkpoint, Manifest};
 use super::record::{
-    batch_entry_len, encode_unsealed_batch, encode_unsealed_record, seal_frames, WalPayload,
-    BATCH_HEADER, FRAME_HEADER,
+    batch_entry_len, encode_unsealed_batch, seal_frames, WalPayload, BATCH_HEADER, FRAME_HEADER,
 };
 use super::{WalConfig, WalError};
+use crate::epoch::WriteOp;
 use crate::view::Run;
 
 /// Engine-wide durability state: the commit queue plus the in-memory image
@@ -88,25 +88,22 @@ impl WalEngine {
 ///
 /// Logging a write is split around the shard's `mem` lock, which is
 /// where sequence numbers are assigned and where nothing slow belongs:
-/// `encode_*` lays the frame bytes out *before* the lock (the payloads
-/// move into the memtable inside it) with the seq fields zero, and
-/// [`log_frames`](Self::log_frames) stamps the seqs, checksums and
-/// enqueues *after* it drops. One buffer per call, no per-record
+/// [`encode`](Self::encode) lays the frame bytes out *before* the lock
+/// (the payloads move into the memtable inside it) with the seq fields
+/// zero, and [`log_frames`](Self::log_frames) stamps the seqs, checksums
+/// and enqueues *after* it drops. One buffer per call, no per-record
 /// allocation.
 pub(crate) trait DurabilityHook<const D: usize, T, C>: Send + Sync + fmt::Debug
 where
     C: SpaceFillingCurve<D> + Clone,
 {
-    /// Encodes one write (`payload: None` = tombstone) as an unsealed
+    /// Encodes a shard's op list as unsealed coalesced frames — one
+    /// frame (one checksum) for the whole list, cut only where it would
+    /// overflow a frame's maximum body; a list of one is a v1
     /// single-record frame.
-    fn encode_write(&self, point: &Point<D>, payload: Option<&T>) -> Vec<u8>;
+    fn encode(&self, ops: &[WriteOp<D, T>]) -> Vec<u8>;
 
-    /// Encodes a shard's slice of a batch as unsealed coalesced
-    /// multi-record frames — one frame (one checksum) for the whole
-    /// slice, cut only where it would overflow a frame's maximum body.
-    fn encode_batch(&self, ops: &[(CurveIndex, Point<D>, Option<T>)]) -> Vec<u8>;
-
-    /// Seals `frames` (as one of the `encode_*` methods returned them)
+    /// Seals `frames` (as [`encode`](Self::encode) returned them)
     /// with the consecutive sequence numbers the memtable assigned from
     /// `first_seq` on, and enqueues them under one commit-queue ticket.
     /// With `wait`, returns after the group fsync — the durable ack —
@@ -205,13 +202,7 @@ where
     T: WalPayload + Send + Sync,
     C: SpaceFillingCurve<D> + Clone + Send + Sync,
 {
-    fn encode_write(&self, point: &Point<D>, payload: Option<&T>) -> Vec<u8> {
-        let mut frame = Vec::with_capacity(FRAME_HEADER + batch_entry_len::<D>(size_of::<T>()));
-        encode_unsealed_record(&mut frame, point, payload);
-        frame
-    }
-
-    fn encode_batch(&self, ops: &[(CurveIndex, Point<D>, Option<T>)]) -> Vec<u8> {
+    fn encode(&self, ops: &[WriteOp<D, T>]) -> Vec<u8> {
         // Exact for fixed-size payloads, a first guess for the rest.
         let mut frames = Vec::with_capacity(
             FRAME_HEADER + BATCH_HEADER + ops.len() * batch_entry_len::<D>(size_of::<T>()),

@@ -46,12 +46,15 @@
 //!
 //! A writer learns its sequence numbers only inside the shard's `mem`
 //! lock, and nothing as slow as byte-encoding belongs in there. So a
-//! frame is written in two steps around the lock: before it,
-//! [`encode_unsealed_record`] / [`encode_unsealed_batch`] lay the whole
-//! frame out in one buffer — payloads encoded in place, no per-record
-//! allocation — with the seq and checksum fields zero; after it,
-//! [`seal_frames`] stamps the assigned seqs in place and checksums each
-//! frame. The bytes that reach the log are exactly the layouts above.
+//! frame is written in two steps around the lock: before it, the one
+//! frame encoder, [`encode_unsealed_batch`], lays the whole op list out
+//! in one buffer — payloads encoded in place, no per-record allocation —
+//! with the seq and checksum fields zero; after it, [`seal_frames`]
+//! stamps the assigned seqs in place and checksums each frame. A single
+//! write is a list of one, which the encoder writes as the v1 frame
+//! above; a longer list is one v2 frame. The bytes that reach the log
+//! are exactly the layouts above, and recovery decodes both bodies
+//! through one per-record field decoder.
 //!
 //! ## The checksum
 //!
@@ -328,24 +331,6 @@ fn put_body_len(out: &mut [u8], frame_at: usize) {
     out[frame_at..frame_at + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
 }
 
-/// Appends one **unsealed** single-record (v1) frame to `out`: the frame
-/// is complete except for its sequence number and checksum, both zero
-/// until [`seal_frames`] stamps them. The payload (`None` = tombstone)
-/// is encoded straight into `out` — no intermediate buffer.
-pub(crate) fn encode_unsealed_record<const D: usize, T: WalPayload>(
-    out: &mut Vec<u8>,
-    point: &Point<D>,
-    slot: Option<&T>,
-) {
-    let frame_at = out.len();
-    out.extend_from_slice(&[0u8; FRAME_HEADER]);
-    put_record_head(out, point, slot.is_some());
-    if let Some(payload) = slot {
-        payload.encode_payload(out);
-    }
-    put_body_len(out, frame_at);
-}
-
 /// Appends a shard slice as **unsealed** multi-record batch frames
 /// (format v2, see the module docs): every byte in place except the
 /// sequence numbers and the checksums, which [`seal_frames`] stamps once
@@ -353,8 +338,8 @@ pub(crate) fn encode_unsealed_record<const D: usize, T: WalPayload>(
 /// straight into `out`. A slice is one frame unless its body would pass
 /// [`MAX_BODY`], where it is cut greedily (every frame takes at least
 /// one record); a frame left with a single record degenerates to the
-/// equivalent v1 frame — the same bytes [`encode_unsealed_record`]
-/// writes, no batch overhead.
+/// equivalent v1 frame, no batch overhead — which is how a single write
+/// is logged.
 pub(crate) fn encode_unsealed_batch<'a, const D: usize, T: WalPayload + 'a>(
     out: &mut Vec<u8>,
     records: impl ExactSizeIterator<Item = (&'a Point<D>, Option<&'a T>)>,
@@ -486,9 +471,36 @@ pub(crate) fn parse_frame(buf: &[u8], off: usize) -> FrameOutcome<'_> {
     FrameOutcome::Ok { body, end }
 }
 
-/// Decodes a checksum-valid record body. A failure here means the frame
-/// passed its CRC but does not parse — a format bug or version skew, not
-/// bit rot — and recovery reports it as corruption with this detail.
+/// Decodes one record from its fixed head (at the start of `head`) and
+/// its payload bytes — the field decoder both body formats share.
+fn decode_record<const D: usize, T: WalPayload>(
+    head: &[u8],
+    payload: &[u8],
+) -> Result<WalRecord<D, T>, String> {
+    let seq = u64::from_le_bytes(head[1..9].try_into().expect("8 bytes"));
+    let mut coords = [0u32; D];
+    for (i, c) in coords.iter_mut().enumerate() {
+        *c = u32::from_le_bytes(head[9 + 4 * i..13 + 4 * i].try_into().expect("4 bytes"));
+    }
+    let slot = match head[0] {
+        TAG_TOMBSTONE if payload.is_empty() => None,
+        TAG_TOMBSTONE => return Err(format!("tombstone with {} payload bytes", payload.len())),
+        TAG_INSERT => {
+            Some(T::decode_payload(payload).ok_or_else(|| "payload failed to decode".to_string())?)
+        }
+        other => return Err(format!("unknown record tag {other}")),
+    };
+    Ok(WalRecord {
+        seq,
+        point: Point::new(coords),
+        slot,
+    })
+}
+
+/// Decodes a checksum-valid v1 (single-record) body. A failure here
+/// means the frame passed its CRC but does not parse — a format bug or
+/// version skew, not bit rot — and recovery reports it as corruption
+/// with this detail.
 pub(crate) fn decode_body<const D: usize, T: WalPayload>(
     body: &[u8],
 ) -> Result<WalRecord<D, T>, String> {
@@ -496,27 +508,7 @@ pub(crate) fn decode_body<const D: usize, T: WalPayload>(
     if body.len() < fixed {
         return Err(format!("body too short: {} < {fixed}", body.len()));
     }
-    let tag = body[0];
-    let seq = u64::from_le_bytes(body[1..9].try_into().expect("8 bytes"));
-    let mut coords = [0u32; D];
-    for (i, c) in coords.iter_mut().enumerate() {
-        *c = u32::from_le_bytes(body[9 + 4 * i..13 + 4 * i].try_into().expect("4 bytes"));
-    }
-    let point = Point::new(coords);
-    let payload = &body[fixed..];
-    let slot = match tag {
-        TAG_TOMBSTONE => {
-            if !payload.is_empty() {
-                return Err(format!("tombstone with {} payload bytes", payload.len()));
-            }
-            None
-        }
-        TAG_INSERT => {
-            Some(T::decode_payload(payload).ok_or_else(|| "payload failed to decode".to_string())?)
-        }
-        other => return Err(format!("unknown record tag {other}")),
-    };
-    Ok(WalRecord { seq, point, slot })
+    decode_record(body, &body[fixed..])
 }
 
 /// Decodes a checksum-valid body of either format — a v1 single-record
@@ -541,20 +533,12 @@ pub(crate) fn decode_body_records<const D: usize, T: WalPayload>(
     }
     let mut off = BATCH_HEADER;
     for i in 0..count {
-        let fixed = batch_entry_len::<D>(0);
-        if body.len() - off < fixed {
+        let len_at = off + 9 + 4 * D;
+        if body.len() < len_at + 4 {
             return Err(format!(
                 "batch record {i}/{count} truncated inside the body"
             ));
         }
-        let tag = body[off];
-        let seq = u64::from_le_bytes(body[off + 1..off + 9].try_into().expect("8 bytes"));
-        let mut coords = [0u32; D];
-        for (d, c) in coords.iter_mut().enumerate() {
-            let at = off + 9 + 4 * d;
-            *c = u32::from_le_bytes(body[at..at + 4].try_into().expect("4 bytes"));
-        }
-        let len_at = off + 9 + 4 * D;
         let payload_len =
             u32::from_le_bytes(body[len_at..len_at + 4].try_into().expect("4 bytes")) as usize;
         let payload_at = len_at + 4;
@@ -564,24 +548,10 @@ pub(crate) fn decode_body_records<const D: usize, T: WalPayload>(
             ));
         }
         let payload = &body[payload_at..payload_at + payload_len];
-        let slot = match tag {
-            TAG_TOMBSTONE => {
-                if payload_len != 0 {
-                    return Err(format!("batch tombstone with {payload_len} payload bytes"));
-                }
-                None
-            }
-            TAG_INSERT => Some(
-                T::decode_payload(payload)
-                    .ok_or_else(|| format!("batch record {i}/{count} payload failed to decode"))?,
-            ),
-            other => return Err(format!("unknown batch record tag {other}")),
-        };
-        out.push(WalRecord {
-            seq,
-            point: Point::new(coords),
-            slot,
-        });
+        out.push(
+            decode_record(&body[off..], payload)
+                .map_err(|e| format!("batch record {i}/{count}: {e}"))?,
+        );
         off = payload_at + payload_len;
     }
     if off != body.len() {
@@ -651,10 +621,10 @@ mod tests {
         assert_eq!(crc32c(&big), crc32c_bytewise(&big));
     }
 
-    /// One sealed v1 frame.
+    /// One sealed v1 frame: the one encoder's output for a list of one.
     fn record_frame<T: WalPayload>(seq: u64, p: Point<2>, slot: Option<T>) -> Vec<u8> {
         let mut buf = Vec::new();
-        encode_unsealed_record(&mut buf, &p, slot.as_ref());
+        encode_unsealed_batch(&mut buf, std::iter::once((&p, slot.as_ref())));
         assert_eq!(seal_frames::<2>(&mut buf, seq), 1);
         buf
     }
@@ -704,7 +674,6 @@ mod tests {
         let golden = "190000007955bdfc01070000000000000003000000110000002a00000000000000";
         let p = Point::new([3u32, 17]);
         assert_eq!(hex(&batch_frames(7, &[(p, Some(42))])), golden);
-        assert_eq!(hex(&record_frame(7, p, Some(42u64))), golden);
     }
 
     #[test]

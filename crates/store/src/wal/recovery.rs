@@ -126,35 +126,20 @@ where
 
     // Shards recover from disjoint directories and share no state, so
     // the per-shard scans and replays fan out across the scoped thread
-    // pool (`recovery_threads == 1` keeps it on the opening thread; a
-    // single-shard store runs inline either way).
-    let serial = config.recovery_threads == 1 || parts <= 1;
-    let recovered: Vec<ShardRecovery<D, T, C>> = if serial {
-        manifest
-            .gens
-            .iter()
-            .enumerate()
-            .map(|(j, &gen)| recover_shard::<D, T, C>(&shard_dir(dir, j), gen, curve))
-            .collect()
-    } else {
-        manifest
-            .gens
-            .iter()
-            .copied()
-            .enumerate()
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|(j, gen)| recover_shard::<D, T, C>(&shard_dir(dir, j), gen, curve))
-            .collect()
-    };
-    stats.replay_threads = if serial {
-        1
-    } else {
-        std::thread::available_parallelism()
-            .map_or(2, std::num::NonZeroUsize::get)
-            .max(2)
-            .min(parts)
-    };
+    // pool (a single-shard store runs inline).
+    let recovered: Vec<ShardRecovery<D, T, C>> = manifest
+        .gens
+        .iter()
+        .copied()
+        .enumerate()
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .map(|(j, gen)| recover_shard::<D, T, C>(&shard_dir(dir, j), gen, curve))
+        .collect();
+    stats.replay_threads = std::thread::available_parallelism()
+        .map_or(2, std::num::NonZeroUsize::get)
+        .max(2)
+        .min(parts);
     let mut shards = Vec::with_capacity(parts);
     for result in recovered {
         let (shard, ss) = result?;

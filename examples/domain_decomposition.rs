@@ -45,7 +45,7 @@ fn main() {
                     partition_min_bottleneck(&curve, &weights, p, 1e-9),
                 ),
             ] {
-                let q = quality::evaluate_par(&curve, &weights, &part);
+                let q = quality::evaluate(&curve, &weights, &part);
                 table.push_row(vec![
                     kind.name().to_string(),
                     strategy.to_string(),

@@ -12,7 +12,7 @@
 
 use rand::SeedableRng;
 use sfc::nbody::body::{sample_bodies, Distribution};
-use sfc::nbody::gravity::{barnes_hut_forces_par, direct_forces_par, mean_relative_error};
+use sfc::nbody::gravity::{barnes_hut_forces, direct_forces_par, mean_relative_error};
 use sfc::nbody::sim::{leapfrog_step, total_energy};
 use sfc::nbody::{Body, Tree};
 
@@ -44,7 +44,7 @@ fn main() {
     );
     for theta in [0.3, 0.6, 1.0] {
         let t0 = std::time::Instant::now();
-        let (forces, stats) = barnes_hut_forces_par(&tree, theta, softening);
+        let (forces, stats) = barnes_hut_forces(&tree, theta, softening);
         let dt = t0.elapsed();
         println!(
             "barnes-hut θ={theta}: {:>9} interactions in {dt:>8.2?}  (err {:.2e})",
@@ -60,7 +60,7 @@ fn main() {
     for step in 0..200 {
         leapfrog_step(&mut bodies, 1e-4, |b| {
             let (tree, order) = Tree::build_tracked(b, 10, 8);
-            let sorted = barnes_hut_forces_par(&tree, 0.6, softening).0;
+            let sorted = barnes_hut_forces(&tree, 0.6, softening).0;
             let mut forces = vec![[0.0; 2]; b.len()];
             for (s, &orig) in order.iter().enumerate() {
                 forces[orig] = sorted[s];

@@ -1275,6 +1275,163 @@ fn rebalance_boundaries_survive_crash() {
 }
 
 // ---------------------------------------------------------------------
+// One write path: a single write is a batch of one
+// ---------------------------------------------------------------------
+
+/// Where a cell's newest version sits before a write, which decides what
+/// the write returns ("a live record was replaced or removed").
+#[derive(Clone, Copy, Debug)]
+enum Prior {
+    LiveInMemtable,
+    TombstoneInMemtable,
+    LiveInRun,
+    TombstonedByNewerRun,
+    Absent,
+}
+
+impl Prior {
+    const ALL: [Prior; 5] = [
+        Prior::LiveInMemtable,
+        Prior::TombstoneInMemtable,
+        Prior::LiveInRun,
+        Prior::TombstonedByNewerRun,
+        Prior::Absent,
+    ];
+
+    fn live(self) -> bool {
+        matches!(self, Prior::LiveInMemtable | Prior::LiveInRun)
+    }
+
+    /// Puts cell `c` of a fresh one-shard store into this state, beside
+    /// 32 filler records that keep a bottom run large enough that a
+    /// one-record newer run is never merged into it.
+    fn reach(self, store: &Store, c: Point<2>) {
+        for i in 0..32u32 {
+            store.insert(Point::new([i, 63]), i);
+        }
+        match self {
+            Prior::LiveInMemtable => {
+                store.insert(c, 1);
+            }
+            Prior::TombstoneInMemtable => {
+                store.insert(c, 1);
+                store.delete(c);
+            }
+            Prior::LiveInRun => {
+                store.insert(c, 1);
+                store.flush();
+            }
+            Prior::TombstonedByNewerRun => {
+                store.insert(c, 1);
+                store.flush();
+                store.delete(c);
+                store.flush();
+                assert_eq!(store.shard_run_lens(), vec![vec![33, 1]], "two runs");
+            }
+            Prior::Absent => {}
+        }
+        assert_eq!(store.len(), 32 + usize::from(self.live()), "{self:?}");
+    }
+}
+
+/// `insert` / `delete` report a replaced live record for every prior
+/// state of the cell — on the store that wrote the state and on one
+/// reopened from its log and run files (whose replay goes through the
+/// same memtable bookkeeping).
+#[test]
+fn write_returns_whether_a_live_record_was_replaced_for_every_prior_state() {
+    let c = Point::new([5u32, 9]);
+    for prior in Prior::ALL {
+        for reopened in [false, true] {
+            for insert in [true, false] {
+                let tmp = TempDir::new(&format!("prior-{prior:?}-{reopened}-{insert}"));
+                let mut store = reopen(tmp.path(), 1, 1 << 12).unwrap();
+                prior.reach(&store, c);
+                if reopened {
+                    store.simulate_crash();
+                    store = reopen(tmp.path(), 1, 1 << 12).unwrap();
+                    assert_eq!(store.len(), 32 + usize::from(prior.live()), "{prior:?}");
+                }
+                let what = format!("{prior:?}, reopened {reopened}, insert {insert}");
+                let replaced = if insert {
+                    store.try_insert(c, 2).unwrap()
+                } else {
+                    store.try_delete(c).unwrap()
+                };
+                assert_eq!(replaced, prior.live(), "{what}");
+                assert_eq!(store.len(), 32 + usize::from(insert), "{what}");
+                assert_eq!(store.get(c), insert.then_some(2), "{what}");
+            }
+        }
+    }
+}
+
+/// What one acked write leaves on a one-shard `u64` store that already
+/// holds seven records: the bytes it appended to the segment file, the
+/// whole file, and the store's contents.
+#[derive(Debug, PartialEq)]
+struct LoggedWrite {
+    appended: Vec<u8>,
+    log: Vec<u8>,
+    state: Vec<(CurveIndex, Point<2>, u64)>,
+    len: usize,
+}
+
+fn logged_bytes(tag: &str, write: impl FnOnce(&ShardedSfcStore<2, u64, ZCurve<2>>)) -> LoggedWrite {
+    let tmp = TempDir::new(tag);
+    let store =
+        ShardedSfcStore::<2, u64, _>::open_durable(curve(), 1, 1 << 12, WalConfig::new(tmp.path()))
+            .unwrap();
+    // Seven writes first: the one under test takes seq 7.
+    for i in 0..7u32 {
+        store.try_insert(Point::new([i, 40]), u64::from(i)).unwrap();
+    }
+    let segment = fs::read_dir(tmp.path().join("shard0"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.file_name().unwrap().to_string_lossy().starts_with("wal-"))
+        .expect("an open segment");
+    let before = fs::read(&segment).unwrap().len();
+    write(&store);
+    let log = fs::read(&segment).unwrap();
+    LoggedWrite {
+        appended: log[before..].to_vec(),
+        log,
+        state: store.iter().map(|e| (e.key, e.point, e.payload)).collect(),
+        len: store.len(),
+    }
+}
+
+/// A single acked write appends the released v1 frame byte for byte (the
+/// golden hex `record.rs` pins), and a batch of one is the same write:
+/// same log bytes, same `iter()`, same `len()`.
+#[test]
+fn a_single_write_logs_the_v1_frame_and_equals_a_batch_of_one() {
+    let p = Point::new([3u32, 17]);
+    let single = logged_bytes("v1-single", |s| {
+        assert!(!s.try_insert(p, 42).unwrap());
+    });
+    let hex: String = single.appended.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(
+        hex,
+        "190000007955bdfc01070000000000000003000000110000002a00000000000000"
+    );
+    let batch = logged_bytes("v1-batch", |s| {
+        s.try_apply_batch(&[BatchOp::Insert(p, 42)]).unwrap();
+    });
+    assert_eq!(batch, single);
+    let delete = logged_bytes("v1-delete", |s| {
+        assert!(s.try_delete(Point::new([2, 40])).unwrap());
+    });
+    let batch_delete = logged_bytes("v1-batch-delete", |s| {
+        s.try_apply_batch(&[BatchOp::Delete(Point::new([2, 40]))])
+            .unwrap();
+    });
+    assert_eq!(batch_delete, delete);
+    assert_eq!(delete.len, 6);
+}
+
+// ---------------------------------------------------------------------
 // Property-based interleaving
 // ---------------------------------------------------------------------
 

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use sfc_core::transform::{AxisPermuted, Reflected, Reversed};
 use sfc_core::{CurveKind, Grid, PermutationCurve, SpaceFillingCurve};
 use sfc_integration::test_rng;
-use sfc_metrics::all_pairs::{all_pairs_exact, all_pairs_exact_par, AllPairsStretch};
+use sfc_metrics::all_pairs::{all_pairs_exact, AllPairsStretch};
 use sfc_metrics::nn_stretch::{delta_max, delta_sum, summarize, summarize_par};
 use sfc_metrics::NnStretchSummary;
 
@@ -166,7 +166,6 @@ fn check_pairs<const D: usize>() {
         for_each_curve::<D>(k, |curve| {
             let naive = naive_pairs(&curve);
             assert_pairs_agree(&all_pairs_exact(&curve), &naive, "seq");
-            assert_pairs_agree(&all_pairs_exact_par(&curve), &naive, "par");
         });
     }
 }

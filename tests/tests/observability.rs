@@ -1,6 +1,6 @@
 //! Observability-layer integration tests.
 //!
-//! Six angles on the `sfc-obs` + store instrumentation stack:
+//! Seven angles on the `sfc-obs` + store instrumentation stack:
 //!
 //! * **Quantile accuracy** — proptests replay adversarial latency
 //!   distributions (all-equal, bimodal, power-law) through the
@@ -18,6 +18,9 @@
 //!   registry's JSON export validated structurally and numerically.
 //! * **One histogram per read entry point** — `query_intervals` reports
 //!   into `engine.query_intervals.ns`; no histogram outlives its method.
+//! * **Write latency by kind** — a write call is timed into
+//!   `shardN.delete.ns` when it holds no insert (a single delete, an
+//!   all-delete batch slice) and into `shardN.insert.ns` otherwise.
 //! * **Persist accounting** — a durable store's flushes and compactions
 //!   report the time and bytes of their persist step (`shardN.persist.*`);
 //!   an in-memory store reports none.
@@ -31,7 +34,7 @@ use sfc_core::{Grid, Point, ZCurve};
 use sfc_index::BoxRegion;
 use sfc_integration::test_rng;
 use sfc_obs::{Histogram, SUB_BITS};
-use sfc_store::{ShardedSfcStore, WalConfig};
+use sfc_store::{BatchOp, ShardedSfcStore, WalConfig};
 
 /// Exact nearest-rank quantile of a sorted sample set — the reference
 /// the histogram is judged against (same rank convention as
@@ -337,6 +340,39 @@ fn query_intervals_reports_into_its_own_histogram() {
     assert_eq!(slow[0].detail.op, "query_intervals");
     assert_eq!(slow[0].detail.intervals, Some(2));
     assert_eq!(slow[0].detail.stats, stats);
+}
+
+/// Writes are timed by kind: a call that inserts nothing — one delete,
+/// or a batch slice of deletes only — lands in `delete.ns`; any call
+/// with an insert in it lands in `insert.ns`. Every call lands once.
+#[test]
+fn an_all_delete_batch_is_timed_as_a_delete() {
+    let grid = Grid::<2>::new(4).unwrap();
+    let mut store = ShardedSfcStore::with_memtable_capacity(ZCurve::over(grid), 1, 1 << 10);
+    let metrics = store.enable_metrics();
+    metrics.set_timing_sampling(1);
+    let cell = |i: u32| Point::new([i % 16, i / 16]);
+    for i in 0..8 {
+        store.insert(cell(i), i);
+    }
+    store.delete(cell(0));
+    store.apply_batch(&[BatchOp::Delete(cell(1)), BatchOp::Delete(cell(2))]);
+    store.apply_batch(&[BatchOp::Delete(cell(3))]);
+    store.apply_batch(&[BatchOp::Delete(cell(4)), BatchOp::Insert(cell(9), 9)]);
+    let snap = metrics.registry().snapshot();
+    let timed = |name: &str| snap.histogram(name).unwrap().count();
+    assert_eq!(
+        timed("shard0.delete.ns"),
+        3,
+        "one delete, two all-delete batches"
+    );
+    assert_eq!(
+        timed("shard0.insert.ns"),
+        9,
+        "eight inserts, one mixed batch"
+    );
+    assert_eq!(snap.counter("shard0.delete.count"), Some(5));
+    assert_eq!(snap.counter("shard0.insert.count"), Some(9));
 }
 
 /// "Where did the flush go": on a durable store every flush, compaction

@@ -29,7 +29,7 @@ fn full_claim_chain_d2() {
     assert_eq!(lambda_total, s.edge_sum);
 
     // Lemma 2: the all-pairs sum is curve-independent.
-    let ap = all_pairs::all_pairs_exact_par(&z);
+    let ap = all_pairs::all_pairs_exact(&z);
     assert_eq!(ap.sa_prime, bounds::lemma2_sa_prime(s.n));
 
     // Proposition 3: all-pairs stretch lower bounds.

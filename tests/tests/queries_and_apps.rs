@@ -132,8 +132,6 @@ proptest! {
         prop_assert!(q.imbalance >= 1.0 - 1e-12);
         prop_assert!(q.edge_cut <= grid.nn_edge_count() as u64);
         prop_assert!(q.comm_volume <= 64);
-        // Parallel evaluation agrees exactly.
-        prop_assert_eq!(q, quality::evaluate_par(&curve, &weights, &part));
     }
 }
 
