@@ -1,12 +1,16 @@
 //! Exact all-pairs stretch (`O(n²)`): the offset-grouped kernel against the
-//! per-pair loop it replaced, and Monte-Carlo estimation costs.
+//! per-pair loop it replaced; and the sampled estimator against the loop it
+//! replaced.
 //!
-//! Writes its part of `BENCH_metrics.json` (ns per pair at `d=2 k=5`) and
-//! asserts the committed gate: offset grouping is at least
-//! [`GROUPED_VS_NAIVE_GATE`]× the naive pair loop.
+//! Writes its part of `BENCH_metrics.json` (ns per pair at `d=2 k=5`, ns per
+//! sample at `d=2 k=20`) and asserts the committed gates: offset grouping is
+//! at least [`GROUPED_VS_NAIVE_GATE`]× the naive pair loop, and the sampled
+//! estimator at least [`SAMPLED_VS_REFERENCE_GATE`]× its reference on the
+//! simple curve.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use rand::SeedableRng;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use sfc_bench::{median_ns, BenchReport};
 use sfc_core::{CurveKind, SpaceFillingCurve, ZCurve};
 use sfc_metrics::all_pairs::all_pairs_exact;
@@ -20,6 +24,19 @@ const GROUPED_VS_NAIVE_GATE: f64 = 3.0;
 
 /// Grid of the gated comparison: `d=2 k=5`, 1024 cells, 523 776 pairs.
 const K: u32 = 5;
+
+/// The committed floor of `reference / estimate` for the sampled
+/// estimator on the simple curve, whose encode is nearly free, so the
+/// sampler is nearly all of the cost (measured ≈ 1.7×: two random words per
+/// pair against eight, a `u64` ratio, a chunked accumulator).
+const SAMPLED_VS_REFERENCE_GATE: f64 = 1.5;
+
+/// Grid of the sampled estimator: `d=2 k=20`, `n = 2^40` cells, as the
+/// benchmark of record's `paper_stretch` samples it.
+const K_SAMPLED: u32 = 20;
+
+/// Samples per timed estimate.
+const SAMPLES: u64 = 10_000;
 
 /// The reference: what `all_pairs_exact` did before offset grouping — the
 /// curve evaluated once per cell (batched), then both ratios formed per
@@ -76,13 +93,75 @@ fn bench_exact(c: &mut Criterion) {
     group.finish();
 }
 
+/// The reference: the sampled all-pairs estimator before it cut cells from
+/// raw words — two `random_cell` draws per pair (a 128-bit rejection draw
+/// per coordinate), a `u128 → f64` ratio and one Welford update per sample.
+/// Returns `(mean, standard error)`.
+fn reference_estimate<const D: usize, C: SpaceFillingCurve<D>, R: Rng>(
+    curve: &C,
+    samples: u64,
+    rng: &mut R,
+) -> (f64, f64) {
+    const BATCH: usize = 1024;
+    let grid = curve.grid();
+    let (mut points, mut keys) = (Vec::with_capacity(2 * BATCH), Vec::with_capacity(2 * BATCH));
+    let (mut count, mut mean, mut m2) = (0u64, 0.0f64, 0.0f64);
+    let mut remaining = samples;
+    while remaining > 0 {
+        let chunk = (remaining as usize).min(BATCH);
+        points.clear();
+        for _ in 0..chunk {
+            let a = grid.random_cell(rng);
+            let b = loop {
+                let b = grid.random_cell(rng);
+                if b != a {
+                    break b;
+                }
+            };
+            points.push(a);
+            points.push(b);
+        }
+        curve.index_of_batch(&points, &mut keys);
+        for i in 0..chunk {
+            let dist = keys[2 * i].abs_diff(keys[2 * i + 1]);
+            let x = dist as f64 / points[2 * i].manhattan(&points[2 * i + 1]) as f64;
+            count += 1;
+            let delta = x - mean;
+            mean += delta / count as f64;
+            m2 += delta * (x - mean);
+        }
+        remaining -= chunk as u64;
+    }
+    (mean, (m2 / (count - 1) as f64 / count as f64).sqrt())
+}
+
 fn bench_sampled(c: &mut Criterion) {
-    // Sampling cost is independent of n: demonstrate on a 2^40-cell grid.
-    let z = ZCurve::<2>::new(20).unwrap();
-    c.bench_function("all_pairs_sampled_10k_n2pow40", |b| {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
-        b.iter(|| black_box(estimate_all_pairs_manhattan(&z, 10_000, &mut rng)))
-    });
+    // Sampling cost is independent of n: a 2^40-cell grid, with the
+    // benchmark of record's generator.
+    let mut group = c.benchmark_group(format!("all_pairs_sampled_d2_k{K_SAMPLED}"));
+    for kind in CurveKind::ALL {
+        let curve = kind.build::<2>(K_SAMPLED).unwrap();
+        // Different streams, one quantity: the two means agree within 5σ.
+        let est = estimate_all_pairs_manhattan(&curve, 100_000, &mut SmallRng::seed_from_u64(5));
+        let (mean, se) = reference_estimate(&curve, 100_000, &mut SmallRng::seed_from_u64(6));
+        assert!(
+            (est.mean - mean).abs() <= 5.0 * est.std_error.hypot(se),
+            "{kind}: estimate {est:?} disagrees with the reference {mean} ± {se}"
+        );
+        group.bench_with_input(BenchmarkId::new("estimate", kind.name()), &curve, |b, c| {
+            let mut rng = SmallRng::seed_from_u64(5);
+            b.iter(|| black_box(estimate_all_pairs_manhattan(c, SAMPLES, &mut rng)))
+        });
+        group.bench_with_input(
+            BenchmarkId::new("reference", kind.name()),
+            &curve,
+            |b, c| {
+                let mut rng = SmallRng::seed_from_u64(5);
+                b.iter(|| black_box(reference_estimate(c, SAMPLES, &mut rng)))
+            },
+        );
+    }
+    group.finish();
 }
 
 criterion_group! {
@@ -114,12 +193,39 @@ fn main() {
     let mut report = BenchReport::extending("metrics");
     report.section(
         "all_pairs_config",
-        format!("{{\"grid\": \"d=2 k={K}\", \"pairs\": {pairs}, \"naive\": \"two divisions and a square root per pair over a batched index table\"}}"),
+        format!("{{\"grid\": \"d=2 k={K}\", \"pairs\": {pairs}, \"naive\": \"two divisions and a square root per pair over a batched index table\", \"sampled\": \"d=2 k={K_SAMPLED}, {SAMPLES} samples per iteration, SmallRng\", \"reference\": \"random_cell per cell, u128 ratio, one Welford update per sample\"}}"),
     );
     report.results("all_pairs_results", &records);
+    let sampled = format!("all_pairs_sampled_d2_k{K_SAMPLED}");
+    let mut ns_per_sample = Vec::new();
+    let mut sampled_speedups = Vec::new();
+    for kind in CurveKind::ALL {
+        let estimate = median(format!("{sampled}/estimate/{}", kind.name()));
+        let reference = median(format!("{sampled}/reference/{}", kind.name()));
+        for (path, ns) in [("estimate", estimate), ("reference", reference)] {
+            ns_per_sample.push((
+                format!("{sampled}/{path}/{}", kind.name()),
+                ns / SAMPLES as f64,
+            ));
+        }
+        sampled_speedups.push((
+            format!("{sampled}/estimate_vs_reference/{}", kind.name()),
+            reference / estimate,
+        ));
+    }
     let pair = |(name, value): &(String, f64)| (name.clone(), *value);
     report.numbers("all_pairs_ns_per_pair", 3, ns_per_pair.iter().map(pair));
     report.numbers("all_pairs_speedups", 2, speedups.iter().map(pair));
+    report.numbers(
+        "all_pairs_sampled_ns_per_sample",
+        3,
+        ns_per_sample.iter().map(pair),
+    );
+    report.numbers(
+        "all_pairs_sampled_speedups",
+        2,
+        sampled_speedups.iter().map(pair),
+    );
     report.write();
     for (name, ratio) in &speedups {
         println!("speedup {name}: {ratio:.2}x");
@@ -128,4 +234,14 @@ fn main() {
             "{name} = {ratio:.2}x, below the committed {GROUPED_VS_NAIVE_GATE}x"
         );
     }
+    for (name, ratio) in &sampled_speedups {
+        println!("speedup {name}: {ratio:.2}x");
+    }
+    let simple = CurveKind::Simple.name();
+    let ratio = median(format!("{sampled}/reference/{simple}"))
+        / median(format!("{sampled}/estimate/{simple}"));
+    assert!(
+        ratio >= SAMPLED_VS_REFERENCE_GATE,
+        "{sampled}/estimate_vs_reference/{simple} = {ratio:.2}x, below the committed {SAMPLED_VS_REFERENCE_GATE}x"
+    );
 }

@@ -200,14 +200,46 @@ impl<const D: usize> Grid<D> {
 
     /// A uniformly random ordered pair of *distinct* cells (an element of the
     /// paper's set `A'`).
+    ///
+    /// Each cell is cut from raw `next_u64` words: the side is `2^k`, so
+    /// keeping `k` bits of a uniform word is an exact, unbiased coordinate.
+    /// When `D·k ≤ 64` one word makes the whole cell (coordinate `i` is bits
+    /// `i·k .. (i+1)·k`); otherwise each coordinate is the low `k` bits of a
+    /// word of its own. `b` is redrawn until it differs from `a`, which
+    /// leaves the pair uniform over `A'`. This is not the stream of two
+    /// [`random_cell`](Self::random_cell) calls.
+    ///
+    /// # Panics
+    /// On a one-cell grid (`k = 0`), which has no pair of distinct cells.
     pub fn random_distinct_pair<R: Rng + ?Sized>(&self, rng: &mut R) -> (Point<D>, Point<D>) {
-        let a = self.random_cell(rng);
+        assert!(self.k >= 1, "a one-cell grid has no pair of distinct cells");
+        let a = self.cell_from_words(rng);
         loop {
-            let b = self.random_cell(rng);
+            let b = self.cell_from_words(rng);
             if b != a {
                 return (a, b);
             }
         }
+    }
+
+    /// A uniformly random cell from one word (`D·k ≤ 64`) or one word per
+    /// coordinate — see [`random_distinct_pair`](Self::random_distinct_pair).
+    #[inline]
+    fn cell_from_words<R: Rng + ?Sized>(&self, rng: &mut R) -> Point<D> {
+        let mask = (1u64 << self.k) - 1;
+        let mut coords = [0u32; D];
+        if D * self.k as usize <= 64 {
+            let mut word = rng.next_u64();
+            for c in coords.iter_mut() {
+                *c = (word & mask) as u32;
+                word >>= self.k;
+            }
+        } else {
+            for c in coords.iter_mut() {
+                *c = (rng.next_u64() & mask) as u32;
+            }
+        }
+        Point::new(coords)
     }
 }
 
@@ -480,6 +512,67 @@ mod tests {
             assert_ne!(x, y);
             assert!(g.contains(&x) && g.contains(&y));
         }
+    }
+
+    #[test]
+    fn distinct_pairs_are_uniform_over_the_ordered_pairs() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+        let g = Grid::<2>::new(1).unwrap();
+        let draws = 120_000u32;
+        let mut counts = std::collections::HashMap::new();
+        for _ in 0..draws {
+            let (a, b) = g.random_distinct_pair(&mut rng);
+            assert_ne!(a, b);
+            *counts.entry((a, b)).or_insert(0u32) += 1;
+        }
+        // 4 cells, 4·3 ordered distinct pairs, each with p = 1/12.
+        assert_eq!(counts.len(), 12);
+        let p = 1.0 / 12.0;
+        let expected = f64::from(draws) * p;
+        let sigma = (f64::from(draws) * p * (1.0 - p)).sqrt();
+        for (pair, &count) in &counts {
+            let off = (f64::from(count) - expected).abs();
+            assert!(off <= 5.0 * sigma, "{pair:?}: {count} vs {expected}");
+        }
+    }
+
+    /// Draws pairs on `g` and checks they stay inside it while setting the
+    /// top bit of every coordinate at least once (no bit lost when a cell is
+    /// cut from the words).
+    fn pairs_reach_every_top_bit<const D: usize>(g: Grid<D>) {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(u64::from(g.k()));
+        let top = 1u32 << (g.k() - 1);
+        let mut seen = [false; D];
+        for _ in 0..256 {
+            let (a, b) = g.random_distinct_pair(&mut rng);
+            assert!(g.contains(&a) && g.contains(&b), "k={} d={D}", g.k());
+            for p in [a, b] {
+                for (axis, hit) in seen.iter_mut().enumerate() {
+                    *hit |= p.coord(axis) & top != 0;
+                }
+            }
+        }
+        assert_eq!(seen, [true; D], "k={} d={D}", g.k());
+    }
+
+    #[test]
+    fn distinct_pairs_use_every_coordinate_bit() {
+        // One word per cell, up to the 64-bit edge.
+        pairs_reach_every_top_bit(Grid::<2>::new(32).unwrap());
+        pairs_reach_every_top_bit(Grid::<3>::new(21).unwrap());
+        // One word per coordinate (D·k > 64).
+        pairs_reach_every_top_bit(Grid::<3>::new(22).unwrap());
+        pairs_reach_every_top_bit(Grid::<4>::new(20).unwrap());
+    }
+
+    #[test]
+    #[should_panic(expected = "one-cell grid")]
+    fn a_one_cell_grid_has_no_distinct_pair() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
+        Grid::<2>::new(0).unwrap().random_distinct_pair(&mut rng);
     }
 
     #[test]

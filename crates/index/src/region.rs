@@ -38,6 +38,17 @@ impl<const D: usize> BoxRegion<D> {
         Self::new(Point::new(lo), Point::new(hi))
     }
 
+    /// The box cut down to the grid, or `None` if it lies wholly outside.
+    /// Every box query clips first: BIGMIN and the decomposition both take
+    /// in-grid corners for granted (a corner code wider than the keyspace
+    /// makes BIGMIN jump past live cells).
+    #[inline]
+    pub fn clip_to_grid(&self, grid: Grid<D>) -> Option<Self> {
+        let max = (grid.side() - 1) as u32;
+        let inside = (0..D).all(|axis| self.lo.coord(axis) <= max);
+        inside.then(|| Self::new(self.lo, Point::new(self.hi.coords().map(|c| c.min(max)))))
+    }
+
     /// Lower corner.
     pub fn lo(&self) -> Point<D> {
         self.lo

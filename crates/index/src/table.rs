@@ -480,11 +480,15 @@ impl<const D: usize, T, C: SpaceFillingCurve<D>> SfcIndex<D, T, C> {
     /// ([`BoxRegion::curve_intervals`]): one galloped seek per interval,
     /// zero overscan. Works for **any** curve; preprocessing is
     /// `O(perimeter)` on block-recursive curves, `O(volume · log volume)`
-    /// otherwise.
+    /// otherwise. A box reaching past the grid is clipped to it first
+    /// ([`BoxRegion::clip_to_grid`]).
     pub fn query_box_intervals(&self, b: &BoxRegion<D>) -> (Vec<EntryRef<'_, D, T>>, QueryStats) {
-        let intervals = b.curve_intervals(&self.curve);
         let mut out = Vec::new();
         let mut stats = QueryStats::default();
+        let Some(b) = &b.clip_to_grid(self.curve.grid()) else {
+            return (out, stats);
+        };
+        let intervals = b.curve_intervals(&self.curve);
         interval_scan(&self.blocks, &intervals, &mut stats, |i, key, point| {
             debug_assert!(b.contains(&point));
             out.push(EntryRef {
@@ -508,10 +512,14 @@ impl<const D: usize, T> SfcIndex<D, T, ZCurve<D>> {
     /// Needs no per-query `O(volume)` preprocessing — the cost is driven by
     /// the number of box/key-range "islands", i.e. by the Z curve's
     /// clustering behaviour. Pruning decisions run on the uncompressed
-    /// block metadata; surviving blocks decode once each.
+    /// block metadata; surviving blocks decode once each. A box reaching
+    /// past the grid is clipped to it first ([`BoxRegion::clip_to_grid`]).
     pub fn query_box_bigmin(&self, b: &BoxRegion<D>) -> (Vec<EntryRef<'_, D, T>>, QueryStats) {
         let mut out = Vec::new();
         let mut stats = QueryStats::default();
+        let Some(b) = &b.clip_to_grid(self.curve.grid()) else {
+            return (out, stats);
+        };
         bigmin_scan(&self.curve, &self.blocks, b, &mut stats, |i, key, point| {
             out.push(EntryRef {
                 key,
@@ -701,6 +709,39 @@ mod tests {
                 Some(&v) => assert_eq!(v, i as u64),
                 None => assert_eq!(i % 3, 0),
             }
+        }
+    }
+
+    #[test]
+    fn a_box_reaching_past_the_grid_is_clipped() {
+        // Every cell of a 32×32 grid holds a record; each box reaches past
+        // the grid (the last one lies wholly outside it). Unclipped, BIGMIN
+        // found 5 of the first box's 357 cells.
+        let grid = Grid::<2>::new(5).unwrap();
+        let records: Vec<_> = grid.cells().zip(0usize..).collect();
+        let z = SfcIndex::build(ZCurve::over(grid), records.clone());
+        let h = SfcIndex::build(HilbertCurve::over(grid), records);
+        let points = |hits: Vec<EntryRef<'_, 2, usize>>| {
+            let mut points: Vec<Point<2>> = hits.iter().map(|e| e.point).collect();
+            points.sort_unstable_by_key(|p| p.coords());
+            points
+        };
+        for (lo, hi) in [
+            ([11, 15], [36, 38]),
+            ([5, 21], [98, 100]),
+            ([0, 5], [31, 1 << 20]),
+            ([7, 0], [u32::MAX, 9]),
+            ([3, 32], [40, 40]),
+        ] {
+            let b = BoxRegion::new(Point::new(lo), Point::new(hi));
+            let truth = points(z.query_box_full_scan(&b).0);
+            assert_eq!(points(z.query_box_bigmin(&b).0), truth, "Z BIGMIN {b:?}");
+            assert_eq!(
+                points(z.query_box_intervals(&b).0),
+                truth,
+                "Z intervals {b:?}"
+            );
+            assert_eq!(points(h.query_box_intervals(&b).0), truth, "Hilbert {b:?}");
         }
     }
 

@@ -61,6 +61,25 @@ impl Welford {
         self.m2 += delta * (x - self.mean);
     }
 
+    /// Adds a chunk of values at once: its mean and `M2` in two passes, then
+    /// Chan, Golub & LeVeque's pairwise update. Agrees with one
+    /// [`push`](Self::push) per value to rounding, with no division on a
+    /// per-value dependency chain.
+    fn push_chunk(&mut self, xs: &[f64]) {
+        if xs.is_empty() {
+            return;
+        }
+        let n_b = xs.len() as f64;
+        let mean_b = lane_sum(xs, |x| x) / n_b;
+        let m2_b = lane_sum(xs, |x| (x - mean_b) * (x - mean_b));
+        let n_a = self.count as f64;
+        let n = n_a + n_b;
+        let delta = mean_b - self.mean;
+        self.count += xs.len() as u64;
+        self.mean += delta * (n_b / n);
+        self.m2 += m2_b + delta * delta * (n_a * n_b / n);
+    }
+
     fn estimate(&self) -> Estimate {
         let variance = if self.count > 1 {
             self.m2 / (self.count - 1) as f64
@@ -73,6 +92,21 @@ impl Welford {
             samples: self.count,
         }
     }
+}
+
+/// `Σ f(x)` over `xs` in four interleaved lanes, so that each add does not
+/// wait for the one before it.
+#[inline]
+fn lane_sum(xs: &[f64], f: impl Fn(f64) -> f64) -> f64 {
+    let chunks = xs.chunks_exact(4);
+    let tail: f64 = chunks.remainder().iter().map(|&x| f(x)).sum();
+    let mut lanes = [0.0f64; 4];
+    for c in chunks {
+        for (lane, &x) in lanes.iter_mut().zip(c) {
+            *lane += f(x);
+        }
+    }
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
 }
 
 /// Estimates `D^avg(π)` by sampling cells uniformly and averaging
@@ -111,11 +145,31 @@ pub fn estimate_d_max<const D: usize, C: SpaceFillingCurve<D>, R: Rng + ?Sized>(
 /// amortize the batch kernel's setup, small enough to stay cache-resident.
 const PAIR_BATCH: usize = 1024;
 
+/// `Δπ` as an `f64`. Below `2^64` the conversion goes through `u64`, a few
+/// instructions where `u128 → f64` is a software routine; both round the
+/// same integer the same way, so the value is identical.
+#[inline]
+fn distance_f64(d: sfc_core::CurveIndex) -> f64 {
+    match u64::try_from(d) {
+        Ok(d) => d as f64,
+        Err(_) => d as f64,
+    }
+}
+
 /// Shared driver for the all-pairs estimators: samples pairs, encodes
 /// them in chunks through the curve's batch kernel
 /// ([`SpaceFillingCurve::index_of_batch`]), and accumulates
-/// `Δπ / denominator(a, b)`. Sample order (and therefore the estimate for
-/// a given RNG stream) is identical to the old one-pair-at-a-time loop.
+/// `Δπ / denominator(a, b)` a chunk at a time.
+///
+/// The pairs come from [`Grid::random_distinct_pair`](sfc_core::Grid::random_distinct_pair),
+/// which cuts cells from raw random words, so a seeded RNG gives a different
+/// sample sequence than a draw through `gen_range` per coordinate would. Each
+/// pair is still uniform over the ordered distinct pairs and independent of
+/// the others, so the mean stays an unbiased estimate and `s/√m` its
+/// standard error.
+///
+/// # Panics
+/// On a one-cell grid, which has no pair to sample.
 fn estimate_all_pairs_with<const D: usize, C, R, F>(
     curve: &C,
     samples: u64,
@@ -128,9 +182,11 @@ where
     F: Fn(&sfc_core::Point<D>, &sfc_core::Point<D>) -> f64,
 {
     let grid = curve.grid();
+    assert!(grid.k() >= 1, "a one-cell grid has no pairs to sample");
     let mut acc = Welford::default();
     let mut points = Vec::with_capacity(2 * PAIR_BATCH);
     let mut keys = Vec::with_capacity(2 * PAIR_BATCH);
+    let mut ratios = Vec::with_capacity(PAIR_BATCH);
     let mut remaining = samples;
     while remaining > 0 {
         let chunk = (remaining as usize).min(PAIR_BATCH);
@@ -141,11 +197,16 @@ where
             points.push(b);
         }
         curve.index_of_batch(&points, &mut keys);
-        for i in 0..chunk {
-            let (a, b) = (points[2 * i], points[2 * i + 1]);
-            let curve_dist = sfc_core::index_distance(keys[2 * i], keys[2 * i + 1]);
-            acc.push(curve_dist as f64 / denominator(&a, &b));
-        }
+        ratios.clear();
+        ratios.extend(
+            points
+                .chunks_exact(2)
+                .zip(keys.chunks_exact(2))
+                .map(|(p, k)| {
+                    distance_f64(sfc_core::index_distance(k[0], k[1])) / denominator(&p[0], &p[1])
+                }),
+        );
+        acc.push_chunk(&ratios);
         remaining -= chunk as u64;
     }
     acc.estimate()
@@ -293,13 +354,52 @@ mod tests {
     }
 
     #[test]
+    fn chunked_accumulator_matches_per_sample_welford() {
+        // 10 000 values: PAIR_BATCH does not divide it, so the last chunk is
+        // short. Then the degenerate streams of 0 and 1 values.
+        let mut r = rng(7);
+        let stream: Vec<f64> = (0..10_000).map(|_| 1.0 + 1e3 * r.gen::<f64>()).collect();
+        assert_ne!(stream.len() % PAIR_BATCH, 0);
+        for xs in [&stream[..], &[], &[42.5]] {
+            let mut one = Welford::default();
+            xs.iter().for_each(|&x| one.push(x));
+            let mut chunked = Welford::default();
+            xs.chunks(PAIR_BATCH).for_each(|c| chunked.push_chunk(c));
+            let (a, b) = (one.estimate(), chunked.estimate());
+            assert_eq!(a.samples, b.samples);
+            let close = |x: f64, y: f64| (x - y).abs() <= 1e-12 * x.abs().max(y.abs());
+            assert!(
+                close(a.mean, b.mean) && close(a.std_error, b.std_error),
+                "{} values: {a:?} vs {b:?}",
+                xs.len()
+            );
+        }
+    }
+
+    #[test]
     fn all_pairs_estimates_converge_to_exact() {
-        let z = ZCurve::<2>::new(3).unwrap();
-        let exact = all_pairs::all_pairs_exact(&z);
-        let est_m = estimate_all_pairs_manhattan(&z, 30_000, &mut rng(3));
-        let est_e = estimate_all_pairs_euclidean(&z, 30_000, &mut rng(4));
-        assert!(est_m.within(exact.manhattan, 5.0), "{est_m:?} vs {exact:?}");
-        assert!(est_e.within(exact.euclidean, 5.0), "{est_e:?} vs {exact:?}");
+        for (i, kind) in CurveKind::ALL.into_iter().enumerate() {
+            let c = kind.build::<2>(3).unwrap();
+            let exact = all_pairs::all_pairs_exact(&c);
+            let seed = 2 * i as u64;
+            let est_m = estimate_all_pairs_manhattan(&c, 30_000, &mut rng(3 + seed));
+            let est_e = estimate_all_pairs_euclidean(&c, 30_000, &mut rng(4 + seed));
+            assert!(
+                est_m.within(exact.manhattan, 5.0),
+                "{kind}: {est_m:?} vs {exact:?}"
+            );
+            assert!(
+                est_e.within(exact.euclidean, 5.0),
+                "{kind}: {est_e:?} vs {exact:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one-cell grid")]
+    fn all_pairs_estimate_on_a_one_cell_grid_panics() {
+        let c = CurveKind::Hilbert.build::<2>(0).unwrap();
+        estimate_all_pairs_manhattan(&c, 1, &mut rng(8));
     }
 
     #[test]

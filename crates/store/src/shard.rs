@@ -49,7 +49,7 @@ use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
 use std::time::Instant;
 
-use sfc_core::{CurveIndex, Grid, Point, SpaceFillingCurve};
+use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
 use sfc_index::{BoxRegion, QueryStats, SfcIndex};
 use sfc_obs::MetricsRegistry;
 use sfc_partition::{ConcurrentTraffic, Partition, TrafficWeights};
@@ -104,15 +104,6 @@ fn assert_sorted_disjoint(intervals: &[Interval]) {
         }
         prev = Some((lo, hi));
     }
-}
-
-/// `b` cut down to the grid, or `None` if it lies wholly outside: BIGMIN
-/// and the decomposition both take in-grid corners for granted (a corner
-/// code wider than the keyspace makes BIGMIN jump past live cells).
-fn clip_to_grid<const D: usize>(b: &BoxRegion<D>, grid: Grid<D>) -> Option<BoxRegion<D>> {
-    let max = (grid.side() - 1) as u32;
-    let inside = (0..D).all(|axis| b.lo().coord(axis) <= max);
-    inside.then(|| BoxRegion::new(b.lo(), Point::new(b.hi().coords().map(|c| c.min(max)))))
 }
 
 /// Nanoseconds since `start`, saturating.
@@ -273,7 +264,7 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
         mut routed: Option<&mut Routed>,
         sink: &mut S,
     ) -> QueryStats {
-        let Some(b) = clip_to_grid(b, self.curve.grid()) else {
+        let Some(b) = b.clip_to_grid(self.curve.grid()) else {
             return QueryStats::default();
         };
         let intervals = self.decompose_box(&b, routed.as_deref_mut());
@@ -293,7 +284,7 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
     /// order (a shard the query would skip plans over an empty share;
     /// a box wholly outside the grid is planned by nobody).
     fn plan_box_query(&self, b: &BoxRegion<D>) -> Vec<QueryPlan> {
-        let Some(b) = &clip_to_grid(b, self.curve.grid()) else {
+        let Some(b) = &b.clip_to_grid(self.curve.grid()) else {
             return Vec::new();
         };
         let intervals = self.decompose_box(b, None);
@@ -1579,7 +1570,7 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
-    use sfc_core::{HilbertCurve, ZCurve};
+    use sfc_core::{Grid, HilbertCurve, ZCurve};
 
     fn rng(seed: u64) -> rand_chacha::ChaCha8Rng {
         rand_chacha::ChaCha8Rng::seed_from_u64(seed)
