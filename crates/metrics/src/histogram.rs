@@ -7,7 +7,7 @@
 //! concrete, explain the naive-sampling failure documented in
 //! [`crate::sampling`], and quantify tail mass for application modelling.
 
-use crate::nn_stretch::{for_each_cell, neighbor_distances};
+use crate::nn_stretch::{assert_within_limit, for_each_row};
 use sfc_core::{CurveIndex, SpaceFillingCurve};
 
 /// A histogram over log₂ buckets: bucket `b` counts values `v` with
@@ -93,15 +93,22 @@ impl Log2Histogram {
 }
 
 /// Histogram of `Δπ` over **all nearest-neighbor edges** of the grid
-/// (each edge once, from its lower endpoint), on the window of
-/// [`crate::nn_stretch`].
+/// (each edge once, from its lower endpoint), on the row window of
+/// [`crate::nn_stretch`]. Panics past the size limit of
+/// [`crate::nn_stretch::summarize`].
 pub fn edge_distance_histogram<const D: usize, C: SpaceFillingCurve<D>>(
     curve: &C,
 ) -> Log2Histogram {
+    assert_within_limit(curve.grid());
     let mut h = Log2Histogram::default();
-    for_each_cell(curve, |own, _, up| {
-        for &nb in up {
-            h.push(own.abs_diff(nb));
+    for_each_row(curve, 0..curve.grid().side(), |row| {
+        for pair in row.cells.windows(2) {
+            h.push(pair[0].abs_diff(pair[1]).into());
+        }
+        for up in row.up.iter().flatten() {
+            for (own, nb) in row.cells.iter().zip(*up) {
+                h.push(own.abs_diff(*nb).into());
+            }
         }
     });
     h
@@ -109,9 +116,10 @@ pub fn edge_distance_histogram<const D: usize, C: SpaceFillingCurve<D>>(
 
 /// Histogram of `δ^max_π(α)` over all cells, on the same window.
 pub fn delta_max_histogram<const D: usize, C: SpaceFillingCurve<D>>(curve: &C) -> Log2Histogram {
+    assert_within_limit(curve.grid());
     let mut h = Log2Histogram::default();
-    for_each_cell(curve, |own, down, up| {
-        h.push(neighbor_distances(own, down, up).1);
+    for_each_row(curve, 0..curve.grid().side(), |row| {
+        row.for_each_cell(|_, _, max| h.push(max.into()));
     });
     h
 }

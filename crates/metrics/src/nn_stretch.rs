@@ -20,15 +20,37 @@
 //! hyperplanes**: the cells sharing a coordinate along the slowest axis
 //! `d−1`, `side^{d−1}` of them, contiguous in row-major rank. Each plane is
 //! encoded exactly once, by one [`SpaceFillingCurve::index_of_batch`] call,
-//! into one of three reused buffers (`prev`/`cur`/`next`); a cell's
-//! neighbours are then array reads — `cur[r ± side^a]` along the in-plane
-//! axes `a < d−1`, `prev[r]` and `next[r]` along the slowest axis.
+//! narrowed to 64-bit curve indices and kept in one of three reused buffers
+//! (`prev`/`cur`/`next`).
 //!
-//! * **Cost:** `n` batched encodes plus at most `2dn` array reads, where
-//!   the per-cell drivers this replaces paid `(2d+1)·n` scalar (and, through
-//!   a `BoxedCurve`, virtual) encodes.
-//! * **Memory:** `3·side^{d−1}` curve indices and one plane of points,
-//!   whatever `n` is. (In `d = 1` a plane is a single cell.)
+//! A plane is worked **a row at a time**: a row is the `side` cells along
+//! axis 0 that share every other coordinate (in `d = 1`, where axis 0 is
+//! the slowest axis, a row is one cell). The rows one step down and up
+//! along every other axis are contiguous slices of the same buffers —
+//! `cur[r ∓ side^a]` along the in-plane axes `0 < a < d−1`, `prev[r]` and
+//! `next[r]` along the slowest axis — fixed for the whole row. One pass over
+//! the row gives every cell its neighbour sum and maximum: the edge to the
+//! next cell of the row is taken once and serves both its ends, and the
+//! partner rows are read in step with the row, with no branch per cell (a
+//! partner row outside the grid is replaced by the row itself, at distance
+//! 0). All interior cells of a row have the same neighbour count, and so
+//! have its two ends, so the summaries weigh by `L/|N(α)|` with two
+//! multiplies per row: one on the sum of its interior cells, one on the
+//! sum of its ends.
+//!
+//! * **Cost:** `n` batched encodes, then per cell one in-row edge and
+//!   `2(d−1)` partner reads and distances (two in `d = 1`) in 64-bit
+//!   lanes, where a per-cell evaluation pays `(2d+1)·n` scalar (and,
+//!   through a `BoxedCurve`, virtual) encodes.
+//! * **Memory:** three planes of 64-bit indices, plus one plane of points and
+//!   its 128-bit indices for the encoder: `O(side^{d−1})`, whatever `n` is.
+//! * **Size limit:** `max_cells(d)` cells. A cell's neighbour sum is at
+//!   most `2d·(n−1)` and must fit its 64-bit lane; the sums fold into
+//!   128-bit accumulators, the largest of which, the `D^avg` numerator, is
+//!   at most `L·n·(n−1)`. That admits `2^62` cells in `d = 2` (`k ≤ 31`),
+//!   about `2^61` in `d = 3` (`k ≤ 20`) and `2^59` in `d = 4` (`k ≤ 14`):
+//!   far beyond any grid that can be enumerated. Every exact driver
+//!   asserts it at entry.
 //! * **Parallel driver:** [`summarize_par`] cuts the `side` planes into
 //!   contiguous ranges and gives each range a window of its own, which
 //!   re-encodes the one plane on either side of the range as its halo. Every
@@ -42,25 +64,99 @@
 //! tests use them as the reference the window is checked against.
 
 use rayon::prelude::*;
-use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
+use sfc_core::{CurveIndex, Grid, Point, SpaceFillingCurve};
 use std::ops::Range;
 
-/// Calls `visit(π(α), down, up)` for every cell `α` of the grid in
-/// row-major order, where `down` / `up` hold the curve indices of the
-/// neighbours `α − e_a` / `α + e_a` that exist (axes ascending).
-pub(crate) fn for_each_cell<const D: usize, C: SpaceFillingCurve<D>>(
-    curve: &C,
-    visit: impl FnMut(CurveIndex, &[CurveIndex], &[CurveIndex]),
-) {
-    for_each_cell_in_planes(curve, 0..curve.grid().side(), visit);
+/// The largest number of cells the exact drivers accept in `d`
+/// dimensions (see the module docs): the largest `n` with
+/// `2d·(n−1) ≤ u64::MAX`, the bound of one cell's neighbour sum, and
+/// `L·n·(n−1) ≤ u128::MAX`, the bound of the `D^avg` numerator.
+pub(crate) fn max_cells(d: usize) -> u128 {
+    let by_lane = u128::from(u64::MAX) / (2 * d as u128) + 1;
+    let cap = u128::MAX / neighbor_count_lcm(d);
+    let mut by_total = cap.isqrt();
+    if by_total * (by_total + 1) <= cap {
+        by_total += 1;
+    }
+    by_lane.min(by_total)
 }
 
-/// [`for_each_cell`] restricted to the hyperplanes whose coordinate along
-/// the slowest axis lies in `planes` (see the module docs).
-fn for_each_cell_in_planes<const D: usize, C: SpaceFillingCurve<D>>(
+/// Panics unless the grid is within [`max_cells`]; every exact driver
+/// calls it first.
+pub(crate) fn assert_within_limit<const D: usize>(grid: Grid<D>) {
+    let limit = max_cells(D);
+    assert!(
+        grid.n() <= limit,
+        "exact NN-stretch drivers take at most {limit} cells in d = {D}; this grid has {}",
+        grid.n()
+    );
+}
+
+/// One row of the window (see the module docs): its cells' curve indices
+/// and, per axis `a`, the partner rows one step down and up along `a`
+/// that exist. Axis 0 runs along the row, so its slot stays empty unless
+/// `d = 1`.
+pub(crate) struct Row<'a, const D: usize> {
+    pub(crate) cells: &'a [u64],
+    pub(crate) down: [Option<&'a [u64]>; D],
+    pub(crate) up: [Option<&'a [u64]>; D],
+}
+
+impl<const D: usize> Row<'_, D> {
+    /// The first axis that can hold a partner row.
+    const FIRST_PARTNER_AXIS: usize = if D == 1 { 0 } else { 1 };
+
+    /// The number of partner rows.
+    pub(crate) fn partners(&self) -> usize {
+        self.down.iter().chain(&self.up).flatten().count()
+    }
+
+    /// `|N(α)|` of the row's `i`-th cell.
+    pub(crate) fn neighbor_count(&self, i: usize) -> usize {
+        self.partners() + usize::from(i > 0) + usize::from(i + 1 < self.cells.len())
+    }
+
+    /// Calls `cell(i, Σ_β Δπ(α,β), max_β Δπ(α,β))` for the row's cells `α`
+    /// in order, in one pass. Each edge along the row is taken once, as the
+    /// right edge of one cell and the left edge of the next. A missing
+    /// partner row is read as the row itself: distance 0, which moves
+    /// neither the sum nor the maximum.
+    #[inline(always)]
+    pub(crate) fn for_each_cell(&self, mut cell: impl FnMut(usize, u64, u64)) {
+        let cells = self.cells;
+        let len = cells.len();
+        let down = self.down.map(|row| &row.unwrap_or(cells)[..len]);
+        let up = self.up.map(|row| &row.unwrap_or(cells)[..len]);
+        let sum_and_max = |i: usize, left: u64, right: u64| {
+            let own = cells[i];
+            let (mut sum, mut max) = (left + right, left.max(right));
+            for axis in Self::FIRST_PARTNER_AXIS..D {
+                for dist in [own.abs_diff(down[axis][i]), own.abs_diff(up[axis][i])] {
+                    sum += dist;
+                    max = max.max(dist);
+                }
+            }
+            (sum, max)
+        };
+        let mut left = 0;
+        for (i, pair) in cells.windows(2).enumerate() {
+            let right = pair[0].abs_diff(pair[1]);
+            let (sum, max) = sum_and_max(i, left, right);
+            cell(i, sum, max);
+            left = right;
+        }
+        let (sum, max) = sum_and_max(len - 1, left, 0);
+        cell(len - 1, sum, max);
+    }
+}
+
+/// Calls `visit` on every row of the hyperplanes whose coordinate along
+/// the slowest axis lies in `planes`, in row-major order (see the module
+/// docs).
+pub(crate) fn for_each_row<const D: usize, C: SpaceFillingCurve<D>>(
     curve: &C,
     planes: Range<u64>,
-    mut visit: impl FnMut(CurveIndex, &[CurveIndex], &[CurveIndex]),
+    mut visit: impl FnMut(&Row<'_, D>),
 ) {
     if planes.is_empty() {
         return;
@@ -69,15 +165,20 @@ fn for_each_cell_in_planes<const D: usize, C: SpaceFillingCurve<D>>(
     let (k, side) = (grid.k(), grid.side());
     let plane_len =
         usize::try_from(grid.n() / u128::from(side)).expect("grid too large for exact enumeration");
+    let row_len = plane_len.min(side as usize);
     let mask = side as usize - 1;
     // The cells of one plane; planes differ in the slowest coordinate only.
     let mut cells: Vec<Point<D>> = grid.cells().take(plane_len).collect();
+    let mut wide = Vec::new();
     let (mut prev, mut cur, mut next) = (Vec::new(), Vec::new(), Vec::new());
-    let mut encode = |z: u64, out: &mut Vec<CurveIndex>| {
+    let mut encode = |z: u64, out: &mut Vec<u64>| {
         for cell in &mut cells {
             *cell = cell.with_coord(D - 1, z as u32);
         }
-        curve.index_of_batch(&cells, out);
+        curve.index_of_batch(&cells, &mut wide);
+        out.clear();
+        // Within `max_cells` every curve index fits 64 bits.
+        out.extend(wide.iter().map(|&idx| idx as u64));
     };
     // Ahead of the first roll: the plane below the range (its lower halo)
     // sits in `cur`, the first plane of the range in `next`.
@@ -95,47 +196,24 @@ fn for_each_cell_in_planes<const D: usize, C: SpaceFillingCurve<D>>(
         if has_next {
             encode(z + 1, &mut next);
         }
-        for (r, &own) in cur.iter().enumerate() {
-            let (mut down, mut up) = ([0; D], [0; D]);
-            let (mut downs, mut ups) = (0, 0);
-            for axis in 0..D - 1 {
+        for start in (0..plane_len).step_by(row_len) {
+            let span = start..start + row_len;
+            let mut row = Row {
+                cells: &cur[span.clone()],
+                down: [None; D],
+                up: [None; D],
+            };
+            for axis in 1..D - 1 {
                 let shift = k as usize * axis;
-                let coord = (r >> shift) & mask;
-                if coord > 0 {
-                    down[downs] = cur[r - (1 << shift)];
-                    downs += 1;
-                }
-                if coord < mask {
-                    up[ups] = cur[r + (1 << shift)];
-                    ups += 1;
-                }
+                let coord = (start >> shift) & mask;
+                row.down[axis] = (coord > 0).then(|| &cur[start - (1 << shift)..][..row_len]);
+                row.up[axis] = (coord < mask).then(|| &cur[start + (1 << shift)..][..row_len]);
             }
-            if has_prev {
-                down[downs] = prev[r];
-                downs += 1;
-            }
-            if has_next {
-                up[ups] = next[r];
-                ups += 1;
-            }
-            visit(own, &down[..downs], &up[..ups]);
+            row.down[D - 1] = has_prev.then(|| &prev[span.clone()]);
+            row.up[D - 1] = has_next.then(|| &next[span]);
+            visit(&row);
         }
     }
-}
-
-/// `(Σ_β Δπ(α,β), max_β Δπ(α,β), |N(α)|)` of one visited cell.
-pub(crate) fn neighbor_distances(
-    own: CurveIndex,
-    down: &[CurveIndex],
-    up: &[CurveIndex],
-) -> (u128, CurveIndex, usize) {
-    let (mut sum, mut max) = (0, 0);
-    for &nb in down.iter().chain(up) {
-        let dist = own.abs_diff(nb);
-        sum += dist;
-        max = max.max(dist);
-    }
-    (sum, max, down.len() + up.len())
 }
 
 /// Greatest common divisor (Euclid).
@@ -159,10 +237,20 @@ pub(crate) fn neighbor_count_lcm(d: usize) -> u128 {
 }
 
 /// The paper's `δ^avg_π(α)`: the average curve distance from `α` to its
-/// nearest neighbors `N(α)`.
+/// nearest neighbors `N(α)`; `0.0` for the one cell of a one-cell grid,
+/// which has none.
 pub fn delta_avg<const D: usize, C: SpaceFillingCurve<D>>(curve: &C, cell: Point<D>) -> f64 {
     let (sum, count) = delta_sum(curve, cell);
-    sum as f64 / count as f64
+    average(sum, count)
+}
+
+/// `sum / count`, and `0.0` for an empty neighbourhood.
+fn average(sum: u128, count: usize) -> f64 {
+    if count == 0 {
+        0.0
+    } else {
+        sum as f64 / count as f64
+    }
 }
 
 /// The exact numerator/denominator of `δ^avg_π(α)`:
@@ -264,27 +352,54 @@ impl Accum {
             max_delta: self.max_delta.max(other.max_delta),
         }
     }
+
+    /// Adds the cells of one row. Its interior cells share one neighbour
+    /// count, and so do its two ends, so `L/|N(α)|` weighs the row's sum
+    /// once and its two end sums once.
+    fn add_row<const D: usize>(&mut self, row: &Row<'_, D>, weights: &[u128]) {
+        let (mut sum, mut dmax_sum, mut max_delta) = (0u128, 0u128, 0u64);
+        let (mut first, mut last) = (0, 0);
+        row.for_each_cell(|i, cell_sum, cell_max| {
+            if i == 0 {
+                first = cell_sum;
+            }
+            last = cell_sum;
+            sum += u128::from(cell_sum);
+            dmax_sum += u128::from(cell_max);
+            max_delta = max_delta.max(cell_max);
+        });
+        let end_weight = weights[row.neighbor_count(0)];
+        self.davg_scaled += if row.cells.len() == 1 {
+            end_weight * sum
+        } else {
+            let ends = u128::from(first) + u128::from(last);
+            // An interior cell has both in-row neighbours and every partner.
+            let inner_weight = weights[row.partners() + 2];
+            inner_weight * (sum - ends) + end_weight * ends
+        };
+        self.dmax_sum += dmax_sum;
+        self.double_edge_sum += sum;
+        self.max_delta = self.max_delta.max(max_delta.into());
+    }
 }
 
-/// Folds [`Accum`] over the cells of a range of hyperplanes.
+/// `L/|N(α)|` for every neighbour count `0..=2d`; a one-cell grid has
+/// `|N(α)| = 0` and an empty sum, which weighs nothing.
+fn neighbor_weights(d: usize) -> Vec<u128> {
+    let lcm = neighbor_count_lcm(d);
+    (0..=2 * d as u128)
+        .map(|count| lcm.checked_div(count).unwrap_or(0))
+        .collect()
+}
+
+/// Folds [`Accum`] over the rows of a range of hyperplanes.
 fn accumulate_planes<const D: usize, C: SpaceFillingCurve<D>>(
     curve: &C,
     planes: Range<u64>,
 ) -> Accum {
-    // `L/|N(α)|` per neighbour count; a one-cell grid has `|N(α)| = 0` and
-    // an empty sum, which weighs nothing.
-    let lcm = neighbor_count_lcm(D);
-    let weights: Vec<u128> = (0..=2 * D as u128)
-        .map(|count| lcm.checked_div(count).unwrap_or(0))
-        .collect();
+    let weights = neighbor_weights(D);
     let mut acc = Accum::default();
-    for_each_cell_in_planes(curve, planes, |own, down, up| {
-        let (sum, max, count) = neighbor_distances(own, down, up);
-        acc.davg_scaled += sum * weights[count];
-        acc.dmax_sum += max;
-        acc.double_edge_sum += sum;
-        acc.max_delta = acc.max_delta.max(max);
-    });
+    for_each_row(curve, planes, |row| acc.add_row(row, &weights));
     acc
 }
 
@@ -306,9 +421,17 @@ fn finish<const D: usize, C: SpaceFillingCurve<D>>(curve: &C, acc: Accum) -> NnS
 
 /// Computes all NN-stretch metrics exactly, sequentially.
 ///
-/// Cost: `n` batched curve evaluations and `O(n·d)` array reads (see the
-/// module docs). A one-cell grid has no neighbour pairs: every sum is `0`.
+/// Cost: `n` batched curve evaluations and `O(n·d)` reads and distances
+/// in 64-bit lanes, a row at a time (see the module docs). A one-cell grid
+/// has no neighbour pairs: every sum is `0`.
+///
+/// # Panics
+///
+/// If the grid has more than `max_cells(d)` cells, the size limit of the
+/// module docs: `2^62` in `d = 2`, about `2^61` in `d = 3`, `2^59` in
+/// `d = 4` — far past any grid that can be enumerated.
 pub fn summarize<const D: usize, C: SpaceFillingCurve<D>>(curve: &C) -> NnStretchSummary {
+    assert_within_limit(curve.grid());
     finish(curve, accumulate_planes(curve, 0..curve.grid().side()))
 }
 
@@ -321,16 +444,20 @@ const PLANE_RANGES: u64 = 32;
 /// contiguous ranges of hyperplanes.
 ///
 /// Returns bit-identical results to [`summarize`] (integer accumulation is
-/// order-independent).
+/// order-independent), and panics where it does.
 ///
-/// Measured crossover on two cores: 0.03–0.04× [`summarize`] at `d=2
-/// k=4`, 0.29–0.30× at `k=6`, 0.35–0.48× at `d=3 k=4`, 1.29× at `d=2
-/// k=8`; 1.73–1.83× at `d=2 k=10` (1.72–1.86× for Hilbert), where
+/// Measured crossover on two cores, on the row kernel (Z unless named;
+/// three interleaved runs of 15 calls a side, medians): 0.02–0.03×
+/// [`summarize`] at `d=2 k=4`, 0.14–0.21× at `k=6`, 0.54–0.87× at `k=8`;
+/// 1.43–1.63× at `d=2 k=10` (1.25–1.65× for Hilbert), where
 /// `benches/nn_stretch.rs` gates it at ≥ 1.3× on any box with two or more
-/// CPUs. Below `d=2 k≈8` call [`summarize`].
+/// CPUs. In `d=3`: 0.22–0.25× at `k=4`, 0.53–0.99× at `k=6`, where 32
+/// ranges of two planes re-encode a halo plane per plane. Below `d=2
+/// k=10` call [`summarize`].
 pub fn summarize_par<const D: usize, C: SpaceFillingCurve<D> + Sync>(
     curve: &C,
 ) -> NnStretchSummary {
+    assert_within_limit(curve.grid());
     let side = curve.grid().side();
     let ranges = PLANE_RANGES.min(side);
     let acc = (0..ranges)
@@ -341,12 +468,14 @@ pub fn summarize_par<const D: usize, C: SpaceFillingCurve<D> + Sync>(
 }
 
 /// The per-cell `δ^avg` values in row-major cell order (for distribution
-/// plots and the Figure 1 worked example).
+/// plots and the Figure 1 worked example). The one cell of a one-cell grid
+/// has no neighbours and gets `0.0`, as [`delta_avg`] gives it and as
+/// [`summarize`] reports `D^avg`. Panics where [`summarize`] does.
 pub fn per_cell_delta_avg<const D: usize, C: SpaceFillingCurve<D>>(curve: &C) -> Vec<f64> {
+    assert_within_limit(curve.grid());
     let mut out = Vec::new();
-    for_each_cell(curve, |own, down, up| {
-        let (sum, _, count) = neighbor_distances(own, down, up);
-        out.push(sum as f64 / count as f64);
+    for_each_row(curve, 0..curve.grid().side(), |row| {
+        row.for_each_cell(|i, sum, _| out.push(average(sum.into(), row.neighbor_count(i))));
     });
     out
 }
@@ -381,6 +510,141 @@ mod tests {
         assert_eq!(neighbor_count_lcm(2), 12); // lcm(2, 3, 4)
         assert_eq!(neighbor_count_lcm(3), 60); // lcm(3, 4, 5, 6)
         assert_eq!(neighbor_count_lcm(4), 840); // lcm(4..=8)
+    }
+
+    #[test]
+    fn size_limit_is_the_largest_n_both_bounds_admit() {
+        let fits = |d: usize, n: u128| {
+            let lane = (2 * d as u128).checked_mul(n - 1);
+            let total = n
+                .checked_mul(n - 1)
+                .and_then(|x| x.checked_mul(neighbor_count_lcm(d)));
+            lane.is_some_and(|sum| sum <= u128::from(u64::MAX)) && total.is_some()
+        };
+        for d in 1..=8 {
+            let n = max_cells(d);
+            assert!(fits(d, n) && !fits(d, n + 1), "d={d}: {n}");
+        }
+        assert_eq!(max_cells(2), 1 << 62);
+        assert!((1 << 60..1 << 63).contains(&max_cells(3)));
+        assert!((1 << 56..1 << 60).contains(&max_cells(4)));
+    }
+
+    /// `add_row` on a synthetic row at the size limit, against the sums
+    /// taken cell by cell in `u128`: every cell and partner index is `0` or
+    /// `n − 1`, alternating, so each edge is `n − 1` and a cell with every
+    /// neighbour sums to the bound `2d·(n−1)`.
+    fn check_row_at_the_limit<const D: usize>() {
+        let n = max_cells(D) as u64;
+        let first = Row::<D>::FIRST_PARTNER_AXIS;
+        for len in if D == 1 { 1..2 } else { 1..6 } {
+            let cells: Vec<u64> = (0..len)
+                .map(|i| if i % 2 == 0 { 0 } else { n - 1 })
+                .collect();
+            let other: Vec<u64> = cells.iter().map(|&c| n - 1 - c).collect();
+            for missing in [None, Some(first)] {
+                let mut row = Row {
+                    cells: &cells[..],
+                    down: [None; D],
+                    up: [None; D],
+                };
+                for axis in first..D {
+                    row.down[axis] = Some(&other[..]);
+                    row.up[axis] = (Some(axis) != missing).then_some(&other[..]);
+                }
+                let weights = neighbor_weights(D);
+                let mut acc = Accum::default();
+                acc.add_row(&row, &weights);
+                let (mut want, mut largest_sum) = (Accum::default(), 0);
+                for i in 0..len {
+                    let mut neighbors: Vec<u64> = row
+                        .down
+                        .iter()
+                        .chain(&row.up)
+                        .flatten()
+                        .map(|p| p[i])
+                        .collect();
+                    neighbors.extend(i.checked_sub(1).map(|j| cells[j]));
+                    neighbors.extend(cells.get(i + 1));
+                    let dists = neighbors
+                        .iter()
+                        .map(|&nb| u128::from(cells[i].abs_diff(nb)));
+                    let (sum, max) = (dists.clone().sum::<u128>(), dists.max().unwrap_or(0));
+                    want.davg_scaled += weights[neighbors.len()] * sum;
+                    want.dmax_sum += max;
+                    want.double_edge_sum += sum;
+                    want.max_delta = want.max_delta.max(max);
+                    largest_sum = largest_sum.max(sum);
+                }
+                if missing.is_none() && (D == 1 || len > 2) {
+                    assert_eq!(largest_sum, 2 * D as u128 * u128::from(n - 1));
+                }
+                assert_eq!(
+                    (
+                        acc.davg_scaled,
+                        acc.dmax_sum,
+                        acc.double_edge_sum,
+                        acc.max_delta
+                    ),
+                    (
+                        want.davg_scaled,
+                        want.dmax_sum,
+                        want.double_edge_sum,
+                        want.max_delta
+                    ),
+                    "d={D} len={len} missing {missing:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn row_fold_is_exact_at_the_size_limit() {
+        check_row_at_the_limit::<1>();
+        check_row_at_the_limit::<2>();
+        check_row_at_the_limit::<3>();
+        check_row_at_the_limit::<4>();
+    }
+
+    #[test]
+    fn grids_past_the_size_limit_are_rejected_by_every_exact_driver() {
+        fn rejected(driver: impl FnOnce()) -> bool {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(driver)).unwrap_err();
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            msg.starts_with("exact NN-stretch drivers take at most")
+        }
+        fn check<const D: usize>(k: u32) {
+            let c = SimpleCurve::<D>::new(k).unwrap();
+            assert!(c.grid().n() > max_cells(D));
+            assert!(rejected(|| drop(summarize(&c))), "d={D}");
+            assert!(rejected(|| drop(summarize_par(&c))), "d={D}");
+            assert!(rejected(|| drop(per_cell_delta_avg(&c))), "d={D}");
+            assert!(
+                rejected(|| drop(crate::histogram::delta_max_histogram(&c))),
+                "d={D}"
+            );
+            assert!(
+                rejected(|| drop(crate::histogram::edge_distance_histogram(&c))),
+                "d={D}"
+            );
+        }
+        check::<2>(32);
+        check::<3>(21);
+        check::<4>(15);
+    }
+
+    #[test]
+    fn per_cell_delta_avg_of_a_one_cell_grid_is_zero() {
+        fn check<const D: usize>() {
+            for kind in CurveKind::ALL {
+                let c = kind.build::<D>(0).unwrap();
+                assert_eq!(per_cell_delta_avg(&c), [0.0], "{kind} d={D}");
+                assert_eq!(delta_avg(&c, Point::new([0; D])), 0.0, "{kind} d={D}");
+            }
+        }
+        check::<1>();
+        check::<2>();
+        check::<3>();
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Differential tests of the exact metric kernels: the plane-window
-//! NN-stretch drivers and the offset-grouped all-pairs stretch, against
-//! naive per-cell and per-pair oracles that live here, outside the shipped
-//! crate. The oracles evaluate the curve once per neighbour (through the
+//! Differential tests of the exact metric kernels: the row-window
+//! NN-stretch drivers (the two summaries, `per_cell_delta_avg` and the two
+//! histograms) and the offset-grouped all-pairs stretch, against naive
+//! per-cell and per-pair oracles that live here, outside the shipped crate.
+//! The oracles evaluate the curve once per neighbour (through the
 //! single-cell helpers `delta_sum` / `delta_max`) and once per pair.
 
 use proptest::prelude::*;
@@ -9,7 +10,10 @@ use sfc_core::transform::{AxisPermuted, Reflected, Reversed};
 use sfc_core::{CurveKind, Grid, PermutationCurve, SpaceFillingCurve};
 use sfc_integration::test_rng;
 use sfc_metrics::all_pairs::{all_pairs_exact, AllPairsStretch};
-use sfc_metrics::nn_stretch::{delta_max, delta_sum, summarize, summarize_par};
+use sfc_metrics::histogram::{delta_max_histogram, edge_distance_histogram, Log2Histogram};
+use sfc_metrics::nn_stretch::{
+    delta_avg, delta_max, delta_sum, per_cell_delta_avg, summarize, summarize_par,
+};
 use sfc_metrics::NnStretchSummary;
 
 /// The summary as Definitions 1–4 spell it: per cell, per neighbour.
@@ -46,6 +50,41 @@ fn naive_summary<const D: usize, C: SpaceFillingCurve<D>>(curve: &C) -> NnStretc
     }
     s.edge_sum /= 2;
     s
+}
+
+/// `δ^avg` of every cell in row-major order, from `Σ_β Δπ(α,β)` and
+/// `|N(α)|`; `0.0` for a cell without neighbours (the one cell of a
+/// one-cell grid).
+fn naive_per_cell_delta_avg<const D: usize, C: SpaceFillingCurve<D>>(curve: &C) -> Vec<f64> {
+    let cells = curve.grid().cells();
+    cells
+        .map(|cell| match delta_sum(curve, cell) {
+            (_, 0) => 0.0,
+            (sum, count) => sum as f64 / count as f64,
+        })
+        .collect()
+}
+
+/// The histogram of `δ^max` over all cells, one cell at a time.
+fn naive_delta_max_histogram<const D: usize, C: SpaceFillingCurve<D>>(curve: &C) -> Log2Histogram {
+    let mut h = Log2Histogram::default();
+    curve
+        .grid()
+        .cells()
+        .for_each(|cell| h.push(delta_max(curve, cell)));
+    h
+}
+
+/// The histogram of `Δπ` over the grid's nearest-neighbour edges, one edge
+/// at a time.
+fn naive_edge_distance_histogram<const D: usize, C: SpaceFillingCurve<D>>(
+    curve: &C,
+) -> Log2Histogram {
+    let mut h = Log2Histogram::default();
+    for (a, b, _) in curve.grid().nn_edges() {
+        h.push(curve.curve_distance(a, b));
+    }
+    h
 }
 
 /// The all-pairs stretch as Section V.B spells it: one ratio per pair.
@@ -135,6 +174,65 @@ fn window_summaries_equal_the_naive_summary_d3() {
 #[test]
 fn window_summaries_equal_the_naive_summary_d4() {
     check_summaries::<4>();
+}
+
+/// The per-cell drivers of the window against their oracles: whole
+/// vectors and whole histograms, compared exactly.
+fn check_per_cell_drivers<const D: usize>(k: u32) {
+    for_each_curve::<D>(k, |curve| {
+        let what = format!("{} d={D} k={k}", curve.name());
+        let per_cell = naive_per_cell_delta_avg(&curve);
+        assert_eq!(per_cell_delta_avg(&curve), per_cell, "{what}");
+        let cells = curve.grid().cells();
+        let helper: Vec<f64> = cells.map(|cell| delta_avg(&curve, cell)).collect();
+        assert_eq!(helper, per_cell, "delta_avg {what}");
+        let maxima = naive_delta_max_histogram(&curve);
+        assert_eq!(delta_max_histogram(&curve), maxima, "{what}");
+        let edges = naive_edge_distance_histogram(&curve);
+        assert_eq!(edge_distance_histogram(&curve), edges, "{what}");
+    });
+}
+
+fn check_all_per_cell_drivers<const D: usize>() {
+    for k in ks::<D>(1 << 12) {
+        check_per_cell_drivers::<D>(k);
+    }
+}
+
+#[test]
+fn window_per_cell_drivers_equal_the_oracles_d1() {
+    check_all_per_cell_drivers::<1>();
+}
+
+#[test]
+fn window_per_cell_drivers_equal_the_oracles_d2() {
+    check_all_per_cell_drivers::<2>();
+}
+
+#[test]
+fn window_per_cell_drivers_equal_the_oracles_d3() {
+    check_all_per_cell_drivers::<3>();
+}
+
+#[test]
+fn window_per_cell_drivers_equal_the_oracles_d4() {
+    check_all_per_cell_drivers::<4>();
+}
+
+/// `k = 1`, where every row is two cells and so every cell is a row end,
+/// past the dimensions of the tests above (which take `k = 1` too).
+#[test]
+fn every_driver_equals_the_oracles_when_every_cell_is_a_row_end() {
+    fn check<const D: usize>() {
+        for_each_curve::<D>(1, |curve| {
+            let naive = naive_summary(&curve);
+            assert_eq!(summarize(&curve), naive, "{} d={D}", naive.curve);
+            assert_eq!(summarize_par(&curve), naive, "par {} d={D}", naive.curve);
+        });
+        check_per_cell_drivers::<D>(1);
+    }
+    check::<5>();
+    check::<6>();
 }
 
 fn assert_pairs_agree(kernel: &AllPairsStretch, naive: &AllPairsStretch, what: &str) {
