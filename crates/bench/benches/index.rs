@@ -1,5 +1,6 @@
-//! Spatial-index query strategies: full scan vs intervals vs BIGMIN, and
-//! the interval decomposition itself (hierarchical vs exhaustive).
+//! Spatial-index reads: the box kernel (BIGMIN skips on Z, interval skips
+//! on Hilbert) beside the raw interval walk, kNN, and the interval
+//! decomposition itself (hierarchical vs exhaustive).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
@@ -36,11 +37,12 @@ fn bench_box_queries(c: &mut Criterion) {
     let hindex = SfcIndex::build(HilbertCurve::over(grid), recs);
 
     let mut group = c.benchmark_group("box_query_128x128_20k");
+    // The O(n) baseline: a filter over every record.
     group.bench_function("z_full_scan", |b| {
         b.iter(|| {
             let mut total = 0usize;
             for q in &boxes {
-                total += black_box(zindex.query_box_full_scan(q).0.len());
+                total += black_box(zindex.entries().filter(|e| q.contains(&e.point)).count());
             }
             total
         })
@@ -49,7 +51,7 @@ fn bench_box_queries(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for q in &boxes {
-                total += black_box(zindex.query_box_bigmin(q).0.len());
+                total += black_box(zindex.query_box(q).0.len());
             }
             total
         })
@@ -58,7 +60,8 @@ fn bench_box_queries(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for q in &boxes {
-                total += black_box(zindex.query_box_intervals(q).0.len());
+                let intervals = q.curve_intervals(zindex.curve());
+                total += black_box(zindex.query_intervals(&intervals).0.len());
             }
             total
         })
@@ -67,7 +70,17 @@ fn bench_box_queries(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for q in &boxes {
-                total += black_box(hindex.query_box_intervals(q).0.len());
+                let intervals = q.curve_intervals(hindex.curve());
+                total += black_box(hindex.query_intervals(&intervals).0.len());
+            }
+            total
+        })
+    });
+    group.bench_function("hilbert_box", |b| {
+        b.iter(|| {
+            let mut total = 0usize;
+            for q in &boxes {
+                total += black_box(hindex.query_box(q).0.len());
             }
             total
         })

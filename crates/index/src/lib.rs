@@ -15,11 +15,14 @@
 //!   codes, which let a range scan *skip* key gaps that leave the box.
 //! * [`BlockStore`] — the compressed physical run format, and
 //!   [`kernels`] — the branch-free pack/unpack/filter loops over it.
-//! * [`SfcIndex`] — a sorted key table over any curve, with three box-query
-//!   strategies (full scan, interval decomposition, BIGMIN jumping) and a
-//!   verified exact k-nearest-neighbor search whose cost directly reflects
-//!   the curve's stretch.
-//!
+//! * [`SfcIndex`] — a sorted key table over any curve, read through the
+//!   same kernels as every level of the `sfc-store` LSM-style store: one
+//!   box path, one raw interval path and one verified exact
+//!   k-nearest-neighbor path, whose costs directly reflect the curve's
+//!   stretch.
+//! * [`knn`] — the kNN candidate walk over one sorted run, and the top-k
+//!   heap helpers around it.
+
 //! ## Physical layout: compressed columnar blocks
 //!
 //! [`SfcIndex`] stores its records sorted by curve key in blocks of
@@ -68,19 +71,30 @@
 //! [`SfcIndex::from_sorted_versions`] when `None` slots are tombstones —
 //! the constructor every LSM-style run goes through).
 //!
-//! ## Choosing a box-query strategy
+//! ## Reading an index
 //!
-//! * `query_box_intervals` — exact interval decomposition; zero overscan,
-//!   one seek per interval. Preprocessing is `O(perimeter)` on Z, Hilbert
-//!   and Gray (a cover by aligned cubes) and `O(volume · log volume)` on
-//!   any other curve — see [`BoxRegion::curve_intervals`]. Best for small
-//!   boxes on any curve.
-//! * `query_box_bigmin` (Z curve only) — no preprocessing; the
-//!   block-at-a-time kernel ([`box_scan`]) masks every block the box's
-//!   key span reaches and computes a BIGMIN jump only to leave an
-//!   excursion of two or more disjoint blocks, so its cost is the blocks
-//!   the box touches plus one fence search per excursion.
-//! * `query_box_full_scan` — the `O(n)` baseline.
+//! * [`SfcIndex::query_box`] — every record inside a box, on any curve:
+//!   the box is clipped to the grid ([`BoxRegion::clip_to_grid`]) and run
+//!   through the block-at-a-time kernel ([`box_scan`]), which masks every
+//!   block the box's key span reaches and consults the curve only to
+//!   leave an excursion of two or more disjoint blocks. Morton order
+//!   leaves it by BIGMIN ([`MortonSkipper`], nothing precomputed); every
+//!   other curve by a binary search of the box's exact decomposition
+//!   ([`IntervalSkipper`] over [`BoxRegion::curve_intervals`]:
+//!   `O(perimeter)` on Z, Hilbert and Gray, `O(volume · log volume)` on
+//!   any other curve). [`skip_intervals`] is that rule, once.
+//! * [`SfcIndex::query_intervals`] — every record whose key lies in a
+//!   caller's sorted, disjoint interval list ([`interval_scan`]: one
+//!   galloped seek per interval, zero overscan). With
+//!   `b.curve_intervals(index.curve())` it is the raw interval walk of
+//!   box `b`, the differential twin of `query_box`.
+//! * [`SfcIndex::knn`] — the candidate walk of [`knn`] from the query's
+//!   key, then the Chebyshev ball its k-th best bounds, through
+//!   `query_box`, ranked by `(distance, key)`.
+//! * [`SfcIndex::point_lookup`] — the records at one cell.
+//!
+//! Every read skips tombstoned slots, so a versioned run
+//! ([`SfcIndex::from_sorted_versions`]) reads like its live records.
 //!
 //! ## Building blocks for multi-run structures
 //!
@@ -91,16 +105,11 @@
 //!
 //! * [`sort_columns`] — batch-encode + stable radix sort: sorted-column
 //!   construction from unsorted records;
-//! * [`box_scan`] — the block-at-a-time box kernel, for any curve: each
-//!   block of the box's key span is pruned, bulk-visited or decoded once
-//!   and masked, and a [`BoxSkipper`] ([`MortonSkipper`]: BIGMIN;
-//!   [`IntervalSkipper`]: the box's decomposition) is asked only to leave
-//!   an excursion ([`bigmin_scan`] is the kernel with the former) — and
-//!   [`interval_scan`], the galloping
-//!   walk of a raw interval list; both with per-level [`QueryStats`]
-//!   accounting. The pre-zone-map reference versions survive as
-//!   [`interval_scan_plain`] / [`bigmin_scan_plain`] for differential
-//!   tests and baseline benches;
+//! * [`box_scan`] with its [`BoxSkipper`]s and [`interval_scan`], with
+//!   per-level [`QueryStats`] accounting, and [`assert_sorted_disjoint`],
+//!   the entry check of every raw interval read;
+//! * [`knn::knn_collect_run`] — the per-run candidate walk, told by a
+//!   callback which keys a newer level shadows;
 //! * [`SfcIndex::from_sorted_versions`] / [`SfcIndex::into_parts`] —
 //!   adopt and release run storage without re-sorting;
 //! * [`SfcIndex::lower_bound`] / [`SfcIndex::find_key`] — fence-array
@@ -113,6 +122,7 @@
 pub mod bigmin;
 pub mod block;
 pub mod kernels;
+pub mod knn;
 pub mod query;
 pub mod region;
 pub mod scan;
@@ -123,7 +133,7 @@ pub use block::{BlockCursor, BlockImageError, BlockStore, DecodedBlock, BLOCK_SL
 pub use query::QueryStats;
 pub use region::BoxRegion;
 pub use scan::{
-    bigmin_scan, bigmin_scan_plain, box_scan, interval_scan, interval_scan_plain, BoxSkipper,
-    IntervalSkipper, MortonSkipper,
+    assert_sorted_disjoint, box_scan, interval_scan, skip_intervals, BoxSkipper, IntervalSkipper,
+    MortonSkipper,
 };
 pub use table::{sort_columns, EntryRef, SfcIndex};

@@ -41,22 +41,19 @@
 //!   fence array. That skipper is the kernel's one parameter:
 //!   [`MortonSkipper`] computes BIGMIN (Tropf & Herzog) and needs no
 //!   preprocessing; [`IntervalSkipper`] binary-searches the box's sorted
-//!   decomposition and works for every curve ([`bigmin_scan`] is the
-//!   kernel with the former).
+//!   decomposition and works for every curve. Which one a box query on a
+//!   given curve uses is decided once, by [`skip_intervals`].
 //!
-//! The pre-zone-map variants are kept as [`interval_scan_plain`] and
-//! [`bigmin_scan_plain`]: they are the reference the block-mapped scans
-//! are differential-tested against (`tests/tests/box_kernel.rs`), and the
-//! baseline the benches measure the speedup over. They binary-search
-//! whole columns and test per slot, but read through the same single-slot
-//! decode accessors.
+//! The pre-zone-map per-slot scans these kernels replaced are kept
+//! outside the library, as the references `tests/tests/box_kernel.rs`
+//! diffs the kernels against (`sfc_integration::oracle`).
 
 use crate::bigmin::bigmin;
 use crate::block::{BlockCursor, BlockStore, DecodedBlock};
 use crate::kernels;
 use crate::query::QueryStats;
 use crate::region::BoxRegion;
-use sfc_core::{CurveIndex, Point, ZCurve};
+use sfc_core::{CurveIndex, Point, SpaceFillingCurve, ZCurve};
 
 /// First position in `blocks[from..]` holding a key ≥ `target`, found by
 /// galloping (exponential probes doubling outward from `from`, then a
@@ -119,7 +116,8 @@ fn partition_point_in<const D: usize>(
 /// The cursor never rewinds, so the intervals **must** be sorted
 /// ascending and disjoint (as [`BoxRegion::curve_intervals`] produces
 /// them); unsorted input would silently drop matches, hence the debug
-/// assertion.
+/// assertion here and the [`assert_sorted_disjoint`] check at every
+/// public read entry.
 pub fn interval_scan<const D: usize>(
     blocks: &BlockStore<D>,
     intervals: &[(CurveIndex, CurveIndex)],
@@ -168,32 +166,23 @@ pub fn interval_scan<const D: usize>(
     stats.blocks_decoded += cur.decodes;
 }
 
-/// The pre-zone-map interval scan: one whole-column binary search per
-/// interval and one slot at a time. Reference implementation for
-/// differential tests and the baseline the benches compare
-/// [`interval_scan`] against.
-pub fn interval_scan_plain<const D: usize>(
-    blocks: &BlockStore<D>,
-    intervals: &[(CurveIndex, CurveIndex)],
-    stats: &mut QueryStats,
-    mut visit: impl FnMut(usize, CurveIndex, Point<D>),
-) {
-    let mut cur = BlockCursor::new(blocks);
-    let len = blocks.len();
+/// What every raw-range read assumes of a caller's interval list,
+/// checked once at the public entry: each `lo <= hi`, ascending, disjoint.
+///
+/// # Panics
+/// Panics on the first interval that breaks the rule.
+pub fn assert_sorted_disjoint(intervals: &[(CurveIndex, CurveIndex)]) {
+    let mut prev: Option<(CurveIndex, CurveIndex)> = None;
     for &(lo, hi) in intervals {
-        stats.seeks += 1;
-        let mut i = partition_point_in(blocks, 0, len, lo);
-        while i < len {
-            let key = blocks.key_at(i);
-            if key > hi {
-                break;
-            }
-            stats.scanned += 1;
-            visit(i, key, cur.point(i));
-            i += 1;
+        assert!(lo <= hi, "inverted interval: ({lo}, {hi})");
+        if let Some((prev_lo, prev_hi)) = prev {
+            assert!(
+                prev_hi < lo,
+                "intervals must be sorted and disjoint: ({prev_lo}, {prev_hi}) then ({lo}, {hi})"
+            );
         }
+        prev = Some((lo, hi));
     }
-    stats.blocks_decoded += cur.decodes;
 }
 
 /// Where a box's cells sit on the curve — the one parameter of
@@ -249,7 +238,7 @@ impl<const D: usize> BoxSkipper for MortonSkipper<'_, D> {
 /// The any-curve skipper: the box's exact decomposition (sorted,
 /// disjoint, as [`BoxRegion::curve_intervals`] produces it — or any
 /// contiguous part of it), binary-searched. With it, [`box_scan`] visits
-/// exactly what [`interval_scan_plain`] visits for those intervals.
+/// exactly what [`interval_scan`] visits for those intervals.
 #[derive(Debug, Clone, Copy)]
 pub struct IntervalSkipper<'a>(pub &'a [(CurveIndex, CurveIndex)]);
 
@@ -266,6 +255,22 @@ impl BoxSkipper for IntervalSkipper<'_> {
         let i = self.0.partition_point(|&(_, hi)| hi < from);
         self.0.get(i).map(|&(lo, _)| lo.max(from))
     }
+}
+
+/// The decomposition a box query on `curve` skips by — the one rule every
+/// box read follows: none under Morton order, which skips by BIGMIN
+/// ([`MortonSkipper`]) with nothing precomputed, and the box's exact curve
+/// intervals ([`IntervalSkipper`]) on every other curve (`O(perimeter)`
+/// aligned cubes on Hilbert and Gray; every cell of the box on the
+/// non-recursive curves — see [`BoxRegion::curve_intervals`]).
+pub fn skip_intervals<const D: usize, C: SpaceFillingCurve<D>>(
+    curve: &C,
+    b: &BoxRegion<D>,
+) -> Option<Vec<(CurveIndex, CurveIndex)>> {
+    curve
+        .as_morton()
+        .is_none()
+        .then(|| b.curve_intervals(curve))
 }
 
 /// The box-scan kernel: calls `visit` with the position, key and point of
@@ -353,60 +358,6 @@ pub fn box_scan<const D: usize>(
     }
 }
 
-/// [`box_scan`] over a sorted Morton-key run, skipping by BIGMIN (Tropf &
-/// Herzog). Visits exactly what [`bigmin_scan_plain`] visits.
-pub fn bigmin_scan<const D: usize>(
-    z: &ZCurve<D>,
-    blocks: &BlockStore<D>,
-    b: &BoxRegion<D>,
-    stats: &mut QueryStats,
-    visit: impl FnMut(usize, CurveIndex, Point<D>),
-) {
-    box_scan(blocks, b, &MortonSkipper::new(z, b), stats, visit);
-}
-
-/// The pre-zone-map BIGMIN scan: per-slot box tests throughout and
-/// whole-tail binary searches after each jump. Reference implementation
-/// for differential tests and the baseline the benches compare
-/// [`bigmin_scan`] against.
-pub fn bigmin_scan_plain<const D: usize>(
-    z: &ZCurve<D>,
-    blocks: &BlockStore<D>,
-    b: &BoxRegion<D>,
-    stats: &mut QueryStats,
-    mut visit: impl FnMut(usize, CurveIndex, Point<D>),
-) {
-    let zmin = z.encode(b.lo());
-    let zmax = z.encode(b.hi());
-    stats.seeks += 1;
-    let mut cur = BlockCursor::new(blocks);
-    let len = blocks.len();
-    let mut i = partition_point_in(blocks, 0, len, zmin);
-    while i < len {
-        let key = blocks.key_at(i);
-        if key > zmax {
-            break;
-        }
-        stats.scanned += 1;
-        let point = cur.point(i);
-        if b.contains(&point) {
-            visit(i, key, point);
-            i += 1;
-        } else {
-            match bigmin(z, key, zmin, zmax) {
-                Some(next) => {
-                    stats.seeks += 1;
-                    // `next > key`, so searching the tail finds the same
-                    // position as a fresh whole-column search.
-                    i = partition_point_in(blocks, i, len, next);
-                }
-                None => break,
-            }
-        }
-    }
-    stats.blocks_decoded += cur.decodes;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,14 +394,21 @@ mod tests {
         assert_eq!(hits, vec![1, 2, 3, 5]);
         assert_eq!(stats.seeks, 2);
         assert_eq!(stats.scanned, 4);
-        // The galloped scan visits exactly what the plain scan visits.
-        let mut plain_stats = QueryStats::default();
-        let mut plain_hits = Vec::new();
-        interval_scan_plain(&bs, &[(2, 5), (9, 10)], &mut plain_stats, |i, _, _| {
-            plain_hits.push(i)
-        });
-        assert_eq!(hits, plain_hits);
-        assert_eq!(stats, plain_stats);
+        // The galloped scan visits exactly what a filter over the key
+        // column keeps, in one decode of the one block.
+        let filtered: Vec<usize> = (0..keys.len())
+            .filter(|&i| (2..=5).contains(&keys[i]) || (9..=10).contains(&keys[i]))
+            .collect();
+        assert_eq!(hits, filtered);
+        assert_eq!(
+            stats,
+            QueryStats {
+                seeks: 2,
+                scanned: 4,
+                blocks_decoded: 1,
+                ..Default::default()
+            }
+        );
     }
 
     #[test]
@@ -480,56 +438,21 @@ mod tests {
         let b = BoxRegion::new(Point::new([2, 1]), Point::new([6, 5]));
         let mut stats = QueryStats::default();
         let mut hits = Vec::new();
-        bigmin_scan(&z, &bs, &b, &mut stats, |i, k, p| {
-            assert_eq!(k, keys[i]);
-            assert_eq!(p, points[i]);
-            hits.push(i)
-        });
+        box_scan(
+            &bs,
+            &b,
+            &MortonSkipper::new(&z, &b),
+            &mut stats,
+            |i, k, p| {
+                assert_eq!(k, keys[i]);
+                assert_eq!(p, points[i]);
+                hits.push(i)
+            },
+        );
         let expected: Vec<usize> = (0..points.len())
             .filter(|&i| b.contains(&points[i]))
             .collect();
         assert_eq!(hits, expected);
-    }
-
-    #[test]
-    fn block_mapped_bigmin_visits_exactly_what_plain_does() {
-        // Dense and sparse columns, many box shapes — the block-mapped
-        // scan must visit byte-identical positions to the plain scan
-        // while pruning blocks.
-        let grid = Grid::<2>::new(5).unwrap(); // 32×32
-        let z = ZCurve::over(grid);
-        for stride in [1u128, 3, 7] {
-            let keys: Vec<CurveIndex> = (0..grid.n()).step_by(stride as usize).collect();
-            let points: Vec<Point<2>> = keys.iter().map(|&k| z.point_of(k)).collect();
-            let bs = BlockStore::pack(&keys, &points, |_| true);
-            for (lo, hi) in [
-                ((0, 0), (31, 31)),
-                ((3, 5), (9, 8)),
-                ((16, 0), (31, 15)),
-                ((30, 30), (31, 31)),
-                ((0, 17), (31, 18)),
-            ] {
-                let b = BoxRegion::new(Point::new([lo.0, lo.1]), Point::new([hi.0, hi.1]));
-                let mut zs = QueryStats::default();
-                let mut zone_hits = Vec::new();
-                bigmin_scan(&z, &bs, &b, &mut zs, |i, _, _| zone_hits.push(i));
-                let mut ps = QueryStats::default();
-                let mut plain_hits = Vec::new();
-                bigmin_scan_plain(&z, &bs, &b, &mut ps, |i, _, _| plain_hits.push(i));
-                assert_eq!(zone_hits, plain_hits, "stride={stride} box={b:?}");
-                // The kernel masks whole blocks, so it puts more slots
-                // through a filter than the per-slot hop does; what it
-                // must not do more of is what costs time.
-                assert!(
-                    zs.blocks_decoded <= ps.blocks_decoded,
-                    "zone scan must not decode more: {zs:?} vs {ps:?}"
-                );
-                assert!(
-                    zs.seeks <= ps.seeks,
-                    "zone scan must not seek more: {zs:?} vs {ps:?}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -542,7 +465,13 @@ mod tests {
         let b = BoxRegion::new(Point::new([0, 0]), Point::new([15, 15]));
         let mut stats = QueryStats::default();
         let mut hits = 0usize;
-        bigmin_scan(&z, &bs, &b, &mut stats, |_, _, _| hits += 1);
+        box_scan(
+            &bs,
+            &b,
+            &MortonSkipper::new(&z, &b),
+            &mut stats,
+            |_, _, _| hits += 1,
+        );
         assert_eq!(hits, 256);
         assert_eq!(stats.blocks_scanned, bs.blocks() as u64);
         assert_eq!(stats.blocks_pruned, 0);

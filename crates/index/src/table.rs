@@ -27,10 +27,13 @@
 //! the sort entirely via [`SfcIndex::from_sorted`].
 
 use crate::block::{BlockCursor, BlockStore};
+use crate::knn::{knn_collect_run, verification_radius, KnnQuery};
 use crate::query::QueryStats;
 use crate::region::BoxRegion;
-use crate::scan::{bigmin_scan, interval_scan};
-use sfc_core::{CurveIndex, Point, SpaceFillingCurve, ZCurve};
+use crate::scan::{
+    assert_sorted_disjoint, box_scan, interval_scan, skip_intervals, IntervalSkipper, MortonSkipper,
+};
+use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
 
 /// A borrowed view of one record of the index.
 ///
@@ -50,9 +53,11 @@ pub struct EntryRef<'a, const D: usize, T> {
 /// A spatial index: records sorted by curve key in compressed columnar
 /// blocks, queried through key-range navigation.
 ///
-/// Any [`SpaceFillingCurve`] works; the Z curve additionally unlocks the
-/// BIGMIN jumping strategy ([`SfcIndex::query_box_bigmin`] on
-/// `SfcIndex<D, T, ZCurve<D>>`).
+/// Any [`SpaceFillingCurve`] works, through one read per question:
+/// [`query_box`](Self::query_box), [`query_intervals`](Self::query_intervals),
+/// [`knn`](Self::knn) and [`point_lookup`](Self::point_lookup) — the
+/// store's kernels over one run. Morton order skips box excursions by
+/// BIGMIN, every other curve by the box's decomposition.
 #[derive(Debug, Clone)]
 pub struct SfcIndex<const D: usize, T, C: SpaceFillingCurve<D>> {
     curve: C,
@@ -439,114 +444,94 @@ impl<const D: usize, T, C: SpaceFillingCurve<D>> SfcIndex<D, T, C> {
         (i < self.len() && self.blocks.key_at(i) == key).then_some(i)
     }
 
-    /// All records at exactly the given cell, in input order. One fence
-    /// search, then a lazy walk of the matching row range.
+    /// All live records at exactly the given cell, in input order: the
+    /// cell's key as a one-key [`query_intervals`](Self::query_intervals).
+    /// A point outside the grid holds nothing.
     pub fn point_lookup(&self, p: Point<D>) -> impl ExactSizeIterator<Item = EntryRef<'_, D, T>> {
-        let key = self.curve.index_of(p);
-        let start = self.lower_bound(key);
-        let mut end = start;
-        while end < self.len() && self.blocks.key_at(end) == key {
-            end += 1;
-        }
-        (start..end).map(|i| self.entry(i))
+        let hits = match self.curve.grid().contains(&p) {
+            true => {
+                let key = self.curve.index_of(p);
+                self.query_intervals(&[(key, key)]).0
+            }
+            false => Vec::new(),
+        };
+        hits.into_iter()
     }
 
-    /// Box query by full scan of the table — the baseline every strategy
-    /// must beat. Decodes every block once through the lazy cursor.
-    pub fn query_box_full_scan(&self, b: &BoxRegion<D>) -> (Vec<EntryRef<'_, D, T>>, QueryStats) {
-        let mut out = Vec::new();
-        let mut cur = BlockCursor::new(&self.blocks);
-        let mut matches = Vec::new();
-        for i in 0..self.len() {
-            if b.contains(&cur.point(i)) {
-                matches.push(i);
+    /// A scan's visitor that keeps every live slot it is shown as an
+    /// entry of `out` (tombstones are skipped).
+    fn live_into<'s, 'o>(
+        &'s self,
+        out: &'o mut Vec<EntryRef<'s, D, T>>,
+    ) -> impl FnMut(usize, CurveIndex, Point<D>) + use<'s, 'o, D, T, C> {
+        move |i, key, point| {
+            if let Some(payload) = self.payload_at(i) {
+                out.push(EntryRef {
+                    key,
+                    point,
+                    payload,
+                });
             }
         }
-        let decodes = cur.decodes;
-        for i in matches {
-            out.push(self.entry(i));
+    }
+
+    /// Every live record inside box `b`, in key order — the store's box
+    /// read over one run. The box is clipped to the grid
+    /// ([`BoxRegion::clip_to_grid`]) and run through the block-at-a-time
+    /// kernel ([`box_scan`]), which leaves an excursion out of the box by
+    /// BIGMIN on Morton order and by a binary search of the box's exact
+    /// decomposition on every other curve ([`skip_intervals`]).
+    pub fn query_box(&self, b: &BoxRegion<D>) -> (Vec<EntryRef<'_, D, T>>, QueryStats) {
+        let mut out = Vec::new();
+        let mut stats = QueryStats::default();
+        if let Some(b) = &b.clip_to_grid(self.curve.grid()) {
+            let (blocks, visit) = (&self.blocks, self.live_into(&mut out));
+            match skip_intervals(&self.curve, b) {
+                Some(iv) => box_scan(blocks, b, &IntervalSkipper(&iv), &mut stats, visit),
+                None => {
+                    let z = self.curve.as_morton().expect("undecomposed: Morton order");
+                    box_scan(blocks, b, &MortonSkipper::new(z, b), &mut stats, visit)
+                }
+            }
         }
-        let stats = QueryStats {
-            seeks: 1,
-            scanned: self.len() as u64,
-            reported: out.len() as u64,
-            blocks_decoded: decodes,
-            ..Default::default()
-        };
-        (out, stats)
-    }
-
-    /// Box query via exact interval decomposition
-    /// ([`BoxRegion::curve_intervals`]): one galloped seek per interval,
-    /// zero overscan. Works for **any** curve; preprocessing is
-    /// `O(perimeter)` on block-recursive curves, `O(volume · log volume)`
-    /// otherwise. A box reaching past the grid is clipped to it first
-    /// ([`BoxRegion::clip_to_grid`]).
-    pub fn query_box_intervals(&self, b: &BoxRegion<D>) -> (Vec<EntryRef<'_, D, T>>, QueryStats) {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::default();
-        let Some(b) = &b.clip_to_grid(self.curve.grid()) else {
-            return (out, stats);
-        };
-        let intervals = b.curve_intervals(&self.curve);
-        interval_scan(&self.blocks, &intervals, &mut stats, |i, key, point| {
-            debug_assert!(b.contains(&point));
-            out.push(EntryRef {
-                key,
-                point,
-                payload: self
-                    .payload_at(i)
-                    .expect("index-level queries run on all-live indexes"),
-            });
-        });
         stats.reported = out.len() as u64;
         (out, stats)
     }
-}
 
-impl<const D: usize, T> SfcIndex<D, T, ZCurve<D>> {
-    /// Box query by key-range scan with BIGMIN jumps (Tropf & Herzog): scan
-    /// from `Z(lo)`; whenever the scan meets an entry outside the box,
-    /// compute BIGMIN and restart the scan there with a binary search.
+    /// Every live record whose curve key lies inside the given inclusive
+    /// intervals, in key order ([`interval_scan`]: one galloped seek per
+    /// interval, zero overscan). `query_intervals(&b.curve_intervals(
+    /// index.curve()))` answers box `b` by the raw interval walk — the
+    /// differential twin of [`query_box`](Self::query_box).
     ///
-    /// Needs no per-query `O(volume)` preprocessing — the cost is driven by
-    /// the number of box/key-range "islands", i.e. by the Z curve's
-    /// clustering behaviour. Pruning decisions run on the uncompressed
-    /// block metadata; surviving blocks decode once each. A box reaching
-    /// past the grid is clipped to it first ([`BoxRegion::clip_to_grid`]).
-    pub fn query_box_bigmin(&self, b: &BoxRegion<D>) -> (Vec<EntryRef<'_, D, T>>, QueryStats) {
+    /// # Panics
+    /// Panics unless the intervals are sorted ascending, disjoint and
+    /// each `lo <= hi` ([`assert_sorted_disjoint`]).
+    pub fn query_intervals(
+        &self,
+        intervals: &[(CurveIndex, CurveIndex)],
+    ) -> (Vec<EntryRef<'_, D, T>>, QueryStats) {
+        assert_sorted_disjoint(intervals);
         let mut out = Vec::new();
         let mut stats = QueryStats::default();
-        let Some(b) = &b.clip_to_grid(self.curve.grid()) else {
-            return (out, stats);
-        };
-        bigmin_scan(&self.curve, &self.blocks, b, &mut stats, |i, key, point| {
-            out.push(EntryRef {
-                key,
-                point,
-                payload: self
-                    .payload_at(i)
-                    .expect("index-level queries run on all-live indexes"),
-            });
-        });
+        let visit = self.live_into(&mut out);
+        interval_scan(&self.blocks, intervals, &mut stats, visit);
         stats.reported = out.len() as u64;
         (out, stats)
     }
-}
 
-impl<const D: usize, T, C: SpaceFillingCurve<D>> SfcIndex<D, T, C> {
-    /// Exact k-nearest-neighbor query (Euclidean), verified.
+    /// Exact k-nearest-neighbor query (Euclidean) — the store's kNN read
+    /// over one run. The candidate walk ([`knn_collect_run`]) brackets at
+    /// least `k` live records on each side of the query's key, covering
+    /// at least `window` slots per side; their k-th best distance bounds
+    /// the verification radius, and the Chebyshev ball of that radius
+    /// (which holds the Euclidean one) is a [`query_box`](Self::query_box)
+    /// whose hits are ranked by `(distance, key)` and cut at `k`. The
+    /// returned stats sum both halves: a lower-stretch curve yields a
+    /// smaller verification ball and less work.
     ///
-    /// Strategy (the classic SFC-kNN of the paper's reference [5]):
-    /// 1. take the `window` table entries nearest to the query's key on
-    ///    each side — if the curve preserves proximity these are good
-    ///    candidates;
-    /// 2. compute the k-th best candidate distance `r`;
-    /// 3. *verify* by box-querying the Chebyshev ball of radius `⌈r⌉`,
-    ///    which contains the Euclidean ball, and re-rank.
-    ///
-    /// The returned stats count all entries examined; a lower-stretch curve
-    /// yields a smaller verification ball and fewer touched entries.
+    /// # Panics
+    /// Panics if `k == 0` or `q` lies outside the curve's grid.
     pub fn knn(
         &self,
         q: Point<D>,
@@ -554,62 +539,27 @@ impl<const D: usize, T, C: SpaceFillingCurve<D>> SfcIndex<D, T, C> {
         window: usize,
     ) -> (Vec<EntryRef<'_, D, T>>, QueryStats) {
         assert!(k >= 1, "k must be at least 1");
-        if self.is_empty() {
+        let grid = self.curve.grid();
+        assert!(grid.contains(&q), "query point out of bounds: {q}");
+        if self.live_len() == 0 {
             return (Vec::new(), QueryStats::default());
         }
-        let key = self.curve.index_of(q);
-        let pos = self.lower_bound(key);
-        let lo = pos.saturating_sub(window);
-        let hi = (pos + window).min(self.len());
-        let mut cur = BlockCursor::new(&self.blocks);
-        let mut candidates: Vec<(u64, CurveIndex, usize)> = (lo..hi)
-            .map(|i| (q.euclidean_sq(&cur.point(i)), cur.key(i), i))
-            .collect();
-        let mut stats = QueryStats {
-            seeks: 1,
-            scanned: (hi - lo) as u64,
-            blocks_decoded: cur.decodes,
-            ..Default::default()
+        let query = KnnQuery {
+            q,
+            key: self.curve.index_of(q),
+            k,
+            window,
         };
-        // (knn keeps the simple fixed-window candidate strategy at the
-        // single-run level; the multi-level store's kNN is the one that
-        // exploits the block metadata's live counts and distance bounds.)
-        candidates.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        candidates.truncate(k);
-        // Verification radius: k-th candidate distance (or the whole grid
-        // if the window produced fewer than k candidates).
-        let radius = if candidates.len() == k {
-            let worst = (candidates[k - 1].0 as f64).sqrt();
-            worst.ceil() as u32
-        } else {
-            (self.curve.grid().side() - 1) as u32
-        };
-        let ball = BoxRegion::chebyshev_ball(self.curve.grid(), q, radius);
-        let (verified, ball_stats) = self.query_box_intervals(&ball);
-        // `reported` is recomputed below, so summing it here is harmless.
+        let mut stats = QueryStats::default();
+        let radius = verification_radius(grid, k, |heap| {
+            knn_collect_run(&self.blocks, &query, |_| false, heap, &mut stats)
+        });
+        let (mut nearest, ball_stats) = self.query_box(&BoxRegion::chebyshev_ball(grid, q, radius));
         stats.add(&ball_stats);
-        let mut all = verified;
-        all.sort_by(|a, b| {
-            q.euclidean_sq(&a.point)
-                .cmp(&q.euclidean_sq(&b.point))
-                .then(a.key.cmp(&b.key))
-        });
-        all.truncate(k);
-        stats.reported = all.len() as u64;
-        (all, stats)
-    }
-
-    /// Reference k-nearest-neighbor by linear scan (ground truth for
-    /// tests).
-    pub fn knn_linear(&self, q: Point<D>, k: usize) -> Vec<EntryRef<'_, D, T>> {
-        let mut all: Vec<EntryRef<'_, D, T>> = self.entries().collect();
-        all.sort_by(|a, b| {
-            q.euclidean_sq(&a.point)
-                .cmp(&q.euclidean_sq(&b.point))
-                .then(a.key.cmp(&b.key))
-        });
-        all.truncate(k);
-        all
+        nearest.sort_by_key(|e| (q.euclidean_sq(&e.point), e.key));
+        nearest.truncate(k);
+        stats.reported = nearest.len() as u64;
+        (nearest, stats)
     }
 }
 
@@ -617,7 +567,7 @@ impl<const D: usize, T, C: SpaceFillingCurve<D>> SfcIndex<D, T, C> {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use sfc_core::{Grid, HilbertCurve};
+    use sfc_core::{Grid, HilbertCurve, ZCurve};
 
     fn random_records<const D: usize>(
         grid: Grid<D>,
@@ -628,6 +578,34 @@ mod tests {
         (0..count)
             .map(|i| (grid.random_cell(&mut rng), i))
             .collect()
+    }
+
+    /// The live records inside `b`, by a linear filter over the slots.
+    fn in_box<'a, const D: usize, T, C: SpaceFillingCurve<D>>(
+        idx: &'a SfcIndex<D, T, C>,
+        b: &BoxRegion<D>,
+    ) -> Vec<EntryRef<'a, D, T>> {
+        (0..idx.len())
+            .filter(|&i| idx.is_live_slot(i))
+            .map(|i| idx.entry(i))
+            .filter(|e| b.contains(&e.point))
+            .collect()
+    }
+
+    /// The `k` nearest live records to `q`, by a linear scan ranked by
+    /// `(distance, key)`.
+    fn nearest<'a, const D: usize, T, C: SpaceFillingCurve<D>>(
+        idx: &'a SfcIndex<D, T, C>,
+        q: Point<D>,
+        k: usize,
+    ) -> Vec<EntryRef<'a, D, T>> {
+        let mut all: Vec<_> = (0..idx.len())
+            .filter(|&i| idx.is_live_slot(i))
+            .map(|i| idx.entry(i))
+            .collect();
+        all.sort_by_key(|e| (q.euclidean_sq(&e.point), e.key));
+        all.truncate(k);
+        all
     }
 
     #[test]
@@ -679,8 +657,8 @@ mod tests {
         assert_eq!(rebuilt.decode_keys(), idx.decode_keys());
         assert_eq!(rebuilt.decode_points(), idx.decode_points());
         let bx = BoxRegion::new(Point::new([1, 1]), Point::new([5, 6]));
-        let (a, _) = idx.query_box_full_scan(&bx);
-        let (b, _) = rebuilt.query_box_full_scan(&bx);
+        let (a, _) = idx.query_box(&bx);
+        let (b, _) = rebuilt.query_box(&bx);
         assert_eq!(a.len(), b.len());
     }
 
@@ -734,14 +712,12 @@ mod tests {
             ([3, 32], [40, 40]),
         ] {
             let b = BoxRegion::new(Point::new(lo), Point::new(hi));
-            let truth = points(z.query_box_full_scan(&b).0);
-            assert_eq!(points(z.query_box_bigmin(&b).0), truth, "Z BIGMIN {b:?}");
-            assert_eq!(
-                points(z.query_box_intervals(&b).0),
-                truth,
-                "Z intervals {b:?}"
-            );
-            assert_eq!(points(h.query_box_intervals(&b).0), truth, "Hilbert {b:?}");
+            let truth = points(in_box(&z, &b));
+            assert_eq!(points(z.query_box(&b).0), truth, "Z BIGMIN {b:?}");
+            let clipped = b.clip_to_grid(grid).map(|b| b.curve_intervals(z.curve()));
+            let by_intervals = z.query_intervals(clipped.as_deref().unwrap_or_default());
+            assert_eq!(points(by_intervals.0), truth, "Z intervals {b:?}");
+            assert_eq!(points(h.query_box(&b).0), truth, "Hilbert {b:?}");
         }
     }
 
@@ -753,6 +729,14 @@ mod tests {
         let curve = ZCurve::over(grid);
         let keys: Vec<CurveIndex> = points.iter().map(|&p| curve.index_of(p)).collect();
         let _ = SfcIndex::from_sorted(curve, keys, points, vec![0usize, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted and disjoint: (9, 12) then (2, 5)")]
+    fn query_intervals_rejects_unsorted_intervals() {
+        let grid = Grid::<2>::new(2).unwrap();
+        let idx = SfcIndex::build(ZCurve::over(grid), random_records(grid, 10, 1));
+        idx.query_intervals(&[(9, 12), (2, 5)]);
     }
 
     #[test]
@@ -779,9 +763,10 @@ mod tests {
             let lo = Point::new([a.coord(0).min(b.coord(0)), a.coord(1).min(b.coord(1))]);
             let hi = Point::new([a.coord(0).max(b.coord(0)), a.coord(1).max(b.coord(1))]);
             let bx = BoxRegion::new(lo, hi);
-            let (full, fs) = idx.query_box_full_scan(&bx);
-            let (ivals, is) = idx.query_box_intervals(&bx);
-            let (bm, bs) = idx.query_box_bigmin(&bx);
+            let full = in_box(&idx, &bx);
+            let fs_reported = full.len() as u64;
+            let (ivals, is) = idx.query_intervals(&bx.curve_intervals(idx.curve()));
+            let (bm, bs) = idx.query_box(&bx);
             let key = |v: &Vec<EntryRef<2, usize>>| {
                 let mut ks: Vec<(u128, usize)> = v.iter().map(|e| (e.key, *e.payload)).collect();
                 ks.sort();
@@ -789,8 +774,8 @@ mod tests {
             };
             assert_eq!(key(&full), key(&ivals));
             assert_eq!(key(&full), key(&bm));
-            assert_eq!(fs.reported, is.reported);
-            assert_eq!(fs.reported, bs.reported);
+            assert_eq!(fs_reported, is.reported);
+            assert_eq!(fs_reported, bs.reported);
             // Interval strategy never scans non-matching entries.
             assert_eq!(is.scanned, is.reported);
         }
@@ -801,16 +786,18 @@ mod tests {
         let grid = Grid::<2>::new(4).unwrap(); // 16×16
         let idx = SfcIndex::build(ZCurve::over(grid), random_records(grid, 1_000, 4));
         let bx = BoxRegion::new(Point::new([3, 3]), Point::new([6, 6]));
-        let (full_hits, full) = idx.query_box_full_scan(&bx);
-        let (bm_hits, bm) = idx.query_box_bigmin(&bx);
+        let full_hits = in_box(&idx, &bx);
+        // A full scan decodes every block once.
+        let full_decoded = idx.blocks().blocks() as u64;
+        let (bm_hits, bm) = idx.query_box(&bx);
         assert_eq!(bm_hits, full_hits);
         // Work in the unit that costs time — blocks through the unpack
         // kernels — is at most a quarter of the full scan's.
         assert!(
-            bm.blocks_decoded * 4 <= full.blocks_decoded,
+            bm.blocks_decoded * 4 <= full_decoded,
             "bigmin decoded {} blocks vs full scan's {}",
             bm.blocks_decoded,
-            full.blocks_decoded
+            full_decoded
         );
     }
 
@@ -819,13 +806,14 @@ mod tests {
         let grid = Grid::<2>::new(3).unwrap();
         let idx = SfcIndex::build(HilbertCurve::over(grid), random_records(grid, 150, 5));
         let bx = BoxRegion::new(Point::new([1, 1]), Point::new([5, 4]));
-        let (hits, stats) = idx.query_box_intervals(&bx);
-        let (full, _) = idx.query_box_full_scan(&bx);
+        let (hits, stats) = idx.query_intervals(&bx.curve_intervals(idx.curve()));
+        let full = in_box(&idx, &bx);
         assert_eq!(hits.len(), full.len());
         assert_eq!(stats.overscan(), 1.0);
-        for e in hits {
+        for e in &hits {
             assert!(bx.contains(&e.point));
         }
+        assert_eq!(idx.query_box(&bx).0, hits);
     }
 
     #[test]
@@ -840,7 +828,7 @@ mod tests {
                     let q = grid.random_cell(&mut rng);
                     for k in [1usize, 3, 8] {
                         let (got, stats) = idx.knn(q, k, 4);
-                        let want = idx.knn_linear(q, k);
+                        let want = nearest(&idx, q, k);
                         let gd: Vec<u64> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
                         let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.point)).collect();
                         assert_eq!(gd, wd, "k={k} q={q}");
@@ -886,6 +874,86 @@ mod tests {
             .map(|q| simple.knn(*q, 5, 8).1.scanned)
             .sum::<u64>();
         assert!(th <= ts, "hilbert {th} > simple {ts}");
+    }
+
+    /// Every cell of a 16×16 grid holds one record.
+    fn full_grid<C: SpaceFillingCurve<2>>(curve: C) -> SfcIndex<2, usize, C> {
+        let records: Vec<_> = curve.grid().cells().zip(0usize..).collect();
+        SfcIndex::build(curve, records)
+    }
+
+    #[test]
+    fn point_lookup_outside_the_grid_finds_nothing() {
+        let grid = Grid::<2>::new(4).unwrap();
+        let z = full_grid(ZCurve::over(grid));
+        let h = full_grid(HilbertCurve::over(grid));
+        for p in [
+            Point::new([40, 40]),
+            Point::new([16, 0]),
+            Point::new([3, 16]),
+        ] {
+            assert_eq!(z.point_lookup(p).len(), 0, "Z {p}");
+            assert_eq!(h.point_lookup(p).len(), 0, "Hilbert {p}");
+        }
+        assert_eq!(h.point_lookup(Point::new([15, 15])).len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "query point out of bounds: (40, 40)")]
+    fn knn_rejects_a_query_point_outside_the_grid_z() {
+        full_grid(ZCurve::over(Grid::<2>::new(4).unwrap())).knn(Point::new([40, 40]), 3, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "query point out of bounds: (40, 40)")]
+    fn knn_rejects_a_query_point_outside_the_grid_hilbert() {
+        full_grid(HilbertCurve::over(Grid::<2>::new(4).unwrap())).knn(Point::new([40, 40]), 3, 2);
+    }
+
+    /// A versioned run with every third slot dead reads like its live
+    /// slots: every read skips the tombstones, on Z and on Hilbert.
+    #[test]
+    fn every_read_skips_tombstones() {
+        let grid = Grid::<2>::new(4).unwrap();
+        macro_rules! check_curve {
+            ($curve:expr) => {
+                let curve = $curve;
+                let mut rows: Vec<(CurveIndex, Point<2>)> = random_records(grid, 600, 12)
+                    .into_iter()
+                    .map(|(p, _)| (curve.index_of(p), p))
+                    .collect();
+                rows.sort_by_key(|&(key, _)| key);
+                let (keys, points): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
+                let slots = (0..keys.len()).map(|i| (i % 3 != 0).then_some(i)).collect();
+                let run = SfcIndex::from_sorted_versions(curve, keys, points.clone(), slots);
+                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(13);
+                for _ in 0..40 {
+                    let a = grid.random_cell(&mut rng);
+                    let c = grid.random_cell(&mut rng);
+                    let bx = BoxRegion::new(
+                        Point::new([a.coord(0).min(c.coord(0)), a.coord(1).min(c.coord(1))]),
+                        Point::new([a.coord(0).max(c.coord(0)), a.coord(1).max(c.coord(1))]),
+                    );
+                    let want = in_box(&run, &bx);
+                    assert_eq!(run.query_box(&bx).0, want, "box {bx:?}");
+                    let intervals = bx.curve_intervals(run.curve());
+                    assert_eq!(run.query_intervals(&intervals).0, want, "intervals {bx:?}");
+                    let q = a;
+                    for k in [1usize, 4, 9] {
+                        let (got, stats) = run.knn(q, k, 3);
+                        assert_eq!(got, nearest(&run, q, k), "knn k={k} q={q}");
+                        assert_eq!(stats.reported, k as u64);
+                    }
+                    let at: Vec<usize> = run.point_lookup(q).map(|e| *e.payload).collect();
+                    let live_at: Vec<usize> = (0..run.len())
+                        .filter(|&i| i % 3 != 0 && points[i] == q)
+                        .collect();
+                    assert_eq!(at, live_at, "point_lookup {q}");
+                }
+            };
+        }
+        check_curve!(ZCurve::over(grid));
+        check_curve!(HilbertCurve::over(grid));
     }
 
     #[test]

@@ -50,7 +50,8 @@ use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
 use std::time::Instant;
 
 use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
-use sfc_index::{BoxRegion, QueryStats, SfcIndex};
+use sfc_index::knn::{verification_radius, KnnQuery};
+use sfc_index::{assert_sorted_disjoint, skip_intervals, BoxRegion, QueryStats, SfcIndex};
 use sfc_obs::MetricsRegistry;
 use sfc_partition::{ConcurrentTraffic, Partition, TrafficWeights};
 
@@ -62,8 +63,7 @@ use crate::store::{
     sorted_unique_columns, BatchOp, StoreEntry, StoreEntryRef, DEFAULT_MEMTABLE_CAPACITY,
 };
 use crate::view::{
-    kth_best, rank_by_distance, verification_radius, with_knn_heap, HitSink, LevelStrategy,
-    LevelsView, Overlay, Probe, QueryPlan,
+    rank_by_distance, HitSink, LevelStrategy, LevelsView, Overlay, Probe, QueryPlan,
 };
 use crate::wal::{self, RecoveryStats, WalConfig, WalEngine, WalError, WalPayload, WalShard};
 
@@ -88,22 +88,6 @@ fn intervals_meeting<'i>(
     let from = intervals.partition_point(|&(_, hi)| hi < range.start);
     let to = intervals.partition_point(|&(lo, _)| lo < range.end);
     &intervals[from..to]
-}
-
-/// What every raw-range read assumes of a caller's interval list, checked
-/// once at the public entry: each `lo <= hi`, ascending, disjoint.
-fn assert_sorted_disjoint(intervals: &[Interval]) {
-    let mut prev: Option<Interval> = None;
-    for &(lo, hi) in intervals {
-        assert!(lo <= hi, "inverted interval: ({lo}, {hi})");
-        if let Some((prev_lo, prev_hi)) = prev {
-            assert!(
-                prev_hi < lo,
-                "intervals must be sorted and disjoint: ({prev_lo}, {prev_hi}) then ({lo}, {hi})"
-            );
-        }
-        prev = Some((lo, hi));
-    }
 }
 
 /// Nanoseconds since `start`, saturating.
@@ -215,20 +199,17 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
         self.fan_out(&Probe::Keys(intervals), sink)
     }
 
-    /// The decomposition a box query skips by: none under Morton order
-    /// (BIGMIN needs no preprocessing), the exact intervals on every
-    /// other curve — timed and counted into `routed` when the caller
-    /// asked.
+    /// The decomposition a box query skips by ([`skip_intervals`]: none
+    /// under Morton order, the exact intervals on every other curve) —
+    /// timed and counted into `routed` when the caller asked and there
+    /// was one.
     fn decompose_box(
         &self,
         b: &BoxRegion<D>,
         routed: Option<&mut Routed>,
     ) -> Option<Vec<Interval>> {
-        if self.curve.as_morton().is_some() {
-            return None;
-        }
         let start = routed.is_some().then(Instant::now);
-        let intervals = b.curve_intervals(self.curve);
+        let intervals = skip_intervals(self.curve, b)?;
         if let (Some(routed), Some(start)) = (routed, start) {
             routed.decompose_ns = Some(elapsed_ns(start));
             routed.intervals = Some(intervals.len());
@@ -318,14 +299,14 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
         sink: &mut S,
     ) -> QueryStats {
         let key = self.curve.index_of(q);
+        let query = KnnQuery { q, key, k, window };
         let home = self.partition.part_of(key);
         let mut stats = QueryStats::default();
-        let radius = with_knn_heap(|heap| {
+        let radius = verification_radius(self.curve.grid(), k, |heap| {
             let others = (0..self.shards.len()).filter(|&j| j != home);
             for j in std::iter::once(home).chain(others) {
-                self.shards[j].knn_collect(q, key, k, window, heap, &mut stats);
+                self.shards[j].knn_collect(&query, heap, &mut stats);
             }
-            verification_radius(self.curve.grid(), kth_best(heap, k))
         });
         let ball = BoxRegion::chebyshev_ball(self.curve.grid(), q, radius);
         let intervals = self.decompose_box(&ball, routed);

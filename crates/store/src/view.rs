@@ -30,8 +30,9 @@
 //! kernel's one parameter, the *skipper* that leaves an excursion out of
 //! the box, and which levels to skip outright:
 //!
-//! 1. **Skipper, from the curve.** Morton order skips by BIGMIN: nothing
-//!    is precomputed, a box costs two corner encodes
+//! 1. **Skipper, from the curve** — [`sfc_index::skip_intervals`], the
+//!    rule a static [`SfcIndex`] box query follows too. Morton order skips
+//!    by BIGMIN: nothing is precomputed, a box costs two corner encodes
 //!    ([`LevelStrategy::Bigmin`]). Every other curve decomposes the box
 //!    once at the router (`O(perimeter)` aligned cubes on Hilbert and
 //!    Gray; every cell of the box on the non-recursive curves) and skips
@@ -61,16 +62,26 @@
 //! (see `examples/query_planner.rs`), and every executed level records
 //! per-block work in `blocks_scanned` / `blocks_pruned` /
 //! `blocks_decoded`.
+//!
+//! ## kNN
+//!
+//! A kNN read gathers candidates level by level into one top-k heap and
+//! then box-queries the verification ball like any other box. The
+//! per-run candidate walk is `sfc_index::knn::knn_collect_run`, the one a
+//! static [`SfcIndex`] runs over its single run; what this module adds
+//! is the order of the levels, the runs it skips
+//! ([`LevelsView::knn_collect`]) and the memtable's walk, and which keys
+//! a newer level shadows — the walk's one parameter.
 
-use std::cell::RefCell;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
 use sfc_core::{CurveIndex, Point, SpaceFillingCurve, ZCurve};
+use sfc_index::knn::{knn_collect_run, kth_best, may_tighten, offer, KnnQuery};
 use sfc_index::{
-    box_scan, interval_scan, BlockCursor, BlockStore, BoxRegion, BoxSkipper, DecodedBlock,
-    IntervalSkipper, MortonSkipper, QueryStats, SfcIndex, BLOCK_SLOTS,
+    box_scan, interval_scan, BlockStore, BoxRegion, BoxSkipper, DecodedBlock, IntervalSkipper,
+    MortonSkipper, QueryStats, SfcIndex, BLOCK_SLOTS,
 };
 
 use crate::epoch::{SeqSlot, SeqTable};
@@ -233,82 +244,6 @@ impl<'a, const D: usize, T, E: FnMut(CurveIndex, Version<'a, D, T>)> Merge<'_, '
     }
 }
 
-thread_local! {
-    /// Reusable kNN candidate scratch: a max-heap of the best `k` squared
-    /// candidate distances seen so far, shared across all levels (and all
-    /// shards) of one query and reused across queries — candidate
-    /// collection allocates nothing after warm-up.
-    static KNN_HEAP: RefCell<BinaryHeap<u64>> = const { RefCell::new(BinaryHeap::new()) };
-}
-
-/// Offers a squared distance to the top-k max-heap.
-#[inline]
-fn offer(heap: &mut BinaryHeap<u64>, k: usize, dist_sq: u64) {
-    if heap.len() < k {
-        heap.push(dist_sq);
-    } else if dist_sq < *heap.peek().expect("non-empty: len >= k >= 1") {
-        heap.pop();
-        heap.push(dist_sq);
-    }
-}
-
-/// The verification radius a k-th best squared candidate distance
-/// bounds, or the whole grid when fewer than `k` live candidates were
-/// found (`None`) — possible only when the queried structure holds fewer
-/// than `k` live records, thanks to the widened candidate windows.
-pub(crate) fn verification_radius<const D: usize>(
-    grid: sfc_core::Grid<D>,
-    kth: Option<u64>,
-) -> u32 {
-    match kth {
-        Some(dist_sq) => (dist_sq as f64).sqrt().ceil() as u32,
-        None => (grid.side() - 1) as u32,
-    }
-}
-
-/// The k-th best squared distance a top-k heap holds, once it holds `k`.
-pub(crate) fn kth_best(heap: &BinaryHeap<u64>, k: usize) -> Option<u64> {
-    (heap.len() >= k).then(|| *heap.peek().expect("k >= 1"))
-}
-
-/// `true` iff a run can be expected to hold a record nearer to `q` than
-/// the squared distance `kth`: its AABB reaches inside that distance, and
-/// — were its slots spread evenly over its AABB — at least one of them
-/// would fall in the ball around `q`. (A run that fails this may still
-/// hold such a record; the verification ball finds it either way.)
-fn may_tighten<const D: usize>(blocks: &BlockStore<D>, q: &Point<D>, kth: u64) -> bool {
-    let Some((lo, hi)) = blocks.bounds() else {
-        return false;
-    };
-    if blocks.run_min_dist_sq(q).is_none_or(|d| d >= kth) {
-        return false;
-    }
-    let radius = (kth as f64).sqrt().ceil() as u32;
-    let mut expected = blocks.len() as f64;
-    for axis in 0..D {
-        let (lo, hi, c) = (lo.coord(axis), hi.coord(axis), q.coord(axis));
-        // The ball's extent along this axis, inside the AABB (non-empty:
-        // the AABB is nearer than the radius).
-        let inside = c.saturating_add(radius).min(hi) - c.saturating_sub(radius).max(lo) + 1;
-        expected *= f64::from(inside) / (f64::from(hi - lo) + 1.0);
-    }
-    expected >= 1.0
-}
-
-/// One side of a run's kNN candidate walk: where it stands and what it
-/// has bracketed so far.
-struct SideWalk {
-    /// Ascending keys (`at` is the next slot) or descending (`at` is one
-    /// past the next slot).
-    forward: bool,
-    at: usize,
-    /// Live candidates bracketed (counted, whether or not they entered
-    /// the heap).
-    live: usize,
-    /// Slots covered, dead ones included.
-    slots: usize,
-}
-
 /// A borrowed view of one captured shard's levels: the newest level (the
 /// memtable image, when it holds anything) over a stack of immutable
 /// runs, oldest first.
@@ -379,34 +314,31 @@ fn mem_box_scan<'a, const D: usize, T>(
 
 /// The memtable's kNN candidate walk: both directions from the query key,
 /// each until it has bracketed `k` live entries over at least `window`
-/// slots, handing every live entry's squared distance and key to
-/// `candidate` (nothing is newer than the memtable, so each is genuine).
+/// slots, offering every live entry's squared distance to the top-k heap
+/// (nothing is newer than the memtable, so each is genuine).
 fn mem_knn_walk<const D: usize, T>(
     mem: &SeqTable<D, T>,
-    q: Point<D>,
-    key: CurveIndex,
-    k: usize,
-    window: usize,
+    query: &KnnQuery<D>,
+    heap: &mut BinaryHeap<u64>,
     stats: &mut QueryStats,
-    mut candidate: impl FnMut(u64, CurveIndex),
 ) {
     stats.seeks += 1;
     let mut walk = |side: &mut dyn Iterator<Item = (CurveIndex, &SeqSlot<D, T>)>| {
         let (mut live, mut slots) = (0usize, 0usize);
-        for (ck, slot) in side {
+        for (_, slot) in side {
             slots += 1;
             stats.scanned += 1;
             if slot.1.is_some() {
-                candidate(q.euclidean_sq(&slot.0), ck);
+                offer(heap, query.k, query.q.euclidean_sq(&slot.0));
                 live += 1;
             }
-            if live >= k && slots >= window {
+            if live >= query.k && slots >= query.window {
                 break;
             }
         }
     };
-    walk(&mut mem.iter_rev_below(key));
-    walk(&mut mem.iter_from(key));
+    walk(&mut mem.iter_rev_below(query.key));
+    walk(&mut mem.iter_from(query.key));
 }
 
 impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
@@ -603,18 +535,14 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
     }
 
     /// Collects live kNN candidates from every level into the top-k
-    /// distance heap: per level, walk outward from the query key's
-    /// position on both sides, **widening past tombstoned and shadowed
-    /// slots** until `k` live candidates are bracketed on that side (or
-    /// the level is exhausted), covering at least `window` slots per side
-    /// unless the block summaries certify further slots useless.
+    /// distance heap: per level, the candidate walk of
+    /// [`knn_collect_run`] (the memtable's is [`mem_knn_walk`]), told that
+    /// a key is shadowed when a newer level holds it — so the heap only
+    /// ever takes genuine live records, and a cell live in two levels
+    /// counts once.
     ///
-    /// The heap only ever takes genuine live records (a slot shadowed by
-    /// a newer level is not offered, so a cell live in two levels counts
-    /// once), and any `k` of them bound a correct verification radius —
-    /// so everything below is about spending less to get a tight one. The
-    /// router calls this for the shard owning the query's key first; the
-    /// summaries then sharpen the walk four ways:
+    /// The router calls this for the shard owning the query's key first;
+    /// across levels, two rules keep the work down:
     ///
     /// * **levels are visited biggest first** — the densest level almost
     ///   always holds the true nearest neighbors, so the heap's k-th best
@@ -625,22 +553,10 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
     ///   record inside that distance. That is how most levels of the
     ///   shards that do not own the query's key, and the sparsest levels
     ///   of the one that does, cost one distance computation each (their
-    ///   blocks charged to `blocks_pruned`);
-    /// * **all-dead blocks are skipped** without touching a slot — a
-    ///   tombstone-heavy neighborhood costs one summary check per 64
-    ///   slots instead of 64 payload probes;
-    /// * a side walk **skips any block whose AABB distance lower bound
-    ///   exceeds the current k-th best**, for the same reason as a whole
-    ///   run. The walk *continues* past such a block (curve order is not
-    ///   distance order, so nearer blocks may still lie further out),
-    ///   crediting the block's live slots to the stop condition exactly
-    ///   as scanning them would have.
+    ///   blocks charged to `blocks_pruned`).
     pub(crate) fn knn_collect(
         &self,
-        q: Point<D>,
-        key: CurveIndex,
-        k: usize,
-        window: usize,
+        query: &KnnQuery<D>,
         heap: &mut BinaryHeap<u64>,
         stats: &mut QueryStats,
     ) {
@@ -659,168 +575,21 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
             match level {
                 None => {
                     let mem = self.memtable.expect("ordered above");
-                    mem_knn_walk(mem, q, key, k, window, stats, |d, _| offer(heap, k, d));
+                    mem_knn_walk(mem, query, heap, stats);
                 }
                 Some(run_idx) => {
                     let blocks = self.runs[run_idx].blocks();
-                    let futile = heap.len() >= k
-                        && !may_tighten(blocks, &q, *heap.peek().expect("len >= k"));
+                    let futile = kth_best(heap, query.k)
+                        .is_some_and(|kth| !may_tighten(blocks, &query.q, kth));
                     if futile {
                         stats.blocks_pruned += blocks.blocks() as u64;
                     } else {
-                        self.knn_collect_run(q, key, k, window, run_idx, heap, stats);
+                        let shadowed = |key| self.shadowed_above(key, run_idx);
+                        knn_collect_run(blocks, query, shadowed, heap, stats);
                     }
                 }
             }
         }
-    }
-
-    /// One run's side walks of [`knn_collect`](Self::knn_collect), block
-    /// at a time and **nearest in curve order first**: both sides finish
-    /// the block around the query key's position before either spills into
-    /// a neighbouring block — by then the heap has seen the 64 slots
-    /// nearest the key, and the spill block usually fails the distance
-    /// bound and is never decoded.
-    #[allow(clippy::too_many_arguments)]
-    fn knn_collect_run(
-        &self,
-        q: Point<D>,
-        key: CurveIndex,
-        k: usize,
-        window: usize,
-        run_idx: usize,
-        heap: &mut BinaryHeap<u64>,
-        stats: &mut QueryStats,
-    ) {
-        let blocks = self.runs[run_idx].blocks();
-        let mut cur = BlockCursor::new(blocks);
-        stats.seeks += 1;
-        let pos = blocks.lower_bound(key);
-        let mut walk = |side: &mut SideWalk, max_blocks: usize| {
-            self.knn_walk_side(
-                q, k, window, run_idx, &mut cur, side, max_blocks, heap, stats,
-            )
-        };
-        let side = |forward| SideWalk {
-            forward,
-            at: pos,
-            live: 0,
-            slots: 0,
-        };
-        let (mut left, mut right) = (side(false), side(true));
-        walk(&mut left, 1);
-        walk(&mut right, 1);
-        walk(&mut left, usize::MAX);
-        walk(&mut right, usize::MAX);
-        stats.blocks_decoded += cur.decodes;
-    }
-
-    /// Continues one side's walk for at most `max_blocks` more blocks, or
-    /// until it has bracketed `k` live candidates over at least `window`
-    /// slots, or the run ends.
-    #[allow(clippy::too_many_arguments)]
-    fn knn_walk_side(
-        &self,
-        q: Point<D>,
-        k: usize,
-        window: usize,
-        run_idx: usize,
-        cur: &mut BlockCursor<'_, D>,
-        side: &mut SideWalk,
-        max_blocks: usize,
-        heap: &mut BinaryHeap<u64>,
-        stats: &mut QueryStats,
-    ) {
-        let blocks = self.runs[run_idx].blocks();
-        let done = |side: &SideWalk| side.live >= k && side.slots >= window;
-        for _ in 0..max_blocks {
-            if done(side) {
-                return;
-            }
-            // The slots of the next block on this side, `at` excluded
-            // going down, included going up.
-            let (block, span) = if side.forward {
-                if side.at >= blocks.len() {
-                    return;
-                }
-                let block = blocks.block_of(side.at);
-                (block, side.at..blocks.block_range(block).end)
-            } else {
-                if side.at == 0 {
-                    return;
-                }
-                let block = blocks.block_of(side.at - 1);
-                (block, blocks.block_range(block).start..side.at)
-            };
-            let past = if side.forward { span.end } else { span.start };
-            if blocks.is_all_dead(block) {
-                stats.blocks_pruned += 1;
-                side.slots += span.len();
-                side.at = past;
-                continue;
-            }
-            if heap.len() >= k && blocks.min_dist_sq(block, &q) > *heap.peek().expect("len >= k") {
-                // Skip, don't stop: every slot here is at least as far as
-                // the k-th best, so scanning would count each live slot
-                // without changing the heap — credit them and move on.
-                stats.blocks_pruned += 1;
-                side.live += blocks.live_in(block, span.clone()) as usize;
-                side.slots += span.len();
-                side.at = past;
-                continue;
-            }
-            stats.blocks_scanned += 1;
-            let first = blocks.block_range(block).start;
-            let dec = cur.decoded(block);
-            for step in 0..span.len() {
-                if done(side) {
-                    return;
-                }
-                let i = if side.forward {
-                    span.start + step
-                } else {
-                    span.end - 1 - step
-                };
-                side.at = if side.forward { i + 1 } else { i };
-                side.slots += 1;
-                stats.scanned += 1;
-                if blocks.is_live_slot(i) {
-                    let j = i - first;
-                    let counts =
-                        self.knn_offer_slot(q, dec.keys[j], dec.point(j), run_idx, k, heap);
-                    side.live += usize::from(counts);
-                }
-            }
-        }
-    }
-
-    /// Offers one non-tombstone run slot as a kNN candidate, returning
-    /// whether it counts as a live candidate for the walk's stop
-    /// condition. The expensive shadowed-above probe (one lookup per newer
-    /// level) runs **only when the slot could actually enter the top-k
-    /// heap**: a candidate no closer than the current k-th best cannot
-    /// tighten the radius whether or not it is still visible, so it is
-    /// counted and skipped — with the biggest level walked first, this
-    /// reduces liveness probes from one per scanned slot to a handful per
-    /// query.
-    fn knn_offer_slot(
-        &self,
-        q: Point<D>,
-        key: CurveIndex,
-        point: Point<D>,
-        run_idx: usize,
-        k: usize,
-        heap: &mut BinaryHeap<u64>,
-    ) -> bool {
-        let dist_sq = q.euclidean_sq(&point);
-        if heap.len() >= k && dist_sq >= *heap.peek().expect("len >= k") {
-            return true;
-        }
-        if self.shadowed_above(key, run_idx) {
-            return false;
-        }
-        offer(heap, k, dist_sq);
-        true
     }
 
     /// A lazy k-way merge of all levels in curve order, newest-wins, with
@@ -853,15 +622,6 @@ pub(crate) fn rank_by_distance<const D: usize, T>(
     all.sort_by_key(|e| (q.euclidean_sq(&e.point), e.key));
     all.truncate(k);
     all
-}
-
-/// Runs `f` with the thread's cleared kNN scratch heap.
-pub(crate) fn with_knn_heap<R>(f: impl FnOnce(&mut BinaryHeap<u64>) -> R) -> R {
-    KNN_HEAP.with(|cell| {
-        let mut heap = cell.borrow_mut();
-        heap.clear();
-        f(&mut heap)
-    })
 }
 
 /// A forward-only cursor over one run's compressed blocks and dense

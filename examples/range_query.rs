@@ -2,9 +2,10 @@
 //! motivation (Orenstein–Merrett / UB-tree style).
 //!
 //! Records live in a plain sorted array keyed by curve index. Box queries
-//! run three ways: full scan, exact interval decomposition (any curve),
-//! and BIGMIN jumping (Z curve, no preprocessing). The work counters show
-//! how the curve's clustering quality becomes query cost.
+//! run two ways: the raw walk of the box's exact interval decomposition
+//! (any curve), and the block-at-a-time box kernel, which on the Z curve
+//! leaves the box by BIGMIN jumps (no preprocessing). The work counters
+//! show how the curve's clustering quality becomes query cost.
 //!
 //! ```text
 //! cargo run --release -p sfc --example range_query
@@ -48,7 +49,7 @@ fn main() {
         let index = SfcIndex::build(&curve, records.clone());
         let (mut seeks, mut hits) = (0u64, 0u64);
         for b in &boxes {
-            let (_, stats) = index.query_box_intervals(b);
+            let (_, stats) = index.query_intervals(&b.curve_intervals(&curve));
             seeks += stats.seeks;
             hits += stats.reported;
         }
@@ -66,7 +67,7 @@ fn main() {
     let zindex = SfcIndex::build(ZCurve::over(grid), records.clone());
     let (mut scanned, mut seeks, mut hits) = (0u64, 0u64, 0u64);
     for b in &boxes {
-        let (_, stats) = zindex.query_box_bigmin(b);
+        let (_, stats) = zindex.query_box(b);
         scanned += stats.scanned;
         seeks += stats.seeks;
         hits += stats.reported;

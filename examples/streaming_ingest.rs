@@ -73,7 +73,7 @@ fn main() {
 
     // The merged view is a first-class static index too.
     let index = store.snapshot().to_index();
-    let (hits, _) = index.query_box_bigmin(&b);
+    let (hits, _) = index.query_box(&b);
     println!("== static index materialised from the store");
     println!("   {} records, box query {} hits", index.len(), hits.len());
 }

@@ -7,14 +7,17 @@
 //! (BIGMIN where the curve is Morton order, the box's own decomposition
 //! on every curve) and demands the same positions in the same order — and
 //! the same key and point per position — as the pre-zone-map plain scans
-//! and as a filter over the unpacked columns, which lives in this file.
+//! (`sfc_integration::oracle`) and as a filter over the unpacked columns,
+//! which lives in this file.
 
 use proptest::prelude::*;
-use sfc_core::{CurveIndex, CurveKind, DiagonalCurve, Point, SpaceFillingCurve, SpiralCurve};
-use sfc_index::{
-    bigmin_scan, bigmin_scan_plain, box_scan, interval_scan_plain, BlockStore, BoxRegion,
-    IntervalSkipper, QueryStats, BLOCK_SLOTS,
+use sfc_core::{
+    CurveIndex, CurveKind, DiagonalCurve, Grid, Point, SpaceFillingCurve, SpiralCurve, ZCurve,
 };
+use sfc_index::{
+    box_scan, BlockStore, BoxRegion, IntervalSkipper, MortonSkipper, QueryStats, BLOCK_SLOTS,
+};
+use sfc_integration::oracle::{bigmin_scan_plain, interval_scan_plain};
 
 /// One visited slot: position, key, point.
 type Visit<const D: usize> = (usize, CurveIndex, Point<D>);
@@ -100,7 +103,8 @@ fn check<const D: usize, C: SpaceFillingCurve<D>>(
         let (plain, plain_stats) =
             collect(|stats, visit| bigmin_scan_plain(z, &blocks, b, stats, visit));
         assert_eq!(plain, naive, "bigmin_scan_plain, {what} {b:?}");
-        let (kernel, stats) = collect(|stats, visit| bigmin_scan(z, &blocks, b, stats, visit));
+        let (kernel, stats) =
+            collect(|stats, visit| box_scan(&blocks, b, &MortonSkipper::new(z, b), stats, visit));
         assert_eq!(kernel, naive, "kernel by BIGMIN, {what} {b:?}");
         assert!(
             stats.seeks <= plain_stats.seeks,
@@ -178,6 +182,49 @@ fn kernel_matches_plain_scans_on_every_curve_kind() {
 fn interval_skipper_holds_on_the_two_dimensional_only_curves() {
     check_curve(&SpiralCurve::new(5).unwrap(), "spiral");
     check_curve(&DiagonalCurve::new(5).unwrap(), "diagonal");
+}
+
+#[test]
+fn block_mapped_bigmin_visits_exactly_what_plain_does() {
+    // Dense and sparse columns, many box shapes — the block-mapped
+    // scan must visit byte-identical positions to the plain scan
+    // while pruning blocks.
+    let grid = Grid::<2>::new(5).unwrap(); // 32×32
+    let z = ZCurve::over(grid);
+    for stride in [1u128, 3, 7] {
+        let keys: Vec<CurveIndex> = (0..grid.n()).step_by(stride as usize).collect();
+        let points: Vec<Point<2>> = keys.iter().map(|&k| z.point_of(k)).collect();
+        let bs = BlockStore::pack(&keys, &points, |_| true);
+        for (lo, hi) in [
+            ((0, 0), (31, 31)),
+            ((3, 5), (9, 8)),
+            ((16, 0), (31, 15)),
+            ((30, 30), (31, 31)),
+            ((0, 17), (31, 18)),
+        ] {
+            let b = BoxRegion::new(Point::new([lo.0, lo.1]), Point::new([hi.0, hi.1]));
+            let mut zs = QueryStats::default();
+            let mut zone_hits = Vec::new();
+            box_scan(&bs, &b, &MortonSkipper::new(&z, &b), &mut zs, |i, _, _| {
+                zone_hits.push(i)
+            });
+            let mut ps = QueryStats::default();
+            let mut plain_hits = Vec::new();
+            bigmin_scan_plain(&z, &bs, &b, &mut ps, |i, _, _| plain_hits.push(i));
+            assert_eq!(zone_hits, plain_hits, "stride={stride} box={b:?}");
+            // The kernel masks whole blocks, so it puts more slots
+            // through a filter than the per-slot hop does; what it
+            // must not do more of is what costs time.
+            assert!(
+                zs.blocks_decoded <= ps.blocks_decoded,
+                "zone scan must not decode more: {zs:?} vs {ps:?}"
+            );
+            assert!(
+                zs.seeks <= ps.seeks,
+                "zone scan must not seek more: {zs:?} vs {ps:?}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -58,7 +58,7 @@ fn index_seeks_equal_clustering_metric() {
                 corner.coord(1) + size as u32 - 1,
             ]);
             let region = BoxRegion::new(corner, hi);
-            let (hits, stats) = index.query_box_intervals(&region);
+            let (hits, stats) = index.query_intervals(&region.curve_intervals(&curve));
             let clusters = clustering::clusters_for_box(&curve, corner, size);
             assert_eq!(stats.seeks, clusters, "{kind}");
             // Full occupancy: every box cell is a hit.

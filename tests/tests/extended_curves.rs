@@ -3,7 +3,7 @@
 
 use sfc_core::{Grid, Point, SpaceFillingCurve};
 use sfc_index::{BoxRegion, SfcIndex};
-use sfc_integration::test_rng;
+use sfc_integration::{oracle, test_rng};
 use sfc_metrics::{bounds, nn_stretch};
 use sfc_partition::{partition_greedy, quality, WeightedGrid, Workload};
 
@@ -54,15 +54,20 @@ fn extended_curves_serve_box_and_knn_queries() {
         let name = curve.name();
         let index = SfcIndex::build(curve, records.clone());
         let region = BoxRegion::new(Point::new([2, 3]), Point::new([9, 11]));
-        let (hits, stats) = index.query_box_intervals(&region);
-        let (full, _) = index.query_box_full_scan(&region);
+        let rows: Vec<_> = index
+            .entries()
+            .map(|e| (e.key, e.point, *e.payload))
+            .collect();
+        let (hits, stats) = index.query_intervals(&region.curve_intervals(index.curve()));
+        let full = oracle::box_linear(rows.iter().copied(), &region);
         assert_eq!(hits.len(), full.len(), "{name}");
         assert_eq!(stats.overscan(), 1.0, "{name}");
+        assert_eq!(index.query_box(&region).0, hits, "{name}");
         let q = Point::new([7, 7]);
         let (got, _) = index.knn(q, 4, 6);
-        let want = index.knn_linear(q, 4);
+        let want = oracle::knn_linear(rows, q, 4);
         let gd: Vec<u64> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
-        let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.point)).collect();
+        let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.1)).collect();
         assert_eq!(gd, wd, "{name}");
     }
 }

@@ -4,7 +4,17 @@
 use proptest::prelude::*;
 use sfc_core::{CurveKind, Grid, HilbertCurve, Point, ZCurve};
 use sfc_index::{BoxRegion, SfcIndex};
-use sfc_integration::test_rng;
+use sfc_integration::{oracle, test_rng};
+
+/// Every record of an index as `(key, point, payload)`, for the oracles.
+fn rows<const D: usize, C: sfc_core::SpaceFillingCurve<D>>(
+    index: &SfcIndex<D, usize, C>,
+) -> Vec<(sfc_core::CurveIndex, Point<D>, usize)> {
+    index
+        .entries()
+        .map(|e| (e.key, e.point, *e.payload))
+        .collect()
+}
 
 fn random_records(grid: Grid<2>, count: usize, seed: u64) -> Vec<(Point<2>, usize)> {
     let mut rng = test_rng(seed);
@@ -16,16 +26,17 @@ fn random_records(grid: Grid<2>, count: usize, seed: u64) -> Vec<(Point<2>, usiz
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// BIGMIN jumping and interval decomposition return identical result
-    /// sets on random boxes and record sets.
+    /// The box kernel (BIGMIN skips on Z) and the raw walk of the box's
+    /// interval decomposition return identical result sets on random
+    /// boxes and record sets.
     #[test]
     fn bigmin_equals_intervals(seed in any::<u64>(), lx in 0u32..16, ly in 0u32..16, w in 0u32..8, h in 0u32..8) {
         let grid = Grid::<2>::new(4).unwrap();
         let index = SfcIndex::build(ZCurve::over(grid), random_records(grid, 300, seed));
         let hi = Point::new([(lx + w).min(15), (ly + h).min(15)]);
         let region = BoxRegion::new(Point::new([lx.min(hi.coord(0)), ly.min(hi.coord(1))]), hi);
-        let (a, _) = index.query_box_bigmin(&region);
-        let (b, _) = index.query_box_intervals(&region);
+        let (a, _) = index.query_box(&region);
+        let (b, _) = index.query_intervals(&region.curve_intervals(index.curve()));
         let mut ka: Vec<usize> = a.iter().map(|e| *e.payload).collect();
         let mut kb: Vec<usize> = b.iter().map(|e| *e.payload).collect();
         ka.sort_unstable();
@@ -44,9 +55,9 @@ proptest! {
 
         let zidx = SfcIndex::build(ZCurve::over(grid), records.clone());
         let (got, _) = zidx.knn(q, k, 4);
-        let want = zidx.knn_linear(q, k);
+        let want = oracle::knn_linear(rows(&zidx), q, k);
         let gd: Vec<u64> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
-        let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.point)).collect();
+        let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.1)).collect();
         prop_assert_eq!(&gd, &wd);
 
         let hidx = SfcIndex::build(HilbertCurve::over(grid), records);
@@ -79,9 +90,9 @@ proptest! {
         let q = Point::new([qx, qy]);
         let idx = SfcIndex::build(ZCurve::over(grid), records);
         let (got, stats) = idx.knn(q, k, window);
-        let want = idx.knn_linear(q, k);
+        let want = oracle::knn_linear(rows(&idx), q, k);
         let gd: Vec<u64> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
-        let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.point)).collect();
+        let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.1)).collect();
         prop_assert_eq!(gd, wd);
         prop_assert_eq!(stats.reported as usize, k.min(idx.len()));
     }
@@ -98,9 +109,9 @@ proptest! {
         for kind in [CurveKind::Z, CurveKind::Hilbert] {
             let idx = SfcIndex::build(kind.build::<3>(4).unwrap(), records.clone());
             let (got, _) = idx.knn(q, k, 3);
-            let want = idx.knn_linear(q, k);
+            let want = oracle::knn_linear(rows(&idx), q, k);
             let gd: Vec<u64> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
-            let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.point)).collect();
+            let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.1)).collect();
             prop_assert_eq!(gd, wd);
         }
     }
@@ -145,17 +156,18 @@ fn index_with_random_bijection_curve() {
     let records = random_records(grid, 100, 7);
     let index = SfcIndex::build(&curve, records);
     let region = BoxRegion::new(Point::new([1, 1]), Point::new([5, 6]));
-    let (hits, stats) = index.query_box_intervals(&region);
-    let (full, _) = index.query_box_full_scan(&region);
+    let (hits, stats) = index.query_intervals(&region.curve_intervals(index.curve()));
+    let full = oracle::box_linear(rows(&index), &region);
     assert_eq!(hits.len(), full.len());
+    assert_eq!(index.query_box(&region).0, hits);
     // A random bijection has dreadful clustering: many seeks.
     assert!(stats.seeks >= hits.len() as u64 / 4);
     // kNN still exact.
     let q = Point::new([3, 3]);
     let (got, _) = index.knn(q, 5, 8);
-    let want = index.knn_linear(q, 5);
+    let want = oracle::knn_linear(rows(&index), q, 5);
     let gd: Vec<u64> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
-    let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.point)).collect();
+    let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.1)).collect();
     assert_eq!(gd, wd);
 }
 
