@@ -4,14 +4,15 @@
 //!
 //! Writes its part of `BENCH_metrics.json` (ns per pair at `d=2 k=5`, ns per
 //! sample at `d=2 k=20`) and asserts the committed gates: offset grouping is
-//! at least [`GROUPED_VS_NAIVE_GATE`]× the naive pair loop, and the sampled
+//! at least [`GROUPED_VS_NAIVE_GATE`]× the naive pair loop, the sampled
 //! estimator at least [`SAMPLED_VS_REFERENCE_GATE`]× its reference on the
-//! simple curve.
+//! simple curve, and the sampled estimator on Hilbert at most
+//! [`SAMPLED_HILBERT_VS_Z_GATE`]× the one on Z.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sfc_bench::{median_ns, BenchReport};
+use sfc_bench::{interleaved_ratio, median_ns, BenchReport};
 use sfc_core::{CurveKind, SpaceFillingCurve, ZCurve};
 use sfc_metrics::all_pairs::all_pairs_exact;
 use sfc_metrics::sampling::estimate_all_pairs_manhattan;
@@ -30,6 +31,17 @@ const K: u32 = 5;
 /// sampler is nearly all of the cost (measured ≈ 1.7×: two random words per
 /// pair against eight, a `u64` ratio, a chunked accumulator).
 const SAMPLED_VS_REFERENCE_GATE: f64 = 1.5;
+
+/// The committed ceiling of `estimate/hilbert ÷ estimate/Z` for the
+/// sampled estimator at `d=2 k=20`, timed interleaved in one process
+/// ([`interleaved_ratio`] over [`RATIO_ROUNDS`] rounds): the two differ
+/// only in the encode, so this bounds the 2-D Hilbert batch encode against
+/// Morton's (measured 1.23–1.34× with the prefix-scan kernel; 2.57× with
+/// the state-transition tables before it).
+const SAMPLED_HILBERT_VS_Z_GATE: f64 = 1.6;
+
+/// Rounds of the interleaved Hilbert-vs-Z timing (one estimate a side).
+const RATIO_ROUNDS: usize = 101;
 
 /// Grid of the sampled estimator: `d=2 k=20`, `n = 2^40` cells, as the
 /// benchmark of record's `paper_stretch` samples it.
@@ -213,6 +225,15 @@ fn main() {
             reference / estimate,
         ));
     }
+    let hilbert_vs_z_name = format!("{sampled}/estimate/hilbert_vs_Z");
+    let [z, hilbert] = [CurveKind::Z, CurveKind::Hilbert].map(|kind| {
+        let curve = kind.build::<2>(K_SAMPLED).unwrap();
+        let mut rng = SmallRng::seed_from_u64(5);
+        move || {
+            black_box(estimate_all_pairs_manhattan(&curve, SAMPLES, &mut rng));
+        }
+    });
+    let hilbert_vs_z = interleaved_ratio(RATIO_ROUNDS, z, hilbert);
     let pair = |(name, value): &(String, f64)| (name.clone(), *value);
     report.numbers("all_pairs_ns_per_pair", 3, ns_per_pair.iter().map(pair));
     report.numbers("all_pairs_speedups", 2, speedups.iter().map(pair));
@@ -226,6 +247,11 @@ fn main() {
         2,
         sampled_speedups.iter().map(pair),
     );
+    report.numbers(
+        "all_pairs_sampled_curve_ratios",
+        2,
+        [(&hilbert_vs_z_name, hilbert_vs_z)],
+    );
     report.write();
     for (name, ratio) in &speedups {
         println!("speedup {name}: {ratio:.2}x");
@@ -237,6 +263,11 @@ fn main() {
     for (name, ratio) in &sampled_speedups {
         println!("speedup {name}: {ratio:.2}x");
     }
+    println!("{hilbert_vs_z_name}: {hilbert_vs_z:.2}x");
+    assert!(
+        hilbert_vs_z <= SAMPLED_HILBERT_VS_Z_GATE,
+        "{hilbert_vs_z_name} = {hilbert_vs_z:.2}x, above the committed {SAMPLED_HILBERT_VS_Z_GATE}x"
+    );
     let simple = CurveKind::Simple.name();
     let ratio = median(format!("{sampled}/reference/{simple}"))
         / median(format!("{sampled}/estimate/{simple}"));

@@ -5,7 +5,8 @@
 //! Writes its part of `BENCH_metrics.json` (ns per cell and the
 //! window-vs-naive ratio per curve at `d=2 k=8` and `d=3 k=5`; ns per cell
 //! and the rows-vs-reference ratio per curve at `d=2 k=10` and `d=3 k=6`,
-//! the sizes of the benchmark of record; and `summarize_par` against
+//! the sizes of the benchmark of record, with each grid's Hilbert ÷ Z
+//! `summarize` cost timed interleaved; and `summarize_par` against
 //! `summarize` on Z at `d=2 k=4..10`) and asserts the committed gates: the
 //! window is at least [`WINDOW_VS_NAIVE_GATE`]× the naive loop on the 2-D
 //! Hilbert curve, the row kernel is at least [`ROWS_VS_REFERENCE_GATE`]×
@@ -14,7 +15,7 @@
 //! `summarize` at `d=2 k=10` (on one CPU the ratio is `"unmeasured"`).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use sfc_bench::{median_ns, BenchReport};
+use sfc_bench::{interleaved_ratio, median_ns, BenchReport};
 use sfc_core::{CurveIndex, CurveKind, Point, SpaceFillingCurve, ZCurve};
 use sfc_metrics::nn_stretch::{summarize, summarize_par};
 use sfc_metrics::NnStretchSummary;
@@ -35,6 +36,9 @@ const PAR_VS_SEQ_GATE: f64 = 1.3;
 /// of the time (measured 1.84–3.70× over eight unpinned runs on two
 /// shared vCPUs).
 const ROWS_VS_REFERENCE_GATE: f64 = 1.8;
+
+/// Rounds of the interleaved Hilbert-vs-Z timing (one summary a side).
+const RATIO_ROUNDS: usize = 21;
 
 /// Grid orders of the `summarize` / `summarize_par` comparison; the last
 /// one is gated.
@@ -187,6 +191,18 @@ fn bench_rows_vs_reference<const D: usize>(c: &mut Criterion, k: u32) {
     group.finish();
 }
 
+/// `summarize` on Hilbert ÷ on Z at `d`, `k`, timed interleaved
+/// ([`interleaved_ratio`]): the two differ only in the encode.
+fn rows_hilbert_vs_z<const D: usize>(k: u32) -> f64 {
+    let [z, hilbert] = [CurveKind::Z, CurveKind::Hilbert].map(|kind| {
+        let curve = kind.build::<D>(k).unwrap();
+        move || {
+            black_box(summarize(&curve));
+        }
+    });
+    interleaved_ratio(RATIO_ROUNDS, z, hilbert)
+}
+
 fn bench_by_curve(c: &mut Criterion) {
     bench_window_vs_naive::<2>(c, 8);
     bench_window_vs_naive::<3>(c, 5);
@@ -238,6 +254,17 @@ fn main() {
             ));
         }
     }
+    // Ungated: ROADMAP item 11(a) targets ≤ 1.5× at d=2 and ≤ 1.4× at d=3.
+    let curve_ratios = [
+        (
+            "nn_stretch_rows_d2_k10/rows/hilbert_vs_Z",
+            rows_hilbert_vs_z::<2>(10),
+        ),
+        (
+            "nn_stretch_rows_d3_k6/rows/hilbert_vs_Z",
+            rows_hilbert_vs_z::<3>(6),
+        ),
+    ];
     let mut report = BenchReport::extending("metrics");
     report.section(
         "nn_stretch_config",
@@ -247,6 +274,7 @@ fn main() {
     let pair = |(name, value): &(String, f64)| (name.clone(), *value);
     report.numbers("nn_stretch_ns_per_cell", 2, ns_per_cell.iter().map(pair));
     report.numbers("nn_stretch_speedups", 2, speedups.iter().map(pair));
+    report.numbers("nn_stretch_curve_ratios", 2, curve_ratios);
     // A two-thread ratio on one CPU measures the scheduler: "unmeasured".
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let par: Vec<(String, Option<f64>)> = PAR_KS
@@ -264,6 +292,9 @@ fn main() {
     report.write();
     for (name, ratio) in &speedups {
         println!("speedup {name}: {ratio:.2}x");
+    }
+    for (name, ratio) in &curve_ratios {
+        println!("cost ratio {name}: {ratio:.2}x");
     }
     for (name, ratio) in &par {
         match ratio {

@@ -29,6 +29,7 @@ pub use experiments::{all_experiments, Experiment};
 use criterion::BenchRecord;
 use sfc_metrics::report::Table;
 use std::path::PathBuf;
+use std::time::Instant;
 
 /// Renders a slice of tables either as plain text or Markdown.
 pub fn render_tables(tables: &[Table], markdown: bool) -> String {
@@ -210,6 +211,32 @@ pub fn median_ns(records: &[BenchRecord], name: &str) -> f64 {
         .median_ns
 }
 
+/// `cost(b) ÷ cost(a)`, timed interleaved: each of `rounds` rounds times
+/// one call of each, the side that goes first alternating, and the result
+/// is the median of the rounds' ratios. A slow spell of the box then hits
+/// both sides of a round alike, which two benchmarks timed one after the
+/// other do not get.
+pub fn interleaved_ratio(rounds: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> f64 {
+    fn time(f: &mut dyn FnMut()) -> f64 {
+        let start = Instant::now();
+        f();
+        start.elapsed().as_secs_f64()
+    }
+    let mut ratios: Vec<f64> = (0..rounds)
+        .map(|round| {
+            if round % 2 == 0 {
+                let ta = time(&mut a);
+                time(&mut b) / ta
+            } else {
+                let tb = time(&mut b);
+                tb / time(&mut a)
+            }
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[rounds / 2]
+}
+
 /// Escapes a string for a JSON string literal (benchmark names hold no
 /// control characters).
 fn json_escape(s: &str) -> String {
@@ -219,6 +246,18 @@ fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn interleaved_ratio_alternates_the_side_that_goes_first() {
+        let calls = std::cell::RefCell::new(String::new());
+        let ratio = interleaved_ratio(
+            4,
+            || calls.borrow_mut().push('a'),
+            || calls.borrow_mut().push('b'),
+        );
+        assert_eq!(calls.into_inner(), "abbaabba");
+        assert!(ratio.is_finite() && ratio > 0.0, "{ratio}");
+    }
 
     #[test]
     fn bench_report_reads_back_what_it_renders() {

@@ -65,11 +65,17 @@ impl<const D: usize> SpaceFillingCurve<D> for GrayCurve<D> {
     }
 
     /// Batch encode: the Morton LUT kernel, then the Gray inverse on each
-    /// key in place.
+    /// key in place, in a `u64` (six shift-xors) when `D·k ≤ 64`.
     fn index_of_batch(&self, points: &[Point<D>], out: &mut Vec<CurveIndex>) {
         self.morton.index_of_batch(points, out);
-        for key in out.iter_mut() {
-            *key = gray_inverse(*key);
+        if D as u32 * self.grid().k() <= 64 {
+            for key in out.iter_mut() {
+                *key = u128::from(gray_inverse_u64(*key as u64));
+            }
+        } else {
+            for key in out.iter_mut() {
+                *key = gray_inverse(*key);
+            }
         }
     }
 
@@ -86,6 +92,15 @@ impl<const D: usize> SpaceFillingCurve<D> for GrayCurve<D> {
     fn is_block_recursive(&self) -> bool {
         true
     }
+}
+
+/// [`gray_inverse`] of a key of at most 64 bits.
+#[inline]
+fn gray_inverse_u64(mut g: u64) -> u64 {
+    for shift in [1, 2, 4, 8, 16, 32] {
+        g ^= g >> shift;
+    }
+    g
 }
 
 #[cfg(test)]
@@ -162,5 +177,33 @@ mod tests {
         for p in g.grid().cells() {
             assert_eq!(gray(g.index_of(p)), z.index_of(p));
         }
+    }
+
+    #[test]
+    fn batch_matches_scalar_on_both_sides_of_64_key_bits() {
+        fn check<const D: usize>(k: u32) {
+            let g = GrayCurve::<D>::new(k).unwrap();
+            let top = u32::MAX >> (32 - k);
+            let points: Vec<Point<D>> = (0..=64u32)
+                .map(|i| {
+                    let mut c = [0u32; D];
+                    for (a, x) in c.iter_mut().enumerate() {
+                        *x = i.wrapping_mul(0x9E37_79B9).rotate_left(a as u32 * 7) & top;
+                    }
+                    Point::new(c)
+                })
+                .chain([Point::new([top; D])])
+                .collect();
+            let mut keys = Vec::new();
+            g.index_of_batch(&points, &mut keys);
+            for (p, &key) in points.iter().zip(&keys) {
+                assert_eq!(key, g.index_of(*p), "d={D} k={k} at {p}");
+            }
+        }
+        check::<2>(32);
+        check::<3>(21);
+        check::<3>(22);
+        check::<4>(16);
+        check::<4>(17);
     }
 }

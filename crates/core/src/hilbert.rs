@@ -14,6 +14,12 @@
 //! Unlike the Z curve, the Hilbert curve is *continuous*: cells at
 //! consecutive indices are always nearest neighbors — a property the tests
 //! verify exhaustively on small grids in 2, 3 and 4 dimensions.
+//!
+//! The scalar Skilling code is the oracle for the batch kernels. The 2-D
+//! batch encode is a branch-free prefix scan over the curve's four
+//! orientation states, 32 levels at once in `u32` lanes (`scan_2d`).
+//! The 3-D batch encode and both batch decodes run on the state-transition
+//! tables of `hilbert_tables.rs`.
 
 use crate::bits::{dilate, dilate2_lut, dilate3_lut, undilate, undilate2_lut, undilate3};
 use crate::curve::SpaceFillingCurve;
@@ -179,23 +185,19 @@ impl<const D: usize> SpaceFillingCurve<D> for HilbertCurve<D> {
         Point::new(self.transpose_to_axes(self.unpack(idx)))
     }
 
-    /// Batch encode via the byte-at-a-time state-transition tables
-    /// ([`crate::hilbert_tables`]): LUT-dilate each point to its Morton
-    /// key, then transduce Morton → Hilbert a byte (2-D) or 6 bits (3-D)
-    /// per table lookup. Identical output to the scalar Skilling path,
-    /// verified exhaustively at table-construction time and by the
+    /// Batch encode. In 2-D, a branch-free prefix scan over chunks of
+    /// 32-bit lanes (`encode_2d_batch`); in 3-D, the state-transition
+    /// tables (`hilbert_tables.rs`): LUT-dilate each point to its
+    /// Morton key, then transduce Morton → Hilbert 6 bits per table lookup.
+    /// Other dimensions run the scalar path. Identical output to the scalar
+    /// Skilling path, verified against it in this module's tests and by the
     /// workspace property tests.
     fn index_of_batch(&self, points: &[Point<D>], out: &mut Vec<CurveIndex>) {
         let k = self.grid.k();
         out.clear();
         out.reserve(points.len());
-        if D == 2 && k <= 32 {
-            let t = tables_2d();
-            out.extend(points.iter().map(|p| {
-                let c = p.coords();
-                let m = dilate2_lut(c[0]) << 1 | dilate2_lut(c[1]);
-                u128::from(t.encode(m, k))
-            }));
+        if D == 2 {
+            encode_2d_batch(points, k, out);
         } else if D == 3 && k <= 21 {
             let t = tables_3d();
             out.extend(points.iter().map(|p| {
@@ -245,6 +247,85 @@ impl<const D: usize> SpaceFillingCurve<D> for HilbertCurve<D> {
     fn is_block_recursive(&self) -> bool {
         true
     }
+}
+
+/// Points per stack chunk of [`encode_2d_batch`]: two 256-byte lane
+/// arrays. A batch shorter than a chunk scans only its own lanes.
+const SCAN_CHUNK: usize = 64;
+
+/// The 2-D batch encode: the two bit planes of each point's Hilbert index
+/// from the prefix scan [`scan_2d`], interleaved by [`dilate2_lut`].
+/// Points are copied a chunk at a time into `u32` lane arrays, so the scan
+/// is a loop over plain slices that rustc vectorises (4 lanes per SSE2
+/// register).
+fn encode_2d_batch<const D: usize>(points: &[Point<D>], k: u32, out: &mut Vec<CurveIndex>) {
+    if k == 0 {
+        out.resize(points.len(), 0);
+        return;
+    }
+    // The top level of a coordinate goes to bit 31 of its lane.
+    let shift = 32 - k;
+    let (mut xs, mut ys) = ([0u32; SCAN_CHUNK], [0u32; SCAN_CHUNK]);
+    for chunk in points.chunks(SCAN_CHUNK) {
+        let (xs, ys) = (&mut xs[..chunk.len()], &mut ys[..chunk.len()]);
+        for ((x, y), p) in xs.iter_mut().zip(ys.iter_mut()).zip(chunk) {
+            let c = p.coords();
+            (*x, *y) = (c[0] << shift, c[1] << shift);
+        }
+        for (x, y) in xs.iter_mut().zip(ys.iter_mut()) {
+            (*x, *y) = scan_2d(*x, *y);
+        }
+        out.extend(xs.iter().zip(ys.iter()).map(|(&hi, &lo)| {
+            u128::from((dilate2_lut(hi >> shift) << 1) | dilate2_lut(lo >> shift))
+        }));
+    }
+}
+
+/// The 2-D Hilbert index of the point whose coordinates fill the lanes
+/// `x` and `y` from bit 31 down (one level per bit), as its two bit
+/// planes `(hi, lo)`: bit `j` of `hi` and of `lo` are the two index bits
+/// of the level in bit `j`. The low plane is `x ^ y` whatever the state.
+///
+/// The 2-D curve's four subcube orientations form the Klein four-group,
+/// and with the state `s` written as an element of GF(4), each level's
+/// transition, read off its quadrant, is an affine map `s ↦ λ·s + v`. So
+/// the state entering every level comes from a prefix scan, not a chain
+/// of dependent table loads. Per bit, the words `a`, `b` hold `λ = a + bω`
+/// and `c`, `d` hold `v`. A round at shift `n` composes each bit's map
+/// with the map `n` bits above it: `(λ, v) ← (λ·λ↑, v + λ·v↑)`. The seed
+/// round reads off each level's map composed with the one above; rounds at
+/// 2, 4 and 8 follow; the curve starts in state 0, so the last round, at
+/// 16, needs only the offsets, which are then the states. Branch-free, in
+/// `O(log 32)` rounds.
+#[inline(always)]
+fn scan_2d(x: u32, y: u32) -> (u32, u32) {
+    let (mut a, mut b, mut c, mut d) = {
+        let a = x ^ y;
+        let b = !a;
+        let c = !(x | y);
+        let d = x & !y;
+        (
+            a | (b >> 1),
+            (a >> 1) ^ a,
+            (c >> 1) ^ (b & (d >> 1)) ^ c,
+            (a & (c >> 1)) ^ (d >> 1) ^ d,
+        )
+    };
+    for n in [2, 4, 8] {
+        (a, b, c, d) = (
+            (a & (a >> n)) ^ (b & (b >> n)),
+            (a & (b >> n)) ^ (b & ((a ^ b) >> n)),
+            c ^ (a & (c >> n)) ^ (b & (d >> n)),
+            d ^ (b & (c >> n)) ^ ((a ^ b) & (d >> n)),
+        );
+    }
+    (c, d) = (
+        c ^ (a & (c >> 16)) ^ (b & (d >> 16)),
+        d ^ (b & (c >> 16)) ^ ((a ^ b) & (d >> 16)),
+    );
+    let lo = x ^ y;
+    let (dc, dd) = (c ^ (c >> 1), d ^ (d >> 1));
+    (dd | !(lo | dc), lo)
 }
 
 #[cfg(test)]
@@ -370,6 +451,46 @@ mod tests {
             let max_y = cells.iter().map(|p| p.coord(1)).max().unwrap();
             assert!(max_x - min_x <= 3 && max_y - min_y <= 3, "quadrant {q}");
             assert!(min_x % 4 == 0 && min_y % 4 == 0, "quadrant {q}");
+        }
+    }
+
+    #[test]
+    fn batch_2d_equals_skilling_on_every_cell_up_to_k6() {
+        for k in 0..=6 {
+            let h = HilbertCurve::<2>::new(k).unwrap();
+            let cells: Vec<_> = h.grid().cells().collect();
+            let mut keys = Vec::new();
+            h.index_of_batch(&cells, &mut keys);
+            let want: Vec<_> = cells.iter().map(|&p| h.index_of(p)).collect();
+            assert_eq!(keys, want, "k={k}");
+        }
+    }
+
+    #[test]
+    fn batch_2d_equals_skilling_at_every_k_and_chunk_edge() {
+        for k in 0..=32 {
+            let h = HilbertCurve::<2>::new(k).unwrap();
+            let mask = u32::MAX.checked_shr(32 - k).unwrap_or(0);
+            let cells: Vec<_> = (0u32..2 * SCAN_CHUNK as u32 + 1)
+                .map(|i| {
+                    let x = i.wrapping_mul(0x9E37_79B9) ^ (i << 7);
+                    let y = i.wrapping_mul(0x85EB_CA6B).rotate_left(11);
+                    Point::new([x & mask, y & mask])
+                })
+                .collect();
+            for len in [
+                0,
+                1,
+                SCAN_CHUNK - 1,
+                SCAN_CHUNK,
+                SCAN_CHUNK + 1,
+                cells.len(),
+            ] {
+                let mut keys = Vec::new();
+                h.index_of_batch(&cells[..len], &mut keys);
+                let want: Vec<_> = cells[..len].iter().map(|&p| h.index_of(p)).collect();
+                assert_eq!(keys, want, "k={k} len={len}");
+            }
         }
     }
 

@@ -1,5 +1,7 @@
 //! Precomputed state-transition tables for the Hilbert curve's batch
-//! kernels.
+//! kernels: the 3-D batch encode and the 2-D and 3-D batch decodes. The
+//! 2-D batch encode does not use them; it is a bit-parallel prefix scan
+//! (`scan_2d` in [`crate::hilbert`]).
 //!
 //! Skilling's transpose algorithm ([`crate::HilbertCurve`]) costs `O(d·k)`
 //! *dependent* bit operations per point — every level's output feeds the

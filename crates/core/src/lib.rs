@@ -41,11 +41,13 @@
 //!
 //! * [`ZCurve`] encodes through 256-entry dilation LUTs
 //!   ([`bits::DILATE2_LUT`] / [`bits::DILATE3_LUT`]);
-//! * [`HilbertCurve`] (2-D/3-D) transduces the Morton key through
-//!   precomputed state-transition tables, a byte at a time — an order of
-//!   magnitude faster than the per-bit Skilling transpose it replaces;
+//! * [`HilbertCurve`] encodes 2-D points with a branch-free prefix scan
+//!   over its four orientation states, 32 levels at once in `u32` lanes,
+//!   and transduces 3-D Morton keys (and decodes both) through
+//!   precomputed state-transition tables — each an order of magnitude
+//!   faster than the per-bit Skilling transpose it replaces;
 //! * [`GrayCurve`] rides the Morton kernel and applies the Gray inverse
-//!   in place.
+//!   in place, in a `u64` when the key fits one.
 //!
 //! Bulk workloads (index construction in `sfc-index`, metric sweeps in
 //! `sfc-metrics`, n-body decomposition in `sfc-nbody`) all route through

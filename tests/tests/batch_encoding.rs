@@ -1,8 +1,10 @@
 //! Batch-encoding equivalence: `index_of_batch` / `point_of_batch` must be
 //! extensionally identical to the scalar `index_of` / `point_of` for every
 //! curve family, at every tested `k` and dimension — including the
-//! table-driven Hilbert and LUT Morton kernels, which take entirely
-//! different code paths from their scalar counterparts. Also pins the
+//! Hilbert kernels (the 2-D encode is a bit-parallel prefix scan; the 3-D
+//! encode and both decodes are state-transition tables) and the LUT Morton
+//! kernels, which take entirely different code paths from their scalar
+//! counterparts. Also pins the
 //! radix-sort bulk load of `SfcIndex` to the seed's stable
 //! `sort_by_key` semantics.
 
@@ -43,16 +45,21 @@ fn random_points<const D: usize>(grid: Grid<D>, count: usize, seed: u64) -> Vec<
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every generic curve family, several k, d = 2 — including k values
-    /// that exercise the Hilbert byte kernel's partial-byte lead-in
-    /// (k % 4 ∈ {0, 1, 2, 3}) and the deep k = 16 path.
+    /// Every generic curve family, several k, d = 2 — including the edges
+    /// of the Hilbert scan kernel: k = 0 (a one-cell grid), k = 20 (the
+    /// sampled estimator's grid), k = 31 and 32 (lanes filled to the low
+    /// bit), and batch lengths 0, 1 and one below, at and above its
+    /// 64-point chunk (`SCAN_CHUNK` in `hilbert.rs`).
     #[test]
     fn batch_matches_scalar_d2(seed in any::<u64>(), kind_idx in 0usize..5) {
-        for k in [1u32, 2, 3, 5, 8, 10, 16] {
+        for k in [0u32, 1, 2, 3, 5, 8, 10, 16, 20, 31, 32] {
             let kind = sfc_core::CurveKind::ALL[kind_idx];
             let curve = kind.build::<2>(k).unwrap();
             let points = random_points(curve.grid(), 257, seed);
             assert_batch_equivalence(&curve, &points);
+            for len in [0, 1, 63, 64, 65] {
+                assert_batch_equivalence(&curve, &points[..len]);
+            }
         }
     }
 
