@@ -1,17 +1,17 @@
 //! The experiment runner.
 //!
 //! ```text
-//! experiments [--markdown] [--list] [ids...]
+//! experiments [--list] [ids...]
 //! ```
 //!
-//! With no ids, runs every experiment. `--markdown` renders GitHub tables
-//! (used to regenerate the measured sections of `EXPERIMENTS.md`).
+//! With no ids, runs every experiment. The tables each id prints are
+//! recorded in `tests/golden/experiments.txt`, which the `paper_pipeline`
+//! test checks byte for byte.
 
 use sfc_bench::{all_experiments, render_tables};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let markdown = args.iter().any(|a| a == "--markdown");
     let list = args.iter().any(|a| a == "--list");
     let ids: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
 
@@ -46,18 +46,12 @@ fn main() {
 
     for e in selected {
         let header = format!("{} — {} [{}]", e.id, e.title, e.paper_ref);
-        if markdown {
-            println!("## {header}\n");
-        } else {
-            println!("{}", "=".repeat(header.chars().count().min(100)));
-            println!("{header}");
-            println!("{}", "=".repeat(header.chars().count().min(100)));
-        }
+        println!("{}", "=".repeat(header.chars().count().min(100)));
+        println!("{header}");
+        println!("{}", "=".repeat(header.chars().count().min(100)));
         let started = std::time::Instant::now();
         let tables = (e.run)();
-        println!("{}", render_tables(&tables, markdown));
-        if !markdown {
-            println!("[{} completed in {:.2?}]\n", e.id, started.elapsed());
-        }
+        println!("{}", render_tables(&tables));
+        println!("[{} completed in {:.2?}]\n", e.id, started.elapsed());
     }
 }

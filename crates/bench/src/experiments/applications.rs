@@ -170,7 +170,7 @@ pub fn app_nbody() -> Vec<Table> {
     // Barnes–Hut sanity: work and accuracy vs direct summation.
     let bodies: Vec<sfc_nbody::Body<2>> = sample_bodies(Distribution::Uniform, 800, &mut rng(88));
     let tree = sfc_nbody::Tree::build(bodies, 8, 4);
-    let direct = sfc_nbody::gravity::direct_forces_par(tree.bodies(), 1e-3);
+    let direct = sfc_nbody::gravity::direct_forces(tree.bodies(), 1e-3);
     let mut bh_table = Table::new(
         "Barnes–Hut vs direct (800 bodies, Morton tree)",
         &[

@@ -1,10 +1,10 @@
 //! The experiment registry: one entry per paper artifact.
 //!
 //! Each experiment regenerates a figure or numerically validates a theorem,
-//! lemma or proposition of the paper, returning its results as tables. The
-//! mapping from experiment id to paper artifact and implementing modules is
-//! documented in `DESIGN.md` §3; measured-vs-paper numbers are recorded in
-//! `EXPERIMENTS.md`.
+//! lemma or proposition of the paper, returning its results as tables. Each
+//! entry names its paper artifact (`paper_ref`); the tables every id
+//! renders are recorded in `tests/golden/experiments.txt`, which the
+//! `paper_pipeline` test checks byte for byte.
 
 pub mod applications;
 pub mod extensions;

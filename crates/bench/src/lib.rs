@@ -11,8 +11,7 @@
 //! or a single one by id (see [`all_experiments`]):
 //!
 //! ```text
-//! cargo run -p sfc-bench --release --bin experiments -- thm2
-//! cargo run -p sfc-bench --release --bin experiments -- --markdown fig1 lem5
+//! cargo run -p sfc-bench --release --bin experiments -- thm2 fig1 lem5
 //! ```
 //!
 //! Criterion micro-benchmarks (curve throughput, metric scaling, query
@@ -31,17 +30,11 @@ use sfc_metrics::report::Table;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Renders a slice of tables either as plain text or Markdown.
-pub fn render_tables(tables: &[Table], markdown: bool) -> String {
+/// Renders a slice of tables as plain text, one blank line apart.
+pub fn render_tables(tables: &[Table]) -> String {
     tables
         .iter()
-        .map(|t| {
-            if markdown {
-                t.render_markdown()
-            } else {
-                t.render_text()
-            }
-        })
+        .map(Table::render_text)
         .collect::<Vec<_>>()
         .join("\n")
 }
@@ -305,12 +298,11 @@ mod tests {
     }
 
     #[test]
-    fn render_tables_produces_both_formats() {
+    fn render_tables_joins_text_tables() {
         let mut t = Table::new("x", &["a"]);
         t.push_row(vec!["1".into()]);
-        let text = render_tables(&[t.clone()], false);
-        assert!(text.contains("== x =="));
-        let md = render_tables(&[t], true);
-        assert!(md.contains("### x"));
+        let text = render_tables(&[t.clone(), t]);
+        assert_eq!(text.matches("== x ==").count(), 2);
+        assert!(text.contains("\n\n== x =="));
     }
 }

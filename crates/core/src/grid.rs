@@ -180,24 +180,6 @@ impl<const D: usize> Grid<D> {
         Point::new(coords)
     }
 
-    /// A uniformly random unordered nearest-neighbor pair `(α, β) ∈ NN_d`,
-    /// returned as `(α, β, axis)` with `β = α + e_axis`.
-    pub fn random_nn_edge<R: Rng + ?Sized>(&self, rng: &mut R) -> (Point<D>, Point<D>, usize) {
-        let side = self.side();
-        let axis = rng.gen_range(0..D);
-        let mut coords = [0u32; D];
-        for (i, c) in coords.iter_mut().enumerate() {
-            if i == axis {
-                *c = rng.gen_range(0..side - 1) as u32;
-            } else {
-                *c = rng.gen_range(0..side) as u32;
-            }
-        }
-        let a = Point::new(coords);
-        let b = a.step_up(axis).expect("in-bounds by construction");
-        (a, b, axis)
-    }
-
     /// A uniformly random ordered pair of *distinct* cells (an element of the
     /// paper's set `A'`).
     ///
@@ -504,10 +486,6 @@ mod tests {
         for _ in 0..200 {
             let c = g.random_cell(&mut rng);
             assert!(g.contains(&c));
-            let (a, b, axis) = g.random_nn_edge(&mut rng);
-            assert!(g.contains(&a) && g.contains(&b));
-            assert_eq!(a.manhattan(&b), 1);
-            assert_eq!(b.coord(axis), a.coord(axis) + 1);
             let (x, y) = g.random_distinct_pair(&mut rng);
             assert_ne!(x, y);
             assert!(g.contains(&x) && g.contains(&y));

@@ -9,8 +9,6 @@
 //! * [`PermutationCurve::figure1_pi1`] / [`figure1_pi2`]
 //!   (on `PermutationCurve<2>`) — the two worked curves of the paper's
 //!   Figure 1;
-//! * [`PermutationCurve::from_curve`] — materialisation of any analytic
-//!   curve into a table (used to cross-check analytic implementations);
 //! * [`PermutationCurve::swap_positions`] — the local move used by the
 //!   simulated-annealing optimal-curve search in `sfc-metrics`.
 
@@ -114,13 +112,6 @@ impl<const D: usize> PermutationCurve<D> {
         })
     }
 
-    /// Materialises any curve into a table (useful for cross-checking
-    /// analytic implementations and as a starting state for local search).
-    pub fn from_curve<C: SpaceFillingCurve<D>>(curve: &C) -> Result<Self, SfcError> {
-        let grid = curve.grid();
-        Self::from_index_fn(grid, curve.name(), |p| curve.index_of(p))
-    }
-
     /// A uniformly random bijection (Fisher–Yates over the identity order).
     pub fn random<R: Rng + ?Sized>(grid: Grid<D>, rng: &mut R) -> Result<Self, SfcError> {
         let n = Self::n_usize(grid)?;
@@ -149,13 +140,6 @@ impl<const D: usize> PermutationCurve<D> {
             inverse: table,
             name: "identity".to_string(),
         })
-    }
-
-    /// Renames the curve (names appear in experiment reports).
-    #[must_use]
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
     }
 
     /// Swaps the cells at curve positions `i` and `j` — the elementary move
@@ -268,19 +252,6 @@ mod tests {
             .unwrap()
             .validate_bijection()
             .unwrap();
-    }
-
-    #[test]
-    fn from_curve_reproduces_the_original() {
-        let z = crate::morton::ZCurve::<2>::new(2).unwrap();
-        let table = PermutationCurve::from_curve(&z).unwrap();
-        for p in z.grid().cells() {
-            assert_eq!(table.index_of(p), z.index_of(p));
-        }
-        for i in 0..16u128 {
-            assert_eq!(table.point_of(i), z.point_of(i));
-        }
-        assert_eq!(table.name(), "Z");
     }
 
     #[test]

@@ -142,24 +142,6 @@ impl<const D: usize> Point<D> {
         (self.euclidean_sq(other) as f64).sqrt()
     }
 
-    /// Chebyshev (L∞) distance `max_i |α_i − β_i|`.
-    #[inline]
-    pub fn chebyshev(&self, other: &Self) -> u32 {
-        let mut max = 0u32;
-        for i in 0..D {
-            max = max.max(self.coords[i].abs_diff(other.coords[i]));
-        }
-        max
-    }
-
-    /// `true` iff the two cells are nearest neighbors in the Manhattan
-    /// metric, i.e. `Δ(α, β) = 1` (the paper's relation defining `N(α)` and
-    /// the edge set `NN_d`).
-    #[inline]
-    pub fn is_nearest_neighbor_of(&self, other: &Self) -> bool {
-        self.manhattan(other) == 1
-    }
-
     /// The single axis along which two points differ, if they differ along
     /// exactly one axis (regardless of by how much); `None` otherwise.
     pub fn differing_axis(&self, other: &Self) -> Option<usize> {
@@ -225,27 +207,10 @@ mod tests {
     }
 
     #[test]
-    fn chebyshev_is_max_axis_difference() {
-        let a = Point::new([1, 9, 4]);
-        let b = Point::new([4, 7, 4]);
-        assert_eq!(a.chebyshev(&b), 3);
-    }
-
-    #[test]
     fn distance_to_self_is_zero() {
         let p = Point::new([5, 6, 7, 8]);
         assert_eq!(p.manhattan(&p), 0);
         assert_eq!(p.euclidean_sq(&p), 0);
-        assert_eq!(p.chebyshev(&p), 0);
-    }
-
-    #[test]
-    fn nearest_neighbor_predicate() {
-        let p = Point::new([2, 2]);
-        assert!(p.is_nearest_neighbor_of(&Point::new([3, 2])));
-        assert!(p.is_nearest_neighbor_of(&Point::new([2, 1])));
-        assert!(!p.is_nearest_neighbor_of(&Point::new([3, 3])));
-        assert!(!p.is_nearest_neighbor_of(&p));
     }
 
     #[test]

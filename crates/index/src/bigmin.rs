@@ -1,11 +1,11 @@
-//! BIGMIN / LITMAX on Morton codes (Tropf & Herzog, 1981).
+//! BIGMIN on Morton codes (Tropf & Herzog, 1981).
 //!
 //! When scanning a sorted table of Z keys over the range
 //! `[Z(lo), Z(hi)]` of a query box, the scan may wander into long key runs
 //! whose cells lie *outside* the box (the Z curve's characteristic "jumps").
 //! `BIGMIN(z, box)` computes the smallest Morton code **greater than** `z`
 //! that decodes into the box, letting the scan skip the entire gap with one
-//! binary search; `LITMAX` is the mirror image for descending scans.
+//! binary search.
 //!
 //! The implementation walks the `d·k` key bits from most to least
 //! significant, maintaining candidate box corners, exactly as in the
@@ -83,39 +83,6 @@ pub fn bigmin<const D: usize>(
     result
 }
 
-/// The largest Morton code strictly smaller than `zcode` whose cell lies in
-/// the box with corner codes `zmin`/`zmax`, or `None`.
-pub fn litmax<const D: usize>(
-    z: &ZCurve<D>,
-    zcode: CurveIndex,
-    mut zmin: CurveIndex,
-    mut zmax: CurveIndex,
-) -> Option<CurveIndex> {
-    debug_assert!(zmin <= zmax);
-    let total_bits = z.grid().k() as usize * D;
-    let mut result: Option<CurveIndex> = None;
-    for pos in (0..total_bits).rev() {
-        let zb = (zcode >> pos) & 1;
-        let minb = (zmin >> pos) & 1;
-        let maxb = (zmax >> pos) & 1;
-        match (zb, minb, maxb) {
-            (1, 1, 1) => {}
-            (1, 0, 1) => {
-                result = Some(load_zero_ones(zmax, pos, D));
-                zmin = load_one_zeros(zmin, pos, D);
-            }
-            (1, 0, 0) => return Some(zmax),
-            (0, 1, 1) => return result,
-            (0, 0, 1) => {
-                zmax = load_zero_ones(zmax, pos, D);
-            }
-            (0, 0, 0) => {}
-            _ => unreachable!("inconsistent box corner codes"),
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,10 +92,6 @@ mod tests {
     /// Brute-force reference: smallest code > zcode decoding into the box.
     fn bigmin_brute<const D: usize>(z: &ZCurve<D>, zcode: u128, b: &BoxRegion<D>) -> Option<u128> {
         (zcode + 1..z.grid().n()).find(|&c| b.contains(&z.decode(c)))
-    }
-
-    fn litmax_brute<const D: usize>(z: &ZCurve<D>, zcode: u128, b: &BoxRegion<D>) -> Option<u128> {
-        (0..zcode).rev().find(|&c| b.contains(&z.decode(c)))
     }
 
     #[test]
@@ -162,29 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn litmax_matches_brute_force_exhaustively_2d() {
-        let z = ZCurve::<2>::new(2).unwrap();
-        for lx in 0..4u32 {
-            for ly in 0..4u32 {
-                for hx in lx..4u32 {
-                    for hy in ly..4u32 {
-                        let b = BoxRegion::new(Point::new([lx, ly]), Point::new([hx, hy]));
-                        let zmin = z.encode(b.lo());
-                        let zmax = z.encode(b.hi());
-                        for code in 0..16u128 {
-                            assert_eq!(
-                                litmax(&z, code, zmin, zmax),
-                                litmax_brute(&z, code, &b),
-                                "box {b:?} code {code}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn bigmin_matches_brute_force_sampled_3d() {
         use rand::{Rng, SeedableRng};
         let z = ZCurve::<3>::new(2).unwrap(); // 4×4×4
@@ -205,11 +145,6 @@ mod tests {
             assert_eq!(
                 bigmin(&z, code, zmin, zmax),
                 bigmin_brute(&z, code, &b),
-                "box {b:?} code {code}"
-            );
-            assert_eq!(
-                litmax(&z, code, zmin, zmax),
-                litmax_brute(&z, code, &b),
                 "box {b:?} code {code}"
             );
         }
@@ -286,7 +221,6 @@ mod tests {
         }
         assert_eq!(visited, 9, "all 3×3 corner cells visited");
         assert_eq!(bigmin(&z, zmax, zmin, zmax), None, "nothing past the end");
-        assert_eq!(litmax(&z, zmin, zmin, zmax), None);
     }
 
     #[test]
@@ -336,7 +270,5 @@ mod tests {
         let zmax = z.encode(b.hi());
         assert_eq!(bigmin(&z, zmax, zmin, zmax), None);
         assert_eq!(bigmin(&z, 15, zmin, zmax), None);
-        assert_eq!(litmax(&z, zmin, zmin, zmax), None);
-        assert_eq!(litmax(&z, 0, zmin, zmax), None);
     }
 }

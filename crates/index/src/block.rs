@@ -663,12 +663,6 @@ impl<const D: usize> BlockStore<D> {
         self.live_bits[block] == 0
     }
 
-    /// The block's live bitmap word (bit `j` ⇔ in-block slot `j` live).
-    #[inline]
-    pub fn live_word(&self, block: usize) -> u64 {
-        self.live_bits[block]
-    }
-
     /// `true` iff the slot holds a live payload.
     #[inline]
     pub fn is_live_slot(&self, slot: usize) -> bool {

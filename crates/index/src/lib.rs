@@ -11,8 +11,8 @@
 //! Components:
 //!
 //! * [`BoxRegion`] — an axis-aligned query box.
-//! * [`bigmin`] — the Tropf–Herzog BIGMIN/LITMAX primitives on Morton
-//!   codes, which let a range scan *skip* key gaps that leave the box.
+//! * [`bigmin`] — the Tropf–Herzog BIGMIN primitive on Morton codes,
+//!   which lets a range scan *skip* key gaps that leave the box.
 //! * [`BlockStore`] — the compressed physical run format, and
 //!   [`kernels`] — the branch-free pack/unpack/filter loops over it.
 //! * [`SfcIndex`] — a sorted key table over any curve, read through the
@@ -128,7 +128,7 @@ pub mod region;
 pub mod scan;
 pub mod table;
 
-pub use bigmin::{bigmin, litmax};
+pub use bigmin::bigmin;
 pub use block::{BlockCursor, BlockImageError, BlockStore, DecodedBlock, BLOCK_SLOTS};
 pub use query::QueryStats;
 pub use region::BoxRegion;

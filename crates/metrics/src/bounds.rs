@@ -36,12 +36,6 @@ pub fn nn_stretch_asymptote(k: u32, d: usize) -> f64 {
     n_pow_1_minus_1_over_d(k, d) as f64 / d as f64
 }
 
-/// The ratio between the asymptotic stretch of the Z curve (Theorem 2) and
-/// the Theorem 1 lower bound, in the limit `n → ∞`:
-/// `(1/d) / (2/3d) = 3/2`. This is the paper's headline "within a factor
-/// of 1.5 of optimal" claim.
-pub const Z_OPTIMALITY_RATIO: f64 = 1.5;
-
 /// **Proposition 2**: the average-maximum NN-stretch of the simple curve is
 /// exactly `n^{1−1/d}` (an exact integer).
 #[inline]
@@ -171,7 +165,8 @@ mod tests {
             let k = 20 / d as u32;
             let asym = nn_stretch_asymptote(k, d);
             let limit_bound = (2.0 / (3.0 * d as f64)) * n_pow_1_minus_1_over_d(k, d) as f64;
-            assert!(((asym / limit_bound) - Z_OPTIMALITY_RATIO).abs() < 1e-12);
+            // The paper's headline: Z is within 3/2 of optimal.
+            assert!(((asym / limit_bound) - 1.5).abs() < 1e-12);
         }
     }
 

@@ -9,7 +9,6 @@
 //! on clustering, while Theorem 2 shows Z is already near-optimal for
 //! NN-stretch).
 
-use rand::Rng;
 use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
 
 /// The number of maximal consecutive index runs covering the box
@@ -117,40 +116,9 @@ pub fn average_clusters_exact<const D: usize, C: SpaceFillingCurve<D>>(
     total as f64 / count as f64
 }
 
-/// Monte-Carlo average cluster count over uniformly random box placements.
-pub fn average_clusters_sampled<const D: usize, C: SpaceFillingCurve<D>, R: Rng + ?Sized>(
-    curve: &C,
-    size: u64,
-    samples: u64,
-    rng: &mut R,
-) -> crate::sampling::Estimate {
-    let grid = curve.grid();
-    let positions_per_axis = grid.side() - size + 1;
-    let mut acc = 0.0f64;
-    let mut acc_sq = 0.0f64;
-    for _ in 0..samples {
-        let mut coords = [0u32; D];
-        for c in coords.iter_mut() {
-            *c = rng.gen_range(0..positions_per_axis) as u32;
-        }
-        let v = clusters_for_box(curve, Point::new(coords), size) as f64;
-        acc += v;
-        acc_sq += v * v;
-    }
-    let mean = acc / samples as f64;
-    let var = (acc_sq / samples as f64 - mean * mean).max(0.0) * samples as f64
-        / (samples.saturating_sub(1).max(1)) as f64;
-    crate::sampling::Estimate {
-        mean,
-        std_error: (var / samples as f64).sqrt(),
-        samples,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
     use sfc_core::{CurveKind, HilbertCurve, SnakeCurve, ZCurve};
 
     #[test]
@@ -223,15 +191,6 @@ mod tests {
             let ah = average_clusters_exact(&h, q);
             assert!(ah <= az + 1e-12, "q={q}: hilbert {ah} > z {az}");
         }
-    }
-
-    #[test]
-    fn sampled_average_matches_exact() {
-        let z = ZCurve::<2>::new(3).unwrap();
-        let exact = average_clusters_exact(&z, 2);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
-        let est = average_clusters_sampled(&z, 2, 5_000, &mut rng);
-        assert!(est.within(exact, 5.0), "exact {exact} vs {est:?}");
     }
 
     #[test]

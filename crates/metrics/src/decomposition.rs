@@ -12,7 +12,7 @@
 //! example, and counts edge multiplicities both in closed form and by brute
 //! force.
 
-use sfc_core::{Grid, Point, SpaceFillingCurve};
+use sfc_core::{Grid, Point};
 use std::collections::HashMap;
 
 /// A unit edge of the universe, normalized so that the second endpoint is
@@ -79,22 +79,6 @@ pub fn nn_decomposition<const D: usize>(alpha: Point<D>, beta: Point<D>) -> Vec<
     edges
 }
 
-/// Verifies the generalized triangle inequality (Lemma 1) along the
-/// decomposition: `Δπ(α, β) ≤ Σ_{(α',β') ∈ p(α,β)} Δπ(α', β')`
-/// (inequality (2) in the paper). Returns `(lhs, rhs)`.
-pub fn triangle_inequality_along_path<const D: usize, C: SpaceFillingCurve<D>>(
-    curve: &C,
-    alpha: Point<D>,
-    beta: Point<D>,
-) -> (u128, u128) {
-    let lhs = curve.curve_distance(alpha, beta);
-    let rhs = nn_decomposition(alpha, beta)
-        .iter()
-        .map(|e| curve.curve_distance(e.lo, e.hi))
-        .sum();
-    (lhs, rhs)
-}
-
 /// Brute-force edge-multiplicity census: for every ordered pair
 /// `(α, β) ∈ A'`, generates `p(α, β)` and counts how many times each unit
 /// edge appears. Cost `O(n² · d · side)` — for tests on small grids.
@@ -124,7 +108,6 @@ pub fn edge_multiplicity_closed_form<const D: usize>(grid: Grid<D>, edge: &NnEdg
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfc_core::PermutationCurve;
 
     #[test]
     fn figure2_path_alpha_to_beta() {
@@ -191,25 +174,6 @@ mod tests {
                 // Every edge is a unit edge.
                 for e in &path {
                     assert_eq!(e.lo.manhattan(&e.hi), 1);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn triangle_inequality_holds_for_random_bijections() {
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-        let grid = Grid::<2>::new(2).unwrap();
-        for _ in 0..5 {
-            let curve = PermutationCurve::random(grid, &mut rng).unwrap();
-            for a in grid.cells() {
-                for b in grid.cells() {
-                    if a == b {
-                        continue;
-                    }
-                    let (lhs, rhs) = triangle_inequality_along_path(&curve, a, b);
-                    assert!(lhs <= rhs, "Δπ({a},{b}) = {lhs} > path sum {rhs}");
                 }
             }
         }

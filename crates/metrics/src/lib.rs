@@ -67,5 +67,5 @@ pub mod report;
 pub mod sampling;
 pub mod torus;
 
-pub use nn_stretch::{NnStretchSummary, StretchRatio};
+pub use nn_stretch::NnStretchSummary;
 pub use report::Table;

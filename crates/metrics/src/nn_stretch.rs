@@ -326,12 +326,6 @@ impl NnStretchSummary {
     pub fn d_max_equals_ratio(&self, num: u128, den: u128) -> bool {
         self.dmax_sum * den == num * self.n
     }
-
-    /// Ratio of the measured `D^avg` to a reference value (a bound or an
-    /// asymptote).
-    pub fn ratio_to(&self, reference: f64) -> f64 {
-        self.d_avg() / reference
-    }
 }
 
 /// The exact sums of a set of cells.
@@ -478,23 +472,6 @@ pub fn per_cell_delta_avg<const D: usize, C: SpaceFillingCurve<D>>(curve: &C) ->
         row.for_each_cell(|i, sum, _| out.push(average(sum.into(), row.neighbor_count(i))));
     });
     out
-}
-
-/// A measured value paired with a reference (bound or asymptote), as
-/// reported by the experiment harness.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StretchRatio {
-    /// The measured metric value.
-    pub measured: f64,
-    /// The reference value it is compared against.
-    pub reference: f64,
-}
-
-impl StretchRatio {
-    /// `measured / reference`.
-    pub fn ratio(&self) -> f64 {
-        self.measured / self.reference
-    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,8 @@
 //! Lightweight tabular reports for the experiment harness.
 //!
 //! The harness regenerates every figure and validates every theorem of the
-//! paper; its output is a sequence of [`Table`]s rendered either as aligned
-//! plain text (for terminals) or GitHub-flavoured Markdown (for
-//! `EXPERIMENTS.md`).
+//! paper; its output is a sequence of [`Table`]s rendered as aligned plain
+//! text (the form `tests/golden/experiments.txt` records).
 
 use std::fmt::Write as _;
 
@@ -77,26 +76,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as GitHub-flavoured Markdown.
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "### {}\n", self.title);
-        let _ = writeln!(out, "| {} |", self.headers.join(" | "));
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.headers
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        );
-        for row in &self.rows {
-            let _ = writeln!(out, "| {} |", row.join(" | "));
-        }
-        out
-    }
 }
 
 /// Formats a float with `prec` significant decimal places, trimming noise.
@@ -140,17 +119,6 @@ mod tests {
         // Aligned: both data rows start at the same column.
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 5);
-    }
-
-    #[test]
-    fn table_renders_markdown() {
-        let mut t = Table::new("md", &["a", "b"]);
-        t.push_row(vec!["1".into(), "2".into()]);
-        let md = t.render_markdown();
-        assert!(md.contains("### md"));
-        assert!(md.contains("| a | b |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("| 1 | 2 |"));
     }
 
     #[test]

@@ -33,12 +33,6 @@ pub struct Estimate {
 }
 
 impl Estimate {
-    /// The 95% confidence interval under the normal approximation.
-    pub fn ci95(&self) -> (f64, f64) {
-        let half = 1.96 * self.std_error;
-        (self.mean - half, self.mean + half)
-    }
-
     /// `true` iff `value` lies within `sigmas` standard errors of the mean.
     pub fn within(&self, value: f64, sigmas: f64) -> bool {
         (value - self.mean).abs() <= sigmas * self.std_error.max(f64::EPSILON)
@@ -125,22 +119,6 @@ pub fn estimate_d_avg<const D: usize, C: SpaceFillingCurve<D>, R: Rng + ?Sized>(
     acc.estimate()
 }
 
-/// Estimates `D^max(π)` by sampling cells uniformly and averaging
-/// `δ^max_π`.
-pub fn estimate_d_max<const D: usize, C: SpaceFillingCurve<D>, R: Rng + ?Sized>(
-    curve: &C,
-    samples: u64,
-    rng: &mut R,
-) -> Estimate {
-    let grid = curve.grid();
-    let mut acc = Welford::default();
-    for _ in 0..samples {
-        let cell = grid.random_cell(rng);
-        acc.push(crate::nn_stretch::delta_max(curve, cell) as f64);
-    }
-    acc.estimate()
-}
-
 /// Pairs per encoding batch in the all-pairs estimators: big enough to
 /// amortize the batch kernel's setup, small enough to stay cache-resident.
 const PAIR_BATCH: usize = 1024;
@@ -156,10 +134,11 @@ fn distance_f64(d: sfc_core::CurveIndex) -> f64 {
     }
 }
 
-/// Shared driver for the all-pairs estimators: samples pairs, encodes
-/// them in chunks through the curve's batch kernel
-/// ([`SpaceFillingCurve::index_of_batch`]), and accumulates
-/// `Δπ / denominator(a, b)` a chunk at a time.
+/// Estimates the all-pairs Manhattan stretch `str^{avg,M}(π)` by sampling
+/// ordered pairs of distinct cells uniformly: encodes them in chunks
+/// through the curve's batch kernel
+/// ([`SpaceFillingCurve::index_of_batch`]) and accumulates `Δπ / Δ(a, b)`
+/// a chunk at a time.
 ///
 /// The pairs come from [`Grid::random_distinct_pair`](sfc_core::Grid::random_distinct_pair),
 /// which cuts cells from raw random words, so a seeded RNG gives a different
@@ -170,17 +149,11 @@ fn distance_f64(d: sfc_core::CurveIndex) -> f64 {
 ///
 /// # Panics
 /// On a one-cell grid, which has no pair to sample.
-fn estimate_all_pairs_with<const D: usize, C, R, F>(
+pub fn estimate_all_pairs_manhattan<const D: usize, C: SpaceFillingCurve<D>, R: Rng + ?Sized>(
     curve: &C,
     samples: u64,
     rng: &mut R,
-    denominator: F,
-) -> Estimate
-where
-    C: SpaceFillingCurve<D>,
-    R: Rng + ?Sized,
-    F: Fn(&sfc_core::Point<D>, &sfc_core::Point<D>) -> f64,
-{
+) -> Estimate {
     let grid = curve.grid();
     assert!(grid.k() >= 1, "a one-cell grid has no pairs to sample");
     let mut acc = Welford::default();
@@ -203,32 +176,14 @@ where
                 .chunks_exact(2)
                 .zip(keys.chunks_exact(2))
                 .map(|(p, k)| {
-                    distance_f64(sfc_core::index_distance(k[0], k[1])) / denominator(&p[0], &p[1])
+                    distance_f64(sfc_core::index_distance(k[0], k[1]))
+                        / p[0].manhattan(&p[1]) as f64
                 }),
         );
         acc.push_chunk(&ratios);
         remaining -= chunk as u64;
     }
     acc.estimate()
-}
-
-/// Estimates the all-pairs Manhattan stretch `str^{avg,M}(π)` by sampling
-/// unordered pairs of distinct cells uniformly.
-pub fn estimate_all_pairs_manhattan<const D: usize, C: SpaceFillingCurve<D>, R: Rng + ?Sized>(
-    curve: &C,
-    samples: u64,
-    rng: &mut R,
-) -> Estimate {
-    estimate_all_pairs_with(curve, samples, rng, |a, b| a.manhattan(b) as f64)
-}
-
-/// Estimates the all-pairs Euclidean stretch `str^{avg,E}(π)`.
-pub fn estimate_all_pairs_euclidean<const D: usize, C: SpaceFillingCurve<D>, R: Rng + ?Sized>(
-    curve: &C,
-    samples: u64,
-    rng: &mut R,
-) -> Estimate {
-    estimate_all_pairs_with(curve, samples, rng, |a, b| a.euclidean(b))
 }
 
 /// Stratified estimator of the **mean nearest-neighbor edge distance**
@@ -346,14 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn d_max_estimate_converges_to_exact() {
-        let z = ZCurve::<2>::new(4).unwrap();
-        let exact = nn_stretch::summarize(&z).d_max();
-        let est = estimate_d_max(&z, 20_000, &mut rng(2));
-        assert!(est.within(exact, 5.0), "exact {exact} vs {est:?}");
-    }
-
-    #[test]
     fn chunked_accumulator_matches_per_sample_welford() {
         // 10 000 values: PAIR_BATCH does not divide it, so the last chunk is
         // short. Then the degenerate streams of 0 and 1 values.
@@ -383,14 +330,9 @@ mod tests {
             let exact = all_pairs::all_pairs_exact(&c);
             let seed = 2 * i as u64;
             let est_m = estimate_all_pairs_manhattan(&c, 30_000, &mut rng(3 + seed));
-            let est_e = estimate_all_pairs_euclidean(&c, 30_000, &mut rng(4 + seed));
             assert!(
                 est_m.within(exact.manhattan, 5.0),
                 "{kind}: {est_m:?} vs {exact:?}"
-            );
-            assert!(
-                est_e.within(exact.euclidean, 5.0),
-                "{kind}: {est_e:?} vs {exact:?}"
             );
         }
     }
@@ -436,18 +378,6 @@ mod tests {
             "with 2k samples the heavy tail should be missed: {} vs {asym}",
             est.mean
         );
-    }
-
-    #[test]
-    fn ci95_is_symmetric_and_ordered() {
-        let est = Estimate {
-            mean: 10.0,
-            std_error: 1.0,
-            samples: 100,
-        };
-        let (lo, hi) = est.ci95();
-        assert!(lo < 10.0 && 10.0 < hi);
-        assert!((10.0 - lo - (hi - 10.0)).abs() < 1e-12);
     }
 
     #[test]

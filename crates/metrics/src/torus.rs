@@ -124,31 +124,6 @@ pub fn torus_fiber_monotone_edge_sum(k: u32, d: usize) -> u128 {
     2 * pow * (n - 1)
 }
 
-/// `true` iff the curve's index is monotone along every axis fiber
-/// (exhaustive check, `O(n·d)`).
-pub fn is_fiber_monotone<const D: usize, C: SpaceFillingCurve<D>>(curve: &C) -> bool {
-    let grid = curve.grid();
-    let side = grid.side() as u32;
-    for axis in 0..D {
-        // Walk each fiber: cells with the axis coordinate 0, extended.
-        for base in grid.cells().filter(|c| c.coord(axis) == 0) {
-            let mut increasing = true;
-            let mut decreasing = true;
-            let mut prev = curve.index_of(base);
-            for c in 1..side {
-                let idx = curve.index_of(base.with_coord(axis, c));
-                increasing &= idx > prev;
-                decreasing &= idx < prev;
-                prev = idx;
-            }
-            if !increasing && !decreasing {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,22 +205,6 @@ mod tests {
         let torus = summarize_torus(&SimpleCurve::<2>::new(k).unwrap());
         let ratio = torus.d_avg(2) / open.d_avg();
         assert!((ratio - 2.0).abs() < 0.02, "ratio {ratio}");
-    }
-
-    #[test]
-    fn fiber_monotone_classification() {
-        assert!(is_fiber_monotone(&ZCurve::<2>::new(3).unwrap()));
-        assert!(is_fiber_monotone(&SimpleCurve::<2>::new(3).unwrap()));
-        assert!(is_fiber_monotone(
-            &sfc_core::SnakeCurve::<2>::new(3).unwrap()
-        ));
-        assert!(is_fiber_monotone(&ZCurve::<3>::new(2).unwrap()));
-        assert!(!is_fiber_monotone(
-            &sfc_core::GrayCurve::<2>::new(3).unwrap()
-        ));
-        assert!(!is_fiber_monotone(
-            &sfc_core::HilbertCurve::<2>::new(3).unwrap()
-        ));
     }
 
     #[test]

@@ -8,8 +8,6 @@ use sfc_core::{CurveIndex, Grid, Point, SpaceFillingCurve};
 pub struct Body<const D: usize> {
     /// Position in `[0, 1)^d`.
     pub pos: [f64; D],
-    /// Velocity.
-    pub vel: [f64; D],
     /// Mass (positive).
     pub mass: f64,
 }
@@ -17,11 +15,7 @@ pub struct Body<const D: usize> {
 impl<const D: usize> Body<D> {
     /// A body at rest.
     pub fn at_rest(pos: [f64; D], mass: f64) -> Self {
-        Self {
-            pos,
-            vel: [0.0; D],
-            mass,
-        }
+        Self { pos, mass }
     }
 
     /// Squared Euclidean distance between two bodies.
@@ -160,7 +154,6 @@ mod tests {
                 assert!((0.0..1.0).contains(&b.pos[a]));
             }
             assert_eq!(b.mass, 1.0);
-            assert_eq!(b.vel, [0.0; 3]);
         }
     }
 

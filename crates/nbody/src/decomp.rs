@@ -8,11 +8,8 @@
 //! curve family, connecting the paper's stretch theory to an end-to-end
 //! N-body quantity.
 
-use crate::body::{body_keys, quantize, Body};
-use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
-use sfc_store::ShardedSfcStore;
-use std::collections::BTreeMap;
-use std::fmt;
+use crate::body::Body;
+use sfc_core::SpaceFillingCurve;
 
 /// One chunk of an SFC decomposition of the sorted body array.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,20 +30,13 @@ pub fn decompose<const D: usize, C: SpaceFillingCurve<D>>(
     p: usize,
 ) -> Vec<Chunk> {
     crate::body::sort_by_curve(curve, bodies);
-    chunks_of(bodies, p)
-}
-
-/// Splits a body array **already in curve order** into `p` near-equal
-/// contiguous chunks with their compactness metrics.
-fn chunks_of<const D: usize>(sorted: &[Body<D>], p: usize) -> Vec<Chunk> {
     assert!(p >= 1, "need at least one chunk");
-    let n = sorted.len();
+    let n = bodies.len();
     let mut chunks = Vec::with_capacity(p);
     for j in 0..p {
         let start = j * n / p;
         let end = (j + 1) * n / p;
-        let slice = &sorted[start..end];
-        let (volume, longest) = bbox(slice);
+        let (volume, longest) = bbox(&bodies[start..end]);
         chunks.push(Chunk {
             range: start..end,
             bbox_volume: volume,
@@ -54,166 +44,6 @@ fn chunks_of<const D: usize>(sorted: &[Body<D>], p: usize) -> Vec<Chunk> {
         });
     }
     chunks
-}
-
-/// Maintains the curve order of a moving body set across simulation steps.
-///
-/// The constructor is the policy choice:
-///
-/// * [`Orderer::rebuild`] — the static path: every call batch-encodes all
-///   bodies and re-sorts from scratch (exactly what the experiments do).
-/// * [`Orderer::incremental`] — bodies are registered in a one-shard
-///   [`ShardedSfcStore`] keyed by their quantised grid cell (payload: the
-///   body slots in that cell); each call re-ingests **only the bodies
-///   whose cell changed** since the previous call, then reads the order
-///   back from the store's snapshot iterator (borrowed — no slot list is
-///   cloned). With a small time step, most bodies stay in their
-///   cell, so the per-step cost is driven by cell crossings instead of
-///   `n log n`.
-///
-/// Bodies are identified by their slot in the caller's array, which must
-/// be stable across calls (don't reorder the array between calls in
-/// incremental mode — gather through the returned permutation instead).
-pub struct Orderer<const D: usize, C: SpaceFillingCurve<D> + Clone> {
-    curve: C,
-    mode: Mode<D, C>,
-}
-
-// One `Mode` lives per `Orderer`; boxing the store would buy nothing
-// but an extra indirection on the per-step hot path.
-#[allow(clippy::large_enum_variant)]
-enum Mode<const D: usize, C: SpaceFillingCurve<D> + Clone> {
-    Rebuild,
-    Incremental {
-        /// Cell → slots of the bodies currently in it.
-        store: ShardedSfcStore<D, Vec<u32>, C>,
-        /// Last known cell per body slot.
-        cells: Vec<Point<D>>,
-    },
-}
-
-impl<const D: usize, C: SpaceFillingCurve<D> + Clone> fmt::Debug for Orderer<D, C> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mode = match &self.mode {
-            Mode::Rebuild => "rebuild",
-            Mode::Incremental { .. } => "incremental",
-        };
-        f.debug_struct("Orderer")
-            .field("curve", &self.curve.name())
-            .field("mode", &mode)
-            .finish()
-    }
-}
-
-impl<const D: usize, C: SpaceFillingCurve<D> + Clone> Orderer<D, C> {
-    /// An orderer that re-sorts from scratch on every call (static path).
-    pub fn rebuild(curve: C) -> Self {
-        Self {
-            curve,
-            mode: Mode::Rebuild,
-        }
-    }
-
-    /// An orderer that keeps bodies registered in a one-shard
-    /// [`ShardedSfcStore`] and re-ingests only bodies whose grid cell
-    /// changed.
-    pub fn incremental(curve: C) -> Self {
-        let store = ShardedSfcStore::new(curve.clone(), 1);
-        Self {
-            curve,
-            mode: Mode::Incremental {
-                store,
-                cells: Vec::new(),
-            },
-        }
-    }
-
-    /// The permutation placing `bodies` in curve order: `perm[s]` is the
-    /// slot of the body ranked `s`-th. Bodies sharing a cell keep a
-    /// deterministic (mode-specific) relative order.
-    pub fn permutation(&mut self, bodies: &[Body<D>]) -> Vec<u32> {
-        self.permutation_with_keys(bodies).0
-    }
-
-    /// [`permutation`](Self::permutation) plus the curve key of each
-    /// ranked body (`keys[s]` belongs to body `perm[s]`; non-decreasing).
-    /// The keys fall out of the ordering work in both modes, so callers
-    /// that need them — per-step tree builds — avoid a second batch
-    /// encode.
-    pub fn permutation_with_keys(&mut self, bodies: &[Body<D>]) -> (Vec<u32>, Vec<CurveIndex>) {
-        assert!(
-            u32::try_from(bodies.len()).is_ok(),
-            "at most u32::MAX bodies"
-        );
-        match &mut self.mode {
-            Mode::Rebuild => {
-                let mut keys = Vec::new();
-                body_keys(&self.curve, bodies, &mut keys);
-                let mut perm: Vec<u32> = (0..bodies.len() as u32).collect();
-                perm.sort_by_key(|&i| keys[i as usize]);
-                let sorted_keys = perm.iter().map(|&i| keys[i as usize]).collect();
-                (perm, sorted_keys)
-            }
-            Mode::Incremental { store, cells } => {
-                let grid = self.curve.grid();
-                if cells.len() != bodies.len() {
-                    // (Re)register the whole set in one bulk load.
-                    *cells = bodies.iter().map(|b| quantize(grid, &b.pos)).collect();
-                    let mut groups: BTreeMap<Point<D>, Vec<u32>> = BTreeMap::new();
-                    for (slot, &cell) in cells.iter().enumerate() {
-                        groups.entry(cell).or_default().push(slot as u32);
-                    }
-                    *store = ShardedSfcStore::bulk_load(self.curve.clone(), 1, groups);
-                } else {
-                    for (slot, body) in bodies.iter().enumerate() {
-                        let cell = quantize(grid, &body.pos);
-                        if cell != cells[slot] {
-                            move_slot(store, cells[slot], cell, slot as u32);
-                            cells[slot] = cell;
-                        }
-                    }
-                }
-                let mut perm = Vec::with_capacity(bodies.len());
-                let mut keys = Vec::with_capacity(bodies.len());
-                for entry in store.snapshot().iter() {
-                    for &slot in entry.payload {
-                        perm.push(slot);
-                        keys.push(entry.key);
-                    }
-                }
-                (perm, keys)
-            }
-        }
-    }
-
-    /// [`permutation`](Self::permutation), then chunking of the ordered
-    /// view — the incremental-friendly face of [`decompose`] (the caller's
-    /// array is left untouched).
-    pub fn decompose(&mut self, bodies: &[Body<D>], p: usize) -> (Vec<u32>, Vec<Chunk>) {
-        let perm = self.permutation(bodies);
-        let sorted: Vec<Body<D>> = perm.iter().map(|&i| bodies[i as usize]).collect();
-        let chunks = chunks_of(&sorted, p);
-        (perm, chunks)
-    }
-}
-
-/// Moves body `slot` from cell `from` to cell `to` in the registry.
-fn move_slot<const D: usize, C: SpaceFillingCurve<D> + Clone>(
-    store: &ShardedSfcStore<D, Vec<u32>, C>,
-    from: Point<D>,
-    to: Point<D>,
-    slot: u32,
-) {
-    let mut old = store.get(from).unwrap_or_default();
-    old.retain(|&s| s != slot);
-    if old.is_empty() {
-        store.delete(from);
-    } else {
-        store.insert(from, old);
-    }
-    let mut new = store.get(to).unwrap_or_default();
-    new.push(slot);
-    store.insert(to, new);
 }
 
 fn bbox<const D: usize>(bodies: &[Body<D>]) -> (f64, f64) {
@@ -334,7 +164,7 @@ pub fn summarize<const D: usize, C: SpaceFillingCurve<D>>(
 mod tests {
     use super::*;
     use crate::body::{sample_bodies, Distribution};
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
     use sfc_core::{HilbertCurve, SimpleCurve, ZCurve};
 
     fn rng() -> rand_chacha::ChaCha8Rng {
@@ -446,104 +276,6 @@ mod tests {
         assert!(s.mean_chunk_volume > 0.0 && s.mean_chunk_volume <= 1.0);
         assert!(s.sequential_locality > 0.0);
         assert!(s.empirical_nn_stretch >= 1.0);
-    }
-
-    #[test]
-    fn incremental_orderer_tracks_moving_bodies() {
-        let z = ZCurve::<2>::new(5).unwrap();
-        let mut bodies: Vec<Body<2>> = sample_bodies(Distribution::Uniform, 400, &mut rng());
-        let mut inc = Orderer::incremental(z);
-        let mut reb = Orderer::rebuild(z);
-        let mut step_rng = rng();
-        for step in 0..10 {
-            let pi = inc.permutation(&bodies);
-            let pr = reb.permutation(&bodies);
-            // Both are valid permutations …
-            let mut seen = vec![false; bodies.len()];
-            for &i in &pi {
-                assert!(!seen[i as usize], "duplicate slot {i}");
-                seen[i as usize] = true;
-            }
-            // … and order the bodies by identical key sequences.
-            let keys = |perm: &[u32]| -> Vec<u128> {
-                perm.iter()
-                    .map(|&i| crate::body::body_key(&z, &bodies[i as usize]))
-                    .collect()
-            };
-            let ki = keys(&pi);
-            assert_eq!(ki, keys(&pr), "step {step}");
-            for w in ki.windows(2) {
-                assert!(w[0] <= w[1]);
-            }
-            // Drift a subset of bodies (some crossing cells).
-            for body in bodies.iter_mut().take(80) {
-                for axis in 0..2 {
-                    let delta: f64 = step_rng.gen::<f64>() * 0.06 - 0.03;
-                    body.pos[axis] = (body.pos[axis] + delta).rem_euclid(1.0).min(1.0 - 1e-12);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn orderer_decompose_matches_static_decompose() {
-        let z = ZCurve::<2>::new(6).unwrap();
-        let bodies: Vec<Body<2>> = sample_bodies(Distribution::Uniform, 500, &mut rng());
-        let mut inc = Orderer::incremental(z);
-        let (perm, chunks) = inc.decompose(&bodies, 8);
-        let mut sorted = bodies.clone();
-        let static_chunks = decompose(&z, &mut sorted, 8);
-        assert_eq!(chunks.len(), static_chunks.len());
-        for (a, b) in chunks.iter().zip(&static_chunks) {
-            assert_eq!(a.range, b.range);
-        }
-        // The gathered view and the statically sorted view carry the same
-        // key sequence.
-        let gathered_keys: Vec<u128> = perm
-            .iter()
-            .map(|&i| crate::body::body_key(&z, &bodies[i as usize]))
-            .collect();
-        let static_keys: Vec<u128> = sorted
-            .iter()
-            .map(|b| crate::body::body_key(&z, b))
-            .collect();
-        assert_eq!(gathered_keys, static_keys);
-    }
-
-    #[test]
-    fn incremental_orderer_reregisters_on_size_change() {
-        let z = ZCurve::<2>::new(4).unwrap();
-        let mut inc = Orderer::incremental(z);
-        let mut bodies: Vec<Body<2>> = sample_bodies(Distribution::Uniform, 50, &mut rng());
-        assert_eq!(inc.permutation(&bodies).len(), 50);
-        bodies.extend(sample_bodies::<2, _>(Distribution::Uniform, 25, &mut rng()));
-        let perm = inc.permutation(&bodies);
-        assert_eq!(perm.len(), 75);
-        let mut seen = [false; 75];
-        for &i in &perm {
-            assert!(!seen[i as usize]);
-            seen[i as usize] = true;
-        }
-    }
-
-    #[test]
-    fn permutation_with_keys_returns_the_ranked_keys() {
-        let z = ZCurve::<2>::new(5).unwrap();
-        let bodies: Vec<Body<2>> = sample_bodies(Distribution::Uniform, 200, &mut rng());
-        for mut orderer in [Orderer::rebuild(z), Orderer::incremental(z)] {
-            let (perm, keys) = orderer.permutation_with_keys(&bodies);
-            assert_eq!(perm.len(), keys.len());
-            for (s, &slot) in perm.iter().enumerate() {
-                assert_eq!(
-                    keys[s],
-                    crate::body::body_key(&z, &bodies[slot as usize]),
-                    "key of rank {s}"
-                );
-            }
-            for w in keys.windows(2) {
-                assert!(w[0] <= w[1]);
-            }
-        }
     }
 
     #[test]

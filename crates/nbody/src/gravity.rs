@@ -7,7 +7,6 @@
 
 use crate::body::Body;
 use crate::tree::Tree;
-use rayon::prelude::*;
 
 /// Work counters for a Barnes–Hut force evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,28 +54,6 @@ pub fn direct_forces<const D: usize>(bodies: &[Body<D>], softening: f64) -> Vec<
             let mut acc = [0.0; D];
             for bj in bodies {
                 if std::ptr::eq(bi, bj) {
-                    continue;
-                }
-                accumulate_kernel(&mut acc, &bi.pos, &bj.pos, bj.mass, eps2);
-            }
-            acc
-        })
-        .collect()
-}
-
-/// Direct `O(n²)` accelerations, Rayon-parallel over target bodies:
-/// measured on two cores at 1.66–1.94× [`direct_forces`] from `n = 800`
-/// to `n = 20 000` (the `O(n)` work per target dwarfs a thread spawn).
-/// Ungated: no bench times it; `docs/perf/PR-25.md` has the probe.
-pub fn direct_forces_par<const D: usize>(bodies: &[Body<D>], softening: f64) -> Vec<[f64; D]> {
-    let eps2 = softening * softening;
-    bodies
-        .par_iter()
-        .enumerate()
-        .map(|(i, bi)| {
-            let mut acc = [0.0; D];
-            for (j, bj) in bodies.iter().enumerate() {
-                if i == j {
                     continue;
                 }
                 accumulate_kernel(&mut acc, &bi.pos, &bj.pos, bj.mass, eps2);
@@ -204,14 +181,6 @@ mod tests {
                 .sum();
             assert!(total.abs() < 1e-9, "axis {axis}: {total}");
         }
-    }
-
-    #[test]
-    fn parallel_direct_matches_sequential() {
-        let bodies: Vec<Body<2>> = sample_bodies(Distribution::Uniform, 100, &mut rng());
-        let seq = direct_forces(&bodies, 1e-3);
-        let par = direct_forces_par(&bodies, 1e-3);
-        assert_eq!(seq, par);
     }
 
     #[test]

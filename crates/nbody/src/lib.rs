@@ -15,9 +15,7 @@
 //! * [`tree`] — the Morton-keyed tree built from a sorted body array
 //!   (Warren–Salmon style, no hashing needed in-memory).
 //! * [`gravity`] — direct `O(n²)` reference forces and Barnes–Hut with the
-//!   opening-angle criterion, sequential and Rayon-parallel.
-//! * [`sim`] — leapfrog (kick-drift-kick) integration and energy
-//!   accounting.
+//!   opening-angle criterion.
 //! * [`decomp`] — SFC-based work decomposition of the sorted body array and
 //!   the compactness metrics the `app-nbody` experiment reports per curve.
 
@@ -28,11 +26,8 @@
 pub mod body;
 pub mod decomp;
 pub mod gravity;
-pub mod sim;
 pub mod tree;
 
 pub use body::{Body, Distribution};
-pub use decomp::Orderer;
 pub use gravity::{barnes_hut_forces, direct_forces, BhStats};
-pub use sim::OrderingMode;
 pub use tree::Tree;

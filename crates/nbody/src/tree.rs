@@ -60,60 +60,15 @@ impl<const D: usize> Tree<D> {
         let z = ZCurve::<D>::new(k).expect("valid resolution");
         sort_by_curve(&z, &mut bodies);
         let keys: Vec<CurveIndex> = bodies.iter().map(|b| body_key(&z, b)).collect();
-        Self::from_sorted(bodies, &keys, k, leaf_cap)
-    }
-
-    /// Builds the tree while reporting the sort permutation:
-    /// `order[s]` is the original index of the body now at sorted position
-    /// `s`. Needed when force results must be mapped back to an external
-    /// body order (e.g. inside an integrator step).
-    pub fn build_tracked(bodies: &[Body<D>], k: u32, leaf_cap: usize) -> (Self, Vec<usize>) {
-        assert!(leaf_cap >= 1, "leaf capacity must be at least 1");
-        let z = ZCurve::<D>::new(k).expect("valid resolution");
-        let keys: Vec<CurveIndex> = bodies.iter().map(|b| body_key(&z, b)).collect();
-        let mut order: Vec<usize> = (0..bodies.len()).collect();
-        order.sort_by_key(|&i| keys[i]);
-        let sorted: Vec<Body<D>> = order.iter().map(|&i| bodies[i]).collect();
-        let sorted_keys: Vec<CurveIndex> = order.iter().map(|&i| keys[i]).collect();
-        (Self::from_sorted(sorted, &sorted_keys, k, leaf_cap), order)
-    }
-
-    /// Builds the tree from bodies **already in Morton order** at
-    /// resolution `2^k`, with their keys supplied — skips quantisation and
-    /// sorting entirely. This is the entry point for callers that maintain
-    /// the curve order incrementally across steps
-    /// (see [`Orderer`](crate::decomp::Orderer)).
-    ///
-    /// # Panics
-    /// Panics if `keys` and `bodies` differ in length or `keys` is not
-    /// non-decreasing.
-    pub fn build_presorted(
-        bodies: Vec<Body<D>>,
-        keys: &[CurveIndex],
-        k: u32,
-        leaf_cap: usize,
-    ) -> Self {
-        assert!(leaf_cap >= 1, "leaf capacity must be at least 1");
-        assert_eq!(bodies.len(), keys.len(), "one key per body");
-        assert!(
-            keys.windows(2).all(|w| w[0] <= w[1]),
-            "build_presorted requires keys in non-decreasing order"
-        );
-        Self::from_sorted(bodies, keys, k, leaf_cap)
-    }
-
-    fn from_sorted(bodies: Vec<Body<D>>, keys: &[CurveIndex], k: u32, leaf_cap: usize) -> Self {
         let mut tree = Self {
             bodies,
             nodes: Vec::new(),
             leaf_cap,
             max_level: k,
         };
-        if tree.bodies.is_empty() {
-            return tree;
+        if !keys.is_empty() {
+            tree.split(&keys, 0..keys.len(), 0, [0.5; D], 0.5, k);
         }
-        let n = tree.bodies.len();
-        tree.split(keys, 0..n, 0, [0.5; D], 0.5, k);
         tree
     }
 

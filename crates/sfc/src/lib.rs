@@ -15,7 +15,7 @@
 //! | [`partition`] | `sfc-partition` | weighted SFC domain decomposition and quality metrics |
 //! | [`index`] | `sfc-index` | sorted-key spatial index, BIGMIN range queries, verified kNN |
 //! | [`store`] | `sfc-store` | mutable LSM-style spatial store over SFC-sorted runs |
-//! | [`nbody`] | `sfc-nbody` | Morton-tree Barnes–Hut, leapfrog, SFC work decomposition |
+//! | [`nbody`] | `sfc-nbody` | Morton-tree Barnes–Hut forces, SFC work decomposition |
 //! | [`obs`] | `sfc-obs` | lock-free metrics registry, latency histograms, slow-query log |
 //!
 //! ## Quickstart

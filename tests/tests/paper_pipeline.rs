@@ -96,20 +96,66 @@ fn z_is_within_1_5_of_the_lower_bound() {
     }
 }
 
-/// Every registered experiment runs to completion and yields non-empty
-/// tables (the harness is itself part of the reproduction contract).
+/// Every experiment id's `== id ==` header followed by its rendered text
+/// tables, in registry order: the content of `tests/golden/experiments.txt`.
+fn experiment_sections() -> Vec<(&'static str, String)> {
+    sfc_bench::all_experiments()
+        .into_iter()
+        .map(|e| {
+            let tables = (e.run)();
+            assert!(!tables.is_empty(), "{} produced no tables", e.id);
+            for t in &tables {
+                assert!(!t.rows.is_empty(), "{}: empty table '{}'", e.id, t.title);
+            }
+            let text = sfc_bench::render_tables(&tables);
+            (e.id, format!("== {} ==\n{text}\n", e.id))
+        })
+        .collect()
+}
+
+/// Every registered experiment runs to completion, yields non-empty
+/// tables, and renders byte for byte what `tests/golden/experiments.txt`
+/// records (the harness is itself part of the reproduction contract).
 #[test]
 fn every_experiment_runs() {
-    for e in sfc_bench::all_experiments() {
-        let tables = (e.run)();
-        assert!(!tables.is_empty(), "{} produced no tables", e.id);
-        for t in &tables {
-            assert!(!t.rows.is_empty(), "{}: empty table '{}'", e.id, t.title);
+    let golden = include_str!("../golden/experiments.txt");
+    let mut rest = golden;
+    for (id, section) in experiment_sections() {
+        if let Some(tail) = rest.strip_prefix(section.as_str()) {
+            rest = tail;
+            continue;
         }
-        // Both renderers handle every table.
-        let text = sfc_bench::render_tables(&tables, false);
-        let md = sfc_bench::render_tables(&tables, true);
-        assert!(!text.is_empty() && !md.is_empty());
+        let line = section
+            .lines()
+            .zip(rest.lines())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| section.lines().count().min(rest.lines().count()));
+        panic!(
+            "experiment {id} differs from tests/golden/experiments.txt at its line {}:\n  \
+             got:    {:?}\n  golden: {:?}\n(regenerate with `cargo test -p sfc-integration \
+             --test paper_pipeline -- --ignored print_experiments_golden --nocapture` only if \
+             the change is meant to move a table)",
+            line + 1,
+            section.lines().nth(line),
+            rest.lines().nth(line),
+        );
+    }
+    assert!(
+        rest.is_empty(),
+        "golden file has sections past the last experiment id"
+    );
+}
+
+/// Prints `tests/golden/experiments.txt`; run it when an experiment's
+/// table is meant to change:
+/// `cargo test -p sfc-integration --test paper_pipeline -- --ignored
+/// print_experiments_golden --nocapture`, keeping what the test prints
+/// between the harness's "running 1 test" and its result lines.
+#[test]
+#[ignore = "prints the golden experiment tables"]
+fn print_experiments_golden() {
+    for (_, section) in experiment_sections() {
+        print!("{section}");
     }
 }
 

@@ -171,10 +171,10 @@ fn index_with_random_bijection_curve() {
     assert_eq!(gd, wd);
 }
 
-/// N-body pipeline through the facade: sample → tree → BH forces →
-/// leapfrog steps, with bounded energy drift.
+/// N-body ordering pipeline: sample clustered bodies → curve-sort →
+/// chunk, with finite, sensible decomposition summaries.
 #[test]
-fn nbody_end_to_end() {
+fn nbody_decomposition_summary() {
     use sfc_nbody::body::{sample_bodies, Distribution};
     let mut rng = test_rng(11);
     let mut bodies: Vec<sfc_nbody::Body<2>> = sample_bodies(
@@ -185,11 +185,6 @@ fn nbody_end_to_end() {
         150,
         &mut rng,
     );
-    for b in bodies.iter_mut() {
-        b.mass = 1.0 / 150.0;
-    }
-    let drift = sfc_nbody::sim::run_barnes_hut(&mut bodies, 5e-5, 10, 1e-2, 0.6, 8, 4);
-    assert!(drift < 1e-2, "energy drift {drift}");
     // Decomposition summaries are finite and ordered sensibly.
     let z = ZCurve::<2>::new(6).unwrap();
     let summary = sfc_nbody::decomp::summarize(&z, &mut bodies, 4);
