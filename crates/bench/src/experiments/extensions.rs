@@ -1,10 +1,9 @@
 //! Experiments on the paper's open questions (Section VI).
 
-use rand::SeedableRng;
-use sfc_core::{CurveKind, Grid, PermutationCurve};
+use sfc_core::{CurveKind, Grid, SpaceFillingCurve};
 use sfc_metrics::bounds;
 use sfc_metrics::nn_stretch::summarize_par;
-use sfc_metrics::optimal::{anneal, exhaustive_optimal, AnnealConfig};
+use sfc_metrics::optimal::{down_set_optimum, exhaustive_optimal, SearchResult};
 use sfc_metrics::report::{fmt_f64, fmt_ratio, Table};
 
 /// Open question 1: the average NN-stretch of the Hilbert curve, measured.
@@ -45,10 +44,11 @@ pub fn hilbert() -> Vec<Table> {
 }
 
 /// Open question 2: how much slack does Theorem 1 leave? Exhaustive search
-/// on the 2×2 grid; simulated annealing on 4×4 and 8×8.
+/// on the 2×2 grid; on 4×4, 8×8 and 2×2×2 the best down-set chain, which is
+/// exact over that class but not proved optimal over all bijections.
 pub fn optsearch() -> Vec<Table> {
     let mut table = Table::new(
-        "Best curves found vs the Theorem-1 bound and the Z curve (d=2)",
+        "Best curves found vs the Theorem-1 bound and the Z curve",
         &[
             "grid",
             "method",
@@ -58,48 +58,35 @@ pub fn optsearch() -> Vec<Table> {
             "best/bound",
         ],
     );
-
-    // 2×2: exhaustive ground truth.
-    {
-        let grid = Grid::<2>::new(1).unwrap();
-        let opt = exhaustive_optimal(grid);
-        let z = summarize_par(&sfc_core::ZCurve::<2>::new(1).unwrap());
-        let bound = bounds::thm1_nn_stretch_lower_bound(1, 2);
-        table.push_row(vec![
-            "2×2".into(),
-            "exhaustive (24 perms)".into(),
-            fmt_f64(opt.d_avg(), 4),
-            fmt_f64(z.d_avg(), 4),
-            fmt_f64(bound, 4),
-            fmt_ratio(opt.d_avg() / bound),
-        ]);
+    let opt = exhaustive_optimal(Grid::<2>::new(1).unwrap());
+    table.push_row(search_row(&opt, "exhaustive (24 perms)".into()));
+    for k in [2u32, 3] {
+        table.push_row(down_set_row(Grid::<2>::new(k).unwrap()));
     }
-
-    // 4×4 and 8×8: annealing.
-    for (k, label, iters) in [(2u32, "4×4", 300_000u64), (3, "8×8", 600_000)] {
-        let grid = Grid::<2>::new(k).unwrap();
-        let mut r = rand_chacha::ChaCha8Rng::seed_from_u64(1234);
-        let start = PermutationCurve::identity(grid).unwrap();
-        let result = anneal(
-            &start,
-            AnnealConfig {
-                iterations: iters,
-                ..Default::default()
-            },
-            &mut r,
-        );
-        let z = summarize_par(&sfc_core::ZCurve::<2>::new(k).unwrap());
-        let bound = bounds::thm1_nn_stretch_lower_bound(k, 2);
-        table.push_row(vec![
-            label.into(),
-            format!("annealing ({iters} proposals)"),
-            fmt_f64(result.d_avg(), 4),
-            fmt_f64(z.d_avg(), 4),
-            fmt_f64(bound, 4),
-            fmt_ratio(result.d_avg() / bound),
-        ]);
-    }
+    table.push_row(down_set_row(Grid::<3>::new(1).unwrap()));
     vec![table]
+}
+
+fn down_set_row<const D: usize>(grid: Grid<D>) -> Vec<String> {
+    let result = down_set_optimum(grid);
+    let method = format!("best down-set chain ({} states)", result.evaluated);
+    search_row(&result, method)
+}
+
+/// One `optsearch` row: a search's best `D^avg` beside Z's and the
+/// Theorem 1 bound on the same grid.
+fn search_row<const D: usize>(result: &SearchResult<D>, method: String) -> Vec<String> {
+    let grid = result.best.grid();
+    let z = summarize_par(&sfc_core::ZCurve::<D>::new(grid.k()).unwrap());
+    let bound = bounds::thm1_nn_stretch_lower_bound(grid.k(), D);
+    vec![
+        vec![grid.side().to_string(); D].join("×"),
+        method,
+        fmt_f64(result.d_avg(), 4),
+        fmt_f64(z.d_avg(), 4),
+        fmt_f64(bound, 4),
+        fmt_ratio(result.d_avg() / bound),
+    ]
 }
 
 /// New analysis: the exact closed-form `D^max(Z)` and its limit 2·n^{1−1/d}.

@@ -122,7 +122,7 @@ pub fn all_experiments() -> Vec<Experiment> {
         },
         Experiment {
             id: "optsearch",
-            title: "Open question: searching for better-than-Z curves (exhaustive + annealing)",
+            title: "Open question: searching for better-than-Z curves (exhaustive + best down-set chain)",
             paper_ref: "Section VI (gap between bounds)",
             run: extensions::optsearch,
         },

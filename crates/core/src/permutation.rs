@@ -9,8 +9,8 @@
 //! * [`PermutationCurve::figure1_pi1`] / [`figure1_pi2`]
 //!   (on `PermutationCurve<2>`) — the two worked curves of the paper's
 //!   Figure 1;
-//! * [`PermutationCurve::swap_positions`] — the local move used by the
-//!   simulated-annealing optimal-curve search in `sfc-metrics`.
+//! * [`PermutationCurve::from_index_fn`] — any table, e.g. the winners of
+//!   the optimal-curve searches in `sfc-metrics`.
 
 use crate::curve::SpaceFillingCurve;
 use crate::error::SfcError;
@@ -128,40 +128,6 @@ impl<const D: usize> PermutationCurve<D> {
             name: "random".to_string(),
         })
     }
-
-    /// The identity (row-major) permutation — equal to the paper's simple
-    /// curve, as a mutable table.
-    pub fn identity(grid: Grid<D>) -> Result<Self, SfcError> {
-        let n = Self::n_usize(grid)?;
-        let table: Vec<u64> = (0..n as u64).collect();
-        Ok(Self {
-            grid,
-            forward: table.clone(),
-            inverse: table,
-            name: "identity".to_string(),
-        })
-    }
-
-    /// Swaps the cells at curve positions `i` and `j` — the elementary move
-    /// of the simulated-annealing search for low-stretch curves.
-    pub fn swap_positions(&mut self, i: CurveIndex, j: CurveIndex) {
-        if i == j {
-            return;
-        }
-        let (i, j) = (i as usize, j as usize);
-        let rank_i = self.inverse[i];
-        let rank_j = self.inverse[j];
-        self.inverse.swap(i, j);
-        self.forward.swap(rank_i as usize, rank_j as usize);
-    }
-
-    /// The cells in curve order, as a vector.
-    pub fn order(&self) -> Vec<Point<D>> {
-        self.inverse
-            .iter()
-            .map(|&rank| self.grid.point_from_row_major(u128::from(rank)))
-            .collect()
-    }
 }
 
 impl PermutationCurve<2> {
@@ -255,33 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_matches_simple_curve() {
-        let grid = Grid::<3>::new(1).unwrap();
-        let id = PermutationCurve::identity(grid).unwrap();
-        let simple = crate::simple::SimpleCurve::<3>::over(grid);
-        for p in grid.cells() {
-            assert_eq!(id.index_of(p), simple.index_of(p));
-        }
-    }
-
-    #[test]
-    fn swap_positions_keeps_bijectivity() {
-        let grid = Grid::<2>::new(2).unwrap();
-        let mut c = PermutationCurve::identity(grid).unwrap();
-        let p5 = c.point_of(5);
-        let p9 = c.point_of(9);
-        c.swap_positions(5, 9);
-        c.validate_bijection().unwrap();
-        assert_eq!(c.point_of(5), p9);
-        assert_eq!(c.point_of(9), p5);
-        assert_eq!(c.index_of(p5), 9);
-        assert_eq!(c.index_of(p9), 5);
-        // Self-swap is a no-op.
-        c.swap_positions(3, 3);
-        c.validate_bijection().unwrap();
-    }
-
-    #[test]
     fn from_order_rejects_bad_input() {
         let grid = Grid::<2>::new(1).unwrap();
         let a = Point::new([0, 0]);
@@ -309,15 +248,5 @@ mod tests {
             PermutationCurve::from_index_fn(grid, "oob", |_| 99),
             Err(SfcError::NotABijection { .. })
         ));
-    }
-
-    #[test]
-    fn order_lists_cells_in_curve_order() {
-        let pi2 = PermutationCurve::figure1_pi2();
-        let order = pi2.order();
-        assert_eq!(order.len(), 4);
-        for (i, p) in order.iter().enumerate() {
-            assert_eq!(pi2.index_of(*p), i as u128);
-        }
     }
 }

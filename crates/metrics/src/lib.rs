@@ -23,9 +23,9 @@
 //!   confidence intervals) for grids too large to enumerate.
 //! * [`clustering`] — the clustering metric of Moon et al. (discussed in
 //!   the paper's related work) for contrast with the stretch.
-//! * [`optimal`] — exhaustive and simulated-annealing searches for
-//!   low-stretch curves, probing the gap between the paper's lower and
-//!   upper bounds.
+//! * [`optimal`] — exhaustive search and the exact best chain of
+//!   down-sets, probing the gap between the paper's lower and upper
+//!   bounds.
 //! * [`report`] — small table/report rendering used by the experiment
 //!   harness.
 //!

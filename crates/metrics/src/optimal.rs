@@ -1,24 +1,26 @@
 //! Searching for *optimal* curves: how close to the Theorem 1 lower bound
 //! can any bijection get?
 //!
-//! The paper leaves the exact optimum open (Section VI). Two probes:
+//! The paper leaves the exact optimum open (Section VI). Two searches, both
+//! exact:
 //!
 //! * [`exhaustive_optimal`] — enumerates **all** `n!` bijections for tiny
 //!   universes (the 2×2 grid of Figure 1 and the 2×2×2 cube), establishing
 //!   the true optimum by brute force. For the 2×2 grid this proves
 //!   Figure 1's `π₁` (with `D^avg = 1.5`) is optimal.
-//! * [`anneal`] — simulated annealing over the permutation space with an
-//!   incremental `O(d)` move evaluation, for grids where enumeration is
-//!   hopeless. The annealer probes how much slack Theorem 1 leaves on
-//!   small-but-nontrivial universes.
+//! * [`down_set_optimum`] — the best order whose every prefix is a
+//!   down-set, as a shortest path through the down-set lattice: 8×8 in
+//!   milliseconds, 4×4×4 in a fraction of a second. It is the best over
+//!   down-set chains, which is not proved to be the best over all
+//!   bijections; it matches [`exhaustive_optimal`] wherever that reaches.
 //!
 //! Both optimize the *exact* scaled objective
 //! `T(π) = Σ_α (L/|N(α)|)·Σ_{β∈N(α)} Δπ(α,β)` (so `D^avg = T/(L·n)`),
 //! keeping search decisions free of floating-point noise.
 
 use crate::nn_stretch::neighbor_count_lcm;
-use rand::Rng;
-use sfc_core::{Grid, PermutationCurve, SpaceFillingCurve};
+use sfc_core::{Grid, PermutationCurve};
+use std::collections::HashMap;
 
 /// A weighted nearest-neighbor edge of the grid, with endpoints as
 /// row-major ranks and weight `L/|N(a)| + L/|N(b)|`.
@@ -61,9 +63,10 @@ pub struct SearchResult<const D: usize> {
     /// Exact denominator (`L·n`).
     pub davg_denominator: u128,
     /// Number of permutations achieving the optimum (exhaustive search
-    /// only; `0` for annealing).
+    /// only; `0` for [`down_set_optimum`], which does not count ties).
     pub optima_count: u64,
-    /// Number of candidate evaluations performed.
+    /// Number of candidates evaluated: permutations for exhaustive search,
+    /// down-sets reached for [`down_set_optimum`].
     pub evaluated: u64,
 }
 
@@ -147,135 +150,103 @@ pub fn exhaustive_optimal<const D: usize>(grid: Grid<D>) -> SearchResult<D> {
     }
 }
 
-/// Configuration for the simulated-annealing search.
+/// The best chain found so far to one down-set.
 #[derive(Debug, Clone, Copy)]
-pub struct AnnealConfig {
-    /// Total number of proposed swaps.
-    pub iterations: u64,
-    /// Initial temperature, in units of the *scaled* objective (a good
-    /// default is a few percent of the starting objective).
-    pub initial_temp: f64,
-    /// Multiplicative cooling applied every
-    /// [`cooling_interval`](Self::cooling_interval) proposals.
-    pub cooling: f64,
-    /// Proposals between cooling steps.
-    pub cooling_interval: u64,
+struct Chain {
+    /// `Σ w(cut(P_t))` over the chain's prefixes, this set included.
+    cost: u64,
+    /// `w(cut(set))`: a function of the set alone.
+    cut: u64,
+    /// The row-major rank of the cell the chain added last.
+    last: usize,
 }
 
-impl Default for AnnealConfig {
-    fn default() -> Self {
-        Self {
-            iterations: 200_000,
-            initial_temp: 0.0, // 0 → auto: 5% of the starting objective
-            cooling: 0.97,
-            cooling_interval: 1_000,
-        }
-    }
-}
-
-/// Simulated annealing over the permutation space, starting from `start`.
+/// The best order over **down-set chains**: orders whose every prefix is a
+/// down-set toward the origin corner (it holds each of its cells' lower
+/// neighbours), found exactly as a shortest path through the down-set
+/// lattice.
 ///
-/// The move set is "swap the cells at two curve positions"; each proposal
-/// is evaluated incrementally by re-summing only the edges incident to the
-/// two affected cells (`O(d)` work instead of `O(n·d)`).
-pub fn anneal<const D: usize, R: Rng + ?Sized>(
-    start: &PermutationCurve<D>,
-    config: AnnealConfig,
-    rng: &mut R,
-) -> SearchResult<D> {
-    let grid = start.grid();
-    let n = usize::try_from(grid.n()).expect("grid too large");
-    assert!(n >= 2, "annealing needs at least two cells");
-    let lcm = neighbor_count_lcm(D);
-    let edges = weighted_edges(grid);
-
-    // Per-rank incident edge lists for incremental evaluation.
-    let mut incident: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (ei, e) in edges.iter().enumerate() {
-        incident[e.a as usize].push(ei as u32);
-        incident[e.b as usize].push(ei as u32);
+/// An order is a chain of nested prefixes `P_1 ⊂ … ⊂ P_n`, and an edge is
+/// cut by exactly `|π(a) − π(b)|` of them, so
+/// `T(π) = Σ_{t=1}^{n−1} w(cut(P_t))`. Layer `t` holds the down-sets of `t`
+/// cells. A step adds a cell whose lower neighbours are all in the set (in
+/// row-major terms, the cell on top of a column whose height is below that
+/// of each predecessor column), which changes the cut by `+w` for each of
+/// the cell's neighbours outside the set and `−w` for each inside it. Every
+/// down-set keeps its least chain cost and the cell that chain added last;
+/// equal costs go to the lower cell, so the result does not depend on hash
+/// order. The winning chain is walked back from the full grid.
+///
+/// This is exact over down-set chains, not over all bijections: for
+/// `D^avg`'s weights no proof says some optimal order is a down-set chain.
+/// It equals [`exhaustive_optimal`] wherever that reaches (`n ≤ 8`).
+/// `optima_count` is `0`: ties are not counted. `evaluated` is the number
+/// of down-sets reached, `C(2m, m)` on an `m×m` grid.
+///
+/// # Panics
+/// Panics if `n > 64` (each down-set is a 64-bit cell mask). That admits
+/// side 8 in 2-D (12 870 down-sets) and side 4 in 3-D (232 848); a 16×16
+/// grid has `C(32, 16) ≈ 6·10⁸`.
+pub fn down_set_optimum<const D: usize>(grid: Grid<D>) -> SearchResult<D> {
+    let n = grid.n();
+    assert!(n <= 64, "down-set search requires n ≤ 64 (got {n})");
+    let n = n as usize;
+    let mut lower = vec![0u64; n];
+    let mut neighbours: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
+    for e in weighted_edges(grid) {
+        lower[e.b as usize] |= 1 << e.a;
+        neighbours[e.a as usize].push((e.b, e.weight));
+        neighbours[e.b as usize].push((e.a, e.weight));
     }
 
-    // perm[rank] = index; pos[index] = rank.
-    let mut perm: Vec<u64> = (0..n as u64)
-        .map(|rank| start.index_of(grid.point_from_row_major(u128::from(rank))) as u64)
-        .collect();
-    let mut pos: Vec<u64> = vec![0; n];
-    for (rank, &idx) in perm.iter().enumerate() {
-        pos[idx as usize] = rank as u64;
-    }
-
-    let mut cost = objective(&edges, &perm);
-    let mut best_cost = cost;
-    let mut best_perm = perm.clone();
-    let mut temp = if config.initial_temp > 0.0 {
-        config.initial_temp
-    } else {
-        cost as f64 * 0.05
+    let start = Chain {
+        cost: 0,
+        cut: 0,
+        last: 0,
     };
-
-    // Sum over edges incident to `rank_a` or `rank_b` (deduplicated).
-    let local = |perm: &[u64], rank_a: usize, rank_b: usize| -> u128 {
-        let mut sum = 0u128;
-        for &ei in &incident[rank_a] {
-            let e = edges[ei as usize];
-            sum +=
-                u128::from(e.weight) * u128::from(perm[e.a as usize].abs_diff(perm[e.b as usize]));
-        }
-        for &ei in &incident[rank_b] {
-            let e = edges[ei as usize];
-            // Skip edges already counted from rank_a's side.
-            if e.a as usize == rank_a || e.b as usize == rank_a {
-                continue;
+    let mut layers = vec![HashMap::from([(0u64, start)])];
+    for t in 0..n {
+        let mut next: HashMap<u64, Chain> = HashMap::new();
+        for (&set, chain) in &layers[t] {
+            for c in (0..n).filter(|&c| set >> c & 1 == 0 && lower[c] & !set == 0) {
+                let cut = neighbours[c].iter().fold(chain.cut, |cut, &(q, w)| {
+                    if set >> q & 1 == 1 {
+                        cut - w
+                    } else {
+                        cut + w
+                    }
+                });
+                let step = Chain {
+                    cost: chain.cost + cut,
+                    cut,
+                    last: c,
+                };
+                next.entry(set | 1 << c)
+                    .and_modify(|best| {
+                        if (step.cost, step.last) < (best.cost, best.last) {
+                            *best = step;
+                        }
+                    })
+                    .or_insert(step);
             }
-            sum +=
-                u128::from(e.weight) * u128::from(perm[e.a as usize].abs_diff(perm[e.b as usize]));
         }
-        sum
-    };
-
-    for it in 0..config.iterations {
-        let i = rng.gen_range(0..n);
-        let mut j = rng.gen_range(0..n - 1);
-        if j >= i {
-            j += 1;
-        }
-        let rank_a = pos[i] as usize;
-        let rank_b = pos[j] as usize;
-
-        let before = local(&perm, rank_a, rank_b);
-        perm.swap(rank_a, rank_b);
-        let after = local(&perm, rank_a, rank_b);
-
-        let accept = if after <= before {
-            true
-        } else {
-            let delta = (after - before) as f64;
-            rng.gen::<f64>() < (-delta / temp.max(f64::MIN_POSITIVE)).exp()
-        };
-
-        if accept {
-            pos.swap(i, j);
-            cost = cost + after - before;
-            if cost < best_cost {
-                best_cost = cost;
-                best_perm.clone_from(&perm);
-            }
-        } else {
-            perm.swap(rank_a, rank_b); // undo
-        }
-
-        if (it + 1) % config.cooling_interval == 0 {
-            temp *= config.cooling;
-        }
+        layers.push(next);
     }
 
+    let mut set = u64::MAX >> (64 - n);
+    let cost = layers[n][&set].cost;
+    let mut perm = vec![0u64; n];
+    for t in (0..n).rev() {
+        let c = layers[t + 1][&set].last;
+        perm[c] = t as u64;
+        set &= !(1 << c);
+    }
     SearchResult {
-        best: perm_to_curve(grid, &best_perm),
-        davg_numerator: best_cost,
-        davg_denominator: lcm * grid.n(),
+        best: perm_to_curve(grid, &perm),
+        davg_numerator: u128::from(cost),
+        davg_denominator: neighbor_count_lcm(D) * grid.n(),
         optima_count: 0,
-        evaluated: config.iterations + 1,
+        evaluated: layers.iter().map(|layer| layer.len() as u64).sum(),
     }
 }
 
@@ -283,8 +254,7 @@ pub fn anneal<const D: usize, R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::nn_stretch::summarize;
-    use rand::SeedableRng;
-    use sfc_core::ZCurve;
+    use sfc_core::{SpaceFillingCurve, ZCurve};
 
     #[test]
     fn exhaustive_2x2_optimum_is_figure1_pi1_value() {
@@ -340,57 +310,82 @@ mod tests {
         exhaustive_optimal(Grid::<2>::new(2).unwrap());
     }
 
-    #[test]
-    fn anneal_finds_the_2x2_optimum() {
-        let grid = Grid::<2>::new(1).unwrap();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
-        let start = PermutationCurve::random(grid, &mut rng).unwrap();
-        let result = anneal(
-            &start,
-            AnnealConfig {
-                iterations: 5_000,
-                ..Default::default()
-            },
-            &mut rng,
-        );
-        assert!(result.d_avg_equals_ratio(3, 2), "got {}", result.d_avg());
-        result.best.validate_bijection().unwrap();
-    }
-
-    #[test]
-    fn anneal_beats_or_matches_random_start_on_4x4() {
-        let grid = Grid::<2>::new(2).unwrap();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-        let start = PermutationCurve::random(grid, &mut rng).unwrap();
-        let start_cost = summarize(&start).d_avg();
-        let result = anneal(&start, AnnealConfig::default(), &mut rng);
-        assert!(result.d_avg() <= start_cost + 1e-12);
-        result.best.validate_bijection().unwrap();
-        // The incremental cost bookkeeping must agree with a full recompute.
-        let s = summarize(&result.best);
-        assert_eq!(
-            s.davg_numerator * result.davg_denominator,
-            result.davg_numerator * s.davg_denominator,
-            "incremental cost drifted from ground truth"
-        );
-    }
-
-    #[test]
-    fn anneal_result_respects_thm1_bound_and_comes_close_to_z() {
-        // On the 4×4 grid the annealer should land between the Thm 1 bound
-        // and the Z curve's stretch (Z is provably within 1.5× of optimal
-        // asymptotically, and empirically near-optimal even at n = 16).
-        let grid = Grid::<2>::new(2).unwrap();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(21);
-        let start = PermutationCurve::identity(grid).unwrap();
-        let result = anneal(&start, AnnealConfig::default(), &mut rng);
-        let bound = crate::bounds::thm1_nn_stretch_lower_bound(2, 2);
-        let z = summarize(&ZCurve::<2>::new(2).unwrap()).d_avg();
-        assert!(result.d_avg() >= bound - 1e-12);
+    /// `down_set_optimum` on `grid` equals the exhaustive optimum exactly.
+    fn assert_down_sets_reach_the_optimum<const D: usize>(grid: Grid<D>) {
+        let truth = exhaustive_optimal(grid);
+        let chain = down_set_optimum(grid);
         assert!(
-            result.d_avg() <= z + 1e-12,
-            "annealer ({}) should not lose to Z ({z}) on a 4×4 grid",
-            result.d_avg()
+            chain.d_avg_equals_ratio(truth.davg_numerator, truth.davg_denominator),
+            "down-set chain {} vs exhaustive {}",
+            chain.d_avg(),
+            truth.d_avg()
         );
+    }
+
+    #[test]
+    fn down_set_optimum_equals_exhaustive_search_where_it_reaches() {
+        assert_down_sets_reach_the_optimum(Grid::<1>::new(3).unwrap());
+        assert_down_sets_reach_the_optimum(Grid::<2>::new(1).unwrap());
+        assert_down_sets_reach_the_optimum(Grid::<3>::new(1).unwrap());
+        // The 2×2×2 optimum over all 8! orders.
+        assert!(down_set_optimum(Grid::<3>::new(1).unwrap()).d_avg_equals_ratio(7, 3));
+    }
+
+    #[test]
+    fn down_set_optimum_is_19_8_at_4x4_and_49_12_at_8x8() {
+        let four = down_set_optimum(Grid::<2>::new(2).unwrap());
+        assert!(four.d_avg_equals_ratio(19, 8), "4×4: {}", four.d_avg());
+        assert_eq!(four.evaluated, 70); // C(8, 4)
+        let eight = down_set_optimum(Grid::<2>::new(3).unwrap());
+        assert!(eight.d_avg_equals_ratio(49, 12), "8×8: {}", eight.d_avg());
+        assert_eq!(eight.evaluated, 12_870); // C(16, 8)
+        assert_eq!(eight.optima_count, 0);
+    }
+
+    #[test]
+    fn down_set_winner_is_a_bijection_with_the_searched_value() {
+        fn check<const D: usize>(grid: Grid<D>) {
+            let result = down_set_optimum(grid);
+            result.best.validate_bijection().unwrap();
+            let s = summarize(&result.best);
+            assert_eq!(
+                s.davg_numerator * result.davg_denominator,
+                result.davg_numerator * s.davg_denominator
+            );
+        }
+        check(Grid::<2>::new(2).unwrap());
+        check(Grid::<2>::new(3).unwrap());
+        check(Grid::<3>::new(1).unwrap());
+    }
+
+    #[test]
+    fn down_set_optimum_lies_between_thm1_and_z() {
+        for k in 1..=3 {
+            let result = down_set_optimum(Grid::<2>::new(k).unwrap());
+            let bound = crate::bounds::thm1_nn_stretch_lower_bound(k, 2);
+            let z = summarize(&ZCurve::<2>::new(k).unwrap()).d_avg();
+            assert!(result.d_avg() >= bound, "k={k}: below Theorem 1");
+            assert!(result.d_avg() <= z, "k={k}: above Z ({z})");
+        }
+    }
+
+    #[test]
+    fn down_set_optimum_ignores_hash_order() {
+        // Every run hashes with fresh keys; ties must still pick one chain.
+        let grid = Grid::<2>::new(3).unwrap();
+        assert_eq!(down_set_optimum(grid).best, down_set_optimum(grid).best);
+    }
+
+    #[test]
+    fn down_set_optimum_of_one_cell_is_zero() {
+        let result = down_set_optimum(Grid::<2>::new(0).unwrap());
+        assert!(result.d_avg_equals_ratio(0, 1));
+        assert_eq!(result.evaluated, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "n ≤ 64")]
+    fn down_set_optimum_rejects_large_grids() {
+        down_set_optimum(Grid::<2>::new(4).unwrap());
     }
 }

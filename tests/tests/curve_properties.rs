@@ -105,17 +105,6 @@ proptest! {
         prop_assert!(s.d_max() >= s.d_avg() - 1e-12);
     }
 
-    /// Swapping two positions of a permutation curve keeps it a bijection
-    /// and only changes the stretch locally (sanity of the annealer's move
-    /// set).
-    #[test]
-    fn swap_positions_preserves_bijectivity(i in 0u128..16, j in 0u128..16) {
-        let grid = Grid::<2>::new(2).unwrap();
-        let mut curve = PermutationCurve::identity(grid).unwrap();
-        curve.swap_positions(i, j);
-        prop_assert!(curve.validate_bijection().is_ok());
-    }
-
     /// Lemma 2 as a property: S_A' is invariant across random bijections.
     #[test]
     fn lemma2_invariance(seed in any::<u64>()) {
