@@ -1198,13 +1198,13 @@ fn bench_query_paths(c: &mut Criterion, sc: &Scenario) -> QueryBench {
     // not payload clones.
     let live = query_store(sc);
     let store = live.snapshot();
-    let shard = &store.shards()[0];
+    // The store is quiescent from here on: its shape is the snapshot's.
+    let run_lens = live.shard_run_lens().remove(0);
+    let memtable_len = live.shard_memtable_lens()[0];
     let (boxes, knn_queries) = selective_boxes(sc);
     println!(
-        "query benchmark store: {} live, runs {:?}, memtable {}",
-        store.len(),
-        shard.run_lens(),
-        shard.memtable_len()
+        "query benchmark store: {} live, runs {run_lens:?}, memtable {memtable_len}",
+        store.len()
     );
 
     // Byte-identical results across every path, asserted before timing.
@@ -1283,7 +1283,7 @@ fn bench_query_paths(c: &mut Criterion, sc: &Scenario) -> QueryBench {
     );
 
     // Memory footprint of the compressed store vs the naive layout.
-    let slots: usize = shard.run_lens().iter().sum::<usize>() + shard.memtable_len();
+    let slots: usize = run_lens.iter().sum::<usize>() + memtable_len;
     let footprint = Footprint {
         heap_bytes: store.heap_bytes(),
         memtable_heap_bytes: live.shard_memtable_heap_bytes()[0],
@@ -1300,7 +1300,7 @@ fn bench_query_paths(c: &mut Criterion, sc: &Scenario) -> QueryBench {
         footprint.compression_ratio(),
         footprint.naive_slot_bytes,
         footprint.memtable_heap_bytes,
-        shard.memtable_len()
+        memtable_len
     );
     assert!(
         footprint.compression_ratio() >= 2.0,

@@ -125,13 +125,15 @@ impl<const D: usize> Point<D> {
         sum
     }
 
-    /// Squared Euclidean distance `Σ_i (α_i − β_i)²`, exact in `u64`.
+    /// Squared Euclidean distance `Σ_i (α_i − β_i)²`, exact in `u128`:
+    /// one axis's square fits a `u64`, but on a `k = 32` grid two of them
+    /// already overflow it.
     #[inline]
-    pub fn euclidean_sq(&self, other: &Self) -> u64 {
-        let mut sum = 0u64;
+    pub fn euclidean_sq(&self, other: &Self) -> u128 {
+        let mut sum = 0u128;
         for i in 0..D {
             let diff = u64::from(self.coords[i].abs_diff(other.coords[i]));
-            sum += diff * diff;
+            sum += u128::from(diff * diff);
         }
         sum
     }

@@ -165,8 +165,8 @@ fn key_block_words(width: u8) -> Option<usize> {
 /// Squared Euclidean distance from `q` to the inclusive box `[lo, hi]`
 /// (0 if `q` is inside it).
 #[inline]
-fn aabb_dist_sq<const D: usize>(lo: &Point<D>, hi: &Point<D>, q: &Point<D>) -> u64 {
-    let mut acc = 0u64;
+fn aabb_dist_sq<const D: usize>(lo: &Point<D>, hi: &Point<D>, q: &Point<D>) -> u128 {
+    let mut acc = 0u128;
     for axis in 0..D {
         let c = q.coord(axis);
         let d = if c < lo.coord(axis) {
@@ -176,7 +176,7 @@ fn aabb_dist_sq<const D: usize>(lo: &Point<D>, hi: &Point<D>, q: &Point<D>) -> u
         } else {
             0
         };
-        acc += u64::from(d) * u64::from(d);
+        acc += u128::from(u64::from(d) * u64::from(d));
     }
     acc
 }
@@ -719,14 +719,14 @@ impl<const D: usize> BlockStore<D> {
     /// Lower bound on the squared Euclidean distance from `q` to any point
     /// of the block (distance to the block's AABB; 0 if `q` is inside it).
     #[inline]
-    pub fn min_dist_sq(&self, block: usize, q: &Point<D>) -> u64 {
+    pub fn min_dist_sq(&self, block: usize, q: &Point<D>) -> u128 {
         aabb_dist_sq(&self.lo[block], &self.hi[block], q)
     }
 
     /// Lower bound on the squared Euclidean distance from `q` to any point
     /// of the run (distance to the run's AABB), or `None` for an empty
     /// run.
-    pub fn run_min_dist_sq(&self, q: &Point<D>) -> Option<u64> {
+    pub fn run_min_dist_sq(&self, q: &Point<D>) -> Option<u128> {
         (self.len > 0).then(|| aabb_dist_sq(&self.all_lo, &self.all_hi, q))
     }
 

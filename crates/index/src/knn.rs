@@ -44,12 +44,12 @@ thread_local! {
     /// candidate distances seen so far, shared across all levels (and all
     /// shards) of one query and reused across queries — candidate
     /// collection allocates nothing after warm-up.
-    static KNN_HEAP: RefCell<BinaryHeap<u64>> = const { RefCell::new(BinaryHeap::new()) };
+    static KNN_HEAP: RefCell<BinaryHeap<u128>> = const { RefCell::new(BinaryHeap::new()) };
 }
 
 /// Offers a squared distance to the top-k max-heap.
 #[inline]
-pub fn offer(heap: &mut BinaryHeap<u64>, k: usize, dist_sq: u64) {
+pub fn offer(heap: &mut BinaryHeap<u128>, k: usize, dist_sq: u128) {
     if heap.len() < k {
         heap.push(dist_sq);
     } else if dist_sq < *heap.peek().expect("non-empty: len >= k >= 1") {
@@ -59,7 +59,7 @@ pub fn offer(heap: &mut BinaryHeap<u64>, k: usize, dist_sq: u64) {
 }
 
 /// The k-th best squared distance a top-k heap holds, once it holds `k`.
-pub fn kth_best(heap: &BinaryHeap<u64>, k: usize) -> Option<u64> {
+pub fn kth_best(heap: &BinaryHeap<u128>, k: usize) -> Option<u128> {
     (heap.len() >= k).then(|| *heap.peek().expect("k >= 1"))
 }
 
@@ -71,7 +71,7 @@ pub fn kth_best(heap: &BinaryHeap<u64>, k: usize) -> Option<u64> {
 pub fn verification_radius<const D: usize>(
     grid: Grid<D>,
     k: usize,
-    collect: impl FnOnce(&mut BinaryHeap<u64>),
+    collect: impl FnOnce(&mut BinaryHeap<u128>),
 ) -> u32 {
     KNN_HEAP.with(|cell| {
         let mut heap = cell.borrow_mut();
@@ -89,7 +89,7 @@ pub fn verification_radius<const D: usize>(
 /// — were its slots spread evenly over its AABB — at least one of them
 /// would fall in the ball around `q`. (A run that fails this may still
 /// hold such a record; the verification ball finds it either way.)
-pub fn may_tighten<const D: usize>(blocks: &BlockStore<D>, q: &Point<D>, kth: u64) -> bool {
+pub fn may_tighten<const D: usize>(blocks: &BlockStore<D>, q: &Point<D>, kth: u128) -> bool {
     let Some((lo, hi)) = blocks.bounds() else {
         return false;
     };
@@ -155,7 +155,7 @@ pub fn knn_collect_run<const D: usize>(
     blocks: &BlockStore<D>,
     query: &KnnQuery<D>,
     shadowed: impl Fn(CurveIndex) -> bool,
-    heap: &mut BinaryHeap<u64>,
+    heap: &mut BinaryHeap<u128>,
     stats: &mut QueryStats,
 ) {
     let KnnQuery { q, k, window, .. } = *query;

@@ -829,8 +829,8 @@ mod tests {
                     for k in [1usize, 3, 8] {
                         let (got, stats) = idx.knn(q, k, 4);
                         let want = nearest(&idx, q, k);
-                        let gd: Vec<u64> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
-                        let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.point)).collect();
+                        let gd: Vec<u128> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
+                        let wd: Vec<u128> = want.iter().map(|e| q.euclidean_sq(&e.point)).collect();
                         assert_eq!(gd, wd, "k={k} q={q}");
                         assert_eq!(stats.reported, k.min(records.len()) as u64);
                     }

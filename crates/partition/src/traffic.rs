@@ -94,23 +94,6 @@ impl TrafficWeights {
         self.weights.clear();
     }
 
-    /// Scales every observed weight by `factor` (an exponential-decay
-    /// step: old traffic fades instead of vanishing outright), dropping
-    /// cells whose weight underflows to noise.
-    ///
-    /// # Panics
-    /// Panics if `factor` is negative or non-finite.
-    pub fn decay(&mut self, factor: f64) {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "decay factor must be non-negative and finite"
-        );
-        self.weights.retain(|_, w| {
-            *w *= factor;
-            *w > 1e-12
-        });
-    }
-
     /// The min-bottleneck partition of `0..n` into `p` parts under the
     /// observed weights (see [`partition_min_bottleneck_sparse`]); the
     /// keyspace-uniform partition when nothing has been observed.
@@ -235,25 +218,6 @@ impl ConcurrentTraffic {
         }
     }
 
-    /// Adds explicit (unsampled) `weight` for `key` to the given stripe —
-    /// e.g. to make read-heavy cells count toward the next rebalance.
-    ///
-    /// # Panics
-    /// Panics if `stripe` is out of range, `key ≥ n`, or `weight` is
-    /// negative or non-finite.
-    pub fn record(&self, stripe: usize, key: CurveIndex, weight: f64) {
-        assert!(key < self.n, "curve index {key} outside 0..{}", self.n);
-        assert!(
-            weight.is_finite() && weight >= 0.0,
-            "weight must be non-negative and finite"
-        );
-        let mut weights = self.stripes[stripe]
-            .weights
-            .lock()
-            .expect("traffic stripe poisoned");
-        *weights.entry(key).or_insert(0.0) += weight;
-    }
-
     /// Total writes observed by `stripe` (sampled and unsampled alike).
     pub fn stripe_writes(&self, stripe: usize) -> u64 {
         self.stripes[stripe].writes.load(Ordering::Relaxed)
@@ -304,17 +268,6 @@ mod tests {
         assert_eq!(t.entries().collect::<Vec<_>>(), vec![(3, 1.0), (9, 2.5)]);
         assert!((t.total() - 3.5).abs() < 1e-12);
         t.clear();
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn decay_fades_and_drops_noise() {
-        let mut t = TrafficWeights::new(16);
-        t.record(1, 1.0);
-        t.record(2, 1e-12);
-        t.decay(0.5);
-        assert_eq!(t.entries().collect::<Vec<_>>(), vec![(1, 0.5)]);
-        t.decay(0.0);
         assert!(t.is_empty());
     }
 

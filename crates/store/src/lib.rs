@@ -99,10 +99,10 @@
 //! A read never looks at a shard in place. It **captures** it: under one
 //! hold of the shard's `mem` lock it takes the copy-on-write memtable
 //! image (two refcount bumps — no entry, no node copied), pins the
-//! published run stack (one `Arc` clone) and notes the live count — a
-//! [`StoreSnapshot`]. Nothing is flushed, nothing is written, nothing can
-//! fail. All scanning then runs against the captures with no lock held:
-//! each level is scanned with the shared primitives from `sfc-index`
+//! published run stack (one `Arc` clone) and notes the live count.
+//! Nothing is flushed, nothing is written, nothing can fail. All scanning
+//! then runs against the captures with no lock held: each level is
+//! scanned with the shared primitives from `sfc-index`
 //! ([`box_scan`](sfc_index::box_scan),
 //! [`interval_scan`](sfc_index::interval_scan)), per-level work is summed
 //! into one [`QueryStats`](sfc_index::QueryStats), and results merge
@@ -113,14 +113,17 @@
 //!   (payloads cloned per reported hit; the write path already requires
 //!   `T: Clone`).
 //! * [`ShardedSfcStore::snapshot`] hands the same captures out as a
-//!   [`ShardedSnapshot`]: an owned `Send + Sync` value with the same query
-//!   methods, returning borrowed [`StoreEntryRef`]s, that never touches a
-//!   lock after creation. Readers on any thread keep querying the frozen
-//!   state while writers, flushes, compactions and rebalances continue: a
-//!   writer that meets a live capture copies the leaf-pointer slab and the
-//!   one leaf it lands in, a compaction that wants to consume a pinned run
-//!   copies it out of its `Arc` instead (the reason the write path
-//!   requires `T: Clone`), and the snapshot stays as it was.
+//!   [`ShardedSnapshot`], the one public snapshot type (a shard's capture
+//!   is internal; per-shard shape is on the store, e.g.
+//!   [`shard_run_lens`](ShardedSfcStore::shard_run_lens)): an owned
+//!   `Send + Sync` value with the same query methods, returning borrowed
+//!   [`StoreEntryRef`]s, that never touches a lock after creation.
+//!   Readers on any thread keep querying the frozen state while writers,
+//!   flushes, compactions and rebalances continue: a writer that meets a
+//!   live capture copies the leaf-pointer slab and the one leaf it lands
+//!   in, a compaction that wants to consume a pinned run copies it out of
+//!   its `Arc` instead (the reason the write path requires `T: Clone`),
+//!   and the snapshot stays as it was.
 //!
 //! **Isolation level of a multi-shard capture.** Per shard a capture is
 //! atomic and complete: every write applied to the shard before it was
@@ -144,7 +147,7 @@
 //! |---|---|
 //! | what is at this cell? | [`get`](ShardedSfcStore::get) |
 //! | everything, in curve order | [`iter`](ShardedSfcStore::iter) |
-//! | what lies in this box? | [`query_box`](ShardedSfcStore::query_box) (the planner; [`plan_box_query`](ShardedSfcStore::plan_box_query) shows its choices) |
+//! | what lies in this box? | [`query_box`](ShardedSfcStore::query_box) (the block kernel, skipping by the curve's rule) |
 //! | what lies in these curve-key ranges? | [`query_intervals`](ShardedSfcStore::query_intervals) (the raw interval walk) |
 //! | the `k` records nearest this point | [`knn`](ShardedSfcStore::knn) |
 //!
@@ -191,7 +194,7 @@
 //!   alive copies the leaf-pointer slab and the one leaf it lands in;
 //!   with none alive, writes stay in place.
 //!
-//! ## Zone maps and the adaptive query planner
+//! ## Zone maps and the query paths
 //!
 //! Every run carries the block summaries of `sfc-index`'s zone map —
 //! per 64-slot block, a fence key, the point
@@ -214,9 +217,9 @@
 //!   lower bound cannot tighten the k-th best (a thread-local top-k
 //!   distance heap replaces per-query candidate vectors), and the
 //!   verification ball is an ordinary box query.
-//! * **The planner.** [`ShardedSfcStore::query_box`] runs that one kernel
-//!   on every level; what it plans is how the kernel leaves an excursion
-//!   out of the box. Morton order skips by BIGMIN and precomputes
+//! * **The skipper.** [`ShardedSfcStore::query_box`] runs that one kernel
+//!   on every level; the curve alone decides how the kernel leaves an
+//!   excursion out of the box. Morton order skips by BIGMIN and precomputes
 //!   nothing; every other curve decomposes the box once at the router
 //!   (hierarchically on Hilbert and Gray: `O(perimeter)` aligned cubes,
 //!   one encode each — see [`sfc_index::BoxRegion::curve_intervals`]),
@@ -224,9 +227,10 @@
 //!   binary search of them. Levels whose key range or AABB misses the
 //!   box are pruned. The volume cutoffs and the per-run
 //!   intervals-vs-BIGMIN estimate of earlier versions lost their A/B
-//!   against the kernel and are gone (see the `view` module docs);
-//!   [`ShardedSfcStore::plan_box_query`] exposes the [`QueryPlan`]s and
-//!   `examples/query_planner.rs` prints them live.
+//!   against the kernel and are gone (see the `view` module docs). A
+//!   query's [`QueryStats`](sfc_index::QueryStats) count the blocks it
+//!   pruned and decoded; `examples/range_query.rs` prints the kernel
+//!   beside the raw interval walk.
 //! * **Streaming.** A shard scans its small upper levels into a reused
 //!   scratch and streams its bottom run through the newest-wins merge
 //!   straight into the result — owned entries for a live query, borrowed
@@ -236,8 +240,8 @@
 //! [`ShardedSfcStore::query_intervals`] walks a caller's raw interval list
 //! on every level — with `b.curve_intervals(store.curve())` it answers a
 //! box by a different algorithm, which is what the differential tests
-//! compare the planner with (beside a `BTreeMap` model that shares no
-//! code with the engine).
+//! compare [`query_box`](ShardedSfcStore::query_box) with (beside a
+//! `BTreeMap` model that shares no code with the engine).
 //!
 //! ## Durability: write-ahead log, group commit, crash recovery
 //!
@@ -307,10 +311,10 @@
 //! sampled latency histograms, and level gauges, while every query folds
 //! its [`QueryStats`] into engine-wide counters and its wall time into a
 //! per-operation histogram. Queries crossing a configurable threshold
-//! leave a [`QueryTrace`] — what the router executed (capture and
-//! decomposition times, interval count, per-level strategies) plus the
-//! work counters — in a bounded slow-query ring. Attachment is
-//! opt-in; an unattached store pays one `Option` check per operation.
+//! leave a [`QueryTrace`] — what the query measured as it ran (capture
+//! and decomposition times, interval count) plus the work counters — in a
+//! bounded slow-query ring. Attachment is opt-in; an unattached store pays
+//! one `Option` check per operation.
 //!
 //! [`QueryStats`]: sfc_index::QueryStats
 //! [`SfcIndex`]: sfc_index::SfcIndex
@@ -334,7 +338,5 @@ pub mod wal;
 pub use maintenance::{MaintenanceConfig, RateLimit};
 pub use obs::{EngineMetrics, QueryTrace};
 pub use shard::{ShardedIter, ShardedSfcStore, ShardedSnapshot};
-pub use snapshot::StoreSnapshot;
 pub use store::{BatchOp, StoreEntry, StoreEntryRef, DEFAULT_MEMTABLE_CAPACITY};
-pub use view::{LevelStrategy, QueryPlan};
 pub use wal::{RecoveryStats, ShardRecoveryStats, WalConfig, WalError, WalPayload};

@@ -23,15 +23,15 @@
 //! **Slow-query log.** Every timed query is offered to a bounded
 //! [`SlowLog`]; queries at or above the threshold (default
 //! [`DEFAULT_SLOW_QUERY_NS`]) retain a [`QueryTrace`] — the operation,
-//! the chosen plan's per-level strategies, the work counters, and the
-//! wall time. Below the threshold the trace is never even built. A trace
-//! carries what the router itself executed — the interval count it
-//! decomposed the box into, the strategies the consulted shards' levels
-//! ran (`query_box`), and the two phases that run before any
-//! level is scanned: `capture_ns` (snapshotting every shard's memtable
-//! and pinning its epoch) and `decompose_ns` (box or kNN-ball interval
-//! decomposition). Both clocks are read only when metrics are attached;
-//! nothing is decomposed or captured a second time to build a trace.
+//! the work counters, and the wall time. Below the threshold the trace is
+//! never even built. A trace carries what the query itself measured — the
+//! interval count the router decomposed the box into (none on Morton
+//! order, which skips by BIGMIN), the blocks the levels pruned and
+//! decoded, and the two phases that run before any level is scanned:
+//! `capture_ns` (snapshotting every shard's memtable and pinning its
+//! epoch) and `decompose_ns` (box or kNN-ball interval decomposition).
+//! Both clocks are read only when metrics are attached; nothing is
+//! decomposed, captured or pruned a second time to build a trace.
 //!
 //! **Background maintenance** reports under `engine.maintenance.*`:
 //! `ticks`, `flushes`, `compactions`, `throttle.ns`, and `errors` — a
@@ -44,8 +44,6 @@ use std::time::{Duration, Instant};
 
 use sfc_index::QueryStats;
 use sfc_obs::{Counter, Gauge, Histogram, MetricsRegistry, Sampler, SlowEntry, SlowLog};
-
-use crate::view::LevelStrategy;
 
 /// Default write/get timing decimation: one operation in this many gets
 /// the `Instant` pair around it.
@@ -329,10 +327,10 @@ impl EngineMetrics {
     }
 }
 
-/// One slow query's retained context: the operation, the plan the
-/// engine chose (per-level strategies), the work counters, and the wall
-/// time. Stored in the engine's slow-query ring; render with `Display`
-/// or read the fields.
+/// One slow query's retained context: the operation, the intervals it
+/// walked by, its phase times, the work counters and the wall time — all
+/// measured by the query as it ran. Stored in the engine's slow-query
+/// ring; render with `Display` or read the fields.
 #[derive(Debug, Clone)]
 pub struct QueryTrace {
     /// The public entry point that ran (`"query_box"`, `"knn"`, …).
@@ -341,15 +339,10 @@ pub struct QueryTrace {
     pub volume: Option<u128>,
     /// Shards the trace spans.
     pub shards: Option<usize>,
-    /// Curve intervals the box decomposed into (summed across shards),
-    /// or `None` if the planner skipped decomposition.
+    /// Curve intervals the query walked by: the box's (or the kNN
+    /// ball's) decomposition, or the caller's list for `query_intervals`.
+    /// `None` means BIGMIN — a Morton-order box is never decomposed.
     pub intervals: Option<usize>,
-    /// The memtable level's strategy — of the first consulted shard whose
-    /// captured memtable held anything.
-    pub memtable: Option<LevelStrategy>,
-    /// Per-run strategies, oldest run first, the consulted shards' runs
-    /// concatenated in shard order (`query_box` only).
-    pub runs: Vec<LevelStrategy>,
     /// The query's work counters (seeks, overscan, blocks pruned and
     /// decoded — [`QueryStats::overscan`] gives the ratio directly).
     pub stats: QueryStats,
@@ -376,19 +369,6 @@ impl fmt::Display for QueryTrace {
         match self.intervals {
             Some(n) => write!(f, " intervals={n}")?,
             None => write!(f, " intervals=-")?,
-        }
-        if let Some(m) = self.memtable {
-            write!(f, " memtable={m}")?;
-        }
-        if !self.runs.is_empty() {
-            write!(f, " runs=[")?;
-            for (i, s) in self.runs.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ",")?;
-                }
-                write!(f, "{s}")?;
-            }
-            write!(f, "]")?;
         }
         if let Some(ns) = self.decompose_ns {
             write!(f, " decompose={}", sfc_obs::fmt_ns(ns))?;
@@ -418,8 +398,6 @@ mod tests {
             volume: None,
             shards: Some(1),
             intervals: None,
-            memtable: None,
-            runs: Vec::new(),
             stats,
             wall_ns,
             decompose_ns: None,
@@ -487,8 +465,6 @@ mod tests {
             volume: Some(64),
             shards: Some(2),
             intervals: Some(9),
-            memtable: Some(LevelStrategy::Intervals),
-            runs: vec![LevelStrategy::Bigmin, LevelStrategy::Pruned],
             stats: QueryStats::default(),
             wall_ns: 1_500,
             decompose_ns: Some(700),
@@ -496,7 +472,7 @@ mod tests {
         };
         let s = plan_trace.to_string();
         assert!(s.contains("query_box 1.5µs"));
-        assert!(s.contains("runs=[bigmin,pruned]"));
+        assert!(s.contains("intervals=9"));
         assert!(s.contains("shards=2"));
         assert!(s.contains("decompose=700ns"));
         assert!(!s.contains("capture="));

@@ -62,9 +62,7 @@ use crate::snapshot::StoreSnapshot;
 use crate::store::{
     sorted_unique_columns, BatchOp, StoreEntry, StoreEntryRef, DEFAULT_MEMTABLE_CAPACITY,
 };
-use crate::view::{
-    rank_by_distance, HitSink, LevelStrategy, LevelsView, Overlay, Probe, QueryPlan,
-};
+use crate::view::{rank_by_distance, HitSink, LevelsView, Overlay, Probe};
 use crate::wal::{self, RecoveryStats, WalConfig, WalEngine, WalError, WalPayload, WalShard};
 
 /// An inclusive curve-index interval.
@@ -95,15 +93,13 @@ fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// What a fan-out did before it scanned any level, and the per-level
-/// strategies it then ran — noted only for a live query with metrics
-/// attached, which builds its [`QueryTrace`] from it.
+/// What a fan-out did before it scanned any level — noted only for a
+/// live query with metrics attached, which builds its [`QueryTrace`]
+/// from it.
 #[derive(Default)]
 struct Routed {
     intervals: Option<usize>,
     decompose_ns: Option<u64>,
-    memtable: Option<LevelStrategy>,
-    runs: Vec<LevelStrategy>,
 }
 
 /// The borrowed fan-out engine every multi-shard read runs on: a
@@ -218,67 +214,19 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
     }
 
     /// Box query through the block-at-a-time kernel, skipping by the
-    /// given decomposition (`None` = BIGMIN, Morton order only). The
-    /// strategies each consulted shard ran are noted in `routed`.
-    fn query_box_with<S: HitSink<'a, D, T>>(
-        &self,
-        b: &BoxRegion<D>,
-        intervals: Option<&[Interval]>,
-        routed: Option<&mut Routed>,
-        sink: &mut S,
-    ) -> QueryStats {
-        let probe = Probe::Box(b, intervals);
-        if let Some(routed) = routed {
-            for plan in self.plans(&probe) {
-                routed.memtable = routed.memtable.or(plan.memtable);
-                routed.runs.extend(plan.runs);
-            }
-        }
-        self.fan_out(&probe, sink)
-    }
-
-    /// Box query as the planner runs it — see
-    /// [`query_box_with`](Self::query_box_with).
+    /// box's decomposition ([`decompose_box`](Self::decompose_box); BIGMIN
+    /// on Morton order). A box reaching past the grid is clipped first.
     fn query_box<S: HitSink<'a, D, T>>(
         &self,
         b: &BoxRegion<D>,
-        mut routed: Option<&mut Routed>,
+        routed: Option<&mut Routed>,
         sink: &mut S,
     ) -> QueryStats {
         let Some(b) = b.clip_to_grid(self.curve.grid()) else {
             return QueryStats::default();
         };
-        let intervals = self.decompose_box(&b, routed.as_deref_mut());
-        self.query_box_with(&b, intervals.as_deref(), routed, sink)
-    }
-
-    /// The per-level plan of every shard a box probe reaches, in shard
-    /// order.
-    fn plans<'p>(&'p self, probe: &'p Probe<'_, D>) -> impl Iterator<Item = QueryPlan> + 'p {
-        self.shares(probe).filter_map(|(shard, share)| match share {
-            Probe::Box(b, intervals) => Some(shard.plan_box(b, intervals)),
-            Probe::Keys(_) => None,
-        })
-    }
-
-    /// The per-level plan each shard would run for this box, in shard
-    /// order (a shard the query would skip plans over an empty share;
-    /// a box wholly outside the grid is planned by nobody).
-    fn plan_box_query(&self, b: &BoxRegion<D>) -> Vec<QueryPlan> {
-        let Some(b) = &b.clip_to_grid(self.curve.grid()) else {
-            return Vec::new();
-        };
-        let intervals = self.decompose_box(b, None);
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(j, shard)| {
-                let met = intervals
-                    .as_deref()
-                    .map(|iv| intervals_meeting(iv, &self.partition.range(j)));
-                shard.plan_box(b, met)
-            })
-            .collect()
+        let intervals = self.decompose_box(&b, routed);
+        self.fan_out(&Probe::Box(&b, intervals.as_deref()), sink)
     }
 
     /// Exact kNN. Live candidates are gathered into the shared top-k
@@ -311,7 +259,7 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
         let ball = BoxRegion::chebyshev_ball(self.curve.grid(), q, radius);
         let intervals = self.decompose_box(&ball, routed);
         let mut hits = Vec::new();
-        let ball_stats = self.query_box_with(&ball, intervals.as_deref(), None, &mut hits);
+        let ball_stats = self.fan_out(&Probe::Box(&ball, intervals.as_deref()), &mut hits);
         rank_ball((hits, ball_stats), stats, q, k, sink)
     }
 }
@@ -531,11 +479,6 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
         metrics
     }
 
-    /// The attached metrics bundle, if any.
-    pub fn metrics(&self) -> Option<&Arc<EngineMetrics>> {
-        self.metrics.as_ref()
-    }
-
     /// The curve backing this store.
     pub fn curve(&self) -> &C {
         &self.curve
@@ -704,8 +647,6 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
                 volume,
                 shards: Some(self.shards.len()),
                 intervals: routed.intervals,
-                memtable: routed.memtable,
-                runs: routed.runs,
                 stats,
                 wall_ns,
                 decompose_ns: routed.decompose_ns,
@@ -715,19 +656,18 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
         (hits, stats)
     }
 
-    /// Box query through the **planner**, fanned out to intersecting
-    /// shards only. Every level runs the block-at-a-time kernel
-    /// ([`box_scan`](sfc_index::box_scan)); the planner picks how it
-    /// leaves an excursion out of the box — BIGMIN on Morton order
+    /// Box query, fanned out to intersecting shards only. Every level
+    /// runs the block-at-a-time kernel
+    /// ([`box_scan`](sfc_index::box_scan)), which leaves an excursion out
+    /// of the box by the curve's skipper — BIGMIN on Morton order
     /// (nothing precomputed), a binary search of the box's exact curve
     /// intervals on every other curve (decomposed once at the router,
-    /// each shard handed the part meeting its range) — and prunes levels
-    /// whose key range or zone-map AABB cannot intersect the box. Each
-    /// shard streams its newest-wins result straight into the returned
-    /// vector. A box reaching past the grid is clipped to it. See the
-    /// [`view` module docs](crate::QueryPlan) for the evidence behind the
-    /// rules and [`plan_box_query`](Self::plan_box_query) to inspect the
-    /// choices.
+    /// each shard handed the part meeting its range) — and levels whose
+    /// key range or zone-map AABB cannot intersect the box are pruned.
+    /// Each shard streams its newest-wins result straight into the
+    /// returned vector. A box reaching past the grid is clipped to it.
+    /// See the `view` module docs (`view.rs`) for the evidence behind
+    /// the rules.
     pub fn query_box(&self, b: &BoxRegion<D>) -> (Vec<StoreEntry<D, T>>, QueryStats) {
         self.read(
             QueryOp::Box,
@@ -735,14 +675,6 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
             Some(b.volume()),
             |view, routed, out| view.query_box(b, routed, out),
         )
-    }
-
-    /// The per-level plan each shard would choose for this box right now,
-    /// one [`QueryPlan`] per shard in shard order. For observability and
-    /// tuning; executing the query later plans afresh.
-    pub fn plan_box_query(&self, b: &BoxRegion<D>) -> Vec<QueryPlan> {
-        let (partition, caps) = self.capture_all();
-        ShardsView::over(&self.curve, &partition, &caps).plan_box_query(b)
     }
 
     /// Every record whose curve key lies inside the given inclusive
@@ -978,16 +910,6 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
         }
     }
 
-    /// Adds explicit weight for cell `p` to the traffic feedback without
-    /// writing — e.g. to make read-heavy cells count toward the next
-    /// [`rebalance`](Self::rebalance).
-    pub fn record_weight(&self, p: Point<D>, weight: f64) {
-        assert!(self.curve.grid().contains(&p), "cell out of bounds: {p}");
-        let key = self.curve.index_of(p);
-        let part = self.partition.read().expect("partition poisoned");
-        self.traffic.record(part.part_of(key), key, weight);
-    }
-
     /// Flushes every shard's memtable (each publishes a fresh epoch).
     /// On a durable store each flush also persists its runs and
     /// checkpoint; panics if persistence fails (use
@@ -1130,11 +1052,6 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     /// store did — `None` on an in-memory store.
     pub fn recovery_stats(&self) -> Option<&RecoveryStats> {
         self.recovery.as_ref()
-    }
-
-    /// `true` when this store persists through a write-ahead log.
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
     }
 
     /// Consumes the store as a power cut would: the maintenance thread
@@ -1394,10 +1311,11 @@ where
 }
 
 /// A frozen, queryable view of a whole [`ShardedSfcStore`] as of
-/// [`snapshot`](ShardedSfcStore::snapshot): one [`StoreSnapshot`] per
-/// shard plus the partition that routed them — the crate's one read type
-/// (a live query runs the same methods on captures it then drops, and
-/// clones its hits). `Send + Sync` whenever the payload and curve are;
+/// [`snapshot`](ShardedSfcStore::snapshot): one capture per shard (its
+/// memtable image, run stack and live count) plus the partition that
+/// routed them — the crate's one public snapshot type and its one read
+/// type (a live query runs the same methods on captures it then drops,
+/// and clones its hits). `Send + Sync` whenever the payload and curve are;
 /// after creation it never touches a lock, so snapshot reads are
 /// wait-free with respect to every writer. See
 /// [`snapshot`](ShardedSfcStore::snapshot) for what a multi-shard capture
@@ -1420,11 +1338,6 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
         &self.partition
     }
 
-    /// The per-shard captures, in curve order.
-    pub fn shards(&self) -> &[StoreSnapshot<D, T, C>] {
-        &self.shards
-    }
-
     /// Total number of live records visible in the snapshot.
     pub fn len(&self) -> usize {
         self.shards.iter().map(StoreSnapshot::len).sum()
@@ -1435,8 +1348,11 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
         self.shards.iter().all(StoreSnapshot::is_empty)
     }
 
-    /// Bytes of heap memory behind the snapshot — see
-    /// [`StoreSnapshot::heap_bytes`].
+    /// Bytes of heap memory behind the snapshot: every captured run's
+    /// compressed blocks and dense payload column plus every captured
+    /// memtable's node slabs (exact, `O(1)` per level). The per-record
+    /// quotient is the `bytes_per_record` figure the benches track
+    /// against the committed budget.
     pub fn heap_bytes(&self) -> usize {
         self.shards.iter().map(StoreSnapshot::heap_bytes).sum()
     }
@@ -1497,16 +1413,10 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
         (hits, stats)
     }
 
-    /// Box query through the planner, fanned out to intersecting shards
-    /// only — see [`ShardedSfcStore::query_box`].
+    /// Box query, fanned out to intersecting shards only — see
+    /// [`ShardedSfcStore::query_box`].
     pub fn query_box(&self, b: &BoxRegion<D>) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
         self.collect(|view, out| view.query_box(b, None, out))
-    }
-
-    /// The per-level plan each shard's [`query_box`](Self::query_box)
-    /// would execute — see [`ShardedSfcStore::plan_box_query`].
-    pub fn plan_box_query(&self, b: &BoxRegion<D>) -> Vec<QueryPlan> {
-        self.shards_view().plan_box_query(b)
     }
 
     /// Every record of the frozen shards whose curve key lies inside the
@@ -1668,7 +1578,6 @@ mod tests {
         by_ref.flush();
         by_ref.compact();
         by_ref.set_traffic_sampling(2);
-        by_ref.record_weight(Point::new([2, 2]), 1.0);
         let _snap = by_ref.snapshot();
         by_ref.rebalance(1e-9);
     }
@@ -1779,12 +1688,12 @@ mod tests {
         }
         // The first Z quadrant [0,8)² is exactly the first quarter of the
         // keyspace: a box inside it must not touch the other shards. The
-        // snapshot exposes the per-shard captures the router fans out to.
+        // snapshot holds the per-shard captures the router fans out to.
         let snap = store.snapshot();
         let b = BoxRegion::new(Point::new([0, 0]), Point::new([7, 7]));
         let (hits, stats) = snap.query_box(&b);
         let (single_hits, single_stats) =
-            shard_scan(&snap.shards()[0], snap.curve(), &Probe::Box(&b, None));
+            shard_scan(&snap.shards[0], snap.curve(), &Probe::Box(&b, None));
         assert_eq!(flat_ref(hits), flat_ref(single_hits));
         assert_eq!(stats.seeks, single_stats.seeks, "only shard 0 consulted");
         // The live store agrees with its own snapshot (a live query runs
@@ -2002,7 +1911,7 @@ mod tests {
             let (_, router) = sharded.query_intervals(&intervals);
             let mut manual = QueryStats::default();
             let mut manual_reported = 0u64;
-            for (j, shard) in sharded.shards().iter().enumerate() {
+            for (j, shard) in sharded.shards.iter().enumerate() {
                 let met = intervals_meeting(&intervals, &sharded.partition().range(j));
                 if met.is_empty() {
                     continue;
@@ -2020,20 +1929,16 @@ mod tests {
             // Overscan is consistent with the summed counters.
             assert_eq!(router.overscan(), manual.overscan());
 
-            // Box path: on Morton order the planner never decomposes, so
-            // the router consults exactly the shards whose range meets
-            // `[Z(lo), Z(hi)]` and each runs the BIGMIN-skipping kernel —
-            // and its plan says so.
+            // Box path: on Morton order a box is never decomposed, so the
+            // router consults exactly the shards whose range meets
+            // `[Z(lo), Z(hi)]` and each runs the BIGMIN-skipping kernel.
             let (_, router) = sharded.query_box(&b);
             let mut manual = QueryStats::default();
-            for (j, shard) in sharded.shards().iter().enumerate() {
+            for (j, shard) in sharded.shards.iter().enumerate() {
                 let range = sharded.partition().range(j);
                 if range.is_empty() || range.start > zmax || range.end <= zmin {
                     continue;
                 }
-                let plan = shard.view(z).plan_box(&b, None);
-                assert!(plan.interval_count().is_none());
-                assert!(plan.runs.iter().all(|s| *s != LevelStrategy::Intervals));
                 let (_, s) = shard_scan(shard, z, &Probe::Box(&b, None));
                 manual.add(&s);
             }
@@ -2170,7 +2075,6 @@ mod tests {
         let outside = BoxRegion::new(Point::new([3, 16]), Point::new([40, 40]));
         assert!(z.query_box(&outside).0.is_empty());
         assert!(h_snap.query_box(&outside).0.is_empty());
-        assert!(h.plan_box_query(&outside).is_empty());
         assert_eq!(z.knn(Point::new([15, 15]), 3, 2).0.len(), 3, "the corner");
     }
 
@@ -2266,7 +2170,6 @@ mod tests {
         assert_eq!(slow[0].detail.stats, stats);
         assert!(slow[0].detail.decompose_ns.is_none());
         assert!(slow[0].detail.capture_ns.is_some());
-        assert!(slow[0].detail.runs.contains(&LevelStrategy::Bigmin));
         // Off Morton order a box is decomposed once, and the trace counts
         // exactly the intervals that ran and times the decomposition; kNN
         // reports both phases too.
@@ -2286,7 +2189,6 @@ mod tests {
             Some(small.curve_intervals(hilbert.curve()).len())
         );
         assert!(slow[0].detail.decompose_ns.is_some());
-        assert!(slow[0].detail.runs.contains(&LevelStrategy::Intervals));
         assert_eq!(slow[1].detail.op, "knn");
         assert!(slow[1].detail.decompose_ns.is_some());
         assert!(slow[1].detail.capture_ns.is_some());

@@ -1,6 +1,6 @@
 //! One shard's captured levels.
 //!
-//! A [`StoreSnapshot`] is what [`Shard::capture`](crate::epoch::Shard)
+//! A `StoreSnapshot` is what [`Shard::capture`](crate::epoch::Shard)
 //! takes under one hold of the shard's `mem` lock: the copy-on-write
 //! memtable image (two refcount bumps, nothing copied), the pinned run
 //! stack and the live count as of that instant. It is the only per-shard
@@ -23,10 +23,9 @@ use crate::view::LevelsView;
 /// One shard's frozen levels — memtable image, run stack, live count —
 /// as of the instant the shard was captured. All querying goes through
 /// the [`ShardedSnapshot`](crate::ShardedSnapshot) that owns it (which
-/// knows the curve and the shard's key range); this type exposes the
-/// shard's shape.
+/// knows the curve and the shard's key range).
 #[derive(Debug, Clone)]
-pub struct StoreSnapshot<const D: usize, T, C: SpaceFillingCurve<D> + Clone> {
+pub(crate) struct StoreSnapshot<const D: usize, T, C: SpaceFillingCurve<D> + Clone> {
     /// Newest level: the memtable as it stood at capture.
     mem: SeqTable<D, T>,
     /// The run stack published at capture (tombstones included — reads
@@ -53,38 +52,18 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> StoreSnapshot<D, T, C> 
     }
 
     /// Number of live records visible in the capture.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.live
     }
 
     /// `true` iff the capture holds no live records.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.live == 0
     }
 
-    /// Entries in the captured memtable image (live and tombstone).
-    pub fn memtable_len(&self) -> usize {
-        self.mem.len()
-    }
-
-    /// Sizes of the pinned runs, oldest first (tombstones included).
-    pub fn run_lens(&self) -> Vec<usize> {
-        self.epoch.runs.iter().map(|run| run.len()).collect()
-    }
-
-    /// Compressed heap bytes per pinned run, oldest first — parallel to
-    /// [`run_lens`](Self::run_lens), so dividing pairwise gives each
-    /// level's bytes-per-slot figure.
-    pub fn run_heap_bytes(&self) -> Vec<usize> {
-        self.epoch.runs.iter().map(|run| run.heap_bytes()).collect()
-    }
-
     /// Bytes of heap memory behind the capture: the runs' compressed
-    /// blocks and dense payload columns plus the memtable's node slabs
-    /// (exact `O(1)` accounting). The per-record quotient is the
-    /// `bytes_per_record` figure the benches track against the committed
-    /// budget.
-    pub fn heap_bytes(&self) -> usize {
+    /// blocks and dense payload columns plus the memtable's node slabs.
+    pub(crate) fn heap_bytes(&self) -> usize {
         let runs: usize = self.epoch.runs.iter().map(|run| run.heap_bytes()).sum();
         runs + self.mem.heap_bytes()
     }
@@ -177,13 +156,13 @@ mod tests {
             );
             assert_eq!(flat(frozen.query_box(&b).0), owned(store.query_box(&b).0));
             let q = grid.random_cell(&mut rng);
-            let gd: Vec<u64> = frozen
+            let gd: Vec<u128> = frozen
                 .knn(q, 4, 3)
                 .0
                 .iter()
                 .map(|e| q.euclidean_sq(&e.point))
                 .collect();
-            let mut wd: Vec<u64> = frozen.iter().map(|e| q.euclidean_sq(&e.point)).collect();
+            let mut wd: Vec<u128> = frozen.iter().map(|e| q.euclidean_sq(&e.point)).collect();
             wd.sort_unstable();
             wd.truncate(4);
             assert_eq!(gd, wd);
@@ -198,7 +177,7 @@ mod tests {
         let frozen: ShardedSnapshot<2, u32, _> = store.snapshot();
         assert!(frozen.is_empty());
         assert_eq!(frozen.iter().count(), 0);
-        assert!(frozen.shards()[0].run_lens().is_empty());
+        assert!(store.shard_run_lens()[0].is_empty());
         let b = BoxRegion::new(Point::new([0, 0]), Point::new([7, 7]));
         assert!(frozen.query_intervals(&[(0, 63)]).0.is_empty());
         assert!(frozen.query_box(&b).0.is_empty());

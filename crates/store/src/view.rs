@@ -1,12 +1,12 @@
-//! The shared multi-level query engine and the box-query planner.
+//! The shared multi-level query engine and how a box query skips.
 //!
 //! Every read merges one shard's levels: the captured memtable image over
 //! a stack of immutable runs. Newest level wins, tombstones suppress
 //! older versions, per-level work sums into one [`QueryStats`] — the
 //! algorithm lives here once, in [`LevelsView::scan`], expressed over a
 //! [`LevelsView`]: an optional borrowed memtable plus a slice of
-//! `Arc`-shared runs, borrowed from a
-//! [`StoreSnapshot`](crate::StoreSnapshot).
+//! `Arc`-shared runs, borrowed from one shard's capture
+//! (`snapshot.rs`).
 //!
 //! ## The streamed read path
 //!
@@ -22,28 +22,26 @@
 //! twice, the bottom run's are never collected at all, and shard results
 //! append in curve order because the sink is handed from shard to shard.
 //!
-//! ## The box-query planner
+//! ## How a box query skips
 //!
 //! Every level of a box query runs the same block-at-a-time kernel
 //! ([`box_scan`] — prune, bulk-visit or mask one whole block from its
-//! summary; see `sfc_index::scan`). What the planner decides is the
-//! kernel's one parameter, the *skipper* that leaves an excursion out of
-//! the box, and which levels to skip outright:
+//! summary; see `sfc_index::scan`). There is no choice left to make per
+//! level: the kernel's one parameter, the *skipper* that leaves an
+//! excursion out of the box, follows from the curve, and a level is
+//! skipped outright when its summary rules the box out:
 //!
 //! 1. **Skipper, from the curve** — [`sfc_index::skip_intervals`], the
 //!    rule a static [`SfcIndex`] box query follows too. Morton order skips
-//!    by BIGMIN: nothing is precomputed, a box costs two corner encodes
-//!    ([`LevelStrategy::Bigmin`]). Every other curve decomposes the box
-//!    once at the router (`O(perimeter)` aligned cubes on Hilbert and
-//!    Gray; every cell of the box on the non-recursive curves) and skips
-//!    by a binary search of that sorted list
-//!    ([`LevelStrategy::Intervals`]); each shard is handed the part of
-//!    the list that meets its range. The memtable is walked with the same
-//!    skipper.
+//!    by BIGMIN: nothing is precomputed, a box costs two corner encodes.
+//!    Every other curve decomposes the box once at the router
+//!    (`O(perimeter)` aligned cubes on Hilbert and Gray; every cell of the
+//!    box on the non-recursive curves) and skips by a binary search of
+//!    that sorted list; each shard is handed the part of the list that
+//!    meets its range. The memtable is walked with the same skipper.
 //! 2. **Prune.** A run whose key range misses the box's curve span, or
 //!    whose block-summary AABB misses the box outright, is skipped
-//!    wholesale ([`LevelStrategy::Pruned`], counted in
-//!    [`QueryStats::blocks_pruned`]).
+//!    wholesale (counted in [`QueryStats::blocks_pruned`]).
 //!
 //! That is all of it, on evidence. Earlier planners also decomposed small
 //! Morton boxes (≤ 64 cells; kNN balls ≤ 256 cells) and chose per run
@@ -57,11 +55,11 @@
 //! raw walk ([`interval_scan`]) remains what a caller-supplied interval
 //! list runs ([`ShardedSfcStore::query_intervals`](crate::ShardedSfcStore::query_intervals)).
 //!
-//! The resulting [`QueryPlan`] is observable through
-//! [`ShardedSfcStore::plan_box_query`](crate::ShardedSfcStore::plan_box_query)
-//! (see `examples/query_planner.rs`), and every executed level records
-//! per-block work in `blocks_scanned` / `blocks_pruned` /
-//! `blocks_decoded`.
+//! What a query did is in its [`QueryStats`] — `blocks_scanned` /
+//! `blocks_pruned` / `blocks_decoded` per executed level — and, for a
+//! slow query on a store with metrics attached, in its
+//! [`QueryTrace`](crate::QueryTrace): the interval count (`None` on
+//! BIGMIN) and the decomposition time.
 //!
 //! ## kNN
 //!
@@ -100,57 +98,6 @@ type Interval = (CurveIndex, CurveIndex);
 
 /// One level's hit: the key and the version the level holds of it.
 type LevelHit<'a, const D: usize, T> = (CurveIndex, Version<'a, D, T>);
-
-/// How one level of a box query was executed (or skipped).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LevelStrategy {
-    /// The block-at-a-time box scan, leaving excursions by a binary search
-    /// of the box's precomputed curve intervals (every non-Morton curve).
-    Intervals,
-    /// The block-at-a-time box scan, leaving excursions by BIGMIN (Morton
-    /// order; nothing precomputed).
-    Bigmin,
-    /// Skipped wholesale: the level's key range or point AABB cannot
-    /// intersect the box.
-    Pruned,
-}
-
-impl fmt::Display for LevelStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            LevelStrategy::Intervals => "intervals",
-            LevelStrategy::Bigmin => "bigmin",
-            LevelStrategy::Pruned => "pruned",
-        })
-    }
-}
-
-/// What one shard does, level by level, for one box query — see the
-/// module docs for how it is chosen and
-/// [`ShardedSfcStore::plan_box_query`](crate::ShardedSfcStore::plan_box_query)
-/// for inspecting it.
-#[derive(Debug, Clone)]
-pub struct QueryPlan {
-    /// Cells in the query box.
-    pub volume: u128,
-    /// Strategy for the memtable level (`None` when the captured
-    /// memtable was empty).
-    pub memtable: Option<LevelStrategy>,
-    /// Strategy per immutable run, oldest first.
-    pub runs: Vec<LevelStrategy>,
-    /// How many of the box's curve intervals reach this shard, when the
-    /// box was decomposed.
-    intervals: Option<usize>,
-}
-
-impl QueryPlan {
-    /// Number of curve intervals the box decomposed into (those meeting
-    /// this shard's range), or `None` if it was not decomposed (Morton
-    /// order).
-    pub fn interval_count(&self) -> Option<usize> {
-        self.intervals
-    }
-}
 
 /// Where a read's hits go as they are found: per shard in ascending key
 /// order, shard after shard — so what a sink has seen when the read
@@ -319,7 +266,7 @@ fn mem_box_scan<'a, const D: usize, T>(
 fn mem_knn_walk<const D: usize, T>(
     mem: &SeqTable<D, T>,
     query: &KnnQuery<D>,
-    heap: &mut BinaryHeap<u64>,
+    heap: &mut BinaryHeap<u128>,
     stats: &mut QueryStats,
 ) {
     stats.seeks += 1;
@@ -509,31 +456,6 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
         stats
     }
 
-    /// What [`scan`](Self::scan) does level by level for box `b`, whose
-    /// decomposition (the part meeting this shard) is `intervals` — `None`
-    /// on Morton order, which is never decomposed.
-    pub(crate) fn plan_box(&self, b: &BoxRegion<D>, intervals: Option<&[Interval]>) -> QueryPlan {
-        let probe = Probe::Box(b, intervals);
-        let span = self.span(&probe);
-        let ran = match intervals {
-            Some(_) => LevelStrategy::Intervals,
-            None => LevelStrategy::Bigmin,
-        };
-        QueryPlan {
-            volume: b.volume(),
-            memtable: self.memtable.map(|_| ran),
-            runs: self
-                .runs
-                .iter()
-                .map(|run| match Self::prunes(run, span, &probe) {
-                    true => LevelStrategy::Pruned,
-                    false => ran,
-                })
-                .collect(),
-            intervals: intervals.map(<[Interval]>::len),
-        }
-    }
-
     /// Collects live kNN candidates from every level into the top-k
     /// distance heap: per level, the candidate walk of
     /// [`knn_collect_run`] (the memtable's is [`mem_knn_walk`]), told that
@@ -557,7 +479,7 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
     pub(crate) fn knn_collect(
         &self,
         query: &KnnQuery<D>,
-        heap: &mut BinaryHeap<u64>,
+        heap: &mut BinaryHeap<u128>,
         stats: &mut QueryStats,
     ) {
         // Biggest level first (the memtable competes by its length).

@@ -4,7 +4,7 @@
 //! compaction, one rebalance)
 //! with group-committed WAL appends and a background maintenance
 //! thread, then read the engine back out three ways — the rendered text
-//! report, the slow-query log with its recorded query plans, and the
+//! report, the slow-query log with what each slow query measured, and the
 //! flat JSON export the CI pipeline uploads as an artifact (now
 //! including the `wal.*` and `engine.maintenance.*` series).
 //!
@@ -89,8 +89,9 @@ fn main() {
     //    with its latency percentiles.
     println!("{}", metrics.registry().render());
 
-    // 2. The slow-query log: each admitted query carries its plan (which
-    //    per-level strategy ran where) and its work counters.
+    // 2. The slow-query log: each admitted query carries what it walked
+    //    by (its interval count; `-` is BIGMIN), its phase times and its
+    //    work counters.
     let slow = metrics.slow_queries();
     println!(
         "slow queries over {}: {} admitted ({} seen)",

@@ -11,26 +11,25 @@ use sfc::prelude::*;
 
 fn report(phase: &str, store: &ShardedSfcStore<2, u32, ZCurve<2>>, b: &BoxRegion<2>) {
     // A snapshot is a capture of the levels as they stand — it flushes
-    // nothing, so the shape printed below is the store's own.
+    // nothing, so its heap bytes and the store's shape describe the same
+    // levels.
     let snap = store.snapshot();
-    let shard = &snap.shards()[0];
+    let memtable = store.shard_memtable_lens()[0];
+    let runs = store.shard_run_lens().remove(0);
     let (hits, stats) = snap.query_box(b);
     println!("== {phase}");
     println!(
-        "   live {} | memtable {} | runs {:?}",
-        snap.len(),
-        shard.memtable_len(),
-        shard.run_lens()
+        "   live {} | memtable {memtable} | runs {runs:?}",
+        snap.len()
     );
-    let slots: usize = shard.run_lens().iter().sum();
-    let run_bytes: usize = shard.run_heap_bytes().iter().sum();
+    let slots = memtable + runs.iter().sum::<usize>();
+    let bytes = snap.heap_bytes();
     println!(
-        "   footprint: per-level {:?} bytes = {run_bytes} total ({:.2} B/slot compressed)",
-        shard.run_heap_bytes(),
+        "   footprint: {bytes} heap bytes ({:.2} B/slot, memtable included)",
         if slots == 0 {
             0.0
         } else {
-            run_bytes as f64 / slots as f64
+            bytes as f64 / slots as f64
         }
     );
     println!(

@@ -66,8 +66,8 @@ fn extended_curves_serve_box_and_knn_queries() {
         let q = Point::new([7, 7]);
         let (got, _) = index.knn(q, 4, 6);
         let want = oracle::knn_linear(rows, q, 4);
-        let gd: Vec<u64> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
-        let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.1)).collect();
+        let gd: Vec<u128> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
+        let wd: Vec<u128> = want.iter().map(|e| q.euclidean_sq(&e.1)).collect();
         assert_eq!(gd, wd, "{name}");
     }
 }

@@ -56,13 +56,13 @@ proptest! {
         let zidx = SfcIndex::build(ZCurve::over(grid), records.clone());
         let (got, _) = zidx.knn(q, k, 4);
         let want = oracle::knn_linear(rows(&zidx), q, k);
-        let gd: Vec<u64> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
-        let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.1)).collect();
+        let gd: Vec<u128> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
+        let wd: Vec<u128> = want.iter().map(|e| q.euclidean_sq(&e.1)).collect();
         prop_assert_eq!(&gd, &wd);
 
         let hidx = SfcIndex::build(HilbertCurve::over(grid), records);
         let (got_h, _) = hidx.knn(q, k, 4);
-        let hd: Vec<u64> = got_h.iter().map(|e| q.euclidean_sq(&e.point)).collect();
+        let hd: Vec<u128> = got_h.iter().map(|e| q.euclidean_sq(&e.point)).collect();
         prop_assert_eq!(&hd, &wd);
     }
 
@@ -91,8 +91,8 @@ proptest! {
         let idx = SfcIndex::build(ZCurve::over(grid), records);
         let (got, stats) = idx.knn(q, k, window);
         let want = oracle::knn_linear(rows(&idx), q, k);
-        let gd: Vec<u64> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
-        let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.1)).collect();
+        let gd: Vec<u128> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
+        let wd: Vec<u128> = want.iter().map(|e| q.euclidean_sq(&e.1)).collect();
         prop_assert_eq!(gd, wd);
         prop_assert_eq!(stats.reported as usize, k.min(idx.len()));
     }
@@ -110,8 +110,8 @@ proptest! {
             let idx = SfcIndex::build(kind.build::<3>(4).unwrap(), records.clone());
             let (got, _) = idx.knn(q, k, 3);
             let want = oracle::knn_linear(rows(&idx), q, k);
-            let gd: Vec<u64> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
-            let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.1)).collect();
+            let gd: Vec<u128> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
+            let wd: Vec<u128> = want.iter().map(|e| q.euclidean_sq(&e.1)).collect();
             prop_assert_eq!(gd, wd);
         }
     }
@@ -166,9 +166,33 @@ fn index_with_random_bijection_curve() {
     let q = Point::new([3, 3]);
     let (got, _) = index.knn(q, 5, 8);
     let want = oracle::knn_linear(rows(&index), q, 5);
-    let gd: Vec<u64> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
-    let wd: Vec<u64> = want.iter().map(|e| q.euclidean_sq(&e.1)).collect();
+    let gd: Vec<u128> = got.iter().map(|e| q.euclidean_sq(&e.point)).collect();
+    let wd: Vec<u128> = want.iter().map(|e| q.euclidean_sq(&e.1)).collect();
     assert_eq!(gd, wd);
+}
+
+/// On the largest grids a squared distance outgrows `u64` — two axes
+/// near 2³² already do — and kNN must still find the nearest record, on
+/// a static index and on the store (its memtable and its run) alike.
+#[test]
+fn knn_is_exact_where_squared_distances_exceed_u64() {
+    use sfc_store::ShardedSfcStore;
+    let grid = Grid::<2>::new(32).unwrap();
+    let far = Point::new([u32::MAX, 1 << 17]);
+    let near = Point::new([1 << 17, 1 << 17]);
+    let q = Point::new([0, 0]);
+    let index = SfcIndex::build(ZCurve::over(grid), vec![(far, 0usize), (near, 1)]);
+    let (hits, _) = index.knn(q, 1, 4);
+    assert_eq!(hits.iter().map(|e| e.point).collect::<Vec<_>>(), [near]);
+    let store = ShardedSfcStore::new(ZCurve::over(grid), 1);
+    store.insert(far, 0usize);
+    store.insert(near, 1);
+    for level in ["memtable", "run"] {
+        let (hits, _) = store.knn(q, 1, 4);
+        let got: Vec<_> = hits.iter().map(|e| e.point).collect();
+        assert_eq!(got, [near], "nearest record in the {level}");
+        store.flush();
+    }
 }
 
 /// N-body ordering pipeline: sample clustered bodies → curve-sort →
