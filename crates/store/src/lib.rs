@@ -260,9 +260,9 @@
 //!   arrive meanwhile form the next group — so an acked write costs a
 //!   `write` and an `fdatasync`, not a thread hand-off. What nobody
 //!   waits for accumulates up to [`WalConfig::fsync_every`] records (or
-//!   [`WalConfig::fsync_bytes`] frame bytes, so bursts of large frames
-//!   close groups early; or [`WalConfig::max_batch_delay`], a staleness
-//!   bound) and is committed by a background thread.
+//!   1 MiB of frame bytes, so bursts of large frames close groups early)
+//!   and is committed by a background thread; no clock runs, so a
+//!   smaller backlog waits for the next ack, barrier or shutdown.
 //!   [`ShardedSfcStore::sync`] is the explicit durability barrier for
 //!   the `*_nosync` write variants.
 //! * **Frame coalescing (format v2).** A batched write logs each
@@ -297,10 +297,9 @@
 //!   [`WalError::Corrupt`] — never a panic, never a silent skip.
 //! * **Background maintenance.** [`ShardedSfcStore::start_maintenance`]
 //!   moves size-triggered flushes and tiered-compaction scheduling onto
-//!   a per-store thread with an optional token-bucket [`RateLimit`], so
-//!   writers never stall behind a major merge ([`MaintenanceConfig`]); a
-//!   flush or compaction that fails there is counted
-//!   (`engine.maintenance.errors`), not lost.
+//!   a per-store thread, so writers never flush and never stall behind
+//!   a major merge ([`MaintenanceConfig`]); a flush or compaction that
+//!   fails there is counted (`engine.maintenance.errors`), not lost.
 //!
 //! ## Observability
 //!
@@ -335,7 +334,7 @@ mod store;
 mod view;
 pub mod wal;
 
-pub use maintenance::{MaintenanceConfig, RateLimit};
+pub use maintenance::MaintenanceConfig;
 pub use obs::{EngineMetrics, QueryTrace};
 pub use shard::{ShardedIter, ShardedSfcStore, ShardedSnapshot};
 pub use store::{BatchOp, StoreEntry, StoreEntryRef, DEFAULT_MEMTABLE_CAPACITY};

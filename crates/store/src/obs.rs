@@ -34,7 +34,7 @@
 //! decomposed, captured or pruned a second time to build a trace.
 //!
 //! **Background maintenance** reports under `engine.maintenance.*`:
-//! `ticks`, `flushes`, `compactions`, `throttle.ns`, and `errors` — a
+//! `ticks`, `flushes`, `compactions`, and `errors` — a
 //! flush or compaction that failed on the maintenance thread (a durable
 //! store whose disk did), which has no caller to return its error to.
 
@@ -194,7 +194,6 @@ pub struct EngineMetrics {
     pub(crate) maintenance_flushes: Counter,
     pub(crate) maintenance_compactions: Counter,
     maintenance_errors: Counter,
-    pub(crate) maintenance_throttle_ns: Histogram,
     slow: SlowLog<QueryTrace>,
 }
 
@@ -223,7 +222,6 @@ impl EngineMetrics {
             maintenance_flushes: registry.counter("engine.maintenance.flushes"),
             maintenance_compactions: registry.counter("engine.maintenance.compactions"),
             maintenance_errors: registry.counter("engine.maintenance.errors"),
-            maintenance_throttle_ns: registry.histogram("engine.maintenance.throttle.ns"),
             slow: SlowLog::new(
                 SLOW_QUERY_LOG_CAPACITY,
                 Duration::from_nanos(DEFAULT_SLOW_QUERY_NS),

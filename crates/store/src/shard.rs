@@ -56,7 +56,7 @@ use sfc_obs::MetricsRegistry;
 use sfc_partition::{ConcurrentTraffic, Partition, TrafficWeights};
 
 use crate::epoch::{Shard, WriteOp};
-use crate::maintenance::{wait_tick, MaintenanceConfig, MaintenanceHandle, TokenBucket};
+use crate::maintenance::{wait_tick, MaintenanceConfig, MaintenanceHandle};
 use crate::obs::{EngineMetrics, QueryOp, QueryTrace};
 use crate::snapshot::StoreSnapshot;
 use crate::store::{
@@ -390,23 +390,6 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     /// `capacity` entries.
     pub fn with_memtable_capacity(curve: C, parts: usize, capacity: usize) -> Self {
         let partition = Partition::uniform(curve.grid().n(), parts);
-        Self::with_partition(curve, partition, capacity)
-    }
-
-    /// An empty store over explicit shard boundaries (e.g. precomputed
-    /// from a known workload with
-    /// [`partition_min_bottleneck`](sfc_partition::partition_min_bottleneck)).
-    ///
-    /// # Panics
-    /// Panics unless the partition covers exactly the curve's keyspace
-    /// (`partition.n() == curve.grid().n()`).
-    pub fn with_partition(curve: C, partition: Partition, capacity: usize) -> Self {
-        let n = curve.grid().n();
-        assert_eq!(
-            partition.n(),
-            n,
-            "partition must cover the curve's keyspace 0..{n}"
-        );
         let shards = (0..partition.parts())
             .map(|_| Shard::new(capacity))
             .collect();
@@ -1218,8 +1201,7 @@ where
     /// never flush or merge — the thread polls every
     /// [`MaintenanceConfig::interval`], flushes shards at capacity, and
     /// compacts shards whose run stack reached
-    /// [`MaintenanceConfig::compact_at_runs`], optionally throttled by
-    /// the token-bucket [`RateLimit`](crate::RateLimit). Works on
+    /// [`MaintenanceConfig::compact_at_runs`]. Works on
     /// durable and in-memory stores alike. A flush or compaction that
     /// fails on the thread (a durable store whose disk does) is counted
     /// in `engine.maintenance.errors` and retried on a later tick.
@@ -1241,7 +1223,6 @@ where
         let handle = std::thread::Builder::new()
             .name("sfc-maintenance".into())
             .spawn(move || {
-                let mut bucket = config.rate_limit.clone().map(TokenBucket::new);
                 loop {
                     if wait_tick(&thread_stop, config.interval) {
                         break;
@@ -1250,7 +1231,7 @@ where
                     // alive; the upgrade failing is the other stop
                     // signal.
                     let Some(store) = weak.upgrade() else { break };
-                    store.maintenance_tick(&config, &mut bucket, &thread_stop);
+                    store.maintenance_tick(&config, &thread_stop);
                 }
             })
             .expect("spawn maintenance thread");
@@ -1262,25 +1243,11 @@ where
 
     /// One maintenance pass over all shards, run by the background
     /// thread.
-    fn maintenance_tick(
-        &self,
-        config: &MaintenanceConfig,
-        bucket: &mut Option<TokenBucket>,
-        stop: &crate::maintenance::StopSignal,
-    ) {
+    fn maintenance_tick(&self, config: &MaintenanceConfig, stop: &crate::maintenance::StopSignal) {
         let m = self.metrics.as_deref();
         if let Some(m) = m {
             m.maintenance_ticks.inc();
         }
-        // Waits for `cost` bytes of maintenance budget, when throttled.
-        let mut throttle = |cost: u64| {
-            if let Some(b) = bucket.as_mut() {
-                let waited = b.acquire(cost, stop);
-                if let Some(m) = m {
-                    m.maintenance_throttle_ns.record(waited.as_nanos() as u64);
-                }
-            }
-        };
         // The read guard excludes rebalances (which flush for
         // themselves), never writers.
         let _part = self.partition.read().expect("partition poisoned");
@@ -1289,18 +1256,12 @@ where
                 return;
             }
             if shard.over_capacity() {
-                throttle(shard.memtable_heap_bytes() as u64);
                 let flushed = shard.flush(&self.curve);
                 if let Some(m) = m {
                     m.note_maintenance(&m.maintenance_flushes, flushed.is_ok());
                 }
             }
-            let run_lens = shard.run_lens();
-            if run_lens.len() >= config.compact_at_runs.max(2) {
-                // Merge cost scales with the records rewritten; the exact
-                // byte volume is unknowable up front, so charge a flat
-                // per-entry estimate.
-                throttle(run_lens.iter().sum::<usize>() as u64 * 64);
+            if shard.run_lens().len() >= config.compact_at_runs.max(2) {
                 let compacted = shard.compact(&self.curve);
                 if let Some(m) = m {
                     m.note_maintenance(&m.maintenance_compactions, compacted.is_ok());
@@ -2104,15 +2065,6 @@ mod tests {
     fn snapshot_knn_rejects_a_query_point_outside_the_grid_hilbert() {
         let (_, snap) = full_grid(HilbertCurve::over);
         snap.knn(Point::new([3, 16]), 3, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "partition must cover")]
-    fn with_partition_rejects_mismatched_domain() {
-        let grid = Grid::<2>::new(3).unwrap();
-        let partition = Partition::uniform(32, 2); // grid has 64 cells
-        let _: ShardedSfcStore<2, u32, _> =
-            ShardedSfcStore::with_partition(ZCurve::over(grid), partition, 16);
     }
 
     #[test]

@@ -16,11 +16,12 @@
 //!
 //! The `wal-committer` thread is the *background* caller of the same
 //! round and never wakes for a waiter. Its duties: full groups of
-//! un-waited frames (`fsync_every` / `fsync_bytes`), the
-//! `max_batch_delay` staleness clock, the shutdown drain, and prune
-//! requests — which ride the same queue but are processed *after* acks
-//! (the commit/prune split: reclaiming space never sits on a writer's
-//! latency path).
+//! un-waited frames (`fsync_every` records or [`FSYNC_BYTES`] bytes),
+//! the shutdown drain, and prune requests — which ride the same queue
+//! but are processed *after* acks (the commit/prune split: reclaiming
+//! space never sits on a writer's latency path). Nothing else makes an
+//! un-waited frame durable: no clock runs, so a frame below both bounds
+//! waits for the next leader, barrier or shutdown.
 //!
 //! Failure model: the first I/O error is stored and nothing is written
 //! again. Every waiting and future append observes the same sticky
@@ -45,6 +46,13 @@ use super::manifest::{segment_path, sync_dir};
 use super::record::{segment_header, SEGMENT_HEADER};
 use super::{WalConfig, WalError};
 use crate::obs::WalMetrics;
+
+/// The group byte bound, companion to `fsync_every`: a group is also
+/// closed once this many frame bytes have accumulated since the last
+/// fsync, so a burst of large coalesced batch frames does not balloon a
+/// group (and its worst-case replay) while staying far under the
+/// record-count bound.
+const FSYNC_BYTES: u64 = 1 << 20;
 
 /// One queued append: target shard, the highest record sequence number
 /// in the frame (for segment pruning metadata), and the fully framed
@@ -87,7 +95,7 @@ struct QueueState {
 
 /// Every shard's log files and the account of what they hold that is
 /// not fsynced yet. With nobody owed an ack the fsync is deferred across
-/// rounds until `fsync_every` records or `fsync_bytes` bytes have
+/// rounds until `fsync_every` records or [`FSYNC_BYTES`] bytes have
 /// accumulated — the group-commit amortisation, with a byte bound so
 /// huge coalesced frames don't balloon a group.
 struct Log {
@@ -376,8 +384,8 @@ impl Committer {
         } else {
             // Un-waited frames below the group bounds just accumulate —
             // the next leader, full group, barrier or shutdown picks
-            // them up; a staleness clock needs arming for the first.
-            self.shared.wake_background(&st, st.durable + 1 == ticket);
+            // them up.
+            self.shared.wake_background(&st);
         }
         let metrics = st.metrics.clone();
         drop(st);
@@ -404,7 +412,7 @@ impl Committer {
             return;
         }
         st.prunes.push((shard, high_water));
-        self.shared.wake_background(&st, false);
+        self.shared.wake_background(&st);
     }
 
     /// Clean shutdown: drain every accepted append to disk, then join
@@ -489,13 +497,11 @@ impl Shared {
     }
 
     /// Wakes the background thread when it is parked, its kind of work
-    /// is due — shutdown, a prune, a full group of un-waited frames, or
-    /// (`stale`) the oldest ticket not yet durable changed under a
-    /// staleness bound — and the baton is home: whoever holds it asks
-    /// again when it publishes.
-    fn wake_background(&self, st: &QueueState, stale: bool) {
-        let due = st.background_due(&self.cfg) || (stale && !self.cfg.max_batch_delay.is_zero());
-        if st.idle && st.log.is_some() && due {
+    /// is due — shutdown, a prune or a full group of un-waited frames —
+    /// and the baton is home: whoever holds it asks again when it
+    /// publishes.
+    fn wake_background(&self, st: &QueueState) {
+        if st.idle && st.log.is_some() && st.background_due(&self.cfg) {
             self.work.notify_one();
         }
     }
@@ -541,8 +547,8 @@ impl Shared {
                     m.segments.set(log.segment_count());
                 }
             }
-            sync |= log.unsynced_records >= self.cfg.fsync_every
-                || (self.cfg.fsync_bytes > 0 && log.unsynced_bytes >= self.cfg.fsync_bytes);
+            sync |=
+                log.unsynced_records >= self.cfg.fsync_every || log.unsynced_bytes >= FSYNC_BYTES;
             if sync && log.unsynced_records > 0 {
                 result = log.sync_group(metrics, led);
                 synced = result.is_ok();
@@ -576,50 +582,30 @@ impl Shared {
         if st.waiters > 0 {
             self.done.notify_all();
         }
-        self.wake_background(&st, st.durable + 1 < st.next_ticket);
+        self.wake_background(&st);
         st
     }
 
     /// The background thread: runs the rounds nobody waits for (see the
     /// module docs) until shutdown has drained the queue or an abort.
     fn run_background(&self) {
-        // Staleness clock for records nobody waits for (armed only when
-        // `max_batch_delay` is non-zero): the oldest ticket not yet
-        // durable when it was armed, and when that becomes too old.
-        let mut clock: Option<(u64, Instant)> = None;
         let mut st = self.lock();
         loop {
             // After the first error nothing becomes durable again.
             let dead = st.error.is_some();
-            let oldest = st.durable + 1;
-            let behind = !dead && oldest < st.next_ticket;
+            let behind = !dead && st.durable + 1 < st.next_ticket;
             if st.abort || (st.shutdown && (dead || !behind && st.prunes.is_empty())) {
                 return;
             }
-            if !behind || self.cfg.max_batch_delay.is_zero() {
-                clock = None;
-            } else if clock.is_none_or(|(armed_for, _)| armed_for < oldest) {
-                clock = Some((oldest, Instant::now() + self.cfg.max_batch_delay));
-            }
-            let expired = clock.is_some_and(|(_, at)| Instant::now() >= at);
-            if !dead && st.log.is_some() && (expired || st.background_due(&self.cfg)) {
-                // The staleness bound and the drain make the whole
-                // backlog durable, not just written.
-                let sync = expired || st.shutdown;
+            if !dead && st.log.is_some() && st.background_due(&self.cfg) {
+                // The drain makes the whole backlog durable, not just
+                // written.
+                let sync = st.shutdown;
                 st = self.commit_round(st, sync, false);
                 continue;
             }
             st.idle = true;
-            st = match clock {
-                Some((_, at)) if st.log.is_some() => {
-                    let left = at.saturating_duration_since(Instant::now());
-                    self.work
-                        .wait_timeout(st, left)
-                        .expect("commit queue poisoned")
-                        .0
-                }
-                _ => self.work.wait(st).expect("commit queue poisoned"),
-            };
+            st = self.work.wait(st).expect("commit queue poisoned");
             st.idle = false;
         }
     }
@@ -632,7 +618,7 @@ impl QueueState {
         self.shutdown
             || !self.prunes.is_empty()
             || self.pending_records >= cfg.fsync_every
-            || (cfg.fsync_bytes > 0 && self.pending_bytes >= cfg.fsync_bytes)
+            || self.pending_bytes >= FSYNC_BYTES
     }
 }
 
@@ -686,9 +672,7 @@ impl Log {
 mod tests {
     use super::super::record::{encode_unsealed_batch, parse_frame, seal_frames, FrameOutcome};
     use super::*;
-    use crate::obs::EngineMetrics;
     use sfc_core::Point;
-    use sfc_obs::MetricsRegistry;
     use std::path::Path;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::mpsc;
@@ -772,15 +756,12 @@ mod tests {
         }
     }
 
-    /// ROADMAP follow-on (c): crossing `fsync_bytes` must close a group
-    /// early even though no writer waits and the record-count bound is
-    /// nowhere near met.
+    /// Crossing [`FSYNC_BYTES`] must close a group early even though no
+    /// writer waits and the record-count bound is nowhere near met.
     #[test]
     fn oversized_batch_forces_a_group_by_bytes() {
         let dir = TestDir::new("bytes");
-        let config = WalConfig::new(&dir.0)
-            .fsync_every(1_000_000)
-            .fsync_bytes(1024);
+        let config = WalConfig::new(&dir.0).fsync_every(1_000_000);
         let committer = spawn_one_shard(&config, &dir.0);
 
         // Below the byte bound nothing forces a group: the ticket must
@@ -798,26 +779,11 @@ mod tests {
 
         // One oversized coalesced frame blows through the byte bound;
         // the committer must sync without any waiter or barrier.
-        let big = frame(2, 2048);
+        let big = frame(2, FSYNC_BYTES as usize);
         committer.append(0, 2, 64, big, false).unwrap();
         wait_until("byte-bound group never became durable", || {
             committer.durable_ticket() == 2
         });
-        committer.shutdown();
-    }
-
-    /// With the byte bound disabled (0), the same traffic stays queued
-    /// until a barrier forces it out.
-    #[test]
-    fn disabled_byte_bound_defers_to_the_barrier() {
-        let dir = TestDir::new("nobytes");
-        let config = WalConfig::new(&dir.0).fsync_every(1_000_000).fsync_bytes(0);
-        let committer = spawn_one_shard(&config, &dir.0);
-        committer.append(0, 1, 64, frame(1, 2048), false).unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(committer.durable_ticket(), 0, "no bound, no group");
-        committer.sync().unwrap();
-        assert_eq!(committer.durable_ticket(), 1, "the barrier drains it");
         committer.shutdown();
     }
 
@@ -876,7 +842,7 @@ mod tests {
     fn full_unwaited_groups_commit_while_a_writer_leads() {
         const EVERY: usize = 8;
         let dir = TestDir::new("liveness");
-        let config = WalConfig::new(&dir.0).fsync_every(EVERY).fsync_bytes(0);
+        let config = WalConfig::new(&dir.0).fsync_every(EVERY);
         let committer = spawn_one_shard(&config, &dir.0);
         let seq = AtomicU64::new(1);
         let next_frame = || {
@@ -959,84 +925,17 @@ mod tests {
         committer.shutdown();
     }
 
-    fn timed_config(dir: &Path, delay: Duration) -> WalConfig {
-        WalConfig::new(dir)
-            .fsync_every(1_000_000)
-            .fsync_bytes(0)
-            .max_batch_delay(delay)
-    }
-
-    /// `max_batch_delay` is a staleness bound: a lone un-waited frame
-    /// becomes durable by the clock alone — no barrier, no waiter, no
-    /// full group — and not before the delay.
+    /// With nobody waiting and both group bounds far off, a lone frame
+    /// stays queued until something drains it.
     #[test]
-    fn batch_delay_makes_a_lone_unwaited_frame_durable() {
-        let dir = TestDir::new("delay");
-        let delay = Duration::from_millis(20);
-        let committer = spawn_one_shard(&timed_config(&dir.0, delay), &dir.0);
-        let queued = Instant::now();
-        committer.append(0, 1, 1, frame(1, 16), false).unwrap();
-        wait_until("the staleness clock never fired", || {
-            committer.durable_ticket() == 1
-        });
-        assert!(queued.elapsed() >= delay, "the clock is armed at the push");
-        assert_eq!(seqs_on_file(&dir.0), [1]);
-        committer.shutdown();
-    }
-
-    /// The clock also covers a frame that a prune's round wrote to the OS
-    /// without an fsync: written is not durable.
-    #[test]
-    fn batch_delay_covers_a_frame_written_by_a_prune_round() {
-        let dir = TestDir::new("delay-prune");
-        let config = timed_config(&dir.0, Duration::from_millis(20));
+    fn a_lone_unwaited_frame_waits_for_the_drain() {
+        let dir = TestDir::new("lone");
+        let config = WalConfig::new(&dir.0).fsync_every(1_000_000);
         let committer = spawn_one_shard(&config, &dir.0);
         committer.append(0, 1, 1, frame(1, 16), false).unwrap();
-        committer.request_prune(0, 0);
-        wait_until("a written, unsynced frame outlived the clock", || {
-            committer.durable_ticket() == 1
-        });
-        committer.shutdown();
-    }
-
-    /// Without a delay the same lone frame waits for a barrier.
-    #[test]
-    fn zero_batch_delay_means_no_clock() {
-        let dir = TestDir::new("nodelay");
-        let committer = spawn_one_shard(&timed_config(&dir.0, Duration::ZERO), &dir.0);
-        committer.append(0, 1, 1, frame(1, 16), false).unwrap();
         std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(committer.durable_ticket(), 0, "no clock, no group");
+        assert_eq!(committer.durable_ticket(), 0, "no bound, no group");
         committer.shutdown();
         assert_eq!(committer.durable_ticket(), 1, "shutdown drains it");
-    }
-
-    /// An acked write that arrives before the deadline takes the waiting
-    /// frame along in its own group, and the clock armed for that frame
-    /// must not fire a second, empty group afterwards.
-    #[test]
-    fn an_acked_write_disarms_the_batch_delay_clock() {
-        let dir = TestDir::new("disarm");
-        let delay = Duration::from_millis(100);
-        let committer = spawn_one_shard(&timed_config(&dir.0, delay), &dir.0);
-        let metrics = EngineMetrics::for_shards(Arc::new(MetricsRegistry::new()), 1);
-        committer.set_metrics(metrics.wal().clone());
-        let counter = |name: &str| metrics.registry().snapshot().counter(name).unwrap();
-
-        let queued = Instant::now();
-        committer.append(0, 1, 1, frame(1, 16), false).unwrap();
-        committer.append(0, 2, 1, frame(2, 16), true).unwrap();
-        let groups = counter("wal.groups");
-        if queued.elapsed() < delay {
-            // The clock cannot have fired yet: one group of two, led.
-            assert_eq!((groups, counter("wal.groups.led")), (1, 1));
-            let sizes = metrics.registry().snapshot();
-            assert_eq!(sizes.histogram("wal.group_size").unwrap().max(), 2);
-        }
-        assert_eq!(committer.durable_ticket(), 2);
-        std::thread::sleep(delay + Duration::from_millis(50));
-        assert_eq!(counter("wal.groups"), groups, "the clock fired for nobody");
-        assert_eq!(seqs_on_file(&dir.0), [1, 2]);
-        committer.shutdown();
     }
 }

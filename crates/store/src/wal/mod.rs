@@ -48,10 +48,9 @@
 //! group, so concurrent writers still share fsyncs. A background thread
 //! runs the same round for what nobody waits for: un-waited records
 //! accumulate in the queue until [`WalConfig::fsync_every`] of them —
-//! or, since batched appends can carry kilobytes per frame,
-//! [`WalConfig::fsync_bytes`] frame bytes — are pending (or
-//! [`WalConfig::max_batch_delay`] expires), then are written and synced
-//! as one group; it also drains the queue at shutdown. Only after the
+//! or, since batched appends can carry kilobytes per frame, 1 MiB of
+//! frame bytes — are pending, then are written and synced as one group;
+//! it also drains the queue at shutdown. Only after the
 //! fsync does the durable ticket advance. An I/O failure is *sticky*:
 //! the first error stops the log, and every subsequent or waiting append
 //! returns it — the log never silently drops a group.
@@ -191,26 +190,14 @@ pub struct WalConfig {
     /// Group-commit batching bound: with no writer waiting on an ack,
     /// the fsync is deferred until this many records have accumulated
     /// since the last one (a waiting writer, a [`sync`] barrier, or
-    /// shutdown forces the fsync immediately). Also caps the in-queue
-    /// linger: a group this full skips `max_batch_delay`.
+    /// shutdown forces the fsync immediately). A group is also closed
+    /// at 1 MiB of frame bytes. No time bound applies: a deferred record
+    /// waits for a full group, an ack-waiter, a barrier or shutdown,
+    /// whichever comes first (the nosync contract promises durability
+    /// only at the next barrier).
     ///
     /// [`sync`]: crate::ShardedSfcStore::sync
     pub fsync_every: usize,
-    /// Staleness bound on an under-full group: a deferred record is
-    /// written *and* fsynced at most this long after it was queued.
-    /// `Duration::ZERO` (the default) means no time bound — deferred
-    /// records wait for a full group, an ack-waiter, a [`sync`] barrier,
-    /// or shutdown, whichever comes first (the nosync contract already
-    /// promises durability only at the next barrier).
-    ///
-    /// [`sync`]: crate::ShardedSfcStore::sync
-    pub max_batch_delay: Duration,
-    /// Byte-bound companion to `fsync_every`: a group is also closed
-    /// once this many frame bytes have accumulated since the
-    /// last fsync, so a burst of large coalesced batch frames does not
-    /// balloon a group (and its worst-case replay) while staying far
-    /// under the record-count bound. `0` disables the byte bound.
-    pub fsync_bytes: u64,
     /// Segment rotation threshold: an open segment is sealed once it
     /// exceeds this many bytes (pruning granularity — smaller segments
     /// reclaim space sooner after a flush).
@@ -218,14 +205,11 @@ pub struct WalConfig {
 }
 
 impl WalConfig {
-    /// A configuration with defaults: `fsync_every` 256, `fsync_bytes`
-    /// 1 MiB, no batch delay, 4 MiB segments.
+    /// A configuration with defaults: `fsync_every` 256, 4 MiB segments.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
             fsync_every: 256,
-            fsync_bytes: 1 << 20,
-            max_batch_delay: Duration::ZERO,
             segment_bytes: 4 << 20,
         }
     }
@@ -234,20 +218,6 @@ impl WalConfig {
     #[must_use]
     pub fn fsync_every(mut self, records: usize) -> Self {
         self.fsync_every = records.max(1);
-        self
-    }
-
-    /// Replaces the group byte bound (`0` disables it).
-    #[must_use]
-    pub fn fsync_bytes(mut self, bytes: u64) -> Self {
-        self.fsync_bytes = bytes;
-        self
-    }
-
-    /// Replaces the group linger delay.
-    #[must_use]
-    pub fn max_batch_delay(mut self, delay: Duration) -> Self {
-        self.max_batch_delay = delay;
         self
     }
 

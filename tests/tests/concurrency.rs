@@ -20,9 +20,7 @@ use rand::Rng;
 use sfc_core::{CurveIndex, Grid, HilbertCurve, Point, SpaceFillingCurve, ZCurve};
 use sfc_index::BoxRegion;
 use sfc_integration::test_rng;
-use sfc_store::{
-    MaintenanceConfig, RateLimit, ShardedSfcStore, ShardedSnapshot, StoreEntry, WalConfig,
-};
+use sfc_store::{MaintenanceConfig, ShardedSfcStore, ShardedSnapshot, StoreEntry, WalConfig};
 
 const WRITER_THREADS: usize = 4;
 const OPS_PER_WRITER: usize = 2_500;
@@ -392,32 +390,24 @@ fn acked_writers_barriers_and_rebalance_never_hang() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// With the background maintenance thread owning flushes and compactions
-/// (rate-limited by its token bucket), writers must never stall behind a
-/// major merge: every individual insert completes well under a generous
-/// bound, even while the maintenance thread is continuously flushing and
-/// compacting the same shards. Without the maintenance offload, a writer
-/// landing on a full memtable would pay the whole flush+merge inline.
+/// With the background maintenance thread owning flushes and compactions,
+/// writers must never pay for either: every flush is the maintenance
+/// thread's, and every individual insert completes well under a generous
+/// bound while that thread is continuously flushing and compacting the
+/// same shards. Without the maintenance offload, a writer landing on a
+/// full memtable would pay the whole flush+merge inline.
 #[test]
 fn writers_never_stall_behind_maintenance_merges() {
     let grid = Grid::<2>::new(5).unwrap();
     let z = ZCurve::over(grid);
-    let store = Arc::new(ShardedSfcStore::with_memtable_capacity(
-        z,
-        WRITER_THREADS,
-        64,
-    ));
-    // Aggressive maintenance: tick constantly, compact as soon as two
-    // runs exist, and throttle the merges hard so they are *slow* — the
-    // point is that writer latency stays decoupled from merge duration.
+    let mut store = ShardedSfcStore::with_memtable_capacity(z, WRITER_THREADS, 64);
+    let metrics = store.enable_metrics();
+    let store = Arc::new(store);
+    // Aggressive maintenance: tick constantly and compact as soon as two
+    // runs exist.
     store.start_maintenance(MaintenanceConfig {
         interval: Duration::from_micros(200),
         compact_at_runs: 2,
-        rate_limit: Some(RateLimit {
-            bytes_per_sec: 4 << 20,
-            burst_bytes: 64 << 10,
-            quantum: Duration::from_micros(500),
-        }),
     });
 
     let worst = std::thread::scope(|scope| {
@@ -451,9 +441,23 @@ fn writers_never_stall_behind_maintenance_merges() {
     });
     store.stop_maintenance();
 
-    // Generous even for a loaded CI box, yet far below what an inline
-    // rate-limited merge (hundreds of KiB at 4 MiB/s ≈ tens to hundreds
-    // of ms, repeatedly) would cost a writer.
+    // Every flush ran on the maintenance thread: it counts each flush it
+    // runs, and each compaction, which flushes before it merges, so the
+    // shards' flush count is at most the sum — a writer's inline flush
+    // would push it over.
+    let snap = metrics.registry().snapshot();
+    let counter = |name: &str| snap.counter(name).unwrap();
+    let flushes: u64 = (0..WRITER_THREADS)
+        .map(|j| counter(&format!("shard{j}.flush.count")))
+        .sum();
+    let by_maintenance =
+        counter("engine.maintenance.flushes") + counter("engine.maintenance.compactions");
+    assert!(flushes > 0, "maintenance never flushed");
+    assert!(
+        flushes <= by_maintenance,
+        "{flushes} flushes, {by_maintenance} by the maintenance thread"
+    );
+    // Generous even for a loaded CI box.
     assert!(
         worst < Duration::from_millis(500),
         "a writer stalled {worst:?} behind background maintenance"
