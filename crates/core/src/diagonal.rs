@@ -4,7 +4,7 @@
 //! direction of traversal within each diagonal (the two-dimensional
 //! analogue of Cantor's pairing enumeration, restricted to the grid).
 //! Another classical baseline from the comparative-study literature
-//! (paper reference [1]). Diagonal neighbors along the walk are at
+//! (paper reference \[1\]). Diagonal neighbors along the walk are at
 //! Manhattan distance 2, so the curve is *not* continuous, and its
 //! stretch behaviour differs from both the row-major and recursive
 //! families — a useful extra point in the survey.

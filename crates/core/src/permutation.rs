@@ -6,7 +6,8 @@
 //!
 //! * [`PermutationCurve::random`] — a uniformly random bijection, used by
 //!   the experiments to probe the lower bound over the whole class;
-//! * [`PermutationCurve::figure1_pi1`] / [`figure1_pi2`]
+//! * [`PermutationCurve::figure1_pi1`] /
+//!   [`figure1_pi2`](PermutationCurve::figure1_pi2)
 //!   (on `PermutationCurve<2>`) — the two worked curves of the paper's
 //!   Figure 1;
 //! * [`PermutationCurve::from_index_fn`] — any table, e.g. the winners of

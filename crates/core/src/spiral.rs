@@ -1,7 +1,7 @@
 //! The spiral (onion) curve: concentric boundary rings walked outside-in.
 //!
 //! A classical two-dimensional order used as a baseline in SFC comparisons
-//! (e.g. Abel & Mark's comparative study, reference [1] of the paper). The
+//! (e.g. Abel & Mark's comparative study, reference \[1\] of the paper). The
 //! spiral is *continuous* — consecutive indices are always grid
 //! neighbors — yet its average NN-stretch is still `Θ(n^{1/2})`: radial
 //! neighbors on adjacent rings are nearly a full ring-perimeter apart

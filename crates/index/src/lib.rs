@@ -1,7 +1,7 @@
 //! # sfc-index — spatial indexing over space filling curves
 //!
-//! The paper's database motivation (secondary-memory data structures [9],
-//! associative searching [21] — the original Z-curve paper): store
+//! The paper's database motivation (secondary-memory data structures \[9\],
+//! associative searching \[21\] — the original Z-curve paper): store
 //! multi-dimensional records in a plain one-dimensional ordered structure
 //! keyed by curve index, and answer box and nearest-neighbor queries by
 //! navigating key ranges. Proximity preservation is what makes this work —
@@ -11,7 +11,7 @@
 //! Components:
 //!
 //! * [`BoxRegion`] — an axis-aligned query box.
-//! * [`bigmin`] — the Tropf–Herzog BIGMIN primitive on Morton codes,
+//! * [`bigmin`](mod@bigmin) — the Tropf–Herzog BIGMIN primitive on Morton codes,
 //!   which lets a range scan *skip* key gaps that leave the box.
 //! * [`BlockStore`] — the compressed physical run format, and
 //!   [`kernels`] — the branch-free pack/unpack/filter loops over it.

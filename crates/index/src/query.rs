@@ -4,7 +4,7 @@
 //! does against the sorted key table, not wall-clock alone:
 //!
 //! * `seeks` — binary searches / scan restarts (disk seeks in the classic
-//!   secondary-memory model of the paper's reference [9]);
+//!   secondary-memory model of the paper's reference \[9\]);
 //! * `scanned` — slots put through a filter: every slot of a block the
 //!   box kernel masked or bulk-visited (64 per block, so a selective box
 //!   that touches a dozen partial blocks "scans" several hundred slots in

@@ -1,5 +1,5 @@
 //! The clustering metric of Moon, Jagadish, Faloutsos & Saltz (paper's
-//! related work, reference [18]).
+//! related work, reference \[18\]).
 //!
 //! For an axis-aligned box query, the **cluster count** is the number of
 //! maximal runs of consecutive curve indices needed to cover the box —

@@ -1,7 +1,7 @@
 //! # sfc-nbody — an SFC-ordered Barnes-Hut N-body substrate
 //!
 //! The paper's first motivating application (Section I) is N-body
-//! simulation, citing Warren & Salmon's parallel hashed oct-tree [26],
+//! simulation, citing Warren & Salmon's parallel hashed oct-tree \[26\],
 //! which keys particles by their Morton code, sorts them, and builds the
 //! tree from the sorted key sequence. Nearest-neighbor proximity along the
 //! curve is exactly what makes the sorted order useful: dominant

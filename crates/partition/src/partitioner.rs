@@ -1,7 +1,7 @@
 //! Cutting a weighted curve order into `p` contiguous chunks.
 //!
 //! This is the core operation of SFC-based domain decomposition
-//! (Aluru & Sevilgen [3], Pilkington & Baden [23] in the paper's
+//! (Aluru & Sevilgen \[3\], Pilkington & Baden \[23\] in the paper's
 //! bibliography): the multi-dimensional load-balancing problem reduces to
 //! the one-dimensional *chains-on-a-line* problem along the curve.
 //!

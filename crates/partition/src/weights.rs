@@ -1,7 +1,7 @@
 //! Synthetic weighted workloads over a grid.
 //!
-//! The cited applications (adaptive mesh refinement [22], N-body [26],
-//! non-uniform structured workloads [23]) attach a *work weight* to each
+//! The cited applications (adaptive mesh refinement \[22\], N-body \[26\],
+//! non-uniform structured workloads \[23\]) attach a *work weight* to each
 //! cell. These generators produce the standard synthetic stand-ins: uniform
 //! load, an exponentially corner-concentrated load (mimicking a refined
 //! region), and a mixture of Gaussian blobs (mimicking particle clusters).

@@ -173,20 +173,14 @@
 //!   through the hint, which is why the `memtable_ingest` bench gates
 //!   the B+tree at ≥ 1× `BTreeMap` on the curve-local stream (measured
 //!   3.6× on the ascending sweep; see `BENCH_store.json`).
-//! * **Owned cursors valid across mutation.** A
-//!   [`Cursor`](memtable::Cursor) stores `(key, leaf, slot)` and borrows
-//!   nothing: each access revalidates the cached slot in `O(1)` (does
-//!   this leaf still hold this key here?) and re-seeks by key only when
-//!   mutation moved it. After its entry is removed,
-//!   [`value`](memtable::Cursor::value) reports `None` while
-//!   [`next`](memtable::Cursor::next)/[`prev`](memtable::Cursor::prev)
-//!   keep walking from the remembered key.
-//! * **Drain protocol.** Removal frees empty nodes but never rebalances
-//!   underfull ones; instead the flush drain —
-//!   [`retain`](memtable::SfcMemtable::retain), one linked-leaf walk
-//!   that compacts survivors in place and rebuilds the inner levels
-//!   bulk-load-style — restores density wholesale. The concurrent
-//!   shard drains exactly `seq < high_water` with it.
+//! * **Drain protocol.** Entries leave the memtable only wholesale,
+//!   through [`retain`](memtable::SfcMemtable::retain) and
+//!   [`clear`](memtable::SfcMemtable::clear); there is no per-key
+//!   removal (a delete is a tombstone value). The flush drain,
+//!   `retain`, is one linked-leaf walk that compacts survivors in place,
+//!   recycles emptied leaves and rebuilds the inner levels
+//!   bulk-load-style in a fresh slab. The concurrent shard drains
+//!   exactly `seq < high_water` with it.
 //! * **Copy-on-write snapshots.** The node slabs and every leaf sit
 //!   behind `Arc`, so [`snapshot`](memtable::SfcMemtable::snapshot) is
 //!   two refcount bumps — no entry, no node copied. This is what a query

@@ -1189,7 +1189,7 @@ where
 
 /// Background maintenance: a per-store thread owning size-triggered
 /// flushes and tiered-compaction scheduling — see the
-/// [`maintenance`](crate::maintenance) module.
+/// `maintenance` module.
 impl<const D: usize, T, C> ShardedSfcStore<D, T, C>
 where
     T: Clone + Send + Sync + 'static,

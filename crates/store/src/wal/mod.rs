@@ -21,7 +21,7 @@
 //!    is what the delta packing feeds on) followed by the dense payload
 //!    column. Persisting decodes nothing; a reopen re-packs nothing, but
 //!    re-derives every key from its point and checks every structural
-//!    claim of the file before trusting it (see [`manifest`]).
+//!    claim of the file before trusting it (see `manifest`).
 //!
 //! Recovery therefore replays exactly the frames with `seq >=` the
 //! checkpointed high-water into a fresh memtable — it never touches the
@@ -35,7 +35,7 @@
 //!
 //! # Group commit
 //!
-//! [`log_frames`](DurabilityHook::log_frames) pushes the sealed frames
+//! `DurabilityHook::log_frames` pushes the sealed frames
 //! onto an in-memory commit queue and takes a *ticket*. Frames reach the
 //! files in *commit rounds*: take everything queued, append each shard's
 //! frames to its open segment, issue **one fsync per shard per group**,
@@ -59,7 +59,7 @@
 //!
 //! A batched write ([`apply_batch`](crate::ShardedSfcStore::apply_batch))
 //! logs each shard's slice as **one multi-record frame** (frame format
-//! v2, see [`record`]): one buffer the slice is encoded straight into
+//! v2, see `record`): one buffer the slice is encoded straight into
 //! (no per-record allocation), one length/CRC header, one commit-queue
 //! ticket, one `memcpy` into the segment — instead of per-record frames. Because
 //! the whole batch body sits under a single checksum, a torn batch frame
@@ -88,7 +88,7 @@
 //!
 //! # What is checksummed by what
 //!
-//! One function, [`record`]'s slice-by-8 CRC32C, guards every durable
+//! One function, `record`'s slice-by-8 CRC32C, guards every durable
 //! byte: each WAL frame carries the checksum of its body in its header
 //! (verified frame by frame by the recovery scan); each run file,
 //! checkpoint and `MANIFEST` ends in the checksum of everything after
@@ -98,7 +98,7 @@
 //!
 //! # Torn tails vs corruption
 //!
-//! The recovery scan classifies damage (see [`record`]): an incomplete
+//! The recovery scan classifies damage (see `record`): an incomplete
 //! frame — or a checksum mismatch in a frame that runs exactly to end of
 //! file — *in the newest segment* is a torn tail from the crash itself
 //! and is discarded silently (it can only hold unacknowledged writes).

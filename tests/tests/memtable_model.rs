@@ -2,10 +2,12 @@
 //!
 //! Every property drives the B+tree and a plain
 //! `BTreeMap<CurveIndex, V>` through the same operation interleavings —
-//! insert/update/delete, range and reverse iteration, owned cursors,
-//! seq-windowed `retain` drains (the shard flush protocol), copy-on-write
-//! `snapshot`s, and `from_sorted` bulk loads — and requires identical
-//! observable state at every checkpoint. Key streams come in two flavours, curve-local
+//! insert/update/delete, range and reverse iteration, seq-windowed
+//! `retain` drains (the shard flush protocol), copy-on-write `snapshot`s,
+//! and `from_sorted` bulk loads — and requires identical observable state
+//! at every checkpoint. A delete is a `retain` that spares every other
+//! key, the only way the engine drops an entry from its memtable. Key
+//! streams come in two flavours, curve-local
 //! random walks (the hint-cache fast path) and uniform-random keys (the
 //! root-descent slow path), so both code paths face every interleaving.
 //!
@@ -43,6 +45,14 @@ fn next_key(rng: &mut SmallRng, cur: &mut CurveIndex, local: bool, universe: u12
     }
 }
 
+/// Drops `key` the way the engine drops entries, with a `retain` that
+/// spares every other key, and returns the value it held.
+fn delete<V: Clone>(tree: &mut BPlusTreeMap<V>, key: CurveIndex) -> Option<V> {
+    let was = tree.get(&key).cloned();
+    tree.retain(|k, _| k != key);
+    was
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -63,7 +73,7 @@ proptest! {
             let k = next_key(&mut rng, &mut cur, local, universe);
             match rng.gen_range(0..12u32) {
                 0..=6 => prop_assert_eq!(tree.insert(k, step), model.insert(k, step)),
-                7..=8 => prop_assert_eq!(tree.remove(&k), model.remove(&k)),
+                7..=8 => prop_assert_eq!(delete(&mut tree, k), model.remove(&k)),
                 9 => prop_assert_eq!(tree.get(&k), model.get(&k)),
                 10 => {
                     let hi = k + rng.gen_range(0..48u32) as u128;
@@ -128,64 +138,8 @@ proptest! {
         }
     }
 
-    /// Owned cursors stay coherent across arbitrary mutation: `value()`
-    /// always equals the model's current value at the cursor key, and
-    /// `next()`/`prev()` step to exactly the model's neighbouring keys —
-    /// whether or not the cursor's own key was removed, split away, or
-    /// drained since the cursor was taken.
-    #[test]
-    fn cursors_track_model_across_mutation(
-        seed in any::<u64>(),
-        leaf_cap in 4usize..48,
-        local in any::<bool>(),
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let universe = 300u128;
-        let mut tree: SfcMemtable<u64> = SfcMemtable::with_leaf_capacity(leaf_cap);
-        let mut model: BTreeMap<CurveIndex, u64> = BTreeMap::new();
-        let mut cur = universe / 2;
-        let mut cursors = Vec::new();
-        for step in 0..800u64 {
-            let k = next_key(&mut rng, &mut cur, local, universe);
-            match rng.gen_range(0..10u32) {
-                0..=5 => {
-                    tree.insert(k, step);
-                    model.insert(k, step);
-                }
-                6..=7 => {
-                    tree.remove(&k);
-                    model.remove(&k);
-                }
-                8 => {
-                    if let Some(c) = tree.cursor_seek(k) {
-                        cursors.push(c);
-                    }
-                }
-                _ => {
-                    // A partial drain invalidates many positions at once.
-                    let cutoff = rng.gen_range(0..universe);
-                    tree.retain(|key, _| key < cutoff);
-                    model.retain(|&key, _| key < cutoff);
-                }
-            }
-            for c in &cursors {
-                let key = c.key();
-                prop_assert_eq!(c.value(&tree), model.get(&key), "cursor value at {}", key);
-                let got_next = c.next(&tree).map(|n| n.key());
-                let want_next = model.range(key + 1..).next().map(|(&k, _)| k);
-                prop_assert_eq!(got_next, want_next, "cursor next from {}", key);
-                let got_prev = c.prev(&tree).map(|p| p.key());
-                let want_prev = model.range(..key).next_back().map(|(&k, _)| k);
-                prop_assert_eq!(got_prev, want_prev, "cursor prev from {}", key);
-            }
-            if cursors.len() > 8 {
-                cursors.remove(0);
-            }
-        }
-    }
-
     /// Snapshot isolation: a `snapshot()` equals the model as of its
-    /// creation after any later insert, remove, `retain`, `clear` or leaf
+    /// creation after any later insert, delete, `retain`, `clear` or leaf
     /// split on the live table — and the other way round, since a
     /// snapshot is a full table of its own that can be written to.
     #[test]
@@ -211,7 +165,7 @@ proptest! {
             let k = next_key(&mut rng, &mut cur, local, universe);
             match rng.gen_range(0..20u32) {
                 0..=10 => prop_assert_eq!(live.insert(k, step), model.insert(k, step)),
-                11..=13 => prop_assert_eq!(live.remove(&k), model.remove(&k)),
+                11..=13 => prop_assert_eq!(delete(&mut live, k), model.remove(&k)),
                 14 => {
                     let cutoff = rng.gen_range(0..universe);
                     live.retain(|key, _| key >= cutoff);
@@ -234,7 +188,7 @@ proptest! {
                     if let Some((snap, snap_model)) = snapshots.last_mut() {
                         prop_assert_eq!(snap.insert(k, step), snap_model.insert(k, step));
                         let gone = (k + 1) % universe;
-                        prop_assert_eq!(snap.remove(&gone), snap_model.remove(&gone));
+                        prop_assert_eq!(delete(snap, gone), snap_model.remove(&gone));
                     }
                 }
             }
@@ -293,7 +247,7 @@ proptest! {
         let mut bulk = bulk;
         let mut model: BTreeMap<CurveIndex, u64> = entries.iter().copied().collect();
         for &k in keys.iter().rev() {
-            prop_assert_eq!(bulk.remove(&k), model.remove(&k));
+            prop_assert_eq!(delete(&mut bulk, k), model.remove(&k));
         }
         prop_assert!(bulk.is_empty());
     }
@@ -304,7 +258,7 @@ proptest! {
 /// hammering a hot cell through `get` and `query_box` must never find
 /// the cell missing (flush gap) or see its value decrease (time
 /// travel), while flushes every few writes and periodic compactions
-/// exercise the cursor-walk drain under contention.
+/// exercise the leaf-walk drain under contention.
 #[test]
 fn multi_writer_flush_gaps_and_time_travel_stress() {
     let grid = Grid::<2>::new(4).unwrap();
