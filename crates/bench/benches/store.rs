@@ -578,9 +578,22 @@ struct AckedWrite {
     acked_ns_p50: f64,
     nosync_ns_p50: f64,
     nproc: usize,
-    /// Per writer count: acked writes per second and records per group
-    /// commit — `None` where the box has fewer cores than writers.
-    writers: [(usize, Option<(f64, f64)>); 3],
+    /// Per writer count: acked writes per second, records per group
+    /// commit, and the sampled mean `write.liveness.ns` and `insert.ns`
+    /// over all shards — `None` where the box has fewer cores than
+    /// writers.
+    writers: [(usize, Option<WriterRun>); 3],
+}
+
+/// One measured acked-writer run of [`bench_acked_write`].
+#[derive(Clone, Copy)]
+struct WriterRun {
+    per_s: f64,
+    group: f64,
+    /// Mean run-probe time of a sampled write (`shard<j>.write.liveness.ns`).
+    liveness_ns: f64,
+    /// Mean time of a sampled write (`shard<j>.insert.ns`).
+    insert_ns: f64,
 }
 
 /// The acked single-record write, the one durable path no other group
@@ -592,8 +605,9 @@ struct AckedWrite {
 /// Then the same acked stream split over 1/2/4 concurrent writers:
 /// throughput and the mean group size the commit queue formed
 /// (followers park while a leader's round is in flight, so more writers
-/// means bigger groups, not more fsyncs). Not criterion-driven: the
-/// unit is one call, not one stream.
+/// means bigger groups, not more fsyncs), and the sampled share of a
+/// write spent probing the run stack for the key's liveness. Not
+/// criterion-driven: the unit is one call, not one stream.
 fn bench_acked_write() -> AckedWrite {
     let grid = Grid::<2>::new(GRID_K).unwrap();
     let z = ZCurve::over(grid);
@@ -650,10 +664,22 @@ fn bench_acked_write() -> AckedWrite {
         let per_s = ops.len() as f64 / start.elapsed().as_secs_f64();
         let snap = metrics.registry().snapshot();
         let counter = |name: &str| snap.counter(name).unwrap_or(0) as f64;
-        (
-            writers,
-            Some((per_s, counter("wal.records") / counter("wal.groups"))),
-        )
+        // Sample-weighted mean of a per-shard histogram.
+        let shard_mean = |metric: &str| {
+            let (sum, count) = (0..WAL_SHARDS)
+                .filter_map(|j| snap.histogram(&format!("shard{j}.{metric}")))
+                .fold((0.0, 0u64), |(sum, count), h| {
+                    (sum + h.mean() * h.count() as f64, count + h.count())
+                });
+            sum / count.max(1) as f64
+        };
+        let run = WriterRun {
+            per_s,
+            group: counter("wal.records") / counter("wal.groups"),
+            liveness_ns: shard_mean("write.liveness.ns"),
+            insert_ns: shard_mean("insert.ns"),
+        };
+        (writers, Some(run))
     });
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -670,9 +696,11 @@ fn bench_acked_write() -> AckedWrite {
     );
     for (n, measured) in &writers {
         match measured {
-            Some((per_s, group)) => {
-                println!("acked writers {n}: {per_s:.0} writes/s, {group:.2} records/group")
-            }
+            Some(run) => println!(
+                "acked writers {n}: {:.0} writes/s, {:.2} records/group, sampled write {:.0} ns \
+                 of which run-stack liveness probe {:.0} ns",
+                run.per_s, run.group, run.insert_ns, run.liveness_ns
+            ),
             None => println!("acked writers {n}: unmeasured ({nproc} cores)"),
         }
     }
@@ -708,7 +736,7 @@ impl AckedWrite {
                 ACKED_VS_NOSYNC_WRITE_GATE.to_string(),
             ),
         ];
-        let one = self.writers[0].1.map(|(per_s, _)| per_s);
+        let one = self.writers[0].1.map(|run| run.per_s);
         for &(n, measured) in &self.writers {
             let mut put = |name: &str, value: Option<String>| {
                 let value = value.unwrap_or_else(|| "\"unmeasured\"".to_string());
@@ -716,14 +744,22 @@ impl AckedWrite {
             };
             put(
                 "writes_per_s",
-                measured.map(|(per_s, _)| format!("{per_s:.0}")),
+                measured.map(|run| format!("{:.0}", run.per_s)),
             );
             put(
                 "records_per_group",
-                measured.map(|(_, group)| format!("{group:.3}")),
+                measured.map(|run| format!("{:.3}", run.group)),
+            );
+            put(
+                "liveness_ns_mean",
+                measured.map(|run| format!("{:.1}", run.liveness_ns)),
+            );
+            put(
+                "insert_ns_mean",
+                measured.map(|run| format!("{:.1}", run.insert_ns)),
             );
             if n > 1 {
-                let vs_one = measured.zip(one).map(|((per_s, _), one)| per_s / one);
+                let vs_one = measured.zip(one).map(|(run, one)| run.per_s / one);
                 put("vs_1", vs_one.map(|r| format!("{r:.3}")));
             }
         }

@@ -25,6 +25,23 @@
 //! offsets are plain prefix sums. Padding costs at most one block's worth
 //! of bits per run and keeps every decode kernel branch-free.
 //!
+//! ## Key filter
+//!
+//! Beside the blocks, every store keeps a one-word blocked Bloom filter
+//! over its slot keys, tombstones included (a tombstone is a version: a
+//! filter that skipped it would let an older version below show
+//! through). One 64-bit mix of a key picks a filter word and four bits
+//! in it, so [`BlockStore::may_contain`] is one load and one mask
+//! compare, and answers `false` for most absent keys before any fence is
+//! searched. The filter has ten bits per *distinct* key (at least one
+//! word): about 1.3 B a record, and a run of one repeated key costs one
+//! word. Neither figure is a setting.
+//! It lives in memory only: [`BlockStore::pack`] builds it from the key
+//! column and [`BlockStore::read_from`] from the keys its field check
+//! unpacks anyway, so the byte image below does not carry it and loading
+//! decodes nothing twice. (Bloom 1970; the one-word blocked layout is
+//! Putze, Sanders & Singler 2007.)
+//!
 //! ## Byte image
 //!
 //! [`BlockStore::write_to`] dumps the packed columns as they sit in
@@ -70,6 +87,47 @@ pub const BLOCK_SLOTS: usize = 64;
 
 // The bitmap and mask kernels assume one u64 word per block.
 const _: () = assert!(BLOCK_SLOTS == 64);
+
+/// Bits of key filter per distinct key of a run.
+const FILTER_BITS_PER_KEY: usize = 10;
+
+/// Bits a key sets in its filter word, and a probe tests.
+const FILTER_PROBES: u32 = 4;
+
+/// The filter's 64-bit mix of a key: the high half folded into the low
+/// one, then Murmur3's `fmix64` finaliser. Two keys that collide here
+/// only cost a false positive.
+#[inline]
+fn filter_hash(key: CurveIndex) -> u64 {
+    let mut h = (key as u64) ^ ((key >> 64) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
+}
+
+/// Where hash `h` lives in a filter of `words` words: the word (a
+/// multiply-shift range reduction of the hash's high bits) and the mask
+/// of its [`FILTER_PROBES`] bits (six low bits each).
+#[inline]
+fn filter_slot(h: u64, words: usize) -> (usize, u64) {
+    let word = ((u128::from(h) * words as u128) >> 64) as usize;
+    let mask = (0..FILTER_PROBES).fold(0u64, |m, i| m | 1 << ((h >> (6 * i)) & 63));
+    (word, mask)
+}
+
+/// The key filter over `hashes`, the [`filter_hash`]es of a run's
+/// distinct keys: [`FILTER_BITS_PER_KEY`] bits a key, at least one word.
+fn key_filter(hashes: &[u64]) -> Vec<u64> {
+    let words = (hashes.len() * FILTER_BITS_PER_KEY).div_ceil(64).max(1);
+    let mut filter = vec![0u64; words];
+    for &h in hashes {
+        let (word, mask) = filter_slot(h, words);
+        filter[word] |= mask;
+    }
+    filter
+}
 
 /// Why [`BlockStore::read_from`] rejected a byte image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -244,6 +302,9 @@ pub struct BlockStore<const D: usize> {
     all_lo: Point<D>,
     /// Componentwise max over the whole run (meaningful iff `len > 0`).
     all_hi: Point<D>,
+    /// The key filter (module docs): a pure function of the keys, so the
+    /// derived equality still compares the stored columns only.
+    filter: Vec<u64>,
 }
 
 impl<const D: usize> BlockStore<D> {
@@ -277,6 +338,7 @@ impl<const D: usize> BlockStore<D> {
             coord_words: Vec::new(),
             all_lo: Point::new([u32::MAX; D]),
             all_hi: Point::new([0; D]),
+            filter: Vec::new(),
         };
         let mut all_lo = [u32::MAX; D];
         let mut all_hi = [0u32; D];
@@ -374,6 +436,11 @@ impl<const D: usize> BlockStore<D> {
             store.all_lo = Point::new(all_lo);
             store.all_hi = Point::new(all_hi);
         }
+        let distinct: Vec<u64> = keys
+            .chunk_by(|a, b| a == b)
+            .map(|run| filter_hash(run[0]))
+            .collect();
+        store.filter = key_filter(&distinct);
         store
     }
 
@@ -467,6 +534,7 @@ impl<const D: usize> BlockStore<D> {
             coord_words: Vec::new(),
             all_lo: Point::new([u32::MAX; D]),
             all_hi: Point::new([0; D]),
+            filter: Vec::new(),
         };
         let mut all_lo = [u32::MAX; D];
         let mut all_hi = [0u32; D];
@@ -537,7 +605,7 @@ impl<const D: usize> BlockStore<D> {
             store.all_lo = Point::new(all_lo);
             store.all_hi = Point::new(all_hi);
         }
-        store.check_fields()?;
+        store.filter = store.check_fields()?;
         Ok(store)
     }
 
@@ -546,8 +614,9 @@ impl<const D: usize> BlockStore<D> {
     /// slot 0 of a block sits at its fence, keys never decrease within
     /// or across blocks, `fence + delta` fits `u128` for all 64 slots
     /// (pads included — the decode kernels add them too), and every
-    /// coordinate offset stays inside the block's AABB.
-    fn check_fields(&self) -> Result<(), BlockImageError> {
+    /// coordinate offset stays inside the block's AABB. Returns the key
+    /// filter, built from the keys this pass unpacks.
+    fn check_fields(&self) -> Result<Vec<u64>, BlockImageError> {
         let err = |block: usize, detail: &str| BlockImageError {
             offset: Self::IMAGE_HEADER + block * Self::IMAGE_BLOCK,
             detail: format!("block {block}: {detail}"),
@@ -555,6 +624,7 @@ impl<const D: usize> BlockStore<D> {
         let mut fields = [0u64; BLOCK_SLOTS];
         let mut deltas = [0u128; BLOCK_SLOTS];
         let mut prev_last: CurveIndex = 0;
+        let mut distinct = Vec::new();
         for block in 0..self.blocks() {
             let slots = self.block_range(block).len();
             let words = &self.key_words[self.key_offsets[block] as usize..];
@@ -586,7 +656,13 @@ impl<const D: usize> BlockStore<D> {
             if deltas[..slots].windows(2).any(|w| w[0] > w[1]) {
                 return Err(err(block, "keys decrease inside the block"));
             }
-            prev_last = fence + deltas[slots - 1];
+            for &d in &deltas[..slots] {
+                let key = fence + d;
+                if distinct.is_empty() || key != prev_last {
+                    distinct.push(filter_hash(key));
+                }
+                prev_last = key;
+            }
 
             let mut off = self.coord_offsets[block] as usize;
             for axis in 0..D {
@@ -602,7 +678,7 @@ impl<const D: usize> BlockStore<D> {
                 off += w as usize;
             }
         }
-        Ok(())
+        Ok(key_filter(&distinct))
     }
 
     /// Total slots stored (including tombstones).
@@ -837,6 +913,16 @@ impl<const D: usize> BlockStore<D> {
         from + first_at_or_past.saturating_sub(1)
     }
 
+    /// `false` if no slot holds `key`; `true` if one may (a false
+    /// positive for about 2 % of absent keys). One load and one mask
+    /// compare of the key filter (module docs) — no fence or packed
+    /// field is touched. Tombstoned slots count as holding their key.
+    #[inline]
+    pub fn may_contain(&self, key: CurveIndex) -> bool {
+        let (word, mask) = filter_slot(filter_hash(key), self.filter.len());
+        self.filter[word] & mask == mask
+    }
+
     /// First slot whose key is ≥ `key`: a binary search over the
     /// uncompressed fence array followed by one inside a single block's
     /// packed keys (single-field extraction per probe — no block decode).
@@ -860,7 +946,8 @@ impl<const D: usize> BlockStore<D> {
         lo
     }
 
-    /// Bytes of heap memory held by the packed columns and metadata.
+    /// Bytes of heap memory held by the packed columns, metadata and the
+    /// key filter.
     pub fn heap_bytes(&self) -> usize {
         self.fences.len() * std::mem::size_of::<CurveIndex>()
             + (self.lo.len() + self.hi.len()) * std::mem::size_of::<Point<D>>()
@@ -869,7 +956,7 @@ impl<const D: usize> BlockStore<D> {
             + self.key_widths.len()
             + self.coord_widths.len() * D
             + (self.key_offsets.len() + self.coord_offsets.len()) * 4
-            + (self.key_words.len() + self.coord_words.len()) * 8
+            + (self.key_words.len() + self.coord_words.len() + self.filter.len()) * 8
     }
 }
 

@@ -45,6 +45,9 @@
 //!   bitmap (a masked popcount). A deletion marker costs one bit.
 //! * Tail blocks are zero-padded to the full 64 slots, so word offsets
 //!   are pure prefix sums and the decode kernels never branch on length.
+//! * A **key filter** — a one-word blocked Bloom filter over every slot
+//!   key, tombstones included, ten bits per distinct key — answers "not
+//!   here" for most absent keys from one word. In memory only.
 //!
 //! ### Lazy decode contract and kernel soundness
 //!
@@ -112,8 +115,11 @@
 //!   callback which keys a newer level shadows;
 //! * [`SfcIndex::from_sorted_versions`] / [`SfcIndex::into_parts`] —
 //!   adopt and release run storage without re-sorting;
-//! * [`SfcIndex::lower_bound`] / [`SfcIndex::find_key`] — fence-array
-//!   key searches over packed blocks.
+//! * [`SfcIndex::lower_bound`] — a fence-array key search over packed
+//!   blocks — and [`SfcIndex::find_key`]: filter, then fence search. The
+//!   run's key filter ([`BlockStore::may_contain`]) turns most absent
+//!   keys away before a fence is read; it is kept in memory only,
+//!   rebuilt on load, and the byte image does not change.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

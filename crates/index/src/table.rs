@@ -438,8 +438,13 @@ impl<const D: usize, T, C: SpaceFillingCurve<D>> SfcIndex<D, T, C> {
     }
 
     /// Position of the first slot with exactly this key, or `None` if the
-    /// key is absent.
+    /// key is absent: the run's key filter first
+    /// ([`BlockStore::may_contain`] — most absent keys end there), then
+    /// the fence search of [`lower_bound`](Self::lower_bound).
     pub fn find_key(&self, key: CurveIndex) -> Option<usize> {
+        if !self.blocks.may_contain(key) {
+            return None;
+        }
         let i = self.lower_bound(key);
         (i < self.len() && self.blocks.key_at(i) == key).then_some(i)
     }

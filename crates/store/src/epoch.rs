@@ -10,7 +10,12 @@
 //!   map operation; readers hold it just long enough to take a
 //!   copy-on-write snapshot of the table (two refcount bumps, nothing
 //!   copied). Writers to *different* shards touch disjoint locks and
-//!   never contend.
+//!   never contend. To keep the live count exact, a write to a cell the
+//!   memtable does not hold asks the run stack whether the cell was live
+//!   (`MemState::put`). Every run answers most such misses from its key
+//!   filter — one hash and one word — so the probe's cost under the lock
+//!   is about one load per run, not a fence search per run; its sampled
+//!   time is `shard<j>.write.liveness.ns`.
 //! * **Frozen run stack** — published through an atomically swapped
 //!   [`Arc`] (an [`EpochCell`], a hand-rolled arc-swap over
 //!   `Mutex<Arc<_>>` whose critical section is a single refcount bump).
@@ -77,7 +82,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
 use sfc_index::SfcIndex;
@@ -110,6 +115,8 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> RunsEpoch<D, T, C> {
     }
 
     /// `true` iff the newest version of `key` in the run stack is live.
+    /// A run whose key filter rules `key` out is passed over without a
+    /// fence search ([`SfcIndex::find_key`]).
     fn is_live(&self, key: CurveIndex) -> bool {
         for run in self.runs.iter().rev() {
             if let Some(i) = run.find_key(key) {
@@ -193,7 +200,11 @@ impl<const D: usize, T: Clone> MemState<D, T> {
     /// moves `next_seq` past `seq`. Returns whether the cell was live
     /// before: the replaced memtable entry decides (one tree walk serves
     /// the lookup and the write); a cell the table did not hold is as
-    /// live as `live_in_runs` says.
+    /// live as `live_in_runs` says. That is [`RunsEpoch::is_live`] on the
+    /// write path: newest run to oldest, each run's key filter turns most
+    /// absent keys away from one word, so a cell no run holds costs about
+    /// one hash and one load per run, and only a filter pass (≈ 2 % of
+    /// absent keys) or a held key pays the fence and in-block search.
     fn put(
         &mut self,
         (key, p, slot): WriteOp<D, T>,
@@ -471,6 +482,8 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         // it, and byte-encoding under `mem` would serialise all writers
         // behind it. The seqs are stamped in once the lock assigned them.
         let frames = self.wal.as_deref().map(|w| (w, w.encode(slice)));
+        // The run-probe time of a sampled call (`write.liveness.ns`).
+        let mut liveness = timer.map(|_| Duration::ZERO);
         let needs_flush;
         let first_seq;
         let mut replaced = 0;
@@ -483,10 +496,17 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
             // ops, and a key absent from the table has the same liveness
             // in every epoch publishable meanwhile.
             let mut pinned: Option<Arc<RunsEpoch<D, T, C>>> = None;
+            let mut probe = |key| pinned.get_or_insert_with(|| self.epoch.load()).is_live(key);
             for op in ops {
                 let seq = mem.next_seq;
-                let was_live = mem.put(op, seq, |key| {
-                    pinned.get_or_insert_with(|| self.epoch.load()).is_live(key)
+                let was_live = mem.put(op, seq, |key| match liveness.as_mut() {
+                    None => probe(key),
+                    Some(total) => {
+                        let start = Instant::now();
+                        let live = probe(key);
+                        *total += start.elapsed();
+                        live
+                    }
                 });
                 replaced += usize::from(was_live);
             }
@@ -502,6 +522,9 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
             self.flush(curve)?;
         }
         if let Some(m) = m {
+            if let Some(probe) = liveness {
+                m.liveness_ns.record_duration(probe);
+            }
             if let Some(start) = timer {
                 if inserts > 0 {
                     &m.insert_ns

@@ -281,12 +281,15 @@ impl<V> BPlusTreeMap<V> {
     /// A point-in-time copy in `O(1)`: two refcount bumps, no entry and no
     /// node copied. The copy is a full tree of its own; later writes to
     /// either side leave the other untouched, paying for the copy they
-    /// need then (see the module docs).
+    /// need then (see the module docs). The copy starts with an empty
+    /// free list: the freed slots are unreachable from its root, and a
+    /// write to it allocates fresh leaves, so only the live tree reuses
+    /// them.
     pub fn snapshot(&self) -> Self {
         Self {
             leaves: Arc::clone(&self.leaves),
             inners: Arc::clone(&self.inners),
-            free_leaves: self.free_leaves.clone(),
+            free_leaves: Vec::new(),
             root: self.root,
             height: self.height,
             head: self.head,
@@ -1031,6 +1034,52 @@ mod tests {
             t.retain(|k, _| k % 1_000 < 8);
             assert_eq!(t.inners.len(), reachable_inners(&t), "round {round}");
         }
+    }
+
+    /// A snapshot copies no free list (the capture under the shard's
+    /// lock stays two refcount bumps), a write to it still allocates
+    /// correctly, and the live tree keeps recycling its emptied leaves.
+    #[test]
+    fn snapshots_share_no_free_list_and_the_live_tree_recycles() {
+        let fill = |t: &mut BPlusTreeMap<u64>, round: u128| {
+            for k in 0..4_096u128 {
+                t.insert(round * 10_000 + k, k as u64);
+            }
+        };
+        let mut t = BPlusTreeMap::new();
+        fill(&mut t, 0);
+        t.retain(|k, _| k < 8);
+        assert!(!t.free_leaves.is_empty(), "the drain emptied leaves");
+        let mut snap = t.snapshot();
+        assert!(snap.free_leaves.is_empty());
+
+        let mut model: BTreeMap<CurveIndex, u64> = snap.iter().map(|(k, &v)| (k, v)).collect();
+        for k in (0..3_000u128).step_by(7) {
+            assert_eq!(snap.insert(k, 1), model.insert(k, 1), "insert {k}");
+        }
+        let got: Vec<_> = snap.iter().map(|(k, &v)| (k, v)).collect();
+        let want: Vec<_> = model.iter().map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(got, want);
+        assert_eq!(
+            keys(&t),
+            (0..8).collect::<Vec<_>>(),
+            "the live tree is untouched"
+        );
+
+        // Every round fills the same shape over the same 8 survivors, so
+        // from the first round on the free list covers the fill.
+        let slabs: Vec<usize> = (1..=20u128)
+            .map(|round| {
+                let _capture = t.snapshot();
+                fill(&mut t, round);
+                t.retain(|k, _| k < 8);
+                t.leaves.len()
+            })
+            .collect();
+        assert!(
+            slabs.iter().all(|&n| n == slabs[0]),
+            "leaf slab per round: {slabs:?}"
+        );
     }
 
     #[test]

@@ -71,6 +71,15 @@ pub struct ShardMetrics {
     pub(crate) get_ns: Histogram,
     pub(crate) flush_ns: Histogram,
     pub(crate) compact_ns: Histogram,
+    /// `shardN.write.liveness.ns` — time one [`Shard::apply`](crate::epoch)
+    /// spends asking the run stack whether a key the memtable did not
+    /// hold was live (pinning the epoch included): the per-write run
+    /// probe that keeps `len()` exact. Recorded only for the calls the
+    /// shard's timing sampler picks — one in [`DEFAULT_TIMING_SAMPLE`] —
+    /// and `0` for a sampled call whose keys the memtable all held; an
+    /// unsampled call pays one branch per probe. Part of `insert.ns` /
+    /// `delete.ns`.
+    pub(crate) liveness_ns: Histogram,
     /// `shardN.persist.ns` — time inside the durability hook's epoch
     /// persist (run files + checkpoint written and synced, manifest
     /// flipped), once per flush, compaction publish or bottom-run
@@ -103,6 +112,7 @@ impl ShardMetrics {
             get_ns: registry.histogram(&name("get.ns")),
             flush_ns: registry.histogram(&name("flush.ns")),
             compact_ns: registry.histogram(&name("compact.ns")),
+            liveness_ns: registry.histogram(&name("write.liveness.ns")),
             persist_ns: registry.histogram(&name("persist.ns")),
             persist_bytes: registry.counter(&name("persist.bytes")),
             memtable_len: registry.gauge(&name("memtable.len")),

@@ -112,6 +112,8 @@ struct ShardsView<'a, const D: usize, T, C: SpaceFillingCurve<D>> {
     curve: &'a C,
     partition: &'a Partition,
     shards: Vec<LevelsView<'a, D, T, C>>,
+    /// Live records across the captures.
+    live: usize,
 }
 
 impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T, C> {
@@ -121,6 +123,7 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
             curve,
             partition,
             shards: shards.iter().map(|s| s.view(curve)).collect(),
+            live: shards.iter().map(StoreSnapshot::len).sum(),
         }
     }
 
@@ -237,7 +240,8 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
     /// [`LevelsView::knn_collect`]). The k-th best bounds the
     /// verification radius, and the Chebyshev ball is a box query like
     /// any other (its decomposition, off Morton order, is timed into
-    /// `routed`); the `k` nearest of its hits go to `sink`.
+    /// `routed`); the `k` nearest of its hits go to `sink`. Captures
+    /// that hold no live record answer with no hit and no work.
     fn knn<S: HitSink<'a, D, T>>(
         &self,
         q: Point<D>,
@@ -246,6 +250,9 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
         routed: Option<&mut Routed>,
         sink: &mut S,
     ) -> QueryStats {
+        if self.live == 0 {
+            return QueryStats::default();
+        }
         let key = self.curve.index_of(q);
         let query = KnnQuery { q, key, k, window };
         let home = self.partition.part_of(key);
@@ -710,9 +717,6 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
             self.curve.grid().contains(&q),
             "query point out of bounds: {q}"
         );
-        if self.is_empty() {
-            return (Vec::new(), QueryStats::default());
-        }
         self.read(QueryOp::Knn, "knn", None, |view, routed, out| {
             view.knn(q, k, window, routed, out)
         })
@@ -1411,9 +1415,6 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
             self.curve.grid().contains(&q),
             "query point out of bounds: {q}"
         );
-        if self.is_empty() {
-            return (Vec::new(), QueryStats::default());
-        }
         self.collect(|view, out| view.knn(q, k, window, None, out))
     }
 }

@@ -8,10 +8,16 @@
 //! fallback), ragged tail blocks, and all-tombstone blocks. The byte
 //! image (`write_to` / `read_from`) must reproduce every such store
 //! exactly, and reject every strict prefix of itself.
+//!
+//! The in-memory key filter must never turn a stored key away:
+//! `find_key` is checked against a linear search over every key of a
+//! small key grid and keys outside it, before and after an image round
+//! trip, and on a 64 k-key run absent keys must pass the filter at most
+//! 3 % of the time.
 
 use proptest::prelude::*;
-use sfc_core::{CurveIndex, Point};
-use sfc_index::{BlockCursor, BlockStore, DecodedBlock, BLOCK_SLOTS};
+use sfc_core::{CurveIndex, Point, ZCurve};
+use sfc_index::{BlockCursor, BlockStore, DecodedBlock, SfcIndex, BLOCK_SLOTS};
 
 /// Packs the columns and asserts every decode path reproduces them.
 fn assert_round_trip(keys: &[CurveIndex], points: &[Point<2>], live: &[bool]) {
@@ -101,8 +107,76 @@ fn columns(seed: u64, len: usize) -> (Vec<CurveIndex>, Vec<Point<2>>, Vec<bool>)
     (keys, points, live)
 }
 
+/// Keys of the small key grid the `find_key` property draws from.
+const GRID_KEYS: u128 = 64;
+
+/// A key past 64 bits of delta from any grid key: a block holding it and
+/// a grid key takes the raw escape.
+const FAR_KEY: u128 = 5 << 100;
+
+/// Sorted columns over the key grid `0..GRID_KEYS` (duplicates are
+/// likely), random liveness; with `raw`, one [`FAR_KEY`] slot shares the
+/// last block with a grid key.
+fn grid_columns(seed: u64, len: usize, raw: bool) -> (Vec<CurveIndex>, Vec<Point<2>>, Vec<bool>) {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let mut keys: Vec<CurveIndex> = (0..len).map(|_| rng.gen_range(0..GRID_KEYS)).collect();
+    keys.sort_unstable();
+    if raw {
+        if keys.len().is_multiple_of(BLOCK_SLOTS) {
+            keys.push(GRID_KEYS - 1);
+        }
+        keys.push(FAR_KEY);
+    }
+    let points = (0..keys.len())
+        .map(|_| Point::new([rng.gen_range(0..8u32), rng.gen_range(0..8u32)]))
+        .collect();
+    let live = (0..keys.len()).map(|_| rng.gen::<bool>()).collect();
+    (keys, points, live)
+}
+
+/// `find_key` on `store` equals the first position a linear search finds,
+/// for every key of the grid, every stored key and keys outside both.
+fn assert_find_key_matches_linear(store: BlockStore<2>, keys: &[CurveIndex]) {
+    // `find_key` never consults the curve, so any curve can carry the
+    // store, whatever its keys.
+    let payloads = vec![0u32; store.live_len()];
+    let index = SfcIndex::from_parts(ZCurve::<2>::new(3).unwrap(), store, payloads);
+    let outside = [
+        GRID_KEYS,
+        GRID_KEYS + 1,
+        1 << 64,
+        FAR_KEY - 1,
+        FAR_KEY + 1,
+        u128::MAX,
+    ];
+    for key in (0..GRID_KEYS).chain(keys.iter().copied()).chain(outside) {
+        assert_eq!(
+            index.find_key(key),
+            keys.iter().position(|&k| k == key),
+            "find_key({key}) over {} slots",
+            keys.len()
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The key filter has no false negative: `find_key` matches a linear
+    /// search on a packed store and on its reloaded image — duplicate
+    /// keys, tombstoned slots (their keys are found too), raw-width
+    /// blocks and the empty store included.
+    #[test]
+    fn find_key_matches_a_linear_search(seed in any::<u64>(), len in 0usize..200, raw in any::<bool>()) {
+        let (keys, points, live) = grid_columns(seed, len, raw);
+        let store = BlockStore::pack(&keys, &points, |i| live[i]);
+        let mut image = Vec::new();
+        store.write_to(&mut image);
+        assert_find_key_matches_linear(store, &keys);
+        let reloaded = BlockStore::<2>::read_from(&image).expect("own image");
+        assert_find_key_matches_linear(reloaded, &keys);
+    }
 
     /// pack → unpack is the identity on every decode path, across block
     /// boundaries, ragged tails, and raw-width escapes.
@@ -213,4 +287,39 @@ fn empty_store_has_no_blocks() {
     assert_eq!(store.lower_bound(0), 0);
     assert!(store.bounds().is_none());
     assert_round_trip(&[], &[], &[]);
+}
+
+#[test]
+fn absent_keys_rarely_pass_the_key_filter() {
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
+    // A 64 k-key run over a 2048 × 2048 grid's key space, and as many
+    // absent keys, on a fixed seed.
+    const KEYS: usize = 1 << 16;
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(42);
+    let mut present = BTreeSet::new();
+    while present.len() < KEYS {
+        present.insert(rng.gen_range(0..1u128 << 22));
+    }
+    let keys: Vec<CurveIndex> = present.iter().copied().collect();
+    let points = vec![Point::new([0, 0]); KEYS];
+    let store = BlockStore::pack(&keys, &points, |_| true);
+    assert!(
+        keys.iter().all(|&k| store.may_contain(k)),
+        "a false negative"
+    );
+    let mut probes = 0u32;
+    let mut passed = 0u32;
+    while probes < KEYS as u32 {
+        let key = rng.gen_range(0..1u128 << 22);
+        if !present.contains(&key) {
+            probes += 1;
+            passed += u32::from(store.may_contain(key));
+        }
+    }
+    let rate = f64::from(passed) / f64::from(probes);
+    assert!(
+        rate <= 0.03,
+        "{passed} of {probes} absent keys passed ({rate:.4})"
+    );
 }

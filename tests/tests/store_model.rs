@@ -692,3 +692,44 @@ fn tombstone_across_runs_lifecycle() {
     assert_eq!(store.get(p), Some(3));
     assert_eq!(store.shard_run_lens()[0].iter().sum::<usize>(), store.len());
 }
+
+/// A key live in the bottom run and tombstoned in a newer run, with no
+/// memtable entry, is *not* live: the newest version is the tombstone.
+/// Every run's key filter must cover tombstoned slots too — a filter over
+/// live slots only turns the tombstone run's probe away, the write path
+/// falls through to the bottom run's live version, `insert` reports a
+/// replacement and `len()` drifts.
+#[test]
+fn a_tombstone_in_a_newer_run_shadows_the_bottom_run() {
+    let grid = Grid::<2>::new(5).unwrap();
+    let curve = ZCurve::over(grid);
+    let records: Vec<(Point<2>, u32)> = (0..grid.n())
+        .step_by(3)
+        .map(|key| (curve.point_of(key), key as u32))
+        .collect();
+    let total = records.len();
+    let store = ShardedSfcStore::bulk_load(curve, 1, records);
+    let k = curve.point_of(42);
+    assert_eq!(store.get(k), Some(42), "bottom run holds k live");
+    assert_eq!(store.len(), total);
+
+    assert!(store.delete(k), "deleting the live bottom-run version");
+    assert_eq!(store.len(), total - 1);
+    store.flush();
+    assert_eq!(
+        store.shard_run_lens(),
+        vec![vec![total, 1]],
+        "bottom run plus a one-tombstone run"
+    );
+    assert_eq!(store.shard_memtable_lens(), vec![0]);
+    assert_eq!(store.get(k), None);
+    assert_eq!(store.len(), total - 1);
+
+    assert!(!store.insert(k, 7), "k was tombstoned: nothing replaced");
+    assert_eq!(store.len(), total);
+    assert_eq!(store.get(k), Some(7));
+    assert!(store.delete(k), "the re-inserted k is live");
+    assert_eq!(store.len(), total - 1);
+    assert_eq!(store.get(k), None);
+    assert_eq!(store.iter().count(), store.len());
+}
