@@ -337,6 +337,49 @@ mod tests {
         }
     }
 
+    /// `(mean bits, std_error bits, samples)` of a seeded estimate.
+    fn estimate_bits<const D: usize>(kind: CurveKind, k: u32, seed: u64) -> (u64, u64, u64) {
+        let c = kind.build::<D>(k).unwrap();
+        let e = estimate_all_pairs_manhattan(&c, 2_500, &mut rng(seed));
+        (e.mean.to_bits(), e.std_error.to_bits(), e.samples)
+    }
+
+    #[test]
+    fn all_pairs_estimates_are_pinned_bit_for_bit() {
+        // 2 500 samples: two full chunks and a partial one. The grids
+        // cover each way a pair is drawn and a ratio formed: one word per
+        // cell with a 64-bit ratio (d=2 k=20, d=3 k=21), one word per cell
+        // with a 128-bit ratio (d=2 k=32), one word per coordinate
+        // (d=3 k=22), and a 2×2 grid where a redraw is frequent.
+        let got = [
+            estimate_bits::<2>(CurveKind::Hilbert, 20, 41),
+            estimate_bits::<2>(CurveKind::Z, 20, 42),
+            estimate_bits::<2>(CurveKind::Simple, 20, 43),
+            estimate_bits::<2>(CurveKind::Hilbert, 32, 44),
+            estimate_bits::<2>(CurveKind::Z, 32, 45),
+            estimate_bits::<3>(CurveKind::Hilbert, 21, 46),
+            estimate_bits::<3>(CurveKind::Z, 21, 47),
+            estimate_bits::<3>(CurveKind::Hilbert, 22, 48),
+            estimate_bits::<3>(CurveKind::Z, 22, 49),
+            estimate_bits::<2>(CurveKind::Hilbert, 1, 50),
+            estimate_bits::<2>(CurveKind::Z, 1, 51),
+        ];
+        let want = [
+            (0x4120_c61b_1739_4358, 0x40c2_c44e_3ff1_bbb0, 2500),
+            (0x4120_6ea8_3f1a_1a93, 0x40ba_ee0c_215a_988a, 2500),
+            (0x4120_2e08_5d90_352f, 0x40b5_6dea_e708_a15a, 2500),
+            (0x41e0_cdb2_e3a1_9881, 0x4186_55d6_3852_3e73, 2500),
+            (0x41e0_6a6c_996f_077a, 0x417c_e7dc_2dd4_8b5a, 2500),
+            (0x4276_bd34_71f9_4e51, 0x4219_5803_ed2f_31da, 2500),
+            (0x4275_536b_79cb_459c, 0x4214_1405_1825_69d5, 2500),
+            (0x4296_27a8_fba2_b38d, 0x4238_e0cc_b2f4_5cfb, 2500),
+            (0x4296_78a4_e527_81da, 0x4237_c828_d0fa_9d18, 2500),
+            (0x3ff4_faac_d9e8_3e42, 0x3f8d_b32f_f83c_2265, 2500),
+            (0x3ff5_0b0f_27bb_2fec, 0x3f86_aa0f_74a7_8ac5, 2500),
+        ];
+        assert_eq!(got, want);
+    }
+
     #[test]
     #[should_panic(expected = "one-cell grid")]
     fn all_pairs_estimate_on_a_one_cell_grid_panics() {
