@@ -180,48 +180,70 @@ impl<const D: usize> Grid<D> {
         Point::new(coords)
     }
 
-    /// A uniformly random ordered pair of *distinct* cells (an element of the
-    /// paper's set `A'`).
+    /// Fills `pairs` with uniformly random ordered pairs of *distinct*
+    /// cells (elements of the paper's set `A'`): `pairs[2i]` and
+    /// `pairs[2i + 1]` are the `i`-th pair, and pairs are independent.
     ///
     /// Each cell is cut from raw `next_u64` words: the side is `2^k`, so
     /// keeping `k` bits of a uniform word is an exact, unbiased coordinate.
     /// When `D·k ≤ 64` one word makes the whole cell (coordinate `i` is bits
-    /// `i·k .. (i+1)·k`); otherwise each coordinate is the low `k` bits of a
-    /// word of its own. `b` is redrawn until it differs from `a`, which
-    /// leaves the pair uniform over `A'`. This is not the stream of two
+    /// `i·k .. (i+1)·k`), and the second cell's word is redrawn, masked,
+    /// until it differs from the first's, before either is split into
+    /// coordinates. Otherwise each coordinate is the low `k` bits of a word
+    /// of its own and the second cell is redrawn whole. Either way the pair
+    /// is uniform over `A'`. This is not the stream of
     /// [`random_cell`](Self::random_cell) calls.
     ///
     /// # Panics
-    /// On a one-cell grid (`k = 0`), which has no pair of distinct cells.
-    pub fn random_distinct_pair<R: Rng + ?Sized>(&self, rng: &mut R) -> (Point<D>, Point<D>) {
+    /// On a one-cell grid (`k = 0`), which has no pair of distinct cells,
+    /// and if `pairs` has odd length.
+    pub fn fill_distinct_pairs<R: Rng + ?Sized>(&self, rng: &mut R, pairs: &mut [Point<D>]) {
         assert!(self.k >= 1, "a one-cell grid has no pair of distinct cells");
-        let a = self.cell_from_words(rng);
-        loop {
-            let b = self.cell_from_words(rng);
-            if b != a {
-                return (a, b);
-            }
-        }
-    }
-
-    /// A uniformly random cell from one word (`D·k ≤ 64`) or one word per
-    /// coordinate — see [`random_distinct_pair`](Self::random_distinct_pair).
-    #[inline]
-    fn cell_from_words<R: Rng + ?Sized>(&self, rng: &mut R) -> Point<D> {
-        let mask = (1u64 << self.k) - 1;
-        let mut coords = [0u32; D];
-        if D * self.k as usize <= 64 {
-            let mut word = rng.next_u64();
-            for c in coords.iter_mut() {
-                *c = (word & mask) as u32;
-                word >>= self.k;
+        assert!(
+            pairs.len().is_multiple_of(2),
+            "pairs come two cells at a time"
+        );
+        let k = self.k as usize;
+        let mask = (1u64 << k) - 1;
+        if D * k <= 64 {
+            let word_mask = u64::MAX >> (64 - D * k);
+            let cell = |mut word: u64| {
+                let mut coords = [0u32; D];
+                for c in coords.iter_mut() {
+                    *c = (word & mask) as u32;
+                    word >>= k;
+                }
+                Point::new(coords)
+            };
+            for pair in pairs.chunks_exact_mut(2) {
+                let a = rng.next_u64() & word_mask;
+                let b = loop {
+                    let b = rng.next_u64() & word_mask;
+                    if b != a {
+                        break b;
+                    }
+                };
+                (pair[0], pair[1]) = (cell(a), cell(b));
             }
         } else {
-            for c in coords.iter_mut() {
-                *c = (rng.next_u64() & mask) as u32;
+            let mut cell = || {
+                let mut coords = [0u32; D];
+                for c in coords.iter_mut() {
+                    *c = (rng.next_u64() & mask) as u32;
+                }
+                Point::new(coords)
+            };
+            for pair in pairs.chunks_exact_mut(2) {
+                let a = cell();
+                let b = loop {
+                    let b = cell();
+                    if b != a {
+                        break b;
+                    }
+                };
+                (pair[0], pair[1]) = (a, b);
             }
         }
-        Point::new(coords)
     }
 }
 
@@ -478,6 +500,78 @@ mod tests {
         }
     }
 
+    /// `n` pairs from one [`Grid::fill_distinct_pairs`] call.
+    fn draw_pairs<const D: usize, R: Rng>(
+        g: Grid<D>,
+        rng: &mut R,
+        n: usize,
+    ) -> Vec<(Point<D>, Point<D>)> {
+        let mut cells = vec![Point::origin(); 2 * n];
+        g.fill_distinct_pairs(rng, &mut cells);
+        cells.chunks_exact(2).map(|p| (p[0], p[1])).collect()
+    }
+
+    /// The per-pair draw the chunked one must reproduce: a cell from one
+    /// word (`D·k ≤ 64`) or one word per coordinate, compared as points,
+    /// the second redrawn until it differs.
+    fn reference_pair<const D: usize, R: Rng>(g: Grid<D>, rng: &mut R) -> (Point<D>, Point<D>) {
+        let mask = (1u64 << g.k()) - 1;
+        let mut cell = || {
+            let mut coords = [0u32; D];
+            if D * g.k() as usize <= 64 {
+                let mut word = rng.next_u64();
+                for c in coords.iter_mut() {
+                    *c = (word & mask) as u32;
+                    word >>= g.k();
+                }
+            } else {
+                for c in coords.iter_mut() {
+                    *c = (rng.next_u64() & mask) as u32;
+                }
+            }
+            Point::new(coords)
+        };
+        let a = cell();
+        loop {
+            let b = cell();
+            if b != a {
+                return (a, b);
+            }
+        }
+    }
+
+    /// The chunked draw yields the per-pair draw's pairs and leaves the
+    /// generator where it does, whether the pairs come in one call or in
+    /// calls of one pair each.
+    fn chunked_draw_matches_per_pair<const D: usize>(g: Grid<D>) {
+        use rand::{RngCore, SeedableRng};
+        let seed = 100 + u64::from(g.k());
+        let mut want_rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let want: Vec<_> = (0..300).map(|_| reference_pair(g, &mut want_rng)).collect();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        assert_eq!(draw_pairs(g, &mut rng, 300), want, "k={} d={D}", g.k());
+        assert_eq!(rng.next_u64(), want_rng.clone().next_u64());
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let one_at_a_time: Vec<_> = (0..300).flat_map(|_| draw_pairs(g, &mut rng, 1)).collect();
+        assert_eq!(one_at_a_time, want, "k={} d={D}", g.k());
+        assert_eq!(rng.next_u64(), want_rng.next_u64());
+    }
+
+    #[test]
+    fn chunked_pair_draw_matches_the_per_pair_draw() {
+        // k = 1: one redraw in four on a 2×2 grid, one in eight on 2×2×2.
+        chunked_draw_matches_per_pair(Grid::<2>::new(1).unwrap());
+        chunked_draw_matches_per_pair(Grid::<3>::new(1).unwrap());
+        // One word per cell, up to D·k = 64.
+        chunked_draw_matches_per_pair(Grid::<2>::new(20).unwrap());
+        chunked_draw_matches_per_pair(Grid::<3>::new(21).unwrap());
+        chunked_draw_matches_per_pair(Grid::<2>::new(32).unwrap());
+        chunked_draw_matches_per_pair(Grid::<1>::new(32).unwrap());
+        // One word per coordinate (D·k > 64).
+        chunked_draw_matches_per_pair(Grid::<3>::new(22).unwrap());
+        chunked_draw_matches_per_pair(Grid::<4>::new(31).unwrap());
+    }
+
     #[test]
     fn random_cells_and_edges_are_in_bounds() {
         use rand::SeedableRng;
@@ -486,7 +580,8 @@ mod tests {
         for _ in 0..200 {
             let c = g.random_cell(&mut rng);
             assert!(g.contains(&c));
-            let (x, y) = g.random_distinct_pair(&mut rng);
+        }
+        for (x, y) in draw_pairs(g, &mut rng, 200) {
             assert_ne!(x, y);
             assert!(g.contains(&x) && g.contains(&y));
         }
@@ -499,8 +594,7 @@ mod tests {
         let g = Grid::<2>::new(1).unwrap();
         let draws = 120_000u32;
         let mut counts = std::collections::HashMap::new();
-        for _ in 0..draws {
-            let (a, b) = g.random_distinct_pair(&mut rng);
+        for (a, b) in draw_pairs(g, &mut rng, draws as usize) {
             assert_ne!(a, b);
             *counts.entry((a, b)).or_insert(0u32) += 1;
         }
@@ -523,8 +617,7 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(u64::from(g.k()));
         let top = 1u32 << (g.k() - 1);
         let mut seen = [false; D];
-        for _ in 0..256 {
-            let (a, b) = g.random_distinct_pair(&mut rng);
+        for (a, b) in draw_pairs(g, &mut rng, 256) {
             assert!(g.contains(&a) && g.contains(&b), "k={} d={D}", g.k());
             for p in [a, b] {
                 for (axis, hit) in seen.iter_mut().enumerate() {
@@ -550,7 +643,18 @@ mod tests {
     fn a_one_cell_grid_has_no_distinct_pair() {
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        Grid::<2>::new(0).unwrap().random_distinct_pair(&mut rng);
+        draw_pairs(Grid::<2>::new(0).unwrap(), &mut rng, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "two cells at a time")]
+    fn an_odd_pair_buffer_is_refused() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
+        let mut cells = [Point::origin(); 3];
+        Grid::<2>::new(4)
+            .unwrap()
+            .fill_distinct_pairs(&mut rng, &mut cells);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! The 3-D batch encode and both batch decodes run on the state-transition
 //! tables of `hilbert_tables.rs`.
 
-use crate::bits::{dilate, dilate2_lut, dilate3_lut, undilate, undilate2_lut, undilate3};
+use crate::bits::{dilate, dilate2_u16, dilate3_lut, undilate, undilate2_lut, undilate3};
 use crate::curve::SpaceFillingCurve;
 use crate::error::SfcError;
 use crate::grid::Grid;
@@ -275,9 +275,18 @@ fn encode_2d_batch<const D: usize>(points: &[Point<D>], k: u32, out: &mut Vec<Cu
         for (x, y) in xs.iter_mut().zip(ys.iter_mut()) {
             (*x, *y) = scan_2d(*x, *y);
         }
-        out.extend(xs.iter().zip(ys.iter()).map(|(&hi, &lo)| {
-            u128::from((dilate2_lut(hi >> shift) << 1) | dilate2_lut(lo >> shift))
-        }));
+        // Each plane's levels back at the bottom, its two 16-bit halves
+        // interleaved in place: the low and the high 32 bits of the key.
+        for (hi, lo) in xs.iter_mut().zip(ys.iter_mut()) {
+            let (h, l) = (*hi >> shift, *lo >> shift);
+            *hi = (dilate2_u16(h >> 16) << 1) | dilate2_u16(l >> 16);
+            *lo = (dilate2_u16(h & 0xFFFF) << 1) | dilate2_u16(l & 0xFFFF);
+        }
+        out.extend(
+            xs.iter()
+                .zip(ys.iter())
+                .map(|(&hi, &lo)| u128::from(u64::from(hi) << 32 | u64::from(lo))),
+        );
     }
 }
 

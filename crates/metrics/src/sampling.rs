@@ -123,9 +123,10 @@ pub fn estimate_d_avg<const D: usize, C: SpaceFillingCurve<D>, R: Rng + ?Sized>(
 /// amortize the batch kernel's setup, small enough to stay cache-resident.
 const PAIR_BATCH: usize = 1024;
 
-/// `Δπ` as an `f64`. Below `2^64` the conversion goes through `u64`, a few
-/// instructions where `u128 → f64` is a software routine; both round the
-/// same integer the same way, so the value is identical.
+/// `Δπ` as an `f64` on a grid wider than 63 index bits. Below `2^64` the
+/// conversion goes through `u64`, a few instructions where `u128 → f64` is
+/// a software routine; both round the same integer the same way, so the
+/// value is identical. Narrower grids take [`narrow_ratios`].
 #[inline]
 fn distance_f64(d: sfc_core::CurveIndex) -> f64 {
     match u64::try_from(d) {
@@ -134,13 +135,35 @@ fn distance_f64(d: sfc_core::CurveIndex) -> f64 {
     }
 }
 
+/// `Δπ / Δ(a, b)` of each pair when every key is below `2^63`: both
+/// distances are then exact `i64`s, and `i64 → f64` is one instruction
+/// where `u64 → f64` and `u128 → f64` are several. Each converts the same
+/// integer with the same rounding, so every ratio equals the one
+/// [`distance_f64`] forms.
+#[inline]
+fn narrow_ratios<const D: usize>(
+    points: &[sfc_core::Point<D>],
+    keys: &[sfc_core::CurveIndex],
+    out: &mut [f64],
+) {
+    for ((r, p), k) in out
+        .iter_mut()
+        .zip(points.chunks_exact(2))
+        .zip(keys.chunks_exact(2))
+    {
+        let dpi = (k[0] as u64).abs_diff(k[1] as u64) as i64;
+        let delta = p[0].manhattan(&p[1]) as i64;
+        *r = dpi as f64 / delta as f64;
+    }
+}
+
 /// Estimates the all-pairs Manhattan stretch `str^{avg,M}(π)` by sampling
-/// ordered pairs of distinct cells uniformly: encodes them in chunks
-/// through the curve's batch kernel
-/// ([`SpaceFillingCurve::index_of_batch`]) and accumulates `Δπ / Δ(a, b)`
-/// a chunk at a time.
+/// ordered pairs of distinct cells uniformly: draws them a chunk at a time,
+/// encodes each chunk through the curve's batch kernel
+/// ([`SpaceFillingCurve::index_of_batch`]) and accumulates its
+/// `Δπ / Δ(a, b)` at once.
 ///
-/// The pairs come from [`Grid::random_distinct_pair`](sfc_core::Grid::random_distinct_pair),
+/// The pairs come from [`Grid::fill_distinct_pairs`](sfc_core::Grid::fill_distinct_pairs),
 /// which cuts cells from raw random words, so a seeded RNG gives a different
 /// sample sequence than a draw through `gen_range` per coordinate would. Each
 /// pair is still uniform over the ordered distinct pairs and independent of
@@ -156,31 +179,31 @@ pub fn estimate_all_pairs_manhattan<const D: usize, C: SpaceFillingCurve<D>, R: 
 ) -> Estimate {
     let grid = curve.grid();
     assert!(grid.k() >= 1, "a one-cell grid has no pairs to sample");
+    let narrow = D * grid.k() as usize <= 63;
     let mut acc = Welford::default();
-    let mut points = Vec::with_capacity(2 * PAIR_BATCH);
+    // On the heap: a chunk of `Point<D>`s outgrows a thread's stack at large `D`.
+    let mut points = vec![sfc_core::Point::origin(); 2 * PAIR_BATCH].into_boxed_slice();
     let mut keys = Vec::with_capacity(2 * PAIR_BATCH);
-    let mut ratios = Vec::with_capacity(PAIR_BATCH);
+    let mut ratios = [0.0f64; PAIR_BATCH];
     let mut remaining = samples;
     while remaining > 0 {
         let chunk = (remaining as usize).min(PAIR_BATCH);
-        points.clear();
-        for _ in 0..chunk {
-            let (a, b) = grid.random_distinct_pair(rng);
-            points.push(a);
-            points.push(b);
-        }
-        curve.index_of_batch(&points, &mut keys);
-        ratios.clear();
-        ratios.extend(
-            points
-                .chunks_exact(2)
+        let (points, ratios) = (&mut points[..2 * chunk], &mut ratios[..chunk]);
+        grid.fill_distinct_pairs(rng, points);
+        curve.index_of_batch(points, &mut keys);
+        if narrow {
+            narrow_ratios(points, &keys, ratios);
+        } else {
+            for ((r, p), k) in ratios
+                .iter_mut()
+                .zip(points.chunks_exact(2))
                 .zip(keys.chunks_exact(2))
-                .map(|(p, k)| {
-                    distance_f64(sfc_core::index_distance(k[0], k[1]))
-                        / p[0].manhattan(&p[1]) as f64
-                }),
-        );
-        acc.push_chunk(&ratios);
+            {
+                *r = distance_f64(sfc_core::index_distance(k[0], k[1]))
+                    / p[0].manhattan(&p[1]) as f64;
+            }
+        }
+        acc.push_chunk(ratios);
         remaining -= chunk as u64;
     }
     acc.estimate()
