@@ -31,18 +31,20 @@ const K: u32 = 5;
 /// The committed floor of `reference / estimate` for the sampled
 /// estimator on the simple curve, whose encode is nearly free, so the
 /// sampler is nearly all of the cost. Timed interleaved in one process
-/// ([`interleaved_ratio`] over [`RATIO_ROUNDS`] rounds). Measured MEASURED_SIMPLE:
-/// two random words per pair against eight, drawn a chunk at a time, and
-/// an `i64` ratio against a `u128` one, a chunked accumulator against one
-/// Welford update per sample.
+/// ([`interleaved_ratio`] over [`RATIO_ROUNDS`] rounds). Measured
+/// 3.52–3.69× over five runs: two random words per pair against eight,
+/// drawn a chunk at a time, an `i64` ratio against a `u128` one, a chunked
+/// accumulator against one Welford update per sample. The same runs'
+/// criterion groups, timed apart, read 3.50–5.29×.
 const SAMPLED_VS_REFERENCE_GATE: f64 = 1.5;
 
 /// The committed ceiling of `estimate/hilbert ÷ estimate/Z` for the
 /// sampled estimator at `d=2 k=20`, timed interleaved in one process
 /// ([`interleaved_ratio`] over [`RATIO_ROUNDS`] rounds): the two differ
 /// only in the encode, so this bounds the 2-D Hilbert batch encode against
-/// Morton's (measured 1.23–1.34× with the prefix-scan kernel; 2.57× with
-/// the state-transition tables before it).
+/// Morton's. Measured 1.19–1.21× in four of five runs and 1.44× in one,
+/// with the lane-built keys and the chunked sampler (1.22–1.23× before
+/// them; 2.57× with the state-transition tables before the prefix scan).
 const SAMPLED_HILBERT_VS_Z_GATE: f64 = 1.6;
 
 /// Rounds of the interleaved Hilbert-vs-Z timing (one estimate a side).
