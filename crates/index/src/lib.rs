@@ -85,12 +85,15 @@
 //!   other curve by a binary search of the box's exact decomposition
 //!   ([`IntervalSkipper`] over [`BoxRegion::curve_intervals`]:
 //!   `O(perimeter)` on Z, Hilbert and Gray, `O(volume · log volume)` on
-//!   any other curve). [`skip_intervals`] is that rule, once.
+//!   any other curve). [`CurveSkipper`] is that rule, built once per
+//!   query; a structure split by key range hands each part its
+//!   [`meeting`](CurveSkipper::meeting) share.
 //! * [`SfcIndex::query_intervals`] — every record whose key lies in a
 //!   caller's sorted, disjoint interval list ([`interval_scan`]: one
 //!   galloped seek per interval, zero overscan). With
 //!   `b.curve_intervals(index.curve())` it is the raw interval walk of
-//!   box `b`, the differential twin of `query_box`.
+//!   box `b`, the differential twin of `query_box` and the box oracle of
+//!   the store's tests (over `ShardedSnapshot::to_index`).
 //! * [`SfcIndex::knn`] — the candidate walk of [`knn`] from the query's
 //!   key, then the Chebyshev ball its k-th best bounds, through
 //!   `query_box`, ranked by `(distance, key)`.
@@ -108,7 +111,8 @@
 //!
 //! * [`sort_columns`] — batch-encode + stable radix sort: sorted-column
 //!   construction from unsorted records;
-//! * [`box_scan`] with its [`BoxSkipper`]s and [`interval_scan`], with
+//! * [`box_scan`] with its [`BoxSkipper`]s (the one per query:
+//!   [`CurveSkipper`]) and [`interval_scan`], with
 //!   per-level [`QueryStats`] accounting, and [`assert_sorted_disjoint`],
 //!   the entry check of every raw interval read;
 //! * [`knn::knn_collect_run`] — the per-run candidate walk, told by a
@@ -139,7 +143,7 @@ pub use block::{BlockCursor, BlockImageError, BlockStore, DecodedBlock, BLOCK_SL
 pub use query::QueryStats;
 pub use region::BoxRegion;
 pub use scan::{
-    assert_sorted_disjoint, box_scan, interval_scan, skip_intervals, BoxSkipper, IntervalSkipper,
+    assert_sorted_disjoint, box_scan, interval_scan, BoxSkipper, CurveSkipper, IntervalSkipper,
     MortonSkipper,
 };
 pub use table::{sort_columns, EntryRef, SfcIndex};

@@ -42,11 +42,14 @@
 //!   [`MortonSkipper`] computes BIGMIN (Tropf & Herzog) and needs no
 //!   preprocessing; [`IntervalSkipper`] binary-searches the box's sorted
 //!   decomposition and works for every curve. Which one a box query on a
-//!   given curve uses is decided once, by [`skip_intervals`].
+//!   given curve uses is decided once per query, by [`CurveSkipper`].
 //!
 //! The pre-zone-map per-slot scans these kernels replaced are kept
 //! outside the library, as the references `tests/tests/box_kernel.rs`
 //! diffs the kernels against (`sfc_integration::oracle`).
+
+use std::borrow::Cow;
+use std::ops::Range;
 
 use crate::bigmin::bigmin;
 use crate::block::{BlockCursor, BlockStore, DecodedBlock};
@@ -257,20 +260,83 @@ impl BoxSkipper for IntervalSkipper<'_> {
     }
 }
 
-/// The decomposition a box query on `curve` skips by — the one rule every
-/// box read follows: none under Morton order, which skips by BIGMIN
-/// ([`MortonSkipper`]) with nothing precomputed, and the box's exact curve
-/// intervals ([`IntervalSkipper`]) on every other curve (`O(perimeter)`
-/// aligned cubes on Hilbert and Gray; every cell of the box on the
-/// non-recursive curves — see [`BoxRegion::curve_intervals`]).
-pub fn skip_intervals<const D: usize, C: SpaceFillingCurve<D>>(
-    curve: &C,
-    b: &BoxRegion<D>,
-) -> Option<Vec<(CurveIndex, CurveIndex)>> {
-    curve
-        .as_morton()
-        .is_none()
-        .then(|| b.curve_intervals(curve))
+/// The skipper a box query on a given curve runs with — the one rule
+/// every box read follows, decided once per query: Morton order skips by
+/// BIGMIN ([`MortonSkipper`]: two corner encodes, nothing else
+/// precomputed), every other curve by a binary search of the box's exact
+/// curve intervals ([`IntervalSkipper`] over
+/// [`BoxRegion::curve_intervals`]: `O(perimeter)` aligned cubes on Hilbert
+/// and Gray, every cell of the box on the non-recursive curves).
+///
+/// A structure split by key range hands each part its
+/// [`meeting`](Self::meeting) share, so the decomposition is computed
+/// once and BIGMIN's corners are encoded once, however many parts and
+/// levels the query reads.
+#[derive(Debug, Clone)]
+pub enum CurveSkipper<'a, const D: usize> {
+    /// Morton order: BIGMIN on the box's corner codes.
+    Morton(MortonSkipper<'a, D>),
+    /// Any other curve: the box's decomposition, or the contiguous part
+    /// of it a key range meets.
+    Intervals(Cow<'a, [(CurveIndex, CurveIndex)]>),
+}
+
+impl<'a, const D: usize> CurveSkipper<'a, D> {
+    /// The skipper for box `b` on `curve`; `b` should lie inside the grid
+    /// ([`BoxRegion::clip_to_grid`]).
+    pub fn new<C: SpaceFillingCurve<D>>(curve: &'a C, b: &BoxRegion<D>) -> Self {
+        match curve.as_morton() {
+            Some(z) => Self::Morton(MortonSkipper::new(z, b)),
+            None => Self::Intervals(Cow::Owned(b.curve_intervals(curve))),
+        }
+    }
+
+    /// How many curve intervals the box decomposed into — the paper's
+    /// cluster count — or `None` under Morton order, which decomposes
+    /// nothing.
+    pub fn intervals(&self) -> Option<usize> {
+        match self {
+            Self::Morton(_) => None,
+            Self::Intervals(iv) => Some(iv.len()),
+        }
+    }
+
+    /// The share of the half-open key range `range`, or `None` when no
+    /// key of the box lies in it: under Morton order the same skipper
+    /// when the box's key span meets the range, otherwise the intervals
+    /// meeting the range — a sub-slice, no endpoint clipped (a part holds
+    /// no key outside its range, so an interval reaching past it finds
+    /// nothing there).
+    pub fn meeting(&self, range: &Range<CurveIndex>) -> Option<CurveSkipper<'_, D>> {
+        let (lo, hi) = self.span();
+        if range.is_empty() || range.start > hi || range.end <= lo {
+            return None;
+        }
+        match self {
+            Self::Morton(m) => Some(CurveSkipper::Morton(*m)),
+            Self::Intervals(iv) => {
+                let from = iv.partition_point(|&(_, hi)| hi < range.start);
+                let to = iv.partition_point(|&(lo, _)| lo < range.end);
+                (from < to).then(|| CurveSkipper::Intervals(Cow::Borrowed(&iv[from..to])))
+            }
+        }
+    }
+}
+
+impl<const D: usize> BoxSkipper for CurveSkipper<'_, D> {
+    fn span(&self) -> (CurveIndex, CurveIndex) {
+        match self {
+            Self::Morton(m) => m.span(),
+            Self::Intervals(iv) => IntervalSkipper(iv).span(),
+        }
+    }
+
+    fn next_inside(&self, from: CurveIndex) -> Option<CurveIndex> {
+        match self {
+            Self::Morton(m) => m.next_inside(from),
+            Self::Intervals(iv) => IntervalSkipper(iv).next_inside(from),
+        }
+    }
 }
 
 /// The box-scan kernel: calls `visit` with the position, key and point of

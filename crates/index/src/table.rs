@@ -30,9 +30,7 @@ use crate::block::{BlockCursor, BlockStore};
 use crate::knn::{knn_collect_run, verification_radius, KnnQuery};
 use crate::query::QueryStats;
 use crate::region::BoxRegion;
-use crate::scan::{
-    assert_sorted_disjoint, box_scan, interval_scan, skip_intervals, IntervalSkipper, MortonSkipper,
-};
+use crate::scan::{assert_sorted_disjoint, box_scan, interval_scan, CurveSkipper};
 use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
 
 /// A borrowed view of one record of the index.
@@ -485,19 +483,13 @@ impl<const D: usize, T, C: SpaceFillingCurve<D>> SfcIndex<D, T, C> {
     /// ([`BoxRegion::clip_to_grid`]) and run through the block-at-a-time
     /// kernel ([`box_scan`]), which leaves an excursion out of the box by
     /// BIGMIN on Morton order and by a binary search of the box's exact
-    /// decomposition on every other curve ([`skip_intervals`]).
+    /// decomposition on every other curve ([`CurveSkipper`]).
     pub fn query_box(&self, b: &BoxRegion<D>) -> (Vec<EntryRef<'_, D, T>>, QueryStats) {
         let mut out = Vec::new();
         let mut stats = QueryStats::default();
         if let Some(b) = &b.clip_to_grid(self.curve.grid()) {
-            let (blocks, visit) = (&self.blocks, self.live_into(&mut out));
-            match skip_intervals(&self.curve, b) {
-                Some(iv) => box_scan(blocks, b, &IntervalSkipper(&iv), &mut stats, visit),
-                None => {
-                    let z = self.curve.as_morton().expect("undecomposed: Morton order");
-                    box_scan(blocks, b, &MortonSkipper::new(z, b), &mut stats, visit)
-                }
-            }
+            let skip = CurveSkipper::new(&self.curve, b);
+            box_scan(&self.blocks, b, &skip, &mut stats, self.live_into(&mut out));
         }
         stats.reported = out.len() as u64;
         (out, stats)
@@ -742,6 +734,39 @@ mod tests {
         let grid = Grid::<2>::new(2).unwrap();
         let idx = SfcIndex::build(ZCurve::over(grid), random_records(grid, 10, 1));
         idx.query_intervals(&[(9, 12), (2, 5)]);
+    }
+
+    /// The raw-range read on well-formed lists: sorted disjoint ranges
+    /// report each key once, an empty list nothing, and a range past the
+    /// last key is clipped.
+    #[test]
+    fn query_intervals_accepts_sorted_disjoint_lists() {
+        let idx = full_grid(ZCurve::over(Grid::<2>::new(4).unwrap()));
+        let keys = |intervals: &[(CurveIndex, CurveIndex)]| -> Vec<CurveIndex> {
+            idx.query_intervals(intervals)
+                .0
+                .iter()
+                .map(|e| e.key)
+                .collect()
+        };
+        let want: Vec<CurveIndex> = (0..=3).chain(100..=103).chain(200..=203).collect();
+        assert_eq!(keys(&[(0, 3), (100, 103), (200, 203)]), want);
+        assert_eq!(keys(&[(0, 3), (4, 4)]), [0, 1, 2, 3, 4], "adjacent");
+        assert!(keys(&[]).is_empty());
+        assert_eq!(keys(&[(250, 10_000)]), [250, 251, 252, 253, 254, 255]);
+        assert!(keys(&[(256, 300)]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted and disjoint: (0, 10) then (5, 12)")]
+    fn query_intervals_rejects_an_overlapping_list() {
+        full_grid(ZCurve::over(Grid::<2>::new(4).unwrap())).query_intervals(&[(0, 10), (5, 12)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "inverted interval: (9, 3)")]
+    fn query_intervals_rejects_an_inverted_interval() {
+        full_grid(ZCurve::over(Grid::<2>::new(4).unwrap())).query_intervals(&[(0, 1), (9, 3)]);
     }
 
     #[test]

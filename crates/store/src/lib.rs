@@ -103,8 +103,8 @@
 //! Nothing is flushed, nothing is written, nothing can fail. All scanning
 //! then runs against the captures with no lock held: each level is
 //! scanned with the shared primitives from `sfc-index`
-//! ([`box_scan`](sfc_index::box_scan),
-//! [`interval_scan`](sfc_index::interval_scan)), per-level work is summed
+//! ([`box_scan`](sfc_index::box_scan) and the kNN candidate walk),
+//! per-level work is summed
 //! into one [`QueryStats`](sfc_index::QueryStats), and results merge
 //! newest-wins with tombstones suppressing older versions.
 //!
@@ -137,8 +137,9 @@
 //! be seen in part. Against any quiesced state, every read is
 //! byte-identical at every shard count.
 //!
-//! **One method per question**, the same five on the store (owned
-//! entries) and on a snapshot (borrowed ones). A read runs in the calling
+//! **One method per question**, the same four on the store (owned
+//! entries) and on a snapshot (borrowed ones): a read is a get, an
+//! iteration, a box or a kNN. A read runs in the calling
 //! thread; concurrent callers are the parallelism (a `thread::scope`
 //! spawn per shard per call lost to the sequential fan-out at every box
 //! size and for kNN — `docs/perf/PR-23.md`).
@@ -148,7 +149,6 @@
 //! | what is at this cell? | [`get`](ShardedSfcStore::get) |
 //! | everything, in curve order | [`iter`](ShardedSfcStore::iter) |
 //! | what lies in this box? | [`query_box`](ShardedSfcStore::query_box) (the block kernel, skipping by the curve's rule) |
-//! | what lies in these curve-key ranges? | [`query_intervals`](ShardedSfcStore::query_intervals) (the raw interval walk) |
 //! | the `k` records nearest this point | [`knn`](ShardedSfcStore::knn) |
 //!
 //! ## The memtable: a locality-aware B+tree
@@ -202,9 +202,7 @@
 //!   blocks whose AABB misses the box are stepped over, blocks contained
 //!   in the box are bulk-accepted, and a partial block is decoded once
 //!   and masked on its coordinates — no per-key test or in-block hop
-//!   anywhere ([`box_scan`](sfc_index::box_scan)); a raw interval walk
-//!   gallops forward from the previous interval's position instead of
-//!   re-searching the whole column.
+//!   anywhere ([`box_scan`](sfc_index::box_scan)).
 //! * **kNN.** Candidate collection starts in the shard owning the query's
 //!   key, visits a further run only while its AABB is nearer than the
 //!   k-th best, skips all-dead blocks and blocks whose AABB distance
@@ -213,8 +211,10 @@
 //!   verification ball is an ordinary box query.
 //! * **The skipper.** [`ShardedSfcStore::query_box`] runs that one kernel
 //!   on every level; the curve alone decides how the kernel leaves an
-//!   excursion out of the box. Morton order skips by BIGMIN and precomputes
-//!   nothing; every other curve decomposes the box once at the router
+//!   excursion out of the box, through one
+//!   [`CurveSkipper`](sfc_index::CurveSkipper) built at the router.
+//!   Morton order skips by BIGMIN and precomputes nothing but the two
+//!   corner codes; every other curve decomposes the box
 //!   (hierarchically on Hilbert and Gray: `O(perimeter)` aligned cubes,
 //!   one encode each — see [`sfc_index::BoxRegion::curve_intervals`]),
 //!   hands each shard the intervals meeting its range, and skips by a
@@ -224,18 +224,20 @@
 //!   against the kernel and are gone (see the `view` module docs). A
 //!   query's [`QueryStats`](sfc_index::QueryStats) count the blocks it
 //!   pruned and decoded; `examples/range_query.rs` prints the kernel
-//!   beside the raw interval walk.
+//!   beside the static index's raw interval walk.
 //! * **Streaming.** A shard scans its small upper levels into a reused
 //!   scratch and streams its bottom run through the newest-wins merge
 //!   straight into the result — owned entries for a live query, borrowed
 //!   ones for a snapshot — so no hit is copied twice and shard results
 //!   append in curve order.
 //!
-//! [`ShardedSfcStore::query_intervals`] walks a caller's raw interval list
-//! on every level — with `b.curve_intervals(store.curve())` it answers a
-//! box by a different algorithm, which is what the differential tests
-//! compare [`query_box`](ShardedSfcStore::query_box) with (beside a
-//! `BTreeMap` model that shares no code with the engine).
+//! The store has no raw interval read. Its differential tests compare
+//! [`query_box`](ShardedSfcStore::query_box) with a `BTreeMap` model
+//! that shares no code with the engine, and with the raw interval walk
+//! of the static index a snapshot materialises
+//! ([`ShardedSnapshot::to_index`] then
+//! [`SfcIndex::query_intervals`](sfc_index::SfcIndex::query_intervals)
+//! over `b.curve_intervals(store.curve())`) — a different algorithm.
 //!
 //! ## Durability: write-ahead log, group commit, crash recovery
 //!

@@ -175,7 +175,6 @@ impl WalMetrics {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum QueryOp {
     Box,
-    Intervals,
     Knn,
 }
 
@@ -189,7 +188,6 @@ pub struct EngineMetrics {
     query_count: Counter,
     slow_count: Counter,
     box_ns: Histogram,
-    intervals_ns: Histogram,
     knn_ns: Histogram,
     q_seeks: Counter,
     q_scanned: Counter,
@@ -217,7 +215,6 @@ impl EngineMetrics {
             query_count: registry.counter("engine.query.count"),
             slow_count: registry.counter("engine.slow_query.count"),
             box_ns: registry.histogram("engine.query_box.ns"),
-            intervals_ns: registry.histogram("engine.query_intervals.ns"),
             knn_ns: registry.histogram("engine.knn.ns"),
             q_seeks: registry.counter("engine.query.seeks"),
             q_scanned: registry.counter("engine.query.scanned"),
@@ -307,7 +304,6 @@ impl EngineMetrics {
         self.query_count.inc();
         match op {
             QueryOp::Box => &self.box_ns,
-            QueryOp::Intervals => &self.intervals_ns,
             QueryOp::Knn => &self.knn_ns,
         }
         .record(wall_ns);
@@ -348,7 +344,7 @@ pub struct QueryTrace {
     /// Shards the trace spans.
     pub shards: Option<usize>,
     /// Curve intervals the query walked by: the box's (or the kNN
-    /// ball's) decomposition, or the caller's list for `query_intervals`.
+    /// ball's) decomposition.
     /// `None` means BIGMIN — a Morton-order box is never decomposed.
     pub intervals: Option<usize>,
     /// The query's work counters (seeks, overscan, blocks pruned and

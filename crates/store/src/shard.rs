@@ -51,7 +51,7 @@ use std::time::Instant;
 
 use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
 use sfc_index::knn::{verification_radius, KnnQuery};
-use sfc_index::{assert_sorted_disjoint, skip_intervals, BoxRegion, QueryStats, SfcIndex};
+use sfc_index::{BoxRegion, CurveSkipper, QueryStats, SfcIndex};
 use sfc_obs::MetricsRegistry;
 use sfc_partition::{ConcurrentTraffic, Partition, TrafficWeights};
 
@@ -62,31 +62,12 @@ use crate::snapshot::StoreSnapshot;
 use crate::store::{
     sorted_unique_columns, BatchOp, StoreEntry, StoreEntryRef, DEFAULT_MEMTABLE_CAPACITY,
 };
-use crate::view::{rank_by_distance, HitSink, LevelsView, Overlay, Probe};
+use crate::view::{rank_by_distance, HitSink, LevelsView, Overlay};
 use crate::wal::{self, RecoveryStats, WalConfig, WalEngine, WalError, WalPayload, WalShard};
-
-/// An inclusive curve-index interval.
-type Interval = (CurveIndex, CurveIndex);
 
 /// One query's hits, borrowed from the captures it ran against, and the
 /// work it did.
 type Hits<'a, const D: usize, T> = (Vec<StoreEntryRef<'a, D, T>>, QueryStats);
-
-/// The part of a sorted, disjoint interval list that meets the half-open
-/// key range `start..end` — a sub-slice, no endpoint clipped: a shard
-/// holds no key outside its range, so an interval reaching past it finds
-/// nothing there.
-fn intervals_meeting<'i>(
-    intervals: &'i [Interval],
-    range: &std::ops::Range<CurveIndex>,
-) -> &'i [Interval] {
-    if range.is_empty() {
-        return &[];
-    }
-    let from = intervals.partition_point(|&(_, hi)| hi < range.start);
-    let to = intervals.partition_point(|&(lo, _)| lo < range.end);
-    &intervals[from..to]
-}
 
 /// Nanoseconds since `start`, saturating.
 fn elapsed_ns(start: Instant) -> u64 {
@@ -122,103 +103,47 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
         Self {
             curve,
             partition,
-            shards: shards.iter().map(|s| s.view(curve)).collect(),
+            shards: shards.iter().map(StoreSnapshot::view).collect(),
             live: shards.iter().map(StoreSnapshot::len).sum(),
         }
     }
 
-    /// The box's Morton key span `[Z(lo), Z(hi)]` when the probe skips by
-    /// BIGMIN — what routes such a probe, there being no interval list to
-    /// route by.
-    fn morton_span(&self, probe: &Probe<'_, D>) -> Option<Interval> {
-        match *probe {
-            Probe::Box(b, None) => {
-                let z = self.curve.as_morton().expect("undecomposed: Morton order");
-                Some((z.encode(b.lo()), z.encode(b.hi())))
-            }
-            _ => None,
-        }
-    }
-
-    /// What shard `j` is asked when the whole store is asked `probe`
-    /// (whose [`morton_span`](Self::morton_span) is `span`), or `None`
-    /// when the shard is not consulted: its range is empty, misses the
-    /// span, or meets none of the intervals.
-    fn share<'q>(
+    /// The fan-out: every shard box `b` reaches scans it with its
+    /// [`meeting`](CurveSkipper::meeting) share of `skip` and streams
+    /// into `sink`, one after the other, through one merge scratch.
+    fn fan_out<S: HitSink<'a, D, T>>(
         &self,
-        j: usize,
-        probe: &Probe<'q, D>,
-        span: Option<Interval>,
-    ) -> Option<Probe<'q, D>> {
-        let range = self.partition.range(j);
-        let met = |intervals: &'q [Interval]| {
-            let met = intervals_meeting(intervals, &range);
-            (!met.is_empty()).then_some(met)
-        };
-        match *probe {
-            Probe::Keys(intervals) => met(intervals).map(Probe::Keys),
-            Probe::Box(b, Some(intervals)) => met(intervals).map(|iv| Probe::Box(b, Some(iv))),
-            Probe::Box(_, None) => {
-                let (lo, hi) = span.expect("a BIGMIN probe is routed by its span");
-                (!range.is_empty() && range.start <= hi && range.end > lo).then_some(*probe)
-            }
-        }
-    }
-
-    /// The shards `probe` reaches with what each is asked, in shard order.
-    fn shares<'q, 'p>(
-        &'p self,
-        probe: &'p Probe<'q, D>,
-    ) -> impl Iterator<Item = (&'p LevelsView<'a, D, T, C>, Probe<'q, D>)> + 'p {
-        let span = self.morton_span(probe);
-        self.shards
-            .iter()
-            .enumerate()
-            .filter_map(move |(j, shard)| Some((shard, self.share(j, probe, span)?)))
-    }
-
-    /// The fan-out: every shard the probe reaches scans its share and
-    /// streams into `sink`, one after the other, through one merge
-    /// scratch.
-    fn fan_out<S: HitSink<'a, D, T>>(&self, probe: &Probe<'_, D>, sink: &mut S) -> QueryStats {
+        b: &BoxRegion<D>,
+        skip: &CurveSkipper<'_, D>,
+        sink: &mut S,
+    ) -> QueryStats {
         let mut overlay = Overlay::default();
         let mut stats = QueryStats::default();
-        for (shard, share) in self.shares(probe) {
-            stats.add(&shard.scan(&share, &mut overlay, sink));
+        for (j, shard) in self.shards.iter().enumerate() {
+            if let Some(share) = skip.meeting(&self.partition.range(j)) {
+                stats.add(&shard.scan(b, &share, &mut overlay, sink));
+            }
         }
         stats
     }
 
-    /// Interval query over every level of every intersecting shard.
-    fn query_intervals<S: HitSink<'a, D, T>>(
-        &self,
-        intervals: &[Interval],
-        sink: &mut S,
-    ) -> QueryStats {
-        self.fan_out(&Probe::Keys(intervals), sink)
-    }
-
-    /// The decomposition a box query skips by ([`skip_intervals`]: none
-    /// under Morton order, the exact intervals on every other curve) —
+    /// The skipper of box `b` ([`CurveSkipper`]: BIGMIN on Morton order,
+    /// the exact intervals on every other curve) — its decomposition
     /// timed and counted into `routed` when the caller asked and there
     /// was one.
-    fn decompose_box(
-        &self,
-        b: &BoxRegion<D>,
-        routed: Option<&mut Routed>,
-    ) -> Option<Vec<Interval>> {
+    fn skipper(&self, b: &BoxRegion<D>, routed: Option<&mut Routed>) -> CurveSkipper<'a, D> {
         let start = routed.is_some().then(Instant::now);
-        let intervals = skip_intervals(self.curve, b)?;
-        if let (Some(routed), Some(start)) = (routed, start) {
+        let skip = CurveSkipper::new(self.curve, b);
+        if let (Some(routed), Some(start), Some(n)) = (routed, start, skip.intervals()) {
             routed.decompose_ns = Some(elapsed_ns(start));
-            routed.intervals = Some(intervals.len());
+            routed.intervals = Some(n);
         }
-        Some(intervals)
+        skip
     }
 
-    /// Box query through the block-at-a-time kernel, skipping by the
-    /// box's decomposition ([`decompose_box`](Self::decompose_box); BIGMIN
-    /// on Morton order). A box reaching past the grid is clipped first.
+    /// Box query through the block-at-a-time kernel with the box's
+    /// [`skipper`](Self::skipper). A box reaching past the grid is
+    /// clipped first.
     fn query_box<S: HitSink<'a, D, T>>(
         &self,
         b: &BoxRegion<D>,
@@ -228,8 +153,7 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
         let Some(b) = b.clip_to_grid(self.curve.grid()) else {
             return QueryStats::default();
         };
-        let intervals = self.decompose_box(&b, routed);
-        self.fan_out(&Probe::Box(&b, intervals.as_deref()), sink)
+        self.fan_out(&b, &self.skipper(&b, routed), sink)
     }
 
     /// Exact kNN. Live candidates are gathered into the shared top-k
@@ -264,9 +188,8 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardsView<'a, D, T
             }
         });
         let ball = BoxRegion::chebyshev_ball(self.curve.grid(), q, radius);
-        let intervals = self.decompose_box(&ball, routed);
         let mut hits = Vec::new();
-        let ball_stats = self.fan_out(&Probe::Box(&ball, intervals.as_deref()), &mut hits);
+        let ball_stats = self.fan_out(&ball, &self.skipper(&ball, routed), &mut hits);
         rank_ball((hits, ball_stats), stats, q, k, sink)
     }
 }
@@ -292,7 +215,6 @@ fn rank_ball<'a, const D: usize, T, S: HitSink<'a, D, T>>(
 /// shard's worth of owned entries at a time. Borrows nothing from the
 /// store.
 pub struct ShardedIter<const D: usize, T, C: SpaceFillingCurve<D> + Clone> {
-    curve: C,
     /// Captures of the shards not yet reached.
     caps: std::vec::IntoIter<StoreSnapshot<D, T, C>>,
     /// The current shard's entries.
@@ -316,7 +238,7 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Iterator for Sha
                 return Some(entry);
             }
             let cap = self.caps.next()?;
-            let entries: Vec<_> = cap.view(&self.curve).iter().map(|e| e.to_owned()).collect();
+            let entries: Vec<_> = cap.view().iter().map(|e| e.to_owned()).collect();
             self.shard = entries.into_iter();
         }
     }
@@ -564,7 +486,6 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     pub fn iter(&self) -> ShardedIter<D, T, C> {
         let (_, caps) = self.capture_all();
         ShardedIter {
-            curve: self.curve.clone(),
             caps: caps.into_iter(),
             shard: Vec::new().into_iter(),
         }
@@ -649,10 +570,10 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     /// Box query, fanned out to intersecting shards only. Every level
     /// runs the block-at-a-time kernel
     /// ([`box_scan`](sfc_index::box_scan)), which leaves an excursion out
-    /// of the box by the curve's skipper — BIGMIN on Morton order
-    /// (nothing precomputed), a binary search of the box's exact curve
-    /// intervals on every other curve (decomposed once at the router,
-    /// each shard handed the part meeting its range) — and levels whose
+    /// of the box by the curve's skipper ([`CurveSkipper`], built once at
+    /// the router) — BIGMIN on Morton order (nothing precomputed), a
+    /// binary search of the box's exact curve intervals on every other
+    /// curve, each shard handed the part meeting its range — and levels whose
     /// key range or zone-map AABB cannot intersect the box are pruned.
     /// Each shard streams its newest-wins result straight into the
     /// returned vector. A box reaching past the grid is clipped to it.
@@ -664,35 +585,6 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
             "query_box",
             Some(b.volume()),
             |view, routed, out| view.query_box(b, routed, out),
-        )
-    }
-
-    /// Every record whose curve key lies inside the given inclusive
-    /// curve-index intervals, fanned out to the shards whose range meets
-    /// them: each walks the ones meeting its range against its memtable
-    /// and every run ([`interval_scan`](sfc_index::interval_scan) — one
-    /// seek per interval per level, zero overscan), merging versions
-    /// newest-wins; results append in shard order (= curve order). An
-    /// empty list finds nothing and a range past the last key is clipped.
-    /// `query_intervals(&b.curve_intervals(store.curve()))` answers box
-    /// `b` by the raw walk — the differential twin of
-    /// [`query_box`](Self::query_box).
-    ///
-    /// # Panics
-    /// Panics unless the intervals are sorted ascending, disjoint and
-    /// each `lo <= hi` ([`BoxRegion::curve_intervals`] guarantees it).
-    pub fn query_intervals(&self, intervals: &[Interval]) -> (Vec<StoreEntry<D, T>>, QueryStats) {
-        assert_sorted_disjoint(intervals);
-        self.read(
-            QueryOp::Intervals,
-            "query_intervals",
-            None,
-            |view, routed, out| {
-                if let Some(r) = routed {
-                    r.intervals = Some(intervals.len());
-                }
-                view.query_intervals(intervals, out)
-            },
         )
     }
 
@@ -980,7 +872,7 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
                 continue;
             }
             let cap = shard.capture();
-            for e in cap.view(&self.curve).iter() {
+            for e in cap.view().iter() {
                 moved.push((e.key, e.point, Some(e.payload.clone())));
             }
         }
@@ -1329,7 +1221,7 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
         }
         let key = self.curve.index_of(p);
         self.shards[self.partition.part_of(key)]
-            .view(&self.curve)
+            .view()
             .version(key)
             .and_then(|v| v.map(|(_, t)| t))
     }
@@ -1339,9 +1231,7 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
     /// suppressed; shard ranges are ascending and disjoint, so per-shard
     /// concatenation *is* the global curve order.
     pub fn iter(&self) -> impl Iterator<Item = StoreEntryRef<'_, D, T>> {
-        self.shards
-            .iter()
-            .flat_map(|shard| shard.view(&self.curve).iter())
+        self.shards.iter().flat_map(|shard| shard.view().iter())
     }
 
     /// Materialises the snapshot's live set into a static [`SfcIndex`]
@@ -1384,21 +1274,6 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
         self.collect(|view, out| view.query_box(b, None, out))
     }
 
-    /// Every record of the frozen shards whose curve key lies inside the
-    /// given inclusive curve-index intervals — see
-    /// [`ShardedSfcStore::query_intervals`].
-    ///
-    /// # Panics
-    /// Panics unless the intervals are sorted ascending, disjoint and
-    /// each `lo <= hi`.
-    pub fn query_intervals(
-        &self,
-        intervals: &[Interval],
-    ) -> (Vec<StoreEntryRef<'_, D, T>>, QueryStats) {
-        assert_sorted_disjoint(intervals);
-        self.collect(|view, out| view.query_intervals(intervals, out))
-    }
-
     /// Exact k-nearest-neighbor query over the frozen shards — see
     /// [`ShardedSfcStore::knn`].
     ///
@@ -1424,6 +1299,7 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
     use sfc_core::{Grid, HilbertCurve, ZCurve};
+    use sfc_index::MortonSkipper;
 
     fn rng(seed: u64) -> rand_chacha::ChaCha8Rng {
         rand_chacha::ChaCha8Rng::seed_from_u64(seed)
@@ -1443,34 +1319,38 @@ mod tests {
             .collect()
     }
 
-    /// Box `b` by the raw interval walk — the differential twin of the
-    /// planner's `query_box`.
-    fn walk<const D: usize, C: SpaceFillingCurve<D> + Clone>(
-        store: &ShardedSfcStore<D, u32, C>,
-        b: &BoxRegion<D>,
-    ) -> Vec<(CurveIndex, Point<D>, u32)> {
-        flat(store.query_intervals(&b.curve_intervals(store.curve())).0)
-    }
-
-    /// [`walk`] on a snapshot.
+    /// Box `b` by the raw interval walk of the static index the snapshot
+    /// materialises — a different algorithm from `query_box`.
     fn walk_ref<const D: usize, C: SpaceFillingCurve<D> + Clone>(
         snap: &ShardedSnapshot<D, u32, C>,
         b: &BoxRegion<D>,
     ) -> Vec<(CurveIndex, Point<D>, u32)> {
-        flat_ref(snap.query_intervals(&b.curve_intervals(snap.curve())).0)
+        let index = snap.to_index();
+        let (hits, _) = index.query_intervals(&b.curve_intervals(snap.curve()));
+        hits.into_iter()
+            .map(|e| (e.key, e.point, *e.payload))
+            .collect()
     }
 
-    /// One captured shard's own answer to `probe`, as the router would
-    /// get it from that shard.
-    fn shard_scan<'a>(
-        shard: &'a StoreSnapshot<2, u32, ZCurve<2>>,
-        z: &'a ZCurve<2>,
-        probe: &Probe<'_, 2>,
+    /// [`walk_ref`] on the store's live set.
+    fn walk<const D: usize, C: SpaceFillingCurve<D> + Clone>(
+        store: &ShardedSfcStore<D, u32, C>,
+        b: &BoxRegion<D>,
+    ) -> Vec<(CurveIndex, Point<D>, u32)> {
+        walk_ref(&store.snapshot(), b)
+    }
+
+    /// One captured shard's own answer to box `b` with skipper `skip`, as
+    /// the router would get it from that shard.
+    fn shard_scan<'a, C: SpaceFillingCurve<2> + Clone>(
+        shard: &'a StoreSnapshot<2, u32, C>,
+        b: &BoxRegion<2>,
+        skip: &CurveSkipper<'_, 2>,
     ) -> Hits<'a, 2, u32> {
         let mut hits = Vec::new();
         let stats = shard
-            .view(z)
-            .scan(probe, &mut Overlay::default(), &mut hits);
+            .view()
+            .scan(b, skip, &mut Overlay::default(), &mut hits);
         (hits, stats)
     }
 
@@ -1655,7 +1535,7 @@ mod tests {
         let b = BoxRegion::new(Point::new([0, 0]), Point::new([7, 7]));
         let (hits, stats) = snap.query_box(&b);
         let (single_hits, single_stats) =
-            shard_scan(&snap.shards[0], snap.curve(), &Probe::Box(&b, None));
+            shard_scan(&snap.shards[0], &b, &CurveSkipper::new(snap.curve(), &b));
         assert_eq!(flat_ref(hits), flat_ref(single_hits));
         assert_eq!(stats.seeks, single_stats.seeks, "only shard 0 consulted");
         // The live store agrees with its own snapshot (a live query runs
@@ -1847,16 +1727,21 @@ mod tests {
         assert!(frozen.query_box(&b).0.is_empty());
     }
 
-    /// Satellite audit: the router's reported [`QueryStats`] must be the
-    /// exact sum of the per-shard stats it fanned out to — seeks, scanned,
-    /// reported, and the zone-map block counters — for every query path.
-    /// Audited on a snapshot, whose per-shard captures are what the live
-    /// store's queries fan out over too.
+    /// The router's reported [`QueryStats`] must be the exact sum of the
+    /// per-shard stats it fanned out to — seeks, scanned, reported, and
+    /// the zone-map block counters — on both skippers. Audited on a
+    /// snapshot, whose per-shard captures are what the live store's
+    /// queries fan out over too.
     #[test]
     fn router_stats_are_the_sum_of_per_shard_stats() {
         let (sharded_live, _) = paired_stores(4, 900, 77);
         let sharded = sharded_live.snapshot();
         let grid = sharded.curve().grid();
+        let hilbert_live = ShardedSfcStore::with_memtable_capacity(HilbertCurve::over(grid), 4, 16);
+        for e in sharded.iter() {
+            hilbert_live.insert(e.point, *e.payload);
+        }
+        let hilbert = hilbert_live.snapshot();
         let mut rng = rng(5);
         for _ in 0..20 {
             let a = grid.random_cell(&mut rng);
@@ -1865,25 +1750,28 @@ mod tests {
             let hi = Point::new([a.coord(0).max(c.coord(0)), a.coord(1).max(c.coord(1))]);
             let b = BoxRegion::new(lo, hi);
 
-            // Interval path: the router hands each shard the intervals
+            // Interval skipper: the router hands each shard the intervals
             // meeting its range.
-            let z = sharded.curve();
-            let (zmin, zmax) = (z.encode(b.lo()), z.encode(b.hi()));
-            let intervals = b.curve_intervals(z);
-            let (_, router) = sharded.query_intervals(&intervals);
+            let intervals = b.curve_intervals(hilbert.curve());
+            let (_, router) = hilbert.query_box(&b);
             let mut manual = QueryStats::default();
             let mut manual_reported = 0u64;
-            for (j, shard) in sharded.shards.iter().enumerate() {
-                let met = intervals_meeting(&intervals, &sharded.partition().range(j));
+            for (j, shard) in hilbert.shards.iter().enumerate() {
+                let range = hilbert.partition().range(j);
+                let met: Vec<_> = intervals
+                    .iter()
+                    .copied()
+                    .filter(|&(lo, hi)| hi >= range.start && lo < range.end)
+                    .collect();
                 if met.is_empty() {
                     continue;
                 }
-                let (hits, s) = shard_scan(shard, z, &Probe::Keys(met));
+                let skip = CurveSkipper::Intervals(met.into());
+                let (hits, s) = shard_scan(shard, &b, &skip);
                 manual_reported += hits.len() as u64;
                 manual.add(&s);
             }
-            assert_eq!(router.reported, manual.reported, "reported sum, intervals");
-            assert_eq!(router, manual, "interval stats drifted on {b:?}");
+            assert_eq!(router, manual, "interval-skipper stats drifted on {b:?}");
             assert_eq!(
                 router.reported, manual_reported,
                 "per-shard reported counts must sum to the router's"
@@ -1891,9 +1779,11 @@ mod tests {
             // Overscan is consistent with the summed counters.
             assert_eq!(router.overscan(), manual.overscan());
 
-            // Box path: on Morton order a box is never decomposed, so the
+            // BIGMIN: on Morton order a box is never decomposed, so the
             // router consults exactly the shards whose range meets
             // `[Z(lo), Z(hi)]` and each runs the BIGMIN-skipping kernel.
+            let z = sharded.curve();
+            let (zmin, zmax) = (z.encode(b.lo()), z.encode(b.hi()));
             let (_, router) = sharded.query_box(&b);
             let mut manual = QueryStats::default();
             for (j, shard) in sharded.shards.iter().enumerate() {
@@ -1901,7 +1791,8 @@ mod tests {
                 if range.is_empty() || range.start > zmax || range.end <= zmin {
                     continue;
                 }
-                let (_, s) = shard_scan(shard, z, &Probe::Box(&b, None));
+                let skip = CurveSkipper::Morton(MortonSkipper::new(z, &b));
+                let (_, s) = shard_scan(shard, &b, &skip);
                 manual.add(&s);
             }
             assert_eq!(router.reported, manual.reported, "reported sum, planner");
@@ -1947,78 +1838,6 @@ mod tests {
         }
         let snap = store.snapshot();
         (store, snap)
-    }
-
-    /// The raw-range entry point on well-formed lists: sorted disjoint
-    /// ranges report each key once, an empty list nothing, and a range
-    /// past the last key is clipped — on the store and on its snapshot.
-    #[test]
-    fn query_intervals_accepts_sorted_disjoint_lists() {
-        let (store, snap) = full_grid(ZCurve::over);
-        let payloads = |intervals: &[Interval]| {
-            let got: Vec<u32> = store
-                .query_intervals(intervals)
-                .0
-                .iter()
-                .map(|e| e.payload)
-                .collect();
-            let frozen: Vec<u32> = snap
-                .query_intervals(intervals)
-                .0
-                .iter()
-                .map(|e| *e.payload)
-                .collect();
-            assert_eq!(got, frozen, "{intervals:?}");
-            got
-        };
-        let want: Vec<u32> = (0..=3).chain(100..=103).chain(200..=203).collect();
-        assert_eq!(payloads(&[(0, 3), (100, 103), (200, 203)]), want);
-        assert_eq!(payloads(&[(0, 3), (4, 4)]), [0, 1, 2, 3, 4], "adjacent");
-        assert!(payloads(&[]).is_empty());
-        assert_eq!(payloads(&[(250, 10_000)]), [250, 251, 252, 253, 254, 255]);
-        assert!(payloads(&[(256, 300)]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted and disjoint: (100, 103) then (0, 3)")]
-    fn query_intervals_rejects_an_unsorted_list() {
-        let (store, _) = full_grid(ZCurve::over);
-        store.query_intervals(&[(100, 103), (0, 3), (200, 203)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted and disjoint: (0, 10) then (5, 12)")]
-    fn query_intervals_rejects_an_overlapping_list() {
-        let (store, _) = full_grid(ZCurve::over);
-        store.query_intervals(&[(0, 10), (5, 12)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "inverted interval: (9, 3)")]
-    fn query_intervals_rejects_an_inverted_interval() {
-        let (store, _) = full_grid(ZCurve::over);
-        store.query_intervals(&[(9, 3)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted and disjoint: (100, 103) then (0, 3)")]
-    fn snapshot_query_intervals_rejects_an_unsorted_list() {
-        let (_, snap) = full_grid(ZCurve::over);
-        snap.query_intervals(&[(100, 103), (0, 3), (200, 203)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted and disjoint: (0, 10) then (10, 12)")]
-    fn snapshot_query_intervals_rejects_an_overlapping_list() {
-        let (_, snap) = full_grid(ZCurve::over);
-        snap.query_intervals(&[(0, 10), (10, 12)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "inverted interval: (9, 3)")]
-    fn snapshot_query_intervals_rejects_an_inverted_interval() {
-        let (_, snap) = full_grid(ZCurve::over);
-        snap.query_intervals(&[(0, 1), (9, 3)]);
     }
 
     /// A box reaching past the grid is clipped and correct on both

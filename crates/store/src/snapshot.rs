@@ -43,9 +43,8 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> StoreSnapshot<D, T, C> 
     /// The borrowed multi-level view the query engine runs against. An
     /// empty memtable is no level at all (and charges no phantom memtable
     /// seeks to the query stats).
-    pub(crate) fn view<'a>(&'a self, curve: &'a C) -> LevelsView<'a, D, T, C> {
+    pub(crate) fn view(&self) -> LevelsView<'_, D, T, C> {
         LevelsView {
-            curve,
             memtable: (!self.mem.is_empty()).then_some(&self.mem),
             runs: &self.epoch.runs,
         }
@@ -143,18 +142,20 @@ mod tests {
                 .map(|e| (e.key, e.point, e.payload))
                 .collect::<Vec<_>>()
         };
+        let index = frozen.to_index();
         for _ in 0..20 {
             let a = grid.random_cell(&mut rng);
             let c = grid.random_cell(&mut rng);
             let lo = Point::new([a.coord(0).min(c.coord(0)), a.coord(1).min(c.coord(1))]);
             let hi = Point::new([a.coord(0).max(c.coord(0)), a.coord(1).max(c.coord(1))]);
             let b = BoxRegion::new(lo, hi);
-            let intervals = b.curve_intervals(frozen.curve());
-            assert_eq!(
-                flat(frozen.query_intervals(&intervals).0),
-                owned(store.query_intervals(&intervals).0)
-            );
-            assert_eq!(flat(frozen.query_box(&b).0), owned(store.query_box(&b).0));
+            let (walked, _) = index.query_intervals(&b.curve_intervals(frozen.curve()));
+            let walked: Vec<_> = walked
+                .into_iter()
+                .map(|e| (e.key, e.point, *e.payload))
+                .collect();
+            assert_eq!(flat(frozen.query_box(&b).0), walked);
+            assert_eq!(owned(store.query_box(&b).0), walked);
             let q = grid.random_cell(&mut rng);
             let gd: Vec<u128> = frozen
                 .knn(q, 4, 3)
@@ -167,7 +168,7 @@ mod tests {
             wd.truncate(4);
             assert_eq!(gd, wd);
         }
-        assert_eq!(frozen.to_index().len(), frozen.len());
+        assert_eq!(index.len(), frozen.len());
     }
 
     #[test]
@@ -179,7 +180,7 @@ mod tests {
         assert_eq!(frozen.iter().count(), 0);
         assert!(store.shard_run_lens()[0].is_empty());
         let b = BoxRegion::new(Point::new([0, 0]), Point::new([7, 7]));
-        assert!(frozen.query_intervals(&[(0, 63)]).0.is_empty());
+        assert!(frozen.to_index().is_empty());
         assert!(frozen.query_box(&b).0.is_empty());
         assert!(frozen.knn(Point::new([1, 1]), 2, 2).0.is_empty());
     }

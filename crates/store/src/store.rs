@@ -223,13 +223,13 @@ mod tests {
                     .collect::<Vec<_>>()
             };
             let (bm, _) = snap.query_box(&b);
-            let (iv, iv_stats) = snap.query_intervals(&b.curve_intervals(snap.curve()));
+            let (iv, iv_stats) = static_index.query_intervals(&b.curve_intervals(snap.curve()));
             let expected: Vec<_> = static_index
                 .entries()
                 .filter(|e| b.contains(&e.point))
                 .collect();
             assert_eq!(flat(bm), flat_idx(expected.clone()));
-            assert_eq!(flat(iv), flat_idx(expected));
+            assert_eq!(flat_idx(iv), flat_idx(expected));
             assert_eq!(iv_stats.reported, iv_stats.reported.min(iv_stats.scanned));
         }
     }
@@ -335,7 +335,8 @@ mod tests {
         for store in [&mem_store, &run_store] {
             let (hits, _) = store.query_box(&b);
             assert_eq!(hits.len(), 9, "3×3 corner cells");
-            let (iv, _) = store.query_intervals(&b.curve_intervals(&z));
+            let index = store.snapshot().to_index();
+            let (iv, _) = index.query_intervals(&b.curve_intervals(&z));
             assert_eq!(
                 hits.iter().map(|e| e.key).collect::<Vec<_>>(),
                 iv.iter().map(|e| e.key).collect::<Vec<_>>(),
@@ -409,6 +410,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let store = live.snapshot();
+        let index = store.to_index();
         for _ in 0..40 {
             let a = grid.random_cell(&mut rng);
             let c = grid.random_cell(&mut rng);
@@ -421,8 +423,12 @@ mod tests {
                 .map(|(&key, &(p, v))| (key, p, v))
                 .collect();
             assert_eq!(flat(store.query_box(&b).0), want, "planner vs model");
+            let (walked, _) = index.query_intervals(&b.curve_intervals(store.curve()));
             assert_eq!(
-                flat(store.query_intervals(&b.curve_intervals(store.curve())).0),
+                walked
+                    .into_iter()
+                    .map(|e| (e.key, e.point, *e.payload))
+                    .collect::<Vec<_>>(),
                 want,
                 "raw interval walk vs model"
             );
@@ -465,7 +471,6 @@ mod tests {
         assert!(store.is_empty());
         assert_eq!(store.iter().count(), 0);
         let b = BoxRegion::new(Point::new([0, 0]), Point::new([7, 7]));
-        assert!(store.query_intervals(&[(0, 63)]).0.is_empty());
         assert!(store.query_box(&b).0.is_empty());
         assert!(store.knn(Point::new([1, 1]), 3, 2).0.is_empty());
         store.flush();

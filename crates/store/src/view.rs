@@ -31,14 +31,16 @@
 //! excursion out of the box, follows from the curve, and a level is
 //! skipped outright when its summary rules the box out:
 //!
-//! 1. **Skipper, from the curve** — [`sfc_index::skip_intervals`], the
-//!    rule a static [`SfcIndex`] box query follows too. Morton order skips
-//!    by BIGMIN: nothing is precomputed, a box costs two corner encodes.
-//!    Every other curve decomposes the box once at the router
+//! 1. **Skipper, from the curve** — one [`CurveSkipper`], built once per
+//!    query at the router, the type a static [`SfcIndex`] box query builds
+//!    too. Morton order skips by BIGMIN: nothing is precomputed, a box
+//!    costs two corner encodes. Every other curve decomposes the box
 //!    (`O(perimeter)` aligned cubes on Hilbert and Gray; every cell of the
 //!    box on the non-recursive curves) and skips by a binary search of
-//!    that sorted list; each shard is handed the part of the list that
-//!    meets its range. The memtable is walked with the same skipper.
+//!    that sorted list. Each shard is handed its
+//!    [`meeting`](CurveSkipper::meeting) share — the part of the list
+//!    that meets its range, or the BIGMIN skipper itself — and every
+//!    level of it, the memtable included, walks with that share.
 //! 2. **Prune.** A run whose key range misses the box's curve span, or
 //!    whose block-summary AABB misses the box outright, is skipped
 //!    wholesale (counted in [`QueryStats::blocks_pruned`]).
@@ -51,9 +53,10 @@
 //! A/B-ed against the one kernel (CHANGES.md, PR 16) the BIGMIN skipper
 //! won at every volume on Morton order, and on Hilbert the kernel with
 //! the interval skipper beat the raw interval walk for boxes and kNN
-//! balls alike — so the cutoffs and the per-run estimate are gone. The
-//! raw walk ([`interval_scan`]) remains what a caller-supplied interval
-//! list runs ([`ShardedSfcStore::query_intervals`](crate::ShardedSfcStore::query_intervals)).
+//! balls alike — so the cutoffs and the per-run estimate are gone, and
+//! so is the store's raw interval read: the raw walk
+//! ([`interval_scan`](sfc_index::interval_scan)) is the static index's
+//! ([`SfcIndex::query_intervals`]), the box oracle of the store's tests.
 //!
 //! What a query did is in its [`QueryStats`] — `blocks_scanned` /
 //! `blocks_pruned` / `blocks_decoded` per executed level — and, for a
@@ -75,11 +78,11 @@ use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
-use sfc_core::{CurveIndex, Point, SpaceFillingCurve, ZCurve};
+use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
 use sfc_index::knn::{knn_collect_run, kth_best, may_tighten, offer, KnnQuery};
 use sfc_index::{
-    box_scan, interval_scan, BlockStore, BoxRegion, BoxSkipper, DecodedBlock, IntervalSkipper,
-    MortonSkipper, QueryStats, SfcIndex, BLOCK_SLOTS,
+    box_scan, BlockStore, BoxRegion, BoxSkipper, CurveSkipper, DecodedBlock, QueryStats, SfcIndex,
+    BLOCK_SLOTS,
 };
 
 use crate::epoch::{SeqSlot, SeqTable};
@@ -91,10 +94,6 @@ pub(crate) type Run<const D: usize, T, C> = Arc<SfcIndex<D, T, C>>;
 
 /// The version of a cell found at some level: `None` payload = tombstone.
 pub(crate) type Version<'a, const D: usize, T> = Option<(Point<D>, &'a T)>;
-
-/// An inclusive curve-index interval, as produced by
-/// [`BoxRegion::curve_intervals`].
-type Interval = (CurveIndex, CurveIndex);
 
 /// One level's hit: the key and the version the level holds of it.
 type LevelHit<'a, const D: usize, T> = (CurveIndex, Version<'a, D, T>);
@@ -120,19 +119,6 @@ impl<'a, const D: usize, T: Clone> HitSink<'a, D, T> for Vec<StoreEntry<D, T>> {
     fn hit(&mut self, entry: StoreEntryRef<'a, D, T>) {
         self.push(entry.to_owned());
     }
-}
-
-/// What a multi-level read looks for in each level.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Probe<'q, const D: usize> {
-    /// Every key inside these sorted, disjoint intervals — a raw interval
-    /// query, answered by [`interval_scan`] per run.
-    Keys(&'q [Interval]),
-    /// Every point inside the box, answered by [`box_scan`] per run. The
-    /// intervals are the box's decomposition (or the part of it that
-    /// meets the shard) and serve as the skipper; `None` skips by BIGMIN
-    /// and is for Morton order only.
-    Box(&'q BoxRegion<D>, Option<&'q [Interval]>),
 }
 
 /// The scratch of one query's streamed merge: the hits of the levels
@@ -195,7 +181,6 @@ impl<'a, const D: usize, T, E: FnMut(CurveIndex, Version<'a, D, T>)> Merge<'_, '
 /// memtable image, when it holds anything) over a stack of immutable
 /// runs, oldest first.
 pub(crate) struct LevelsView<'a, const D: usize, T, C: SpaceFillingCurve<D>> {
-    pub curve: &'a C,
     /// `None` when the captured memtable was empty.
     pub memtable: Option<&'a SeqTable<D, T>>,
     /// Oldest → newest, like the shard's run stack.
@@ -207,23 +192,6 @@ pub(crate) struct LevelsView<'a, const D: usize, T, C: SpaceFillingCurve<D>> {
 /// drain's business.
 fn mem_version<const D: usize, T>(slot: &SeqSlot<D, T>) -> Version<'_, D, T> {
     slot.1.as_ref().map(|t| (slot.0, t))
-}
-
-/// Scans the memtable for keys inside the intervals, surfacing each
-/// version to `sink` in ascending key order.
-fn mem_interval_scan<'a, const D: usize, T>(
-    mem: &'a SeqTable<D, T>,
-    intervals: &[Interval],
-    stats: &mut QueryStats,
-    mut sink: impl FnMut(CurveIndex, Version<'a, D, T>),
-) {
-    for &(lo, hi) in intervals {
-        stats.seeks += 1;
-        for (key, slot) in mem.range_iter(lo, hi) {
-            stats.scanned += 1;
-            sink(key, mem_version(slot));
-        }
-    }
 }
 
 /// The memtable's box scan: a sequential walk of the box's key span that
@@ -315,97 +283,42 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
                 .any(|run| run.find_key(key).is_some())
     }
 
-    /// The curve as Morton order, for the probes that skip by BIGMIN.
-    fn morton(&self) -> &'a ZCurve<D> {
-        self.curve
-            .as_morton()
-            .expect("only a Morton-order box goes undecomposed")
-    }
-
-    /// The inclusive key span the probe can touch.
-    fn span(&self, probe: &Probe<'_, D>) -> Interval {
-        match *probe {
-            Probe::Keys(intervals) | Probe::Box(_, Some(intervals)) => {
-                IntervalSkipper(intervals).span()
-            }
-            Probe::Box(b, None) => MortonSkipper::new(self.morton(), b).span(),
-        }
-    }
-
     /// `true` iff the run cannot hold a hit: its key range misses the
-    /// probe's span, or (for a box) its point AABB misses the box.
-    fn prunes(run: &Run<D, T, C>, (lo, hi): Interval, probe: &Probe<'_, D>) -> bool {
+    /// skipper's span, or its point AABB misses the box.
+    fn prunes(run: &Run<D, T, C>, b: &BoxRegion<D>, (lo, hi): (CurveIndex, CurveIndex)) -> bool {
         run.is_empty()
             || run.key_at(run.len() - 1) < lo
             || run.blocks().fence(0) > hi
-            || matches!(probe, Probe::Box(b, _) if run.blocks().run_disjoint(b))
+            || run.blocks().run_disjoint(b)
     }
 
-    /// Scans one run for the probe, calling `visit` with the position,
-    /// key and point of every match in ascending order.
-    fn scan_run(
-        &self,
-        run: &Run<D, T, C>,
-        probe: &Probe<'_, D>,
-        stats: &mut QueryStats,
-        visit: impl FnMut(usize, CurveIndex, Point<D>),
-    ) {
-        match *probe {
-            Probe::Keys(intervals) => interval_scan(run.blocks(), intervals, stats, visit),
-            Probe::Box(b, Some(intervals)) => {
-                box_scan(run.blocks(), b, &IntervalSkipper(intervals), stats, visit)
-            }
-            Probe::Box(b, None) => {
-                let skip = MortonSkipper::new(self.morton(), b);
-                box_scan(run.blocks(), b, &skip, stats, visit)
-            }
-        }
-    }
-
-    /// Scans the memtable for the probe, surfacing each matching version
-    /// to `sink` in ascending key order.
-    fn scan_memtable(
-        &self,
-        mem: &'a SeqTable<D, T>,
-        probe: &Probe<'_, D>,
-        stats: &mut QueryStats,
-        sink: impl FnMut(CurveIndex, Version<'a, D, T>),
-    ) {
-        match *probe {
-            Probe::Keys(intervals) => mem_interval_scan(mem, intervals, stats, sink),
-            Probe::Box(b, Some(intervals)) => {
-                mem_box_scan(mem, b, &IntervalSkipper(intervals), stats, sink)
-            }
-            Probe::Box(b, None) => {
-                let skip = MortonSkipper::new(self.morton(), b);
-                mem_box_scan(mem, b, &skip, stats, sink)
-            }
-        }
-    }
-
-    /// The one multi-level read: every hit of `probe` across the levels,
-    /// newest version wins, tombstones suppressed, streamed to `sink` in
-    /// ascending key order.
+    /// The one multi-level read: every point of box `b` across the
+    /// levels, newest version wins, tombstones suppressed, streamed to
+    /// `sink` in ascending key order. `skip` describes `b` on the curve
+    /// (the shard's share of the query's [`CurveSkipper`]); every run
+    /// goes through [`box_scan`] with it, the memtable through
+    /// [`mem_box_scan`].
     ///
     /// The memtable and every run but the oldest taking part — the small,
     /// recent levels — are scanned newest to oldest into `overlay`, each
     /// merged against the ones above it as its scan visits it. The oldest
     /// run, where nearly all hits live, then streams through the same
     /// merge straight into the sink: its hits are never collected. Runs
-    /// whose key range or AABB misses the probe charge their blocks to
+    /// whose key range or AABB misses the box charge their blocks to
     /// `blocks_pruned` and are not scanned.
     pub(crate) fn scan<S: HitSink<'a, D, T>>(
         &self,
-        probe: &Probe<'_, D>,
+        b: &BoxRegion<D>,
+        skip: &CurveSkipper<'_, D>,
         overlay: &mut Overlay<'a, D, T>,
         sink: &mut S,
     ) -> QueryStats {
         let mut stats = QueryStats::default();
-        let span = self.span(probe);
+        let span = skip.span();
         let Overlay { newer, next } = overlay;
         newer.clear();
         if let Some(mem) = self.memtable {
-            self.scan_memtable(mem, probe, &mut stats, |key, version| {
+            mem_box_scan(mem, b, skip, &mut stats, |key, version| {
                 newer.push((key, version))
             });
         }
@@ -413,11 +326,11 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
         let base = self
             .runs
             .iter()
-            .position(|run| !Self::prunes(run, span, probe))
+            .position(|run| !Self::prunes(run, b, span))
             .unwrap_or(self.runs.len());
         stats.blocks_pruned += self.runs[..base].iter().map(pruned_blocks).sum::<u64>();
         for run in self.runs.iter().skip(base + 1).rev() {
-            if Self::prunes(run, span, probe) {
+            if Self::prunes(run, b, span) {
                 stats.blocks_pruned += pruned_blocks(run);
                 continue;
             }
@@ -426,7 +339,7 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
                 newer: newer.as_slice(),
                 emit: |key, version| next.push((key, version)),
             };
-            self.scan_run(run, probe, &mut stats, |i, key, point| {
+            box_scan(run.blocks(), b, skip, &mut stats, |i, key, point| {
                 merge.older(key, || run.payload_at(i).map(|t| (point, t)))
             });
             merge.finish();
@@ -447,7 +360,7 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
             },
         };
         if let Some(run) = self.runs.get(base) {
-            self.scan_run(run, probe, &mut stats, |i, key, point| {
+            box_scan(run.blocks(), b, skip, &mut stats, |i, key, point| {
                 merge.older(key, || run.payload_at(i).map(|t| (point, t)))
             });
         }
@@ -659,7 +572,8 @@ impl<'a, const D: usize, T> Iterator for SnapshotIter<'a, D, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfc_core::Grid;
+    use sfc_core::{Grid, ZCurve};
+    use sfc_index::MortonSkipper;
 
     /// The materialising k-way merge the streamed one replaced, kept as
     /// its reference: per-level hit lists (each ascending in key, newest
@@ -716,7 +630,7 @@ mod tests {
 
     /// Every interleaving of {live, tombstone, absent} per level, for one
     /// to four levels over one key column — the newest level once a
-    /// memtable and once a run — through every probe kind: the streamed
+    /// memtable and once a run — through both skippers: the streamed
     /// merge must hand the sink exactly what the materialising merge
     /// returns, and count it.
     #[test]
@@ -761,7 +675,6 @@ mod tests {
                     .map(run_of)
                     .collect();
                 let view = LevelsView {
-                    curve: &z,
                     memtable: (!mem.is_empty()).then_some(&mem),
                     runs: &runs,
                 };
@@ -797,22 +710,19 @@ mod tests {
                     newest_wins,
                     "reference merge, {levels} levels"
                 );
-                let everything = [(0, z.grid().n() - 1)];
-                let odd_intervals: Vec<Interval> = (0..column as CurveIndex)
-                    .map(|i| (2 * i, 2 * i + 1))
-                    .collect();
-                for (probe, what) in [
-                    (Probe::Keys(&everything), "one interval"),
-                    (Probe::Keys(&odd_intervals), "an interval per key"),
-                    (Probe::Box(&whole, None), "box by BIGMIN"),
-                    (Probe::Box(&whole, Some(&everything)), "box by intervals"),
+                for (skip, what) in [
+                    (CurveSkipper::new(&z, &whole), "box by BIGMIN"),
+                    (
+                        CurveSkipper::Intervals(whole.curve_intervals(&z).into()),
+                        "box by intervals",
+                    ),
                 ] {
                     let mut overlay = Overlay::default();
                     // A dirty scratch must not leak into the result.
                     overlay.newer.push((1, None));
                     overlay.next.push((3, None));
                     let mut got: Vec<StoreEntryRef<'_, 2, u32>> = Vec::new();
-                    let stats = view.scan(&probe, &mut overlay, &mut got);
+                    let stats = view.scan(&whole, &skip, &mut overlay, &mut got);
                     assert_eq!(
                         got, want,
                         "{what}: {levels} levels, memtable on top: {memtable_on_top}"
@@ -847,12 +757,20 @@ mod tests {
             run_at(&[10, 100, 200], 2),
         ];
         let view = LevelsView {
-            curve: &z,
             memtable: None,
             runs: &runs,
         };
+        // The bounding box of the five keys the query should find; it
+        // misses the far run's cells.
+        let cells: Vec<Point<2>> = [10, 90, 100, 110, 200].map(|k| z.point_of(k)).to_vec();
+        let b = BoxRegion::new(
+            Point::new([0, 1].map(|a| cells.iter().map(|p| p.coord(a)).min().unwrap())),
+            Point::new([0, 1].map(|a| cells.iter().map(|p| p.coord(a)).max().unwrap())),
+        );
+        assert!(!b.contains(&z.point_of(250)) && !b.contains(&z.point_of(251)));
+        let skip = CurveSkipper::Morton(MortonSkipper::new(&z, &b));
         let mut got: Vec<StoreEntryRef<'_, 2, u32>> = Vec::new();
-        let stats = view.scan(&Probe::Keys(&[(0, 220)]), &mut Overlay::default(), &mut got);
+        let stats = view.scan(&b, &skip, &mut Overlay::default(), &mut got);
         let flat: Vec<(CurveIndex, u32)> = got.iter().map(|e| (e.key, *e.payload)).collect();
         assert_eq!(flat, [(10, 2), (90, 0), (100, 2), (110, 0), (200, 2)]);
         assert_eq!(stats.reported, 5);

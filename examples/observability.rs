@@ -78,9 +78,6 @@ fn main() {
         std::hint::black_box(store.query_box(&b).0.len());
         std::hint::black_box(store.knn(corner, 5, 8).0.len());
     }
-    // A raw key-range read — on Morton order the first 1 024 keys are the
-    // 32×32 tile at the origin — lands in `engine.query_intervals.ns`.
-    std::hint::black_box(store.query_intervals(&[(0, 1023)]).0.len());
     store.compact();
     store.rebalance(1e-9);
     store.stop_maintenance();

@@ -16,8 +16,9 @@
 //!   against an instrumented `ShardedSfcStore` whose per-shard op
 //!   counters must sum to the driver's ground-truth totals, with the
 //!   registry's JSON export validated structurally and numerically.
-//! * **One histogram per read entry point** — `query_intervals` reports
-//!   into `engine.query_intervals.ns`; no histogram outlives its method.
+//! * **One histogram per read entry point** — `query_box` reports into
+//!   `engine.query_box.ns`, `knn` into `engine.knn.ns`; no histogram
+//!   outlives its method.
 //! * **Write latency by kind** — a write call is timed into
 //!   `shardN.delete.ns` when it holds no insert (a single delete, an
 //!   all-delete batch slice) and into `shardN.insert.ns` otherwise.
@@ -307,18 +308,20 @@ fn shard_counters_sum_to_driver_totals_under_concurrency() {
 }
 
 /// One latency histogram per surviving read entry point, none for a
-/// deleted one: a fresh registry has no `engine.query_bigmin.ns`, and a
-/// `query_intervals` call lands in `engine.query_intervals.ns` and is
-/// traced under its own name.
+/// deleted one: a fresh registry has no `engine.query_bigmin.ns` or
+/// `engine.query_intervals.ns`, and a `query_box` call and a `knn` call
+/// each land in their own histogram and are traced under their own name.
 #[test]
-fn query_intervals_reports_into_its_own_histogram() {
+fn each_read_reports_into_its_own_histogram() {
     let grid = Grid::<2>::new(5).unwrap();
     let mut store = ShardedSfcStore::with_memtable_capacity(ZCurve::over(grid), 2, 32);
     let metrics = store.enable_metrics();
     metrics.set_slow_query_threshold(std::time::Duration::ZERO);
     let fresh = metrics.registry().snapshot();
-    assert!(fresh.histogram("engine.query_bigmin.ns").is_none());
-    for name in ["query_box", "query_intervals", "knn"] {
+    for gone in ["query_bigmin", "query_intervals"] {
+        assert!(fresh.histogram(&format!("engine.{gone}.ns")).is_none());
+    }
+    for name in ["query_box", "knn"] {
         let h = fresh.histogram(&format!("engine.{name}.ns"));
         assert_eq!(h.map(|h| h.count()), Some(0), "engine.{name}.ns");
     }
@@ -326,20 +329,27 @@ fn query_intervals_reports_into_its_own_histogram() {
     for i in 0..300u32 {
         store.insert(grid.random_cell(&mut rng), i);
     }
-    let (hits, stats) = store.query_intervals(&[(10, 99), (400, 450)]);
-    assert_eq!(stats.reported as usize, hits.len());
+    let b = BoxRegion::new(Point::new([2, 3]), Point::new([12, 9]));
+    let (hits, box_stats) = store.query_box(&b);
+    assert_eq!(box_stats.reported as usize, hits.len());
     let snap = metrics.registry().snapshot();
-    assert_eq!(
-        snap.histogram("engine.query_intervals.ns").unwrap().count(),
-        1
-    );
-    assert_eq!(snap.histogram("engine.query_box.ns").unwrap().count(), 0);
-    assert_eq!(snap.counter("engine.query.count"), Some(1));
+    assert_eq!(snap.histogram("engine.query_box.ns").unwrap().count(), 1);
+    assert_eq!(snap.histogram("engine.knn.ns").unwrap().count(), 0);
+    let (_, knn_stats) = store.knn(Point::new([7, 7]), 3, 2);
+    let snap = metrics.registry().snapshot();
+    assert_eq!(snap.histogram("engine.query_box.ns").unwrap().count(), 1);
+    assert_eq!(snap.histogram("engine.knn.ns").unwrap().count(), 1);
+    assert_eq!(snap.counter("engine.query.count"), Some(2));
     let slow = metrics.slow_queries();
-    assert_eq!(slow.len(), 1);
-    assert_eq!(slow[0].detail.op, "query_intervals");
-    assert_eq!(slow[0].detail.intervals, Some(2));
-    assert_eq!(slow[0].detail.stats, stats);
+    assert_eq!(slow.len(), 2);
+    assert_eq!(slow[0].detail.op, "query_box");
+    assert_eq!(
+        slow[0].detail.intervals, None,
+        "Morton order skips by BIGMIN"
+    );
+    assert_eq!(slow[0].detail.stats, box_stats);
+    assert_eq!(slow[1].detail.op, "knn");
+    assert_eq!(slow[1].detail.stats, knn_stats);
 }
 
 /// Writes are timed by kind: a call that inserts nothing — one delete,

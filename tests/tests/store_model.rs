@@ -2,20 +2,25 @@
 //! insert / update / delete / flush / compact / rebalance are replayed
 //! against a plain `BTreeMap<CurveIndex, payload>` model at every shard
 //! count from 1 to 4, and every observable view of the store — point
-//! gets, live count, iteration, box queries (the planner and the raw
-//! interval walk), and kNN (against a linear scan that shares no code with
-//! the engine) — must agree with the model at every checkpoint, live and
-//! through a snapshot, and byte-for-byte across shard counts. Tiny memtable
-//! capacities force many flushes and merges, so tombstones routinely end
-//! up in *newer runs shadowing older ones*, the case single-level tests
-//! can't reach.
+//! gets, live count, iteration, box queries (beside the static index's
+//! raw interval walk over a snapshot), and kNN (against a linear scan that
+//! shares no code with the engine) — must agree with the model at every
+//! checkpoint, live and through a snapshot, and byte-for-byte across shard
+//! counts. Tiny memtable capacities force many flushes and merges, so
+//! tombstones routinely end up in *newer runs shadowing older ones*, the
+//! case single-level tests can't reach. Z and Hilbert stores run every
+//! interleaving; every shipped curve runs through a type-erased store at
+//! one and three shards.
 
 use proptest::prelude::*;
-use sfc_core::{CurveIndex, Grid, HilbertCurve, Point, SpaceFillingCurve, ZCurve};
+use sfc_core::{
+    CurveIndex, CurveKind, Grid, HilbertCurve, Point, SharedCurve, SpaceFillingCurve, ZCurve,
+};
 use sfc_index::BoxRegion;
 use sfc_integration::{oracle, test_rng};
 use sfc_store::{BatchOp, ShardedSfcStore, StoreEntry, StoreEntryRef};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 type Model = BTreeMap<CurveIndex, (Point<2>, u32)>;
 type Store<C> = ShardedSfcStore<2, u32, C>;
@@ -144,8 +149,9 @@ fn check_against_model<C: SpaceFillingCurve<2> + Clone>(
         assert_eq!(snap.get(p).copied(), want, "snapshot get({p})");
     }
 
-    // Box queries match the filtered model on every path — the planner
-    // and the raw walk of the box's curve intervals, live and frozen.
+    // Box queries match the filtered model, live and frozen, and so does
+    // the static index's raw walk of the box's curve intervals.
+    let index = snap.to_index();
     for _ in 0..8 {
         let a = grid.random_cell(&mut rng);
         let b = grid.random_cell(&mut rng);
@@ -157,16 +163,17 @@ fn check_against_model<C: SpaceFillingCurve<2> + Clone>(
             .filter(|(_, p, _)| region.contains(p))
             .copied()
             .collect();
-        let intervals = region.curve_intervals(store.curve());
-        let (hits, stats) = store.query_intervals(&intervals);
-        assert_eq!(stats.reported as usize, hits.len());
+        let (walked, stats) = index.query_intervals(&region.curve_intervals(store.curve()));
+        assert_eq!(stats.reported as usize, walked.len());
         let (planned, stats) = store.query_box(&region);
         assert_eq!(stats.reported as usize, planned.len());
         let paths = [
-            owned(&hits),
+            walked
+                .iter()
+                .map(|e| (e.key, e.point, *e.payload))
+                .collect(),
             owned(&planned),
             borrowed(&snap.query_box(&region).0),
-            borrowed(&snap.query_intervals(&intervals).0),
         ];
         for (i, got) in paths.iter().enumerate() {
             assert_eq!(got, &want, "box path {i} on {region:?}");
@@ -291,6 +298,77 @@ proptest! {
     }
 }
 
+/// A box around the cells on both sides of shard boundary `boundary`
+/// (the first key of a shard), widened by up to three cells on every side
+/// — so it may reach past the grid edge, which the store clips.
+fn straddling_box(
+    curve: &SharedCurve<2>,
+    boundary: CurveIndex,
+    rng: &mut impl rand::Rng,
+) -> BoxRegion<2> {
+    let (a, b) = (curve.point_of(boundary - 1), curve.point_of(boundary));
+    let lo = [0, 1].map(|i| {
+        a.coord(i)
+            .min(b.coord(i))
+            .saturating_sub(rng.gen_range(0..4u32))
+    });
+    let hi = [0, 1].map(|i| a.coord(i).max(b.coord(i)) + rng.gen_range(0..4u32));
+    BoxRegion::new(Point::new(lo), Point::new(hi))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every shipped curve, type-erased as a `SharedCurve<2>`, at one and
+    /// three shards: the per-cell decompositions of the simple and snake
+    /// curves, sliced across shards, are held to the model like Z (BIGMIN)
+    /// and Gray and Hilbert (hierarchical intervals). A tiny memtable
+    /// makes several runs with tombstones across them. Boxes straddle the
+    /// three-shard store's boundaries (which rebalances move), some reach
+    /// past the grid edge; `query_box` (live and on a snapshot) and `knn`
+    /// must equal the linear references over the model.
+    #[test]
+    fn every_curve_store_matches_the_model(seed in any::<u64>(), cap in 2usize..10) {
+        use rand::Rng;
+        for kind in CurveKind::ALL {
+            let curve: SharedCurve<2> = Arc::from(kind.build::<2>(4).unwrap());
+            let stores = stores_at(&curve, &[1, 3], cap);
+            let mut model = Model::new();
+            let mut rng = test_rng(seed ^ 0xb0c5);
+            for (i, chunk) in random_ops(240, 16, seed).chunks(80).enumerate() {
+                for &op in chunk {
+                    apply(&stores, &mut model, op);
+                }
+                let entries: Vec<Triple> = model.iter().map(|(&k, &(p, v))| (k, p, v)).collect();
+                let partition = stores[1].partition();
+                let mut boxes: Vec<BoxRegion<2>> = (1..partition.parts())
+                    .map(|j| partition.range(j).start)
+                    .filter(|&boundary| boundary > 0 && boundary < curve.grid().n())
+                    .map(|boundary| straddling_box(&curve, boundary, &mut rng))
+                    .collect();
+                boxes.push(BoxRegion::new(Point::new([9, 2]), Point::new([30, 17])));
+                for store in &stores {
+                    let snap = store.snapshot();
+                    for b in &boxes {
+                        let want = oracle::box_linear(entries.iter().copied(), b);
+                        let what = format!("{kind} {} shards, chunk {i}, box {b:?}", store.parts());
+                        prop_assert_eq!(&owned(&store.query_box(b).0), &want, "live {}", &what);
+                        prop_assert_eq!(&borrowed(&snap.query_box(b).0), &want, "snapshot {}", &what);
+                    }
+                    for _ in 0..3 {
+                        let q = curve.grid().random_cell(&mut rng);
+                        let k = rng.gen_range(1..6usize);
+                        let want = oracle::knn_linear(entries.iter().copied(), q, k);
+                        let what = format!("{kind} {} shards, knn k={k} q={q}", store.parts());
+                        prop_assert_eq!(&owned(&store.knn(q, k, 3).0), &want, "live {}", &what);
+                        prop_assert_eq!(&borrowed(&snap.knn(q, k, 3).0), &want, "snapshot {}", &what);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// One action of the batched differential interleaving: a whole batch of
 /// `(x, y, Some(v) | None)` records, or a store-wide maintenance op.
 #[derive(Debug, Clone)]
@@ -412,7 +490,7 @@ proptest! {
 
 /// Tombstone-heavy interleavings: deletes dominate, so runs end up mostly
 /// (sometimes entirely) tombstones and zone-map blocks routinely go
-/// all-dead. Every observable view — box (the planner and the raw
+/// all-dead. Every observable view — box (beside the static index's raw
 /// interval walk), kNN, iter — must stay byte-identical to the model.
 fn random_tombstone_heavy_ops(len: usize, side: u32, seed: u64) -> Vec<Op> {
     use rand::Rng;
@@ -494,7 +572,8 @@ fn all_dead_blocks_shadow_correctly_and_are_skipped_by_knn() {
     let flat = borrowed;
     // Box queries over the dead region: every strategy agrees on "empty".
     let snap = store.snapshot();
-    let (iv, _) = snap.query_intervals(&quadrant.curve_intervals(snap.curve()));
+    let index = snap.to_index();
+    let (iv, _) = index.query_intervals(&quadrant.curve_intervals(snap.curve()));
     let (pl, _) = snap.query_box(&quadrant);
     assert!(iv.is_empty(), "tombstoned region resurrected: {:?}", iv[0]);
     assert!(pl.is_empty(), "tombstoned region resurrected: {:?}", pl[0]);

@@ -55,16 +55,39 @@ fn assert_count(rule: &str, pattern: &str, file: &str, want: usize) {
     assert_eq!(hits.len(), want, "{rule}:\n{}", hits.join("\n"));
 }
 
-/// One method per question on store and snapshot (`query_box`,
-/// `query_intervals`, `knn`, twice): a `_par`, `_plain` or per-strategy
-/// twin cannot come back unnoticed.
+/// One method per question on store and snapshot (`query_box` and
+/// `knn`, twice): a `_par`, `_plain` or per-strategy twin, or the raw
+/// interval read the box kernel replaced, cannot come back unnoticed.
 #[test]
 fn read_surface_gate() {
     assert_count(
         "the store and its snapshot answer each read question with one method",
         "pub fn (query_|knn|plan_box)",
         "crates/store/src/shard.rs",
-        6,
+        4,
+    );
+}
+
+/// "BIGMIN on Morton order, the box's intervals elsewhere" is decided in
+/// one place, `sfc_index::CurveSkipper::new`: nothing else outside
+/// `sfc-core` asks a curve whether it is Morton order.
+#[test]
+fn one_skip_rule() {
+    assert_absent(
+        "only `CurveSkipper::new` asks a curve whether it is Morton order",
+        r"as_morton\(",
+        &[
+            "crates/store",
+            "crates/bench",
+            "crates/index/src/table.rs",
+            "examples",
+        ],
+    );
+    assert_count(
+        "`CurveSkipper::new` is the one Morton-order test in the index crate",
+        r"as_morton\(",
+        "crates/index/src/scan.rs",
+        1,
     );
 }
 
