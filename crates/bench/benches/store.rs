@@ -211,10 +211,6 @@ fn assert_sharded_equivalence(
 ) {
     let z = ZCurve::over(sc.grid);
     let sharded = ShardedSfcStore::bulk_load(z, parts, sc.base.iter().copied());
-    // Sample the write-weight feedback (1 in 64 per shard, weight 64):
-    // unbiased for rebalancing, and the accumulator's bookkeeping stays
-    // off the per-upsert hot path.
-    sharded.set_traffic_sampling(64);
     let single = ShardedSfcStore::bulk_load(z, 1, sc.base.iter().copied());
     for updates in &sc.rounds {
         for &(p, v) in updates {
@@ -322,7 +318,6 @@ fn bench_concurrent_throughput(c: &mut Criterion) {
         group.bench_function(format!("writers_{writers}"), |bencher| {
             bencher.iter(|| {
                 let store = ShardedSfcStore::with_memtable_capacity(z, SHARDS, 2048);
-                store.set_traffic_sampling(64);
                 std::thread::scope(|scope| {
                     for w in 0..writers {
                         let store = &store;
@@ -448,7 +443,6 @@ fn bench_memtable_ingest(c: &mut Criterion) {
         group.bench_function(format!("engine_local_writers_{writers}"), |bencher| {
             bencher.iter(|| {
                 let store = ShardedSfcStore::with_memtable_capacity(z, PARTS, MEMTABLE_CAP);
-                store.set_traffic_sampling(64);
                 std::thread::scope(|scope| {
                     for w in 0..writers {
                         let store = &store;

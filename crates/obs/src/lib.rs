@@ -2,8 +2,8 @@
 //!
 //! The store is a concurrent engine; its instruments must not become the
 //! bottleneck they are measuring. Everything in this crate follows one
-//! discipline, borrowed from the store's `ConcurrentTraffic`: **writers
-//! are wait-free, readers snapshot without stopping the world.**
+//! discipline: **writers are wait-free, readers snapshot without
+//! stopping the world.**
 //!
 //! ## The pieces
 //!

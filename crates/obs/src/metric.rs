@@ -15,9 +15,8 @@ const STRIPES: usize = 16;
 struct PaddedU64(AtomicU64);
 
 /// Stable per-thread stripe index: threads are numbered in creation
-/// order and hash onto stripes with a mask. The same idiom as the
-/// store's `ConcurrentTraffic` stripe pick, without requiring callers
-/// to thread an index through.
+/// order and hash onto stripes with a mask, so callers need not thread
+/// an index through.
 fn stripe_of_thread() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {

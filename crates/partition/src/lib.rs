@@ -19,10 +19,11 @@
 //!   dense or sparse. [`Partition`] ranges are **half-open**
 //!   (`boundaries[j] .. boundaries[j+1]`), so every curve index belongs
 //!   to exactly one part.
-//! * [`traffic`] — sparse live-traffic weight feedback: a running system
-//!   records observed per-cell load ([`TrafficWeights`]) and derives
-//!   fresh min-bottleneck boundaries from it, which is how the
-//!   `sfc-store` sharded store rebalances its shards.
+//! * [`traffic`] — live-traffic weight feedback: a running system
+//!   records observed load (exactly per cell in [`TrafficWeights`], or
+//!   per fixed curve-index bucket in the lock-free [`TrafficHistogram`])
+//!   and derives fresh min-bottleneck boundaries from it, which is how
+//!   the `sfc-store` sharded store rebalances its shards.
 //! * [`quality`] — load imbalance, edge cut and communication volume of a
 //!   partition, computable sequentially or Rayon-parallel.
 
@@ -39,5 +40,5 @@ pub use partitioner::{
     partition_greedy, partition_min_bottleneck, partition_min_bottleneck_sparse, Partition,
 };
 pub use quality::{evaluate, PartitionQuality};
-pub use traffic::{ConcurrentTraffic, TrafficWeights};
+pub use traffic::{TrafficHistogram, TrafficWeights};
 pub use weights::{WeightedGrid, Workload};

@@ -9,20 +9,20 @@
 //! [`partition_min_bottleneck_sparse`] to recompute shard boundaries that
 //! balance the *observed* load.
 //!
-//! Two accumulators are provided. [`TrafficWeights`] is the
-//! single-threaded original: one sparse map, `&mut self` recording.
-//! [`ConcurrentTraffic`] is its concurrent counterpart for multi-writer
-//! engines: the map is **striped** (one stripe per shard, matching the
-//! writers' natural partition), each stripe samples its own write stream
-//! through a per-stripe atomic counter, and only sampled writes touch the
-//! stripe's mutex — so concurrent writers to different shards never
-//! contend, a hot shard can never be under-sampled by other shards
-//! advancing a shared stride counter, and draining merges the stripes
-//! back into a plain [`TrafficWeights`] for the partitioner.
+//! Two accumulators are provided. [`TrafficWeights`] is exact: one
+//! sparse map, one entry per touched cell, `&mut self` recording.
+//! [`TrafficHistogram`] is what a multi-writer engine records into: a
+//! fixed array of at most 4 096 equal curve-index buckets, one
+//! relaxed atomic add per write, read back (or drained) as a
+//! [`TrafficWeights`] of bucket starts. Its memory does not grow with the
+//! keys written; a cut derived from it lands on a bucket start, so a part
+//! can carry up to one bucket's weight more than the per-cell optimum.
+//! Because curve-contiguous shards own contiguous bucket ranges, writers
+//! to different shards share a cache line only at a shard boundary.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use sfc_core::CurveIndex;
 
@@ -103,149 +103,113 @@ impl TrafficWeights {
     }
 }
 
-/// One contention domain of a [`ConcurrentTraffic`] accumulator: the
-/// stripe's own write counter (driving its sampler) plus its share of the
-/// sparse weight map.
-#[derive(Debug, Default)]
-struct TrafficStripe {
-    /// Writes observed by this stripe since construction (sampled or
-    /// not) — the deterministic per-stripe sampling stride walks this.
-    writes: AtomicU64,
-    /// Accumulated weight per touched curve index, this stripe only.
-    weights: Mutex<BTreeMap<CurveIndex, f64>>,
-}
+/// The number of buckets a [`TrafficHistogram`] holds at most.
+const MAX_BUCKETS: usize = 4096;
 
-/// A striped, `&self` traffic accumulator for concurrent writers.
+/// A fixed, `&self` write-count histogram for concurrent writers: the
+/// curve-index domain `0..n` cut into `min(n, 4096)` equal buckets, one
+/// relaxed atomic counter each.
 ///
-/// Each stripe is an independent contention domain — callers route a
-/// write to the stripe of the shard that absorbed it, so writers to
-/// different shards touch disjoint atomics and mutexes. Sampling
-/// ([`set_sample_every`](Self::set_sample_every)) is **per stripe**: every
-/// stripe counts its own writes and records 1 in `every` of them with
-/// weight `every`, which keeps the estimator unbiased per shard. A single
-/// global stride counter (the previous design) shared its phase across
-/// shards: under parallel writers the interleaving decided which shard's
-/// writes landed on the sampled ticks, systematically under-counting hot
-/// shards. A per-stripe counter cannot — each shard's sample rate depends
-/// only on that shard's own write count.
-#[derive(Debug)]
-pub struct ConcurrentTraffic {
+/// `n` is a power of two (`2^{k·d}` for a grid), so a key's bucket is
+/// `key >> shift` and a write is one `fetch_add`: no lock, no map, no
+/// allocation, and memory that does not grow with the keys written. The
+/// price is granularity: a cut derived from the histogram lands on a
+/// bucket start, so a part can carry up to one bucket's weight more than
+/// the per-cell optimum. On grids of at most 4 096 cells a bucket is one
+/// cell and nothing is lost.
+pub struct TrafficHistogram {
     /// Size of the curve-index domain `{0, …, n−1}`.
     n: u128,
-    /// Record 1 in `sample_every` writes, each carrying weight
-    /// `sample_every`.
-    sample_every: AtomicU64,
-    stripes: Box<[TrafficStripe]>,
+    /// `log2` of the keys per bucket.
+    shift: u32,
+    buckets: Box<[AtomicU64]>,
 }
 
-impl ConcurrentTraffic {
-    /// An empty accumulator over the curve-index domain `0..n` with
-    /// `stripes` independent contention domains (typically one per
-    /// shard). Sampling starts at 1 (record every write exactly).
-    pub fn new(n: u128, stripes: usize) -> Self {
+impl fmt::Debug for TrafficHistogram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TrafficHistogram")
+            .field("n", &self.n)
+            .field("buckets", &self.buckets.len())
+            .finish()
+    }
+}
+
+impl TrafficHistogram {
+    /// An empty histogram over the curve-index domain `0..n`.
+    ///
+    /// # Panics
+    /// Panics unless `n` is a power of two.
+    pub fn new(n: u128) -> Self {
+        assert!(n.is_power_of_two(), "domain size {n} is not a power of two");
+        let shift = n
+            .trailing_zeros()
+            .saturating_sub(MAX_BUCKETS.trailing_zeros());
         Self {
             n,
-            sample_every: AtomicU64::new(1),
-            stripes: (0..stripes.max(1))
-                .map(|_| TrafficStripe::default())
-                .collect(),
+            shift,
+            buckets: (0..n >> shift).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    /// The size of the curve-index domain.
-    pub fn n(&self) -> u128 {
-        self.n
-    }
-
-    /// Number of stripes (contention domains).
-    pub fn stripes(&self) -> usize {
-        self.stripes.len()
-    }
-
-    /// Samples write-weight recording down to 1 in `every` writes per
-    /// stripe, each carrying weight `every` (`1` records every write
-    /// exactly). Takes effect for subsequent writes on every stripe.
-    pub fn set_sample_every(&self, every: u64) {
-        self.sample_every.store(every.max(1), Ordering::Relaxed);
-    }
-
-    /// The current sampling stride.
-    pub fn sample_every(&self) -> u64 {
-        self.sample_every.load(Ordering::Relaxed)
-    }
-
-    /// One write happened at `key`, absorbed by the shard behind
-    /// `stripe`: count it, touching the stripe's weight map only on
-    /// sampled ticks.
+    /// The bucket holding `key`.
     ///
     /// # Panics
-    /// Panics if `stripe` is out of range or `key ≥ n`.
-    pub fn record_write(&self, stripe: usize, key: CurveIndex) {
+    /// Panics if `key ≥ n`.
+    fn bucket_of(&self, key: CurveIndex) -> usize {
         assert!(key < self.n, "curve index {key} outside 0..{}", self.n);
-        let s = &self.stripes[stripe];
-        let count = s.writes.fetch_add(1, Ordering::Relaxed);
-        let every = self.sample_every.load(Ordering::Relaxed);
-        if count.is_multiple_of(every) {
-            let mut weights = s.weights.lock().expect("traffic stripe poisoned");
-            *weights.entry(key).or_insert(0.0) += every as f64;
-        }
+        (key >> self.shift) as usize
     }
 
-    /// A run of writes, all absorbed by the shard behind `stripe`, in one
-    /// go: one counter bump for the whole run and at most one hold of the
-    /// stripe's mutex (none when no sampled tick falls inside the run).
-    /// Write `i` of the run takes tick `first + i` of the stripe's
-    /// counter, so the stripe's sampling stride is exactly what
-    /// `keys.len()` calls of [`record_write`](Self::record_write) would
-    /// have walked.
+    /// One write happened at `key`.
     ///
     /// # Panics
-    /// Panics if `stripe` is out of range or a sampled key is `≥ n`.
-    pub fn record_writes(&self, stripe: usize, keys: impl ExactSizeIterator<Item = CurveIndex>) {
-        let s = &self.stripes[stripe];
-        let run = keys.len() as u64;
-        let first = s.writes.fetch_add(run, Ordering::Relaxed);
-        let every = self.sample_every.load(Ordering::Relaxed);
-        // Writes of the run before its first sampled tick.
-        let skip = (every - first % every) % every;
-        if skip >= run {
-            return;
-        }
-        let mut weights = s.weights.lock().expect("traffic stripe poisoned");
-        for key in keys.skip(skip as usize).step_by(every as usize) {
-            assert!(key < self.n, "curve index {key} outside 0..{}", self.n);
-            *weights.entry(key).or_insert(0.0) += every as f64;
-        }
+    /// Panics if `key ≥ n`.
+    pub fn record(&self, key: CurveIndex) {
+        self.buckets[self.bucket_of(key)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Total writes observed by `stripe` (sampled and unsampled alike).
-    pub fn stripe_writes(&self, stripe: usize) -> u64 {
-        self.stripes[stripe].writes.load(Ordering::Relaxed)
-    }
-
-    /// Merges every stripe into a plain [`TrafficWeights`] without
-    /// clearing anything — a consistent *copy* of the observed load.
-    pub fn merged(&self) -> TrafficWeights {
-        let mut out = TrafficWeights::new(self.n);
-        for stripe in self.stripes.iter() {
-            let weights = stripe.weights.lock().expect("traffic stripe poisoned");
-            for (&k, &w) in weights.iter() {
-                out.record(k, w);
+    /// One write happened at each of `keys`: one `fetch_add` per run of
+    /// consecutive keys in the same bucket, so a key-sorted batch pays
+    /// one per bucket it touches.
+    ///
+    /// # Panics
+    /// Panics if a key is `≥ n`.
+    pub fn record_keys(&self, keys: impl IntoIterator<Item = CurveIndex>) {
+        // The open run: its bucket and its writes so far.
+        let (mut bucket, mut writes) = (0, 0u64);
+        for key in keys {
+            let b = self.bucket_of(key);
+            if b != bucket && writes > 0 {
+                self.buckets[bucket].fetch_add(writes, Ordering::Relaxed);
+                writes = 0;
             }
+            (bucket, writes) = (b, writes + 1);
         }
-        out
+        if writes > 0 {
+            self.buckets[bucket].fetch_add(writes, Ordering::Relaxed);
+        }
     }
 
-    /// Drains every stripe into a plain [`TrafficWeights`] and forgets
-    /// the observed load (each rebalance consumes its own epoch of
-    /// traffic). Write counters keep running — they drive the sampling
-    /// phase, not the weights.
+    /// The write counts, as `(bucket start, count)` weights, without
+    /// clearing anything.
+    pub fn weights(&self) -> TrafficWeights {
+        self.read(|b| b.load(Ordering::Relaxed))
+    }
+
+    /// The write counts, as `(bucket start, count)` weights, and every
+    /// bucket back to 0 (each rebalance consumes its own epoch of
+    /// traffic). A write racing the drain lands in exactly one epoch; a
+    /// caller that excludes writers while it drains sees a clean cut.
     pub fn drain(&self) -> TrafficWeights {
+        self.read(|b| b.swap(0, Ordering::Relaxed))
+    }
+
+    fn read(&self, count: impl Fn(&AtomicU64) -> u64) -> TrafficWeights {
         let mut out = TrafficWeights::new(self.n);
-        for stripe in self.stripes.iter() {
-            let mut weights = stripe.weights.lock().expect("traffic stripe poisoned");
-            for (k, w) in std::mem::take(&mut *weights) {
-                out.record(k, w);
+        for (i, bucket) in self.buckets.iter().enumerate() {
+            let c = count(bucket);
+            if c > 0 {
+                out.record((i as u128) << self.shift, c as f64);
             }
         }
         out
@@ -334,152 +298,94 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_unsampled_recording_is_exact() {
-        let t = ConcurrentTraffic::new(1 << 10, 4);
+    fn recording_is_exact_and_drain_consumes() {
+        // n ≤ MAX_BUCKETS: one cell a bucket, so the weights are the
+        // per-cell write counts.
+        let t = TrafficHistogram::new(1 << 10);
         for i in 0..100u64 {
-            t.record_write((i % 4) as usize, u128::from(i));
+            t.record(u128::from(i));
+            t.record(u128::from(i % 10));
         }
-        let merged = t.merged();
-        assert_eq!(merged.observed(), 100);
-        assert!((merged.total() - 100.0).abs() < 1e-9);
+        let weights = t.weights();
+        assert_eq!(weights.observed(), 100);
+        assert_eq!(weights.entries().next(), Some((0, 11.0)));
+        assert_eq!(weights.total(), 200.0);
         // Drain consumes; a second drain sees nothing.
-        let drained = t.drain();
-        assert!((drained.total() - 100.0).abs() < 1e-9);
+        assert_eq!(t.drain().total(), 200.0);
         assert!(t.drain().is_empty());
-        // Write counters keep running across drains.
-        assert_eq!(t.stripe_writes(0), 25);
     }
 
     #[test]
-    fn per_stripe_sampling_cannot_undersample_a_hot_stripe() {
-        // Regression for the global-stride design: stripe 0 takes 400
-        // writes, stripe 1 takes 4, interleaved. A single shared counter
-        // with stride 4 could phase-lock so that (depending on the
-        // interleaving) stripe 1's writes land on every sampled tick and
-        // stripe 0 is under-counted. Per-stripe counters make each
-        // stripe's recorded total depend only on its own write count.
-        let t = ConcurrentTraffic::new(1 << 10, 2);
-        t.set_sample_every(4);
-        for i in 0..400u64 {
-            t.record_write(0, u128::from(i % 64));
-            if i % 100 == 0 {
-                t.record_write(1, 512 + u128::from(i));
-            }
+    fn large_domains_keep_a_fixed_bucket_count() {
+        let t = TrafficHistogram::new(1 << 20);
+        // 2^20 / 4 096 = 256 keys a bucket: 0 and 255 share bucket 0, 256 opens bucket 1,
+        // the last key lands in the last bucket.
+        for key in [0, 255, 256, (1 << 20) - 1] {
+            t.record(key);
         }
-        let merged = t.merged();
-        // Stripe 0: 400 writes at stride 4 → exactly 100 samples × 4.
-        let hot: f64 = merged
-            .entries()
-            .filter(|&(k, _)| k < 512)
-            .map(|(_, w)| w)
-            .sum();
-        assert!(
-            (hot - 400.0).abs() < 1e-9,
-            "hot stripe under-sampled: {hot}"
+        assert_eq!(
+            t.weights().entries().collect::<Vec<_>>(),
+            vec![(0, 2.0), (256, 1.0), ((1 << 20) - 256, 1.0)]
         );
-        // Stripe 1: 4 writes at stride 4 → at least the first sampled.
-        let cold: f64 = merged
-            .entries()
-            .filter(|&(k, _)| k >= 512)
-            .map(|(_, w)| w)
-            .sum();
-        assert!(cold >= 4.0, "cold stripe lost its traffic: {cold}");
+        // The whole 128-bit range still fits 4 096 buckets.
+        let t = TrafficHistogram::new(1 << 127);
+        t.record((1 << 127) - 1);
+        assert_eq!(t.drain().entries().next(), Some((4095 << 115, 1.0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 0..")]
+    fn histogram_rejects_out_of_domain_keys() {
+        TrafficHistogram::new(8).record(8);
     }
 
     #[test]
     fn concurrent_recording_is_race_free_across_threads() {
-        // 4 writer threads × 2 stripes, sampling 1 (exact): every write
-        // must be counted exactly once — fetch_add and the stripe mutex
-        // may lose nothing.
-        let t = ConcurrentTraffic::new(1 << 20, 2);
+        // 4 writer threads, two of them on overlapping keys: every write
+        // is counted exactly once.
+        let t = TrafficHistogram::new(1 << 20);
         let per_thread = 5_000u64;
         std::thread::scope(|scope| {
             for thread in 0..4u64 {
                 let t = &t;
                 scope.spawn(move || {
                     for i in 0..per_thread {
-                        let stripe = (thread % 2) as usize;
-                        t.record_write(stripe, u128::from(thread * per_thread + i));
+                        t.record(u128::from((thread % 2) * per_thread + i));
                     }
                 });
             }
         });
-        let merged = t.merged();
-        assert!((merged.total() - 20_000.0).abs() < 1e-9);
-        assert_eq!(merged.observed(), 20_000);
-        assert_eq!(t.stripe_writes(0) + t.stripe_writes(1), 20_000);
+        assert_eq!(t.weights().total(), 20_000.0);
     }
 
     #[test]
     fn batched_recording_matches_single_writes() {
-        // Runs of uneven length dealt round-robin to three stripes.
+        // Runs of uneven length, sorted and unsorted, over a domain of 4
+        // keys a bucket.
         let runs: Vec<Vec<CurveIndex>> = (0..40u128)
             .map(|r| {
-                (0..(r * 7) % 23)
-                    .map(|i| (r * 131 + i * 17) % 4096)
-                    .collect()
+                let mut run: Vec<CurveIndex> = (0..(r * 7) % 23)
+                    .map(|i| (r * 131 + i * 17) % (1 << 14))
+                    .collect();
+                if r % 2 == 0 {
+                    run.sort_unstable();
+                }
+                run
             })
             .collect();
-        // Unsampled: the merged weights are exactly those of one
-        // `record_write` per key.
         let (batched, single) = (
-            ConcurrentTraffic::new(1 << 12, 3),
-            ConcurrentTraffic::new(1 << 12, 3),
+            TrafficHistogram::new(1 << 14),
+            TrafficHistogram::new(1 << 14),
         );
-        for (r, run) in runs.iter().enumerate() {
-            batched.record_writes(r % 3, run.iter().copied());
+        for run in &runs {
+            batched.record_keys(run.iter().copied());
             for &key in run {
-                single.record_write(r % 3, key);
+                single.record(key);
             }
         }
         assert_eq!(
-            batched.merged().entries().collect::<Vec<_>>(),
-            single.merged().entries().collect::<Vec<_>>()
-        );
-        // Sampled: each stripe keeps its own stride across run
-        // boundaries, so its recorded weight is its write count rounded
-        // up to the stride — never more than one stride off.
-        for every in [4u64, 8] {
-            let t = ConcurrentTraffic::new((1 << 12) + 3, 3);
-            t.set_sample_every(every);
-            for (r, run) in runs.iter().enumerate() {
-                // Stripe j only sees keys of residue class j, so its
-                // weight can be read back out of the merged map.
-                let stripe = r % 3;
-                t.record_writes(stripe, run.iter().map(|k| k - k % 3 + stripe as u128));
-            }
-            let merged = t.merged();
-            for stripe in 0..3 {
-                let weight: f64 = merged
-                    .entries()
-                    .filter(|&(k, _)| k % 3 == stripe as u128)
-                    .map(|(_, w)| w)
-                    .sum();
-                let writes = t.stripe_writes(stripe);
-                assert_eq!(
-                    weight,
-                    (writes.div_ceil(every) * every) as f64,
-                    "stripe {stripe} at stride {every}: {writes} writes"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sampled_weight_total_tracks_true_write_count() {
-        let t = ConcurrentTraffic::new(1 << 12, 3);
-        t.set_sample_every(8);
-        let writes = 4_000u64;
-        for i in 0..writes {
-            t.record_write((i % 3) as usize, u128::from(i % 1024));
-        }
-        let total = t.merged().total();
-        // Each stripe records ceil(writes_j / 8) samples of weight 8: the
-        // total can overshoot by at most (every − 1) per stripe.
-        let slack = 8.0 * 3.0;
-        assert!(
-            (total - writes as f64).abs() <= slack,
-            "sampled total {total} drifted from {writes}"
+            batched.weights().entries().collect::<Vec<_>>(),
+            single.weights().entries().collect::<Vec<_>>()
         );
     }
 }

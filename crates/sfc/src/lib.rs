@@ -57,7 +57,7 @@ pub mod prelude {
     };
     pub use sfc_index::{BlockStore, BoxRegion, QueryStats, SfcIndex};
     pub use sfc_metrics::nn_stretch::NnStretchSummary;
-    pub use sfc_partition::{ConcurrentTraffic, Partition, TrafficWeights, WeightedGrid, Workload};
+    pub use sfc_partition::{Partition, TrafficHistogram, TrafficWeights, WeightedGrid, Workload};
     pub use sfc_store::{ShardedSfcStore, ShardedSnapshot, StoreEntry};
 }
 

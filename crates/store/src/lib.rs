@@ -70,10 +70,13 @@
 //! The per-record costs that remain — lock acquires, WAL frames,
 //! commit-queue tickets — are amortised over the batch.
 //!
-//! **Traffic and rebalancing** — per-cell write weights accumulate in a
-//! striped [`ConcurrentTraffic`](sfc_partition::ConcurrentTraffic)
-//! (one stripe per shard, per-stripe atomic sampling counters — a hot
-//! shard's sample rate cannot be skewed by other shards' writes).
+//! **Traffic and rebalancing** — every write is counted in a fixed
+//! [`TrafficHistogram`](sfc_partition::TrafficHistogram): the keyspace
+//! cut into `min(n, 4096)` equal curve-index buckets, one relaxed atomic
+//! add per write (one per bucket touched for a sorted batch slice), no
+//! lock and no memory that grows with the keys written. On grids of more
+//! than 4 096 cells a bucket spans several cells, and a recomputed
+//! boundary lands on a bucket start.
 //! [`ShardedSfcStore::rebalance`] is the engine's one **stop-the-world**
 //! operation: it holds the partition's write guard for its whole
 //! duration (excluding all writers and router-level readers), flushes
@@ -81,8 +84,8 @@
 //! traffic, and migrates records as pre-sorted bottom runs.
 //!
 //! **Lock order** — `partition RwLock → shard maint → shard mem →
-//! { epoch cell / traffic stripe | shard persist → manifest → commit
-//! queue }`; the durable chain appears only on stores opened with
+//! { epoch cell | shard persist → manifest → commit queue }`; the
+//! durable chain appears only on stores opened with
 //! [`ShardedSfcStore::open_durable`], the commit-queue mutex is the last
 //! lock on every path, and multiple shards are only locked together (in
 //! ascending index order) under the partition's write guard.

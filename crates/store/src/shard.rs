@@ -15,9 +15,9 @@
 //! router above them
 //!
 //! * sends every upsert/delete to the shard owning the record's curve key
-//!   under a shared [`RwLock`] read guard on the partition (recording
-//!   per-shard write weight through striped atomic counters —
-//!   [`ConcurrentTraffic`]),
+//!   under a shared [`RwLock`] read guard on the partition (counting the
+//!   write in a fixed curve-index histogram with one relaxed atomic add —
+//!   [`TrafficHistogram`]),
 //! * answers every read from a **capture** of each shard — a microscopic
 //!   lock to snapshot the memtable copy-on-write (nothing copied, nothing
 //!   flushed) and pin the current epoch — scanned entirely lock-free by
@@ -33,9 +33,9 @@
 //!   records — after which concurrency resumes.
 //!
 //! **Lock order** (deadlock freedom): `partition RwLock → shard maint →
-//! shard mem → { epoch cell / traffic stripe | shard persist →
-//! manifest → commit queue }` — the durable chain exists only on stores
-//! opened with [`open_durable`](ShardedSfcStore::open_durable), and the
+//! shard mem → { epoch cell | shard persist → manifest → commit queue }`
+//! — the durable chain exists only on stores opened with
+//! [`open_durable`](ShardedSfcStore::open_durable), and the
 //! commit-queue mutex is the last lock on every path. Shards are only
 //! ever locked in ascending index order when more than one is held
 //! (migration), and only under the partition write guard.
@@ -53,7 +53,7 @@ use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
 use sfc_index::knn::{verification_radius, KnnQuery};
 use sfc_index::{BoxRegion, CurveSkipper, QueryStats, SfcIndex};
 use sfc_obs::MetricsRegistry;
-use sfc_partition::{ConcurrentTraffic, Partition, TrafficWeights};
+use sfc_partition::{Partition, TrafficHistogram, TrafficWeights};
 
 use crate::epoch::{Shard, WriteOp};
 use crate::maintenance::{wait_tick, MaintenanceConfig, MaintenanceHandle};
@@ -270,9 +270,10 @@ pub struct ShardedSfcStore<const D: usize, T, C: SpaceFillingCurve<D> + Clone> {
     /// holds the write guard — the explicit stop-the-world exclusion.
     partition: RwLock<Partition>,
     shards: Box<[Shard<D, T, C>]>,
-    /// Observed per-cell write weight since the last rebalance, striped
-    /// one-to-one with the shards.
-    traffic: ConcurrentTraffic,
+    /// Writes per curve-index bucket since the last rebalance. Writers
+    /// count under the partition's read guard and `rebalance` drains
+    /// under its write guard, so every write lands in one epoch.
+    traffic: TrafficHistogram,
     /// Engine-level metric handles, when observability is attached
     /// ([`ShardedSfcStore::attach_metrics`]); the per-shard bundles live
     /// inside the shards themselves.
@@ -431,23 +432,11 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
         self.shards.iter().map(Shard::memtable_heap_bytes).collect()
     }
 
-    /// A consistent copy of the per-cell write weights observed since the
-    /// last [`rebalance`](Self::rebalance), merged across the per-shard
-    /// stripes.
+    /// A copy of the writes counted since the last
+    /// [`rebalance`](Self::rebalance): one `(bucket start, count)` entry
+    /// per curve-index bucket written, at most 4 096 of them.
     pub fn traffic(&self) -> TrafficWeights {
-        self.traffic.merged()
-    }
-
-    /// Samples write-weight recording down to 1 in `every` writes **per
-    /// shard**, each carrying weight `every` (`1`, the default, records
-    /// every write exactly). Sampling bounds the accumulator's memory and
-    /// takes the map bookkeeping off the per-write hot path; because
-    /// every shard strides its own write stream through its own atomic
-    /// counter, a hot shard's sample rate is independent of traffic to
-    /// other shards — concurrent writers cannot skew it the way a single
-    /// shared stride counter could.
-    pub fn set_traffic_sampling(&self, every: u64) {
-        self.traffic.set_sample_every(every);
+        self.traffic.weights()
     }
 
     /// Total number of live records across all shards.
@@ -617,8 +606,8 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     /// Inserts or updates the record at cell `p` (an *upsert*: the store
     /// holds one live record per cell; `&self`: concurrent writers to
     /// different shards never contend), routed to the owning shard;
-    /// records one unit of write weight on the shard's traffic stripe.
-    /// Returns `true` if a live record was replaced.
+    /// counts one write in the traffic histogram. Returns `true` if a
+    /// live record was replaced.
     ///
     /// On a durable store this blocks for the group-commit ack — the
     /// write is both *applied* and *durable* when it returns (see
@@ -632,9 +621,8 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
 
     /// Deletes the record at cell `p` (`&self`), routed to the owning
     /// shard, by writing a tombstone (an older run may still hold a
-    /// version of the cell); records one unit of write weight on the
-    /// shard's traffic stripe. Returns `true` if a live record was
-    /// removed.
+    /// version of the cell); counts one write in the traffic histogram.
+    /// Returns `true` if a live record was removed.
     ///
     /// On a durable store this blocks for the group-commit ack and
     /// panics if the log has failed; use
@@ -689,7 +677,7 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
         let key = self.curve.index_of(p);
         let part = self.partition.read().expect("partition poisoned");
         let j = part.part_of(key);
-        self.traffic.record_write(j, key);
+        self.traffic.record(key);
         Ok(self.shards[j].apply(&self.curve, [(key, p, payload)], wait)? > 0)
     }
 
@@ -769,9 +757,8 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
             // Stable sort: duplicate keys keep submission order, so the
             // last write to a cell lands last and wins.
             bucket.sort_by_key(|&(k, _, _)| k);
-            // One counter bump and one stripe-lock hold for the slice.
-            self.traffic
-                .record_writes(j, bucket.iter().map(|&(k, _, _)| k));
+            // One histogram add per bucket the sorted slice touches.
+            self.traffic.record_keys(bucket.iter().map(|&(k, _, _)| k));
             self.shards[j].apply(&self.curve, bucket, false)?;
         }
         Ok(())
@@ -827,10 +814,11 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     }
 
     /// Recomputes the shard boundaries with the sparse min-bottleneck
-    /// partitioner over the write weights observed since the last
-    /// rebalance, and migrates records to their new shards. Returns
-    /// `true` if the boundaries changed (a no-op rebalance keeps every
-    /// shard untouched).
+    /// partitioner over the writes counted per curve-index bucket since
+    /// the last rebalance (so every new boundary is a bucket start), and
+    /// migrates records to their new shards. Returns `true` if the
+    /// boundaries changed (a no-op rebalance keeps every shard
+    /// untouched).
     ///
     /// This is the store's one **stop-the-world** operation: it holds the
     /// partition's write guard for its whole duration, excluding every
@@ -951,7 +939,7 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
 
 impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<D, T, C> {
     /// The one place a store is put together: `shards` routed by
-    /// `partition`, a fresh traffic stripe per shard, no metrics, no
+    /// `partition`, an empty traffic histogram, no metrics, no
     /// maintenance thread — in memory unless `wal` says otherwise.
     fn assemble(
         curve: C,
@@ -960,12 +948,11 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<D, T, C
         wal: Option<Arc<WalEngine>>,
         recovery: Option<RecoveryStats>,
     ) -> Self {
-        let traffic = ConcurrentTraffic::new(curve.grid().n(), shards.len());
         Self {
+            traffic: TrafficHistogram::new(curve.grid().n()),
             curve,
             partition: RwLock::new(partition),
             shards,
-            traffic,
             metrics: None,
             wal,
             recovery,
@@ -1419,7 +1406,6 @@ mod tests {
         by_ref.delete(Point::new([1, 1]));
         by_ref.flush();
         by_ref.compact();
-        by_ref.set_traffic_sampling(2);
         let _snap = by_ref.snapshot();
         by_ref.rebalance(1e-9);
     }
@@ -1585,41 +1571,6 @@ mod tests {
         let before = flat(store.iter());
         store.rebalance(1e-9);
         assert_eq!(flat(store.iter()), before);
-    }
-
-    #[test]
-    fn traffic_sampling_is_per_shard_and_tracks_write_counts() {
-        let grid = Grid::<2>::new(4).unwrap();
-        let exact = ShardedSfcStore::new(ZCurve::over(grid), 2);
-        let sampled = ShardedSfcStore::new(ZCurve::over(grid), 2);
-        sampled.set_traffic_sampling(8);
-        let mut rng = rng(41);
-        for i in 0..4_000u32 {
-            let p = grid.random_cell(&mut rng);
-            exact.insert(p, i);
-            sampled.insert(p, i);
-        }
-        assert_eq!(exact.traffic().total(), 4_000.0, "every write counted");
-        // Per-shard striding: each stripe records ceil(writes_j / 8)
-        // samples of weight 8, so the total tracks the true count to
-        // within (every − 1) per stripe.
-        let total = sampled.traffic().total();
-        assert!(
-            (total - 4_000.0).abs() <= 8.0 * 2.0,
-            "sampled weight total {total} drifted from 4000"
-        );
-        assert!(
-            sampled.traffic().observed() < exact.traffic().observed(),
-            "sampling shrinks the accumulator"
-        );
-        // Sampled feedback still rebalances sensibly: boundaries move off
-        // uniform under the same skew that moves them with exact weights.
-        let skewed = ShardedSfcStore::new(ZCurve::over(grid), 2);
-        skewed.set_traffic_sampling(4);
-        for i in 0..2_000u32 {
-            skewed.insert(Point::new([i % 4, (i / 4) % 4]), i);
-        }
-        assert!(skewed.rebalance(1e-9));
     }
 
     #[test]

@@ -38,6 +38,7 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::mem;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -54,19 +55,22 @@ use crate::obs::WalMetrics;
 /// record-count bound.
 const FSYNC_BYTES: u64 = 1 << 20;
 
-/// One queued append: target shard, the highest record sequence number
-/// in the frame (for segment pruning metadata), and the fully framed
-/// bytes.
-struct Pending {
-    shard: usize,
-    seq: u64,
-    frame: Vec<u8>,
+/// One shard's share of a group: its frames' bytes in ticket order and
+/// the highest record sequence number among them (segment pruning
+/// metadata). Writers append into the queue's copy; a commit round swaps
+/// it with the log's emptied one, so the buffers keep their capacity and
+/// a frame is copied once, by the writer that encoded it.
+#[derive(Default)]
+struct ShardBatch {
+    bytes: Vec<u8>,
+    max_seq: u64,
 }
 
 /// Shared queue state behind the commit-queue mutex (a leaf lock: all
 /// file I/O happens with it released).
 struct QueueState {
-    pending: Vec<Pending>,
+    /// The frames accepted since the last round, one batch per shard.
+    pending: Vec<ShardBatch>,
     /// Records across `pending` (a coalesced frame counts all of them).
     pending_records: usize,
     /// Frame bytes across `pending` — drives the byte-bound trigger.
@@ -100,8 +104,6 @@ struct QueueState {
 /// huge coalesced frames don't balloon a group.
 struct Log {
     files: Vec<ShardFiles>,
-    /// The group being written; empty, capacity kept, between rounds.
-    batch: Vec<Pending>,
     unsynced_records: usize,
     unsynced_bytes: u64,
     /// The highest ticket the writes so far cover.
@@ -118,6 +120,8 @@ struct Shared {
     /// `fsync_every` floored at 1.
     cfg: WalConfig,
     dims: u8,
+    /// Metrics are attached: only then does an append read the clock.
+    metered: AtomicBool,
 }
 
 /// What recovery found on disk for one shard, handed to the committer so
@@ -146,10 +150,9 @@ struct ShardFiles {
     open: Option<OpenSeg>,
     sealed: Vec<SealedSeg>,
     next_id: u64,
-    /// Per-batch scratch: frames accumulated for this shard.
-    buf: Vec<u8>,
-    buf_max_seq: u64,
-    buf_any: bool,
+    /// The group being written, this shard's share; empty, capacity
+    /// kept, between rounds.
+    batch: ShardBatch,
     /// The open segment has bytes written to the OS but not yet
     /// fsynced (records under those bytes are not durable/acked yet).
     dirty: bool,
@@ -167,11 +170,11 @@ impl ShardFiles {
         self.sealed.len() + usize::from(self.open.is_some())
     }
 
-    /// Appends the batch scratch buffer to the open segment (creating or
+    /// Appends the shard's batch to the open segment (creating or
     /// rotating as needed). The bytes reach the OS but are **not**
     /// fsynced — [`sync`](Self::sync) makes them durable.
     fn write(&mut self, dims: u8, segment_bytes: u64) -> Result<(), WalError> {
-        debug_assert!(self.buf_any);
+        debug_assert!(!self.batch.bytes.is_empty());
         // Rotate a full segment before, not after, writing: a batch is
         // never split across two files. A sealed segment is always
         // synced — records must never become durable out of order.
@@ -207,13 +210,12 @@ impl ShardFiles {
         }
         let open = self.open.as_mut().expect("ensured above");
         open.file
-            .write_all(&self.buf)
+            .write_all(&self.batch.bytes)
             .map_err(|e| WalError::io(&open.path, &e))?;
-        open.bytes += self.buf.len() as u64;
-        open.max_seq = open.max_seq.max(self.buf_max_seq);
-        self.buf.clear();
-        self.buf_any = false;
-        self.buf_max_seq = 0;
+        open.bytes += self.batch.bytes.len() as u64;
+        open.max_seq = open.max_seq.max(self.batch.max_seq);
+        self.batch.bytes.clear();
+        self.batch.max_seq = 0;
         self.dirty = true;
         Ok(())
     }
@@ -275,7 +277,7 @@ impl std::fmt::Debug for Committer {
         f.debug_struct("Committer")
             .field("next_ticket", &st.next_ticket)
             .field("durable", &st.durable)
-            .field("pending", &st.pending.len())
+            .field("pending_records", &st.pending_records)
             .field("error", &st.error)
             .finish()
     }
@@ -285,6 +287,7 @@ impl Committer {
     /// Opens the commit queue over the per-shard log states recovery (or
     /// a fresh open) produced and spawns its background thread.
     pub(crate) fn spawn(config: &WalConfig, dims: u8, shards: Vec<ShardLogState>) -> Self {
+        let pending = shards.iter().map(|_| ShardBatch::default()).collect();
         let files: Vec<ShardFiles> = shards
             .into_iter()
             .map(|s| ShardFiles {
@@ -299,15 +302,13 @@ impl Committer {
                 next_id: s.next_segment_id,
                 dir: s.dir,
                 open: None,
-                buf: Vec::new(),
-                buf_max_seq: 0,
-                buf_any: false,
+                batch: ShardBatch::default(),
                 dirty: false,
             })
             .collect();
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
-                pending: Vec::new(),
+                pending,
                 pending_records: 0,
                 pending_bytes: 0,
                 prunes: Vec::new(),
@@ -315,7 +316,6 @@ impl Committer {
                 durable: 0,
                 log: Some(Log {
                     files,
-                    batch: Vec::new(),
                     unsynced_records: 0,
                     unsynced_bytes: 0,
                     written_ticket: 0,
@@ -334,6 +334,7 @@ impl Committer {
                 ..config.clone()
             },
             dims,
+            metered: AtomicBool::new(false),
         });
         let thread_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
@@ -350,6 +351,7 @@ impl Committer {
     /// from the next group on).
     pub(crate) fn set_metrics(&self, metrics: Arc<WalMetrics>) {
         self.shared.lock().metrics = Some(metrics);
+        self.shared.metered.store(true, Ordering::Relaxed);
     }
 
     /// Enqueues one framed entry for `shard` carrying `records` records
@@ -366,7 +368,11 @@ impl Committer {
         wait: bool,
     ) -> Result<(), WalError> {
         debug_assert!(records > 0, "an fsync is owed per record, not per frame");
-        let start = Instant::now();
+        let start = self
+            .shared
+            .metered
+            .load(Ordering::Relaxed)
+            .then(Instant::now);
         let mut st = self.shared.lock();
         if let Some(e) = &st.error {
             return Err(e.clone());
@@ -376,7 +382,9 @@ impl Committer {
         }
         st.pending_records += records;
         st.pending_bytes += frame.len() as u64;
-        st.pending.push(Pending { shard, seq, frame });
+        let batch = &mut st.pending[shard];
+        batch.bytes.extend_from_slice(&frame);
+        batch.max_seq = batch.max_seq.max(seq);
         let ticket = st.next_ticket;
         st.next_ticket += 1;
         if wait {
@@ -389,7 +397,7 @@ impl Committer {
         }
         let metrics = st.metrics.clone();
         drop(st);
-        if let Some(m) = metrics {
+        if let (Some(m), Some(start)) = (metrics, start) {
             m.append_ns.record_since(start);
         }
         Ok(())
@@ -518,7 +526,9 @@ impl Shared {
         led: bool,
     ) -> MutexGuard<'a, QueueState> {
         let mut log = st.log.take().expect("callers check the baton is home");
-        mem::swap(&mut st.pending, &mut log.batch);
+        for (pending, f) in st.pending.iter_mut().zip(&mut log.files) {
+            mem::swap(pending, &mut f.batch);
+        }
         let records = mem::take(&mut st.pending_records);
         let bytes = mem::take(&mut st.pending_bytes);
         let prunes = if led {
@@ -537,7 +547,7 @@ impl Shared {
         let mut result = log.write_group(self.dims, self.cfg.segment_bytes);
         let mut synced = false;
         if result.is_ok() {
-            if !log.batch.is_empty() {
+            if records > 0 {
                 log.unsynced_records += records;
                 log.unsynced_bytes += bytes;
                 log.written_ticket = high_ticket;
@@ -554,8 +564,6 @@ impl Shared {
                 synced = result.is_ok();
             }
         }
-        log.batch.clear();
-
         let mut st = self.lock();
         match result {
             Ok(()) if synced => st.durable = log.written_ticket,
@@ -630,18 +638,12 @@ impl Log {
             .sum::<usize>() as i64
     }
 
-    /// Appends the batch: all frames sorted into per-shard buffers, one
+    /// Appends the group: each shard's batch, one
     /// `write_all` per touched shard. No fsync — that is
     /// [`sync_group`](Self::sync_group)'s job, possibly several rounds
     /// later.
     fn write_group(&mut self, dims: u8, segment_bytes: u64) -> Result<(), WalError> {
-        for p in &self.batch {
-            let f = &mut self.files[p.shard];
-            f.buf.extend_from_slice(&p.frame);
-            f.buf_max_seq = f.buf_max_seq.max(p.seq);
-            f.buf_any = true;
-        }
-        for f in self.files.iter_mut().filter(|f| f.buf_any) {
+        for f in self.files.iter_mut().filter(|f| !f.batch.bytes.is_empty()) {
             f.write(dims, segment_bytes)?;
         }
         Ok(())

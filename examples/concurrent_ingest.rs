@@ -42,7 +42,6 @@ fn main() {
     let grid = Grid::<2>::new(GRID_K).unwrap();
     let z = ZCurve::over(grid);
     let store = ShardedSfcStore::with_memtable_capacity(z, WRITERS, MEMTABLE_CAP);
-    store.set_traffic_sampling(64);
     let done = AtomicBool::new(false);
     let snapshots_taken = AtomicU64::new(0);
     let snapshot_records_seen = AtomicU64::new(0);

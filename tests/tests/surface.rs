@@ -200,3 +200,15 @@ fn memtable_keeps_what_the_engine_calls() {
         &["crates/store/src/memtable"],
     );
 }
+
+/// Write traffic is one fixed histogram per store, one relaxed atomic
+/// add per write: the striped map accumulator it replaced, with its
+/// per-stripe sampler and sampling knob, cannot come back.
+#[test]
+fn traffic_is_a_fixed_histogram() {
+    assert_absent(
+        "write traffic is counted in a fixed histogram, never sampled into a map",
+        r"set_traffic_sampling|set_sample_every|ConcurrentTraffic",
+        &["crates", "examples", "tests"],
+    );
+}
