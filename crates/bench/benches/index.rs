@@ -4,9 +4,18 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
+use sfc_bench::interleaved_ratio;
 use sfc_core::{Grid, HilbertCurve, Point, SpaceFillingCurve, ZCurve};
 use sfc_index::{BoxRegion, SfcIndex};
 use std::hint::black_box;
+
+/// The committed floor of `exhaustive / hierarchical` decomposition of 16
+/// boxes of side 32 on the 2-D Hilbert curve (`k = 11`), timed interleaved
+/// in one process ([`interleaved_ratio`] over [`GATE_ROUNDS`] rounds).
+const HIERARCHICAL_VS_EXHAUSTIVE_GATE: f64 = 5.0;
+
+/// Rounds of the interleaved gate timing (all 16 boxes a side).
+const GATE_ROUNDS: usize = 31;
 
 fn setup(k: u32, records: usize) -> (Grid<2>, Vec<(Point<2>, usize)>, Vec<BoxRegion<2>>) {
     let grid = Grid::<2>::new(k).unwrap();
@@ -171,20 +180,25 @@ fn bench_decompose(c: &mut Criterion) {
     }
     group.finish();
     // The gate: on the store's own box sizes the hierarchical cover must
-    // beat enumerate-and-sort by a wide margin (fastest samples, so a noisy
-    // neighbour cannot fail it).
-    let records = criterion::take_records();
-    let min_ns = |name: &str| {
-        records
-            .iter()
-            .find(|r| r.name == format!("decompose/{name}"))
-            .unwrap_or_else(|| panic!("{name} recorded"))
-            .min_ns
-    };
-    let ratio = min_ns("hilbert_d2_side32_exhaustive") / min_ns("hilbert_d2_side32_hierarchical");
-    println!("decompose hilbert d=2 side 32: hierarchical {ratio:.1}x exhaustive");
+    // beat enumerate-and-sort by a wide margin.
+    let hilbert = HilbertCurve::<2>::new(11).unwrap();
+    let boxes = boxes_of_side(hilbert.grid(), 32);
+    let ratio = interleaved_ratio(
+        GATE_ROUNDS,
+        || {
+            for q in &boxes {
+                black_box(q.curve_intervals(&hilbert));
+            }
+        },
+        || {
+            for q in &boxes {
+                black_box(q.curve_intervals_exhaustive(&hilbert));
+            }
+        },
+    );
+    println!("decompose hilbert d=2 side 32: hierarchical {ratio:.1}x exhaustive (interleaved)");
     assert!(
-        ratio >= 5.0,
+        ratio >= HIERARCHICAL_VS_EXHAUSTIVE_GATE,
         "hierarchical decomposition only {ratio:.2}x exhaustive at Hilbert d=2 side 32"
     );
 }

@@ -3,8 +3,8 @@
 use rand::{Rng, SeedableRng};
 use sfc_core::{CurveKind, Grid, Point, ZCurve};
 use sfc_index::{BoxRegion, SfcIndex};
+use sfc_metrics::point_set::{sample_points, summarize, Distribution};
 use sfc_metrics::report::{fmt_f64, Table};
-use sfc_nbody::body::{sample_bodies, Distribution};
 use sfc_partition::{partition_greedy, quality, WeightedGrid, Workload};
 
 fn rng(seed: u64) -> rand_chacha::ChaCha8Rng {
@@ -130,7 +130,7 @@ pub fn app_index() -> Vec<Table> {
     vec![table, zt]
 }
 
-/// N-body decomposition locality per curve, plus Barnes–Hut work/accuracy.
+/// N-body decomposition locality per curve.
 pub fn app_nbody() -> Vec<Table> {
     let mut tables = Vec::new();
     for (dname, dist) in [
@@ -143,7 +143,7 @@ pub fn app_nbody() -> Vec<Table> {
             },
         ),
     ] {
-        let bodies: Vec<sfc_nbody::Body<2>> = sample_bodies(dist, 600, &mut rng(77));
+        let bodies: Vec<[f64; 2]> = sample_points(dist, 600, &mut rng(77));
         let mut table = Table::new(
             format!("SFC body-ordering quality, 600 bodies, {dname}"),
             &[
@@ -156,7 +156,7 @@ pub fn app_nbody() -> Vec<Table> {
         for kind in CurveKind::ALL {
             let curve = kind.build::<2>(6).unwrap();
             let mut b = bodies.clone();
-            let summary = sfc_nbody::decomp::summarize(&curve, &mut b, 8);
+            let summary = summarize(&curve, &mut b, 8);
             table.push_row(vec![
                 kind.name().to_string(),
                 fmt_f64(summary.sequential_locality, 5),
@@ -166,31 +166,6 @@ pub fn app_nbody() -> Vec<Table> {
         }
         tables.push(table);
     }
-
-    // Barnes–Hut sanity: work and accuracy vs direct summation.
-    let bodies: Vec<sfc_nbody::Body<2>> = sample_bodies(Distribution::Uniform, 800, &mut rng(88));
-    let tree = sfc_nbody::Tree::build(bodies, 8, 4);
-    let direct = sfc_nbody::gravity::direct_forces(tree.bodies(), 1e-3);
-    let mut bh_table = Table::new(
-        "Barnes–Hut vs direct (800 bodies, Morton tree)",
-        &[
-            "θ",
-            "interactions",
-            "vs direct n(n−1)",
-            "mean rel. force error",
-        ],
-    );
-    for theta in [0.3f64, 0.5, 0.8, 1.2] {
-        let (forces, stats) = sfc_nbody::gravity::barnes_hut_forces(&tree, theta, 1e-3);
-        let err = sfc_nbody::gravity::mean_relative_error(&forces, &direct);
-        bh_table.push_row(vec![
-            fmt_f64(theta, 1),
-            stats.total().to_string(),
-            fmt_f64(stats.total() as f64 / (800.0 * 799.0), 4),
-            format!("{err:.2e}"),
-        ]);
-    }
-    tables.push(bh_table);
     tables
 }
 
@@ -238,21 +213,5 @@ mod tests {
         let full: f64 = zt.rows[0][1].parse().unwrap();
         let bigmin: f64 = zt.rows[1][1].parse().unwrap();
         assert!(bigmin < full / 3.0, "bigmin {bigmin} vs full {full}");
-    }
-
-    #[test]
-    fn app_nbody_bh_error_decreases_with_theta() {
-        let tables = app_nbody();
-        let bh = tables.last().unwrap();
-        let errs: Vec<f64> = bh.rows.iter().map(|r| r[3].parse().unwrap()).collect();
-        // Rows are ordered θ = 0.3, 0.5, 0.8, 1.2: error non-decreasing.
-        for w in errs.windows(2) {
-            assert!(w[0] <= w[1] * 1.5, "{errs:?}");
-        }
-        // Interaction counts decrease as θ grows.
-        let work: Vec<u64> = bh.rows.iter().map(|r| r[1].parse().unwrap()).collect();
-        for w in work.windows(2) {
-            assert!(w[0] > w[1], "{work:?}");
-        }
     }
 }

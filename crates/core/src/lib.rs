@@ -49,9 +49,9 @@
 //! * [`GrayCurve`] rides the Morton kernel and applies the Gray inverse
 //!   in place, in a `u64` when the key fits one.
 //!
-//! Bulk workloads (index construction in `sfc-index`, metric sweeps in
-//! `sfc-metrics`, n-body decomposition in `sfc-nbody`) all route through
-//! this API. Quickstart:
+//! Bulk workloads (index construction in `sfc-index`, metric sweeps and
+//! point-set ordering in `sfc-metrics`) all route through this API.
+//! Quickstart:
 //!
 //! ```
 //! use sfc_core::{HilbertCurve, Point, SpaceFillingCurve};

@@ -26,6 +26,9 @@
 //! * [`optimal`] — exhaustive search and the exact best chain of
 //!   down-sets, probing the gap between the paper's lower and upper
 //!   bounds.
+//! * [`point_set`] — what a curve's order does to a set of points in the
+//!   unit cube: chunk compactness, sequential locality and the empirical
+//!   nearest-neighbor stretch of the `app-nbody` experiment.
 //! * [`report`] — small table/report rendering used by the experiment
 //!   harness.
 //!
@@ -63,6 +66,7 @@ pub mod histogram;
 pub mod lambda;
 pub mod nn_stretch;
 pub mod optimal;
+pub mod point_set;
 pub mod report;
 pub mod sampling;
 pub mod torus;

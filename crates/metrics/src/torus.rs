@@ -15,7 +15,7 @@
 //! Periodic domains are the standard setting in the scientific-computing
 //! applications the paper cites (particle simulations with periodic
 //! boundary conditions), so the torus variant is also the more faithful
-//! model for the `app-nbody` workloads.
+//! model of the particle simulations [`crate::point_set`] stands in for.
 
 use sfc_core::{Grid, Point, SpaceFillingCurve};
 

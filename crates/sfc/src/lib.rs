@@ -11,11 +11,10 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`core`] | `sfc-core` | grids, points, Z/simple/snake/Gray/Hilbert curves, permutation curves |
-//! | [`metrics`] | `sfc-metrics` | `D^avg`, `D^max`, all-pairs stretch, `Λ_i`, bounds, optimal-curve search |
+//! | [`metrics`] | `sfc-metrics` | `D^avg`, `D^max`, all-pairs stretch, `Λ_i`, bounds, optimal-curve search, point-set ordering |
 //! | [`partition`] | `sfc-partition` | weighted SFC domain decomposition and quality metrics |
 //! | [`index`] | `sfc-index` | sorted-key spatial index, BIGMIN range queries, verified kNN |
 //! | [`store`] | `sfc-store` | mutable LSM-style spatial store over SFC-sorted runs |
-//! | [`nbody`] | `sfc-nbody` | Morton-tree Barnes–Hut forces, SFC work decomposition |
 //! | [`obs`] | `sfc-obs` | lock-free metrics registry, latency histograms, slow-query log |
 //!
 //! ## Quickstart
@@ -44,7 +43,6 @@
 pub use sfc_core as core;
 pub use sfc_index as index;
 pub use sfc_metrics as metrics;
-pub use sfc_nbody as nbody;
 pub use sfc_obs as obs;
 pub use sfc_partition as partition;
 pub use sfc_store as store;

@@ -116,11 +116,11 @@ fn partition_edge_cut_brute_force() {
     }
 }
 
-/// Quantised bodies at cell centers reproduce cell-level curve keys: the
-/// nbody quantisation and the core curves agree.
+/// Quantised points at cell centers reproduce cell-level curve keys: the
+/// point-set quantisation and the core curves agree.
 #[test]
-fn body_quantisation_matches_cell_keys() {
-    use sfc_nbody::body::{body_key, Body};
+fn point_quantisation_matches_cell_keys() {
+    use sfc_metrics::point_set::quantize;
     let grid = Grid::<2>::new(4).unwrap();
     let z = ZCurve::<2>::over(grid);
     for cell in grid.cells() {
@@ -128,7 +128,10 @@ fn body_quantisation_matches_cell_keys() {
             (f64::from(cell.coord(0)) + 0.5) / 16.0,
             (f64::from(cell.coord(1)) + 0.5) / 16.0,
         ];
-        let body = Body::at_rest(center, 1.0);
-        assert_eq!(body_key(&z, &body), z.index_of(cell), "cell {cell}");
+        assert_eq!(
+            z.index_of(quantize(grid, &center)),
+            z.index_of(cell),
+            "cell {cell}"
+        );
     }
 }

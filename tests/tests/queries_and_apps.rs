@@ -1,5 +1,5 @@
 //! Integration tests for the application substrates: query correctness
-//! across curves and workloads, and end-to-end partition/N-body sanity.
+//! across curves and workloads, and end-to-end partition sanity.
 
 use proptest::prelude::*;
 use sfc_core::{CurveKind, Grid, HilbertCurve, Point, ZCurve};
@@ -193,25 +193,4 @@ fn knn_is_exact_where_squared_distances_exceed_u64() {
         assert_eq!(got, [near], "nearest record in the {level}");
         store.flush();
     }
-}
-
-/// N-body ordering pipeline: sample clustered bodies → curve-sort →
-/// chunk, with finite, sensible decomposition summaries.
-#[test]
-fn nbody_decomposition_summary() {
-    use sfc_nbody::body::{sample_bodies, Distribution};
-    let mut rng = test_rng(11);
-    let mut bodies: Vec<sfc_nbody::Body<2>> = sample_bodies(
-        Distribution::Clustered {
-            clusters: 3,
-            sigma: 0.08,
-        },
-        150,
-        &mut rng,
-    );
-    // Decomposition summaries are finite and ordered sensibly.
-    let z = ZCurve::<2>::new(6).unwrap();
-    let summary = sfc_nbody::decomp::summarize(&z, &mut bodies, 4);
-    assert!(summary.sequential_locality.is_finite());
-    assert!(summary.mean_chunk_volume >= 0.0);
 }

@@ -212,3 +212,15 @@ fn traffic_is_a_fixed_histogram() {
         &["crates", "examples", "tests"],
     );
 }
+
+/// The workspace measures what a curve's order does to a point set
+/// (`sfc_metrics::point_set`) and simulates nothing: the Barnes–Hut crate,
+/// its force kernels and its massive bodies cannot come back.
+#[test]
+fn no_nbody_simulator() {
+    assert_absent(
+        "no N-body simulator: point-set ordering lives in sfc_metrics::point_set",
+        r"sfc_nbody|sfc-nbody|barnes_hut|direct_forces|BhStats|pub struct Body\b",
+        &["crates", "examples", "tests", "Cargo.toml"],
+    );
+}
