@@ -1409,8 +1409,13 @@ const OVERHEAD_ROUNDS: usize = 31;
 /// interleaved ratio (instrumented ÷ uninstrumented), returned beside
 /// the instrumented run's [`EngineMetrics`] so the report can embed a
 /// real registry snapshot; counters accumulate across iterations, which
-/// is exactly the multi-run stress the JSON dump should show.
-fn bench_metrics_overhead(c: &mut Criterion, sc: &Scenario) -> (Arc<EngineMetrics>, f64) {
+/// is exactly the multi-run stress the JSON dump should show. The store
+/// the query paths ran on is returned too: the snapshot's level gauges
+/// read it, and a dropped store's gauges read 0.
+fn bench_metrics_overhead(
+    c: &mut Criterion,
+    sc: &Scenario,
+) -> (Arc<EngineMetrics>, ShardedSfcStore<2, u64, ZCurve<2>>, f64) {
     let z = ZCurve::over(sc.grid);
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(99);
     let ops: Vec<(Point<2>, u64)> = (0..OVERHEAD_OPS)
@@ -1460,7 +1465,7 @@ fn bench_metrics_overhead(c: &mut Criterion, sc: &Scenario) -> (Arc<EngineMetric
     for &q in &knn_queries {
         black_box(store.knn(q, KNN_K, KNN_WINDOW).0.len());
     }
-    (metrics, overhead)
+    (metrics, store, overhead)
 }
 
 /// The ≤5% instrumentation gate CI runs on every release bench, on the
@@ -1651,7 +1656,8 @@ fn main() {
     let mut criterion = Criterion::default().sample_size(10);
     let sc = scenario();
     let qb = bench_query_paths(&mut criterion, &sc);
-    let (metrics, interleaved_overhead) = bench_metrics_overhead(&mut criterion, &sc);
+    let (metrics, _queried_store, interleaved_overhead) =
+        bench_metrics_overhead(&mut criterion, &sc);
     ingest_benches();
     let durable_run = bench_durable_bytes(&mut criterion);
     let acked = bench_acked_write();

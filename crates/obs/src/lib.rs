@@ -7,18 +7,20 @@
 //!
 //! ## The pieces
 //!
-//! * [`MetricsRegistry`] — a named directory of [`Counter`]s, [`Gauge`]s
-//!   and [`Histogram`]s. Registration (`registry.counter("x")`) takes a
-//!   short mutex once per *handle*, never per *update*; the returned
-//!   handles are cheap `Arc` clones that callers cache and hit directly.
-//!   [`MetricsRegistry::render`] and [`MetricsRegistry::to_json`] export
-//!   the whole registry as aligned text or a flat JSON object.
+//! * [`MetricsRegistry`] — a named directory of [`Counter`]s,
+//!   [`Histogram`]s and gauges. Registration (`registry.counter("x")`)
+//!   takes a short mutex once per *handle*, never per *update*; the
+//!   returned handles are cheap `Arc` clones that callers cache and hit
+//!   directly. [`MetricsRegistry::render`] and
+//!   [`MetricsRegistry::to_json`] export the whole registry as aligned
+//!   text or a flat JSON object.
 //! * [`Counter`] — a monotone event count, **striped** across
 //!   cache-line-padded atomics (one stripe picked per thread), so
 //!   concurrent writers on different cores never bounce the same line.
 //!   `value()` sums the stripes; the sum is exact for all updates that
 //!   happened-before the read.
-//! * [`Gauge`] — a single signed atomic level (memtable size, run count).
+//! * Gauges — a level (memtable size, run count) is a read function its
+//!   owner registers ([`MetricsRegistry::gauges`]); nothing pushes it.
 //! * [`Histogram`] — an HDR-style log-bucketed latency histogram; see the
 //!   error-bound discussion below. Reports p50/p90/p99/p999/max.
 //! * [`Sampler`] — a wait-free 1-in-N decimator for timings too cheap to
@@ -64,7 +66,7 @@ mod registry;
 mod slowlog;
 
 pub use histogram::{Histogram, HistogramSnapshot, SUB_BITS};
-pub use metric::{Counter, Gauge, Sampler};
+pub use metric::{Counter, Sampler};
 pub use registry::{MetricValue, MetricsRegistry, RegistrySnapshot};
 pub use slowlog::{SlowEntry, SlowLog};
 

@@ -1,6 +1,6 @@
-//! Counters, gauges, and the sampling decimator.
+//! Counters and the sampling decimator.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -67,52 +67,6 @@ impl Counter {
 }
 
 impl Default for Counter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A signed instantaneous level (memtable size, run count, live records).
-///
-/// `set`/`add`/`sub` are single relaxed atomic operations.
-#[derive(Clone, Debug)]
-pub struct Gauge {
-    value: Arc<AtomicI64>,
-}
-
-impl Gauge {
-    /// A fresh gauge at zero.
-    pub fn new() -> Self {
-        Gauge {
-            value: Arc::new(AtomicI64::new(0)),
-        }
-    }
-
-    /// Overwrites the level.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds to the level.
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Subtracts from the level.
-    #[inline]
-    pub fn sub(&self, delta: i64) {
-        self.value.fetch_sub(delta, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    pub fn value(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for Gauge {
     fn default() -> Self {
         Self::new()
     }
@@ -188,15 +142,6 @@ mod tests {
             }
         });
         assert_eq!(c.value(), 40_000);
-    }
-
-    #[test]
-    fn gauge_set_add_sub() {
-        let g = Gauge::new();
-        g.set(10);
-        g.add(5);
-        g.sub(3);
-        assert_eq!(g.value(), 12);
     }
 
     #[test]

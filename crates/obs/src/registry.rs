@@ -1,31 +1,50 @@
 //! The named metric directory and its text/JSON exporters.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::fmt;
+use std::sync::{Arc, Mutex};
 
 use crate::histogram::{Histogram, HistogramSnapshot};
-use crate::metric::{Counter, Gauge};
+use crate::metric::Counter;
 
-#[derive(Clone, Debug)]
+/// A gauge read function: one call yields the level of every name it was
+/// registered under, in registration order.
+type GaugeRead = Arc<dyn Fn() -> Vec<i64> + Send + Sync>;
+
+#[derive(Clone)]
 enum Metric {
     Counter(Counter),
-    Gauge(Gauge),
+    /// The `i`-th level of a read function.
+    Gauge(GaugeRead, usize),
     Histogram(Histogram),
+}
+
+impl fmt::Debug for Metric {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Metric::Counter(c) => c.fmt(f),
+            Metric::Gauge(_, i) => write!(f, "Gauge(level {i} of a read function)"),
+            Metric::Histogram(h) => h.fmt(f),
+        }
+    }
 }
 
 /// A directory of named metrics.
 ///
 /// The registry's mutex guards only the *name → handle* map: it is taken
-/// when a handle is first registered and when a snapshot clones the map,
-/// never on the update path. Handles returned by
+/// when a metric is registered and when a snapshot clones the map, never
+/// on the update path. Counter and histogram handles returned by
 /// [`counter`](MetricsRegistry::counter) /
-/// [`gauge`](MetricsRegistry::gauge) /
 /// [`histogram`](MetricsRegistry::histogram) are cheap clones that
-/// callers cache once and update wait-free thereafter.
+/// callers cache once and update wait-free thereafter. A gauge has no
+/// handle and nothing updates it: it is a read function registered with
+/// [`gauges`](MetricsRegistry::gauges) that
+/// [`snapshot`](MetricsRegistry::snapshot) calls.
 ///
-/// Asking for an existing name returns the *same* underlying metric, so
-/// independent components can share a metric by name. Asking for an
-/// existing name with a different kind panics — that is a wiring bug.
+/// Asking for an existing counter or histogram name returns the *same*
+/// underlying metric, so independent components can share a metric by
+/// name. Asking for an existing name with a different kind panics — that
+/// is a wiring bug.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     metrics: Mutex<BTreeMap<String, Metric>>,
@@ -49,15 +68,24 @@ impl MetricsRegistry {
         }
     }
 
-    /// Returns (registering on first use) the gauge called `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
+    /// Registers `names` as gauges read together: every
+    /// [`snapshot`](Self::snapshot) calls `read` once, with the map lock
+    /// released, and reports its `i`-th level under `names[i]` — so
+    /// levels that must agree (taken under one lock) are read in one
+    /// call. Registering a name again replaces its read function.
+    pub fn gauges<const N: usize>(
+        &self,
+        names: [impl AsRef<str>; N],
+        read: impl Fn() -> [i64; N] + Send + Sync + 'static,
+    ) {
+        let read: GaugeRead = Arc::new(move || read().to_vec());
         let mut map = self.metrics.lock().unwrap();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge::new()))
-        {
-            Metric::Gauge(g) => g.clone(),
-            other => panic!("metric {name:?} already registered as {other:?}, wanted gauge"),
+        for (i, name) in names.iter().map(AsRef::as_ref).enumerate() {
+            if let Some(other @ (Metric::Counter(_) | Metric::Histogram(_))) =
+                map.insert(name.to_string(), Metric::Gauge(Arc::clone(&read), i))
+            {
+                panic!("metric {name:?} already registered as {other:?}, wanted gauge");
+            }
         }
     }
 
@@ -74,19 +102,31 @@ impl MetricsRegistry {
     }
 
     /// Captures every registered metric. The map lock is held only long
-    /// enough to clone the handles; the atomics are then read without
-    /// any lock, so writers are never paused.
+    /// enough to clone the handles; the atomics are then read and each
+    /// gauge read function called once, without any registry lock, so
+    /// writers are never paused by the registry.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let handles: Vec<(String, Metric)> = {
             let map = self.metrics.lock().unwrap();
             map.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
         };
+        let mut reads: Vec<(GaugeRead, Vec<i64>)> = Vec::new();
         let entries = handles
             .into_iter()
             .map(|(name, m)| {
                 let value = match m {
                     Metric::Counter(c) => MetricValue::Counter(c.value()),
-                    Metric::Gauge(g) => MetricValue::Gauge(g.value()),
+                    Metric::Gauge(read, i) => {
+                        let at = match reads.iter().position(|(r, _)| Arc::ptr_eq(r, &read)) {
+                            Some(at) => at,
+                            None => {
+                                let levels = read();
+                                reads.push((read, levels));
+                                reads.len() - 1
+                            }
+                        };
+                        MetricValue::Gauge(reads[at].1[i])
+                    }
                     Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
                 };
                 (name, value)
@@ -242,14 +282,14 @@ mod tests {
     fn kind_mismatch_panics() {
         let r = MetricsRegistry::new();
         r.counter("x");
-        r.gauge("x");
+        r.gauges(["x"], || [0]);
     }
 
     #[test]
     fn snapshot_lookups_and_render() {
         let r = MetricsRegistry::new();
         r.counter("ops.count").add(7);
-        r.gauge("mem.len").set(-3);
+        r.gauges(["mem.len"], || [-3]);
         r.histogram("ops.ns").record(1000);
         let s = r.snapshot();
         assert_eq!(s.counter("ops.count"), Some(7));
@@ -259,6 +299,32 @@ mod tests {
         let text = r.render();
         assert!(text.contains("ops.count"));
         assert!(text.contains("p999="));
+    }
+
+    #[test]
+    fn gauges_read_together_are_read_once_per_snapshot() {
+        let r = MetricsRegistry::new();
+        let calls = Arc::new(std::sync::atomic::AtomicI64::new(0));
+        let seen = Arc::clone(&calls);
+        r.gauges(["b.len", "a.live"], move || {
+            let n = seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+            [n, 10 * n]
+        });
+        let s = r.snapshot();
+        assert_eq!((s.gauge("b.len"), s.gauge("a.live")), (Some(1), Some(10)));
+        assert_eq!(
+            r.snapshot().gauge("b.len"),
+            Some(2),
+            "read anew per snapshot"
+        );
+        r.gauges(["a.live"], || [-7]);
+        let s = r.snapshot();
+        assert_eq!(
+            s.gauge("a.live"),
+            Some(-7),
+            "re-registering replaces the reader"
+        );
+        assert_eq!(s.gauge("b.len"), Some(3));
     }
 
     #[test]

@@ -319,17 +319,11 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         mem.table.len() >= mem.cap
     }
 
-    /// Installs the shard's metric handles and primes the level gauges
-    /// from the current state. Needs `&mut self` — the router attaches
-    /// metrics before the store is shared across threads.
+    /// Installs the shard's counter and histogram handles (its level
+    /// gauges are read functions the registry calls; nothing here feeds
+    /// them). Needs `&mut self` — the router attaches metrics before the
+    /// store is shared across threads.
     pub(crate) fn set_metrics(&mut self, metrics: Arc<ShardMetrics>) {
-        {
-            let mem = self.mem.lock().expect("shard mem poisoned");
-            metrics.memtable_len.set(mem.table.len() as i64);
-            metrics.memtable_bytes.set(mem.table.heap_bytes() as i64);
-            metrics.live.set(mem.live as i64);
-        }
-        metrics.run_count.set(self.epoch.load().runs.len() as i64);
         self.metrics = Some(metrics);
     }
 
@@ -368,6 +362,15 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
             m.persist_bytes.add(bytes);
         }
         Ok(())
+    }
+
+    /// The level gauges' reading: memtable entries, memtable heap bytes,
+    /// live records and published runs, under one `mem` lock hold so
+    /// they agree (as a capture does).
+    pub(crate) fn levels(&self) -> [usize; 4] {
+        let mem = self.mem.lock().expect("shard mem poisoned");
+        let runs = self.epoch.load().runs.len();
+        [mem.table.len(), mem.table.heap_bytes(), mem.live, runs]
     }
 
     /// Live records in the shard (memtable and runs merged).
@@ -487,7 +490,6 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         let needs_flush;
         let first_seq;
         let mut replaced = 0;
-        let (mem_len, mem_bytes, live);
         {
             let mut mem = self.mem.lock().expect("shard mem poisoned");
             first_seq = mem.next_seq;
@@ -511,9 +513,6 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
                 replaced += usize::from(was_live);
             }
             needs_flush = mem.table.len() >= mem.cap && self.inline_flush.load(Ordering::Relaxed);
-            mem_len = mem.table.len();
-            mem_bytes = mem.table.heap_bytes();
-            live = mem.live;
         }
         if let Some((w, frames)) = frames {
             w.log_frames(frames, first_seq, wait)?;
@@ -532,13 +531,6 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
                     &m.delete_ns
                 }
                 .record_since(start);
-            }
-            // A flush just refreshed the gauges from post-drain state;
-            // don't overwrite them with the pre-flush capture.
-            if !needs_flush {
-                m.memtable_len.set(mem_len as i64);
-                m.memtable_bytes.set(mem_bytes as i64);
-                m.live.set(live as i64);
             }
         }
         Ok(replaced)
@@ -597,7 +589,6 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         }
         // `live_at` was captured together with the memtable image: after
         // the flush, everything that was visible then lives in `runs`.
-        let run_count = runs.len();
         let published = Arc::new(RunsEpoch {
             runs,
             live: live_at,
@@ -607,11 +598,11 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         // carry seq >= high_water and stay. `retain` is one ordered
         // cursor walk down the leaf chain — survivors compact in place,
         // no clone, no per-entry tree surgery.
-        let (mem_len, mem_bytes, live) = {
-            let mut mem = self.mem.lock().expect("shard mem poisoned");
-            mem.table.retain(|_, &(_, _, seq)| seq >= high_water);
-            (mem.table.len(), mem.table.heap_bytes(), mem.live)
-        };
+        self.mem
+            .lock()
+            .expect("shard mem poisoned")
+            .table
+            .retain(|_, &(_, _, seq)| seq >= high_water);
         // Persist the publish and advance the WAL replay floor: every
         // record with seq < high_water is now covered by the run files.
         self.persist(&published, Some(high_water), false)?;
@@ -619,10 +610,6 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
             m.flushes.inc();
             m.epoch_publishes.inc();
             m.flush_ns.record_since(start);
-            m.memtable_len.set(mem_len as i64);
-            m.memtable_bytes.set(mem_bytes as i64);
-            m.run_count.set(run_count as i64);
-            m.live.set(live as i64);
         }
         Ok(())
     }
@@ -634,8 +621,8 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         let _maint = self.maint.lock().expect("shard maint poisoned");
         self.flush_locked(curve)?;
         let old = self.epoch.load();
-        let mut published = None;
-        if old.runs.len() > 1 {
+        let published = old.runs.len() > 1;
+        if published {
             let merged = merge_runs(curve, old.runs.clone(), true);
             let runs = if merged.is_empty() {
                 Vec::new()
@@ -647,7 +634,6 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
                 old.live,
                 "after compaction every stored record is live"
             );
-            published = Some(runs.len());
             let epoch = Arc::new(RunsEpoch {
                 runs,
                 live: old.live,
@@ -661,9 +647,8 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         if let Some(m) = self.metrics.as_deref() {
             m.compactions.inc();
             m.compact_ns.record_since(start);
-            if let Some(run_count) = published {
+            if published {
                 m.epoch_publishes.inc();
-                m.run_count.set(run_count as i64);
             }
         }
         Ok(())
@@ -718,10 +703,6 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         self.persist(&epoch, Some(high_water), defer_manifest)?;
         if let Some(m) = self.metrics.as_deref() {
             m.epoch_publishes.inc();
-            m.memtable_len.set(0);
-            m.memtable_bytes.set(mem.table.heap_bytes() as i64);
-            m.live.set(live as i64);
-            m.run_count.set(i64::from(live > 0));
         }
         Ok(())
     }

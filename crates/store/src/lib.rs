@@ -154,85 +154,25 @@
 //! | what lies in this box? | [`query_box`](ShardedSfcStore::query_box) (the block kernel, skipping by the curve's rule) |
 //! | the `k` records nearest this point | [`knn`](ShardedSfcStore::knn) |
 //!
-//! ## The memtable: a locality-aware B+tree
+//! ## The memtable and the query paths
 //!
-//! Every shard holds its in-memory tail in an
-//! [`SfcMemtable`](memtable::SfcMemtable) — the B+tree in
-//! [`memtable::bptree`]:
+//! A shard's in-memory tail is an [`SfcMemtable`](memtable::SfcMemtable),
+//! the locality-aware B+tree of [`memtable::bptree`]: 64-entry leaves, a
+//! last-accessed-leaf hint that curve-local upserts almost always hit,
+//! drains only through `retain`/`clear`, and copy-on-write snapshots of
+//! two refcount bumps (see its module docs).
 //!
-//! * **Large leaves.** Leaves hold
-//!   [`DEFAULT_LEAF_CAPACITY`](memtable::bptree::DEFAULT_LEAF_CAPACITY)
-//!   (64) entries in parallel sorted key/value arrays, so one leaf spans
-//!   a whole curve neighborhood contiguously; leaves are doubly linked
-//!   for ordered iteration both ways, and heap accounting
-//!   ([`heap_bytes`](memtable::SfcMemtable::heap_bytes), surfaced as the
-//!   `memtable.bytes` gauge and the snapshot's `heap_bytes()`) is `O(1)`
-//!   because every leaf allocation is capacity-fixed.
-//! * **A last-accessed-leaf hint.** Each seek records the leaf it landed
-//!   in (a relaxed atomic, so shared readers refresh it too); the next
-//!   operation checks the hinted leaf's key bounds before descending
-//!   from the root. Curve-local upsert streams — the order the paper's
-//!   SFC sorting produces by construction — resolve almost every write
-//!   through the hint, which is why the `memtable_ingest` bench gates
-//!   the B+tree at ≥ 1× `BTreeMap` on the curve-local stream (measured
-//!   3.6× on the ascending sweep; see `BENCH_store.json`).
-//! * **Drain protocol.** Entries leave the memtable only wholesale,
-//!   through [`retain`](memtable::SfcMemtable::retain) and
-//!   [`clear`](memtable::SfcMemtable::clear); there is no per-key
-//!   removal (a delete is a tombstone value). The flush drain,
-//!   `retain`, is one linked-leaf walk that compacts survivors in place,
-//!   recycles emptied leaves and rebuilds the inner levels
-//!   bulk-load-style in a fresh slab. The concurrent shard drains
-//!   exactly `seq < high_water` with it.
-//! * **Copy-on-write snapshots.** The node slabs and every leaf sit
-//!   behind `Arc`, so [`snapshot`](memtable::SfcMemtable::snapshot) is
-//!   two refcount bumps — no entry, no node copied. This is what a query
-//!   captures under the shard lock. A writer that finds a snapshot still
-//!   alive copies the leaf-pointer slab and the one leaf it lands in;
-//!   with none alive, writes stay in place.
-//!
-//! ## Zone maps and the query paths
-//!
-//! Every run carries the block summaries of `sfc-index`'s zone map —
-//! per 64-slot block, a fence key, the point
-//! AABB, and a live (non-tombstone) count — built once at flush/merge
-//! time. The query paths lean on them end-to-end:
-//!
-//! * **Run pruning.** A run whose key range misses the query's curve span,
-//!   or whose AABB misses the box, is skipped without a single seek
-//!   (`QueryStats::blocks_pruned` counts what was skipped).
-//! * **Block pruning.** A box scan decides a whole block at a time:
-//!   blocks whose AABB misses the box are stepped over, blocks contained
-//!   in the box are bulk-accepted, and a partial block is decoded once
-//!   and masked on its coordinates — no per-key test or in-block hop
-//!   anywhere ([`box_scan`](sfc_index::box_scan)).
-//! * **kNN.** Candidate collection starts in the shard owning the query's
-//!   key, visits a further run only while its AABB is nearer than the
-//!   k-th best, skips all-dead blocks and blocks whose AABB distance
-//!   lower bound cannot tighten the k-th best (a thread-local top-k
-//!   distance heap replaces per-query candidate vectors), and the
-//!   verification ball is an ordinary box query.
-//! * **The skipper.** [`ShardedSfcStore::query_box`] runs that one kernel
-//!   on every level; the curve alone decides how the kernel leaves an
-//!   excursion out of the box, through one
-//!   [`CurveSkipper`](sfc_index::CurveSkipper) built at the router.
-//!   Morton order skips by BIGMIN and precomputes nothing but the two
-//!   corner codes; every other curve decomposes the box
-//!   (hierarchically on Hilbert and Gray: `O(perimeter)` aligned cubes,
-//!   one encode each — see [`sfc_index::BoxRegion::curve_intervals`]),
-//!   hands each shard the intervals meeting its range, and skips by a
-//!   binary search of them. Levels whose key range or AABB misses the
-//!   box are pruned. The volume cutoffs and the per-run
-//!   intervals-vs-BIGMIN estimate of earlier versions lost their A/B
-//!   against the kernel and are gone (see the `view` module docs). A
-//!   query's [`QueryStats`](sfc_index::QueryStats) count the blocks it
-//!   pruned and decoded; `examples/range_query.rs` prints the kernel
-//!   beside the static index's raw interval walk.
-//! * **Streaming.** A shard scans its small upper levels into a reused
-//!   scratch and streams its bottom run through the newest-wins merge
-//!   straight into the result — owned entries for a live query, borrowed
-//!   ones for a snapshot — so no hit is copied twice and shard results
-//!   append in curve order.
+//! Every run carries `sfc-index`'s zone map — per 64-slot block a fence
+//! key, the point AABB and a live count — built once at flush or merge.
+//! Every box query on every level is one block-at-a-time kernel
+//! ([`box_scan`](sfc_index::box_scan)) that leaves an excursion out of
+//! the box by one [`CurveSkipper`](sfc_index::CurveSkipper) built at the
+//! router (BIGMIN on Morton order, the box's curve intervals elsewhere);
+//! a run whose key range or AABB misses the box is pruned, and kNN visits
+//! a further run only while its AABB is nearer than the k-th best. A
+//! shard streams its bottom run through the newest-wins merge straight
+//! into the result. The `view` module docs give the rules and the
+//! evidence behind them.
 //!
 //! The store has no raw interval read. Its differential tests compare
 //! [`query_box`](ShardedSfcStore::query_box) with a `BTreeMap` model
@@ -302,17 +242,30 @@
 //!
 //! ## Observability
 //!
-//! The store can report into a shared
-//! [`MetricsRegistry`](sfc_obs::MetricsRegistry): attach an
-//! [`EngineMetrics`] (see the [`obs`] module) and every
-//! insert/delete/get/flush/compact/rebalance feeds per-shard counters,
-//! sampled latency histograms, and level gauges, while every query folds
-//! its [`QueryStats`] into engine-wide counters and its wall time into a
-//! per-operation histogram. Queries crossing a configurable threshold
-//! leave a [`QueryTrace`] — what the query measured as it ran (capture
-//! and decomposition times, interval count) plus the work counters — in a
-//! bounded slow-query ring. Attachment is opt-in; an unattached store pays
-//! one `Option` check per operation.
+//! Attach an [`EngineMetrics`] (see the [`obs`] module, which lists
+//! every registry key) and writes, gets and maintenance feed per-shard
+//! counters and sampled latency histograms, every query folds its
+//! [`QueryStats`] and wall time into the registry, and slow queries leave
+//! a [`QueryTrace`] in a bounded ring. Level gauges (memtable size, live
+//! records, runs, WAL segments) are read from the engine's own state when
+//! the registry is snapshotted; no write sets one. An unattached store
+//! pays one `Option` check per operation.
+//!
+//! ## Guarantees
+//!
+//! What the engine promises, and the test that fails when the promise
+//! breaks (`file::test`: `tests/tests/<file>.rs` or the module's file).
+//!
+//! | guarantee | test |
+//! |---|---|
+//! | acked-prefix durability: a reopen recovers a prefix of the acked writes | `crash_recovery::recovery_survives_truncation_at_every_byte` |
+//! | batch atomicity per shard: a shard's slice recovers whole or not at all | `crash_recovery::torn_batch_frame_is_atomic_per_shard` |
+//! | newest-wins reads | `store_model::z_store_matches_btreemap_model` |
+//! | publish-before-drain: a flush never hides a write from a reader | `concurrency::readers_never_see_flush_gaps_or_time_travel` |
+//! | the first I/O error is sticky and reaches every caller | `committer::first_error_reaches_leader_follower_and_every_later_call` |
+//! | writers never flush while maintenance runs | `concurrency::writers_never_stall_behind_maintenance_merges` |
+//! | rebalance rolls back whole on a crash: files no manifest names are swept (no test crashes mid-rebalance) | `crash_recovery::unreferenced_generation_rolls_back_and_sweeps_orphans` |
+//! | multi-shard read isolation ([Snapshots are captures](#snapshots-are-captures)) | untested: ROADMAP item 17(d) |
 //!
 //! [`QueryStats`]: sfc_index::QueryStats
 //! [`SfcIndex`]: sfc_index::SfcIndex

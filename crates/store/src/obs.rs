@@ -4,17 +4,18 @@
 //!
 //! An [`EngineMetrics`] bundles cached handles into one
 //! [`MetricsRegistry`]: a [`ShardMetrics`] per shard (write/maintenance
-//! counters, latency histograms, level gauges) plus engine-wide query
-//! metrics (per-operation latency histograms and the [`QueryStats`]
-//! work counters folded into registry counters). Attach one with
+//! counters and latency histograms) plus engine-wide query metrics
+//! (per-operation latency histograms and the [`QueryStats`] work counters
+//! folded into registry counters). Attach one with
 //! [`ShardedSfcStore::attach_metrics`](crate::ShardedSfcStore::attach_metrics)
 //! or [`ShardedSfcStore::enable_metrics`](crate::ShardedSfcStore::enable_metrics);
 //! an unattached store pays nothing (one `Option` check per operation).
 //!
-//! **Hot-path cost discipline.** Writes increment striped counters and
-//! set two gauges — a handful of relaxed atomics against a memtable
-//! insert that costs hundreds of nanoseconds. Wall-clock timing of
-//! writes and point gets is *sampled* (one call in
+//! **Hot-path cost discipline.** A write increments striped counters —
+//! a few relaxed atomics against a memtable insert that costs hundreds of
+//! nanoseconds — and sets no gauge: the level gauges are *read at
+//! snapshot*, from state the engine holds anyway (below). Wall-clock
+//! timing of writes and point gets is *sampled* (one call in
 //! [`DEFAULT_TIMING_SAMPLE`] takes the `Instant` pair; tune with
 //! [`EngineMetrics::set_timing_sampling`]). Queries and maintenance are
 //! µs-scale and timed unconditionally. The bench harness gates the
@@ -22,28 +23,83 @@
 //!
 //! **Slow-query log.** Every timed query is offered to a bounded
 //! [`SlowLog`]; queries at or above the threshold (default
-//! [`DEFAULT_SLOW_QUERY_NS`]) retain a [`QueryTrace`] — the operation,
-//! the work counters, and the wall time. Below the threshold the trace is
-//! never even built. A trace carries what the query itself measured — the
-//! interval count the router decomposed the box into (none on Morton
-//! order, which skips by BIGMIN), the blocks the levels pruned and
-//! decoded, and the two phases that run before any level is scanned:
-//! `capture_ns` (snapshotting every shard's memtable and pinning its
-//! epoch) and `decompose_ns` (box or kNN-ball interval decomposition).
-//! Both clocks are read only when metrics are attached; nothing is
-//! decomposed, captured or pruned a second time to build a trace.
+//! [`DEFAULT_SLOW_QUERY_NS`]) retain a [`QueryTrace`] — what the query
+//! measured as it ran: the interval count the router decomposed the box
+//! into (none on Morton order, which skips by BIGMIN), the blocks the
+//! levels pruned and decoded, `capture_ns` (snapshotting every shard's
+//! memtable and pinning its epoch) and `decompose_ns` (box or kNN-ball
+//! interval decomposition). Below the threshold the trace is never built.
 //!
-//! **Background maintenance** reports under `engine.maintenance.*`:
-//! `ticks`, `flushes`, `compactions`, and `errors` — a
-//! flush or compaction that failed on the maintenance thread (a durable
-//! store whose disk did), which has no caller to return its error to.
+//! ## The registry's keys
+//!
+//! Every key the engine registers, with its unit and what writes it
+//! (`<j>` is the shard index). *Sampled* timings are recorded for one
+//! call in [`DEFAULT_TIMING_SAMPLE`]. A gauge *read at snapshot* is a
+//! read function the registry calls ([`sfc_obs::MetricsRegistry::gauges`]):
+//! a shard's four levels in one `mem` lock hold, `wal.segments` from the
+//! commit queue's segment lists (it waits out a commit round in flight).
+//! Each read function holds a `Weak` handle: once its store is dropped it
+//! reads 0.
+//!
+//! | key | unit | written by |
+//! |---|---|---|
+//! | `engine.knn.ns` | ns histogram | every `knn` |
+//! | `engine.maintenance.compactions` | count | a compaction on the maintenance thread |
+//! | `engine.maintenance.errors` | count | a failed flush or compaction there (no caller to return it to) |
+//! | `engine.maintenance.flushes` | count | a flush on the maintenance thread |
+//! | `engine.maintenance.ticks` | count | every maintenance pass |
+//! | `engine.query.blocks_decoded` | blocks | every query ([`QueryStats`]) |
+//! | `engine.query.blocks_pruned` | blocks | every query |
+//! | `engine.query.blocks_scanned` | blocks | every query |
+//! | `engine.query.count` | count | every query |
+//! | `engine.query.reported` | records | every query |
+//! | `engine.query.scanned` | filter lanes | every query |
+//! | `engine.query.seeks` | seeks | every query |
+//! | `engine.query_box.ns` | ns histogram | every `query_box` |
+//! | `engine.rebalance.count` | count | every `rebalance` |
+//! | `engine.rebalance.ns` | ns histogram | every `rebalance` |
+//! | `engine.slow_query.count` | count | a query admitted to the slow log |
+//! | `shard<j>.compact.count` | count | every compaction |
+//! | `shard<j>.compact.ns` | ns histogram | every compaction |
+//! | `shard<j>.delete.count` | records | every write, its deletes |
+//! | `shard<j>.delete.ns` | ns histogram | a write with no insert, sampled |
+//! | `shard<j>.epoch_publish.count` | count | a flush, compaction or bottom-run install publishing runs |
+//! | `shard<j>.flush.count` | count | every successful flush |
+//! | `shard<j>.flush.ns` | ns histogram | every successful flush |
+//! | `shard<j>.get.count` | count | every `get` |
+//! | `shard<j>.get.ns` | ns histogram | a `get`, sampled |
+//! | `shard<j>.insert.count` | records | every write, its inserts |
+//! | `shard<j>.insert.ns` | ns histogram | a write with an insert, sampled |
+//! | `shard<j>.live` | records | read at snapshot |
+//! | `shard<j>.memtable.bytes` | bytes | read at snapshot |
+//! | `shard<j>.memtable.len` | entries | read at snapshot |
+//! | `shard<j>.persist.bytes` | bytes | a durable publish: run and checkpoint files written |
+//! | `shard<j>.persist.ns` | ns histogram | a durable publish: files written and synced, manifest flipped |
+//! | `shard<j>.runs` | runs | read at snapshot |
+//! | `shard<j>.write.liveness.ns` | ns histogram | a write's run-stack liveness probes, sampled (`0`: the memtable held every key) |
+//! | `wal.append.ns` | ns histogram | every WAL append: queue push, plus the durability wait of an acked write |
+//! | `wal.bytes` | bytes | a commit round: framed bytes appended |
+//! | `wal.fsync.ns` | ns histogram | a group commit: the fsync of every touched segment |
+//! | `wal.group_size` | records histogram | a group commit: records it made durable |
+//! | `wal.groups` | count | a group commit |
+//! | `wal.groups.led` | count | a group commit a waiting writer or `sync` ran in its own thread |
+//! | `wal.records` | records | a commit round: records appended |
+//! | `wal.segments` | files | read at snapshot |
+//! | `wal.segments.pruned` | files | the background thread's prunes |
+//!
+//! The `wal.*` keys are registered on every store and move only on a
+//! durable one; `wal.segments` reads 0 in memory.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use sfc_index::QueryStats;
-use sfc_obs::{Counter, Gauge, Histogram, MetricsRegistry, Sampler, SlowEntry, SlowLog};
+
+use crate::epoch::Shard;
+use crate::wal::WalEngine;
+use sfc_core::SpaceFillingCurve;
+use sfc_obs::{Counter, Histogram, MetricsRegistry, Sampler, SlowEntry, SlowLog};
 
 /// Default write/get timing decimation: one operation in this many gets
 /// the `Instant` pair around it.
@@ -55,9 +111,9 @@ pub const DEFAULT_SLOW_QUERY_NS: u64 = 1_000_000;
 /// Retained slow-query entries before the ring evicts the oldest.
 pub const SLOW_QUERY_LOG_CAPACITY: usize = 64;
 
-/// Cached metric handles for one shard: write/maintenance counters,
-/// latency histograms, and level gauges, all named `shard<j>.<metric>` in
-/// the owning registry.
+/// Cached counter and histogram handles for one shard, named
+/// `shard<j>.<metric>` in the owning registry (see the key table in the
+/// module docs).
 #[derive(Debug)]
 pub struct ShardMetrics {
     pub(crate) inserts: Counter,
@@ -71,29 +127,14 @@ pub struct ShardMetrics {
     pub(crate) get_ns: Histogram,
     pub(crate) flush_ns: Histogram,
     pub(crate) compact_ns: Histogram,
-    /// `shardN.write.liveness.ns` — time one [`Shard::apply`](crate::epoch)
-    /// spends asking the run stack whether a key the memtable did not
-    /// hold was live (pinning the epoch included): the per-write run
-    /// probe that keeps `len()` exact. Recorded only for the calls the
-    /// shard's timing sampler picks — one in [`DEFAULT_TIMING_SAMPLE`] —
-    /// and `0` for a sampled call whose keys the memtable all held; an
-    /// unsampled call pays one branch per probe. Part of `insert.ns` /
-    /// `delete.ns`.
+    /// Part of `insert.ns` / `delete.ns`: the run probes of a sampled
+    /// [`Shard::apply`](crate::epoch); an unsampled call pays one branch
+    /// per probe.
     pub(crate) liveness_ns: Histogram,
-    /// `shardN.persist.ns` — time inside the durability hook's epoch
-    /// persist (run files + checkpoint written and synced, manifest
-    /// flipped), once per flush, compaction publish or bottom-run
-    /// install of a durable shard: the part of `flush.ns` / `compact.ns`
-    /// that is bytes to disk rather than building runs. Empty on an
-    /// in-memory store.
+    /// Part of `flush.ns` / `compact.ns`: bytes to disk rather than
+    /// building runs. Empty on an in-memory store.
     pub(crate) persist_ns: Histogram,
-    /// `shardN.persist.bytes` — bytes of run and checkpoint files those
-    /// persists wrote (unchanged runs keep their file and cost nothing).
     pub(crate) persist_bytes: Counter,
-    pub(crate) memtable_len: Gauge,
-    pub(crate) memtable_bytes: Gauge,
-    pub(crate) run_count: Gauge,
-    pub(crate) live: Gauge,
     pub(crate) sampler: Sampler,
 }
 
@@ -115,10 +156,6 @@ impl ShardMetrics {
             liveness_ns: registry.histogram(&name("write.liveness.ns")),
             persist_ns: registry.histogram(&name("persist.ns")),
             persist_bytes: registry.counter(&name("persist.bytes")),
-            memtable_len: registry.gauge(&name("memtable.len")),
-            memtable_bytes: registry.gauge(&name("memtable.bytes")),
-            run_count: registry.gauge(&name("runs")),
-            live: registry.gauge(&name("live")),
             sampler: Sampler::new(DEFAULT_TIMING_SAMPLE),
         })
     }
@@ -129,28 +166,13 @@ impl ShardMetrics {
 /// `wal.` prefix, driven only when the store is durable.
 #[derive(Debug)]
 pub struct WalMetrics {
-    /// `wal.records` — records appended to the log.
     pub(crate) records: Counter,
-    /// `wal.bytes` — framed bytes appended.
     pub(crate) bytes: Counter,
-    /// `wal.groups` — group commits (one fsync per touched shard each).
     pub(crate) groups: Counter,
-    /// `wal.groups.led` — the group commits among them that a waiting
-    /// writer (an acked write or a `sync` barrier) ran in its own thread;
-    /// the rest are the background thread's.
     pub(crate) groups_led: Counter,
-    /// `wal.segments.pruned` — segment files reclaimed by truncation.
     pub(crate) prunes: Counter,
-    /// `wal.segments` — live segment files across all shards.
-    pub(crate) segments: Gauge,
-    /// `wal.append.ns` — writer-side append latency: the queue push,
-    /// plus for a synchronous write the durability wait — the file
-    /// write and fsync themselves when the writer leads its group.
     pub(crate) append_ns: Histogram,
-    /// `wal.fsync.ns` — fsync latency per group (the fsync of every
-    /// touched segment; the `write` before it is not in it).
     pub(crate) fsync_ns: Histogram,
-    /// `wal.group_size` — records amortised per group commit.
     pub(crate) group_size: Histogram,
 }
 
@@ -162,7 +184,6 @@ impl WalMetrics {
             groups: registry.counter("wal.groups"),
             groups_led: registry.counter("wal.groups.led"),
             prunes: registry.counter("wal.segments.pruned"),
-            segments: registry.gauge("wal.segments"),
             append_ns: registry.histogram("wal.append.ns"),
             fsync_ns: registry.histogram("wal.fsync.ns"),
             group_size: registry.histogram("wal.group_size"),
@@ -206,12 +227,13 @@ pub struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    fn new(registry: Arc<MetricsRegistry>, prefixes: &[String]) -> Arc<Self> {
-        let shards = prefixes
-            .iter()
-            .map(|p| ShardMetrics::register(&registry, p))
+    /// Metrics for a [`ShardedSfcStore`](crate::ShardedSfcStore) with
+    /// `parts` shards: one bundle per shard under `shard0`, `shard1`, …
+    pub fn for_shards(registry: Arc<MetricsRegistry>, parts: usize) -> Arc<Self> {
+        let shards = (0..parts)
+            .map(|j| ShardMetrics::register(&registry, &format!("shard{j}")))
             .collect();
-        let em = EngineMetrics {
+        Arc::new(EngineMetrics {
             query_count: registry.counter("engine.query.count"),
             slow_count: registry.counter("engine.slow_query.count"),
             box_ns: registry.histogram("engine.query_box.ns"),
@@ -235,15 +257,7 @@ impl EngineMetrics {
             ),
             shards,
             registry,
-        };
-        Arc::new(em)
-    }
-
-    /// Metrics for a [`ShardedSfcStore`](crate::ShardedSfcStore) with
-    /// `parts` shards: one bundle per shard under `shard0`, `shard1`, …
-    pub fn for_shards(registry: Arc<MetricsRegistry>, parts: usize) -> Arc<Self> {
-        let prefixes: Vec<String> = (0..parts).map(|j| format!("shard{j}")).collect();
-        Self::new(registry, &prefixes)
+        })
     }
 
     /// The registry all handles report into — snapshot/render/export it
@@ -265,6 +279,34 @@ impl EngineMetrics {
     /// only when the store is durable).
     pub(crate) fn wal(&self) -> &Arc<WalMetrics> {
         &self.wal
+    }
+
+    /// Registers the level gauges as read functions (see the module
+    /// docs): one per shard over `shards`, and `wal.segments` over `wal`
+    /// (0 in memory). Each holds a `Weak` handle and reads 0 once the
+    /// store is dropped.
+    pub(crate) fn read_levels<const D: usize, T, C>(
+        &self,
+        shards: &Arc<[Shard<D, T, C>]>,
+        wal: Option<&Arc<WalEngine>>,
+    ) where
+        T: Send + Sync + 'static,
+        C: SpaceFillingCurve<D> + Clone + Send + Sync + 'static,
+    {
+        for j in 0..shards.len() {
+            let names = ["memtable.len", "memtable.bytes", "live", "runs"];
+            let weak = Arc::downgrade(shards);
+            self.registry
+                .gauges(names.map(|m| format!("shard{j}.{m}")), move || {
+                    weak.upgrade()
+                        .map_or([0; 4], |s| s[j].levels().map(|n| n as i64))
+                });
+        }
+        let wal = wal.map(Arc::downgrade);
+        self.registry.gauges(["wal.segments"], move || {
+            let wal = wal.as_ref().and_then(Weak::upgrade);
+            [wal.map_or(0, |e| e.committer.segment_count())]
+        });
     }
 
     /// Changes the write/get timing decimation on every shard

@@ -269,7 +269,8 @@ pub struct ShardedSfcStore<const D: usize, T, C: SpaceFillingCurve<D> + Clone> {
     /// Writers and router-level readers hold the read guard; `rebalance`
     /// holds the write guard — the explicit stop-the-world exclusion.
     partition: RwLock<Partition>,
-    shards: Box<[Shard<D, T, C>]>,
+    /// In an `Arc` so the level gauges' read functions can hold a `Weak`.
+    shards: Arc<[Shard<D, T, C>]>,
     /// Writes per curve-index bucket since the last rebalance. Writers
     /// count under the partition's read guard and `rebalance` drains
     /// under its write guard, so every write lands in one epoch.
@@ -357,27 +358,35 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     }
 
     /// Attaches observability: every shard gets its bundle from
-    /// `metrics` (prefixes `shard0`, `shard1`, …) and the router feeds
-    /// the engine-level query metrics — see the [`obs`](crate::obs)
-    /// module docs. Takes `&mut self` because attachment happens before
-    /// the store is shared across threads; the level gauges are primed
-    /// from each shard's current state.
+    /// `metrics` (prefixes `shard0`, `shard1`, …), the router feeds the
+    /// engine-level query metrics, and the level gauges become read
+    /// functions over this store's shards, which read 0 once it is
+    /// dropped — see the [`obs`](crate::obs) module docs. Takes
+    /// `&mut self` because attachment happens before the store is shared
+    /// across threads.
     ///
     /// # Panics
     /// Panics unless `metrics` was built for this shard count
-    /// ([`EngineMetrics::for_shards`] with `parts()`).
-    pub fn attach_metrics(&mut self, metrics: Arc<EngineMetrics>) {
+    /// ([`EngineMetrics::for_shards`] with `parts()`), and if metrics
+    /// were attached to this store before.
+    pub fn attach_metrics(&mut self, metrics: Arc<EngineMetrics>)
+    where
+        T: Send + Sync + 'static,
+        C: Send + Sync + 'static,
+    {
         assert_eq!(
             metrics.shard_count(),
             self.shards.len(),
             "EngineMetrics must be built for this store's shard count"
         );
-        for (j, shard) in self.shards.iter_mut().enumerate() {
+        let shards = Arc::get_mut(&mut self.shards).expect("metrics are attached once per store");
+        for (j, shard) in shards.iter_mut().enumerate() {
             shard.set_metrics(metrics.shard(j).clone());
         }
         if let Some(engine) = &self.wal {
             engine.committer.set_metrics(metrics.wal().clone());
         }
+        metrics.read_levels(&self.shards, self.wal.as_ref());
         self.metrics = Some(metrics);
     }
 
@@ -385,7 +394,11 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     /// fresh registry and a matching [`EngineMetrics`], attaches it, and
     /// returns it (reach the registry via
     /// [`EngineMetrics::registry`]).
-    pub fn enable_metrics(&mut self) -> Arc<EngineMetrics> {
+    pub fn enable_metrics(&mut self) -> Arc<EngineMetrics>
+    where
+        T: Send + Sync + 'static,
+        C: Send + Sync + 'static,
+    {
         let metrics =
             EngineMetrics::for_shards(Arc::new(MetricsRegistry::new()), self.shards.len());
         self.attach_metrics(metrics.clone());
@@ -426,8 +439,8 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
 
     /// Heap bytes held by each shard's memtable structure (node slabs of
     /// the B+tree backing, free nodes included), in curve order — `O(1)`
-    /// per shard. The same figures feed the per-shard `memtable.bytes`
-    /// gauges when metrics are attached.
+    /// per shard. The per-shard `memtable.bytes` gauges read the same
+    /// figures when metrics are attached.
     pub fn shard_memtable_heap_bytes(&self) -> Vec<usize> {
         self.shards.iter().map(Shard::memtable_heap_bytes).collect()
     }
@@ -952,7 +965,7 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<D, T, C
             traffic: TrafficHistogram::new(curve.grid().n()),
             curve,
             partition: RwLock::new(partition),
-            shards,
+            shards: shards.into(),
             metrics: None,
             wal,
             recovery,

@@ -431,6 +431,19 @@ impl Committer {
         self.join();
     }
 
+    /// Live segment files across all shards (sealed, inherited, open):
+    /// the `wal.segments` gauge. The lists travel with the baton, so this
+    /// parks while a round holds it — a group write, an fsync per touched
+    /// shard, the background thread's prunes — and for more rounds if
+    /// acked writers take the baton first. Call it with no lock held.
+    pub(crate) fn segment_count(&self) -> i64 {
+        let mut st = self.shared.lock();
+        while st.log.is_none() {
+            st = self.shared.park(st);
+        }
+        st.log.as_ref().map_or(0, Log::segment_count)
+    }
+
     /// The highest fsynced ticket — test-only visibility into group
     /// formation.
     #[cfg(test)]
@@ -554,7 +567,6 @@ impl Shared {
                 if let Some(m) = metrics {
                     m.records.add(records as u64);
                     m.bytes.add(bytes);
-                    m.segments.set(log.segment_count());
                 }
             }
             sync |=
@@ -582,7 +594,6 @@ impl Shared {
             let removed: usize = prunes.iter().map(|&(j, hw)| log.files[j].prune(hw)).sum();
             if let Some(m) = metrics {
                 m.prunes.add(removed as u64);
-                m.segments.set(log.segment_count());
             }
             st = self.lock();
         }

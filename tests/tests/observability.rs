@@ -1,6 +1,6 @@
 //! Observability-layer integration tests.
 //!
-//! Seven angles on the `sfc-obs` + store instrumentation stack:
+//! Nine angles on the `sfc-obs` + store instrumentation stack:
 //!
 //! * **Quantile accuracy** — proptests replay adversarial latency
 //!   distributions (all-equal, bimodal, power-law) through the
@@ -28,13 +28,19 @@
 //! * **Who committed** — `wal.groups.led` counts the group commits a
 //!   waiting writer ran in its own thread: all of them for a stream of
 //!   acked writes, none for a stream nobody waits for.
+//! * **Levels are read, not pushed** — the level gauges equal the
+//!   store's shape after a flush whose persist failed, `wal.segments`
+//!   equals the log files on disk, and a snapshot racing writers and
+//!   flushes reads a state a shard held.
+//! * **The registry is a schema** — one durable scenario registers only
+//!   the keys the `obs` module's table lists, and writes all of them.
 
 use proptest::prelude::*;
 use rand::Rng;
-use sfc_core::{Grid, Point, ZCurve};
+use sfc_core::{Grid, Point, SpaceFillingCurve, ZCurve};
 use sfc_index::BoxRegion;
 use sfc_integration::test_rng;
-use sfc_obs::{Histogram, SUB_BITS};
+use sfc_obs::{Histogram, MetricValue, RegistrySnapshot, SUB_BITS};
 use sfc_store::{BatchOp, ShardedSfcStore, WalConfig};
 
 /// Exact nearest-rank quantile of a sorted sample set — the reference
@@ -489,4 +495,336 @@ fn wal_groups_led_says_who_committed() {
     assert_eq!(snap.counter("wal.records"), Some(u64::from(3 * EVERY)));
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fresh directory under the system temp dir, removed on drop.
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("sfc-obs-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Polls `met` every millisecond; panics naming `what` after 20 s.
+fn wait_until(what: &str, mut met: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while !met() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "never happened: {what}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// The `shard<j>.{runs, live, memtable.len}` gauges against the store's
+/// own shape accessors.
+fn assert_gauges_match_shape<C>(store: &ShardedSfcStore<2, u64, C>, snap: &RegistrySnapshot)
+where
+    C: SpaceFillingCurve<2> + Clone,
+{
+    let (lens, mems, runs) = (
+        store.shard_lens(),
+        store.shard_memtable_lens(),
+        store.shard_run_lens(),
+    );
+    for j in 0..store.parts() {
+        let gauge = |m: &str| snap.gauge(&format!("shard{j}.{m}")).unwrap() as usize;
+        assert_eq!(gauge("runs"), runs[j].len(), "shard{j}.runs");
+        assert_eq!(gauge("live"), lens[j], "shard{j}.live");
+        assert_eq!(gauge("memtable.len"), mems[j], "shard{j}.memtable.len");
+    }
+}
+
+/// A flush whose persist fails has still published its run and drained
+/// the memtable: the gauges read that state, not the last one a write
+/// reported. Removing the directory after five writes makes the inline
+/// flush at the eighth write (capacity 8) fail on its first run file.
+#[test]
+fn gauges_read_the_state_a_failed_flush_left() {
+    let tmp = TempDir::new("failed-flush");
+    let z = ZCurve::over(Grid::<2>::new(4).unwrap());
+    let mut store =
+        ShardedSfcStore::<2, u64, _>::open_durable(z, 1, 8, WalConfig::new(&tmp.0)).unwrap();
+    let metrics = store.enable_metrics();
+    let cell = |i: u32| Point::new([i % 16, i / 16]);
+    for i in 0..5 {
+        store.try_insert(cell(i), u64::from(i)).unwrap();
+    }
+    std::fs::remove_dir_all(&tmp.0).unwrap();
+    for i in 5..7 {
+        store.try_insert(cell(i), u64::from(i)).unwrap();
+    }
+    let err = store.try_insert(cell(7), 7).unwrap_err();
+    assert!(err.to_string().contains("run-000001.run"), "{err}");
+    assert_eq!(
+        store.shard_run_lens(),
+        vec![vec![8]],
+        "the run was published"
+    );
+    let snap = metrics.registry().snapshot();
+    assert_gauges_match_shape(&store, &snap);
+}
+
+/// `wal-*.log` files under every shard directory of `dir`.
+fn wal_files_on_disk(dir: &std::path::Path, parts: usize) -> i64 {
+    (0..parts)
+        .flat_map(|j| std::fs::read_dir(dir.join(format!("shard{j}"))).unwrap())
+        .filter(|e| {
+            let name = e.as_ref().unwrap().file_name();
+            let name = name.to_string_lossy();
+            name.starts_with("wal-") && name.ends_with(".log")
+        })
+        .count() as i64
+}
+
+/// `wal.segments` is the number of log files on disk: the segments a
+/// reopen inherits, a fresh one per shard written after it, none once a
+/// flush's prune has reclaimed them all, and one again after a write.
+#[test]
+fn wal_segments_equal_the_log_files_on_disk() {
+    let tmp = TempDir::new("segments");
+    let z = ZCurve::over(Grid::<2>::new(6).unwrap());
+    let open = || {
+        ShardedSfcStore::<2, u64, _>::open_durable(z, 2, 1 << 12, WalConfig::new(&tmp.0)).unwrap()
+    };
+    // Both shards of the uniform split: the bottom half and the top half.
+    let cell = |i: u32| Point::new([i % 64, 63 * (i % 2)]);
+    {
+        let store = open();
+        for i in 0..40 {
+            store.insert_nosync(cell(i), u64::from(i));
+        }
+        store.sync().unwrap();
+    }
+    let mut store = open();
+    let metrics = store.enable_metrics();
+    let segments = || metrics.registry().snapshot().gauge("wal.segments").unwrap();
+    assert_eq!(wal_files_on_disk(&tmp.0, 2), 2, "one inherited per shard");
+    assert_eq!(segments(), 2, "after the reopen");
+
+    for i in 40..80 {
+        store.insert_nosync(cell(i), u64::from(i));
+    }
+    store.sync().unwrap();
+    assert_eq!(
+        wal_files_on_disk(&tmp.0, 2),
+        4,
+        "inherited ones are not appended to"
+    );
+    assert_eq!(segments(), 4, "after writes and a sync");
+
+    let pruned = || {
+        let snap = metrics.registry().snapshot();
+        snap.counter("wal.segments.pruned").unwrap()
+    };
+    store.flush();
+    wait_until("the flush's prune reclaims all four", || pruned() == 4);
+    assert_eq!(wal_files_on_disk(&tmp.0, 2), 0);
+    assert_eq!(segments(), 0, "after the prune");
+
+    store.try_insert(cell(80), 80).unwrap();
+    assert_eq!(wal_files_on_disk(&tmp.0, 2), 1);
+    assert_eq!(segments(), 1, "after one more write");
+}
+
+/// Writers insert distinct keys, two per shard, through capacity-32
+/// inline flushes while a reader snapshots the registry: every snapshot
+/// shows a state a shard held — its memtable entries are live records,
+/// so `memtable.len` ≤ `live`, and no write deletes, so `live` never
+/// falls — and at quiescence the gauges are the store's shape.
+#[test]
+fn level_gauges_read_a_state_the_shard_held_while_writers_race_flushes() {
+    const PARTS: usize = 2;
+    const WRITERS_PER_SHARD: u32 = 2;
+    const PER_WRITER: u32 = 1_500;
+    let z = ZCurve::over(Grid::<2>::new(7).unwrap());
+    let mut store = ShardedSfcStore::with_memtable_capacity(z, PARTS, 32);
+    let metrics = store.enable_metrics();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..PARTS as u32 * WRITERS_PER_SHARD)
+            .map(|w| {
+                let store = &store;
+                scope.spawn(move || {
+                    let (shard, lane) = (w / WRITERS_PER_SHARD, w % WRITERS_PER_SHARD);
+                    let first = store.partition().range(shard as usize).start;
+                    for i in 0..PER_WRITER {
+                        let key = first + u128::from(i * WRITERS_PER_SHARD + lane);
+                        store.insert(z.point_of(key), u64::from(i));
+                    }
+                })
+            })
+            .collect();
+        let reader = scope.spawn(|| {
+            let mut last_live = [0i64; PARTS];
+            loop {
+                let finished = done.load(std::sync::atomic::Ordering::Relaxed);
+                let snap = metrics.registry().snapshot();
+                for (j, last) in last_live.iter_mut().enumerate() {
+                    let gauge = |m: &str| snap.gauge(&format!("shard{j}.{m}")).unwrap();
+                    let (len, live) = (gauge("memtable.len"), gauge("live"));
+                    assert!(len <= live, "shard{j}: memtable.len {len} > live {live}");
+                    assert!(live >= *last, "shard{j}: live fell from {last} to {live}");
+                    *last = live;
+                }
+                if finished {
+                    break;
+                }
+            }
+        });
+        for w in writers {
+            w.join().unwrap();
+        }
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+        reader.join().unwrap();
+    });
+    let expected = (WRITERS_PER_SHARD * PER_WRITER) as usize;
+    assert_eq!(store.shard_lens(), vec![expected; PARTS]);
+    assert!(
+        store.shard_run_lens().iter().all(|r| !r.is_empty()),
+        "flushes ran"
+    );
+    assert_gauges_match_shape(&store, &metrics.registry().snapshot());
+}
+
+/// Whether a captured value shows its key was ever written: a counter or
+/// a histogram that counted something, a gauge that read a level.
+fn written(value: &MetricValue) -> bool {
+    match value {
+        MetricValue::Counter(c) => *c > 0,
+        MetricValue::Gauge(g) => *g != 0,
+        MetricValue::Histogram(h) => h.count() > 0,
+    }
+}
+
+/// The key patterns of the table in `sfc-store`'s `obs` module docs.
+fn schema_keys() -> Vec<String> {
+    let obs = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../crates/store/src/obs.rs");
+    std::fs::read_to_string(obs)
+        .unwrap()
+        .lines()
+        .filter_map(|l| l.strip_prefix("//! | `"))
+        .map(|l| l[..l.find('`').unwrap()].to_string())
+        .collect()
+}
+
+/// `shard<j>.live` matches `shard0.live`, `shard12.live`, …
+fn key_matches(pattern: &str, key: &str) -> bool {
+    match pattern.split_once("<j>") {
+        None => pattern == key,
+        Some((head, tail)) => key
+            .strip_prefix(head)
+            .and_then(|k| k.strip_suffix(tail))
+            .is_some_and(|j| !j.is_empty() && j.bytes().all(|b| b.is_ascii_digit())),
+    }
+}
+
+/// The registry is a schema: one small durable scenario — acked and
+/// un-acked writes, deletes, gets, box and kNN queries, flushes, a
+/// compaction, a rebalance, background maintenance and finally a
+/// maintenance flush that fails — registers only keys the `obs` table
+/// lists and writes every key it lists.
+#[test]
+fn every_registry_key_is_in_the_schema_and_written() {
+    let schema = schema_keys();
+    assert_eq!(schema.len(), 43, "16 engine.*, 18 shard<j>.*, 9 wal.*");
+    let tmp = TempDir::new("schema");
+    let grid = Grid::<2>::new(6).unwrap();
+    let config = WalConfig::new(&tmp.0).fsync_every(16);
+    let z = ZCurve::over(grid);
+    let mut store = ShardedSfcStore::open_durable(z, 2, 64, config).unwrap();
+    let metrics = store.enable_metrics();
+    metrics.set_timing_sampling(1);
+    metrics.set_slow_query_threshold(std::time::Duration::ZERO);
+    let store = std::sync::Arc::new(store);
+    let mut snaps = Vec::new();
+    let mut rng = test_rng(0x5c4e);
+    for i in 0..300u64 {
+        let p = grid.random_cell(&mut rng);
+        if i.is_multiple_of(2) {
+            store.try_insert(p, i).unwrap();
+        } else {
+            store.insert_nosync(p, i);
+        }
+    }
+    for _ in 0..40 {
+        store.try_delete(grid.random_cell(&mut rng)).unwrap();
+        std::hint::black_box(store.get(grid.random_cell(&mut rng)));
+    }
+    store.sync().unwrap();
+    snaps.push(metrics.registry().snapshot());
+    store.flush();
+    let b = BoxRegion::new(Point::new([3, 5]), Point::new([40, 33]));
+    std::hint::black_box(store.query_box(&b));
+    std::hint::black_box(store.knn(Point::new([20, 20]), 5, 4));
+    store.compact();
+    store.rebalance(1e-9);
+    snaps.push(metrics.registry().snapshot());
+    let counter = |name: &str| metrics.registry().snapshot().counter(name).unwrap();
+    wait_until("a prune", || counter("wal.segments.pruned") > 0);
+
+    let maintenance = sfc_store::MaintenanceConfig {
+        interval: std::time::Duration::from_millis(1),
+        compact_at_runs: 2,
+    };
+    store.start_maintenance(maintenance.clone());
+    let mut i = 1_000u64;
+    let mut write = |n: u64| {
+        for _ in 0..n {
+            store.insert_nosync(grid.random_cell(&mut rng), i);
+            i += 1;
+        }
+    };
+    wait_until("maintenance flushes and compacts", || {
+        write(64);
+        counter("engine.maintenance.compactions") > 0
+    });
+    store.stop_maintenance();
+    // A maintenance flush that fails: flush and prune every segment, log
+    // one record per shard into a fresh segment (no flush covers it, so no
+    // prune takes it and the log never needs the directory again), remove
+    // the directory, and fill a memtable for the thread to flush.
+    store.flush();
+    let segments = || metrics.registry().snapshot().gauge("wal.segments").unwrap();
+    wait_until("every segment is pruned", || segments() == 0);
+    let partition = store.partition();
+    for j in 0..store.parts() {
+        let first = z.point_of(partition.range(j).start);
+        store.try_insert(first, j as u64).unwrap();
+    }
+    std::fs::remove_dir_all(&tmp.0).unwrap();
+    store.start_maintenance(maintenance);
+    write(256);
+    wait_until("a maintenance flush fails", || {
+        counter("engine.maintenance.errors") > 0
+    });
+    store.stop_maintenance();
+    snaps.push(metrics.registry().snapshot());
+
+    let mut unwritten: Vec<&String> = schema.iter().collect();
+    for snap in &snaps {
+        for (key, value) in &snap.entries {
+            assert!(
+                schema.iter().any(|p| key_matches(p, key)),
+                "`{key}` is registered but not in the obs module's key table"
+            );
+            if written(value) {
+                unwritten.retain(|p| !key_matches(p, key));
+            }
+        }
+    }
+    assert!(
+        unwritten.is_empty(),
+        "listed but never written: {unwritten:?}"
+    );
 }

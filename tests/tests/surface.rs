@@ -224,3 +224,60 @@ fn no_nbody_simulator() {
         &["crates", "examples", "tests", "Cargo.toml"],
     );
 }
+
+/// A level gauge is a read function the registry calls when it is
+/// snapshotted: no push gauge type, no gauge import and no `.set(` on a
+/// gauge handle can come back into the store.
+#[test]
+fn gauges_are_read_not_pushed() {
+    assert_absent(
+        "the store pushes no gauge: levels are read at snapshot",
+        r"\bGauge\b|\.(memtable_len|memtable_bytes|run_count|live|segments)\.set\(",
+        &["crates/store/src"],
+    );
+    assert_absent(
+        "sfc_obs has no push gauge type",
+        r"pub struct Gauge\b|-> Gauge\b",
+        &["crates/obs/src"],
+    );
+}
+
+/// Every row of `sfc-store`'s § Guarantees names the test that fails when
+/// its guarantee breaks, written `file::test` (`tests/tests/<file>.rs`, or
+/// the store module `<file>.rs`), or says it is untested. A named test
+/// that does not exist fails here.
+#[test]
+fn every_guarantee_names_a_test_that_exists() {
+    let lib = std::fs::read_to_string(root().join("crates/store/src/lib.rs")).unwrap();
+    let rows: Vec<&str> = lib
+        .lines()
+        .skip_while(|l| *l != "//! ## Guarantees")
+        .skip_while(|l| !l.starts_with("//! |---"))
+        .skip(1)
+        .take_while(|l| l.starts_with("//! | "))
+        .collect();
+    assert_eq!(rows.len(), 8, "one row per guarantee");
+    let sources = grep("rl", "", &["tests/tests", "crates/store/src"]);
+    for row in rows {
+        let tested = row
+            .split('`')
+            .skip(1)
+            .step_by(2)
+            .filter(|s| s.contains("::"));
+        let mut named = 0;
+        for path in tested {
+            let (file, test) = path.split_once("::").unwrap();
+            let file = sources
+                .iter()
+                .find(|s| s.ends_with(&format!("/{file}.rs")))
+                .unwrap_or_else(|| panic!("{row}\nno source file {file}.rs"));
+            let hits = grep("n", &format!(r"fn {test}\b"), &[file]);
+            assert_eq!(hits.len(), 1, "{row}\nno test `{test}` in {file}");
+            named += 1;
+        }
+        assert!(
+            named > 0 || row.contains("untested"),
+            "{row}\nnames no test and does not say it is untested"
+        );
+    }
+}
