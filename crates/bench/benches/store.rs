@@ -1494,6 +1494,55 @@ fn assert_overhead_gate(all_records: &[criterion::BenchRecord], interleaved: f64
     (interleaved, criterion_min)
 }
 
+/// Rounds of `compact_ms`, each on a freshly built store.
+const COMPACT_ROUNDS: usize = 15;
+
+/// Median wall time, in ms, of one `compact()` of a freshly built 1-shard
+/// store whose run stack is four runs of about 123 000, 32 000, 8 000 and
+/// 2 000 records (oldest first; the three newer runs update and delete
+/// cells of the older ones, 1 write in 4 a delete), over `COMPACT_ROUNDS`
+/// rounds. Written ungated as `compaction.compact_ms`.
+fn bench_compact() -> f64 {
+    let grid = Grid::<2>::new(10).unwrap();
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(53);
+    let levels: Vec<Vec<(Point<2>, Option<u64>)>> = [1usize << 17, 1 << 15, 1 << 13, 1 << 11]
+        .into_iter()
+        .enumerate()
+        .map(|(level, writes)| {
+            (0..writes)
+                .map(|i| {
+                    let delete = level > 0 && i % 4 == 3;
+                    (grid.random_cell(&mut rng), (!delete).then_some(i as u64))
+                })
+                .collect()
+        })
+        .collect();
+    let mut ms: Vec<f64> = (0..COMPACT_ROUNDS)
+        .map(|_| {
+            let store = ShardedSfcStore::with_memtable_capacity(ZCurve::over(grid), 1, 1 << 20);
+            for level in &levels {
+                for &(p, slot) in level {
+                    match slot {
+                        Some(v) => store.insert(p, v),
+                        None => store.delete(p),
+                    };
+                }
+                store.flush();
+            }
+            assert_eq!(store.shard_run_lens()[0].len(), 4, "a 4-run stack");
+            let start = std::time::Instant::now();
+            store.compact();
+            let elapsed = start.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(store.shard_run_lens()[0].len(), 1);
+            elapsed
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let median = ms[ms.len() / 2];
+    println!("compact_ms (4-run shard, median of {COMPACT_ROUNDS}): {median:.3}");
+    median
+}
+
 criterion_group! {
     name = ingest_benches;
     config = Criterion::default().sample_size(10);
@@ -1531,6 +1580,7 @@ fn write_report(
     (overhead_ratio, criterion_min_ratio): (f64, f64),
     memtable: &MemtableRatios,
     pipeline: &PipelineRatios,
+    compact_ms: f64,
 ) {
     let median = |name: &str| {
         all_records
@@ -1644,6 +1694,7 @@ fn write_report(
             ("run_file_bytes_per_record", d.run_file_bytes_per_record),
         ],
     );
+    report.numbers("compaction", 3, [("compact_ms", Some(compact_ms))]);
     report.write();
     for (name, ratio) in pairs {
         if let Some(r) = ratio {
@@ -1661,6 +1712,7 @@ fn main() {
     ingest_benches();
     let durable_run = bench_durable_bytes(&mut criterion);
     let acked = bench_acked_write();
+    let compact_ms = bench_compact();
     let mut all_records = qb.records.clone();
     all_records.extend(criterion::take_records());
     let overhead = assert_overhead_gate(&all_records, interleaved_overhead);
@@ -1675,5 +1727,13 @@ fn main() {
         batch_in_memory,
         durable_bytes,
     };
-    write_report(&all_records, &qb, &metrics, overhead, &memtable, &pipeline);
+    write_report(
+        &all_records,
+        &qb,
+        &metrics,
+        overhead,
+        &memtable,
+        &pipeline,
+        compact_ms,
+    );
 }

@@ -117,8 +117,8 @@
 //!   the entry check of every raw interval read;
 //! * [`knn::knn_collect_run`] — the per-run candidate walk, told by a
 //!   callback which keys a newer level shadows;
-//! * [`SfcIndex::from_sorted_versions`] / [`SfcIndex::into_parts`] —
-//!   adopt and release run storage without re-sorting;
+//! * [`SfcIndex::from_sorted_versions`] — adopt run storage without
+//!   re-sorting;
 //! * [`SfcIndex::lower_bound`] — a fence-array key search over packed
 //!   blocks — and [`SfcIndex::find_key`]: filter, then fence search. The
 //!   run's key filter ([`BlockStore::may_contain`]) turns most absent

@@ -297,8 +297,7 @@ impl<const D: usize, T, C: SpaceFillingCurve<D>> SfcIndex<D, T, C> {
         }
     }
 
-    /// Reassembles an index from the parts [`into_parts`](Self::into_parts)
-    /// yields — or from a [`BlockStore`] reloaded by
+    /// Assembles an index from a [`BlockStore`] reloaded by
     /// [`BlockStore::read_from`] plus its dense payload column. Nothing is
     /// re-packed. The caller vouches that `blocks` holds the curve's keys
     /// for its points (a loader checks that before it gets here).
@@ -375,13 +374,6 @@ impl<const D: usize, T, C: SpaceFillingCurve<D>> SfcIndex<D, T, C> {
     pub fn decode_points(&self) -> Vec<Point<D>> {
         let mut cur = BlockCursor::new(&self.blocks);
         (0..self.len()).map(|i| cur.point(i)).collect()
-    }
-
-    /// Decomposes the index into the curve, the packed blocks, and the
-    /// dense payload column — the handoff run-merging code uses to
-    /// iterate a run without cloning payloads.
-    pub fn into_parts(self) -> (C, BlockStore<D>, Vec<T>) {
-        (self.curve, self.blocks, self.payloads)
     }
 
     /// The record at slot `i` of the key order.

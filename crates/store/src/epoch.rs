@@ -85,12 +85,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
-use sfc_index::SfcIndex;
 
-use crate::merge::{merge_runs, restore_size_tiers};
 use crate::obs::ShardMetrics;
 use crate::snapshot::StoreSnapshot;
-use crate::view::Run;
+use crate::view::{merge_runs, Run, RunColumns};
 use crate::wal::{DurabilityHook, WalError, WalRecord};
 
 /// One published generation of a shard's frozen state: the immutable run
@@ -329,16 +327,10 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
 
     /// A shard adopting pre-sorted columns (strictly increasing keys, all
     /// slots `Some`) as its single bottom run.
-    pub(crate) fn from_bottom_run(
-        curve: &C,
-        keys: Vec<CurveIndex>,
-        points: Vec<Point<D>>,
-        payloads: Vec<Option<T>>,
-        cap: usize,
-    ) -> Self {
+    pub(crate) fn from_bottom_run(curve: &C, columns: RunColumns<D, T>, cap: usize) -> Self {
         let shard = Self::new(cap);
         shard
-            .install_bottom_run(curve, keys, points, payloads, false)
+            .install_bottom_run(curve, columns, false)
             .expect("no durability hook attached yet");
         shard
     }
@@ -549,44 +541,30 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
 
     fn flush_locked(&self, curve: &C) -> Result<(), WalError> {
         let start = Instant::now();
-        // Step 1: clone the memtable image under a brief mem lock.
-        let (entries, high_water, live_at) = {
+        // `maint` keeps every other epoch writer out, so `old` stays the
+        // published epoch until this flush replaces it.
+        let old = self.epoch.load();
+        let drop_tombstones = old.runs.is_empty();
+        // Step 1: copy the memtable image into run columns under a brief
+        // mem lock (a bottom run takes no tombstones).
+        let (columns, high_water, live_at) = {
             let mem = self.mem.lock().expect("shard mem poisoned");
             if mem.table.is_empty() {
                 return Ok(());
             }
-            let entries: Vec<(CurveIndex, Point<D>, Option<T>)> = mem
-                .table
-                .iter()
-                .map(|(k, (p, s, _))| (k, *p, s.clone()))
-                .collect();
-            (entries, mem.next_seq, mem.live)
+            let mut columns = RunColumns::with_capacity(mem.table.len());
+            columns.extend(
+                mem.table
+                    .iter()
+                    .filter(|(_, (_, slot, _))| slot.is_some() || !drop_tombstones)
+                    .map(|(key, (point, slot, _))| (key, *point, slot.clone())),
+            );
+            (columns, mem.next_seq, mem.live)
         };
-        // Step 2: build the next epoch off-lock (`maint` keeps other
-        // epoch writers out; readers keep the old epoch).
-        let old = self.epoch.load();
-        let drop_tombstones = old.runs.is_empty();
-        let mut keys = Vec::with_capacity(entries.len());
-        let mut points = Vec::with_capacity(entries.len());
-        let mut payloads = Vec::with_capacity(entries.len());
-        for (key, point, slot) in entries {
-            if slot.is_none() && drop_tombstones {
-                continue;
-            }
-            keys.push(key);
-            points.push(point);
-            payloads.push(slot);
-        }
+        // Step 2: build the next epoch off-lock (readers keep the old one).
         let mut runs = old.runs.clone();
-        if !keys.is_empty() {
-            runs.push(Arc::new(SfcIndex::from_sorted_versions(
-                curve.clone(),
-                keys,
-                points,
-                payloads,
-            )));
-            restore_size_tiers(curve, &mut runs);
-        }
+        runs.extend(columns.into_run(curve));
+        restore_size_tiers(curve, &mut runs);
         // `live_at` was captured together with the memtable image: after
         // the flush, everything that was visible then lives in `runs`.
         let published = Arc::new(RunsEpoch {
@@ -623,12 +601,7 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         let old = self.epoch.load();
         let published = old.runs.len() > 1;
         if published {
-            let merged = merge_runs(curve, old.runs.clone(), true);
-            let runs = if merged.is_empty() {
-                Vec::new()
-            } else {
-                vec![Arc::new(merged)]
-            };
+            let runs: Vec<_> = merge_runs(curve, &old.runs, true).into_iter().collect();
             debug_assert_eq!(
                 runs.iter().map(|r| r.len()).sum::<usize>(),
                 old.live,
@@ -669,35 +642,20 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
     pub(crate) fn install_bottom_run(
         &self,
         curve: &C,
-        keys: Vec<CurveIndex>,
-        points: Vec<Point<D>>,
-        payloads: Vec<Option<T>>,
+        columns: RunColumns<D, T>,
         defer_manifest: bool,
     ) -> Result<(), WalError> {
+        let runs: Vec<_> = columns.into_run(curve).into_iter().collect();
         debug_assert!(
-            keys.windows(2).all(|w| w[0] < w[1]),
-            "bottom run keys must be strictly increasing"
-        );
-        debug_assert!(
-            payloads.iter().all(Option::is_some),
+            runs.iter().all(|run| run.live_len() == run.len()),
             "bottom run must be tombstone-free"
         );
+        let live = runs.iter().map(|run| run.len()).sum();
         let _maint = self.maint.lock().expect("shard maint poisoned");
         let mut mem = self.mem.lock().expect("shard mem poisoned");
-        let live = keys.len();
         let high_water = mem.next_seq;
         mem.table.clear();
         mem.live = live;
-        let runs = if keys.is_empty() {
-            Vec::new()
-        } else {
-            vec![Arc::new(SfcIndex::from_sorted_versions(
-                curve.clone(),
-                keys,
-                points,
-                payloads,
-            ))]
-        };
         let epoch = Arc::new(RunsEpoch { runs, live });
         self.epoch.publish(Arc::clone(&epoch));
         self.persist(&epoch, Some(high_water), defer_manifest)?;
@@ -714,5 +672,26 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
             Some(w) => w.finish_commit(),
             None => Ok(()),
         }
+    }
+}
+
+/// Restores the size-tier invariant on a run stack: while an older run is
+/// less than twice the size of the run stacked on it, the pair is merged
+/// (newest wins; tombstones drop only when the merge produces the bottom
+/// run). Keeps the run count at `O(log n)` and total merge work amortised
+/// `O(log n)` moves per write. A flush applies it to a *copy* of the
+/// published run stack before swapping the next epoch in.
+fn restore_size_tiers<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone>(
+    curve: &C,
+    runs: &mut Vec<Run<D, T, C>>,
+) {
+    while let [.., older, newer] = runs.as_slice() {
+        if older.len() >= 2 * newer.len() {
+            break;
+        }
+        let n = runs.len();
+        let merged = merge_runs(curve, &runs[n - 2..], n == 2);
+        runs.truncate(n - 2);
+        runs.extend(merged);
     }
 }

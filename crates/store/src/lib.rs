@@ -46,12 +46,16 @@
 //!    no reader can ever observe a write in neither place.
 //! 4. **Compaction.** After each flush, size-tiered merging restores the
 //!    invariant that each run is at least twice the size of the run above
-//!    it: adjacent runs violating the ratio are k-way merged (newest
-//!    version of each key wins, superseded versions are dropped).
+//!    it: adjacent runs violating the ratio are merged (newest version of
+//!    each key wins, superseded versions are dropped).
 //!    Tombstones are dropped only when a merge produces the *bottom* run —
 //!    below it there is nothing left to shadow.
 //!    [`ShardedSfcStore::compact`] forces a full merge of every shard
-//!    into a single tombstone-free run.
+//!    into a single tombstone-free run. Every merge, like `iter`, a
+//!    rebalance's migration and `to_index`, is the one newest-wins k-way
+//!    merge of a shard's levels (the `view` module's § The level merge):
+//!    it reads the runs borrowed from the published stack, block by
+//!    block, and clones only the payloads that survive.
 //!
 //! **Epoch publication** — each shard's frozen run stack is published
 //! through an atomically swapped `Arc` (a hand-rolled arc-swap; see the
@@ -124,9 +128,9 @@
 //!   Readers on any thread keep querying the frozen state while writers,
 //!   flushes, compactions and rebalances continue: a writer that meets a
 //!   live capture copies the leaf-pointer slab and the one leaf it lands
-//!   in, a compaction that wants to consume a pinned run copies it out of
-//!   its `Arc` instead (the reason the write path requires `T: Clone`),
-//!   and the snapshot stays as it was.
+//!   in, a merge reads the runs it replaces where they are and clones each
+//!   surviving payload into its output (the reason the write path
+//!   requires `T: Clone`), and the snapshot stays as it was.
 //!
 //! **Isolation level of a multi-shard capture.** Per shard a capture is
 //! atomic and complete: every write applied to the shard before it was
@@ -264,6 +268,7 @@
 //! | publish-before-drain: a flush never hides a write from a reader | `concurrency::readers_never_see_flush_gaps_or_time_travel` |
 //! | the first I/O error is sticky and reaches every caller | `committer::first_error_reaches_leader_follower_and_every_later_call` |
 //! | writers never flush while maintenance runs | `concurrency::writers_never_stall_behind_maintenance_merges` |
+//! | a poisoned lock means a thread panicked mid-update, so the store panics: that shard's later writes panic (never hang or return), other shards keep serving | `concurrency::a_panic_under_a_shard_lock_fails_that_shards_later_writes` |
 //! | rebalance rolls back whole on a crash: files no manifest names are swept (no test crashes mid-rebalance) | `crash_recovery::unreferenced_generation_rolls_back_and_sweeps_orphans` |
 //! | multi-shard read isolation ([Snapshots are captures](#snapshots-are-captures)) | untested: ROADMAP item 17(d) |
 //!
@@ -278,7 +283,6 @@
 mod epoch;
 mod maintenance;
 pub mod memtable;
-mod merge;
 pub mod obs;
 mod shard;
 mod snapshot;

@@ -62,7 +62,7 @@ use crate::snapshot::StoreSnapshot;
 use crate::store::{
     sorted_unique_columns, BatchOp, StoreEntry, StoreEntryRef, DEFAULT_MEMTABLE_CAPACITY,
 };
-use crate::view::{rank_by_distance, HitSink, LevelsView, Overlay};
+use crate::view::{rank_by_distance, HitSink, LevelsView, Overlay, RunColumns};
 use crate::wal::{self, RecoveryStats, WalConfig, WalEngine, WalError, WalPayload, WalShard};
 
 /// One query's hits, borrowed from the captures it ran against, and the
@@ -350,8 +350,8 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
         let shards = buckets
             .into_iter()
             .map(|bucket| {
-                let (keys, points, payloads) = sorted_unique_columns(&curve, bucket);
-                Shard::from_bottom_run(&curve, keys, points, payloads, DEFAULT_MEMTABLE_CAPACITY)
+                let columns = sorted_unique_columns(&curve, bucket);
+                Shard::from_bottom_run(&curve, columns, DEFAULT_MEMTABLE_CAPACITY)
             })
             .collect();
         Self::assemble(curve, partition, shards, None, None)
@@ -862,53 +862,40 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
                 .flush(&self.curve)
                 .unwrap_or_else(|e| panic!("durable flush failed: {e}"));
         }
-        // Gather the records of shards whose range moved, in curve order
-        // (changed ranges are ascending, like the shards).
+        // Stream the records of shards whose range moved, in curve order,
+        // straight into the columns of the shard each now routes to (every
+        // capture is read before any shard is replaced).
         let changed: Vec<bool> = (0..self.shards.len())
             .map(|j| new.range(j) != part.range(j))
             .collect();
-        let mut moved: Vec<(CurveIndex, Point<D>, Option<T>)> = Vec::new();
+        let mut columns: Vec<RunColumns<D, T>> = (0..self.shards.len())
+            .map(|_| RunColumns::with_capacity(0))
+            .collect();
         for (j, shard) in self.shards.iter().enumerate() {
             if !changed[j] {
                 continue;
             }
             let cap = shard.capture();
             for e in cap.view().iter() {
-                moved.push((e.key, e.point, Some(e.payload.clone())));
+                let to = new.part_of(e.key);
+                debug_assert!(
+                    changed[to],
+                    "no migrated record may land in an unchanged shard"
+                );
+                columns[to].push((e.key, e.point, Some(e.payload.clone())));
             }
         }
-        let mut records = moved.into_iter().peekable();
         // Durable stores defer the per-install manifest flips: run files
         // and checkpoints are written here, but the root manifest — the
         // single commit point — is replaced once below, carrying the new
         // boundaries *and* every bumped generation together, so a crash
         // mid-rebalance rolls back to the consistent pre-rebalance cut.
         let defer = self.wal.is_some();
-        for (j, shard) in self.shards.iter().enumerate() {
-            if !changed[j] {
-                debug_assert!(
-                    records
-                        .peek()
-                        .is_none_or(|&(k, _, _)| !new.range(j).contains(&k)),
-                    "no migrated record may land in an unchanged shard"
-                );
-                continue;
-            }
-            let end = new.range(j).end;
-            let mut keys = Vec::new();
-            let mut points = Vec::new();
-            let mut payloads = Vec::new();
-            while records.peek().is_some_and(|&(k, _, _)| k < end) {
-                let (k, p, v) = records.next().expect("peeked");
-                keys.push(k);
-                points.push(p);
-                payloads.push(v);
-            }
-            shard
-                .install_bottom_run(&self.curve, keys, points, payloads, defer)
+        for (j, columns) in columns.into_iter().enumerate().filter(|&(j, _)| changed[j]) {
+            self.shards[j]
+                .install_bottom_run(&self.curve, columns, defer)
                 .unwrap_or_else(|e| panic!("durable rebalance install failed: {e}"));
         }
-        debug_assert!(records.next().is_none(), "every record migrated");
         if let Some(engine) = &self.wal {
             engine
                 .commit_boundaries(new.boundaries().to_vec())
@@ -1241,15 +1228,12 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> ShardedSnapshot<D, T, C
     where
         T: Clone,
     {
-        let mut keys = Vec::with_capacity(self.len());
-        let mut points = Vec::with_capacity(self.len());
-        let mut payloads = Vec::with_capacity(self.len());
-        for entry in self.iter() {
-            keys.push(entry.key);
-            points.push(entry.point);
-            payloads.push(entry.payload.clone());
-        }
-        SfcIndex::from_sorted(self.curve.clone(), keys, points, payloads)
+        let mut columns = RunColumns::with_capacity(self.len());
+        columns.extend(
+            self.iter()
+                .map(|e| (e.key, e.point, Some(e.payload.clone()))),
+        );
+        columns.into_index(&self.curve)
     }
 
     /// The borrowed fan-out view all queries run against.

@@ -9,9 +9,9 @@
 //! packages the same captures as a [`ShardedSnapshot`](crate::ShardedSnapshot)
 //! the caller keeps. Nothing is flushed to take one, and once taken it
 //! never touches a lock again: a writer that meets a live capture copies
-//! the leaf-pointer slab and the one leaf it lands in, a compaction that
-//! wants to consume a pinned run copies it out of its `Arc`, and the
-//! capture's view stays as it was.
+//! the leaf-pointer slab and the one leaf it lands in, a merge reads the
+//! pinned runs it replaces without touching them, and the capture's view
+//! stays as it was.
 
 use std::sync::Arc;
 

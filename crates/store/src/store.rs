@@ -4,6 +4,8 @@
 use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
 use sfc_index::sort_columns;
 
+use crate::view::RunColumns;
+
 /// Memtable entries a shard buffers before an automatic flush, unless
 /// overridden with
 /// [`ShardedSfcStore::with_memtable_capacity`](crate::ShardedSfcStore::with_memtable_capacity).
@@ -79,25 +81,19 @@ impl<const D: usize, T> BatchOp<D, T> {
 pub(crate) fn sorted_unique_columns<const D: usize, T, C: SpaceFillingCurve<D>>(
     curve: &C,
     records: impl IntoIterator<Item = (Point<D>, T)>,
-) -> (Vec<CurveIndex>, Vec<Point<D>>, Vec<Option<T>>) {
+) -> RunColumns<D, T> {
     let (points, payloads): (Vec<Point<D>>, Vec<T>) = records.into_iter().unzip();
     let (keys, points, payloads) = sort_columns(curve, points, payloads);
-    // The sort is stable, so within an equal-key group the last record
-    // is the newest — keep it.
-    let mut run_keys: Vec<CurveIndex> = Vec::with_capacity(keys.len());
-    let mut run_points: Vec<Point<D>> = Vec::with_capacity(keys.len());
-    let mut run_payloads: Vec<Option<T>> = Vec::with_capacity(keys.len());
-    for ((key, point), payload) in keys.into_iter().zip(points).zip(payloads) {
-        if run_keys.last() == Some(&key) {
-            *run_points.last_mut().expect("non-empty") = point;
-            *run_payloads.last_mut().expect("non-empty") = Some(payload);
-        } else {
-            run_keys.push(key);
-            run_points.push(point);
-            run_payloads.push(Some(payload));
+    let mut columns = RunColumns::with_capacity(keys.len());
+    let mut rows = keys.into_iter().zip(points).zip(payloads).peekable();
+    while let Some(((key, point), payload)) = rows.next() {
+        // The sort is stable, so within an equal-key group the last record
+        // is the newest — keep it.
+        if rows.peek().is_none_or(|((next, _), _)| *next != key) {
+            columns.push((key, point, Some(payload)));
         }
     }
-    (run_keys, run_points, run_payloads)
+    columns
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! The shared multi-level query engine and how a box query skips.
+//! The shared multi-level query engine, the one level merge, and how a
+//! box query skips.
 //!
 //! Every read merges one shard's levels: the captured memtable image over
 //! a stack of immutable runs. Newest level wins, tombstones suppress
@@ -7,6 +8,20 @@
 //! [`LevelsView`]: an optional borrowed memtable plus a slice of
 //! `Arc`-shared runs, borrowed from one shard's capture
 //! (`snapshot.rs`).
+//!
+//! ## The level merge
+//!
+//! Whatever walks a shard's levels whole walks them through one
+//! newest-wins k-way merge, [`LevelsView::versions`]: every key some
+//! level holds, once, at the version of the newest level holding it,
+//! tombstones included. Runs are read block by block through
+//! [`BlockCursor`], borrowed from the published stack — nothing is copied
+//! out of its `Arc`. [`LevelsView::iter`] is that merge with tombstones
+//! filtered out (snapshot iteration, `to_index`, a rebalance's
+//! migration); [`merge_runs`] is the same merge over runs alone, cloning
+//! each surviving payload (a flush's tier merges and `compact`). Every
+//! stream of versions becomes a run through one builder,
+//! [`RunColumns`].
 //!
 //! ## The streamed read path
 //!
@@ -75,17 +90,16 @@
 //! a newer level shadows — the walk's one parameter.
 
 use std::collections::BinaryHeap;
-use std::fmt;
+use std::iter::Peekable;
 use std::sync::Arc;
 
 use sfc_core::{CurveIndex, Point, SpaceFillingCurve};
 use sfc_index::knn::{knn_collect_run, kth_best, may_tighten, offer, KnnQuery};
 use sfc_index::{
-    box_scan, BlockStore, BoxRegion, BoxSkipper, CurveSkipper, DecodedBlock, QueryStats, SfcIndex,
-    BLOCK_SLOTS,
+    box_scan, BlockCursor, BlockStore, BoxRegion, BoxSkipper, CurveSkipper, QueryStats, SfcIndex,
 };
 
-use crate::epoch::{SeqSlot, SeqTable};
+use crate::epoch::{SeqSlot, SeqTable, WriteOp};
 use crate::store::{StoreEntry, StoreEntryRef};
 
 /// One immutable sorted run, shareable with snapshots. Tombstones live in
@@ -97,6 +111,71 @@ pub(crate) type Version<'a, const D: usize, T> = Option<(Point<D>, &'a T)>;
 
 /// One level's hit: the key and the version the level holds of it.
 type LevelHit<'a, const D: usize, T> = (CurveIndex, Version<'a, D, T>);
+
+/// A version as the level merge yields it: key, cell and payload (`None`
+/// = tombstone, whose cell a merge that keeps it still needs).
+type VersionRef<'a, const D: usize, T> = (CurveIndex, Point<D>, Option<&'a T>);
+
+/// One level of the level merge, read forward in key order.
+enum Level<'a, const D: usize, T> {
+    /// The memtable image.
+    Mem(Peekable<crate::memtable::Iter<'a, SeqSlot<D, T>>>),
+    /// A run, read block by block through a [`BlockCursor`]; the payload
+    /// column advances on live slots only.
+    Run {
+        blocks: &'a BlockStore<D>,
+        cursor: Box<BlockCursor<'a, D>>,
+        payloads: std::slice::Iter<'a, T>,
+        slot: usize,
+    },
+}
+
+impl<'a, const D: usize, T> Level<'a, D, T> {
+    fn run<C: SpaceFillingCurve<D>>(run: &'a SfcIndex<D, T, C>) -> Self {
+        Level::Run {
+            blocks: run.blocks(),
+            cursor: Box::new(BlockCursor::new(run.blocks())),
+            payloads: run.payloads().iter(),
+            slot: 0,
+        }
+    }
+
+    /// The key at the level's head; `None` once the level is walked.
+    fn head(&mut self) -> Option<CurveIndex> {
+        match self {
+            Level::Mem(walk) => walk.peek().map(|&(key, _)| key),
+            Level::Run {
+                blocks,
+                cursor,
+                slot,
+                ..
+            } => (*slot < blocks.len()).then(|| cursor.key(*slot)),
+        }
+    }
+
+    /// The version at the head, whose key is `key`; advances past it.
+    fn take(&mut self, key: CurveIndex) -> VersionRef<'a, D, T> {
+        match self {
+            Level::Mem(walk) => {
+                let (_, (point, slot, _)) = walk.next().expect("the level has a head");
+                (key, *point, slot.as_ref())
+            }
+            Level::Run {
+                blocks,
+                cursor,
+                payloads,
+                slot,
+            } => {
+                let point = cursor.point(*slot);
+                let payload = blocks
+                    .is_live_slot(*slot)
+                    .then(|| payloads.next().expect("one payload per live slot"));
+                *slot += 1;
+                (key, point, payload)
+            }
+        }
+    }
+}
 
 /// Where a read's hits go as they are found: per shard in ascending key
 /// order, shard after shard — so what a sink has seen when the read
@@ -427,22 +506,110 @@ impl<'a, const D: usize, T, C: SpaceFillingCurve<D>> LevelsView<'a, D, T, C> {
         }
     }
 
-    /// A lazy k-way merge of all levels in curve order, newest-wins, with
-    /// tombstones suppressed.
-    pub(crate) fn iter(&self) -> SnapshotIter<'a, D, T> {
-        SnapshotIter {
-            mem: self.memtable.map(|mem| mem.iter().peekable()),
-            runs: self
-                .runs
-                .iter()
-                .map(|run| RunCursor {
-                    blocks: run.blocks(),
-                    payloads: run.payloads(),
-                    dec: Box::default(),
-                    dec_block: usize::MAX,
-                    pos: 0,
-                })
-                .collect(),
+    /// The level merge (module docs): a lazy newest-wins k-way merge of
+    /// every level in ascending key order, tombstones included.
+    pub(crate) fn versions(&self) -> impl Iterator<Item = VersionRef<'a, D, T>> + 'a {
+        // Oldest → newest: the runs, then the memtable.
+        let runs = self.runs.iter().map(|run| Level::run(run));
+        let mem = self.memtable.map(|mem| Level::Mem(mem.iter().peekable()));
+        let mut levels: Vec<Level<'a, D, T>> = runs.chain(mem).collect();
+        std::iter::from_fn(move || {
+            let min = levels.iter_mut().filter_map(Level::head).min()?;
+            // Every level holding the minimum advances; the last one taken
+            // is the newest version.
+            let mut newest = None;
+            for level in &mut levels {
+                if level.head() == Some(min) {
+                    newest = Some(level.take(min));
+                }
+            }
+            newest
+        })
+    }
+
+    /// The live records in ascending key order: [`versions`](Self::versions)
+    /// with tombstones filtered out.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = StoreEntryRef<'a, D, T>> + 'a {
+        self.versions().filter_map(|(key, point, payload)| {
+            Some(StoreEntryRef {
+                key,
+                point,
+                payload: payload?,
+            })
+        })
+    }
+}
+
+/// Merges `runs` (oldest first) newest-wins into one run, cloning each
+/// surviving payload out of its shared input, which stays as it was.
+/// Tombstones are kept unless `drop_tombstones` is set, which is only
+/// sound when the merged run becomes the bottom of the stack. `None` when
+/// nothing survives.
+pub(crate) fn merge_runs<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone>(
+    curve: &C,
+    runs: &[Run<D, T, C>],
+    drop_tombstones: bool,
+) -> Option<Run<D, T, C>> {
+    let view = LevelsView {
+        memtable: None,
+        runs,
+    };
+    let mut columns = RunColumns::with_capacity(runs.iter().map(|run| run.len()).sum());
+    columns.extend(
+        view.versions()
+            .filter(|v| v.2.is_some() || !drop_tombstones)
+            .map(|(key, point, payload)| (key, point, payload.cloned())),
+    );
+    columns.into_run(curve)
+}
+
+/// Key-sorted versions (`None` payload = tombstone) gathered column by
+/// column into one run: the one builder behind a flush, a merge, a bulk
+/// load, a rebalance's installs and `to_index`.
+#[derive(Debug)]
+pub(crate) struct RunColumns<const D: usize, T> {
+    keys: Vec<CurveIndex>,
+    points: Vec<Point<D>>,
+    slots: Vec<Option<T>>,
+}
+
+impl<const D: usize, T> RunColumns<D, T> {
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Self {
+            keys: Vec::with_capacity(n),
+            points: Vec::with_capacity(n),
+            slots: Vec::with_capacity(n),
+        }
+    }
+
+    /// Appends one version; keys arrive in ascending order.
+    pub(crate) fn push(&mut self, (key, point, slot): WriteOp<D, T>) {
+        self.keys.push(key);
+        self.points.push(point);
+        self.slots.push(slot);
+    }
+
+    /// Packs the columns into an index (adopted sorted, no re-sort).
+    pub(crate) fn into_index<C: SpaceFillingCurve<D> + Clone>(
+        self,
+        curve: &C,
+    ) -> SfcIndex<D, T, C> {
+        SfcIndex::from_sorted_versions(curve.clone(), self.keys, self.points, self.slots)
+    }
+
+    /// Packs the columns into a shareable run; `None` when they are empty.
+    pub(crate) fn into_run<C: SpaceFillingCurve<D> + Clone>(
+        self,
+        curve: &C,
+    ) -> Option<Run<D, T, C>> {
+        (!self.keys.is_empty()).then(|| Arc::new(self.into_index(curve)))
+    }
+}
+
+impl<const D: usize, T> Extend<WriteOp<D, T>> for RunColumns<D, T> {
+    fn extend<I: IntoIterator<Item = WriteOp<D, T>>>(&mut self, versions: I) {
+        for version in versions {
+            self.push(version);
         }
     }
 }
@@ -459,121 +626,142 @@ pub(crate) fn rank_by_distance<const D: usize, T>(
     all
 }
 
-/// A forward-only cursor over one run's compressed blocks and dense
-/// payload column, decoding one block at a time as the merge advances.
-struct RunCursor<'a, const D: usize, T> {
-    blocks: &'a BlockStore<D>,
-    payloads: &'a [T],
-    /// Decode buffer holding block `dec_block` (`usize::MAX` = none yet).
-    dec: Box<DecodedBlock<D>>,
-    dec_block: usize,
-    pos: usize,
-}
-
-impl<'a, const D: usize, T> RunCursor<'a, D, T> {
-    /// Ensures the block holding `pos` is decoded into the buffer.
-    fn fill(&mut self) {
-        let block = self.blocks.block_of(self.pos);
-        if self.dec_block != block {
-            self.blocks.decode_into(block, &mut self.dec);
-            self.dec_block = block;
-        }
-    }
-
-    /// The key under the cursor, or `None` past the end of the run.
-    fn peek_key(&mut self) -> Option<CurveIndex> {
-        if self.pos >= self.blocks.len() {
-            return None;
-        }
-        self.fill();
-        Some(self.dec.keys[self.pos % BLOCK_SLOTS])
-    }
-
-    /// Reads the version under the cursor (`None` payload = tombstone)
-    /// and advances past it.
-    fn take(&mut self) -> (Point<D>, Option<&'a T>) {
-        self.fill();
-        let point = self.dec.point(self.pos % BLOCK_SLOTS);
-        let slot = self
-            .blocks
-            .is_live_slot(self.pos)
-            .then(|| &self.payloads[self.blocks.rank(self.pos)]);
-        self.pos += 1;
-        (point, slot)
-    }
-}
-
-/// A peekable walk of the memtable level.
-type MemIter<'a, const D: usize, T> = std::iter::Peekable<crate::memtable::Iter<'a, SeqSlot<D, T>>>;
-
-/// Iterator over the live records of one captured shard in curve order —
-/// what [`ShardedSnapshot::iter`](crate::ShardedSnapshot::iter) chains
-/// shard after shard.
-pub(crate) struct SnapshotIter<'a, const D: usize, T> {
-    /// `None` when the captured memtable was empty.
-    mem: Option<MemIter<'a, D, T>>,
-    /// Oldest → newest, like the shard's run stack.
-    runs: Vec<RunCursor<'a, D, T>>,
-}
-
-impl<const D: usize, T> fmt::Debug for SnapshotIter<'_, D, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SnapshotIter")
-            .field(
-                "levels",
-                &(self.runs.len() + usize::from(self.mem.is_some())),
-            )
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a, const D: usize, T> Iterator for SnapshotIter<'a, D, T> {
-    type Item = StoreEntryRef<'a, D, T>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let mut min: Option<CurveIndex> = self
-                .mem
-                .as_mut()
-                .and_then(|mem| mem.peek().map(|&(key, _)| key));
-            for cursor in &mut self.runs {
-                if let Some(key) = cursor.peek_key() {
-                    min = Some(min.map_or(key, |m| m.min(key)));
-                }
-            }
-            let min = min?;
-            // Advance every level holding the min key; later (newer)
-            // levels overwrite, and the memtable overwrites last.
-            let mut winner: Option<(Point<D>, Option<&'a T>)> = None;
-            for cursor in self.runs.iter_mut() {
-                if cursor.peek_key() == Some(min) {
-                    winner = Some(cursor.take());
-                }
-            }
-            if let Some(mem) = self.mem.as_mut() {
-                if mem.peek().map(|&(key, _)| key) == Some(min) {
-                    let (_, slot) = mem.next().expect("peeked");
-                    winner = Some((slot.0, slot.1.as_ref()));
-                }
-            }
-            let (point, slot) = winner.expect("min key came from some level");
-            if let Some(payload) = slot {
-                return Some(StoreEntryRef {
-                    key: min,
-                    point,
-                    payload,
-                });
-            }
-            // Tombstone: the cell is dead in the snapshot; keep going.
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
     use sfc_core::{Grid, ZCurve};
     use sfc_index::MortonSkipper;
+    use std::collections::BTreeMap;
+
+    fn run_of(curve: ZCurve<2>, cells: &[(u32, u32, Option<u32>)]) -> Run<2, u32, ZCurve<2>> {
+        let mut rows: Vec<WriteOp<2, u32>> = cells
+            .iter()
+            .map(|&(x, y, v)| {
+                let p = Point::new([x, y]);
+                (curve.index_of(p), p, v)
+            })
+            .collect();
+        rows.sort_by_key(|&(k, _, _)| k);
+        let mut columns = RunColumns::with_capacity(rows.len());
+        columns.extend(rows);
+        Arc::new(columns.into_index(&curve))
+    }
+
+    #[test]
+    fn newest_version_wins_and_tombstones_drop_at_bottom() {
+        let curve = ZCurve::over(Grid::<2>::new(3).unwrap());
+        let old = run_of(curve, &[(0, 0, Some(1)), (1, 1, Some(2)), (2, 2, Some(3))]);
+        let new = run_of(curve, &[(1, 1, Some(20)), (2, 2, None), (3, 3, Some(4))]);
+        let runs = [old.clone(), new.clone()];
+
+        let kept = merge_runs(&curve, &runs, false).unwrap();
+        assert_eq!(kept.len(), 4); // tombstone for (2,2) is retained
+        assert_eq!(kept.live_len(), 3);
+        let vals = kept.payloads();
+        assert!(vals.contains(&20) && !vals.contains(&2));
+
+        // The inputs are borrowed: they stay readable, unchanged, while
+        // the merge runs and after it.
+        let bottom = merge_runs(&curve, &runs, true).unwrap();
+        assert_eq!(bottom.len(), 3); // (0,0)=1, (1,1)=20, (3,3)=4
+        assert_eq!(bottom.live_len(), bottom.len());
+        assert_eq!(old.len(), 3);
+        assert_eq!(new.len(), 3);
+    }
+
+    /// What the model holds of a key, newest write last: cell and payload
+    /// (`None` = tombstone).
+    type Model = BTreeMap<CurveIndex, (Point<2>, Option<u32>)>;
+
+    /// A run's slots as versions, tombstones included.
+    fn slots_of(run: &SfcIndex<2, u32, ZCurve<2>>) -> Vec<WriteOp<2, u32>> {
+        let slot = |i| (run.key_at(i), run.point_at(i), run.payload_at(i).copied());
+        (0..run.len()).map(slot).collect()
+    }
+
+    /// `model`'s versions, tombstones dropped when `live_only`.
+    fn model_versions(model: &Model, live_only: bool) -> Vec<WriteOp<2, u32>> {
+        let version =
+            |(&key, &(point, slot)): (&CurveIndex, &(Point<2>, Option<u32>))| (key, point, slot);
+        let versions = model.iter().map(version);
+        versions.filter(|v| v.2.is_some() || !live_only).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The level merge against a `BTreeMap` model on random stacks: an
+        /// optional memtable over 1–5 runs of up to 4 blocks, tombstones in
+        /// any level, every level drawn from one 200-key range so keys
+        /// repeat across levels. `versions` is the model written oldest
+        /// level to newest, `iter` its live part, and `merge_runs` the
+        /// same over the runs alone, in both tombstone modes.
+        #[test]
+        fn level_merge_matches_a_btreemap_model(seed in any::<u64>()) {
+            let z = ZCurve::over(Grid::<2>::new(4).unwrap());
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let runs_in_stack = rng.gen_range(1..=5usize);
+            let with_memtable = rng.gen_bool(0.5);
+            let mut level = |tag: u32| -> Vec<WriteOp<2, u32>> {
+                let density = rng.gen_range(5..95u32);
+                let mut versions = Vec::new();
+                for i in 0..200u32 {
+                    if rng.gen_range(0..100u32) < density {
+                        let key = CurveIndex::from(i);
+                        let slot = rng.gen_bool(0.75).then_some(1000 * tag + i);
+                        versions.push((key, z.point_of(key), slot));
+                    }
+                }
+                versions
+            };
+            // Oldest first, like a shard's run stack.
+            let run_levels: Vec<_> = (0..runs_in_stack as u32).map(&mut level).collect();
+            let mem_level = with_memtable.then(|| level(9));
+            let runs: Vec<Run<2, u32, ZCurve<2>>> = run_levels
+                .iter()
+                .map(|versions| {
+                    let mut columns = RunColumns::with_capacity(versions.len());
+                    columns.extend(versions.iter().copied());
+                    Arc::new(columns.into_index(&z))
+                })
+                .collect();
+            let mut mem = SeqTable::<2, u32>::new();
+            for (seq, &(key, point, slot)) in mem_level.iter().flatten().enumerate() {
+                mem.insert(key, (point, slot, seq as u64));
+            }
+            let mut runs_model = Model::new();
+            for &(key, point, slot) in run_levels.iter().flatten() {
+                runs_model.insert(key, (point, slot));
+            }
+            let mut model = runs_model.clone();
+            for &(key, point, slot) in mem_level.iter().flatten() {
+                model.insert(key, (point, slot));
+            }
+
+            let view = LevelsView {
+                memtable: (!mem.is_empty()).then_some(&mem),
+                runs: &runs,
+            };
+            let versions: Vec<_> = view.versions().map(|(k, p, t)| (k, p, t.copied())).collect();
+            prop_assert_eq!(versions, model_versions(&model, false));
+            let live: Vec<_> = view.iter().map(|e| (e.key, e.point, Some(*e.payload))).collect();
+            prop_assert_eq!(live, model_versions(&model, true));
+            for drop_tombstones in [false, true] {
+                let merged = merge_runs(&z, &runs, drop_tombstones);
+                let got = merged.as_deref().map(slots_of).unwrap_or_default();
+                prop_assert_eq!(got, model_versions(&runs_model, drop_tombstones));
+            }
+        }
+    }
+
+    #[test]
+    fn merge_of_empty_inputs_is_empty() {
+        let curve = ZCurve::over(Grid::<2>::new(2).unwrap());
+        let runs = [run_of(curve, &[])];
+        assert!(merge_runs::<2, u32, _>(&curve, &runs, true).is_none());
+    }
 
     /// The materialising k-way merge the streamed one replaced, kept as
     /// its reference: per-level hit lists (each ascending in key, newest

@@ -66,7 +66,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use sfc_core::{CurveIndex, SpaceFillingCurve};
-use sfc_index::{BlockStore, DecodedBlock, SfcIndex, BLOCK_SLOTS};
+use sfc_index::{BlockCursor, BlockStore, SfcIndex, BLOCK_SLOTS};
 
 use super::record::{crc32c, put_sized_payload, WalPayload};
 use super::WalError;
@@ -463,12 +463,12 @@ fn check_keys_against_curve<const D: usize, C: SpaceFillingCurve<D>>(
     curve: &C,
 ) -> Result<(), String> {
     let grid = curve.grid();
-    let mut decoded = Box::<DecodedBlock<D>>::default();
+    let mut cursor = BlockCursor::new(blocks);
     let mut points = Vec::with_capacity(BLOCK_SLOTS);
     let mut keys: Vec<CurveIndex> = Vec::with_capacity(BLOCK_SLOTS);
     let mut prev: Option<CurveIndex> = None;
     for block in 0..blocks.blocks() {
-        blocks.decode_into(block, &mut decoded);
+        let decoded = cursor.decoded(block);
         let range = blocks.block_range(block);
         points.clear();
         points.extend((0..range.len()).map(|j| decoded.point(j)));

@@ -660,3 +660,59 @@ fn knn_racing_writers_is_exact_about_what_it_may_return() {
         done.store(true, Ordering::Relaxed);
     });
 }
+
+thread_local! {
+    /// Set while a test wants the next `Fuse` clone on this thread to panic.
+    static ARMED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// A payload whose `Clone` panics once on the thread that armed it.
+#[derive(Debug, PartialEq)]
+struct Fuse(u32);
+
+impl Clone for Fuse {
+    fn clone(&self) -> Self {
+        assert!(!ARMED.with(|a| a.replace(false)), "armed payload cloned");
+        Fuse(self.0)
+    }
+}
+
+/// The lock-poisoning policy: a poisoned lock means a thread panicked
+/// mid-update, so the store panics rather than serve what that thread
+/// may have left half-written. `get` clones the memtable slot under the
+/// shard's `mem` lock, so a clone that panics there poisons it: the next
+/// write to that shard panics with the poisoned-lock message, neither
+/// hanging nor returning, and a write routed to another shard succeeds.
+#[test]
+fn a_panic_under_a_shard_lock_fails_that_shards_later_writes() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let curve = ZCurve::over(Grid::<2>::new(4).unwrap());
+    let store = ShardedSfcStore::new(curve, 2);
+    let last = curve.grid().n() - 1;
+    let (near, far) = (curve.point_of(0), curve.point_of(last));
+    assert_ne!(
+        store.partition().part_of(0),
+        store.partition().part_of(last)
+    );
+    store.insert(near, Fuse(1));
+    store.insert(far, Fuse(2));
+
+    ARMED.with(|a| a.set(true));
+    let get = catch_unwind(AssertUnwindSafe(|| store.get(near)));
+    assert!(get.is_err(), "the armed clone panics inside `get`");
+
+    let write = catch_unwind(AssertUnwindSafe(|| store.insert(near, Fuse(3))));
+    let payload = write.expect_err("a write to the poisoned shard panics");
+    let message = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or_default();
+    assert!(message.contains("shard mem poisoned"), "{message}");
+
+    assert!(
+        store.insert(far, Fuse(4)),
+        "the other shard replaces its record"
+    );
+    assert_eq!(store.get(far), Some(Fuse(4)));
+}

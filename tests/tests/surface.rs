@@ -242,6 +242,44 @@ fn gauges_are_read_not_pushed() {
     );
 }
 
+/// A shard's levels are read by one block cursor, `sfc_index::BlockCursor`:
+/// no hand-rolled decode cache (`decode_into(` with its `dec_block`
+/// bookkeeping) comes back into the store, a run file's key check decodes
+/// through the cursor and keeps each of its checks, and no run is taken
+/// apart by value (`into_parts`) to be merged.
+#[test]
+fn one_run_cursor() {
+    assert_absent(
+        "the store decodes blocks only through BlockCursor",
+        r"decode_into\(|dec_block",
+        &["crates/store/src"],
+    );
+    assert_absent(
+        "no run is consumed by value to be merged",
+        r"into_parts",
+        &["crates"],
+    );
+    let manifest = "crates/store/src/wal/manifest.rs";
+    assert_count(
+        "a run file's key check decodes through BlockCursor::decoded",
+        r"BlockCursor::new\(blocks\)|cursor\.decoded\(block\)",
+        manifest,
+        2,
+    );
+    for check in [
+        "outside the grid",
+        "is not the curve's key",
+        "run keys not strictly increasing",
+    ] {
+        assert_count(
+            "a run file's key check keeps its checks",
+            check,
+            manifest,
+            1,
+        );
+    }
+}
+
 /// Every row of `sfc-store`'s § Guarantees names the test that fails when
 /// its guarantee breaks, written `file::test` (`tests/tests/<file>.rs`, or
 /// the store module `<file>.rs`), or says it is untested. A named test
@@ -256,7 +294,7 @@ fn every_guarantee_names_a_test_that_exists() {
         .skip(1)
         .take_while(|l| l.starts_with("//! | "))
         .collect();
-    assert_eq!(rows.len(), 8, "one row per guarantee");
+    assert_eq!(rows.len(), 9, "one row per guarantee");
     let sources = grep("rl", "", &["tests/tests", "crates/store/src"]);
     for row in rows {
         let tested = row
