@@ -263,11 +263,11 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
         }
     }
 
-    /// A shard rebuilt by crash recovery: the checkpointed run stack as
+    /// A shard rebuilt by crash recovery: the persisted run stack as
     /// its epoch and the WAL's replayable records (sorted by seq, all
     /// `>= high_water`) re-applied to a fresh memtable with their
     /// original sequence numbers — exactly the state an in-memory shard
-    /// would hold right after the checkpointed flush plus those writes.
+    /// would hold right after the persisted flush plus those writes.
     pub(crate) fn recovered(
         curve: &C,
         cap: usize,
@@ -636,7 +636,8 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
     /// On a durable shard the install persists with its replay floor at
     /// the current `next_seq` (every prior record is either in the new
     /// run or migrated to another shard). With `defer_manifest` the
-    /// manifest flip waits for the engine-level
+    /// shard's manifest entry, the deletion of its old run files and its
+    /// WAL prune wait for the engine-level
     /// [`commit_boundaries`](crate::wal::WalEngine::commit_boundaries) —
     /// a crash mid-rebalance then rolls every shard back together.
     pub(crate) fn install_bottom_run(
@@ -663,15 +664,6 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> Shard<D, T, C> {
             m.epoch_publishes.inc();
         }
         Ok(())
-    }
-
-    /// Completes this shard's deferred durable commit after the
-    /// engine-level manifest write (no-op without a hook or a deferral).
-    pub(crate) fn finish_durable_commit(&self) -> Result<(), WalError> {
-        match self.wal.as_deref() {
-            Some(w) => w.finish_commit(),
-            None => Ok(()),
-        }
     }
 }
 

@@ -228,11 +228,11 @@
 //!   (durable) only when its group's fsync completes. The synchronous
 //!   write paths return after both; on error the write is applied but
 //!   may be lost by a crash.
-//! * **Checkpoints.** A flush persists its published runs as run files,
-//!   writes a checkpoint naming them plus the flush's sequence
-//!   high-water `H`, and flips the root `MANIFEST`
+//! * **One manifest.** A flush persists its published runs as run
+//!   files and flips the root `MANIFEST`, which names every shard's run
+//!   files, live count and sequence high-water `H`
 //!   (write-temp → fsync → rename → fsync-dir — the single commit
-//!   point). Reopening loads the checkpointed runs and replays exactly
+//!   point). Reopening loads the runs it names and replays exactly
 //!   the frames with `seq >= H`; segments wholly below `H` are pruned by
 //!   the log's background thread, off the writer path.
 //!   A torn frame at the newest segment's tail (only ever an unacked
@@ -269,7 +269,7 @@
 //! | the first I/O error is sticky and reaches every caller | `committer::first_error_reaches_leader_follower_and_every_later_call` |
 //! | writers never flush while maintenance runs | `concurrency::writers_never_stall_behind_maintenance_merges` |
 //! | a poisoned lock means a thread panicked mid-update, so the store panics: that shard's later writes panic (never hang or return), other shards keep serving | `concurrency::a_panic_under_a_shard_lock_fails_that_shards_later_writes` |
-//! | rebalance rolls back whole on a crash: files no manifest names are swept (no test crashes mid-rebalance) | `crash_recovery::unreferenced_generation_rolls_back_and_sweeps_orphans` |
+//! | rebalance rolls back whole on a crash before its manifest write: the old boundaries and records come back, files no manifest names are swept | `crash_recovery::rebalance_without_its_manifest_rolls_back` |
 //! | multi-shard read isolation ([Snapshots are captures](#snapshots-are-captures)) | untested: ROADMAP item 17(d) |
 //!
 //! [`QueryStats`]: sfc_index::QueryStats

@@ -73,8 +73,8 @@
 //! | `shard<j>.live` | records | read at snapshot |
 //! | `shard<j>.memtable.bytes` | bytes | read at snapshot |
 //! | `shard<j>.memtable.len` | entries | read at snapshot |
-//! | `shard<j>.persist.bytes` | bytes | a durable publish: run and checkpoint files written |
-//! | `shard<j>.persist.ns` | ns histogram | a durable publish: files written and synced, manifest flipped |
+//! | `shard<j>.persist.bytes` | bytes | a durable publish: run files written |
+//! | `shard<j>.persist.ns` | ns histogram | a durable publish: run files written and synced, manifest entry replaced (flipped unless a rebalance defers it) |
 //! | `shard<j>.runs` | runs | read at snapshot |
 //! | `shard<j>.write.liveness.ns` | ns histogram | a write's run-stack liveness probes, sampled (`0`: the memtable held every key) |
 //! | `wal.append.ns` | ns histogram | every WAL append: queue push, plus the durability wait of an acked write |

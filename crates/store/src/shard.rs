@@ -505,7 +505,7 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     /// Freezes the store into an owned [`ShardedSnapshot`]: every shard is
     /// captured — its copy-on-write memtable image, its published run
     /// stack and its live count, under one hold of its `mem` lock — and
-    /// nothing else happens: no flush, no run or checkpoint written, no
+    /// nothing else happens: no flush, no run file or manifest written, no
     /// way to fail. After creation the snapshot never touches a lock
     /// again — readers keep querying the frozen state from any thread
     /// while writes, flushes, compactions and rebalances continue.
@@ -790,8 +790,8 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
     }
 
     /// Flushes every shard's memtable (each publishes a fresh epoch).
-    /// On a durable store each flush also persists its runs and
-    /// checkpoint; panics if persistence fails (use
+    /// On a durable store each flush also persists its runs and its
+    /// manifest entry; panics if persistence fails (use
     /// [`try_flush`](Self::try_flush) to handle [`WalError`]).
     pub fn flush(&self) {
         self.try_flush()
@@ -886,9 +886,9 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
             }
         }
         // Durable stores defer the per-install manifest flips: run files
-        // and checkpoints are written here, but the root manifest — the
-        // single commit point — is replaced once below, carrying the new
-        // boundaries *and* every bumped generation together, so a crash
+        // are written here, but the root manifest — the single commit
+        // point — is replaced once below, carrying the new boundaries
+        // *and* every changed shard's entry together, so a crash
         // mid-rebalance rolls back to the consistent pre-rebalance cut.
         let defer = self.wal.is_some();
         for (j, columns) in columns.into_iter().enumerate().filter(|&(j, _)| changed[j]) {
@@ -900,13 +900,6 @@ impl<const D: usize, T: Clone, C: SpaceFillingCurve<D> + Clone> ShardedSfcStore<
             engine
                 .commit_boundaries(new.boundaries().to_vec())
                 .unwrap_or_else(|e| panic!("durable rebalance commit failed: {e}"));
-            for (j, shard) in self.shards.iter().enumerate() {
-                if changed[j] {
-                    shard
-                        .finish_durable_commit()
-                        .unwrap_or_else(|e| panic!("durable rebalance cleanup failed: {e}"));
-                }
-            }
         }
         *part = new;
         if let Some(m) = self.metrics.as_deref() {
@@ -1011,7 +1004,7 @@ where
     C: SpaceFillingCurve<D> + Clone + Send + Sync + 'static,
 {
     /// Opens (or creates) a durable store rooted at `config.dir`: loads
-    /// the manifest-referenced checkpoints and runs, replays the WAL
+    /// the run files the manifest names, replays the WAL
     /// tail into the memtables, garbage-collects debris from any
     /// interrupted flush or rebalance, and starts the group-commit
     /// thread. The shard boundaries come from the manifest (the last
@@ -1054,8 +1047,6 @@ where
                 j,
                 wal::shard_dir(&config.dir, j),
                 Arc::clone(&engine),
-                rs.gen,
-                rs.high_water,
                 rs.runs,
             )));
             shards.push(shard);

@@ -1,8 +1,7 @@
 //! The store-facing side of the WAL: the engine-wide handle
-//! ([`WalEngine`]: commit queue + manifest state) and the per-shard
-//! [`DurabilityHook`] the concurrent shard calls at its three durability
-//! points — logging a write, persisting a published epoch, and
-//! finishing a deferred (rebalance) commit.
+//! ([`WalEngine`]: commit queue + manifest image) and the per-shard
+//! [`DurabilityHook`] the concurrent shard calls at its two durability
+//! points — logging a write and persisting a published epoch.
 //!
 //! The hook is a trait object so the payload codec bound
 //! ([`WalPayload`]) appears only where a durable store is *opened*, not
@@ -13,12 +12,12 @@ use std::fmt;
 use std::fs;
 use std::mem::size_of;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use sfc_core::{CurveIndex, SpaceFillingCurve};
 
 use super::committer::Committer;
-use super::manifest::{ckpt_path, run_path, sync_dir, write_file, Checkpoint, Manifest};
+use super::manifest::{encode_run, run_path, sync_dir, write_file, Manifest, ShardEntry};
 use super::record::{
     batch_entry_len, encode_unsealed_batch, seal_frames, WalPayload, BATCH_HEADER, FRAME_HEADER,
 };
@@ -32,7 +31,16 @@ pub(crate) struct WalEngine {
     dir: PathBuf,
     dims: u8,
     pub(crate) committer: Committer,
-    manifest: Mutex<Manifest>,
+    state: Mutex<ManifestState>,
+}
+
+/// The manifest image, and what has changed in it since it was last
+/// written: run files it no longer names, to delete, and WAL replay
+/// floors to prune at, both once the manifest is on disk.
+struct ManifestState {
+    manifest: Manifest,
+    superseded: Vec<PathBuf>,
+    prunes: Vec<(usize, u64)>,
 }
 
 impl fmt::Debug for WalEngine {
@@ -55,34 +63,67 @@ impl WalEngine {
             dir: config.dir.clone(),
             dims,
             committer,
-            manifest: Mutex::new(manifest),
+            state: Mutex::new(ManifestState {
+                manifest,
+                superseded: Vec::new(),
+                prunes: Vec::new(),
+            }),
         }
     }
 
-    /// Updates shard `j`'s checkpoint generation; with `write_now` the
-    /// manifest is flipped to disk immediately, otherwise the update
-    /// waits for [`commit_boundaries`](Self::commit_boundaries) (the
-    /// deferred half of a rebalance).
-    fn set_gen(&self, j: usize, gen: u64, write_now: bool) -> Result<(), WalError> {
-        let mut m = self.manifest.lock().expect("manifest state poisoned");
-        m.gens[j] = gen;
-        if write_now {
-            m.commit(&self.dir, self.dims)?;
+    /// Replaces shard `j`'s entry (`high_water: None` keeps its floor)
+    /// and writes the manifest, unless `defer` leaves that to
+    /// [`commit_boundaries`](Self::commit_boundaries). The `superseded`
+    /// run files go, and the WAL is pruned, once the manifest is on disk.
+    pub(crate) fn set_entry(
+        &self,
+        j: usize,
+        high_water: Option<u64>,
+        live: usize,
+        run_ids: Vec<u64>,
+        superseded: Vec<PathBuf>,
+        defer: bool,
+    ) -> Result<(), WalError> {
+        let mut st = self.state.lock().expect("manifest state poisoned");
+        let entry = &mut st.manifest.shards[j];
+        let high_water = high_water.unwrap_or(entry.high_water);
+        *entry = ShardEntry {
+            high_water,
+            live: live as u64,
+            run_ids,
+        };
+        st.superseded.extend(superseded);
+        st.prunes.push((j, high_water));
+        if defer {
+            return Ok(());
         }
-        Ok(())
+        self.commit(st)
     }
 
     /// The single commit point of a rebalance: writes the manifest with
-    /// the new partition boundaries *and* every generation updated by
-    /// the deferred installs.
+    /// the new partition boundaries *and* every entry the deferred
+    /// installs staged.
     pub(crate) fn commit_boundaries(&self, boundaries: Vec<CurveIndex>) -> Result<(), WalError> {
-        let mut m = self.manifest.lock().expect("manifest state poisoned");
-        m.boundaries = boundaries;
-        m.commit(&self.dir, self.dims)
+        let mut st = self.state.lock().expect("manifest state poisoned");
+        st.manifest.boundaries = boundaries;
+        self.commit(st)
+    }
+
+    /// Writes the manifest image, then deletes the files it superseded
+    /// and requests the prunes it allows.
+    fn commit(&self, mut st: MutexGuard<'_, ManifestState>) -> Result<(), WalError> {
+        st.manifest.commit(&self.dir, self.dims)?;
+        for path in st.superseded.drain(..) {
+            let _ = fs::remove_file(path);
+        }
+        for (j, high_water) in st.prunes.drain(..) {
+            self.committer.request_prune(j, high_water);
+        }
+        Ok(())
     }
 }
 
-/// The three durability points of a concurrent shard, object-safe so
+/// The durability points of a concurrent shard, object-safe so
 /// [`Shard`](crate::epoch) stores `Option<Arc<dyn DurabilityHook>>`
 /// without a payload-codec bound.
 ///
@@ -110,13 +151,15 @@ where
     /// which the caller issues itself unless a round is in flight.
     fn log_frames(&self, frames: Vec<u8>, first_seq: u64, wait: bool) -> Result<(), WalError>;
 
-    /// Persists a freshly published epoch: new run files, a new
-    /// checkpoint generation, the manifest flip, and a prune request at
-    /// the new high-water. `high_water: None` keeps the previous floor
-    /// (compaction publishes no new memtable data); `defer_manifest`
-    /// parks the flip, cleanup, and prune until
-    /// [`finish_commit`](Self::finish_commit). Returns the bytes of run
-    /// and checkpoint files written.
+    /// Persists a freshly published epoch: writes the run files this
+    /// shard has not written yet, then replaces its entry in the
+    /// engine's manifest, which flips the manifest, deletes the
+    /// superseded run files and requests a prune at the new high-water.
+    /// `high_water: None` keeps the previous floor (compaction publishes
+    /// no new memtable data); `defer_manifest` leaves the flip, the
+    /// deletions and the prune to
+    /// [`WalEngine::commit_boundaries`]. Returns the bytes of run files
+    /// written.
     fn persist_epoch(
         &self,
         runs: &[Run<D, T, C>],
@@ -124,24 +167,14 @@ where
         high_water: Option<u64>,
         defer_manifest: bool,
     ) -> Result<u64, WalError>;
-
-    /// Completes a deferred persist after the engine-level manifest
-    /// commit: deletes superseded files and requests the parked prune.
-    fn finish_commit(&self) -> Result<(), WalError>;
 }
 
 /// Which run file holds each published run, keyed by `Arc` identity.
 /// Holding the `Arc` clone in the map pins the allocation, so pointer
 /// identity cannot be recycled while the entry lives (no ABA).
 struct PersistState<const D: usize, T, C: SpaceFillingCurve<D> + Clone> {
-    gen: u64,
-    high_water: u64,
     next_run_id: u64,
     map: Vec<(Run<D, T, C>, u64)>,
-    /// A deferred persist happened; `finish_commit` owes cleanup.
-    deferred: bool,
-    pending_cleanup: Vec<PathBuf>,
-    pending_prune: Option<u64>,
 }
 
 /// The sole [`DurabilityHook`] implementation: one per shard of a
@@ -149,7 +182,6 @@ struct PersistState<const D: usize, T, C: SpaceFillingCurve<D> + Clone> {
 pub(crate) struct WalShard<const D: usize, T, C: SpaceFillingCurve<D> + Clone> {
     j: usize,
     dir: PathBuf,
-    dims: u8,
     engine: Arc<WalEngine>,
     persist: Mutex<PersistState<D, T, C>>,
 }
@@ -165,13 +197,11 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> fmt::Debug for WalShard
 
 impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> WalShard<D, T, C> {
     /// A hook resuming from recovered state: `runs` paired with the run
-    /// file ids the checkpoint listed (empty on a fresh open).
+    /// file ids the manifest listed (empty on a fresh open).
     pub(crate) fn new(
         j: usize,
         dir: PathBuf,
         engine: Arc<WalEngine>,
-        gen: u64,
-        high_water: u64,
         recovered_runs: Vec<(Run<D, T, C>, u64)>,
     ) -> Self {
         let next_run_id = recovered_runs
@@ -182,16 +212,10 @@ impl<const D: usize, T, C: SpaceFillingCurve<D> + Clone> WalShard<D, T, C> {
         Self {
             j,
             dir,
-            dims: D as u8,
             engine,
             persist: Mutex::new(PersistState {
-                gen,
-                high_water,
                 next_run_id,
                 map: recovered_runs,
-                deferred: false,
-                pending_cleanup: Vec::new(),
-                pending_prune: None,
             }),
         }
     }
@@ -228,7 +252,6 @@ where
     ) -> Result<u64, WalError> {
         let mut st = self.persist.lock().expect("persist state poisoned");
         let mut written = 0u64;
-        let hw = high_water.unwrap_or(st.high_water);
         // Write files for runs this shard has not persisted yet;
         // unchanged runs keep their file (identity match — runs are
         // immutable, so a pointer match is a content match).
@@ -240,7 +263,7 @@ where
                 None => {
                     let id = st.next_run_id;
                     st.next_run_id += 1;
-                    let bytes = super::manifest::encode_run(run.as_ref());
+                    let bytes = encode_run(run.as_ref());
                     write_file(&run_path(&self.dir, id), &bytes)?;
                     written += bytes.len() as u64;
                     id
@@ -249,57 +272,18 @@ where
             new_map.push((Arc::clone(run), id));
             ids.push(id);
         }
-        let gen = st.gen + 1;
-        let ckpt = Checkpoint {
-            high_water: hw,
-            live: live as u64,
-            run_ids: ids,
-        }
-        .encode(self.dims);
-        write_file(&ckpt_path(&self.dir, gen), &ckpt)?;
-        written += ckpt.len() as u64;
         sync_dir(&self.dir)?;
-        // Everything the old generation referenced and the new one does
-        // not becomes garbage — but only after the manifest flip below
-        // makes the new generation the referenced one.
-        let mut stale: Vec<PathBuf> = st
+        // Every run file the old entry named and the new one does not
+        // becomes garbage once the manifest drops it.
+        let superseded = st
             .map
             .iter()
             .filter(|(old, _)| !new_map.iter().any(|(new, _)| Arc::ptr_eq(new, old)))
             .map(|&(_, id)| run_path(&self.dir, id))
             .collect();
-        if st.gen > 0 {
-            stale.push(ckpt_path(&self.dir, st.gen));
-        }
-        st.gen = gen;
-        st.high_water = hw;
         st.map = new_map;
-        self.engine.set_gen(self.j, gen, !defer_manifest)?;
-        if defer_manifest {
-            st.deferred = true;
-            st.pending_cleanup.append(&mut stale);
-            st.pending_prune = Some(hw);
-        } else {
-            for path in stale {
-                let _ = fs::remove_file(path);
-            }
-            self.engine.committer.request_prune(self.j, hw);
-        }
+        self.engine
+            .set_entry(self.j, high_water, live, ids, superseded, defer_manifest)?;
         Ok(written)
-    }
-
-    fn finish_commit(&self) -> Result<(), WalError> {
-        let mut st = self.persist.lock().expect("persist state poisoned");
-        if !st.deferred {
-            return Ok(());
-        }
-        st.deferred = false;
-        for path in st.pending_cleanup.drain(..) {
-            let _ = fs::remove_file(path);
-        }
-        if let Some(hw) = st.pending_prune.take() {
-            self.engine.committer.request_prune(self.j, hw);
-        }
-        Ok(())
     }
 }

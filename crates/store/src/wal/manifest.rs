@@ -1,23 +1,37 @@
-//! Persistent-state file formats and atomic-write helpers: run files,
-//! per-shard checkpoints, and the root `MANIFEST`.
+//! Persistent-state file formats and atomic-write helpers: run files
+//! and the root `MANIFEST`.
 //!
 //! Every file is CRC32C-trailed and self-identifying (magic + version +
-//! dimensionality). None of them is ever modified in place: runs and
-//! checkpoints are written once under a fresh name and referenced
-//! afterwards; the manifest is replaced by write-temp → fsync → rename →
-//! fsync-dir, which is the *only* commit point of the whole store.
+//! dimensionality). None of them is ever modified in place: a run file
+//! is written once under a fresh name and referenced afterwards; the
+//! manifest is replaced by write-temp → fsync → rename → fsync-dir,
+//! which is the *only* commit point of the whole store.
 //!
 //! ```text
-//! <dir>/MANIFEST            magic "SFMF" | parts | per-shard ckpt gens
-//!                           | partition boundaries | crc
-//! <dir>/shard3/ckpt-000042  magic "SFCK" | high_water | live
-//!                           | run-file ids (stack order) | crc
+//! <dir>/MANIFEST            magic "SFMF" (version 2), layout below
 //! <dir>/shard3/run-000007.run
 //!                           magic "SFRN" (version 2) | block image
 //!                           | payload column | crc
 //! <dir>/shard3/wal-000011.log
 //!                           see `record` for the frame format
 //! ```
+//!
+//! # The manifest (version 2): every shard's runs and replay floor
+//!
+//! ```text
+//! [ "SFMF" | 2 | dims | 0 0 ]
+//! [ parts: u32 ] then per shard:
+//!   [ high_water: u64 ][ live: u64 ][ run count: u32 ][ run id: u64 ] × count
+//! [ boundary count: u32 ][ boundary: u128 ] × (parts + 1)
+//! [ crc32c of everything after the 8-byte header: u32 ]
+//! ```
+//!
+//! A shard's entry is its WAL replay floor, its live count and the ids
+//! of its run files, oldest first. [`Manifest::decode`] refuses, as a
+//! [`WalError::Corrupt`] with the offset, a version-1 file (which named
+//! per-shard checkpoint files instead), a run id listed twice in one
+//! shard, a boundary count other than `parts + 1`, a first boundary
+//! other than 0 and a boundary below its predecessor.
 //!
 //! # Run files (version 2): the blocks, as they are
 //!
@@ -60,6 +74,7 @@
 //! 5. payload count = the bitmap's popcount and backed by the bytes
 //!    that remain; every payload decodes; nothing trails the column.
 
+use std::collections::BTreeSet;
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -73,10 +88,9 @@ use super::WalError;
 use crate::view::Run;
 
 const MANIFEST_MAGIC: &[u8; 4] = b"SFMF";
-const CKPT_MAGIC: &[u8; 4] = b"SFCK";
 const RUN_MAGIC: &[u8; 4] = b"SFRN";
-/// Version of the manifest and checkpoint layouts.
-const FORMAT_VERSION: u8 = 1;
+/// Version of the manifest layout (1 named per-shard checkpoint files).
+const MANIFEST_VERSION: u8 = 2;
 /// Version of the run-file layout (1 was the per-record layout).
 const RUN_VERSION: u8 = 2;
 
@@ -93,11 +107,6 @@ pub(crate) fn shard_dir(dir: &Path, j: usize) -> PathBuf {
 /// `<shard_dir>/run-<id>.run`.
 pub(crate) fn run_path(shard_dir: &Path, id: u64) -> PathBuf {
     shard_dir.join(format!("run-{id:06}.run"))
-}
-
-/// `<shard_dir>/ckpt-<gen>`.
-pub(crate) fn ckpt_path(shard_dir: &Path, gen: u64) -> PathBuf {
-    shard_dir.join(format!("ckpt-{gen:06}"))
 }
 
 /// `<shard_dir>/wal-<id>.log`.
@@ -248,25 +257,42 @@ fn seal(out: &mut Vec<u8>) {
 // MANIFEST
 // ---------------------------------------------------------------------
 
-/// The store's single source of truth on disk: which checkpoint
-/// generation each shard is at, and the partition boundaries those
-/// checkpoints were taken under. Replaced atomically; everything not
-/// reachable from it is garbage.
+/// The store's single source of truth on disk: each shard's entry and
+/// the partition boundaries they were persisted under. Replaced
+/// atomically; every file it does not name is garbage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Manifest {
-    /// Per-shard checkpoint generation (0 = no checkpoint yet).
-    pub(crate) gens: Vec<u64>,
+    /// One entry per shard.
+    pub(crate) shards: Vec<ShardEntry>,
     /// Partition boundaries, `parts + 1` entries starting at 0.
     pub(crate) boundaries: Vec<CurveIndex>,
 }
 
+/// One shard's persisted epoch: the WAL replay floor (`high_water`),
+/// the epoch's live count and its run-file ids, oldest first. The
+/// default is a shard that never flushed.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct ShardEntry {
+    pub(crate) high_water: u64,
+    pub(crate) live: u64,
+    pub(crate) run_ids: Vec<u64>,
+}
+
 impl Manifest {
     pub(crate) fn encode(&self, dims: u8) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 8 + self.gens.len() * 8 + self.boundaries.len() * 16);
-        out.extend_from_slice(&header(MANIFEST_MAGIC, FORMAT_VERSION, dims));
-        out.extend_from_slice(&(self.gens.len() as u32).to_le_bytes());
-        for g in &self.gens {
-            out.extend_from_slice(&g.to_le_bytes());
+        let ids: usize = self.shards.iter().map(|e| e.run_ids.len()).sum();
+        let mut out = Vec::with_capacity(
+            8 + 8 + self.shards.len() * 20 + ids * 8 + self.boundaries.len() * 16 + 4,
+        );
+        out.extend_from_slice(&header(MANIFEST_MAGIC, MANIFEST_VERSION, dims));
+        out.extend_from_slice(&(self.shards.len() as u32).to_le_bytes());
+        for e in &self.shards {
+            out.extend_from_slice(&e.high_water.to_le_bytes());
+            out.extend_from_slice(&e.live.to_le_bytes());
+            out.extend_from_slice(&(e.run_ids.len() as u32).to_le_bytes());
+            for id in &e.run_ids {
+                out.extend_from_slice(&id.to_le_bytes());
+            }
         }
         out.extend_from_slice(&(self.boundaries.len() as u32).to_le_bytes());
         for b in &self.boundaries {
@@ -276,88 +302,61 @@ impl Manifest {
         out
     }
 
+    /// Parses and checks a manifest (the checks are in the module docs).
     pub(crate) fn decode(buf: &[u8], path: &Path, dims: u8) -> Result<Self, WalError> {
         let mut r = ByteReader::new(buf, path);
-        r.open_checked(MANIFEST_MAGIC, FORMAT_VERSION, dims)?;
+        r.open_checked(MANIFEST_MAGIC, MANIFEST_VERSION, dims)?;
         let parts = r.u32("shard count")? as usize;
-        if parts == 0 || parts > 1 << 20 {
-            return Err(WalError::corrupt(
-                path,
-                r.offset(),
-                "implausible shard count",
-            ));
+        // Each entry takes at least 20 bytes.
+        if parts == 0 || parts > r.remaining() / 20 {
+            return Err(r.corrupt("implausible shard count"));
         }
-        let mut gens = Vec::with_capacity(parts);
+        let mut shards = Vec::with_capacity(parts);
         for _ in 0..parts {
-            gens.push(r.u64("checkpoint generation")?);
+            let high_water = r.u64("high water")?;
+            let live = r.u64("live count")?;
+            // A count the file cannot back fails at its end.
+            let n = r.u32("run count")?;
+            let (mut run_ids, mut seen) = (Vec::new(), BTreeSet::new());
+            for _ in 0..n {
+                let at = r.offset();
+                let id = r.u64("run id")?;
+                if !seen.insert(id) {
+                    let detail = format!("run id {id} listed twice");
+                    return Err(WalError::corrupt(path, at, detail));
+                }
+                run_ids.push(id);
+            }
+            shards.push(ShardEntry {
+                high_water,
+                live,
+                run_ids,
+            });
         }
         let nb = r.u32("boundary count")? as usize;
         if nb != parts + 1 {
-            return Err(WalError::corrupt(
-                path,
-                r.offset(),
-                format!("{nb} boundaries for {parts} shards"),
-            ));
+            return Err(r.corrupt(format!("{nb} boundaries for {parts} shards")));
         }
-        let mut boundaries = Vec::with_capacity(nb);
+        let mut boundaries: Vec<CurveIndex> = Vec::with_capacity(nb);
         for _ in 0..nb {
-            boundaries.push(r.u128("partition boundary")?);
+            let at = r.offset();
+            let b = r.u128("partition boundary")?;
+            let bad = match boundaries.last() {
+                None if b != 0 => Some(format!("first boundary {b} is not 0")),
+                Some(&prev) if b < prev => Some(format!("boundary {b} is below {prev}")),
+                _ => None,
+            };
+            if let Some(detail) = bad {
+                return Err(WalError::corrupt(path, at, detail));
+            }
+            boundaries.push(b);
         }
-        Ok(Manifest { gens, boundaries })
+        Ok(Manifest { shards, boundaries })
     }
 
     /// Writes this manifest atomically into `dir`.
     pub(crate) fn commit(&self, dir: &Path, dims: u8) -> Result<(), WalError> {
         write_atomic(&manifest_path(dir), &self.encode(dims))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Checkpoints
-// ---------------------------------------------------------------------
-
-/// One shard's persisted epoch description: the WAL replay floor
-/// (`high_water`), the epoch live count, and the run-file ids of the
-/// stack in order (oldest first).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Checkpoint {
-    pub(crate) high_water: u64,
-    pub(crate) live: u64,
-    pub(crate) run_ids: Vec<u64>,
-}
-
-impl Checkpoint {
-    pub(crate) fn encode(&self, dims: u8) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 20 + self.run_ids.len() * 8);
-        out.extend_from_slice(&header(CKPT_MAGIC, FORMAT_VERSION, dims));
-        out.extend_from_slice(&self.high_water.to_le_bytes());
-        out.extend_from_slice(&self.live.to_le_bytes());
-        out.extend_from_slice(&(self.run_ids.len() as u32).to_le_bytes());
-        for id in &self.run_ids {
-            out.extend_from_slice(&id.to_le_bytes());
-        }
-        seal(&mut out);
-        out
-    }
-
-    pub(crate) fn decode(buf: &[u8], path: &Path, dims: u8) -> Result<Self, WalError> {
-        let mut r = ByteReader::new(buf, path);
-        r.open_checked(CKPT_MAGIC, FORMAT_VERSION, dims)?;
-        let high_water = r.u64("high water")?;
-        let live = r.u64("live count")?;
-        let n = r.u32("run count")? as usize;
-        if n > 1 << 20 {
-            return Err(WalError::corrupt(path, r.offset(), "implausible run count"));
-        }
-        let mut run_ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            run_ids.push(r.u64("run id")?);
-        }
-        Ok(Checkpoint {
-            high_water,
-            live,
-            run_ids,
-        })
     }
 }
 
@@ -505,15 +504,40 @@ mod tests {
     use super::*;
     use sfc_core::{Grid, Point, ZCurve};
 
+    fn sample_manifest() -> Manifest {
+        Manifest {
+            shards: vec![
+                ShardEntry::default(),
+                ShardEntry {
+                    high_water: 99,
+                    live: 42,
+                    run_ids: vec![1, 4, 6],
+                },
+                ShardEntry {
+                    high_water: 7,
+                    live: 3,
+                    run_ids: vec![2],
+                },
+            ],
+            boundaries: vec![0, 100, 200, 1024],
+        }
+    }
+
+    /// The detail of the `Corrupt` error decoding `bytes` returns.
+    fn corrupt_detail(bytes: &[u8]) -> String {
+        match Manifest::decode(bytes, Path::new("MANIFEST"), 2) {
+            Err(WalError::Corrupt { detail, .. }) => detail,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
     #[test]
     fn manifest_roundtrip_and_tamper_detection() {
-        let m = Manifest {
-            gens: vec![0, 3, 7],
-            boundaries: vec![0, 100, 200, 1024],
-        };
+        let m = sample_manifest();
         let bytes = m.encode(2);
         let back = Manifest::decode(&bytes, Path::new("MANIFEST"), 2).unwrap();
         assert_eq!(back, m);
+        assert!(Manifest::decode(&bytes, Path::new("MANIFEST"), 3).is_err());
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x40;
@@ -525,15 +549,44 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_roundtrip() {
-        let c = Checkpoint {
-            high_water: 99,
-            live: 42,
-            run_ids: vec![1, 4, 6],
-        };
-        let bytes = c.encode(3);
-        assert_eq!(Checkpoint::decode(&bytes, Path::new("ckpt"), 3).unwrap(), c);
-        assert!(Checkpoint::decode(&bytes, Path::new("ckpt"), 2).is_err());
+    fn version_1_manifest_is_refused_by_version() {
+        // The version-1 layout: shard count, one checkpoint generation a
+        // shard, the boundaries.
+        let mut v1 = header(MANIFEST_MAGIC, 1, 2).to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&3u64.to_le_bytes());
+        v1.extend_from_slice(&2u32.to_le_bytes());
+        v1.extend_from_slice(&0u128.to_le_bytes());
+        v1.extend_from_slice(&1024u128.to_le_bytes());
+        seal(&mut v1);
+        let detail = corrupt_detail(&v1);
+        assert!(
+            detail.contains("unsupported SFMF version 1"),
+            "refused by version: {detail}"
+        );
+    }
+
+    #[test]
+    fn bad_boundaries_and_repeated_run_ids_are_corrupt() {
+        let mut m = sample_manifest();
+        m.boundaries[0] = 5;
+        assert!(corrupt_detail(&m.encode(2)).contains("first boundary 5 is not 0"));
+        let mut m = sample_manifest();
+        m.boundaries[2] = 50;
+        assert!(corrupt_detail(&m.encode(2)).contains("boundary 50 is below 100"));
+        let mut m = sample_manifest();
+        m.boundaries.pop();
+        assert!(corrupt_detail(&m.encode(2)).contains("3 boundaries for 3 shards"));
+        let mut m = sample_manifest();
+        m.shards[1].run_ids = vec![1, 4, 1];
+        assert!(corrupt_detail(&m.encode(2)).contains("run id 1 listed twice"));
+        // Equal neighbours are an empty shard, not damage.
+        let mut m = sample_manifest();
+        m.boundaries[2] = 100;
+        assert_eq!(
+            Manifest::decode(&m.encode(2), Path::new("MANIFEST"), 2),
+            Ok(m)
+        );
     }
 
     #[test]
@@ -564,7 +617,6 @@ mod tests {
     #[test]
     fn numbered_names_parse() {
         assert_eq!(parse_numbered("run-000007.run", "run-", ".run"), Some(7));
-        assert_eq!(parse_numbered("ckpt-000042", "ckpt-", ""), Some(42));
         assert_eq!(parse_numbered("run-.run", "run-", ".run"), None);
         assert_eq!(parse_numbered("run-x7.run", "run-", ".run"), None);
         assert_eq!(parse_numbered("wal-0001.log", "run-", ".run"), None);

@@ -1,5 +1,5 @@
 //! Durability for the sharded engine: a per-shard write-ahead log with
-//! group commit, run/checkpoint persistence, and crash recovery.
+//! group commit, run files named by one `MANIFEST`, and crash recovery.
 //!
 //! # The durability model
 //!
@@ -14,24 +14,25 @@
 //!    already has.
 //! 2. **A published run** — once a flush publishes an epoch at sequence
 //!    high-water `H`, every record with `seq < H` lives in a run file
-//!    (`run-*.run`) referenced by the shard's checkpoint (`ckpt-*`), and
-//!    the frames below `H` become garbage. A run file *is* the run: the
-//!    bit-packed blocks dumped as they sit in memory (≈ 3 B of keys and
-//!    coordinates a record on a curve-local run — the curve's locality
-//!    is what the delta packing feeds on) followed by the dense payload
-//!    column. Persisting decodes nothing; a reopen re-packs nothing, but
+//!    (`run-*.run`) that the root `MANIFEST` names in the shard's entry
+//!    beside `H` and the shard's live count, and the frames below `H`
+//!    become garbage. A run file *is* the run: the bit-packed blocks
+//!    dumped as they sit in memory (≈ 3 B of keys and coordinates a
+//!    record on a curve-local run — the curve's locality is what the
+//!    delta packing feeds on) followed by the dense payload column. Persisting decodes nothing; a reopen re-packs nothing, but
 //!    re-derives every key from its point and checks every structural
 //!    claim of the file before trusting it (see `manifest`).
 //!
 //! Recovery therefore replays exactly the frames with `seq >=` the
-//! checkpointed high-water into a fresh memtable — it never touches the
-//! reader path, and a record is never applied twice. Shards recover
-//! independently (their logs share nothing), so a store of more than one
-//! shard fans the per-shard scans and replays out across threads, always:
-//! there is no setting for it (the fan-out reopens a 4-shard store with
-//! runs on disk ≈ 1.6× faster than one thread on two cores, and the
-//! recovered state is identical either way). [`RecoveryStats`] reports
-//! the threads used and the per-shard breakdown.
+//! shard's high-water in the manifest into a fresh memtable — it never
+//! touches the reader path, and a record is never applied twice. Shards
+//! recover independently (their logs share nothing), so a store of more
+//! than one shard fans the per-shard scans and replays out across
+//! threads, always: there is no setting for it (the fan-out reopens a
+//! 4-shard store with runs on disk ≈ 1.6× faster than one thread on two
+//! cores, and the recovered state is identical either way).
+//! [`RecoveryStats`] reports the threads used and the per-shard
+//! breakdown.
 //!
 //! # Group commit
 //!
@@ -76,25 +77,25 @@
 //!
 //! # Crash atomicity
 //!
-//! Run files and checkpoints are written, synced, and only then
-//! referenced: the per-shard checkpoint generation a reopen trusts is
-//! named by the root `MANIFEST`, which is replaced via
-//! write-temp → fsync → rename → fsync-dir. A crash between any two
-//! steps leaves either the old or the new state referenced, never a mix;
-//! unreferenced files are garbage-collected on reopen. Rebalance defers
-//! its per-shard manifest updates and commits all shard generations plus
-//! the new partition boundaries in a single manifest write, so a
-//! mid-rebalance crash rolls back to the consistent pre-rebalance cut.
+//! Run files and their shard directory are synced before the root
+//! `MANIFEST` names them, and the manifest is replaced via
+//! write-temp → fsync → rename → fsync-dir (≥ 4 fsyncs a flush). A
+//! crash between any two steps leaves either the old or the new state
+//! named, never a mix; files the manifest does not name are swept on
+//! reopen, and a run file a new manifest drops is deleted only after
+//! that manifest is on disk. Rebalance stages its shards' entries in the
+//! engine and writes them with the new partition boundaries in one
+//! manifest write, so a mid-rebalance crash rolls back to the consistent
+//! pre-rebalance cut.
 //!
 //! # What is checksummed by what
 //!
 //! One function, `record`'s slice-by-8 CRC32C, guards every durable
 //! byte: each WAL frame carries the checksum of its body in its header
-//! (verified frame by frame by the recovery scan); each run file,
-//! checkpoint and `MANIFEST` ends in the checksum of everything after
-//! its 8-byte header (verified whole before a field is parsed). Segment
-//! headers and file names carry no checksum — they are validated by
-//! value.
+//! (verified frame by frame by the recovery scan); each run file and
+//! the `MANIFEST` end in the checksum of everything after their 8-byte
+//! header (verified whole before a field is parsed). Segment headers and
+//! file names carry no checksum — they are validated by value.
 //!
 //! # Torn tails vs corruption
 //!
@@ -315,8 +316,8 @@ impl std::error::Error for WalError {}
 /// [`ShardedSfcStore::recovery_stats`](crate::ShardedSfcStore::recovery_stats).
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryStats {
-    /// WAL records replayed into memtables (`seq >=` checkpoint
-    /// high-water).
+    /// WAL records replayed into memtables (`seq >=` the shard's
+    /// high-water in the manifest).
     pub replayed_records: usize,
     /// Valid records skipped because a published run already covers them
     /// (`seq <` high-water — frames a prune had not reclaimed yet).
@@ -330,8 +331,9 @@ pub struct RecoveryStats {
     /// Bytes discarded as the torn tail of the newest segment (an
     /// interrupted append — never an acknowledged write).
     pub torn_tail_bytes: u64,
-    /// Orphaned files (unreferenced runs/checkpoints, temp files) swept
-    /// on open.
+    /// Orphaned files swept on open: run files the manifest does not
+    /// name and temp files, the debris of an interrupted flush,
+    /// compaction or rebalance.
     pub orphans_removed: usize,
     /// Wall-clock time of the whole recovery.
     pub elapsed: Duration,

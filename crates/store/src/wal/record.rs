@@ -186,8 +186,8 @@ const fn crc32c_tables() -> [[u32; 256]; 8] {
 /// CRC32C of `bytes` (Castagnoli polynomial, reflected, init/final XOR
 /// `!0` — the same function hardware `crc32c` instructions compute).
 ///
-/// The only checksum in the crate: WAL frames, run files, checkpoints,
-/// the manifest and the recovery scan all call it. Slice-by-8: each
+/// The only checksum in the crate: WAL frames, run files, the manifest
+/// and the recovery scan all call it. Slice-by-8: each
 /// 8-byte chunk costs eight table lookups that do not depend on one
 /// another (the bytewise loop chains every lookup on the previous one),
 /// with the bytewise loop left for the ≤ 7-byte tail. Same function,

@@ -1,17 +1,17 @@
-//! Reopening a durable store: load the manifest-referenced checkpoint
-//! and run files, scan the WAL segments, classify damage, and hand the
-//! engine everything it needs to rebuild each shard.
+//! Reopening a durable store: read the `MANIFEST`, load the run files
+//! each shard's entry names, scan the WAL segments, classify damage, and
+//! hand the engine everything it needs to rebuild each shard.
 //!
 //! The invariants this module enforces are the crash-consistency
 //! contract of the whole WAL (see the module docs in [`super`]):
 //!
-//! * Only the **manifest-referenced** generation of each shard is
-//!   trusted; newer checkpoints or run files from an interrupted flush /
-//!   rebalance are garbage-collected, which *is* the rollback.
-//! * A referenced file that is missing or fails its checksum is
+//! * Only the run files the **manifest** names are trusted; run and
+//!   temp files from an interrupted flush or rebalance are
+//!   garbage-collected, which *is* the rollback.
+//! * A named file that is missing or fails its checksum is
 //!   [`WalError::Corrupt`] — loudly, with the path and offset.
-//! * WAL frames below the checkpoint high-water are skipped (their
-//!   records live in runs); frames at or above it are replayed.
+//! * WAL frames below the shard's high-water are skipped (their records
+//!   live in runs); frames at or above it are replayed.
 //! * Damage at the very tail of the *newest* segment is a torn append
 //!   (only ever unacknowledged writes) and is discarded; damage anywhere
 //!   else is corruption and fails the open.
@@ -25,8 +25,8 @@ use sfc_partition::Partition;
 
 use super::committer::ShardLogState;
 use super::manifest::{
-    ckpt_path, manifest_path, parse_numbered, run_path, segment_path, shard_dir, sync_dir,
-    Checkpoint, Manifest,
+    decode_run, manifest_path, parse_numbered, run_path, segment_path, shard_dir, Manifest,
+    ShardEntry,
 };
 use super::record::{
     check_segment_header, decode_body_records, parse_frame, FrameOutcome, WalPayload, WalRecord,
@@ -38,15 +38,13 @@ use rayon::prelude::*;
 
 /// Everything recovery reconstructed for one shard.
 pub(crate) struct RecoveredShard<const D: usize, T, C: SpaceFillingCurve<D> + Clone> {
-    /// The checkpointed run stack (oldest first) with each run's file id
+    /// The persisted run stack (oldest first) with each run's file id
     /// — the persist map the shard's hook resumes with.
     pub(crate) runs: Vec<(Run<D, T, C>, u64)>,
-    /// The checkpoint's live count (records visible in `runs`).
+    /// The entry's live count (records visible in `runs`).
     pub(crate) epoch_live: usize,
     /// The WAL replay floor.
     pub(crate) high_water: u64,
-    /// The checkpoint generation the manifest referenced.
-    pub(crate) gen: u64,
     /// Replayable records (`seq >= high_water`), sorted by seq.
     pub(crate) records: Vec<WalRecord<D, T>>,
     /// Surviving segment files, for the committer's pruner.
@@ -94,11 +92,11 @@ where
 
     let manifest = if mpath.exists() {
         let m = Manifest::decode(&read(&mpath)?, &mpath, D as u8)?;
-        if m.gens.len() != parts {
+        if m.shards.len() != parts {
             return Err(WalError::Mismatch {
                 detail: format!(
                     "store on disk has {} shards, open asked for {parts}",
-                    m.gens.len()
+                    m.shards.len()
                 ),
             });
         }
@@ -114,13 +112,12 @@ where
         m
     } else {
         let m = Manifest {
-            gens: vec![0; parts],
+            shards: vec![ShardEntry::default(); parts],
             boundaries: Partition::uniform(curve.grid().n(), parts)
                 .boundaries()
                 .to_vec(),
         };
         m.commit(dir, D as u8)?;
-        sync_dir(dir)?;
         m
     };
 
@@ -128,13 +125,12 @@ where
     // the per-shard scans and replays fan out across the scoped thread
     // pool (a single-shard store runs inline).
     let recovered: Vec<ShardRecovery<D, T, C>> = manifest
-        .gens
+        .shards
         .iter()
-        .copied()
         .enumerate()
         .collect::<Vec<_>>()
         .into_par_iter()
-        .map(|(j, gen)| recover_shard::<D, T, C>(&shard_dir(dir, j), gen, curve))
+        .map(|(j, entry)| recover_shard::<D, T, C>(&shard_dir(dir, j), entry, curve))
         .collect();
     stats.replay_threads = std::thread::available_parallelism()
         .map_or(2, std::num::NonZeroUsize::get)
@@ -161,12 +157,12 @@ where
     })
 }
 
-/// Loads one shard: checkpointed runs, WAL replay set, surviving
-/// segments, and the orphan sweep. Self-contained (returns its own
-/// stats) so shards can recover on separate threads.
+/// Loads one shard: the runs its manifest entry names, WAL replay set,
+/// surviving segments, and the orphan sweep. Self-contained (returns its
+/// own stats) so shards can recover on separate threads.
 fn recover_shard<const D: usize, T, C>(
     sd: &Path,
-    gen: u64,
+    entry: &ShardEntry,
     curve: &C,
 ) -> Result<(RecoveredShard<D, T, C>, ShardRecoveryStats), WalError>
 where
@@ -176,68 +172,41 @@ where
     let shard_start = Instant::now();
     let mut stats = ShardRecoveryStats::default();
     // Inventory the directory once.
-    let mut ckpt_ids = Vec::new();
     let mut run_ids = Vec::new();
     let mut seg_ids = Vec::new();
     let mut tmp_files = Vec::new();
     let entries = fs::read_dir(sd).map_err(|e| WalError::io(sd, &e))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| WalError::io(sd, &e))?;
-        let name = entry.file_name();
+    for dirent in entries {
+        let dirent = dirent.map_err(|e| WalError::io(sd, &e))?;
+        let name = dirent.file_name();
         let Some(name) = name.to_str() else { continue };
-        if let Some(id) = parse_numbered(name, "ckpt-", "") {
-            ckpt_ids.push(id);
-        } else if let Some(id) = parse_numbered(name, "run-", ".run") {
+        if let Some(id) = parse_numbered(name, "run-", ".run") {
             run_ids.push(id);
         } else if let Some(id) = parse_numbered(name, "wal-", ".log") {
             seg_ids.push(id);
         } else if name.ends_with(".tmp") {
-            tmp_files.push(entry.path());
+            tmp_files.push(dirent.path());
         }
     }
 
-    // The referenced checkpoint (gen 0 = the shard never flushed).
-    let ckpt = if gen > 0 {
-        let path = ckpt_path(sd, gen);
-        if !path.exists() {
-            return Err(WalError::corrupt(
-                &path,
-                0,
-                "manifest references a missing checkpoint",
-            ));
-        }
-        Checkpoint::decode(&read(&path)?, &path, D as u8)?
-    } else {
-        Checkpoint {
-            high_water: 0,
-            live: 0,
-            run_ids: Vec::new(),
-        }
-    };
-    let mut runs = Vec::with_capacity(ckpt.run_ids.len());
-    for &id in &ckpt.run_ids {
+    let mut runs = Vec::with_capacity(entry.run_ids.len());
+    for &id in &entry.run_ids {
         let path = run_path(sd, id);
         if !path.exists() {
             return Err(WalError::corrupt(
                 &path,
                 0,
-                "checkpoint references a missing run file",
+                "manifest references a missing run file",
             ));
         }
-        let run = super::manifest::decode_run::<D, T, C>(&read(&path)?, &path, curve)?;
+        let run = decode_run::<D, T, C>(&read(&path)?, &path, curve)?;
         stats.runs_loaded += 1;
         runs.push((run, id));
     }
 
-    // Orphan sweep: anything the referenced generation does not name is
-    // debris from an interrupted flush or rebalance — removing it is the
-    // rollback.
-    for &id in ckpt_ids.iter().filter(|&&id| id != gen) {
-        if fs::remove_file(ckpt_path(sd, id)).is_ok() {
-            stats.orphans_removed += 1;
-        }
-    }
-    for &id in run_ids.iter().filter(|id| !ckpt.run_ids.contains(id)) {
+    // Orphan sweep: anything the manifest does not name is debris from
+    // an interrupted flush or rebalance — removing it is the rollback.
+    for &id in run_ids.iter().filter(|id| !entry.run_ids.contains(id)) {
         if fs::remove_file(run_path(sd, id)).is_ok() {
             stats.orphans_removed += 1;
         }
@@ -287,7 +256,7 @@ where
                         .map_err(|detail| WalError::corrupt(&path, off as u64, detail))?;
                     for rec in frame_records {
                         max_seq = Some(max_seq.map_or(rec.seq, |m: u64| m.max(rec.seq)));
-                        if rec.seq >= ckpt.high_water {
+                        if rec.seq >= entry.high_water {
                             records.push(rec);
                         } else {
                             stats.skipped_records += 1;
@@ -332,9 +301,8 @@ where
     Ok((
         RecoveredShard {
             runs,
-            epoch_live: ckpt.live as usize,
-            high_water: ckpt.high_water,
-            gen,
+            epoch_live: entry.live as usize,
+            high_water: entry.high_water,
             records,
             log: ShardLogState {
                 dir: sd.to_path_buf(),

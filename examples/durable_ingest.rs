@@ -56,7 +56,7 @@ fn main() {
                 model.insert(z.index_of(p), (p, i));
             }
             if i % 20_000 == 19_999 {
-                store.flush(); // checkpoint: runs published, log pruned
+                store.flush(); // runs persisted, MANIFEST flipped, log pruned
             }
         }
         store.sync().expect("durability barrier");

@@ -54,7 +54,9 @@ impl Drop for TempDir {
     }
 }
 
-/// Recursively copies a store directory (MANIFEST + shard subdirs).
+/// Recursively copies a store directory (MANIFEST + shard subdirs). A
+/// file deleted while the copy runs — a WAL segment the log's
+/// background thread prunes under an open store — is skipped.
 fn copy_dir(src: &Path, dst: &Path) {
     fs::create_dir_all(dst).unwrap();
     for entry in fs::read_dir(src).unwrap() {
@@ -62,8 +64,8 @@ fn copy_dir(src: &Path, dst: &Path) {
         let to = dst.join(entry.file_name());
         if entry.file_type().unwrap().is_dir() {
             copy_dir(&entry.path(), &to);
-        } else {
-            fs::copy(entry.path(), &to).unwrap();
+        } else if let Err(e) = fs::copy(entry.path(), &to) {
+            assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{e}");
         }
     }
 }
@@ -158,7 +160,7 @@ fn acked_writes_survive_simulated_crash() {
 fn tombstones_only_workload_recovers_empty() {
     let tmp = TempDir::new("tombstones");
     // Capacity above the op count: no inline capacity flush may sneak
-    // the tail tombstones' seqs under the checkpoint high-water.
+    // the tail tombstones' seqs under the manifest's high-water.
     {
         let store = reopen(tmp.path(), 1, 64).unwrap();
         for x in 0..32u32 {
@@ -666,9 +668,9 @@ fn torn_batch_frame_is_atomic_per_shard() {
     }
 }
 
-/// Recomputes a run file's trailing checksum (over everything between
-/// the 8-byte header and the trailer), so that only the loader's own
-/// checks stand between the lie and the index.
+/// Recomputes a run file's or the manifest's trailing checksum (over
+/// everything between the 8-byte header and the trailer), so that only
+/// the loader's own checks stand between the lie and the store.
 fn reseal(file: &mut [u8]) {
     let body_end = file.len() - 4;
     let crc = sfc_store::wal::bench_hooks::crc32c(&file[8..body_end]);
@@ -860,6 +862,37 @@ fn shard_count_mismatch_is_rejected() {
     }
 }
 
+/// A manifest that passes its checksum but whose boundaries decrease is
+/// refused as `Corrupt` at the bad boundary's offset; it never reaches
+/// the partition, whose constructor asserts.
+#[test]
+fn manifest_with_decreasing_boundaries_is_corrupt() {
+    let tmp = TempDir::new("bad-bounds");
+    drop(reopen(tmp.path(), 2, 64).unwrap());
+    let manifest = tmp.path().join("MANIFEST");
+    let mut bytes = fs::read(&manifest).unwrap();
+    // The boundaries `[0, n / 2, n]` close the file, 16 bytes each
+    // before the 4-byte checksum: raise the middle one past `n`.
+    let last = bytes.len() - 4 - 16;
+    let n = u128::from_le_bytes(bytes[last..last + 16].try_into().unwrap());
+    assert_eq!(n, curve().grid().n());
+    bytes[last - 16..last].copy_from_slice(&(n + 1).to_le_bytes());
+    reseal(&mut bytes);
+    fs::write(&manifest, &bytes).unwrap();
+    match reopen(tmp.path(), 2, 64) {
+        Err(WalError::Corrupt {
+            path,
+            offset,
+            detail,
+        }) => {
+            assert_eq!(path, manifest);
+            assert_eq!(offset, last as u64, "the offset of the last boundary");
+            assert!(detail.contains("is below"), "{detail}");
+        }
+        other => panic!("decreasing boundaries must fail typed, got {other:?}"),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Rollback, pruning, multi-shard
 // ---------------------------------------------------------------------
@@ -909,6 +942,59 @@ fn unreferenced_generation_rolls_back_and_sweeps_orphans() {
     assert!(
         store.recovery_stats().unwrap().orphans_removed > 0,
         "generation-2 debris must be swept"
+    );
+}
+
+/// A rebalance that crashes before its manifest write leaves its new run
+/// files beside the old manifest: the reopen gets the pre-rebalance
+/// boundaries and records back and sweeps the new files.
+#[test]
+fn rebalance_without_its_manifest_rolls_back() {
+    let tmp = TempDir::new("rebalance-rollback");
+    let frozen = TempDir::new("rebalance-rollback-frozen");
+    let mut model = Model::new();
+    let boundaries;
+    {
+        let store = reopen(tmp.path(), 4, 32).unwrap();
+        let mut rng = test_rng(0xBA18);
+        for i in 0..400u32 {
+            let p = Point::new([rng.gen_range(0..16), rng.gen_range(0..16)]);
+            apply_acked(&store, &mut model, p, Some(i));
+        }
+        // Flushed now, so the rebalance's own flushes write nothing.
+        store.flush();
+        boundaries = store.partition().boundaries().to_vec();
+        copy_dir(tmp.path(), frozen.path());
+        assert!(store.rebalance(0.01), "skew must move boundaries");
+        assert_ne!(store.partition().boundaries(), &boundaries[..]);
+    }
+    // Every file the rebalance created, without the manifest that names
+    // them: what a crash just before the manifest rename leaves behind.
+    let mut created = 0;
+    for j in 0..4 {
+        let (src, dst) = (
+            tmp.path().join(format!("shard{j}")),
+            frozen.path().join(format!("shard{j}")),
+        );
+        for entry in fs::read_dir(&src).unwrap() {
+            let to = dst.join(entry.unwrap().file_name());
+            if !to.exists() {
+                fs::copy(src.join(to.file_name().unwrap()), &to).unwrap();
+                created += 1;
+            }
+        }
+    }
+    assert!(created > 0, "the rebalance wrote run files");
+    let store = reopen(frozen.path(), 4, 32).unwrap();
+    assert_eq!(
+        store.partition().boundaries(),
+        &boundaries[..],
+        "an unwritten rebalance keeps the old boundaries"
+    );
+    assert_matches_model(&store, &model);
+    assert!(
+        store.recovery_stats().unwrap().orphans_removed > 0,
+        "the rebalance's run files must be swept"
     );
 }
 
@@ -1002,10 +1088,10 @@ fn model_reads(model: &Model) -> Vec<Vec<(CurveIndex, Point<2>, u32)>> {
 
 /// A snapshot is a capture: with a non-empty memtable on every shard of
 /// a durable store it flushes nothing (memtables, run stacks and flush
-/// counters unchanged), writes nothing (no run file, no checkpoint: the
-/// directory listing is the same before and after), sees every write
-/// applied before it, and keeps seeing exactly that while writers insert
-/// and delete and a flush, a compaction and a rebalance run.
+/// counters unchanged), writes nothing (no run file: the directory
+/// listing is the same before and after), sees every write applied
+/// before it, and keeps seeing exactly that while writers insert and
+/// delete and a flush, a compaction and a rebalance run.
 #[test]
 fn snapshot_is_a_capture_not_a_flush() {
     let tmp = TempDir::new("capture");

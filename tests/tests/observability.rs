@@ -437,6 +437,56 @@ fn persist_metrics_account_for_durable_flushes() {
     assert_eq!(snap.counter("shard0.persist.bytes"), Some(0));
 }
 
+/// What one flush of a fresh 1-shard durable store leaves on disk: the
+/// root holds `MANIFEST` and `shard0/`, the shard its WAL segments and
+/// exactly one run file, and `persist.bytes` counts that file's bytes.
+#[test]
+fn a_flush_leaves_the_manifest_and_one_run_file() {
+    let dir = std::env::temp_dir().join(format!("sfc-obs-on-disk-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let z = ZCurve::over(Grid::<2>::new(6).unwrap());
+    let mut store =
+        ShardedSfcStore::<2, u64, _>::open_durable(z, 1, 1 << 10, WalConfig::new(&dir)).unwrap();
+    let metrics = store.enable_metrics();
+    for i in 0..100u32 {
+        store.insert(Point::new([i % 64, i / 64]), u64::from(i));
+    }
+    store.flush();
+    let names = |d: &std::path::Path| -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(d)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(names(&dir), ["MANIFEST", "shard0"]);
+    let shard = names(&dir.join("shard0"));
+    let runs: Vec<&String> = shard
+        .iter()
+        .filter(|n| n.starts_with("run-") && n.ends_with(".run"))
+        .collect();
+    assert_eq!(runs.len(), 1, "one run file: {shard:?}");
+    assert!(
+        shard
+            .iter()
+            .all(|n| n == runs[0] || n.starts_with("wal-") && n.ends_with(".log")),
+        "nothing but WAL segments beside it: {shard:?}"
+    );
+    let run_bytes = std::fs::metadata(dir.join("shard0").join(runs[0]))
+        .unwrap()
+        .len();
+    assert_eq!(
+        metrics
+            .registry()
+            .snapshot()
+            .counter("shard0.persist.bytes"),
+        Some(run_bytes)
+    );
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// "Who fsynced my write": an acked write commits its own group, so a
 /// single writer's acked stream is one led group per write; a stream
 /// nobody waits for is committed `fsync_every` records at a time by the

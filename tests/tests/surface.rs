@@ -280,6 +280,18 @@ fn one_run_cursor() {
     }
 }
 
+/// One `MANIFEST` names every shard's run files and replay floor: no
+/// per-shard checkpoint file, generation or deferred-commit step comes
+/// back into the store.
+#[test]
+fn one_manifest_no_checkpoints() {
+    assert_absent(
+        "the MANIFEST is the store's only metadata file",
+        "ckpt|Checkpoint|CKPT_MAGIC|finish_commit|finish_durable_commit",
+        &["crates/store/src"],
+    );
+}
+
 /// Every row of `sfc-store`'s § Guarantees names the test that fails when
 /// its guarantee breaks, written `file::test` (`tests/tests/<file>.rs`, or
 /// the store module `<file>.rs`), or says it is untested. A named test
